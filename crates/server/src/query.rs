@@ -17,10 +17,10 @@
 use shareinsights_tabular::agg::AggKind;
 use shareinsights_tabular::expr::Expr;
 use shareinsights_tabular::ops::{
-    distinct, filter_by_expr, filter_by_values, groupby, join, sort, sort_limit, AggregateSpec,
+    distinct, groupby, groupby_selected, join, sort, sort_limit, values_mask, AggregateSpec,
     FilterByValues, GroupBy, JoinCondition, JoinSpec, SortKey, SortOrder,
 };
-use shareinsights_tabular::{IndexedTable, Table, Value};
+use shareinsights_tabular::{Bitmap, IndexedTable, Table, Value};
 
 /// A parsed query operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,14 +70,24 @@ pub enum QueryOp {
     /// SQL inner equi-join against a resolved right-side snapshot.
     Join(JoinOp),
     /// Fused `sort | limit`: the first `n` rows under `keys` (original row
-    /// order breaking ties), computed by bounded selection instead of a
-    /// full sort. Synthesized by the scatter planner for shard-local
-    /// pipelines — never produced by either query language's parser.
+    /// order breaking ties), selected without materialising the full
+    /// order. Neither query language spells it; [`fuse`] produces it for
+    /// every caller.
     TopN {
         /// Ordering keys.
         keys: Vec<SortKey>,
         /// Rows kept.
         n: usize,
+    },
+    /// Fused `filter | groupby`: the group-by folds the rows the filter
+    /// selects straight from the input, so no filtered table is built.
+    /// Produced by [`fuse`] only.
+    FilteredGroupBy {
+        /// The selecting op: [`QueryOp::Filter`] or [`QueryOp::FilterExpr`]
+        /// (anything else is an evaluation error).
+        filter: Box<QueryOp>,
+        /// The grouping, in its general form.
+        group: GroupBy,
     },
 }
 
@@ -172,6 +182,95 @@ pub(crate) fn groupby_config(key: &str, agg: AggKind, apply_on: &str) -> GroupBy
     )
 }
 
+fn sort_keys(op: &QueryOp) -> Option<Vec<SortKey>> {
+    match op {
+        QueryOp::Sort { column, order } => Some(vec![SortKey {
+            column: column.clone(),
+            order: *order,
+        }]),
+        QueryOp::SortMulti(keys) => Some(keys.clone()),
+        _ => None,
+    }
+}
+
+fn group_config(op: &QueryOp) -> Option<GroupBy> {
+    match op {
+        QueryOp::GroupBy { key, agg, apply_on } => Some(groupby_config(key, *agg, apply_on)),
+        QueryOp::GroupByMulti(cfg) => Some(cfg.clone()),
+        _ => None,
+    }
+}
+
+/// The fusion pass every evaluation starts with — the one place that
+/// decides these rewrites, whichever front end or planner built `ops`:
+///
+/// * `sort | limit n` → [`QueryOp::TopN`]; `sort | offset k | limit n` →
+///   `TopN(k + n) | offset k`. Only the rows that can reach the output
+///   are ever gathered.
+/// * `filter | groupby` → [`QueryOp::FilteredGroupBy`]: the group-by is
+///   handed the selection mask instead of a filtered table.
+///
+/// Both rewrites are byte-identical to running the ops one at a time, and
+/// the pass is idempotent.
+pub fn fuse(ops: &[QueryOp]) -> Vec<QueryOp> {
+    let mut fused = Vec::with_capacity(ops.len());
+    let mut rest = ops;
+    while let [op, tail @ ..] = rest {
+        rest = tail;
+        match (sort_keys(op), tail) {
+            (Some(keys), [QueryOp::Limit(n), after @ ..]) => {
+                fused.push(QueryOp::TopN { keys, n: *n });
+                rest = after;
+                continue;
+            }
+            (Some(keys), [QueryOp::Offset(k), QueryOp::Limit(n), after @ ..]) => {
+                let n = k.saturating_add(*n);
+                fused.extend([QueryOp::TopN { keys, n }, QueryOp::Offset(*k)]);
+                rest = after;
+                continue;
+            }
+            _ => {}
+        }
+        if let (QueryOp::Filter { .. } | QueryOp::FilterExpr(_), [next, after @ ..]) = (op, tail) {
+            if let Some(group) = group_config(next) {
+                fused.push(QueryOp::FilteredGroupBy {
+                    filter: Box::new(op.clone()),
+                    group,
+                });
+                rest = after;
+                continue;
+            }
+        }
+        fused.push(op.clone());
+    }
+    fused
+}
+
+/// The rows a filter op selects, and whether an index answered (part of)
+/// it. With `indexed`, value filters read posting lists and expression
+/// filters prune by dictionary and zone map; without, both scan.
+fn selection(
+    table: &Table,
+    indexed: Option<&IndexedTable>,
+    filter: &QueryOp,
+) -> Result<(Bitmap, bool), String> {
+    match filter {
+        QueryOp::Filter { column, value } => {
+            let spec = FilterByValues::single(column.clone(), vec![value.clone()]);
+            match indexed.and_then(|ix| ix.values_mask(&spec)) {
+                Some(mask) => Ok((mask, true)),
+                None => Ok((values_mask(table, &spec).map_err(|e| e.to_string())?, false)),
+            }
+        }
+        QueryOp::FilterExpr(e) => match indexed {
+            Some(ix) => e.eval_mask_indexed(ix),
+            None => e.eval_mask(table).map(|mask| (mask, false)),
+        }
+        .map_err(|e| e.to_string()),
+        other => Err(format!("{other:?} does not select rows")),
+    }
+}
+
 /// Apply one operation via the scan kernels.
 fn apply_op(current: &Table, op: &QueryOp) -> Result<Table, String> {
     Ok(match op {
@@ -179,24 +278,18 @@ fn apply_op(current: &Table, op: &QueryOp) -> Result<Table, String> {
             let cfg = groupby_config(key, *agg, apply_on);
             groupby(current, &cfg).map_err(|e| e.to_string())?
         }
-        QueryOp::Filter { column, value } => {
-            let spec = FilterByValues::single(column.clone(), vec![value.clone()]);
-            filter_by_values(current, &spec).map_err(|e| e.to_string())?
+        QueryOp::Filter { .. } | QueryOp::FilterExpr(_) => {
+            current.filter(&selection(current, None, op)?.0)
         }
-        QueryOp::Sort { column, order } => {
-            let key = SortKey {
-                column: column.clone(),
-                order: *order,
-            };
-            sort(current, &[key]).map_err(|e| e.to_string())?
+        QueryOp::Sort { .. } | QueryOp::SortMulti(_) => {
+            let keys = sort_keys(op).expect("matched a sort");
+            sort(current, &keys).map_err(|e| e.to_string())?
         }
         QueryOp::Distinct(column) => {
             distinct(current, std::slice::from_ref(column)).map_err(|e| e.to_string())?
         }
         QueryOp::Limit(n) => current.limit(*n),
-        QueryOp::FilterExpr(e) => filter_by_expr(current, e).map_err(|e| e.to_string())?,
         QueryOp::GroupByMulti(cfg) => groupby(current, cfg).map_err(|e| e.to_string())?,
-        QueryOp::SortMulti(keys) => sort(current, keys).map_err(|e| e.to_string())?,
         QueryOp::DistinctRows(cols) => distinct(current, cols).map_err(|e| e.to_string())?,
         QueryOp::Project(cols) => current.project(cols).map_err(|e| e.to_string())?,
         QueryOp::Offset(n) => current.slice(*n, current.num_rows().saturating_sub(*n)),
@@ -210,78 +303,103 @@ fn apply_op(current: &Table, op: &QueryOp) -> Result<Table, String> {
             join(current, &j.right, &spec).map_err(|e| e.to_string())?
         }
         QueryOp::TopN { keys, n } => sort_limit(current, keys, *n).map_err(|e| e.to_string())?,
+        QueryOp::FilteredGroupBy { filter, group } => {
+            let (mask, _) = selection(current, None, filter)?;
+            groupby_selected(current, group, Some(&mask)).map_err(|e| e.to_string())?
+        }
     })
 }
 
-/// Try to run one operation against the indexed snapshot. `None` means the
-/// index doesn't cover it — run the scan kernel instead.
-fn try_indexed_op(indexed: &IndexedTable, op: &QueryOp) -> Option<Table> {
-    match op {
-        QueryOp::GroupBy { key, agg, apply_on } => {
-            indexed.groupby(&groupby_config(key, *agg, apply_on))
+/// Run the pipeline's first operation against the indexed snapshot,
+/// through an accelerated kernel when a per-column index covers it and the
+/// scan kernel otherwise. Returns the result and whether an index was used.
+fn apply_first_indexed(indexed: &IndexedTable, op: &QueryOp) -> Result<(Table, bool), String> {
+    // The indexed kernels are decline-based: richer SQL shapes are offered
+    // where an accelerated kernel exists and fall back to the scan path
+    // (differentially pinned byte-identical) otherwise.
+    let fast = match op {
+        QueryOp::GroupBy { .. } | QueryOp::GroupByMulti(_) => {
+            indexed.groupby(&group_config(op).expect("matched a group-by"))
         }
-        QueryOp::Filter { column, value } => {
-            let spec = FilterByValues::single(column.clone(), vec![value.clone()]);
-            indexed.filter_by_values(&spec)
+        QueryOp::Sort { .. } | QueryOp::SortMulti(_) => {
+            indexed.sort(&sort_keys(op).expect("matched a sort"))
         }
-        QueryOp::Sort { column, order } => {
-            let key = SortKey {
-                column: column.clone(),
-                order: *order,
-            };
-            indexed.sort(&[key])
+        QueryOp::TopN { keys, n } => indexed.top_n(keys, *n),
+        QueryOp::Filter { .. } | QueryOp::FilterExpr(_) => {
+            let (mask, hit) = selection(indexed.table(), Some(indexed), op)?;
+            return Ok((indexed.table().filter(&mask), hit));
         }
-        // The indexed kernels are decline-based: richer SQL shapes are
-        // offered where an accelerated kernel exists and fall back to the
-        // scan path (differentially pinned byte-identical) otherwise.
-        QueryOp::GroupByMulti(cfg) => indexed.groupby(cfg),
-        QueryOp::SortMulti(keys) => indexed.sort(keys),
+        QueryOp::FilteredGroupBy { filter, group } => {
+            let (mask, hit) = selection(indexed.table(), Some(indexed), filter)?;
+            let grouped = groupby_selected(indexed.table(), group, Some(&mask));
+            return Ok((grouped.map_err(|e| e.to_string())?, hit));
+        }
         QueryOp::Distinct(_)
         | QueryOp::Limit(_)
-        | QueryOp::FilterExpr(_)
         | QueryOp::DistinctRows(_)
         | QueryOp::Project(_)
         | QueryOp::Offset(_)
-        | QueryOp::Join(_)
-        | QueryOp::TopN { .. } => None,
+        | QueryOp::Join(_) => None,
+    };
+    match fast {
+        Some(table) => Ok((table, true)),
+        None => Ok((apply_op(indexed.table(), op)?, false)),
     }
 }
 
 /// Evaluate a query pipeline against a dataset snapshot.
 pub fn run_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> {
     let mut current = table.clone();
-    for op in ops {
+    for op in &fuse(ops) {
         current = apply_op(&current, op)?;
     }
     Ok(current)
 }
 
-/// Evaluate a query pipeline against an indexed snapshot: the first
-/// operation runs through an accelerated kernel when a per-column index
-/// covers it (subsequent operations see a derived table, which has no
-/// index), falling back to the scan kernels otherwise. Returns the result
-/// and whether any operation took the indexed path.
-pub fn run_query_indexed(indexed: &IndexedTable, ops: &[QueryOp]) -> Result<(Table, bool), String> {
+/// What [`evaluate_indexed`] did, for the caller's trace.
+#[derive(Debug)]
+pub struct Evaluated {
+    /// The result.
+    pub table: Table,
+    /// Whether the first operation was answered through an index.
+    pub index_hit: bool,
+    /// Rows gathered into tables along the way, the result included —
+    /// what late materialisation keeps small.
+    pub rows_materialised: usize,
+}
+
+/// Evaluate an already [`fuse`]d pipeline against an indexed snapshot: the
+/// first operation runs through an accelerated kernel when a per-column
+/// index covers it (subsequent operations see a derived table, which has
+/// no index), falling back to the scan kernels otherwise.
+pub fn evaluate_indexed(indexed: &IndexedTable, plan: &[QueryOp]) -> Result<Evaluated, String> {
     let mut current: Option<Table> = None;
     let mut index_hit = false;
-    for (i, op) in ops.iter().enumerate() {
-        let fast = if i == 0 {
-            try_indexed_op(indexed, op)
-        } else {
-            None
-        };
-        current = Some(match fast {
-            Some(t) => {
-                index_hit = true;
-                t
+    let mut rows_materialised = 0;
+    for op in plan {
+        let next = match &current {
+            None => {
+                let (table, hit) = apply_first_indexed(indexed, op)?;
+                index_hit = hit;
+                table
             }
-            None => apply_op(current.as_ref().unwrap_or(indexed.table()), op)?,
-        });
+            Some(table) => apply_op(table, op)?,
+        };
+        rows_materialised += next.num_rows();
+        current = Some(next);
     }
-    Ok((
-        current.unwrap_or_else(|| indexed.table().clone()),
+    Ok(Evaluated {
+        table: current.unwrap_or_else(|| indexed.table().clone()),
         index_hit,
-    ))
+        rows_materialised,
+    })
+}
+
+/// [`fuse`] then [`evaluate_indexed`]. Returns the result and whether any
+/// operation took the indexed path.
+pub fn run_query_indexed(indexed: &IndexedTable, ops: &[QueryOp]) -> Result<(Table, bool), String> {
+    let done = evaluate_indexed(indexed, &fuse(ops))?;
+    Ok((done.table, done.index_hit))
 }
 
 #[cfg(test)]
@@ -402,6 +520,101 @@ mod tests {
             assert_eq!(fast, scan, "{segs:?}");
             assert!(!hit, "{segs:?} should fall back to scan");
         }
+    }
+
+    #[test]
+    fn fusion_rules() {
+        use shareinsights_tabular::expr::parse_expr;
+        let segs = [
+            "filter",
+            "category",
+            "web",
+            "groupby",
+            "category",
+            "sum",
+            "stars",
+            "sort",
+            "sum_stars",
+            "desc",
+            "limit",
+            "3",
+        ];
+        let fused = fuse(&parse_ops(&segs).unwrap());
+        assert!(matches!(
+            fused.as_slice(),
+            [QueryOp::FilteredGroupBy { .. }, QueryOp::TopN { n: 3, .. }]
+        ));
+        assert_eq!(fuse(&fused), fused, "idempotent");
+
+        // An offset between sort and limit widens the top-n and stays.
+        let ops = vec![
+            QueryOp::FilterExpr(parse_expr("stars > 5").unwrap()),
+            QueryOp::SortMulti(vec![SortKey::desc("stars"), SortKey::asc("project")]),
+            QueryOp::Offset(2),
+            QueryOp::Limit(usize::MAX),
+        ];
+        let fused = fuse(&ops);
+        assert!(matches!(
+            fused.as_slice(),
+            [
+                QueryOp::FilterExpr(_),
+                QueryOp::TopN { n: usize::MAX, .. },
+                QueryOp::Offset(2)
+            ]
+        ));
+        assert_eq!(
+            run_query(&projects(), &ops).unwrap().num_rows(),
+            2,
+            "four rows pass the filter, two are skipped"
+        );
+
+        // Nothing else fuses: a limit before a sort, a sort feeding a
+        // group-by, a lone filter.
+        for segs in [
+            vec!["limit", "2", "sort", "stars", "asc"],
+            vec![
+                "sort", "stars", "asc", "groupby", "category", "count", "project",
+            ],
+            vec!["filter", "category", "web", "distinct", "project"],
+        ] {
+            let ops = parse_ops(&segs).unwrap();
+            assert_eq!(fuse(&ops), ops, "{segs:?}");
+        }
+    }
+
+    #[test]
+    fn indexed_topn_and_selected_groupby_report_hits() {
+        use shareinsights_tabular::expr::parse_expr;
+        let indexed = IndexedTable::new(projects());
+        let topn = parse_ops(&["sort", "category", "desc", "limit", "2"]).unwrap();
+        let done = evaluate_indexed(&indexed, &fuse(&topn)).unwrap();
+        assert!(done.index_hit, "postings walk");
+        assert_eq!(
+            done.rows_materialised, 2,
+            "only the two winners are gathered"
+        );
+        assert_eq!(done.table, run_query(&projects(), &topn).unwrap());
+
+        // A dictionary-answered predicate feeding a group-by: no filtered
+        // table, just the groups.
+        let ops = vec![
+            QueryOp::FilterExpr(parse_expr("category == 'web' and stars >= 10").unwrap()),
+            QueryOp::GroupBy {
+                key: "category".into(),
+                agg: AggKind::Avg,
+                apply_on: "stars".into(),
+            },
+        ];
+        let done = evaluate_indexed(&indexed, &fuse(&ops)).unwrap();
+        assert!(done.index_hit);
+        assert_eq!(done.rows_materialised, 1);
+        assert_eq!(
+            done.table.value(0, "avg_stars").unwrap(),
+            Value::Float(17.5)
+        );
+        // A numeric sort key has no postings to walk.
+        let numeric = parse_ops(&["sort", "stars", "desc", "limit", "2"]).unwrap();
+        assert!(!run_query_indexed(&indexed, &numeric).unwrap().1);
     }
 
     #[test]

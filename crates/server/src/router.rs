@@ -4,7 +4,7 @@ use crate::cache::{QueryCache, ResultCache};
 use crate::http::{Method, Request, Response, Status};
 use crate::json::{string_list, table_to_json};
 use crate::metrics::{allowed_methods, prometheus_text, route_label, stats_json};
-use crate::query::{parse_ops, run_query_indexed, QueryOp};
+use crate::query::{evaluate_indexed, fuse, parse_ops, QueryOp};
 use crate::shard::ShardSet;
 use crate::sql::{lower_plan, parse_error_response, LoweredSql};
 use crate::stream::{StreamHub, Subscription};
@@ -1250,6 +1250,12 @@ impl Server {
                     Err(resp) => return resp,
                 };
                 let rows_in = table.num_rows();
+                // The plan that runs, for the trace: the shard planner and
+                // the evaluator below both start from this fused list.
+                let plan = fuse(ops);
+                if let Some(s) = eval_span.as_mut() {
+                    s.set_attr("plan", crate::sql::plan_text(&plan));
+                }
                 // Scatter/gather: with a shard set attached, a splittable
                 // pipeline over a large-enough snapshot executes
                 // shard-local with a router-side gather — byte-identical
@@ -1263,7 +1269,7 @@ impl Server {
                         generation,
                         result_key,
                         &table,
-                        ops,
+                        &plan,
                         eval_span.as_mut(),
                     )
                 });
@@ -1272,8 +1278,13 @@ impl Server {
                     Some(Err(e)) => return Response::error(Status::BadRequest, e),
                     None => {
                         let indexed = self.indexed_table(dashboard, dataset, generation, table);
-                        match run_query_indexed(&indexed, ops) {
-                            Ok(r) => r,
+                        match evaluate_indexed(&indexed, &plan) {
+                            Ok(done) => {
+                                if let Some(s) = eval_span.as_mut() {
+                                    s.set_attr("rows_materialised", done.rows_materialised);
+                                }
+                                (done.table, done.index_hit)
+                            }
                             Err(e) => return Response::error(Status::BadRequest, e),
                         }
                     }
@@ -1855,6 +1866,25 @@ F:
         // Cold evaluation spans say how the query routed.
         assert!(body.contains("\"index_hit\""), "{body}");
         assert!(body.contains("\"result_cache_hit\": 0"), "{body}");
+        assert!(
+            body.contains("\"plan\": \"groupby/region/count/brand\""),
+            "{body}"
+        );
+
+        // ... and which plan ran: `sort | limit` is one fused top-n that
+        // walks the key's postings and gathers only the winners.
+        let r = server.handle(
+            &Request::get("/retail/ds/brand_sales/sort/region/desc/limit/2")
+                .with_header("X-Trace-Id", "10adc0de00000002"),
+        );
+        assert!(r.is_ok());
+        let body = server.handle(&Request::get("/trace/10adc0de00000002")).body;
+        assert!(
+            body.contains("\"plan\": \"topn([region desc];2)\""),
+            "{body}"
+        );
+        assert!(body.contains("\"rows_materialised\": 2"), "{body}");
+        assert!(body.contains("\"index_hit\": 1"), "{body}");
     }
 
     #[test]

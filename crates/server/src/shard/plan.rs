@@ -24,13 +24,14 @@
 //!   Float (and stringly-numeric) sums re-associate under partitioning and
 //!   can differ in the last bit — those pipelines fall back to unsharded
 //!   execution rather than risk byte drift.
-//! * **`sort | limit` fuses** into a shard-local [`QueryOp::TopN`]
-//!   (bounded selection, the classic local-top-k-before-exchange
-//!   optimisation). Each shard's top `n` under (keys, row index) is a
-//!   superset of its members of the global top `n`; the router's stable
-//!   re-sort of the concatenation breaks ties in shard order = row order,
-//!   so its first `n` rows equal `sort | limit` over the whole table.
-//! * Everything else (`distinct`, `limit`, `offset`, joins, unfused sorts)
+//! * **[`QueryOp::TopN`]** (what the shared fusion pass,
+//!   [`crate::query::fuse`], makes of `sort | limit`) runs shard-local —
+//!   the classic local-top-k-before-exchange optimisation. Each shard's
+//!   top `n` under (keys, row index) is a superset of its members of the
+//!   global top `n`; the router's top-n over the concatenation breaks ties
+//!   in shard order = row order, so its rows equal `sort | limit` over the
+//!   whole table.
+//! * Everything else (`distinct`, `limit`, `offset`, joins, full sorts)
 //!   stays router-side in [`ScatterPlan::post`], operating on the gathered
 //!   concatenation — which *is* the unsharded intermediate, so downstream
 //!   bytes match by construction.
@@ -39,7 +40,7 @@
 
 use crate::query::QueryOp;
 use shareinsights_tabular::agg::AggKind;
-use shareinsights_tabular::ops::{AggregateSpec, GroupBy, SortKey};
+use shareinsights_tabular::ops::{AggregateSpec, GroupBy};
 use shareinsights_tabular::{DataType, Schema};
 
 /// A query pipeline split for scatter/gather execution.
@@ -86,6 +87,7 @@ fn merge_kind(op: AggKind) -> Option<AggKind> {
 /// gains nothing from sharding (or cannot be sharded byte-identically) and
 /// must run unsharded.
 pub fn plan(ops: &[QueryOp], schema: &Schema) -> Option<ScatterPlan> {
+    let ops = crate::query::fuse(ops);
     let mut local: Vec<QueryOp> = Vec::new();
     let mut i = 0;
     while i < ops.len() && is_row_local(&ops[i]) {
@@ -110,17 +112,27 @@ pub fn plan(ops: &[QueryOp], schema: &Schema) -> Option<ScatterPlan> {
             plan_groupby(local, &cfg, &ops[i + 1..], schema)
         }
         QueryOp::GroupByMulti(cfg) => plan_groupby(local, cfg, &ops[i + 1..], schema),
-        QueryOp::Sort { column, order } => {
-            let keys = vec![SortKey {
-                column: column.clone(),
-                order: *order,
-            }];
-            plan_sort(local, keys, &ops[i + 1..])
+        QueryOp::FilteredGroupBy { filter, group } => {
+            // Splits back at the scatter point: the filter is row-local,
+            // the group-by needs a merge. A shard's own evaluation fuses
+            // the two again.
+            local.push((**filter).clone());
+            plan_groupby(local, group, &ops[i + 1..], schema)
         }
-        QueryOp::SortMulti(keys) => plan_sort(local, keys.clone(), &ops[i + 1..]),
+        QueryOp::TopN { .. } => {
+            // Shard-local top-n, then the same top-n over the gathered
+            // candidates.
+            local.push(ops[i].clone());
+            Some(ScatterPlan {
+                local,
+                accumulate: None,
+                post: ops[i..].to_vec(),
+            })
+        }
         _ => {
-            // Distinct / limit / offset / join at the scatter point: nothing
-            // to push down beyond the row-local prefix.
+            // Distinct / limit / offset / join / a full sort at the scatter
+            // point: nothing to push down beyond the row-local prefix (a
+            // shard-local sort would be re-sorted on the router anyway).
             if local.is_empty() {
                 return None;
             }
@@ -188,39 +200,6 @@ fn plan_groupby(
         accumulate: None,
         post,
     })
-}
-
-fn plan_sort(local: Vec<QueryOp>, keys: Vec<SortKey>, rest: &[QueryOp]) -> Option<ScatterPlan> {
-    match rest.first() {
-        Some(QueryOp::Limit(n)) => {
-            let mut local = local;
-            local.push(QueryOp::TopN {
-                keys: keys.clone(),
-                n: *n,
-            });
-            let mut post = vec![QueryOp::SortMulti(keys), QueryOp::Limit(*n)];
-            post.extend(rest[1..].iter().cloned());
-            Some(ScatterPlan {
-                local,
-                accumulate: None,
-                post,
-            })
-        }
-        _ => {
-            // An unfused full sort re-sorts the gathered concatenation on
-            // the router anyway; shard-local sorting would be wasted work.
-            if local.is_empty() {
-                return None;
-            }
-            let mut post = vec![QueryOp::SortMulti(keys)];
-            post.extend(rest.iter().cloned());
-            Some(ScatterPlan {
-                local,
-                accumulate: None,
-                post,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -333,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_limit_fuses_to_topn() {
+    fn fused_topn_runs_shard_local_and_again_on_the_router() {
         let ops = vec![
             QueryOp::FilterExpr(parse_expr("v > 1").unwrap()),
             QueryOp::Sort {
@@ -346,9 +325,21 @@ mod tests {
         let p = plan(&ops, &schema()).unwrap();
         assert_eq!(p.local.len(), 2);
         assert!(matches!(&p.local[1], QueryOp::TopN { n: 5, .. }));
-        assert!(matches!(&p.post[0], QueryOp::SortMulti(_)));
-        assert!(matches!(&p.post[1], QueryOp::Limit(5)));
-        assert!(matches!(&p.post[2], QueryOp::Offset(1)));
+        assert_eq!(p.post[0], p.local[1]);
+        assert!(matches!(&p.post[1], QueryOp::Offset(1)));
+        assert_eq!(p.post.len(), 2);
+    }
+
+    #[test]
+    fn fused_filter_groupby_splits_at_the_scatter_point() {
+        let ops = vec![
+            QueryOp::FilterExpr(parse_expr("v > 1").unwrap()),
+            gb(AggKind::Sum, "v"),
+        ];
+        let p = plan(&ops, &schema()).unwrap();
+        assert!(matches!(&p.local[0], QueryOp::FilterExpr(_)));
+        assert!(matches!(&p.local[1], QueryOp::GroupByMulti(_)));
+        assert!(matches!(&p.post[0], QueryOp::GroupByMulti(_)));
     }
 
     #[test]
@@ -363,6 +354,7 @@ mod tests {
         ];
         let p = plan(&ops, &schema()).unwrap();
         assert_eq!(p.local.len(), 1);
-        assert_eq!(p.post.len(), 3, "merge + sort + limit");
+        assert_eq!(p.post.len(), 2, "merge + fused top-n");
+        assert!(matches!(&p.post[1], QueryOp::TopN { n: 2, .. }));
     }
 }

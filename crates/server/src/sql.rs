@@ -15,7 +15,7 @@ use crate::query::{JoinOp, QueryOp};
 use shareinsights_engine::sql::{SqlPlan, SqlStage};
 use shareinsights_tabular::agg::AggKind;
 use shareinsights_tabular::expr::Expr;
-use shareinsights_tabular::ops::SortOrder;
+use shareinsights_tabular::ops::{GroupBy, SortOrder};
 use shareinsights_tabular::{Table, Value};
 
 /// A plan lowered for the serving layer.
@@ -60,13 +60,7 @@ pub fn lower_plan(
 
     let (cache_path, shared) = match segments {
         Some(segs) => (segs.join("/"), true),
-        None => (
-            format!(
-                "sql:{}",
-                ops.iter().map(op_key).collect::<Vec<_>>().join("/")
-            ),
-            false,
-        ),
+        None => (format!("sql:{}", plan_text(&ops)), false),
     };
     Ok(LoweredSql {
         ops,
@@ -122,11 +116,11 @@ fn lower_stage(
         }
         SqlStage::Sort(keys) => {
             if keys.len() == 1 && seg_ok(&keys[0].column) {
-                let dir = match keys[0].order {
-                    SortOrder::Asc => "asc",
-                    SortOrder::Desc => "desc",
-                };
-                let segs = vec!["sort".to_string(), keys[0].column.clone(), dir.to_string()];
+                let segs = vec![
+                    "sort".to_string(),
+                    keys[0].column.clone(),
+                    direction(keys[0].order).to_string(),
+                ];
                 (
                     QueryOp::Sort {
                         column: keys[0].column.clone(),
@@ -192,46 +186,30 @@ fn seg_ok(s: &str) -> bool {
     !s.is_empty() && !s.contains('/') && !s.contains('?')
 }
 
-/// Deterministic per-op rendering for non-canonical cache keys.
+fn direction(order: SortOrder) -> &'static str {
+    match order {
+        SortOrder::Asc => "asc",
+        SortOrder::Desc => "desc",
+    }
+}
+
+/// Deterministic per-op rendering: non-canonical cache keys, and the
+/// `plan` attribute of a traced evaluation.
 fn op_key(op: &QueryOp) -> String {
     match op {
         QueryOp::GroupBy { key, agg, apply_on } => {
             format!("groupby/{key}/{}/{apply_on}", agg.name())
         }
         QueryOp::Filter { column, value } => format!("filter/{column}/{value}"),
-        QueryOp::Sort { column, order } => format!(
-            "sort/{column}/{}",
-            if *order == SortOrder::Desc {
-                "desc"
-            } else {
-                "asc"
-            }
-        ),
+        QueryOp::Sort { column, order } => format!("sort/{column}/{}", direction(*order)),
         QueryOp::Distinct(c) => format!("distinct/{c}"),
         QueryOp::Limit(n) => format!("limit/{n}"),
         QueryOp::FilterExpr(e) => format!("where({e:?})"),
-        QueryOp::GroupByMulti(g) => format!(
-            "groupby({:?};{};{})",
-            g.keys,
-            g.aggregates
-                .iter()
-                .map(|a| format!("{}:{}:{}", a.operator.name(), a.apply_on, a.out_field))
-                .collect::<Vec<_>>()
-                .join(","),
-            g.orderby_aggregates
-        ),
+        QueryOp::GroupByMulti(g) => group_key(g),
         QueryOp::SortMulti(keys) => format!(
             "sort({})",
             keys.iter()
-                .map(|k| format!(
-                    "{}:{}",
-                    k.column,
-                    if k.order == SortOrder::Desc {
-                        "desc"
-                    } else {
-                        "asc"
-                    }
-                ))
+                .map(|k| format!("{}:{}", k.column, direction(k.order)))
                 .collect::<Vec<_>>()
                 .join(",")
         ),
@@ -239,9 +217,38 @@ fn op_key(op: &QueryOp) -> String {
         QueryOp::Project(cols) => format!("project({cols:?})"),
         QueryOp::Offset(n) => format!("offset({n})"),
         QueryOp::Join(j) => format!("join({};{};{})", j.right_name, j.left_on, j.right_on),
-        // Planner-internal fusion; never reaches SQL lowering or cache keys.
-        QueryOp::TopN { keys, n } => format!("topn({keys:?};{n})"),
+        // The fused forms never reach SQL lowering or cache keys (fusion
+        // runs inside evaluation); they render for the trace only.
+        QueryOp::TopN { keys, n } => format!(
+            "topn([{}];{n})",
+            keys.iter()
+                .map(|k| format!("{} {}", k.column, direction(k.order)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+        QueryOp::FilteredGroupBy { filter, group } => {
+            format!("selected({};{})", op_key(filter), group_key(group))
+        }
     }
+}
+
+fn group_key(g: &GroupBy) -> String {
+    format!(
+        "groupby({:?};{};{})",
+        g.keys,
+        g.aggregates
+            .iter()
+            .map(|a| format!("{}:{}:{}", a.operator.name(), a.apply_on, a.out_field))
+            .collect::<Vec<_>>()
+            .join(","),
+        g.orderby_aggregates
+    )
+}
+
+/// A pipeline rendered op by op — what the `query_eval` span reports as
+/// the plan that ran, e.g. `topn([key desc];100)`.
+pub fn plan_text(ops: &[QueryOp]) -> String {
+    ops.iter().map(op_key).collect::<Vec<_>>().join("/")
 }
 
 /// The structured 400 body both query languages return for malformed

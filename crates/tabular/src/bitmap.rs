@@ -59,6 +59,46 @@ impl Bitmap {
         bm
     }
 
+    /// Create a bitmap of `len` bits where bit `i` is `f(i)` — how the
+    /// column-at-a-time predicate kernels turn a typed slice into a mask.
+    pub fn from_fn(len: usize, f: impl FnMut(usize) -> bool) -> Self {
+        let mut bm = Bitmap::new_cleared(len);
+        bm.fill_range(0, len, f);
+        bm
+    }
+
+    /// Set bit `i` for every `i` in `[start, end)` where `f(i)` holds;
+    /// other bits keep their value.
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past `len`.
+    pub fn fill_range(&mut self, start: usize, end: usize, mut f: impl FnMut(usize) -> bool) {
+        assert!(start <= end && end <= self.len, "bit range out of range");
+        for i in start..end {
+            self.words[i / 64] |= u64::from(f(i)) << (i % 64);
+        }
+    }
+
+    /// Set every bit in `[start, end)`, a word at a time.
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past `len`.
+    pub fn set_range(&mut self, start: usize, end: usize) {
+        assert!(start <= end && end <= self.len, "bit range out of range");
+        let mut i = start;
+        while i < end {
+            let word = i / 64;
+            let (lo, hi) = (i % 64, (end - word * 64).min(64));
+            let span = if hi - lo == 64 {
+                u64::MAX
+            } else {
+                ((1u64 << (hi - lo)) - 1) << lo
+            };
+            self.words[word] |= span;
+            i = (word + 1) * 64;
+        }
+    }
+
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
@@ -248,6 +288,25 @@ mod tests {
             bm.set(i);
         }
         assert_eq!(bm.ones(), vec![0, 63, 64, 127, 128, 199]);
+    }
+
+    #[test]
+    fn from_fn_and_range_fills_cross_word_boundaries() {
+        let bm = Bitmap::from_fn(150, |i| i % 3 == 0);
+        assert_eq!(bm.ones(), (0..150).step_by(3).collect::<Vec<_>>());
+        for (start, end) in [(0, 0), (3, 9), (60, 70), (0, 64), (64, 128), (5, 150)] {
+            let mut bm = Bitmap::new_cleared(150);
+            bm.set_range(start, end);
+            assert_eq!(
+                bm.ones(),
+                (start..end).collect::<Vec<_>>(),
+                "{start}..{end}"
+            );
+        }
+        let mut bm = Bitmap::new_cleared(150);
+        bm.set(1);
+        bm.fill_range(60, 70, |i| i % 2 == 0);
+        assert_eq!(bm.ones(), vec![1, 60, 62, 64, 66, 68]);
     }
 
     #[test]

@@ -80,6 +80,19 @@ impl Column {
         }
     }
 
+    /// Borrow the validity bitmap; `None` for [`Column::Null`], whose
+    /// cells are all null.
+    pub fn validity_ref(&self) -> Option<&Bitmap> {
+        match self {
+            Column::Bool { validity, .. }
+            | Column::Int64 { validity, .. }
+            | Column::Float64 { validity, .. }
+            | Column::Utf8 { validity, .. }
+            | Column::Date { validity, .. } => Some(validity),
+            Column::Null { .. } => None,
+        }
+    }
+
     /// Cell accessor as a dynamic [`Value`].
     ///
     /// # Panics

@@ -19,11 +19,15 @@
 //! ```
 
 use crate::bitmap::Bitmap;
+use crate::column::Column;
 use crate::error::{Result, TabularError};
+use crate::index::{ColumnIndex, IndexedTable};
 use crate::table::Table;
 use crate::value::Value;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Binary comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +56,17 @@ impl CmpOp {
             CmpOp::Ge => ord != Less,
             CmpOp::Eq => ord == Equal,
             CmpOp::Ne => ord != Equal,
+        }
+    }
+
+    /// The operator with its operands swapped: `a < b` is `b > a`.
+    fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
         }
     }
 
@@ -216,27 +231,282 @@ impl Expr {
         }
     }
 
-    /// Vectorised evaluation producing a selection mask over a table.
+    /// Column-at-a-time evaluation producing a selection mask over a table.
+    ///
+    /// `AND`/`OR`/`NOT` combine [`Bitmap`]s; `column <cmp> literal`,
+    /// `column IN (…)` and `column IS NULL` run over the column's typed
+    /// slice. Any other sub-expression (arithmetic, `contains`,
+    /// string↔number coercion, column-to-column comparisons) is evaluated
+    /// row by row through [`Expr::eval_row`] — only on the rows whose
+    /// outcome it can still change, which is also exactly the set of rows
+    /// a row-at-a-time evaluation of the whole tree would evaluate it on,
+    /// so the two agree on every bit and on which inputs are an error.
+    /// Which route a node takes depends on its shape and the column types
+    /// alone.
     pub fn eval_mask(&self, table: &Table) -> Result<Bitmap> {
-        // Validate referenced columns once up front for a clean diagnostic.
-        for c in self.referenced_columns() {
-            table.schema().index_of(&c)?;
+        Ok(self.eval_mask_with(table, None)?.0)
+    }
+
+    /// [`Expr::eval_mask`] over an indexed snapshot: dictionary indexes
+    /// answer string comparisons from postings and zone maps settle whole
+    /// zones of a numeric comparison from their bounds. The flag reports
+    /// whether any index did so.
+    pub fn eval_mask_indexed(&self, indexed: &IndexedTable) -> Result<(Bitmap, bool)> {
+        self.eval_mask_with(indexed.table(), Some(indexed))
+    }
+
+    fn eval_mask_with(
+        &self,
+        table: &Table,
+        indexed: Option<&IndexedTable>,
+    ) -> Result<(Bitmap, bool)> {
+        // Resolve referenced columns once, with a clean diagnostic for the
+        // first missing one.
+        let columns = self
+            .referenced_columns()
+            .into_iter()
+            .map(|name| {
+                let column: &Column = table.column(&name)?;
+                Ok((name, column))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let ctx = MaskContext {
+            rows: table.num_rows(),
+            columns,
+            indexed,
+            index_used: Cell::new(false),
+        };
+        match self.mask(&ctx, None) {
+            Ok(mask) => Ok((mask, ctx.index_used.get())),
+            // Report the error of the first offending row, as a row-order
+            // evaluation of the whole tree words it.
+            Err(_) => self.mask_rowwise(&ctx, None).map(|mask| (mask, false)),
         }
-        let n = table.num_rows();
-        let mut mask = Bitmap::new_cleared(n);
-        for i in 0..n {
-            let lookup = |name: &str| -> Option<Value> {
-                table
-                    .schema()
-                    .index_of(name)
-                    .ok()
-                    .map(|ci| table.column_at(ci).value(i))
-            };
+    }
+
+    /// The mask of this node. Only bits inside `domain` (every row when
+    /// `None`) are meaningful to the caller, so row-wise sub-expressions
+    /// skip the rest.
+    fn mask(&self, ctx: &MaskContext<'_>, domain: Option<&Bitmap>) -> Result<Bitmap> {
+        let columnar = match self {
+            Expr::And(a, b) => {
+                // `b` only matters (and is only evaluated row-wise) where
+                // `a` holds.
+                let left = a.mask(ctx, domain)?;
+                let narrowed = domain.map(|d| d.and(&left));
+                let right = b.mask(ctx, Some(narrowed.as_ref().unwrap_or(&left)))?;
+                return Ok(left.and(&right));
+            }
+            Expr::Or(a, b) => {
+                let left = a.mask(ctx, domain)?;
+                let rest = left.not();
+                let narrowed = domain.map(|d| d.and(&rest));
+                let right = b.mask(ctx, Some(narrowed.as_ref().unwrap_or(&rest)))?;
+                return Ok(left.or(&right));
+            }
+            Expr::Not(e) => return Ok(e.mask(ctx, domain)?.not()),
+            Expr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
+                (Expr::Column(c), Expr::Literal(v)) => ctx.compare(c, *op, v),
+                (Expr::Literal(v), Expr::Column(c)) => ctx.compare(c, op.flipped(), v),
+                _ => None,
+            },
+            Expr::InList(e, list) => match e.as_ref() {
+                Expr::Column(c) => ctx.in_list(c, list),
+                _ => None,
+            },
+            Expr::IsNull(e) => match e.as_ref() {
+                Expr::Column(c) => Some(match ctx.column(c).validity_ref() {
+                    Some(validity) => validity.not(),
+                    None => Bitmap::new_set(ctx.rows),
+                }),
+                _ => None,
+            },
+            _ => None,
+        };
+        match columnar {
+            Some(mask) => Ok(mask),
+            None => self.mask_rowwise(ctx, domain),
+        }
+    }
+
+    /// Row-at-a-time evaluation of this node over the rows of `domain`.
+    fn mask_rowwise(&self, ctx: &MaskContext<'_>, domain: Option<&Bitmap>) -> Result<Bitmap> {
+        let mut mask = Bitmap::new_cleared(ctx.rows);
+        let mut eval = |i: usize| -> Result<()> {
+            let lookup = |name: &str| ctx.find(name).map(|c| c.value(i));
             if truthy(&self.eval_row(&lookup)?) {
                 mask.set(i);
             }
+            Ok(())
+        };
+        match domain {
+            Some(d) => d.iter_ones().try_for_each(&mut eval)?,
+            None => (0..ctx.rows).try_for_each(&mut eval)?,
         }
         Ok(mask)
+    }
+}
+
+/// What one [`Expr::eval_mask`] call resolved up front.
+struct MaskContext<'a> {
+    rows: usize,
+    /// Every referenced column, by name.
+    columns: Vec<(String, &'a Column)>,
+    indexed: Option<&'a IndexedTable>,
+    /// Set when a dictionary or zone index answered (part of) a leaf.
+    index_used: Cell<bool>,
+}
+
+impl<'a> MaskContext<'a> {
+    fn find(&self, name: &str) -> Option<&'a Column> {
+        self.columns
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| *c)
+    }
+
+    fn column(&self, name: &str) -> &'a Column {
+        self.find(name)
+            .expect("referenced columns are resolved before evaluation")
+    }
+
+    fn index(&self, name: &str) -> Option<Arc<ColumnIndex>> {
+        self.indexed?.index(name)
+    }
+
+    /// `column <op> literal` over the typed slice, or `None` when the pair
+    /// needs row-wise semantics: a null literal, or a string on one side
+    /// and a number on the other (the string is parsed per row).
+    fn compare(&self, name: &str, op: CmpOp, lit: &Value) -> Option<Bitmap> {
+        let column = self.column(name);
+        let raw = match (column, lit) {
+            (_, Value::Null) => return None,
+            (Column::Int64 { .. } | Column::Float64 { .. }, Value::Str(_)) => return None,
+            (Column::Utf8 { data, .. }, Value::Str(s)) => match self.index(name).as_deref() {
+                Some(ColumnIndex::Dictionary(d)) => {
+                    self.index_used.set(true);
+                    let dict = d.dict();
+                    let below = dict.partition_point(|x| x.as_str() < s.as_str()) as u32;
+                    let through = dict.partition_point(|x| x.as_str() <= s.as_str()) as u32;
+                    let all = dict.len() as u32;
+                    match op {
+                        CmpOp::Lt => d.rows_for_code_span(0, below),
+                        CmpOp::Le => d.rows_for_code_span(0, through),
+                        CmpOp::Gt => d.rows_for_code_span(through, all),
+                        CmpOp::Ge => d.rows_for_code_span(below, all),
+                        CmpOp::Eq => d.rows_for_code_span(below, through),
+                        CmpOp::Ne => d.rows_for_code_span(below, through).not(),
+                    }
+                }
+                _ => Bitmap::from_fn(self.rows, |i| op.apply(data[i].as_str().cmp(s.as_str()))),
+            },
+            (Column::Utf8 { .. }, _) => return None,
+            (Column::Int64 { data, .. }, _) => {
+                self.zoned(name, op, lit, |i| op.apply(Value::Int(data[i]).cmp(lit)))
+            }
+            (Column::Float64 { data, .. }, _) => {
+                self.zoned(name, op, lit, |i| op.apply(Value::Float(data[i]).cmp(lit)))
+            }
+            (Column::Date { data, .. }, _) => {
+                self.zoned(name, op, lit, |i| op.apply(Value::Date(data[i]).cmp(lit)))
+            }
+            (Column::Bool { data, .. }, _) => {
+                Bitmap::from_fn(self.rows, |i| op.apply(Value::Bool(data[i]).cmp(lit)))
+            }
+            (Column::Null { .. }, _) => Bitmap::new_cleared(self.rows),
+        };
+        // A null cell fails every comparison except `!=`; an all-null
+        // column (`None`) has no other kind.
+        Some(match (column.validity_ref(), op) {
+            (Some(validity), CmpOp::Ne) => raw.or(&validity.not()),
+            (Some(validity), _) => raw.and(validity),
+            (None, CmpOp::Ne) => Bitmap::new_set(self.rows),
+            (None, _) => raw,
+        })
+    }
+
+    /// `row(i)` for every row — except that, with a zone map on the
+    /// column, a zone whose bounds already settle `cell <op> lit` for all
+    /// of its non-null rows is filled (or skipped) without reading it.
+    fn zoned(&self, name: &str, op: CmpOp, lit: &Value, row: impl Fn(usize) -> bool) -> Bitmap {
+        let index = self.index(name);
+        let Some(ColumnIndex::Zones(zones)) = index.as_deref() else {
+            return Bitmap::from_fn(self.rows, row);
+        };
+        let mut mask = Bitmap::new_cleared(self.rows);
+        for (z, bounds) in zones.zones().iter().enumerate() {
+            let start = z * zones.zone_rows();
+            let end = (start + zones.zone_rows()).min(self.rows);
+            // An all-null zone has nothing to compare.
+            let Some((zmin, zmax)) = bounds else { continue };
+            let settled = match op {
+                CmpOp::Eq | CmpOp::Ne => (lit < zmin || lit > zmax).then_some(op == CmpOp::Ne),
+                // Monotone in the cell: equal verdicts at both bounds hold
+                // for everything between them.
+                _ => {
+                    let (low, high) = (op.apply(zmin.cmp(lit)), op.apply(zmax.cmp(lit)));
+                    (low == high).then_some(low)
+                }
+            };
+            match settled {
+                Some(true) => mask.set_range(start, end),
+                Some(false) => {}
+                None => mask.fill_range(start, end, &row),
+            }
+            if settled.is_some() {
+                self.index_used.set(true);
+            }
+        }
+        mask
+    }
+
+    /// `column IN (list)` over the typed slice; `None` when a member needs
+    /// string↔number coercion against this column.
+    fn in_list(&self, name: &str, list: &[Value]) -> Option<Bitmap> {
+        let column = self.column(name);
+        let is_number = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
+        let is_string = |v: &Value| matches!(v, Value::Str(_));
+        let coerces = match column {
+            Column::Utf8 { .. } => list.iter().any(is_number),
+            Column::Int64 { .. } | Column::Float64 { .. } => list.iter().any(is_string),
+            _ => false,
+        };
+        if coerces {
+            return None;
+        }
+        let member = |cell: Value| list.contains(&cell);
+        let raw = match column {
+            Column::Utf8 { data, .. } => match self.index(name).as_deref() {
+                Some(ColumnIndex::Dictionary(d)) => {
+                    self.index_used.set(true);
+                    d.rows_for_values(list)
+                }
+                _ => Bitmap::from_fn(self.rows, |i| {
+                    list.iter().any(|l| l.as_str() == Some(data[i].as_str()))
+                }),
+            },
+            Column::Int64 { data, .. } => {
+                Bitmap::from_fn(self.rows, |i| member(Value::Int(data[i])))
+            }
+            Column::Float64 { data, .. } => {
+                Bitmap::from_fn(self.rows, |i| member(Value::Float(data[i])))
+            }
+            Column::Date { data, .. } => {
+                Bitmap::from_fn(self.rows, |i| member(Value::Date(data[i])))
+            }
+            Column::Bool { data, .. } => {
+                Bitmap::from_fn(self.rows, |i| member(Value::Bool(data[i])))
+            }
+            Column::Null { .. } => Bitmap::new_cleared(self.rows),
+        };
+        // A null cell is a member exactly when the list holds a null.
+        let null_member = list.iter().any(Value::is_null);
+        Some(match column.validity_ref() {
+            Some(validity) if null_member => raw.and(validity).or(&validity.not()),
+            Some(validity) => raw.and(validity),
+            None if null_member => Bitmap::new_set(self.rows),
+            None => raw,
+        })
     }
 }
 

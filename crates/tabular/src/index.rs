@@ -156,6 +156,12 @@ impl DictionaryIndex {
         let end =
             self.dict
                 .partition_point(|s| cmp_str_value(s, hi) != Ordering::Greater) as u32;
+        self.rows_for_code_span(start, end)
+    }
+
+    /// Rows whose code lies in `[start, end)` — a contiguous run of the
+    /// sorted dictionary. Null rows never qualify.
+    pub fn rows_for_code_span(&self, start: u32, end: u32) -> Bitmap {
         let mut mask = Bitmap::new_cleared(self.codes.len());
         if start >= end {
             return mask;
@@ -325,6 +331,11 @@ impl ZoneIndex {
     /// Number of zones.
     pub fn zone_count(&self) -> usize {
         self.zones.len()
+    }
+
+    /// Rows per zone (the last zone may be shorter).
+    pub fn zone_rows(&self) -> usize {
+        self.zone_rows
     }
 
     /// Per-zone min–max bounds (`None` for all-null zones).
@@ -622,6 +633,12 @@ impl IndexedTable {
     /// Declines when any constrained column lacks an index (including
     /// missing columns, so the scan path reports the error).
     pub fn filter_by_values(&self, spec: &FilterByValues) -> Option<Table> {
+        Some(self.table.filter(&self.values_mask(spec)?))
+    }
+
+    /// The selection [`IndexedTable::filter_by_values`] keeps, as a row
+    /// mask; declines under the same conditions.
+    pub fn values_mask(&self, spec: &FilterByValues) -> Option<Bitmap> {
         let n = self.table.num_rows();
         let mut mask = Bitmap::new_set(n);
         for (column, allowed) in &spec.constraints {
@@ -637,7 +654,7 @@ impl IndexedTable {
             };
             mask = mask.and(&m);
         }
-        Some(self.table.filter(&mask))
+        Some(mask)
     }
 
     /// Accelerated [`crate::ops::filter::filter_by_range`].
@@ -744,11 +761,18 @@ impl IndexedTable {
     }
 
     /// Accelerated [`crate::ops::sort()`] on a single dictionary-indexed key:
-    /// a counting sort over code rank. Ascending puts nulls first, then
+    /// [`IndexedTable::top_n`] with every row kept.
+    pub fn sort(&self, keys: &[SortKey]) -> Option<Table> {
+        self.top_n(keys, self.table.num_rows())
+    }
+
+    /// Accelerated [`crate::ops::sort_limit`] on a single dictionary-indexed
+    /// key: walk the postings in rank order and stop after `n` row ids, so
+    /// only `n` rows are ever gathered. Ascending puts nulls first, then
     /// codes ascending; descending reverses codes and puts nulls last —
     /// exactly the comparator order of the scan sort, and stable because
     /// postings yield rows in ascending input order.
-    pub fn sort(&self, keys: &[SortKey]) -> Option<Table> {
+    pub fn top_n(&self, keys: &[SortKey], n: usize) -> Option<Table> {
         if keys.len() != 1 {
             return None;
         }
@@ -756,20 +780,17 @@ impl IndexedTable {
         let ColumnIndex::Dictionary(d) = index.as_ref() else {
             return None;
         };
-        let mut indices = Vec::with_capacity(self.table.num_rows());
-        match keys[0].order {
-            SortOrder::Asc => {
-                indices.extend(d.nulls.iter_ones());
-                for p in &d.postings {
-                    indices.extend(p.iter_ones());
-                }
+        let n = n.min(self.table.num_rows());
+        let mut indices = Vec::with_capacity(n);
+        let ranked: Box<dyn Iterator<Item = &Bitmap>> = match keys[0].order {
+            SortOrder::Asc => Box::new(std::iter::once(&d.nulls).chain(&d.postings)),
+            SortOrder::Desc => Box::new(d.postings.iter().rev().chain(std::iter::once(&d.nulls))),
+        };
+        for rows in ranked {
+            if indices.len() == n {
+                break;
             }
-            SortOrder::Desc => {
-                for p in d.postings.iter().rev() {
-                    indices.extend(p.iter_ones());
-                }
-                indices.extend(d.nulls.iter_ones());
-            }
+            indices.extend(rows.iter_ones().take(n - indices.len()));
         }
         Some(self.table.take(&indices))
     }
@@ -944,12 +965,18 @@ mod tests {
             let scan = sort(&t, std::slice::from_ref(&key)).unwrap();
             let fast = ix.sort(std::slice::from_ref(&key)).expect("covered");
             assert_eq!(fast, scan, "{key:?}");
+            // The bounded walk stops early but yields the same head.
+            for n in [0, 1, 9, 199, 200, 500] {
+                let head = ix.top_n(std::slice::from_ref(&key), n).expect("covered");
+                assert_eq!(head, scan.limit(n), "{key:?} n={n}");
+            }
         }
         // Multi-key and numeric keys decline.
         assert!(ix
             .sort(&[SortKey::asc("team"), SortKey::asc("n")])
             .is_none());
         assert!(ix.sort(&[SortKey::asc("n")]).is_none());
+        assert!(ix.top_n(&[SortKey::asc("n")], 3).is_none());
     }
 
     #[test]

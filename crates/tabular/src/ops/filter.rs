@@ -81,6 +81,12 @@ pub fn filter_by_range(table: &Table, range: &RangeFilter) -> Result<Table> {
 
 /// Apply value-set constraints; all constraints AND together.
 pub fn filter_by_values(table: &Table, spec: &FilterByValues) -> Result<Table> {
+    Ok(table.filter(&values_mask(table, spec)?))
+}
+
+/// The selection [`filter_by_values`] keeps, as a row mask — for callers
+/// that fold the selected rows without materialising them.
+pub fn values_mask(table: &Table, spec: &FilterByValues) -> Result<Bitmap> {
     let n = table.num_rows();
     let mut mask = Bitmap::new_set(n);
     for (column, allowed) in &spec.constraints {
@@ -97,7 +103,7 @@ pub fn filter_by_values(table: &Table, spec: &FilterByValues) -> Result<Table> {
         }
         mask = mask.and(&m);
     }
-    Ok(table.filter(&mask))
+    Ok(mask)
 }
 
 #[cfg(test)]

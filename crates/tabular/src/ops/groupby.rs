@@ -2,6 +2,7 @@
 //! and 23).
 
 use crate::agg::AggKind;
+use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
@@ -103,10 +104,43 @@ impl GroupBy {
 /// key in the input (deterministic), unless `orderby_aggregates` sorts by
 /// the first aggregate descending.
 pub fn groupby(table: &Table, cfg: &GroupBy) -> Result<Table> {
-    if let Some(fast) = try_groupby_fast(table, cfg)? {
+    groupby_selected(table, cfg, None)
+}
+
+/// [`groupby`] over only the rows set in `selection` (all rows when
+/// `None`), without materialising them: byte-identical to
+/// `groupby(&table.filter(selection), cfg)` because the selected rows are
+/// folded in ascending row order — first-seen group order and float
+/// `sum`/`avg` rounding depend on nothing else.
+pub fn groupby_selected(table: &Table, cfg: &GroupBy, selection: Option<&Bitmap>) -> Result<Table> {
+    if let Some(mask) = selection {
+        if mask.len() != table.num_rows() {
+            return Err(TabularError::LengthMismatch {
+                left: table.num_rows(),
+                right: mask.len(),
+                context: "group-by selection mask".into(),
+            });
+        }
+    }
+    if let Some(fast) = try_groupby_fast(table, cfg, selection)? {
         return Ok(fast);
     }
-    groupby_generic(table, cfg)
+    let mut partial = GroupByPartial::new(cfg.clone());
+    partial.update_selected(table, selection)?;
+    partial.into_table()
+}
+
+/// Call `f` on each selected row in ascending order (every row when
+/// `selection` is `None`), stopping at the first error.
+fn try_for_each_selected(
+    rows: usize,
+    selection: Option<&Bitmap>,
+    f: impl FnMut(usize) -> Result<()>,
+) -> Result<()> {
+    match selection {
+        Some(mask) => mask.iter_ones().try_for_each(f),
+        None => (0..rows).try_for_each(f),
+    }
 }
 
 /// Specialized kernel for the overwhelmingly common shape in the paper's
@@ -114,7 +148,11 @@ pub fn groupby(table: &Table, cfg: &GroupBy) -> Result<Table> {
 /// over integer columns. Avoids per-row `Row`/`Value` allocation — the
 /// generic path's dominant cost. Returns `Ok(None)` when the shape doesn't
 /// match (the generic path takes over).
-fn try_groupby_fast(table: &Table, cfg: &GroupBy) -> Result<Option<Table>> {
+fn try_groupby_fast(
+    table: &Table,
+    cfg: &GroupBy,
+    selection: Option<&Bitmap>,
+) -> Result<Option<Table>> {
     use crate::column::Column as C;
     if cfg.keys.len() != 1 {
         return Ok(None);
@@ -165,7 +203,8 @@ fn try_groupby_fast(table: &Table, cfg: &GroupBy) -> Result<Option<Table>> {
     let mut index: HashMap<&str, usize> = HashMap::with_capacity(1024);
     let mut keys: Vec<&str> = Vec::new();
     let mut acc: Vec<Vec<i64>> = vec![Vec::new(); fast_aggs.len()];
-    for (i, key) in key_data.iter().enumerate() {
+    try_for_each_selected(key_data.len(), selection, |i| {
+        let key = &key_data[i];
         let gid = match index.get(key.as_str()) {
             Some(&g) => g,
             None => {
@@ -184,8 +223,8 @@ fn try_groupby_fast(table: &Table, cfg: &GroupBy) -> Result<Option<Table>> {
                 FastAgg::Count | FastAgg::CountAll => 1,
             };
         }
-        let _ = i;
-    }
+        Ok(())
+    })?;
 
     let mut order: Vec<usize> = (0..keys.len()).collect();
     if cfg.orderby_aggregates && !acc.is_empty() {
@@ -202,12 +241,6 @@ fn try_groupby_fast(table: &Table, cfg: &GroupBy) -> Result<Option<Table>> {
         fields.push(Field::new(&a.out_field, DataType::Int64));
     }
     Ok(Some(Table::new(Schema::new(fields)?, columns)?))
-}
-
-fn groupby_generic(table: &Table, cfg: &GroupBy) -> Result<Table> {
-    let mut partial = GroupByPartial::new(cfg.clone());
-    partial.update(table)?;
-    partial.into_table()
 }
 
 /// Mergeable group-by state: the group index and accumulators of a
@@ -257,6 +290,12 @@ impl GroupByPartial {
 
     /// Fold one batch of input rows into the state.
     pub fn update(&mut self, batch: &Table) -> Result<()> {
+        self.update_selected(batch, None)
+    }
+
+    /// Fold the rows of `batch` set in `selection` (all rows when `None`)
+    /// into the state, in ascending row order.
+    pub fn update_selected(&mut self, batch: &Table, selection: Option<&Bitmap>) -> Result<()> {
         if self.input_schema.is_none() {
             self.input_schema = Some(batch.schema().clone());
         }
@@ -279,14 +318,42 @@ impl GroupByPartial {
             })
             .collect::<Result<Vec<_>>>()?;
 
-        for i in 0..batch.num_rows() {
-            let key = Row(key_cols.iter().map(|c| c.value(i)).collect());
-            let gid = *self.groups.entry(key.clone()).or_insert_with(|| {
-                self.key_rows.push(key.clone());
-                self.accs
-                    .push(aggs.iter().map(|a| a.operator.accumulator()).collect());
-                self.key_rows.len() - 1
-            });
+        // A lone string key — the paper's common shape — resolves repeat
+        // keys of this batch by borrowed `&str`, building the owned key row
+        // once per distinct value instead of once per input row.
+        let lone_key = match key_cols.as_slice() {
+            [col] => match col.as_ref() {
+                Column::Utf8 { data, validity } => Some((data.as_slice(), validity)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let mut seen: HashMap<&str, usize> = HashMap::new();
+
+        try_for_each_selected(batch.num_rows(), selection, |i| {
+            let memo =
+                lone_key.and_then(|(data, validity)| validity.get(i).then(|| data[i].as_str()));
+            let gid = match memo.and_then(|s| seen.get(s).copied()) {
+                Some(gid) => gid,
+                None => {
+                    let key = Row(key_cols.iter().map(|c| c.value(i)).collect());
+                    let gid = match self.groups.get(&key) {
+                        Some(&gid) => gid,
+                        None => {
+                            let gid = self.key_rows.len();
+                            self.key_rows.push(key.clone());
+                            self.groups.insert(key, gid);
+                            self.accs
+                                .push(aggs.iter().map(|a| a.operator.accumulator()).collect());
+                            gid
+                        }
+                    };
+                    if let Some(s) = memo {
+                        seen.insert(s, gid);
+                    }
+                    gid
+                }
+            };
             for (ai, col) in agg_cols.iter().enumerate() {
                 let v = match col {
                     Some(c) => c.value(i),
@@ -294,8 +361,8 @@ impl GroupByPartial {
                 };
                 self.accs[gid][ai].update(&v)?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Fold another partial into this one. `other` must cover rows that
@@ -559,8 +626,10 @@ mod tests {
                 ],
             );
             cfg.orderby_aggregates = orderby;
-            let fast = try_groupby_fast(&t, &cfg).unwrap().expect("shape matches");
-            let generic = groupby_generic(&t, &cfg).unwrap();
+            let fast = try_groupby_fast(&t, &cfg, None)
+                .unwrap()
+                .expect("shape matches");
+            let generic = groupby_partial(&t, &cfg).unwrap().into_table().unwrap();
             assert_eq!(fast, generic, "orderby={orderby}");
             assert!(fast.schema().same_shape(generic.schema()));
         }
@@ -573,18 +642,18 @@ mod tests {
         // Float aggregate column: decline.
         let cfg =
             GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Sum, "v", "s")]);
-        assert!(try_groupby_fast(&t, &cfg).unwrap().is_none());
+        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
         // Multi-key: decline.
         let cfg = GroupBy::counting(&["k", "v"]);
-        assert!(try_groupby_fast(&t, &cfg).unwrap().is_none());
+        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
         // Avg: decline.
         let cfg =
             GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Avg, "v", "m")]);
-        assert!(try_groupby_fast(&t, &cfg).unwrap().is_none());
+        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
         // Null keys: decline (generic path groups them).
         let t = Table::from_rows(&["k", "v"], &[crate::row![Value::Null, 1i64]]).unwrap();
         let cfg = GroupBy::counting(&["k"]);
-        assert!(try_groupby_fast(&t, &cfg).unwrap().is_none());
+        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
     }
 
     #[test]
@@ -636,6 +705,46 @@ mod tests {
                 assert!(out.schema().same_shape(whole.schema()));
             }
         }
+    }
+
+    #[test]
+    fn selection_groups_like_filter_then_group() {
+        // Float sums are order-sensitive: folding the selected rows in
+        // ascending order must reproduce filter-then-group bit for bit, on
+        // the fast path (string key, int sum) and the generic one alike.
+        let rows: Vec<Row> = (0..97)
+            .map(|i| {
+                let key = if i % 19 == 0 {
+                    Value::Null
+                } else {
+                    Value::Str(format!("k{}", i % 5))
+                };
+                crate::row![key, format!("g{}", i % 3), 0.1 * i as f64, (i % 7) as i64]
+            })
+            .collect();
+        let t = Table::from_rows(&["k", "g", "f", "n"], &rows).unwrap();
+        let cfgs = [
+            GroupBy::with_aggregates(
+                &["k"],
+                vec![
+                    AggregateSpec::new(AggKind::Sum, "f", "sum_f"),
+                    AggregateSpec::new(AggKind::Avg, "f", "avg_f"),
+                    AggregateSpec::new(AggKind::CountAll, "", "rows"),
+                ],
+            ),
+            GroupBy::with_aggregates(&["g"], vec![AggregateSpec::new(AggKind::Sum, "n", "s")]),
+        ];
+        for cfg in &cfgs {
+            for keep in [|_: usize| false, |i: usize| i % 3 != 1, |_: usize| true] {
+                let mask = Bitmap::from_fn(t.num_rows(), keep);
+                let selected = groupby_selected(&t, cfg, Some(&mask)).unwrap();
+                let filtered = groupby(&t.filter(&mask), cfg).unwrap();
+                assert_eq!(selected, filtered, "{cfg:?}");
+                assert!(selected.schema().same_shape(filtered.schema()));
+            }
+        }
+        let short = Bitmap::new_set(3);
+        assert!(groupby_selected(&t, &cfgs[0], Some(&short)).is_err());
     }
 
     #[test]

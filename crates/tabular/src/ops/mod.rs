@@ -16,13 +16,15 @@ pub mod topn;
 pub mod union;
 
 pub use distinct::distinct;
-pub use filter::{filter_by_expr, filter_by_values, FilterByValues};
-pub use groupby::{groupby, groupby_partial, AggregateSpec, GroupBy, GroupByPartial};
+pub use filter::{filter_by_expr, filter_by_values, values_mask, FilterByValues};
+pub use groupby::{
+    groupby, groupby_partial, groupby_selected, AggregateSpec, GroupBy, GroupByPartial,
+};
 pub use join::{join, JoinCondition, JoinSpec, ProjectSpec};
 pub use map::{
     map_date, map_extract, map_extract_location, map_extract_words, DateMap, ExtractMap,
     LocationMap, WordsMap,
 };
-pub use sort::{sort, sort_limit, SortKey, SortOrder};
+pub use sort::{sort, sort_limit, KeyComparator, SortKey, SortOrder};
 pub use topn::{topn, TopN};
 pub use union::union_all;

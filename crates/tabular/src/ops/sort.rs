@@ -1,8 +1,12 @@
 //! Multi-key stable sort.
 
+use crate::bitmap::Bitmap;
+use crate::column::Column;
 use crate::error::Result;
 use crate::table::Table;
+use crate::value::Value;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,81 +71,138 @@ impl SortKey {
     }
 }
 
-/// Stable multi-key sort; equal keys keep input order.
-pub fn sort(table: &Table, keys: &[SortKey]) -> Result<Table> {
-    let cols: Vec<_> = keys
-        .iter()
-        .map(|k| table.column(&k.column).cloned())
-        .collect::<Result<Vec<_>>>()?;
-    let mut indices: Vec<usize> = (0..table.num_rows()).collect();
-    indices.sort_by(|&a, &b| {
-        for (key, col) in keys.iter().zip(&cols) {
-            let ord = col.value(a).cmp(&col.value(b));
-            let ord = match key.order {
-                SortOrder::Asc => ord,
-                SortOrder::Desc => ord.reverse(),
+/// One resolved sort key: the column's typed slice, its validity and the
+/// direction.
+struct ResolvedKey<'a> {
+    column: &'a Column,
+    /// `None` when the column has no null cells (the per-row check is
+    /// skipped).
+    validity: Option<&'a Bitmap>,
+    descending: bool,
+}
+
+/// The one row comparator behind [`sort`], [`sort_limit`] and
+/// [`crate::ops::topn()`]: key columns are resolved once per call into typed
+/// slices, so a comparison reads two slots of a `&[i64]`/`&[f64]`/
+/// `&[String]` instead of boxing two [`Value`]s.
+///
+/// Ordering contract, per key (identical to `Value`'s total order over one
+/// homogeneous column): nulls before every value; `false < true`; integers
+/// and dates numerically; floats in IEEE total order (`-NaN < -inf < … <
+/// -0.0 < +0.0 < … < +inf < +NaN`); strings bytewise. `DESC` reverses the
+/// whole key order, nulls included (nulls last). Keys apply left to right.
+/// A full tie is `Equal`: callers break it by row id — a stable sort does
+/// so implicitly, the bounded selection explicitly — which is what makes
+/// every kernel's output a pure function of the input order.
+pub struct KeyComparator<'a> {
+    keys: Vec<ResolvedKey<'a>>,
+}
+
+impl<'a> KeyComparator<'a> {
+    /// Resolve `keys` against `table`; a missing column is the error.
+    pub fn new(table: &'a Table, keys: &[SortKey]) -> Result<Self> {
+        let keys = keys
+            .iter()
+            .map(|k| {
+                let column: &Column = table.column(&k.column)?;
+                // An all-null column ties everywhere, like a null-free one.
+                let validity = column.validity_ref().filter(|v| !v.all_set());
+                Ok(ResolvedKey {
+                    column,
+                    validity,
+                    descending: k.order == SortOrder::Desc,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(KeyComparator { keys })
+    }
+
+    /// Compare rows `a` and `b` under the keys; `Equal` on a full tie.
+    pub fn compare(&self, a: usize, b: usize) -> Ordering {
+        for key in &self.keys {
+            let ord = match key.validity.map(|v| (v.get(a), v.get(b))) {
+                Some((false, false)) => Ordering::Equal,
+                Some((false, true)) => Ordering::Less,
+                Some((true, false)) => Ordering::Greater,
+                Some((true, true)) | None => match key.column {
+                    Column::Bool { data, .. } => data[a].cmp(&data[b]),
+                    Column::Int64 { data, .. } => data[a].cmp(&data[b]),
+                    Column::Float64 { data, .. } => {
+                        Value::float_key(data[a]).cmp(&Value::float_key(data[b]))
+                    }
+                    Column::Utf8 { data, .. } => data[a].cmp(&data[b]),
+                    Column::Date { data, .. } => data[a].cmp(&data[b]),
+                    Column::Null { .. } => Ordering::Equal,
+                },
             };
             if ord != Ordering::Equal {
-                return ord;
+                return if key.descending { ord.reverse() } else { ord };
             }
         }
         Ordering::Equal
-    });
+    }
+}
+
+/// Stable multi-key sort; equal keys keep input order.
+pub fn sort(table: &Table, keys: &[SortKey]) -> Result<Table> {
+    let cmp = KeyComparator::new(table, keys)?;
+    let mut indices: Vec<usize> = (0..table.num_rows()).collect();
+    indices.sort_by(|&a, &b| cmp.compare(a, b));
     Ok(table.take(&indices))
 }
+
+/// A row under the total order (keys, then row id) that [`sort_limit`]'s
+/// heap ranks by.
+struct Ranked<'c, 'a>(usize, &'c KeyComparator<'a>);
+
+impl Ord for Ranked<'_, '_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.1.compare(self.0, other.0).then(self.0.cmp(&other.0))
+    }
+}
+impl PartialOrd for Ranked<'_, '_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for Ranked<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Ranked<'_, '_> {}
 
 /// The first `n` rows of [`sort`] without materialising the full order:
 /// a bounded selection over (keys, original index) — the index tiebreak
 /// makes the order total, so the output equals `sort(table, keys).limit(n)`
-/// byte for byte (stable sort ties resolve to the lower index). Cost is one
-/// tail comparison per losing row instead of `O(rows log rows)`, which is
-/// what lets a partitioned top-n ship `n` rows per shard to the gather
-/// stage rather than a whole sorted slice.
+/// byte for byte (stable sort ties resolve to the lower index). A max-heap
+/// holds the best `n` rows seen; most rows lose against its root in one
+/// comparison, and no input order costs more than `O(rows log n)`. Only
+/// the `n` winners are gathered.
 pub fn sort_limit(table: &Table, keys: &[SortKey], n: usize) -> Result<Table> {
-    let cols: Vec<_> = keys
-        .iter()
-        .map(|k| table.column(&k.column).cloned())
-        .collect::<Result<Vec<_>>>()?;
-    if n == 0 {
-        return Ok(table.limit(0));
-    }
     if n >= table.num_rows() {
         return sort(table, keys);
     }
-    let cmp = |a: usize, b: usize| -> Ordering {
-        for (key, col) in keys.iter().zip(&cols) {
-            let ord = col.value(a).cmp(&col.value(b));
-            let ord = match key.order {
-                SortOrder::Asc => ord,
-                SortOrder::Desc => ord.reverse(),
-            };
-            if ord != Ordering::Equal {
-                return ord;
+    let cmp = KeyComparator::new(table, keys)?;
+    let mut best: BinaryHeap<Ranked<'_, '_>> = BinaryHeap::with_capacity(n);
+    for i in 0..table.num_rows() {
+        let row = Ranked(i, &cmp);
+        if best.len() < n {
+            best.push(row);
+        } else if let Some(mut worst) = best.peek_mut() {
+            if row < *worst {
+                *worst = row;
             }
         }
-        a.cmp(&b)
-    };
-    // Current best n indices in sorted order; most rows lose against the
-    // running worst in one comparison.
-    let mut best: Vec<usize> = Vec::with_capacity(n + 1);
-    for i in 0..table.num_rows() {
-        if best.len() == n && cmp(i, best[n - 1]) != Ordering::Less {
-            continue;
-        }
-        let pos = best.partition_point(|&j| cmp(j, i) == Ordering::Less);
-        best.insert(pos, i);
-        if best.len() > n {
-            best.pop();
-        }
     }
-    Ok(table.take(&best))
+    let indices: Vec<usize> = best.into_sorted_vec().iter().map(|r| r.0).collect();
+    Ok(table.take(&indices))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row;
-    use crate::value::Value;
 
     fn t() -> Table {
         Table::from_rows(
@@ -192,6 +253,58 @@ mod tests {
         let t = Table::from_rows(&["x"], &[row![2i64], row![Value::Null], row![1i64]]).unwrap();
         let out = sort(&t, &[SortKey::asc("x")]).unwrap();
         assert!(out.value(0, "x").unwrap().is_null());
+    }
+
+    #[test]
+    fn comparator_agrees_with_the_value_order_on_every_type() {
+        // Nulls, signed zeros, NaN of both signs, ties: the typed slices
+        // must rank rows exactly as boxed `Value`s do.
+        let floats = [f64::NAN, -0.0, 0.0, 1.5, -f64::NAN, f64::INFINITY, 1.5];
+        let rows: Vec<crate::row::Row> = (0..floats.len())
+            .map(|i| {
+                let null = i == 3;
+                row![
+                    if null {
+                        Value::Null
+                    } else {
+                        Value::Float(floats[i])
+                    },
+                    if i == 5 {
+                        Value::Null
+                    } else {
+                        Value::Bool(i % 2 == 0)
+                    },
+                    if i == 1 {
+                        Value::Null
+                    } else {
+                        Value::Date(3 - i as i32)
+                    },
+                    if null {
+                        Value::Null
+                    } else {
+                        Value::Str(format!("s{}", i % 3))
+                    }
+                ]
+            })
+            .collect();
+        let table = Table::from_rows(&["f", "b", "d", "s"], &rows).unwrap();
+        for column in ["f", "b", "d", "s"] {
+            for key in [SortKey::asc(column), SortKey::desc(column)] {
+                let cmp = KeyComparator::new(&table, std::slice::from_ref(&key)).unwrap();
+                let col = table.column(column).unwrap();
+                for a in 0..rows.len() {
+                    for b in 0..rows.len() {
+                        let boxed = col.value(a).cmp(&col.value(b));
+                        let want = if key.order == SortOrder::Desc {
+                            boxed.reverse()
+                        } else {
+                            boxed
+                        };
+                        assert_eq!(cmp.compare(a, b), want, "{key:?} rows {a},{b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! the 20 most frequent words per date).
 
 use crate::error::Result;
-use crate::ops::sort::SortKey;
+use crate::ops::sort::{KeyComparator, SortKey};
 use crate::row::Row;
 use crate::table::Table;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// `topn` task configuration.
@@ -28,11 +27,7 @@ pub fn topn(table: &Table, cfg: &TopN) -> Result<Table> {
         .iter()
         .map(|k| table.column(k).cloned())
         .collect::<Result<Vec<_>>>()?;
-    let order_cols: Vec<_> = cfg
-        .order_by
-        .iter()
-        .map(|k| table.column(&k.column).cloned())
-        .collect::<Result<Vec<_>>>()?;
+    let cmp = KeyComparator::new(table, &cfg.order_by)?;
 
     // Partition row indices.
     let mut partitions: HashMap<Row, usize> = HashMap::new();
@@ -46,23 +41,9 @@ pub fn topn(table: &Table, cfg: &TopN) -> Result<Table> {
         part_rows[pid].push(i);
     }
 
-    let cmp = |&a: &usize, &b: &usize| -> Ordering {
-        for (key, col) in cfg.order_by.iter().zip(&order_cols) {
-            let ord = col.value(a).cmp(&col.value(b));
-            let ord = match key.order {
-                crate::ops::sort::SortOrder::Asc => ord,
-                crate::ops::sort::SortOrder::Desc => ord.reverse(),
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    };
-
     let mut out_indices = Vec::new();
     for rows in &mut part_rows {
-        rows.sort_by(cmp);
+        rows.sort_by(|&a, &b| cmp.compare(a, b));
         out_indices.extend(rows.iter().take(cfg.limit).copied());
     }
     Ok(table.take(&out_indices))

@@ -207,14 +207,17 @@ impl Table {
 
     /// First `n` rows.
     pub fn limit(&self, n: usize) -> Table {
-        let n = n.min(self.rows);
-        self.take(&(0..n).collect::<Vec<_>>())
+        self.slice(0, n)
     }
 
-    /// Rows `[offset, offset+len)` clamped to the table.
+    /// Rows `[offset, offset+len)` clamped to the table. A range covering
+    /// every row shares the columns instead of copying them.
     pub fn slice(&self, offset: usize, len: usize) -> Table {
         let start = offset.min(self.rows);
-        let end = (offset + len).min(self.rows);
+        let end = offset.saturating_add(len).min(self.rows);
+        if start == 0 && end == self.rows {
+            return self.clone();
+        }
         self.take(&(start..end).collect::<Vec<_>>())
     }
 
@@ -437,6 +440,24 @@ mod tests {
         assert_eq!(t.limit(99).num_rows(), 4);
         assert_eq!(t.slice(1, 2).num_rows(), 2);
         assert_eq!(t.slice(3, 5).num_rows(), 1);
+        assert_eq!(t.slice(9, usize::MAX).num_rows(), 0);
+    }
+
+    #[test]
+    fn full_range_slices_share_columns() {
+        let t = sample();
+        for whole in [
+            t.limit(4),
+            t.limit(99),
+            t.slice(0, 4),
+            t.slice(0, usize::MAX),
+        ] {
+            assert_eq!(whole.num_rows(), 4);
+            for (a, b) in whole.columns().iter().zip(t.columns()) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        }
+        assert!(!Arc::ptr_eq(t.limit(3).column_at(0), t.column_at(0)));
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl Value {
 
     /// Total-order comparison key for floats (IEEE totalOrder via bit
     /// manipulation).
-    fn float_key(f: f64) -> i64 {
+    pub(crate) fn float_key(f: f64) -> i64 {
         let bits = f.to_bits() as i64;
         bits ^ (((bits >> 63) as u64) >> 1) as i64
     }

@@ -24,13 +24,12 @@
 //! again a ratio within the fresh run. Self-observability must be cheap
 //! enough to leave on.
 //!
-//! The shard plane must keep paying for itself: when the baseline
-//! carries a `shard_scaling` block (the shard benchmark), the fresh
-//! doc's 4-shard workload throughput must beat its own single-shard
-//! throughput by at least 1.6× — a within-run ratio, so machine speed
-//! cancels out.
+//! The shard benchmark's `shard_scaling` ratios are reported by the run
+//! itself and not gated here: every width runs the same fused top-n, so
+//! the ratio measures cores, not code. Its p95 leaves are gated like any
+//! other document's.
 //!
-//! And for the ingest benchmark: when the baseline carries an
+//! For the ingest benchmark: when the baseline carries an
 //! `append_vs_rebuild` block, the fresh doc's incremental index merge
 //! must beat its own cold rebuild by at least 3× (a within-run ratio),
 //! and when it carries a `streamed_upload` block, the fresh upload's
@@ -292,39 +291,6 @@ fn main() {
             println!(
                 "   append_vs_rebuild: merge p50 {append_p50:.0}µs vs cold \
                  rebuild p50 {rebuild_p50:.0}µs = {speedup:.2}x  {verdict}"
-            );
-            if regressed {
-                regressions += 1;
-            }
-        }
-
-        // Scatter/gather must keep beating single-shard execution:
-        // whenever the baseline carries a `shard_scaling` block, the
-        // fresh doc must too, and its 4-shard workload ok/s must beat
-        // its own single-shard ok/s by at least 1.6×. A ratio within
-        // the fresh run, so machine speed cancels out.
-        if baseline.get("shard_scaling").is_some() {
-            let fresh_num = |key: &str| -> f64 {
-                match fresh.get("shard_scaling").and_then(|o| o.get(key)) {
-                    Some(JsonValue::Number(n)) => *n,
-                    _ => panic!(
-                        "{fresh_path}: shard_scaling.{key} missing \
-                         (the baseline carries a shard_scaling block)"
-                    ),
-                }
-            };
-            compared += 1;
-            let s4_vs_s1 = fresh_num("s4_vs_s1");
-            let regressed = s4_vs_s1 < 1.6;
-            let verdict = if regressed {
-                "REGRESSED (< 1.6x)"
-            } else {
-                "ok (>= 1.6x)"
-            };
-            println!(
-                "   shard_scaling: 4-shard workload {s4_vs_s1:.2}x of \
-                 single-shard (s2 {:.2}x)  {verdict}",
-                fresh_num("s2_vs_s1")
             );
             if regressed {
                 regressions += 1;

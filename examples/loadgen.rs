@@ -101,9 +101,10 @@
 //! groupby + top-n workload, asserting every sharded response is
 //! byte-identical to the single-shard answer and that the sharded servers
 //! actually scattered. The JSON document on stdout — per-width cold
-//! latencies, ok/s, and the `shard_scaling` ratios — is the source of the
-//! committed `BENCH_shard_scaling.json`; at full size the run itself
-//! asserts the 4-shard workload beats single-shard by >= 1.6x. A served
+//! latencies, ok/s, `nproc`, and the `shard_scaling` ratios — is the
+//! source of the committed `BENCH_shard_scaling.json`. The ratios are
+//! reported, not gated: every width runs the same fused top-n, so they
+//! say what scatter/gather buys on this many cores and nothing else. A served
 //! smoke phase then fires the workload at both TCP serve modes with
 //! `ServeOptions::shards = 4`, asserting zero 5xx, byte-identical bodies,
 //! and the `shareinsights_shard_*` families in a valid `/metrics`
@@ -115,8 +116,8 @@
 //! the indexed path ([`shareinsights::tabular::IndexedTable`]), asserting
 //! the two produce byte-identical JSON for every route, then reporting
 //! cold (cache-bypassed, per-evaluation) and warm (served cache hit)
-//! p50/p95 per route as a JSON document on stdout — the source of the
-//! committed `BENCH_adhoc_query.json`. Progress goes to stderr, so
+//! p50/p95 per route (and `nproc`) as a JSON document on stdout — the
+//! source of the committed `BENCH_adhoc_query.json`. Progress goes to stderr, so
 //! `--cold > BENCH_adhoc_query.json` captures just the document. The CI
 //! bench-smoke job runs this mode on a smaller dataset and relies on the
 //! differential asserts.
@@ -1349,6 +1350,12 @@ fn ingest_benchmark(base_rows: usize, append_rows: usize) {
     println!("}}");
 }
 
+/// Cores available to this process, recorded in the bench documents whose
+/// numbers depend on it.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The `--cold` mode: measure the scan-vs-indexed delta on cold (cache
 /// bypassed) ad-hoc queries over a synthetic dataset, differential-checking
 /// that both paths — and the served HTTP body — agree byte for byte.
@@ -1579,6 +1586,7 @@ fn cold_query_benchmark(rows: usize, iters: usize) {
     println!("{{");
     println!("  \"dataset\": {{\"rows\": {rows}, \"distinct_keys\": {distinct}}},");
     println!("  \"iterations\": {iters},");
+    println!("  \"nproc\": {},", nproc());
     println!("  \"index\": {{\"builds\": {builds}, \"build_us\": {build_us}}},");
     println!("  \"routes\": {{");
     println!("{}", route_docs.join(",\n"));
@@ -1612,10 +1620,10 @@ fn cold_query_benchmark(rows: usize, iters: usize) {
 /// caches). Worker slices stay resident by design — that resident state
 /// *is* the shard plane — so an untimed prime query rebuilds the width-1
 /// router index first and the timed numbers compare evaluation, not
-/// index rebuilds. The single-shard top-n pays a full stable sort of
-/// every row; the shards each run a bounded `sort_limit` selection and
-/// the router merges tiny partials — the headroom the >= 1.6x floor
-/// banks on, even on one core.
+/// index rebuilds. Every width runs the same plan — `sort | limit` is
+/// fused into a bounded top-n before the shard planner sees it — so the
+/// reported `s2_vs_s1`/`s4_vs_s1` compare like with like; `nproc` is
+/// recorded beside them because that is what they depend on.
 fn shard_benchmark(rows: usize, iters: usize) {
     use shareinsights::tabular::{Column, DataType, Field, Schema, Table};
 
@@ -1651,8 +1659,8 @@ fn shard_benchmark(rows: usize, iters: usize) {
         Server::new(platform).with_shards(shards)
     };
 
-    // The scatter/gather workload: a mergeable group-by and a fused
-    // top-n whose single-shard cost is a full stable sort of every row.
+    // The scatter/gather workload: a mergeable group-by and a top-n
+    // (fused from `sort | limit` at every width).
     // The prime query rebuilds the same key index the group-by needs
     // without populating the result cache for either timed query.
     let prime_url = "/bench/ds/bench_data/groupby/key/count/value";
@@ -1731,13 +1739,7 @@ fn shard_benchmark(rows: usize, iters: usize) {
     }
     let s2_vs_s1 = ok_rates[1] / ok_rates[0].max(f64::MIN_POSITIVE);
     let s4_vs_s1 = ok_rates[2] / ok_rates[0].max(f64::MIN_POSITIVE);
-    eprintln!("scaling  s2/s1 {s2_vs_s1:.2}x  s4/s1 {s4_vs_s1:.2}x");
-    if rows >= 500_000 {
-        assert!(
-            s4_vs_s1 >= 1.6,
-            "4-shard workload must beat single-shard by >= 1.6x (got {s4_vs_s1:.2}x)"
-        );
-    }
+    eprintln!("scaling  s2/s1 {s2_vs_s1:.2}x  s4/s1 {s4_vs_s1:.2}x (reported, not gated)");
 
     // Served smoke: both TCP architectures, sharding attached through
     // `ServeOptions`, the full workload plus the observability routes —
@@ -1781,6 +1783,7 @@ fn shard_benchmark(rows: usize, iters: usize) {
     println!("{{");
     println!("  \"dataset\": {{\"rows\": {rows}, \"distinct_keys\": {distinct}}},");
     println!("  \"iterations\": {iters},");
+    println!("  \"nproc\": {},", nproc());
     println!("  \"widths\": {{");
     println!("{}", width_docs.join(",\n"));
     println!("  }},");

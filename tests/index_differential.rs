@@ -11,13 +11,16 @@
 //! Like `properties.rs`, cases come from a seeded local RNG so every
 //! failure is reproducible from the fixed seed.
 
+mod common;
+
 use shareinsights::datagen::SeededRng;
-use shareinsights::server::query::{parse_ops, run_query, run_query_indexed};
+use shareinsights::server::query::{parse_ops, run_query, run_query_indexed, QueryOp};
 use shareinsights::server::table_to_json;
 use shareinsights::tabular::agg::AggKind;
+use shareinsights::tabular::expr::parse_expr;
 use shareinsights::tabular::ops::filter::{filter_by_range, RangeFilter};
 use shareinsights::tabular::ops::{
-    filter_by_values, groupby, sort, AggregateSpec, FilterByValues, GroupBy, SortKey,
+    filter_by_values, groupby, sort, AggregateSpec, FilterByValues, GroupBy, SortKey, SortOrder,
 };
 use shareinsights::tabular::{
     Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
@@ -296,4 +299,134 @@ fn query_pipelines_match_scan() {
         }
     }
     assert!(hits > 0, "some pipelines should report index hits");
+}
+
+// ---------------------------------------------------------------------------
+// Fused plans against the unfused reference
+// ---------------------------------------------------------------------------
+
+/// `sort | limit` and `sort | offset | limit` (fused into a top-n, walked
+/// off the postings for a dictionary key) return the bytes of a full
+/// boxed-value sort followed by the slices — heavy ties, nulls, both
+/// directions, string / zone-indexed integer / float and multi-key
+/// orders, and every `n` around the row count.
+#[test]
+fn fused_topn_matches_unfused_reference() {
+    let mut r = SeededRng::new(0x1D1F_0006);
+    let mut hits = 0usize;
+    for case in 0..CASES {
+        let t = common::gen_tied_table(&mut r);
+        let rows = t.num_rows();
+        let dir = |r: &mut SeededRng| {
+            if r.chance(0.5) {
+                SortOrder::Asc
+            } else {
+                SortOrder::Desc
+            }
+        };
+        let sort = match r.index(5) {
+            0 | 1 => QueryOp::Sort {
+                column: "cat".into(),
+                order: dir(&mut r),
+            },
+            2 => QueryOp::Sort {
+                column: "num".into(),
+                order: dir(&mut r),
+            },
+            3 => QueryOp::Sort {
+                column: "f".into(),
+                order: dir(&mut r),
+            },
+            _ => QueryOp::SortMulti(vec![
+                SortKey {
+                    column: "cat".into(),
+                    order: dir(&mut r),
+                },
+                SortKey {
+                    column: "f".into(),
+                    order: dir(&mut r),
+                },
+            ]),
+        };
+        for n in [0, 1, rows.saturating_sub(1), rows, rows + 1] {
+            let ops = vec![sort.clone(), QueryOp::Limit(n)];
+            hits += usize::from(common::assert_three_way(
+                &t,
+                &ops,
+                &format!("case {case} {ops:?}"),
+            ));
+            let k = *r.pick(&[0, 1, 3, rows]);
+            let ops = vec![sort.clone(), QueryOp::Offset(k), QueryOp::Limit(n)];
+            hits += usize::from(common::assert_three_way(
+                &t,
+                &ops,
+                &format!("case {case} {ops:?}"),
+            ));
+        }
+    }
+    assert!(hits > CASES, "dictionary-keyed top-n should hit the index");
+}
+
+/// `filter | groupby` (fused: the group-by folds the selected rows without
+/// a filtered table) returns the bytes of filter-then-group — float
+/// `sum`/`avg`/`min`/`max`, `count(*)`, null group keys, null aggregate
+/// inputs, selections from empty to every row.
+#[test]
+fn fused_filter_groupby_matches_unfused_reference() {
+    let filters = [
+        "num > 0",
+        "f < 0.5",
+        "cat == null",
+        "not (cat == null)",
+        "num >= -100",
+        "num > 100",
+        "f != null and num <= 1",
+        "cat in ['k0', 'k1']",
+        "cat > 'k0' or f >= 1.5",
+        "num * 2 > 1",
+    ];
+    let mut r = SeededRng::new(0x1D1F_0007);
+    let mut hits = 0usize;
+    for case in 0..CASES {
+        let t = common::gen_tied_table(&mut r);
+        let filter = if r.chance(0.25) {
+            QueryOp::Filter {
+                column: "cat".into(),
+                value: Value::Str(format!("k{}", r.index(4))),
+            }
+        } else {
+            QueryOp::FilterExpr(parse_expr(filters[r.index(filters.len())]).unwrap())
+        };
+        let group = match r.index(3) {
+            0 => QueryOp::GroupBy {
+                key: "cat".into(),
+                agg: *r.pick(&[AggKind::Sum, AggKind::Avg, AggKind::Max]),
+                apply_on: (*r.pick(&["f", "num"])).into(),
+            },
+            1 => QueryOp::GroupByMulti(GroupBy::with_aggregates(
+                &["cat"],
+                vec![
+                    AggregateSpec::new(AggKind::Sum, "f", "total"),
+                    AggregateSpec::new(AggKind::Avg, "f", "mean"),
+                    AggregateSpec::new(AggKind::Min, "f", "lo"),
+                    AggregateSpec::new(AggKind::Max, "f", "hi"),
+                    AggregateSpec::new(AggKind::CountAll, "", "n"),
+                ],
+            )),
+            _ => QueryOp::GroupByMulti(GroupBy::with_aggregates(
+                &["cat2", "cat"],
+                vec![
+                    AggregateSpec::new(AggKind::Sum, "num", "total"),
+                    AggregateSpec::new(AggKind::Count, "f", "n"),
+                ],
+            )),
+        };
+        let ops = vec![filter, group];
+        hits += usize::from(common::assert_three_way(
+            &t,
+            &ops,
+            &format!("case {case} {ops:?}"),
+        ));
+    }
+    assert!(hits > 0, "indexed selections should report hits");
 }

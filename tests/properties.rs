@@ -5,6 +5,8 @@
 //! RNG (`datagen::SeededRng`) over 64 generated cases each. Failures are
 //! reproducible: every case derives from a fixed seed.
 
+mod common;
+
 use shareinsights::datagen::SeededRng;
 use shareinsights::engine::baseline::execute_naive;
 use shareinsights::engine::compile::{compile, CompileEnv};
@@ -457,6 +459,203 @@ fn expr_display_roundtrips() {
             assert_eq!(e, e2, "via '{printed}'");
         }
     }
+}
+
+/// One table for the mask property: Int64 / Float64 / Date / Utf8 / Bool
+/// columns with nulls plus an all-null column. `sorted` lays the numeric
+/// columns out ascending, so zone maps see disjoint bounds and settle
+/// whole zones; strings mix words with numeric-looking text.
+fn gen_mask_table(r: &mut SeededRng, rows: usize, sorted: bool) -> Table {
+    use shareinsights::tabular::{Column, ColumnBuilder, DataType, Field, Schema};
+    let mut cols: Vec<ColumnBuilder> = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Date,
+        DataType::Utf8,
+        DataType::Bool,
+    ]
+    .into_iter()
+    .map(ColumnBuilder::new)
+    .collect();
+    for row in 0..rows {
+        let base = if sorted {
+            row as i64 / 7
+        } else {
+            r.int_range(-6, 6)
+        };
+        let cells = [
+            Value::Int(base),
+            match r.index(16) {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(-0.0),
+                _ => Value::Float(base as f64 + 0.5 * r.index(2) as f64),
+            },
+            Value::Date(base as i32),
+            match r.index(4) {
+                0 => Value::Str(format!("{}", r.int_range(-6, 6))),
+                1 => Value::Str(format!(" {}.5", r.index(4))),
+                _ => Value::Str(format!("k{}", r.index(4))),
+            },
+            Value::Bool(r.chance(0.5)),
+        ];
+        for (b, v) in cols.iter_mut().zip(&cells) {
+            if r.chance(0.15) {
+                b.push_null();
+            } else {
+                b.push_coerced(v).unwrap();
+            }
+        }
+    }
+    let mut columns: Vec<Column> = cols.into_iter().map(ColumnBuilder::finish).collect();
+    columns.push(Column::Null { len: rows });
+    let fields = ["i", "f", "d", "s", "b", "z"]
+        .iter()
+        .zip(&columns)
+        .map(|(name, c)| Field::new(*name, c.data_type()))
+        .collect();
+    Table::new(Schema::new(fields).unwrap(), columns).unwrap()
+}
+
+/// A random predicate over [`gen_mask_table`]'s columns. Leaves cover
+/// every typed kernel (comparison either way round, `IN`, `IS NULL`) with
+/// literals (half of them within one of `edges`, ascending) of the
+/// column's own type, the *other* numeric type, numeric-looking strings,
+/// and unrelated types — plus the shapes that
+/// stay row-wise (arithmetic, which is an error on strings and bools;
+/// `contains`; column-to-column; a bare bool column; a null literal).
+fn gen_predicate(
+    r: &mut SeededRng,
+    depth: usize,
+    edges: &[i64],
+) -> shareinsights::tabular::expr::Expr {
+    use shareinsights::tabular::expr::{ArithOp, CmpOp, Expr};
+    if depth > 0 && r.chance(0.6) {
+        let a = Box::new(gen_predicate(r, depth - 1, edges));
+        return match r.index(3) {
+            0 => Expr::And(a, Box::new(gen_predicate(r, depth - 1, edges))),
+            1 => Expr::Or(a, Box::new(gen_predicate(r, depth - 1, edges))),
+            _ => Expr::Not(a),
+        };
+    }
+    let column = |r: &mut SeededRng| Expr::col(*r.pick(&["i", "f", "d", "s", "b", "z"]));
+    let literal = |r: &mut SeededRng| -> Value {
+        // Mostly the values where a kernel changes its mind, else anywhere.
+        let span = edges[edges.len() - 1] + 2;
+        let n = if r.chance(0.5) {
+            *r.pick(edges) + r.int_range(-1, 1)
+        } else {
+            r.int_range(-span, span)
+        };
+        match r.index(9) {
+            0 | 1 => Value::Int(n),
+            2 => Value::Float(n as f64),
+            3 => Value::Float(n as f64 + 0.5),
+            4 => Value::Str(format!("{n}")),
+            5 => Value::Str(format!("k{}", r.index(5))),
+            6 => Value::Date(n as i32),
+            7 => Value::Bool(r.chance(0.5)),
+            _ => Value::Null,
+        }
+    };
+    let op = *r.pick(&[
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ]);
+    match r.index(10) {
+        0..=2 => Expr::cmp(op, column(r), Expr::Literal(literal(r))),
+        3 => Expr::cmp(op, Expr::Literal(literal(r)), column(r)),
+        4 => Expr::InList(
+            Box::new(column(r)),
+            (0..r.index(4)).map(|_| literal(r)).collect(),
+        ),
+        5 => Expr::IsNull(Box::new(column(r))),
+        6 => Expr::cmp(
+            op,
+            Expr::Arith(
+                *r.pick(&[ArithOp::Add, ArithOp::Mul, ArithOp::Div]),
+                Box::new(column(r)),
+                Box::new(Expr::Literal(literal(r))),
+            ),
+            Expr::Literal(literal(r)),
+        ),
+        7 => Expr::Contains(Box::new(column(r)), Box::new(Expr::lit("k"))),
+        8 => Expr::cmp(op, column(r), column(r)),
+        _ => Expr::col("b"),
+    }
+}
+
+/// The column-at-a-time mask equals a row-at-a-time evaluation of the
+/// same predicate bit for bit — with or without indexes behind it — and
+/// fails on exactly the same inputs with the same message.
+#[test]
+fn vectorised_mask_equals_rowwise_evaluation() {
+    use shareinsights::tabular::expr::{CmpOp, Expr};
+    use shareinsights::tabular::IndexedTable;
+    let mut r = SeededRng::new(0xF0F0_000E);
+    let (mut errors, mut index_uses) = (0usize, 0usize);
+    let mut check = |e: &Expr, t: &Table, indexed: &IndexedTable| {
+        let want = common::rowwise_mask(e, t);
+        let got = e.eval_mask(t).map_err(|e| e.to_string());
+        assert_eq!(got, want, "{e} over {} rows", t.num_rows());
+        let via_index = e.eval_mask_indexed(indexed).map_err(|e| e.to_string());
+        index_uses += usize::from(via_index.as_ref().is_ok_and(|(_, used)| *used));
+        assert_eq!(via_index.map(|(m, _)| m), want, "{e} (indexed)");
+        errors += usize::from(want.is_err());
+    };
+    for _ in 0..CASES {
+        let rows = r.index(50);
+        let t = gen_mask_table(&mut r, rows, false);
+        let indexed = IndexedTable::new(t.clone());
+        for _ in 0..8 {
+            check(&gen_predicate(&mut r, 3, &[-6, 0, 6]), &t, &indexed);
+        }
+    }
+    // One sorted table spanning two zones (the first ends at row 4095):
+    // random predicates, then every operator against the literals on and
+    // beside each zone's bounds, where a zone map changes its verdict.
+    let rows = 4300;
+    let t = gen_mask_table(&mut r, rows, true);
+    let indexed = IndexedTable::new(t.clone());
+    let edges = [0, 4095 / 7, (rows as i64 - 1) / 7];
+    for _ in 0..100 {
+        check(&gen_predicate(&mut r, 3, &edges), &t, &indexed);
+    }
+    for column in ["i", "f", "d"] {
+        for op in [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ] {
+            for n in edges.iter().flat_map(|e| [e - 1, *e, e + 1]) {
+                for lit in [
+                    Value::Int(n),
+                    Value::Float(n as f64 + 0.5),
+                    Value::Date(n as i32),
+                ] {
+                    check(
+                        &Expr::cmp(op, Expr::col(column), Expr::Literal(lit)),
+                        &t,
+                        &indexed,
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        errors > 10,
+        "arithmetic on strings should surface errors ({errors})"
+    );
+    assert!(
+        index_uses > 200,
+        "dictionary and zone indexes should answer leaves ({index_uses})"
+    );
 }
 
 // ---------------------------------------------------------------------------

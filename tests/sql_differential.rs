@@ -13,6 +13,8 @@
 //! Like `properties.rs`, cases come from a seeded local RNG so every
 //! failure is reproducible from the fixed seed.
 
+mod common;
+
 use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
 use shareinsights::engine::sql::{lower, parse_select};
@@ -251,6 +253,46 @@ fn rich_sql_matches_scan_through_index() {
             ),
             (Err(a), Err(b)) => assert_eq!(a, b, "{sql}: error divergence"),
             (a, b) => panic!("{sql}: paths disagree: scan={a:?} indexed={b:?}"),
+        }
+    }
+}
+
+/// The shapes the fusion pass rewrites, spelled in SQL: `WHERE … GROUP BY`
+/// with float aggregates and `count(*)`, and `ORDER BY … LIMIT [OFFSET]`
+/// on one or several keys. Fused scan, fused indexed and the unfused
+/// reference evaluator must produce the same bytes.
+#[test]
+fn fused_sql_shapes_match_unfused_reference() {
+    let wheres = [
+        "f < 0.5",
+        "num between -1 and 2 and f < 100",
+        "cat is not null and f >= -1.5",
+        "num in (1, 2, 3) or cat = 'k1'",
+        "num >= -100",
+        "num > 100",
+        "cat is null",
+        "not (f > 0)",
+    ];
+    let mut r = SeededRng::new(0x5D1F_0003);
+    for case in 0..CASES {
+        let t = common::gen_tied_table(&mut r);
+        let rows = t.num_rows();
+        let w = wheres[r.index(wheres.len())];
+        let grouped = format!(
+            "select cat, sum(f) as total, avg(f) as mean, min(f) as lo, max(f) as hi, \
+             count(*) as n, count(num) as seen from t where {w} group by cat"
+        );
+        let n = *r.pick(&[0, 1, rows.saturating_sub(1), rows, rows + 1]);
+        let ordered = match r.index(3) {
+            0 => format!("select * from t order by cat desc, f asc limit {n}"),
+            1 => format!(
+                "select * from t order by num desc limit {n} offset {}",
+                r.index(4)
+            ),
+            _ => format!("select * from t where {w} order by cat asc limit {n}"),
+        };
+        for sql in [grouped, ordered] {
+            common::assert_three_way(&t, &ops_for(&sql), &format!("case {case} {sql}"));
         }
     }
 }
