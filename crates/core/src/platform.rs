@@ -704,6 +704,11 @@ impl Platform {
     /// invalidate — but the serving layer can recognise the append and
     /// merge its warm `IndexedTable` instead of rebuilding.
     ///
+    /// The O(table) copy runs on a snapshot, outside the platform-wide
+    /// lock, which is then held for the swap alone; if another writer
+    /// replaced the dataset meanwhile, the copy is redone on the new
+    /// snapshot, so no writer's rows are lost.
+    ///
     /// A dataset that does not exist yet is created from the delta, so
     /// ingest also bootstraps fresh endpoints. Schema mismatches surface
     /// as errors from the concat (tabular unifies compatible schemas and
@@ -714,25 +719,37 @@ impl Platform {
         dataset: &str,
         delta: shareinsights_tabular::Table,
     ) -> Result<AppendReport> {
+        let no_dashboard = || PlatformError::Other(format!("no dashboard '{name}'"));
         let rows_appended = delta.num_rows();
-        let total_rows;
-        let merged;
-        {
-            let mut dashboards = self.dashboards.write();
-            let d = dashboards
-                .get_mut(name)
-                .ok_or_else(|| PlatformError::Other(format!("no dashboard '{name}'")))?;
-            let concatenated = match d.endpoint_tables.get(dataset) {
+        let merged = loop {
+            let snapshot = self
+                .dashboards
+                .read()
+                .get(name)
+                .ok_or_else(no_dashboard)?
+                .endpoint_tables
+                .get(dataset)
+                .cloned();
+            let merged = match &snapshot {
                 Some(existing) => existing
                     .concat(&delta)
                     .map_err(|e| PlatformError::Other(format!("append to '{dataset}': {e}")))?,
-                None => delta,
+                None => delta.clone(),
             };
-            total_rows = concatenated.num_rows();
-            d.endpoint_tables
-                .insert(dataset.to_string(), concatenated.clone());
-            merged = concatenated;
-        }
+            let mut dashboards = self.dashboards.write();
+            let d = dashboards.get_mut(name).ok_or_else(no_dashboard)?;
+            let unchanged = match (d.endpoint_tables.get(dataset), &snapshot) {
+                (Some(now), Some(then)) => now.shares_columns_with(then),
+                (None, None) => true,
+                _ => false,
+            };
+            if unchanged {
+                d.endpoint_tables
+                    .insert(dataset.to_string(), merged.clone());
+                break merged;
+            }
+        };
+        let total_rows = merged.num_rows();
         self.bump_data_generation(name);
         Ok(AppendReport {
             dashboard: name.to_string(),

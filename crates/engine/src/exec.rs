@@ -575,13 +575,27 @@ F:
 
     #[test]
     fn chunked_execution_matches_sequential() {
+        // Utf8-heavy, with empty, multi-byte and null cells: chunking
+        // slices and re-unions the string arenas.
         let rows: Vec<shareinsights_tabular::Row> = (0..50_000)
-            .map(|i| row![format!("2013-05-{:02}", (i % 28) + 1), i as i64])
+            .map(|i| {
+                let note = match i % 5 {
+                    0 => Value::Null,
+                    1 => "".into(),
+                    _ => format!("naïve-{}-日本", i % 97).into(),
+                };
+                row![
+                    format!("2013-05-{:02}", (i % 28) + 1),
+                    note,
+                    format!("k{}", i % 1013),
+                    i as i64
+                ]
+            })
             .collect();
-        let table = Table::from_rows(&["d", "n"], &rows).unwrap();
+        let table = Table::from_rows(&["d", "note", "k", "n"], &rows).unwrap();
         let src = r#"
 D:
-  big: [d, n]
+  big: [d, note, k, n]
 T:
   keep:
     type: filter_by
@@ -594,10 +608,16 @@ F:
         let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
 
         let ctx = ExecContext::new(Catalog::new()).with_table("big", table.clone());
-        let par = Executor::default().execute(&pipeline, &ctx).unwrap();
+        let chunked = Executor {
+            workers: 4,
+            ..Executor::default()
+        };
+        let par = chunked.execute(&pipeline, &ctx).unwrap();
         let seq = Executor::sequential().execute(&pipeline, &ctx).unwrap();
-        assert_eq!(par.table("out").unwrap(), seq.table("out").unwrap());
-        assert_eq!(par.table("out").unwrap().num_rows(), 50_000 / 7 + 1);
+        let (par, seq) = (par.table("out").unwrap(), seq.table("out").unwrap());
+        assert_eq!(par.schema(), seq.schema());
+        assert_eq!(par.columns(), seq.columns(), "typed buffers and validity");
+        assert_eq!(par.num_rows(), 50_000 / 7 + 1);
     }
 
     #[test]

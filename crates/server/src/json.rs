@@ -1,38 +1,47 @@
 //! JSON serialisation of tables for the data API.
 
-use shareinsights_tabular::{Table, Value};
+use shareinsights_tabular::io::json::write_json_quoted;
+use shareinsights_tabular::{Column, Table, Value};
+use std::fmt::Write;
 
 /// JSON-escape and quote a string.
 pub fn quote(s: &str) -> String {
     shareinsights_tabular::io::json::quote_json(s)
 }
 
-fn value_to_json(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_finite() {
-                f.to_string()
-            } else {
-                "null".to_string()
-            }
+fn push_display(out: &mut String, v: impl std::fmt::Display) {
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
+/// Append cell `r` of `col` to `out`, read from the typed buffer.
+fn write_cell(out: &mut String, col: &Column, r: usize) {
+    if !col.validity_ref().is_some_and(|v| v.get(r)) {
+        return out.push_str("null");
+    }
+    match col {
+        Column::Bool { data, .. } => push_display(out, data[r]),
+        Column::Int64 { data, .. } => push_display(out, data[r]),
+        Column::Float64 { data, .. } if data[r].is_finite() => push_display(out, data[r]),
+        Column::Float64 { .. } | Column::Null { .. } => out.push_str("null"),
+        Column::Utf8 { data, .. } => write_json_quoted(out, &data[r]),
+        Column::Date { data, .. } => {
+            out.push('"');
+            push_display(out, Value::Date(data[r]));
+            out.push('"');
         }
-        Value::Str(s) => quote(s),
-        Value::Date(_) => quote(&v.to_string()),
     }
 }
 
 /// Serialise a table as `{"columns": [...], "rows": [[...]]}` — the payload
-/// shape the figure-28 endpoint browse returns.
+/// shape the figure-28 endpoint browse returns. Cells go from the typed
+/// column buffers straight into the output.
 pub fn table_to_json(table: &Table) -> String {
     let mut out = String::from("{\"columns\": [");
     for (i, name) in table.schema().names().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&quote(name));
+        write_json_quoted(&mut out, name);
     }
     out.push_str("], \"rows\": [");
     for r in 0..table.num_rows() {
@@ -44,7 +53,7 @@ pub fn table_to_json(table: &Table) -> String {
             if c > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&value_to_json(&col.value(r)));
+            write_cell(&mut out, col, r);
         }
         out.push(']');
     }
@@ -89,6 +98,78 @@ mod tests {
             Some(&shareinsights_tabular::io::json::JsonValue::Null)
         );
         assert_eq!(doc.path("columns.2").unwrap().as_str(), Some("f"));
+    }
+
+    /// The cell rendering `table_to_json` had when it boxed every cell.
+    fn value_to_json(v: &Value) -> String {
+        match v {
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Float(f) if f.is_finite() => f.to_string(),
+            Value::Float(_) => "null".to_string(),
+            Value::Str(s) => quote(s),
+            Value::Date(_) => quote(&v.to_string()),
+        }
+    }
+
+    #[test]
+    fn typed_cells_render_as_boxed_values_did() {
+        use shareinsights_tabular::{Bitmap, DataType, Schema};
+        let strings = [
+            "",
+            "plain",
+            "q\"uo\\te",
+            "tab\tnl\ncr\r",
+            "\u{1}\u{1f}",
+            "añ日本",
+        ];
+        let floats = [0.0, -0.0, 2.5, 1e21, 1e-7, f64::NAN, f64::INFINITY, 3.0];
+        let n = 8;
+        let mut validity = Bitmap::new_set(n);
+        validity.clear(5);
+        let t = Table::new(
+            Schema::of(&[
+                ("s", DataType::Utf8),
+                ("f", DataType::Float64),
+                ("i", DataType::Int64),
+                ("b", DataType::Bool),
+                ("d", DataType::Date),
+                ("z", DataType::Utf8),
+            ]),
+            vec![
+                Column::utf8((0..n).map(|i| strings[i % strings.len()])),
+                Column::float(floats),
+                Column::Int64 {
+                    data: vec![0, -1, i64::MIN, i64::MAX, 7, 8, 9, 10],
+                    validity: validity.clone(),
+                },
+                Column::bool((0..n).map(|i| i % 3 == 0)),
+                Column::Date {
+                    data: vec![0, -1, 16000, 1, 2, 3, 4, 5],
+                    validity,
+                },
+                Column::Null { len: n },
+            ],
+        )
+        .unwrap();
+        let mut want =
+            String::from("{\"columns\": [\"s\", \"f\", \"i\", \"b\", \"d\", \"z\"], \"rows\": [");
+        for r in 0..n {
+            let cells: Vec<String> = t
+                .columns()
+                .iter()
+                .map(|c| value_to_json(&c.value(r)))
+                .collect();
+            want.push_str(&format!(
+                "{}[{}]",
+                if r > 0 { ", " } else { "" },
+                cells.join(", ")
+            ));
+        }
+        want.push_str(&format!("], \"total_rows\": {n}}}"));
+        assert_eq!(table_to_json(&t), want);
+        shareinsights_tabular::io::json::parse_json(&want).unwrap();
     }
 
     #[test]

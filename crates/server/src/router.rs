@@ -58,9 +58,16 @@ pub struct Handled {
     pub stream: Option<Arc<Subscription>>,
 }
 
-/// Indexed endpoint snapshots keyed `dashboard/dataset`, stamped with the
-/// data generation they were built at.
-type IndexRegistry = HashMap<String, (u64, Arc<IndexedTable>)>;
+/// One endpoint's indexed snapshot, stamped with the data generation it
+/// covers. The slot's lock is the endpoint's append lock as well: an
+/// ingest commit holds it from before the table swap until the merged
+/// index is installed, so a reader that wants the index either finds the
+/// merged wrapper or waits for it, and never builds a cold one beside an
+/// in-flight merge.
+type IndexSlot = Arc<Mutex<Option<(u64, Arc<IndexedTable>)>>>;
+
+/// Index slots keyed `dashboard/dataset`.
+type IndexRegistry = HashMap<String, IndexSlot>;
 
 /// The in-process REST server wrapping a platform instance.
 ///
@@ -267,7 +274,11 @@ impl Server {
     pub fn clear_derived_caches(&self) {
         self.cache.clear();
         self.results.clear();
-        self.indexes.lock().clear();
+        // Slots are emptied, not removed: an in-flight append keeps
+        // installing into the slot readers will look in.
+        for slot in self.indexes.lock().values() {
+            *slot.lock() = None;
+        }
         if let Some(shards) = &self.shards {
             shards.clear_caches();
         }
@@ -803,6 +814,9 @@ impl Server {
                 "ingest body contained no records".to_string(),
             );
         }
+        let key = format!("{dashboard}/{dataset}");
+        let slot = self.index_slot(&key);
+        let mut warm = slot.lock();
         let pre_generation = self.live_generation(dashboard, dataset);
         let report = match self
             .platform
@@ -814,7 +828,8 @@ impl Server {
         let generation = self.live_generation(dashboard, dataset);
         self.invalidate_shards(dashboard, dataset);
         let (index_merged, merge_us) =
-            self.merge_index_on_append(dashboard, dataset, pre_generation, generation, &report);
+            self.merge_index_on_append(&mut warm, &key, pre_generation, generation, &report);
+        drop(warm);
         metrics.record_ingest_commit(report.rows_appended as u64, index_merged, merge_us);
         if let Some(s) = commit_span.as_mut() {
             s.set_attr("dataset", format!("{dashboard}/{dataset}"));
@@ -857,52 +872,43 @@ impl Server {
     /// The merge reuses the concatenated table the platform append
     /// already produced ([`shareinsights_core::platform::AppendReport::merged`]),
     /// so its cost is proportional to the delta, not the endpoint.
-    /// Returns `(merged, merge_micros)`.
+    /// Returns `(merged, merge_micros)`. `slot` is the endpoint's locked
+    /// index slot, held by the caller since before the append.
     fn merge_index_on_append(
         &self,
-        dashboard: &str,
-        dataset: &str,
+        slot: &mut Option<(u64, Arc<IndexedTable>)>,
+        key: &str,
         pre_generation: u64,
         new_generation: u64,
         report: &shareinsights_core::platform::AppendReport,
     ) -> (bool, u64) {
-        let key = format!("{dashboard}/{dataset}");
-        let warm = {
-            let map = self.indexes.lock();
-            // Merge only a wrapper stamped at the exact pre-append
-            // generation — the same guard the query path applies. A stale
-            // entry (a re-run or publish bumped the generation without
-            // refreshing the registry) is missing those intervening rows;
-            // merging it would stamp wrong data at the live generation.
-            map.get(&key)
-                .filter(|(g, _)| *g == pre_generation)
-                .map(|(_, ix)| Arc::clone(ix))
-        };
-        let Some(warm) = warm else {
+        // Merge only a wrapper stamped at the exact pre-append generation —
+        // the same guard the query path applies. A stale entry (a re-run
+        // or publish bumped the generation without refreshing the slot) is
+        // missing those intervening rows; merging it would stamp wrong
+        // data at the live generation.
+        let Some((_, warm)) = slot.take_if(|(g, _)| *g == pre_generation) else {
+            *slot = None;
             return (false, 0);
         };
         // The committed table must be exactly the indexed rows plus this
-        // delta; anything else means a writer raced the append and the
-        // wrapper no longer covers the prefix.
+        // delta; anything else means a writer that is not an append (a
+        // re-run, a stream tick) replaced the table under this one.
         if warm.table().num_rows() + report.rows_appended != report.total_rows {
-            self.indexes.lock().remove(&key);
-            self.note_cold_rebuild(&key, "writer_raced", report);
+            self.note_cold_rebuild(key, "writer_raced", report);
             return (false, 0);
         }
         let started = std::time::Instant::now();
         match warm.append_merged(report.merged.clone()) {
             Ok(merged) if merged.table().num_rows() == report.total_rows => {
                 let us = started.elapsed().as_micros() as u64;
-                self.indexes
-                    .lock()
-                    .insert(key, (new_generation, Arc::new(merged)));
+                *slot = Some((new_generation, Arc::new(merged)));
                 (true, us)
             }
             Ok(_) | Err(_) => {
                 // Merge not possible (schema drift under the wrapper):
-                // drop it and fall back to a lazy cold rebuild.
-                self.indexes.lock().remove(&key);
-                self.note_cold_rebuild(&key, "schema_drift", report);
+                // fall back to a lazy cold rebuild.
+                self.note_cold_rebuild(key, "schema_drift", report);
                 (false, 0)
             }
         }
@@ -975,34 +981,37 @@ impl Server {
         }
     }
 
-    /// The indexed wrapper for an endpoint snapshot, rebuilt whenever the
-    /// data generation moves. Index build durations are fed into the
-    /// platform's [`shareinsights_core::telemetry::ApiMetrics`].
-    fn indexed_table(
-        &self,
-        dashboard: &str,
-        dataset: &str,
-        generation: u64,
-        table: Table,
-    ) -> Arc<IndexedTable> {
-        let key = format!("{dashboard}/{dataset}");
-        {
-            let map = self.indexes.lock();
-            if let Some((g, ix)) = map.get(&key) {
-                if *g == generation {
-                    return Arc::clone(ix);
-                }
-            }
+    /// The index slot of `dashboard/dataset`, created empty on first use.
+    fn index_slot(&self, key: &str) -> IndexSlot {
+        let mut map = self.indexes.lock();
+        match map.get(key) {
+            Some(slot) => Arc::clone(slot),
+            None => Arc::clone(map.entry(key.to_string()).or_default()),
         }
+    }
+
+    /// The indexed wrapper for an endpoint's live snapshot, rebuilt
+    /// whenever the data generation moves. Waits for an append in flight
+    /// on the endpoint, then reads the live generation and table under the
+    /// slot's lock, so the wrapper returned may be newer than the
+    /// generation the request started at — never older. Index build
+    /// durations are fed into the platform's
+    /// [`shareinsights_core::telemetry::ApiMetrics`].
+    fn indexed_table(&self, dashboard: &str, dataset: &str) -> Result<Arc<IndexedTable>, Response> {
+        let slot = self.index_slot(&format!("{dashboard}/{dataset}"));
+        let mut warm = slot.lock();
+        let generation = self.live_generation(dashboard, dataset);
+        if let Some((_, ix)) = warm.as_ref().filter(|(g, _)| *g == generation) {
+            return Ok(Arc::clone(ix));
+        }
+        let table = self.endpoint_table(dashboard, dataset)?;
         let metrics = self.platform.api_metrics().clone();
         let ix = Arc::new(IndexedTable::with_build_hook(
             table,
             Arc::new(move |us| metrics.record_index_build(us)),
         ));
-        self.indexes
-            .lock()
-            .insert(key, (generation, Arc::clone(&ix)));
-        ix
+        *warm = Some((generation, Arc::clone(&ix)));
+        Ok(ix)
     }
 
     /// Figure 28 browse + figure 30 ad-hoc queries, behind the
@@ -1277,7 +1286,10 @@ impl Server {
                     Some(Ok(r)) => r,
                     Some(Err(e)) => return Response::error(Status::BadRequest, e),
                     None => {
-                        let indexed = self.indexed_table(dashboard, dataset, generation, table);
+                        let indexed = match self.indexed_table(dashboard, dataset) {
+                            Ok(indexed) => indexed,
+                            Err(resp) => return resp,
+                        };
                         match evaluate_indexed(&indexed, &plan) {
                             Ok(done) => {
                                 if let Some(s) = eval_span.as_mut() {

@@ -236,11 +236,80 @@ impl Bitmap {
         }
     }
 
-    /// Extend with all bits of `other`.
+    /// Extend with all bits of `other`, a word at a time.
     pub fn extend_from(&mut self, other: &Bitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
+        self.extend_from_range(other, 0, other.len);
+    }
+
+    /// Extend with bits `[start, end)` of `other`, a word at a time: the
+    /// validity half of a column append or slice.
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past `other.len()`.
+    pub fn extend_from_range(&mut self, other: &Bitmap, start: usize, end: usize) {
+        assert!(start <= end && end <= other.len, "bit range out of range");
+        self.words.reserve((end - start).div_ceil(64));
+        let mut at = start;
+        while at < end {
+            let n = (end - at).min(64);
+            self.push_bits(other.bits_at(at, n), n);
+            at += n;
         }
+    }
+
+    /// Extend with `n` copies of `bit`.
+    pub fn extend_with(&mut self, bit: bool, n: usize) {
+        let start = self.len;
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
+        if bit {
+            self.set_range(start, self.len);
+        }
+    }
+
+    /// Bit `i` of the result is bit `indices[i]` of this bitmap.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range.
+    pub fn gather(&self, indices: &[usize]) -> Bitmap {
+        // Learning that every bit is set costs a pass over the words; it
+        // pays for itself only on a selection at least that long.
+        if indices.len() >= self.words.len() && self.all_set() {
+            assert!(
+                indices.iter().all(|&i| i < self.len),
+                "bit index out of range {}",
+                self.len
+            );
+            return Bitmap::new_set(indices.len());
+        }
+        Bitmap::from_fn(indices.len(), |k| self.get(indices[k]))
+    }
+
+    /// The `n <= 64` bits starting at `start`, in the low bits of a word.
+    fn bits_at(&self, start: usize, n: usize) -> u64 {
+        let (word, shift) = (start / 64, start % 64);
+        let mut bits = self.words[word] >> shift;
+        if shift + n > 64 {
+            bits |= self.words[word + 1] << (64 - shift);
+        }
+        if n < 64 {
+            bits &= (1u64 << n) - 1;
+        }
+        bits
+    }
+
+    /// Append the low `n <= 64` bits of `bits`; the bits above `n` are zero.
+    fn push_bits(&mut self, bits: u64, n: usize) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.push(bits);
+        } else {
+            *self.words.last_mut().expect("a partial last word") |= bits << shift;
+            if shift + n > 64 {
+                self.words.push(bits >> (64 - shift));
+            }
+        }
+        self.len += n;
     }
 }
 
@@ -321,6 +390,51 @@ mod tests {
         let mut other = Bitmap::new_cleared(0);
         other.extend_from(&bm);
         assert_eq!(other, bm);
+    }
+
+    #[test]
+    fn word_level_extends_match_bit_pushes() {
+        let src = Bitmap::from_fn(300, |i| i % 3 == 0 || i % 7 == 2);
+        for prefix in [0, 1, 63, 64, 65, 130] {
+            for (start, end) in [
+                (0, 0),
+                (0, 300),
+                (5, 6),
+                (1, 65),
+                (63, 129),
+                (64, 128),
+                (70, 299),
+            ] {
+                let mut fast = Bitmap::from_fn(prefix, |i| i % 2 == 0);
+                let mut slow = fast.clone();
+                fast.extend_from_range(&src, start, end);
+                for i in start..end {
+                    slow.push(src.get(i));
+                }
+                assert_eq!(fast, slow, "prefix {prefix} range {start}..{end}");
+            }
+            for bit in [false, true] {
+                let mut fast = Bitmap::from_fn(prefix, |i| i % 2 == 0);
+                let mut slow = fast.clone();
+                fast.extend_with(bit, 77);
+                (0..77).for_each(|_| slow.push(bit));
+                assert_eq!(fast, slow, "prefix {prefix} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_reorders_and_repeats() {
+        let bm = Bitmap::from_bools(&[true, false, true]);
+        assert_eq!(bm.gather(&[1, 0, 0, 2]).ones(), vec![1, 2, 3]);
+        assert_eq!(Bitmap::new_set(3).gather(&[2, 2]), Bitmap::new_set(2));
+        assert!(bm.gather(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_checks_indices_of_an_all_set_bitmap() {
+        Bitmap::new_set(3).gather(&[3]);
     }
 
     #[test]

@@ -3,8 +3,144 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
-use crate::value::Value;
+use crate::value::{Inferred, Value};
+use std::fmt;
 use std::sync::Arc;
+
+/// The cells of a `Utf8` column in one arena: every cell's bytes back to
+/// back in a single `String`, and the byte offset where each cell starts
+/// (plus the end of the last). Copying a column is two `memcpy`s and
+/// dropping it two `free`s, whatever the row count; a cell is a slice of
+/// the arena, so reads never allocate.
+#[derive(Clone, PartialEq)]
+pub struct StrBuf {
+    bytes: String,
+    /// `len() + 1` ascending offsets into `bytes`, the first 0: cell `i`
+    /// is `bytes[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl StrBuf {
+    /// An empty buffer.
+    pub fn new() -> StrBuf {
+        StrBuf::with_capacity(0, 0)
+    }
+
+    /// An empty buffer with room for `cells` cells of `bytes` bytes in all.
+    pub fn with_capacity(cells: usize, bytes: usize) -> StrBuf {
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        StrBuf {
+            bytes: String::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when there are no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total bytes of cell data.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Cell `i`.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of range.
+    pub fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Append one cell.
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.offsets.push(self.bytes.len());
+    }
+
+    /// Append one cell holding `v`'s `Display` rendering, written straight
+    /// into the arena.
+    pub fn push_display(&mut self, v: &impl fmt::Display) {
+        use fmt::Write;
+        write!(self.bytes, "{v}").expect("writing to a String cannot fail");
+        self.offsets.push(self.bytes.len());
+    }
+
+    /// Append cells `[start, end)` of `other`: one byte copy plus an
+    /// offset rebase.
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past `other.len()`.
+    pub fn extend_from(&mut self, other: &StrBuf, start: usize, end: usize) {
+        let (lo, hi) = (other.offsets[start], other.offsets[end]);
+        let base = self.bytes.len();
+        self.bytes.push_str(&other.bytes[lo..hi]);
+        self.offsets
+            .extend(other.offsets[start + 1..=end].iter().map(|o| o - lo + base));
+    }
+
+    /// Append `n` empty cells (the slots under null cells).
+    fn extend_empty(&mut self, n: usize) {
+        let end = self.bytes.len();
+        self.offsets.resize(self.offsets.len() + n, end);
+    }
+
+    /// The cells at `indices`, in that order.
+    fn gather(&self, indices: &[usize]) -> StrBuf {
+        let bytes = indices
+            .iter()
+            .map(|&i| self.offsets[i + 1] - self.offsets[i])
+            .sum();
+        let mut out = StrBuf::with_capacity(indices.len(), bytes);
+        for &i in indices {
+            out.push(self.get(i));
+        }
+        out
+    }
+
+    /// Every cell in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.offsets.windows(2).map(|w| &self.bytes[w[0]..w[1]])
+    }
+}
+
+impl Default for StrBuf {
+    fn default() -> Self {
+        StrBuf::new()
+    }
+}
+
+impl std::ops::Index<usize> for StrBuf {
+    type Output = str;
+
+    fn index(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrBuf {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrBuf {
+        let iter = iter.into_iter();
+        let mut out = StrBuf::with_capacity(iter.size_hint().0, 0);
+        for s in iter {
+            out.push(s.as_ref());
+        }
+        out
+    }
+}
+
+impl fmt::Debug for StrBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A typed column of values with a validity bitmap tracking nulls.
 ///
@@ -20,7 +156,7 @@ pub enum Column {
     /// 64-bit float column.
     Float64 { data: Vec<f64>, validity: Bitmap },
     /// UTF-8 string column.
-    Utf8 { data: Vec<String>, validity: Bitmap },
+    Utf8 { data: StrBuf, validity: Bitmap },
     /// Date column (days since epoch).
     Date { data: Vec<i32>, validity: Bitmap },
     /// All-null column of unknown type (e.g. an empty CSV column).
@@ -29,6 +165,14 @@ pub enum Column {
 
 /// Shared column handle.
 pub type ColumnRef = Arc<Column>;
+
+/// The values at `indices` with their validity bits.
+fn gather<T: Copy>(data: &[T], validity: &Bitmap, indices: &[usize]) -> (Vec<T>, Bitmap) {
+    (
+        indices.iter().map(|&i| data[i]).collect(),
+        validity.gather(indices),
+    )
+}
 
 impl Column {
     /// Logical type.
@@ -62,21 +206,9 @@ impl Column {
 
     /// Number of null cells.
     pub fn null_count(&self) -> usize {
-        match self {
-            Column::Null { len } => *len,
-            _ => self.len() - self.validity().count_ones(),
-        }
-    }
-
-    /// The validity bitmap (all-clear for [`Column::Null`]).
-    pub fn validity(&self) -> Bitmap {
-        match self {
-            Column::Bool { validity, .. }
-            | Column::Int64 { validity, .. }
-            | Column::Float64 { validity, .. }
-            | Column::Utf8 { validity, .. }
-            | Column::Date { validity, .. } => validity.clone(),
-            Column::Null { len } => Bitmap::new_cleared(*len),
+        match self.validity_ref() {
+            Some(validity) => self.len() - validity.count_ones(),
+            None => self.len(),
         }
     }
 
@@ -90,6 +222,20 @@ impl Column {
             | Column::Utf8 { validity, .. }
             | Column::Date { validity, .. } => Some(validity),
             Column::Null { .. } => None,
+        }
+    }
+
+    /// Approximate in-memory size in bytes, without walking the cells (a
+    /// string cell is charged its bytes plus a 24-byte header, as an owned
+    /// `String` would cost).
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            Column::Bool { data, .. } => data.len(),
+            Column::Int64 { data, .. } => data.len() * 8,
+            Column::Float64 { data, .. } => data.len() * 8,
+            Column::Date { data, .. } => data.len() * 4,
+            Column::Utf8 { data, .. } => data.byte_len() + data.len() * 24,
+            Column::Null { .. } => 0,
         }
     }
 
@@ -122,7 +268,7 @@ impl Column {
             }
             Column::Utf8 { data, validity } => {
                 if validity.get(i) {
-                    Value::Str(data[i].clone())
+                    Value::Str(data[i].to_string())
                 } else {
                     Value::Null
                 }
@@ -145,7 +291,7 @@ impl Column {
     /// a string column).
     pub fn str_at(&self, i: usize) -> Option<&str> {
         match self {
-            Column::Utf8 { data, validity } if validity.get(i) => Some(data[i].as_str()),
+            Column::Utf8 { data, validity } if validity.get(i) => Some(&data[i]),
             _ => None,
         }
     }
@@ -174,7 +320,7 @@ impl Column {
         for v in values {
             ty = ty.unify_lossy(v.data_type());
         }
-        let mut b = ColumnBuilder::new(ty);
+        let mut b = ColumnBuilder::with_capacity(ty, values.len());
         for v in values {
             b.push_lossy(v);
         }
@@ -189,74 +335,24 @@ impl Column {
     pub fn take(&self, indices: &[usize]) -> Column {
         match self {
             Column::Bool { data, validity } => {
-                let mut v = Bitmap::new_cleared(indices.len());
-                let mut out = Vec::with_capacity(indices.len());
-                for (k, &i) in indices.iter().enumerate() {
-                    out.push(data[i]);
-                    if validity.get(i) {
-                        v.set(k);
-                    }
-                }
-                Column::Bool {
-                    data: out,
-                    validity: v,
-                }
+                let (data, validity) = gather(data, validity, indices);
+                Column::Bool { data, validity }
             }
             Column::Int64 { data, validity } => {
-                let mut v = Bitmap::new_cleared(indices.len());
-                let mut out = Vec::with_capacity(indices.len());
-                for (k, &i) in indices.iter().enumerate() {
-                    out.push(data[i]);
-                    if validity.get(i) {
-                        v.set(k);
-                    }
-                }
-                Column::Int64 {
-                    data: out,
-                    validity: v,
-                }
+                let (data, validity) = gather(data, validity, indices);
+                Column::Int64 { data, validity }
             }
             Column::Float64 { data, validity } => {
-                let mut v = Bitmap::new_cleared(indices.len());
-                let mut out = Vec::with_capacity(indices.len());
-                for (k, &i) in indices.iter().enumerate() {
-                    out.push(data[i]);
-                    if validity.get(i) {
-                        v.set(k);
-                    }
-                }
-                Column::Float64 {
-                    data: out,
-                    validity: v,
-                }
+                let (data, validity) = gather(data, validity, indices);
+                Column::Float64 { data, validity }
             }
-            Column::Utf8 { data, validity } => {
-                let mut v = Bitmap::new_cleared(indices.len());
-                let mut out = Vec::with_capacity(indices.len());
-                for (k, &i) in indices.iter().enumerate() {
-                    out.push(data[i].clone());
-                    if validity.get(i) {
-                        v.set(k);
-                    }
-                }
-                Column::Utf8 {
-                    data: out,
-                    validity: v,
-                }
-            }
+            Column::Utf8 { data, validity } => Column::Utf8 {
+                data: data.gather(indices),
+                validity: validity.gather(indices),
+            },
             Column::Date { data, validity } => {
-                let mut v = Bitmap::new_cleared(indices.len());
-                let mut out = Vec::with_capacity(indices.len());
-                for (k, &i) in indices.iter().enumerate() {
-                    out.push(data[i]);
-                    if validity.get(i) {
-                        v.set(k);
-                    }
-                }
-                Column::Date {
-                    data: out,
-                    validity: v,
-                }
+                let (data, validity) = gather(data, validity, indices);
+                Column::Date { data, validity }
             }
             Column::Null { len } => {
                 for &i in indices {
@@ -270,10 +366,12 @@ impl Column {
     /// Gather rows by optional index; `None` produces a null cell. Used by
     /// outer joins for unmatched rows.
     pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        let mut b = ColumnBuilder::new(self.data_type());
+        let mut b = ColumnBuilder::with_capacity(self.data_type(), indices.len());
         for &i in indices {
             match i {
-                Some(i) => b.push_lossy(&self.value(i)),
+                Some(i) => b
+                    .extend_from(self, i, i + 1)
+                    .expect("a builder of the column's own type takes its cells"),
                 None => b.push_null(),
             }
         }
@@ -289,30 +387,44 @@ impl Column {
         self.take(&mask.ones())
     }
 
-    /// Concatenate with another column of compatible type. Types are
-    /// widened per the lossy lattice (mixed ⇒ `Utf8`).
-    pub fn concat(&self, other: &Column) -> Result<Column> {
-        let ty = self.data_type().unify_lossy(other.data_type());
-        let mut b = ColumnBuilder::new(ty);
-        for i in 0..self.len() {
-            b.push_coerced(&self.value(i))?;
+    /// Rows `[start, end)` as a new column: a range copy of the typed
+    /// buffers.
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past the column.
+    pub fn slice(&self, start: usize, end: usize) -> Column {
+        let mut b = ColumnBuilder::with_capacity(self.data_type(), end - start);
+        b.extend_from(self, start, end)
+            .expect("a builder of the column's own type takes its cells");
+        b.finish()
+    }
+
+    /// `parts` end to end as one column of type `ty`, the buffers sized
+    /// once up front: the per-column half of `Table::concat_all`. See
+    /// [`ColumnBuilder::extend_from`] for how each part is copied.
+    pub fn concat_as(ty: DataType, parts: &[&Column]) -> Result<Column> {
+        let rows = parts.iter().map(|c| c.len()).sum();
+        let mut b = ColumnBuilder::with_capacity(ty, rows);
+        if ty == DataType::Utf8 {
+            let bytes = parts.iter().map(|c| match c {
+                Column::Utf8 { data, .. } => data.byte_len(),
+                _ => 0,
+            });
+            b.strs.bytes.reserve(bytes.sum());
         }
-        for i in 0..other.len() {
-            b.push_coerced(&other.value(i))?;
+        for c in parts {
+            b.extend_from(c, 0, c.len())?;
         }
         Ok(b.finish())
     }
 
-    /// Cast to another type, erroring on lossy conversions.
-    pub fn cast(&self, target: DataType) -> Result<Column> {
+    /// Cast to another type, erroring on lossy conversions. A column
+    /// already of the target type is shared, not copied.
+    pub fn cast(self: &Arc<Column>, target: DataType) -> Result<ColumnRef> {
         if self.data_type() == target {
-            return Ok(self.clone());
+            return Ok(Arc::clone(self));
         }
-        let mut b = ColumnBuilder::new(target);
-        for i in 0..self.len() {
-            b.push_coerced(&self.value(i))?;
-        }
-        Ok(b.finish())
+        Ok(Arc::new(Column::concat_as(target, &[self])?))
     }
 
     /// Iterator over all cells as dynamic values.
@@ -328,7 +440,7 @@ pub struct ColumnBuilder {
     bools: Vec<bool>,
     ints: Vec<i64>,
     floats: Vec<f64>,
-    strs: Vec<String>,
+    strs: StrBuf,
     dates: Vec<i32>,
     validity: Bitmap,
     len: usize,
@@ -342,7 +454,7 @@ impl ColumnBuilder {
             bools: Vec::new(),
             ints: Vec::new(),
             floats: Vec::new(),
-            strs: Vec::new(),
+            strs: StrBuf::new(),
             dates: Vec::new(),
             validity: Bitmap::new_cleared(0),
             len: 0,
@@ -356,7 +468,7 @@ impl ColumnBuilder {
             DataType::Bool => b.bools.reserve(cap),
             DataType::Int64 => b.ints.reserve(cap),
             DataType::Float64 => b.floats.reserve(cap),
-            DataType::Utf8 => b.strs.reserve(cap),
+            DataType::Utf8 => b.strs.offsets.reserve(cap),
             DataType::Date => b.dates.reserve(cap),
             DataType::Null => {}
         }
@@ -380,20 +492,22 @@ impl ColumnBuilder {
 
     /// Append a null cell.
     pub fn push_null(&mut self) {
-        self.push_slot_default();
-        self.validity.push(false);
-        self.len += 1;
+        self.push_nulls(1);
     }
 
-    fn push_slot_default(&mut self) {
+    /// Append `n` null cells.
+    fn push_nulls(&mut self, n: usize) {
+        let len = self.len + n;
         match self.ty {
-            DataType::Bool => self.bools.push(false),
-            DataType::Int64 => self.ints.push(0),
-            DataType::Float64 => self.floats.push(0.0),
-            DataType::Utf8 => self.strs.push(String::new()),
-            DataType::Date => self.dates.push(0),
+            DataType::Bool => self.bools.resize(len, false),
+            DataType::Int64 => self.ints.resize(len, 0),
+            DataType::Float64 => self.floats.resize(len, 0.0),
+            DataType::Utf8 => self.strs.extend_empty(n),
+            DataType::Date => self.dates.resize(len, 0),
             DataType::Null => {}
         }
+        self.validity.extend_with(false, n);
+        self.len = len;
     }
 
     /// Append a value, coercing to the target type; errors propagate.
@@ -402,22 +516,26 @@ impl ColumnBuilder {
             self.push_null();
             return Ok(());
         }
-        let coerced = v.coerce(self.ty)?;
-        match (&coerced, self.ty) {
-            (Value::Bool(b), DataType::Bool) => self.bools.push(*b),
-            (Value::Int(i), DataType::Int64) => self.ints.push(*i),
-            (Value::Float(f), DataType::Float64) => self.floats.push(*f),
-            (Value::Str(s), DataType::Utf8) => self.strs.push(s.clone()),
-            (Value::Date(d), DataType::Date) => self.dates.push(*d),
-            (_, DataType::Null) => {
-                // Target type Null only holds nulls; a non-null cell here is
-                // a caller bug surfaced as a conversion error.
+        match self.ty {
+            DataType::Utf8 => match v {
+                Value::Str(s) => self.strs.push(s),
+                other => self.strs.push_display(other),
+            },
+            // Target type Null only holds nulls; a non-null cell here is
+            // a caller bug surfaced as a conversion error.
+            DataType::Null => {
                 return Err(TabularError::ValueConversion {
                     value: v.to_string(),
                     target: "null",
-                });
+                })
             }
-            _ => unreachable!("coerce returned mismatched type"),
+            ty => match v.coerce(ty)? {
+                Value::Bool(b) => self.bools.push(b),
+                Value::Int(i) => self.ints.push(i),
+                Value::Float(f) => self.floats.push(f),
+                Value::Date(d) => self.dates.push(d),
+                Value::Str(_) | Value::Null => unreachable!("coerce returned mismatched type"),
+            },
         }
         self.validity.push(true);
         self.len += 1;
@@ -438,11 +556,83 @@ impl ColumnBuilder {
     ///
     /// # Panics
     /// Panics when the target type is not `Utf8`.
-    pub fn push_str(&mut self, s: impl Into<String>) {
+    pub fn push_str(&mut self, s: impl AsRef<str>) {
         assert_eq!(self.ty, DataType::Utf8, "push_str on non-utf8 builder");
-        self.strs.push(s.into());
+        self.strs.push(s.as_ref());
         self.validity.push(true);
         self.len += 1;
+    }
+
+    /// Append a cell a reader inferred from text, with [`push_lossy`]'s
+    /// outcome for the equivalent [`Value`] and none of its allocations:
+    /// a cell that does not fit the target type is stringified into a
+    /// `Utf8` builder and becomes null in any other.
+    ///
+    /// [`push_lossy`]: ColumnBuilder::push_lossy
+    pub fn push_inferred(&mut self, cell: Inferred<'_>) {
+        match (self.ty, cell) {
+            (DataType::Utf8, Inferred::Str(s)) => self.strs.push(s),
+            (DataType::Utf8, Inferred::Null) | (DataType::Null, _) => return self.push_null(),
+            (DataType::Utf8, other) => self.strs.push_display(&other),
+            (DataType::Bool, Inferred::Bool(b)) => self.bools.push(b),
+            (DataType::Int64, Inferred::Int(i)) => self.ints.push(i),
+            (DataType::Float64, Inferred::Int(i)) => self.floats.push(i as f64),
+            (DataType::Float64, Inferred::Float(f)) => self.floats.push(f),
+            _ => return self.push_lossy(&cell.to_value()),
+        }
+        self.validity.push(true);
+        self.len += 1;
+    }
+
+    /// Append rows `[start, end)` of `col`. A column of the builder's own
+    /// type extends the typed buffer (a slice copy; for `Utf8` a byte copy
+    /// plus an offset rebase) and the validity words; an all-null column
+    /// extends with nulls; any other type is coerced cell by cell, and the
+    /// first cell that does not fit is the error.
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past the column.
+    pub fn extend_from(&mut self, col: &Column, start: usize, end: usize) -> Result<()> {
+        assert!(
+            start <= end && end <= col.len(),
+            "rows {start}..{end} out of range {}",
+            col.len()
+        );
+        let from = match (self.ty, col) {
+            (_, Column::Null { .. }) => {
+                self.push_nulls(end - start);
+                return Ok(());
+            }
+            (DataType::Bool, Column::Bool { data, validity }) => {
+                self.bools.extend_from_slice(&data[start..end]);
+                validity
+            }
+            (DataType::Int64, Column::Int64 { data, validity }) => {
+                self.ints.extend_from_slice(&data[start..end]);
+                validity
+            }
+            (DataType::Float64, Column::Float64 { data, validity }) => {
+                self.floats.extend_from_slice(&data[start..end]);
+                validity
+            }
+            (DataType::Utf8, Column::Utf8 { data, validity }) => {
+                self.strs.extend_from(data, start, end);
+                validity
+            }
+            (DataType::Date, Column::Date { data, validity }) => {
+                self.dates.extend_from_slice(&data[start..end]);
+                validity
+            }
+            _ => {
+                for i in start..end {
+                    self.push_coerced(&col.value(i))?;
+                }
+                return Ok(());
+            }
+        };
+        self.validity.extend_from_range(from, start, end);
+        self.len += end - start;
+        Ok(())
     }
 
     /// Finish the column.
@@ -490,8 +680,8 @@ impl Column {
     }
 
     /// String column from values (no nulls).
-    pub fn utf8<S: Into<String>>(values: impl IntoIterator<Item = S>) -> Column {
-        let data: Vec<String> = values.into_iter().map(Into::into).collect();
+    pub fn utf8<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> Column {
+        let data: StrBuf = values.into_iter().collect();
         let validity = Bitmap::new_set(data.len());
         Column::Utf8 { data, validity }
     }
@@ -552,20 +742,74 @@ mod tests {
     }
 
     #[test]
-    fn concat_widens() {
-        let a = Column::int([1]);
-        let b = Column::float([2.5]);
-        let c = a.concat(&b).unwrap();
-        assert_eq!(c.data_type(), DataType::Float64);
-        assert_eq!(c.len(), 2);
+    fn cast_lossy_errors_and_same_type_shares() {
+        let c = Arc::new(Column::utf8(["12", "x"]));
+        assert!(c.cast(DataType::Int64).is_err());
+        assert!(Arc::ptr_eq(&c.cast(DataType::Utf8).unwrap(), &c));
+        let ok = Arc::new(Column::utf8(["12", "34"]))
+            .cast(DataType::Int64)
+            .unwrap();
+        assert_eq!(ok.value(1), Value::Int(34));
     }
 
     #[test]
-    fn cast_lossy_errors() {
-        let c = Column::utf8(["12", "x"]);
-        assert!(c.cast(DataType::Int64).is_err());
-        let ok = Column::utf8(["12", "34"]).cast(DataType::Int64).unwrap();
-        assert_eq!(ok.value(1), Value::Int(34));
+    fn str_buf_holds_empty_and_multibyte_cells() {
+        let mut buf = StrBuf::new();
+        assert!(buf.is_empty());
+        for s in ["", "añb", "", "日本", "z"] {
+            buf.push(s);
+        }
+        buf.push_display(&2.5);
+        assert_eq!(buf.len(), 6);
+        assert_eq!(
+            buf.iter().collect::<Vec<_>>(),
+            ["", "añb", "", "日本", "z", "2.5"]
+        );
+        assert_eq!(&buf[3], "日本");
+        assert_eq!(buf.byte_len(), 4 + 6 + 1 + 3);
+
+        let mut joined = StrBuf::from_iter(["head"]);
+        joined.extend_from(&buf, 1, 4);
+        joined.extend_from(&buf, 2, 2);
+        joined.extend_from(&buf, 0, buf.len());
+        let want = ["head", "añb", "", "日本", "", "añb", "", "日本", "z", "2.5"];
+        assert_eq!(joined.iter().collect::<Vec<_>>(), want);
+        assert_eq!(joined, StrBuf::from_iter(want));
+        assert_eq!(
+            buf.gather(&[3, 3, 0, 1]).iter().collect::<Vec<_>>(),
+            ["日本", "日本", "", "añb"]
+        );
+    }
+
+    #[test]
+    fn builder_extends_from_typed_ranges() {
+        let mut src = ColumnBuilder::new(DataType::Utf8);
+        src.push_str("a");
+        src.push_null();
+        src.push_str("ccc");
+        let src = src.finish();
+        let mut b = ColumnBuilder::new(DataType::Utf8);
+        b.push_str("x");
+        b.extend_from(&src, 1, 3).unwrap();
+        b.extend_from(&Column::Null { len: 2 }, 0, 2).unwrap();
+        b.extend_from(&Column::int([7]), 0, 1).unwrap();
+        let c = b.finish();
+        let cells: Vec<Value> = c.iter().collect();
+        assert_eq!(
+            cells,
+            [
+                "x".into(),
+                Value::Null,
+                "ccc".into(),
+                Value::Null,
+                Value::Null,
+                "7".into()
+            ]
+        );
+        assert_eq!(src.slice(1, 3).null_count(), 1);
+        // A cell that does not fit the target type is the error.
+        let mut b = ColumnBuilder::new(DataType::Int64);
+        assert!(b.extend_from(&src, 0, 1).is_err());
     }
 
     #[test]

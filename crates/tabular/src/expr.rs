@@ -398,7 +398,7 @@ impl<'a> MaskContext<'a> {
                         CmpOp::Ne => d.rows_for_code_span(below, through).not(),
                     }
                 }
-                _ => Bitmap::from_fn(self.rows, |i| op.apply(data[i].as_str().cmp(s.as_str()))),
+                _ => Bitmap::from_fn(self.rows, |i| op.apply(data[i].cmp(s.as_str()))),
             },
             (Column::Utf8 { .. }, _) => return None,
             (Column::Int64 { data, .. }, _) => {
@@ -482,7 +482,7 @@ impl<'a> MaskContext<'a> {
                     d.rows_for_values(list)
                 }
                 _ => Bitmap::from_fn(self.rows, |i| {
-                    list.iter().any(|l| l.as_str() == Some(data[i].as_str()))
+                    list.iter().any(|l| l.as_str() == Some(&data[i]))
                 }),
             },
             Column::Int64 { data, .. } => {

@@ -27,7 +27,7 @@
 
 use crate::agg::AggKind;
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{Column, StrBuf};
 use crate::ops::filter::{FilterByValues, RangeFilter};
 use crate::ops::groupby::GroupBy;
 use crate::ops::sort::{SortKey, SortOrder};
@@ -68,12 +68,12 @@ pub struct DictionaryIndex {
 }
 
 impl DictionaryIndex {
-    fn build(data: &[String], validity: &Bitmap) -> DictionaryIndex {
+    fn build(data: &StrBuf, validity: &Bitmap) -> DictionaryIndex {
         let n = data.len();
         let mut distinct: BTreeMap<&str, u32> = BTreeMap::new();
         for (i, s) in data.iter().enumerate() {
             if validity.get(i) {
-                distinct.entry(s.as_str()).or_insert(0);
+                distinct.entry(s).or_insert(0);
             }
         }
         // BTreeMap iterates in key order, so enumeration assigns sorted codes.
@@ -86,7 +86,7 @@ impl DictionaryIndex {
         let mut nulls = Bitmap::new_cleared(n);
         for (i, s) in data.iter().enumerate() {
             if validity.get(i) {
-                let code = distinct[s.as_str()];
+                let code = distinct[s];
                 codes.push(code);
                 postings[code as usize].set(i);
             } else {
@@ -205,15 +205,16 @@ impl DictionaryIndex {
     /// sorted dictionary, same codes, same posting words — because the
     /// dictionaries merge sorted and posting bitmaps extend
     /// word-for-word; the differential tests pin this byte-identity.
-    fn append(prev: &DictionaryIndex, data: &[String], validity: &Bitmap) -> DictionaryIndex {
+    fn append(prev: &DictionaryIndex, data: &StrBuf, validity: &Bitmap) -> DictionaryIndex {
         let n_old = prev.codes.len();
         let n = data.len();
         // Distinct values arriving in the tail that the dictionary has
         // not seen. BTreeMap iteration keeps them sorted for the merge.
         let mut fresh: BTreeMap<&str, u32> = BTreeMap::new();
-        for (i, s) in data.iter().enumerate().skip(n_old) {
+        let tail = || (n_old..n).map(|i| (i, data.get(i)));
+        for (i, s) in tail() {
             if validity.get(i) && prev.code_of(s).is_none() {
-                fresh.entry(s.as_str()).or_insert(0);
+                fresh.entry(s).or_insert(0);
             }
         }
         // Sorted two-way merge of the old dictionary and the fresh
@@ -270,10 +271,10 @@ impl DictionaryIndex {
             .collect();
         let mut nulls = prev.nulls.resized(n);
         // Encode the appended rows.
-        for (i, s) in data.iter().enumerate().skip(n_old) {
+        for (i, s) in tail() {
             if validity.get(i) {
                 let code = dict
-                    .binary_search_by(|d| d.as_str().cmp(s.as_str()))
+                    .binary_search_by(|d| d.as_str().cmp(s))
                     .expect("merged dictionary covers every tail value")
                     as u32;
                 codes.push(code);
@@ -747,7 +748,7 @@ impl IndexedTable {
         let key_out = Column::utf8(
             order
                 .iter()
-                .map(|&g| d.dict[group_codes[g] as usize].clone()),
+                .map(|&g| d.dict[group_codes[g] as usize].as_str()),
         );
         let mut columns = vec![key_out];
         for a in &acc {

@@ -1,11 +1,12 @@
 //! CSV reader/writer with RFC-4180 quoting and configurable separator
 //! (the data section's `separator: ','` parameter, figure 4).
 
-use crate::column::Column;
+use crate::column::{ColumnBuilder, StrBuf};
+use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::Inferred;
 
 /// CSV parse/serialise options.
 #[derive(Debug, Clone)]
@@ -34,17 +35,38 @@ impl Default for CsvOptions {
     }
 }
 
+/// The fields of every record, back to back in one arena: `ends[r]` is
+/// the count of fields up to and including record `r`.
+#[derive(Default)]
+struct Records {
+    fields: StrBuf,
+    ends: Vec<usize>,
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The index of record `r`'s first field.
+    fn start(&self, r: usize) -> usize {
+        r.checked_sub(1).map_or(0, |p| self.ends[p])
+    }
+
+    /// Close the current record.
+    fn end_record(&mut self) {
+        self.ends.push(self.fields.len());
+    }
+}
+
 /// Split CSV content into records of raw string fields.
-fn parse_records(content: &str, sep: char) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
+fn parse_records(content: &str, sep: char) -> Result<Records> {
+    let mut records = Records::default();
     let mut field = String::new();
     let mut in_quotes = false;
     let mut chars = content.chars().peekable();
-    let mut any = false;
 
     while let Some(c) = chars.next() {
-        any = true;
         if in_quotes {
             match c {
                 '"' => {
@@ -68,18 +90,16 @@ fn parse_records(content: &str, sep: char) -> Result<Vec<Vec<String>>> {
                     }
                 }
                 c if c == sep => {
-                    record.push(std::mem::take(&mut field));
+                    records.fields.push(&field);
+                    field.clear();
                 }
-                '\r' => {
-                    if chars.peek() == Some(&'\n') {
+                '\r' | '\n' => {
+                    if c == '\r' && chars.peek() == Some(&'\n') {
                         chars.next();
                     }
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
+                    records.fields.push(&field);
+                    field.clear();
+                    records.end_record();
                 }
                 _ => field.push(c),
             }
@@ -91,82 +111,102 @@ fn parse_records(content: &str, sep: char) -> Result<Vec<Vec<String>>> {
             message: "unterminated quoted field".into(),
         });
     }
-    if any && (!field.is_empty() || !record.is_empty()) {
-        record.push(field);
-        records.push(record);
+    if !field.is_empty() || records.fields.len() > records.start(records.len()) {
+        records.fields.push(&field);
+        records.end_record();
     }
     // Drop fully empty trailing records (files ending in blank lines).
-    while records
-        .last()
-        .is_some_and(|r| r.len() == 1 && r[0].is_empty())
-    {
-        records.pop();
+    while let Some(last) = records.len().checked_sub(1) {
+        let first = records.start(last);
+        if records.ends[last] - first != 1 || !records.fields[first].is_empty() {
+            break;
+        }
+        records.ends.pop();
     }
     Ok(records)
 }
 
 /// Read CSV text into a table.
+///
+/// Cells are decoded straight into typed column builders: a first pass
+/// infers every cell of a column from its borrowed text and unifies the
+/// column's type, a second pushes the typed cells. A numeric-looking cell
+/// in a column that widens to `Utf8` is stored as its *parsed* rendering
+/// (`007` → `7`), as [`Column::from_values`] over inferred values stores it.
 pub fn read_csv(content: &str, opts: &CsvOptions) -> Result<Table> {
-    let mut records = parse_records(content, opts.separator)?;
+    let records = parse_records(content, opts.separator)?;
+    let record = |r: usize| (records.start(r)..records.ends[r]).map(|i| &records.fields[i]);
+    // The first data record, after the header when there is one.
+    let mut first = 0;
     let names: Vec<String> = match (&opts.column_names, opts.has_header) {
         (Some(names), true) => {
-            if !records.is_empty() {
-                records.remove(0);
-            }
+            first = 1.min(records.len());
             names.clone()
         }
         (Some(names), false) => names.clone(),
         (None, true) => {
-            if records.is_empty() {
+            if records.len() == 0 {
                 return Err(TabularError::Format {
                     format: "csv",
                     message: "empty input with no explicit column names".into(),
                 });
             }
-            records
-                .remove(0)
-                .into_iter()
-                .map(|s| s.trim().to_string())
-                .collect()
+            first = 1;
+            record(0).map(|s| s.trim().to_string()).collect()
         }
         (None, false) => {
-            let width = records.first().map_or(0, |r| r.len());
+            let width = if records.len() == 0 {
+                0
+            } else {
+                record(0).len()
+            };
             (0..width).map(|i| format!("col{i}")).collect()
         }
     };
 
     let width = names.len();
-    for (li, r) in records.iter().enumerate() {
-        if r.len() != width {
+    let rows = records.len() - first;
+    for r in first..records.len() {
+        let fields = records.ends[r] - records.start(r);
+        if fields != width {
             return Err(TabularError::Format {
                 format: "csv",
                 message: format!(
-                    "record {} has {} fields, expected {width}",
-                    li + if opts.has_header { 2 } else { 1 },
-                    r.len()
+                    "record {} has {fields} fields, expected {width}",
+                    r - first + if opts.has_header { 2 } else { 1 },
                 ),
             });
         }
     }
 
+    // Every data record is `width` fields wide, so cell (r, ci) sits at a
+    // fixed stride from the first data field.
+    let base = records.start(first);
+    let cell = |r: usize, ci: usize| &records.fields[base + r * width + ci];
     let mut columns = Vec::with_capacity(width);
     let mut fields = Vec::with_capacity(width);
-    for ci in 0..width {
-        let vals: Vec<Value> = records
+    let mut inferred: Vec<Inferred<'_>> = Vec::with_capacity(rows);
+    for (ci, name) in names.iter().enumerate() {
+        inferred.clear();
+        inferred.extend((0..rows).map(|r| {
+            let raw = cell(r, ci);
+            if opts.infer_types {
+                Inferred::of(raw)
+            } else if raw.is_empty() {
+                Inferred::Null
+            } else {
+                Inferred::Str(raw)
+            }
+        }));
+        let ty = inferred
             .iter()
-            .map(|r| {
-                if opts.infer_types {
-                    Value::infer(&r[ci])
-                } else if r[ci].is_empty() {
-                    Value::Null
-                } else {
-                    Value::Str(r[ci].clone())
-                }
-            })
-            .collect();
-        let col = Column::from_values(&vals);
-        fields.push(crate::schema::Field::new(&names[ci], col.data_type()));
-        columns.push(col);
+            .fold(DataType::Null, |ty, c| ty.unify_lossy(c.data_type()));
+        let mut b = ColumnBuilder::with_capacity(ty, rows);
+        for &c in &inferred {
+            b.push_inferred(c);
+        }
+        fields.push(crate::schema::Field::new(name, ty));
+        columns.push(b.finish());
     }
     Table::new(Schema::new(fields)?, columns)
 }
@@ -203,7 +243,167 @@ pub fn write_csv(table: &Table, sep: char) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datatype::DataType;
+    use crate::column::Column;
+    use crate::value::Value;
+
+    /// The reader this module had before it decoded into typed builders,
+    /// kept as the oracle: owned fields per record, a boxed [`Value`] per
+    /// cell, [`Column::from_values`] per column.
+    fn read_csv_oracle(content: &str, opts: &CsvOptions) -> Result<Table> {
+        let parsed = parse_records(content, opts.separator)?;
+        let mut records: Vec<Vec<String>> = (0..parsed.len())
+            .map(|r| {
+                (parsed.start(r)..parsed.ends[r])
+                    .map(|i| parsed.fields[i].to_string())
+                    .collect()
+            })
+            .collect();
+        let names: Vec<String> = match (&opts.column_names, opts.has_header) {
+            (Some(names), true) => {
+                if !records.is_empty() {
+                    records.remove(0);
+                }
+                names.clone()
+            }
+            (Some(names), false) => names.clone(),
+            (None, true) => {
+                if records.is_empty() {
+                    return Err(TabularError::Format {
+                        format: "csv",
+                        message: "empty input with no explicit column names".into(),
+                    });
+                }
+                records
+                    .remove(0)
+                    .into_iter()
+                    .map(|s| s.trim().to_string())
+                    .collect()
+            }
+            (None, false) => {
+                let width = records.first().map_or(0, |r| r.len());
+                (0..width).map(|i| format!("col{i}")).collect()
+            }
+        };
+        let width = names.len();
+        for (li, r) in records.iter().enumerate() {
+            if r.len() != width {
+                return Err(TabularError::Format {
+                    format: "csv",
+                    message: format!(
+                        "record {} has {} fields, expected {width}",
+                        li + if opts.has_header { 2 } else { 1 },
+                        r.len()
+                    ),
+                });
+            }
+        }
+        let mut columns = Vec::with_capacity(width);
+        let mut fields = Vec::with_capacity(width);
+        for ci in 0..width {
+            let vals: Vec<Value> = records
+                .iter()
+                .map(|r| {
+                    if opts.infer_types {
+                        Value::infer(&r[ci])
+                    } else if r[ci].is_empty() {
+                        Value::Null
+                    } else {
+                        Value::Str(r[ci].clone())
+                    }
+                })
+                .collect();
+            let col = Column::from_values(&vals);
+            fields.push(crate::schema::Field::new(&names[ci], col.data_type()));
+            columns.push(col);
+        }
+        Table::new(Schema::new(fields)?, columns)
+    }
+
+    /// Same outcome, down to the typed buffers: schema, every column's
+    /// data and validity, or the same error text.
+    fn assert_matches_oracle(content: &str, opts: &CsvOptions) {
+        match (read_csv(content, opts), read_csv_oracle(content, opts)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.schema(), want.schema(), "{content:?}");
+                assert_eq!(got.columns(), want.columns(), "{content:?}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => panic!("{content:?}: {got:?} vs oracle {want:?}"),
+        }
+    }
+
+    #[test]
+    fn typed_decode_matches_the_value_wise_oracle() {
+        let shapes = [
+            CsvOptions::default(),
+            CsvOptions {
+                infer_types: false,
+                ..Default::default()
+            },
+            CsvOptions {
+                has_header: false,
+                ..Default::default()
+            },
+            CsvOptions {
+                column_names: Some(vec!["a".into(), "b".into(), "c".into()]),
+                ..Default::default()
+            },
+            CsvOptions {
+                has_header: false,
+                column_names: Some(vec!["a".into(), "b".into(), "c".into()]),
+                ..Default::default()
+            },
+        ];
+        let fixed = [
+            "",
+            "\n",
+            "a,b,c\n",
+            "a,b,c\n\n\n",
+            // The lossy quirk: numeric-looking cells of a column that
+            // widens to Utf8 keep their parsed rendering.
+            "a,b,c\n007,1e3,true\nx,y,z\n+5,-0.0,FALSE\n",
+            "a,b,c\n1,2.5,\n,3, \n 4 ,,\n",
+            "a,b,c\n\"\",\"q\"\"q\",\"multi\nline\"\r\nañ,日本,\n",
+            "a,b,c\n1,2\n",
+            "a,b,c\n1,2,3,4\n",
+            "a,b,c\n\"open,1,2\n",
+            "a,b,c\n1,2,3",
+            "a,b,c\n9223372036854775807,9223372036854775808,1.2.3\n-1,.5,--\n",
+        ];
+        for opts in &shapes {
+            for content in fixed {
+                assert_matches_oracle(content, opts);
+            }
+        }
+        // Seeded mixes of the token kinds, three columns wide, so every
+        // pair of the lossy lattice meets in some column.
+        let tokens = [
+            "", " ", "0", "007", "-12", "2.5", "1e3", "3.0", "true", "False", "x", " pad ", "añ",
+            "\"a,b\"", "\"\"", "1.2.3", "nan",
+        ];
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..200 {
+            let kinds = [next(5) + 1, next(5) + 1, next(tokens.len()) + 1];
+            let mut content = String::from("a,b,c\n");
+            for _ in 0..next(12) {
+                let row: Vec<&str> = kinds
+                    .iter()
+                    .map(|&k| tokens[(next(k) * 3 + next(3)) % tokens.len()])
+                    .collect();
+                content.push_str(&row.join(","));
+                content.push('\n');
+            }
+            for opts in &shapes {
+                assert_matches_oracle(&content, opts);
+            }
+        }
+    }
 
     #[test]
     fn basic_read_with_header_and_inference() {

@@ -131,20 +131,33 @@ impl fmt::Display for JsonValue {
 /// JSON-escape and quote a string.
 pub fn quote_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_quoted(&mut out, s);
+    out
+}
+
+/// Append `s`, JSON-escaped and quoted, to `out`. A run of characters that
+/// need no escape is copied as one slice.
+pub fn write_json_quoted(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a character boundary.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
-    out
 }
 
 struct JsonParser<'a> {

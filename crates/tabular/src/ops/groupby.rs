@@ -3,7 +3,7 @@
 
 use crate::agg::AggKind;
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{Column, ColumnRef};
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
 use crate::row::Row;
@@ -11,6 +11,7 @@ use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One aggregate in a `groupby` task: `operator` applied to `apply_on`,
 /// emitted as `out_field`.
@@ -205,12 +206,12 @@ fn try_groupby_fast(
     let mut acc: Vec<Vec<i64>> = vec![Vec::new(); fast_aggs.len()];
     try_for_each_selected(key_data.len(), selection, |i| {
         let key = &key_data[i];
-        let gid = match index.get(key.as_str()) {
+        let gid = match index.get(key) {
             Some(&g) => g,
             None => {
                 let g = keys.len();
-                index.insert(key.as_str(), g);
-                keys.push(key.as_str());
+                index.insert(key, g);
+                keys.push(key);
                 for a in acc.iter_mut() {
                     a.push(0);
                 }
@@ -231,7 +232,7 @@ fn try_groupby_fast(
         order.sort_by(|&a, &b| acc[0][b].cmp(&acc[0][a]));
     }
 
-    let key_out = Column::utf8(order.iter().map(|&g| keys[g].to_string()));
+    let key_out = Column::utf8(order.iter().map(|&g| keys[g]));
     let mut columns = vec![key_out];
     for a in &acc {
         columns.push(Column::int(order.iter().map(|&g| a[g])));
@@ -323,7 +324,7 @@ impl GroupByPartial {
         // once per distinct value instead of once per input row.
         let lone_key = match key_cols.as_slice() {
             [col] => match col.as_ref() {
-                Column::Utf8 { data, validity } => Some((data.as_slice(), validity)),
+                Column::Utf8 { data, validity } => Some((data, validity)),
                 _ => None,
             },
             _ => None,
@@ -331,8 +332,7 @@ impl GroupByPartial {
         let mut seen: HashMap<&str, usize> = HashMap::new();
 
         try_for_each_selected(batch.num_rows(), selection, |i| {
-            let memo =
-                lone_key.and_then(|(data, validity)| validity.get(i).then(|| data[i].as_str()));
+            let memo = lone_key.and_then(|(data, validity)| validity.get(i).then(|| &data[i]));
             let gid = match memo.and_then(|s| seen.get(s).copied()) {
                 Some(gid) => gid,
                 None => {
@@ -441,13 +441,13 @@ impl GroupByPartial {
         }
 
         let schema = cfg.output_schema(input_schema)?;
-        let columns: Vec<Column> = out_values
+        let columns: Vec<ColumnRef> = out_values
             .iter()
             .zip(schema.fields())
             .map(|(vals, f)| {
                 // Honour the declared output type where possible; fall back to
                 // inference for heterogenous results.
-                let col = Column::from_values(vals);
+                let col = Arc::new(Column::from_values(vals));
                 col.cast(f.data_type()).unwrap_or(col)
             })
             .collect();
@@ -464,7 +464,7 @@ impl GroupByPartial {
                 }
             })
             .collect();
-        Table::new(Schema::new(fields)?, columns)
+        Table::from_refs(Arc::new(Schema::new(fields)?), columns)
     }
 }
 

@@ -6,15 +6,12 @@ use crate::table::Table;
 /// Concatenate tables top to bottom; schemas must share column names in
 /// order, types widen per the lossy lattice.
 pub fn union_all(tables: &[Table]) -> Result<Table> {
-    let mut iter = tables.iter();
-    let first = iter
-        .next()
-        .ok_or_else(|| TabularError::InvalidOperation("union of zero tables".into()))?;
-    let mut acc = first.clone();
-    for t in iter {
-        acc = acc.concat(t)?;
+    if tables.is_empty() {
+        return Err(TabularError::InvalidOperation(
+            "union of zero tables".into(),
+        ));
     }
-    Ok(acc)
+    Table::concat_all(tables)
 }
 
 #[cfg(test)]

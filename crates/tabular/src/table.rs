@@ -157,6 +157,19 @@ impl Table {
         (0..self.rows).map(|i| self.row(i)).collect()
     }
 
+    /// True when both tables hold the very same column buffers: what a
+    /// copy-on-write store checks before it swaps in a table it derived
+    /// from an earlier snapshot.
+    pub fn shares_columns_with(&self, other: &Table) -> bool {
+        self.rows == other.rows
+            && self.columns.len() == other.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
     /// Zero-copy projection onto named columns in the given order.
     pub fn project(&self, names: &[impl AsRef<str>]) -> Result<Table> {
         let schema = self.schema.project(names)?;
@@ -210,41 +223,39 @@ impl Table {
         self.slice(0, n)
     }
 
-    /// Rows `[offset, offset+len)` clamped to the table. A range covering
-    /// every row shares the columns instead of copying them.
+    /// Rows `[offset, offset+len)` clamped to the table: a range copy of
+    /// each column's typed buffers. A range covering every row shares the
+    /// columns instead of copying them.
     pub fn slice(&self, offset: usize, len: usize) -> Table {
         let start = offset.min(self.rows);
         let end = offset.saturating_add(len).min(self.rows);
         if start == 0 && end == self.rows {
             return self.clone();
         }
-        self.take(&(start..end).collect::<Vec<_>>())
+        Table {
+            schema: Arc::clone(&self.schema),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.slice(start, end)))
+                .collect(),
+            rows: end - start,
+        }
     }
 
     /// Vertical concatenation; schemas must have the same column names in
     /// order, types widen per the lossy lattice.
     pub fn concat(&self, other: &Table) -> Result<Table> {
-        let schema = self.schema.unify(other.schema())?;
-        let mut columns = Vec::with_capacity(self.columns.len());
-        for (i, f) in schema.fields().iter().enumerate() {
-            let a = self.columns[i].cast(f.data_type()).unwrap_or_else(|_| {
-                // unify_lossy guarantees Utf8 fallback casts succeed; a
-                // failure here would be an internal invariant break.
-                panic!("concat cast failed for column '{}'", f.name())
-            });
-            let b = other.columns[i]
-                .cast(f.data_type())
-                .unwrap_or_else(|_| panic!("concat cast failed for column '{}'", f.name()));
-            columns.push(Arc::new(a.concat(&b)?));
-        }
-        Table::from_refs(Arc::new(schema), columns)
+        Table::concat_all(&[self.clone(), other.clone()])
     }
 
-    /// Vertical concatenation of many tables in one pass: schemas unify
-    /// left-to-right, then each output column is built once over every
-    /// input — O(total rows), unlike folding [`Table::concat`] which
-    /// re-copies the accumulated prefix per input. The shape decoded
-    /// ingest segments arrive in.
+    /// Vertical concatenation of many tables in one pass — the one kernel
+    /// behind [`Table::concat`], `ops::union_all` and `IndexedTable::append`.
+    /// Schemas unify left-to-right, then each output column is built once
+    /// over every input by [`Column::concat_as`]: typed buffers
+    /// and validity words are extended, and only an input column whose type
+    /// differs from the unified one is coerced cell by cell (each cell once,
+    /// straight to the unified type). O(total bytes).
     pub fn concat_all(tables: &[Table]) -> Result<Table> {
         let Some((first, rest)) = tables.split_first() else {
             return Ok(Table::empty(Schema::empty()));
@@ -258,14 +269,8 @@ impl Table {
         }
         let mut columns = Vec::with_capacity(schema.len());
         for (i, f) in schema.fields().iter().enumerate() {
-            let mut b = ColumnBuilder::new(f.data_type());
-            for t in tables {
-                let c = &t.columns[i];
-                for r in 0..c.len() {
-                    b.push_coerced(&c.value(r))?;
-                }
-            }
-            columns.push(Arc::new(b.finish()));
+            let parts: Vec<&Column> = tables.iter().map(|t| t.columns[i].as_ref()).collect();
+            columns.push(Arc::new(Column::concat_as(f.data_type(), &parts)?));
         }
         Table::from_refs(Arc::new(schema), columns)
     }
@@ -316,19 +321,9 @@ impl Table {
     }
 
     /// Approximate in-memory size in bytes: the metric the optimizer uses
-    /// when minimising data transferred to the client (§6).
+    /// when minimising data transferred to the client (§6). O(columns).
     pub fn approx_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c.as_ref() {
-                Column::Bool { data, .. } => data.len(),
-                Column::Int64 { data, .. } => data.len() * 8,
-                Column::Float64 { data, .. } => data.len() * 8,
-                Column::Date { data, .. } => data.len() * 4,
-                Column::Utf8 { data, .. } => data.iter().map(|s| s.len() + 24).sum::<usize>(),
-                Column::Null { .. } => 0,
-            })
-            .sum()
+        self.columns.iter().map(|c| c.approx_bytes()).sum()
     }
 }
 

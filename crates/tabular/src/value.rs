@@ -88,32 +88,10 @@ impl Value {
         }
     }
 
-    /// Parse a raw textual token into the most specific value type.
-    ///
-    /// This is the inference rule payload readers (CSV, XML attribute text)
-    /// apply per cell: empty string ⇒ null, then bool, then int, then float,
-    /// falling back to string. ISO dates (`yyyy-MM-dd`) stay strings here —
-    /// the paper's pipelines normalise dates explicitly with the `date` map
-    /// operator, and implicit date coercion would fight that model.
+    /// Parse a raw textual token into the most specific value type: the
+    /// owned form of [`Inferred::of`], which holds the rule.
     pub fn infer(token: &str) -> Value {
-        let t = token.trim();
-        if t.is_empty() {
-            return Value::Null;
-        }
-        match t {
-            "true" | "TRUE" | "True" => return Value::Bool(true),
-            "false" | "FALSE" | "False" => return Value::Bool(false),
-            _ => {}
-        }
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if looks_numeric(t) {
-            if let Ok(f) = t.parse::<f64>() {
-                return Value::Float(f);
-            }
-        }
-        Value::Str(t.to_string())
+        Inferred::of(token).to_value()
     }
 
     /// Coerce this value to the target type, or error when lossy in a way
@@ -237,19 +215,102 @@ impl Hash for Value {
     }
 }
 
+/// What a payload reader (CSV, XML attribute text) infers from one raw
+/// token, borrowing the text: [`Value::infer`] without the allocation, so
+/// a reader can settle a column's type before it copies any cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Inferred<'a> {
+    /// Empty or all-blank token.
+    Null,
+    /// `true`/`false` in one of the accepted spellings.
+    Bool(bool),
+    /// A token that parses as an `i64`.
+    Int(i64),
+    /// A numeric-looking token that parses as an `f64`.
+    Float(f64),
+    /// Anything else, trimmed.
+    Str(&'a str),
+}
+
+impl<'a> Inferred<'a> {
+    /// The inference rule applied per cell: empty string ⇒ null, then
+    /// bool, then int, then float, falling back to string. ISO dates
+    /// (`yyyy-MM-dd`) stay strings here — the paper's pipelines normalise
+    /// dates explicitly with the `date` map operator, and implicit date
+    /// coercion would fight that model.
+    pub fn of(token: &'a str) -> Inferred<'a> {
+        let t = token.trim();
+        if t.is_empty() {
+            return Inferred::Null;
+        }
+        match t {
+            "true" | "TRUE" | "True" => return Inferred::Bool(true),
+            "false" | "FALSE" | "False" => return Inferred::Bool(false),
+            _ => {}
+        }
+        if let Ok(i) = t.parse::<i64>() {
+            return Inferred::Int(i);
+        }
+        if looks_numeric(t) {
+            if let Ok(f) = t.parse::<f64>() {
+                return Inferred::Float(f);
+            }
+        }
+        Inferred::Str(t)
+    }
+
+    /// The logical type of the cell.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            Inferred::Null => DataType::Null,
+            Inferred::Bool(_) => DataType::Bool,
+            Inferred::Int(_) => DataType::Int64,
+            Inferred::Float(_) => DataType::Float64,
+            Inferred::Str(_) => DataType::Utf8,
+        }
+    }
+
+    /// The owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            Inferred::Null => Value::Null,
+            Inferred::Bool(b) => Value::Bool(b),
+            Inferred::Int(i) => Value::Int(i),
+            Inferred::Float(f) => Value::Float(f),
+            Inferred::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+}
+
+/// Renders as the equivalent [`Value`] does.
+impl fmt::Display for Inferred<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Inferred::Null => Ok(()),
+            Inferred::Bool(b) => write!(f, "{b}"),
+            Inferred::Int(i) => write!(f, "{i}"),
+            Inferred::Float(v) => fmt_float(*v, f),
+            Inferred::Str(s) => f.write_str(s),
+        }
+    }
+}
+
+/// A float as cells render it: whole values keep one decimal place.
+fn fmt_float(v: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
+        write!(f, "{v:.1}")
+    } else {
+        write!(f, "{v}")
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str(""),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    write!(f, "{v:.1}")
-                } else {
-                    write!(f, "{v}")
-                }
-            }
+            Value::Float(v) => fmt_float(*v, f),
             Value::Str(s) => f.write_str(s),
             Value::Date(d) => {
                 let (y, m, day) = crate::datefmt::civil_from_days(*d);

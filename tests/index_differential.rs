@@ -18,6 +18,7 @@ use shareinsights::server::query::{parse_ops, run_query, run_query_indexed, Quer
 use shareinsights::server::table_to_json;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::parse_expr;
+use shareinsights::tabular::io::csv::{read_csv, CsvOptions};
 use shareinsights::tabular::ops::filter::{filter_by_range, RangeFilter};
 use shareinsights::tabular::ops::{
     filter_by_values, groupby, sort, AggregateSpec, FilterByValues, GroupBy, SortKey, SortOrder,
@@ -429,4 +430,151 @@ fn fused_filter_groupby_matches_unfused_reference() {
         ));
     }
     assert!(hits > 0, "indexed selections should report hits");
+}
+
+// ---------------------------------------------------------------------------
+// Appends: the index as a write structure
+// ---------------------------------------------------------------------------
+
+/// A warm index carried over `append_merged(concat(old, delta))` is the
+/// index a cold `IndexedTable::new` builds over the same rows — the same
+/// dictionary, codes, posting words and zone bounds — and answers queries
+/// with the same bytes as the scan path, append after append. Deltas
+/// bring fresh dictionary values, nulls, all-null columns and zero rows.
+#[test]
+fn append_merged_over_concat_matches_cold_build() {
+    let mut r = SeededRng::new(0xA99E4D);
+    for case in 0..CASES {
+        let mut table = gen_table(&mut r);
+        let mut warm = IndexedTable::new(table.clone());
+        for round in 0..4 {
+            for name in ["cat", "cat2", "num"] {
+                let _ = warm.index(name);
+            }
+            let delta = gen_table(&mut r);
+            table = table.concat(&delta).unwrap();
+            warm = warm.append_merged(table.clone()).unwrap();
+            let cold = IndexedTable::new(table.clone());
+            let what = format!("case {case} round {round}");
+            for name in ["cat", "cat2", "num"] {
+                // A column whose type widened (an all-null side) rebuilds
+                // lazily; either way the index served is the cold one.
+                assert_eq!(
+                    format!("{:?}", warm.index(name)),
+                    format!("{:?}", cold.index(name)),
+                    "{what}: index of '{name}'"
+                );
+            }
+            let ops = parse_ops(&["groupby", "cat", "sum", "num"]).unwrap();
+            let scan = run_query(&table, &ops).unwrap();
+            let (fast, _) = run_query_indexed(&warm, &ops).unwrap();
+            assert_same_bytes(&fast, &scan, &what);
+        }
+    }
+}
+
+/// Readers hammer a `groupby` while one writer appends 200 batches. A
+/// reader that sees the new generation finds the merged index or waits
+/// for it — it never installs a cold wrapper beside the merge in flight —
+/// so every acknowledgement says `merged`, nothing is rebuilt cold, and
+/// every body read is the scan path's bytes over some prefix of the
+/// batches, never an older prefix than the reader saw before.
+#[test]
+fn readers_beside_appends_never_turn_the_index_cold() {
+    use shareinsights::core::Platform;
+    use shareinsights::server::{Method, Request, Server};
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const BATCHES: usize = 200;
+    const BATCH_ROWS: usize = 20;
+    const READERS: usize = 3;
+    const INGEST: &str = "/dashboards/bench/ds/events/ingest";
+    const READ: &str = "/bench/ds/events/groupby/key/sum/qty";
+
+    let mut r = SeededRng::new(0x5107);
+    let mut csv_rows = |rows: usize| {
+        let mut csv = String::from("key,region,qty\n");
+        for _ in 0..rows {
+            csv.push_str(&format!(
+                "k{},r{},{}\n",
+                r.index(40),
+                r.index(4),
+                1 + r.index(9)
+            ));
+        }
+        csv
+    };
+    let base = csv_rows(3_000);
+    let batches: Vec<String> = (0..BATCHES).map(|_| csv_rows(BATCH_ROWS)).collect();
+
+    // The scan path's body after each prefix of the batches. Every batch
+    // adds to some sum, so the body names its prefix.
+    let ops = parse_ops(&["groupby", "key", "sum", "qty"]).unwrap();
+    let decode = |csv: &str| read_csv(csv, &CsvOptions::default()).unwrap();
+    let mut table = decode(&base);
+    let mut prefix_of_body: HashMap<String, usize> = HashMap::new();
+    prefix_of_body.insert(table_to_json(&run_query(&table, &ops).unwrap()), 0);
+    for (b, csv) in batches.iter().enumerate() {
+        table = table.concat(&decode(csv)).unwrap();
+        let body = table_to_json(&run_query(&table, &ops).unwrap());
+        assert!(prefix_of_body.insert(body, b + 1).is_none());
+    }
+
+    let server = Server::new(Platform::new());
+    server.platform().create_dashboard("bench").unwrap();
+    let post = |csv: &str| server.handle(&Request::new(Method::Post, INGEST).with_body(csv));
+    assert!(post(&base).is_ok());
+    // Warm the key index, as a served endpoint's is.
+    assert!(server.handle(&Request::get(READ)).is_ok());
+
+    let start = Barrier::new(READERS + 1);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let (mut last, mut reads) = (0, 0usize);
+                    while !done.load(Ordering::SeqCst) {
+                        let reply = server.handle(&Request::get(READ));
+                        assert!(reply.is_ok(), "{}", reply.body);
+                        let prefix = *prefix_of_body
+                            .get(&reply.body)
+                            .expect("a body the scan path produces for some prefix");
+                        assert!(prefix >= last, "read prefix {prefix} after {last}");
+                        last = prefix;
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        start.wait();
+        // Checked after the readers are released: a panic here would
+        // leave them spinning.
+        let unmerged: Vec<String> = batches
+            .iter()
+            .map(|csv| post(csv))
+            .filter(|ack| !ack.is_ok() || !ack.body.contains("\"index\": \"merged\""))
+            .map(|ack| ack.body)
+            .collect();
+        done.store(true, Ordering::SeqCst);
+        for reader in readers {
+            assert!(reader.join().expect("reader thread") > 0);
+        }
+        assert!(
+            unmerged.is_empty(),
+            "{} acks: {:?}",
+            unmerged.len(),
+            unmerged.first()
+        );
+    });
+
+    let ingest = server.platform().api_metrics().ingest();
+    assert_eq!(ingest.cold_rebuilds, 0);
+    assert_eq!(ingest.index_merges, BATCHES as u64);
+    let last = server.handle(&Request::get(READ));
+    assert_eq!(prefix_of_body[&last.body], BATCHES);
 }
