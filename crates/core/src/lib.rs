@@ -49,9 +49,9 @@ pub use error::{PlatformError, Result};
 pub use meta::{build_meta_dashboard, profile_table, ColumnProfile, MetaDashboard};
 pub use platform::{Partitioning, Platform, StreamPushReport, StreamStartInfo};
 pub use telemetry::{
-    process_stats, ApiMetrics, IndexStats, LatencyHistogram, OperatorStats, ProcessStats,
+    process_stats, ApiMetrics, Family, IndexStats, LatencyHistogram, OperatorStats, ProcessStats,
     ReactorStats, RouteStats, RunEvent, RunKind, RunLog, SelfScrapeStats, ShardStats,
     ShardWorkerStats, SqlStats, StreamStats, UsageCounts,
 };
-pub use telemetry_history::{HistoryStats, Sample, ScrapeOutcome, TelemetryHistory};
+pub use telemetry_history::{Sample, ScrapeOutcome, TelemetryHistory};
 pub use trace::{AttrValue, EventLog, Span, SpanRecord, TraceId, TraceRecord, Tracer};

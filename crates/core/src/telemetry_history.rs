@@ -1,15 +1,17 @@
 //! Self-hosted telemetry time-series: a bounded in-memory columnar ring
-//! the serving layer scrapes the [`ApiMetrics`] registry into, so the
-//! stack can observe *itself* with its own query machinery instead of
-//! point-in-time `/stats` snapshots that discard history the moment you
-//! read them.
+//! the serving layer scrapes the [`ApiMetrics`](crate::ApiMetrics) registry
+//! into, so the stack can observe *itself* with its own query machinery
+//! instead of point-in-time `/stats` snapshots that discard history the
+//! moment you read them.
 //!
-//! Samples are `(ts, family, label, value)` rows — family is the registry
-//! block (`routes`, `cache`, `index`, `reactor`, `stream`, `sql`, …),
-//! label is `series|metric` (e.g. `GET /stats|p95_us`), value is an
-//! integer counter or microsecond quantile. Each family has its own
-//! retention budget; the oldest samples of that family are evicted first,
-//! so a chatty family (per-route histograms) cannot starve a quiet one
+//! Samples are `(ts, family, label, value)` rows — family is the `/stats`
+//! block, label is the `/stats` key (`hits`), prefixed `series|` for a
+//! labelled series (`GET /stats|p95_us`, `per_worker.0|queries`), value
+//! is an integer counter or microsecond quantile. [`samples_of`] derives
+//! them from the same [`Family`] values `/stats` and `/metrics` render,
+//! so the three views cannot drift. Each family has its own retention
+//! budget; the oldest samples of that family are evicted first, so a
+//! chatty family (per-route histograms) cannot starve a quiet one
 //! (reactor gauges) out of history.
 //!
 //! The ring materialises one [`Table`] snapshot per scrape — not per
@@ -17,14 +19,14 @@
 //! existing query stack (path grammar, SQL, paging, caches, SSE) runs on
 //! the `_system/telemetry` dataset unchanged.
 
-use crate::telemetry::ApiMetrics;
+use crate::telemetry::Family;
 use parking_lot::RwLock;
 use shareinsights_tabular::{Column, DataType, Field, Schema, Table};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Default samples retained per family before FIFO eviction.
-pub const DEFAULT_FAMILY_BUDGET: usize = 4096;
+/// Samples retained per family before FIFO eviction.
+const FAMILY_BUDGET: usize = 4096;
 
 /// One sampled telemetry point, prior to timestamping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,17 +37,6 @@ pub struct Sample {
     pub label: String,
     /// Integer value (counts, bytes, or microseconds).
     pub value: i64,
-}
-
-impl Sample {
-    /// Convenience constructor.
-    pub fn new(family: &str, label: impl Into<String>, value: i64) -> Sample {
-        Sample {
-            family: family.to_string(),
-            label: label.into(),
-            value,
-        }
-    }
 }
 
 /// Outcome of one scrape tick, for meta-telemetry and SSE fan-out.
@@ -98,29 +89,8 @@ impl FamilyRing {
 #[derive(Debug, Default)]
 struct Inner {
     families: BTreeMap<String, FamilyRing>,
-    budgets: BTreeMap<String, usize>,
     generation: u64,
-    scrapes: u64,
-    appended: u64,
-    evicted: u64,
     snapshot: Option<Table>,
-}
-
-/// Cumulative history-store statistics (surfaced under `/stats`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistoryStats {
-    /// Scrape ticks recorded.
-    pub scrapes: u64,
-    /// Samples appended over the store's lifetime.
-    pub appended: u64,
-    /// Samples evicted to hold retention budgets.
-    pub evicted: u64,
-    /// Samples currently retained.
-    pub retained: u64,
-    /// Distinct families present.
-    pub families: u64,
-    /// Current ring generation.
-    pub generation: u64,
 }
 
 /// The schema every snapshot table carries: `ts, family, label, value`.
@@ -151,56 +121,19 @@ fn table_of(rows: &[(i64, &str, &str, i64)]) -> Table {
 /// (shared interior); every handle sees the same ring.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryHistory {
-    default_budget: usize,
     inner: Arc<RwLock<Inner>>,
 }
 
 impl TelemetryHistory {
-    /// Store with the default per-family budget.
+    /// An empty store.
     pub fn new() -> TelemetryHistory {
-        TelemetryHistory::with_budget(DEFAULT_FAMILY_BUDGET)
-    }
-
-    /// Store retaining at most `per_family` samples per family.
-    pub fn with_budget(per_family: usize) -> TelemetryHistory {
-        TelemetryHistory {
-            default_budget: per_family.max(1),
-            inner: Arc::new(RwLock::new(Inner::default())),
-        }
-    }
-
-    /// Override the retention budget of one family.
-    pub fn set_family_budget(&self, family: &str, budget: usize) {
-        let budget = budget.max(1);
-        let mut inner = self.inner.write();
-        inner.budgets.insert(family.to_string(), budget);
-        let evicted = match inner.families.get_mut(family) {
-            Some(ring) => ring.evict_to(budget),
-            None => 0,
-        };
-        inner.evicted += evicted as u64;
-        if evicted > 0 {
-            inner.snapshot = None;
-        }
+        TelemetryHistory::default()
     }
 
     /// Current ring generation. Bumped once per scrape so
     /// generation-stamped caches invalidate exactly when history advances.
     pub fn generation(&self) -> u64 {
         self.inner.read().generation
-    }
-
-    /// Cumulative store statistics.
-    pub fn stats(&self) -> HistoryStats {
-        let inner = self.inner.read();
-        HistoryStats {
-            scrapes: inner.scrapes,
-            appended: inner.appended,
-            evicted: inner.evicted,
-            retained: inner.families.values().map(|r| r.len() as u64).sum(),
-            families: inner.families.len() as u64,
-            generation: inner.generation,
-        }
     }
 
     /// Append one scrape tick of samples at `ts_us`, evicting per-family
@@ -217,18 +150,10 @@ impl TelemetryHistory {
         let appended = samples.len();
         let mut evicted = 0usize;
         for s in samples {
-            let budget = inner
-                .budgets
-                .get(&s.family)
-                .copied()
-                .unwrap_or(self.default_budget);
             let ring = inner.families.entry(s.family).or_default();
             ring.push(ts_us, s.label, s.value);
-            evicted += ring.evict_to(budget);
+            evicted += ring.evict_to(FAMILY_BUDGET);
         }
-        inner.scrapes += 1;
-        inner.appended += appended as u64;
-        inner.evicted += evicted as u64;
         inner.generation += 1;
         inner.snapshot = None;
         ScrapeOutcome {
@@ -240,13 +165,9 @@ impl TelemetryHistory {
         }
     }
 
-    /// Scrape the registry: collect every family's current counters,
-    /// append them (plus any caller-provided `extra` samples — e.g. the
-    /// server's query-cache block, which lives outside core) at `ts_us`.
-    pub fn scrape(&self, metrics: &ApiMetrics, ts_us: i64, extra: Vec<Sample>) -> ScrapeOutcome {
-        let mut samples = collect_registry_samples(metrics);
-        samples.extend(extra);
-        self.record(ts_us, samples)
+    /// One scrape tick: append every sample of `families` at `ts_us`.
+    pub fn scrape(&self, families: &[Family], ts_us: i64) -> ScrapeOutcome {
+        self.record(ts_us, samples_of(families))
     }
 
     /// The current history as a table (`ts, family, label, value`), built
@@ -288,106 +209,53 @@ impl TelemetryHistory {
     }
 }
 
-fn clamp_i64(v: u64) -> i64 {
-    v.min(i64::MAX as u64) as i64
-}
-
-/// Walk every [`ApiMetrics`] family and flatten the interesting series
-/// into samples: per-route counters and latency quantiles, aggregate
-/// cache totals, per-operator throughput, and the index / reactor /
-/// stream / sql / connection blocks.
-pub fn collect_registry_samples(metrics: &ApiMetrics) -> Vec<Sample> {
+/// Flatten metric families into samples — the `_system` rendering of the
+/// registry. Scalars are labelled by their `/stats` key; a labelled series
+/// prefixes `label|` (and its `/stats` array key, when it has one); a
+/// latency histogram contributes its `/stats` summary. Bucket arrays are
+/// left to `/metrics`.
+pub fn samples_of(families: &[Family]) -> Vec<Sample> {
     let mut out = Vec::with_capacity(128);
-    let mut push = |family: &str, label: String, value: u64| {
-        out.push(Sample {
-            family: family.to_string(),
-            label,
-            value: clamp_i64(value),
-        });
-    };
-
-    for (route, s) in metrics.snapshot() {
-        push("routes", format!("{route}|count"), s.count);
-        push("routes", format!("{route}|errors"), s.errors);
-        push(
-            "routes",
-            format!("{route}|p50_us"),
-            s.latency.quantile_us(0.5),
-        );
-        push(
-            "routes",
-            format!("{route}|p95_us"),
-            s.latency.quantile_us(0.95),
-        );
-        push("routes", format!("{route}|max_us"), s.latency.max_us);
+    for family in families {
+        let mut push = |label: String, value: u64| {
+            out.push(Sample {
+                family: family.name.to_string(),
+                label,
+                value: value.min(i64::MAX as u64) as i64,
+            });
+        };
+        for f in &family.fields {
+            push(f.key.to_string(), f.value);
+        }
+        let Some(set) = &family.series else { continue };
+        for series in &set.series {
+            let prefix = match set.key {
+                Some(key) => format!("{key}.{}", series.label),
+                None => series.label.clone(),
+            };
+            for f in &series.fields {
+                push(format!("{prefix}|{}", f.key), f.value);
+            }
+            for (key, value) in series.latency.iter().flat_map(|h| h.summary()) {
+                push(format!("{prefix}|{key}"), value);
+            }
+        }
     }
-
-    let (hits, misses) = metrics.cache_totals();
-    push("cache", "hits".into(), hits);
-    push("cache", "misses".into(), misses);
-
-    let c = metrics.connections();
-    push("connections", "accepted".into(), c.accepted);
-    push("connections", "closed".into(), c.closed);
-    push("connections", "reused".into(), c.reused);
-    push("connections", "requests".into(), c.requests);
-    push("connections", "idle_timeouts".into(), c.idle_timeouts);
-    push("connections", "io_timeouts".into(), c.io_timeouts);
-
-    for (op, s) in metrics.operators() {
-        push("operators", format!("{op}|runs"), s.runs);
-        push("operators", format!("{op}|rows_in"), s.rows_in);
-        push("operators", format!("{op}|rows_out"), s.rows_out);
-        push(
-            "operators",
-            format!("{op}|p95_us"),
-            s.latency.quantile_us(0.95),
-        );
-    }
-
-    let ix = metrics.index();
-    push("index", "builds".into(), ix.builds);
-    push("index", "build_us".into(), ix.build_us);
-    push("index", "covered".into(), ix.covered);
-    push("index", "fallback".into(), ix.fallback);
-
-    let r = metrics.reactor();
-    push("reactor", "registered".into(), r.registered);
-    push("reactor", "peak_registered".into(), r.peak_registered);
-    push("reactor", "wakeups".into(), r.wakeups);
-    push("reactor", "ready_events".into(), r.ready_events);
-    push("reactor", "epollout_rearms".into(), r.epollout_rearms);
-    push("reactor", "dispatched".into(), r.dispatched);
-
-    let st = metrics.stream();
-    push("stream", "ticks".into(), st.ticks);
-    push("stream", "rows_in".into(), st.rows_in);
-    push("stream", "evicted_rows".into(), st.evicted_rows);
-    push("stream", "frames_sent".into(), st.frames_sent);
-    push("stream", "frame_bytes".into(), st.frame_bytes);
-    push("stream", "subscribers".into(), st.subscribers);
-    push(
-        "stream",
-        "dropped_subscribers".into(),
-        st.dropped_subscribers,
-    );
-
-    let q = metrics.sql();
-    push("sql", "queries".into(), q.queries);
-    push("sql", "parse_errors".into(), q.parse_errors);
-    push("sql", "path_shared".into(), q.path_shared);
-    push("sql", "parse_us".into(), q.parse_us);
-
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{ApiMetrics, ShardWorkerStats};
     use shareinsights_tabular::Value;
 
     fn sample(family: &str, label: &str, value: i64) -> Sample {
-        Sample::new(family, label, value)
+        Sample {
+            family: family.to_string(),
+            label: label.to_string(),
+            value,
+        }
     }
 
     #[test]
@@ -418,78 +286,79 @@ mod tests {
 
     #[test]
     fn per_family_budgets_evict_oldest_of_that_family_only() {
-        let h = TelemetryHistory::with_budget(2);
-        for i in 0..4 {
-            h.record(
-                i * 10,
-                vec![
-                    sample("routes", "r|count", i),
-                    sample("sql", "queries", 100 + i),
-                ],
-            );
+        let h = TelemetryHistory::new();
+        // One chatty family overflows its budget; the quiet one keeps all.
+        let chatty = |i: i64| (0..FAMILY_BUDGET / 2).map(move |_| sample("routes", "r|count", i));
+        let mut last = None;
+        for i in 0..3 {
+            let mut tick: Vec<Sample> = chatty(i).collect();
+            tick.push(sample("sql", "queries", 100 + i));
+            last = Some(h.record(i * 10, tick));
         }
-        let stats = h.stats();
-        assert_eq!(stats.retained, 4, "two families × budget 2");
-        assert_eq!(stats.evicted, 4);
-        assert_eq!(stats.appended, 8);
+        let last = last.unwrap();
+        assert_eq!(last.retained, FAMILY_BUDGET + 3);
+        assert_eq!(last.evicted, FAMILY_BUDGET / 2);
         let t = h.snapshot_table();
-        assert_eq!(t.num_rows(), 4);
-        // Oldest two of each family are gone; the survivors are ts 20/30.
+        // The oldest tick of the chatty family is gone; `sql` still has ts 0.
         for row in 0..t.num_rows() {
             let Value::Int(ts) = t.value(row, "ts").unwrap() else {
                 panic!("ts is int");
             };
-            assert!(ts >= 20, "ts {ts} should have been evicted");
+            let family = t.value(row, "family").unwrap().to_string();
+            assert!(ts >= 10 || family == "sql", "{family} ts {ts} kept");
         }
-    }
-
-    #[test]
-    fn family_budget_override_trims_existing_ring() {
-        let h = TelemetryHistory::with_budget(100);
-        for i in 0..10 {
-            h.record(i, vec![sample("stream", "ticks", i)]);
-        }
-        h.set_family_budget("stream", 3);
-        assert_eq!(h.stats().retained, 3);
-        h.record(99, vec![sample("stream", "ticks", 99)]);
-        assert_eq!(h.stats().retained, 3, "budget holds on later scrapes");
     }
 
     #[test]
     fn scrape_flattens_every_registry_family() {
         let m = ApiMetrics::new();
         m.record("GET /stats", true, 120);
-        m.record_cache("GET /q", true);
         m.record_operator("groupby", 10, 2, 50);
-        m.record_index_build(75);
-        m.record_reactor_wakeup(3);
-        m.record_stream_tick(5, 0);
-        m.record_sql_query(40, true);
-        m.record_conn_accepted();
+        m.record_sql_prepared_hit();
+        m.record_ingest_commit(7, true, 30);
+        let worker = ShardWorkerStats {
+            shard: 1,
+            queries: 4,
+            ..ShardWorkerStats::default()
+        };
 
+        let families = m.families(&[worker]);
         let h = TelemetryHistory::new();
-        let out = h.scrape(&m, 123, vec![sample("cache", "query_entries", 7)]);
-        assert!(out.samples > 20, "{}", out.samples);
+        let out = h.scrape(&families, 123);
         let t = h.snapshot_table();
-        let mut families: Vec<String> = Vec::new();
-        for row in 0..t.num_rows() {
-            if let Value::Str(f) = t.value(row, "family").unwrap() {
-                if !families.contains(&f) {
-                    families.push(f);
-                }
+        assert_eq!(out.samples, t.num_rows());
+        let rows: Vec<(String, String, i64)> = (0..t.num_rows())
+            .map(|r| {
+                (
+                    t.value(r, "family").unwrap().to_string(),
+                    t.value(r, "label").unwrap().to_string(),
+                    t.value(r, "value").unwrap().as_int().unwrap(),
+                )
+            })
+            .collect();
+        // Walk the registry, not a hand list: every declared field of
+        // every family has its row.
+        for family in &families {
+            for f in &family.fields {
+                assert!(
+                    rows.iter().any(|(fam, label, value)| fam == family.name
+                        && label == f.key
+                        && *value == f.value as i64),
+                    "{}|{} missing",
+                    family.name,
+                    f.key
+                );
             }
         }
-        for want in [
-            "routes",
-            "cache",
-            "connections",
-            "operators",
-            "index",
-            "reactor",
-            "stream",
-            "sql",
-        ] {
-            assert!(families.iter().any(|f| f == want), "missing {want}");
-        }
+        let has = |family: &str, label: &str, value: i64| {
+            rows.iter()
+                .any(|(f, l, v)| f == family && l == label && *v == value)
+        };
+        assert!(has("routes", "GET /stats|count", 1));
+        assert!(has("routes", "GET /stats|p95_us", 120));
+        assert!(has("operators", "groupby|rows_in", 10));
+        assert!(has("shard", "per_worker.1|queries", 4));
+        assert!(has("sql", "prepared_hits", 1));
+        assert!(has("ingest", "index_merges", 1));
     }
 }

@@ -1,12 +1,10 @@
 //! The columnar batch executor — the Pig/Spark substitute.
 //!
-//! Executes a [`CompiledPipeline`] in dependency order with two axes of
-//! parallelism:
-//!
-//! * **inter-flow**: flows in the same DAG level have no dependencies and
-//!   run on scoped threads;
-//! * **intra-task**: row-local tasks (filters, maps) on large tables are
-//!   split into chunks processed concurrently and re-concatenated.
+//! Executes a [`CompiledPipeline`] in dependency order. Flows in the same
+//! DAG level have no dependencies and run on scoped threads; within a flow
+//! every task runs its typed column kernel over the whole input. (Slicing
+//! a row-local task's input across threads and re-unioning the parts was
+//! measured to buy nothing end to end and was removed — DESIGN.md §5.14.)
 //!
 //! All intermediate data objects are cached, so a sink feeding three
 //! downstream flows is computed once — the "efficient processing of raw
@@ -128,22 +126,14 @@ impl ExecResult {
 /// The batch executor.
 #[derive(Debug, Clone)]
 pub struct Executor {
-    /// Run DAG levels on threads.
-    pub parallel_flows: bool,
-    /// Chunk row-local tasks when tables exceed this many rows.
-    pub chunk_threshold: usize,
-    /// Worker threads for chunked execution.
-    pub workers: usize,
+    /// Run the independent flows of a DAG level on scoped threads.
+    parallel_flows: bool,
 }
 
 impl Default for Executor {
     fn default() -> Self {
         Executor {
             parallel_flows: true,
-            chunk_threshold: 8_192,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
         }
     }
 }
@@ -153,8 +143,6 @@ impl Executor {
     pub fn sequential() -> Self {
         Executor {
             parallel_flows: false,
-            chunk_threshold: usize::MAX,
-            workers: 1,
         }
     }
 
@@ -366,62 +354,12 @@ impl Executor {
                     });
                 }
                 let (_, input) = current.remove(0);
-                let out = if task.kind.is_row_local()
-                    && input.num_rows() > self.chunk_threshold
-                    && self.workers > 1
-                {
-                    self.run_chunked(task, &input, &rt)?
-                } else {
-                    task.kind
-                        .execute(&task.name, std::slice::from_ref(&input), &rt)?
-                };
+                let out = task
+                    .kind
+                    .execute(&task.name, std::slice::from_ref(&input), &rt)?;
                 Ok(vec![(None, out)])
             }
         }
-    }
-
-    /// Split a row-local task across worker threads by row ranges.
-    fn run_chunked(&self, task: &NamedTask, input: &Table, rt: &TaskRuntime<'_>) -> Result<Table> {
-        let n = input.num_rows();
-        let chunks = self.workers.min(n.div_ceil(self.chunk_threshold)).max(1);
-        let chunk_size = n.div_ceil(chunks);
-        let slices: Vec<Table> = (0..chunks)
-            .map(|c| input.slice(c * chunk_size, chunk_size))
-            .collect();
-
-        let results: Mutex<Vec<(usize, Result<Table>)>> = Mutex::new(Vec::new());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                for (i, slice) in slices.iter().enumerate() {
-                    let results = &results;
-                    let task = &task;
-                    let rt_sel = rt.selections;
-                    scope.spawn(move || {
-                        let lookup = |_: &str| None; // row-local tasks never look up tables
-                        let local_rt = TaskRuntime {
-                            selections: rt_sel,
-                            lookup_table: &lookup,
-                        };
-                        let r =
-                            task.kind
-                                .execute(&task.name, std::slice::from_ref(slice), &local_rt);
-                        results.lock().push((i, r));
-                    });
-                }
-            })
-        }))
-        .map_err(|_| EngineError::Internal("chunk worker panicked".into()))?;
-
-        let mut parts = results.into_inner();
-        parts.sort_by_key(|(i, _)| *i);
-        let tables: Vec<Table> = parts
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect::<Result<Vec<_>>>()?;
-        union_all(&tables).map_err(|e| EngineError::Execution {
-            task: task.name.clone(),
-            message: e.to_string(),
-        })
     }
 }
 
@@ -571,53 +509,6 @@ F:
             );
         let result = Executor::default().execute(&pipeline, &ctx).unwrap();
         assert_eq!(result.table("joined").unwrap().num_rows(), 1);
-    }
-
-    #[test]
-    fn chunked_execution_matches_sequential() {
-        // Utf8-heavy, with empty, multi-byte and null cells: chunking
-        // slices and re-unions the string arenas.
-        let rows: Vec<shareinsights_tabular::Row> = (0..50_000)
-            .map(|i| {
-                let note = match i % 5 {
-                    0 => Value::Null,
-                    1 => "".into(),
-                    _ => format!("naïve-{}-日本", i % 97).into(),
-                };
-                row![
-                    format!("2013-05-{:02}", (i % 28) + 1),
-                    note,
-                    format!("k{}", i % 1013),
-                    i as i64
-                ]
-            })
-            .collect();
-        let table = Table::from_rows(&["d", "note", "k", "n"], &rows).unwrap();
-        let src = r#"
-D:
-  big: [d, note, k, n]
-T:
-  keep:
-    type: filter_by
-    filter_expression: n % 7 == 0
-F:
-  +D.out: D.big | T.keep
-"#;
-        let ff = parse_flow_file("t", src).unwrap();
-        let reg = TaskRegistry::new();
-        let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
-
-        let ctx = ExecContext::new(Catalog::new()).with_table("big", table.clone());
-        let chunked = Executor {
-            workers: 4,
-            ..Executor::default()
-        };
-        let par = chunked.execute(&pipeline, &ctx).unwrap();
-        let seq = Executor::sequential().execute(&pipeline, &ctx).unwrap();
-        let (par, seq) = (par.table("out").unwrap(), seq.table("out").unwrap());
-        assert_eq!(par.schema(), seq.schema());
-        assert_eq!(par.columns(), seq.columns(), "typed buffers and validity");
-        assert_eq!(par.num_rows(), 50_000 / 7 + 1);
     }
 
     #[test]

@@ -10,57 +10,57 @@
 //! generation is a miss (and evicts the stale entry), so invalidation
 //! needs no coordination with the execution path.
 //!
-//! The cache is partitioned into N independent shards, each with its own
-//! mutex, LRU list and budget. A key's shard is chosen by FNV-1a over the
-//! normalized path, so concurrent workers touching different keys almost
-//! never contend on the same lock — the single-mutex convoy the ROADMAP
-//! called out disappears once worker counts grow past a handful.
-//!
-//! Eviction is LRU *per shard*, bounded by both an entry count and a byte
-//! budget over the cached response bodies (the global budgets are divided
-//! evenly across shards). [`QueryCache::new`] builds a single-shard cache
-//! with strict global LRU order (what the unit tests pin down);
-//! [`QueryCache::with_shards`] and [`QueryCache::default`] build the
-//! sharded production configuration.
+//! Both caches here are thin owners of the shared stamped
+//! [`parking_lot::Lru`]: recency, eviction and the counters live there.
+//! The page cache is partitioned into eight independently locked maps; a
+//! key's shard is chosen by FNV-1a over the normalized path, so concurrent
+//! workers touching different keys almost never contend on the same lock.
+//! The entry and byte budgets are divided evenly across the shards.
 
-use parking_lot::Mutex;
+use parking_lot::{Lru, Mutex};
+use shareinsights_core::telemetry::{Family, Field, Kind};
 use shareinsights_tabular::Table;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Shard count used by [`QueryCache::default`].
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
+pub use parking_lot::CacheStats;
 
-/// Cache statistics for `/stats`. For a sharded cache, [`QueryCache::stats`]
-/// returns the merge (field-wise sum) of every shard's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that returned a cached body.
-    pub hits: u64,
-    /// Lookups that found nothing (or found a stale generation).
-    pub misses: u64,
-    /// Entries dropped to stay within budget.
-    pub evictions: u64,
-    /// Entries dropped because their generation went stale.
-    pub invalidations: u64,
-    /// Live entries.
-    pub entries: usize,
-    /// Bytes held by live entry bodies.
-    pub bytes: usize,
-}
+/// Independently locked shards of the page cache.
+const CACHE_SHARDS: usize = 8;
+/// Page-cache entry budget, across all shards.
+const CACHE_ENTRIES: usize = 1024;
+/// Page-cache body-byte budget, across all shards.
+const CACHE_BYTES: usize = 8 * 1024 * 1024;
+/// Unpaged results kept by a [`ResultCache`].
+const RESULT_CACHE_ENTRIES: usize = 128;
 
-impl CacheStats {
-    /// Field-wise sum, used to merge per-shard snapshots.
-    pub fn merge(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            invalidations: self.invalidations + other.invalidations,
-            entries: self.entries + other.entries,
-            bytes: self.bytes + other.bytes,
-        }
-    }
+/// The `/stats` block, `/metrics` series and `_system` samples of one
+/// cache: `name` is the block, `prom` the Prometheus prefix.
+pub(crate) fn family(name: &'static str, prom: &'static str, stats: CacheStats) -> Family {
+    let CacheStats {
+        hits,
+        misses,
+        evictions,
+        invalidations,
+        entries,
+        bytes,
+    } = stats;
+    Family::scalars(
+        name,
+        prom,
+        vec![
+            Field::new(Kind::Gauge, "entries", "entries", entries as u64),
+            Field::new(Kind::Gauge, "bytes", "bytes", bytes as u64),
+            Field::new(Kind::Counter, "hits", "hits_total", hits),
+            Field::new(Kind::Counter, "misses", "misses_total", misses),
+            Field::new(Kind::Counter, "evictions", "evictions_total", evictions),
+            Field::new(
+                Kind::Counter,
+                "invalidations",
+                "invalidations_total",
+                invalidations,
+            ),
+        ],
+    )
 }
 
 /// FNV-1a 64-bit over the key bytes — cheap, deterministic, and good enough
@@ -74,118 +74,36 @@ fn fnv1a(key: &str) -> u64 {
     hash
 }
 
-struct Entry {
-    body: String,
-    generation: u64,
-    lru_seq: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<String, Entry>,
-    /// lru_seq -> key, oldest first. Sequences are unique, so this is a
-    /// total recency order.
-    order: BTreeMap<u64, String>,
-    next_seq: u64,
-    bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
-}
-
-impl Shard {
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            invalidations: self.invalidations,
-            entries: self.entries.len(),
-            bytes: self.bytes,
-        }
-    }
-}
-
-/// An LRU + byte-budget query-result cache with generation validation,
-/// hash-partitioned into independently locked shards.
+/// The page cache: serialized response bodies under an entry and a byte
+/// budget, generation-stamped, hash-partitioned into locked shards.
 pub struct QueryCache {
-    shards: Vec<Mutex<Shard>>,
-    max_entries_per_shard: usize,
-    max_bytes_per_shard: usize,
+    shards: Vec<Mutex<Lru<String, String>>>,
 }
 
 impl Default for QueryCache {
     fn default() -> Self {
-        QueryCache::with_shards(DEFAULT_CACHE_SHARDS, 1024, 8 * 1024 * 1024)
+        let shard = || {
+            Mutex::new(Lru::weighted(
+                CACHE_ENTRIES / CACHE_SHARDS,
+                CACHE_BYTES / CACHE_SHARDS,
+                |_, body: &String| body.len(),
+            ))
+        };
+        QueryCache {
+            shards: (0..CACHE_SHARDS).map(|_| shard()).collect(),
+        }
     }
 }
 
 impl QueryCache {
-    /// A single-shard cache bounded by `max_entries` entries and
-    /// `max_bytes` of body bytes, with strict global LRU order.
-    pub fn new(max_entries: usize, max_bytes: usize) -> QueryCache {
-        QueryCache::with_shards(1, max_entries, max_bytes)
-    }
-
-    /// A cache partitioned into `shards` shards; the entry and byte budgets
-    /// are divided evenly across them (each shard holds at least one entry).
-    pub fn with_shards(shards: usize, max_entries: usize, max_bytes: usize) -> QueryCache {
-        let shards = shards.max(1);
-        QueryCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            max_entries_per_shard: (max_entries / shards).max(1),
-            max_bytes_per_shard: (max_bytes / shards).max(1),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
+    fn shard_for(&self, key: &str) -> &Mutex<Lru<String, String>> {
         &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
     }
 
     /// Look up `key`; only an entry stamped with `generation` counts. A
     /// stale entry is removed (counted as invalidation + miss).
     pub fn get(&self, key: &str, generation: u64) -> Option<String> {
-        enum Outcome {
-            Hit(String, u64),
-            Stale,
-            Absent,
-        }
-        let mut shard = self.shard_for(key).lock();
-        let outcome = match shard.entries.get(key) {
-            Some(e) if e.generation == generation => Outcome::Hit(e.body.clone(), e.lru_seq),
-            Some(_) => Outcome::Stale,
-            None => Outcome::Absent,
-        };
-        match outcome {
-            Outcome::Hit(body, old_seq) => {
-                // Refresh recency.
-                let new_seq = shard.next_seq;
-                shard.next_seq += 1;
-                shard.order.remove(&old_seq);
-                shard.order.insert(new_seq, key.to_string());
-                shard.entries.get_mut(key).expect("present").lru_seq = new_seq;
-                shard.hits += 1;
-                Some(body)
-            }
-            Outcome::Stale => {
-                let e = shard.entries.remove(key).expect("present");
-                shard.order.remove(&e.lru_seq);
-                shard.bytes -= e.body.len();
-                shard.invalidations += 1;
-                shard.misses += 1;
-                None
-            }
-            Outcome::Absent => {
-                shard.misses += 1;
-                None
-            }
-        }
+        self.shard_for(key).lock().get(key, generation)
     }
 
     /// Insert (or replace) the cached body for `key` at `generation`,
@@ -193,84 +111,24 @@ impl QueryCache {
     /// within its budget. Bodies larger than a whole shard's byte budget
     /// are not cached.
     pub fn put(&self, key: &str, generation: u64, body: String) {
-        if body.len() > self.max_bytes_per_shard {
-            return;
-        }
-        let mut shard = self.shard_for(key).lock();
-        if let Some(old) = shard.entries.remove(key) {
-            shard.order.remove(&old.lru_seq);
-            shard.bytes -= old.body.len();
-        }
-        let seq = shard.next_seq;
-        shard.next_seq += 1;
-        shard.bytes += body.len();
-        shard.order.insert(seq, key.to_string());
-        shard.entries.insert(
-            key.to_string(),
-            Entry {
-                body,
-                generation,
-                lru_seq: seq,
-            },
-        );
-        while shard.entries.len() > self.max_entries_per_shard
-            || shard.bytes > self.max_bytes_per_shard
-        {
-            let Some((&oldest, _)) = shard.order.iter().next() else {
-                break;
-            };
-            let key = shard.order.remove(&oldest).expect("present");
-            let e = shard.entries.remove(&key).expect("present");
-            shard.bytes -= e.body.len();
-            shard.evictions += 1;
-        }
+        self.shard_for(key)
+            .lock()
+            .put(key.to_string(), generation, body);
     }
 
     /// Drop every entry in every shard (hit/miss counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.entries.clear();
-            shard.order.clear();
-            shard.bytes = 0;
+            shard.lock().clear();
         }
     }
 
     /// Merged statistics snapshot: the field-wise sum over all shards.
     pub fn stats(&self) -> CacheStats {
-        self.shard_stats()
+        self.shards
             .iter()
-            .fold(CacheStats::default(), |acc, s| acc.merge(s))
+            .fold(CacheStats::default(), |acc, s| acc.merge(&s.lock().stats()))
     }
-
-    /// Per-shard statistics snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| s.lock().stats()).collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unpaged query-result cache
-// ---------------------------------------------------------------------------
-
-/// Default entry bound for [`ResultCache`].
-pub const DEFAULT_RESULT_CACHE_ENTRIES: usize = 128;
-
-struct ResultEntry {
-    table: Arc<Table>,
-    generation: u64,
-    lru_seq: u64,
-}
-
-#[derive(Default)]
-struct ResultShard {
-    entries: HashMap<String, ResultEntry>,
-    order: BTreeMap<u64, String>,
-    next_seq: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
 }
 
 /// A generation-stamped LRU cache of *unpaged* query results.
@@ -283,105 +141,40 @@ struct ResultShard {
 /// with the same data generation as the body cache, so runs and publishes
 /// invalidate both in lockstep.
 pub struct ResultCache {
-    inner: Mutex<ResultShard>,
-    max_entries: usize,
+    inner: Mutex<Lru<String, Arc<Table>>>,
 }
 
 impl Default for ResultCache {
     fn default() -> Self {
-        ResultCache::new(DEFAULT_RESULT_CACHE_ENTRIES)
+        ResultCache {
+            inner: Mutex::new(Lru::new(RESULT_CACHE_ENTRIES)),
+        }
     }
 }
 
 impl ResultCache {
-    /// A cache bounded by `max_entries` results (at least one).
-    pub fn new(max_entries: usize) -> ResultCache {
-        ResultCache {
-            inner: Mutex::new(ResultShard::default()),
-            max_entries: max_entries.max(1),
-        }
-    }
-
     /// Look up the unpaged result for `key` at `generation`; a stale entry
     /// is removed (counted as invalidation + miss).
     pub fn get(&self, key: &str, generation: u64) -> Option<Arc<Table>> {
-        let mut inner = self.inner.lock();
-        let outcome = match inner.entries.get(key) {
-            Some(e) if e.generation == generation => Some((Arc::clone(&e.table), e.lru_seq)),
-            Some(_) => None,
-            None => {
-                inner.misses += 1;
-                return None;
-            }
-        };
-        match outcome {
-            Some((table, old_seq)) => {
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                inner.order.remove(&old_seq);
-                inner.order.insert(seq, key.to_string());
-                inner.entries.get_mut(key).expect("present").lru_seq = seq;
-                inner.hits += 1;
-                Some(table)
-            }
-            None => {
-                let e = inner.entries.remove(key).expect("present");
-                inner.order.remove(&e.lru_seq);
-                inner.invalidations += 1;
-                inner.misses += 1;
-                None
-            }
-        }
+        self.inner.lock().get(key, generation)
     }
 
     /// Insert (or replace) the result for `key` at `generation`, evicting
     /// the least-recently-used entries beyond the bound.
     pub fn put(&self, key: &str, generation: u64, table: Arc<Table>) {
-        let mut inner = self.inner.lock();
-        if let Some(old) = inner.entries.remove(key) {
-            inner.order.remove(&old.lru_seq);
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.order.insert(seq, key.to_string());
-        inner.entries.insert(
-            key.to_string(),
-            ResultEntry {
-                table,
-                generation,
-                lru_seq: seq,
-            },
-        );
-        while inner.entries.len() > self.max_entries {
-            let Some((&oldest, _)) = inner.order.iter().next() else {
-                break;
-            };
-            let key = inner.order.remove(&oldest).expect("present");
-            inner.entries.remove(&key);
-            inner.evictions += 1;
-        }
+        self.inner.lock().put(key.to_string(), generation, table);
     }
 
     /// Drop every entry (hit/miss counters survive). Bench harnesses use
     /// this to force cold evaluations without restarting the server.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.order.clear();
+        self.inner.lock().clear();
     }
 
     /// Statistics snapshot (the `bytes` field stays zero: entries are
     /// shared `Arc<Table>`s, not owned bodies).
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            invalidations: inner.invalidations,
-            entries: inner.entries.len(),
-            bytes: 0,
-        }
+        self.inner.lock().stats()
     }
 }
 
@@ -390,113 +183,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_after_put_at_same_generation() {
-        let c = QueryCache::new(4, 1024);
+    fn page_cache_hits_invalidates_and_reports_bytes() {
+        let c = QueryCache::default();
         assert_eq!(c.get("k", 1), None);
         c.put("k", 1, "body".into());
         assert_eq!(c.get("k", 1).as_deref(), Some("body"));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.bytes), (1, 1, 1, 4));
-    }
-
-    #[test]
-    fn generation_bump_invalidates() {
-        let c = QueryCache::new(4, 1024);
-        c.put("k", 1, "old".into());
         assert_eq!(c.get("k", 2), None, "stale generation is a miss");
         let s = c.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.entries, 0, "stale entry dropped");
-        c.put("k", 2, "new".into());
-        assert_eq!(c.get("k", 2).as_deref(), Some("new"));
-    }
-
-    #[test]
-    fn lru_eviction_by_entry_count() {
-        let c = QueryCache::new(2, 1024);
-        c.put("a", 1, "1".into());
-        c.put("b", 1, "2".into());
-        assert!(c.get("a", 1).is_some(), "touch a → b is now LRU");
-        c.put("c", 1, "3".into());
-        assert!(c.get("b", 1).is_none(), "b evicted");
-        assert!(c.get("a", 1).is_some());
-        assert!(c.get("c", 1).is_some());
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn byte_budget_evicts_and_rejects_oversize() {
-        let c = QueryCache::new(100, 10);
-        c.put("a", 1, "aaaa".into()); // 4 bytes
-        c.put("b", 1, "bbbb".into()); // 8 bytes total
-        c.put("c", 1, "cccc".into()); // would be 12 → evict a
-        assert!(c.get("a", 1).is_none());
-        assert_eq!(c.stats().bytes, 8);
-        // A body over the whole budget is not cached at all.
-        c.put("huge", 1, "x".repeat(11));
+        assert_eq!((s.invalidations, s.entries, s.bytes), (1, 0, 0));
+        // A body over a whole shard's byte budget is not cached at all.
+        c.put("huge", 1, "x".repeat(CACHE_BYTES / CACHE_SHARDS + 1));
         assert!(c.get("huge", 1).is_none());
-        assert_eq!(c.stats().entries, 2);
-    }
-
-    #[test]
-    fn replace_updates_bytes() {
-        let c = QueryCache::new(4, 1024);
-        c.put("k", 1, "aaaa".into());
-        c.put("k", 1, "bb".into());
-        let s = c.stats();
-        assert_eq!((s.entries, s.bytes), (1, 2));
-        assert_eq!(c.get("k", 1).as_deref(), Some("bb"));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let c = QueryCache::new(4, 1024);
-        c.put("k", 1, "v".into());
+        c.put("k", 2, "new".into());
         c.clear();
-        assert_eq!(c.stats().entries, 0);
-        assert_eq!(c.stats().bytes, 0);
-        assert!(c.get("k", 1).is_none());
+        assert_eq!((c.stats().entries, c.stats().bytes), (0, 0));
     }
 
     #[test]
-    fn shards_spread_keys_and_merge_stats() {
-        // Budgets leave headroom: FNV spread over 4 shards is not exactly
-        // even, and no shard may evict for this test to see all 64 keys.
-        let c = QueryCache::with_shards(4, 256, 256 * 1024);
-        assert_eq!(c.shard_count(), 4);
+    fn shards_spread_keys_and_bound_the_total() {
+        let c = QueryCache::default();
         for i in 0..64 {
             c.put(&format!("key-{i}"), 1, format!("body-{i}"));
         }
-        // FNV spreads 64 URL-shaped keys over 4 shards: every shard gets some.
-        let per_shard = c.shard_stats();
-        assert!(per_shard.iter().all(|s| s.entries > 0), "{per_shard:?}");
+        // FNV spreads 64 URL-shaped keys over the shards: every shard gets some.
+        assert!(
+            c.shards.iter().all(|s| s.lock().stats().entries > 0),
+            "a shard stayed empty"
+        );
         for i in 0..64 {
             assert_eq!(
                 c.get(&format!("key-{i}"), 1).as_deref(),
                 Some(format!("body-{i}").as_str())
             );
         }
-        let merged = c.stats();
-        let summed = c
-            .shard_stats()
-            .iter()
-            .fold(CacheStats::default(), |acc, s| acc.merge(s));
-        assert_eq!(merged, summed);
-        assert_eq!(merged.entries, 64);
-        assert_eq!(merged.hits, 64);
-    }
-
-    #[test]
-    fn sharded_budgets_divide_evenly() {
-        // 4 shards x (8 entries / 4) = 2 entries per shard; hammering one
-        // shard's worth of colliding keys evicts within that shard only.
-        let c = QueryCache::with_shards(4, 8, 4096);
-        for i in 0..32 {
+        assert_eq!((c.stats().entries, c.stats().hits), (64, 64));
+        // Per-shard budgets bound the total, whatever the spread.
+        for i in 0..4 * CACHE_ENTRIES {
             c.put(&format!("k{i}"), 1, "x".into());
         }
         let s = c.stats();
-        assert!(s.entries <= 8, "per-shard budgets bound the total: {s:?}");
-        assert!(s.evictions >= 24, "{s:?}");
+        assert!(s.entries <= CACHE_ENTRIES, "{s:?}");
+        assert!(s.evictions as usize >= 3 * CACHE_ENTRIES, "{s:?}");
     }
 
     #[test]
@@ -505,7 +234,7 @@ mod tests {
         // generation; the invariant: a get at generation g only ever returns
         // a body that was put at exactly g (no lost invalidations).
         use std::sync::atomic::{AtomicU64, Ordering};
-        let c = QueryCache::with_shards(8, 256, 1 << 20);
+        let c = QueryCache::default();
         let generation = AtomicU64::new(1);
         let threads = 8;
         let iters = 400;
@@ -532,11 +261,6 @@ mod tests {
             }
         });
         let merged = c.stats();
-        let summed = c
-            .shard_stats()
-            .iter()
-            .fold(CacheStats::default(), |acc, s| acc.merge(s));
-        assert_eq!(merged, summed, "merged stats are the sum of shard stats");
         assert_eq!(
             merged.hits + merged.misses,
             (threads * iters) as u64,
@@ -544,31 +268,24 @@ mod tests {
         );
     }
 
-    fn one_row(v: i64) -> Arc<Table> {
-        Arc::new(Table::from_rows(&["a"], &[shareinsights_tabular::row![v]]).unwrap())
-    }
-
     #[test]
-    fn result_cache_stamps_generations_and_evicts_lru() {
-        let c = ResultCache::new(2);
+    fn result_cache_stamps_generations() {
+        let one_row =
+            |v: i64| Arc::new(Table::from_rows(&["a"], &[shareinsights_tabular::row![v]]).unwrap());
+        let c = ResultCache::default();
         assert!(c.get("q1", 1).is_none());
         c.put("q1", 1, one_row(1));
-        let hit = c.get("q1", 1).expect("hit");
-        assert_eq!(hit.num_rows(), 1);
+        assert_eq!(c.get("q1", 1).expect("hit").num_rows(), 1);
         // Stale generation invalidates.
         assert!(c.get("q1", 2).is_none());
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));
-        // Capacity 2: inserting a third evicts the oldest.
-        c.put("q1", 2, one_row(1));
-        c.put("q2", 2, one_row(2));
-        let _ = c.get("q1", 2); // refresh q1 → q2 is now oldest
-        c.put("q3", 2, one_row(3));
+        assert_eq!((s.hits, s.misses, s.invalidations, s.bytes), (1, 2, 1, 0));
+        for i in 0..RESULT_CACHE_ENTRIES + 1 {
+            c.put(&format!("q{i}"), 2, one_row(i as i64));
+        }
         let s = c.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        assert!(c.get("q2", 2).is_none(), "q2 was LRU-evicted");
-        assert!(c.get("q1", 2).is_some());
-        assert!(c.get("q3", 2).is_some());
+        assert_eq!((s.entries, s.evictions), (RESULT_CACHE_ENTRIES, 1));
+        c.clear();
+        assert_eq!(c.stats().entries, 0);
     }
 }

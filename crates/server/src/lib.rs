@@ -48,9 +48,7 @@ pub mod stream;
 pub mod traces;
 pub mod wire;
 
-pub use cache::{
-    CacheStats, QueryCache, ResultCache, DEFAULT_CACHE_SHARDS, DEFAULT_RESULT_CACHE_ENTRIES,
-};
+pub use cache::{CacheStats, QueryCache, ResultCache};
 pub use http::{Method, Request, Response, Status};
 pub use json::table_to_json;
 pub use router::{Handled, Server};

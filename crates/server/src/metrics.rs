@@ -4,17 +4,15 @@
 //! with path parameters replaced by `:name` placeholders — so per-route
 //! counters aggregate across dashboards and datasets instead of exploding
 //! per URL. The labels, counters and latency histograms live in
-//! [`shareinsights_core::telemetry::ApiMetrics`]; this module renders them
-//! (plus the query-cache counters) as the `/stats` JSON.
+//! [`shareinsights_core::telemetry::ApiMetrics`]; this module renders the
+//! registry's [`Family`] values as the `/stats` JSON and the `/metrics`
+//! exposition. Both renderers know the family *shapes* (scalars, one
+//! bucketed histogram, labelled series with a latency histogram) and no
+//! metric: names, kinds and units come from the field tables beside the
+//! `*Stats` structs.
 
-use crate::cache::CacheStats;
 use crate::http::Method;
-use shareinsights_core::telemetry::{
-    ConnectionStats, IndexStats, IngestStats, LatencyHistogram, OperatorStats, ProcessStats,
-    ReactorStats, RouteStats, SelfScrapeStats, ShardStats, ShardWorkerStats, SqlStats, StreamStats,
-    CONN_REQUESTS_BOUNDS, LATENCY_BOUNDS_US,
-};
-use std::collections::BTreeMap;
+use shareinsights_core::telemetry::{Family, Field, Kind, Series, LATENCY_BOUNDS_US};
 use std::fmt::Write as _;
 
 /// Pool-level rejection label (queue full → 503 before routing).
@@ -88,180 +86,57 @@ pub fn allowed_methods(segments: &[&str]) -> &'static [Method] {
     }
 }
 
-/// Render the `/stats` document: per-route counters + cache counters +
-/// connection-level counters + per-operator engine stats + index
-/// acceleration counters + reactor event-loop counters + live-stream
-/// counters + SQL frontend counters + streaming-ingest counters +
-/// sharded data-plane counters (with a per-shard block) + telemetry
-/// self-scrape counters + process-level gauges.
-#[allow(clippy::too_many_arguments)]
-pub fn stats_json(
-    routes: &BTreeMap<String, RouteStats>,
-    cache: &CacheStats,
-    conns: &ConnectionStats,
-    operators: &BTreeMap<String, OperatorStats>,
-    index: &IndexStats,
-    reactor: &ReactorStats,
-    stream: &StreamStats,
-    sql: &SqlStats,
-    ingest: &IngestStats,
-    shard: &ShardStats,
-    shard_workers: &[ShardWorkerStats],
-    selfscrape: &SelfScrapeStats,
-    process: &ProcessStats,
-) -> String {
-    let mut out = String::from("{\"routes\": {");
-    for (i, (label, s)) in routes.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+/// One `"key": value` member of a `/stats` object.
+fn member(key: &str, value: u64) -> String {
+    format!("\"{key}\": {value}")
+}
+
+/// A series' `/stats` members: its fields, then its latency summary.
+fn series_members(series: &Series) -> Vec<String> {
+    let fields = series.fields.iter().map(|f| member(f.key, f.value));
+    let summary = series.latency.iter().flat_map(|h| h.summary());
+    fields
+        .chain(summary.map(|(key, value)| member(key, value)))
+        .collect()
+}
+
+/// Render the `/stats` document: one block per family — its scalar
+/// fields, its raw bucket counts, and its labelled series (keyed by label,
+/// or as an array whose elements lead with their numeric label).
+pub fn stats_json(families: &[Family]) -> String {
+    let blocks = families.iter().map(|family| {
+        let mut members: Vec<String> = family
+            .fields
+            .iter()
+            .map(|f| member(f.key, f.value))
+            .collect();
+        if let Some(b) = &family.buckets {
+            let counts: Vec<String> = b.counts.iter().map(u64::to_string).collect();
+            members.push(format!("\"{}\": [{}]", b.key, counts.join(", ")));
         }
-        out.push_str(&format!(
-            "{}: {{\"count\": {}, \"errors\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"max_us\": {}, \"mean_us\": {}}}",
-            crate::json::quote(label),
-            s.count,
-            s.errors,
-            s.cache_hits,
-            s.cache_misses,
-            s.latency.quantile_us(0.50),
-            s.latency.quantile_us(0.95),
-            s.latency.max_us,
-            s.latency.mean_us(),
-        ));
-    }
-    out.push_str(&format!(
-        "}}, \"cache\": {{\"entries\": {}, \"bytes\": {}, \"hits\": {}, \"misses\": {}, \
-         \"evictions\": {}, \"invalidations\": {}}}",
-        cache.entries, cache.bytes, cache.hits, cache.misses, cache.evictions, cache.invalidations
-    ));
-    let buckets: Vec<String> = conns
-        .requests_per_connection
-        .iter()
-        .map(|n| n.to_string())
-        .collect();
-    out.push_str(&format!(
-        ", \"connections\": {{\"accepted\": {}, \"closed\": {}, \"reused\": {}, \
-         \"requests\": {}, \"idle_timeouts\": {}, \"io_timeouts\": {}, \
-         \"requests_per_connection\": [{}]}}",
-        conns.accepted,
-        conns.closed,
-        conns.reused,
-        conns.requests,
-        conns.idle_timeouts,
-        conns.io_timeouts,
-        buckets.join(", ")
-    ));
-    out.push_str(", \"operators\": {");
-    for (i, (name, s)) in operators.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+        if let Some(set) = &family.series {
+            match set.key {
+                None => members.extend(set.series.iter().map(|s| {
+                    let label = crate::json::quote(&s.label);
+                    format!("{label}: {{{}}}", series_members(s).join(", "))
+                })),
+                Some(key) => {
+                    let elements: Vec<String> = set
+                        .series
+                        .iter()
+                        .map(|s| {
+                            let mut members = vec![format!("\"{}\": {}", set.label, s.label)];
+                            members.extend(series_members(s));
+                            format!("{{{}}}", members.join(", "))
+                        })
+                        .collect();
+                    members.push(format!("\"{key}\": [{}]", elements.join(", ")));
+                }
+            }
         }
-        out.push_str(&format!(
-            "{}: {{\"runs\": {}, \"rows_in\": {}, \"rows_out\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"max_us\": {}, \"mean_us\": {}}}",
-            crate::json::quote(name),
-            s.runs,
-            s.rows_in,
-            s.rows_out,
-            s.latency.quantile_us(0.50),
-            s.latency.quantile_us(0.95),
-            s.latency.max_us,
-            s.latency.mean_us(),
-        ));
-    }
-    out.push('}');
-    out.push_str(&format!(
-        ", \"index\": {{\"builds\": {}, \"build_us\": {}, \"covered\": {}, \"fallback\": {}}}",
-        index.builds, index.build_us, index.covered, index.fallback
-    ));
-    out.push_str(&format!(
-        ", \"reactor\": {{\"registered\": {}, \"peak_registered\": {}, \"wakeups\": {}, \
-         \"ready_events\": {}, \"epollout_rearms\": {}, \"dispatched\": {}}}",
-        reactor.registered,
-        reactor.peak_registered,
-        reactor.wakeups,
-        reactor.ready_events,
-        reactor.epollout_rearms,
-        reactor.dispatched
-    ));
-    out.push_str(&format!(
-        ", \"stream\": {{\"ticks\": {}, \"rows_in\": {}, \"evicted_rows\": {}, \
-         \"frames_sent\": {}, \"frame_bytes\": {}, \"subscribers\": {}, \
-         \"peak_subscribers\": {}, \"dropped_subscribers\": {}}}",
-        stream.ticks,
-        stream.rows_in,
-        stream.evicted_rows,
-        stream.frames_sent,
-        stream.frame_bytes,
-        stream.subscribers,
-        stream.peak_subscribers,
-        stream.dropped_subscribers
-    ));
-    out.push_str(&format!(
-        ", \"sql\": {{\"queries\": {}, \"parse_errors\": {}, \"path_shared\": {}, \
-         \"parse_us\": {}, \"prepared_hits\": {}, \"prepared_evictions\": {}}}",
-        sql.queries,
-        sql.parse_errors,
-        sql.path_shared,
-        sql.parse_us,
-        sql.prepared_hits,
-        sql.prepared_evictions
-    ));
-    out.push_str(&format!(
-        ", \"ingest\": {{\"requests\": {}, \"rows\": {}, \"bytes\": {}, \"segments\": {}, \
-         \"decode_us\": {}, \"index_merges\": {}, \"index_merge_us\": {}, \
-         \"cold_rebuilds\": {}, \"aborted\": {}}}",
-        ingest.requests,
-        ingest.rows,
-        ingest.bytes,
-        ingest.segments,
-        ingest.decode_us,
-        ingest.index_merges,
-        ingest.index_merge_us,
-        ingest.cold_rebuilds,
-        ingest.aborted
-    ));
-    out.push_str(&format!(
-        ", \"shard\": {{\"workers\": {}, \"scatters\": {}, \"subqueries\": {}, \
-         \"partial_rows\": {}, \"gather_us\": {}, \"loads\": {}, \"load_rows\": {}, \
-         \"invalidations\": {}, \"stale_retries\": {}, \"fallbacks\": {}, \"per_worker\": [",
-        shard.workers,
-        shard.scatters,
-        shard.subqueries,
-        shard.partial_rows,
-        shard.gather_us,
-        shard.loads,
-        shard.load_rows,
-        shard.invalidations,
-        shard.stale_retries,
-        shard.fallbacks
-    ));
-    for (i, w) in shard_workers.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"shard\": {}, \"slices\": {}, \"rows\": {}, \"queries\": {}, \
-             \"result_hits\": {}, \"stale_rejects\": {}, \"busy_us\": {}}}",
-            w.shard, w.slices, w.rows, w.queries, w.result_hits, w.stale_rejects, w.busy_us
-        ));
-    }
-    out.push_str("]}");
-    out.push_str(&format!(
-        ", \"selfscrape\": {{\"scrapes\": {}, \"samples\": {}, \"evicted\": {}, \
-         \"retained\": {}, \"elapsed_us\": {}}}",
-        selfscrape.scrapes,
-        selfscrape.samples,
-        selfscrape.evicted,
-        selfscrape.retained,
-        selfscrape.elapsed_us
-    ));
-    out.push_str(&format!(
-        ", \"process\": {{\"rss_bytes\": {}, \"open_fds\": {}, \"threads\": {}, \
-         \"uptime_seconds\": {}}}}}",
-        process.rss_bytes, process.open_fds, process.threads, process.uptime_seconds
-    ));
-    out
+        format!("\"{}\": {{{}}}", family.name, members.join(", "))
+    });
+    format!("{{{}}}", blocks.collect::<Vec<_>>().join(", "))
 }
 
 // ---------------------------------------------------------------------------
@@ -280,410 +155,157 @@ fn seconds(us: u64) -> String {
     format!("{}", us as f64 / 1e6)
 }
 
-/// Append one cumulative histogram series (`_bucket`/`_sum`/`_count`) for
-/// a latency histogram, bucketed by [`LATENCY_BOUNDS_US`] in seconds.
-fn write_latency_histogram(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram) {
+/// A field's sample value: µs totals are exposed in seconds.
+fn sample_value(f: &Field) -> String {
+    match f.kind {
+        Kind::Micros => seconds(f.value),
+        Kind::Counter | Kind::Gauge => f.value.to_string(),
+    }
+}
+
+/// A field's `# TYPE` line.
+fn write_type(out: &mut String, name: &str, f: &Field) {
+    let kind = match f.kind {
+        Kind::Counter | Kind::Micros => "counter",
+        Kind::Gauge => "gauge",
+    };
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Append one cumulative histogram series (`_bucket`/`_sum`/`_count`).
+/// `label` is the series' `name="value"` pair, or empty; `bounds` are the
+/// rendered `le` values, one fewer than `counts` (the last bucket is
+/// `+Inf`).
+fn write_histogram(
+    out: &mut String,
+    name: &str,
+    label: &str,
+    bounds: impl Iterator<Item = String>,
+    counts: &[u64],
+    sum: &str,
+    count: u64,
+) {
+    let (before_le, series) = match label {
+        "" => (String::new(), String::new()),
+        label => (format!("{label},"), format!("{{{label}}}")),
+    };
     let mut cumulative = 0u64;
-    for (i, bound) in LATENCY_BOUNDS_US.iter().enumerate() {
-        cumulative += h.buckets[i];
+    for (n, bound) in counts.iter().zip(bounds.chain(["+Inf".to_string()])) {
+        cumulative += n;
         let _ = writeln!(
             out,
-            "{name}_bucket{{{labels}le=\"{}\"}} {cumulative}",
-            seconds(*bound)
+            "{name}_bucket{{{before_le}le=\"{bound}\"}} {cumulative}"
         );
     }
-    cumulative += h.buckets[LATENCY_BOUNDS_US.len()];
-    let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {cumulative}");
-    let _ = writeln!(
-        out,
-        "{name}_sum{{{labels_trim}}} {}",
-        seconds(h.total_us),
-        labels_trim = labels.trim_end_matches(',')
-    );
-    let _ = writeln!(
-        out,
-        "{name}_count{{{labels_trim}}} {}",
-        h.count,
-        labels_trim = labels.trim_end_matches(',')
-    );
+    let _ = writeln!(out, "{name}_sum{series} {sum}");
+    let _ = writeln!(out, "{name}_count{series} {count}");
 }
 
 /// Render the `/metrics` document: Prometheus text exposition (format
-/// 0.0.4) generated from the same registries that feed `/stats`. Counters
-/// and histograms only appear once at least one series exists, so every
-/// `# TYPE` line is followed by samples; bucket counts are cumulative with
-/// `le` bounds in seconds.
-#[allow(clippy::too_many_arguments)]
-pub fn prometheus_text(
-    routes: &BTreeMap<String, RouteStats>,
-    cache: &CacheStats,
-    conns: &ConnectionStats,
-    operators: &BTreeMap<String, OperatorStats>,
-    index: &IndexStats,
-    reactor: &ReactorStats,
-    stream: &StreamStats,
-    sql: &SqlStats,
-    ingest: &IngestStats,
-    shard: &ShardStats,
-    shard_workers: &[ShardWorkerStats],
-    selfscrape: &SelfScrapeStats,
-    process: &ProcessStats,
-) -> String {
+/// 0.0.4) of the same families that feed `/stats`. A labelled family only
+/// appears once it has a series, so every `# TYPE` line is directly
+/// followed by its samples; bucket counts are cumulative, latency `le`
+/// bounds are in seconds.
+pub fn prometheus_text(families: &[Family]) -> String {
     let mut out = String::new();
-    if !routes.is_empty() {
-        out.push_str("# TYPE shareinsights_requests_total counter\n");
-        for (label, s) in routes {
-            let _ = writeln!(
-                out,
-                "shareinsights_requests_total{{route=\"{}\"}} {}",
-                escape_label(label),
-                s.count
-            );
+    for family in families {
+        for f in family.fields.iter().filter(|f| !f.prom.is_empty()) {
+            let name = format!("{}_{}", family.prom, f.prom);
+            write_type(&mut out, &name, f);
+            let _ = writeln!(out, "{name} {}", sample_value(f));
         }
-        out.push_str("# TYPE shareinsights_request_errors_total counter\n");
-        for (label, s) in routes {
-            let _ = writeln!(
-                out,
-                "shareinsights_request_errors_total{{route=\"{}\"}} {}",
-                escape_label(label),
-                s.errors
-            );
-        }
-        out.push_str("# TYPE shareinsights_route_cache_hits_total counter\n");
-        for (label, s) in routes {
-            let _ = writeln!(
-                out,
-                "shareinsights_route_cache_hits_total{{route=\"{}\"}} {}",
-                escape_label(label),
-                s.cache_hits
-            );
-        }
-        out.push_str("# TYPE shareinsights_route_cache_misses_total counter\n");
-        for (label, s) in routes {
-            let _ = writeln!(
-                out,
-                "shareinsights_route_cache_misses_total{{route=\"{}\"}} {}",
-                escape_label(label),
-                s.cache_misses
-            );
-        }
-        out.push_str("# TYPE shareinsights_request_duration_seconds histogram\n");
-        for (label, s) in routes {
-            let labels = format!("route=\"{}\",", escape_label(label));
-            write_latency_histogram(
+        if let Some(b) = &family.buckets {
+            let _ = writeln!(out, "# TYPE {} histogram", b.prom);
+            write_histogram(
                 &mut out,
-                "shareinsights_request_duration_seconds",
-                &labels,
-                &s.latency,
+                b.prom,
+                "",
+                b.bounds.iter().map(u64::to_string),
+                &b.counts,
+                &b.sum.to_string(),
+                b.count,
             );
         }
-    }
-
-    // Query-result cache (entries/bytes are gauges: eviction shrinks them).
-    out.push_str("# TYPE shareinsights_query_cache_entries gauge\n");
-    let _ = writeln!(out, "shareinsights_query_cache_entries {}", cache.entries);
-    out.push_str("# TYPE shareinsights_query_cache_bytes gauge\n");
-    let _ = writeln!(out, "shareinsights_query_cache_bytes {}", cache.bytes);
-    for (name, value) in [
-        ("hits", cache.hits),
-        ("misses", cache.misses),
-        ("evictions", cache.evictions),
-        ("invalidations", cache.invalidations),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_query_cache_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_query_cache_{name}_total {value}");
-    }
-
-    // Connection-level counters and the requests-per-connection histogram.
-    for (name, value) in [
-        ("accepted", conns.accepted),
-        ("closed", conns.closed),
-        ("reused", conns.reused),
-        ("idle_timeouts", conns.idle_timeouts),
-        ("io_timeouts", conns.io_timeouts),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_connections_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_connections_{name}_total {value}");
-    }
-    out.push_str("# TYPE shareinsights_requests_per_connection histogram\n");
-    let mut cumulative = 0u64;
-    for (i, bound) in CONN_REQUESTS_BOUNDS.iter().enumerate() {
-        cumulative += conns.requests_per_connection[i];
-        let _ = writeln!(
-            out,
-            "shareinsights_requests_per_connection_bucket{{le=\"{bound}\"}} {cumulative}"
-        );
-    }
-    cumulative += conns.requests_per_connection[CONN_REQUESTS_BOUNDS.len()];
-    let _ = writeln!(
-        out,
-        "shareinsights_requests_per_connection_bucket{{le=\"+Inf\"}} {cumulative}"
-    );
-    // Sum of requests over closed connections IS the histogram's sum.
-    let _ = writeln!(
-        out,
-        "shareinsights_requests_per_connection_sum {}",
-        conns.requests
-    );
-    let _ = writeln!(
-        out,
-        "shareinsights_requests_per_connection_count {}",
-        conns.closed
-    );
-
-    // Per-operator engine histograms.
-    if !operators.is_empty() {
-        out.push_str("# TYPE shareinsights_operator_runs_total counter\n");
-        for (name, s) in operators {
-            let _ = writeln!(
-                out,
-                "shareinsights_operator_runs_total{{operator=\"{}\"}} {}",
-                escape_label(name),
-                s.runs
-            );
+        let Some(set) = &family.series else { continue };
+        let Some(shape) = set.series.first() else {
+            continue;
+        };
+        let label = |series: &Series| format!("{}=\"{}\"", set.label, escape_label(&series.label));
+        // Every series of a set has the same fields; fields that share a
+        // Prometheus name (told apart by their fixed label) share one TYPE.
+        let mut typed: Vec<&str> = Vec::new();
+        for shape_field in shape.fields.iter().filter(|f| !f.prom.is_empty()) {
+            if typed.contains(&shape_field.prom) {
+                continue;
+            }
+            typed.push(shape_field.prom);
+            let name = format!("{}_{}", set.prom, shape_field.prom);
+            write_type(&mut out, &name, shape_field);
+            for series in &set.series {
+                for f in series.fields.iter().filter(|f| f.prom == shape_field.prom) {
+                    let sep = if f.label.is_empty() { "" } else { "," };
+                    let _ = writeln!(
+                        out,
+                        "{name}{{{}{sep}{}}} {}",
+                        label(series),
+                        f.label,
+                        sample_value(f)
+                    );
+                }
+            }
         }
-        out.push_str("# TYPE shareinsights_operator_rows_total counter\n");
-        for (name, s) in operators {
-            let escaped = escape_label(name);
-            let _ = writeln!(
-                out,
-                "shareinsights_operator_rows_total{{operator=\"{escaped}\",direction=\"in\"}} {}",
-                s.rows_in
-            );
-            let _ = writeln!(
-                out,
-                "shareinsights_operator_rows_total{{operator=\"{escaped}\",direction=\"out\"}} {}",
-                s.rows_out
-            );
-        }
-        out.push_str("# TYPE shareinsights_operator_duration_seconds histogram\n");
-        for (name, s) in operators {
-            let labels = format!("operator=\"{}\",", escape_label(name));
-            write_latency_histogram(
-                &mut out,
-                "shareinsights_operator_duration_seconds",
-                &labels,
-                &s.latency,
-            );
-        }
-    }
-
-    // Index-acceleration counters: lazy per-column builds, and how query
-    // evaluations routed (accelerated kernel vs scan fallback).
-    for (name, value) in [
-        ("builds", index.builds),
-        ("covered_evals", index.covered),
-        ("fallback_evals", index.fallback),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_index_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_index_{name}_total {value}");
-    }
-    out.push_str("# TYPE shareinsights_index_build_seconds_total counter\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_index_build_seconds_total {}",
-        seconds(index.build_us)
-    );
-
-    // Reactor event-loop counters (all zero under thread-per-connection).
-    for (name, value) in [
-        ("registered_connections", reactor.registered),
-        ("peak_registered_connections", reactor.peak_registered),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_reactor_{name} gauge");
-        let _ = writeln!(out, "shareinsights_reactor_{name} {value}");
-    }
-    for (name, value) in [
-        ("wakeups", reactor.wakeups),
-        ("ready_events", reactor.ready_events),
-        ("epollout_rearms", reactor.epollout_rearms),
-        ("dispatched", reactor.dispatched),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_reactor_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_reactor_{name}_total {value}");
-    }
-
-    // Live-flow streaming: subscriber gauges plus per-tick/per-frame
-    // counters (all zero until a stream starts).
-    for (name, value) in [
-        ("subscribers", stream.subscribers),
-        ("peak_subscribers", stream.peak_subscribers),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_stream_{name} gauge");
-        let _ = writeln!(out, "shareinsights_stream_{name} {value}");
-    }
-    for (name, value) in [
-        ("ticks", stream.ticks),
-        ("rows_in", stream.rows_in),
-        ("evicted_rows", stream.evicted_rows),
-        ("frames_sent", stream.frames_sent),
-        ("frame_bytes", stream.frame_bytes),
-        ("dropped_subscribers", stream.dropped_subscribers),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_stream_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_stream_{name}_total {value}");
-    }
-
-    // SQL frontend: parse/lower outcomes and the shared malformed-query
-    // counter (all zero until an ad-hoc SQL query arrives).
-    for (name, value) in [
-        ("queries", sql.queries),
-        ("parse_errors", sql.parse_errors),
-        ("path_shared", sql.path_shared),
-        ("prepared_hits", sql.prepared_hits),
-        ("prepared_evictions", sql.prepared_evictions),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_sql_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_sql_{name}_total {value}");
-    }
-    out.push_str("# TYPE shareinsights_sql_parse_seconds_total counter\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_sql_parse_seconds_total {}",
-        seconds(sql.parse_us)
-    );
-
-    // Streaming ingestion: bounded-window body reads, parallel segment
-    // decode, and warm-index merges (all zero until the first ingest).
-    for (name, value) in [
-        ("requests", ingest.requests),
-        ("rows", ingest.rows),
-        ("bytes", ingest.bytes),
-        ("segments", ingest.segments),
-        ("index_merges", ingest.index_merges),
-        ("cold_rebuilds", ingest.cold_rebuilds),
-        ("aborted", ingest.aborted),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_ingest_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_ingest_{name}_total {value}");
-    }
-    out.push_str("# TYPE shareinsights_ingest_decode_seconds_total counter\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_ingest_decode_seconds_total {}",
-        seconds(ingest.decode_us)
-    );
-    out.push_str("# TYPE shareinsights_ingest_index_merge_seconds_total counter\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_ingest_index_merge_seconds_total {}",
-        seconds(ingest.index_merge_us)
-    );
-
-    // Sharded data plane: scatter/gather totals, plus per-shard series
-    // (labelled by dense shard id) only when workers exist — every TYPE
-    // line must be followed by at least one sample.
-    out.push_str("# TYPE shareinsights_shard_workers gauge\n");
-    let _ = writeln!(out, "shareinsights_shard_workers {}", shard.workers);
-    for (name, value) in [
-        ("scatters", shard.scatters),
-        ("subqueries", shard.subqueries),
-        ("partial_rows", shard.partial_rows),
-        ("loads", shard.loads),
-        ("load_rows", shard.load_rows),
-        ("invalidations", shard.invalidations),
-        ("stale_retries", shard.stale_retries),
-        ("fallbacks", shard.fallbacks),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_shard_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_shard_{name}_total {value}");
-    }
-    out.push_str("# TYPE shareinsights_shard_gather_seconds_total counter\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_shard_gather_seconds_total {}",
-        seconds(shard.gather_us)
-    );
-    if !shard_workers.is_empty() {
-        for (name, get) in [
-            (
-                "slices",
-                (|w: &ShardWorkerStats| w.slices) as fn(&ShardWorkerStats) -> u64,
-            ),
-            ("rows", |w| w.rows),
-        ] {
-            let _ = writeln!(out, "# TYPE shareinsights_shard_worker_{name} gauge");
-            for w in shard_workers {
-                let _ = writeln!(
-                    out,
-                    "shareinsights_shard_worker_{name}{{shard=\"{}\"}} {}",
-                    w.shard,
-                    get(w)
+        if !set.latency.is_empty() {
+            let name = format!("{}_{}", set.prom, set.latency);
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            for series in &set.series {
+                let Some(h) = &series.latency else { continue };
+                write_histogram(
+                    &mut out,
+                    &name,
+                    &label(series),
+                    LATENCY_BOUNDS_US.iter().map(|us| seconds(*us)),
+                    &h.buckets,
+                    &seconds(h.total_us),
+                    h.count,
                 );
             }
         }
-        for (name, get) in [
-            (
-                "queries",
-                (|w: &ShardWorkerStats| w.queries) as fn(&ShardWorkerStats) -> u64,
-            ),
-            ("result_hits", |w| w.result_hits),
-            ("stale_rejects", |w| w.stale_rejects),
-        ] {
-            let _ = writeln!(
-                out,
-                "# TYPE shareinsights_shard_worker_{name}_total counter"
-            );
-            for w in shard_workers {
-                let _ = writeln!(
-                    out,
-                    "shareinsights_shard_worker_{name}_total{{shard=\"{}\"}} {}",
-                    w.shard,
-                    get(w)
-                );
-            }
-        }
-        out.push_str("# TYPE shareinsights_shard_worker_busy_seconds_total counter\n");
-        for w in shard_workers {
-            let _ = writeln!(
-                out,
-                "shareinsights_shard_worker_busy_seconds_total{{shard=\"{}\"}} {}",
-                w.shard,
-                seconds(w.busy_us)
-            );
-        }
-    }
-
-    // Telemetry self-scrape: the scraper tick that feeds the `_system`
-    // history ring (all zero until a scrape runs).
-    for (name, value) in [
-        ("scrapes", selfscrape.scrapes),
-        ("samples", selfscrape.samples),
-        ("evicted_samples", selfscrape.evicted),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_selfscrape_{name}_total counter");
-        let _ = writeln!(out, "shareinsights_selfscrape_{name}_total {value}");
-    }
-    out.push_str("# TYPE shareinsights_selfscrape_retained_samples gauge\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_selfscrape_retained_samples {}",
-        selfscrape.retained
-    );
-    out.push_str("# TYPE shareinsights_selfscrape_seconds_total counter\n");
-    let _ = writeln!(
-        out,
-        "shareinsights_selfscrape_seconds_total {}",
-        seconds(selfscrape.elapsed_us)
-    );
-
-    // Process-level gauges read from /proc/self (zero on non-Linux, but
-    // the series always emit so every TYPE line has a sample).
-    for (name, value) in [
-        ("rss_bytes", process.rss_bytes),
-        ("open_fds", process.open_fds),
-        ("threads", process.threads),
-        ("uptime_seconds", process.uptime_seconds),
-    ] {
-        let _ = writeln!(out, "# TYPE shareinsights_process_{name} gauge");
-        let _ = writeln!(out, "shareinsights_process_{name} {value}");
     }
     out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cache::CacheStats;
+    use shareinsights_core::telemetry::{
+        ConnectionStats, IndexStats, IngestStats, LatencyHistogram, OperatorStats, ProcessStats,
+        ReactorStats, RouteStats, SelfScrapeStats, ShardStats, ShardWorkerStats, SqlStats,
+        StreamStats,
+    };
+    use shareinsights_tabular::io::json::parse_json;
+    use std::collections::BTreeMap;
+
+    /// Every leaf of a JSON document as `(path, rendered value)`, for the
+    /// tests that compare `/stats` bodies.
+    pub(crate) fn json_leaves(
+        node: &shareinsights_tabular::io::json::JsonValue,
+        path: &[String],
+        out: &mut Vec<(Vec<String>, String)>,
+    ) {
+        use shareinsights_tabular::io::json::JsonValue;
+        let join = |key: String| [path, &[key]].concat();
+        match node {
+            JsonValue::Object(members) => members
+                .iter()
+                .for_each(|(key, child)| json_leaves(child, &join(key.clone()), out)),
+            JsonValue::Array(items) => items
+                .iter()
+                .enumerate()
+                .for_each(|(i, child)| json_leaves(child, &join(i.to_string()), out)),
+            leaf => out.push((path.to_vec(), leaf.to_value().to_string())),
+        }
+    }
 
     #[test]
     fn labels_normalize_parameters() {
@@ -720,16 +342,20 @@ mod tests {
         assert!(allowed_methods(&["no", "such", "shape", "here"]).is_empty());
     }
 
-    #[test]
-    fn stats_json_parses() {
-        let mut routes = BTreeMap::new();
-        let mut s = RouteStats {
+    fn with_latency<const N: usize>(samples: [u64; N]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::default();
+        samples.into_iter().for_each(|us| h.record(us));
+        h
+    }
+
+    /// The fixture `tests/golden/stats.json` was rendered from at the
+    /// parent commit (`6c16169`), as one snapshot.
+    fn stats_fixture() -> Vec<Family> {
+        let route = RouteStats {
             count: 2,
+            latency: with_latency([100, 300]),
             ..RouteStats::default()
         };
-        s.latency.record(100);
-        s.latency.record(300);
-        routes.insert("GET /stats".to_string(), s);
         let mut conns = ConnectionStats {
             accepted: 3,
             closed: 2,
@@ -739,314 +365,145 @@ mod tests {
             ..ConnectionStats::default()
         };
         conns.requests_per_connection[2] = 2;
-        let mut operators = BTreeMap::new();
-        let mut op = OperatorStats {
+        let op = OperatorStats {
             runs: 3,
             rows_in: 1000,
             rows_out: 30,
-            ..OperatorStats::default()
+            latency: with_latency([200]),
         };
-        op.latency.record(200);
-        operators.insert("groupby".to_string(), op);
-        let index = IndexStats {
-            builds: 2,
-            build_us: 1500,
-            covered: 4,
-            fallback: 1,
+        let worker = |shard, stale_rejects, busy_us| ShardWorkerStats {
+            shard,
+            slices: 1,
+            rows: 500,
+            queries: 6,
+            result_hits: 2,
+            stale_rejects,
+            busy_us,
         };
-        let reactor = ReactorStats {
-            registered: 5,
-            peak_registered: 9,
-            wakeups: 40,
-            ready_events: 120,
-            epollout_rearms: 3,
-            dispatched: 100,
+        vec![
+            RouteStats::family(&BTreeMap::from([("GET /stats".to_string(), route)])),
+            crate::cache::family("cache", "shareinsights_query_cache", CacheStats::default()),
+            conns.family(),
+            OperatorStats::family(&BTreeMap::from([("groupby".to_string(), op)])),
+            IndexStats {
+                builds: 2,
+                build_us: 1500,
+                covered: 4,
+                fallback: 1,
+            }
+            .family(),
+            ReactorStats {
+                registered: 5,
+                peak_registered: 9,
+                wakeups: 40,
+                ready_events: 120,
+                epollout_rearms: 3,
+                dispatched: 100,
+            }
+            .family(),
+            StreamStats {
+                ticks: 4,
+                rows_in: 200,
+                evicted_rows: 10,
+                frames_sent: 12,
+                frame_bytes: 4096,
+                subscribers: 2,
+                peak_subscribers: 3,
+                dropped_subscribers: 1,
+            }
+            .family(),
+            SqlStats {
+                queries: 8,
+                parse_errors: 2,
+                path_shared: 5,
+                parse_us: 640,
+                prepared_hits: 3,
+                prepared_evictions: 2,
+            }
+            .family(),
+            IngestStats {
+                requests: 2,
+                rows: 4000,
+                bytes: 65536,
+                segments: 16,
+                decode_us: 7000,
+                index_merges: 2,
+                index_merge_us: 1200,
+                cold_rebuilds: 1,
+                aborted: 1,
+            }
+            .family(),
+            ShardStats {
+                workers: 4,
+                scatters: 6,
+                subqueries: 24,
+                partial_rows: 480,
+                gather_us: 900,
+                loads: 8,
+                load_rows: 4000,
+                invalidations: 2,
+                stale_retries: 1,
+                fallbacks: 3,
+            }
+            .family(&[worker(0, 1, 400), worker(1, 0, 380)]),
+            SelfScrapeStats {
+                scrapes: 3,
+                samples: 120,
+                evicted: 7,
+                retained: 113,
+                elapsed_us: 900,
+            }
+            .family(),
+            ProcessStats {
+                rss_bytes: 8_388_608,
+                open_fds: 12,
+                threads: 6,
+                uptime_seconds: 42,
+            }
+            .family(),
+        ]
+    }
+
+    #[test]
+    fn stats_json_keeps_every_leaf_of_the_parent_golden() {
+        let golden = parse_json(include_str!("../tests/golden/stats.json")).unwrap();
+        let doc = parse_json(&stats_json(&stats_fixture())).unwrap();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        json_leaves(&golden, &[], &mut want);
+        json_leaves(&doc, &[], &mut got);
+        assert!(want.len() > 90, "golden has {} leaves", want.len());
+        for leaf in &want {
+            assert!(got.contains(leaf), "{:?} = {} went missing", leaf.0, leaf.1);
+        }
+        // Nothing but the declared addition rides along.
+        assert_eq!(want.len(), got.len());
+    }
+
+    #[test]
+    fn stats_json_gains_only_the_result_cache_block() {
+        let mut families = stats_fixture();
+        let stats = CacheStats {
+            hits: 5,
+            entries: 2,
+            ..CacheStats::default()
         };
-        let stream = StreamStats {
-            ticks: 4,
-            rows_in: 200,
-            evicted_rows: 10,
-            frames_sent: 12,
-            frame_bytes: 4096,
-            subscribers: 2,
-            peak_subscribers: 3,
-            dropped_subscribers: 1,
-        };
-        let sql = SqlStats {
-            queries: 8,
-            parse_errors: 2,
-            path_shared: 5,
-            parse_us: 640,
-            prepared_hits: 3,
-            prepared_evictions: 2,
-        };
-        let ingest = IngestStats {
-            requests: 2,
-            rows: 4000,
-            bytes: 65536,
-            segments: 16,
-            decode_us: 7000,
-            index_merges: 2,
-            index_merge_us: 1200,
-            cold_rebuilds: 1,
-            aborted: 1,
-        };
-        let shard = ShardStats {
-            workers: 4,
-            scatters: 6,
-            subqueries: 24,
-            partial_rows: 480,
-            gather_us: 900,
-            loads: 8,
-            load_rows: 4000,
-            invalidations: 2,
-            stale_retries: 1,
-            fallbacks: 3,
-        };
-        let shard_workers = vec![
-            ShardWorkerStats {
-                shard: 0,
-                slices: 1,
-                rows: 500,
-                queries: 6,
-                result_hits: 2,
-                stale_rejects: 1,
-                busy_us: 400,
-            },
-            ShardWorkerStats {
-                shard: 1,
-                slices: 1,
-                rows: 500,
-                queries: 6,
-                result_hits: 2,
-                stale_rejects: 0,
-                busy_us: 380,
-            },
-        ];
-        let selfscrape = SelfScrapeStats {
-            scrapes: 3,
-            samples: 120,
-            evicted: 7,
-            retained: 113,
-            elapsed_us: 900,
-        };
-        let process = ProcessStats {
-            rss_bytes: 8_388_608,
-            open_fds: 12,
-            threads: 6,
-            uptime_seconds: 42,
-        };
-        let json = stats_json(
-            &routes,
-            &CacheStats::default(),
-            &conns,
-            &operators,
-            &index,
-            &reactor,
-            &stream,
-            &sql,
-            &ingest,
-            &shard,
-            &shard_workers,
-            &selfscrape,
-            &process,
-        );
-        let doc = shareinsights_tabular::io::json::parse_json(&json).unwrap();
-        assert_eq!(
-            doc.path("routes.GET /stats.count")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(2)
-        );
-        assert_eq!(doc.path("cache.hits").unwrap().to_value().as_int(), Some(0));
-        assert_eq!(
-            doc.path("connections.accepted")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(3)
-        );
-        assert_eq!(
-            doc.path("connections.reused").unwrap().to_value().as_int(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.path("connections.requests_per_connection.2")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("operators.groupby.runs")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(3)
-        );
-        assert_eq!(
-            doc.path("operators.groupby.rows_in")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(1000)
-        );
-        assert_eq!(
-            doc.path("index.builds").unwrap().to_value().as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("index.build_us").unwrap().to_value().as_int(),
-            Some(1500)
-        );
-        assert_eq!(
-            doc.path("index.covered").unwrap().to_value().as_int(),
-            Some(4)
-        );
-        assert_eq!(
-            doc.path("index.fallback").unwrap().to_value().as_int(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.path("reactor.registered").unwrap().to_value().as_int(),
-            Some(5)
-        );
-        assert_eq!(
-            doc.path("reactor.peak_registered")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(9)
-        );
-        assert_eq!(
-            doc.path("reactor.ready_events")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(120)
-        );
-        assert_eq!(
-            doc.path("reactor.epollout_rearms")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(3)
-        );
-        assert_eq!(
-            doc.path("stream.ticks").unwrap().to_value().as_int(),
-            Some(4)
-        );
-        assert_eq!(
-            doc.path("stream.subscribers").unwrap().to_value().as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("stream.dropped_subscribers")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.path("sql.queries").unwrap().to_value().as_int(),
-            Some(8)
-        );
-        assert_eq!(
-            doc.path("sql.parse_errors").unwrap().to_value().as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("sql.path_shared").unwrap().to_value().as_int(),
-            Some(5)
-        );
-        assert_eq!(
-            doc.path("sql.parse_us").unwrap().to_value().as_int(),
-            Some(640)
-        );
-        assert_eq!(
-            doc.path("sql.prepared_hits").unwrap().to_value().as_int(),
-            Some(3)
-        );
-        assert_eq!(
-            doc.path("sql.prepared_evictions")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("ingest.requests").unwrap().to_value().as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("ingest.rows").unwrap().to_value().as_int(),
-            Some(4000)
-        );
-        assert_eq!(
-            doc.path("ingest.index_merges").unwrap().to_value().as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("ingest.aborted").unwrap().to_value().as_int(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.path("ingest.cold_rebuilds")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.path("shard.workers").unwrap().to_value().as_int(),
-            Some(4)
-        );
-        assert_eq!(
-            doc.path("shard.scatters").unwrap().to_value().as_int(),
-            Some(6)
-        );
-        assert_eq!(
-            doc.path("shard.stale_retries").unwrap().to_value().as_int(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.path("shard.per_worker.1.rows")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(500)
-        );
-        assert_eq!(
-            doc.path("shard.per_worker.0.result_hits")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.path("selfscrape.scrapes").unwrap().to_value().as_int(),
-            Some(3)
-        );
-        assert_eq!(
-            doc.path("selfscrape.retained").unwrap().to_value().as_int(),
-            Some(113)
-        );
-        assert_eq!(
-            doc.path("process.rss_bytes").unwrap().to_value().as_int(),
-            Some(8_388_608)
-        );
-        assert_eq!(
-            doc.path("process.threads").unwrap().to_value().as_int(),
-            Some(6)
-        );
-        assert_eq!(
-            doc.path("process.uptime_seconds")
-                .unwrap()
-                .to_value()
-                .as_int(),
-            Some(42)
-        );
+        families.push(crate::cache::family(
+            "result_cache",
+            "shareinsights_result_cache",
+            stats,
+        ));
+        let doc = parse_json(&stats_json(&families)).unwrap();
+        let int = |path: &str| doc.path(path).unwrap().to_value().as_int();
+        assert_eq!(int("result_cache.hits"), Some(5));
+        assert_eq!(int("result_cache.entries"), Some(2));
+        assert_eq!(int("shard.per_worker.1.rows"), Some(500));
+        assert_eq!(int("routes.GET /stats.p95_us"), Some(300));
+        let text = prometheus_text(&families);
+        assert!(text.contains(
+            "# TYPE shareinsights_result_cache_hits_total counter\n\
+             shareinsights_result_cache_hits_total 5\n"
+        ));
+        assert!(text.contains("shareinsights_result_cache_entries 2\n"));
     }
 
     /// One `name{labels} value` sample line.
@@ -1079,19 +536,17 @@ mod tests {
         (types, samples)
     }
 
-    fn sample_metrics() -> String {
-        let mut routes = BTreeMap::new();
-        let mut s = RouteStats {
+    /// The fixture `tests/golden/metrics.txt` was rendered from at the
+    /// parent commit (`6c16169`), as one snapshot.
+    fn metrics_fixture() -> Vec<Family> {
+        let route = RouteStats {
             count: 3,
             errors: 1,
             cache_hits: 1,
             cache_misses: 2,
-            ..RouteStats::default()
+            // The 9 s sample lands in the open-ended bucket.
+            latency: with_latency([80, 300, 9_000_000]),
         };
-        s.latency.record(80);
-        s.latency.record(300);
-        s.latency.record(9_000_000); // lands in the open-ended bucket
-        routes.insert("GET /:dashboard/ds/:dataset/query".to_string(), s);
         let mut conns = ConnectionStats {
             accepted: 2,
             closed: 2,
@@ -1101,16 +556,12 @@ mod tests {
         };
         conns.requests_per_connection[0] = 1;
         conns.requests_per_connection[3] = 1;
-        let mut operators = BTreeMap::new();
-        let mut op = OperatorStats {
+        let op = OperatorStats {
             runs: 2,
             rows_in: 2000,
             rows_out: 50,
-            ..OperatorStats::default()
+            latency: with_latency([400, 600]),
         };
-        op.latency.record(400);
-        op.latency.record(600);
-        operators.insert("groupby".to_string(), op);
         let cache = CacheStats {
             entries: 4,
             bytes: 1024,
@@ -1119,98 +570,120 @@ mod tests {
             evictions: 1,
             invalidations: 2,
         };
-        let index = IndexStats {
-            builds: 3,
-            build_us: 2_000_000,
-            covered: 8,
-            fallback: 2,
-        };
-        let reactor = ReactorStats {
-            registered: 4,
-            peak_registered: 6,
-            wakeups: 10,
-            ready_events: 25,
-            epollout_rearms: 2,
-            dispatched: 20,
-        };
-        let stream = StreamStats {
-            ticks: 6,
-            rows_in: 600,
-            evicted_rows: 50,
-            frames_sent: 18,
-            frame_bytes: 9216,
-            subscribers: 5,
-            peak_subscribers: 7,
-            dropped_subscribers: 2,
-        };
-        let sql = SqlStats {
-            queries: 9,
-            parse_errors: 4,
-            path_shared: 6,
-            parse_us: 3_000_000,
-            prepared_hits: 5,
-            prepared_evictions: 7,
-        };
-        let ingest = IngestStats {
-            requests: 3,
-            rows: 12_000,
-            bytes: 262_144,
-            segments: 24,
-            decode_us: 5_000_000,
-            index_merges: 2,
-            index_merge_us: 2_000_000,
-            cold_rebuilds: 3,
-            aborted: 1,
-        };
-        let shard = ShardStats {
-            workers: 2,
-            scatters: 11,
-            subqueries: 22,
-            partial_rows: 700,
-            gather_us: 4_000_000,
-            loads: 4,
-            load_rows: 9000,
-            invalidations: 3,
-            stale_retries: 1,
-            fallbacks: 5,
-        };
-        let shard_workers = vec![ShardWorkerStats {
-            shard: 0,
-            slices: 2,
-            rows: 4500,
-            queries: 11,
-            result_hits: 3,
-            stale_rejects: 1,
-            busy_us: 2_000_000,
-        }];
-        let selfscrape = SelfScrapeStats {
-            scrapes: 5,
-            samples: 250,
-            evicted: 30,
-            retained: 220,
-            elapsed_us: 4_000_000,
-        };
-        let process = ProcessStats {
-            rss_bytes: 16_777_216,
-            open_fds: 24,
-            threads: 9,
-            uptime_seconds: 77,
-        };
-        prometheus_text(
-            &routes,
-            &cache,
-            &conns,
-            &operators,
-            &index,
-            &reactor,
-            &stream,
-            &sql,
-            &ingest,
-            &shard,
-            &shard_workers,
-            &selfscrape,
-            &process,
-        )
+        let route_label = "GET /:dashboard/ds/:dataset/query".to_string();
+        vec![
+            RouteStats::family(&BTreeMap::from([(route_label, route)])),
+            crate::cache::family("cache", "shareinsights_query_cache", cache),
+            conns.family(),
+            OperatorStats::family(&BTreeMap::from([("groupby".to_string(), op)])),
+            IndexStats {
+                builds: 3,
+                build_us: 2_000_000,
+                covered: 8,
+                fallback: 2,
+            }
+            .family(),
+            ReactorStats {
+                registered: 4,
+                peak_registered: 6,
+                wakeups: 10,
+                ready_events: 25,
+                epollout_rearms: 2,
+                dispatched: 20,
+            }
+            .family(),
+            StreamStats {
+                ticks: 6,
+                rows_in: 600,
+                evicted_rows: 50,
+                frames_sent: 18,
+                frame_bytes: 9216,
+                subscribers: 5,
+                peak_subscribers: 7,
+                dropped_subscribers: 2,
+            }
+            .family(),
+            SqlStats {
+                queries: 9,
+                parse_errors: 4,
+                path_shared: 6,
+                parse_us: 3_000_000,
+                prepared_hits: 5,
+                prepared_evictions: 7,
+            }
+            .family(),
+            IngestStats {
+                requests: 3,
+                rows: 12_000,
+                bytes: 262_144,
+                segments: 24,
+                decode_us: 5_000_000,
+                index_merges: 2,
+                index_merge_us: 2_000_000,
+                cold_rebuilds: 3,
+                aborted: 1,
+            }
+            .family(),
+            ShardStats {
+                workers: 2,
+                scatters: 11,
+                subqueries: 22,
+                partial_rows: 700,
+                gather_us: 4_000_000,
+                loads: 4,
+                load_rows: 9000,
+                invalidations: 3,
+                stale_retries: 1,
+                fallbacks: 5,
+            }
+            .family(&[ShardWorkerStats {
+                shard: 0,
+                slices: 2,
+                rows: 4500,
+                queries: 11,
+                result_hits: 3,
+                stale_rejects: 1,
+                busy_us: 2_000_000,
+            }]),
+            SelfScrapeStats {
+                scrapes: 5,
+                samples: 250,
+                evicted: 30,
+                retained: 220,
+                elapsed_us: 4_000_000,
+            }
+            .family(),
+            ProcessStats {
+                rss_bytes: 16_777_216,
+                open_fds: 24,
+                threads: 9,
+                uptime_seconds: 77,
+            }
+            .family(),
+        ]
+    }
+
+    fn sample_metrics() -> String {
+        prometheus_text(&metrics_fixture())
+    }
+
+    #[test]
+    fn prometheus_keeps_every_line_of_the_parent_golden() {
+        let golden = include_str!("../tests/golden/metrics.txt");
+        let text = sample_metrics();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(golden.lines().count() > 150);
+        for line in golden.lines() {
+            assert!(lines.contains(&line), "line went missing: {line}");
+        }
+        assert_eq!(golden.lines().count(), lines.len(), "nothing rides along");
+        // Each TYPE is still directly followed by a sample of its family.
+        for pair in lines.windows(2) {
+            if let Some(rest) = pair[0].strip_prefix("# TYPE ") {
+                let name = rest.split(' ').next().unwrap();
+                assert!(pair[1].starts_with(name), "{} then {}", pair[0], pair[1]);
+            }
+        }
     }
 
     #[test]
@@ -1357,23 +830,8 @@ mod tests {
         assert!(text.contains("shareinsights_process_threads 9"));
         assert!(text.contains("shareinsights_process_uptime_seconds 77"));
         // Label escaping.
-        let mut routes = BTreeMap::new();
-        routes.insert("a\"b\\c".to_string(), RouteStats::default());
-        let escaped = prometheus_text(
-            &routes,
-            &CacheStats::default(),
-            &ConnectionStats::default(),
-            &BTreeMap::new(),
-            &IndexStats::default(),
-            &ReactorStats::default(),
-            &StreamStats::default(),
-            &SqlStats::default(),
-            &IngestStats::default(),
-            &ShardStats::default(),
-            &[],
-            &SelfScrapeStats::default(),
-            &ProcessStats::default(),
-        );
+        let routes = BTreeMap::from([("a\"b\\c".to_string(), RouteStats::default())]);
+        let escaped = prometheus_text(&[RouteStats::family(&routes)]);
         assert!(escaped.contains("route=\"a\\\"b\\\\c\""), "{escaped}");
     }
 

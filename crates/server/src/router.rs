@@ -10,9 +10,9 @@ use crate::sql::{lower_plan, parse_error_response, LoweredSql};
 use crate::stream::{StreamHub, Subscription};
 use crate::traces::{trace_json, trace_list_json};
 use crate::wire::sse_frame;
-use parking_lot::Mutex;
+use parking_lot::{Lru, Mutex};
 use shareinsights_core::trace::{Span, TraceId};
-use shareinsights_core::{EventLog, Partitioning, Platform, ShardWorkerStats};
+use shareinsights_core::{EventLog, Family, Partitioning, Platform};
 use shareinsights_tabular::{IndexedTable, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -85,10 +85,13 @@ pub struct Server {
     /// Live-flow subscriber registry: stream pushes publish generation
     /// delta frames here, subscribe requests register here.
     hub: Arc<StreamHub>,
-    /// Prepared-statement cache: SQL text → lowered plan, so hot
-    /// statements skip the parse + lower frontend entirely. Join-free
-    /// plans only — joins embed resolved table snapshots at lower time.
-    prepared: Arc<Mutex<PreparedCache>>,
+    /// Prepared-statement cache: SQL text → (`FROM` table, lowered plan),
+    /// so hot statements skip the parse + lower frontend entirely while
+    /// the route-matches-FROM check still runs on hits. Join-free plans
+    /// only — joins embed resolved table snapshots at lower time.
+    /// Unstamped (a statement's plan does not depend on the data);
+    /// evictions surface as `sql.prepared_evictions`.
+    prepared: Arc<Mutex<PreparedStatements>>,
     /// Scatter/gather shard set (see [`crate::shard`]). `None` keeps
     /// single-shard execution; [`Server::with_shards`] attaches one.
     shards: Option<Arc<ShardSet>>,
@@ -98,87 +101,15 @@ pub struct Server {
     event_log: EventLog,
 }
 
-/// One prepared SQL statement: the lowered plan plus the `FROM` table
-/// name, so the route-matches-FROM check still runs on cache hits.
-struct PreparedEntry {
-    table: String,
-    lowered: Arc<LoweredSql>,
-    /// Approximate heap cost charged against [`PREPARED_CACHE_BYTES`].
-    bytes: usize,
-    /// LRU stamp: the cache clock at the entry's last touch.
-    last_used: u64,
-}
+type PreparedStatements = Lru<String, (String, Arc<LoweredSql>)>;
 
-/// Prepared-statement cache entry bound. Statement texts and lowered ops
-/// are small; with at most this many entries the O(n) LRU victim scan in
-/// [`PreparedCache::insert`] is trivial.
+/// Prepared-statement cache entry bound.
 const PREPARED_CACHE_CAP: usize = 256;
 
-/// Prepared-statement cache byte budget over statement texts plus an
-/// estimated per-op plan cost — the second bound that keeps a few huge
-/// generated statements from pinning the whole cap.
+/// Prepared-statement cache byte budget over [`prepared_cost`] — the
+/// second bound that keeps a few huge generated statements from pinning
+/// the whole cap.
 const PREPARED_CACHE_BYTES: usize = 1 << 20;
-
-/// LRU prepared-statement cache bounded by entries *and* bytes. Evictions
-/// are one-at-a-time (oldest stamp first) and surface in the
-/// `sql.prepared_evictions` counter rather than silently clearing the map.
-#[derive(Default)]
-struct PreparedCache {
-    entries: HashMap<String, PreparedEntry>,
-    bytes: usize,
-    clock: u64,
-}
-
-impl PreparedCache {
-    /// Look up a statement, refreshing its LRU stamp on hit.
-    fn get(&mut self, src: &str) -> Option<(String, Arc<LoweredSql>)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(src).map(|e| {
-            e.last_used = clock;
-            (e.table.clone(), Arc::clone(&e.lowered))
-        })
-    }
-
-    /// Insert a statement, evicting least-recently-used entries until both
-    /// budgets hold. Returns how many entries were evicted.
-    fn insert(&mut self, src: String, table: String, lowered: Arc<LoweredSql>) -> u64 {
-        let bytes = prepared_cost(&src, &lowered);
-        if let Some(old) = self.entries.remove(&src) {
-            self.bytes -= old.bytes;
-        }
-        let mut evicted = 0u64;
-        while !self.entries.is_empty()
-            && (self.entries.len() >= PREPARED_CACHE_CAP
-                || self.bytes + bytes > PREPARED_CACHE_BYTES)
-        {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim.and_then(|k| self.entries.remove(&k)) {
-                Some(e) => {
-                    self.bytes -= e.bytes;
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        self.clock += 1;
-        self.bytes += bytes;
-        self.entries.insert(
-            src,
-            PreparedEntry {
-                table,
-                lowered,
-                bytes,
-                last_used: self.clock,
-            },
-        );
-        evicted
-    }
-}
 
 /// Approximate heap cost of one prepared entry: the statement text, the
 /// canonical cache path, and a flat per-op charge for the lowered plan.
@@ -187,20 +118,19 @@ fn prepared_cost(src: &str, lowered: &LoweredSql) -> usize {
 }
 
 impl Server {
-    /// Wrap a platform with a default-sized query cache.
+    /// Wrap a platform.
     pub fn new(platform: Platform) -> Server {
-        Server::with_cache(platform, QueryCache::default())
-    }
-
-    /// Wrap a platform with an explicitly sized query cache.
-    pub fn with_cache(platform: Platform, cache: QueryCache) -> Server {
         Server {
             platform,
-            cache: Arc::new(cache),
+            cache: Arc::new(QueryCache::default()),
             results: Arc::new(ResultCache::default()),
             indexes: Arc::new(Mutex::new(HashMap::new())),
             hub: Arc::new(StreamHub::new()),
-            prepared: Arc::new(Mutex::new(PreparedCache::default())),
+            prepared: Arc::new(Mutex::new(Lru::weighted(
+                PREPARED_CACHE_CAP,
+                PREPARED_CACHE_BYTES,
+                |src, (_, lowered)| prepared_cost(src, lowered),
+            ))),
             shards: None,
             event_log: EventLog::stderr(),
         }
@@ -258,13 +188,27 @@ impl Server {
         self.shards.as_ref()
     }
 
-    /// Per-shard worker counters for `/stats` and `/metrics` (empty when
-    /// sharding is disabled).
-    fn shard_worker_stats(&self) -> Vec<ShardWorkerStats> {
-        self.shards
-            .as_ref()
-            .map(|s| s.worker_stats())
-            .unwrap_or_default()
+    /// One snapshot of every metric family — the platform registry (with
+    /// the shard workers' own counters, when sharding is on) plus the
+    /// server-side caches. `/stats`, `/metrics` and the `_system` scrape
+    /// all render this.
+    pub(crate) fn metric_families(&self) -> Vec<Family> {
+        let workers = self.shards.as_ref().map(|s| s.worker_stats());
+        let mut families = self
+            .platform
+            .api_metrics()
+            .families(workers.as_deref().unwrap_or_default());
+        families.push(crate::cache::family(
+            "cache",
+            "shareinsights_query_cache",
+            self.cache.stats(),
+        ));
+        families.push(crate::cache::family(
+            "result_cache",
+            "shareinsights_result_cache",
+            self.results.stats(),
+        ));
+        families
     }
 
     /// Drop every derived cache tier — page cache, result cache, indexed
@@ -366,38 +310,10 @@ impl Server {
     ) -> Response {
         let segments = request.segments();
         match (request.method, segments.as_slice()) {
-            (Method::Get, ["stats"]) => Response::json(stats_json(
-                &self.platform.api_metrics().snapshot(),
-                &self.cache.stats(),
-                &self.platform.api_metrics().connections(),
-                &self.platform.api_metrics().operators(),
-                &self.platform.api_metrics().index(),
-                &self.platform.api_metrics().reactor(),
-                &self.platform.api_metrics().stream(),
-                &self.platform.api_metrics().sql(),
-                &self.platform.api_metrics().ingest(),
-                &self.platform.api_metrics().shard(),
-                &self.shard_worker_stats(),
-                &self.platform.api_metrics().selfscrape(),
-                &shareinsights_core::process_stats(),
-            )),
+            (Method::Get, ["stats"]) => Response::json(stats_json(&self.metric_families())),
             (Method::Get, ["metrics"]) => Response {
                 status: Status::Ok,
-                body: prometheus_text(
-                    &self.platform.api_metrics().snapshot(),
-                    &self.cache.stats(),
-                    &self.platform.api_metrics().connections(),
-                    &self.platform.api_metrics().operators(),
-                    &self.platform.api_metrics().index(),
-                    &self.platform.api_metrics().reactor(),
-                    &self.platform.api_metrics().stream(),
-                    &self.platform.api_metrics().sql(),
-                    &self.platform.api_metrics().ingest(),
-                    &self.platform.api_metrics().shard(),
-                    &self.shard_worker_stats(),
-                    &self.platform.api_metrics().selfscrape(),
-                    &shareinsights_core::process_stats(),
-                ),
+                body: prometheus_text(&self.metric_families()),
                 content_type: "text/plain; version=0.0.4",
             },
             (Method::Get, ["trace", "recent"]) => {
@@ -615,42 +531,24 @@ impl Server {
             + self.platform.publish_registry().generation(dataset)
     }
 
-    /// One telemetry scrape tick: sample the whole
-    /// [`ApiMetrics`](shareinsights_core::ApiMetrics) registry (plus the
-    /// server-side cache and process families) into
-    /// the history ring, record the scrape's own cost as
-    /// `selfscrape` meta-telemetry, and fan the delta out to
-    /// `_system/telemetry` SSE subscribers. The serving layer calls this
-    /// on its scraper tick ([`crate::serve::ServeOptions::scrape_interval`]);
-    /// tests and embedders may call it directly.
+    /// One telemetry scrape tick: sample every metric family (the same
+    /// snapshot `/stats` and `/metrics` render) into the history ring,
+    /// record the scrape's own cost as `selfscrape` meta-telemetry, and
+    /// fan the delta out to `_system/telemetry` SSE subscribers. The
+    /// serving layer calls this on its scraper tick
+    /// ([`crate::serve::ServeOptions::scrape_interval`]); tests and
+    /// embedders may call it directly.
     pub fn scrape_telemetry(&self) -> shareinsights_core::ScrapeOutcome {
-        use shareinsights_core::Sample;
         let started = Instant::now();
         let ts_us = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros() as i64)
             .unwrap_or(0);
-        let qc = self.cache.stats();
-        let rc = self.results.stats();
-        let p = shareinsights_core::process_stats();
-        let extra = vec![
-            Sample::new("cache", "query_entries", qc.entries as i64),
-            Sample::new("cache", "query_bytes", qc.bytes as i64),
-            Sample::new("cache", "query_evictions", qc.evictions as i64),
-            Sample::new("cache", "query_invalidations", qc.invalidations as i64),
-            Sample::new("cache", "result_entries", rc.entries as i64),
-            Sample::new("cache", "result_hits", rc.hits as i64),
-            Sample::new("cache", "result_misses", rc.misses as i64),
-            Sample::new("process", "rss_bytes", p.rss_bytes as i64),
-            Sample::new("process", "open_fds", p.open_fds as i64),
-            Sample::new("process", "threads", p.threads as i64),
-            Sample::new("process", "uptime_seconds", p.uptime_seconds as i64),
-        ];
         let metrics = self.platform.api_metrics();
         let outcome = self
             .platform
             .telemetry_history()
-            .scrape(metrics, ts_us, extra);
+            .scrape(&self.metric_families(), ts_us);
         metrics.record_selfscrape(
             outcome.samples as u64,
             outcome.evicted as u64,
@@ -1076,7 +974,7 @@ impl Server {
         // Prepared-statement cache: hot statements skip parse + lower
         // entirely. Only the FROM-matches-dataset check re-runs, because
         // the same text can arrive on a different dataset's route.
-        let hit = self.prepared.lock().get(src);
+        let hit = self.prepared.lock().get(src, 0);
         if let Some((table, lowered)) = hit {
             if table != dataset {
                 self.platform.api_metrics().record_sql_parse_error();
@@ -1177,10 +1075,10 @@ impl Server {
         // with joins embed resolved table snapshots at lower time, so
         // they must re-lower to see fresh data and are never cached.
         if lowered.join_tables.is_empty() {
-            let evicted = self.prepared.lock().insert(
+            let evicted = self.prepared.lock().put(
                 src.to_string(),
-                plan.table.clone(),
-                Arc::new(lowered.clone()),
+                0,
+                (plan.table.clone(), Arc::new(lowered.clone())),
             );
             if evicted > 0 {
                 self.platform
@@ -2317,6 +2215,127 @@ F:
         // Unknown datasets under _system are 404s, not user-data lookups.
         let r = server.handle(&Request::get("/_system/ds/ghost"));
         assert_eq!(r.status, Status::NotFound);
+    }
+
+    /// `_system/ds/telemetry` as `(family, label, value)` rows.
+    fn telemetry_rows(server: &Server) -> Vec<(String, String, String)> {
+        let r = server.handle(&Request::get("/_system/ds/telemetry"));
+        let doc = shareinsights_tabular::io::json::parse_json(&r.body).unwrap();
+        let mut cells = Vec::new();
+        crate::metrics::tests::json_leaves(doc.path("rows").unwrap(), &[], &mut cells);
+        cells
+            .chunks(4)
+            .map(|row| (row[1].1.clone(), row[2].1.clone(), row[3].1.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn system_scrape_carries_every_stats_family_and_field() {
+        // ROADMAP aim 4 bug: ingest, shard, selfscrape, sql.prepared_* and
+        // stream.peak_subscribers never reached `_system`. Walk the
+        // `/stats` body, not a hand list.
+        let server = served().with_shards(2);
+        let query = Request::get("/retail/ds/brand_sales/groupby/region/count/brand");
+        server.handle(&query);
+        server.handle(&query);
+        post_sql(&server, "select region from brand_sales");
+        post_sql(&server, "select region from brand_sales");
+        let ingest = Request::new(Method::Post, "/dashboards/retail/ds/brand_sales/ingest")
+            .with_body("region,brand,revenue\nwest,acme,3\n");
+        assert!(server.handle(&ingest).is_ok());
+        server.scrape_telemetry();
+        let stats = server.handle(&Request::get("/stats"));
+        let stats = shareinsights_tabular::io::json::parse_json(&stats.body).unwrap();
+        let rows = telemetry_rows(&server);
+
+        // Array-nested series lead with their id in `/stats`; in `_system`
+        // the id is part of the label.
+        let families = server.metric_families();
+        let nested: Vec<(&str, &str)> = families
+            .iter()
+            .filter_map(|f| f.series.as_ref())
+            .filter_map(|set| Some((set.key?, set.label)))
+            .collect();
+        let mut leaves = Vec::new();
+        crate::metrics::tests::json_leaves(&stats, &[], &mut leaves);
+        let mut checked = std::collections::BTreeSet::new();
+        let mut stats_only = 0;
+        for (path, value) in &leaves {
+            let (family, key) = (path[0].as_str(), path[path.len() - 1].as_str());
+            let middle = path[1..path.len() - 1].join(".");
+            let bucket_count = key.parse::<usize>().is_ok();
+            let worker = nested.iter().find(|(array, _)| path[1] == *array);
+            if bucket_count || worker.is_some_and(|(_, id)| key == *id) {
+                stats_only += 1;
+                continue;
+            }
+            let label = match middle.as_str() {
+                "" => key.to_string(),
+                series => format!("{series}|{key}"),
+            };
+            let row = rows
+                .iter()
+                .find(|(f, l, _)| f == family && *l == label)
+                .unwrap_or_else(|| panic!("{family}|{label} is in /stats, not in _system"));
+            // The scrape records itself, the process moves on and a shard
+            // worker's busy time includes answering the stats frame; every
+            // other series stands still between the scrape and `/stats`.
+            if !["selfscrape", "process"].contains(&family) && worker.is_none() {
+                assert_eq!(&row.2, value, "{family}|{label}");
+            }
+            checked.insert(family);
+        }
+        let names: std::collections::BTreeSet<&str> = families.iter().map(|f| f.name).collect();
+        assert_eq!(checked, names);
+        assert_eq!(
+            rows.len(),
+            leaves.len() - stats_only,
+            "no row without a leaf"
+        );
+        // The counters the old hand lists dropped are live, not just present.
+        let value = |family: &str, label: &str| {
+            let row = rows.iter().find(|(f, l, _)| f == family && l == label);
+            row.unwrap().2.parse::<i64>().unwrap()
+        };
+        assert_eq!(value("sql", "prepared_hits"), 1);
+        assert_eq!(value("ingest", "requests"), 1);
+        assert_eq!(value("shard", "workers"), 2);
+        assert!(value("result_cache", "misses") >= 1);
+        assert!(value("cache", "hits") >= 1);
+    }
+
+    #[test]
+    fn readme_lists_every_metric_family() {
+        // The README table between the markers is the registry, rendered:
+        // a family added or renamed without the doc fails here.
+        let readme = include_str!("../../../README.md");
+        let begin = readme
+            .find("<!-- metric-families:begin")
+            .expect("begin marker");
+        let end = readme.find("<!-- metric-families:end").expect("end marker");
+        let documented: Vec<&str> = readme[begin..end]
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .collect();
+        let rendered: Vec<String> = Server::new(Platform::new())
+            .with_shards(2)
+            .metric_families()
+            .iter()
+            .map(|f| {
+                let mut series = Vec::new();
+                if !f.fields.is_empty() {
+                    series.push(format!("`{}_*`", f.prom));
+                }
+                if let Some(b) = &f.buckets {
+                    series.push(format!("`{}`", b.prom));
+                }
+                if let Some(set) = &f.series {
+                    series.push(format!("`{}_*{{{}=…}}`", set.prom, set.label));
+                }
+                format!("| `{}` | {} |", f.name, series.join(", "))
+            })
+            .collect();
+        assert_eq!(documented, rendered, "README family table is stale");
     }
 
     #[test]

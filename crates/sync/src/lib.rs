@@ -8,6 +8,13 @@
 //! a panic while holding a lock here simply clears the poison flag instead
 //! of propagating it, which matches parking_lot's semantics closely enough
 //! for our executors and registries.
+//!
+//! It is also the one crate every cache owner already depends on, so the
+//! shared stamped [`Lru`] lives here ([`lru`]).
+
+pub mod lru;
+
+pub use lru::{CacheStats, Lru};
 
 use std::sync::PoisonError;
 

@@ -132,7 +132,8 @@ fn parse_records(content: &str, sep: char) -> Result<Records> {
 /// infers every cell of a column from its borrowed text and unifies the
 /// column's type, a second pushes the typed cells. A numeric-looking cell
 /// in a column that widens to `Utf8` is stored as its *parsed* rendering
-/// (`007` → `7`), as [`Column::from_values`] over inferred values stores it.
+/// (`007` → `7`), as [`Column::from_values`](crate::Column::from_values)
+/// over inferred values stores it.
 pub fn read_csv(content: &str, opts: &CsvOptions) -> Result<Table> {
     let records = parse_records(content, opts.separator)?;
     let record = |r: usize| (records.start(r)..records.ends[r]).map(|i| &records.fields[i]);

@@ -12,60 +12,37 @@
 //!   task of a chain (the common `filter_by`/`groupby`/`sort` shapes) runs
 //!   against lazily built per-column indexes instead of a scan whenever
 //!   the index covers it, falling back to the scan kernels otherwise.
-//! - Results are cached per selection fingerprint in a *bounded* LRU map
-//!   guarded by a single mutex (one lock acquisition per eval), so a long
-//!   interactive session cannot grow the cache without limit.
+//! - Results are cached per selection fingerprint in the shared bounded
+//!   [`Lru`] behind a single mutex, so a long interactive session cannot
+//!   grow the cache without limit. The cube owns its snapshot, so entries
+//!   are unstamped (stamp 0): a refresh calls [`DataCube::invalidate`].
 
 use crate::error::{Result, WidgetError};
-use parking_lot::Mutex;
+use parking_lot::{Lru, Mutex};
 use shareinsights_engine::selection::SelectionProvider;
 use shareinsights_engine::task::{NamedTask, TaskKind, TaskRuntime};
 use shareinsights_tabular::{IndexedTable, Table};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Default bound on cached results per cube.
-pub const DEFAULT_CUBE_CACHE_ENTRIES: usize = 256;
-
-struct CachedResult {
-    table: Arc<Table>,
-    lru_seq: u64,
-}
-
-/// Everything the cube mutates per eval, under one lock: the result map,
-/// its recency order, and the hit/miss/eviction counters.
-#[derive(Default)]
-struct CubeCache {
-    entries: HashMap<u64, CachedResult>,
-    /// lru_seq -> fingerprint, oldest first (sequences are unique).
-    order: BTreeMap<u64, u64>,
-    next_seq: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
+/// Bound on cached results per cube.
+const CUBE_CACHE_ENTRIES: usize = 256;
 
 /// A cube over one endpoint data object, with a task chain per widget.
 pub struct DataCube {
     indexed: IndexedTable,
-    cache: Mutex<CubeCache>,
-    max_entries: usize,
+    /// Selection fingerprint → result.
+    cache: Mutex<Lru<u64, Arc<Table>>>,
 }
 
 impl DataCube {
-    /// Build over an endpoint snapshot with the default cache bound.
+    /// Build over an endpoint snapshot.
     pub fn new(base: Table) -> Self {
-        DataCube::with_capacity(base, DEFAULT_CUBE_CACHE_ENTRIES)
-    }
-
-    /// Build with an explicit bound on cached results (at least one).
-    pub fn with_capacity(base: Table, max_entries: usize) -> Self {
         DataCube {
             indexed: IndexedTable::new(base),
-            cache: Mutex::new(CubeCache::default()),
-            max_entries: max_entries.max(1),
+            cache: Mutex::new(Lru::new(CUBE_CACHE_ENTRIES)),
         }
     }
 
@@ -76,13 +53,13 @@ impl DataCube {
 
     /// `(hits, misses)` so far.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.cache.lock();
-        (c.hits, c.misses)
+        let stats = self.cache.lock().stats();
+        (stats.hits, stats.misses)
     }
 
     /// Entries dropped to stay within the cache bound.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.lock().evictions
+        self.cache.lock().stats().evictions
     }
 
     /// `(index builds, total build time in µs)` for the wrapped snapshot.
@@ -109,22 +86,8 @@ impl DataCube {
         selections: &dyn SelectionProvider,
     ) -> Result<Arc<Table>> {
         let key = fingerprint(widget, tasks, selections);
-        {
-            let mut c = self.cache.lock();
-            let hit = c
-                .entries
-                .get(&key)
-                .map(|e| (Arc::clone(&e.table), e.lru_seq));
-            if let Some((table, old_seq)) = hit {
-                let seq = c.next_seq;
-                c.next_seq += 1;
-                c.order.remove(&old_seq);
-                c.order.insert(seq, key);
-                c.entries.get_mut(&key).expect("present").lru_seq = seq;
-                c.hits += 1;
-                return Ok(table);
-            }
-            c.misses += 1;
+        if let Some(table) = self.cache.lock().get(&key, 0) {
+            return Ok(table);
         }
 
         // Evaluate outside the lock; the first task runs against the
@@ -160,36 +123,14 @@ impl DataCube {
         }
         let arc = Arc::new(current.unwrap_or_else(|| self.indexed.table().clone()));
 
-        let mut c = self.cache.lock();
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        if let Some(old) = c.entries.insert(
-            key,
-            CachedResult {
-                table: Arc::clone(&arc),
-                lru_seq: seq,
-            },
-        ) {
-            c.order.remove(&old.lru_seq);
-        }
-        c.order.insert(seq, key);
-        while c.entries.len() > self.max_entries {
-            let Some((&oldest, _)) = c.order.iter().next() else {
-                break;
-            };
-            let victim = c.order.remove(&oldest).expect("present");
-            c.entries.remove(&victim);
-            c.evictions += 1;
-        }
+        self.cache.lock().put(key, 0, Arc::clone(&arc));
         Ok(arc)
     }
 
     /// Drop all cached results (called when the endpoint data itself is
     /// refreshed by a batch run). Counters are kept.
     pub fn invalidate(&self) {
-        let mut c = self.cache.lock();
-        c.entries.clear();
-        c.order.clear();
+        self.cache.lock().clear();
     }
 }
 
@@ -360,22 +301,29 @@ mod tests {
 
     #[test]
     fn cache_is_bounded_with_lru_eviction() {
-        let cube = DataCube::with_capacity(team_tweets(), 2);
+        let cube = DataCube::new(team_tweets());
         let sel = StaticSelections::new();
         let tasks = vec![filter_by_team()];
-        for team in ["CSK", "MI", "RCB"] {
-            sel.set("teams", "text", Selection::Values(vec![team.into()]));
+        // One more distinct selection than the cache holds.
+        for i in 0..=CUBE_CACHE_ENTRIES {
+            sel.set(
+                "teams",
+                "text",
+                Selection::Values(vec![format!("T{i}").into()]),
+            );
             cube.eval("w", &tasks, &sel).unwrap();
         }
-        assert_eq!(cube.cache_evictions(), 1, "third distinct result evicts");
-        // The oldest fingerprint (CSK) was evicted; re-evaluating it misses.
-        sel.set("teams", "text", Selection::Values(vec!["CSK".into()]));
+        assert_eq!(cube.cache_evictions(), 1, "one past the bound evicts");
+        let misses = CUBE_CACHE_ENTRIES as u64 + 1;
+        // The oldest fingerprint (T0) was evicted; re-evaluating it misses.
+        sel.set("teams", "text", Selection::Values(vec!["T0".into()]));
         cube.eval("w", &tasks, &sel).unwrap();
-        assert_eq!(cube.cache_stats(), (0, 4));
-        // The most recent (RCB) is still cached.
-        sel.set("teams", "text", Selection::Values(vec!["RCB".into()]));
+        assert_eq!(cube.cache_stats(), (0, misses + 1));
+        // The most recent is still cached.
+        let last = format!("T{CUBE_CACHE_ENTRIES}");
+        sel.set("teams", "text", Selection::Values(vec![last.into()]));
         cube.eval("w", &tasks, &sel).unwrap();
-        assert_eq!(cube.cache_stats(), (1, 4));
+        assert_eq!(cube.cache_stats(), (1, misses + 1));
     }
 
     #[test]

@@ -127,6 +127,7 @@ use shareinsights::server::{
     Server,
 };
 use shareinsights_core::Platform;
+use shareinsights_tabular::io::json::JsonValue;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -926,7 +927,8 @@ fn sql_smoke() {
 /// warm query traffic flows, then the built-in `_system` dashboard must
 /// serve a non-empty scraped history, the canonical SQL over
 /// `POST /_system/ds/telemetry/sql` must be byte-identical to its
-/// path-grammar twin, writes into `_system` must 409, and the
+/// path-grammar twin, writes into `_system` must 409, every family the
+/// `/stats` body carries must have rows in `_system`, and the
 /// `shareinsights_selfscrape_*` / `shareinsights_process_*` families
 /// must export in a well-formed exposition. The CI self-scrape smoke job
 /// relies on these asserts.
@@ -1038,6 +1040,34 @@ fn self_scrape_smoke() {
             "scraped samples must be retained: {stats}"
         );
 
+        // Every family `/stats` carries is chartable from `_system`: the
+        // scrape renders the same snapshot. (A labelled family with no
+        // series yet has an empty block and no rows; a scrape has to
+        // postdate the warm traffic for `routes` to show.)
+        let JsonValue::Object(blocks) = &doc else {
+            panic!("/stats is an object: {stats}");
+        };
+        let by_family = "/_system/ds/telemetry/groupby/family/count/label";
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (code, body) = blocking_get(addr, by_family).expect("families");
+            assert_eq!(code, 200, "family roll-up failed: {body}");
+            let missing: Vec<&String> = blocks
+                .iter()
+                .filter(|(_, block)| !matches!(block, JsonValue::Object(m) if m.is_empty()))
+                .map(|(name, _)| name)
+                .filter(|name| !body.contains(&format!("\"{name}\"")))
+                .collect();
+            if missing.is_empty() {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "({serve_mode:?}) /stats families never scraped into _system: {missing:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
         let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
         assert_eq!(code, 200);
         validate_exposition(&metrics);
@@ -1052,7 +1082,8 @@ fn self_scrape_smoke() {
 
         println!(
             "self-scrape smoke ({serve_mode:?}): history non-empty, SQL/path byte-identical, \
-             writes 409, selfscrape+process families exported"
+             writes 409, all {} /stats families in _system",
+            blocks.len()
         );
         svc.shutdown();
     }
