@@ -7,7 +7,7 @@
 //! repository (how hackathon teams started from sample dashboards).
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -53,8 +53,10 @@ pub struct Commit {
     pub author: String,
     /// Commit message.
     pub message: String,
-    /// The flow-file text at this commit.
-    pub content: String,
+    /// The flow-file text at this commit. Commits of one repository that
+    /// hold the same text share it: an author who alternates between two
+    /// variants of a flow keeps two texts, not one per save.
+    pub content: Arc<str>,
     /// Monotonic sequence number within the repository (logical clock).
     pub seq: u64,
 }
@@ -88,10 +90,24 @@ impl std::error::Error for StoreError {}
 #[derive(Debug, Default)]
 struct RepoInner {
     commits: BTreeMap<CommitId, Commit>,
+    /// Every distinct text committed, for [`RepoInner::text`].
+    texts: BTreeSet<Arc<str>>,
     branches: BTreeMap<String, CommitId>,
     seq: u64,
     /// `(source repo name, commit)` when this repo was forked.
     forked_from: Option<(String, CommitId)>,
+}
+
+impl RepoInner {
+    /// `content` as the one shared copy this repository keeps of it.
+    fn text(&mut self, content: &str) -> Arc<str> {
+        if let Some(held) = self.texts.get(content) {
+            return Arc::clone(held);
+        }
+        let held: Arc<str> = content.into();
+        self.texts.insert(Arc::clone(&held));
+        held
+    }
 }
 
 /// A dashboard's version history.
@@ -140,7 +156,7 @@ impl Repository {
             parents,
             author: author.to_string(),
             message: message.to_string(),
-            content: content.to_string(),
+            content: inner.text(content),
             seq,
         };
         inner.commits.insert(id.clone(), commit);
@@ -175,7 +191,7 @@ impl Repository {
             parents: vec![head, other_parent.clone()],
             author: author.to_string(),
             message: message.to_string(),
-            content: content.to_string(),
+            content: inner.text(content),
             seq,
         };
         inner.commits.insert(id.clone(), commit);
@@ -309,6 +325,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn commits_of_the_same_text_share_it() {
+        let repo = Repository::new("retail");
+        let (a, b) = ("T:\n  x: 3\n", "T:\n  x: 4\n");
+        let ids: Vec<CommitId> = [a, b, a, b, a]
+            .iter()
+            .map(|text| repo.commit("main", "ann", "edit", text))
+            .collect();
+        let held = |i: usize| repo.get(&ids[i]).unwrap().content;
+        assert!(Arc::ptr_eq(&held(0), &held(2)) && Arc::ptr_eq(&held(2), &held(4)));
+        assert!(Arc::ptr_eq(&held(1), &held(3)));
+        assert_eq!((&*held(0), &*held(1)), (a, b));
+    }
+
+    #[test]
     fn commit_and_log() {
         let repo = Repository::new("apache");
         let c1 = repo.commit("main", "alice", "initial", "D:\n  a: [x]\n");
@@ -370,7 +400,7 @@ mod tests {
         let team = samples.fork("team_12", "main", "team12").unwrap();
         assert_eq!(team.name(), "team_12");
         let head = team.head("main").unwrap();
-        assert_eq!(head.content, "D:\n  demo: [x]\n");
+        assert_eq!(&*head.content, "D:\n  demo: [x]\n");
         assert!(head.message.contains("fork of help_dashboard"));
         let (src, _) = team.forked_from().unwrap();
         assert_eq!(src, "help_dashboard");

@@ -3,12 +3,12 @@
 
 use crate::connector::{infer_protocol, Connector, FetchRequest, Payload};
 use crate::error::{ConnectorError, Result};
-use crate::file::{DataFolder, FileConnector};
+use crate::file::{normalize, DataFolder, FileConnector};
 use crate::format::{CsvFormat, DataFormat, FormatSpec, JsonFormat, RecordFormat, XmlFormat};
 use crate::ftp::FtpSimConnector;
 use crate::http::HttpSimConnector;
 use crate::jdbc::JdbcSimConnector;
-use parking_lot::RwLock;
+use parking_lot::{Lru, Mutex, RwLock};
 use shareinsights_tabular::Table;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,11 +40,49 @@ pub struct DataObjectConfig {
     pub params: BTreeMap<String, String>,
 }
 
+/// What shaped one decode: the versioned source it read and everything
+/// the decoder was told. Two data objects over one file that declare
+/// different columns, a different separator or a different format are
+/// different keys.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct DecodeKey {
+    protocol: String,
+    source: String,
+    format: String,
+    spec: FormatSpec,
+}
+
+/// Decoded tables the memo may hold, and their total approximate size.
+/// An author's dashboard reads a handful of uploaded files of a few MB
+/// decoded; past the bound the least recently run source is decoded again.
+const MEMO_ENTRIES: usize = 32;
+const MEMO_BYTES: usize = 64 << 20;
+
+type DecodeMemo = Lru<DecodeKey, Table>;
+
+/// A resolved source: the table, and how it was come by.
+#[derive(Debug, Clone)]
+pub struct Loaded {
+    /// The decoded (or connector-structured) table.
+    pub table: Table,
+    /// The version of the payload the table was decoded from, when its
+    /// connector names one (uploaded files do; live services do not).
+    pub version: Option<u64>,
+    /// The table was decoded by an earlier load of this version.
+    pub memo_hit: bool,
+}
+
 /// Registries of connectors and formats — the extension surface of §4.2.
+///
+/// Clones share the registries, the data folder and the decode memo.
 #[derive(Clone)]
 pub struct Catalog {
     connectors: Arc<RwLock<BTreeMap<String, Arc<dyn Connector>>>>,
     formats: Arc<RwLock<BTreeMap<String, Arc<dyn DataFormat>>>>,
+    /// Tables decoded from versioned payloads, stamped with the version:
+    /// an author re-running an edited flow re-decodes only what was
+    /// re-uploaded. See [`Catalog::load_described`].
+    memo: Arc<Mutex<DecodeMemo>>,
     folder: DataFolder,
     http: HttpSimConnector,
     ftp: FtpSimConnector,
@@ -67,6 +105,11 @@ impl Catalog {
         let cat = Catalog {
             connectors: Arc::new(RwLock::new(BTreeMap::new())),
             formats: Arc::new(RwLock::new(BTreeMap::new())),
+            memo: Arc::new(Mutex::new(Lru::weighted(
+                MEMO_ENTRIES,
+                MEMO_BYTES,
+                |_, table: &Table| table.approx_bytes(),
+            ))),
             folder: folder.clone(),
             http: http.clone(),
             ftp: ftp.clone(),
@@ -84,17 +127,22 @@ impl Catalog {
     }
 
     /// Register (or replace) a connector — the Connectors extension API.
+    /// Tables decoded from an earlier connector's payloads are forgotten:
+    /// the new one numbers its versions on its own.
     pub fn register_connector(&self, connector: Arc<dyn Connector>) {
         self.connectors
             .write()
             .insert(connector.protocol().to_string(), connector);
+        self.memo.lock().clear();
     }
 
     /// Register (or replace) a format — the Data formats extension API.
+    /// Tables an earlier decoder of that name produced are forgotten.
     pub fn register_format(&self, format: Arc<dyn DataFormat>) {
         self.formats
             .write()
             .insert(format.name().to_string(), format);
+        self.memo.lock().clear();
     }
 
     /// Registered protocol names.
@@ -130,6 +178,19 @@ impl Catalog {
     /// Resolve a data-object configuration to a table: pick the connector,
     /// fetch, pick the decoder, decode against the declared schema.
     pub fn load(&self, cfg: &DataObjectConfig) -> Result<Table> {
+        self.load_described(cfg).map(|loaded| loaded.table)
+    }
+
+    /// [`Catalog::load`], also saying how the table was come by.
+    ///
+    /// A payload that names its version — a file in the data folder — is
+    /// decoded once per upload: the table is kept under the source path
+    /// and everything that shaped the decode (format, declared columns and
+    /// paths, separator, record element), stamped with the version. A
+    /// re-upload, with the same bytes or not, bumps the version, and the
+    /// next load decodes again. HTTP, FTP and JDBC sources are live
+    /// services: fetched and decoded on every load, never kept.
+    pub fn load_described(&self, cfg: &DataObjectConfig) -> Result<Loaded> {
         let source = cfg.source.as_deref().ok_or_else(|| {
             ConnectorError::BadConfig("data object has no 'source:' configured".into())
         })?;
@@ -150,41 +211,74 @@ impl Catalog {
             headers: cfg.headers.clone(),
             params: cfg.params.clone(),
         };
-        let payload = connector.fetch(&request)?;
-        match payload {
+        let (data, format_hint, version) = match connector.fetch(&request)? {
             Payload::Table(t) => {
-                if cfg.columns.is_empty() {
-                    Ok(t)
+                let table = if cfg.columns.is_empty() {
+                    t
                 } else {
-                    Ok(t.project(&cfg.columns)?)
-                }
-            }
-            Payload::Bytes { data, format_hint } => {
-                let format_name = cfg.format.clone().or(format_hint).ok_or_else(|| {
-                    ConnectorError::BadConfig(format!(
-                        "cannot determine format for '{source}'; set 'format:'"
-                    ))
-                })?;
-                let format = self
-                    .formats
-                    .read()
-                    .get(&format_name)
-                    .cloned()
-                    .ok_or_else(|| ConnectorError::UnknownFormat(format_name.clone()))?;
-                let spec = FormatSpec {
-                    columns: cfg.columns.clone(),
-                    paths: if cfg.paths.len() == cfg.columns.len() {
-                        cfg.paths.clone()
-                    } else {
-                        vec![None; cfg.columns.len()]
-                    },
-                    separator: cfg.separator,
-                    has_header: true,
-                    record_element: cfg.record_element.clone(),
+                    t.project(&cfg.columns)?
                 };
-                format.decode(&data, &spec)
+                return Ok(Loaded {
+                    table,
+                    version: None,
+                    memo_hit: false,
+                });
             }
+            Payload::Bytes {
+                data,
+                format_hint,
+                version,
+            } => (data, format_hint, version),
+        };
+        let format_name = cfg.format.clone().or(format_hint).ok_or_else(|| {
+            ConnectorError::BadConfig(format!(
+                "cannot determine format for '{source}'; set 'format:'"
+            ))
+        })?;
+        let format = self
+            .formats
+            .read()
+            .get(&format_name)
+            .cloned()
+            .ok_or_else(|| ConnectorError::UnknownFormat(format_name.clone()))?;
+        let spec = FormatSpec {
+            columns: cfg.columns.clone(),
+            paths: if cfg.paths.len() == cfg.columns.len() {
+                cfg.paths.clone()
+            } else {
+                vec![None; cfg.columns.len()]
+            },
+            separator: cfg.separator,
+            has_header: true,
+            record_element: cfg.record_element.clone(),
+        };
+        let Some(version) = version else {
+            return Ok(Loaded {
+                table: format.decode(&data, &spec)?,
+                version: None,
+                memo_hit: false,
+            });
+        };
+        let key = DecodeKey {
+            protocol,
+            source: normalize(source),
+            format: format_name,
+            spec,
+        };
+        if let Some(table) = self.memo.lock().get(&key, version) {
+            return Ok(Loaded {
+                table,
+                version: Some(version),
+                memo_hit: true,
+            });
         }
+        let table = format.decode(&data, &key.spec)?;
+        self.memo.lock().put(key, version, table.clone());
+        Ok(Loaded {
+            table,
+            version: Some(version),
+            memo_hit: false,
+        })
     }
 }
 
@@ -323,5 +417,89 @@ mod tests {
         };
         let t = cat.load(&cfg).unwrap();
         assert_eq!(t.value(0, "NAME").unwrap().to_string(), "PIG");
+    }
+
+    fn csv_object(source: &str, columns: &[&str], separator: Option<char>) -> DataObjectConfig {
+        DataObjectConfig {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            source: Some(source.into()),
+            format: Some("csv".into()),
+            separator,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn what_shaped_the_decode_is_part_of_the_memo_key() {
+        // Two data objects over one file: other declared columns, or
+        // another separator, are another decode.
+        let cat = Catalog::new();
+        cat.data_folder().put_text("t.csv", "a;b,c\n1;2,3\n");
+        let by_comma = csv_object("t.csv", &["left", "right"], Some(','));
+        let renamed = csv_object("./t.csv", &["x", "y"], Some(','));
+        let by_semicolon = csv_object("t.csv", &["left", "right"], Some(';'));
+        for cfg in [&by_comma, &renamed, &by_semicolon] {
+            assert!(!cat.load_described(cfg).unwrap().memo_hit);
+        }
+        let loaded = cat.load_described(&by_comma).unwrap();
+        assert!(loaded.memo_hit);
+        assert_eq!(loaded.table.value(0, "left").unwrap().to_string(), "1;2");
+        let loaded = cat.load_described(&renamed).unwrap();
+        assert!(loaded.memo_hit);
+        assert_eq!(loaded.table.schema().names(), vec!["x", "y"]);
+        let loaded = cat.load_described(&by_semicolon).unwrap();
+        assert!(loaded.memo_hit);
+        assert_eq!(loaded.table.value(0, "right").unwrap().to_string(), "2,3");
+        // Catalog clones share the memo; a replaced decoder empties it.
+        assert!(cat.clone().load_described(&by_comma).unwrap().memo_hit);
+        cat.register_format(Arc::new(CsvFormat));
+        assert!(!cat.load_described(&by_comma).unwrap().memo_hit);
+    }
+
+    #[test]
+    fn live_sources_are_fetched_and_decoded_every_time() {
+        let cat = Catalog::new();
+        cat.http()
+            .route("https://api.example.com/rows", "a\n1\n", Some("csv"));
+        cat.ftp().host("h").put_text("rows.csv", "a\n1\n");
+        for source in ["https://api.example.com/rows", "ftp://h/rows.csv"] {
+            let cfg = DataObjectConfig {
+                source: Some(source.into()),
+                ..Default::default()
+            };
+            for _ in 0..3 {
+                let loaded = cat.load_described(&cfg).unwrap();
+                assert_eq!((loaded.version, loaded.memo_hit), (None, false), "{source}");
+            }
+        }
+        assert_eq!(cat.http().requests_served(), 3);
+    }
+
+    #[test]
+    fn eviction_never_serves_a_stale_table() {
+        // More files than the memo holds, each loaded, then each
+        // re-uploaded with other rows: whether an entry was evicted or
+        // only went stale, the next load decodes the new bytes.
+        let cat = Catalog::new();
+        let files = MEMO_ENTRIES + 8;
+        let cfg = |i: usize| csv_object(&format!("f{i}.csv"), &["v"], None);
+        let cell = |loaded: &Loaded| loaded.table.value(0, "v").unwrap().as_int();
+        for i in 0..files {
+            cat.data_folder()
+                .put_text(format!("f{i}.csv"), format!("v\n{i}\n"));
+            assert_eq!(cell(&cat.load_described(&cfg(i)).unwrap()), Some(i as i64));
+        }
+        // The oldest were evicted, the newest are held.
+        assert!(!cat.load_described(&cfg(0)).unwrap().memo_hit);
+        assert!(cat.load_described(&cfg(files - 1)).unwrap().memo_hit);
+        for i in 0..files {
+            cat.data_folder()
+                .put_text(format!("f{i}.csv"), format!("v\n{}\n", i + 1000));
+        }
+        for i in 0..files {
+            let loaded = cat.load_described(&cfg(i)).unwrap();
+            assert!(!loaded.memo_hit, "file {i} was re-uploaded");
+            assert_eq!(cell(&loaded), Some(i as i64 + 1000));
+        }
     }
 }

@@ -3,6 +3,7 @@
 use crate::error::Result;
 use shareinsights_tabular::Table;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A fetch request assembled from a data object's configuration.
 #[derive(Debug, Clone, Default)]
@@ -46,21 +47,27 @@ pub enum Payload {
     /// Raw bytes plus an optional format hint (e.g. from a content type or
     /// file extension).
     Bytes {
-        /// The payload body.
-        data: Vec<u8>,
+        /// The payload body, shared with whoever stores it.
+        data: Arc<[u8]>,
         /// Format hint (`csv`, `json`, `xml`, `record`).
         format_hint: Option<String>,
+        /// Set by a connector whose `(source, version)` names these exact
+        /// bytes for good (an uploaded file); the catalog may then keep
+        /// what it decoded from them. `None` for a live service, whose
+        /// every fetch is decoded.
+        version: Option<u64>,
     },
     /// A structured table (already decoded by the connector).
     Table(Table),
 }
 
 impl Payload {
-    /// Bytes payload with a hint.
+    /// Unversioned bytes payload with a hint.
     pub fn bytes(data: impl Into<Vec<u8>>, hint: Option<&str>) -> Payload {
         Payload::Bytes {
-            data: data.into(),
+            data: data.into().into(),
             format_hint: hint.map(str::to_string),
+            version: None,
         }
     }
 

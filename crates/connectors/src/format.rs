@@ -13,7 +13,7 @@ use shareinsights_tabular::io::xml::read_xml_records;
 use shareinsights_tabular::Table;
 
 /// Decode-time hints extracted from the data object's configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FormatSpec {
     /// Declared column names (schema list in the D section). Empty = take
     /// whatever the payload provides.

@@ -61,6 +61,7 @@ impl Connector for FtpSimConnector {
             Some(data) => Ok(Payload::Bytes {
                 data,
                 format_hint: infer_format_from_source(&path).map(str::to_string),
+                version: None,
             }),
             None => Err(ConnectorError::NotFound {
                 protocol: "ftp".into(),
@@ -85,8 +86,10 @@ mod tests {
             ))
             .unwrap();
         match p {
-            Payload::Bytes { data, format_hint } => {
-                assert_eq!(data, b"a,b\n1,2\n");
+            Payload::Bytes {
+                data, format_hint, ..
+            } => {
+                assert_eq!(&*data, b"a,b\n1,2\n");
                 assert_eq!(format_hint.as_deref(), Some("csv"));
             }
             _ => panic!("expected bytes"),

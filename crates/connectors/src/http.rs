@@ -125,11 +125,12 @@ impl Connector for HttpSimConnector {
         }
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         Ok(Payload::Bytes {
-            data: matched.body.clone(),
+            data: matched.body.as_slice().into(),
             format_hint: matched
                 .format_hint
                 .clone()
                 .or_else(|| infer_format_from_source(url).map(str::to_string)),
+            version: None,
         })
     }
 }
@@ -151,8 +152,10 @@ mod tests {
         );
         let p = http.fetch(&FetchRequest::for_source(STACK_URL)).unwrap();
         match p {
-            Payload::Bytes { data, format_hint } => {
-                assert!(String::from_utf8(data).unwrap().contains("q1"));
+            Payload::Bytes {
+                data, format_hint, ..
+            } => {
+                assert!(std::str::from_utf8(&data).unwrap().contains("q1"));
                 assert_eq!(format_hint.as_deref(), Some("json"));
             }
             _ => panic!("expected bytes"),
@@ -204,7 +207,7 @@ mod tests {
             .fetch(&FetchRequest::for_source("https://h/a/b"))
             .unwrap()
         {
-            Payload::Bytes { data, .. } => assert_eq!(data, b"first"),
+            Payload::Bytes { data, .. } => assert_eq!(&*data, b"first"),
             _ => panic!(),
         }
     }

@@ -409,7 +409,7 @@ impl Platform {
             folder
                 .get(&format!("{dash}/{path}"))
                 .or_else(|| folder.get(path))
-                .and_then(|b| String::from_utf8(b).ok())
+                .and_then(|b| String::from_utf8(b.to_vec()).ok())
         }
     }
 
@@ -513,25 +513,28 @@ impl Platform {
                 // onto this span's start so they nest inside the trace.
                 let base = s.start_offset_us();
                 for l in &r.stats.source_loads {
-                    s.child_at(
-                        &l.source,
-                        base + l.start_us,
-                        l.elapsed_us,
-                        vec![("op", "source".into()), ("rows_out", l.rows.into())],
-                    );
+                    let mut attrs = vec![("op", "source".into()), ("rows_out", l.rows.into())];
+                    // Which path the decode took: an uploaded file is
+                    // decoded once per version, a live source every run.
+                    attrs.push(match (l.version, l.memo_hit) {
+                        (None, _) => ("decode", "live".into()),
+                        (Some(_), true) => ("decode", "hit".into()),
+                        (Some(_), false) => ("decode", "miss".into()),
+                    });
+                    if let Some(version) = l.version {
+                        attrs.push(("version", version.into()));
+                    }
+                    s.child_at(&l.source, base + l.start_us, l.elapsed_us, attrs);
                 }
                 for t in &r.stats.task_runs {
-                    s.child_at(
-                        &t.task,
-                        base + t.start_us,
-                        t.elapsed_us,
-                        vec![
-                            ("op", t.task_type.as_str().into()),
-                            ("flow", t.flow.as_str().into()),
-                            ("rows_in", t.rows_in.into()),
-                            ("rows_out", t.rows_out.into()),
-                        ],
-                    );
+                    let mut attrs = vec![
+                        ("op", t.task_type.as_str().into()),
+                        ("flow", t.flow.as_str().into()),
+                        ("rows_in", t.rows_in.into()),
+                        ("rows_out", t.rows_out.into()),
+                    ];
+                    attrs.extend(t.notes.iter().map(|&(name, n)| (name, n.into())));
+                    s.child_at(&t.task, base + t.start_us, t.elapsed_us, attrs);
                 }
                 s.set_attr("source_rows", r.stats.source_rows);
                 s.set_attr("tasks", r.stats.task_runs.len());
@@ -787,7 +790,7 @@ impl Platform {
             .catalog
             .data_folder()
             .get(&format!("{name}/__style.css"))
-            .and_then(|b| String::from_utf8(b).ok())
+            .and_then(|b| String::from_utf8(b.to_vec()).ok())
         {
             let sheet = shareinsights_widgets::Stylesheet::parse(&css)
                 .map_err(|e| PlatformError::Other(e.to_string()))?;
@@ -1215,6 +1218,27 @@ T:
         assert_eq!(g.rows_in, 8);
         assert_eq!(g.rows_out, 6);
         assert_eq!(g.latency.count, 2);
+
+        // Which path fired: the group count, and the first decode of the
+        // uploaded file (a later traced run finds the table in the memo).
+        assert_eq!(group.attr("groups"), Some(&AttrValue::Int(3)));
+        let decode_of = |trace: &crate::trace::TraceRecord| {
+            let source = trace
+                .spans
+                .iter()
+                .find(|s| s.attr("op") == Some(&AttrValue::Str("source".into())))
+                .expect("source load span");
+            assert!(source.attr("version").is_some());
+            source.attr("decode").cloned()
+        };
+        assert_eq!(decode_of(&trace), Some(AttrValue::Str("miss".into())));
+        let root = platform.tracer().start_trace("again", None).unwrap();
+        platform
+            .run_dashboard_traced("ipl_processing", Some(&root))
+            .unwrap();
+        root.finish();
+        let trace = platform.tracer().recent(1).remove(0);
+        assert_eq!(decode_of(&trace), Some(AttrValue::Str("hit".into())));
     }
 
     #[test]

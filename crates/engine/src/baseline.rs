@@ -92,6 +92,7 @@ pub fn execute_naive(pipeline: &CompiledPipeline, ctx: &ExecContext) -> Result<E
                 rows_out: out_rows,
                 start_us,
                 elapsed_us: t0.elapsed().as_micros() as u64,
+                notes: Vec::new(),
             });
         }
         if current.len() != 1 {

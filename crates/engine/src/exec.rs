@@ -13,7 +13,7 @@
 use crate::compile::CompiledPipeline;
 use crate::error::{EngineError, Result};
 use crate::selection::SelectionProvider;
-use crate::task::{NamedTask, TaskKind, TaskRuntime};
+use crate::task::{NamedTask, TaskKind, TaskNotes, TaskRuntime};
 use parking_lot::{Mutex, RwLock};
 use shareinsights_connectors::Catalog;
 use shareinsights_tabular::ops::union_all;
@@ -71,6 +71,8 @@ pub struct TaskRunStat {
     pub start_us: u64,
     /// Elapsed wall time, in microseconds.
     pub elapsed_us: u64,
+    /// What the kernel reported beyond rows (see [`TaskNotes`]).
+    pub notes: TaskNotes,
 }
 
 /// One source load inside a run.
@@ -84,6 +86,12 @@ pub struct SourceLoadStat {
     pub start_us: u64,
     /// Elapsed wall time, in microseconds.
     pub elapsed_us: u64,
+    /// The version of the uploaded file the table was decoded from; `None`
+    /// for a live source (HTTP, FTP, JDBC), which is fetched on every run.
+    pub version: Option<u64>,
+    /// The decoded table came from the catalog's memo (the file had not
+    /// been re-uploaded since an earlier run decoded it).
+    pub memo_hit: bool,
 }
 
 /// Per-run statistics (the execution-log data the hackathon dashboards of
@@ -168,21 +176,26 @@ impl Executor {
         for name in needed_sources {
             let cfg = &pipeline.sources[name];
             let load_start_us = start.elapsed().as_micros() as u64;
-            let t = ctx.catalog.load(cfg).map_err(|e| EngineError::Source {
-                object: name.to_string(),
-                message: e.to_string(),
-            })?;
+            let loaded = ctx
+                .catalog
+                .load_described(cfg)
+                .map_err(|e| EngineError::Source {
+                    object: name.to_string(),
+                    message: e.to_string(),
+                })?;
             {
                 let mut s = stats.lock();
-                s.source_rows += t.num_rows();
+                s.source_rows += loaded.table.num_rows();
                 s.source_loads.push(SourceLoadStat {
                     source: name.to_string(),
-                    rows: t.num_rows(),
+                    rows: loaded.table.num_rows(),
                     start_us: load_start_us,
                     elapsed_us: start.elapsed().as_micros() as u64 - load_start_us,
+                    version: loaded.version,
+                    memo_hit: loaded.memo_hit,
                 });
             }
-            tables.write().insert(name.to_string(), t);
+            tables.write().insert(name.to_string(), loaded.table);
         }
 
         // Execute flows level by level.
@@ -285,7 +298,8 @@ impl Executor {
             let t0 = Instant::now();
             let start_us = run_start.elapsed().as_micros() as u64;
             let in_rows: usize = current.iter().map(|(_, t)| t.num_rows()).sum();
-            current = self.apply_task(task, current, tables, selections.as_deref())?;
+            let mut notes = TaskNotes::new();
+            current = self.apply_task(task, current, tables, selections.as_deref(), &mut notes)?;
             let out_rows: usize = current.iter().map(|(_, t)| t.num_rows()).sum();
             task_stats.push(TaskRunStat {
                 task: task.name.clone(),
@@ -295,6 +309,7 @@ impl Executor {
                 rows_out: out_rows,
                 start_us,
                 elapsed_us: t0.elapsed().as_micros() as u64,
+                notes,
             });
         }
         if current.len() != 1 {
@@ -312,6 +327,7 @@ impl Executor {
         mut current: Vec<(Option<String>, Table)>,
         tables: &RwLock<BTreeMap<String, Table>>,
         selections: Option<&dyn SelectionProvider>,
+        notes: &mut TaskNotes,
     ) -> Result<Vec<(Option<String>, Table)>> {
         let lookup = |name: &str| -> Option<Table> { tables.read().get(name).cloned() };
         let rt = TaskRuntime {
@@ -332,7 +348,7 @@ impl Executor {
                     .unwrap_or(0);
                 let right_idx = 1 - left_idx;
                 let inputs = [current[left_idx].1.clone(), current[right_idx].1.clone()];
-                let out = task.kind.execute(&task.name, &inputs, &rt)?;
+                let out = task.kind.execute_noted(&task.name, &inputs, &rt, notes)?;
                 Ok(vec![(None, out)])
             }
             TaskKind::Union => {
@@ -354,9 +370,12 @@ impl Executor {
                     });
                 }
                 let (_, input) = current.remove(0);
-                let out = task
-                    .kind
-                    .execute(&task.name, std::slice::from_ref(&input), &rt)?;
+                let out = task.kind.execute_noted(
+                    &task.name,
+                    std::slice::from_ref(&input),
+                    &rt,
+                    notes,
+                )?;
                 Ok(vec![(None, out)])
             }
         }
@@ -546,5 +565,89 @@ F:
         );
         let result = Executor::default().execute(&pipeline, &ctx).unwrap();
         assert!(result.table("x").is_some() && result.table("y").is_some());
+    }
+
+    #[test]
+    fn stats_say_which_path_each_step_took() {
+        // A source load says whether its decode was a memo hit; keyed
+        // operators note how many groups, build rows and distinct inputs
+        // they saw, and whether a join handed the left columns through.
+        let src = r#"
+D:
+  visits: [day, page]
+  pages: [page, section]
+D.visits:
+  source: 'visits.csv'
+  format: csv
+D.pages:
+  source: 'pages.csv'
+  format: csv
+T:
+  to_month:
+    type: map
+    operator: date
+    transform: day
+    input_format: yyyy-MM-dd
+    output_format: yyyy-MM
+    output: month
+  with_section:
+    type: join
+    left: dated by page
+    right: pages by page
+    join_condition: left outer
+  per_section:
+    type: groupby
+    groupby: [section, month]
+  busiest:
+    type: topn
+    groupby: [month]
+    orderby_column: [count DESC]
+    limit: 1
+  sections:
+    type: distinct
+    columns: [section]
+F:
+  D.dated: D.visits | T.to_month
+  D.placed: (D.dated, D.pages) | T.with_section
+  +D.counts: D.placed | T.per_section
+  +D.top: D.counts | T.busiest
+  +D.names: D.counts | T.sections
+"#;
+        let ff = parse_flow_file("t", src).unwrap();
+        let reg = TaskRegistry::new();
+        let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
+        let catalog = Catalog::new();
+        catalog.data_folder().put_text(
+            "visits.csv",
+            "day,page\n2014-01-03,/a\n2014-01-03,/b\n2014-02-09,/a\n2014-01-03,/zz\n",
+        );
+        catalog
+            .data_folder()
+            .put_text("pages.csv", "page,section\n/a,docs\n/b,blog\n");
+        let ctx = ExecContext::new(catalog);
+        let first = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+        let hits = |r: &ExecResult| -> Vec<bool> {
+            r.stats.source_loads.iter().map(|l| l.memo_hit).collect()
+        };
+        assert_eq!(hits(&first), [false, false]);
+        assert!(first.stats.source_loads.iter().all(|l| l.version.is_some()));
+        let again = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+        assert_eq!(hits(&again), [true, true]);
+        assert_eq!(again.table("counts"), first.table("counts"));
+
+        let notes = |task: &str| -> Vec<(&str, u64)> {
+            let run = first.stats.task_runs.iter().find(|t| t.task == task);
+            run.unwrap_or_else(|| panic!("no run of {task}"))
+                .notes
+                .clone()
+        };
+        assert_eq!(notes("to_month"), [("distinct_inputs", 2)]);
+        assert_eq!(
+            notes("with_section"),
+            [("build_rows", 2), ("shared_left", 1)]
+        );
+        assert_eq!(notes("per_section"), [("groups", 4)]);
+        assert_eq!(notes("busiest"), [("groups", 2)]);
+        assert_eq!(notes("sections"), [("groups", 3)]);
     }
 }

@@ -14,12 +14,11 @@ use shareinsights_flowfile::config::{ConfigMap, ConfigValue};
 use shareinsights_tabular::agg::{AggKind, AggregateFunction};
 use shareinsights_tabular::expr::{parse_expr, Expr};
 use shareinsights_tabular::ops::{
-    self, AggregateSpec, DateMap, ExtractMap, FilterByValues, GroupBy, JoinCondition, JoinSpec,
-    LocationMap, ProjectSpec, SortKey, TopN, WordsMap,
+    self, AggregateSpec, Buckets, DateMap, ExtractMap, FilterByValues, GroupBy, GroupByPartial,
+    JoinCondition, JoinSpec, KeyColumn, LocationMap, ProjectSpec, RowSel, SortKey, TopN, WordsMap,
 };
 use shareinsights_tabular::text::{ExtractDict, Gazetteer};
-use shareinsights_tabular::{DataType, Field, IndexedTable, Row, Schema, Table, Value};
-use std::collections::HashMap;
+use shareinsights_tabular::{DataType, Field, IndexedTable, Schema, Table, Value};
 use std::sync::Arc;
 
 /// Where an interactive filter's allowed values come from.
@@ -845,6 +844,12 @@ fn exec_err(task: &str, e: impl std::fmt::Display) -> EngineError {
     }
 }
 
+/// What a kernel reports about a run beyond the rows it consumed and
+/// emitted, as `(name, value)` pairs: `groups` (group-by, top-n, distinct),
+/// `build_rows` and `shared_left` (join), `distinct_inputs` (the coded
+/// maps). They become attributes of the operator's trace span.
+pub type TaskNotes = Vec<(&'static str, u64)>;
+
 impl TaskKind {
     /// Execute the task on its inputs (columnar kernels).
     pub fn execute(
@@ -853,6 +858,19 @@ impl TaskKind {
         inputs: &[Table],
         rt: &TaskRuntime<'_>,
     ) -> Result<Table> {
+        self.execute_noted(task_name, inputs, rt, &mut TaskNotes::new())
+    }
+
+    /// [`TaskKind::execute`], appending what the kernel has to say about
+    /// the run to `notes`.
+    pub fn execute_noted(
+        &self,
+        task_name: &str,
+        inputs: &[Table],
+        rt: &TaskRuntime<'_>,
+        notes: &mut TaskNotes,
+    ) -> Result<Table> {
+        let err = |e: shareinsights_tabular::TabularError| exec_err(task_name, e);
         let single = || -> Result<&Table> {
             inputs
                 .first()
@@ -870,23 +888,36 @@ impl TaskKind {
                 execute_filter_by_source(task_name, single()?, columns, source, source_columns, rt)
             }
             TaskKind::GroupBy { builtin, custom } => {
-                execute_groupby(task_name, single()?, builtin, custom)
+                let out = execute_groupby(task_name, single()?, builtin, custom)?;
+                notes.push(("groups", out.num_rows() as u64));
+                Ok(out)
             }
             TaskKind::Join(j) => {
-                if inputs.len() != 2 {
+                let [left, right] = inputs else {
                     return Err(exec_err(
                         task_name,
                         format!("join needs 2 inputs, got {}", inputs.len()),
                     ));
-                }
-                ops::join(&inputs[0], &inputs[1], &j.spec).map_err(|e| exec_err(task_name, e))
+                };
+                let out = ops::join(left, right, &j.spec).map_err(err)?;
+                let shared = |c| left.columns().iter().any(|l| Arc::ptr_eq(l, c));
+                notes.push(("build_rows", right.num_rows() as u64));
+                notes.push(("shared_left", u64::from(out.columns().iter().any(shared))));
+                Ok(out)
             }
-            TaskKind::MapDate(m) => ops::map_date(single()?, m).map_err(|e| exec_err(task_name, e)),
+            TaskKind::MapDate(m) => {
+                let (out, distinct) = ops::map_date_counted(single()?, m).map_err(err)?;
+                notes.push(("distinct_inputs", distinct as u64));
+                Ok(out)
+            }
             TaskKind::MapExtract(m) => {
                 ops::map_extract(single()?, m).map_err(|e| exec_err(task_name, e))
             }
             TaskKind::MapLocation(m) => {
-                ops::map_extract_location(single()?, m).map_err(|e| exec_err(task_name, e))
+                let (out, distinct) =
+                    ops::map_extract_location_counted(single()?, m).map_err(err)?;
+                notes.push(("distinct_inputs", distinct as u64));
+                Ok(out)
             }
             TaskKind::MapWords(m) => {
                 ops::map_extract_words(single()?, m).map_err(|e| exec_err(task_name, e))
@@ -899,10 +930,16 @@ impl TaskKind {
                 t.with_column(output, shareinsights_tabular::Column::from_values(&values))
                     .map_err(|e| exec_err(task_name, e))
             }
-            TaskKind::TopN(t) => ops::topn(single()?, t).map_err(|e| exec_err(task_name, e)),
+            TaskKind::TopN(t) => {
+                let (out, partitions) = ops::topn_counted(single()?, t).map_err(err)?;
+                notes.push(("groups", partitions as u64));
+                Ok(out)
+            }
             TaskKind::Sort(keys) => ops::sort(single()?, keys).map_err(|e| exec_err(task_name, e)),
             TaskKind::Distinct(cols) => {
-                ops::distinct(single()?, cols).map_err(|e| exec_err(task_name, e))
+                let out = ops::distinct(single()?, cols).map_err(err)?;
+                notes.push(("groups", out.num_rows() as u64));
+                Ok(out)
             }
             TaskKind::Limit(n) => Ok(single()?.limit(*n)),
             TaskKind::Union => ops::union_all(inputs).map_err(|e| exec_err(task_name, e)),
@@ -1043,67 +1080,59 @@ fn execute_groupby(
     builtin: &GroupBy,
     custom: &[CustomAgg],
 ) -> Result<Table> {
+    let err = |e: shareinsights_tabular::TabularError| exec_err(task_name, e);
     if custom.is_empty() {
-        return ops::groupby(input, builtin).map_err(|e| exec_err(task_name, e));
+        return ops::groupby(input, builtin).map_err(err);
     }
-    // Mixed path: run the builtin part (or bare keys) and then attach
-    // custom aggregates computed per group.
-    let base = if builtin.aggregates.is_empty() {
+    // Mixed path: fold the builtin part (or bare keys) unordered, so that
+    // row `g` of its table is group `g`, then attach each custom aggregate
+    // computed over the rows the fold put in that group.
+    let keys_only = builtin.aggregates.is_empty();
+    let mut cfg = builtin.clone();
+    cfg.orderby_aggregates = false;
+    if keys_only {
         // Avoid the spurious default count when only custom aggs exist.
-        let keys_only = GroupBy {
-            keys: builtin.keys.clone(),
-            aggregates: vec![AggregateSpec::new(AggKind::CountAll, "", "__count_tmp")],
-            orderby_aggregates: false,
-        };
-        let t = ops::groupby(input, &keys_only).map_err(|e| exec_err(task_name, e))?;
-        t.project(&builtin.keys)
-            .map_err(|e| exec_err(task_name, e))?
-    } else {
-        ops::groupby(input, builtin).map_err(|e| exec_err(task_name, e))?
-    };
-
-    // Bucket input rows per key.
-    let key_cols: Vec<_> = builtin
-        .keys
-        .iter()
-        .map(|k| input.column(k).cloned())
-        .collect::<shareinsights_tabular::Result<Vec<_>>>()
-        .map_err(|e| exec_err(task_name, e))?;
-    let mut buckets: HashMap<Row, Vec<usize>> = HashMap::new();
-    for i in 0..input.num_rows() {
-        let key = Row(key_cols.iter().map(|c| c.value(i)).collect());
-        buckets.entry(key).or_default().push(i);
+        cfg.aggregates = vec![AggregateSpec::new(AggKind::CountAll, "", "__count_tmp")];
     }
-
-    let base_key_cols: Vec<_> = builtin
+    let keys = builtin
         .keys
         .iter()
-        .map(|k| base.column(k).cloned())
+        .map(|k| Ok(KeyColumn::Cells(input.column(k)?)))
         .collect::<shareinsights_tabular::Result<Vec<_>>>()
-        .map_err(|e| exec_err(task_name, e))?;
+        .map_err(err)?;
+    let mut partial = GroupByPartial::new(cfg);
+    let ids = partial.update_keyed(input, None, &keys).map_err(err)?;
+    let groups = partial.num_groups();
+    let mut base = partial.into_table().map_err(err)?;
+    if keys_only {
+        base = base.project(&builtin.keys).map_err(err)?;
+    }
+    let buckets = Buckets::new(&ids, &RowSel::new(input.num_rows(), None), groups);
 
     let mut out = base.clone();
     for cagg in custom {
-        let src = input
-            .column(&cagg.apply_on)
-            .map_err(|e| exec_err(task_name, e))?;
-        let mut vals = Vec::with_capacity(base.num_rows());
-        for g in 0..base.num_rows() {
-            let key = Row(base_key_cols.iter().map(|c| c.value(g)).collect());
-            let rows = buckets.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-            let bag: Vec<Value> = rows.iter().map(|&i| src.value(i)).collect();
-            vals.push(
-                cagg.func
-                    .aggregate(&bag)
-                    .map_err(|e| exec_err(task_name, e))?,
-            );
-        }
+        let src = input.column(&cagg.apply_on).map_err(err)?;
+        let vals = (0..groups)
+            .map(|g| {
+                let rows = buckets.rows_of(g).iter();
+                let bag: Vec<Value> = rows.map(|&i| src.value(i as usize)).collect();
+                cagg.func.aggregate(&bag)
+            })
+            .collect::<shareinsights_tabular::Result<Vec<Value>>>()
+            .map_err(err)?;
         out = out
             .with_column(
                 &cagg.out_field,
                 shareinsights_tabular::Column::from_values(&vals),
             )
-            .map_err(|e| exec_err(task_name, e))?;
+            .map_err(err)?;
+    }
+    if let (true, Some(first)) = (builtin.orderby_aggregates, builtin.aggregates.first()) {
+        let by = [SortKey::desc(&first.out_field)];
+        let cmp = ops::KeyComparator::new(&base, &by).map_err(err)?;
+        let mut order: Vec<usize> = (0..groups).collect();
+        order.sort_by(|&a, &b| cmp.compare(a, b));
+        out = out.take(&order);
     }
     Ok(out)
 }
@@ -1407,6 +1436,40 @@ mod tests {
         assert_eq!(out.schema().names(), vec!["k", "v_spread"]);
         assert_eq!(out.value(0, "v_spread").unwrap(), Value::Float(4.0));
         assert_eq!(out.value(1, "v_spread").unwrap(), Value::Float(0.0));
+
+        // Beside a builtin aggregate that orders the output, the custom
+        // column follows its group: null keys are a group, ties keep
+        // first-seen order.
+        let ff = parse_flow_file(
+            "t",
+            "T:\n  g:\n    type: groupby\n    groupby: [k]\n    orderby_aggregates: true\n    aggregates:\n    - operator: sum\n      apply_on: v\n      out_field: total\n    - operator: spread\n      apply_on: v\n      out_field: v_spread\n",
+        )
+        .unwrap();
+        let env = env_with(&reg, &ff.tasks, &loader);
+        let t = interpret_task(ff.task("g").unwrap(), &env).unwrap();
+        let table = Table::from_rows(
+            &["k", "v"],
+            &[
+                row!["a", 1i64],
+                row![Value::Null, 7i64],
+                row!["b", 6i64],
+                row!["a", 5i64],
+                row![Value::Null, 9i64],
+            ],
+        )
+        .unwrap();
+        let out = t
+            .kind
+            .execute(&t.name, std::slice::from_ref(&table), &TaskRuntime::empty())
+            .unwrap();
+        assert_eq!(
+            out.to_rows(),
+            vec![
+                row![Value::Null, 16i64, 2.0],
+                row!["a", 6i64, 4.0],
+                row!["b", 6i64, 0.0],
+            ]
+        );
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //! where the server merges the endpoint's warm `IndexedTable` instead of
 //! dropping it. Until commit, the endpoint is untouched: a decode error,
 //! an over-cap body, or a mid-body disconnect aborts with no side effects.
+//!
+//! The workers exist only for a body that fills a segment. One that ends
+//! inside its first segment — a small append batch — is decoded on the
+//! thread that finishes the request: there is nothing to overlap, and two
+//! threads spawned and joined per request cost more than the decode (a
+//! 120-row batch decodes in 50 µs; the join waited 0.15 or 1.3 ms by where
+//! the scheduler had put the new threads).
 
 use crate::http::{Method, Request, Response, Status};
 use crate::router::Server;
@@ -32,8 +39,8 @@ use shareinsights_core::TraceId;
 use shareinsights_tabular::io::csv::{read_csv, CsvOptions};
 use shareinsights_tabular::io::json::{parse_json, read_json_records, JsonValue, PathMapping};
 use shareinsights_tabular::Table;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -41,8 +48,9 @@ use std::time::Instant;
 /// single oversized record can exceed this — it is a watermark, not a cap.
 pub const SEGMENT_BYTES: usize = 256 * 1024;
 
-/// Decode workers per session. Two overlap decode with the socket read
-/// without competing with the serve pool for cores on small uploads.
+/// Decode workers per session, started with the first full segment. Two
+/// overlap decode with the socket read without competing with the serve
+/// pool for cores.
 const DECODE_WORKERS: usize = 2;
 
 /// Bounded depth of the segment queue: with [`SEGMENT_BYTES`]-sized
@@ -117,8 +125,9 @@ impl SegmentDecoder {
 type SegmentJob = (usize, Arc<SegmentDecoder>, String);
 type SegmentResult = (usize, Result<Table, String>);
 
-/// One in-flight streaming ingest: segmenter state on the reading side,
-/// a bounded queue, and the decode workers draining it.
+/// One in-flight streaming ingest: segmenter state on the reading side
+/// and, once a segment has filled, a bounded queue and the decode workers
+/// draining it.
 pub struct IngestSession {
     server: Server,
     dashboard: String,
@@ -138,9 +147,8 @@ pub struct IngestSession {
 }
 
 impl IngestSession {
-    /// Validate the target and spin up the decode workers. Errors are
-    /// ready-to-send responses (404 unknown dashboard, 400 bad format,
-    /// 409 reserved namespace).
+    /// Validate the target. Errors are ready-to-send responses (404
+    /// unknown dashboard, 400 bad format, 409 reserved namespace).
     pub fn start(
         server: &Server,
         dashboard: &str,
@@ -158,25 +166,6 @@ impl IngestSession {
                 format!("no dashboard '{dashboard}'"),
             ));
         }
-        let (tx, rx) = sync_channel::<SegmentJob>(SEGMENT_QUEUE);
-        let rx = Arc::new(Mutex::new(rx));
-        let results: Arc<Mutex<Vec<SegmentResult>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut workers = Vec::with_capacity(DECODE_WORKERS);
-        for i in 0..DECODE_WORKERS {
-            let rx = Arc::clone(&rx);
-            let results = Arc::clone(&results);
-            let metrics = server.platform().api_metrics().clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("ingest-decode-{i}"))
-                .spawn(move || decode_worker(&rx, &results, &metrics))
-                .map_err(|e| {
-                    Response::error(
-                        Status::ServiceUnavailable,
-                        format!("cannot spawn ingest decode worker: {e}"),
-                    )
-                })?;
-            workers.push(handle);
-        }
         Ok(IngestSession {
             server: server.clone(),
             dashboard: dashboard.to_string(),
@@ -186,11 +175,34 @@ impl IngestSession {
             pending: Vec::new(),
             seq: 0,
             bytes_in: 0,
-            tx: Some(tx),
-            workers,
-            results,
+            tx: None,
+            workers: Vec::new(),
+            results: Arc::new(Mutex::new(Vec::new())),
             early_error: None,
         })
+    }
+
+    /// Start the decode workers and their queue, once. A thread that
+    /// cannot be spawned is done without: with none at all, segments are
+    /// decoded where they are dispatched.
+    fn start_workers(&mut self) {
+        if self.tx.is_some() {
+            return;
+        }
+        let (tx, rx) = sync_channel::<SegmentJob>(SEGMENT_QUEUE);
+        let rx = Arc::new(Mutex::new(rx));
+        for i in 0..DECODE_WORKERS {
+            let rx = Arc::clone(&rx);
+            let results = Arc::clone(&self.results);
+            let metrics = self.server.platform().api_metrics().clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("ingest-decode-{i}"))
+                .spawn(move || decode_worker(&rx, &results, &metrics));
+            self.workers.extend(spawned);
+        }
+        if !self.workers.is_empty() {
+            self.tx = Some(tx);
+        }
     }
 
     /// Feed one window of body bytes. Dispatches complete-record segments
@@ -215,6 +227,7 @@ impl IngestSession {
             };
             let rest = self.pending.split_off(cut + 1);
             let segment = std::mem::replace(&mut self.pending, rest);
+            self.start_workers();
             self.dispatch(segment);
         }
     }
@@ -293,12 +306,16 @@ impl IngestSession {
         if text.trim().is_empty() {
             return;
         }
-        let seq = self.seq;
+        let job = (self.seq, decoder, text);
         self.seq += 1;
-        if let Some(tx) = &self.tx {
+        match &self.tx {
             // Blocking send: a full queue holds the socket read back,
             // which is exactly the bounded-memory contract.
-            let _ = tx.send((seq, decoder, text));
+            Some(tx) => {
+                let _ = tx.send(job);
+            }
+            // No workers: the body ended inside its first segment.
+            None => decode_segment(job, &self.results, self.server.platform().api_metrics()),
         }
     }
 
@@ -351,14 +368,79 @@ impl IngestSession {
                 }
             }
         }
-        self.server.commit_ingest(
-            &self.dashboard,
-            &self.dataset,
-            &tables,
-            self.seq as u64,
-            self.bytes_in,
-            span,
-        )
+        let commit_span = span.map(|s| s.child("ingest_commit"));
+        let IngestSession {
+            server,
+            dashboard,
+            dataset,
+            seq,
+            bytes_in,
+            ..
+        } = self;
+        server.clone().committer().run(move || {
+            server.commit_ingest(
+                &dashboard,
+                &dataset,
+                &tables,
+                seq as u64,
+                bytes_in,
+                commit_span,
+            )
+        })
+    }
+}
+
+type CommitJob = Box<dyn FnOnce() + Send>;
+
+/// The one thread every ingest commits on, shared by a [`Server`]'s clones.
+///
+/// A commit replaces an endpoint's snapshot — the concatenated table and
+/// its merged index, 15 MB at 141k rows × 500 keys — and drops the one
+/// before. glibc keeps an arena per thread: with the serve workers taking
+/// requests in turn, each commit built its snapshot in one worker's arena
+/// and freed the last into another's, which trimmed it, so the next commit
+/// on that worker faulted every page in again: 4.7 ms a commit instead of
+/// 1.5, and a run's median append at 5, 7 or 9 ms by how the turn had
+/// drifted. On one thread the pages an append frees are the pages the next
+/// one is handed.
+///
+/// Commits on one endpoint were already serialised by its index slot;
+/// this serialises commits on different endpoints too. The thread starts
+/// with the first commit and ends when the last clone of the server is
+/// dropped.
+#[derive(Default)]
+pub(crate) struct Committer {
+    /// The thread's queue; `None` inside when it could not be spawned.
+    jobs: OnceLock<Option<Sender<CommitJob>>>,
+}
+
+impl Committer {
+    /// Run `commit` on the committer thread and wait for its response.
+    /// Without the thread — it could not be spawned, or a commit panicked
+    /// on it — `commit` runs here.
+    pub(crate) fn run(&self, commit: impl FnOnce() -> Response + Send + 'static) -> Response {
+        let (done, response) = channel();
+        let job: CommitJob = Box::new(move || {
+            let _ = done.send(commit());
+        });
+        let jobs = self.jobs.get_or_init(|| {
+            let (tx, rx) = channel::<CommitJob>();
+            std::thread::Builder::new()
+                .name("ingest-commit".to_string())
+                .spawn(move || rx.into_iter().for_each(|job| job()))
+                .ok()
+                .map(|_| tx)
+        });
+        let unsent = match jobs {
+            Some(tx) => tx.send(job).err().map(|SendError(job)| job),
+            None => Some(job),
+        };
+        if let Some(job) = unsent {
+            job();
+        }
+        response.recv().unwrap_or_else(|_| {
+            Response::error(Status::ServiceUnavailable, "ingest commit did not complete")
+        })
     }
 }
 
@@ -559,15 +641,23 @@ fn decode_worker(
         // Take the lock only to pull one job so both workers drain the
         // queue concurrently while decoding outside the lock.
         let job = { rx.lock().recv() };
-        let Ok((seq, decoder, text)) = job else {
+        let Ok(job) = job else {
             return; // channel closed: session finished or aborted
         };
-        let bytes = text.len() as u64;
-        let started = Instant::now();
-        let decoded = decoder.decode(&text);
-        metrics.record_ingest_segment(bytes, started.elapsed().as_micros() as u64);
-        results.lock().push((seq, decoded));
+        decode_segment(job, results, metrics);
     }
+}
+
+/// Decode one segment into a [`Table`] and record its telemetry.
+fn decode_segment(
+    (seq, decoder, text): SegmentJob,
+    results: &Mutex<Vec<SegmentResult>>,
+    metrics: &shareinsights_core::telemetry::ApiMetrics,
+) {
+    let started = Instant::now();
+    let decoded = decoder.decode(&text);
+    metrics.record_ingest_segment(text.len() as u64, started.elapsed().as_micros() as u64);
+    results.lock().push((seq, decoded));
 }
 
 #[cfg(test)]
@@ -603,5 +693,60 @@ mod tests {
         assert_eq!(ingest_target(&wrong_method), None);
         let other = Request::new(Method::Post, "/retail/ds/sales/sql");
         assert_eq!(ingest_target(&other), None);
+    }
+
+    fn server_with_dashboard() -> Server {
+        let server = Server::new(shareinsights_core::Platform::new());
+        let created = server.handle(&Request::new(Method::Post, "/dashboards/d/create"));
+        assert!(created.is_ok(), "{}", created.body);
+        server
+    }
+
+    #[test]
+    fn decode_workers_start_with_the_first_full_segment() {
+        let server = server_with_dashboard();
+        // A body that ends inside its first segment: no thread, same rows.
+        let mut small = IngestSession::start(&server, "d", "t", None).unwrap();
+        small.push(b"k,v\na,1\nb,2\n");
+        assert!(small.workers.is_empty() && small.tx.is_none());
+        let ack = small.finish(None);
+        assert!(ack.body.contains("\"rows_appended\": 2"), "{}", ack.body);
+        assert!(ack.body.contains("\"segments\": 1"), "{}", ack.body);
+
+        // One that fills a segment: both workers, and the tail goes to them.
+        let mut large = IngestSession::start(&server, "d", "t", None).unwrap();
+        large.push(b"k,v\n");
+        let rows = SEGMENT_BYTES / 4 + 10;
+        large.push("c,3\n".repeat(rows).as_bytes());
+        assert_eq!(large.workers.len(), DECODE_WORKERS);
+        large.push(b"d,4\n");
+        let ack = large.finish(None);
+        assert!(
+            ack.body
+                .contains(&format!("\"rows_appended\": {}", rows + 1)),
+            "{}",
+            ack.body
+        );
+        assert!(ack.body.contains("\"segments\": 2"), "{}", ack.body);
+        assert_eq!(server.platform().api_metrics().ingest().segments, 3);
+    }
+
+    #[test]
+    fn commits_run_on_one_thread_and_survive_a_panicking_commit() {
+        let committer = Committer::default();
+        let whoami = || {
+            let thread = std::thread::current();
+            Response::json(format!("{:?} {:?}", thread.name(), thread.id()))
+        };
+        let first = committer.run(whoami);
+        assert!(first.body.contains("ingest-commit"), "{}", first.body);
+        assert_eq!(committer.run(whoami).body, first.body);
+
+        // A commit that panics takes the thread with it: that request is
+        // refused, later ones run where they are asked.
+        let refused = committer.run(|| panic!("commit failed"));
+        assert_eq!(refused.status, Status::ServiceUnavailable);
+        let here = whoami().body;
+        assert_eq!(committer.run(whoami).body, here);
     }
 }

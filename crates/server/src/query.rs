@@ -331,8 +331,14 @@ fn apply_first_indexed(indexed: &IndexedTable, op: &QueryOp) -> Result<(Table, b
         }
         QueryOp::FilteredGroupBy { filter, group } => {
             let (mask, hit) = selection(indexed.table(), Some(indexed), filter)?;
-            let grouped = groupby_selected(indexed.table(), group, Some(&mask));
-            return Ok((grouped.map_err(|e| e.to_string())?, hit));
+            // Dictionary-indexed keys group by their codes; a decline (no
+            // such key, or an error to report) takes the scan kernel.
+            let grouped = match indexed.groupby_selected(group, Some(&mask)) {
+                Some(table) => table,
+                None => groupby_selected(indexed.table(), group, Some(&mask))
+                    .map_err(|e| e.to_string())?,
+            };
+            return Ok((grouped, hit));
         }
         QueryOp::Distinct(_)
         | QueryOp::Limit(_)

@@ -99,6 +99,8 @@ pub struct Server {
     /// otherwise swallow (warm-index drops on appends). Defaults to
     /// standard error; [`Server::with_event_log`] redirects it.
     event_log: EventLog,
+    /// The thread ingests commit on (see [`crate::ingest::Committer`]).
+    committer: Arc<crate::ingest::Committer>,
 }
 
 type PreparedStatements = Lru<String, (String, Arc<LoweredSql>)>;
@@ -133,6 +135,7 @@ impl Server {
             ))),
             shards: None,
             event_log: EventLog::stderr(),
+            committer: Arc::default(),
         }
     }
 
@@ -165,6 +168,11 @@ impl Server {
     /// The wrapped platform.
     pub fn platform(&self) -> &Platform {
         &self.platform
+    }
+
+    /// The thread ingests commit on.
+    pub(crate) fn committer(&self) -> &crate::ingest::Committer {
+        &self.committer
     }
 
     /// The query-result cache (serialized page bodies).
@@ -672,8 +680,10 @@ impl Server {
     /// into the append delta, swap the endpoint copy-on-write, bump the
     /// generation, and merge the warm [`IndexedTable`] in place instead
     /// of dropping it. Called by [`crate::ingest::IngestSession::finish`]
-    /// after every segment decoded cleanly — a failed ingest never
-    /// reaches this point, so the endpoint is all-or-nothing.
+    /// on the [`crate::ingest::Committer`] thread after every segment
+    /// decoded cleanly — a failed ingest never reaches this point, so the
+    /// endpoint is all-or-nothing. `commit_span` is the caller's
+    /// `ingest_commit` span, opened before the hand-over.
     pub(crate) fn commit_ingest(
         &self,
         dashboard: &str,
@@ -681,10 +691,9 @@ impl Server {
         tables: &[Table],
         segments: u64,
         bytes_in: u64,
-        span: Option<&Span>,
+        mut commit_span: Option<Span>,
     ) -> Response {
         let metrics = self.platform.api_metrics().clone();
-        let mut commit_span = span.map(|s| s.child("ingest_commit"));
         let fail = |mut sp: Option<Span>, status: Status, msg: String| {
             metrics.record_ingest_abort();
             if let Some(s) = sp.as_mut() {

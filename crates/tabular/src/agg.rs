@@ -99,87 +99,243 @@ impl fmt::Display for AggKind {
     }
 }
 
-/// Running state for one aggregate over one group.
+/// Running state for one aggregate over one group: a variant per shape of
+/// state, each holding only what its kinds need. [`Accumulator::update`]
+/// folds a boxed [`Value`]; the typed entry points ([`add_i64`],
+/// [`add_f64`], [`see_str`], [`bump`]) fold a cell straight from a column
+/// buffer with the same outcome, so a kernel can pick one per
+/// `(kind, column type)` outside its row loop.
+///
+/// [`add_i64`]: Accumulator::add_i64
+/// [`add_f64`]: Accumulator::add_f64
+/// [`see_str`]: Accumulator::see_str
+/// [`bump`]: Accumulator::bump
 #[derive(Debug, Clone)]
-pub struct Accumulator {
-    kind: AggKind,
-    count: i64,
-    sum_i: i64,
-    sum_f: f64,
-    saw_float: bool,
-    extreme: Option<Value>,
-    first: Option<Value>,
-    last: Option<Value>,
-    distinct: std::collections::HashSet<Value>,
-    collected: Vec<String>,
+pub enum Accumulator {
+    /// `sum` and `avg`: the integer sum is exact while every input is an
+    /// integer; the float sum folds every input in call order.
+    Numeric {
+        /// `Sum` or `Avg`.
+        kind: AggKind,
+        /// Non-null inputs folded.
+        count: i64,
+        /// Sum of the integer inputs.
+        sum_i: i64,
+        /// Sum of every input as `f64`, in call order.
+        sum_f: f64,
+        /// A float or numeric string was folded: the result is a float.
+        saw_float: bool,
+    },
+    /// `count` (non-null cells) and `count_all` (rows).
+    Count {
+        /// `Count` or `CountAll`.
+        kind: AggKind,
+        /// Cells or rows counted.
+        n: i64,
+    },
+    /// `min` and `max` under the total [`Value`] order; the first of equal
+    /// values is kept.
+    Extreme {
+        /// `Min` or `Max`.
+        kind: AggKind,
+        /// Best value so far.
+        best: Option<Value>,
+    },
+    /// `first` and `last` non-null value.
+    Edge {
+        /// `First` or `Last`.
+        kind: AggKind,
+        /// The value held.
+        value: Option<Value>,
+    },
+    /// `count_distinct`: the distinct non-null values.
+    Distinct(std::collections::HashSet<Value>),
+    /// `collect`: the rendered non-null values in call order.
+    Collected(Vec<String>),
 }
 
 impl Accumulator {
     fn new(kind: AggKind) -> Self {
-        Accumulator {
-            kind,
-            count: 0,
-            sum_i: 0,
-            sum_f: 0.0,
-            saw_float: false,
-            extreme: None,
-            first: None,
-            last: None,
-            distinct: std::collections::HashSet::new(),
-            collected: Vec::new(),
+        match kind {
+            AggKind::Sum | AggKind::Avg => Accumulator::Numeric {
+                kind,
+                count: 0,
+                sum_i: 0,
+                sum_f: 0.0,
+                saw_float: false,
+            },
+            AggKind::Count | AggKind::CountAll => Accumulator::Count { kind, n: 0 },
+            AggKind::Min | AggKind::Max => Accumulator::Extreme { kind, best: None },
+            AggKind::First | AggKind::Last => Accumulator::Edge { kind, value: None },
+            AggKind::CountDistinct => Accumulator::Distinct(Default::default()),
+            AggKind::Collect => Accumulator::Collected(Vec::new()),
+        }
+    }
+
+    /// The aggregate this state belongs to.
+    pub fn kind(&self) -> AggKind {
+        match self {
+            Accumulator::Numeric { kind, .. }
+            | Accumulator::Count { kind, .. }
+            | Accumulator::Extreme { kind, .. }
+            | Accumulator::Edge { kind, .. } => *kind,
+            Accumulator::Distinct(_) => AggKind::CountDistinct,
+            Accumulator::Collected(_) => AggKind::Collect,
         }
     }
 
     /// Feed one value into the accumulator.
     pub fn update(&mut self, v: &Value) -> Result<()> {
-        if self.kind == AggKind::CountAll {
-            self.count += 1;
-            return Ok(());
+        match (&mut *self, v) {
+            (
+                Accumulator::Count {
+                    kind: AggKind::CountAll,
+                    n,
+                },
+                _,
+            ) => *n += 1,
+            (_, Value::Null) => {}
+            (Accumulator::Count { n, .. }, _) => *n += 1,
+            (_, Value::Str(s)) => return self.see_str(s),
+            (Accumulator::Numeric { .. }, Value::Int(i)) => return self.add_i64(*i),
+            (Accumulator::Numeric { .. }, Value::Float(f)) => return self.add_f64(*f),
+            (Accumulator::Numeric { kind, .. }, other) => {
+                return Err(not_numeric(*kind, other.data_type()))
+            }
+            (Accumulator::Extreme { kind, best }, v) => {
+                let wins = best.as_ref().is_none_or(|b| match kind {
+                    AggKind::Min => v < b,
+                    _ => v > b,
+                });
+                if wins {
+                    *best = Some(v.clone());
+                }
+            }
+            (
+                Accumulator::Edge {
+                    kind: AggKind::First,
+                    value,
+                },
+                v,
+            ) => {
+                if value.is_none() {
+                    *value = Some(v.clone());
+                }
+            }
+            (Accumulator::Edge { value, .. }, v) => *value = Some(v.clone()),
+            (Accumulator::Distinct(seen), v) => {
+                seen.insert(v.clone());
+            }
+            (Accumulator::Collected(items), v) => items.push(v.to_string()),
         }
-        if v.is_null() {
-            return Ok(());
+        Ok(())
+    }
+
+    /// Count one row or non-null cell: [`update`](Accumulator::update) of
+    /// any non-null value on a `count`/`count_all` state, without the
+    /// value. Other kinds ignore it.
+    #[inline]
+    pub fn bump(&mut self) {
+        if let Accumulator::Count { n, .. } = self {
+            *n += 1;
         }
-        match self.kind {
-            AggKind::Count => self.count += 1,
-            AggKind::Sum | AggKind::Avg => {
-                // Strings parse numerically when possible — schema-light CSV
-                // columns are often Utf8 but numeric in content.
-                let f = numeric_of(v).ok_or_else(|| TabularError::TypeMismatch {
-                    expected: "numeric".into(),
-                    actual: v.data_type().to_string(),
-                    context: format!("{} aggregate", self.kind),
-                })?;
-                self.count += 1;
-                self.sum_f += f;
-                match v.as_int() {
-                    Some(i) if !matches!(v, Value::Float(_)) => self.sum_i += i,
-                    _ => self.saw_float = true,
-                }
-                if matches!(v, Value::Str(_)) && v.as_int().is_none() {
-                    self.saw_float = true;
+    }
+
+    /// [`update`](Accumulator::update) of `Value::Int(x)`.
+    #[inline]
+    pub fn add_i64(&mut self, x: i64) -> Result<()> {
+        match self {
+            Accumulator::Numeric {
+                count,
+                sum_i,
+                sum_f,
+                ..
+            } => {
+                *count += 1;
+                *sum_i += x;
+                *sum_f += x as f64;
+                Ok(())
+            }
+            other => other.update(&Value::Int(x)),
+        }
+    }
+
+    /// [`update`](Accumulator::update) of `Value::Float(x)`.
+    #[inline]
+    pub fn add_f64(&mut self, x: f64) -> Result<()> {
+        match self {
+            Accumulator::Numeric {
+                count,
+                sum_f,
+                saw_float,
+                ..
+            } => {
+                *count += 1;
+                *sum_f += x;
+                *saw_float = true;
+                Ok(())
+            }
+            other => other.update(&Value::Float(x)),
+        }
+    }
+
+    /// [`update`](Accumulator::update) of a string cell, allocating only
+    /// when the state has to keep the string. `sum`/`avg` parse it —
+    /// schema-light CSV columns are often `Utf8` but numeric in content —
+    /// and always yield a float.
+    pub fn see_str(&mut self, s: &str) -> Result<()> {
+        match self {
+            Accumulator::Numeric {
+                kind,
+                count,
+                sum_f,
+                saw_float,
+                ..
+            } => {
+                let f = s
+                    .trim()
+                    .parse::<f64>()
+                    .map_err(|_| not_numeric(*kind, DataType::Utf8))?;
+                *count += 1;
+                *sum_f += f;
+                *saw_float = true;
+            }
+            Accumulator::Count { n, .. } => *n += 1,
+            Accumulator::Extreme { kind, best } => {
+                let ord = match best {
+                    None => None,
+                    Some(Value::Str(b)) => Some(s.cmp(b.as_str())),
+                    // Strings rank above every other type.
+                    Some(_) => Some(std::cmp::Ordering::Greater),
+                };
+                let wins = match (ord, *kind) {
+                    (None, _) => true,
+                    (Some(ord), AggKind::Min) => ord.is_lt(),
+                    (Some(ord), _) => ord.is_gt(),
+                };
+                if wins {
+                    *best = Some(Value::Str(s.to_string()));
                 }
             }
-            AggKind::Min => {
-                if self.extreme.as_ref().is_none_or(|e| v < e) {
-                    self.extreme = Some(v.clone());
+            Accumulator::Edge {
+                kind: AggKind::First,
+                value,
+            } => {
+                if value.is_none() {
+                    *value = Some(Value::Str(s.to_string()));
                 }
             }
-            AggKind::Max => {
-                if self.extreme.as_ref().is_none_or(|e| v > e) {
-                    self.extreme = Some(v.clone());
+            Accumulator::Edge { value, .. } => match value {
+                Some(Value::Str(held)) => {
+                    held.clear();
+                    held.push_str(s);
                 }
+                _ => *value = Some(Value::Str(s.to_string())),
+            },
+            Accumulator::Distinct(seen) => {
+                seen.insert(Value::Str(s.to_string()));
             }
-            AggKind::First => {
-                if self.first.is_none() {
-                    self.first = Some(v.clone());
-                }
-            }
-            AggKind::Last => self.last = Some(v.clone()),
-            AggKind::CountDistinct => {
-                self.distinct.insert(v.clone());
-            }
-            AggKind::Collect => self.collected.push(v.to_string()),
-            AggKind::CountAll => unreachable!(),
+            Accumulator::Collected(items) => items.push(s.to_string()),
         }
         Ok(())
     }
@@ -190,73 +346,95 @@ impl Accumulator {
     /// `collect`) concatenate in call order, which is what makes
     /// partition-ordered scatter/gather byte-identical to a single pass.
     pub fn merge(&mut self, other: Accumulator) -> Result<()> {
-        if self.kind != other.kind {
+        let kind = self.kind();
+        if kind != other.kind() {
             return Err(TabularError::TypeMismatch {
-                expected: self.kind.to_string(),
-                actual: other.kind.to_string(),
+                expected: kind.to_string(),
+                actual: other.kind().to_string(),
                 context: "accumulator merge".into(),
             });
         }
-        self.count += other.count;
-        self.sum_i += other.sum_i;
-        self.sum_f += other.sum_f;
-        self.saw_float |= other.saw_float;
-        if let Some(v) = other.extreme {
-            let keep = match self.kind {
-                AggKind::Min => self.extreme.as_ref().is_none_or(|e| &v < e),
-                AggKind::Max => self.extreme.as_ref().is_none_or(|e| &v > e),
-                _ => false,
-            };
-            if keep {
-                self.extreme = Some(v);
+        use Accumulator::*;
+        match (self, other) {
+            (
+                Numeric {
+                    count,
+                    sum_i,
+                    sum_f,
+                    saw_float,
+                    ..
+                },
+                Numeric {
+                    count: c,
+                    sum_i: i,
+                    sum_f: f,
+                    saw_float: s,
+                    ..
+                },
+            ) => {
+                *count += c;
+                *sum_i += i;
+                *sum_f += f;
+                *saw_float |= s;
             }
+            (Count { n, .. }, Count { n: m, .. }) => *n += m,
+            (Extreme { best, .. }, Extreme { best: Some(v), .. }) => {
+                let wins = best.as_ref().is_none_or(|b| match kind {
+                    AggKind::Min => &v < b,
+                    _ => &v > b,
+                });
+                if wins {
+                    *best = Some(v);
+                }
+            }
+            (Edge { value, .. }, Edge { value: v, .. }) => {
+                let takes = match kind {
+                    AggKind::First => value.is_none(),
+                    _ => v.is_some(),
+                };
+                if takes {
+                    *value = v;
+                }
+            }
+            (Distinct(seen), Distinct(more)) => seen.extend(more),
+            (Collected(items), Collected(more)) => items.extend(more),
+            // The same kind with nothing to fold in.
+            _ => {}
         }
-        if self.first.is_none() {
-            self.first = other.first;
-        }
-        if other.last.is_some() {
-            self.last = other.last;
-        }
-        self.distinct.extend(other.distinct);
-        self.collected.extend(other.collected);
         Ok(())
     }
 
     /// Produce the final aggregate value.
     pub fn finish(self) -> Value {
-        match self.kind {
-            AggKind::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.saw_float {
-                    Value::Float(self.sum_f)
-                } else {
-                    Value::Int(self.sum_i)
-                }
+        match self {
+            Accumulator::Numeric { count: 0, .. } => Value::Null,
+            Accumulator::Numeric {
+                kind: AggKind::Avg,
+                count,
+                sum_f,
+                ..
+            } => Value::Float(sum_f / count as f64),
+            Accumulator::Numeric {
+                saw_float: true,
+                sum_f,
+                ..
+            } => Value::Float(sum_f),
+            Accumulator::Numeric { sum_i, .. } => Value::Int(sum_i),
+            Accumulator::Count { n, .. } => Value::Int(n),
+            Accumulator::Extreme { best: held, .. } | Accumulator::Edge { value: held, .. } => {
+                held.unwrap_or(Value::Null)
             }
-            AggKind::Count | AggKind::CountAll => Value::Int(self.count),
-            AggKind::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum_f / self.count as f64)
-                }
-            }
-            AggKind::Min | AggKind::Max => self.extreme.unwrap_or(Value::Null),
-            AggKind::First => self.first.unwrap_or(Value::Null),
-            AggKind::Last => self.last.unwrap_or(Value::Null),
-            AggKind::CountDistinct => Value::Int(self.distinct.len() as i64),
-            AggKind::Collect => Value::Str(self.collected.join(",")),
+            Accumulator::Distinct(seen) => Value::Int(seen.len() as i64),
+            Accumulator::Collected(items) => Value::Str(items.join(",")),
         }
     }
 }
 
-fn numeric_of(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        Value::Str(s) => s.trim().parse::<f64>().ok(),
-        _ => None,
+fn not_numeric(kind: AggKind, actual: DataType) -> TabularError {
+    TabularError::TypeMismatch {
+        expected: "numeric".into(),
+        actual: actual.to_string(),
+        context: format!("{kind} aggregate"),
     }
 }
 

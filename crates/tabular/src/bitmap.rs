@@ -271,18 +271,18 @@ impl Bitmap {
     ///
     /// # Panics
     /// Panics when an index is out of range.
-    pub fn gather(&self, indices: &[usize]) -> Bitmap {
+    pub fn gather<I: crate::column::RowId>(&self, indices: &[I]) -> Bitmap {
         // Learning that every bit is set costs a pass over the words; it
         // pays for itself only on a selection at least that long.
         if indices.len() >= self.words.len() && self.all_set() {
             assert!(
-                indices.iter().all(|&i| i < self.len),
+                indices.iter().all(|i| i.row() < self.len),
                 "bit index out of range {}",
                 self.len
             );
             return Bitmap::new_set(indices.len());
         }
-        Bitmap::from_fn(indices.len(), |k| self.get(indices[k]))
+        Bitmap::from_fn(indices.len(), |k| self.get(indices[k].row()))
     }
 
     /// The `n <= 64` bits starting at `start`, in the low bits of a word.
@@ -426,15 +426,15 @@ mod tests {
     #[test]
     fn gather_reorders_and_repeats() {
         let bm = Bitmap::from_bools(&[true, false, true]);
-        assert_eq!(bm.gather(&[1, 0, 0, 2]).ones(), vec![1, 2, 3]);
-        assert_eq!(Bitmap::new_set(3).gather(&[2, 2]), Bitmap::new_set(2));
-        assert!(bm.gather(&[]).is_empty());
+        assert_eq!(bm.gather(&[1usize, 0, 0, 2]).ones(), vec![1, 2, 3]);
+        assert_eq!(Bitmap::new_set(3).gather(&[2u32, 2]), Bitmap::new_set(2));
+        assert!(bm.gather::<usize>(&[]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn gather_checks_indices_of_an_all_set_bitmap() {
-        Bitmap::new_set(3).gather(&[3]);
+        Bitmap::new_set(3).gather(&[3usize]);
     }
 
     #[test]

@@ -93,14 +93,14 @@ impl StrBuf {
     }
 
     /// The cells at `indices`, in that order.
-    fn gather(&self, indices: &[usize]) -> StrBuf {
+    fn gather<I: RowId>(&self, indices: &[I]) -> StrBuf {
         let bytes = indices
             .iter()
-            .map(|&i| self.offsets[i + 1] - self.offsets[i])
+            .map(|i| self.offsets[i.row() + 1] - self.offsets[i.row()])
             .sum();
         let mut out = StrBuf::with_capacity(indices.len(), bytes);
-        for &i in indices {
-            out.push(self.get(i));
+        for i in indices {
+            out.push(self.get(i.row()));
         }
         out
     }
@@ -166,10 +166,33 @@ pub enum Column {
 /// Shared column handle.
 pub type ColumnRef = Arc<Column>;
 
+/// "No row" in a `u32` row-id vector ([`Column::take_opt`] pads a null).
+pub const NO_ROW: u32 = u32::MAX;
+
+/// A row index as kernels hold them: `usize` where an index came from a
+/// sort or a mask, `u32` where a keyed kernel produced it (half the
+/// scratch memory, and gathers take either without widening).
+pub trait RowId: Copy {
+    /// The index as a `usize`.
+    fn row(self) -> usize;
+}
+impl RowId for usize {
+    #[inline]
+    fn row(self) -> usize {
+        self
+    }
+}
+impl RowId for u32 {
+    #[inline]
+    fn row(self) -> usize {
+        self as usize
+    }
+}
+
 /// The values at `indices` with their validity bits.
-fn gather<T: Copy>(data: &[T], validity: &Bitmap, indices: &[usize]) -> (Vec<T>, Bitmap) {
+fn gather<T: Copy, I: RowId>(data: &[T], validity: &Bitmap, indices: &[I]) -> (Vec<T>, Bitmap) {
     (
-        indices.iter().map(|&i| data[i]).collect(),
+        indices.iter().map(|i| data[i.row()]).collect(),
         validity.gather(indices),
     )
 }
@@ -332,7 +355,7 @@ impl Column {
     ///
     /// # Panics
     /// Panics when an index is out of range.
-    pub fn take(&self, indices: &[usize]) -> Column {
+    pub fn take<I: RowId>(&self, indices: &[I]) -> Column {
         match self {
             Column::Bool { data, validity } => {
                 let (data, validity) = gather(data, validity, indices);
@@ -355,27 +378,78 @@ impl Column {
                 Column::Date { data, validity }
             }
             Column::Null { len } => {
-                for &i in indices {
-                    assert!(i < *len, "row {i} out of range {len}");
+                for i in indices {
+                    assert!(i.row() < *len, "row {} out of range {len}", i.row());
                 }
                 Column::Null { len: indices.len() }
             }
         }
     }
 
-    /// Gather rows by optional index; `None` produces a null cell. Used by
-    /// outer joins for unmatched rows.
-    pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        let mut b = ColumnBuilder::with_capacity(self.data_type(), indices.len());
-        for &i in indices {
-            match i {
-                Some(i) => b
-                    .extend_from(self, i, i + 1)
-                    .expect("a builder of the column's own type takes its cells"),
-                None => b.push_null(),
+    /// [`take`](Column::take) where an index of [`NO_ROW`] produces a null
+    /// cell: how outer joins pad unmatched rows. The slot under a padded
+    /// null holds the type's zero value.
+    ///
+    /// # Panics
+    /// Panics when an index other than [`NO_ROW`] is out of range.
+    pub fn take_opt(&self, indices: &[u32]) -> Column {
+        if !indices.contains(&NO_ROW) {
+            return self.take(indices);
+        }
+        fn pad<T: Copy + Default>(data: &[T], validity: &Bitmap, at: &[u32]) -> (Vec<T>, Bitmap) {
+            let cell = |&i: &u32| {
+                if i == NO_ROW {
+                    T::default()
+                } else {
+                    data[i as usize]
+                }
+            };
+            (
+                at.iter().map(cell).collect(),
+                Bitmap::from_fn(at.len(), |k| {
+                    at[k] != NO_ROW && validity.get(at[k] as usize)
+                }),
+            )
+        }
+        match self {
+            Column::Bool { data, validity } => {
+                let (data, validity) = pad(data, validity, indices);
+                Column::Bool { data, validity }
+            }
+            Column::Int64 { data, validity } => {
+                let (data, validity) = pad(data, validity, indices);
+                Column::Int64 { data, validity }
+            }
+            Column::Float64 { data, validity } => {
+                let (data, validity) = pad(data, validity, indices);
+                Column::Float64 { data, validity }
+            }
+            Column::Date { data, validity } => {
+                let (data, validity) = pad(data, validity, indices);
+                Column::Date { data, validity }
+            }
+            Column::Utf8 { data, validity } => {
+                let mut out = StrBuf::with_capacity(indices.len(), 0);
+                for &i in indices {
+                    out.push(if i == NO_ROW {
+                        ""
+                    } else {
+                        data.get(i as usize)
+                    });
+                }
+                let present = |k: usize| indices[k] != NO_ROW && validity.get(indices[k] as usize);
+                Column::Utf8 {
+                    data: out,
+                    validity: Bitmap::from_fn(indices.len(), present),
+                }
+            }
+            Column::Null { len } => {
+                for &i in indices.iter().filter(|&&i| i != NO_ROW) {
+                    assert!((i as usize) < *len, "row {i} out of range {len}");
+                }
+                Column::Null { len: indices.len() }
             }
         }
-        b.finish()
     }
 
     /// Filter rows by a selection bitmap.
@@ -717,7 +791,7 @@ mod tests {
     #[test]
     fn take_reorders_and_repeats() {
         let c = Column::utf8(["a", "b", "c"]);
-        let t = c.take(&[2, 0, 0]);
+        let t = c.take(&[2usize, 0, 0]);
         assert_eq!(t.value(0), Value::Str("c".into()));
         assert_eq!(t.value(1), Value::Str("a".into()));
         assert_eq!(t.value(2), Value::Str("a".into()));
@@ -726,10 +800,17 @@ mod tests {
     #[test]
     fn take_opt_produces_nulls() {
         let c = Column::int([10, 20]);
-        let t = c.take_opt(&[Some(1), None, Some(0)]);
+        let t = c.take_opt(&[1, NO_ROW, 0]);
         assert_eq!(t.value(0), Value::Int(20));
         assert!(t.value(1).is_null());
         assert_eq!(t.value(2), Value::Int(10));
+        let s = Column::utf8(["a", "b"]).take_opt(&[NO_ROW, 1, 1]);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [Value::Null, "b".into(), "b".into()]
+        );
+        // No padding: a plain gather.
+        assert_eq!(c.take_opt(&[1, 1]), c.take(&[1u32, 1]));
     }
 
     #[test]
@@ -776,7 +857,7 @@ mod tests {
         assert_eq!(joined.iter().collect::<Vec<_>>(), want);
         assert_eq!(joined, StrBuf::from_iter(want));
         assert_eq!(
-            buf.gather(&[3, 3, 0, 1]).iter().collect::<Vec<_>>(),
+            buf.gather(&[3usize, 3, 0, 1]).iter().collect::<Vec<_>>(),
             ["日本", "日本", "", "añb"]
         );
     }
@@ -817,7 +898,7 @@ mod tests {
         let c = Column::Null { len: 3 };
         assert_eq!(c.null_count(), 3);
         assert!(c.value(2).is_null());
-        let t = c.take(&[0, 0]);
+        let t = c.take(&[0u32, 0]);
         assert_eq!(t.len(), 2);
     }
 

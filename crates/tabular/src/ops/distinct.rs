@@ -1,31 +1,28 @@
 //! Distinct rows (deduplication), optionally on a key subset.
 
 use crate::error::Result;
-use crate::row::Row;
+use crate::ops::keys::{group_ids, KeyColumn, RowSel};
 use crate::table::Table;
-use std::collections::HashSet;
 
 /// Keep the first occurrence of each distinct key. With an empty `columns`
 /// list the whole row is the key. Output preserves all columns and input
-/// order of first occurrences.
+/// order of first occurrences: the rows kept are the groups'
+/// representatives.
 pub fn distinct(table: &Table, columns: &[impl AsRef<str>]) -> Result<Table> {
-    let key_cols: Vec<_> = if columns.is_empty() {
-        table.columns().to_vec()
+    let keys: Vec<KeyColumn<'_>> = if columns.is_empty() {
+        table
+            .columns()
+            .iter()
+            .map(|c| KeyColumn::Cells(c))
+            .collect()
     } else {
         columns
             .iter()
-            .map(|c| table.column(c.as_ref()).cloned())
-            .collect::<Result<Vec<_>>>()?
+            .map(|c| Ok(KeyColumn::Cells(table.column(c.as_ref())?)))
+            .collect::<Result<_>>()?
     };
-    let mut seen: HashSet<Row> = HashSet::new();
-    let mut keep = Vec::new();
-    for i in 0..table.num_rows() {
-        let key = Row(key_cols.iter().map(|c| c.value(i)).collect());
-        if seen.insert(key) {
-            keep.push(i);
-        }
-    }
-    Ok(table.take(&keep))
+    let groups = group_ids(&keys, &RowSel::new(table.num_rows(), None));
+    Ok(table.take(&groups.reps))
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Hash group-by with aggregates (the paper's `groupby` task, figures 8
 //! and 23).
 
-use crate::agg::AggKind;
+use crate::agg::{Accumulator, AggKind};
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnRef};
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
+use crate::ops::keys::{group_ids, GroupIds, KeyColumn, RowSel};
 use crate::row::Row;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -114,163 +115,111 @@ pub fn groupby(table: &Table, cfg: &GroupBy) -> Result<Table> {
 /// folded in ascending row order — first-seen group order and float
 /// `sum`/`avg` rounding depend on nothing else.
 pub fn groupby_selected(table: &Table, cfg: &GroupBy, selection: Option<&Bitmap>) -> Result<Table> {
-    if let Some(mask) = selection {
-        if mask.len() != table.num_rows() {
-            return Err(TabularError::LengthMismatch {
-                left: table.num_rows(),
-                right: mask.len(),
-                context: "group-by selection mask".into(),
-            });
-        }
-    }
-    if let Some(fast) = try_groupby_fast(table, cfg, selection)? {
-        return Ok(fast);
-    }
     let mut partial = GroupByPartial::new(cfg.clone());
     partial.update_selected(table, selection)?;
     partial.into_table()
 }
 
-/// Call `f` on each selected row in ascending order (every row when
-/// `selection` is `None`), stopping at the first error.
-fn try_for_each_selected(
-    rows: usize,
-    selection: Option<&Bitmap>,
-    f: impl FnMut(usize) -> Result<()>,
-) -> Result<()> {
-    match selection {
-        Some(mask) => mask.iter_ones().try_for_each(f),
-        None => (0..rows).try_for_each(f),
-    }
+/// Where a partial keeps its groups' keys.
+#[derive(Debug, Clone)]
+enum GroupKeys {
+    /// Nothing folded yet.
+    Unset,
+    /// One batch folded: group `g`'s key is row `reps[g]` of that batch's
+    /// key columns. Nothing is boxed; finishing gathers the rows.
+    Batch {
+        cols: Vec<ColumnRef>,
+        reps: Vec<u32>,
+    },
+    /// Several batches or partials folded: keys boxed once per group, and
+    /// indexed so the next batch's distinct keys find their groups — also
+    /// across a key column that inferred another numeric type, which is
+    /// why this index compares [`Value`]s and not typed cells.
+    Boxed {
+        index: HashMap<Row, u32>,
+        rows: Vec<Row>,
+    },
 }
 
-/// Specialized kernel for the overwhelmingly common shape in the paper's
-/// pipelines: one string key, aggregates that are `sum`/`count`/`count_all`
-/// over integer columns. Avoids per-row `Row`/`Value` allocation — the
-/// generic path's dominant cost. Returns `Ok(None)` when the shape doesn't
-/// match (the generic path takes over).
-fn try_groupby_fast(
-    table: &Table,
-    cfg: &GroupBy,
-    selection: Option<&Bitmap>,
-) -> Result<Option<Table>> {
-    use crate::column::Column as C;
-    if cfg.keys.len() != 1 {
-        return Ok(None);
-    }
-    let aggs = cfg.effective_aggregates();
-    let key_col = table.column(&cfg.keys[0])?;
-    let C::Utf8 {
-        data: key_data,
-        validity: key_validity,
-    } = key_col.as_ref()
-    else {
-        return Ok(None);
-    };
-    if key_validity.count_ones() != key_data.len() {
-        return Ok(None); // null keys: generic path handles the grouping
-    }
-
-    // Resolve aggregate inputs: each must be CountAll, or Sum/Count over a
-    // null-free Int64 column.
-    enum FastAgg<'a> {
-        Sum(&'a [i64]),
-        // Count over a null-free column degenerates to CountAll, but keeping
-        // the variant distinct documents which flow-file spelling produced it.
-        Count,
-        CountAll,
-    }
-    let mut fast_aggs: Vec<FastAgg<'_>> = Vec::with_capacity(aggs.len());
-    for a in &aggs {
-        match a.operator {
-            AggKind::CountAll => fast_aggs.push(FastAgg::CountAll),
-            AggKind::Sum | AggKind::Count => {
-                let col = table.column(&a.apply_on)?;
-                let C::Int64 { data, validity } = col.as_ref() else {
-                    return Ok(None);
-                };
-                if validity.count_ones() != data.len() {
-                    return Ok(None);
-                }
-                fast_aggs.push(match a.operator {
-                    AggKind::Sum => FastAgg::Sum(data),
-                    _ => FastAgg::Count,
-                });
-            }
-            _ => return Ok(None),
+impl GroupKeys {
+    fn len(&self) -> usize {
+        match self {
+            GroupKeys::Unset => 0,
+            GroupKeys::Batch { reps, .. } => reps.len(),
+            GroupKeys::Boxed { rows, .. } => rows.len(),
         }
     }
 
-    let mut index: HashMap<&str, usize> = HashMap::with_capacity(1024);
-    let mut keys: Vec<&str> = Vec::new();
-    let mut acc: Vec<Vec<i64>> = vec![Vec::new(); fast_aggs.len()];
-    try_for_each_selected(key_data.len(), selection, |i| {
-        let key = &key_data[i];
-        let gid = match index.get(key) {
-            Some(&g) => g,
-            None => {
-                let g = keys.len();
-                index.insert(key, g);
-                keys.push(key);
-                for a in acc.iter_mut() {
-                    a.push(0);
-                }
-                g
-            }
+    /// The keys boxed, one [`Row`] per group.
+    fn into_rows(self) -> Vec<Row> {
+        match self {
+            GroupKeys::Unset => Vec::new(),
+            GroupKeys::Batch { cols, reps } => reps
+                .iter()
+                .map(|&rep| Row(cols.iter().map(|c| c.value(rep as usize)).collect()))
+                .collect(),
+            GroupKeys::Boxed { rows, .. } => rows,
+        }
+    }
+
+    /// Box the keys held, then the global group of each of `keys` (the
+    /// distinct keys of a later batch or partial, in its group order),
+    /// appending those not seen before.
+    fn resolve(&mut self, keys: impl Iterator<Item = Row>) -> Vec<u32> {
+        if !matches!(self, GroupKeys::Boxed { .. }) {
+            let rows = std::mem::replace(self, GroupKeys::Unset).into_rows();
+            let index = rows.iter().cloned().zip(0..).collect();
+            *self = GroupKeys::Boxed { index, rows };
+        }
+        let GroupKeys::Boxed { index, rows } = self else {
+            unreachable!("boxed above")
         };
-        for (ai, fa) in fast_aggs.iter().enumerate() {
-            acc[ai][gid] += match fa {
-                FastAgg::Sum(data) => data[i],
-                FastAgg::Count | FastAgg::CountAll => 1,
-            };
-        }
-        Ok(())
-    })?;
-
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    if cfg.orderby_aggregates && !acc.is_empty() {
-        order.sort_by(|&a, &b| acc[0][b].cmp(&acc[0][a]));
+        keys.map(|key| {
+            let next = rows.len() as u32;
+            *index.entry(key).or_insert_with_key(|key| {
+                rows.push(key.clone());
+                next
+            })
+        })
+        .collect()
     }
-
-    let key_out = Column::utf8(order.iter().map(|&g| keys[g]));
-    let mut columns = vec![key_out];
-    for a in &acc {
-        columns.push(Column::int(order.iter().map(|&g| a[g])));
-    }
-    let mut fields = vec![table.schema().field(&cfg.keys[0])?.clone()];
-    for a in &aggs {
-        fields.push(Field::new(&a.out_field, DataType::Int64));
-    }
-    Ok(Some(Table::new(Schema::new(fields)?, columns)?))
 }
 
-/// Mergeable group-by state: the group index and accumulators of a
-/// partial scan. One partial per partition (or per micro-batch stream),
-/// merged **in partition order** so first-seen group order — and with it
-/// order-sensitive aggregates like `first`/`collect` — match a single
-/// pass over the concatenated input exactly. Both the batch kernel
-/// ([`groupby`]'s generic path) and the scatter/gather and streaming
-/// contexts finish through this one materialisation, which is what pins
+/// Mergeable group-by state: the groups' keys and, per aggregate, one typed
+/// [`Accumulator`] per group. One partial per partition (or per micro-batch
+/// stream), merged **in partition order** so first-seen group order — and
+/// with it order-sensitive aggregates like `first`/`collect` — match a
+/// single pass over the concatenated input exactly. The batch kernel
+/// ([`groupby`]), the indexed kernel, the scatter/gather and the streaming
+/// contexts all fold and finish through this one type, which is what pins
 /// their outputs byte-identical.
+///
+/// A batch is folded in two steps: [`group_ids`] codes its key columns
+/// into dense ids in first-seen order; then each aggregate runs one typed
+/// loop over `(row, group)` in ascending row order. The first batch's ids
+/// are the groups, and its keys stay in its columns. A later batch's
+/// *distinct* keys are each looked up once against the groups so far.
 #[derive(Debug, Clone)]
 pub struct GroupByPartial {
     cfg: GroupBy,
+    aggs: Vec<AggregateSpec>,
     /// Captured from the first batch; output schema derives from it.
     input_schema: Option<Schema>,
-    groups: HashMap<Row, usize>,
-    key_rows: Vec<Row>,
-    accs: Vec<Vec<crate::agg::Accumulator>>,
+    keys: GroupKeys,
+    /// `accs[a][g]`: aggregate `a` of group `g`.
+    accs: Vec<Vec<Accumulator>>,
 }
 
 impl GroupByPartial {
     /// Empty state for a group-by configuration.
     pub fn new(cfg: GroupBy) -> GroupByPartial {
+        let aggs = cfg.effective_aggregates();
         GroupByPartial {
+            accs: vec![Vec::new(); aggs.len()],
+            aggs,
             cfg,
             input_schema: None,
-            groups: HashMap::new(),
-            key_rows: Vec::new(),
-            accs: Vec::new(),
+            keys: GroupKeys::Unset,
         }
     }
 
@@ -281,7 +230,7 @@ impl GroupByPartial {
 
     /// Distinct groups seen so far.
     pub fn num_groups(&self) -> usize {
-        self.key_rows.len()
+        self.keys.len()
     }
 
     /// True before the first [`GroupByPartial::update`].
@@ -297,72 +246,72 @@ impl GroupByPartial {
     /// Fold the rows of `batch` set in `selection` (all rows when `None`)
     /// into the state, in ascending row order.
     pub fn update_selected(&mut self, batch: &Table, selection: Option<&Bitmap>) -> Result<()> {
-        if self.input_schema.is_none() {
-            self.input_schema = Some(batch.schema().clone());
+        let keys = self
+            .cfg
+            .keys
+            .iter()
+            .map(|k| Ok(KeyColumn::Cells(batch.column(k)?)))
+            .collect::<Result<Vec<_>>>()?;
+        self.update_keyed(batch, selection, &keys).map(drop)
+    }
+
+    /// [`update_selected`](GroupByPartial::update_selected) with the key
+    /// columns as the caller holds them — `keys[k]` is the configuration's
+    /// `k`-th key over `batch`, as typed cells or as the dictionary codes
+    /// an index already built. Returns the group of every folded row, in
+    /// ascending row order, for callers that keep further per-group state.
+    pub fn update_keyed(
+        &mut self,
+        batch: &Table,
+        selection: Option<&Bitmap>,
+        keys: &[KeyColumn<'_>],
+    ) -> Result<Vec<u32>> {
+        if let Some(mask) = selection {
+            if mask.len() != batch.num_rows() {
+                return Err(TabularError::LengthMismatch {
+                    left: batch.num_rows(),
+                    right: mask.len(),
+                    context: "group-by selection mask".into(),
+                });
+            }
         }
-        let aggs = self.cfg.effective_aggregates();
-        // Resolve columns up front.
-        let key_cols: Vec<_> = self
+        let key_cols = self
             .cfg
             .keys
             .iter()
             .map(|k| batch.column(k).cloned())
             .collect::<Result<Vec<_>>>()?;
-        let agg_cols: Vec<Option<_>> = aggs
+        let agg_cols: Vec<Option<&Column>> = self
+            .aggs
             .iter()
-            .map(|a| {
-                if a.operator == AggKind::CountAll {
-                    Ok(None)
-                } else {
-                    batch.column(&a.apply_on).cloned().map(Some)
-                }
+            .map(|a| match a.operator {
+                AggKind::CountAll => Ok(None),
+                _ => batch.column(&a.apply_on).map(|c| Some(c.as_ref())),
             })
             .collect::<Result<Vec<_>>>()?;
+        if self.input_schema.is_none() {
+            self.input_schema = Some(batch.schema().clone());
+        }
 
-        // A lone string key — the paper's common shape — resolves repeat
-        // keys of this batch by borrowed `&str`, building the owned key row
-        // once per distinct value instead of once per input row.
-        let lone_key = match key_cols.as_slice() {
-            [col] => match col.as_ref() {
-                Column::Utf8 { data, validity } => Some((data, validity)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let mut seen: HashMap<&str, usize> = HashMap::new();
-
-        try_for_each_selected(batch.num_rows(), selection, |i| {
-            let memo = lone_key.and_then(|(data, validity)| validity.get(i).then(|| &data[i]));
-            let gid = match memo.and_then(|s| seen.get(s).copied()) {
-                Some(gid) => gid,
-                None => {
-                    let key = Row(key_cols.iter().map(|c| c.value(i)).collect());
-                    let gid = match self.groups.get(&key) {
-                        Some(&gid) => gid,
-                        None => {
-                            let gid = self.key_rows.len();
-                            self.key_rows.push(key.clone());
-                            self.groups.insert(key, gid);
-                            self.accs
-                                .push(aggs.iter().map(|a| a.operator.accumulator()).collect());
-                            gid
-                        }
-                    };
-                    if let Some(s) = memo {
-                        seen.insert(s, gid);
-                    }
-                    gid
-                }
+        let rows = RowSel::new(batch.num_rows(), selection);
+        let GroupIds { mut ids, reps } = group_ids(keys, &rows);
+        if matches!(self.keys, GroupKeys::Unset) {
+            self.keys = GroupKeys::Batch {
+                cols: key_cols,
+                reps,
             };
-            for (ai, col) in agg_cols.iter().enumerate() {
-                let v = match col {
-                    Some(c) => c.value(i),
-                    None => Value::Null, // CountAll ignores the value
-                };
-                self.accs[gid][ai].update(&v)?;
+        } else {
+            let boxed = |&rep: &u32| Row(key_cols.iter().map(|c| c.value(rep as usize)).collect());
+            let global = self.keys.resolve(reps.iter().map(boxed));
+            for id in &mut ids {
+                *id = global[*id as usize];
             }
-            Ok(())
-        })
+        }
+        for ((spec, col), accs) in self.aggs.iter().zip(agg_cols).zip(&mut self.accs) {
+            accs.resize_with(self.keys.len(), || spec.operator.accumulator());
+            fold_column(spec.operator, col, &rows, &ids, accs)?;
+        }
+        Ok(ids)
     }
 
     /// Fold another partial into this one. `other` must cover rows that
@@ -375,18 +324,14 @@ impl GroupByPartial {
             ));
         }
         if self.input_schema.is_none() {
-            self.input_schema = other.input_schema;
+            *self = other;
+            return Ok(());
         }
-        let aggs = self.cfg.effective_aggregates();
-        for (key, accs) in other.key_rows.into_iter().zip(other.accs) {
-            let gid = *self.groups.entry(key.clone()).or_insert_with(|| {
-                self.key_rows.push(key.clone());
-                self.accs
-                    .push(aggs.iter().map(|a| a.operator.accumulator()).collect());
-                self.key_rows.len() - 1
-            });
-            for (ai, acc) in accs.into_iter().enumerate() {
-                self.accs[gid][ai].merge(acc)?;
+        let global = self.keys.resolve(other.keys.into_rows().into_iter());
+        for ((spec, accs), theirs) in self.aggs.iter().zip(&mut self.accs).zip(other.accs) {
+            accs.resize_with(self.keys.len(), || spec.operator.accumulator());
+            for (acc, &g) in theirs.into_iter().zip(&global) {
+                accs[g as usize].merge(acc)?;
             }
         }
         Ok(())
@@ -395,61 +340,61 @@ impl GroupByPartial {
     /// Finish *clones* of the accumulators, leaving the running state
     /// intact — the streaming context snapshots per tick.
     pub fn snapshot(&self) -> Result<Table> {
-        let finished: Vec<Vec<Value>> = self
-            .accs
-            .iter()
-            .map(|group| group.iter().map(|a| a.clone().finish()).collect())
-            .collect();
-        self.materialize(finished)
+        self.materialize(self.accs.clone())
     }
 
     /// Finish the state into the output table.
     pub fn into_table(mut self) -> Result<Table> {
-        let finished: Vec<Vec<Value>> = std::mem::take(&mut self.accs)
-            .into_iter()
-            .map(|group| group.into_iter().map(|a| a.finish()).collect())
-            .collect();
-        self.materialize(finished)
+        let accs = std::mem::take(&mut self.accs);
+        self.materialize(accs)
     }
 
     /// Materialise output columns (shared by snapshot and finish).
-    fn materialize(&self, mut finished: Vec<Vec<Value>>) -> Result<Table> {
+    fn materialize(&self, accs: Vec<Vec<Accumulator>>) -> Result<Table> {
         let Some(input_schema) = self.input_schema.as_ref() else {
             return Err(TabularError::InvalidOperation(
                 "group-by finish before any input batch".into(),
             ));
         };
-        let cfg = &self.cfg;
-        let aggs = cfg.effective_aggregates();
-        let n_groups = self.key_rows.len();
-        let mut out_values: Vec<Vec<Value>> =
-            vec![Vec::with_capacity(n_groups); cfg.keys.len() + aggs.len()];
+        let mut finished: Vec<Vec<Value>> = accs
+            .into_iter()
+            .map(|accs| accs.into_iter().map(Accumulator::finish).collect())
+            .collect();
 
         // Optional ordering by first aggregate, descending.
-        let mut order: Vec<usize> = (0..n_groups).collect();
-        if cfg.orderby_aggregates && !finished.is_empty() {
-            order.sort_by(|&a, &b| finished[b][0].cmp(&finished[a][0]));
-        }
-
-        for &g in &order {
-            for (ci, v) in self.key_rows[g].iter().enumerate() {
-                out_values[ci].push(v.clone());
-            }
-            for (ai, v) in finished[g].drain(..).enumerate() {
-                out_values[cfg.keys.len() + ai].push(v);
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        if self.cfg.orderby_aggregates {
+            if let Some(first) = finished.first() {
+                order.sort_by(|&a, &b| first[b].cmp(&first[a]));
             }
         }
+        let from_cells = |cells: Vec<Value>| Arc::new(Column::from_values(&cells));
+        let key_columns: Vec<ColumnRef> = match &self.keys {
+            GroupKeys::Unset => Vec::new(),
+            // A typed gather of the representative rows.
+            GroupKeys::Batch { cols, reps } => {
+                let rows: Vec<u32> = order.iter().map(|&g| reps[g]).collect();
+                cols.iter().map(|c| Arc::new(c.take(&rows))).collect()
+            }
+            GroupKeys::Boxed { rows, .. } => (0..self.cfg.keys.len())
+                .map(|k| from_cells(order.iter().map(|&g| rows[g][k].clone()).collect()))
+                .collect(),
+        };
+        let agg_columns = finished.iter_mut().map(|values| {
+            let cells = order
+                .iter()
+                .map(|&g| std::mem::replace(&mut values[g], Value::Null));
+            from_cells(cells.collect())
+        });
 
-        let schema = cfg.output_schema(input_schema)?;
-        let columns: Vec<ColumnRef> = out_values
-            .iter()
+        let schema = self.cfg.output_schema(input_schema)?;
+        // Honour the declared output type where possible; keep the inferred
+        // one for heterogenous results.
+        let columns: Vec<ColumnRef> = key_columns
+            .into_iter()
+            .chain(agg_columns)
             .zip(schema.fields())
-            .map(|(vals, f)| {
-                // Honour the declared output type where possible; fall back to
-                // inference for heterogenous results.
-                let col = Arc::new(Column::from_values(vals));
-                col.cast(f.data_type()).unwrap_or(col)
-            })
+            .map(|(col, f)| col.cast(f.data_type()).unwrap_or(col))
             .collect();
         // Schema types may have been adjusted by fallback; rebuild from columns.
         let fields: Vec<Field> = schema
@@ -466,6 +411,47 @@ impl GroupByPartial {
             .collect();
         Table::from_refs(Arc::new(Schema::new(fields)?), columns)
     }
+}
+
+/// Fold the selected cells of one aggregate's input column (`None` for
+/// `count_all`) into `accs[ids[..]]`, in ascending row order. The
+/// `(kind, column type)` pair picks the loop; nothing is dispatched per
+/// row beyond the accumulator's own variant.
+fn fold_column(
+    kind: AggKind,
+    col: Option<&Column>,
+    rows: &RowSel,
+    ids: &[u32],
+    accs: &mut [Accumulator],
+) -> Result<()> {
+    let Some(col) = col else {
+        ids.iter().for_each(|&g| accs[g as usize].bump());
+        return Ok(());
+    };
+    let nulls = col.validity_ref().filter(|v| !v.all_set());
+    let cells = || {
+        rows.iter()
+            .zip(ids)
+            .filter(|(row, _)| nulls.is_none_or(|v| v.get(*row)))
+            .map(|(row, &g)| (row, g as usize))
+    };
+    match (kind, col) {
+        // Every cell is null: nothing but `count_all` sees it.
+        (_, Column::Null { .. }) => {}
+        (AggKind::Count, _) => cells().for_each(|(_, g)| accs[g].bump()),
+        (AggKind::Sum | AggKind::Avg, Column::Int64 { data, .. }) => {
+            cells().try_for_each(|(row, g)| accs[g].add_i64(data[row]))?
+        }
+        (AggKind::Sum | AggKind::Avg, Column::Float64 { data, .. }) => {
+            cells().try_for_each(|(row, g)| accs[g].add_f64(data[row]))?
+        }
+        (_, Column::Utf8 { data, .. }) => {
+            cells().try_for_each(|(row, g)| accs[g].see_str(&data[row]))?
+        }
+        // Fixed-width cells box without allocating.
+        _ => cells().try_for_each(|(row, g)| accs[g].update(&col.value(row)))?,
+    }
+    Ok(())
 }
 
 /// Accumulate one table into a fresh partial (the scatter side of a
@@ -609,51 +595,51 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_generic_path() {
-        // The single-key/int-sum specialization must be invisible: same
-        // rows, same order, same schema as the generic kernel.
-        let rows: Vec<Row> = (0..500)
-            .map(|i| crate::row![format!("k{}", i % 37), (i % 11) as i64, (i % 7) as i64])
-            .collect();
-        let t = Table::from_rows(&["key", "a", "b"], &rows).unwrap();
-        for orderby in [false, true] {
-            let mut cfg = GroupBy::with_aggregates(
-                &["key"],
-                vec![
-                    AggregateSpec::new(AggKind::Sum, "a", "sum_a"),
-                    AggregateSpec::new(AggKind::Count, "b", "n_b"),
-                    AggregateSpec::new(AggKind::CountAll, "", "n"),
-                ],
+    fn batches_merge_across_inferred_key_types() {
+        // A key column that infers Int64 in one batch and Float64 in the
+        // next still lands 2 and 2.0 in one group, as boxed `Value`s
+        // compare; the output key column widens like `from_values` does.
+        let ints = Table::from_rows(&["k", "v"], &[row![2i64, 1i64], row![3i64, 1i64]]).unwrap();
+        let floats = Table::from_rows(&["k", "v"], &[row![2.0, 10i64], row![2.5, 10i64]]).unwrap();
+        let cfg =
+            GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Sum, "v", "s")]);
+        let mut partial = GroupByPartial::new(cfg.clone());
+        partial.update(&ints).unwrap();
+        partial.update(&floats).unwrap();
+        let mut merged = groupby_partial(&ints, &cfg).unwrap();
+        merged
+            .merge(groupby_partial(&floats, &cfg).unwrap())
+            .unwrap();
+        for out in [partial.into_table().unwrap(), merged.into_table().unwrap()] {
+            assert_eq!(
+                out.to_rows(),
+                vec![row![2.0, 11i64], row![3.0, 1i64], row![2.5, 10i64]]
             );
-            cfg.orderby_aggregates = orderby;
-            let fast = try_groupby_fast(&t, &cfg, None)
-                .unwrap()
-                .expect("shape matches");
-            let generic = groupby_partial(&t, &cfg).unwrap().into_table().unwrap();
-            assert_eq!(fast, generic, "orderby={orderby}");
-            assert!(fast.schema().same_shape(generic.schema()));
         }
     }
 
     #[test]
-    fn fast_path_declines_unsupported_shapes() {
-        let t =
-            Table::from_rows(&["k", "v"], &[crate::row!["a", 1.5], crate::row!["b", 2.5]]).unwrap();
-        // Float aggregate column: decline.
-        let cfg =
-            GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Sum, "v", "s")]);
-        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
-        // Multi-key: decline.
-        let cfg = GroupBy::counting(&["k", "v"]);
-        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
-        // Avg: decline.
-        let cfg =
-            GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Avg, "v", "m")]);
-        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
-        // Null keys: decline (generic path groups them).
-        let t = Table::from_rows(&["k", "v"], &[crate::row![Value::Null, 1i64]]).unwrap();
-        let cfg = GroupBy::counting(&["k"]);
-        assert!(try_groupby_fast(&t, &cfg, None).unwrap().is_none());
+    fn update_keyed_returns_the_group_of_every_folded_row() {
+        let t = svn_jira();
+        let mut partial = GroupByPartial::new(GroupBy::counting(&["project"]));
+        let keys = [KeyColumn::Cells(t.column("project").unwrap())];
+        let mask = Bitmap::from_bools(&[true, false, true, true]);
+        assert_eq!(
+            partial.update_keyed(&t, Some(&mask), &keys).unwrap(),
+            [0, 0, 1]
+        );
+        // A second batch continues the global numbering.
+        let more = Table::from_rows(
+            &["project", "year", "noOfBugs", "noOfCheckins"],
+            &[
+                row!["hive", 2015i64, 1i64, 1i64],
+                row!["tez", 2015i64, 1i64, 1i64],
+            ],
+        )
+        .unwrap();
+        let keys = [KeyColumn::Cells(more.column("project").unwrap())];
+        assert_eq!(partial.update_keyed(&more, None, &keys).unwrap(), [1, 2]);
+        assert_eq!(partial.num_groups(), 3);
     }
 
     #[test]
@@ -710,8 +696,7 @@ mod tests {
     #[test]
     fn selection_groups_like_filter_then_group() {
         // Float sums are order-sensitive: folding the selected rows in
-        // ascending order must reproduce filter-then-group bit for bit, on
-        // the fast path (string key, int sum) and the generic one alike.
+        // ascending order must reproduce filter-then-group bit for bit.
         let rows: Vec<Row> = (0..97)
             .map(|i| {
                 let key = if i % 19 == 0 {

@@ -5,12 +5,14 @@
 //! left outer`) and a projection that both selects and renames output
 //! columns (`players_tweets_date: date`).
 
-use crate::column::Column;
+use crate::bitmap::Bitmap;
+use crate::column::{Column, ColumnRef};
+use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
-use crate::row::Row;
+use crate::ops::keys::{Buckets, KeyTable, RowSel, NONE};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Join condition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,114 +168,110 @@ impl JoinSpec {
     }
 }
 
-/// Execute a hash join. The smaller-side build is on the right; output
-/// order is left-row order (then unmatched right rows for right/full outer),
-/// deterministic for testing.
+/// The key columns of both sides, pairwise of one type: an `Int64` column
+/// facing a `Float64` one is cast to `Float64`, which is how `Value`
+/// compares the two (`Int(a) == Float(b)` iff `a as f64` is `b`). Any
+/// other pair of differing types is left alone — no two of their cells
+/// are equal, and [`KeyTable::probe`] matches nothing across types.
+fn unified_keys(left: &Table, right: &Table, spec: &JoinSpec) -> Result<[Vec<ColumnRef>; 2]> {
+    let (mut lkeys, mut rkeys) = (Vec::new(), Vec::new());
+    for (l, r) in spec.left_keys.iter().zip(&spec.right_keys) {
+        let (l, r) = (left.column(l)?, right.column(r)?);
+        let mixed = matches!(
+            (l.data_type(), r.data_type()),
+            (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
+        );
+        let unify = |c: &ColumnRef| {
+            if mixed {
+                c.cast(DataType::Float64)
+            } else {
+                Ok(c.clone())
+            }
+        };
+        lkeys.push(unify(l)?);
+        rkeys.push(unify(r)?);
+    }
+    Ok([lkeys, rkeys])
+}
+
+/// Execute a hash join. The build side is the right input, keyed through
+/// a [`KeyTable`]; the left input probes it. Output order is left-row
+/// order (then unmatched right rows for right/full outer), deterministic
+/// for testing. Null keys never match (SQL semantics).
+///
+/// When every left row comes out exactly once and in order — the lookup
+/// join: each row finds one match, or the join is left outer and finds at
+/// most one — the projected left columns are the input's own, shared, and
+/// only right columns are gathered.
 pub fn join(left: &Table, right: &Table, spec: &JoinSpec) -> Result<Table> {
     let schema = spec.output_schema(left.schema(), right.schema())?;
-
-    let lkeys: Vec<_> = spec
-        .left_keys
-        .iter()
-        .map(|k| left.column(k).cloned())
-        .collect::<Result<Vec<_>>>()?;
-    let rkeys: Vec<_> = spec
-        .right_keys
-        .iter()
-        .map(|k| right.column(k).cloned())
-        .collect::<Result<Vec<_>>>()?;
-
-    // Build side: right.
-    let mut build: HashMap<Row, Vec<usize>> = HashMap::new();
-    for i in 0..right.num_rows() {
-        let key = Row(rkeys.iter().map(|c| c.value(i)).collect());
-        // SQL semantics: null keys never match.
-        if key.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        build.entry(key).or_default().push(i);
+    let [lkeys, rkeys] = unified_keys(left, right, spec)?;
+    fn columns_of(keys: &[ColumnRef]) -> Vec<&Column> {
+        keys.iter().map(|c| c.as_ref()).collect()
     }
 
-    // Probe side: left.
-    let mut left_idx: Vec<Option<usize>> = Vec::new();
-    let mut right_idx: Vec<Option<usize>> = Vec::new();
-    let mut right_matched = vec![false; right.num_rows()];
+    let right_rows = RowSel::new(right.num_rows(), None);
+    let (table, build_ids) = KeyTable::build(&columns_of(&rkeys), &right_rows);
+    let matches = Buckets::new(&build_ids, &right_rows, table.groups());
+    let probe_ids = table.probe(&columns_of(&lkeys), &RowSel::new(left.num_rows(), None));
 
-    for i in 0..left.num_rows() {
-        let key = Row(lkeys.iter().map(|c| c.value(i)).collect());
-        let matches = if key.iter().any(|v| v.is_null()) {
-            None
-        } else {
-            build.get(&key)
-        };
-        match matches {
-            Some(ms) => {
-                for &m in ms {
-                    left_idx.push(Some(i));
-                    right_idx.push(Some(m));
-                    right_matched[m] = true;
-                }
+    let keep_left = matches!(
+        spec.condition,
+        JoinCondition::LeftOuter | JoinCondition::FullOuter
+    );
+    let mut left_idx: Vec<u32> = Vec::with_capacity(left.num_rows());
+    let mut right_idx: Vec<u32> = Vec::with_capacity(left.num_rows());
+    let mut right_matched = Bitmap::new_cleared(right.num_rows());
+    for (i, &id) in probe_ids.iter().enumerate() {
+        if id != NONE {
+            for &m in matches.rows_of(id as usize) {
+                left_idx.push(i as u32);
+                right_idx.push(m);
+                right_matched.set(m as usize);
             }
-            None => {
-                if matches!(
-                    spec.condition,
-                    JoinCondition::LeftOuter | JoinCondition::FullOuter
-                ) {
-                    left_idx.push(Some(i));
-                    right_idx.push(None);
-                }
-            }
+        } else if keep_left {
+            left_idx.push(i as u32);
+            right_idx.push(NONE);
         }
     }
     if matches!(
         spec.condition,
         JoinCondition::RightOuter | JoinCondition::FullOuter
     ) {
-        for (m, &matched) in right_matched.iter().enumerate() {
-            if !matched {
-                left_idx.push(None);
-                right_idx.push(Some(m));
-            }
+        for m in right_matched.not().iter_ones() {
+            left_idx.push(NONE);
+            right_idx.push(m as u32);
         }
     }
+    let left_in_place = left_idx.len() == left.num_rows()
+        && left_idx.iter().enumerate().all(|(i, &l)| l as usize == i);
 
     // Materialise the projected columns.
-    let projections: Vec<(bool, String)> = if spec.projection.is_empty() {
-        left.schema()
-            .names()
-            .iter()
-            .map(|n| (true, n.to_string()))
-            .chain(
-                right
-                    .schema()
-                    .names()
-                    .iter()
-                    .map(|n| (false, n.to_string())),
-            )
+    let projections: Vec<(bool, &str)> = if spec.projection.is_empty() {
+        let names = |t| Table::schema(t).names().into_iter();
+        names(left)
+            .map(|n| (true, n))
+            .chain(names(right).map(|n| (false, n)))
             .collect()
     } else {
         spec.projection
             .iter()
             .map(|p| {
-                let side = if p.from_left {
-                    left.schema()
-                } else {
-                    right.schema()
-                };
-                Ok((p.from_left, resolve_column(side, &p.column)?.to_string()))
+                let side = if p.from_left { left } else { right };
+                Ok((p.from_left, resolve_column(side.schema(), &p.column)?))
             })
             .collect::<Result<Vec<_>>>()?
     };
-
-    let mut columns: Vec<Column> = Vec::with_capacity(projections.len());
-    for (from_left, col_name) in &projections {
-        let (table_side, idx) = if *from_left {
-            (left, &left_idx)
-        } else {
-            (right, &right_idx)
-        };
-        columns.push(table_side.column(col_name)?.take_opt(idx));
-    }
+    let columns = projections
+        .into_iter()
+        .map(|(from_left, name)| {
+            Ok(match from_left {
+                true if left_in_place => left.column(name)?.clone(),
+                true => Arc::new(left.column(name)?.take_opt(&left_idx)),
+                false => Arc::new(right.column(name)?.take_opt(&right_idx)),
+            })
+        })
+        .collect::<Result<Vec<ColumnRef>>>()?;
     // Outer joins introduce nulls; the schema's types still hold, but a
     // column that came out all-null degrades to Null type — retype fields
     // from the actual columns to keep the table constructor's invariant.
@@ -282,14 +280,14 @@ pub fn join(left: &Table, right: &Table, spec: &JoinSpec) -> Result<Table> {
         .iter()
         .zip(&columns)
         .map(|(f, c)| {
-            if c.data_type() == crate::datatype::DataType::Null {
+            if c.data_type() == DataType::Null {
                 f.clone()
             } else {
                 f.retyped(c.data_type())
             }
         })
         .collect();
-    Table::new(Schema::new(fields)?, columns)
+    Table::from_refs(Arc::new(Schema::new(fields)?), columns)
 }
 
 #[cfg(test)]

@@ -16,10 +16,11 @@
 //! mutate the input column — matching the paper's examples where `postedTime`
 //! remains alongside the normalised `date`.
 
-use crate::column::ColumnBuilder;
+use crate::column::{Column, ColumnBuilder, StrBuf};
 use crate::datatype::DataType;
-use crate::datefmt::{reformat, DatePattern};
+use crate::datefmt::{civil_from_days, DatePattern, DateTime};
 use crate::error::{Result, TabularError};
+use crate::ops::keys::{group_ids, KeyColumn, RowSel};
 use crate::table::Table;
 use crate::text::{extract_words, ExtractDict, Gazetteer};
 
@@ -40,39 +41,76 @@ pub struct DateMap {
     pub lenient: bool,
 }
 
+/// One output cell per *distinct* input cell, gathered back to the rows:
+/// code `input`, call `cell(rep, out)` once per distinct non-null input —
+/// `rep` is its first row; it appends the output cell to `out` and returns
+/// true, or returns false for a null — and copy each row's cell by its
+/// code. Null inputs give null outputs without a call. Returns the output
+/// column and how many distinct inputs were mapped.
+fn map_distinct(
+    input: &Column,
+    mut cell: impl FnMut(usize, &mut StrBuf) -> Result<bool>,
+) -> Result<(Column, usize)> {
+    let rows = RowSel::new(input.len(), None);
+    let groups = group_ids(&[KeyColumn::Cells(input)], &rows);
+    let is_null = |row: usize| input.validity_ref().is_none_or(|v| !v.get(row));
+    let mut mapped = StrBuf::with_capacity(groups.reps.len(), 0);
+    let mut present = Vec::with_capacity(groups.reps.len());
+    for &rep in &groups.reps {
+        let some = !is_null(rep as usize) && cell(rep as usize, &mut mapped)?;
+        if !some {
+            mapped.push("");
+        }
+        present.push(some);
+    }
+    let mut b = ColumnBuilder::with_capacity(DataType::Utf8, input.len());
+    for &g in &groups.ids {
+        if present[g as usize] {
+            b.push_str(&mapped[g as usize]);
+        } else {
+            b.push_null();
+        }
+    }
+    let distinct = present.len() - usize::from(input.null_count() > 0);
+    Ok((b.finish(), distinct))
+}
+
 /// Apply a [`DateMap`].
 pub fn map_date(table: &Table, cfg: &DateMap) -> Result<Table> {
+    map_date_counted(table, cfg).map(|(out, _)| out)
+}
+
+/// [`map_date`], also returning how many distinct inputs were converted:
+/// a column of 18k rows holds a few hundred dates, and each is parsed and
+/// formatted once. `Utf8` cells are parsed with the input pattern; `Date`
+/// cells are dates already and are formatted directly. Cells of any other
+/// type cannot be dates: null in lenient mode, an error otherwise.
+pub fn map_date_counted(table: &Table, cfg: &DateMap) -> Result<(Table, usize)> {
     let input = table.column(&cfg.input_column)?;
     let in_pat = DatePattern::compile(&cfg.input_format)?;
     let out_pat = DatePattern::compile(&cfg.output_format)?;
-    let mut b = ColumnBuilder::with_capacity(DataType::Utf8, table.num_rows());
-    for i in 0..table.num_rows() {
-        match input.str_at(i) {
-            Some(s) => match reformat(s, &in_pat, &out_pat) {
-                Ok(out) => b.push_str(out),
-                Err(e) if cfg.lenient => {
-                    let _ = e;
-                    b.push_null();
-                }
-                Err(e) => return Err(e),
-            },
-            None => {
-                let v = input.value(i);
-                // Nulls always pass through as null; non-text cells only
-                // survive in lenient mode.
-                if v.is_null() || cfg.lenient {
-                    b.push_null();
-                } else {
-                    return Err(TabularError::TypeMismatch {
-                        expected: "utf8 date text".into(),
-                        actual: v.data_type().to_string(),
-                        context: format!("date map on '{}'", cfg.input_column),
-                    });
-                }
+    let (column, distinct) = map_distinct(input, |rep, out| match input.as_ref() {
+        Column::Utf8 { data, .. } => match in_pat.parse(&data[rep]) {
+            Ok(dt) => {
+                out.push_display(&out_pat.display(&dt.to_utc()));
+                Ok(true)
             }
+            Err(_) if cfg.lenient => Ok(false),
+            Err(e) => Err(e),
+        },
+        Column::Date { data, .. } => {
+            let (y, m, d) = civil_from_days(data[rep]);
+            out.push_display(&out_pat.display(&DateTime::from_ymd(y, m, d)));
+            Ok(true)
         }
-    }
-    table.with_column(&cfg.output_column, b.finish())
+        _ if cfg.lenient => Ok(false),
+        other => Err(TabularError::TypeMismatch {
+            expected: "utf8 date text".into(),
+            actual: other.data_type().to_string(),
+            context: format!("date map on '{}'", cfg.input_column),
+        }),
+    })?;
+    Ok((table.with_column(&cfg.output_column, column)?, distinct))
 }
 
 /// Configuration of an `extract` map operator.
@@ -138,18 +176,21 @@ pub struct LocationMap {
 
 /// Apply a [`LocationMap`]; unresolvable locations become null.
 pub fn map_extract_location(table: &Table, cfg: &LocationMap) -> Result<Table> {
+    map_extract_location_counted(table, cfg).map(|(out, _)| out)
+}
+
+/// [`map_extract_location`], also returning how many distinct inputs were
+/// looked up: profile locations repeat, and each distinct one is matched
+/// against the gazetteer once.
+pub fn map_extract_location_counted(table: &Table, cfg: &LocationMap) -> Result<(Table, usize)> {
     let input = table.column(&cfg.input_column)?;
-    let mut b = ColumnBuilder::with_capacity(DataType::Utf8, table.num_rows());
-    for i in 0..table.num_rows() {
-        match input
-            .str_at(i)
-            .and_then(|loc| cfg.gazetteer.extract_state(loc, &cfg.country))
-        {
-            Some(state) => b.push_str(state),
-            None => b.push_null(),
-        }
-    }
-    table.with_column(&cfg.output_column, b.finish())
+    let (column, distinct) = map_distinct(input, |rep, out| {
+        let state = input
+            .str_at(rep)
+            .and_then(|loc| cfg.gazetteer.extract_state(loc, &cfg.country));
+        Ok(state.map(|s| out.push(s)).is_some())
+    })?;
+    Ok((table.with_column(&cfg.output_column, column)?, distinct))
 }
 
 /// Configuration of an `extract_words` map operator.
@@ -187,7 +228,9 @@ pub fn map_extract_words(table: &Table, cfg: &WordsMap) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::Bitmap;
     use crate::row;
+    use crate::schema::Schema;
     use crate::value::Value;
 
     fn tweets() -> Table {
@@ -265,6 +308,77 @@ mod tests {
             ..cfg
         };
         assert!(map_date(&t, &strict).is_err());
+    }
+
+    #[test]
+    fn date_map_formats_date_columns_directly() {
+        // A `Date`-typed column (SQL, JSON or a cast produced it) holds
+        // dates already; it used to come out all-null in lenient mode.
+        let days = [16_000, 16_000, 16_031];
+        let date = Column::Date {
+            data: days.to_vec(),
+            validity: Bitmap::from_bools(&[true, false, true]),
+        };
+        let t = Table::new(Schema::of(&[("d", DataType::Date)]), vec![date]).unwrap();
+        for lenient in [true, false] {
+            let cfg = DateMap {
+                input_column: "d".into(),
+                input_format: "yyyy-MM-dd".into(),
+                output_format: "yyyy/MM".into(),
+                output_column: "month".into(),
+                lenient,
+            };
+            let (out, distinct) = map_date_counted(&t, &cfg).unwrap();
+            let months: Vec<Value> = out.column("month").unwrap().iter().collect();
+            assert_eq!(months, ["2013/10".into(), Value::Null, "2013/11".into()]);
+            assert_eq!(distinct, 2);
+        }
+        // Types that cannot be dates: null when lenient, an error when not.
+        let ints = Table::from_rows(&["d"], &[row![20130502i64], row![Value::Null]]).unwrap();
+        let cfg = |lenient| DateMap {
+            input_column: "d".into(),
+            input_format: "yyyyMMdd".into(),
+            output_format: "yyyy".into(),
+            output_column: "y".into(),
+            lenient,
+        };
+        assert_eq!(
+            map_date(&ints, &cfg(true))
+                .unwrap()
+                .column("y")
+                .unwrap()
+                .null_count(),
+            2
+        );
+        assert!(map_date(&ints, &cfg(false)).is_err());
+    }
+
+    #[test]
+    fn repeated_inputs_are_mapped_once() {
+        let rows: Vec<crate::row::Row> = (0..50)
+            .map(|i| match i % 5 {
+                0 => row![Value::Null],
+                1 => row!["garbage"],
+                k => row![format!("2013-05-0{k}")],
+            })
+            .collect();
+        let t = Table::from_rows(&["d"], &rows).unwrap();
+        let cfg = DateMap {
+            input_column: "d".into(),
+            input_format: "yyyy-MM-dd".into(),
+            output_format: "dd.MM".into(),
+            output_column: "out".into(),
+            lenient: true,
+        };
+        let (out, distinct) = map_date_counted(&t, &cfg).unwrap();
+        assert_eq!(distinct, 4, "three dates and the garbage cell");
+        for (i, cell) in out.column("out").unwrap().iter().enumerate() {
+            let want = match i % 5 {
+                0 | 1 => Value::Null,
+                k => Value::Str(format!("0{k}.05")),
+            };
+            assert_eq!(cell, want, "row {i}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ pub mod distinct;
 pub mod filter;
 pub mod groupby;
 pub mod join;
+pub mod keys;
 pub mod map;
 pub mod sort;
 pub mod topn;
@@ -21,10 +22,11 @@ pub use groupby::{
     groupby, groupby_partial, groupby_selected, AggregateSpec, GroupBy, GroupByPartial,
 };
 pub use join::{join, JoinCondition, JoinSpec, ProjectSpec};
+pub use keys::{group_ids, Buckets, GroupIds, KeyColumn, KeyTable, RowSel};
 pub use map::{
-    map_date, map_extract, map_extract_location, map_extract_words, DateMap, ExtractMap,
-    LocationMap, WordsMap,
+    map_date, map_date_counted, map_extract, map_extract_location, map_extract_location_counted,
+    map_extract_words, DateMap, ExtractMap, LocationMap, WordsMap,
 };
 pub use sort::{sort, sort_limit, KeyComparator, SortKey, SortOrder};
-pub use topn::{topn, TopN};
+pub use topn::{topn, topn_counted, TopN};
 pub use union::union_all;

@@ -1,7 +1,7 @@
 //! Multi-key stable sort.
 
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{Column, RowId};
 use crate::error::Result;
 use crate::table::Table;
 use crate::value::Value;
@@ -143,6 +143,38 @@ impl<'a> KeyComparator<'a> {
     }
 }
 
+impl KeyComparator<'_> {
+    /// The first `n` of `rows` (ascending row ids) under the keys, in key
+    /// order with ties by row id — what a stable sort of `rows` followed
+    /// by `truncate(n)` gives, byte for byte. With `n` below the row count
+    /// this is a bounded selection: a max-heap holds the best `n` rows
+    /// seen, most rows lose against its root in one comparison, and no
+    /// input order costs more than `O(rows log n)`.
+    pub fn first_rows<I: RowId + Ord>(
+        &self,
+        rows: impl ExactSizeIterator<Item = I>,
+        n: usize,
+    ) -> Vec<I> {
+        if n >= rows.len() {
+            let mut all: Vec<I> = rows.collect();
+            all.sort_by(|&a, &b| self.compare(a.row(), b.row()));
+            return all;
+        }
+        let mut best: BinaryHeap<Ranked<'_, '_, I>> = BinaryHeap::with_capacity(n);
+        for row in rows {
+            let row = Ranked(row, self);
+            if best.len() < n {
+                best.push(row);
+            } else if let Some(mut worst) = best.peek_mut() {
+                if row < *worst {
+                    *worst = row;
+                }
+            }
+        }
+        best.into_sorted_vec().iter().map(|r| r.0).collect()
+    }
+}
+
 /// Stable multi-key sort; equal keys keep input order.
 pub fn sort(table: &Table, keys: &[SortKey]) -> Result<Table> {
     let cmp = KeyComparator::new(table, keys)?;
@@ -151,52 +183,36 @@ pub fn sort(table: &Table, keys: &[SortKey]) -> Result<Table> {
     Ok(table.take(&indices))
 }
 
-/// A row under the total order (keys, then row id) that [`sort_limit`]'s
-/// heap ranks by.
-struct Ranked<'c, 'a>(usize, &'c KeyComparator<'a>);
+/// A row under the total order (keys, then row id) that
+/// [`KeyComparator::first_rows`]'s heap ranks by.
+struct Ranked<'c, 'a, I>(I, &'c KeyComparator<'a>);
 
-impl Ord for Ranked<'_, '_> {
+impl<I: RowId + Ord> Ord for Ranked<'_, '_, I> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.1.compare(self.0, other.0).then(self.0.cmp(&other.0))
+        let keys = self.1.compare(self.0.row(), other.0.row());
+        keys.then(self.0.cmp(&other.0))
     }
 }
-impl PartialOrd for Ranked<'_, '_> {
+impl<I: RowId + Ord> PartialOrd for Ranked<'_, '_, I> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl PartialEq for Ranked<'_, '_> {
+impl<I: RowId + Ord> PartialEq for Ranked<'_, '_, I> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Ranked<'_, '_> {}
+impl<I: RowId + Ord> Eq for Ranked<'_, '_, I> {}
 
 /// The first `n` rows of [`sort`] without materialising the full order:
-/// a bounded selection over (keys, original index) — the index tiebreak
-/// makes the order total, so the output equals `sort(table, keys).limit(n)`
-/// byte for byte (stable sort ties resolve to the lower index). A max-heap
-/// holds the best `n` rows seen; most rows lose against its root in one
-/// comparison, and no input order costs more than `O(rows log n)`. Only
-/// the `n` winners are gathered.
+/// see [`KeyComparator::first_rows`]. Only the `n` winners are gathered.
 pub fn sort_limit(table: &Table, keys: &[SortKey], n: usize) -> Result<Table> {
     if n >= table.num_rows() {
         return sort(table, keys);
     }
     let cmp = KeyComparator::new(table, keys)?;
-    let mut best: BinaryHeap<Ranked<'_, '_>> = BinaryHeap::with_capacity(n);
-    for i in 0..table.num_rows() {
-        let row = Ranked(i, &cmp);
-        if best.len() < n {
-            best.push(row);
-        } else if let Some(mut worst) = best.peek_mut() {
-            if row < *worst {
-                *worst = row;
-            }
-        }
-    }
-    let indices: Vec<usize> = best.into_sorted_vec().iter().map(|r| r.0).collect();
-    Ok(table.take(&indices))
+    Ok(table.take(&cmp.first_rows(0..table.num_rows(), n)))
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 //! the 20 most frequent words per date).
 
 use crate::error::Result;
+use crate::ops::keys::{group_ids, Buckets, KeyColumn, RowSel};
 use crate::ops::sort::{KeyComparator, SortKey};
-use crate::row::Row;
 use crate::table::Table;
-use std::collections::HashMap;
 
 /// `topn` task configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,31 +21,27 @@ pub struct TopN {
 /// Output preserves all columns; partitions appear in first-seen order and
 /// rows within a partition in the requested order (ties stable).
 pub fn topn(table: &Table, cfg: &TopN) -> Result<Table> {
-    let group_cols: Vec<_> = cfg
+    topn_counted(table, cfg).map(|(out, _)| out)
+}
+
+/// [`topn`], also returning how many partitions the input had. Each
+/// partition's rows are selected by the bounded heap behind
+/// [`sort_limit`](crate::ops::sort_limit), never fully sorted.
+pub fn topn_counted(table: &Table, cfg: &TopN) -> Result<(Table, usize)> {
+    let keys = cfg
         .groupby
         .iter()
-        .map(|k| table.column(k).cloned())
+        .map(|k| Ok(KeyColumn::Cells(table.column(k)?)))
         .collect::<Result<Vec<_>>>()?;
     let cmp = KeyComparator::new(table, &cfg.order_by)?;
-
-    // Partition row indices.
-    let mut partitions: HashMap<Row, usize> = HashMap::new();
-    let mut part_rows: Vec<Vec<usize>> = Vec::new();
-    for i in 0..table.num_rows() {
-        let key = Row(group_cols.iter().map(|c| c.value(i)).collect());
-        let pid = *partitions.entry(key).or_insert_with(|| {
-            part_rows.push(Vec::new());
-            part_rows.len() - 1
-        });
-        part_rows[pid].push(i);
+    let rows = RowSel::new(table.num_rows(), None);
+    let groups = group_ids(&keys, &rows);
+    let partitions = Buckets::new(&groups.ids, &rows, groups.reps.len());
+    let mut out_indices: Vec<u32> = Vec::new();
+    for p in 0..groups.reps.len() {
+        out_indices.extend(cmp.first_rows(partitions.rows_of(p).iter().copied(), cfg.limit));
     }
-
-    let mut out_indices = Vec::new();
-    for rows in &mut part_rows {
-        rows.sort_by(|&a, &b| cmp.compare(a, b));
-        out_indices.extend(rows.iter().take(cfg.limit).copied());
-    }
-    Ok(table.take(&out_indices))
+    Ok((table.take(&out_indices), groups.reps.len()))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! [`Table`]: an immutable bundle of a schema and equally long columns.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnBuilder, ColumnRef};
+use crate::column::{Column, ColumnBuilder, ColumnRef, RowId};
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
 use crate::row::Row;
@@ -200,7 +200,7 @@ impl Table {
     }
 
     /// Gather rows by index into a new table.
-    pub fn take(&self, indices: &[usize]) -> Table {
+    pub fn take<I: RowId>(&self, indices: &[I]) -> Table {
         let columns = self
             .columns
             .iter()
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn take_filter_limit_slice() {
         let t = sample();
-        let taken = t.take(&[3, 0]);
+        let taken = t.take(&[3usize, 0]);
         assert_eq!(
             taken.value(0, "project").unwrap(),
             Value::Str("hive".into())

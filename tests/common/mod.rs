@@ -1,25 +1,33 @@
 //! Test support shared by the differential suites: the **unfused
-//! reference evaluator**.
+//! reference evaluator** and the **row-wise keyed kernels** under it.
 //!
 //! `run_query` / `run_query_indexed` fuse `sort | limit` and
-//! `filter | groupby`, evaluate predicates column-at-a-time and compare
-//! sort keys through typed slices. The reference does none of that: it
-//! applies the ops one at a time, builds predicate masks row by row
-//! through [`Expr::eval_row`], and sorts by comparing boxed [`Value`]s —
-//! the kernels the fused path replaced. The suites assert the two agree
-//! byte for byte.
+//! `filter | groupby`, evaluate predicates column-at-a-time, compare sort
+//! keys through typed slices and group, join and de-duplicate through
+//! coded keys and typed accumulators. The reference does none of that:
+//! it applies the ops one at a time, builds predicate masks row by row
+//! through [`Expr::eval_row`], sorts by comparing boxed [`Value`]s, and
+//! keys every group-by, join, distinct and top-n by a boxed [`Row`] per
+//! input row, folding boxed cells into [`ModelAccumulator`] — the kernels
+//! the typed paths replaced, kept here verbatim as the oracle. The suites
+//! assert the two agree byte for byte.
 
 // Each integration test compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
 use shareinsights::server::query::QueryOp;
+use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::Expr;
 use shareinsights::tabular::ops::{
-    distinct, filter_by_values, groupby, join, AggregateSpec, FilterByValues, GroupBy,
-    JoinCondition, JoinSpec, SortKey, SortOrder,
+    filter_by_values, AggregateSpec, FilterByValues, GroupBy, JoinCondition, JoinSpec, SortKey,
+    SortOrder, TopN,
 };
-use shareinsights::tabular::{Bitmap, Table, Value};
+use shareinsights::tabular::{
+    Bitmap, Column, ColumnBuilder, DataType, Field, Row, Schema, Table, Value,
+};
 use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Row-at-a-time predicate mask: every row evaluates the whole tree, each
 /// column is looked up by name, each cell boxed.
@@ -75,9 +83,9 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
                     &[key],
                     vec![AggregateSpec::new(*agg, apply_on.clone(), out)],
                 );
-                groupby(&current, &cfg).map_err(|e| e.to_string())?
+                rowwise_groupby(&current, &cfg, None)?
             }
-            QueryOp::GroupByMulti(cfg) => groupby(&current, cfg).map_err(|e| e.to_string())?,
+            QueryOp::GroupByMulti(cfg) => rowwise_groupby(&current, cfg, None)?,
             QueryOp::Filter { column, value } => {
                 let spec = FilterByValues::single(column.clone(), vec![value.clone()]);
                 filter_by_values(&current, &spec).map_err(|e| e.to_string())?
@@ -102,10 +110,8 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
                 let start = (*n).min(current.num_rows());
                 current.take(&(start..current.num_rows()).collect::<Vec<_>>())
             }
-            QueryOp::Distinct(column) => {
-                distinct(&current, std::slice::from_ref(column)).map_err(|e| e.to_string())?
-            }
-            QueryOp::DistinctRows(cols) => distinct(&current, cols).map_err(|e| e.to_string())?,
+            QueryOp::Distinct(column) => rowwise_distinct(&current, std::slice::from_ref(column))?,
+            QueryOp::DistinctRows(cols) => rowwise_distinct(&current, cols)?,
             QueryOp::Project(cols) => current.project(cols).map_err(|e| e.to_string())?,
             QueryOp::Join(j) => {
                 let spec = JoinSpec {
@@ -114,7 +120,7 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
                     condition: JoinCondition::Inner,
                     projection: Vec::new(),
                 };
-                join(&current, &j.right, &spec).map_err(|e| e.to_string())?
+                rowwise_join(&current, &j.right, &spec)?
             }
             fused @ (QueryOp::TopN { .. } | QueryOp::FilteredGroupBy { .. }) => {
                 return Err(format!("the reference takes unfused ops, got {fused:?}"))
@@ -124,13 +130,364 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
     Ok(current)
 }
 
+/// The aggregate state the typed [`Accumulator`] replaced, verbatim: one
+/// struct carrying every kind's fields, fed one boxed [`Value`] at a time.
+///
+/// [`Accumulator`]: shareinsights::tabular::agg::Accumulator
+#[derive(Debug, Clone)]
+pub struct ModelAccumulator {
+    kind: AggKind,
+    count: i64,
+    sum_i: i64,
+    sum_f: f64,
+    saw_float: bool,
+    extreme: Option<Value>,
+    first: Option<Value>,
+    last: Option<Value>,
+    distinct: HashSet<Value>,
+    collected: Vec<String>,
+}
+
+impl ModelAccumulator {
+    pub fn new(kind: AggKind) -> Self {
+        ModelAccumulator {
+            kind,
+            count: 0,
+            sum_i: 0,
+            sum_f: 0.0,
+            saw_float: false,
+            extreme: None,
+            first: None,
+            last: None,
+            distinct: HashSet::new(),
+            collected: Vec::new(),
+        }
+    }
+
+    pub fn update(&mut self, v: &Value) -> Result<(), String> {
+        if self.kind == AggKind::CountAll {
+            self.count += 1;
+            return Ok(());
+        }
+        if v.is_null() {
+            return Ok(());
+        }
+        match self.kind {
+            AggKind::Count => self.count += 1,
+            AggKind::Sum | AggKind::Avg => {
+                let f = match v {
+                    Value::Int(i) => Some(*i as f64),
+                    Value::Float(f) => Some(*f),
+                    Value::Str(s) => s.trim().parse::<f64>().ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| format!("{} over {}", self.kind, v.data_type()))?;
+                self.count += 1;
+                self.sum_f += f;
+                match v.as_int() {
+                    Some(i) if !matches!(v, Value::Float(_)) => self.sum_i += i,
+                    _ => self.saw_float = true,
+                }
+            }
+            AggKind::Min => {
+                if self.extreme.as_ref().is_none_or(|e| v < e) {
+                    self.extreme = Some(v.clone());
+                }
+            }
+            AggKind::Max => {
+                if self.extreme.as_ref().is_none_or(|e| v > e) {
+                    self.extreme = Some(v.clone());
+                }
+            }
+            AggKind::First => {
+                if self.first.is_none() {
+                    self.first = Some(v.clone());
+                }
+            }
+            AggKind::Last => self.last = Some(v.clone()),
+            AggKind::CountDistinct => {
+                self.distinct.insert(v.clone());
+            }
+            AggKind::Collect => self.collected.push(v.to_string()),
+            AggKind::CountAll => unreachable!(),
+        }
+        Ok(())
+    }
+
+    pub fn finish(self) -> Value {
+        match self.kind {
+            AggKind::Sum if self.count == 0 => Value::Null,
+            AggKind::Sum if self.saw_float => Value::Float(self.sum_f),
+            AggKind::Sum => Value::Int(self.sum_i),
+            AggKind::Count | AggKind::CountAll => Value::Int(self.count),
+            AggKind::Avg if self.count == 0 => Value::Null,
+            AggKind::Avg => Value::Float(self.sum_f / self.count as f64),
+            AggKind::Min | AggKind::Max => self.extreme.unwrap_or(Value::Null),
+            AggKind::First => self.first.unwrap_or(Value::Null),
+            AggKind::Last => self.last.unwrap_or(Value::Null),
+            AggKind::CountDistinct => Value::Int(self.distinct.len() as i64),
+            AggKind::Collect => Value::Str(self.collected.join(",")),
+        }
+    }
+}
+
+fn key_columns(table: &Table, names: &[impl AsRef<str>]) -> Result<Vec<Arc<Column>>, String> {
+    names
+        .iter()
+        .map(|k| table.column(k.as_ref()).cloned().map_err(|e| e.to_string()))
+        .collect()
+}
+
+fn boxed_key(cols: &[Arc<Column>], row: usize) -> Row {
+    Row(cols.iter().map(|c| c.value(row)).collect())
+}
+
+/// Output columns from boxed cells the way the group-by always finished:
+/// infer the column type from the cells, cast to the declared type where
+/// that is lossless, and retype the schema from what came out.
+fn columns_from_cells(declared: &Schema, cells: Vec<Vec<Value>>) -> Result<Table, String> {
+    let columns: Vec<Arc<Column>> = cells
+        .iter()
+        .zip(declared.fields())
+        .map(|(vals, f)| {
+            let col = Arc::new(Column::from_values(vals));
+            col.cast(f.data_type()).unwrap_or(col)
+        })
+        .collect();
+    retyped(declared, columns)
+}
+
+fn retyped(declared: &Schema, columns: Vec<Arc<Column>>) -> Result<Table, String> {
+    let fields: Vec<Field> = declared
+        .fields()
+        .iter()
+        .zip(&columns)
+        .map(|(f, c)| match c.data_type() {
+            DataType::Null => f.clone(),
+            ty => f.retyped(ty),
+        })
+        .collect();
+    let schema = Schema::new(fields).map_err(|e| e.to_string())?;
+    Table::from_refs(Arc::new(schema), columns).map_err(|e| e.to_string())
+}
+
+/// Group-by keyed by a boxed [`Row`] per input row, every aggregate input
+/// boxed and fed to a [`ModelAccumulator`] row by row.
+pub fn rowwise_groupby(
+    table: &Table,
+    cfg: &GroupBy,
+    selection: Option<&Bitmap>,
+) -> Result<Table, String> {
+    rowwise_groupby_batches(&[(table, selection)], cfg)
+}
+
+/// [`rowwise_groupby`] over several batches in order, as one running
+/// state: what a partial updated batch by batch, or partials merged in
+/// order, must equal. The output schema derives from the first batch.
+pub fn rowwise_groupby_batches(
+    batches: &[(&Table, Option<&Bitmap>)],
+    cfg: &GroupBy,
+) -> Result<Table, String> {
+    let aggs = cfg.effective_aggregates();
+    let mut groups: HashMap<Row, usize> = HashMap::new();
+    let mut key_rows: Vec<Row> = Vec::new();
+    let mut accs: Vec<Vec<ModelAccumulator>> = Vec::new();
+    for &(table, selection) in batches {
+        if selection.is_some_and(|m| m.len() != table.num_rows()) {
+            return Err("selection mask length".into());
+        }
+        let keys = key_columns(table, &cfg.keys)?;
+        let inputs = aggs
+            .iter()
+            .map(|a| match a.operator {
+                AggKind::CountAll => Ok(None),
+                _ => table.column(&a.apply_on).cloned().map(Some),
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
+        for i in (0..table.num_rows()).filter(|&i| selection.is_none_or(|m| m.get(i))) {
+            let key = boxed_key(&keys, i);
+            let g = *groups.entry(key.clone()).or_insert_with(|| {
+                key_rows.push(key);
+                accs.push(
+                    aggs.iter()
+                        .map(|a| ModelAccumulator::new(a.operator))
+                        .collect(),
+                );
+                accs.len() - 1
+            });
+            for (acc, col) in accs[g].iter_mut().zip(&inputs) {
+                acc.update(&col.as_ref().map_or(Value::Null, |c| c.value(i)))?;
+            }
+        }
+    }
+    let finished: Vec<Vec<Value>> = accs
+        .into_iter()
+        .map(|group| group.into_iter().map(ModelAccumulator::finish).collect())
+        .collect();
+    let mut order: Vec<usize> = (0..key_rows.len()).collect();
+    if cfg.orderby_aggregates {
+        order.sort_by(|&a, &b| finished[b][0].cmp(&finished[a][0]));
+    }
+    let mut cells: Vec<Vec<Value>> = vec![Vec::new(); cfg.keys.len() + aggs.len()];
+    for &g in &order {
+        let row = key_rows[g].iter().chain(&finished[g]);
+        for (column, v) in cells.iter_mut().zip(row) {
+            column.push(v.clone());
+        }
+    }
+    let first = batches.first().ok_or("no batch")?.0;
+    let declared = cfg
+        .output_schema(first.schema())
+        .map_err(|e| e.to_string())?;
+    columns_from_cells(&declared, cells)
+}
+
+/// Hash join keyed by a boxed [`Row`] per build and per probe row; output
+/// cells are copied one boxed value at a time into builders of the source
+/// columns' types.
+pub fn rowwise_join(left: &Table, right: &Table, spec: &JoinSpec) -> Result<Table, String> {
+    let declared = spec
+        .output_schema(left.schema(), right.schema())
+        .map_err(|e| e.to_string())?;
+    let (lkeys, rkeys) = (
+        key_columns(left, &spec.left_keys)?,
+        key_columns(right, &spec.right_keys)?,
+    );
+    let has_null = |key: &Row| key.iter().any(Value::is_null);
+    let mut build: HashMap<Row, Vec<usize>> = HashMap::new();
+    for i in 0..right.num_rows() {
+        let key = boxed_key(&rkeys, i);
+        if !has_null(&key) {
+            build.entry(key).or_default().push(i);
+        }
+    }
+    let keep_left = matches!(
+        spec.condition,
+        JoinCondition::LeftOuter | JoinCondition::FullOuter
+    );
+    let mut pairs: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+    let mut right_matched = vec![false; right.num_rows()];
+    for i in 0..left.num_rows() {
+        let key = boxed_key(&lkeys, i);
+        match build.get(&key).filter(|_| !has_null(&key)) {
+            Some(matches) => {
+                for &m in matches {
+                    pairs.push((Some(i), Some(m)));
+                    right_matched[m] = true;
+                }
+            }
+            None if keep_left => pairs.push((Some(i), None)),
+            None => {}
+        }
+    }
+    if matches!(
+        spec.condition,
+        JoinCondition::RightOuter | JoinCondition::FullOuter
+    ) {
+        let unmatched = (0..right.num_rows()).filter(|&m| !right_matched[m]);
+        pairs.extend(unmatched.map(|m| (None, Some(m))));
+    }
+    // The projection resolves names as the kernel documents: exact, then a
+    // unique case-insensitive match.
+    let resolve = |side: &Table, name: &str| -> Result<Arc<Column>, String> {
+        if let Ok(c) = side.column(name) {
+            return Ok(c.clone());
+        }
+        let mut found = side
+            .schema()
+            .fields()
+            .iter()
+            .filter(|f| f.name().eq_ignore_ascii_case(name));
+        match (found.next(), found.next()) {
+            (Some(f), None) => side.column(f.name()).cloned().map_err(|e| e.to_string()),
+            _ => Err(format!("no column {name}")),
+        }
+    };
+    let sources: Vec<(bool, Arc<Column>)> = if spec.projection.is_empty() {
+        let left = left.columns().iter().map(|c| (true, c.clone()));
+        left.chain(right.columns().iter().map(|c| (false, c.clone())))
+            .collect()
+    } else {
+        spec.projection
+            .iter()
+            .map(|p| {
+                let side = if p.from_left { left } else { right };
+                Ok((p.from_left, resolve(side, &p.column)?))
+            })
+            .collect::<Result<_, String>>()?
+    };
+    let columns = sources
+        .iter()
+        .map(|(from_left, source)| {
+            let mut b = ColumnBuilder::new(source.data_type());
+            for &(l, r) in &pairs {
+                let cell = if *from_left { l } else { r }.map_or(Value::Null, |i| source.value(i));
+                b.push_coerced(&cell).map_err(|e| e.to_string())?;
+            }
+            Ok(Arc::new(b.finish()))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    retyped(&declared, columns)
+}
+
+/// Distinct keyed by a boxed [`Row`] per input row.
+pub fn rowwise_distinct(table: &Table, columns: &[impl AsRef<str>]) -> Result<Table, String> {
+    let keys = if columns.is_empty() {
+        table.columns().to_vec()
+    } else {
+        key_columns(table, columns)?
+    };
+    let mut seen: HashSet<Row> = HashSet::new();
+    let keep: Vec<usize> = (0..table.num_rows())
+        .filter(|&i| seen.insert(boxed_key(&keys, i)))
+        .collect();
+    Ok(table.take(&keep))
+}
+
+/// Top-n partitioned by a boxed [`Row`] per input row, every partition
+/// fully and stably sorted by boxed comparisons, then cut.
+pub fn rowwise_topn(table: &Table, cfg: &TopN) -> Result<Table, String> {
+    let keys = key_columns(table, &cfg.groupby)?;
+    let order_cols = key_columns(
+        table,
+        &cfg.order_by.iter().map(|k| &k.column).collect::<Vec<_>>(),
+    )?;
+    let mut partitions: HashMap<Row, usize> = HashMap::new();
+    let mut rows_of: Vec<Vec<usize>> = Vec::new();
+    for i in 0..table.num_rows() {
+        let p = *partitions.entry(boxed_key(&keys, i)).or_insert_with(|| {
+            rows_of.push(Vec::new());
+            rows_of.len() - 1
+        });
+        rows_of[p].push(i);
+    }
+    let mut keep: Vec<usize> = Vec::new();
+    for rows in &mut rows_of {
+        rows.sort_by(|&a, &b| {
+            for (key, col) in cfg.order_by.iter().zip(&order_cols) {
+                let ord = col.value(a).cmp(&col.value(b));
+                let ord = match key.order {
+                    SortOrder::Asc => ord,
+                    SortOrder::Desc => ord.reverse(),
+                };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+        keep.extend(rows.iter().take(cfg.limit));
+    }
+    Ok(table.take(&keep))
+}
+
 /// Endpoint-shaped data built to stress ordering and grouping: a
 /// categorical with few values (heavy ties) and nulls, a second
 /// categorical, a zone-indexed integer drawn from seven values, and a
 /// float measure with nulls, signed zeros and the odd NaN. Zero-row tables
 /// are in the distribution.
 pub fn gen_tied_table(r: &mut shareinsights::datagen::SeededRng) -> Table {
-    use shareinsights::tabular::{ColumnBuilder, DataType, Field, Schema};
     let n = if r.chance(0.08) { 0 } else { 1 + r.index(60) };
     let null_p = *r.pick(&[0.0, 0.0, 0.2, 0.5]);
     let mut cat = ColumnBuilder::new(DataType::Utf8);

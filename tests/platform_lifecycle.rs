@@ -309,3 +309,96 @@ fn value_semantics_survive_the_whole_stack() {
         Some(0.375)
     );
 }
+
+// ---------------------------------------------------------------------------
+// Sources are decoded once per upload
+// ---------------------------------------------------------------------------
+
+const TOTALS: &str = r#"
+D:
+  sales: [brand, units]
+D.sales:
+  source: 'sales.csv'
+  format: csv
+T:
+  per_brand:
+    type: groupby
+    groupby: [brand]
+    aggregates:
+    - operator: sum
+      apply_on: units
+      out_field: units
+F:
+  +D.totals: D.sales | T.per_brand
+"#;
+
+/// Run `dashboard`; its `totals` rows and whether the `sales` load was a
+/// memo hit.
+fn run_totals(platform: &Platform, dashboard: &str) -> (Vec<(String, i64)>, bool) {
+    let report = platform.run_dashboard(dashboard).unwrap();
+    let totals = report.result.table("totals").unwrap();
+    let rows = (0..totals.num_rows())
+        .map(|i| {
+            let units = totals.value(i, "units").unwrap().as_int().unwrap();
+            (totals.value(i, "brand").unwrap().to_string(), units)
+        })
+        .collect();
+    let load = &report.result.stats.source_loads[0];
+    assert_eq!(load.source, "sales");
+    assert!(load.version.is_some(), "an uploaded file names its version");
+    (rows, load.memo_hit)
+}
+
+#[test]
+fn a_source_is_decoded_once_per_upload() {
+    let platform = Platform::new();
+    platform.create_dashboard("a").unwrap();
+    platform.save_flow("a", TOTALS).unwrap();
+    platform.upload_data("a", "sales.csv", "brand,units\nacme,1\nacme,2\nzeta,5\n");
+    let first: Vec<(String, i64)> = vec![("acme".into(), 3), ("zeta".into(), 5)];
+
+    // The first run decodes; re-running — an edited flow or not — does not.
+    assert_eq!(run_totals(&platform, "a"), (first.clone(), false));
+    assert_eq!(run_totals(&platform, "a"), (first.clone(), true));
+    platform
+        .save_flow(
+            "a",
+            &TOTALS.replace("out_field: units", "out_field:  units"),
+        )
+        .unwrap();
+    assert_eq!(run_totals(&platform, "a"), (first.clone(), true));
+
+    // Other rows under the same path: the next run serves them.
+    platform.upload_data("a", "sales.csv", "brand,units\nacme,10\nnova,7\n");
+    let second: Vec<(String, i64)> = vec![("acme".into(), 10), ("nova".into(), 7)];
+    assert_eq!(run_totals(&platform, "a"), (second.clone(), false));
+    assert_eq!(run_totals(&platform, "a"), (second.clone(), true));
+
+    // The very same bytes again are a new upload: one decode, then hits.
+    platform.upload_data("a", "sales.csv", "brand,units\nacme,10\nnova,7\n");
+    assert_eq!(run_totals(&platform, "a"), (second.clone(), false));
+    assert_eq!(run_totals(&platform, "a"), (second, true));
+}
+
+#[test]
+fn dashboards_with_the_same_relative_path_do_not_share_a_decode() {
+    let platform = Platform::new();
+    for (dashboard, csv) in [
+        ("a", "brand,units\nacme,1\n"),
+        ("b", "brand,units\nzeta,9\n"),
+    ] {
+        platform.create_dashboard(dashboard).unwrap();
+        platform.save_flow(dashboard, TOTALS).unwrap();
+        platform.upload_data(dashboard, "sales.csv", csv);
+    }
+    assert_eq!(
+        run_totals(&platform, "a"),
+        (vec![("acme".into(), 1)], false)
+    );
+    assert_eq!(
+        run_totals(&platform, "b"),
+        (vec![("zeta".into(), 9)], false)
+    );
+    assert_eq!(run_totals(&platform, "a"), (vec![("acme".into(), 1)], true));
+    assert_eq!(run_totals(&platform, "b"), (vec![("zeta".into(), 9)], true));
+}
