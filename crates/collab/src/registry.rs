@@ -24,6 +24,11 @@ pub struct SharedObject {
     pub schema: Schema,
     /// Latest materialised snapshot (None until the producer runs).
     pub snapshot: Option<Table>,
+    /// Monotonically increasing data generation, bumped on every
+    /// publish/refresh so downstream caches (the server's query-result
+    /// cache, the platform's flow memo) can invalidate without being told:
+    /// one generation names one snapshot.
+    pub generation: u64,
 }
 
 #[derive(Debug, Default)]
@@ -31,10 +36,6 @@ struct RegistryInner {
     objects: BTreeMap<String, SharedObject>,
     /// publish name -> consuming dashboards.
     consumers: BTreeMap<String, BTreeSet<String>>,
-    /// publish name -> monotonically increasing data generation. Bumped on
-    /// every publish/refresh so downstream caches (the server's
-    /// query-result cache) can invalidate without being told.
-    generations: BTreeMap<String, u64>,
 }
 
 /// The platform-wide shared-objects registry.
@@ -61,6 +62,7 @@ impl PublishRegistry {
         snapshot: Option<Table>,
     ) -> Result<(), String> {
         let mut inner = self.inner.write();
+        let mut generation = 1;
         if let Some(existing) = inner.objects.get(publish_name) {
             if existing.producer != producer {
                 return Err(format!(
@@ -68,6 +70,7 @@ impl PublishRegistry {
                     existing.producer
                 ));
             }
+            generation += existing.generation;
         }
         inner.objects.insert(
             publish_name.to_string(),
@@ -77,26 +80,19 @@ impl PublishRegistry {
                 local_name: local_name.to_string(),
                 schema,
                 snapshot,
+                generation,
             },
         );
-        *inner
-            .generations
-            .entry(publish_name.to_string())
-            .or_insert(0) += 1;
         Ok(())
     }
 
     /// Update only the snapshot after a producer run.
     pub fn refresh_snapshot(&self, publish_name: &str, snapshot: Table) -> Result<(), String> {
-        let mut inner = self.inner.write();
-        match inner.objects.get_mut(publish_name) {
+        match self.inner.write().objects.get_mut(publish_name) {
             Some(obj) => {
                 obj.schema = snapshot.schema().clone();
                 obj.snapshot = Some(snapshot);
-                *inner
-                    .generations
-                    .entry(publish_name.to_string())
-                    .or_insert(0) += 1;
+                obj.generation += 1;
                 Ok(())
             }
             None => Err(format!("no shared object '{publish_name}'")),
@@ -134,10 +130,9 @@ impl PublishRegistry {
     pub fn generation(&self, publish_name: &str) -> u64 {
         self.inner
             .read()
-            .generations
+            .objects
             .get(publish_name)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |o| o.generation)
     }
 
     /// The flow-file group around a published object: producer plus every

@@ -11,17 +11,20 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// A commit identifier: hex of a 128-bit content hash.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CommitId(pub String);
+/// A commit identifier: a 128-bit content hash, displayed as its 32 hex
+/// digits. It is a value, so the commit map, a branch head and a child's
+/// parent list each hold 16 bytes rather than another copy of the hex.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CommitId(pub u128);
 
 impl fmt::Display for CommitId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        write!(f, "{:032x}", self.0)
     }
 }
 
 /// FNV-1a with two seeds — deterministic, dependency-free content hashing.
+/// A parent id is hashed as its hex digits.
 fn content_hash(parts: &[&str]) -> CommitId {
     fn fnv(seed: u64, parts: &[&str]) -> u64 {
         let mut h = seed;
@@ -35,11 +38,11 @@ fn content_hash(parts: &[&str]) -> CommitId {
         }
         h
     }
-    CommitId(format!(
-        "{:016x}{:016x}",
+    let (hi, lo) = (
         fnv(0xcbf29ce484222325, parts),
-        fnv(0x9e3779b97f4a7c15, parts)
-    ))
+        fnv(0x9e3779b97f4a7c15, parts),
+    );
+    CommitId((u128::from(hi) << 64) | u128::from(lo))
 }
 
 /// One immutable commit.
@@ -50,12 +53,13 @@ pub struct Commit {
     /// Parent commits (0 for root, 1 normal, 2 merge).
     pub parents: Vec<CommitId>,
     /// Author label.
-    pub author: String,
+    pub author: Arc<str>,
     /// Commit message.
-    pub message: String,
+    pub message: Arc<str>,
     /// The flow-file text at this commit. Commits of one repository that
-    /// hold the same text share it: an author who alternates between two
-    /// variants of a flow keeps two texts, not one per save.
+    /// hold the same text, author or message share it: an author who
+    /// alternates between two variants of a flow keeps two texts, not one
+    /// per save.
     pub content: Arc<str>,
     /// Monotonic sequence number within the repository (logical clock).
     pub seq: u64,
@@ -90,7 +94,8 @@ impl std::error::Error for StoreError {}
 #[derive(Debug, Default)]
 struct RepoInner {
     commits: BTreeMap<CommitId, Commit>,
-    /// Every distinct text committed, for [`RepoInner::text`].
+    /// Every distinct text, author and message committed, for
+    /// [`RepoInner::text`].
     texts: BTreeSet<Arc<str>>,
     branches: BTreeMap<String, CommitId>,
     seq: u64,
@@ -100,6 +105,7 @@ struct RepoInner {
 
 impl RepoInner {
     /// `content` as the one shared copy this repository keeps of it.
+    /// Authors and messages are few and repeat, like texts.
     fn text(&mut self, content: &str) -> Arc<str> {
         if let Some(held) = self.texts.get(content) {
             return Arc::clone(held);
@@ -107,6 +113,16 @@ impl RepoInner {
         let held: Arc<str> = content.into();
         self.texts.insert(Arc::clone(&held));
         held
+    }
+
+    /// Point `branch` at `id`, allocating its name only when it is new.
+    fn set_head(&mut self, branch: &str, id: CommitId) {
+        match self.branches.get_mut(branch) {
+            Some(head) => *head = id,
+            None => {
+                self.branches.insert(branch.to_string(), id);
+            }
+        }
     }
 }
 
@@ -140,27 +156,27 @@ impl Repository {
     /// root commit).
     pub fn commit(&self, branch: &str, author: &str, message: &str, content: &str) -> CommitId {
         let mut inner = self.inner.write();
-        let parents: Vec<CommitId> = inner.branches.get(branch).cloned().into_iter().collect();
+        let parents: Vec<CommitId> = inner.branches.get(branch).copied().into_iter().collect();
         inner.seq += 1;
         let seq = inner.seq;
-        let parent_strs: Vec<String> = parents.iter().map(|p| p.0.clone()).collect();
+        let parent_hex: Vec<String> = parents.iter().map(CommitId::to_string).collect();
         let mut parts: Vec<&str> = vec![content, author, message, &self.name];
         let seq_s = seq.to_string();
         parts.push(&seq_s);
-        for p in &parent_strs {
+        for p in &parent_hex {
             parts.push(p);
         }
         let id = content_hash(&parts);
         let commit = Commit {
-            id: id.clone(),
+            id,
             parents,
-            author: author.to_string(),
-            message: message.to_string(),
+            author: inner.text(author),
+            message: inner.text(message),
             content: inner.text(content),
             seq,
         };
-        inner.commits.insert(id.clone(), commit);
-        inner.branches.insert(branch.to_string(), id.clone());
+        inner.commits.insert(id, commit);
+        inner.set_head(branch, id);
         id
     }
 
@@ -177,25 +193,26 @@ impl Repository {
         let head = inner
             .branches
             .get(branch)
-            .cloned()
+            .copied()
             .ok_or_else(|| StoreError::NoBranch(branch.to_string()))?;
         if !inner.commits.contains_key(other_parent) {
-            return Err(StoreError::NoCommit(other_parent.clone()));
+            return Err(StoreError::NoCommit(*other_parent));
         }
         inner.seq += 1;
         let seq = inner.seq;
         let seq_s = seq.to_string();
-        let id = content_hash(&[content, author, message, &head.0, &other_parent.0, &seq_s]);
+        let (head_hex, other_hex) = (head.to_string(), other_parent.to_string());
+        let id = content_hash(&[content, author, message, &head_hex, &other_hex, &seq_s]);
         let commit = Commit {
-            id: id.clone(),
-            parents: vec![head, other_parent.clone()],
-            author: author.to_string(),
-            message: message.to_string(),
+            id,
+            parents: vec![head, *other_parent],
+            author: inner.text(author),
+            message: inner.text(message),
             content: inner.text(content),
             seq,
         };
-        inner.commits.insert(id.clone(), commit);
-        inner.branches.insert(branch.to_string(), id.clone());
+        inner.commits.insert(id, commit);
+        inner.set_head(branch, id);
         Ok(id)
     }
 
@@ -208,9 +225,9 @@ impl Repository {
         let head = inner
             .branches
             .get(from)
-            .cloned()
+            .copied()
             .ok_or_else(|| StoreError::NoBranch(from.to_string()))?;
-        inner.branches.insert(new_branch.to_string(), head.clone());
+        inner.branches.insert(new_branch.to_string(), head);
         Ok(head)
     }
 
@@ -231,7 +248,7 @@ impl Repository {
             .commits
             .get(id)
             .cloned()
-            .ok_or_else(|| StoreError::NoCommit(id.clone()))
+            .ok_or(StoreError::NoCommit(*id))
     }
 
     /// All branch names.
@@ -255,12 +272,12 @@ impl Repository {
         let mut id = inner
             .branches
             .get(branch)
-            .cloned()
+            .copied()
             .ok_or_else(|| StoreError::NoBranch(branch.to_string()))?;
         let mut out = Vec::new();
         loop {
             let c = inner.commits[&id].clone();
-            let parent = c.parents.first().cloned();
+            let parent = c.parents.first().copied();
             out.push(c);
             match parent {
                 Some(p) => id = p,
@@ -279,14 +296,11 @@ impl Repository {
             start: &CommitId,
         ) -> Result<std::collections::BTreeSet<CommitId>, StoreError> {
             let mut set = std::collections::BTreeSet::new();
-            let mut stack = vec![start.clone()];
+            let mut stack = vec![*start];
             while let Some(id) = stack.pop() {
-                let c = inner
-                    .commits
-                    .get(&id)
-                    .ok_or_else(|| StoreError::NoCommit(id.clone()))?;
+                let c = inner.commits.get(&id).ok_or(StoreError::NoCommit(id))?;
                 if set.insert(id) {
-                    stack.extend(c.parents.iter().cloned());
+                    stack.extend(c.parents.iter().copied());
                 }
             }
             Ok(set)
@@ -353,8 +367,8 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].id, c2);
         assert_eq!(log[1].id, c1);
-        assert_eq!(log[0].parents, vec![c1.clone()]);
-        assert_eq!(repo.head("main").unwrap().author, "bob");
+        assert_eq!(log[0].parents, vec![c1]);
+        assert_eq!(&*repo.head("main").unwrap().author, "bob");
     }
 
     #[test]
@@ -413,7 +427,34 @@ mod tests {
         let b = repo.commit("main", "x", "m", "same");
         // Same content but different parent/seq: distinct ids.
         assert_ne!(a, b);
-        assert_eq!(a.0.len(), 32);
+        assert_eq!(a.to_string().len(), 32);
+    }
+
+    #[test]
+    fn ids_render_as_they_did_when_they_were_hex_strings() {
+        // Pinned from the `CommitId(String)` store: a root, a child (its
+        // parent hashed as hex), a branch commit and a merge.
+        let repo = Repository::new("retail");
+        let a = repo.commit("main", "ann", "save", "T:\n  x: 3\n");
+        let b = repo.commit("main", "bob", "save", "T:\n  x: 4\n");
+        repo.branch("f", "main").unwrap();
+        let c = repo.commit("f", "cy", "feature", "T:\n  x: 5\n");
+        let m = repo
+            .commit_merge("main", "ann", "merge", "T:\n  x: 6\n", &c)
+            .unwrap();
+        assert_eq!(
+            [a, b, c, m].map(|id| id.to_string()),
+            [
+                "1910b8ba97e22b897c4db86e2c0e5979",
+                "0b03474c4e305cf53af03805d8e17d45",
+                "706622d25fafd658fe0c053fa5c6ee48",
+                "57d0c877151fa18b9f99290270771c1b",
+            ]
+        );
+        // Authors and messages are held once per repository.
+        let (ha, hb) = (repo.get(&a).unwrap(), repo.get(&b).unwrap());
+        assert!(Arc::ptr_eq(&ha.message, &hb.message));
+        assert!(Arc::ptr_eq(&ha.author, &repo.get(&m).unwrap().author));
     }
 
     #[test]

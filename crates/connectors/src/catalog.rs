@@ -11,6 +11,7 @@ use crate::jdbc::JdbcSimConnector;
 use parking_lot::{Lru, Mutex, RwLock};
 use shareinsights_tabular::Table;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A data-object configuration, decoupled from the flowfile crate's AST so
@@ -83,6 +84,9 @@ pub struct Catalog {
     /// an author re-running an edited flow re-decodes only what was
     /// re-uploaded. See [`Catalog::load_described`].
     memo: Arc<Mutex<DecodeMemo>>,
+    /// Connectors and formats registered so far (see
+    /// [`Catalog::registrations`]).
+    registrations: Arc<AtomicU64>,
     folder: DataFolder,
     http: HttpSimConnector,
     ftp: FtpSimConnector,
@@ -110,6 +114,7 @@ impl Catalog {
                 MEMO_BYTES,
                 |_, table: &Table| table.approx_bytes(),
             ))),
+            registrations: Arc::new(AtomicU64::new(0)),
             folder: folder.clone(),
             http: http.clone(),
             ftp: ftp.clone(),
@@ -133,7 +138,7 @@ impl Catalog {
         self.connectors
             .write()
             .insert(connector.protocol().to_string(), connector);
-        self.memo.lock().clear();
+        self.registered();
     }
 
     /// Register (or replace) a format — the Data formats extension API.
@@ -142,7 +147,20 @@ impl Catalog {
         self.formats
             .write()
             .insert(format.name().to_string(), format);
+        self.registered();
+    }
+
+    fn registered(&self) {
+        self.registrations.fetch_add(1, Ordering::SeqCst);
         self.memo.lock().clear();
+    }
+
+    /// How many connectors and formats have been registered, built-ins
+    /// included. Anything kept from a decode is stale once this moves: a
+    /// replaced decoder turns the same upload into another table, a
+    /// replaced connector numbers its versions afresh.
+    pub fn registrations(&self) -> u64 {
+        self.registrations.load(Ordering::SeqCst)
     }
 
     /// Registered protocol names.

@@ -9,7 +9,8 @@ use parking_lot::{Mutex, RwLock};
 use shareinsights_collab::PublishRegistry;
 use shareinsights_connectors::Catalog;
 use shareinsights_engine::compile::{compile, CompileEnv, CompiledPipeline};
-use shareinsights_engine::exec::{ExecContext, Executor};
+use shareinsights_engine::exec::{ExecContext, Executor, MemoVerdict};
+use shareinsights_engine::memo::FlowMemo;
 use shareinsights_engine::optimizer::OptimizerConfig;
 use shareinsights_engine::stream::StreamExec;
 use shareinsights_engine::TaskRegistry;
@@ -122,6 +123,9 @@ pub struct Platform {
     /// on the platform so every server over one platform agrees on the
     /// partition map.
     partitioning: Arc<RwLock<Partitioning>>,
+    /// Flow outputs of earlier runs, by what they were computed from: a
+    /// run re-executes only the flows an edit or an upload changed.
+    memo: FlowMemo,
     /// Executor used for batch runs.
     pub executor: Executor,
     /// Optimizer configuration applied at compile time.
@@ -150,6 +154,7 @@ impl Platform {
             data_gens: Arc::new(RwLock::new(BTreeMap::new())),
             streams: Arc::new(Mutex::new(BTreeMap::new())),
             partitioning: Arc::new(RwLock::new(Partitioning::default())),
+            memo: FlowMemo::new(),
             executor: Executor::default(),
             optimizer: OptimizerConfig::default(),
         }
@@ -201,7 +206,8 @@ impl Platform {
     }
 
     /// The endpoint-data generation of a dashboard: 0 until its first run,
-    /// bumped by every completed run. Combined with
+    /// bumped by every completed run that changed what the dashboard
+    /// serves or publishes. Combined with
     /// [`PublishRegistry::generation`] this stamps query-cache entries.
     pub fn data_generation(&self, dashboard: &str) -> u64 {
         self.data_gens.read().get(dashboard).copied().unwrap_or(0)
@@ -463,12 +469,25 @@ impl Platform {
         self.run_dashboard_traced(name, None)
     }
 
+    /// The flow-output memo runs consult (shared by clones; bounded, never
+    /// configured).
+    pub fn flow_memo(&self) -> &FlowMemo {
+        &self.memo
+    }
+
     /// Like [`Platform::run_dashboard`], but additionally hangs child spans
-    /// off `parent` — `compile`, `execute`, and one grandchild per source
-    /// load and per executed DAG operator (grafted post hoc from
-    /// [`shareinsights_engine::exec::ExecStats`], so engine spans and stats
-    /// agree by construction). Per-operator latency histograms fold into
-    /// [`ApiMetrics`] regardless of whether the run is traced.
+    /// off `parent` — `compile`, `execute`, `publish` and `install` — and,
+    /// under `execute`, one grandchild per source load, per flow (with the
+    /// memo's verdict on it) and per executed DAG operator (grafted post
+    /// hoc from [`shareinsights_engine::exec::ExecStats`], so engine spans
+    /// and stats agree by construction). Per-operator latency histograms
+    /// fold into [`ApiMetrics`] regardless of whether the run is traced.
+    ///
+    /// The run consults the platform's flow memo: a flow whose tasks,
+    /// inputs and source uploads all match an earlier run's is not
+    /// executed. A run whose endpoints and published objects come out as
+    /// the very tables already installed leaves the data generation — and
+    /// so every cache stamped with it — alone.
     pub fn run_dashboard_traced(&self, name: &str, parent: Option<&Span>) -> Result<RunReport> {
         let compile_span = parent.map(|s| s.child("compile"));
         let pipeline = self.compile_dashboard(name)?;
@@ -478,8 +497,10 @@ impl Platform {
         }
         let dash = self.dashboard(name)?;
 
-        // Resolve shared inputs into the execution context.
-        let mut ctx = ExecContext::new(self.catalog.clone());
+        // Attach the memo, and resolve shared inputs into the execution
+        // context stamped with their publish generation.
+        let epoch = self.catalog.registrations() + self.tasks.registrations();
+        let mut ctx = ExecContext::new(self.catalog.clone()).with_memo(self.memo.clone(), epoch);
         for flow in &pipeline.flows {
             for input in &flow.inputs {
                 if !pipeline.sources.contains_key(input)
@@ -488,7 +509,7 @@ impl Platform {
                 {
                     if let Some(shared) = self.publish.resolve(input, name) {
                         if let Some(snapshot) = shared.snapshot {
-                            ctx.tables.insert(input.clone(), snapshot);
+                            ctx = ctx.with_stamped_table(input, snapshot, shared.generation);
                         }
                     }
                 }
@@ -526,6 +547,14 @@ impl Platform {
                     }
                     s.child_at(&l.source, base + l.start_us, l.elapsed_us, attrs);
                 }
+                // Which flows ran, and why the others did not.
+                for f in &r.stats.flows {
+                    let mut attrs = vec![("op", "flow".into()), ("memo", f.memo.as_str().into())];
+                    if let MemoVerdict::Uncached(reason) = f.memo {
+                        attrs.push(("reason", reason.as_str().into()));
+                    }
+                    s.child_at(&f.flow, base + f.start_us, f.elapsed_us, attrs);
+                }
                 for t in &r.stats.task_runs {
                     let mut attrs = vec![
                         ("op", t.task_type.as_str().into()),
@@ -538,6 +567,8 @@ impl Platform {
                 }
                 s.set_attr("source_rows", r.stats.source_rows);
                 s.set_attr("tasks", r.stats.task_runs.len());
+                s.set_attr("memo_hits", r.stats.memo_hits);
+                s.set_attr("memo_misses", r.stats.memo_misses);
                 s.set_attr("endpoint_bytes", r.stats.endpoint_bytes);
             }
             s.finish();
@@ -555,34 +586,73 @@ impl Platform {
         });
         let result = exec_result.map_err(PlatformError::Execute)?;
 
-        // Publish shared objects with fresh snapshots.
+        // Publish shared objects whose snapshot is not the very table the
+        // registry already holds from this dashboard.
+        let publish_span = parent.map(|s| s.child("publish"));
         let mut published = Vec::new();
+        let mut republished = 0usize;
         for (local, publish_name) in &pipeline.published {
             if let Some(table) = result.table(local) {
-                self.publish
-                    .publish(
-                        publish_name,
-                        name,
-                        local,
-                        table.schema().clone(),
-                        Some(table.clone()),
-                    )
-                    .map_err(PlatformError::Collab)?;
+                let held = self.publish.get(publish_name).is_some_and(|o| {
+                    o.producer == name
+                        && o.local_name == *local
+                        && o.snapshot.is_some_and(|t| t.shares_columns_with(table))
+                });
+                if !held {
+                    self.publish
+                        .publish(
+                            publish_name,
+                            name,
+                            local,
+                            table.schema().clone(),
+                            Some(table.clone()),
+                        )
+                        .map_err(PlatformError::Collab)?;
+                    republished += 1;
+                }
                 published.push((publish_name.clone(), table.num_rows()));
             }
         }
+        if let Some(mut s) = publish_span {
+            s.set_attr("objects", published.len());
+            s.set_attr("republished", republished);
+            s.finish();
+        }
 
-        // Stash endpoint tables on the dashboard for widget consumption.
+        // Stash endpoint tables on the dashboard for widget consumption,
+        // then move the data generation unless nothing served changed.
+        let install_span = parent.map(|s| s.child("install"));
         let report = RunReport {
             result,
             published,
             warnings: vec![],
         };
         let endpoint_tables = report.endpoint_tables();
-        if let Some(d) = self.dashboards.write().get_mut(name) {
-            d.endpoint_tables = endpoint_tables;
+        let unchanged = match self.dashboards.write().get_mut(name) {
+            Some(d) => {
+                let installed = &d.endpoint_tables;
+                let same = republished == 0
+                    && installed.len() == endpoint_tables.len()
+                    && endpoint_tables.iter().all(|(endpoint, table)| {
+                        installed
+                            .get(endpoint)
+                            .is_some_and(|old| old.shares_columns_with(table))
+                    });
+                if !same {
+                    d.endpoint_tables = endpoint_tables;
+                }
+                same
+            }
+            None => false,
+        };
+        if !unchanged {
+            self.bump_data_generation(name);
         }
-        self.bump_data_generation(name);
+        if let Some(mut s) = install_span {
+            s.set_attr("unchanged", u64::from(unchanged));
+            s.set_attr("generation", self.data_generation(name));
+            s.finish();
+        }
         Ok(report)
     }
 
@@ -1210,7 +1280,17 @@ T:
             "source load span present"
         );
 
-        // Histograms folded into ApiMetrics even for untraced runs.
+        // Histograms fold in what ran, traced or not: an identical re-run
+        // is a memo hit and runs no operator; a re-upload runs it again.
+        let again = platform.run_dashboard("ipl_processing").unwrap();
+        let stats = &again.result.stats;
+        assert_eq!((stats.memo_hits, stats.task_runs.len()), (1, 0));
+        assert_eq!(platform.api_metrics().operators()["groupby"].runs, 1);
+        let tweets = platform
+            .catalog()
+            .data_folder()
+            .get("ipl_processing/tweets.csv");
+        platform.upload_bytes("ipl_processing", "tweets.csv", tweets.unwrap().to_vec());
         platform.run_dashboard("ipl_processing").unwrap();
         let operators = platform.api_metrics().operators();
         let g = &operators["groupby"];

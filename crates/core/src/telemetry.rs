@@ -10,7 +10,7 @@
 
 use parking_lot::RwLock;
 use shareinsights_flowfile::ast::FlowFile;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// What kind of platform operation an event records.
@@ -86,10 +86,45 @@ pub fn usage_of(ff: &FlowFile) -> (Vec<String>, Vec<String>) {
     (operators, widgets)
 }
 
-/// The platform's append-only event log.
+/// Events [`RunLog::events`] keeps, newest last. Older ones live on only
+/// in the log's aggregates.
+const RECENT_EVENTS: usize = 128;
+
+/// What the log keeps: each event folded, as it is recorded, into the
+/// aggregates its readers ask for, plus a bounded ring of recent events.
+#[derive(Debug, Default)]
+struct LogInner {
+    /// Events recorded so far (the last one's `seq`).
+    recorded: u64,
+    recent: VecDeque<RunEvent>,
+    /// dashboard -> events per [`RunKind`] (indexed by discriminant).
+    counts: BTreeMap<String, [usize; 5]>,
+    /// Operators and widgets of successful runs and opens.
+    usage: UsageCounts,
+    /// dashboard -> flow size at its first event.
+    starting_sizes: BTreeMap<String, usize>,
+    /// `(dashboard, message)` of every failed event, in order.
+    errors: Vec<(String, String)>,
+}
+
+/// Add one occurrence of each name to `counts`, allocating a name only
+/// the first time it is seen.
+fn tally(counts: &mut BTreeMap<String, usize>, names: &[String]) {
+    for name in names {
+        match counts.get_mut(name) {
+            Some(n) => *n += 1,
+            None => {
+                counts.insert(name.clone(), 1);
+            }
+        }
+    }
+}
+
+/// The platform's event log. It grows with the number of dashboards,
+/// operator and widget names and errors — not with the number of events.
 #[derive(Debug, Clone, Default)]
 pub struct RunLog {
-    events: Arc<RwLock<Vec<RunEvent>>>,
+    inner: Arc<RwLock<LogInner>>,
 }
 
 impl RunLog {
@@ -98,67 +133,68 @@ impl RunLog {
         Self::default()
     }
 
-    /// Append an event (sequence assigned).
+    /// Record an event (sequence assigned).
     pub fn record(&self, mut event: RunEvent) {
-        let mut events = self.events.write();
-        event.seq = events.len() as u64 + 1;
-        events.push(event);
+        let mut inner = self.inner.write();
+        inner.recorded += 1;
+        event.seq = inner.recorded;
+        match inner.counts.get_mut(&event.dashboard) {
+            Some(counts) => counts[event.kind as usize] += 1,
+            None => {
+                let mut counts = [0; 5];
+                counts[event.kind as usize] = 1;
+                inner.counts.insert(event.dashboard.clone(), counts);
+                inner
+                    .starting_sizes
+                    .insert(event.dashboard.clone(), event.flow_bytes);
+            }
+        }
+        if event.success && matches!(event.kind, RunKind::Run | RunKind::Open) {
+            tally(&mut inner.usage.operators, &event.operators);
+            tally(&mut inner.usage.widgets, &event.widgets);
+        }
+        if let Some(message) = &event.error {
+            inner
+                .errors
+                .push((event.dashboard.clone(), message.clone()));
+        }
+        if inner.recent.len() == RECENT_EVENTS {
+            inner.recent.pop_front();
+        }
+        inner.recent.push_back(event);
     }
 
-    /// Snapshot of all events.
+    /// The most recent events, oldest first (at most a fixed number; the
+    /// aggregates below cover every event).
     pub fn events(&self) -> Vec<RunEvent> {
-        self.events.read().clone()
+        self.inner.read().recent.iter().cloned().collect()
     }
 
     /// Number of events of a kind for a dashboard (figure 32's per-team run
     /// counts).
     pub fn count(&self, dashboard: &str, kind: RunKind) -> usize {
-        self.events
+        self.inner
             .read()
-            .iter()
-            .filter(|e| e.dashboard == dashboard && e.kind == kind)
-            .count()
+            .counts
+            .get(dashboard)
+            .map_or(0, |counts| counts[kind as usize])
     }
 
-    /// Usage aggregated over all successful compile/run events —
+    /// Usage aggregated over all successful run/open events —
     /// regenerates figure 31.
     pub fn usage(&self) -> UsageCounts {
-        let mut counts = UsageCounts::default();
-        for e in self.events.read().iter() {
-            if !e.success || !matches!(e.kind, RunKind::Run | RunKind::Open) {
-                continue;
-            }
-            for op in &e.operators {
-                *counts.operators.entry(op.clone()).or_default() += 1;
-            }
-            for w in &e.widgets {
-                *counts.widgets.entry(w.clone()).or_default() += 1;
-            }
-        }
-        counts
+        self.inner.read().usage.clone()
     }
 
     /// The flow-file byte sizes at each dashboard's *first* event — the
     /// figure-35 "fork to go" series when first events are forks.
     pub fn starting_sizes(&self) -> BTreeMap<String, usize> {
-        let mut out = BTreeMap::new();
-        for e in self.events.read().iter() {
-            out.entry(e.dashboard.clone()).or_insert(e.flow_bytes);
-        }
-        out
+        self.inner.read().starting_sizes.clone()
     }
 
     /// Error messages of failed events (observation 7's debugging data).
     pub fn errors(&self) -> Vec<(String, String)> {
-        self.events
-            .read()
-            .iter()
-            .filter_map(|e| {
-                e.error
-                    .as_ref()
-                    .map(|msg| (e.dashboard.clone(), msg.clone()))
-            })
-            .collect()
+        self.inner.read().errors.clone()
     }
 }
 

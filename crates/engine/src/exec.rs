@@ -8,13 +8,16 @@
 //!
 //! All intermediate data objects are cached, so a sink feeding three
 //! downstream flows is computed once — the "efficient processing of raw
-//! data sources" §4.5.3 point 3 attributes to shared flows.
+//! data sources" §4.5.3 point 3 attributes to shared flows. With a
+//! [`FlowMemo`] attached, they are also kept *across* runs: a flow whose
+//! key (see [`crate::memo`]) the memo holds is not executed at all, and
+//! only the level's misses fan out to threads.
 
-use crate::compile::CompiledPipeline;
+use crate::compile::{CompiledFlow, CompiledPipeline};
 use crate::error::{EngineError, Result};
+use crate::memo::{FlowKey, FlowMemo, Key128, Uncached};
 use crate::selection::SelectionProvider;
 use crate::task::{NamedTask, TaskKind, TaskNotes, TaskRuntime};
-use parking_lot::{Mutex, RwLock};
 use shareinsights_connectors::Catalog;
 use shareinsights_tabular::ops::union_all;
 use shareinsights_tabular::Table;
@@ -22,8 +25,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Execution context: where sources load from and what feeds interaction
-/// filters.
+/// Execution context: where sources load from, what feeds interaction
+/// filters, and — for the platform's runs — the memo to consult.
 #[derive(Clone)]
 pub struct ExecContext {
     /// Connector/format catalog (sources resolve through it).
@@ -33,22 +36,118 @@ pub struct ExecContext {
     pub tables: BTreeMap<String, Table>,
     /// Widget selections (interaction flows).
     pub selections: Option<Arc<dyn SelectionProvider>>,
+    /// The flow-output memo and the registration epoch its entries are
+    /// stamped with; `None` computes every flow.
+    memo: Option<(FlowMemo, u64)>,
+    /// What each stamped entry of `tables` is keyed on in the memo.
+    stamps: BTreeMap<String, u64>,
 }
 
 impl ExecContext {
-    /// Context over a catalog with no shared tables or selections.
+    /// Context over a catalog with no shared tables, no selections and no
+    /// memo: every flow is computed.
     pub fn new(catalog: Catalog) -> Self {
         ExecContext {
             catalog,
             tables: BTreeMap::new(),
             selections: None,
+            memo: None,
+            stamps: BTreeMap::new(),
         }
     }
 
-    /// Add a pre-materialised table.
+    /// Add a pre-materialised table. Flows reading it are never memoised.
     pub fn with_table(mut self, name: impl Into<String>, table: Table) -> Self {
-        self.tables.insert(name.into(), table);
+        let name = name.into();
+        self.stamps.remove(&name);
+        self.tables.insert(name, table);
         self
+    }
+
+    /// Add a pre-materialised table with a stamp that changes whenever its
+    /// content does (the platform passes a shared object's publish
+    /// generation): flows reading it may be memoised under that stamp.
+    pub fn with_stamped_table(mut self, name: impl Into<String>, table: Table, stamp: u64) -> Self {
+        let name = name.into();
+        self.stamps.insert(name.clone(), stamp);
+        self.tables.insert(name, table);
+        self
+    }
+
+    /// Consult `memo` before executing a flow and fill it after. `epoch`
+    /// must move whenever a registration could change what a source
+    /// decodes to (the platform counts connector, format and task
+    /// registrations).
+    pub fn with_memo(mut self, memo: FlowMemo, epoch: u64) -> Self {
+        self.memo = Some((memo, epoch));
+        self
+    }
+
+    /// Every flow's key, in the pipeline's (topological) order.
+    fn flow_keys<'p>(
+        &self,
+        pipeline: &'p CompiledPipeline,
+        versions: &BTreeMap<&str, Option<u64>>,
+    ) -> BTreeMap<&'p str, FlowKey> {
+        let mut keys = BTreeMap::new();
+        for flow in &pipeline.flows {
+            let key = self.flow_key(flow, pipeline, &keys, versions);
+            keys.insert(flow.output.as_str(), key);
+        }
+        keys
+    }
+
+    /// A flow's key: its tasks' fingerprints in compiled order, then each
+    /// input and each object a task looks up by name, with its name (a
+    /// join binds its sides by input name) and key.
+    fn flow_key(
+        &self,
+        flow: &CompiledFlow,
+        pipeline: &CompiledPipeline,
+        keys: &BTreeMap<&str, FlowKey>,
+        versions: &BTreeMap<&str, Option<u64>>,
+    ) -> FlowKey {
+        let mut h = Key128::new(b"flow");
+        h.u64(flow.tasks.len() as u64);
+        let mut lookups = Vec::new();
+        for task in &flow.tasks {
+            let reason = || {
+                task.kind
+                    .uncached_reason()
+                    .unwrap_or(Uncached::ExtensionTask)
+            };
+            h.u128(task.fingerprint.ok_or_else(reason)?);
+            task.kind.data_lookups(&mut lookups);
+        }
+        h.u64((flow.inputs.len() + lookups.len()) as u64);
+        for name in flow.inputs.iter().map(String::as_str).chain(lookups) {
+            let key = self.object_key(name, pipeline, keys, versions)?;
+            h.str(name).u128(key);
+        }
+        Ok(h.finish())
+    }
+
+    /// The key of one data object a flow reads: an earlier flow's, an
+    /// injected table's stamp, or a source's configuration and version.
+    fn object_key(
+        &self,
+        name: &str,
+        pipeline: &CompiledPipeline,
+        keys: &BTreeMap<&str, FlowKey>,
+        versions: &BTreeMap<&str, Option<u64>>,
+    ) -> FlowKey {
+        if let Some(key) = keys.get(name) {
+            return *key;
+        }
+        if self.tables.contains_key(name) {
+            let stamp = self.stamps.get(name).ok_or(Uncached::UnstampedInput)?;
+            return Ok(Key128::new(b"stamped").u64(*stamp).finish());
+        }
+        match (pipeline.sources.get(name), versions.get(name)) {
+            (Some(cfg), Some(Some(version))) => Ok(Key128::source(cfg, *version)),
+            (Some(_), Some(None)) => Err(Uncached::LiveSource),
+            _ => Err(Uncached::UnstampedInput),
+        }
     }
 }
 
@@ -94,6 +193,42 @@ pub struct SourceLoadStat {
     pub memo_hit: bool,
 }
 
+/// What the flow memo did for one flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoVerdict {
+    /// The output came from the memo; no task ran.
+    Hit,
+    /// The memo did not hold the key: the flow ran and its output was
+    /// memoised.
+    Miss,
+    /// The flow has no key and ran.
+    Uncached(Uncached),
+}
+
+impl MemoVerdict {
+    /// The span-attribute spelling: `hit`, `miss` or `uncached`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MemoVerdict::Hit => "hit",
+            MemoVerdict::Miss => "miss",
+            MemoVerdict::Uncached(_) => "uncached",
+        }
+    }
+}
+
+/// One flow of a run that had a memo attached.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlowRunStat {
+    /// The flow, named by its output object.
+    pub flow: String,
+    /// What the memo did.
+    pub memo: MemoVerdict,
+    /// Start offset from run start, in microseconds.
+    pub start_us: u64,
+    /// Elapsed wall time, in microseconds.
+    pub elapsed_us: u64,
+}
+
 /// Per-run statistics (the execution-log data the hackathon dashboards of
 /// §5.2.1 were built from).
 #[derive(Debug, Clone, Default)]
@@ -104,8 +239,16 @@ pub struct ExecStats {
     pub rows_out: BTreeMap<String, usize>,
     /// Per-source load timings.
     pub source_loads: Vec<SourceLoadStat>,
-    /// Per-task executions with rows and timing offsets.
+    /// Per-task executions with rows and timing offsets — only the tasks
+    /// that actually ran: a memo hit runs none.
     pub task_runs: Vec<TaskRunStat>,
+    /// Flows whose output came from the memo.
+    pub memo_hits: usize,
+    /// Flows with a key the memo did not hold.
+    pub memo_misses: usize,
+    /// Every flow's memo verdict, in level order; empty when no memo was
+    /// attached.
+    pub flows: Vec<FlowRunStat>,
     /// Total wall time in microseconds.
     pub total_micros: u128,
     /// Approximate bytes held by endpoint objects (what would ship to the
@@ -146,6 +289,18 @@ impl Default for Executor {
     }
 }
 
+/// One executed flow.
+struct FlowRun {
+    table: Table,
+    tasks: Vec<TaskRunStat>,
+    start_us: u64,
+    elapsed_us: u64,
+}
+
+fn micros_since(start: Instant) -> u64 {
+    start.elapsed().as_micros() as u64
+}
+
 impl Executor {
     /// Single-threaded executor (deterministic timings for tests).
     pub fn sequential() -> Self {
@@ -155,27 +310,25 @@ impl Executor {
     }
 
     /// Run a pipeline to completion.
+    ///
+    /// The result does not depend on whether `ctx` carries a memo: a hit
+    /// stands in for the very table the flow would compute. Only
+    /// `stats.task_runs` (what ran) and the memo counters differ.
     pub fn execute(&self, pipeline: &CompiledPipeline, ctx: &ExecContext) -> Result<ExecResult> {
         let start = Instant::now();
-        let tables: Arc<RwLock<BTreeMap<String, Table>>> =
-            Arc::new(RwLock::new(ctx.tables.clone()));
-        let stats = Arc::new(Mutex::new(ExecStats::default()));
+        let mut tables = ctx.tables.clone();
+        let mut stats = ExecStats::default();
 
-        // Load sources needed by surviving flows.
-        let mut needed_sources: Vec<&str> = Vec::new();
-        for f in &pipeline.flows {
-            for i in &f.inputs {
-                if pipeline.sources.contains_key(i)
-                    && !tables.read().contains_key(i)
-                    && !needed_sources.contains(&i.as_str())
-                {
-                    needed_sources.push(i);
-                }
+        // Load the sources surviving flows read, in first-use order.
+        let mut versions: BTreeMap<&str, Option<u64>> = BTreeMap::new();
+        for name in pipeline.flows.iter().flat_map(|f| &f.inputs) {
+            let Some(cfg) = pipeline.sources.get(name) else {
+                continue;
+            };
+            if tables.contains_key(name) {
+                continue;
             }
-        }
-        for name in needed_sources {
-            let cfg = &pipeline.sources[name];
-            let load_start_us = start.elapsed().as_micros() as u64;
+            let load_start_us = micros_since(start);
             let loaded = ctx
                 .catalog
                 .load_described(cfg)
@@ -183,80 +336,81 @@ impl Executor {
                     object: name.to_string(),
                     message: e.to_string(),
                 })?;
-            {
-                let mut s = stats.lock();
-                s.source_rows += loaded.table.num_rows();
-                s.source_loads.push(SourceLoadStat {
-                    source: name.to_string(),
-                    rows: loaded.table.num_rows(),
-                    start_us: load_start_us,
-                    elapsed_us: start.elapsed().as_micros() as u64 - load_start_us,
-                    version: loaded.version,
-                    memo_hit: loaded.memo_hit,
-                });
-            }
-            tables.write().insert(name.to_string(), loaded.table);
+            stats.source_rows += loaded.table.num_rows();
+            stats.source_loads.push(SourceLoadStat {
+                source: name.to_string(),
+                rows: loaded.table.num_rows(),
+                start_us: load_start_us,
+                elapsed_us: micros_since(start) - load_start_us,
+                version: loaded.version,
+                memo_hit: loaded.memo_hit,
+            });
+            versions.insert(name, loaded.version);
+            tables.insert(name.to_string(), loaded.table);
         }
 
-        // Execute flows level by level.
-        let flows_by_output: BTreeMap<&str, &crate::compile::CompiledFlow> = pipeline
+        // Keys name definitions and upload versions, not data: all of them
+        // are known before the first flow runs.
+        let memo = ctx.memo.as_ref();
+        let keys = match memo {
+            Some(_) => ctx.flow_keys(pipeline, &versions),
+            None => BTreeMap::new(),
+        };
+
+        // Execute flows level by level: hits first, then the misses.
+        let flows_by_output: BTreeMap<&str, &CompiledFlow> = pipeline
             .flows
             .iter()
             .map(|f| (f.output.as_str(), f))
             .collect();
         for level in pipeline.graph.levels() {
-            let level_flows: Vec<&crate::compile::CompiledFlow> = level
-                .iter()
-                .filter_map(|o| flows_by_output.get(o.as_str()).copied())
-                .collect();
-            if level_flows.is_empty() {
-                continue;
+            let mut misses: Vec<&CompiledFlow> = Vec::new();
+            for flow in level.iter().filter_map(|o| flows_by_output.get(o.as_str())) {
+                if let (Some((memo, epoch)), Some(Ok(key))) = (memo, keys.get(flow.output.as_str()))
+                {
+                    let start_us = micros_since(start);
+                    if let Some(table) = memo.get(*key, *epoch) {
+                        stats.memo_hits += 1;
+                        stats.flows.push(FlowRunStat {
+                            flow: flow.output.clone(),
+                            memo: MemoVerdict::Hit,
+                            start_us,
+                            elapsed_us: micros_since(start) - start_us,
+                        });
+                        stats.rows_out.insert(flow.output.clone(), table.num_rows());
+                        tables.insert(flow.output.clone(), table);
+                        continue;
+                    }
+                }
+                misses.push(flow);
             }
-            if self.parallel_flows && level_flows.len() > 1 {
-                type FlowResult = (String, Result<(Table, Vec<TaskRunStat>)>);
-                let results: Mutex<Vec<FlowResult>> = Mutex::new(Vec::new());
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    std::thread::scope(|scope| {
-                        for flow in &level_flows {
-                            let tables = Arc::clone(&tables);
-                            let results = &results;
-                            let ctx = ctx.clone();
-                            scope.spawn(move || {
-                                let r = self.run_flow(flow, &tables, &ctx, start);
-                                results.lock().push((flow.output.clone(), r));
-                            });
-                        }
-                    })
-                }))
-                .map_err(|_| EngineError::Internal("flow worker panicked".into()))?;
-                for (output, result) in results.into_inner() {
-                    let (table, task_stats) = result?;
-                    stats.lock().task_runs.extend(task_stats);
-                    stats
-                        .lock()
-                        .rows_out
-                        .insert(output.clone(), table.num_rows());
-                    tables.write().insert(output, table);
+            if self.parallel_flows && misses.len() > 1 {
+                let shared = &tables;
+                let runs: Vec<Result<FlowRun>> = std::thread::scope(|scope| {
+                    let workers: Vec<_> = misses
+                        .iter()
+                        .map(|flow| scope.spawn(move || self.run_flow(flow, shared, ctx, start)))
+                        .collect();
+                    workers
+                        .into_iter()
+                        .map(|w| {
+                            w.join().unwrap_or_else(|_| {
+                                Err(EngineError::Internal("flow worker panicked".into()))
+                            })
+                        })
+                        .collect()
+                });
+                for (flow, run) in misses.iter().zip(runs) {
+                    finish_flow(flow, run?, &keys, memo, &mut stats, &mut tables);
                 }
             } else {
-                for flow in level_flows {
-                    let (table, task_stats) = self.run_flow(flow, &tables, ctx, start)?;
-                    stats.lock().task_runs.extend(task_stats);
-                    stats
-                        .lock()
-                        .rows_out
-                        .insert(flow.output.clone(), table.num_rows());
-                    tables.write().insert(flow.output.clone(), table);
+                for flow in misses {
+                    let run = self.run_flow(flow, &tables, ctx, start)?;
+                    finish_flow(flow, run, &keys, memo, &mut stats, &mut tables);
                 }
             }
         }
 
-        let tables = Arc::try_unwrap(tables)
-            .map_err(|_| EngineError::Internal("table cache still shared".into()))?
-            .into_inner();
-        let mut stats = Arc::try_unwrap(stats)
-            .map_err(|_| EngineError::Internal("stats still shared".into()))?
-            .into_inner();
         stats.total_micros = start.elapsed().as_micros();
         stats.endpoint_bytes = pipeline
             .endpoints
@@ -273,16 +427,16 @@ impl Executor {
 
     fn run_flow(
         &self,
-        flow: &crate::compile::CompiledFlow,
-        tables: &RwLock<BTreeMap<String, Table>>,
+        flow: &CompiledFlow,
+        tables: &BTreeMap<String, Table>,
         ctx: &ExecContext,
         run_start: Instant,
-    ) -> Result<(Table, Vec<TaskRunStat>)> {
+    ) -> Result<FlowRun> {
+        let start_us = micros_since(run_start);
         // Gather inputs.
         let mut current: Vec<(Option<String>, Table)> = Vec::with_capacity(flow.inputs.len());
         for i in &flow.inputs {
             let t = tables
-                .read()
                 .get(i)
                 .cloned()
                 .ok_or_else(|| EngineError::UnresolvedData {
@@ -296,7 +450,7 @@ impl Executor {
         let mut task_stats = Vec::with_capacity(flow.tasks.len());
         for task in &flow.tasks {
             let t0 = Instant::now();
-            let start_us = run_start.elapsed().as_micros() as u64;
+            let start_us = micros_since(run_start);
             let in_rows: usize = current.iter().map(|(_, t)| t.num_rows()).sum();
             let mut notes = TaskNotes::new();
             current = self.apply_task(task, current, tables, selections.as_deref(), &mut notes)?;
@@ -318,18 +472,23 @@ impl Executor {
                 message: format!("flow ended with {} unmerged tables", current.len()),
             });
         }
-        Ok((current.remove(0).1, task_stats))
+        Ok(FlowRun {
+            table: current.remove(0).1,
+            tasks: task_stats,
+            start_us,
+            elapsed_us: micros_since(run_start) - start_us,
+        })
     }
 
     fn apply_task(
         &self,
         task: &NamedTask,
         mut current: Vec<(Option<String>, Table)>,
-        tables: &RwLock<BTreeMap<String, Table>>,
+        tables: &BTreeMap<String, Table>,
         selections: Option<&dyn SelectionProvider>,
         notes: &mut TaskNotes,
     ) -> Result<Vec<(Option<String>, Table)>> {
-        let lookup = |name: &str| -> Option<Table> { tables.read().get(name).cloned() };
+        let lookup = |name: &str| -> Option<Table> { tables.get(name).cloned() };
         let rt = TaskRuntime {
             selections,
             lookup_table: &lookup,
@@ -380,6 +539,39 @@ impl Executor {
             }
         }
     }
+}
+
+/// Record an executed flow: its task runs, its rows, its memo verdict —
+/// memoising its output when it has a key — and its table.
+fn finish_flow(
+    flow: &CompiledFlow,
+    run: FlowRun,
+    keys: &BTreeMap<&str, FlowKey>,
+    memo: Option<&(FlowMemo, u64)>,
+    stats: &mut ExecStats,
+    tables: &mut BTreeMap<String, Table>,
+) {
+    stats.task_runs.extend(run.tasks);
+    stats
+        .rows_out
+        .insert(flow.output.clone(), run.table.num_rows());
+    if let (Some((memo, epoch)), Some(key)) = (memo, keys.get(flow.output.as_str())) {
+        let verdict = match key {
+            Ok(key) => {
+                memo.put(*key, *epoch, run.table.clone());
+                stats.memo_misses += 1;
+                MemoVerdict::Miss
+            }
+            Err(reason) => MemoVerdict::Uncached(*reason),
+        };
+        stats.flows.push(FlowRunStat {
+            flow: flow.output.clone(),
+            memo: verdict,
+            start_us: run.start_us,
+            elapsed_us: run.elapsed_us,
+        });
+    }
+    tables.insert(flow.output.clone(), run.table);
 }
 
 #[cfg(test)]

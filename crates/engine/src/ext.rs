@@ -21,6 +21,7 @@ use parking_lot::RwLock;
 use shareinsights_tabular::agg::AggregateFunction;
 use shareinsights_tabular::{Schema, Table, Value};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A custom whole-table task (extension categories 3 and 4).
@@ -51,6 +52,8 @@ pub struct TaskRegistry {
     tasks: Arc<RwLock<BTreeMap<String, Arc<dyn CustomTask>>>>,
     operators: Arc<RwLock<BTreeMap<String, Arc<dyn ScalarOperator>>>>,
     aggregates: Arc<RwLock<BTreeMap<String, Arc<dyn AggregateFunction>>>>,
+    /// Registrations so far (see [`TaskRegistry::registrations`]).
+    registrations: Arc<AtomicU64>,
 }
 
 impl TaskRegistry {
@@ -62,16 +65,25 @@ impl TaskRegistry {
     /// Register a whole-table task.
     pub fn register_task(&self, task: Arc<dyn CustomTask>) {
         self.tasks.write().insert(task.name().to_string(), task);
+        self.registrations.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Register a scalar operator.
     pub fn register_operator(&self, op: Arc<dyn ScalarOperator>) {
         self.operators.write().insert(op.name().to_string(), op);
+        self.registrations.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Register an aggregate function.
     pub fn register_aggregate(&self, agg: Arc<dyn AggregateFunction>) {
         self.aggregates.write().insert(agg.name().to_string(), agg);
+        self.registrations.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// How many tasks, operators and aggregates have been registered: the
+    /// platform's flow memo forgets everything when this moves.
+    pub fn registrations(&self) -> u64 {
+        self.registrations.load(Ordering::SeqCst)
     }
 
     /// Look up a whole-table task.

@@ -29,6 +29,7 @@ pub mod error;
 pub mod exec;
 pub mod ext;
 pub mod graph;
+pub mod memo;
 pub mod optimizer;
 pub mod selection;
 pub mod sql;
@@ -37,9 +38,10 @@ pub mod task;
 
 pub use compile::{compile, CompileEnv, CompiledFlow, CompiledPipeline, CompiledTask};
 pub use error::{EngineError, Result};
-pub use exec::{ExecContext, ExecResult, ExecStats, Executor};
+pub use exec::{ExecContext, ExecResult, ExecStats, Executor, FlowRunStat, MemoVerdict};
 pub use ext::TaskRegistry;
 pub use graph::FlowGraph;
+pub use memo::{FlowMemo, Uncached};
 pub use optimizer::OptimizerConfig;
 pub use selection::{Selection, SelectionProvider, StaticSelections};
 pub use stream::{StreamExec, StreamTick};

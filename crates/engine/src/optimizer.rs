@@ -209,10 +209,7 @@ fn insert_projection(flow: &mut crate::compile::CompiledFlow) -> usize {
     let cols: Vec<String> = needed.into_iter().collect();
     flow.tasks.insert(
         0,
-        NamedTask {
-            name: format!("__prune_{}", flow.output),
-            kind: TaskKind::Project(cols),
-        },
+        NamedTask::project(format!("__prune_{}", flow.output), cols),
     );
     1
 }

@@ -19,6 +19,7 @@
 
 use super::parse::{ItemKind, SelectStmt};
 use super::SqlError;
+use crate::memo::Key128;
 use crate::task::{NamedTask, TaskKind};
 use shareinsights_tabular::agg::AggKind;
 use shareinsights_tabular::expr::Expr;
@@ -240,9 +241,13 @@ pub fn tasks_for_flow(task_name: &str, query: &str) -> Result<Vec<NamedTask>, Sq
             SqlStage::Distinct => ("distinct", TaskKind::Distinct(Vec::new())),
             SqlStage::Limit(n) => ("limit", TaskKind::Limit(*n)),
         };
+        // The query text decides every stage, so it and the stage's place
+        // fingerprint the stage.
+        let fingerprint = Key128::new(b"sql").str(query).u64(i as u64).finish();
         out.push(NamedTask {
             name: format!("{task_name}:{i}.{label}"),
             kind,
+            fingerprint: Some(fingerprint),
         });
     }
     Ok(out)

@@ -8,6 +8,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::ext::TaskRegistry;
+use crate::memo::{Key128, Uncached};
 use crate::selection::{Selection, SelectionProvider};
 use shareinsights_flowfile::ast::{DataRef, TaskDef};
 use shareinsights_flowfile::config::{ConfigMap, ConfigValue};
@@ -65,6 +66,29 @@ pub struct NamedTask {
     pub name: String,
     /// Interpreted kind.
     pub kind: TaskKind,
+    /// What the task computes, as a 128-bit hash of its definition — type
+    /// and parameters as written, plus the bytes of any file it loaded at
+    /// compile time — or of what it carries, for tasks the optimizer and
+    /// the SQL lowering build. `None` when its output can depend on more
+    /// than its inputs ([`TaskKind::uncached_reason`]); the flow memo keys
+    /// on it.
+    pub fingerprint: Option<u128>,
+}
+
+impl NamedTask {
+    /// The optimizer's pruning projection, fingerprinted from the columns
+    /// it keeps.
+    pub(crate) fn project(name: String, columns: Vec<String>) -> NamedTask {
+        let mut h = Key128::new(b"project");
+        for c in &columns {
+            h.str(c);
+        }
+        NamedTask {
+            name,
+            kind: TaskKind::Project(columns),
+            fingerprint: Some(h.finish()),
+        }
+    }
 }
 
 /// Every executable task shape.
@@ -194,11 +218,12 @@ fn interpret_task_inner(def: &TaskDef, env: &InterpretEnv<'_>, depth: usize) -> 
         ));
     }
     let name = def.name.as_str();
+    let mut fingerprint = Key128::task_def(def);
     let kind = match def.task_type.as_str() {
         "filter_by" | "filterby" | "filter" => interpret_filter(def)?,
         "groupby" | "group_by" | "group" => interpret_groupby(def, env)?,
         "join" => interpret_join(def)?,
-        "map" => interpret_map(def, env)?,
+        "map" => interpret_map(def, env, &mut fingerprint)?,
         "topn" | "top_n" => interpret_topn(def)?,
         "sort" | "orderby" | "order_by" => {
             let keys = parse_sort_keys(def, "orderby_column")
@@ -256,7 +281,13 @@ fn interpret_task_inner(def: &TaskDef, env: &InterpretEnv<'_>, depth: usize) -> 
                             format!("parallel references unknown task 'T.{sub_name}'"),
                         )
                     })?;
-                tasks.push(interpret_task_inner(sub_def, env, depth + 1)?);
+                let sub = interpret_task_inner(sub_def, env, depth + 1)?;
+                // A member without a fingerprint leaves the composite
+                // without one (`uncached_reason` looks inside).
+                if let Some(member) = sub.fingerprint {
+                    fingerprint.u128(member);
+                }
+                tasks.push(sub);
             }
             TaskKind::Parallel(tasks)
         }
@@ -272,9 +303,14 @@ fn interpret_task_inner(def: &TaskDef, env: &InterpretEnv<'_>, depth: usize) -> 
             }
         },
     };
+    let fingerprint = kind
+        .uncached_reason()
+        .is_none()
+        .then(|| fingerprint.finish());
     Ok(NamedTask {
         name: name.to_string(),
         kind,
+        fingerprint,
     })
 }
 
@@ -458,7 +494,12 @@ fn strip_prefix_ci(key: &str, object: &str) -> Option<String> {
     }
 }
 
-fn interpret_map(def: &TaskDef, env: &InterpretEnv<'_>) -> Result<TaskKind> {
+/// `fingerprint` also takes the bytes of a dictionary the map loads.
+fn interpret_map(
+    def: &TaskDef,
+    env: &InterpretEnv<'_>,
+    fingerprint: &mut Key128,
+) -> Result<TaskKind> {
     let name = def.name.as_str();
     let operator = scalar_param(&def.params, "operator")
         .ok_or_else(|| cfg_err(name, "map needs 'operator:'"))?;
@@ -497,6 +538,7 @@ fn interpret_map(def: &TaskDef, env: &InterpretEnv<'_>) -> Result<TaskKind> {
                     format!("dictionary file '{dict_file}' not found in the data folder"),
                 )
             })?;
+            fingerprint.str(&content);
             let dict = ExtractDict::parse(&content);
             if dict.is_empty() {
                 return Err(cfg_err(
@@ -593,6 +635,40 @@ impl TaskKind {
                 | TaskKind::MapWords(_)
                 | TaskKind::MapCustom { .. }
         )
+    }
+
+    /// Why this task's output can depend on more than its inputs, if it
+    /// can: it is a registry extension (custom task, custom map operator,
+    /// custom aggregate), whose purity nobody declared, or it filters by a
+    /// widget selection. Such a task has no fingerprint.
+    pub fn uncached_reason(&self) -> Option<Uncached> {
+        match self {
+            TaskKind::Custom(_) | TaskKind::MapCustom { .. } => Some(Uncached::ExtensionTask),
+            TaskKind::GroupBy { custom, .. } if !custom.is_empty() => Some(Uncached::ExtensionTask),
+            TaskKind::FilterBySource {
+                source: FilterSource::Widget(_),
+                ..
+            } => Some(Uncached::WidgetSelection),
+            TaskKind::Parallel(tasks) => tasks.iter().find_map(|t| t.kind.uncached_reason()),
+            _ => None,
+        }
+    }
+
+    /// Data objects the task reads by name rather than as an input — a
+    /// `filter_by` whose `filter_source` is `D.<name>` — appended to `out`.
+    pub fn data_lookups<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            TaskKind::FilterBySource {
+                source: FilterSource::Data(object),
+                ..
+            } => out.push(object),
+            TaskKind::Parallel(tasks) => {
+                for t in tasks {
+                    t.kind.data_lookups(out);
+                }
+            }
+            _ => {}
+        }
     }
 
     /// The operator type name in flow-file vocabulary (`groupby`,

@@ -73,10 +73,7 @@ pub fn extract(outcome: &HackathonOutcome) -> Figures {
             practice_runs: outcome
                 .platform
                 .log()
-                .events()
-                .iter()
-                .filter(|e| e.dashboard == t.team.name && e.kind == RunKind::Run)
-                .count()
+                .count(&t.team.name, RunKind::Run)
                 .min(t.practice_runs + t.competition_runs),
             competition_runs: t.competition_runs,
             finalist: t.finalist,

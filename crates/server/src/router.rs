@@ -1277,7 +1277,11 @@ impl Server {
                 Ok(log) => {
                     let items: Vec<String> = log
                         .iter()
-                        .map(|c| format!("{} {} {}: {}", c.seq, &c.id.0[..8], c.author, c.message))
+                        .map(|c| {
+                            // The id's first 8 hex digits.
+                            let short = c.id.0 >> 96;
+                            format!("{} {short:08x} {}: {}", c.seq, c.author, c.message)
+                        })
                         .collect();
                     Response::json(crate::json::string_list(&items))
                 }
@@ -1346,6 +1350,14 @@ F:
             .handle(&Request::new(Method::Post, "/dashboards/retail/run"))
             .is_ok());
         server
+    }
+
+    /// Re-upload the sales file (the same bytes, a new version), so that
+    /// the next run executes every flow again instead of hitting the memo.
+    fn reupload(server: &Server) {
+        let platform = server.platform();
+        let sales = platform.catalog().data_folder().get("retail/sales.csv");
+        platform.upload_bytes("retail", "sales.csv", sales.unwrap().to_vec());
     }
 
     #[test]
@@ -1456,13 +1468,21 @@ F:
         let s = server.cache().stats();
         assert_eq!((s.hits, s.misses), (1, 1));
 
-        // A re-run bumps the dashboard's data generation → miss.
-        assert!(server
-            .handle(&Request::new(Method::Post, "/dashboards/retail/run"))
-            .is_ok());
+        // An unedited re-run installs the very tables it served: the
+        // generation stays and the page is still a hit.
+        let run = || server.handle(&Request::new(Method::Post, "/dashboards/retail/run"));
+        let generation = server.platform().data_generation("retail");
+        assert!(run().is_ok());
+        assert_eq!(server.platform().data_generation("retail"), generation);
+        assert_eq!(server.handle(&Request::get(url)).body, first.body);
+        assert_eq!(server.cache().stats().hits, 2);
+
+        // A re-run over a re-upload bumps the data generation → miss.
+        reupload(&server);
+        assert!(run().is_ok());
         assert!(server.handle(&Request::get(url)).is_ok());
         let s = server.cache().stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));
+        assert_eq!((s.hits, s.misses, s.invalidations), (2, 2, 1));
     }
 
     #[test]
@@ -1567,8 +1587,9 @@ F:
         assert!(server.handle(&Request::get(url)).is_ok());
         let builds_before = server.platform().api_metrics().index().builds;
         assert!(builds_before >= 1);
-        // A re-run bumps the generation: the stale wrapper is replaced and
-        // the index is rebuilt on the next cold query.
+        // A re-run over a re-upload bumps the generation: the stale wrapper
+        // is replaced and the index is rebuilt on the next cold query.
+        reupload(&server);
         assert!(server
             .handle(&Request::new(Method::Post, "/dashboards/retail/run"))
             .is_ok());
@@ -1642,8 +1663,10 @@ F:
         assert!(server.handle(&Request::get(url)).is_ok());
         assert_eq!(server.cache().stats().hits, 1);
 
-        // Re-running the producer refreshes the published snapshot, which
-        // bumps the registry generation seen by the consumer dashboard.
+        // Re-running the producer over a re-upload refreshes the published
+        // snapshot, which bumps the registry generation seen by the
+        // consumer dashboard.
+        reupload(&server);
         server.handle(&Request::new(Method::Post, "/dashboards/retail/run"));
         assert!(server.handle(&Request::get(url)).is_ok());
         let s = server.cache().stats();
@@ -1809,6 +1832,7 @@ F:
     #[test]
     fn run_trace_grafts_operator_spans() {
         let server = served();
+        reupload(&server);
         let r = server.handle(
             &Request::new(Method::Post, "/dashboards/retail/run").with_header("x-trace-id", "beef"),
         );
@@ -1824,6 +1848,20 @@ F:
         assert!(r.body.contains("\"rows_in\": 4"), "{}", r.body);
         assert!(r.body.contains("\"rows_out\": 3"), "{}", r.body);
         assert!(r.body.contains("\"op\": \"source\""), "{}", r.body);
+        assert!(r.body.contains("\"memo\": \"miss\""), "{}", r.body);
+        assert!(r.body.contains("\"publish\""), "{}", r.body);
+        assert!(r.body.contains("\"install\""), "{}", r.body);
+
+        // The same run again: every flow is a memo hit and no operator runs.
+        let r = server.handle(
+            &Request::new(Method::Post, "/dashboards/retail/run")
+                .with_header("x-trace-id", "beef2"),
+        );
+        assert!(r.is_ok());
+        let r = server.handle(&Request::get("/trace/beef2"));
+        assert!(r.body.contains("\"memo\": \"hit\""), "{}", r.body);
+        assert!(!r.body.contains("\"op\": \"groupby\""), "{}", r.body);
+        assert!(r.body.contains("\"unchanged\": 1"), "{}", r.body);
     }
 
     #[test]
@@ -2068,7 +2106,9 @@ F:
         assert!(post_sql(&server, q).is_ok());
         let s = server.cache().stats();
         assert_eq!((s.hits, s.misses), (1, 1), "same text → page-cache hit");
-        // A re-run bumps the generation: the cached entry is stale.
+        // A re-run over a re-upload bumps the generation: the cached entry
+        // is stale.
+        reupload(&server);
         assert!(server
             .handle(&Request::new(Method::Post, "/dashboards/retail/run"))
             .is_ok());
@@ -2590,6 +2630,7 @@ F:
         // stamped at an older generation.
         let r = server.handle(&Request::get("/retail/ds/brand_sales/filter/brand/acme"));
         assert!(r.is_ok(), "{}", r.body);
+        reupload(&server);
         server.platform().run_dashboard("retail").unwrap();
         // The append must refuse to merge the stale wrapper — merging it
         // would stamp an index missing the re-run's rows at the live

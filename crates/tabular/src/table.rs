@@ -157,11 +157,13 @@ impl Table {
         (0..self.rows).map(|i| self.row(i)).collect()
     }
 
-    /// True when both tables hold the very same column buffers: what a
-    /// copy-on-write store checks before it swaps in a table it derived
-    /// from an earlier snapshot.
+    /// True when both tables hold the very same column buffers under the
+    /// same schema: what a copy-on-write store checks before it swaps in a
+    /// table it derived from an earlier snapshot, and what lets a re-run
+    /// that recomputed nothing leave caches alone.
     pub fn shares_columns_with(&self, other: &Table) -> bool {
         self.rows == other.rows
+            && self.schema == other.schema
             && self.columns.len() == other.columns.len()
             && self
                 .columns

@@ -217,6 +217,7 @@ mod tests {
                 source: FilterSource::Widget("teams".into()),
                 source_columns: vec!["text".into()],
             },
+            fingerprint: None,
         }
     }
 
@@ -230,6 +231,7 @@ mod tests {
                 ),
                 custom: vec![],
             },
+            fingerprint: None,
         }
     }
 
@@ -365,6 +367,7 @@ mod tests {
                 source: FilterSource::Widget("ipl_duration".into()),
                 source_columns: vec!["date".into()],
             },
+            fingerprint: None,
         }];
         sel.set(
             "ipl_duration",

@@ -219,230 +219,9 @@ L:
 }
 
 /// The complete appendix A.1 listing (IPL data-processing dashboard),
-/// transcribed from the paper with PDF ligatures repaired.
-const APPENDIX_A1: &str = r#"
-D:
-  ipl_tweets: [
-    postedTime => created_at,
-    body => text,
-    displayName => user.location
-  ]
-  players_tweets: [
-    date, player, count
-  ]
-  teams_tweets: [
-    date, team, count
-  ]
-  dim_teams: [
-    team_number, team,
-    team_fullName, sort_order,
-    color, noOfTweets
-  ]
-  team_players: [
-    player, team_fullName,
-    team, player_id, noOfTweets
-  ]
-  lat_long: [
-    state, point_one, point_two,
-    point_three
-  ]
-  player_tweets: [player,
-    team, date, player_id,
-    team_fullName, noOfTweets
-  ]
-  team_tweets: [
-    sort_order, date, color,
-    team, team_fullName, noOfTweets
-  ]
-  tm_rgn_raw_cnt: [
-    date, team, state, count
-  ]
-  tm_rgn_tm_dtls: [
-    sort_order, noOfTweets, color,
-    state, team, date, team_fullName
-  ]
-  team_region_tweets: [
-    point_one, point_two,
-    point_three, state,
-    team_fullName, team,
-    color, sort_order,
-    date, noOfTweets
-  ]
-  tagcloud_tweets_raw: [
-    date, word, count
-  ]
-  tagcloud_tweets: [
-    date, word, count
-  ]
-
-# ------------------------------
-F:
-  D.players_tweets: D.ipl_tweets |
-    T.players_pipeline |
-    T.players_count
-
-  D.player_tweets: (
-    D.players_tweets,
-    D.team_players
-  ) | T.join_player_team
-
-  D.teams_tweets: D.ipl_tweets |
-    T.teams_pipeline |
-    T.teams_count
-
-  D.team_tweets: (
-    D.teams_tweets,
-    D.dim_teams
-  ) | T.join_dim_teams
-
-  D.tm_rgn_raw_cnt: D.ipl_tweets |
-    T.teams_pipeline_region |
-    T.teams_regions_count
-
-  D.tm_rgn_tm_dtls: (
-    D.tm_rgn_raw_cnt,
-    D.dim_teams
-  ) | T.join_dim_teams_two
-
-  D.team_region_tweets: (
-    D.tm_rgn_tm_dtls,
-    D.lat_long
-  ) | T.join_lat_long
-
-  D.tagcloud_tweets_raw:
-    D.ipl_tweets |
-    T.word_date_extraction |
-    T.words_count
-
-  D.tagcloud_tweets:
-    D.tagcloud_tweets_raw |
-    T.topwords
-
-# ------------------------------
-T:
-  players_pipeline:
-    parallel: [
-      T.norm_ipldate,
-      T.extract_players
-    ]
-  teams_pipeline:
-    parallel: [
-      T.norm_ipldate,
-      T.extract_teams
-    ]
-  teams_pipeline_region:
-    parallel: [
-      T.norm_ipldate,
-      T.extract_location,
-      T.extract_teams
-    ]
-  word_date_extraction:
-    parallel: [
-      T.norm_ipldate,
-      T.extract_words
-    ]
-  norm_ipldate:
-    type: map
-    operator: date
-    transform: postedTime
-    input_format: 'E MMM dd HH:mm:ss Z yyyy'
-    output_format: yyyy-MM-dd
-    output: date
-  extract_players:
-    type: map
-    operator: extract
-    transform: body
-    dict: players.txt
-    output: player
-  extract_teams:
-    type: map
-    operator: extract
-    transform: body
-    dict: teams.csv
-    output: team
-  extract_location:
-    type: map
-    operator: extract_location
-    transform: displayName
-    match: city
-    country: IND
-    output: state
-  extract_words:
-    type: map
-    operator: extract_words
-    transform: body
-    output: word
-  join_player_team:
-    type: join
-    left: players_tweets by player
-    right: team_players by player
-    join_condition: left outer
-    project:
-      players_tweets_date: date
-      players_tweets_player: player
-      players_tweets_count: noOfTweets
-      team_players_team: team
-      team_players_team_fullName: team_fullName
-      team_players_player_id: player_id
-  join_dim_teams:
-    type: join
-    left: teams_tweets by team
-    right: dim_teams by team_fullName
-    join_condition: left outer
-    project:
-      teams_tweets_date: date
-      teams_tweets_team: team_fullName
-      teams_tweets_count: noOfTweets
-      dim_teams_team: team
-      dim_teams_sort_order: sort_order
-      dim_teams_color: color
-  join_dim_teams_two:
-    type: join
-    left: tm_rgn_raw_cnt by team
-    right: dim_teams by team_fullName
-    join_condition: left outer
-    project:
-      tm_rgn_raw_cnt_date: date
-      tm_rgn_raw_cnt_team: team_fullName
-      tm_rgn_raw_cnt_state: state
-      tm_rgn_raw_cnt_count: noOfTweets
-      dim_teams_Team: team
-      dim_teams_sort_order: sort_order
-      dim_teams_color: color
-  join_lat_long:
-    type: join
-    left: tm_rgn_tm_dtls by state
-    right: lat_long by state
-    join_condition: LEFT OUTER
-    project:
-      tm_rgn_tm_dtls_team_fullName: team_fullName
-      tm_rgn_tm_dtls_state: state
-      tm_rgn_tm_dtls_date: date
-      tm_rgn_tm_dtls_noOfTweets: noOfTweets
-      tm_rgn_tm_dtls_team: team
-      tm_rgn_tm_dtls_sort_order: sort_order
-      tm_rgn_tm_dtls_color: color
-      lat_long_point_one: point_one
-      lat_long_point_two: point_two
-      lat_long_point_three: point_three
-  players_count:
-    type: groupby
-    groupby: [date, player]
-  teams_count:
-    type: groupby
-    groupby: [date, team]
-  teams_regions_count:
-    type: groupby
-    groupby: [date, team, state]
-  words_count:
-    type: groupby
-    groupby: [date, word]
-  topwords:
-    type: topn
-    groupby: [date]
-    orderby_column: [count DESC]
-    limit: 20
-"#;
+/// transcribed from the paper with PDF ligatures repaired (shared with the
+/// flow-memo suite).
+const APPENDIX_A1: &str = include_str!("common/appendix_a1.flow");
 
 /// Appendix A.2 (the consumption dashboard), transcribed from the paper.
 const APPENDIX_A2: &str = r#"

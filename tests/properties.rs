@@ -744,6 +744,7 @@ fn cube_equals_batch_under_selection() {
                     source: FilterSource::Widget("list".into()),
                     source_columns: vec!["text".into()],
                 },
+                fingerprint: None,
             },
             NamedTask {
                 name: "agg".into(),
@@ -754,6 +755,7 @@ fn cube_equals_batch_under_selection() {
                     ),
                     custom: vec![],
                 },
+                fingerprint: None,
             },
         ];
         let selections = StaticSelections::new();
