@@ -11,7 +11,6 @@ use shareinsights_connectors::Catalog;
 use shareinsights_engine::compile::{compile, CompileEnv, CompiledPipeline};
 use shareinsights_engine::exec::{ExecContext, Executor, MemoVerdict};
 use shareinsights_engine::memo::FlowMemo;
-use shareinsights_engine::optimizer::OptimizerConfig;
 use shareinsights_engine::stream::StreamExec;
 use shareinsights_engine::TaskRegistry;
 use shareinsights_flowfile::parser::parse_flow_file;
@@ -128,8 +127,6 @@ pub struct Platform {
     memo: FlowMemo,
     /// Executor used for batch runs.
     pub executor: Executor,
-    /// Optimizer configuration applied at compile time.
-    pub optimizer: OptimizerConfig,
 }
 
 impl Default for Platform {
@@ -156,7 +153,6 @@ impl Platform {
             partitioning: Arc::new(RwLock::new(Partitioning::default())),
             memo: FlowMemo::new(),
             executor: Executor::default(),
-            optimizer: OptimizerConfig::default(),
         }
     }
 
@@ -436,7 +432,6 @@ impl Platform {
             registry: &self.tasks,
             load_text: &loader,
             shared_schemas: self.shared_schemas(),
-            optimizer: self.optimizer.clone(),
         };
         let result = compile(&dash.ast, &env).map_err(PlatformError::Compile);
         self.log.record(RunEvent {

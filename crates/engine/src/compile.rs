@@ -1,11 +1,10 @@
-//! Flow-file compilation: tasks → [`TaskKind`], flows → DAG, schemas
+//! Flow-file compilation: tasks → [`TaskKind`](crate::task::TaskKind), flows → DAG, schemas
 //! propagated and validated (§4.1's "flow file compilation services").
 
 use crate::error::{EngineError, Result};
 use crate::ext::TaskRegistry;
 use crate::graph::FlowGraph;
-use crate::optimizer::OptimizerConfig;
-use crate::task::{interpret_task, InterpretEnv, NamedTask, TaskKind};
+use crate::task::{interpret_task, InterpretEnv, NamedTask};
 use shareinsights_connectors::catalog::DataObjectConfig;
 use shareinsights_flowfile::ast::{DataObject, FlowFile};
 use shareinsights_flowfile::config::ConfigValue;
@@ -57,20 +56,16 @@ pub struct CompileEnv<'a> {
     pub load_text: &'a dyn Fn(&str) -> Option<String>,
     /// Schemas of shared (published) objects resolvable by name.
     pub shared_schemas: BTreeMap<String, Schema>,
-    /// Optimizer configuration.
-    pub optimizer: OptimizerConfig,
 }
 
 impl<'a> CompileEnv<'a> {
-    /// Environment with no dictionaries, no shared objects and default
-    /// optimization.
+    /// Environment with no dictionaries and no shared objects.
     pub fn bare(registry: &'a TaskRegistry) -> CompileEnv<'a> {
         static NO_LOAD: fn(&str) -> Option<String> = |_| None;
         CompileEnv {
             registry,
             load_text: &NO_LOAD,
             shared_schemas: BTreeMap::new(),
-            optimizer: OptimizerConfig::default(),
         }
     }
 }
@@ -195,61 +190,49 @@ pub fn compile(ff: &FlowFile, env: &CompileEnv<'_>) -> Result<CompiledPipeline> 
         let flow = flows_by_output
             .get(output)
             .expect("topo yields produced outputs");
-        let mut input_schemas: Vec<Option<(String, Schema)>> = Vec::new();
-        for i in &flow.inputs {
-            input_schemas.push(schemas.get(i).map(|s| (i.clone(), s.clone())));
-        }
-        if input_schemas.iter().any(Option::is_none) {
+        let Some(mut current) = flow
+            .inputs
+            .iter()
+            .map(|i| schemas.get(i).map(|s| (Some(i.as_str()), s.clone())))
+            .collect::<Option<Vec<_>>>()
+        else {
             // An input schema is unknown (e.g. source without declared
             // columns) — defer validation to execution.
             continue;
-        }
-        let mut current: Vec<(Option<String>, Schema)> = input_schemas
-            .into_iter()
-            .map(|p| {
-                let (n, s) = p.expect("checked above");
-                (Some(n), s)
-            })
-            .collect();
-        let mut ok = true;
+        };
         for task in &flow.tasks {
-            match apply_task_schema(task, &mut current, output) {
-                Ok(()) => {}
-                Err(e) => {
-                    return Err(match e {
-                        EngineError::SchemaMismatch { task, message, .. } => {
-                            EngineError::SchemaMismatch {
-                                task,
-                                flow: output.clone(),
-                                message,
-                            }
+            task.kind.bind_inputs(&mut current);
+            let inputs: Vec<Schema> = current.drain(..).map(|(_, s)| s).collect();
+            let out = task
+                .kind
+                .output_schema(&task.name, &inputs)
+                .map_err(|e| match e {
+                    EngineError::SchemaMismatch { task, message, .. } => {
+                        EngineError::SchemaMismatch {
+                            task,
+                            flow: output.clone(),
+                            message,
                         }
-                        other => other,
-                    });
-                }
-            }
-            if current.is_empty() {
-                ok = false;
-                break;
-            }
+                    }
+                    other => other,
+                })?;
+            current.push((None, out));
         }
-        if ok {
-            if current.len() != 1 {
-                return Err(EngineError::SchemaMismatch {
-                    task: flow
-                        .tasks
-                        .last()
-                        .map(|t| t.name.clone())
-                        .unwrap_or_default(),
-                    flow: output.clone(),
-                    message: format!(
-                        "flow ends with {} unmerged inputs; add a join or union task",
-                        current.len()
-                    ),
-                });
-            }
-            schemas.insert(output.clone(), current.remove(0).1);
+        if current.len() != 1 {
+            return Err(EngineError::SchemaMismatch {
+                task: flow
+                    .tasks
+                    .last()
+                    .map(|t| t.name.clone())
+                    .unwrap_or_default(),
+                flow: output.clone(),
+                message: format!(
+                    "flow ends with {} unmerged inputs; add a join or union task",
+                    current.len()
+                ),
+            });
         }
+        schemas.insert(output.clone(), current.remove(0).1);
     }
 
     // Order flows topologically for the executors.
@@ -286,64 +269,8 @@ pub fn compile(ff: &FlowFile, env: &CompileEnv<'_>) -> Result<CompiledPipeline> 
         endpoints,
         published,
     };
-    crate::optimizer::optimize(&mut pipeline, &env.optimizer);
+    crate::optimizer::optimize(&mut pipeline);
     Ok(pipeline)
-}
-
-/// Apply one task to the current multi-input schema set, consuming inputs
-/// per its arity. Joins bind left/right by input name when possible.
-fn apply_task_schema(
-    task: &NamedTask,
-    current: &mut Vec<(Option<String>, Schema)>,
-    flow: &str,
-) -> Result<()> {
-    match &task.kind {
-        TaskKind::Join(j) => {
-            if current.len() != 2 {
-                return Err(EngineError::SchemaMismatch {
-                    task: task.name.clone(),
-                    flow: flow.to_string(),
-                    message: format!(
-                        "join needs exactly 2 inputs at this point in the flow, found {}",
-                        current.len()
-                    ),
-                });
-            }
-            // Bind by name when the flow inputs are named like the task's
-            // left/right; otherwise positional.
-            let left_idx = current
-                .iter()
-                .position(|(n, _)| n.as_deref() == Some(j.left_name.as_str()))
-                .unwrap_or(0);
-            let right_idx = 1 - left_idx;
-            let schemas = [current[left_idx].1.clone(), current[right_idx].1.clone()];
-            let out = task.kind.output_schema(&task.name, &schemas)?;
-            current.clear();
-            current.push((None, out));
-        }
-        TaskKind::Union => {
-            let schemas: Vec<Schema> = current.iter().map(|(_, s)| s.clone()).collect();
-            let out = task.kind.output_schema(&task.name, &schemas)?;
-            current.clear();
-            current.push((None, out));
-        }
-        _ => {
-            if current.len() != 1 {
-                return Err(EngineError::SchemaMismatch {
-                    task: task.name.clone(),
-                    flow: flow.to_string(),
-                    message: format!(
-                        "task consumes one input but the flow provides {} here; combine them with a join or union first",
-                        current.len()
-                    ),
-                });
-            }
-            let schema = current[0].1.clone();
-            let out = task.kind.output_schema(&task.name, &[schema])?;
-            current[0] = (None, out);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -17,9 +17,8 @@ use crate::compile::{CompiledFlow, CompiledPipeline};
 use crate::error::{EngineError, Result};
 use crate::memo::{FlowKey, FlowMemo, Key128, Uncached};
 use crate::selection::SelectionProvider;
-use crate::task::{NamedTask, TaskKind, TaskNotes, TaskRuntime};
+use crate::task::{run_chain, TaskNotes, TaskRuntime};
 use shareinsights_connectors::Catalog;
-use shareinsights_tabular::ops::union_all;
 use shareinsights_tabular::Table;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -433,111 +432,37 @@ impl Executor {
         run_start: Instant,
     ) -> Result<FlowRun> {
         let start_us = micros_since(run_start);
-        // Gather inputs.
-        let mut current: Vec<(Option<String>, Table)> = Vec::with_capacity(flow.inputs.len());
-        for i in &flow.inputs {
-            let t = tables
-                .get(i)
-                .cloned()
-                .ok_or_else(|| EngineError::UnresolvedData {
+        let inputs = flow
+            .inputs
+            .iter()
+            .map(|i| match tables.get(i) {
+                Some(t) => Ok((Some(i.as_str()), t.clone())),
+                None => Err(EngineError::UnresolvedData {
                     object: i.clone(),
                     context: format!("flow 'D.{}' at execution time", flow.output),
-                })?;
-            current.push((Some(i.clone()), t));
-        }
-
-        let selections = ctx.selections.clone();
-        let mut task_stats = Vec::with_capacity(flow.tasks.len());
-        for task in &flow.tasks {
-            let t0 = Instant::now();
-            let start_us = micros_since(run_start);
-            let in_rows: usize = current.iter().map(|(_, t)| t.num_rows()).sum();
-            let mut notes = TaskNotes::new();
-            current = self.apply_task(task, current, tables, selections.as_deref(), &mut notes)?;
-            let out_rows: usize = current.iter().map(|(_, t)| t.num_rows()).sum();
-            task_stats.push(TaskRunStat {
-                task: task.name.clone(),
-                task_type: task.kind.type_name().to_string(),
-                flow: flow.output.clone(),
-                rows_in: in_rows,
-                rows_out: out_rows,
-                start_us,
-                elapsed_us: t0.elapsed().as_micros() as u64,
-                notes,
-            });
-        }
-        if current.len() != 1 {
-            return Err(EngineError::Execution {
-                task: format!("flow D.{}", flow.output),
-                message: format!("flow ended with {} unmerged tables", current.len()),
-            });
-        }
+                }),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let lookup = |name: &str| -> Option<Table> { tables.get(name).cloned() };
+        let rt = TaskRuntime {
+            selections: ctx.selections.as_deref(),
+            lookup_table: &lookup,
+        };
+        let mut tasks = Vec::with_capacity(flow.tasks.len());
+        let table = run_chain(
+            &flow.output,
+            &flow.tasks,
+            inputs,
+            &rt,
+            run_start,
+            &mut tasks,
+        )?;
         Ok(FlowRun {
-            table: current.remove(0).1,
-            tasks: task_stats,
+            table,
+            tasks,
             start_us,
             elapsed_us: micros_since(run_start) - start_us,
         })
-    }
-
-    fn apply_task(
-        &self,
-        task: &NamedTask,
-        mut current: Vec<(Option<String>, Table)>,
-        tables: &BTreeMap<String, Table>,
-        selections: Option<&dyn SelectionProvider>,
-        notes: &mut TaskNotes,
-    ) -> Result<Vec<(Option<String>, Table)>> {
-        let lookup = |name: &str| -> Option<Table> { tables.get(name).cloned() };
-        let rt = TaskRuntime {
-            selections,
-            lookup_table: &lookup,
-        };
-        match &task.kind {
-            TaskKind::Join(j) => {
-                if current.len() != 2 {
-                    return Err(EngineError::Execution {
-                        task: task.name.clone(),
-                        message: format!("join needs 2 inputs, found {}", current.len()),
-                    });
-                }
-                let left_idx = current
-                    .iter()
-                    .position(|(n, _)| n.as_deref() == Some(j.left_name.as_str()))
-                    .unwrap_or(0);
-                let right_idx = 1 - left_idx;
-                let inputs = [current[left_idx].1.clone(), current[right_idx].1.clone()];
-                let out = task.kind.execute_noted(&task.name, &inputs, &rt, notes)?;
-                Ok(vec![(None, out)])
-            }
-            TaskKind::Union => {
-                let inputs: Vec<Table> = current.drain(..).map(|(_, t)| t).collect();
-                let out = union_all(&inputs).map_err(|e| EngineError::Execution {
-                    task: task.name.clone(),
-                    message: e.to_string(),
-                })?;
-                Ok(vec![(None, out)])
-            }
-            _ => {
-                if current.len() != 1 {
-                    return Err(EngineError::Execution {
-                        task: task.name.clone(),
-                        message: format!(
-                            "task consumes one input but found {} at this point",
-                            current.len()
-                        ),
-                    });
-                }
-                let (_, input) = current.remove(0);
-                let out = task.kind.execute_noted(
-                    &task.name,
-                    std::slice::from_ref(&input),
-                    &rt,
-                    notes,
-                )?;
-                Ok(vec![(None, out)])
-            }
-        }
     }
 }
 

@@ -42,7 +42,6 @@ pub use exec::{ExecContext, ExecResult, ExecStats, Executor, FlowRunStat, MemoVe
 pub use ext::TaskRegistry;
 pub use graph::FlowGraph;
 pub use memo::{FlowMemo, Uncached};
-pub use optimizer::OptimizerConfig;
 pub use selection::{Selection, SelectionProvider, StaticSelections};
 pub use stream::{StreamExec, StreamTick};
 pub use task::TaskKind;

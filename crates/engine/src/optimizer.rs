@@ -2,8 +2,7 @@
 //! optimize the complete flow"; §6 names minimizing data transfers to the
 //! client as the headline example).
 //!
-//! Three passes, individually toggleable so the PERF-OPT ablation bench can
-//! measure each:
+//! Three passes, always run, in this order:
 //!
 //! * **Dead-sink elimination** — flows whose outputs feed no endpoint, no
 //!   published object and no downstream flow are dropped entirely.
@@ -17,68 +16,16 @@
 
 use crate::compile::CompiledPipeline;
 use crate::task::{NamedTask, TaskKind};
+use shareinsights_tabular::ops::ExtractMap;
 use std::collections::BTreeSet;
 
-/// Pass toggles.
-#[derive(Debug, Clone)]
-pub struct OptimizerConfig {
-    /// Drop flows that feed nothing observable.
-    pub dead_sink_elimination: bool,
-    /// Hoist filters toward the head of chains.
-    pub filter_reorder: bool,
-    /// Insert early projections.
-    pub projection_pruning: bool,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            dead_sink_elimination: true,
-            filter_reorder: true,
-            projection_pruning: true,
-        }
+/// Run the three passes in place.
+pub fn optimize(pipeline: &mut CompiledPipeline) {
+    eliminate_dead_sinks(pipeline);
+    for flow in &mut pipeline.flows {
+        hoist_filters(&mut flow.tasks);
+        insert_projection(flow);
     }
-}
-
-impl OptimizerConfig {
-    /// Everything off — the ablation baseline.
-    pub fn disabled() -> Self {
-        OptimizerConfig {
-            dead_sink_elimination: false,
-            filter_reorder: false,
-            projection_pruning: false,
-        }
-    }
-}
-
-/// Statistics of what the optimizer did (surfaced in compile reports).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OptimizerReport {
-    /// Flows removed by dead-sink elimination.
-    pub flows_removed: usize,
-    /// Filter hoists performed.
-    pub filters_hoisted: usize,
-    /// Projections inserted.
-    pub projections_inserted: usize,
-}
-
-/// Run the configured passes in place.
-pub fn optimize(pipeline: &mut CompiledPipeline, cfg: &OptimizerConfig) -> OptimizerReport {
-    let mut report = OptimizerReport::default();
-    if cfg.dead_sink_elimination {
-        report.flows_removed = eliminate_dead_sinks(pipeline);
-    }
-    if cfg.filter_reorder {
-        for flow in &mut pipeline.flows {
-            report.filters_hoisted += hoist_filters(&mut flow.tasks, &flow.inputs.len().clone());
-        }
-    }
-    if cfg.projection_pruning {
-        for flow in &mut pipeline.flows {
-            report.projections_inserted += insert_projection(flow);
-        }
-    }
-    report
 }
 
 /// Drop flows not needed for endpoints, published objects, or any object a
@@ -99,10 +46,10 @@ fn eliminate_dead_sinks(pipeline: &mut CompiledPipeline) -> usize {
 
 /// Hoist `FilterExpr` tasks leftwards past tasks that (a) don't remove the
 /// columns the filter reads and (b) don't change row identity in a way the
-/// filter depends on. Safe swaps: past `MapDate`/`MapLocation`/
-/// `MapExtract`/`MapWords`/`MapCustom` when the filter doesn't read the map
-/// output column, and past `Sort`.
-fn hoist_filters(tasks: &mut [NamedTask], _n_inputs: &usize) -> usize {
+/// filter depends on. Safe swaps: past a column map whose output the
+/// filter doesn't read, unless the map expands rows (`MapWords`, an
+/// exploding `MapExtract`), and past `Sort`.
+fn hoist_filters(tasks: &mut [NamedTask]) -> usize {
     let mut hoists = 0;
     // Bubble-sort-style single pass repeated until fixpoint (chains are
     // short — the paper's longest is 3 tasks).
@@ -114,14 +61,15 @@ fn hoist_filters(tasks: &mut [NamedTask], _n_inputs: &usize) -> usize {
                 let TaskKind::FilterExpr(expr) = &cur.kind else {
                     continue;
                 };
-                let reads: BTreeSet<String> = expr.referenced_columns().into_iter().collect();
-                match &prev.kind {
-                    TaskKind::MapDate(m) => !reads.contains(&m.output_column),
-                    TaskKind::MapLocation(m) => !reads.contains(&m.output_column),
-                    TaskKind::MapExtract(m) => !m.explode && !reads.contains(&m.output_column),
-                    TaskKind::MapCustom { output, .. } => !reads.contains(output),
-                    TaskKind::Sort(_) => true,
-                    _ => false,
+                let row_expanding = matches!(
+                    prev.kind,
+                    TaskKind::MapWords(_) | TaskKind::MapExtract(ExtractMap { explode: true, .. })
+                );
+                match prev.kind.map_columns() {
+                    Some((_, output)) => {
+                        !row_expanding && !expr.referenced_columns().iter().any(|c| c == output)
+                    }
+                    None => matches!(prev.kind, TaskKind::Sort(_)),
                 }
             };
             if can_swap {
@@ -175,28 +123,9 @@ fn insert_projection(flow: &mut crate::compile::CompiledFlow) -> usize {
             needed.extend(cols);
         }
         // Outputs produced upstream don't need to come from the source.
-        match &t.kind {
-            TaskKind::MapDate(m) => {
-                needed.remove(&m.output_column);
-                needed.insert(m.input_column.clone());
-            }
-            TaskKind::MapExtract(m) => {
-                needed.remove(&m.output_column);
-                needed.insert(m.input_column.clone());
-            }
-            TaskKind::MapLocation(m) => {
-                needed.remove(&m.output_column);
-                needed.insert(m.input_column.clone());
-            }
-            TaskKind::MapWords(m) => {
-                needed.remove(&m.output_column);
-                needed.insert(m.input_column.clone());
-            }
-            TaskKind::MapCustom { input, output, .. } => {
-                needed.remove(output);
-                needed.insert(input.clone());
-            }
-            _ => {}
+        if let Some((input, output)) = t.kind.map_columns() {
+            needed.remove(output);
+            needed.insert(input.to_string());
         }
     }
     if needed.is_empty() {
@@ -221,12 +150,14 @@ mod tests {
     use crate::ext::TaskRegistry;
     use shareinsights_flowfile::parse_flow_file;
 
-    fn compile_with(src: &str, cfg: OptimizerConfig) -> CompiledPipeline {
+    fn compile_src(src: &str) -> CompiledPipeline {
         let ff = parse_flow_file("t", src).unwrap();
         let reg = TaskRegistry::new();
-        let mut env = CompileEnv::bare(&reg);
-        env.optimizer = cfg;
-        compile(&ff, &env).unwrap()
+        compile(&ff, &CompileEnv::bare(&reg)).unwrap()
+    }
+
+    fn names(tasks: &[NamedTask]) -> Vec<&str> {
+        tasks.iter().map(|t| t.name.as_str()).collect()
     }
 
     const DEAD_SINK: &str = r#"
@@ -242,13 +173,17 @@ F:
 "#;
 
     #[test]
-    fn dead_sinks_removed_when_enabled() {
-        let p = compile_with(DEAD_SINK, OptimizerConfig::default());
+    fn dead_sinks_removed() {
+        let mut p = compile_src(DEAD_SINK);
         assert_eq!(p.flows.len(), 1);
         assert_eq!(p.flows[0].output, "live");
 
-        let p = compile_with(DEAD_SINK, OptimizerConfig::disabled());
-        assert_eq!(p.flows.len(), 2);
+        // The pass alone, on the flow compile dropped.
+        let mut dead = p.flows[0].clone();
+        dead.output = "dead".into();
+        p.flows.push(dead);
+        assert_eq!(eliminate_dead_sinks(&mut p), 1);
+        assert_eq!(p.flows.len(), 1);
     }
 
     #[test]
@@ -265,7 +200,7 @@ F:
   D.shared:
     publish: shared_name
 "#;
-        let p = compile_with(src, OptimizerConfig::default());
+        let p = compile_src(src);
         assert_eq!(p.flows.len(), 1, "published flow survives");
     }
 
@@ -289,23 +224,23 @@ F:
 
     #[test]
     fn filter_hoisted_before_map() {
-        let p = compile_with(FILTER_AFTER_MAP, OptimizerConfig::default());
-        let names: Vec<&str> = p.flows[0].tasks.iter().map(|t| t.name.as_str()).collect();
-        let keep_pos = names.iter().position(|n| *n == "keep").unwrap();
-        let norm_pos = names.iter().position(|n| *n == "norm").unwrap();
-        assert!(keep_pos < norm_pos, "filter hoisted: {names:?}");
+        let p = compile_src(FILTER_AFTER_MAP);
+        assert_eq!(names(&p.flows[0].tasks), vec!["keep", "norm"]);
 
-        let p = compile_with(FILTER_AFTER_MAP, OptimizerConfig::disabled());
-        let names: Vec<&str> = p.flows[0].tasks.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["norm", "keep"]);
+        // The pass alone, on the chain as written.
+        let mut tasks = p.flows[0].tasks.clone();
+        tasks.reverse();
+        assert_eq!(hoist_filters(&mut tasks), 1);
+        assert_eq!(names(&tasks), vec!["keep", "norm"]);
+        assert_eq!(hoist_filters(&mut tasks), 0, "a fixpoint");
     }
 
     #[test]
-    fn filter_not_hoisted_past_producing_map() {
+    fn filter_not_hoisted_past_producing_or_expanding_map() {
         // The filter reads the map's output column: must stay after it.
         let src = r#"
 D:
-  src: [posted]
+  src: [posted, body]
 T:
   norm:
     type: map
@@ -314,17 +249,22 @@ T:
     input_format: yyyy-MM-dd
     output_format: 'yyyy/MM/dd'
     output: date
+  words:
+    type: map
+    operator: extract_words
+    transform: body
+    output: word
   keep:
     type: filter_by
     filter_expression: date contains '2013'
 F:
   +D.out: D.src | T.norm | T.keep
+  +D.per_word: D.src | T.norm | T.words | T.keep
 "#;
-        let p = compile_with(src, OptimizerConfig::default());
-        let names: Vec<&str> = p.flows[0].tasks.iter().map(|t| t.name.as_str()).collect();
-        let keep_pos = names.iter().position(|n| *n == "keep").unwrap();
-        let norm_pos = names.iter().position(|n| *n == "norm").unwrap();
-        assert!(norm_pos < keep_pos, "{names:?}");
+        let p = compile_src(src);
+        assert_eq!(names(&p.flows[0].tasks), vec!["norm", "keep"]);
+        // Nor past a map that expands rows, whatever it reads.
+        assert_eq!(names(&p.flows[1].tasks), vec!["norm", "words", "keep"]);
     }
 
     const WIDE_GROUPBY: &str = r#"
@@ -344,25 +284,31 @@ F:
 
     #[test]
     fn projection_inserted_before_groupby() {
-        let p = compile_with(WIDE_GROUPBY, OptimizerConfig::default());
-        let first = &p.flows[0].tasks[0];
-        let TaskKind::Project(cols) = &first.kind else {
-            panic!("expected projection first, got {:?}", first.kind)
+        let mut p = compile_src(WIDE_GROUPBY);
+        let flow = &mut p.flows[0];
+        let TaskKind::Project(cols) = &flow.tasks[0].kind else {
+            panic!("expected projection first, got {:?}", flow.tasks[0].kind)
         };
-        assert!(cols.contains(&"a".to_string()) && cols.contains(&"wanted".to_string()));
-        assert_eq!(cols.len(), 2, "{cols:?}");
+        assert_eq!(cols, &["a", "wanted"]);
 
-        let p = compile_with(WIDE_GROUPBY, OptimizerConfig::disabled());
-        assert_eq!(p.flows[0].tasks.len(), 1);
+        // The pass alone, on the chain as written.
+        let projection = flow.tasks.remove(0);
+        assert_eq!(insert_projection(flow), 1);
+        assert_eq!(flow.tasks[0].fingerprint, projection.fingerprint);
+        assert_eq!(flow.tasks.len(), 2);
     }
 
     #[test]
-    fn optimized_schema_unchanged() {
-        // The observable schema must be identical with and without passes.
+    fn optimized_chain_keeps_the_declared_schema() {
+        // Compile propagates schemas before optimizing: the rewritten chain
+        // must produce exactly what the flow as written declared.
         for src in [FILTER_AFTER_MAP, WIDE_GROUPBY] {
-            let a = compile_with(src, OptimizerConfig::default());
-            let b = compile_with(src, OptimizerConfig::disabled());
-            assert_eq!(a.schemas.get("out"), b.schemas.get("out"), "{src}");
+            let p = compile_src(src);
+            let mut schema = p.schemas["src"].clone();
+            for t in &p.flows[0].tasks {
+                schema = t.kind.output_schema(&t.name, &[schema]).unwrap();
+            }
+            assert_eq!(Some(&schema), p.schemas.get("out"), "{src}");
         }
     }
 }

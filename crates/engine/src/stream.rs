@@ -23,16 +23,17 @@
 //! data generation, so batch readers and generation-stamped caches keep
 //! working unchanged.
 
-use crate::compile::{CompiledFlow, CompiledPipeline};
+use crate::compile::CompiledPipeline;
 use crate::error::{EngineError, Result};
-use crate::task::{NamedTask, TaskKind, TaskRuntime};
+use crate::task::{run_chain, NamedTask, TaskKind, TaskRuntime};
 use shareinsights_tabular::ops::{union_all, GroupByPartial};
 use shareinsights_tabular::Table;
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
-/// Default cap on rows retained per bounded stream state (source buffers,
-/// appended endpoints, join build sides).
-pub const DEFAULT_STATE_CAP_ROWS: usize = 100_000;
+/// Cap on rows retained per bounded stream state (source buffers, appended
+/// endpoints, join build sides).
+const DEFAULT_STATE_CAP_ROWS: usize = 100_000;
 
 /// Per-flow execution strategy, fixed at stream start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +70,7 @@ pub struct StreamTick {
 pub struct StreamExec {
     pipeline: CompiledPipeline,
     /// Rows retained per bounded object before FIFO eviction.
-    pub state_cap_rows: usize,
+    state_cap_rows: usize,
     strategies: BTreeMap<String, Strategy>,
     current: BTreeMap<String, Table>,
     group_states: BTreeMap<String, GroupByPartial>,
@@ -181,6 +182,7 @@ impl StreamExec {
         touched.insert(source.to_string());
 
         // `pipeline.flows` is already topologically ordered.
+        let since = Instant::now();
         for flow in &pipeline.flows {
             if !flow.inputs.iter().any(|i| touched.contains(i)) {
                 continue;
@@ -189,37 +191,32 @@ impl StreamExec {
                 .get(&flow.output)
                 .copied()
                 .unwrap_or(Strategy::Reexec);
-            match strategy {
+            let lookup = |name: &str| -> Option<Table> { current.get(name).cloned() };
+            let rt = TaskRuntime {
+                selections: None,
+                lookup_table: &lookup,
+            };
+            let run = |tasks: &[NamedTask], inputs| {
+                run_chain(&flow.output, tasks, inputs, &rt, since, &mut Vec::new())
+            };
+            let (input, tasks) = (flow.inputs[0].as_str(), flow.tasks.as_slice());
+            let out = match strategy {
                 Strategy::Passthrough => {
-                    let input = &flow.inputs[0];
                     let Some(delta) = deltas.get(input) else {
                         continue;
                     };
-                    let out = run_chain(
-                        flow,
-                        &flow.tasks,
-                        vec![(Some(input.clone()), delta.clone())],
-                        current,
-                    )?;
+                    let out = run(tasks, vec![(Some(input), delta.clone())])?;
+                    deltas.insert(flow.output.clone(), out.clone());
                     let (acc, ev) = append_bounded(current.get(&flow.output), &out, cap)?;
                     evicted_rows += ev;
-                    current.insert(flow.output.clone(), acc.clone());
-                    deltas.insert(flow.output.clone(), out);
-                    touched.insert(flow.output.clone());
-                    updated.insert(flow.output.clone(), acc);
+                    acc
                 }
                 Strategy::Incremental { groupby_at } => {
-                    let input = &flow.inputs[0];
                     let Some(delta) = deltas.get(input) else {
                         continue;
                     };
-                    let pre = run_chain(
-                        flow,
-                        &flow.tasks[..groupby_at],
-                        vec![(Some(input.clone()), delta.clone())],
-                        current,
-                    )?;
-                    let gtask = &flow.tasks[groupby_at];
+                    let pre = run(&tasks[..groupby_at], vec![(Some(input), delta.clone())])?;
+                    let gtask = &tasks[groupby_at];
                     let TaskKind::GroupBy { builtin, .. } = &gtask.kind else {
                         return Err(exec_err(&gtask.name, "expected groupby task"));
                     };
@@ -228,43 +225,27 @@ impl StreamExec {
                         .or_insert_with(|| GroupByPartial::new(builtin.clone()));
                     st.update(&pre).map_err(|e| exec_err(&gtask.name, e))?;
                     let snap = st.snapshot().map_err(|e| exec_err(&gtask.name, e))?;
-                    let out = run_chain(
-                        flow,
-                        &flow.tasks[groupby_at + 1..],
-                        vec![(None, snap)],
-                        current,
-                    )?;
-                    current.insert(flow.output.clone(), out.clone());
-                    touched.insert(flow.output.clone());
-                    updated.insert(flow.output.clone(), out);
+                    run(&tasks[groupby_at + 1..], vec![(None, snap)])?
                 }
                 Strategy::Reexec => {
-                    let mut inputs = Vec::with_capacity(flow.inputs.len());
-                    let mut complete = true;
-                    for i in &flow.inputs {
+                    // An input with neither data nor a known schema yet
+                    // leaves the flow to catch up once that side is pushed.
+                    let inputs = flow.inputs.iter().map(|i| {
                         let t = current
                             .get(i)
                             .cloned()
                             .or_else(|| pipeline.schemas.get(i).map(|s| Table::empty(s.clone())));
-                        match t {
-                            Some(t) => inputs.push((Some(i.clone()), t)),
-                            None => {
-                                complete = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !complete {
-                        // An input has neither data nor a known schema yet;
-                        // the flow catches up once that side is pushed.
+                        t.map(|t| (Some(i.as_str()), t))
+                    });
+                    let Some(inputs) = inputs.collect::<Option<Vec<_>>>() else {
                         continue;
-                    }
-                    let out = run_chain(flow, &flow.tasks, inputs, current)?;
-                    current.insert(flow.output.clone(), out.clone());
-                    touched.insert(flow.output.clone());
-                    updated.insert(flow.output.clone(), out);
+                    };
+                    run(tasks, inputs)?
                 }
-            }
+            };
+            current.insert(flow.output.clone(), out.clone());
+            touched.insert(flow.output.clone());
+            updated.insert(flow.output.clone(), out);
         }
 
         Ok(StreamTick {
@@ -309,67 +290,6 @@ fn append_bounded(existing: Option<&Table>, delta: &Table, cap: usize) -> Result
     } else {
         Ok((merged, 0))
     }
-}
-
-/// Run a task chain over a set of named inputs, mirroring the batch
-/// executor's fan-in handling (joins bind left by input name, unions
-/// drain everything).
-fn run_chain(
-    flow: &CompiledFlow,
-    tasks: &[NamedTask],
-    mut current: Vec<(Option<String>, Table)>,
-    tables: &BTreeMap<String, Table>,
-) -> Result<Table> {
-    let lookup = |name: &str| -> Option<Table> { tables.get(name).cloned() };
-    let rt = TaskRuntime {
-        selections: None,
-        lookup_table: &lookup,
-    };
-    for task in tasks {
-        match &task.kind {
-            TaskKind::Join(j) => {
-                if current.len() != 2 {
-                    return Err(exec_err(
-                        &task.name,
-                        format!("join needs 2 inputs, found {}", current.len()),
-                    ));
-                }
-                let left_idx = current
-                    .iter()
-                    .position(|(n, _)| n.as_deref() == Some(j.left_name.as_str()))
-                    .unwrap_or(0);
-                let right_idx = 1 - left_idx;
-                let inputs = [current[left_idx].1.clone(), current[right_idx].1.clone()];
-                let out = task.kind.execute(&task.name, &inputs, &rt)?;
-                current = vec![(None, out)];
-            }
-            TaskKind::Union => {
-                let inputs: Vec<Table> = current.drain(..).map(|(_, t)| t).collect();
-                let out = union_all(&inputs).map_err(|e| exec_err(&task.name, e))?;
-                current = vec![(None, out)];
-            }
-            _ => {
-                if current.len() != 1 {
-                    return Err(exec_err(
-                        &task.name,
-                        format!("task consumes one input but found {}", current.len()),
-                    ));
-                }
-                let (_, input) = current.remove(0);
-                let out = task
-                    .kind
-                    .execute(&task.name, std::slice::from_ref(&input), &rt)?;
-                current = vec![(None, out)];
-            }
-        }
-    }
-    if current.len() != 1 {
-        return Err(EngineError::Execution {
-            task: format!("flow D.{}", flow.output),
-            message: format!("flow ended with {} unmerged tables", current.len()),
-        });
-    }
-    Ok(current.remove(0).1)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! [`TaskKind::execute`] is the batch kernel.
 
 use crate::error::{EngineError, Result};
+use crate::exec::TaskRunStat;
 use crate::ext::TaskRegistry;
 use crate::memo::{Key128, Uncached};
 use crate::selection::{Selection, SelectionProvider};
@@ -21,6 +22,7 @@ use shareinsights_tabular::ops::{
 use shareinsights_tabular::text::{ExtractDict, Gazetteer};
 use shareinsights_tabular::{DataType, Field, IndexedTable, Schema, Table, Value};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Where an interactive filter's allowed values come from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -623,18 +625,44 @@ fn parse_sort_keys(def: &TaskDef, param: &str) -> Result<Vec<SortKey>> {
 // ---------------------------------------------------------------------------
 
 impl TaskKind {
-    /// True when the task consumes exactly its single input row-by-row
-    /// (chunkable by the parallel executor).
+    /// True when the task consumes its single input row by row: it can run
+    /// on any run of rows alone (a stream's micro-batch) and commutes with
+    /// a projection that keeps the columns it reads.
     pub fn is_row_local(&self) -> bool {
-        matches!(
-            self,
-            TaskKind::FilterExpr(_)
-                | TaskKind::MapDate(_)
-                | TaskKind::MapExtract(_)
-                | TaskKind::MapLocation(_)
-                | TaskKind::MapWords(_)
-                | TaskKind::MapCustom { .. }
-        )
+        matches!(self, TaskKind::FilterExpr(_)) || self.map_columns().is_some()
+    }
+
+    /// A column map's `(input, output)` columns; `None` for every task that
+    /// is not one of the five maps.
+    pub(crate) fn map_columns(&self) -> Option<(&str, &str)> {
+        match self {
+            TaskKind::MapDate(m) => Some((&m.input_column, &m.output_column)),
+            TaskKind::MapExtract(m) => Some((&m.input_column, &m.output_column)),
+            TaskKind::MapLocation(m) => Some((&m.input_column, &m.output_column)),
+            TaskKind::MapWords(m) => Some((&m.input_column, &m.output_column)),
+            TaskKind::MapCustom { input, output, .. } => Some((input, output)),
+            _ => None,
+        }
+    }
+
+    /// A widget filter's widget and its `(column, widget column)` pairs:
+    /// input column `i` is constrained by the selection on `filter_val[i]`,
+    /// else on the first `filter_val`, else on `value`. `None` for every
+    /// other task.
+    pub fn widget_filter(&self) -> Option<(&str, impl Iterator<Item = (&str, &str)>)> {
+        let TaskKind::FilterBySource {
+            columns,
+            source: FilterSource::Widget(widget),
+            source_columns,
+        } = self
+        else {
+            return None;
+        };
+        let pairs = columns.iter().enumerate().map(move |(i, column)| {
+            let from = source_columns.get(i).or(source_columns.first());
+            (column.as_str(), from.map_or("value", String::as_str))
+        });
+        Some((widget.as_str(), pairs))
     }
 
     /// Why this task's output can depend on more than its inputs, if it
@@ -695,13 +723,32 @@ impl TaskKind {
         }
     }
 
-    /// Number of inputs the task consumes (None = any).
-    pub fn arity(&self) -> Option<usize> {
+    /// Whether the task takes `inputs` inputs: a join two, a union one or
+    /// more, every other task exactly one. The message is the error.
+    fn check_arity(&self, inputs: usize) -> std::result::Result<(), String> {
         match self {
-            TaskKind::Join(_) => Some(2),
-            TaskKind::Union => None,
-            TaskKind::Parallel(_) => Some(1),
-            _ => Some(1),
+            TaskKind::Union if inputs > 0 => Ok(()),
+            TaskKind::Join(_) if inputs == 2 => Ok(()),
+            TaskKind::Join(_) => Err(format!(
+                "join needs exactly 2 inputs at this point in the flow, found {inputs}"
+            )),
+            _ if inputs == 1 => Ok(()),
+            _ => Err(format!(
+                "task consumes one input but the flow provides {inputs} here; combine them with a join or union first"
+            )),
+        }
+    }
+
+    /// Put a flow's named inputs in the order the task takes them: a
+    /// join's side named like its `left_name` first, whatever the order
+    /// the flow lists them in. Other tasks leave the order alone.
+    pub(crate) fn bind_inputs<T>(&self, inputs: &mut [(Option<&str>, T)]) {
+        let TaskKind::Join(j) = self else { return };
+        if let Some(left) = inputs
+            .iter()
+            .position(|(name, _)| *name == Some(j.left_name.as_str()))
+        {
+            inputs.swap(0, left);
         }
     }
 
@@ -733,11 +780,6 @@ impl TaskKind {
                     Some(cols)
                 }
             }
-            TaskKind::MapDate(m) => Some(vec![m.input_column.clone()]),
-            TaskKind::MapExtract(m) => Some(vec![m.input_column.clone()]),
-            TaskKind::MapLocation(m) => Some(vec![m.input_column.clone()]),
-            TaskKind::MapWords(m) => Some(vec![m.input_column.clone()]),
-            TaskKind::MapCustom { input, .. } => Some(vec![input.clone()]),
             TaskKind::TopN(t) => {
                 let mut cols = t.groupby.clone();
                 cols.extend(t.order_by.iter().map(|k| k.column.clone()));
@@ -764,130 +806,90 @@ impl TaskKind {
                 Some(all)
             }
             TaskKind::Custom(_) => None,
+            map => map.map_columns().map(|(input, _)| vec![input.to_string()]),
         }
     }
 
     /// Output schema given the input schema(s); validates use-site columns.
     pub fn output_schema(&self, task_name: &str, inputs: &[Schema]) -> Result<Schema> {
-        let sch_err = |e: shareinsights_tabular::TabularError| EngineError::SchemaMismatch {
+        let sch_err = |message: String| EngineError::SchemaMismatch {
             task: task_name.to_string(),
             flow: String::new(),
-            message: e.to_string(),
+            message,
         };
-        let single = || -> Result<&Schema> {
-            inputs.first().ok_or_else(|| {
-                EngineError::Internal(format!("task '{task_name}' got no input schema"))
-            })
-        };
+        self.check_arity(inputs.len()).map_err(sch_err)?;
+        let sch_err = |e: shareinsights_tabular::TabularError| sch_err(e.to_string());
+        let single = &inputs[0];
         match self {
             TaskKind::FilterExpr(e) => {
-                let s = single()?;
-                s.require(&e.referenced_columns()).map_err(sch_err)?;
-                Ok(s.clone())
+                single.require(&e.referenced_columns()).map_err(sch_err)?;
+                Ok(single.clone())
             }
             TaskKind::FilterBySource { columns, .. } => {
-                let s = single()?;
-                s.require(columns).map_err(sch_err)?;
-                Ok(s.clone())
+                single.require(columns).map_err(sch_err)?;
+                Ok(single.clone())
             }
             TaskKind::GroupBy { builtin, custom } => {
-                let s = single()?;
-                let mut out = builtin.output_schema(s).map_err(sch_err)?;
+                let mut out = builtin.output_schema(single).map_err(sch_err)?;
                 for c in custom {
-                    let in_ty = s.field(&c.apply_on).map_err(sch_err)?.data_type();
+                    let in_ty = single.field(&c.apply_on).map_err(sch_err)?.data_type();
                     out = out.upsert_field(Field::new(&c.out_field, c.func.output_type(in_ty)));
                 }
                 Ok(out)
             }
-            TaskKind::Join(j) => {
-                if inputs.len() != 2 {
-                    return Err(EngineError::SchemaMismatch {
-                        task: task_name.to_string(),
-                        flow: String::new(),
-                        message: format!("join needs exactly 2 inputs, got {}", inputs.len()),
-                    });
-                }
-                j.spec
-                    .output_schema(&inputs[0], &inputs[1])
-                    .map_err(sch_err)
-            }
-            TaskKind::MapDate(m) => {
-                let s = single()?;
-                s.require(std::slice::from_ref(&m.input_column))
-                    .map_err(sch_err)?;
-                Ok(s.upsert_field(Field::new(&m.output_column, DataType::Utf8)))
-            }
-            TaskKind::MapExtract(m) => {
-                let s = single()?;
-                s.require(std::slice::from_ref(&m.input_column))
-                    .map_err(sch_err)?;
-                Ok(s.upsert_field(Field::new(&m.output_column, DataType::Utf8)))
-            }
-            TaskKind::MapLocation(m) => {
-                let s = single()?;
-                s.require(std::slice::from_ref(&m.input_column))
-                    .map_err(sch_err)?;
-                Ok(s.upsert_field(Field::new(&m.output_column, DataType::Utf8)))
-            }
-            TaskKind::MapWords(m) => {
-                let s = single()?;
-                s.require(std::slice::from_ref(&m.input_column))
-                    .map_err(sch_err)?;
-                Ok(s.upsert_field(Field::new(&m.output_column, DataType::Utf8)))
-            }
-            TaskKind::MapCustom { input, output, .. } => {
-                let s = single()?;
-                s.require(std::slice::from_ref(input)).map_err(sch_err)?;
-                // A custom scalar operator's result type is unknown until it
-                // runs; declare Utf8-compatible Null (unifies later).
-                Ok(s.upsert_field(Field::new(output, DataType::Null)))
-            }
+            TaskKind::Join(j) => j
+                .spec
+                .output_schema(&inputs[0], &inputs[1])
+                .map_err(sch_err),
             TaskKind::TopN(t) => {
-                let s = single()?;
-                s.require(&t.groupby).map_err(sch_err)?;
-                s.require(
-                    &t.order_by
-                        .iter()
-                        .map(|k| k.column.clone())
-                        .collect::<Vec<_>>(),
-                )
-                .map_err(sch_err)?;
-                Ok(s.clone())
+                single.require(&t.groupby).map_err(sch_err)?;
+                single
+                    .require(&sort_columns(&t.order_by))
+                    .map_err(sch_err)?;
+                Ok(single.clone())
             }
             TaskKind::Sort(keys) => {
-                let s = single()?;
-                s.require(&keys.iter().map(|k| k.column.clone()).collect::<Vec<_>>())
-                    .map_err(sch_err)?;
-                Ok(s.clone())
+                single.require(&sort_columns(keys)).map_err(sch_err)?;
+                Ok(single.clone())
             }
             TaskKind::Distinct(cols) => {
-                let s = single()?;
-                s.require(cols).map_err(sch_err)?;
-                Ok(s.clone())
+                single.require(cols).map_err(sch_err)?;
+                Ok(single.clone())
             }
-            TaskKind::Limit(_) => Ok(single()?.clone()),
+            TaskKind::Limit(_) => Ok(single.clone()),
             TaskKind::Union => {
-                let mut iter = inputs.iter();
-                let first = iter
-                    .next()
-                    .ok_or_else(|| EngineError::Internal("union with no inputs".into()))?;
-                let mut acc = first.clone();
-                for s in iter {
+                let mut acc = single.clone();
+                for s in &inputs[1..] {
                     acc = acc.unify(s).map_err(sch_err)?;
                 }
                 Ok(acc)
             }
-            TaskKind::Project(cols) => single()?.project(cols).map_err(sch_err),
+            TaskKind::Project(cols) => single.project(cols).map_err(sch_err),
             TaskKind::Parallel(tasks) => {
-                let mut schema = single()?.clone();
+                let mut schema = single.clone();
                 for t in tasks {
                     schema = t.kind.output_schema(&t.name, &[schema])?;
                 }
                 Ok(schema)
             }
-            TaskKind::Custom(c) => c.output_schema(single()?),
+            TaskKind::Custom(c) => c.output_schema(single),
+            map => {
+                let (input, output) = map.map_columns().expect("every other kind has an arm");
+                single.require(&[input.to_string()]).map_err(sch_err)?;
+                // A custom scalar operator's result type is unknown until it
+                // runs; declare Utf8-compatible Null (unifies later).
+                let ty = match map {
+                    TaskKind::MapCustom { .. } => DataType::Null,
+                    _ => DataType::Utf8,
+                };
+                Ok(single.upsert_field(Field::new(output, ty)))
+            }
         }
     }
+}
+
+fn sort_columns(keys: &[SortKey]) -> Vec<String> {
+    keys.iter().map(|k| k.column.clone()).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -938,7 +940,9 @@ impl TaskKind {
     }
 
     /// [`TaskKind::execute`], appending what the kernel has to say about
-    /// the run to `notes`.
+    /// the run to `notes`. The one place a task binds its inputs: a join
+    /// takes `[left, right]`, a union all of them, every other task exactly
+    /// one; any other count is an error.
     pub fn execute_noted(
         &self,
         task_name: &str,
@@ -946,35 +950,25 @@ impl TaskKind {
         rt: &TaskRuntime<'_>,
         notes: &mut TaskNotes,
     ) -> Result<Table> {
+        self.check_arity(inputs.len())
+            .map_err(|e| exec_err(task_name, e))?;
         let err = |e: shareinsights_tabular::TabularError| exec_err(task_name, e);
-        let single = || -> Result<&Table> {
-            inputs
-                .first()
-                .ok_or_else(|| EngineError::Internal(format!("task '{task_name}' got no input")))
-        };
+        let single = &inputs[0];
         match self {
-            TaskKind::FilterExpr(e) => {
-                ops::filter_by_expr(single()?, e).map_err(|er| exec_err(task_name, er))
-            }
+            TaskKind::FilterExpr(e) => ops::filter_by_expr(single, e).map_err(err),
             TaskKind::FilterBySource {
                 columns,
-                source,
+                source: FilterSource::Data(object),
                 source_columns,
-            } => {
-                execute_filter_by_source(task_name, single()?, columns, source, source_columns, rt)
-            }
+            } => filter_by_data(task_name, single, columns, object, source_columns, rt),
+            TaskKind::FilterBySource { .. } => self.filter_by_widget(single, None, rt).map_err(err),
             TaskKind::GroupBy { builtin, custom } => {
-                let out = execute_groupby(task_name, single()?, builtin, custom)?;
+                let out = execute_groupby(task_name, single, builtin, custom)?;
                 notes.push(("groups", out.num_rows() as u64));
                 Ok(out)
             }
             TaskKind::Join(j) => {
-                let [left, right] = inputs else {
-                    return Err(exec_err(
-                        task_name,
-                        format!("join needs 2 inputs, got {}", inputs.len()),
-                    ));
-                };
+                let (left, right) = (&inputs[0], &inputs[1]);
                 let out = ops::join(left, right, &j.spec).map_err(err)?;
                 let shared = |c| left.columns().iter().any(|l| Arc::ptr_eq(l, c));
                 notes.push(("build_rows", right.num_rows() as u64));
@@ -982,54 +976,47 @@ impl TaskKind {
                 Ok(out)
             }
             TaskKind::MapDate(m) => {
-                let (out, distinct) = ops::map_date_counted(single()?, m).map_err(err)?;
+                let (out, distinct) = ops::map_date_counted(single, m).map_err(err)?;
                 notes.push(("distinct_inputs", distinct as u64));
                 Ok(out)
             }
-            TaskKind::MapExtract(m) => {
-                ops::map_extract(single()?, m).map_err(|e| exec_err(task_name, e))
-            }
+            TaskKind::MapExtract(m) => ops::map_extract(single, m).map_err(err),
             TaskKind::MapLocation(m) => {
-                let (out, distinct) =
-                    ops::map_extract_location_counted(single()?, m).map_err(err)?;
+                let (out, distinct) = ops::map_extract_location_counted(single, m).map_err(err)?;
                 notes.push(("distinct_inputs", distinct as u64));
                 Ok(out)
             }
-            TaskKind::MapWords(m) => {
-                ops::map_extract_words(single()?, m).map_err(|e| exec_err(task_name, e))
-            }
+            TaskKind::MapWords(m) => ops::map_extract_words(single, m).map_err(err),
             TaskKind::MapCustom { op, input, output } => {
-                let t = single()?;
-                let col = t.column(input).map_err(|e| exec_err(task_name, e))?;
-                let values: Vec<Value> =
-                    (0..t.num_rows()).map(|i| op.apply(&col.value(i))).collect();
-                t.with_column(output, shareinsights_tabular::Column::from_values(&values))
-                    .map_err(|e| exec_err(task_name, e))
+                let col = single.column(input).map_err(err)?;
+                let values: Vec<Value> = (0..single.num_rows())
+                    .map(|i| op.apply(&col.value(i)))
+                    .collect();
+                single
+                    .with_column(output, shareinsights_tabular::Column::from_values(&values))
+                    .map_err(err)
             }
             TaskKind::TopN(t) => {
-                let (out, partitions) = ops::topn_counted(single()?, t).map_err(err)?;
+                let (out, partitions) = ops::topn_counted(single, t).map_err(err)?;
                 notes.push(("groups", partitions as u64));
                 Ok(out)
             }
-            TaskKind::Sort(keys) => ops::sort(single()?, keys).map_err(|e| exec_err(task_name, e)),
+            TaskKind::Sort(keys) => ops::sort(single, keys).map_err(err),
             TaskKind::Distinct(cols) => {
-                let out = ops::distinct(single()?, cols).map_err(err)?;
+                let out = ops::distinct(single, cols).map_err(err)?;
                 notes.push(("groups", out.num_rows() as u64));
                 Ok(out)
             }
-            TaskKind::Limit(n) => Ok(single()?.limit(*n)),
-            TaskKind::Union => ops::union_all(inputs).map_err(|e| exec_err(task_name, e)),
-            TaskKind::Project(cols) => single()?.project(cols).map_err(|e| exec_err(task_name, e)),
+            TaskKind::Limit(n) => Ok(single.limit(*n)),
+            TaskKind::Union => ops::union_all(inputs).map_err(err),
+            TaskKind::Project(cols) => single.project(cols).map_err(err),
             TaskKind::Parallel(tasks) => {
-                let mut current = single()?.clone();
-                for t in tasks {
-                    current = t
-                        .kind
-                        .execute(&t.name, std::slice::from_ref(&current), rt)?;
-                }
-                Ok(current)
+                // The members run as a chain of their own; their stats stay
+                // inside this task's.
+                let input = vec![(None, single.clone())];
+                run_chain(task_name, tasks, input, rt, Instant::now(), &mut Vec::new())
             }
-            TaskKind::Custom(c) => c.execute(single()?),
+            TaskKind::Custom(c) => c.execute(single),
         }
     }
 
@@ -1043,111 +1030,136 @@ impl TaskKind {
     pub fn execute_indexed(&self, indexed: &IndexedTable, rt: &TaskRuntime<'_>) -> Option<Table> {
         match self {
             TaskKind::FilterBySource {
-                columns,
-                source: FilterSource::Widget(widget),
-                source_columns,
-            } => {
-                let Some(provider) = rt.selections else {
-                    // No interaction context: the scan path shows all rows.
-                    return Some(indexed.table().clone());
-                };
-                // The first applied constraint runs against the index; the
-                // rest filter the (much smaller) intermediate via scans.
-                let mut current: Option<Table> = None;
-                for (i, col) in columns.iter().enumerate() {
-                    let src_col = source_columns
-                        .get(i)
-                        .or_else(|| source_columns.first())
-                        .map(String::as_str)
-                        .unwrap_or("value");
-                    match provider.selection(widget, src_col) {
-                        Some(Selection::Values(vals)) => {
-                            let spec = FilterByValues::single(col.clone(), vals);
-                            current = Some(match current.take() {
-                                None => indexed.filter_by_values(&spec)?,
-                                Some(t) => ops::filter_by_values(&t, &spec).ok()?,
-                            });
-                        }
-                        Some(Selection::Range(lo, hi)) => {
-                            let range = FilterByValues::range(col.clone(), lo, hi);
-                            current = Some(match current.take() {
-                                None => indexed.filter_by_range(&range)?,
-                                Some(t) => ops::filter::filter_by_range(&t, &range).ok()?,
-                            });
-                        }
-                        None => {} // unconstrained
-                    }
-                }
-                Some(current.unwrap_or_else(|| indexed.table().clone()))
-            }
+                source: FilterSource::Widget(_),
+                ..
+            } => self
+                .filter_by_widget(indexed.table(), Some(indexed), rt)
+                .ok(),
             TaskKind::GroupBy { builtin, custom } if custom.is_empty() => indexed.groupby(builtin),
             TaskKind::Sort(keys) => indexed.sort(keys),
             _ => None,
         }
     }
+
+    /// Keep the rows of `input` that the current widget selections allow,
+    /// one constraint per [`TaskKind::widget_filter`] pair; a pair with no
+    /// selection, or no interaction context at all, allows every row. With
+    /// `indexed` (over the same table as `input`), the first constraint that
+    /// applies runs through its index, and a scan when the index declines;
+    /// the rest filter the (much smaller) intermediate by scan.
+    fn filter_by_widget(
+        &self,
+        input: &Table,
+        indexed: Option<&IndexedTable>,
+        rt: &TaskRuntime<'_>,
+    ) -> shareinsights_tabular::Result<Table> {
+        let (Some(provider), Some((widget, pairs))) = (rt.selections, self.widget_filter()) else {
+            return Ok(input.clone());
+        };
+        let mut current: Option<Table> = None;
+        for (column, widget_column) in pairs {
+            let Some(selection) = provider.selection(widget, widget_column) else {
+                continue;
+            };
+            let index = indexed.filter(|_| current.is_none());
+            let scan = current.as_ref().unwrap_or(input);
+            current = Some(match selection {
+                Selection::Values(vals) => {
+                    let spec = FilterByValues::single(column, vals);
+                    match index.and_then(|ix| ix.filter_by_values(&spec)) {
+                        Some(out) => out,
+                        None => ops::filter_by_values(scan, &spec)?,
+                    }
+                }
+                Selection::Range(lo, hi) => {
+                    let range = FilterByValues::range(column, lo, hi);
+                    match index.and_then(|ix| ix.filter_by_range(&range)) {
+                        Some(out) => out,
+                        None => ops::filter::filter_by_range(scan, &range)?,
+                    }
+                }
+            });
+        }
+        Ok(current.unwrap_or_else(|| input.clone()))
+    }
 }
 
-fn execute_filter_by_source(
+/// Fold `tasks` over a flow's named inputs: the one chain loop every
+/// execution context runs. Before each task the current tables are put in
+/// the order it takes them — a join's side named like its
+/// [`JoinTask::left_name`] first — and the task leaves one table behind.
+/// Appends one [`TaskRunStat`] per task to `runs`, offsets counted from
+/// `since`. The chain must end in exactly one table.
+pub fn run_chain(
+    flow: &str,
+    tasks: &[NamedTask],
+    mut current: Vec<(Option<&str>, Table)>,
+    rt: &TaskRuntime<'_>,
+    since: Instant,
+    runs: &mut Vec<TaskRunStat>,
+) -> Result<Table> {
+    for task in tasks {
+        let t0 = Instant::now();
+        task.kind.bind_inputs(&mut current);
+        let inputs: Vec<Table> = current.drain(..).map(|(_, t)| t).collect();
+        let mut notes = TaskNotes::new();
+        let out = task
+            .kind
+            .execute_noted(&task.name, &inputs, rt, &mut notes)?;
+        runs.push(TaskRunStat {
+            task: task.name.clone(),
+            task_type: task.kind.type_name().to_string(),
+            flow: flow.to_string(),
+            rows_in: inputs.iter().map(Table::num_rows).sum(),
+            rows_out: out.num_rows(),
+            start_us: t0.duration_since(since).as_micros() as u64,
+            elapsed_us: t0.elapsed().as_micros() as u64,
+            notes,
+        });
+        current.push((None, out));
+    }
+    match <[_; 1]>::try_from(current) {
+        Ok([(_, table)]) => Ok(table),
+        Err(current) => Err(EngineError::Execution {
+            task: format!("flow D.{flow}"),
+            message: format!(
+                "flow ends with {} unmerged inputs; add a join or union task",
+                current.len()
+            ),
+        }),
+    }
+}
+
+/// The semijoin filter: keep the rows whose `columns` values appear in the
+/// aligned `source_columns` (default: the same names) of data object
+/// `object`.
+fn filter_by_data(
     task_name: &str,
     input: &Table,
     columns: &[String],
-    source: &FilterSource,
+    object: &str,
     source_columns: &[String],
     rt: &TaskRuntime<'_>,
 ) -> Result<Table> {
-    match source {
-        FilterSource::Widget(widget) => {
-            let Some(provider) = rt.selections else {
-                return Ok(input.clone()); // no interaction context: show all
-            };
-            let mut current = input.clone();
-            for (i, col) in columns.iter().enumerate() {
-                let src_col = source_columns
-                    .get(i)
-                    .or_else(|| source_columns.first())
-                    .map(String::as_str)
-                    .unwrap_or("value");
-                match provider.selection(widget, src_col) {
-                    Some(Selection::Values(vals)) => {
-                        let spec = FilterByValues::single(col.clone(), vals);
-                        current = ops::filter_by_values(&current, &spec)
-                            .map_err(|e| exec_err(task_name, e))?;
-                    }
-                    Some(Selection::Range(lo, hi)) => {
-                        let range = FilterByValues::range(col.clone(), lo, hi);
-                        current = ops::filter::filter_by_range(&current, &range)
-                            .map_err(|e| exec_err(task_name, e))?;
-                    }
-                    None => {} // unconstrained
-                }
-            }
-            Ok(current)
-        }
-        FilterSource::Data(object) => {
-            let Some(source_table) = (rt.lookup_table)(object) else {
-                return Err(exec_err(
-                    task_name,
-                    format!("filter_source 'D.{object}' is not materialised"),
-                ));
-            };
-            let mut current = input.clone();
-            for (i, col) in columns.iter().enumerate() {
-                let src_col = source_columns
-                    .get(i)
-                    .or_else(|| source_columns.first())
-                    .map(String::as_str)
-                    .unwrap_or(col.as_str());
-                let src = source_table
-                    .column(src_col)
-                    .map_err(|e| exec_err(task_name, e))?;
-                let values: Vec<Value> = src.iter().filter(|v| !v.is_null()).collect();
-                let spec = FilterByValues::single(col.clone(), values);
-                current =
-                    ops::filter_by_values(&current, &spec).map_err(|e| exec_err(task_name, e))?;
-            }
-            Ok(current)
-        }
+    let err = |e: shareinsights_tabular::TabularError| exec_err(task_name, e);
+    let Some(source_table) = (rt.lookup_table)(object) else {
+        return Err(exec_err(
+            task_name,
+            format!("filter_source 'D.{object}' is not materialised"),
+        ));
+    };
+    let mut current = input.clone();
+    for (i, col) in columns.iter().enumerate() {
+        let src_col = source_columns
+            .get(i)
+            .or_else(|| source_columns.first())
+            .unwrap_or(col);
+        let src = source_table.column(src_col).map_err(err)?;
+        let values: Vec<Value> = src.iter().filter(|v| !v.is_null()).collect();
+        let spec = FilterByValues::single(col.clone(), values);
+        current = ops::filter_by_values(&current, &spec).map_err(err)?;
     }
+    Ok(current)
 }
 
 fn execute_groupby(

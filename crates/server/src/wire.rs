@@ -618,43 +618,21 @@ impl ResponseStream {
 /// the client-side inverse of [`ResponseStream`]'s chunked framing. Used
 /// by the test/bench HTTP client. Returns the decoded body and the total
 /// encoded length consumed, or `None` while the payload is incomplete.
-/// Malformed framing returns `Some(Err(..))`.
+/// Malformed framing returns `Some(Err(..))`. The de-framing is
+/// [`BodyReader`]'s, with no cap on the body.
 pub fn dechunk(buf: &[u8]) -> Option<Result<(String, usize), String>> {
-    let mut body = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let line_end = buf[pos..].windows(2).position(|w| w == b"\r\n")? + pos;
-        let size_line = match std::str::from_utf8(&buf[pos..line_end]) {
-            Ok(s) => s,
-            Err(_) => return Some(Err("chunk size line is not UTF-8".to_string())),
-        };
-        // Chunk extensions (";ext=…") are tolerated and ignored.
-        let size_token = size_line.split(';').next().unwrap_or("").trim();
-        let size = match usize::from_str_radix(size_token, 16) {
-            Ok(n) => n,
-            Err(_) => return Some(Err(format!("bad chunk size {size_token:?}"))),
-        };
-        let data_start = line_end + 2;
-        // Chunk data plus its trailing CRLF must be present.
-        if buf.len() < data_start + size + 2 {
-            return None;
-        }
-        if size == 0 {
-            // No trailer support: expect the final CRLF immediately.
-            if &buf[data_start..data_start + 2] != b"\r\n" {
-                return Some(Err("unsupported chunked trailer".to_string()));
-            }
-            let decoded = match String::from_utf8(body) {
-                Ok(s) => s,
-                Err(_) => return Some(Err("de-chunked body is not UTF-8".to_string())),
-            };
-            return Some(Ok((decoded, data_start + 2)));
-        }
-        body.extend_from_slice(&buf[data_start..data_start + size]);
-        if &buf[data_start + size..data_start + size + 2] != b"\r\n" {
-            return Some(Err("chunk data missing trailing CRLF".to_string()));
-        }
-        pos = data_start + size + 2;
+    let limits = WireLimits {
+        max_stream_body_bytes: usize::MAX,
+        ..WireLimits::default()
+    };
+    let mut reader = BodyReader::new(BodyFraming::Chunked, &limits);
+    match reader.feed(buf) {
+        Err((_, message)) => Some(Err(message)),
+        Ok(progress) if !progress.done => None,
+        Ok(progress) => Some(match String::from_utf8(progress.data) {
+            Ok(body) => Ok((body, progress.consumed)),
+            Err(_) => Err("de-chunked body is not UTF-8".to_string()),
+        }),
     }
 }
 

@@ -20,12 +20,13 @@
 use crate::error::{Result, WidgetError};
 use parking_lot::{Lru, Mutex};
 use shareinsights_engine::selection::SelectionProvider;
-use shareinsights_engine::task::{NamedTask, TaskKind, TaskRuntime};
+use shareinsights_engine::task::{run_chain, NamedTask, TaskKind, TaskRuntime};
 use shareinsights_tabular::{IndexedTable, Table};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Bound on cached results per cube.
 const CUBE_CACHE_ENTRIES: usize = 256;
@@ -90,38 +91,32 @@ impl DataCube {
             return Ok(table);
         }
 
-        // Evaluate outside the lock; the first task runs against the
-        // indexed snapshot when covered, the scan kernels otherwise.
-        let lookup = |_: &str| None;
+        // Evaluate outside the lock: the first task against the indexed
+        // snapshot when the index covers it, the rest (or all) through the
+        // engine's chain runner.
         let rt = TaskRuntime {
             selections: Some(selections),
-            lookup_table: &lookup,
+            lookup_table: &|_| None,
         };
-        let mut current: Option<Table> = None;
-        for (i, t) in tasks.iter().enumerate() {
-            let fast = if i == 0 {
-                t.kind.execute_indexed(&self.indexed, &rt)
-            } else {
-                None
-            };
-            let next = match fast {
-                Some(table) => table,
-                None => {
-                    let input = match &current {
-                        Some(c) => c,
-                        None => self.indexed.table(),
-                    };
-                    t.kind
-                        .execute(&t.name, std::slice::from_ref(input), &rt)
-                        .map_err(|e| WidgetError::Flow {
-                            widget: widget.to_string(),
-                            message: e.to_string(),
-                        })?
-                }
-            };
-            current = Some(next);
-        }
-        let arc = Arc::new(current.unwrap_or_else(|| self.indexed.table().clone()));
+        let (head, input) = match tasks
+            .first()
+            .and_then(|t| t.kind.execute_indexed(&self.indexed, &rt))
+        {
+            Some(table) => (1, table),
+            None => (0, self.indexed.table().clone()),
+        };
+        let chain = run_chain(
+            widget,
+            &tasks[head..],
+            vec![(None, input)],
+            &rt,
+            Instant::now(),
+            &mut Vec::new(),
+        );
+        let arc = Arc::new(chain.map_err(|e| WidgetError::Flow {
+            widget: widget.to_string(),
+            message: e.to_string(),
+        })?);
 
         self.cache.lock().put(key, 0, Arc::clone(&arc));
         Ok(arc)
@@ -135,28 +130,15 @@ impl DataCube {
 }
 
 fn collect_deps(kind: &TaskKind, deps: &mut BTreeSet<(String, String)>) {
-    match kind {
-        TaskKind::FilterBySource {
-            source: shareinsights_engine::task::FilterSource::Widget(w),
-            source_columns,
-            columns,
-            ..
-        } => {
-            for (i, _) in columns.iter().enumerate() {
-                let col = source_columns
-                    .get(i)
-                    .or_else(|| source_columns.first())
-                    .cloned()
-                    .unwrap_or_else(|| "value".to_string());
-                deps.insert((w.clone(), col));
-            }
+    if let Some((widget, pairs)) = kind.widget_filter() {
+        for (_, widget_column) in pairs {
+            deps.insert((widget.to_string(), widget_column.to_string()));
         }
-        TaskKind::Parallel(subs) => {
-            for s in subs {
-                collect_deps(&s.kind, deps);
-            }
+    }
+    if let TaskKind::Parallel(subs) = kind {
+        for s in subs {
+            collect_deps(&s.kind, deps);
         }
-        _ => {}
     }
 }
 
@@ -331,7 +313,7 @@ mod tests {
     #[test]
     fn indexed_and_scan_chains_agree() {
         // The same chain evaluated through the cube (indexed first task)
-        // and via the raw scan kernels must be identical.
+        // and through the runner's scan kernels must be identical.
         let base = team_tweets();
         let cube = DataCube::new(base.clone());
         let sel = StaticSelections::new();
@@ -346,14 +328,15 @@ mod tests {
             selections: Some(&sel),
             lookup_table: &|_| None,
         };
-        let mut scan = base;
-        for t in &tasks {
-            scan = t
-                .kind
-                .execute(&t.name, std::slice::from_ref(&scan), &rt)
-                .unwrap();
-        }
-        assert_eq!(*via_cube, scan);
+        let scan = run_chain(
+            "w",
+            &tasks,
+            vec![(None, base)],
+            &rt,
+            Instant::now(),
+            &mut Vec::new(),
+        );
+        assert_eq!(*via_cube, scan.unwrap());
     }
 
     #[test]

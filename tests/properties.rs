@@ -11,7 +11,9 @@ use shareinsights::datagen::SeededRng;
 use shareinsights::engine::baseline::execute_naive;
 use shareinsights::engine::compile::{compile, CompileEnv};
 use shareinsights::engine::exec::{ExecContext, Executor};
-use shareinsights::engine::TaskRegistry;
+use shareinsights::engine::selection::{Selection, SelectionProvider, StaticSelections};
+use shareinsights::engine::task::run_chain;
+use shareinsights::engine::{StreamExec, TaskRegistry};
 use shareinsights::flowfile::parse_flow_file;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::io::csv::{read_csv, write_csv, CsvOptions};
@@ -20,6 +22,7 @@ use shareinsights::tabular::ops::{
     groupby, join, sort, AggregateSpec, GroupBy, JoinCondition, JoinSpec, SortKey,
 };
 use shareinsights::tabular::{Bitmap, Row, Table, Value};
+use std::time::Instant;
 
 const CASES: usize = 64;
 
@@ -723,12 +726,11 @@ fn disjoint_task_edits_merge_clean() {
 // ---------------------------------------------------------------------------
 
 /// A widget's interaction flow evaluated through the data cube produces
-/// the same rows as applying the selection to the batch kernels directly:
+/// the same table as the engine's chain runner over the batch kernels:
 /// the paper's claim that one task model serves both the Hadoop and the
 /// JavaScript runtime.
 #[test]
 fn cube_equals_batch_under_selection() {
-    use shareinsights::engine::selection::{Selection, StaticSelections};
     use shareinsights::engine::task::{FilterSource, NamedTask, TaskKind, TaskRuntime};
     use shareinsights::widgets::DataCube;
 
@@ -769,25 +771,266 @@ fn cube_equals_batch_under_selection() {
         let cube = DataCube::new(t.clone());
         let via_cube = cube.eval("w", &tasks, &selections).unwrap();
 
-        // Batch context: the same kernels with the same runtime.
+        // Batch context: the same chain through the engine's runner.
         let lookup = |_: &str| None;
         let rt = TaskRuntime {
             selections: Some(&selections),
             lookup_table: &lookup,
         };
-        let mut via_batch = t;
-        for task in &tasks {
-            via_batch = task
-                .kind
-                .execute(&task.name, std::slice::from_ref(&via_batch), &rt)
-                .unwrap();
-        }
-        let mut a = via_cube.to_rows();
-        let mut b = via_batch.to_rows();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        let input = vec![(None, t)];
+        let via_batch = run_chain("w", &tasks, input, &rt, Instant::now(), &mut Vec::new());
+        assert_eq!(*via_cube, via_batch.unwrap());
     }
+}
+
+/// Case count for [`contexts_agree`]: a thirtieth in debug builds.
+const CONTEXT_CASES: usize = if cfg!(debug_assertions) { 60 } else { 2000 };
+
+/// The flows [`contexts_agree`] runs: passthrough (`passed`), incremental
+/// group-by with a stateless prefix and suffix (`grouped`), re-exec
+/// (`joined`, whose inputs are listed right side first), and three
+/// widget-filtered chains whose first task the cube can answer from an
+/// index: the filter (`picked`), the group-by (`keyed`), the sort
+/// (`ordered`). `@..@` marks the per-case parameters.
+const CONTEXT_FLOW: &str = r#"
+D:
+  facts: [k, day, i, f]
+  dim: [k, label]
+T:
+  keep:
+    type: filter_by
+    filter_expression: i > @MIN_I@
+  to_month:
+    type: map
+    operator: date
+    transform: day
+    input_format: yyyy-MM-dd
+    output_format: yyyy-MM
+    output: month
+  per_key:
+    type: groupby
+    groupby: [k]
+    aggregates:
+    - operator: sum
+      apply_on: i
+      out_field: i_sum
+    - operator: sum
+      apply_on: f
+      out_field: f_sum
+    - operator: count
+      apply_on: f
+      out_field: n
+    - operator: avg
+      apply_on: f
+      out_field: f_avg
+  busy:
+    type: filter_by
+    filter_expression: n > @MIN_N@
+  enrich:
+    type: join
+    left: facts by k
+    right: dim by k
+    join_condition: @JOIN@
+    project:
+      facts_k: k
+      facts_i: i
+      facts_f: f
+      dim_label: label
+  by_f:
+    type: sort
+    orderby_column: [f DESC]
+  top:
+    type: topn
+    groupby: [label]
+    orderby_column: [i DESC]
+    limit: 2
+  pick:
+    type: filter_by
+    filter_by: [k, i]
+    filter_source: W.pick
+    filter_val: [key, amount]
+  pick_key:
+    type: filter_by
+    filter_by: [k]
+    filter_source: W.pick
+    filter_val: [key]
+F:
+  +D.passed: D.facts | T.keep | T.to_month
+  +D.grouped: D.facts | T.keep | T.per_key | T.busy
+  +D.joined: (D.dim, D.facts) | T.enrich | T.by_f | T.top
+  +D.picked: D.facts | T.pick | T.per_key
+  +D.keyed: D.facts | T.per_key | T.pick_key
+  +D.ordered: D.facts | T.by_f | T.pick
+"#;
+
+fn context_facts(r: &mut SeededRng) -> Table {
+    let rows: Vec<Row> = (0..r.index(80))
+        .map(|_| {
+            let k = match r.index(8) {
+                0 => Value::Null,
+                n => Value::Str(format!("k{}", n % 6)),
+            };
+            let day = format!("2014-0{}-{:02}", 1 + r.index(3), 1 + r.index(28));
+            let i = match r.index(10) {
+                0 => Value::Null,
+                _ => Value::Int(r.int_range(-5, 20)),
+            };
+            // Tenths are inexact in binary: a float sum taken in another
+            // order, or over other rows, shows in the bits.
+            let f = match r.index(10) {
+                0 => Value::Null,
+                _ => Value::Float(r.int_range(-400, 400) as f64 / 8.0 + 0.1 * r.index(3) as f64),
+            };
+            Row::from_values(vec![k, Value::Str(day), i, f])
+        })
+        .collect();
+    Table::from_rows(&["k", "day", "i", "f"], &rows).unwrap()
+}
+
+fn context_dim(r: &mut SeededRng) -> Table {
+    let rows: Vec<Row> = (0..1 + r.index(8))
+        .map(|_| {
+            let k = Value::Str(format!("k{}", r.index(7)));
+            Row::from_values(vec![k, Value::Str(format!("L{}", r.index(3)))])
+        })
+        .collect();
+    Table::from_rows(&["k", "label"], &rows).unwrap()
+}
+
+/// `t` cut at random points into one to `most` consecutive batches (some
+/// may be empty), in row order.
+fn micro_batches(r: &mut SeededRng, t: &Table, most: usize) -> Vec<Table> {
+    let cut_count = r.index(most);
+    let mut cuts: Vec<usize> = (0..cut_count).map(|_| r.index(t.num_rows() + 1)).collect();
+    cuts.extend([0, t.num_rows()]);
+    cuts.sort_unstable();
+    cuts.windows(2)
+        .map(|w| t.slice(w[0], w[1] - w[0]))
+        .collect()
+}
+
+/// A selection on one widget column: none, a value set, or a range, of
+/// the type of the column it constrains.
+fn context_selection(r: &mut SeededRng, cell: fn(i64) -> Value) -> Option<Selection> {
+    let cell_in = |r: &mut SeededRng| cell(r.int_range(-2, 12));
+    match r.index(3) {
+        0 => None,
+        1 => Some(Selection::Values(
+            (0..1 + r.index(3)).map(|_| cell_in(r)).collect(),
+        )),
+        _ => {
+            let (lo, hi) = (cell_in(r), cell_in(r));
+            Some(Selection::Range(lo.clone().min(hi.clone()), lo.max(hi)))
+        }
+    }
+}
+
+/// One flow file, three execution contexts, equal tables — same schema,
+/// same rows in the same order, the same float bits (`Table`'s `==`
+/// compares floats by their total-order key, a bijection on bits): the
+/// batch executor over whole tables; the stream pushed the same rows in
+/// random micro-batches, its sources interleaved, with the state cap above
+/// the row count; and, for the widget-filtered chains, the data cube
+/// under random value and range selections, against the executor under
+/// the same ones.
+#[test]
+fn contexts_agree() {
+    use shareinsights::engine::task::{interpret_task, InterpretEnv};
+    use shareinsights::widgets::DataCube;
+    use std::sync::Arc;
+
+    let mut r = SeededRng::new(0xF0F0_0010);
+    let reg = TaskRegistry::new();
+    let mut index_builds = 0;
+    for case in 0..CONTEXT_CASES {
+        let src = CONTEXT_FLOW
+            .replace("@MIN_I@", &r.int_range(-6, 12).to_string())
+            .replace("@MIN_N@", &r.int_range(0, 3).to_string())
+            .replace("@JOIN@", if r.chance(0.5) { "inner" } else { "left outer" });
+        let ff = parse_flow_file("contexts", &src).unwrap();
+        let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
+        let (facts, dim) = (context_facts(&mut r), context_dim(&mut r));
+        let mut ctx = ExecContext::new(shareinsights::connectors::Catalog::new())
+            .with_table("facts", facts.clone())
+            .with_table("dim", dim.clone());
+        let batch = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+
+        // The stream: each source's batches in order, sources interleaved.
+        let mut pushes: Vec<(&str, Table)> = Vec::new();
+        let mut dims = micro_batches(&mut r, &dim, 2).into_iter();
+        for part in micro_batches(&mut r, &facts, 5) {
+            if r.chance(0.3) {
+                pushes.extend(dims.next().map(|d| ("dim", d)));
+            }
+            pushes.push(("facts", part));
+        }
+        pushes.extend(dims.map(|d| ("dim", d)));
+        let mut stream = StreamExec::new(pipeline.clone());
+        for (out, strategy) in [
+            ("passed", "passthrough"),
+            ("grouped", "incremental"),
+            ("joined", "reexec"),
+        ] {
+            assert_eq!(stream.strategy_name(out), Some(strategy));
+        }
+        for (source, part) in pushes {
+            stream.push_batch(source, part).unwrap();
+        }
+        for flow in &pipeline.flows {
+            let out = &flow.output;
+            assert_eq!(
+                stream.table(out),
+                batch.table(out),
+                "case {case}: stream ({}) vs batch, D.{out}",
+                stream.strategy_name(out).unwrap()
+            );
+        }
+
+        // The cube, over the flows' shared input, against the executor
+        // under the same selections.
+        let selections = StaticSelections::new();
+        let (key, amount) = (
+            context_selection(&mut r, |n| Value::Str(format!("k{}", n.rem_euclid(7)))),
+            context_selection(&mut r, Value::Int),
+        );
+        for (column, selection) in [("key", key), ("amount", amount)] {
+            if let Some(selection) = selection {
+                selections.set("pick", column, selection);
+            }
+        }
+        let selections = Arc::new(selections);
+        ctx.selections = Some(selections.clone());
+        let batch = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+        let load = |_: &str| None;
+        let env = InterpretEnv {
+            registry: &reg,
+            load_text: &load,
+            all_tasks: &ff.tasks,
+        };
+        let cube = DataCube::new(facts);
+        for out in ["picked", "keyed", "ordered"] {
+            // The widget's chain as written: the optimizer does not run.
+            let flow = ff.flows.iter().find(|f| f.output == out).unwrap();
+            let tasks: Vec<_> = flow
+                .tasks
+                .iter()
+                .map(|t| interpret_task(ff.task(t).unwrap(), &env).unwrap())
+                .collect();
+            let via_cube = cube.eval(out, &tasks, selections.as_ref()).unwrap();
+            assert_eq!(
+                Some(&*via_cube),
+                batch.table(out),
+                "case {case}: cube vs batch, D.{out} under {:?} / {:?}",
+                selections.selection("pick", "key"),
+                selections.selection("pick", "amount"),
+            );
+        }
+        index_builds += cube.index_build_stats().0;
+    }
+    assert!(
+        index_builds > CONTEXT_CASES as u64,
+        "the cube's first steps should run through its indexes ({index_builds} builds)"
+    );
 }
 
 // ---------------------------------------------------------------------------
