@@ -32,6 +32,10 @@ const CACHE_ENTRIES: usize = 1024;
 const CACHE_BYTES: usize = 8 * 1024 * 1024;
 /// Unpaged results kept by a [`ResultCache`].
 const RESULT_CACHE_ENTRIES: usize = 128;
+/// [`ResultCache`] budget over the results' [`Table::approx_bytes`], so
+/// a few huge unpaged results cannot pin the memory of the whole entry
+/// budget (the flow memo's bound is the same size).
+const RESULT_CACHE_BYTES: usize = 64 << 20;
 
 /// The `/stats` block, `/metrics` series and `_system` samples of one
 /// cache: `name` is the block, `prom` the Prometheus prefix.
@@ -147,7 +151,11 @@ pub struct ResultCache {
 impl Default for ResultCache {
     fn default() -> Self {
         ResultCache {
-            inner: Mutex::new(Lru::new(RESULT_CACHE_ENTRIES)),
+            inner: Mutex::new(Lru::weighted(
+                RESULT_CACHE_ENTRIES,
+                RESULT_CACHE_BYTES,
+                |_, table: &Arc<Table>| table.approx_bytes(),
+            )),
         }
     }
 }
@@ -160,7 +168,8 @@ impl ResultCache {
     }
 
     /// Insert (or replace) the result for `key` at `generation`, evicting
-    /// the least-recently-used entries beyond the bound.
+    /// the least-recently-used entries beyond either bound. A result over
+    /// the whole byte budget is not cached.
     pub fn put(&self, key: &str, generation: u64, table: Arc<Table>) {
         self.inner.lock().put(key.to_string(), generation, table);
     }
@@ -171,8 +180,9 @@ impl ResultCache {
         self.inner.lock().clear();
     }
 
-    /// Statistics snapshot (the `bytes` field stays zero: entries are
-    /// shared `Arc<Table>`s, not owned bodies).
+    /// Statistics snapshot; `bytes` sums the cached results'
+    /// [`Table::approx_bytes`] (columns a result shares with its endpoint
+    /// count too).
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().stats()
     }
@@ -285,6 +295,8 @@ mod tests {
         }
         let s = c.stats();
         assert_eq!((s.entries, s.evictions), (RESULT_CACHE_ENTRIES, 1));
+        // Entries are weighed by their tables' bytes.
+        assert_eq!(s.bytes, RESULT_CACHE_ENTRIES * one_row(0).approx_bytes());
         c.clear();
         assert_eq!(c.stats().entries, 0);
     }

@@ -64,6 +64,8 @@ pub enum Status {
     Unprocessable,
     /// 431 — the request head outgrew the per-connection cap.
     RequestHeaderFieldsTooLarge,
+    /// 500 — the request's handler panicked.
+    InternalServerError,
     /// 503 — worker queue full or per-request deadline exceeded.
     ServiceUnavailable,
 }
@@ -82,6 +84,7 @@ impl Status {
             Status::PayloadTooLarge => 413,
             Status::Unprocessable => 422,
             Status::RequestHeaderFieldsTooLarge => 431,
+            Status::InternalServerError => 500,
             Status::ServiceUnavailable => 503,
         }
     }
@@ -99,6 +102,7 @@ impl Status {
             Status::PayloadTooLarge => "Payload Too Large",
             Status::Unprocessable => "Unprocessable Entity",
             Status::RequestHeaderFieldsTooLarge => "Request Header Fields Too Large",
+            Status::InternalServerError => "Internal Server Error",
             Status::ServiceUnavailable => "Service Unavailable",
         }
     }

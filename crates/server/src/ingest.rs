@@ -31,6 +31,7 @@
 //! the scheduler had put the new threads).
 
 use crate::http::{Method, Request, Response, Status};
+use crate::metrics::ROUTE_INGEST;
 use crate::router::Server;
 use crate::wire::{BodyFraming, BodyReader, ParsedHead, WireLimits};
 use parking_lot::Mutex;
@@ -377,7 +378,7 @@ impl IngestSession {
             bytes_in,
             ..
         } = self;
-        server.clone().committer().run(move || {
+        server.committer().run(&server, move |server| {
             server.commit_ingest(
                 &dashboard,
                 &dataset,
@@ -415,13 +416,20 @@ pub(crate) struct Committer {
 }
 
 impl Committer {
-    /// Run `commit` on the committer thread and wait for its response.
-    /// Without the thread — it could not be spawned, or a commit panicked
-    /// on it — `commit` runs here.
-    pub(crate) fn run(&self, commit: impl FnOnce() -> Response + Send + 'static) -> Response {
+    /// Run `commit` over `server` on the committer thread and wait for its
+    /// response; a commit that panics is answered 500 and the thread
+    /// commits on (see [`Server::contain_panic`]). Without the thread — it
+    /// could not be spawned — `commit` runs here.
+    pub(crate) fn run(
+        &self,
+        server: &Server,
+        commit: impl FnOnce(&Server) -> Response + Send + 'static,
+    ) -> Response {
         let (done, response) = channel();
+        let server = server.clone();
         let job: CommitJob = Box::new(move || {
-            let _ = done.send(commit());
+            let answer = server.contain_panic(|| ROUTE_INGEST, || commit(&server));
+            let _ = done.send(answer.unwrap_or_else(|refusal| refusal));
         });
         let jobs = self.jobs.get_or_init(|| {
             let (tx, rx) = channel::<CommitJob>();
@@ -572,7 +580,9 @@ impl StreamedIngest {
     }
 
     /// Commit the ingest and produce its response (the body is
-    /// complete). Records the per-route metric and finishes the trace.
+    /// complete). Records the per-route metric and finishes the trace. A
+    /// panic while finishing is answered 500 and metered under the
+    /// `(panic)` pseudo-route; the calling worker serves on.
     pub fn finish(mut self) -> Response {
         let Some(session) = self.session.take() else {
             // `take_early` should have drained this request first.
@@ -580,7 +590,10 @@ impl StreamedIngest {
             self.seal(Some(&resp), true);
             return resp;
         };
-        let resp = session.finish(self.dispatch.as_ref());
+        let resp = self
+            .server
+            .contain_panic(|| ROUTE_INGEST, || session.finish(self.dispatch.as_ref()))
+            .unwrap_or_else(|refusal| refusal);
         self.seal(Some(&resp), true);
         resp
     }
@@ -733,20 +746,22 @@ mod tests {
 
     #[test]
     fn commits_run_on_one_thread_and_survive_a_panicking_commit() {
+        let server = Server::new(shareinsights_core::Platform::new());
         let committer = Committer::default();
-        let whoami = || {
+        let whoami = |_: &Server| {
             let thread = std::thread::current();
             Response::json(format!("{:?} {:?}", thread.name(), thread.id()))
         };
-        let first = committer.run(whoami);
+        let first = committer.run(&server, whoami);
         assert!(first.body.contains("ingest-commit"), "{}", first.body);
-        assert_eq!(committer.run(whoami).body, first.body);
+        assert_eq!(committer.run(&server, whoami).body, first.body);
 
-        // A commit that panics takes the thread with it: that request is
-        // refused, later ones run where they are asked.
-        let refused = committer.run(|| panic!("commit failed"));
-        assert_eq!(refused.status, Status::ServiceUnavailable);
-        let here = whoami().body;
-        assert_eq!(committer.run(whoami).body, here);
+        // A commit that panics is answered 500, and the same thread takes
+        // the next one.
+        let refused = committer.run(&server, |_| panic!("commit failed"));
+        assert_eq!(refused.status, Status::InternalServerError);
+        assert_eq!(committer.run(&server, whoami).body, first.body);
+        let routes = server.platform().api_metrics().routes();
+        assert_eq!(routes[crate::metrics::ROUTE_PANIC].errors, 1);
     }
 }

@@ -19,11 +19,16 @@ use std::fmt::Write as _;
 pub const ROUTE_REJECTED: &str = "(rejected)";
 /// Pool-level deadline label (connection expired in the queue → 503).
 pub const ROUTE_DEADLINE: &str = "(deadline)";
+/// Worker-level panic label (the handler panicked → 500, worker kept).
+pub const ROUTE_PANIC: &str = "(panic)";
 /// Wire-level parse failure label (unreadable HTTP → 400 before routing).
 pub const ROUTE_MALFORMED: &str = "(malformed)";
 /// Wire-level stall label (socket timed out mid-request → 408 when the head
 /// was already parsed, silent close otherwise).
 pub const ROUTE_TIMEOUT: &str = "(timeout)";
+
+/// The streaming ingest route's label.
+pub const ROUTE_INGEST: &str = "POST /dashboards/:name/ds/:dataset/ingest";
 
 /// The normalized label a request is metered under.
 pub fn route_label(method: Method, segments: &[&str]) -> &'static str {
@@ -49,9 +54,7 @@ pub fn route_label(method: Method, segments: &[&str]) -> &'static str {
         (Method::Post, ["dashboards", _, "stream", "push", _]) => {
             "POST /dashboards/:name/stream/push/:source"
         }
-        (Method::Post, ["dashboards", _, "ds", _, "ingest"]) => {
-            "POST /dashboards/:name/ds/:dataset/ingest"
-        }
+        (Method::Post, ["dashboards", _, "ds", _, "ingest"]) => ROUTE_INGEST,
         (Method::Get, [_, "ds"]) => "GET /:dashboard/ds",
         (Method::Get, [_, "ds", _]) => "GET /:dashboard/ds/:dataset",
         (Method::Get, [_, "ds", _, "subscribe"]) => "GET /:dashboard/ds/:dataset/subscribe",

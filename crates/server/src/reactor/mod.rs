@@ -40,7 +40,7 @@ use self::epoll::{Epoll, EpollEvent, EVENT_ERROR, EVENT_HANGUP, EVENT_READ, EVEN
 use crate::http::{Request, Response, Status};
 use crate::metrics::{ROUTE_DEADLINE, ROUTE_MALFORMED, ROUTE_REJECTED, ROUTE_TIMEOUT};
 use crate::router::Server;
-use crate::serve::{log_request_events, ServeOptions, ServiceHandle};
+use crate::serve::{handle_on_worker, ServeOptions, ServiceHandle};
 use crate::stream::{StreamHub, Subscription, SubscriptionEnd};
 use crate::wire::{self, KeepAliveTerms, Parsed};
 use shareinsights_core::ApiMetrics;
@@ -187,8 +187,7 @@ fn worker_loop(
         } else {
             match job.work {
                 Work::Request(request) => {
-                    let handled = server.handle_traced(&request);
-                    log_request_events(opts, &request, &handled);
+                    let handled = handle_on_worker(server, opts, &request);
                     (handled.response, job.keep, handled.stream)
                 }
                 Work::IngestFinish(ingest) => (ingest.finish(), job.keep, None),

@@ -3,7 +3,7 @@
 use crate::cache::{QueryCache, ResultCache};
 use crate::http::{Method, Request, Response, Status};
 use crate::json::{string_list, table_to_json};
-use crate::metrics::{allowed_methods, prometheus_text, route_label, stats_json};
+use crate::metrics::{allowed_methods, prometheus_text, route_label, stats_json, ROUTE_PANIC};
 use crate::query::{evaluate_indexed, fuse, parse_ops, QueryOp};
 use crate::shard::ShardSet;
 use crate::sql::{lower_plan, parse_error_response, LoweredSql};
@@ -259,6 +259,31 @@ impl Server {
             self.platform.api_metrics().record_stream_unsubscribe();
         }
         handled.response
+    }
+
+    /// Run `work` — a request that entered a worker thread — and answer a
+    /// panic inside it with a 500 instead of unwinding the thread: the
+    /// panic is metered under the `(panic)` pseudo-route and logged as an
+    /// `error` event with the request's route (asked for only then) and
+    /// the panic message, and the thread serves on.
+    pub(crate) fn contain_panic<T>(
+        &self,
+        route: impl FnOnce() -> &'static str,
+        work: impl FnOnce() -> T,
+    ) -> Result<T, Response> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            self.platform.api_metrics().record(ROUTE_PANIC, false, 0);
+            self.event_log.emit(
+                "error",
+                &[("route", route().into()), ("message", message.into())],
+            );
+            Response::error(Status::InternalServerError, "the request handler panicked")
+        })
     }
 
     /// Dispatch a request with per-route metrics *and* tracing: a root

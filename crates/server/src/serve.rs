@@ -32,8 +32,8 @@
 
 use crate::http::{Request, Response, Status};
 use crate::ingest::StreamedIngest;
-use crate::metrics::{ROUTE_DEADLINE, ROUTE_MALFORMED, ROUTE_REJECTED, ROUTE_TIMEOUT};
-use crate::router::Server;
+use crate::metrics::{route_label, ROUTE_DEADLINE, ROUTE_MALFORMED, ROUTE_REJECTED, ROUTE_TIMEOUT};
+use crate::router::{Handled, Server};
 use crate::wire::{
     self, dechunk, find_head_end, KeepAliveTerms, Parsed, ParsedHead, ResponseStream, WireLimits,
 };
@@ -343,8 +343,7 @@ fn handle_connection(server: &Server, stream: &TcpStream, opts: &ServeOptions, s
             ReadOutcome::Request(request, client_keep_alive) => {
                 served += 1;
                 let keep = client_keep_alive && served < max_requests;
-                let handled = server.handle_traced(&request);
-                log_request_events(opts, &request, &handled);
+                let handled = handle_on_worker(server, opts, &request);
                 if let Some(sub) = handled.stream {
                     // The connection switches into SSE streaming mode and
                     // never returns to request/response service.
@@ -569,20 +568,30 @@ fn stream_blocking(
     }
 }
 
-/// Emit `error` / `slow_request` events for one handled request. The trace
-/// id rides along when the request was sampled, so a log line links
-/// straight to `GET /trace/<id>`.
-pub(crate) fn log_request_events(
-    opts: &ServeOptions,
-    request: &Request,
-    handled: &crate::router::Handled,
-) {
+/// Handle one request on a worker thread: [`Server::handle_traced`], with
+/// a panic in the handler answered 500 and the worker kept (see
+/// [`Server::contain_panic`]), then the request's `error` /
+/// `slow_request` events. The trace id rides along when the request was
+/// sampled, so a log line links straight to `GET /trace/<id>`.
+pub(crate) fn handle_on_worker(server: &Server, opts: &ServeOptions, request: &Request) -> Handled {
+    let label = || route_label(request.method, &request.segments());
+    let handled = match server.contain_panic(label, || server.handle_traced(request)) {
+        Ok(handled) => handled,
+        Err(response) => {
+            return Handled {
+                response,
+                trace_id: None,
+                elapsed_us: 0,
+                stream: None,
+            }
+        }
+    };
     let code = handled.response.status.code();
     let slow = opts
         .slow_request_threshold
         .is_some_and(|t| handled.elapsed_us >= t.as_micros() as u64);
     if code < 500 && !slow {
-        return;
+        return handled;
     }
     let mut fields: Vec<(&str, AttrValue)> = vec![
         ("method", request.method.to_string().into()),
@@ -599,6 +608,7 @@ pub(crate) fn log_request_events(
     if slow {
         opts.event_log.emit("slow_request", &fields);
     }
+    handled
 }
 
 /// What reading the next request off a persistent connection produced.

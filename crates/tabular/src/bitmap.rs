@@ -59,23 +59,51 @@ impl Bitmap {
         bm
     }
 
-    /// Create a bitmap of `len` bits where bit `i` is `f(i)` — how the
-    /// column-at-a-time predicate kernels turn a typed slice into a mask.
-    pub fn from_fn(len: usize, f: impl FnMut(usize) -> bool) -> Self {
-        let mut bm = Bitmap::new_cleared(len);
-        bm.fill_range(0, len, f);
-        bm
+    /// Create a bitmap of `len` bits where bit `i` is `f(i)`, calling `f`
+    /// in ascending order and building each word in a register.
+    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
+        let words = (0..len.div_ceil(64))
+            .map(|w| {
+                let bits = w * 64..(w * 64 + 64).min(len);
+                bits.fold(0, |word, i| word | u64::from(f(i)) << (i % 64))
+            })
+            .collect();
+        Bitmap { words, len }
     }
 
-    /// Set bit `i` for every `i` in `[start, end)` where `f(i)` holds;
-    /// other bits keep their value.
+    /// Set bit `start + k` for every `k` where `pred(cells[k])` holds;
+    /// other bits keep their value. The typed predicate kernels' inner
+    /// loop: each word is built in a register from up to 64 cells of a
+    /// fixed-size chunk and or-ed in once.
     ///
     /// # Panics
-    /// Panics when the range is inverted or reaches past `len`.
-    pub fn fill_range(&mut self, start: usize, end: usize, mut f: impl FnMut(usize) -> bool) {
-        assert!(start <= end && end <= self.len, "bit range out of range");
-        for i in start..end {
-            self.words[i / 64] |= u64::from(f(i)) << (i % 64);
+    /// Panics when the cells reach past `len`.
+    pub fn set_where<T: Copy>(
+        &mut self,
+        start: usize,
+        cells: &[T],
+        mut pred: impl FnMut(T) -> bool,
+    ) {
+        assert!(start + cells.len() <= self.len, "bit range out of range");
+        let mut pack = |cells: &[T]| {
+            cells
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (k, &cell)| word | u64::from(pred(cell)) << k)
+        };
+        // The cells before the next word boundary, then whole words.
+        let head = ((64 - start % 64) % 64).min(cells.len());
+        let (head_cells, rest) = cells.split_at(head);
+        if head > 0 {
+            self.words[start / 64] |= pack(head_cells) << (start % 64);
+        }
+        let first = (start + head) / 64;
+        let (chunks, tail) = rest.as_chunks::<64>();
+        for (word, chunk) in self.words[first..].iter_mut().zip(chunks) {
+            *word |= pack(chunk);
+        }
+        if !tail.is_empty() {
+            self.words[first + chunks.len()] |= pack(tail);
         }
     }
 
@@ -374,8 +402,27 @@ mod tests {
         }
         let mut bm = Bitmap::new_cleared(150);
         bm.set(1);
-        bm.fill_range(60, 70, |i| i % 2 == 0);
+        let cells: Vec<usize> = (60..70).collect();
+        bm.set_where(60, &cells, |i| i % 2 == 0);
         assert_eq!(bm.ones(), vec![1, 60, 62, 64, 66, 68]);
+    }
+
+    #[test]
+    fn set_where_matches_bit_sets_at_every_alignment() {
+        let cells: Vec<u32> = (0..300).map(|i| (i * 7 + i / 5) % 3).collect();
+        for start in [0, 1, 63, 64, 65, 127, 130] {
+            for len in [0, 1, 63, 64, 65, 128, 170] {
+                let mut fast = Bitmap::from_fn(400, |i| i % 11 == 0);
+                let mut slow = fast.clone();
+                fast.set_where(start, &cells[..len], |c| c == 0);
+                for (k, &c) in cells[..len].iter().enumerate() {
+                    if c == 0 {
+                        slow.set(start + k);
+                    }
+                }
+                assert_eq!(fast, slow, "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

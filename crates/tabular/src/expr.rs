@@ -22,6 +22,7 @@ use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::error::{Result, TabularError};
 use crate::index::{ColumnIndex, IndexedTable};
+use crate::ops::keys::Word;
 use crate::table::Table;
 use crate::value::Value;
 use std::cell::Cell;
@@ -381,7 +382,6 @@ impl<'a> MaskContext<'a> {
         let column = self.column(name);
         let raw = match (column, lit) {
             (_, Value::Null) => return None,
-            (Column::Int64 { .. } | Column::Float64 { .. }, Value::Str(_)) => return None,
             (Column::Utf8 { data, .. }, Value::Str(s)) => match self.index(name).as_deref() {
                 Some(ColumnIndex::Dictionary(d)) => {
                     self.index_used.set(true);
@@ -401,19 +401,8 @@ impl<'a> MaskContext<'a> {
                 _ => Bitmap::from_fn(self.rows, |i| op.apply(data[i].cmp(s.as_str()))),
             },
             (Column::Utf8 { .. }, _) => return None,
-            (Column::Int64 { data, .. }, _) => {
-                self.zoned(name, op, lit, |i| op.apply(Value::Int(data[i]).cmp(lit)))
-            }
-            (Column::Float64 { data, .. }, _) => {
-                self.zoned(name, op, lit, |i| op.apply(Value::Float(data[i]).cmp(lit)))
-            }
-            (Column::Date { data, .. }, _) => {
-                self.zoned(name, op, lit, |i| op.apply(Value::Date(data[i]).cmp(lit)))
-            }
-            (Column::Bool { data, .. }, _) => {
-                Bitmap::from_fn(self.rows, |i| op.apply(Value::Bool(data[i]).cmp(lit)))
-            }
             (Column::Null { .. }, _) => Bitmap::new_cleared(self.rows),
+            _ => self.zoned(name, op, lit, &TypedLeaf::resolve(column, lit)?),
         };
         // A null cell fails every comparison except `!=`; an all-null
         // column (`None`) has no other kind.
@@ -425,15 +414,16 @@ impl<'a> MaskContext<'a> {
         })
     }
 
-    /// `row(i)` for every row — except that, with a zone map on the
-    /// column, a zone whose bounds already settle `cell <op> lit` for all
-    /// of its non-null rows is filled (or skipped) without reading it.
-    fn zoned(&self, name: &str, op: CmpOp, lit: &Value, row: impl Fn(usize) -> bool) -> Bitmap {
+    /// `leaf` over every row — except that, with a zone map on the column,
+    /// a zone whose bounds already settle `cell <op> lit` for all of its
+    /// non-null rows is filled (or skipped) without reading it.
+    fn zoned(&self, name: &str, op: CmpOp, lit: &Value, leaf: &TypedLeaf<'_>) -> Bitmap {
+        let mut mask = Bitmap::new_cleared(self.rows);
         let index = self.index(name);
         let Some(ColumnIndex::Zones(zones)) = index.as_deref() else {
-            return Bitmap::from_fn(self.rows, row);
+            leaf.fill(op, &mut mask, 0, self.rows);
+            return mask;
         };
-        let mut mask = Bitmap::new_cleared(self.rows);
         for (z, bounds) in zones.zones().iter().enumerate() {
             let start = z * zones.zone_rows();
             let end = (start + zones.zone_rows()).min(self.rows);
@@ -451,7 +441,7 @@ impl<'a> MaskContext<'a> {
             match settled {
                 Some(true) => mask.set_range(start, end),
                 Some(false) => {}
-                None => mask.fill_range(start, end, &row),
+                None => leaf.fill(op, &mut mask, start, end),
             }
             if settled.is_some() {
                 self.index_used.set(true);
@@ -474,7 +464,8 @@ impl<'a> MaskContext<'a> {
         if coerces {
             return None;
         }
-        let member = |cell: Value| list.contains(&cell);
+        // Members of the column's own kind, resolved once into the words
+        // `compare` uses; a member of another type rank equals no cell.
         let raw = match column {
             Column::Utf8 { data, .. } => match self.index(name).as_deref() {
                 Some(ColumnIndex::Dictionary(d)) => {
@@ -486,16 +477,34 @@ impl<'a> MaskContext<'a> {
                 }),
             },
             Column::Int64 { data, .. } => {
-                Bitmap::from_fn(self.rows, |i| member(Value::Int(data[i])))
+                let ints = member_keys(list, |v| match v {
+                    Value::Int(l) => Some(l.word()),
+                    _ => None,
+                });
+                let floats = member_keys(list, |v| match v {
+                    Value::Float(l) => Some(l.word()),
+                    _ => None,
+                });
+                mask_of(data, |x| {
+                    ints.binary_search(&x.word()).is_ok()
+                        || floats.binary_search(&(x as f64).word()).is_ok()
+                })
             }
             Column::Float64 { data, .. } => {
-                Bitmap::from_fn(self.rows, |i| member(Value::Float(data[i])))
+                let keys = member_keys(list, |v| match v {
+                    Value::Int(l) => Some((*l as f64).word()),
+                    Value::Float(l) => Some(l.word()),
+                    _ => None,
+                });
+                mask_of(data, |x| keys.binary_search(&x.word()).is_ok())
             }
             Column::Date { data, .. } => {
-                Bitmap::from_fn(self.rows, |i| member(Value::Date(data[i])))
+                let keys = member_keys(list, Value::as_date);
+                mask_of(data, |x| keys.binary_search(&x).is_ok())
             }
             Column::Bool { data, .. } => {
-                Bitmap::from_fn(self.rows, |i| member(Value::Bool(data[i])))
+                let keys = member_keys(list, Value::as_bool);
+                mask_of(data, |x| keys.contains(&x))
             }
             Column::Null { .. } => Bitmap::new_cleared(self.rows),
         };
@@ -508,6 +517,107 @@ impl<'a> MaskContext<'a> {
             None => raw,
         })
     }
+}
+
+/// One `column <op> literal` leaf over a fixed-width column, the literal
+/// resolved once into the [`Word`] of its cells' type, whose order is
+/// [`Value::cmp`]'s (DESIGN.md §5.10), so no cell is boxed.
+enum TypedLeaf<'a> {
+    /// Int64 cells against an Int literal.
+    Int(&'a [i64], i64),
+    /// Int64 cells against a Float literal: each cell is keyed as
+    /// `cell as f64`, the one pair whose cells are not keyed by their own
+    /// word.
+    IntAsFloat(&'a [i64], i64),
+    /// Float64 cells against an Int or Float literal.
+    Float(&'a [f64], i64),
+    /// Date cells against a Date literal.
+    Date(&'a [i32], i64),
+    /// Bool cells against a Bool literal.
+    Bool(&'a [bool], i64),
+    /// A literal of another type rank: every cell compares this way.
+    Rank(std::cmp::Ordering),
+}
+
+impl<'a> TypedLeaf<'a> {
+    /// `None` for the pairs that stay row-wise (a null literal, a string
+    /// facing a number) and for columns that are not fixed-width.
+    fn resolve(column: &'a Column, lit: &Value) -> Option<TypedLeaf<'a>> {
+        Some(match (column, lit) {
+            (_, Value::Null) | (Column::Int64 { .. } | Column::Float64 { .. }, Value::Str(_)) => {
+                return None
+            }
+            (Column::Int64 { data, .. }, Value::Int(l)) => TypedLeaf::Int(data, l.word()),
+            (Column::Int64 { data, .. }, Value::Float(l)) => TypedLeaf::IntAsFloat(data, l.word()),
+            (Column::Float64 { data, .. }, Value::Int(l)) => {
+                TypedLeaf::Float(data, (*l as f64).word())
+            }
+            (Column::Float64 { data, .. }, Value::Float(l)) => TypedLeaf::Float(data, l.word()),
+            (Column::Date { data, .. }, Value::Date(l)) => TypedLeaf::Date(data, l.word()),
+            (Column::Bool { data, .. }, Value::Bool(l)) => TypedLeaf::Bool(data, l.word()),
+            (Column::Int64 { .. }, _) => TypedLeaf::Rank(Value::Int(0).cmp(lit)),
+            (Column::Float64 { .. }, _) => TypedLeaf::Rank(Value::Float(0.0).cmp(lit)),
+            (Column::Date { .. }, _) => TypedLeaf::Rank(Value::Date(0).cmp(lit)),
+            (Column::Bool { .. }, _) => TypedLeaf::Rank(Value::Bool(false).cmp(lit)),
+            (Column::Utf8 { .. } | Column::Null { .. }, _) => return None,
+        })
+    }
+
+    /// Set the bit of every row in `[start, end)` whose cell satisfies
+    /// `cell <op> literal` (null cells included: the caller masks them).
+    fn fill(&self, op: CmpOp, mask: &mut Bitmap, start: usize, end: usize) {
+        let rows = start..end;
+        match *self {
+            TypedLeaf::Int(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
+            TypedLeaf::IntAsFloat(data, l) => {
+                compare_into(mask, start, &data[rows], op, l, |x| (x as f64).word())
+            }
+            TypedLeaf::Float(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
+            TypedLeaf::Date(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
+            TypedLeaf::Bool(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
+            TypedLeaf::Rank(ord) => {
+                if op.apply(ord) {
+                    mask.set_range(start, end);
+                }
+            }
+        }
+    }
+}
+
+/// `key(cells[k]) <op> lit` into bit `start + k`, the operator matched
+/// once outside the row loop. `key` is [`Word::word`] except for
+/// [`TypedLeaf::IntAsFloat`].
+fn compare_into<T: Copy>(
+    mask: &mut Bitmap,
+    start: usize,
+    cells: &[T],
+    op: CmpOp,
+    lit: i64,
+    key: impl Fn(T) -> i64,
+) {
+    match op {
+        CmpOp::Lt => mask.set_where(start, cells, |x| key(x) < lit),
+        CmpOp::Le => mask.set_where(start, cells, |x| key(x) <= lit),
+        CmpOp::Gt => mask.set_where(start, cells, |x| key(x) > lit),
+        CmpOp::Ge => mask.set_where(start, cells, |x| key(x) >= lit),
+        CmpOp::Eq => mask.set_where(start, cells, |x| key(x) == lit),
+        CmpOp::Ne => mask.set_where(start, cells, |x| key(x) != lit),
+    }
+}
+
+/// The keys of the `IN` members `key` accepts, sorted and deduplicated.
+fn member_keys<K: Ord>(list: &[Value], key: impl Fn(&Value) -> Option<K>) -> Vec<K> {
+    let mut keys: Vec<K> = list.iter().filter_map(key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The mask of `pred` over every cell.
+fn mask_of<T: Copy>(cells: &[T], pred: impl FnMut(T) -> bool) -> Bitmap {
+    let mut mask = Bitmap::new_cleared(cells.len());
+    mask.set_where(0, cells, pred);
+    mask
 }
 
 /// "Truthiness" of an expression result: only `Bool(true)`.

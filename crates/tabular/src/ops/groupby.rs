@@ -6,7 +6,7 @@ use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnRef};
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
-use crate::ops::keys::{group_ids, GroupIds, KeyColumn, RowSel};
+use crate::ops::keys::{group_ids, GroupIds, KeyColumn, RowSel, Word};
 use crate::row::Row;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -445,11 +445,73 @@ fn fold_column(
         (AggKind::Sum | AggKind::Avg, Column::Float64 { data, .. }) => {
             cells().try_for_each(|(row, g)| accs[g].add_f64(data[row]))?
         }
+        (
+            AggKind::Min | AggKind::Max | AggKind::First | AggKind::Last,
+            Column::Int64 { data, .. },
+        ) => fold_extremes(kind, cells(), data, Value::Int, accs)?,
+        (
+            AggKind::Min | AggKind::Max | AggKind::First | AggKind::Last,
+            Column::Float64 { data, .. },
+        ) => fold_extremes(kind, cells(), data, Value::Float, accs)?,
+        (
+            AggKind::Min | AggKind::Max | AggKind::First | AggKind::Last,
+            Column::Date { data, .. },
+        ) => fold_extremes(kind, cells(), data, Value::Date, accs)?,
         (_, Column::Utf8 { data, .. }) => {
             cells().try_for_each(|(row, g)| accs[g].see_str(&data[row]))?
         }
-        // Fixed-width cells box without allocating.
+        // What is left boxes a fixed-width cell, which allocates nothing:
+        // `count_distinct`, `collect`, the extremes over a bool column, and
+        // the `sum`/`avg` errors over dates and bools.
         _ => cells().try_for_each(|(row, g)| accs[g].update(&col.value(row)))?,
+    }
+    Ok(())
+}
+
+/// `min`/`max`/`first`/`last` of one batch over a fixed-width column: each
+/// group's winner is kept typed, compared by its [`Word`] (the cell's place
+/// in [`Value::cmp`]'s order), and folded into its accumulator once, through
+/// [`Accumulator::update`]. A value held from an earlier batch or a merge,
+/// of whatever type, so meets it under `Value` semantics, and a tie keeps
+/// the earlier value — inside the batch too, where equal keys are equal
+/// cells.
+fn fold_extremes<T: Word>(
+    kind: AggKind,
+    cells: impl Iterator<Item = (usize, usize)>,
+    data: &[T],
+    boxed: impl Fn(T) -> Value,
+    accs: &mut [Accumulator],
+) -> Result<()> {
+    fn scan<T: Copy>(
+        cells: impl Iterator<Item = (usize, usize)>,
+        data: &[T],
+        best: &mut [Option<T>],
+        replaces: impl Fn(T, T) -> bool,
+    ) {
+        for (row, g) in cells {
+            let cell = data[row];
+            match &mut best[g] {
+                Some(held) if replaces(*held, cell) => *held = cell,
+                Some(_) => {}
+                slot @ None => *slot = Some(cell),
+            }
+        }
+    }
+    let mut best: Vec<Option<T>> = vec![None; accs.len()];
+    match kind {
+        AggKind::Min => scan(cells, data, &mut best, |held, cell| {
+            cell.word() < held.word()
+        }),
+        AggKind::Max => scan(cells, data, &mut best, |held, cell| {
+            cell.word() > held.word()
+        }),
+        AggKind::First => scan(cells, data, &mut best, |_, _| false),
+        _ => scan(cells, data, &mut best, |_, _| true),
+    }
+    for (acc, cell) in accs.iter_mut().zip(best) {
+        if let Some(cell) = cell {
+            acc.update(&boxed(cell))?;
+        }
     }
     Ok(())
 }

@@ -241,8 +241,11 @@ pub enum KeyColumn<'a> {
 }
 
 /// The fixed-width word a non-string cell is keyed by. Within one column
-/// type the mapping is injective, and [`Coder::ty`] keeps types apart.
-trait Word: Copy {
+/// type the mapping is injective and keeps [`Value::cmp`]'s order, so the
+/// typed predicate and extreme kernels compare words; [`Coder::ty`] keeps
+/// types apart.
+pub(crate) trait Word: Copy {
+    /// The cell's word.
     fn word(self) -> i64;
 }
 impl Word for i64 {

@@ -379,6 +379,103 @@ fn partials_in_batches_match_one_pass() {
     }
 }
 
+/// One batch of [`extremes_hold_value_semantics_across_batches`]: a key
+/// `k` over four groups — `"none"` never has a measure — and a measure `m`
+/// typed `Int64`, `Float64` or `Date` by the batch, with ties across the
+/// numeric types (`2` and `2.0`), signed zeros, NaN, the infinities and
+/// integers around 2^53, and nulls.
+fn gen_extremes_batch(r: &mut SeededRng, ty: DataType, rows: usize, nulls: f64) -> Table {
+    const BIG: i64 = 1 << 53;
+    let mut k = ColumnBuilder::new(DataType::Utf8);
+    let mut m = ColumnBuilder::new(ty);
+    for _ in 0..rows {
+        let key = *r.pick(&["a", "b", "c", "none"]);
+        k.push_str(key);
+        if key == "none" || r.chance(nulls) {
+            m.push_null();
+            continue;
+        }
+        let cell = match ty {
+            DataType::Int64 => Value::Int(match r.index(8) {
+                0 => *r.pick(&[BIG - 1, BIG, BIG + 1, i64::MIN, i64::MAX]),
+                _ => r.int_range(-3, 3),
+            }),
+            DataType::Float64 => Value::Float(match r.index(6) {
+                0 => *r.pick(&[
+                    f64::NAN,
+                    -0.0,
+                    0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    BIG as f64,
+                ]),
+                _ => r.int_range(-6, 6) as f64 * 0.5,
+            }),
+            _ => Value::Date(r.int_range(-3, 3) as i32),
+        };
+        m.push_coerced(&cell).unwrap();
+    }
+    table_of(vec![("k".into(), k.finish()), ("m".into(), m.finish())])
+}
+
+/// `min`, `max`, `first` and `last` keep typed per-group winners inside a
+/// batch and meet what earlier batches (or merged partials) left under
+/// boxed `Value` order. One partial updated batch by batch under random
+/// selections, and per-batch partials merged in order, equal the boxed
+/// one-struct accumulator fed every selected cell — types, float bits and
+/// which of two equal values (`Int(2)` or `Float(2.0)`) a tie keeps.
+#[test]
+fn extremes_hold_value_semantics_across_batches() {
+    const EXTREMES: [AggKind; 4] = [AggKind::Min, AggKind::Max, AggKind::First, AggKind::Last];
+    let mut r = SeededRng::new(0x6B65_7909);
+    let cfg = GroupBy::with_aggregates(
+        &["k"],
+        EXTREMES
+            .iter()
+            .map(|&kind| AggregateSpec::new(kind, "m", kind.name()))
+            .chain([AggregateSpec::new(AggKind::CountAll, "", "n")])
+            .collect(),
+    );
+    for case in 0..CASES {
+        let nulls = *r.pick(&[0.0, 0.3, 1.0]);
+        let batches: Vec<(Table, Option<Bitmap>)> = (0..1 + r.index(4))
+            .map(|_| {
+                let ty = *r.pick(&[DataType::Int64, DataType::Float64, DataType::Date]);
+                let rows = gen_rows(&mut r);
+                let batch = gen_extremes_batch(&mut r, ty, rows, nulls);
+                let selection = gen_selection(&mut r, rows);
+                (batch, selection)
+            })
+            .collect();
+        let all: Vec<(&Table, Option<&Bitmap>)> =
+            batches.iter().map(|(b, s)| (b, s.as_ref())).collect();
+        let want = rowwise_groupby_batches(&all, &cfg);
+        let types: Vec<DataType> = batches
+            .iter()
+            .map(|(b, _)| b.column("m").unwrap().data_type())
+            .collect();
+        let what = format!("case {case}: {types:?}");
+
+        let mut updated = GroupByPartial::new(cfg.clone());
+        for (batch, selection) in &all {
+            updated.update_selected(batch, *selection).unwrap();
+        }
+        assert_same_outcome(
+            updated.into_table(),
+            want.clone(),
+            &format!("updated, {what}"),
+        );
+
+        let mut merged = GroupByPartial::new(cfg.clone());
+        for (batch, selection) in &all {
+            let mut partial = GroupByPartial::new(cfg.clone());
+            partial.update_selected(batch, *selection).unwrap();
+            merged.merge(partial).unwrap();
+        }
+        assert_same_outcome(merged.into_table(), want, &format!("merged, {what}"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Join
 // ---------------------------------------------------------------------------

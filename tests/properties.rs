@@ -464,10 +464,37 @@ fn expr_display_roundtrips() {
     }
 }
 
+/// Integers where a comparison through `f64` stops being exact: around
+/// 2^53, where `x as f64` rounds, and the ends of `i64`.
+const EDGE_INTS: [i64; 6] = [
+    i64::MIN,
+    -(1 << 53) - 1,
+    (1 << 53) - 1,
+    1 << 53,
+    (1 << 53) + 1,
+    i64::MAX,
+];
+
+/// Floats at the ends of the IEEE total order `Value::cmp` uses, and the
+/// neighbours of [`EDGE_INTS`] as floats.
+const EDGE_FLOATS: [f64; 10] = [
+    f64::NAN,
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -9_007_199_254_740_992.0,
+    9_007_199_254_740_992.0,
+    9_007_199_254_740_994.0,
+    i64::MAX as f64,
+    i64::MIN as f64,
+];
+
 /// One table for the mask property: Int64 / Float64 / Date / Utf8 / Bool
 /// columns with nulls plus an all-null column. `sorted` lays the numeric
 /// columns out ascending, so zone maps see disjoint bounds and settle
-/// whole zones; strings mix words with numeric-looking text.
+/// whole zones; otherwise numbers now and then take an edge value. Strings
+/// mix words with numeric-looking text.
 fn gen_mask_table(r: &mut SeededRng, rows: usize, sorted: bool) -> Table {
     use shareinsights::tabular::{Column, ColumnBuilder, DataType, Field, Schema};
     let mut cols: Vec<ColumnBuilder> = [
@@ -487,10 +514,14 @@ fn gen_mask_table(r: &mut SeededRng, rows: usize, sorted: bool) -> Table {
             r.int_range(-6, 6)
         };
         let cells = [
-            Value::Int(base),
+            match r.index(12) {
+                0 if !sorted => Value::Int(*r.pick(&EDGE_INTS)),
+                _ => Value::Int(base),
+            },
             match r.index(16) {
                 0 => Value::Float(f64::NAN),
                 1 => Value::Float(-0.0),
+                2 if !sorted => Value::Float(*r.pick(&EDGE_FLOATS)),
                 _ => Value::Float(base as f64 + 0.5 * r.index(2) as f64),
             },
             Value::Date(base as i32),
@@ -522,8 +553,9 @@ fn gen_mask_table(r: &mut SeededRng, rows: usize, sorted: bool) -> Table {
 /// A random predicate over [`gen_mask_table`]'s columns. Leaves cover
 /// every typed kernel (comparison either way round, `IN`, `IS NULL`) with
 /// literals (half of them within one of `edges`, ascending) of the
-/// column's own type, the *other* numeric type, numeric-looking strings,
-/// and unrelated types — plus the shapes that
+/// column's own type, the *other* numeric type (integral floats among
+/// them), [`EDGE_INTS`] and [`EDGE_FLOATS`], numeric-looking strings,
+/// and unrelated types (dates and bools facing numbers) — plus the shapes that
 /// stay row-wise (arithmetic, which is an error on strings and bools;
 /// `contains`; column-to-column; a bare bool column; a null literal).
 fn gen_predicate(
@@ -549,7 +581,7 @@ fn gen_predicate(
         } else {
             r.int_range(-span, span)
         };
-        match r.index(9) {
+        match r.index(11) {
             0 | 1 => Value::Int(n),
             2 => Value::Float(n as f64),
             3 => Value::Float(n as f64 + 0.5),
@@ -557,6 +589,8 @@ fn gen_predicate(
             5 => Value::Str(format!("k{}", r.index(5))),
             6 => Value::Date(n as i32),
             7 => Value::Bool(r.chance(0.5)),
+            8 => Value::Int(*r.pick(&EDGE_INTS)),
+            9 => Value::Float(*r.pick(&EDGE_FLOATS)),
             _ => Value::Null,
         }
     };
@@ -593,9 +627,12 @@ fn gen_predicate(
 
 /// The column-at-a-time mask equals a row-at-a-time evaluation of the
 /// same predicate bit for bit — with or without indexes behind it — and
-/// fails on exactly the same inputs with the same message.
+/// fails on exactly the same inputs with the same message. The typed leaf
+/// kernels build a word from 64 rows and a zone's range at a time, so
+/// table lengths include those just off one and two words and one zone.
 #[test]
 fn vectorised_mask_equals_rowwise_evaluation() {
+    const MASK_CASES: usize = if cfg!(debug_assertions) { 60 } else { 2000 };
     use shareinsights::tabular::expr::{CmpOp, Expr};
     use shareinsights::tabular::IndexedTable;
     let mut r = SeededRng::new(0xF0F0_000E);
@@ -609,8 +646,12 @@ fn vectorised_mask_equals_rowwise_evaluation() {
         assert_eq!(via_index.map(|(m, _)| m), want, "{e} (indexed)");
         errors += usize::from(want.is_err());
     };
-    for _ in 0..CASES {
-        let rows = r.index(50);
+    for _ in 0..MASK_CASES {
+        let rows = if r.chance(0.05) {
+            *r.pick(&[63, 64, 65, 127, 128, 129, 4095, 4096, 4097])
+        } else {
+            r.index(50)
+        };
         let t = gen_mask_table(&mut r, rows, false);
         let indexed = IndexedTable::new(t.clone());
         for _ in 0..8 {

@@ -160,6 +160,73 @@ fn malformed_requests_get_400_in_both_modes() {
     }
 }
 
+/// A handler that panics costs its request a 500 and nothing more: the
+/// worker that ran it serves on. With one panic more than there are
+/// workers, a pool that lost a thread per panic would answer nothing.
+#[test]
+fn panicking_handlers_answer_500_and_keep_their_workers_in_both_modes() {
+    use shareinsights::engine::ext::FnTask;
+    use shareinsights_core::EventLog;
+    const BOOM: &str = r#"
+D:
+  sales: [region, brand, revenue]
+D.sales:
+  source: 'sales.csv'
+  format: csv
+T:
+  boom:
+    type: boom
+F:
+  +D.out: D.sales | T.boom
+"#;
+    for mode in BOTH_MODES {
+        let platform = retail_platform(4);
+        platform
+            .tasks()
+            .register_task(std::sync::Arc::new(FnTask::new(
+                "boom",
+                |schema| Ok(schema.clone()),
+                |_| panic!("boom task"),
+            )));
+        platform.upload_data("boom", "sales.csv", "region,brand,revenue\nn,b,1\n");
+        platform.save_flow("boom", BOOM).unwrap();
+        let log = EventLog::in_memory();
+        let opts = ServeOptions {
+            event_log: log.clone(),
+            ..mode_opts(mode)
+        };
+        let workers = opts.workers;
+        let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).unwrap();
+        let addr = svc.local_addr();
+        let mut conn = ClientConnection::connect(addr).unwrap();
+        for i in 0..=workers {
+            let (code, body) = conn.request("POST", "/dashboards/boom/run", "").unwrap();
+            assert_eq!(code, 500, "{mode:?} run {i}: {body}");
+        }
+        drop(conn);
+        let (code, body) = blocking_get(addr, "/retail/ds/brand_sales").unwrap();
+        assert_eq!(code, 200, "{mode:?}: {body}");
+        let (_, stats) = blocking_get(addr, "/stats").unwrap();
+        assert_eq!(
+            stat(&stats, "routes.(panic).errors"),
+            workers as i64 + 1,
+            "{mode:?}"
+        );
+        svc.shutdown();
+        let panics: Vec<String> = log
+            .lines()
+            .into_iter()
+            .filter(|l| l.contains("\"message\": \"boom task\""))
+            .collect();
+        assert_eq!(panics.len(), workers + 1, "{mode:?}");
+        assert!(
+            panics[0].contains("POST /dashboards/:name/run"),
+            "{}",
+            panics[0]
+        );
+    }
+}
+
 #[test]
 fn oversized_heads_get_431_and_close_in_both_modes() {
     for mode in BOTH_MODES {
