@@ -582,9 +582,9 @@ impl OperatorStats {
 }
 
 /// Index-acceleration statistics: how many per-column indexes were built
-/// (and how long the builds took), and how query evaluations routed —
+/// (and how long the builds took), how query evaluations routed —
 /// through an accelerated kernel (`covered`) or the scan path
-/// (`fallback`).
+/// (`fallback`) — and how many bytes the built indexes hold.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Per-column index builds (lazy, first use per column).
@@ -595,6 +595,10 @@ pub struct IndexStats {
     pub covered: u64,
     /// Query evaluations that fell back to the scan path.
     pub fallback: u64,
+    /// Heap bytes of the indexes the server holds, summed over its
+    /// installed index slots when a snapshot is rendered (gauge; always
+    /// zero in [`ApiMetrics::index`]).
+    pub resident_bytes: u64,
 }
 
 impl IndexStats {
@@ -605,6 +609,7 @@ impl IndexStats {
             Micros build_us "build_seconds_total",
             Counter covered "covered_evals_total",
             Counter fallback "fallback_evals_total",
+            Gauge resident_bytes "resident_bytes",
         } = self);
         Family::scalars("index", "shareinsights_index", fields)
     }
@@ -1312,13 +1317,22 @@ impl ApiMetrics {
     /// One snapshot of every family, each registry read once — what the
     /// `/stats`, `/metrics` and `_system` renderers loop over. The shard
     /// workers report over their own frames, so the caller hands their
-    /// counters in (empty when sharding is off).
-    pub fn families(&self, shard_workers: &[ShardWorkerStats]) -> Vec<Family> {
+    /// counters in (empty when sharding is off), and the indexes belong to
+    /// the server, which hands in the bytes they hold.
+    pub fn families(
+        &self,
+        shard_workers: &[ShardWorkerStats],
+        index_resident_bytes: u64,
+    ) -> Vec<Family> {
         vec![
             RouteStats::family(&self.routes.read()),
             self.connections.read().family(),
             OperatorStats::family(&self.operators.read()),
-            self.index.read().family(),
+            IndexStats {
+                resident_bytes: index_resident_bytes,
+                ..self.index.read().clone()
+            }
+            .family(),
             self.reactor.read().family(),
             self.stream.read().family(),
             self.sql.read().family(),

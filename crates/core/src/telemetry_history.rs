@@ -322,7 +322,7 @@ mod tests {
             ..ShardWorkerStats::default()
         };
 
-        let families = m.families(&[worker]);
+        let families = m.families(&[worker], 0);
         let h = TelemetryHistory::new();
         let out = h.scrape(&families, 123);
         let t = h.snapshot_table();

@@ -101,8 +101,19 @@ pub fn ingest_target(request: &Request) -> Option<(String, String)> {
 /// How one segment turns into a [`Table`]; fixed once the first record
 /// arrives and shared with every decode worker.
 enum SegmentDecoder {
-    Csv { columns: Vec<String> },
-    JsonLines { mapping: PathMapping },
+    Csv {
+        columns: Vec<String>,
+    },
+    JsonLines {
+        mapping: PathMapping,
+    },
+    /// CSV, except that a segment holding `marker` panics: how the tests
+    /// make one decode worker fail.
+    #[cfg(test)]
+    PanicsOn {
+        columns: Vec<String>,
+        marker: &'static str,
+    },
 }
 
 impl SegmentDecoder {
@@ -119,12 +130,19 @@ impl SegmentDecoder {
             SegmentDecoder::JsonLines { mapping } => {
                 read_json_records(text, mapping).map_err(|e| e.to_string())
             }
+            #[cfg(test)]
+            SegmentDecoder::PanicsOn { columns, marker } => {
+                assert!(!text.contains(marker), "segment decoder panicked");
+                let columns = columns.clone();
+                SegmentDecoder::Csv { columns }.decode(text)
+            }
         }
     }
 }
 
 type SegmentJob = (usize, Arc<SegmentDecoder>, String);
-type SegmentResult = (usize, Result<Table, String>);
+/// A decoded segment, or the response that refuses the whole append.
+type SegmentResult = (usize, Result<Table, Response>);
 
 /// One in-flight streaming ingest: segmenter state on the reading side
 /// and, once a segment has filled, a bounded queue and the decode workers
@@ -195,10 +213,10 @@ impl IngestSession {
         for i in 0..DECODE_WORKERS {
             let rx = Arc::clone(&rx);
             let results = Arc::clone(&self.results);
-            let metrics = self.server.platform().api_metrics().clone();
+            let server = self.server.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("ingest-decode-{i}"))
-                .spawn(move || decode_worker(&rx, &results, &metrics));
+                .spawn(move || decode_worker(&rx, &results, &server));
             self.workers.extend(spawned);
         }
         if !self.workers.is_empty() {
@@ -309,14 +327,16 @@ impl IngestSession {
         }
         let job = (self.seq, decoder, text);
         self.seq += 1;
-        match &self.tx {
-            // Blocking send: a full queue holds the socket read back,
-            // which is exactly the bounded-memory contract.
-            Some(tx) => {
-                let _ = tx.send(job);
-            }
-            // No workers: the body ended inside its first segment.
-            None => decode_segment(job, &self.results, self.server.platform().api_metrics()),
+        // Blocking send: a full queue holds the socket read back, which is
+        // exactly the bounded-memory contract. Without workers — the body
+        // ended inside its first segment, or none is left to receive — the
+        // segment is decoded here.
+        let unsent = match &self.tx {
+            Some(tx) => tx.send(job).err().map(|SendError(job)| job),
+            None => Some(job),
+        };
+        if let Some(job) = unsent {
+            decode_segment(job, &self.results, &self.server);
         }
     }
 
@@ -337,8 +357,9 @@ impl IngestSession {
 
     /// Body complete: flush the tail segment, reassemble decoded tables
     /// in order, and commit the append (endpoint swap + generation bump +
-    /// warm-index merge). Any decode error aborts with a 400 and no
-    /// side effects.
+    /// warm-index merge). Any decode error aborts with a 400, a decode that
+    /// panicked or a segment that never came back with a 500, and neither
+    /// has side effects.
     pub fn finish(mut self, span: Option<&Span>) -> Response {
         if self.decoder.is_none() && self.early_error.is_none() {
             // Body ended before the first newline; the whole body is the
@@ -356,17 +377,21 @@ impl IngestSession {
         }
         let mut results = std::mem::take(&mut *self.results.lock());
         results.sort_by_key(|(seq, _)| *seq);
+        let abort = |refusal: Response| {
+            self.server.platform().api_metrics().record_ingest_abort();
+            refusal
+        };
+        if !results.iter().map(|(seq, _)| *seq).eq(0..self.seq) {
+            return abort(Response::error(
+                Status::InternalServerError,
+                "ingest lost a decoded segment",
+            ));
+        }
         let mut tables = Vec::with_capacity(results.len());
-        for (_, r) in results {
-            match r {
+        for (_, decoded) in results {
+            match decoded {
                 Ok(t) => tables.push(t),
-                Err(e) => {
-                    self.server.platform().api_metrics().record_ingest_abort();
-                    return Response::error(
-                        Status::BadRequest,
-                        format!("ingest segment decode: {e}"),
-                    );
-                }
+                Err(refusal) => return abort(refusal),
             }
         }
         let commit_span = span.map(|s| s.child("ingest_commit"));
@@ -648,7 +673,7 @@ pub fn wants_streaming(head: &ParsedHead) -> bool {
 fn decode_worker(
     rx: &Mutex<Receiver<SegmentJob>>,
     results: &Mutex<Vec<SegmentResult>>,
-    metrics: &shareinsights_core::telemetry::ApiMetrics,
+    server: &Server,
 ) {
     loop {
         // Take the lock only to pull one job so both workers drain the
@@ -657,19 +682,31 @@ fn decode_worker(
         let Ok(job) = job else {
             return; // channel closed: session finished or aborted
         };
-        decode_segment(job, results, metrics);
+        decode_segment(job, results, server);
     }
 }
 
-/// Decode one segment into a [`Table`] and record its telemetry.
+/// Decode one segment into a [`Table`] and record its telemetry. A decode
+/// that panics is contained (see [`Server::contain_panic`]) and recorded
+/// as the segment's result, so the append fails whole.
 fn decode_segment(
     (seq, decoder, text): SegmentJob,
     results: &Mutex<Vec<SegmentResult>>,
-    metrics: &shareinsights_core::telemetry::ApiMetrics,
+    server: &Server,
 ) {
     let started = Instant::now();
-    let decoded = decoder.decode(&text);
-    metrics.record_ingest_segment(text.len() as u64, started.elapsed().as_micros() as u64);
+    let decoded = match server.contain_panic(|| ROUTE_INGEST, || decoder.decode(&text)) {
+        Ok(Ok(table)) => Ok(table),
+        Ok(Err(e)) => Err(Response::error(
+            Status::BadRequest,
+            format!("ingest segment decode: {e}"),
+        )),
+        Err(refusal) => Err(refusal),
+    };
+    server
+        .platform()
+        .api_metrics()
+        .record_ingest_segment(text.len() as u64, started.elapsed().as_micros() as u64);
     results.lock().push((seq, decoded));
 }
 
@@ -742,6 +779,51 @@ mod tests {
         );
         assert!(ack.body.contains("\"segments\": 2"), "{}", ack.body);
         assert_eq!(server.platform().api_metrics().ingest().segments, 3);
+    }
+
+    #[test]
+    fn a_decode_that_panics_fails_the_append_whole() {
+        let server = server_with_dashboard();
+        let mut first = IngestSession::start(&server, "d", "t", None).unwrap();
+        first.push(b"k,v\na,1\n");
+        assert!(first.finish(None).is_ok());
+        let page = || server.handle(&Request::get("/d/ds/t")).body;
+        let (body, generation) = (page(), server.platform().data_generation("d"));
+
+        // Three segments go to the workers; the one holding `boom` panics.
+        // Both the worker and the request finishing it serve on.
+        let rows = SEGMENT_BYTES / 4 + 10;
+        for (panicking, tail) in [(true, "boom,9\n"), (false, "c,3\n")] {
+            let mut session = IngestSession::start(&server, "d", "t", None).unwrap();
+            session.push(b"k,v\n");
+            let columns = vec!["k".to_string(), "v".to_string()];
+            if panicking {
+                let marker = "boom";
+                session.decoder = Some(Arc::new(SegmentDecoder::PanicsOn { columns, marker }));
+            }
+            session.push("c,3\n".repeat(rows).as_bytes());
+            session.push(tail.repeat(rows).as_bytes());
+            session.push(b"d,4\n");
+            assert_eq!(session.workers.len(), DECODE_WORKERS);
+            let ack = session.finish(None);
+            if panicking {
+                assert_eq!(ack.status, Status::InternalServerError, "{}", ack.body);
+                assert_eq!(
+                    (page(), server.platform().data_generation("d")),
+                    (body.clone(), generation)
+                );
+            } else {
+                assert!(
+                    ack.body
+                        .contains(&format!("\"rows_appended\": {}", 2 * rows + 1)),
+                    "{}",
+                    ack.body
+                );
+            }
+        }
+        let routes = server.platform().api_metrics().routes();
+        assert_eq!(routes[crate::metrics::ROUTE_PANIC].errors, 1);
+        assert_eq!(server.platform().api_metrics().ingest().aborted, 1);
     }
 
     #[test]

@@ -352,7 +352,8 @@ pub(crate) mod tests {
     }
 
     /// The fixture `tests/golden/stats.json` was rendered from at the
-    /// parent commit (`6c16169`), as one snapshot.
+    /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
+    /// joined it since.
     fn stats_fixture() -> Vec<Family> {
         let route = RouteStats {
             count: 2,
@@ -393,6 +394,7 @@ pub(crate) mod tests {
                 build_us: 1500,
                 covered: 4,
                 fallback: 1,
+                resident_bytes: 65_536,
             }
             .family(),
             ReactorStats {
@@ -540,7 +542,8 @@ pub(crate) mod tests {
     }
 
     /// The fixture `tests/golden/metrics.txt` was rendered from at the
-    /// parent commit (`6c16169`), as one snapshot.
+    /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
+    /// joined it since.
     fn metrics_fixture() -> Vec<Family> {
         let route = RouteStats {
             count: 3,
@@ -584,6 +587,7 @@ pub(crate) mod tests {
                 build_us: 2_000_000,
                 covered: 8,
                 fallback: 2,
+                resident_bytes: 1_048_576,
             }
             .family(),
             ReactorStats {

@@ -202,10 +202,10 @@ impl Server {
     /// all render this.
     pub(crate) fn metric_families(&self) -> Vec<Family> {
         let workers = self.shards.as_ref().map(|s| s.worker_stats());
-        let mut families = self
-            .platform
-            .api_metrics()
-            .families(workers.as_deref().unwrap_or_default());
+        let mut families = self.platform.api_metrics().families(
+            workers.as_deref().unwrap_or_default(),
+            self.index_resident_bytes(),
+        );
         families.push(crate::cache::family(
             "cache",
             "shareinsights_query_cache",
@@ -217,6 +217,17 @@ impl Server {
             self.results.stats(),
         ));
         families
+    }
+
+    /// Heap bytes held by the indexes of every installed endpoint snapshot.
+    fn index_resident_bytes(&self) -> u64 {
+        // Slots are locked one at a time, after the registry's lock is
+        // released; a slot held by an append in flight is waited for.
+        let slots: Vec<IndexSlot> = self.indexes.lock().values().cloned().collect();
+        slots
+            .iter()
+            .filter_map(|slot| Some(slot.lock().as_ref()?.1.index_bytes() as u64))
+            .sum()
     }
 
     /// Drop every derived cache tier — page cache, result cache, indexed
@@ -1554,6 +1565,13 @@ F:
     #[test]
     fn stats_and_metrics_expose_index_counters() {
         let server = served();
+        let resident = || {
+            let stats = server.handle(&Request::get("/stats")).body;
+            let doc = shareinsights_tabular::io::json::parse_json(&stats).unwrap();
+            let bytes = doc.path("index.resident_bytes").unwrap().to_value();
+            bytes.as_int().unwrap()
+        };
+        assert_eq!(resident(), 0, "nothing indexed yet");
         // A covered query: Utf8 key, sum over Int64 → indexed path.
         server.handle(&Request::get(
             "/retail/ds/brand_sales/groupby/region/sum/revenue",
@@ -1603,6 +1621,18 @@ F:
             m.body
         );
         assert!(m.body.contains("shareinsights_index_build_seconds_total"));
+        // The gauge is the installed snapshot's index bytes, and drops
+        // with it.
+        let held = server.indexed_table("retail", "brand_sales").unwrap();
+        assert!(held.index_bytes() > 0);
+        assert_eq!(resident(), held.index_bytes() as i64);
+        let gauge = format!("shareinsights_index_resident_bytes {}", held.index_bytes());
+        assert!(server
+            .handle(&Request::get("/metrics"))
+            .body
+            .contains(&gauge));
+        server.clear_derived_caches();
+        assert_eq!(resident(), 0);
     }
 
     #[test]

@@ -222,6 +222,18 @@ impl Bitmap {
         }
     }
 
+    /// Or `other` into this bitmap's first `other.len()` bits, a word at a
+    /// time; the bits past it keep their value.
+    ///
+    /// # Panics
+    /// Panics when `other` is the longer.
+    pub(crate) fn or_prefix(&mut self, other: &Bitmap) {
+        assert!(other.len <= self.len, "bitmap length mismatch");
+        for (word, &bits) in self.words.iter_mut().zip(&other.words) {
+            *word |= bits;
+        }
+    }
+
     /// Bitwise NOT (within `len`).
     pub fn not(&self) -> Bitmap {
         let mut bm = Bitmap {
@@ -376,6 +388,9 @@ mod tests {
         assert_eq!(a.and(&b).ones(), vec![0]);
         assert_eq!(a.or(&b).ones(), vec![0, 1, 2]);
         assert_eq!(a.not().ones(), vec![2, 3]);
+        let mut long = Bitmap::from_fn(130, |i| i == 129);
+        long.or_prefix(&Bitmap::from_fn(70, |i| i % 65 == 0));
+        assert_eq!(long.ones(), vec![0, 65, 129]);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! lazily built index per column:
 //!
 //! - [`DictionaryIndex`] for `Utf8` columns: the distinct strings sorted
-//!   into a dictionary, a per-row `u32` code, and a posting [`Bitmap`] per
-//!   code. Equality predicates become posting-list unions, range predicates
-//!   become contiguous code spans, group-by becomes dense code-indexed
-//!   accumulation, and sort becomes a counting sort over code rank.
+//!   into a dictionary, a per-row `u32` code, and the rows of each code (a
+//!   posting) held as row ids or as a bitmap, whichever its density makes
+//!   smaller. Equality predicates become posting-list unions, range
+//!   predicates become contiguous code spans, group-by becomes dense
+//!   code-indexed accumulation, and sort becomes a walk of the postings in
+//!   code rank.
 //! - [`ZoneIndex`] for `Int64`/`Float64`/`Date` columns: min–max bounds per
 //!   fixed-size row zone. Range and equality predicates skip zones whose
 //!   bounds cannot intersect the predicate and scan only candidate zones.
@@ -27,22 +29,29 @@
 
 use crate::agg::AggKind;
 use crate::bitmap::Bitmap;
-use crate::column::{Column, StrBuf};
+use crate::column::Column;
 use crate::ops::filter::{FilterByValues, RangeFilter};
 use crate::ops::groupby::{GroupBy, GroupByPartial};
-use crate::ops::keys::KeyColumn;
+use crate::ops::keys::{group_ids, Buckets, GroupIds, KeyColumn, RowSel};
 use crate::ops::sort::{SortKey, SortOrder};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Sentinel code marking a null cell in [`DictionaryIndex::codes`].
 pub const NULL_CODE: u32 = crate::ops::keys::NONE;
+
+/// A code span's postings are unioned while they hold fewer than one row
+/// in this many; past that, one pass over the codes fills the mask. Over
+/// 100k rows a union cost 1.1–1.5 ns per row it holds and the pass 0.8 ns
+/// per row of the column, so the two meet a little past half the rows.
+const UNION_BELOW: usize = 2;
 
 /// Rows per zone in a [`ZoneIndex`].
 pub const ZONE_ROWS: usize = 4096;
@@ -57,49 +66,163 @@ fn cmp_str_value(s: &str, v: &Value) -> Ordering {
     }
 }
 
+/// A posting holds row ids while it covers fewer than one row in this
+/// many, and a bitmap from there on: a `u32` row id costs 32 bits and a
+/// bitmap one bit per row, so the two cost the same at one row in 32.
+const SPARSE_BELOW: usize = 32;
+
+/// Whether `count` rows of an `n`-row column are held as row ids.
+fn sparse(count: usize, n: usize) -> bool {
+    count * SPARSE_BELOW < n
+}
+
+/// The rows holding one dictionary value (or the null rows), ascending.
+///
+/// The container is a function of the rows and the column length alone —
+/// row ids below 1/32 density, a bitmap at or above it — so an index
+/// merged over appends holds exactly what a cold build over the same rows
+/// holds. Both kinds sit behind an `Arc`, so a posting an append does not
+/// touch is carried, not copied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Postings {
+    /// Ascending row ids.
+    Rows(Arc<[u32]>),
+    /// One bit per row up to the last row holding the value, and the
+    /// number of bits set.
+    Bits(Arc<Bitmap>, usize),
+}
+
+impl Postings {
+    /// The container for `rows` (ascending) in an `n`-row column.
+    fn of(rows: &[u32], n: usize) -> Postings {
+        if sparse(rows.len(), n) {
+            return Postings::Rows(rows.into());
+        }
+        let mut bits = Bitmap::new_cleared(rows.last().map_or(0, |&r| r as usize + 1));
+        rows.iter().for_each(|&r| bits.set(r as usize));
+        Postings::Bits(Arc::new(bits), rows.len())
+    }
+
+    /// How many rows it holds.
+    fn len(&self) -> usize {
+        match self {
+            Postings::Rows(rows) => rows.len(),
+            Postings::Bits(_, count) => *count,
+        }
+    }
+
+    /// The rows, ascending.
+    fn rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let (ids, bits) = match self {
+            Postings::Rows(rows) => (Some(rows.iter().map(|&r| r as usize)), None),
+            Postings::Bits(bits, _) => (None, Some(bits.iter_ones())),
+        };
+        ids.into_iter().flatten().chain(bits.into_iter().flatten())
+    }
+
+    /// Set this posting's rows in `mask`.
+    fn union_into(&self, mask: &mut Bitmap) {
+        match self {
+            Postings::Rows(rows) => rows.iter().for_each(|&r| mask.set(r as usize)),
+            Postings::Bits(bits, _) => mask.or_prefix(bits),
+        }
+    }
+
+    /// This posting once the column has grown to `n` rows, `added` of them
+    /// (ascending, all past its own) holding its value: what
+    /// [`Postings::of`] would build over all of its rows. An untouched
+    /// posting whose container still fits is shared, a bitmap that stays
+    /// one grows a word at a time, and anything else is rebuilt.
+    fn grown(&self, added: &[u32], n: usize) -> Postings {
+        let count = self.len() + added.len();
+        let stays_sparse = sparse(count, n);
+        match self {
+            Postings::Rows(_) if added.is_empty() && stays_sparse => self.clone(),
+            Postings::Bits(bits, _) if !stays_sparse => {
+                if added.is_empty() {
+                    return self.clone();
+                }
+                let last = added[added.len() - 1] as usize;
+                let mut bits = bits.resized(last + 1);
+                added.iter().for_each(|&r| bits.set(r as usize));
+                Postings::Bits(Arc::new(bits), count)
+            }
+            _ => {
+                let rows: Vec<u32> = self
+                    .rows()
+                    .map(|r| r as u32)
+                    .chain(added.iter().copied())
+                    .collect();
+                Postings::of(&rows, n)
+            }
+        }
+    }
+
+    /// Heap bytes it holds, counting a shared container in full.
+    fn approx_bytes(&self) -> usize {
+        // An `Arc` allocation carries two reference counts.
+        let counts = 2 * size_of::<usize>();
+        match self {
+            Postings::Rows(rows) => counts + rows.len() * size_of::<u32>(),
+            Postings::Bits(bits, _) => {
+                counts + size_of::<Bitmap>() + bits.len().div_ceil(64) * size_of::<u64>()
+            }
+        }
+    }
+}
+
+/// The rows `rows` selects, bucketed by their codes `ids` (below
+/// `cardinality`), and the rows whose code is [`NULL_CODE`].
+fn bucket(ids: &[u32], rows: &RowSel, cardinality: usize) -> (Buckets, Vec<u32>) {
+    let nulls = rows
+        .iter()
+        .zip(ids)
+        .filter(|&(_, &code)| code == NULL_CODE)
+        .map(|(row, _)| row as u32)
+        .collect();
+    (Buckets::new(ids, rows, cardinality), nulls)
+}
+
 /// Dictionary encoding of a `Utf8` column: distinct strings sorted into a
-/// dictionary, per-row codes into it ([`NULL_CODE`] for nulls), and a
-/// posting bitmap per code.
+/// dictionary, per-row codes into it ([`NULL_CODE`] for nulls), and the
+/// rows of each code and of the nulls in the container their density
+/// picks (row ids below 1/32 of the rows, a bitmap from there on).
 #[derive(Debug, Clone)]
 pub struct DictionaryIndex {
     dict: Vec<String>,
     codes: Vec<u32>,
-    postings: Vec<Bitmap>,
-    nulls: Bitmap,
+    postings: Vec<Postings>,
+    nulls: Postings,
 }
 
 impl DictionaryIndex {
-    fn build(data: &StrBuf, validity: &Bitmap) -> DictionaryIndex {
-        let n = data.len();
-        let mut distinct: BTreeMap<&str, u32> = BTreeMap::new();
-        for (i, s) in data.iter().enumerate() {
-            if validity.get(i) {
-                distinct.entry(s).or_insert(0);
-            }
+    /// Index a `Utf8` column.
+    fn build(col: &Column) -> DictionaryIndex {
+        let n = col.len();
+        let every_row = RowSel::new(n, None);
+        // One hash per row codes the column in first-seen order; the
+        // distinct strings are then sorted once and the codes renumbered
+        // by rank, which is what a sorted dictionary assigns.
+        let GroupIds { ids, reps } = group_ids(&[KeyColumn::Cells(col)], &every_row);
+        let mut distinct: Vec<(&str, u32)> = reps
+            .iter()
+            .enumerate()
+            .filter_map(|(group, &row)| Some((col.str_at(row as usize)?, group as u32)))
+            .collect();
+        distinct.sort_unstable();
+        let mut rank = vec![NULL_CODE; reps.len()];
+        for (code, &(_, group)) in distinct.iter().enumerate() {
+            rank[group as usize] = code as u32;
         }
-        // BTreeMap iterates in key order, so enumeration assigns sorted codes.
-        let dict: Vec<String> = distinct.keys().map(|s| s.to_string()).collect();
-        for (code, slot) in distinct.values_mut().enumerate() {
-            *slot = code as u32;
-        }
-        let mut codes = Vec::with_capacity(n);
-        let mut postings: Vec<Bitmap> = dict.iter().map(|_| Bitmap::new_cleared(n)).collect();
-        let mut nulls = Bitmap::new_cleared(n);
-        for (i, s) in data.iter().enumerate() {
-            if validity.get(i) {
-                let code = distinct[s];
-                codes.push(code);
-                postings[code as usize].set(i);
-            } else {
-                codes.push(NULL_CODE);
-                nulls.set(i);
-            }
-        }
+        let codes: Vec<u32> = ids.into_iter().map(|group| rank[group as usize]).collect();
+        let (rows, nulls) = bucket(&codes, &every_row, distinct.len());
         DictionaryIndex {
-            dict,
+            dict: distinct.iter().map(|&(s, _)| s.to_string()).collect(),
+            postings: (0..distinct.len())
+                .map(|code| Postings::of(rows.rows_of(code), n))
+                .collect(),
+            nulls: Postings::of(&nulls, n),
             codes,
-            postings,
-            nulls,
         }
     }
 
@@ -135,10 +258,10 @@ impl DictionaryIndex {
         let mut mask = Bitmap::new_cleared(self.codes.len());
         for v in allowed {
             match v {
-                Value::Null => mask = mask.or(&self.nulls),
+                Value::Null => self.nulls.union_into(&mut mask),
                 Value::Str(s) => {
                     if let Some(code) = self.code_of(s) {
-                        mask = mask.or(&self.postings[code as usize]);
+                        self.postings[code as usize].union_into(&mut mask);
                     }
                 }
                 _ => {}
@@ -163,68 +286,71 @@ impl DictionaryIndex {
     /// Rows whose code lies in `[start, end)` — a contiguous run of the
     /// sorted dictionary. Null rows never qualify.
     pub fn rows_for_code_span(&self, start: u32, end: u32) -> Bitmap {
-        let mut mask = Bitmap::new_cleared(self.codes.len());
-        if start >= end {
-            return mask;
-        }
-        if (end - start) as usize <= 8 {
-            for code in start..end {
-                mask = mask.or(&self.postings[code as usize]);
-            }
+        let n = self.codes.len();
+        let mut mask = Bitmap::new_cleared(n);
+        let span = self
+            .postings
+            .get(start as usize..end as usize)
+            .unwrap_or_default();
+        // A union touches each row the span holds; a pass over the codes
+        // reads every row, but 64 to a word without a branch.
+        if span.iter().map(Postings::len).sum::<usize>() * UNION_BELOW < n {
+            span.iter().for_each(|p| p.union_into(&mut mask));
         } else {
-            // Wide spans: one pass over the codes beats unioning many
-            // postings. NULL_CODE is u32::MAX, always outside [start, end).
-            for (i, &c) in self.codes.iter().enumerate() {
-                if c >= start && c < end {
-                    mask.set(i);
-                }
-            }
+            // NULL_CODE is u32::MAX, always outside [start, end).
+            mask.set_where(0, &self.codes, |c| c >= start && c < end);
         }
         mask
     }
 
     /// True when the column has no null cells.
     pub fn no_nulls(&self) -> bool {
-        self.nulls.none_set()
+        self.nulls.len() == 0
     }
 
-    /// The posting bitmap of `code` (rows holding that dictionary value).
-    pub fn postings_of(&self, code: u32) -> &Bitmap {
-        &self.postings[code as usize]
+    /// Heap bytes the index holds: the dictionary, the codes and every
+    /// posting.
+    fn approx_bytes(&self) -> usize {
+        let dict: usize = self
+            .dict
+            .iter()
+            .map(|s| size_of::<String>() + s.len())
+            .sum();
+        let postings: usize = self
+            .postings
+            .iter()
+            .chain(std::iter::once(&self.nulls))
+            .map(|p| size_of::<Postings>() + p.approx_bytes())
+            .sum();
+        dict + self.codes.len() * size_of::<u32>() + postings
     }
 
-    /// The null-row bitmap.
-    pub fn nulls(&self) -> &Bitmap {
-        &self.nulls
-    }
-
-    /// Merge `prev` (built over the first `n_old` rows) with the appended
-    /// tail of the merged column (`data`/`validity` cover all rows): the
-    /// incremental-maintenance path that keeps an endpoint's dictionary
-    /// warm across appends. Produces *exactly* what a cold
-    /// [`DictionaryIndex::build`] over the full column would — same
-    /// sorted dictionary, same codes, same posting words — because the
-    /// dictionaries merge sorted and posting bitmaps extend
-    /// word-for-word; the differential tests pin this byte-identity.
-    fn append(prev: &DictionaryIndex, data: &StrBuf, validity: &Bitmap) -> DictionaryIndex {
+    /// Merge `prev` (built over the first rows of `col`) with the rows
+    /// appended to it: the incremental-maintenance path that keeps an
+    /// endpoint's dictionary warm across appends. Produces *exactly* what
+    /// a cold [`DictionaryIndex::build`] over the full column would — same
+    /// sorted dictionary, same codes, same postings — because the
+    /// dictionaries merge sorted and a posting's container depends only
+    /// on its rows and the row count; the differential tests pin this.
+    /// A posting the appended rows do not touch is shared with `prev`
+    /// unless the longer column moves it below 1/32 density.
+    fn append(prev: &DictionaryIndex, col: &Column) -> DictionaryIndex {
         let n_old = prev.codes.len();
-        let n = data.len();
+        let n = col.len();
+        let tail = || (n_old..n).map(|i| col.str_at(i));
         // Distinct values arriving in the tail that the dictionary has
-        // not seen. BTreeMap iteration keeps them sorted for the merge.
-        let mut fresh: BTreeMap<&str, u32> = BTreeMap::new();
-        let tail = || (n_old..n).map(|i| (i, data.get(i)));
-        for (i, s) in tail() {
-            if validity.get(i) && prev.code_of(s).is_none() {
-                fresh.entry(s).or_insert(0);
-            }
-        }
+        // not seen, sorted for the merge.
+        let fresh: BTreeSet<&str> = tail()
+            .flatten()
+            .filter(|s| prev.code_of(s).is_none())
+            .collect();
         // Sorted two-way merge of the old dictionary and the fresh
         // values: assigns every old code its new position in one pass.
         let mut dict: Vec<String> = Vec::with_capacity(prev.dict.len() + fresh.len());
         let mut old_to_new: Vec<u32> = Vec::with_capacity(prev.dict.len());
         {
             let mut old_iter = prev.dict.iter().peekable();
-            let mut new_iter = fresh.keys().peekable();
+            let mut new_iter = fresh.iter().peekable();
             loop {
                 match (old_iter.peek(), new_iter.peek()) {
                     (Some(o), Some(f)) if o.as_str() <= **f => {
@@ -240,8 +366,8 @@ impl DictionaryIndex {
                 }
             }
         }
-        // Old codes remap through the merge; postings move to their new
-        // slot extended word-for-word to the new row count.
+        // Old codes remap through the merge, then the appended rows are
+        // encoded.
         let identity = old_to_new.iter().enumerate().all(|(i, &c)| c as usize == i);
         let mut codes: Vec<u32> = Vec::with_capacity(n);
         if identity {
@@ -255,41 +381,35 @@ impl DictionaryIndex {
                 }
             }));
         }
-        // Each new slot is filled exactly once: carried postings extend
-        // word-for-word via `resized`, fresh slots start cleared. (Filling
-        // directly avoids allocating-and-zeroing throwaway bitmaps for the
-        // carried slots — at high cardinality that zeroing dominates.)
+        codes.extend(tail().map(|cell| {
+            match cell {
+                Some(s) => dict
+                    .binary_search_by(|d| d.as_str().cmp(s))
+                    .expect("merged dictionary covers every tail value")
+                    as u32,
+                None => NULL_CODE,
+            }
+        }));
+        // Each posting grows by the appended rows holding its value.
+        let appended = RowSel::Picked((n_old as u32..n as u32).collect());
+        let (added, added_nulls) = bucket(&codes[n_old..], &appended, dict.len());
         let mut new_to_old: Vec<Option<usize>> = vec![None; dict.len()];
         for (old_code, &new_code) in old_to_new.iter().enumerate() {
             new_to_old[new_code as usize] = Some(old_code);
         }
-        let mut postings: Vec<Bitmap> = new_to_old
+        let postings = new_to_old
             .iter()
-            .map(|slot| match slot {
-                Some(old_code) => prev.postings[*old_code].resized(n),
-                None => Bitmap::new_cleared(n),
+            .enumerate()
+            .map(|(code, slot)| match slot {
+                Some(old_code) => prev.postings[*old_code].grown(added.rows_of(code), n),
+                None => Postings::of(added.rows_of(code), n),
             })
             .collect();
-        let mut nulls = prev.nulls.resized(n);
-        // Encode the appended rows.
-        for (i, s) in tail() {
-            if validity.get(i) {
-                let code = dict
-                    .binary_search_by(|d| d.as_str().cmp(s))
-                    .expect("merged dictionary covers every tail value")
-                    as u32;
-                codes.push(code);
-                postings[code as usize].set(i);
-            } else {
-                codes.push(NULL_CODE);
-                nulls.set(i);
-            }
-        }
         DictionaryIndex {
             dict,
             codes,
             postings,
-            nulls,
+            nulls: prev.nulls.grown(&added_nulls, n),
         }
     }
 }
@@ -452,13 +572,20 @@ impl ColumnIndex {
     /// all-null columns gain nothing from indexing and return `None`.
     pub fn build(col: &Column) -> Option<ColumnIndex> {
         match col {
-            Column::Utf8 { data, validity } => Some(ColumnIndex::Dictionary(
-                DictionaryIndex::build(data, validity),
-            )),
+            Column::Utf8 { .. } => Some(ColumnIndex::Dictionary(DictionaryIndex::build(col))),
             Column::Int64 { .. } | Column::Float64 { .. } | Column::Date { .. } => {
                 Some(ColumnIndex::Zones(ZoneIndex::build(col, ZONE_ROWS)))
             }
             Column::Bool { .. } | Column::Null { .. } => None,
+        }
+    }
+
+    /// Heap bytes the index holds.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            ColumnIndex::Dictionary(d) => d.approx_bytes(),
+            // Zone bounds of numeric and date columns own no heap.
+            ColumnIndex::Zones(z) => z.zones.len() * size_of::<Option<(Value, Value)>>(),
         }
     }
 }
@@ -522,12 +649,12 @@ impl IndexedTable {
 
     /// Append `delta`'s rows, carrying every already built column index
     /// forward by *incremental merge* instead of dropping it: dictionary
-    /// indexes merge sorted dictionaries and extend posting bitmaps
-    /// word-for-word, zone maps keep complete zones verbatim and rescan
+    /// indexes merge sorted dictionaries and grow only the postings the
+    /// delta touches, zone maps keep complete zones verbatim and rescan
     /// only the partial tail — so indexes are warm the moment the append
-    /// lands, at a cost proportional to the delta (plus one O(old/64)
-    /// bitmap word copy), not the full table. Merged indexes are
-    /// byte-identical to a cold rebuild over the concatenated table
+    /// lands, at a cost proportional to the delta and the postings it
+    /// touches (plus one copy of the codes), not the full table. Merged
+    /// indexes are byte-identical to a cold rebuild over the concatenated table
     /// (pinned by the differential tests). Columns whose unified type
     /// changed in the concat (e.g. Int64 widening to Float64) and
     /// never-built slots stay lazy.
@@ -540,8 +667,7 @@ impl IndexedTable {
     /// concatenated table — e.g. a copy-on-write store whose append
     /// produced `merged = old.concat(delta)` before index maintenance
     /// runs. Skipping the second concat makes the merge cost proportional
-    /// to the delta (plus the O(old/64) posting-word copy), not the full
-    /// table. The caller guarantees `merged`'s first `self.table().num_rows()`
+    /// to the delta (plus the copy of the codes), not the full table. The caller guarantees `merged`'s first `self.table().num_rows()`
     /// rows are exactly this table's rows; only the row count (and, per
     /// column, the unified type) is checked here.
     pub fn append_merged(&self, merged: Table) -> crate::error::Result<IndexedTable> {
@@ -566,14 +692,9 @@ impl IndexedTable {
             let started = Instant::now();
             let carried: Option<Arc<ColumnIndex>> = match built.as_ref().map(Arc::as_ref) {
                 None => None, // unindexable type stays unindexable
-                Some(ColumnIndex::Dictionary(d)) => {
-                    let Column::Utf8 { data, validity } = new_col else {
-                        continue;
-                    };
-                    Some(Arc::new(ColumnIndex::Dictionary(DictionaryIndex::append(
-                        d, data, validity,
-                    ))))
-                }
+                Some(ColumnIndex::Dictionary(d)) => Some(Arc::new(ColumnIndex::Dictionary(
+                    DictionaryIndex::append(d, new_col),
+                ))),
                 Some(ColumnIndex::Zones(z)) => Some(Arc::new(ColumnIndex::Zones(
                     ZoneIndex::append(z, new_col, n_old),
                 ))),
@@ -608,6 +729,16 @@ impl IndexedTable {
             self.builds.load(AtomicOrdering::Relaxed),
             self.build_us.load(AtomicOrdering::Relaxed),
         )
+    }
+
+    /// Heap bytes held by the column indexes built so far (the table's
+    /// own bytes are [`Table::approx_bytes`]).
+    pub fn index_bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(|slot| slot.get()?.as_deref())
+            .map(ColumnIndex::approx_bytes)
+            .sum()
     }
 
     /// The index for `column`, building it on first use. `None` when the
@@ -825,7 +956,7 @@ impl IndexedTable {
         };
         let n = n.min(self.table.num_rows());
         let mut indices = Vec::with_capacity(n);
-        let ranked: Box<dyn Iterator<Item = &Bitmap>> = match keys[0].order {
+        let ranked: Box<dyn Iterator<Item = &Postings>> = match keys[0].order {
             SortOrder::Asc => Box::new(std::iter::once(&d.nulls).chain(&d.postings)),
             SortOrder::Desc => Box::new(d.postings.iter().rev().chain(std::iter::once(&d.nulls))),
         };
@@ -833,7 +964,7 @@ impl IndexedTable {
             if indices.len() == n {
                 break;
             }
-            indices.extend(rows.iter_ones().take(n - indices.len()));
+            indices.extend(rows.rows().take(n - indices.len()));
         }
         Some(self.table.take(&indices))
     }
@@ -1183,6 +1314,71 @@ mod tests {
         let cold = indexed(&ix.table().clone());
         assert_index_identical(&ix, &cold, "team");
         assert_eq!(ix.table().num_rows(), 200 + 5 * 13);
+    }
+
+    /// Whether each posting of `column`'s dictionary is a bitmap.
+    fn bitmap_postings(ix: &IndexedTable, column: &str) -> Vec<bool> {
+        let idx = ix.index(column).expect("utf8 indexable");
+        let ColumnIndex::Dictionary(d) = idx.as_ref() else {
+            panic!("expected dictionary");
+        };
+        d.postings
+            .iter()
+            .map(|p| matches!(p, Postings::Bits(..)))
+            .collect()
+    }
+
+    #[test]
+    fn postings_follow_density_across_appends() {
+        // 64 rows: `a` on 4 (1/16: a bitmap), `b` and `c` on one each
+        // (row ids), `z` on the rest.
+        let cell = |i: usize| match i {
+            0 | 16 | 32 | 48 => "a",
+            5 => "b",
+            9 => "c",
+            _ => "z",
+        };
+        let rows: Vec<crate::row::Row> = (0..64).map(|i| row![cell(i)]).collect();
+        let ix = indexed(&Table::from_rows(&["k"], &rows).unwrap());
+        assert_eq!(bitmap_postings(&ix, "k"), [true, false, false, true]);
+        // 65 more rows, four of them `b`: untouched, `a` falls below 1/32
+        // (4 of 129); `b` rises above it (5 of 129); `c` is carried as is.
+        let rows: Vec<crate::row::Row> = (0..65)
+            .map(|i| row![if i < 4 { "b" } else { "z" }])
+            .collect();
+        let merged = ix
+            .append(&Table::from_rows(&["k"], &rows).unwrap())
+            .unwrap();
+        assert_eq!(bitmap_postings(&merged, "k"), [false, true, false, true]);
+        assert_index_identical(&merged, &indexed(merged.table()), "k");
+        let c_rows = |ix: &IndexedTable| match ix.index("k").as_deref() {
+            Some(ColumnIndex::Dictionary(d)) => match &d.postings[2] {
+                Postings::Rows(rows) => Arc::clone(rows),
+                other => panic!("{other:?}"),
+            },
+            other => panic!("{other:?}"),
+        };
+        assert!(Arc::ptr_eq(&c_rows(&ix), &c_rows(&merged)));
+    }
+
+    #[test]
+    fn index_bytes_follow_the_rows_held() {
+        // A 100k-row column over 5,000 keys, about 20 rows each: one
+        // 100k-bit bitmap per key would be 62.5 MB.
+        let n = 100_000;
+        let t = Table::new(
+            Schema::of(&[("key", crate::datatype::DataType::Utf8)]),
+            vec![Column::utf8(
+                (0..n).map(|i| format!("k{:05}", (i * 7919) % 5000)),
+            )],
+        )
+        .unwrap();
+        let ix = indexed(&t);
+        assert_eq!(ix.index_bytes(), 0, "nothing built yet");
+        let _ = ix.index("key");
+        let bytes = ix.index_bytes();
+        assert!(bytes > n * size_of::<u32>(), "the codes alone: {bytes}");
+        assert!(bytes < 2 << 20, "{bytes} bytes");
     }
 
     #[test]

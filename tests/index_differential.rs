@@ -21,10 +21,11 @@ use shareinsights::tabular::expr::parse_expr;
 use shareinsights::tabular::io::csv::{read_csv, CsvOptions};
 use shareinsights::tabular::ops::filter::{filter_by_range, RangeFilter};
 use shareinsights::tabular::ops::{
-    filter_by_values, groupby, sort, AggregateSpec, FilterByValues, GroupBy, SortKey, SortOrder,
+    filter_by_values, groupby, groupby_selected, sort, AggregateSpec, FilterByValues, GroupBy,
+    SortKey, SortOrder,
 };
 use shareinsights::tabular::{
-    Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
+    Bitmap, Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
 };
 
 /// Debug builds run 64 cases; CI runs the suite in release at full count.
@@ -472,6 +473,156 @@ fn append_merged_over_concat_matches_cold_build() {
             assert_same_bytes(&fast, &scan, &what);
         }
     }
+}
+
+/// A posting holds row ids below this share of the rows and a bitmap at
+/// or above it; the test counts the values an append carries across it.
+const SPARSE_BELOW: usize = 32;
+
+/// `n` rows of a skewed `cat` column (and a `num` measure): a few hot keys
+/// each take a share of the rows between 1/64 and `1 / hot_from`, a tail
+/// of 60 rare keys shares the rest, and nulls take none, 1/40 or 1/8.
+fn skewed_rows(r: &mut SeededRng, n: usize, hot_from: usize) -> Table {
+    let hot: Vec<(usize, f64)> = (0..1 + r.index(3))
+        .map(|_| (r.index(6), 1.0 / (hot_from + r.index(65 - hot_from)) as f64))
+        .collect();
+    let nulls = *r.pick(&[0.0, 1.0 / 40.0, 1.0 / 8.0]);
+    let mut cat = ColumnBuilder::new(DataType::Utf8);
+    for _ in 0..n {
+        match hot.iter().find(|&&(_, share)| r.chance(share)) {
+            Some((key, _)) => cat.push_str(format!("h{key}")),
+            None if r.chance(nulls) => cat.push_null(),
+            None => cat.push_str(format!("r{:02}", r.index(60))),
+        }
+    }
+    let num = Column::int((0..n).map(|_| r.int_range(-9, 9)));
+    let schema = Schema::new(vec![
+        Field::new("cat", DataType::Utf8),
+        Field::new("num", DataType::Int64),
+    ])
+    .unwrap();
+    Table::new(schema, vec![cat.finish(), num]).unwrap()
+}
+
+/// Rows per `cat` value (nulls under `None`).
+fn value_counts(t: &Table) -> std::collections::HashMap<Option<String>, usize> {
+    let mut counts = std::collections::HashMap::new();
+    let col = t.column("cat").unwrap();
+    for i in 0..t.num_rows() {
+        *counts.entry(col.str_at(i).map(str::to_string)).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// Skewed keys put row-id and bitmap postings in one column, and appends
+/// carry values across 1/32 density both ways: a hot key that a long run
+/// of rare rows dilutes, a rare key a delta makes hot. After every append
+/// the merged index is the cold build's — dictionary, codes and each
+/// posting's container — and value filters, string ranges (narrow spans
+/// unioned, wide ones filled by a pass over the codes), top-n in both
+/// directions and filtered group-bys answer with the scan path's bytes.
+#[test]
+fn skewed_postings_merge_to_the_cold_build_and_match_scan() {
+    let mut r = SeededRng::new(0x5CE3_D1C7);
+    let (mut mixed, mut up, mut down) = (0usize, 0usize, 0usize);
+    for case in 0..CASES {
+        let base_rows = 32 + r.index(400);
+        let mut table = skewed_rows(&mut r, base_rows, 12);
+        let mut warm = IndexedTable::new(table.clone());
+        for round in 0..4 {
+            let _ = warm.index("cat");
+            let rows = table.num_rows();
+            let before = value_counts(&table);
+            // Row counts at which a value the delta leaves alone sits at
+            // exactly 1/32 density, or just below it (where its container
+            // flips), reachable with a delta of new values.
+            let mut edges: Vec<usize> = before
+                .values()
+                .map(|&count| count * SPARSE_BELOW)
+                .filter(|&edge| edge > rows && edge < 3 * rows)
+                .collect();
+            edges.sort_unstable();
+            let delta = if !edges.is_empty() && r.chance(0.3) {
+                let n = *r.pick(&edges) + r.index(2) - rows;
+                let fresh = Column::utf8((0..n).map(|_| format!("new{round}")));
+                skewed_rows(&mut r, n, 64)
+                    .with_column("cat", fresh)
+                    .unwrap()
+            } else {
+                let few = 1 + r.index(40);
+                let delta_rows = *r.pick(&[0, 1, few, rows, 2 * rows]);
+                let hot_from = *r.pick(&[4, 12, 64]);
+                skewed_rows(&mut r, delta_rows, hot_from)
+            };
+            table = table.concat(&delta).unwrap();
+            for (value, &count) in &value_counts(&table) {
+                let old = before.get(value).copied().unwrap_or(0);
+                match (
+                    old * SPARSE_BELOW < rows,
+                    count * SPARSE_BELOW < table.num_rows(),
+                ) {
+                    (true, false) if old > 0 => up += 1,
+                    (false, true) => down += 1,
+                    _ => {}
+                }
+            }
+            warm = warm.append_merged(table.clone()).unwrap();
+            let cold = IndexedTable::new(table.clone());
+            let what = format!("case {case} round {round}");
+            let index = format!("{:?}", warm.index("cat"));
+            assert_eq!(index, format!("{:?}", cold.index("cat")), "{what}");
+            mixed += usize::from(index.contains("Rows(") && index.contains("Bits("));
+
+            let names = ["h0", "h2", "h5", "r00", "r07", "r33", "r59", "absent"];
+            let mut allowed: Vec<Value> = (0..1 + r.index(3))
+                .map(|_| Value::Str((*r.pick(&names)).into()))
+                .collect();
+            if r.chance(0.3) {
+                allowed.push(Value::Null);
+            }
+            let spec = FilterByValues::single("cat", allowed);
+            let scan = filter_by_values(&table, &spec).unwrap();
+            assert_same_bytes(&warm.filter_by_values(&spec).unwrap(), &scan, &what);
+
+            let bounds = ["a", "h0", "h3", "r00", "r10", "r30", "r59", "z"];
+            let (lo, hi) = (*r.pick(&bounds), *r.pick(&bounds));
+            let rf = RangeFilter {
+                column: "cat".into(),
+                lo: Value::Str(lo.into()),
+                hi: Value::Str(hi.into()),
+            };
+            let scan = filter_by_range(&table, &rf).unwrap();
+            assert_same_bytes(&warm.filter_by_range(&rf).unwrap(), &scan, &what);
+
+            for key in [SortKey::asc("cat"), SortKey::desc("cat")] {
+                let all = sort(&table, std::slice::from_ref(&key)).unwrap();
+                let n = table.num_rows();
+                let some = 1 + r.index(n + 1);
+                for k in [0, 1, some, n / 2, n, n + 1] {
+                    let head = warm.top_n(std::slice::from_ref(&key), k).unwrap();
+                    assert_same_bytes(&head, &all.limit(k), &format!("{what} {key:?} {k}"));
+                }
+            }
+
+            let cfg = GroupBy::with_aggregates(
+                &["cat"],
+                vec![
+                    AggregateSpec::new(AggKind::Sum, "num", "total"),
+                    AggregateSpec::new(AggKind::CountAll, "", "n"),
+                ],
+            );
+            let keep = r.index(4);
+            let mask = Bitmap::from_fn(table.num_rows(), |i| i % 4 != keep);
+            for selection in [None, Some(&mask)] {
+                let scan = groupby_selected(&table, &cfg, selection).unwrap();
+                let fast = warm.groupby_selected(&cfg, selection).unwrap();
+                assert_same_bytes(&fast, &scan, &what);
+            }
+        }
+    }
+    assert!(mixed > CASES, "both containers in one column: {mixed}");
+    assert!(up > CASES / 8, "values an append made dense: {up}");
+    assert!(down > CASES / 8, "values an append made sparse: {down}");
 }
 
 /// Readers hammer a `groupby` while one writer appends 200 batches. A
