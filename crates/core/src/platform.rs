@@ -10,16 +10,25 @@ use shareinsights_collab::PublishRegistry;
 use shareinsights_connectors::Catalog;
 use shareinsights_engine::compile::{compile, CompileEnv, CompiledPipeline};
 use shareinsights_engine::exec::{ExecContext, Executor, MemoVerdict};
-use shareinsights_engine::memo::FlowMemo;
-use shareinsights_engine::stream::StreamExec;
-use shareinsights_engine::TaskRegistry;
+use shareinsights_engine::memo::{FlowMemo, Stamp};
+use shareinsights_engine::{EngineError, TaskRegistry};
 use shareinsights_flowfile::parser::parse_flow_file;
 use shareinsights_flowfile::validate::ValidateOptions;
 use shareinsights_flowfile::Severity;
-use shareinsights_tabular::Schema;
+use shareinsights_tabular::{Schema, Table};
 use shareinsights_widgets::{DashboardRuntime, WidgetRegistry};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Rows a live source retains: a push past this drops the oldest rows.
+const STREAM_RETAIN_ROWS: usize = 100_000;
+
+/// A streaming dashboard's live sources: every source of the flow file the
+/// stream started on, with the rows it retains and the version that keys
+/// them in the flow memo. A source with no declared columns is `None`
+/// until its first push, and runs read it as a batch run would.
+type LiveSources = BTreeMap<String, Option<(Table, u64)>>;
 
 /// The declared (all-Utf8) schema of a flow-file data object, used as the
 /// discovery fallback before a run has materialised real types.
@@ -113,10 +122,13 @@ pub struct Platform {
     /// their entries on this (plus the publish registry's per-object
     /// generation) to invalidate without coordination.
     data_gens: Arc<RwLock<BTreeMap<String, u64>>>,
-    /// Live streaming contexts (the continuous execution context), by
-    /// dashboard name. Created by [`Platform::stream_start`], advanced one
-    /// micro-batch at a time by [`Platform::stream_push`].
-    streams: Arc<Mutex<BTreeMap<String, StreamExec>>>,
+    /// Each streaming dashboard's live sources, by dashboard name, behind
+    /// a lock of their own that a push holds from append to install and a
+    /// run for its duration. Created by [`Platform::stream_start`].
+    streams: Arc<Mutex<BTreeMap<String, Arc<Mutex<LiveSources>>>>>,
+    /// The last live-source version drawn, for every dashboard: no two
+    /// live tables share a memo key.
+    live_versions: Arc<AtomicU64>,
     /// How endpoint data splits across data-plane shards. Metadata only
     /// at this layer — the serving tier owns the workers — but it lives
     /// on the platform so every server over one platform agrees on the
@@ -150,6 +162,7 @@ impl Platform {
             dashboards: Arc::new(RwLock::new(BTreeMap::new())),
             data_gens: Arc::new(RwLock::new(BTreeMap::new())),
             streams: Arc::new(Mutex::new(BTreeMap::new())),
+            live_versions: Arc::new(AtomicU64::new(0)),
             partitioning: Arc::new(RwLock::new(Partitioning::default())),
             memo: FlowMemo::new(),
             executor: Executor::default(),
@@ -483,7 +496,21 @@ impl Platform {
     /// executed. A run whose endpoints and published objects come out as
     /// the very tables already installed leaves the data generation — and
     /// so every cache stamped with it — alone.
+    ///
+    /// While the dashboard streams, its live sources stand in for its
+    /// sources, and the run holds their lock, so it cannot interleave with
+    /// a push.
     pub fn run_dashboard_traced(&self, name: &str, parent: Option<&Span>) -> Result<RunReport> {
+        let live = self.streams.lock().get(name).cloned();
+        match live {
+            Some(live) => self.run_over(name, parent, &live.lock()),
+            None => self.run_over(name, parent, &LiveSources::new()),
+        }
+    }
+
+    /// [`Platform::run_dashboard_traced`] over `live`, whose lock the
+    /// caller holds.
+    fn run_over(&self, name: &str, parent: Option<&Span>, live: &LiveSources) -> Result<RunReport> {
         let compile_span = parent.map(|s| s.child("compile"));
         let pipeline = self.compile_dashboard(name)?;
         if let Some(mut s) = compile_span {
@@ -492,10 +519,16 @@ impl Platform {
         }
         let dash = self.dashboard(name)?;
 
-        // Attach the memo, and resolve shared inputs into the execution
-        // context stamped with their publish generation.
+        // Attach the memo, inject the live sources stamped with their
+        // version, and resolve shared inputs stamped with their publish
+        // generation.
         let epoch = self.catalog.registrations() + self.tasks.registrations();
         let mut ctx = ExecContext::new(self.catalog.clone()).with_memo(self.memo.clone(), epoch);
+        for (source, held) in live {
+            if let Some((table, version)) = held {
+                ctx = ctx.with_stamped_table(source, table.clone(), Stamp::Live(*version));
+            }
+        }
         for flow in &pipeline.flows {
             for input in &flow.inputs {
                 if !pipeline.sources.contains_key(input)
@@ -504,7 +537,11 @@ impl Platform {
                 {
                     if let Some(shared) = self.publish.resolve(input, name) {
                         if let Some(snapshot) = shared.snapshot {
-                            ctx = ctx.with_stamped_table(input, snapshot, shared.generation);
+                            ctx = ctx.with_stamped_table(
+                                input,
+                                snapshot,
+                                Stamp::Published(shared.generation),
+                            );
                         }
                     }
                 }
@@ -651,50 +688,74 @@ impl Platform {
         Ok(report)
     }
 
-    // --- continuous execution (live flows) ------------------------------
+    // --- live flows ----------------------------------------------------
 
-    /// Start (or restart) a streaming context for a dashboard: compile its
-    /// current flow file and attach a [`StreamExec`] that accepts
-    /// micro-batches. Streaming state starts empty; batch endpoint tables
-    /// stay visible until the first push replaces them copy-on-write.
+    /// Start (or restart) streaming a dashboard: give every source of its
+    /// current flow file an empty live copy carrying its compiled schema.
+    /// Batch endpoint tables stay visible until the first push's run
+    /// replaces them; from then on a batch run reads the live copies too.
     pub fn stream_start(&self, name: &str) -> Result<StreamStartInfo> {
         let pipeline = self.compile_dashboard(name)?;
-        let stream = StreamExec::new(pipeline);
-        let info = StreamStartInfo {
+        let sources: Vec<String> = pipeline
+            .graph
+            .sources()
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let live: LiveSources = sources
+            .iter()
+            .map(|s| {
+                let empty = pipeline
+                    .schemas
+                    .get(s)
+                    .map(|schema| Table::empty(schema.clone()));
+                (s.clone(), empty.map(|t| (t, self.next_live_version())))
+            })
+            .collect();
+        self.streams
+            .lock()
+            .insert(name.to_string(), Arc::new(Mutex::new(live)));
+        Ok(StreamStartInfo {
             dashboard: name.to_string(),
-            sources: stream
-                .pipeline()
-                .graph
-                .sources()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            endpoints: stream.pipeline().endpoints.clone(),
-        };
-        self.streams.lock().insert(name.to_string(), stream);
-        Ok(info)
+            sources,
+            endpoints: pipeline.endpoints,
+        })
     }
 
-    /// True when a streaming context is attached to the dashboard.
+    /// A live-source version no live table on the platform has had.
+    fn next_live_version(&self) -> u64 {
+        self.live_versions.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// True when the dashboard is streaming.
     pub fn stream_active(&self, name: &str) -> bool {
         self.streams.lock().contains_key(name)
     }
 
-    /// Detach a dashboard's streaming context, if any. Endpoint tables keep
-    /// their last streamed snapshot.
+    /// Stop streaming a dashboard, if it was: its live sources go, and
+    /// endpoint tables keep their last streamed snapshot.
     pub fn stream_stop(&self, name: &str) -> bool {
         self.streams.lock().remove(name).is_some()
     }
 
     /// Push one micro-batch (CSV rows) into a source of a streaming
-    /// dashboard. The batch propagates through the continuous DAG, every
-    /// affected endpoint snapshot is swapped copy-on-write, and the
-    /// dashboard's data generation advances — so batch readers and the
-    /// query cache's generation-stamped invalidation work unchanged.
+    /// dashboard: append it to the source's live copy, keep the last
+    /// `STREAM_RETAIN_ROWS` rows, and run the dashboard as
+    /// [`Platform::run_dashboard_traced`] does, its spans under `parent`.
+    /// Every endpoint is then the batch run over the rows its sources
+    /// retain; flows that do not read the source are memo hits. The
+    /// dashboard's live-source lock is held from the append to the
+    /// install, so ticks install in the order they appended.
     ///
     /// When the source declares columns, the body is headerless CSV in
     /// declared-column order; otherwise the first record is the header.
-    pub fn stream_push(&self, name: &str, source: &str, csv: &str) -> Result<StreamPushReport> {
+    pub fn stream_push(
+        &self,
+        name: &str,
+        source: &str,
+        csv: &str,
+        parent: Option<&Span>,
+    ) -> Result<StreamPushReport> {
         let columns: Option<Vec<String>> =
             self.dashboard(name)?
                 .ast
@@ -718,50 +779,56 @@ impl Platform {
         let batch = shareinsights_tabular::io::csv::read_csv(csv, &opts)
             .map_err(|e| PlatformError::Other(format!("stream batch: {e}")))?;
 
-        let (tick, endpoints, strategies) = {
-            let mut streams = self.streams.lock();
-            let stream = streams.get_mut(name).ok_or_else(|| {
-                PlatformError::Other(format!(
-                    "dashboard '{name}' has no active stream (POST /dashboards/{name}/stream/start first)"
-                ))
-            })?;
-            let tick = stream
-                .push_batch(source, batch)
-                .map_err(PlatformError::Execute)?;
-            let strategies: Vec<(String, &'static str)> = tick
-                .updated
-                .keys()
-                .filter_map(|obj| stream.strategy_name(obj).map(|s| (obj.clone(), s)))
-                .collect();
-            (tick, stream.pipeline().endpoints.clone(), strategies)
+        let live = self.streams.lock().get(name).cloned().ok_or_else(|| {
+            PlatformError::Other(format!(
+                "dashboard '{name}' has no active stream (POST /dashboards/{name}/stream/start first)"
+            ))
+        })?;
+        let mut live = live.lock();
+        let Some(held) = live.get(source) else {
+            return Err(PlatformError::Execute(EngineError::UnresolvedData {
+                object: source.to_string(),
+                context: "stream push target must be a source data object".into(),
+            }));
         };
+        let rows_in = batch.num_rows();
+        let grown = match held {
+            Some((table, _)) if table.num_rows() > 0 => table
+                .concat(&batch)
+                .map_err(|e| PlatformError::Other(format!("stream append to '{source}': {e}")))?,
+            _ => batch,
+        };
+        let evicted_rows = grown.num_rows().saturating_sub(STREAM_RETAIN_ROWS);
+        let retained = grown.slice(evicted_rows, STREAM_RETAIN_ROWS);
 
-        // Copy-on-write endpoint swap, then the generation bump that
-        // invalidates generation-stamped cache entries.
-        let mut updated: Vec<(String, usize)> = Vec::new();
-        {
-            let mut dashboards = self.dashboards.write();
-            if let Some(d) = dashboards.get_mut(name) {
-                for (obj, table) in &tick.updated {
-                    if !endpoints.contains(obj) {
-                        continue;
-                    }
-                    updated.push((obj.clone(), table.num_rows()));
-                    d.endpoint_tables.insert(obj.clone(), table.clone());
-                }
-            }
-        }
-        self.bump_data_generation(name);
+        // A tick whose run fails leaves the source as it was.
+        let mut next = live.clone();
+        next.insert(
+            source.to_string(),
+            Some((retained, self.next_live_version())),
+        );
+        let installed = self.dashboard(name)?.endpoint_tables;
+        let report = self.run_over(name, parent, &next)?;
+        *live = next;
+        let updated = report
+            .endpoint_tables()
+            .into_iter()
+            .filter(|(e, t)| {
+                !installed
+                    .get(e)
+                    .is_some_and(|old| old.shares_columns_with(t))
+            })
+            .map(|(e, t)| (e, t.num_rows()))
+            .collect();
         self.api
-            .record_stream_tick(tick.rows_in as u64, tick.evicted_rows as u64);
+            .record_stream_tick(rows_in as u64, evicted_rows as u64);
         Ok(StreamPushReport {
             dashboard: name.to_string(),
             source: source.to_string(),
-            rows_in: tick.rows_in,
-            evicted_rows: tick.evicted_rows,
+            rows_in,
+            evicted_rows,
             generation: self.data_generation(name),
             updated,
-            strategies,
         })
     }
 
@@ -1003,15 +1070,12 @@ pub struct StreamPushReport {
     pub source: String,
     /// Rows ingested.
     pub rows_in: usize,
-    /// Rows evicted from bounded stream state.
+    /// Rows the source's retention dropped to take the batch.
     pub evicted_rows: usize,
     /// The dashboard's endpoint-data generation after the tick.
     pub generation: u64,
-    /// Updated endpoints with their new row counts.
+    /// Endpoints the tick changed, with their new row counts.
     pub updated: Vec<(String, usize)>,
-    /// Per-updated-object execution strategy names
-    /// (`passthrough` / `incremental` / `reexec`), for span attributes.
-    pub strategies: Vec<(String, &'static str)>,
 }
 
 #[cfg(test)]
@@ -1325,7 +1389,7 @@ T:
 
         // Pushing without a stream is rejected.
         let err = platform
-            .stream_push("ipl_processing", "tweets", "d9,dhoni\n")
+            .stream_push("ipl_processing", "tweets", "d9,dhoni\n", None)
             .unwrap_err();
         assert!(err.to_string().contains("no active stream"), "{err}");
 
@@ -1336,19 +1400,19 @@ T:
 
         // Declared columns [date, player] → headerless CSV bodies.
         let push = platform
-            .stream_push("ipl_processing", "tweets", "d9,dhoni\nd9,dhoni\nd9,kohli\n")
+            .stream_push(
+                "ipl_processing",
+                "tweets",
+                "d9,dhoni\nd9,dhoni\nd9,kohli\n",
+                None,
+            )
             .unwrap();
         assert_eq!(push.rows_in, 3);
         assert_eq!(push.generation, gen0 + 1);
         assert_eq!(push.updated, vec![("players_tweets".to_string(), 2)]);
-        assert_eq!(
-            push.strategies,
-            vec![("players_tweets".to_string(), "incremental")],
-            "groupby chain classifies incrementally"
-        );
 
         let push2 = platform
-            .stream_push("ipl_processing", "tweets", "d9,dhoni\n")
+            .stream_push("ipl_processing", "tweets", "d9,dhoni\n", None)
             .unwrap();
         assert_eq!(push2.generation, gen0 + 2);
         // COW snapshot swap: the endpoint table advanced in place.
@@ -1364,6 +1428,139 @@ T:
 
         assert!(platform.stream_stop("ipl_processing"));
         assert!(!platform.stream_active("ipl_processing"));
+    }
+
+    /// The batch run over `tweets`, for the endpoint `players_tweets`.
+    fn players_over(platform: &Platform, tweets: Table) -> Table {
+        let pipeline = platform.compile_dashboard("ipl_processing").unwrap();
+        let ctx = ExecContext::new(Catalog::new()).with_table("tweets", tweets);
+        let batch = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+        batch.table("players_tweets").unwrap().clone()
+    }
+
+    #[test]
+    fn a_join_waits_for_its_other_side_and_only_sources_take_pushes() {
+        const SHOP: &str = r#"
+D:
+  orders: [sku, qty]
+  products: [sku, label]
+T:
+  enrich:
+    type: join
+    left: orders by sku
+    right: products by sku
+    join_condition: inner
+F:
+  +D.labeled: (D.orders, D.products) | T.enrich
+"#;
+        let platform = Platform::new();
+        platform.save_flow("shop", SHOP).unwrap();
+        platform.stream_start("shop").unwrap();
+        let push = |source: &str, csv: &str| platform.stream_push("shop", source, csv, None);
+        let labeled = |rows: usize| vec![("labeled".to_string(), rows)];
+        // The unpushed side is empty, carrying its declared columns.
+        assert_eq!(push("orders", "a,1\n").unwrap().updated, labeled(0));
+        push("products", "a,Alpha\nb,Beta\n").unwrap();
+        assert_eq!(push("orders", "b,2\n").unwrap().updated, labeled(2));
+
+        for target in ["ghost", "labeled"] {
+            let err = push(target, "a,1\n").unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "execution error: data object 'D.{target}' used by stream push target \
+                     must be a source data object has no source, no producing flow, and no \
+                     shared match"
+                )
+            );
+        }
+        assert_eq!(
+            platform.api_metrics().stream().ticks,
+            3,
+            "rejections tick nothing"
+        );
+    }
+
+    #[test]
+    fn retention_drops_the_oldest_rows_and_counts_them() {
+        let platform = seeded();
+        platform.save_flow("ipl_processing", PROCESSING).unwrap();
+        platform.stream_start("ipl_processing").unwrap();
+        let csv = |rows: std::ops::Range<usize>| -> String {
+            rows.map(|i| format!("d{},p{}\n", i % 3, i % 11)).collect()
+        };
+        let first = platform
+            .stream_push(
+                "ipl_processing",
+                "tweets",
+                &csv(0..STREAM_RETAIN_ROWS),
+                None,
+            )
+            .unwrap();
+        assert_eq!(first.evicted_rows, 0);
+        let edge = STREAM_RETAIN_ROWS + 3;
+        let second = platform
+            .stream_push(
+                "ipl_processing",
+                "tweets",
+                &csv(STREAM_RETAIN_ROWS..edge),
+                None,
+            )
+            .unwrap();
+        assert_eq!(second.evicted_rows, 3);
+        assert_eq!(platform.api_metrics().stream().evicted_rows, 3);
+
+        // The endpoint is the batch run over the rows retained: the last
+        // `STREAM_RETAIN_ROWS` pushed.
+        let opts = shareinsights_tabular::io::csv::CsvOptions {
+            has_header: false,
+            column_names: Some(vec!["date".into(), "player".into()]),
+            ..Default::default()
+        };
+        let kept = shareinsights_tabular::io::csv::read_csv(&csv(3..edge), &opts).unwrap();
+        let installed = platform
+            .dashboard("ipl_processing")
+            .unwrap()
+            .endpoint_tables;
+        assert_eq!(installed["players_tweets"], players_over(&platform, kept));
+    }
+
+    #[test]
+    fn racing_pushes_install_in_the_order_they_appended() {
+        let platform = seeded();
+        platform.save_flow("ipl_processing", PROCESSING).unwrap();
+        platform.stream_start("ipl_processing").unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (platform, start) = (&platform, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut last = 0;
+                    for i in 0..100 {
+                        let csv = format!("d{t},p{}\n", i % 7);
+                        let push = platform.stream_push("ipl_processing", "tweets", &csv, None);
+                        let generation = push.unwrap().generation;
+                        assert!(generation > last, "thread {t}: {generation} after {last}");
+                        last = generation;
+                    }
+                });
+            }
+        });
+        // A batch run reads the live source: its result holds the rows
+        // retained, and the endpoints the last tick installed are the
+        // batch run over them.
+        let installed = platform
+            .dashboard("ipl_processing")
+            .unwrap()
+            .endpoint_tables;
+        let run = platform.run_dashboard("ipl_processing").unwrap();
+        let retained = run.result.table("tweets").unwrap().clone();
+        assert_eq!(retained.num_rows(), 400);
+        assert_eq!(
+            installed["players_tweets"],
+            players_over(&platform, retained)
+        );
     }
 
     #[test]

@@ -654,19 +654,18 @@ impl ReactorStats {
     }
 }
 
-/// Continuous-execution (live flow) statistics: micro-batch ticks pushed
-/// into streaming contexts, generation-delta frames fanned out to SSE
-/// subscribers, and the backpressure outcomes — rows evicted from bounded
-/// operator state and subscribers dropped for not draining their frame
-/// queue. All zeros until a dashboard starts streaming.
+/// Live flow statistics: micro-batch ticks pushed into streaming
+/// dashboards' sources, generation-delta frames fanned out to SSE
+/// subscribers, and the bounds that held — rows dropped by source
+/// retention and subscribers dropped for not draining their frame queue.
+/// All zeros until a dashboard starts streaming.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Micro-batches pushed into streaming contexts.
+    /// Micro-batches pushed into streaming dashboards' sources.
     pub ticks: u64,
     /// Source rows ingested across all ticks.
     pub rows_in: u64,
-    /// Rows evicted from bounded operator state (join build sides,
-    /// append-only endpoint accumulations) to hold the memory cap.
+    /// Rows dropped by source retention.
     pub evicted_rows: u64,
     /// Generation-delta frames delivered to subscriber queues.
     pub frames_sent: u64,
@@ -1144,7 +1143,7 @@ impl ApiMetrics {
     }
 
     /// Record one streaming micro-batch tick: source rows ingested and
-    /// rows evicted from bounded operator state to absorb it.
+    /// rows source retention dropped to take them.
     pub fn record_stream_tick(&self, rows_in: u64, evicted_rows: u64) {
         let mut s = self.stream.write();
         s.ticks += 1;
@@ -1177,7 +1176,7 @@ impl ApiMetrics {
         self.stream.write().dropped_subscribers += 1;
     }
 
-    /// Snapshot of the continuous-execution counters.
+    /// Snapshot of the live flow counters.
     pub fn stream(&self) -> StreamStats {
         self.stream.read().clone()
     }

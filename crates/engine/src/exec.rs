@@ -15,7 +15,7 @@
 
 use crate::compile::{CompiledFlow, CompiledPipeline};
 use crate::error::{EngineError, Result};
-use crate::memo::{FlowKey, FlowMemo, Key128, Uncached};
+use crate::memo::{FlowKey, FlowMemo, Key128, Stamp, Uncached};
 use crate::selection::SelectionProvider;
 use crate::task::{run_chain, TaskNotes, TaskRuntime};
 use shareinsights_connectors::Catalog;
@@ -39,7 +39,7 @@ pub struct ExecContext {
     /// stamped with; `None` computes every flow.
     memo: Option<(FlowMemo, u64)>,
     /// What each stamped entry of `tables` is keyed on in the memo.
-    stamps: BTreeMap<String, u64>,
+    stamps: BTreeMap<String, Stamp>,
 }
 
 impl ExecContext {
@@ -65,8 +65,14 @@ impl ExecContext {
 
     /// Add a pre-materialised table with a stamp that changes whenever its
     /// content does (the platform passes a shared object's publish
-    /// generation): flows reading it may be memoised under that stamp.
-    pub fn with_stamped_table(mut self, name: impl Into<String>, table: Table, stamp: u64) -> Self {
+    /// generation, or a live source's version): flows reading it may be
+    /// memoised under that stamp.
+    pub fn with_stamped_table(
+        mut self,
+        name: impl Into<String>,
+        table: Table,
+        stamp: Stamp,
+    ) -> Self {
         let name = name.into();
         self.stamps.insert(name.clone(), stamp);
         self.tables.insert(name, table);
@@ -140,7 +146,7 @@ impl ExecContext {
         }
         if self.tables.contains_key(name) {
             let stamp = self.stamps.get(name).ok_or(Uncached::UnstampedInput)?;
-            return Ok(Key128::new(b"stamped").u64(*stamp).finish());
+            return Ok(stamp.key());
         }
         match (pipeline.sources.get(name), versions.get(name)) {
             (Some(cfg), Some(Some(version))) => Ok(Key128::source(cfg, *version)),

@@ -33,7 +33,6 @@ pub mod memo;
 pub mod optimizer;
 pub mod selection;
 pub mod sql;
-pub mod stream;
 pub mod task;
 
 pub use compile::{compile, CompileEnv, CompiledFlow, CompiledPipeline, CompiledTask};
@@ -41,7 +40,6 @@ pub use error::{EngineError, Result};
 pub use exec::{ExecContext, ExecResult, ExecStats, Executor, FlowRunStat, MemoVerdict};
 pub use ext::TaskRegistry;
 pub use graph::FlowGraph;
-pub use memo::{FlowMemo, Uncached};
+pub use memo::{FlowMemo, Stamp, Uncached};
 pub use selection::{Selection, SelectionProvider, StaticSelections};
-pub use stream::{StreamExec, StreamTick};
 pub use task::TaskKind;

@@ -7,8 +7,9 @@
 //! compiled order and its inputs — name and key — in declaration order,
 //! plus every data object a `filter_by … filter_source: D.x` task reads. A
 //! source's key is its namespaced configuration and the version of the
-//! upload it decodes; an injected table's key is the stamp its caller gave
-//! it (the platform stamps shared objects with their publish generation).
+//! upload it decodes; an injected table's key is the [`Stamp`] its caller
+//! gave it (the platform stamps shared objects with their publish
+//! generation and a streaming dashboard's live sources with their version).
 //! A flow has no key — and nor does anything downstream of it — when one
 //! of these is true, and [`Uncached`] says which:
 //!
@@ -52,6 +53,27 @@ impl Uncached {
             Uncached::ExtensionTask => "extension_task",
             Uncached::WidgetSelection => "widget_selection",
             Uncached::UnstampedInput => "unstamped_input",
+        }
+    }
+}
+
+/// What an injected table is keyed on: a number that changes whenever the
+/// table's content does, in a domain of its own, so a publish generation
+/// and a live version that happen to be equal still name different keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stamp {
+    /// A shared object's publish generation.
+    Published(u64),
+    /// A streaming dashboard's live-source version, drawn from one
+    /// counter for the whole platform.
+    Live(u64),
+}
+
+impl Stamp {
+    pub(crate) fn key(self) -> u128 {
+        match self {
+            Stamp::Published(generation) => Key128::new(b"published").u64(generation).finish(),
+            Stamp::Live(version) => Key128::new(b"live").u64(version).finish(),
         }
     }
 }

@@ -15,8 +15,8 @@
 //! | `GET /<dashboard>/ds` | figure 27: endpoint data listing |
 //! | `GET /<dashboard>/ds/<dataset>` | figure 28: browse endpoint data (`?limit=&offset=`) |
 //! | `GET /<dashboard>/ds/<dataset>/groupby/<col>/<agg>/<col>` | figure 30: ad-hoc query |
-//! | `POST /dashboards/<name>/stream/start` | start a continuous execution context |
-//! | `POST /dashboards/<name>/stream/push/<source>` | push one CSV micro-batch |
+//! | `POST /dashboards/<name>/stream/start` | give the sources live copies |
+//! | `POST /dashboards/<name>/stream/push/<source>` | append one CSV micro-batch and run |
 //! | `GET /<dashboard>/ds/<dataset>/subscribe` | SSE stream of generation deltas |
 //! | `GET /stats` | per-route counters/latency + query-cache + operator stats |
 //! | `GET /metrics` | Prometheus text exposition of the same registry |

@@ -624,8 +624,8 @@ impl Server {
         outcome
     }
 
-    /// `POST /dashboards/:name/stream/start`: attach a continuous
-    /// execution context to the dashboard's compiled pipeline.
+    /// `POST /dashboards/:name/stream/start`: give the dashboard's sources
+    /// live copies that pushes append to.
     fn stream_start(&self, name: &str) -> Response {
         match self.platform.stream_start(name) {
             Ok(info) => Response::json(format!(
@@ -639,13 +639,17 @@ impl Server {
     }
 
     /// `POST /dashboards/:name/stream/push/:source`: one CSV micro-batch
-    /// in, one tick of endpoint snapshots out. Each updated endpoint is
-    /// framed exactly once at the post-tick generation and the same
-    /// bytes are fanned out to every subscriber — which is what makes
-    /// the two serve modes byte-identical.
+    /// in, one run of the dashboard (its spans under `stream_push`), and
+    /// the endpoints it changed out. Each updated endpoint is framed
+    /// exactly once at the post-tick generation and the same bytes are
+    /// fanned out to every subscriber — which is what makes the two serve
+    /// modes byte-identical.
     fn stream_push(&self, name: &str, source: &str, csv: &str, span: Option<&Span>) -> Response {
         let mut tick_span = span.map(|s| s.child("stream_push"));
-        let report = match self.platform.stream_push(name, source, csv) {
+        let report = match self
+            .platform
+            .stream_push(name, source, csv, tick_span.as_ref())
+        {
             Ok(r) => r,
             Err(e) => {
                 if let Some(mut s) = tick_span.take() {
@@ -660,21 +664,6 @@ impl Server {
             s.set_attr("rows_in", report.rows_in);
             s.set_attr("evicted_rows", report.evicted_rows);
             s.set_attr("generation", report.generation);
-            // One grandchild per advanced object, tagged with the
-            // execution strategy the continuous context chose for it.
-            for (obj, strategy) in &report.strategies {
-                let rows = report
-                    .updated
-                    .iter()
-                    .find(|(n, _)| n == obj)
-                    .map(|(_, r)| *r)
-                    .unwrap_or(0);
-                let mut child = s.child(obj);
-                child.set_attr("op", "stream_tick");
-                child.set_attr("strategy", *strategy);
-                child.set_attr("rows_out", rows);
-                child.finish();
-            }
         }
         let mut frames = 0u64;
         let mut bytes = 0u64;
@@ -2809,7 +2798,8 @@ F:
     }
 
     #[test]
-    fn stream_push_spans_carry_strategy_attrs() {
+    fn stream_push_spans_parent_the_run_with_memo_verdicts() {
+        use shareinsights_core::AttrValue;
         let server = served();
         server.handle(&Request::new(
             Method::Post,
@@ -2831,26 +2821,18 @@ F:
             .iter()
             .find(|s| s.name == "stream_push")
             .expect("stream_push span");
-        assert_eq!(
-            tick.attr("source"),
-            Some(&shareinsights_core::AttrValue::Str("sales".into()))
-        );
-        assert_eq!(
-            tick.attr("rows_in"),
-            Some(&shareinsights_core::AttrValue::Int(1))
-        );
-        let strategy_span = trace
-            .children_of(tick.id)
+        assert_eq!(tick.attr("source"), Some(&AttrValue::Str("sales".into())));
+        assert_eq!(tick.attr("rows_in"), Some(&AttrValue::Int(1)));
+        // The tick is a run: its own phases hang under the push span.
+        let phases = trace.children_of(tick.id);
+        let names: Vec<&str> = phases.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["compile", "execute", "publish", "install"]);
+        let flow = trace
+            .children_of(phases[1].id)
             .into_iter()
             .find(|s| s.name == "brand_sales")
-            .expect("per-object strategy span");
-        assert_eq!(
-            strategy_span.attr("strategy"),
-            Some(&shareinsights_core::AttrValue::Str("incremental".into()))
-        );
-        assert_eq!(
-            strategy_span.attr("op"),
-            Some(&shareinsights_core::AttrValue::Str("stream_tick".into()))
-        );
+            .expect("flow span under execute");
+        assert_eq!(flow.attr("op"), Some(&AttrValue::Str("flow".into())));
+        assert_eq!(flow.attr("memo"), Some(&AttrValue::Str("miss".into())));
     }
 }

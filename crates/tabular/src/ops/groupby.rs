@@ -186,13 +186,12 @@ impl GroupKeys {
 }
 
 /// Mergeable group-by state: the groups' keys and, per aggregate, one typed
-/// [`Accumulator`] per group. One partial per partition (or per micro-batch
-/// stream), merged **in partition order** so first-seen group order — and
-/// with it order-sensitive aggregates like `first`/`collect` — match a
-/// single pass over the concatenated input exactly. The batch kernel
-/// ([`groupby`]), the indexed kernel, the scatter/gather and the streaming
-/// contexts all fold and finish through this one type, which is what pins
-/// their outputs byte-identical.
+/// [`Accumulator`] per group. One partial per partition, merged **in
+/// partition order** so first-seen group order — and with it
+/// order-sensitive aggregates like `first`/`collect` — match a single pass
+/// over the concatenated input exactly. The batch kernel ([`groupby`]), the
+/// indexed kernel and the scatter/gather all fold and finish through this
+/// one type, which is what pins their outputs byte-identical.
 ///
 /// A batch is folded in two steps: [`group_ids`] codes its key columns
 /// into dense ids in first-seen order; then each aggregate runs one typed
@@ -337,26 +336,15 @@ impl GroupByPartial {
         Ok(())
     }
 
-    /// Finish *clones* of the accumulators, leaving the running state
-    /// intact — the streaming context snapshots per tick.
-    pub fn snapshot(&self) -> Result<Table> {
-        self.materialize(self.accs.clone())
-    }
-
     /// Finish the state into the output table.
-    pub fn into_table(mut self) -> Result<Table> {
-        let accs = std::mem::take(&mut self.accs);
-        self.materialize(accs)
-    }
-
-    /// Materialise output columns (shared by snapshot and finish).
-    fn materialize(&self, accs: Vec<Vec<Accumulator>>) -> Result<Table> {
+    pub fn into_table(self) -> Result<Table> {
         let Some(input_schema) = self.input_schema.as_ref() else {
             return Err(TabularError::InvalidOperation(
                 "group-by finish before any input batch".into(),
             ));
         };
-        let mut finished: Vec<Vec<Value>> = accs
+        let mut finished: Vec<Vec<Value>> = self
+            .accs
             .into_iter()
             .map(|accs| accs.into_iter().map(Accumulator::finish).collect())
             .collect();

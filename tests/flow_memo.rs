@@ -17,7 +17,7 @@ use shareinsights::datagen::{ipl, SeededRng};
 use shareinsights::engine::ext::{exec_err, FnTask};
 use shareinsights::engine::task::{interpret_task, InterpretEnv, NamedTask};
 use shareinsights::engine::{
-    EngineError, ExecContext, Executor, FlowMemo, MemoVerdict, TaskRegistry, Uncached,
+    EngineError, ExecContext, Executor, FlowMemo, MemoVerdict, Stamp, TaskRegistry, Uncached,
 };
 use shareinsights::flowfile::ast::{FlowFile, TaskDef};
 use shareinsights::flowfile::config::{ConfigMap, ConfigValue};
@@ -430,7 +430,7 @@ F:
     let memo = FlowMemo::new();
     let ctx = ExecContext::new(catalog)
         .with_table("injected", rows.clone())
-        .with_stamped_table("stamped", rows, 7)
+        .with_stamped_table("stamped", rows, Stamp::Published(7))
         .with_memo(memo.clone(), 1);
     let verdicts = |result: &shareinsights::engine::ExecResult| -> BTreeMap<String, MemoVerdict> {
         let stats = &result.stats;
@@ -464,15 +464,21 @@ F:
     assert_same_result(&first, &again, "identical re-run");
 
     // A new stamp is new data; a newer registration epoch empties the memo.
-    let restamped = ctx
-        .clone()
-        .with_stamped_table("stamped", first.tables["pure"].clone(), 8);
+    let restamped = ctx.clone().with_stamped_table(
+        "stamped",
+        first.tables["pure"].clone(),
+        Stamp::Published(8),
+    );
     let third = Executor::default().execute(&pipeline, &restamped).unwrap();
     assert_eq!(third.stats.memo_misses, 1);
     assert_eq!(third.table("pure").unwrap().num_rows(), 2);
     let newer = ExecContext::new(ctx.catalog.clone())
         .with_table("injected", first.tables["injected"].clone())
-        .with_stamped_table("stamped", first.tables["stamped"].clone(), 7)
+        .with_stamped_table(
+            "stamped",
+            first.tables["stamped"].clone(),
+            Stamp::Published(7),
+        )
         .with_memo(memo.clone(), 2);
     let fourth = Executor::default().execute(&pipeline, &newer).unwrap();
     assert_eq!((fourth.stats.memo_hits, fourth.stats.memo_misses), (0, 1));
@@ -509,8 +515,8 @@ fn inputs_are_keyed_by_name_because_a_join_binds_them_by_name() {
     let memo = FlowMemo::new();
     let context = |first: &str, second: &str| {
         ExecContext::new(catalog.clone())
-            .with_stamped_table(first, one.clone(), 1)
-            .with_stamped_table(second, two.clone(), 2)
+            .with_stamped_table(first, one.clone(), Stamp::Published(1))
+            .with_stamped_table(second, two.clone(), Stamp::Published(2))
     };
     for (inputs, first, second) in [("D.a, D.b", "a", "b"), ("D.b, D.a", "b", "a")] {
         let pipeline = compiled(&flow(inputs));
@@ -1128,4 +1134,95 @@ fn an_unedited_rerun_keeps_pages_cached_and_an_edit_or_append_moves_them() {
     run();
     assert!(platform.data_generation("b") > appended);
     assert_eq!(page(), edited);
+}
+
+// ---------------------------------------------------------------------------
+// Live sources are keyed apart from every other table
+// ---------------------------------------------------------------------------
+
+/// A dashboard that totals `D.sales` — a live source while it streams, a
+/// shared object otherwise.
+const TOTALS: &str = r#"
+D:
+  sales: [brand, revenue]
+T:
+  by_brand:
+    type: groupby
+    groupby: [brand]
+    aggregates:
+    - operator: sum
+      apply_on: revenue
+      out_field: total
+F:
+  +D.totals: D.sales | T.by_brand
+"#;
+
+/// `TOTALS` run without a memo over `sales`.
+fn totals_over(sales: Table) -> Table {
+    let registry = TaskRegistry::new();
+    let env = shareinsights::engine::CompileEnv::bare(&registry);
+    let pipeline =
+        shareinsights::engine::compile(&parse_flow_file("t", TOTALS).unwrap(), &env).unwrap();
+    let ctx =
+        ExecContext::new(shareinsights::connectors::Catalog::new()).with_table("sales", sales);
+    let result = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+    result.tables["totals"].clone()
+}
+
+fn sales(rows: &str) -> Table {
+    let opts = CsvOptions {
+        has_header: false,
+        column_names: Some(vec!["brand".into(), "revenue".into()]),
+        ..CsvOptions::default()
+    };
+    read_csv(rows, &opts).unwrap()
+}
+
+#[test]
+fn two_streaming_dashboards_with_one_flow_never_share_a_memo_entry() {
+    // Each dashboard starts its source at an empty table and pushes once:
+    // if each counted its own versions, both pushes would be version 2.
+    let platform = Platform::new();
+    let dashboards = [("east", "acme,1\n"), ("west", "zest,2\n")];
+    for (dashboard, _) in dashboards {
+        platform.save_flow(dashboard, TOTALS).unwrap();
+        platform.stream_start(dashboard).unwrap();
+    }
+    for (dashboard, rows) in dashboards {
+        platform
+            .stream_push(dashboard, "sales", rows, None)
+            .unwrap();
+        let installed = platform.dashboard(dashboard).unwrap().endpoint_tables;
+        assert_eq!(installed["totals"], totals_over(sales(rows)), "{dashboard}");
+    }
+}
+
+#[test]
+fn a_live_version_and_a_publish_generation_never_share_a_memo_entry() {
+    let platform = Platform::new();
+    // A streaming dashboard pushes once: its source's versions are 1
+    // (empty, at start) and 2.
+    platform.save_flow("live", TOTALS).unwrap();
+    platform.stream_start("live").unwrap();
+    platform
+        .stream_push("live", "sales", "acme,1\n", None)
+        .unwrap();
+
+    // Another dashboard publishes `sales` twice: generation 2.
+    let producer = "D:\n  raw: [brand, revenue]\nD.raw:\n  source: 'raw.csv'\n  format: csv\n\
+                    T:\n  keep:\n    type: filter_by\n    filter_expression: revenue > 0\n\
+                    F:\n  +D.sales: D.raw | T.keep\n  D.sales:\n    publish: sales\n";
+    platform.save_flow("shop", producer).unwrap();
+    for rows in ["brand,revenue\nzest,5\n", "brand,revenue\nzest,7\n"] {
+        platform.upload_data("shop", "raw.csv", rows);
+        platform.run_dashboard("shop").unwrap();
+    }
+    assert_eq!(platform.publish_registry().generation("sales"), 2);
+
+    // The same flow text over the shared `sales` is keyed on generation
+    // 2, the live one on version 2: the reader must see the shared rows.
+    platform.save_flow("reader", TOTALS).unwrap();
+    let run = platform.run_dashboard("reader").unwrap();
+    assert_eq!(run.result.stats.memo_hits, 0);
+    assert_eq!(run.result.tables["totals"], totals_over(sales("zest,7\n")));
 }

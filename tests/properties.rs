@@ -7,13 +7,14 @@
 
 mod common;
 
+use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
 use shareinsights::engine::baseline::execute_naive;
 use shareinsights::engine::compile::{compile, CompileEnv};
 use shareinsights::engine::exec::{ExecContext, Executor};
 use shareinsights::engine::selection::{Selection, SelectionProvider, StaticSelections};
 use shareinsights::engine::task::run_chain;
-use shareinsights::engine::{StreamExec, TaskRegistry};
+use shareinsights::engine::TaskRegistry;
 use shareinsights::flowfile::parse_flow_file;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::io::csv::{read_csv, write_csv, CsvOptions};
@@ -827,16 +828,22 @@ fn cube_equals_batch_under_selection() {
 /// Case count for [`contexts_agree`]: a thirtieth in debug builds.
 const CONTEXT_CASES: usize = if cfg!(debug_assertions) { 60 } else { 2000 };
 
-/// The flows [`contexts_agree`] runs: passthrough (`passed`), incremental
-/// group-by with a stateless prefix and suffix (`grouped`), re-exec
-/// (`joined`, whose inputs are listed right side first), and three
+/// The flows [`contexts_agree`] runs: a row-local chain (`passed`), a
+/// group-by with a filter before and after it (`grouped`), a join whose
+/// inputs are listed right side first (`joined`), and three
 /// widget-filtered chains whose first task the cube can answer from an
 /// index: the filter (`picked`), the group-by (`keyed`), the sort
-/// (`ordered`). `@..@` marks the per-case parameters.
+/// (`ordered`). `W.pick` is declared because a platform save rejects a
+/// `filter_source` naming an unknown widget. `@..@` marks the per-case
+/// parameters.
 const CONTEXT_FLOW: &str = r#"
 D:
   facts: [k, day, i, f]
   dim: [k, label]
+W:
+  pick:
+    type: DataGrid
+    source: D.facts
 T:
   keep:
     type: filter_by
@@ -904,8 +911,8 @@ F:
   +D.ordered: D.facts | T.by_f | T.pick
 "#;
 
-fn context_facts(r: &mut SeededRng) -> Table {
-    let rows: Vec<Row> = (0..r.index(80))
+fn context_facts(r: &mut SeededRng, rows: usize) -> Table {
+    let rows: Vec<Row> = (0..rows)
         .map(|_| {
             let k = match r.index(8) {
                 0 => Value::Null,
@@ -950,6 +957,48 @@ fn micro_batches(r: &mut SeededRng, t: &Table, most: usize) -> Vec<Table> {
         .collect()
 }
 
+/// `facts` and `dim` cut into micro-batches, each source's in order, the
+/// sources interleaved.
+fn context_pushes(r: &mut SeededRng, facts: &Table, dim: &Table) -> Vec<(&'static str, Table)> {
+    let mut pushes = Vec::new();
+    let mut dims = micro_batches(r, dim, 2).into_iter();
+    for part in micro_batches(r, facts, 5) {
+        if r.chance(0.3) {
+            pushes.extend(dims.next().map(|d| ("dim", d)));
+        }
+        pushes.push(("facts", part));
+    }
+    pushes.extend(dims.map(|d| ("dim", d)));
+    pushes
+}
+
+/// `t`'s rows as the body of a push into a source that declares its
+/// columns: headerless CSV.
+fn push_body(t: &Table) -> String {
+    let csv = write_csv(t, ',');
+    csv.split_once('\n')
+        .map_or(String::new(), |(_, rows)| rows.to_string())
+}
+
+/// `t` as a streaming dashboard decodes it from [`push_body`].
+fn as_pushed(t: &Table) -> Table {
+    let names = t.schema().names().iter().map(|n| n.to_string()).collect();
+    let opts = CsvOptions {
+        has_header: false,
+        column_names: Some(names),
+        ..CsvOptions::default()
+    };
+    read_csv(&push_body(t), &opts).unwrap()
+}
+
+/// A streaming dashboard over `flow`, started.
+fn streaming(flow: &str) -> Platform {
+    let platform = Platform::new();
+    platform.save_flow("live", flow).unwrap();
+    platform.stream_start("live").unwrap();
+    platform
+}
+
 /// A selection on one widget column: none, a value set, or a range, of
 /// the type of the column it constrains.
 fn context_selection(r: &mut SeededRng, cell: fn(i64) -> Value) -> Option<Selection> {
@@ -966,14 +1015,22 @@ fn context_selection(r: &mut SeededRng, cell: fn(i64) -> Value) -> Option<Select
     }
 }
 
+/// A [`CONTEXT_FLOW`] case: its parameters drawn from `r`.
+fn context_flow(r: &mut SeededRng) -> String {
+    CONTEXT_FLOW
+        .replace("@MIN_I@", &r.int_range(-6, 12).to_string())
+        .replace("@MIN_N@", &r.int_range(0, 3).to_string())
+        .replace("@JOIN@", if r.chance(0.5) { "inner" } else { "left outer" })
+}
+
 /// One flow file, three execution contexts, equal tables — same schema,
 /// same rows in the same order, the same float bits (`Table`'s `==`
 /// compares floats by their total-order key, a bijection on bits): the
-/// batch executor over whole tables; the stream pushed the same rows in
-/// random micro-batches, its sources interleaved, with the state cap above
-/// the row count; and, for the widget-filtered chains, the data cube
-/// under random value and range selections, against the executor under
-/// the same ones.
+/// batch executor over whole tables; a streaming dashboard pushed the same
+/// rows as CSV in random micro-batches, its sources interleaved, fewer
+/// than its sources retain; and, for the widget-filtered chains, the data
+/// cube under random value and range selections, against the executor
+/// under the same ones.
 #[test]
 fn contexts_agree() {
     use shareinsights::engine::task::{interpret_task, InterpretEnv};
@@ -984,46 +1041,31 @@ fn contexts_agree() {
     let reg = TaskRegistry::new();
     let mut index_builds = 0;
     for case in 0..CONTEXT_CASES {
-        let src = CONTEXT_FLOW
-            .replace("@MIN_I@", &r.int_range(-6, 12).to_string())
-            .replace("@MIN_N@", &r.int_range(0, 3).to_string())
-            .replace("@JOIN@", if r.chance(0.5) { "inner" } else { "left outer" });
+        let src = context_flow(&mut r);
         let ff = parse_flow_file("contexts", &src).unwrap();
         let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
-        let (facts, dim) = (context_facts(&mut r), context_dim(&mut r));
+        let rows = r.index(80);
+        let facts = as_pushed(&context_facts(&mut r, rows));
+        let dim = as_pushed(&context_dim(&mut r));
         let mut ctx = ExecContext::new(shareinsights::connectors::Catalog::new())
             .with_table("facts", facts.clone())
             .with_table("dim", dim.clone());
         let batch = Executor::sequential().execute(&pipeline, &ctx).unwrap();
 
         // The stream: each source's batches in order, sources interleaved.
-        let mut pushes: Vec<(&str, Table)> = Vec::new();
-        let mut dims = micro_batches(&mut r, &dim, 2).into_iter();
-        for part in micro_batches(&mut r, &facts, 5) {
-            if r.chance(0.3) {
-                pushes.extend(dims.next().map(|d| ("dim", d)));
-            }
-            pushes.push(("facts", part));
+        let platform = streaming(&src);
+        for (source, part) in context_pushes(&mut r, &facts, &dim) {
+            platform
+                .stream_push("live", source, &push_body(&part), None)
+                .unwrap();
         }
-        pushes.extend(dims.map(|d| ("dim", d)));
-        let mut stream = StreamExec::new(pipeline.clone());
-        for (out, strategy) in [
-            ("passed", "passthrough"),
-            ("grouped", "incremental"),
-            ("joined", "reexec"),
-        ] {
-            assert_eq!(stream.strategy_name(out), Some(strategy));
-        }
-        for (source, part) in pushes {
-            stream.push_batch(source, part).unwrap();
-        }
+        let stream = platform.dashboard("live").unwrap().endpoint_tables;
         for flow in &pipeline.flows {
             let out = &flow.output;
             assert_eq!(
-                stream.table(out),
+                stream.get(out),
                 batch.table(out),
-                "case {case}: stream ({}) vs batch, D.{out}",
-                stream.strategy_name(out).unwrap()
+                "case {case}: stream vs batch, D.{out}"
             );
         }
 
@@ -1071,6 +1113,78 @@ fn contexts_agree() {
     assert!(
         index_builds > CONTEXT_CASES as u64,
         "the cube's first steps should run through its indexes ({index_builds} builds)"
+    );
+}
+
+/// Rows a live source retains: the platform's bound, restated here so the
+/// property below can model it and, in release builds, cross it.
+const STREAM_RETAIN_ROWS: usize = 100_000;
+
+/// At every tick, every endpoint of a streaming dashboard is the batch run
+/// over the rows its sources retain: the sources cut at random into
+/// micro-batches and interleaved, the retained rows modelled here as every
+/// decoded push concatenated and cut to the last [`STREAM_RETAIN_ROWS`],
+/// and checked against `Executor::sequential()` after each push. Case 0
+/// of a release build pushes past the bound.
+#[test]
+fn stream_ticks_equal_batch_over_retained_rows() {
+    use shareinsights::tabular::Schema;
+    use std::collections::BTreeMap;
+
+    let cases = if cfg!(debug_assertions) { 40 } else { 400 };
+    let mut r = SeededRng::new(0x57EA_0027);
+    let mut crossed = false;
+    for case in 0..cases {
+        let src = context_flow(&mut r);
+        let rows = match case {
+            0 if !cfg!(debug_assertions) => STREAM_RETAIN_ROWS + 20_000 + r.index(20_000),
+            _ => r.index(80),
+        };
+        let facts = as_pushed(&context_facts(&mut r, rows));
+        let dim = as_pushed(&context_dim(&mut r));
+        let platform = streaming(&src);
+        let pipeline = platform.compile_dashboard("live").unwrap();
+        let mut retained: BTreeMap<&str, Table> = [("facts", &facts), ("dim", &dim)]
+            .into_iter()
+            .map(|(name, t)| {
+                let schema = Schema::all_utf8(&t.schema().names()).unwrap();
+                (name, Table::empty(schema))
+            })
+            .collect();
+        let pushes = context_pushes(&mut r, &facts, &dim);
+        for (tick, (source, part)) in pushes.into_iter().enumerate() {
+            let push = platform
+                .stream_push("live", source, &push_body(&part), None)
+                .unwrap();
+            let held = &retained[source];
+            let grown = match held.num_rows() {
+                0 => as_pushed(&part),
+                _ => held.concat(&as_pushed(&part)).unwrap(),
+            };
+            let evicted = grown.num_rows().saturating_sub(STREAM_RETAIN_ROWS);
+            assert_eq!(push.evicted_rows, evicted, "case {case}, tick {tick}");
+            crossed |= evicted > 0;
+            retained.insert(source, grown.slice(evicted, STREAM_RETAIN_ROWS));
+
+            let ctx = retained.iter().fold(
+                ExecContext::new(shareinsights::connectors::Catalog::new()),
+                |ctx, (name, t)| ctx.with_table(*name, t.clone()),
+            );
+            let batch = Executor::sequential().execute(&pipeline, &ctx).unwrap();
+            let installed = platform.dashboard("live").unwrap().endpoint_tables;
+            for out in &pipeline.endpoints {
+                assert_eq!(
+                    installed.get(out),
+                    batch.table(out),
+                    "case {case}, tick {tick} (into {source}): D.{out}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        crossed,
+        !cfg!(debug_assertions),
+        "release crosses the bound"
     );
 }
 
