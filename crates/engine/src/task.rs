@@ -10,17 +10,17 @@ use crate::error::{EngineError, Result};
 use crate::exec::TaskRunStat;
 use crate::ext::TaskRegistry;
 use crate::memo::{Key128, Uncached};
-use crate::selection::{Selection, SelectionProvider};
+use crate::selection::SelectionProvider;
 use shareinsights_flowfile::ast::{DataRef, TaskDef};
 use shareinsights_flowfile::config::{ConfigMap, ConfigValue};
 use shareinsights_tabular::agg::{AggKind, AggregateFunction};
 use shareinsights_tabular::expr::{parse_expr, Expr};
 use shareinsights_tabular::ops::{
-    self, AggregateSpec, Buckets, DateMap, ExtractMap, FilterByValues, GroupBy, GroupByPartial,
-    JoinCondition, JoinSpec, KeyColumn, LocationMap, ProjectSpec, RowSel, SortKey, TopN, WordsMap,
+    self, AggregateSpec, Buckets, DateMap, ExtractMap, GroupBy, GroupByPartial, JoinCondition,
+    JoinSpec, KeyColumn, LocationMap, ProjectSpec, RowSel, SortKey, TopN, WordsMap,
 };
 use shareinsights_tabular::text::{ExtractDict, Gazetteer};
-use shareinsights_tabular::{DataType, Field, IndexedTable, Schema, Table, Value};
+use shareinsights_tabular::{Bitmap, DataType, Field, IndexedTable, Schema, Table, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -961,7 +961,10 @@ impl TaskKind {
                 source: FilterSource::Data(object),
                 source_columns,
             } => filter_by_data(task_name, single, columns, object, source_columns, rt),
-            TaskKind::FilterBySource { .. } => self.filter_by_widget(single, None, rt).map_err(err),
+            TaskKind::FilterBySource { .. } => match self.widget_predicate(rt) {
+                Some(e) => ops::filter_by_expr(single, &e).map_err(err),
+                None => Ok(single.clone()),
+            },
             TaskKind::GroupBy { builtin, custom } => {
                 let out = execute_groupby(task_name, single, builtin, custom)?;
                 notes.push(("groups", out.num_rows() as u64));
@@ -1025,62 +1028,38 @@ impl TaskKind {
     /// `None` when the task shape (or the specific columns it touches) is
     /// not covered — the caller falls back to [`TaskKind::execute`], which
     /// also reproduces any error the scan path would report. Covered
-    /// shapes: widget-sourced `filter_by` (value sets and ranges), builtin
-    /// `groupby` over a dictionary key, and single-key `sort`.
+    /// shapes: widget-sourced `filter_by` (its predicate reads the index on
+    /// every leaf), builtin `groupby` over a dictionary key, and single-key
+    /// `sort`.
     pub fn execute_indexed(&self, indexed: &IndexedTable, rt: &TaskRuntime<'_>) -> Option<Table> {
         match self {
             TaskKind::FilterBySource {
                 source: FilterSource::Widget(_),
                 ..
-            } => self
-                .filter_by_widget(indexed.table(), Some(indexed), rt)
-                .ok(),
+            } => Some(match self.widget_predicate(rt) {
+                Some(e) => indexed
+                    .table()
+                    .filter(&e.eval_mask_indexed(indexed).ok()?.0),
+                None => indexed.table().clone(),
+            }),
             TaskKind::GroupBy { builtin, custom } if custom.is_empty() => indexed.groupby(builtin),
             TaskKind::Sort(keys) => indexed.sort(keys),
             _ => None,
         }
     }
 
-    /// Keep the rows of `input` that the current widget selections allow,
-    /// one constraint per [`TaskKind::widget_filter`] pair; a pair with no
-    /// selection, or no interaction context at all, allows every row. With
-    /// `indexed` (over the same table as `input`), the first constraint that
-    /// applies runs through its index, and a scan when the index declines;
-    /// the rest filter the (much smaller) intermediate by scan.
-    fn filter_by_widget(
-        &self,
-        input: &Table,
-        indexed: Option<&IndexedTable>,
-        rt: &TaskRuntime<'_>,
-    ) -> shareinsights_tabular::Result<Table> {
-        let (Some(provider), Some((widget, pairs))) = (rt.selections, self.widget_filter()) else {
-            return Ok(input.clone());
-        };
-        let mut current: Option<Table> = None;
-        for (column, widget_column) in pairs {
-            let Some(selection) = provider.selection(widget, widget_column) else {
-                continue;
-            };
-            let index = indexed.filter(|_| current.is_none());
-            let scan = current.as_ref().unwrap_or(input);
-            current = Some(match selection {
-                Selection::Values(vals) => {
-                    let spec = FilterByValues::single(column, vals);
-                    match index.and_then(|ix| ix.filter_by_values(&spec)) {
-                        Some(out) => out,
-                        None => ops::filter_by_values(scan, &spec)?,
-                    }
-                }
-                Selection::Range(lo, hi) => {
-                    let range = FilterByValues::range(column, lo, hi);
-                    match index.and_then(|ix| ix.filter_by_range(&range)) {
-                        Some(out) => out,
-                        None => ops::filter::filter_by_range(scan, &range)?,
-                    }
-                }
-            });
-        }
-        Ok(current.unwrap_or_else(|| input.clone()))
+    /// The row filter the current widget selections put on a widget
+    /// `filter_by`: each [`TaskKind::widget_filter`] pair's
+    /// [`crate::Selection::predicate`], AND-ed. `None` when no pair constrains
+    /// anything, or there is no interaction context at all.
+    fn widget_predicate(&self, rt: &TaskRuntime<'_>) -> Option<Expr> {
+        let (widget, pairs) = self.widget_filter()?;
+        let provider = rt.selections?;
+        pairs
+            .filter_map(|(column, widget_column)| {
+                provider.selection(widget, widget_column)?.predicate(column)
+            })
+            .reduce(Expr::and)
     }
 }
 
@@ -1132,7 +1111,9 @@ pub fn run_chain(
 
 /// The semijoin filter: keep the rows whose `columns` values appear in the
 /// aligned `source_columns` (default: the same names) of data object
-/// `object`.
+/// `object`, each pair through [`ops::key_members`] and the pairs AND-ed.
+/// A source column with no non-null key constrains nothing, as an empty
+/// widget selection does.
 fn filter_by_data(
     task_name: &str,
     input: &Table,
@@ -1148,18 +1129,20 @@ fn filter_by_data(
             format!("filter_source 'D.{object}' is not materialised"),
         ));
     };
-    let mut current = input.clone();
+    let mut mask = Bitmap::new_set(input.num_rows());
     for (i, col) in columns.iter().enumerate() {
         let src_col = source_columns
             .get(i)
             .or_else(|| source_columns.first())
             .unwrap_or(col);
         let src = source_table.column(src_col).map_err(err)?;
-        let values: Vec<Value> = src.iter().filter(|v| !v.is_null()).collect();
-        let spec = FilterByValues::single(col.clone(), values);
-        current = ops::filter_by_values(&current, &spec).map_err(err)?;
+        if src.null_count() == src.len() {
+            continue;
+        }
+        let members = ops::key_members(input.column(col).map_err(err)?, src).map_err(err)?;
+        mask = mask.and(&members);
     }
-    Ok(current)
+    Ok(input.filter(&mask))
 }
 
 fn execute_groupby(
@@ -1228,8 +1211,9 @@ fn execute_groupby(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::Selection;
     use shareinsights_flowfile::parse_flow_file;
-    use shareinsights_tabular::row;
+    use shareinsights_tabular::{row, Column, Row};
 
     fn env_with<'a>(
         registry: &'a TaskRegistry,
@@ -1462,6 +1446,23 @@ mod tests {
         // Uncovered shapes decline.
         let t = interpret_src("T:\n  l:\n    type: limit\n    limit: 2\n", "l").unwrap();
         assert!(t.kind.execute_indexed(&indexed, &rt).is_none());
+
+        // Two constrained columns AND together, through the index too; a
+        // pair whose widget column has nothing selected constrains nothing.
+        let src = "T:\n  f2:\n    type: filter_by\n    filter_by: [project, n, project]\n    filter_source: W.w\n    filter_val: [text, value, other]\n";
+        let t = interpret_src(src, "f2").unwrap();
+        sel.set(
+            "w",
+            "text",
+            Selection::Values(vec!["pig".into(), "spark".into()]),
+        );
+        sel.set("w", "value", Selection::Range(Value::Int(2), Value::Int(4)));
+        let scan = t
+            .kind
+            .execute(&t.name, std::slice::from_ref(&table), &rt)
+            .unwrap();
+        assert_eq!(scan.to_rows(), vec![row!["pig", 3i64], row!["spark", 4i64]]);
+        assert_eq!(t.kind.execute_indexed(&indexed, &rt), Some(scan));
     }
 
     #[test]
@@ -1479,6 +1480,46 @@ mod tests {
             .execute(&t.name, std::slice::from_ref(&table), &rt)
             .unwrap();
         assert_eq!(out.num_rows(), 1);
+
+        // Two pairs: each input column against its source column, the
+        // pairs AND-ed (not a tuple match).
+        let src = "T:\n  keep:\n    type: filter_by\n    filter_by: [k, v]\n    filter_source: D.dim\n    filter_val: [k, v]\n";
+        let t = interpret_src(src, "keep").unwrap();
+        let kept = |input: Table, dim: Table| -> Vec<usize> {
+            let rt = TaskRuntime {
+                selections: None,
+                lookup_table: &move |name| (name == "dim").then(|| dim.clone()),
+            };
+            let input = input.with_column("row", Column::int(0..input.num_rows() as i64));
+            let out = t.kind.execute(&t.name, &[input.unwrap()], &rt).unwrap();
+            (0..out.num_rows())
+                .map(|i| out.value(i, "row").unwrap().as_int().unwrap() as usize)
+                .collect()
+        };
+        let input = Table::from_rows(
+            &["k", "v"],
+            &[
+                row![1i64, "x"],
+                row![2i64, "y"],
+                row![1i64, "y"],
+                row![Value::Null, "x"],
+                row![3i64, "z"],
+            ],
+        )
+        .unwrap();
+        let dim = |rows: &[Row]| Table::from_rows(&["k", "v"], rows).unwrap();
+        // (1, x) and (2, y) are not source tuples, but each cell is a key.
+        let pairs = dim(&[row![1i64, "y"], row![2i64, "x"], row![Value::Null, "z"]]);
+        assert_eq!(kept(input.clone(), pairs), [0, 1, 2]);
+        // Int64 keys meet Float64 keys by value; a null key never matches.
+        let floats = dim(&[row![1.0f64, "x"], row![2.5f64, "y"]]);
+        assert_eq!(kept(input.clone(), floats), [0, 2]);
+        // Int64 keys facing Utf8 keys match nothing.
+        let text = dim(&[row!["1", "x"], row!["2", "y"]]);
+        assert_eq!(kept(input.clone(), text), Vec::<usize>::new());
+        // A source column with no non-null key constrains nothing.
+        let no_keys = dim(&[row![Value::Null, "x"]]);
+        assert_eq!(kept(input, no_keys), [0, 3]);
     }
 
     #[test]

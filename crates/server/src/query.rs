@@ -15,10 +15,10 @@
 //! ```
 
 use shareinsights_tabular::agg::AggKind;
-use shareinsights_tabular::expr::Expr;
+use shareinsights_tabular::expr::{CmpOp, Expr};
 use shareinsights_tabular::ops::{
-    distinct, groupby, groupby_selected, join, sort, sort_limit, values_mask, AggregateSpec,
-    FilterByValues, GroupBy, JoinCondition, JoinSpec, SortKey, SortOrder,
+    distinct, groupby, groupby_selected, join, sort, sort_limit, AggregateSpec, GroupBy,
+    JoinCondition, JoinSpec, SortKey, SortOrder,
 };
 use shareinsights_tabular::{Bitmap, IndexedTable, Table, Value};
 
@@ -34,13 +34,6 @@ pub enum QueryOp {
         /// Aggregated column.
         apply_on: String,
     },
-    /// `filter/<col>/<value>`
-    Filter {
-        /// Column.
-        column: String,
-        /// Value (type-inferred).
-        value: Value,
-    },
     /// `sort/<col>/<asc|desc>`
     Sort {
         /// Column.
@@ -52,9 +45,8 @@ pub enum QueryOp {
     Distinct(String),
     /// `limit/<n>`
     Limit(usize),
-    /// SQL `WHERE` predicate that is richer than a single equality
-    /// (boolean logic, ranges, `IN`, `IS NULL`). Unreachable from the
-    /// path-segment grammar.
+    /// A row filter: `filter/<col>/<value>` (see [`path_filter`]) or a SQL
+    /// `WHERE` predicate.
     FilterExpr(Expr),
     /// SQL `GROUP BY` with multiple keys and/or aggregates (or aliased /
     /// global aggregates). Unreachable from the path-segment grammar.
@@ -83,9 +75,8 @@ pub enum QueryOp {
     /// selects straight from the input, so no filtered table is built.
     /// Produced by [`fuse`] only.
     FilteredGroupBy {
-        /// The selecting op: [`QueryOp::Filter`] or [`QueryOp::FilterExpr`]
-        /// (anything else is an evaluation error).
-        filter: Box<QueryOp>,
+        /// The selecting predicate.
+        filter: Expr,
         /// The grouping, in its general form.
         group: GroupBy,
     },
@@ -140,10 +131,7 @@ pub fn parse_ops(segments: &[&str]) -> Result<Vec<QueryOp>, String> {
             "filter" => {
                 let column = segments.get(i + 1).ok_or("filter missing column")?;
                 let value = segments.get(i + 2).ok_or("filter missing value")?;
-                ops.push(QueryOp::Filter {
-                    column: column.to_string(),
-                    value: Value::infer(value),
-                });
+                ops.push(path_filter(column, value));
                 i += 3;
             }
             "sort" => {
@@ -172,6 +160,17 @@ pub fn parse_ops(segments: &[&str]) -> Result<Vec<QueryOp>, String> {
         }
     }
     Ok(ops)
+}
+
+/// The path grammar's `filter/<column>/<value>`: `column == value`, the
+/// value typed by [`Value::infer`]. Canonical SQL lowers `WHERE column =
+/// value` to this same op.
+pub fn path_filter(column: &str, value: &str) -> QueryOp {
+    QueryOp::FilterExpr(Expr::cmp(
+        CmpOp::Eq,
+        Expr::col(column),
+        Expr::Literal(Value::infer(value)),
+    ))
 }
 
 pub(crate) fn groupby_config(key: &str, agg: AggKind, apply_on: &str) -> GroupBy {
@@ -231,10 +230,10 @@ pub fn fuse(ops: &[QueryOp]) -> Vec<QueryOp> {
             }
             _ => {}
         }
-        if let (QueryOp::Filter { .. } | QueryOp::FilterExpr(_), [next, after @ ..]) = (op, tail) {
+        if let (QueryOp::FilterExpr(filter), [next, after @ ..]) = (op, tail) {
             if let Some(group) = group_config(next) {
                 fused.push(QueryOp::FilteredGroupBy {
-                    filter: Box::new(op.clone()),
+                    filter: filter.clone(),
                     group,
                 });
                 rest = after;
@@ -246,29 +245,19 @@ pub fn fuse(ops: &[QueryOp]) -> Vec<QueryOp> {
     fused
 }
 
-/// The rows a filter op selects, and whether an index answered (part of)
-/// it. With `indexed`, value filters read posting lists and expression
-/// filters prune by dictionary and zone map; without, both scan.
+/// The rows a filter selects, and whether an index answered (part of) it.
+/// With `indexed`, leaves read dictionaries and zone maps; without, they
+/// scan.
 fn selection(
     table: &Table,
     indexed: Option<&IndexedTable>,
-    filter: &QueryOp,
+    filter: &Expr,
 ) -> Result<(Bitmap, bool), String> {
-    match filter {
-        QueryOp::Filter { column, value } => {
-            let spec = FilterByValues::single(column.clone(), vec![value.clone()]);
-            match indexed.and_then(|ix| ix.values_mask(&spec)) {
-                Some(mask) => Ok((mask, true)),
-                None => Ok((values_mask(table, &spec).map_err(|e| e.to_string())?, false)),
-            }
-        }
-        QueryOp::FilterExpr(e) => match indexed {
-            Some(ix) => e.eval_mask_indexed(ix),
-            None => e.eval_mask(table).map(|mask| (mask, false)),
-        }
-        .map_err(|e| e.to_string()),
-        other => Err(format!("{other:?} does not select rows")),
+    match indexed {
+        Some(ix) => filter.eval_mask_indexed(ix),
+        None => filter.eval_mask(table).map(|mask| (mask, false)),
     }
+    .map_err(|e| e.to_string())
 }
 
 /// Apply one operation via the scan kernels.
@@ -278,9 +267,7 @@ fn apply_op(current: &Table, op: &QueryOp) -> Result<Table, String> {
             let cfg = groupby_config(key, *agg, apply_on);
             groupby(current, &cfg).map_err(|e| e.to_string())?
         }
-        QueryOp::Filter { .. } | QueryOp::FilterExpr(_) => {
-            current.filter(&selection(current, None, op)?.0)
-        }
+        QueryOp::FilterExpr(filter) => current.filter(&selection(current, None, filter)?.0),
         QueryOp::Sort { .. } | QueryOp::SortMulti(_) => {
             let keys = sort_keys(op).expect("matched a sort");
             sort(current, &keys).map_err(|e| e.to_string())?
@@ -325,8 +312,8 @@ fn apply_first_indexed(indexed: &IndexedTable, op: &QueryOp) -> Result<(Table, b
             indexed.sort(&sort_keys(op).expect("matched a sort"))
         }
         QueryOp::TopN { keys, n } => indexed.top_n(keys, *n),
-        QueryOp::Filter { .. } | QueryOp::FilterExpr(_) => {
-            let (mask, hit) = selection(indexed.table(), Some(indexed), op)?;
+        QueryOp::FilterExpr(filter) => {
+            let (mask, hit) = selection(indexed.table(), Some(indexed), filter)?;
             return Ok((indexed.table().filter(&mask), hit));
         }
         QueryOp::FilteredGroupBy { filter, group } => {

@@ -7,7 +7,7 @@
 //! merge rule below is chosen so the sharded result is **byte-identical**
 //! to single-shard execution:
 //!
-//! * **Row-local ops** (`filter`, filter expressions, projection) commute
+//! * **Row-local ops** (filters and projection) commute
 //!   with partitioning — they run on each shard and the gathered
 //!   concatenation equals the unsharded output.
 //! * **Group-by** splits into a shard-local group-by plus a router-side
@@ -60,10 +60,7 @@ pub struct ScatterPlan {
 
 /// Is this op a pure per-row transformation (commutes with partitioning)?
 fn is_row_local(op: &QueryOp) -> bool {
-    matches!(
-        op,
-        QueryOp::Filter { .. } | QueryOp::FilterExpr(_) | QueryOp::Project(_)
-    )
+    matches!(op, QueryOp::FilterExpr(_) | QueryOp::Project(_))
 }
 
 /// The merge-side operator that re-aggregates a finished partial column,
@@ -116,7 +113,7 @@ pub fn plan(ops: &[QueryOp], schema: &Schema) -> Option<ScatterPlan> {
             // Splits back at the scatter point: the filter is row-local,
             // the group-by needs a merge. A shard's own evaluation fuses
             // the two again.
-            local.push((**filter).clone());
+            local.push(QueryOp::FilterExpr(filter.clone()));
             plan_groupby(local, group, &ops[i + 1..], schema)
         }
         QueryOp::TopN { .. } => {
@@ -206,7 +203,7 @@ fn plan_groupby(
 mod tests {
     use super::*;
     use shareinsights_tabular::expr::parse_expr;
-    use shareinsights_tabular::{Field, Value};
+    use shareinsights_tabular::Field;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -226,10 +223,7 @@ mod tests {
 
     #[test]
     fn row_local_prefix_scatters_without_post() {
-        let ops = vec![QueryOp::Filter {
-            column: "k".into(),
-            value: Value::Str("a".into()),
-        }];
+        let ops = vec![crate::query::path_filter("k", "a")];
         let p = plan(&ops, &schema()).unwrap();
         assert_eq!(p.local, ops);
         assert!(p.post.is_empty() && p.accumulate.is_none());

@@ -79,8 +79,8 @@ fn lower_stage(
     Ok(match stage {
         SqlStage::Filter(e) => match canonical_filter(e) {
             Some((column, value)) => {
-                let segs = vec!["filter".to_string(), column.clone(), value.to_string()];
-                (QueryOp::Filter { column, value }, Some(segs))
+                let op = crate::query::path_filter(&column, &value);
+                (op, Some(vec!["filter".to_string(), column, value]))
             }
             None => (QueryOp::FilterExpr(e.clone()), None),
         },
@@ -160,8 +160,9 @@ fn lower_stage(
 
 /// `WHERE col = literal` with a round-trippable rendering is exactly the
 /// path grammar's `filter/<col>/<value>` (whose value re-enters through
-/// [`Value::infer`]); anything else keeps expression semantics.
-fn canonical_filter(e: &Expr) -> Option<(String, Value)> {
+/// [`Value::infer`]): the column and the rendered value. Anything else
+/// keys as `sql:`.
+fn canonical_filter(e: &Expr) -> Option<(String, String)> {
     use shareinsights_tabular::expr::CmpOp;
     let (c, v) = match e {
         Expr::Cmp(CmpOp::Eq, lhs, rhs) => match (lhs.as_ref(), rhs.as_ref()) {
@@ -175,7 +176,7 @@ fn canonical_filter(e: &Expr) -> Option<(String, Value)> {
     }
     let rendered = v.to_string();
     if seg_ok(&rendered) && Value::infer(&rendered) == *v {
-        Some((c.clone(), v.clone()))
+        Some((c.clone(), rendered))
     } else {
         None
     }
@@ -200,7 +201,6 @@ fn op_key(op: &QueryOp) -> String {
         QueryOp::GroupBy { key, agg, apply_on } => {
             format!("groupby/{key}/{}/{apply_on}", agg.name())
         }
-        QueryOp::Filter { column, value } => format!("filter/{column}/{value}"),
         QueryOp::Sort { column, order } => format!("sort/{column}/{}", direction(*order)),
         QueryOp::Distinct(c) => format!("distinct/{c}"),
         QueryOp::Limit(n) => format!("limit/{n}"),
@@ -227,7 +227,7 @@ fn op_key(op: &QueryOp) -> String {
                 .join(", ")
         ),
         QueryOp::FilteredGroupBy { filter, group } => {
-            format!("selected({};{})", op_key(filter), group_key(group))
+            format!("selected(where({filter:?});{})", group_key(group))
         }
     }
 }

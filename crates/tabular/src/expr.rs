@@ -153,6 +153,11 @@ impl Expr {
         Expr::Cmp(op, Box::new(l), Box::new(r))
     }
 
+    /// Shorthand: logical AND.
+    pub fn and(l: Expr, r: Expr) -> Expr {
+        Expr::And(Box::new(l), Box::new(r))
+    }
+
     /// Column names referenced anywhere in the tree (sorted, deduplicated) —
     /// the engine uses this for schema checking and projection pushdown.
     pub fn referenced_columns(&self) -> Vec<String> {
@@ -354,7 +359,7 @@ struct MaskContext<'a> {
     /// Every referenced column, by name.
     columns: Vec<(String, &'a Column)>,
     indexed: Option<&'a IndexedTable>,
-    /// Set when a dictionary or zone index answered (part of) a leaf.
+    /// Set when a leaf read a dictionary or a zone map.
     index_used: Cell<bool>,
 }
 
@@ -376,8 +381,8 @@ impl<'a> MaskContext<'a> {
     }
 
     /// `column <op> literal` over the typed slice, or `None` when the pair
-    /// needs row-wise semantics: a null literal, or a string on one side
-    /// and a number on the other (the string is parsed per row).
+    /// needs row-wise semantics: a null literal, a number facing string
+    /// cells (each cell is parsed), or a non-numeric string facing numbers.
     fn compare(&self, name: &str, op: CmpOp, lit: &Value) -> Option<Bitmap> {
         let column = self.column(name);
         let raw = match (column, lit) {
@@ -401,6 +406,12 @@ impl<'a> MaskContext<'a> {
                 _ => Bitmap::from_fn(self.rows, |i| op.apply(data[i].cmp(s.as_str()))),
             },
             (Column::Utf8 { .. }, _) => return None,
+            // A numeric string facing a number compares as that number, as
+            // `compare_coerced` parses it per row.
+            (Column::Int64 { .. } | Column::Float64 { .. }, Value::Str(s)) => {
+                let number = s.trim().parse::<f64>().ok()?;
+                return self.compare(name, op, &Value::Float(number));
+            }
             (Column::Null { .. }, _) => Bitmap::new_cleared(self.rows),
             _ => self.zoned(name, op, lit, &TypedLeaf::resolve(column, lit)?),
         };
@@ -424,6 +435,7 @@ impl<'a> MaskContext<'a> {
             leaf.fill(op, &mut mask, 0, self.rows);
             return mask;
         };
+        self.index_used.set(true);
         for (z, bounds) in zones.zones().iter().enumerate() {
             let start = z * zones.zone_rows();
             let end = (start + zones.zone_rows()).min(self.rows);
@@ -442,9 +454,6 @@ impl<'a> MaskContext<'a> {
                 Some(true) => mask.set_range(start, end),
                 Some(false) => {}
                 None => leaf.fill(op, &mut mask, start, end),
-            }
-            if settled.is_some() {
-                self.index_used.set(true);
             }
         }
         mask
@@ -472,9 +481,10 @@ impl<'a> MaskContext<'a> {
                     self.index_used.set(true);
                     d.rows_for_values(list)
                 }
-                _ => Bitmap::from_fn(self.rows, |i| {
-                    list.iter().any(|l| l.as_str() == Some(&data[i]))
-                }),
+                _ => {
+                    let members = member_keys(list, Value::as_str);
+                    Bitmap::from_fn(self.rows, |i| members.binary_search(&&data[i]).is_ok())
+                }
             },
             Column::Int64 { data, .. } => {
                 let ints = member_keys(list, |v| match v {
@@ -606,7 +616,7 @@ fn compare_into<T: Copy>(
 }
 
 /// The keys of the `IN` members `key` accepts, sorted and deduplicated.
-fn member_keys<K: Ord>(list: &[Value], key: impl Fn(&Value) -> Option<K>) -> Vec<K> {
+fn member_keys<'a, K: Ord>(list: &'a [Value], key: impl Fn(&'a Value) -> Option<K>) -> Vec<K> {
     let mut keys: Vec<K> = list.iter().filter_map(key).collect();
     keys.sort_unstable();
     keys.dedup();

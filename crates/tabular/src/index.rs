@@ -19,26 +19,24 @@
 //!   bounds cannot intersect the predicate and scan only candidate zones.
 //!
 //! [`IndexedTable`] bundles a [`Table`] with one lazily built
-//! ([`OnceLock`]) index slot per column and exposes accelerated kernels
-//! that mirror the scan kernels' semantics *exactly*. Every accelerated
-//! kernel returns `Option<Table>`: `None` means "not covered — run the
-//! scan kernel instead", the same decline-to-generic contract the
-//! group-by fast path uses. Callers therefore never see a behaviour
-//! difference, only a latency one; the differential tests in this module
-//! and in `tests/` pin that down.
+//! ([`OnceLock`]) index slot per column. Row filters read the indexes
+//! through [`crate::expr::Expr::eval_mask_indexed`]; the group-by and sort
+//! kernels here mirror the scan kernels' semantics *exactly* and return
+//! `Option<Table>`: `None` means "not covered — run the scan kernel
+//! instead". Callers therefore never see a behaviour difference, only a
+//! latency one; the differential tests in this module and in `tests/` pin
+//! that down.
 
 use crate::agg::AggKind;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
-use crate::ops::filter::{FilterByValues, RangeFilter};
 use crate::ops::groupby::{GroupBy, GroupByPartial};
 use crate::ops::keys::{group_ids, Buckets, GroupIds, KeyColumn, RowSel};
 use crate::ops::sort::{SortKey, SortOrder};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -55,16 +53,6 @@ const UNION_BELOW: usize = 2;
 
 /// Rows per zone in a [`ZoneIndex`].
 pub const ZONE_ROWS: usize = 4096;
-
-/// Compare a dictionary entry against an arbitrary [`Value`] under the
-/// total `Value` order. Strings carry the highest type rank, so a string
-/// cell compares greater than any non-string, non-string value.
-fn cmp_str_value(s: &str, v: &Value) -> Ordering {
-    match v {
-        Value::Str(o) => s.cmp(o.as_str()),
-        _ => Ordering::Greater,
-    }
-}
 
 /// A posting holds row ids while it covers fewer than one row in this
 /// many, and a bitmap from there on: a `u32` row id costs 32 bits and a
@@ -250,10 +238,8 @@ impl DictionaryIndex {
     }
 
     /// Rows whose cell equals any of `allowed` — the posting-list union
-    /// form of [`crate::ops::filter_by_values`]'s per-column membership
-    /// test. A `Null` in the allowed set selects the null rows (matching
-    /// the scan path, where `Value::Null` set membership matches null
-    /// cells); non-string values never equal a string cell.
+    /// form of `column IN (allowed)`. A `Null` in the allowed set selects
+    /// the null rows; non-string values never equal a string cell.
     pub fn rows_for_values(&self, allowed: &[Value]) -> Bitmap {
         let mut mask = Bitmap::new_cleared(self.codes.len());
         for v in allowed {
@@ -268,19 +254,6 @@ impl DictionaryIndex {
             }
         }
         mask
-    }
-
-    /// Rows whose cell `v` satisfies `!v.is_null() && v >= lo && v <= hi`
-    /// under the total `Value` order. Because the dictionary is sorted, the
-    /// qualifying codes form one contiguous span.
-    pub fn rows_for_range(&self, lo: &Value, hi: &Value) -> Bitmap {
-        let start = self
-            .dict
-            .partition_point(|s| cmp_str_value(s, lo) == Ordering::Less) as u32;
-        let end =
-            self.dict
-                .partition_point(|s| cmp_str_value(s, hi) != Ordering::Greater) as u32;
-        self.rows_for_code_span(start, end)
     }
 
     /// Rows whose code lies in `[start, end)` — a contiguous run of the
@@ -503,59 +476,6 @@ impl ZoneIndex {
             zones,
         }
     }
-
-    /// Rows of `col` satisfying the inclusive range predicate, skipping
-    /// zones whose bounds cannot intersect `[lo, hi]`. Per-row checks in
-    /// candidate zones use exactly the scan predicate, so results match
-    /// [`crate::ops::filter::filter_by_range`] bit for bit.
-    pub fn rows_for_range(&self, col: &Column, lo: &Value, hi: &Value) -> Bitmap {
-        let n = col.len();
-        let mut mask = Bitmap::new_cleared(n);
-        for (z, bounds) in self.zones.iter().enumerate() {
-            let Some((zmin, zmax)) = bounds else { continue };
-            if zmax < lo || zmin > hi {
-                continue;
-            }
-            let start = z * self.zone_rows;
-            let end = (start + self.zone_rows).min(n);
-            for i in start..end {
-                let v = col.value(i);
-                if !v.is_null() && v >= *lo && v <= *hi {
-                    mask.set(i);
-                }
-            }
-        }
-        mask
-    }
-
-    /// Rows of `col` whose cell is a member of `allowed`, pruning zones
-    /// outside `[min(allowed), max(allowed)]`. Declines (`None`) when the
-    /// allowed set contains `Null`: null rows match null set members on the
-    /// scan path but are invisible to zone bounds.
-    pub fn rows_for_values(&self, col: &Column, allowed: &[Value]) -> Option<Bitmap> {
-        if allowed.iter().any(Value::is_null) {
-            return None;
-        }
-        let lo = allowed.iter().min()?;
-        let hi = allowed.iter().max()?;
-        let set: HashSet<&Value> = allowed.iter().collect();
-        let n = col.len();
-        let mut mask = Bitmap::new_cleared(n);
-        for (z, bounds) in self.zones.iter().enumerate() {
-            let Some((zmin, zmax)) = bounds else { continue };
-            if zmax < lo || zmin > hi {
-                continue;
-            }
-            let start = z * self.zone_rows;
-            let end = (start + self.zone_rows).min(n);
-            for i in start..end {
-                if set.contains(&col.value(i)) {
-                    mask.set(i);
-                }
-            }
-        }
-        Some(mask)
-    }
 }
 
 /// A per-column acceleration index.
@@ -590,9 +510,10 @@ impl ColumnIndex {
     }
 }
 
-/// A table plus lazily built per-column indexes, with accelerated
-/// filter/groupby/sort kernels that decline (`None`) whenever the index
-/// does not cover the requested shape.
+/// A table plus lazily built per-column indexes, which row filters read
+/// through [`crate::expr::Expr::eval_mask_indexed`], and accelerated
+/// groupby/sort kernels that decline (`None`) whenever the index does not
+/// cover the requested shape.
 ///
 /// Index builds happen at most once per column (guarded by [`OnceLock`])
 /// the first time a kernel needs that column; an optional build hook
@@ -759,47 +680,6 @@ impl IndexedTable {
                 })
             })
             .clone()
-    }
-
-    /// Accelerated [`crate::ops::filter_by_values`]: resolve each
-    /// constraint to a row bitmap via the column's index and AND them.
-    /// Declines when any constrained column lacks an index (including
-    /// missing columns, so the scan path reports the error).
-    pub fn filter_by_values(&self, spec: &FilterByValues) -> Option<Table> {
-        Some(self.table.filter(&self.values_mask(spec)?))
-    }
-
-    /// The selection [`IndexedTable::filter_by_values`] keeps, as a row
-    /// mask; declines under the same conditions.
-    pub fn values_mask(&self, spec: &FilterByValues) -> Option<Bitmap> {
-        let n = self.table.num_rows();
-        let mut mask = Bitmap::new_set(n);
-        for (column, allowed) in &spec.constraints {
-            if allowed.is_empty() {
-                continue; // empty selection = no constraint (scan parity)
-            }
-            let index = self.index(column)?;
-            let m = match index.as_ref() {
-                ColumnIndex::Dictionary(d) => d.rows_for_values(allowed),
-                ColumnIndex::Zones(z) => {
-                    z.rows_for_values(self.table.column(column).ok()?, allowed)?
-                }
-            };
-            mask = mask.and(&m);
-        }
-        Some(mask)
-    }
-
-    /// Accelerated [`crate::ops::filter::filter_by_range`].
-    pub fn filter_by_range(&self, range: &RangeFilter) -> Option<Table> {
-        let index = self.index(&range.column)?;
-        let mask = match index.as_ref() {
-            ColumnIndex::Dictionary(d) => d.rows_for_range(&range.lo, &range.hi),
-            ColumnIndex::Zones(z) => {
-                z.rows_for_range(self.table.column(&range.column).ok()?, &range.lo, &range.hi)
-            }
-        };
-        Some(self.table.filter(&mask))
     }
 
     /// Accelerated [`crate::ops::groupby()`], offered when at least one
@@ -973,8 +853,9 @@ impl IndexedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{CmpOp, Expr};
     use crate::ops::groupby::AggregateSpec;
-    use crate::ops::{filter_by_values, groupby, sort};
+    use crate::ops::{groupby, sort};
     use crate::row;
     use crate::schema::Schema;
 
@@ -1018,55 +899,12 @@ mod tests {
         assert_eq!(ix.build_stats().0, 1);
     }
 
-    #[test]
-    fn filter_by_values_matches_scan_including_nulls() {
-        let t = sample();
-        let ix = indexed(&t);
-        let specs = [
-            FilterByValues::single("team", vec!["t03".into(), "t11".into()]),
-            FilterByValues::single("team", vec![Value::Null, "t00".into()]),
-            FilterByValues::single("team", vec!["absent".into()]),
-            FilterByValues::single("team", vec![]),
-            FilterByValues::single("team", vec![Value::Int(3)]),
-            FilterByValues::single("team", vec!["t05".into()]).and("n", vec![Value::Int(5)]),
-        ];
-        for spec in &specs {
-            let scan = filter_by_values(&t, spec).unwrap();
-            let fast = ix.filter_by_values(spec).expect("covered");
-            assert_eq!(fast, scan, "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn filter_by_values_declines_missing_column_and_null_on_zones() {
-        let ix = indexed(&sample());
-        let missing = FilterByValues::single("nope", vec!["x".into()]);
-        assert!(ix.filter_by_values(&missing).is_none());
-        // A Null in the allowed set over a zone-indexed column declines.
-        let t = Table::from_rows(&["n"], &[row![1i64], row![Value::Null]]).unwrap();
-        let ix = indexed(&t);
-        let spec = FilterByValues::single("n", vec![Value::Null, Value::Int(1)]);
-        assert!(ix.filter_by_values(&spec).is_none());
-    }
-
-    #[test]
-    fn range_filter_matches_scan_on_strings_and_numbers() {
-        let t = sample();
-        let ix = indexed(&t);
-        let cases = [
-            FilterByValues::range("team", "t03".into(), "t09".into()),
-            FilterByValues::range("team", "t05".into(), "t05".into()),
-            FilterByValues::range("team", "zz".into(), "aa".into()),
-            FilterByValues::range("team", Value::Int(0), Value::Int(10)),
-            FilterByValues::range("n", Value::Int(40), Value::Int(90)),
-            FilterByValues::range("n", Value::Int(500), Value::Int(900)),
-            FilterByValues::range("n", Value::Float(9.5), Value::Int(12)),
-        ];
-        for r in &cases {
-            let scan = crate::ops::filter::filter_by_range(&t, r).unwrap();
-            let fast = ix.filter_by_range(r).expect("covered");
-            assert_eq!(fast, scan, "{r:?}");
-        }
+    /// `column >= lo and column <= hi`, the lowering of a range selection.
+    fn between(column: &str, lo: i64, hi: i64) -> Expr {
+        Expr::and(
+            Expr::cmp(CmpOp::Ge, Expr::col(column), Expr::lit(lo)),
+            Expr::cmp(CmpOp::Le, Expr::col(column), Expr::lit(hi)),
+        )
     }
 
     #[test]
@@ -1085,9 +923,11 @@ mod tests {
             panic!("expected zones");
         };
         assert_eq!(z.zone_count(), 3);
-        let r = FilterByValues::range("v", Value::Int(50), Value::Int(120));
-        let scan = crate::ops::filter::filter_by_range(&t, &r).unwrap();
-        assert_eq!(ix.filter_by_range(&r).unwrap(), scan);
+        let range = between("v", 50, 120);
+        let (mask, used) = range.eval_mask_indexed(&ix).unwrap();
+        assert!(used, "the zone map settles the second and third zones");
+        assert_eq!(mask, range.eval_mask(&t).unwrap());
+        assert_eq!(mask.ones(), (5..=12).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1281,9 +1121,9 @@ mod tests {
         let cold = indexed(&merged.table().clone());
         assert_index_identical(&merged, &cold, "v");
         // And the merged index answers queries like the scan path.
-        let r = FilterByValues::range("v", Value::Int(-10), Value::Int(5));
-        let scan = crate::ops::filter::filter_by_range(merged.table(), &r).unwrap();
-        assert_eq!(merged.filter_by_range(&r).unwrap(), scan);
+        let range = between("v", -10, 5);
+        let (mask, _) = range.eval_mask_indexed(&merged).unwrap();
+        assert_eq!(mask, range.eval_mask(merged.table()).unwrap());
     }
 
     #[test]

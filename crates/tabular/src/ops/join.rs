@@ -168,30 +168,42 @@ impl JoinSpec {
     }
 }
 
-/// The key columns of both sides, pairwise of one type: an `Int64` column
-/// facing a `Float64` one is cast to `Float64`, which is how `Value`
-/// compares the two (`Int(a) == Float(b)` iff `a as f64` is `b`). Any
-/// other pair of differing types is left alone — no two of their cells
-/// are equal, and [`KeyTable::probe`] matches nothing across types.
+/// Two key columns of one type: an `Int64` column facing a `Float64` one
+/// is cast to `Float64`, which is how `Value` compares the two (`Int(a) ==
+/// Float(b)` iff `a as f64` is `b`). Any other pair of differing types is
+/// left alone — no two of their cells are equal, and [`KeyTable::probe`]
+/// matches nothing across types.
+fn unified(l: &ColumnRef, r: &ColumnRef) -> Result<[ColumnRef; 2]> {
+    let mixed = matches!(
+        (l.data_type(), r.data_type()),
+        (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
+    );
+    if mixed {
+        return Ok([l.cast(DataType::Float64)?, r.cast(DataType::Float64)?]);
+    }
+    Ok([l.clone(), r.clone()])
+}
+
+/// The key columns of both sides, pairwise [`unified`].
 fn unified_keys(left: &Table, right: &Table, spec: &JoinSpec) -> Result<[Vec<ColumnRef>; 2]> {
     let (mut lkeys, mut rkeys) = (Vec::new(), Vec::new());
     for (l, r) in spec.left_keys.iter().zip(&spec.right_keys) {
-        let (l, r) = (left.column(l)?, right.column(r)?);
-        let mixed = matches!(
-            (l.data_type(), r.data_type()),
-            (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
-        );
-        let unify = |c: &ColumnRef| {
-            if mixed {
-                c.cast(DataType::Float64)
-            } else {
-                Ok(c.clone())
-            }
-        };
-        lkeys.push(unify(l)?);
-        rkeys.push(unify(r)?);
+        let [l, r] = unified(left.column(l)?, right.column(r)?)?;
+        lkeys.push(l);
+        rkeys.push(r);
     }
     Ok([lkeys, rkeys])
+}
+
+/// The semijoin on one key: the rows of `probe` whose cell equals some
+/// cell of `build` under the join's key equality — a [`KeyTable`] built
+/// over `build` and probed, so `Int64` meets `Float64` by value, any other
+/// pair of types never, and a null on either side matches nothing.
+pub fn key_members(probe: &ColumnRef, build: &ColumnRef) -> Result<Bitmap> {
+    let [probe, build] = unified(probe, build)?;
+    let (keys, _) = KeyTable::build(&[build.as_ref()], &RowSel::new(build.len(), None));
+    let ids = keys.probe(&[probe.as_ref()], &RowSel::new(probe.len(), None));
+    Ok(Bitmap::from_fn(ids.len(), |row| ids[row] != NONE))
 }
 
 /// Execute a hash join. The build side is the right input, keyed through

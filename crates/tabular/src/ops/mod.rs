@@ -17,11 +17,11 @@ pub mod topn;
 pub mod union;
 
 pub use distinct::distinct;
-pub use filter::{filter_by_expr, filter_by_values, values_mask, FilterByValues};
+pub use filter::filter_by_expr;
 pub use groupby::{
     groupby, groupby_partial, groupby_selected, AggregateSpec, GroupBy, GroupByPartial,
 };
-pub use join::{join, JoinCondition, JoinSpec, ProjectSpec};
+pub use join::{join, key_members, JoinCondition, JoinSpec, ProjectSpec};
 pub use keys::{group_ids, Buckets, GroupIds, KeyColumn, KeyTable, RowSel};
 pub use map::{
     map_date, map_date_counted, map_extract, map_extract_location, map_extract_location_counted,

@@ -176,7 +176,7 @@ mod tests {
     use shareinsights_engine::task::FilterSource;
     use shareinsights_tabular::agg::AggKind;
     use shareinsights_tabular::ops::{AggregateSpec, GroupBy};
-    use shareinsights_tabular::row;
+    use shareinsights_tabular::{row, Value};
 
     fn team_tweets() -> Table {
         Table::from_rows(
@@ -359,5 +359,52 @@ mod tests {
         );
         let out = cube.eval("w", &tasks, &sel).unwrap();
         assert_eq!(out.num_rows(), 3);
+    }
+
+    #[test]
+    fn numeric_slider_selects_by_number() {
+        // A slider with no range set selects its static bounds, which are
+        // strings; over an Int64 column they compare as the numbers they
+        // spell. A null bound compares false, as in SQL.
+        let years = Table::from_rows(
+            &["year", "n"],
+            &[
+                row![2008i64, 1i64],
+                row![2010i64, 2i64],
+                row![2014i64, 3i64],
+            ],
+        )
+        .unwrap();
+        let tasks = vec![NamedTask {
+            name: "by_year".into(),
+            kind: TaskKind::FilterBySource {
+                columns: vec!["year".into()],
+                source: FilterSource::Widget("years".into()),
+                source_columns: vec!["value".into()],
+            },
+            fingerprint: None,
+        }];
+        let sel = StaticSelections::new();
+        let rt = TaskRuntime {
+            selections: Some(&sel),
+            lookup_table: &|_| None,
+        };
+        let null_bound = Selection::Range(Value::Null, Value::Int(2013));
+        for (range, want) in [
+            (Selection::Range("2008".into(), "2013".into()), vec![1, 2]),
+            (null_bound, vec![]),
+        ] {
+            sel.set("years", "value", range);
+            let via_cube = DataCube::new(years.clone())
+                .eval("w", &tasks, &sel)
+                .unwrap();
+            let input = vec![(None, years.clone())];
+            let chain = run_chain("w", &tasks, input, &rt, Instant::now(), &mut Vec::new());
+            assert_eq!(*via_cube, chain.unwrap());
+            let kept: Vec<i64> = (0..via_cube.num_rows())
+                .map(|i| via_cube.value(i, "n").unwrap().as_int().unwrap())
+                .collect();
+            assert_eq!(kept, want);
+        }
     }
 }

@@ -19,8 +19,7 @@ use shareinsights::server::query::QueryOp;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::Expr;
 use shareinsights::tabular::ops::{
-    filter_by_values, AggregateSpec, FilterByValues, GroupBy, JoinCondition, JoinSpec, SortKey,
-    SortOrder, TopN,
+    AggregateSpec, GroupBy, JoinCondition, JoinSpec, SortKey, SortOrder, TopN,
 };
 use shareinsights::tabular::{
     Bitmap, Column, ColumnBuilder, DataType, Field, Row, Schema, Table, Value,
@@ -86,10 +85,6 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
                 rowwise_groupby(&current, &cfg, None)?
             }
             QueryOp::GroupByMulti(cfg) => rowwise_groupby(&current, cfg, None)?,
-            QueryOp::Filter { column, value } => {
-                let spec = FilterByValues::single(column.clone(), vec![value.clone()]);
-                filter_by_values(&current, &spec).map_err(|e| e.to_string())?
-            }
             QueryOp::FilterExpr(e) => {
                 let mask = rowwise_mask(e, &current)?;
                 current.take(&mask.ones())

@@ -3,7 +3,9 @@
 //! The contract under test: every accelerated kernel either *declines*
 //! (returns `None`, sending the caller to the scan path) or produces a
 //! table whose JSON serialization is **byte-identical** to the scan
-//! kernel's output — same rows, same order, same formatting. Generated
+//! kernel's output — same rows, same order, same formatting — and a
+//! widget selection's predicate selects the same rows through the index,
+//! by column scan and row by row through the oracle. Generated
 //! cases deliberately include nulls, all-null columns (empty
 //! dictionaries), zero-row tables, values absent from the dictionary,
 //! and range predicates entirely outside the data's span.
@@ -14,15 +16,14 @@
 mod common;
 
 use shareinsights::datagen::SeededRng;
-use shareinsights::server::query::{parse_ops, run_query, run_query_indexed, QueryOp};
+use shareinsights::engine::Selection;
+use shareinsights::server::query::{parse_ops, path_filter, run_query, run_query_indexed, QueryOp};
 use shareinsights::server::table_to_json;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::parse_expr;
 use shareinsights::tabular::io::csv::{read_csv, CsvOptions};
-use shareinsights::tabular::ops::filter::{filter_by_range, RangeFilter};
 use shareinsights::tabular::ops::{
-    filter_by_values, groupby, groupby_selected, sort, AggregateSpec, FilterByValues, GroupBy,
-    SortKey, SortOrder,
+    groupby, groupby_selected, sort, AggregateSpec, GroupBy, SortKey, SortOrder,
 };
 use shareinsights::tabular::{
     Bitmap, Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
@@ -106,6 +107,30 @@ fn gen_allowed(r: &mut SeededRng) -> Vec<Value> {
     allowed
 }
 
+/// `selection` on `column` of `ix`'s table three ways — through the index
+/// ([`Expr::eval_mask_indexed`]), by column scan ([`Expr::eval_mask`]) and
+/// row by row through the oracle — which must agree bit for bit. Returns
+/// whether an index answered; an empty value list constrains nothing.
+///
+/// [`Expr::eval_mask_indexed`]: shareinsights::tabular::expr::Expr::eval_mask_indexed
+/// [`Expr::eval_mask`]: shareinsights::tabular::expr::Expr::eval_mask
+fn assert_selection_agrees(
+    selection: &Selection,
+    column: &str,
+    ix: &IndexedTable,
+    what: &str,
+) -> bool {
+    let predicate = selection.predicate(column);
+    let unconstrained = *selection == Selection::Values(vec![]);
+    assert_eq!(predicate.is_none(), unconstrained, "{what}: {selection:?}");
+    let Some(e) = predicate else { return false };
+    let want = common::rowwise_mask(&e, ix.table()).unwrap();
+    assert_eq!(e.eval_mask(ix.table()).unwrap(), want, "{what}: {e}");
+    let (fast, used) = e.eval_mask_indexed(ix).unwrap();
+    assert_eq!(fast, want, "{what}: {e} (indexed)");
+    used
+}
+
 fn assert_same_bytes(fast: &Table, scan: &Table, what: &str) {
     assert_eq!(
         table_to_json(fast),
@@ -118,8 +143,9 @@ fn assert_same_bytes(fast: &Table, scan: &Table, what: &str) {
 // Kernel-level differentials
 // ---------------------------------------------------------------------------
 
-/// Value-set filters through posting lists agree with the scan filter,
-/// including null selections, misses, and empty dictionaries.
+/// Value selections (`column in […]`) through posting lists agree with
+/// the scan and the oracle, including null members, misses, empty
+/// selections and empty dictionaries.
 #[test]
 fn filter_by_values_matches_scan() {
     let mut r = SeededRng::new(0x1D1F_0001);
@@ -139,12 +165,8 @@ fn filter_by_values_matches_scan() {
             } else {
                 gen_allowed(&mut r)
             };
-            let spec = FilterByValues::single(col, allowed);
-            let scan = filter_by_values(&t, &spec).unwrap();
-            if let Some(fast) = ix.filter_by_values(&spec) {
-                assert_same_bytes(&fast, &scan, "filter_by_values");
-                covered += 1;
-            }
+            let selection = Selection::Values(allowed);
+            covered += usize::from(assert_selection_agrees(&selection, col, &ix, col));
         }
     }
     assert!(
@@ -153,8 +175,9 @@ fn filter_by_values_matches_scan() {
     );
 }
 
-/// Range filters through zones and dictionary spans agree with the scan
-/// filter, including ranges entirely outside the data and inverted bounds.
+/// Range selections (`column >= lo and column <= hi`) through zones and
+/// dictionary spans agree with the scan and the oracle, including ranges
+/// entirely outside the data and inverted bounds.
 #[test]
 fn filter_by_range_matches_scan() {
     let mut r = SeededRng::new(0x1D1F_0002);
@@ -169,32 +192,16 @@ fn filter_by_range_matches_scan() {
             2 => (-2000, -1000), // entirely below the data
             _ => (40, -40),      // inverted: matches nothing
         };
-        let rf = RangeFilter {
-            column: "num".into(),
-            lo: Value::Int(lo),
-            hi: Value::Int(hi),
-        };
-        let scan = filter_by_range(&t, &rf).unwrap();
-        if let Some(fast) = ix.filter_by_range(&rf) {
-            assert_same_bytes(&fast, &scan, "filter_by_range(num)");
-            covered += 1;
-        }
+        let selection = Selection::Range(Value::Int(lo), Value::Int(hi));
+        covered += usize::from(assert_selection_agrees(&selection, "num", &ix, "num"));
         // String ranges over the dictionary, sometimes past its end.
         let (slo, shi) = if r.chance(0.3) {
             ("zz".to_string(), "zzz".to_string())
         } else {
             (format!("k{}", r.index(4)), format!("k{}", 4 + r.index(4)))
         };
-        let rf = RangeFilter {
-            column: "cat".into(),
-            lo: Value::Str(slo),
-            hi: Value::Str(shi),
-        };
-        let scan = filter_by_range(&t, &rf).unwrap();
-        if let Some(fast) = ix.filter_by_range(&rf) {
-            assert_same_bytes(&fast, &scan, "filter_by_range(cat)");
-            covered += 1;
-        }
+        let selection = Selection::Range(Value::Str(slo), Value::Str(shi));
+        covered += usize::from(assert_selection_agrees(&selection, "cat", &ix, "cat"));
     }
     assert!(covered > 0, "index path should cover some range filters");
 }
@@ -393,10 +400,7 @@ fn fused_filter_groupby_matches_unfused_reference() {
     for case in 0..CASES {
         let t = common::gen_tied_table(&mut r);
         let filter = if r.chance(0.25) {
-            QueryOp::Filter {
-                column: "cat".into(),
-                value: Value::Str(format!("k{}", r.index(4))),
-            }
+            path_filter("cat", &format!("k{}", r.index(4)))
         } else {
             QueryOp::FilterExpr(parse_expr(filters[r.index(filters.len())]).unwrap())
         };
@@ -580,19 +584,17 @@ fn skewed_postings_merge_to_the_cold_build_and_match_scan() {
             if r.chance(0.3) {
                 allowed.push(Value::Null);
             }
-            let spec = FilterByValues::single("cat", allowed);
-            let scan = filter_by_values(&table, &spec).unwrap();
-            assert_same_bytes(&warm.filter_by_values(&spec).unwrap(), &scan, &what);
+            assert!(assert_selection_agrees(
+                &Selection::Values(allowed),
+                "cat",
+                &warm,
+                &what
+            ));
 
             let bounds = ["a", "h0", "h3", "r00", "r10", "r30", "r59", "z"];
             let (lo, hi) = (*r.pick(&bounds), *r.pick(&bounds));
-            let rf = RangeFilter {
-                column: "cat".into(),
-                lo: Value::Str(lo.into()),
-                hi: Value::Str(hi.into()),
-            };
-            let scan = filter_by_range(&table, &rf).unwrap();
-            assert_same_bytes(&warm.filter_by_range(&rf).unwrap(), &scan, &what);
+            let range = Selection::Range(Value::Str(lo.into()), Value::Str(hi.into()));
+            assert!(assert_selection_agrees(&range, "cat", &warm, &what));
 
             for key in [SortKey::asc("cat"), SortKey::desc("cat")] {
                 let all = sort(&table, std::slice::from_ref(&key)).unwrap();

@@ -406,6 +406,106 @@ fn http_sql_matches_inprocess_scan() {
 }
 
 // ---------------------------------------------------------------------------
+// One predicate semantics: canonical SQL, its twin and the path agree
+// ---------------------------------------------------------------------------
+
+/// `zip`: text cells that look like numbers (and one that does not, so the
+/// CSV decode keeps the column text); `n`, `x`: numbers.
+fn numeric_looking_csv(r: &mut SeededRng) -> String {
+    let mut csv = String::from("zip,n,x\nabc,7,7.5\n02139,2139,2139.0\n2139,,\n");
+    for _ in 0..r.index(30) {
+        let zip = *r.pick(&["02139", "2139", " 2139", "7.50", "7.5", "abc", ""]);
+        let n = *r.pick(&["-1", "7", "2139", ""]);
+        let x = *r.pick(&["7.5", "2139.0", "-0.0", ""]);
+        csv.push_str(&format!("{zip},{n},{x}\n"));
+    }
+    csv
+}
+
+/// `(column, SQL literal, path value)`: a text column facing numbers and
+/// number columns facing numeric strings. The path grammar infers its
+/// value's type, so each path value types as the literal's number.
+fn coercing_filters(r: &mut SeededRng) -> (&'static str, &'static str, &'static str) {
+    *r.pick(&[
+        ("zip", "2139", "2139"),
+        ("zip", "7.5", "7.5"),
+        ("zip", "2139.0", "2139.0"),
+        ("n", "'7'", "7"),
+        ("n", "'2139.0'", "2139.0"),
+        ("n", "'07'", "07"),
+        ("x", "'7.50'", "7.50"),
+        ("x", "'2139'", "2139"),
+    ])
+}
+
+/// `WHERE c = <lit>` (canonical when the literal is a number), its
+/// non-canonical twin `WHERE c = <lit> OR c = <lit>` and `filter/c/<lit>`
+/// select the same rows — string↔number coercion included — in process,
+/// through the index and over `Server::handle`. Before the path filter and
+/// canonical SQL became `Expr`s, `WHERE zip = 2139` over `"02139"` and
+/// `"2139"` kept no row while its twin kept both.
+#[test]
+fn sql_and_path_filters_coerce_alike() {
+    let mut r = SeededRng::new(0x5D1F_0005);
+    let mut kept = 0usize;
+    for case in 0..CASES / 8 {
+        let csv = numeric_looking_csv(&mut r);
+        let platform = Platform::new();
+        platform.upload_data("zips", "t.csv", &csv);
+        let server = Server::new(platform);
+        let flow = "D:\n  t: [zip, n, x]\nD.t:\n  source: 't.csv'\n  format: csv\nT:\n  \
+                    shape:\n    type: sql\n    query: \"select zip, n, x from t\"\nF:\n  \
+                    +D.t_out: D.t | T.shape\n";
+        let put = Request::new(Method::Put, "/dashboards/zips/flow").with_body(flow);
+        assert!(server.handle(&put).is_ok());
+        assert!(server
+            .handle(&Request::new(Method::Post, "/dashboards/zips/run"))
+            .is_ok());
+        let table = {
+            let d = server.platform().dashboard("zips").unwrap();
+            d.endpoint_tables.get("t_out").unwrap().clone()
+        };
+        assert_eq!(
+            table.schema().field("zip").unwrap().data_type(),
+            DataType::Utf8
+        );
+        let ix = IndexedTable::new(table.clone());
+        for _ in 0..4 {
+            let (c, lit, value) = coercing_filters(&mut r);
+            let what = format!("case {case}: {c} = {lit}");
+            let sqls = [
+                format!("select * from t_out where {c} = {lit}"),
+                format!("select * from t_out where {c} = {lit} or {c} = {lit}"),
+            ];
+            let path_ops = parse_ops(&["filter", c, value]).unwrap();
+            let want = run_query(&table, &path_ops).unwrap();
+            kept += want.num_rows();
+            let want = table_to_json(&want);
+            let (fast, _) = run_query_indexed(&ix, &path_ops).unwrap();
+            assert_eq!(table_to_json(&fast), want, "{what}: path through the index");
+            for sql in &sqls {
+                let ops = ops_for(sql);
+                assert_eq!(
+                    table_to_json(&run_query(&table, &ops).unwrap()),
+                    want,
+                    "{sql}"
+                );
+                let (fast, _) = run_query_indexed(&ix, &ops).unwrap();
+                assert_eq!(table_to_json(&fast), want, "{sql} through the index");
+                let post = Request::new(Method::Post, "/zips/ds/t_out/sql").with_body(sql);
+                assert_eq!(server.handle(&post).body, want, "{sql} over HTTP");
+            }
+            let get = Request::get(&format!("/zips/ds/t_out/filter/{c}/{value}"));
+            assert_eq!(server.handle(&get).body, want, "{what}: path over HTTP");
+        }
+    }
+    assert!(
+        kept > CASES,
+        "the coercing filters should keep rows ({kept})"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz: the parser terminates without panicking on arbitrary input
 // ---------------------------------------------------------------------------
 
