@@ -31,6 +31,7 @@ pub mod ext;
 pub mod graph;
 pub mod memo;
 pub mod optimizer;
+pub mod query;
 pub mod selection;
 pub mod sql;
 pub mod task;

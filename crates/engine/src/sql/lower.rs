@@ -1,84 +1,49 @@
-//! AST → operator lowering.
+//! AST → query-op lowering.
 //!
-//! [`lower`] turns a parsed [`SelectStmt`] into a [`SqlPlan`]: a linear
-//! list of stages in the tabular operator vocabulary, ordered by SQL's
-//! logical evaluation order —
+//! [`lower`] turns a parsed [`SelectStmt`] into a [`SqlPlan`]: the
+//! statement's joins, then a linear list of the engine's ad-hoc
+//! [`QueryOp`]s in SQL's logical evaluation order —
 //!
 //! ```text
 //! JOIN* → WHERE → GROUP BY+aggregates → ORDER BY → projection → DISTINCT
-//!       → LIMIT → OFFSET
+//!       → OFFSET → LIMIT
 //! ```
 //!
 //! (`ORDER BY` runs before the projection so it may reference any
 //! pre-projection column; projected output is unaffected because `take`
-//! preserves row order.) The server maps stages onto ad-hoc `QueryOp`s;
-//! [`tasks_for_flow`] maps them onto [`TaskKind`]s for the `T.sql` flow
-//! task. Both consumers therefore execute the exact operators the other
-//! query languages already exercise — nothing in this module evaluates
-//! data.
+//! preserves row order.) The joins stay the parsed [`JoinClause`]s: only
+//! the serving layer can resolve an endpoint name to a table, and it
+//! prepends one `QueryOp::Join` each. [`tasks_for_flow`] maps the ops onto
+//! [`TaskKind`]s for the `T.sql` flow task. Every consumer therefore
+//! executes the exact operators the other query languages already
+//! exercise — nothing in this module evaluates data.
 
-use super::parse::{ItemKind, SelectStmt};
+use super::parse::{ItemKind, JoinClause, SelectStmt};
 use super::SqlError;
 use crate::memo::Key128;
+use crate::query::QueryOp;
 use crate::task::{NamedTask, TaskKind};
 use shareinsights_tabular::agg::AggKind;
-use shareinsights_tabular::expr::Expr;
-use shareinsights_tabular::ops::{AggregateSpec, GroupBy, SortKey};
+use shareinsights_tabular::ops::{AggregateSpec, GroupBy};
 
-/// One lowered pipeline stage, in the shared operator vocabulary.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SqlStage {
-    /// Inner equi-join against another endpoint.
-    Join {
-        /// Right-side endpoint name.
-        table: String,
-        /// Key column on the accumulated left side.
-        left_on: String,
-        /// Key column on the right side.
-        right_on: String,
-    },
-    /// Row filter (`WHERE`).
-    Filter(Expr),
-    /// Grouped aggregation (keys + aggregates, including the global
-    /// no-key case for `SELECT count(*) FROM t`).
-    GroupBy(GroupBy),
-    /// Multi-key sort (`ORDER BY`).
-    Sort(Vec<SortKey>),
-    /// Column selection, in select-list order.
-    Project(Vec<String>),
-    /// Whole-row deduplication (`SELECT DISTINCT`); runs post-projection.
-    Distinct,
-    /// `LIMIT n`.
-    Limit(usize),
-    /// `OFFSET n` (row skip; applied after `LIMIT` lowering keeps SQL's
-    /// `LIMIT n OFFSET m` meaning because the stage order is
-    /// offset-then-limit).
-    Offset(usize),
-}
-
-/// A lowered query: the driving endpoint plus its stage pipeline.
+/// A lowered query: the driving endpoint, its joins and its op list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SqlPlan {
     /// `FROM` endpoint name.
     pub table: String,
-    /// Stages, in execution order.
-    pub stages: Vec<SqlStage>,
+    /// `JOIN`s in statement order; they run before every op.
+    pub joins: Vec<JoinClause>,
+    /// The rest of the statement, in execution order.
+    pub ops: Vec<QueryOp>,
 }
 
-/// Lower a parsed statement to a stage pipeline. Errors are semantic
+/// Lower a parsed statement to its joins and op list. Errors are semantic
 /// (non-grouped select column, `*` mixed with `GROUP BY`, …) and carry
 /// the offending item's span.
 pub fn lower(src: &str, stmt: &SelectStmt) -> Result<SqlPlan, SqlError> {
-    let mut stages = Vec::new();
-    for j in &stmt.joins {
-        stages.push(SqlStage::Join {
-            table: j.table.clone(),
-            left_on: j.left_on.clone(),
-            right_on: j.right_on.clone(),
-        });
-    }
+    let mut ops = Vec::new();
     if let Some(w) = &stmt.where_clause {
-        stages.push(SqlStage::Filter(w.clone()));
+        ops.push(QueryOp::FilterExpr(w.clone()));
     }
 
     let has_aggregates = stmt
@@ -128,7 +93,7 @@ pub fn lower(src: &str, stmt: &SelectStmt) -> Result<SqlPlan, SqlError> {
                 "GROUP BY needs at least one aggregate in the select list",
             ));
         }
-        stages.push(SqlStage::GroupBy(GroupBy::with_aggregates(
+        ops.push(QueryOp::GroupBy(GroupBy::with_aggregates(
             &stmt.group_by,
             aggregates.clone(),
         )));
@@ -175,23 +140,24 @@ pub fn lower(src: &str, stmt: &SelectStmt) -> Result<SqlPlan, SqlError> {
     }
 
     if !stmt.order_by.is_empty() {
-        stages.push(SqlStage::Sort(stmt.order_by.clone()));
+        ops.push(QueryOp::Sort(stmt.order_by.clone()));
     }
     if let Some(cols) = projection {
-        stages.push(SqlStage::Project(cols));
+        ops.push(QueryOp::Project(cols));
     }
     if stmt.distinct {
-        stages.push(SqlStage::Distinct);
+        ops.push(QueryOp::Distinct(Vec::new()));
     }
     if let Some(n) = stmt.offset_rows {
-        stages.push(SqlStage::Offset(n));
+        ops.push(QueryOp::Offset(n));
     }
     if let Some(n) = stmt.limit {
-        stages.push(SqlStage::Limit(n));
+        ops.push(QueryOp::Limit(n));
     }
     Ok(SqlPlan {
         table: stmt.table.clone(),
-        stages,
+        joins: stmt.joins.clone(),
+        ops,
     })
 }
 
@@ -209,40 +175,43 @@ pub fn default_agg_name(func: AggKind, apply_on: &str) -> String {
 
 /// Parse + lower a query into a sequential task pipeline for the `T.sql`
 /// flow task type. The `FROM` name is nominal — flow wiring decides the
-/// actual input — and stages that only make sense against the serving
+/// actual input — and the shapes that only make sense against the serving
 /// layer (`JOIN`, `OFFSET`) are rejected with a diagnostic pointing at
 /// the flow-level alternative.
 pub fn tasks_for_flow(task_name: &str, query: &str) -> Result<Vec<NamedTask>, SqlError> {
     let stmt = super::parse::parse_select(query)?;
     let plan = lower(query, &stmt)?;
+    if !plan.joins.is_empty() {
+        return Err(SqlError::whole(
+            "JOIN is not supported inside T.sql tasks; use a flow-level join task",
+        ));
+    }
     let mut out = Vec::new();
-    for (i, stage) in plan.stages.iter().enumerate() {
-        let (label, kind) = match stage {
-            SqlStage::Join { .. } => {
-                return Err(SqlError::whole(
-                    "JOIN is not supported inside T.sql tasks; use a flow-level join task",
-                ));
-            }
-            SqlStage::Offset(_) => {
+    for (i, op) in plan.ops.into_iter().enumerate() {
+        let (label, kind) = match op {
+            QueryOp::Offset(_) => {
                 return Err(SqlError::whole(
                     "OFFSET is not supported inside T.sql tasks; page via the serving API",
                 ));
             }
-            SqlStage::Filter(e) => ("filter", TaskKind::FilterExpr(e.clone())),
-            SqlStage::GroupBy(g) => (
+            QueryOp::FilterExpr(e) => ("filter", TaskKind::FilterExpr(e)),
+            QueryOp::GroupBy(builtin) => (
                 "groupby",
                 TaskKind::GroupBy {
-                    builtin: g.clone(),
+                    builtin,
                     custom: Vec::new(),
                 },
             ),
-            SqlStage::Sort(keys) => ("sort", TaskKind::Sort(keys.clone())),
-            SqlStage::Project(cols) => ("project", TaskKind::Project(cols.clone())),
-            SqlStage::Distinct => ("distinct", TaskKind::Distinct(Vec::new())),
-            SqlStage::Limit(n) => ("limit", TaskKind::Limit(*n)),
+            QueryOp::Sort(keys) => ("sort", TaskKind::Sort(keys)),
+            QueryOp::Project(cols) => ("project", TaskKind::Project(cols)),
+            QueryOp::Distinct(cols) => ("distinct", TaskKind::Distinct(cols)),
+            QueryOp::Limit(n) => ("limit", TaskKind::Limit(n)),
+            QueryOp::Join(_) | QueryOp::TopN { .. } | QueryOp::FilteredGroupBy { .. } => {
+                unreachable!("`lower` keeps joins apart and fuses nothing")
+            }
         };
-        // The query text decides every stage, so it and the stage's place
-        // fingerprint the stage.
+        // The query text decides every op, so it and the op's place
+        // fingerprint the task.
         let fingerprint = Key128::new(b"sql").str(query).u64(i as u64).finish();
         out.push(NamedTask {
             name: format!("{task_name}:{i}.{label}"),
@@ -267,9 +236,9 @@ mod tests {
     fn canonical_groupby_needs_no_projection() {
         let p = plan("select brand, sum(revenue) from sales group by brand");
         assert_eq!(p.table, "sales");
-        assert_eq!(p.stages.len(), 1);
-        match &p.stages[0] {
-            SqlStage::GroupBy(g) => {
+        assert_eq!(p.ops.len(), 1);
+        match &p.ops[0] {
+            QueryOp::GroupBy(g) => {
                 assert_eq!(g.keys, vec!["brand"]);
                 assert_eq!(g.aggregates.len(), 1);
                 assert_eq!(g.aggregates[0].out_field, "sum_revenue");
@@ -281,7 +250,7 @@ mod tests {
     #[test]
     fn reordered_select_list_adds_projection() {
         let p = plan("select sum(revenue), brand from sales group by brand");
-        assert!(matches!(&p.stages[1], SqlStage::Project(c) if c == &["sum_revenue", "brand"]));
+        assert!(matches!(&p.ops[1], QueryOp::Project(c) if c == &["sum_revenue", "brand"]));
     }
 
     #[test]
@@ -291,17 +260,17 @@ mod tests {
              order by region desc limit 3 offset 1",
         );
         let kinds: Vec<&str> = p
-            .stages
+            .ops
             .iter()
-            .map(|s| match s {
-                SqlStage::Join { .. } => "join",
-                SqlStage::Filter(_) => "filter",
-                SqlStage::GroupBy(_) => "groupby",
-                SqlStage::Sort(_) => "sort",
-                SqlStage::Project(_) => "project",
-                SqlStage::Distinct => "distinct",
-                SqlStage::Limit(_) => "limit",
-                SqlStage::Offset(_) => "offset",
+            .map(|op| match op {
+                QueryOp::FilterExpr(_) => "filter",
+                QueryOp::GroupBy(_) => "groupby",
+                QueryOp::Sort(_) => "sort",
+                QueryOp::Project(_) => "project",
+                QueryOp::Distinct(_) => "distinct",
+                QueryOp::Limit(_) => "limit",
+                QueryOp::Offset(_) => "offset",
+                other => panic!("`lower` emitted {other:?}"),
             })
             .collect();
         assert_eq!(
@@ -309,7 +278,7 @@ mod tests {
             vec!["filter", "sort", "project", "distinct", "offset", "limit"]
         );
         assert!(
-            matches!(&p.stages[1], SqlStage::Sort(k) if k[0].order == SortOrder::Desc),
+            matches!(&p.ops[1], QueryOp::Sort(k) if k[0].order == SortOrder::Desc),
             "sort key direction survives"
         );
     }
@@ -317,8 +286,8 @@ mod tests {
     #[test]
     fn global_aggregate_groups_without_keys() {
         let p = plan("select count(*) from t");
-        match &p.stages[0] {
-            SqlStage::GroupBy(g) => {
+        match &p.ops[0] {
+            QueryOp::GroupBy(g) => {
                 assert!(g.keys.is_empty());
                 assert_eq!(g.aggregates[0].out_field, "count_all");
             }

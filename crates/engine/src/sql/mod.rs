@@ -16,11 +16,12 @@
 //! ```
 //!
 //! The pipeline is `tokenize` → [`parse::parse_select`] → [`lower::lower`]
-//! producing a [`lower::SqlPlan`]: a linear stage list in the tabular
-//! operator vocabulary. The server maps stages onto ad-hoc `QueryOp`s
-//! (canonicalising to path segments when expressible, so equivalent SQL
-//! and path queries share cache entries); the flow layer maps them onto
-//! [`crate::task::TaskKind`]s for the `T.sql` task type.
+//! producing a [`lower::SqlPlan`]: the statement's joins plus the
+//! engine's one ad-hoc op list, [`crate::query::QueryOp`]. The server
+//! resolves the joins and keys a plan by its path segments when every op
+//! has a path spelling, so equivalent SQL and path queries share cache
+//! entries; the flow layer maps the ops onto [`crate::task::TaskKind`]s
+//! for the `T.sql` task type.
 //!
 //! Everything is hand-rolled and dependency-free; diagnostics carry byte
 //! offsets resolved to line/column, following `flowfile`'s `diag.rs`
@@ -30,7 +31,7 @@ pub mod lex;
 pub mod lower;
 pub mod parse;
 
-pub use lower::{lower, tasks_for_flow, SqlPlan, SqlStage};
+pub use lower::{lower, tasks_for_flow, SqlPlan};
 pub use parse::{parse_select, ItemKind, JoinClause, SelectItem, SelectStmt};
 
 use shareinsights_flowfile::diag::Diagnostic;

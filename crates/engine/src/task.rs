@@ -20,7 +20,7 @@ use shareinsights_tabular::ops::{
     JoinSpec, KeyColumn, LocationMap, ProjectSpec, RowSel, SortKey, TopN, WordsMap,
 };
 use shareinsights_tabular::text::{ExtractDict, Gazetteer};
-use shareinsights_tabular::{Bitmap, DataType, Field, IndexedTable, Schema, Table, Value};
+use shareinsights_tabular::{Bitmap, DataType, Field, Schema, Table, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1023,36 +1023,12 @@ impl TaskKind {
         }
     }
 
-    /// Try to execute this task against an indexed base table, using the
-    /// per-column acceleration indexes instead of the scan kernels. Returns
-    /// `None` when the task shape (or the specific columns it touches) is
-    /// not covered — the caller falls back to [`TaskKind::execute`], which
-    /// also reproduces any error the scan path would report. Covered
-    /// shapes: widget-sourced `filter_by` (its predicate reads the index on
-    /// every leaf), builtin `groupby` over a dictionary key, and single-key
-    /// `sort`.
-    pub fn execute_indexed(&self, indexed: &IndexedTable, rt: &TaskRuntime<'_>) -> Option<Table> {
-        match self {
-            TaskKind::FilterBySource {
-                source: FilterSource::Widget(_),
-                ..
-            } => Some(match self.widget_predicate(rt) {
-                Some(e) => indexed
-                    .table()
-                    .filter(&e.eval_mask_indexed(indexed).ok()?.0),
-                None => indexed.table().clone(),
-            }),
-            TaskKind::GroupBy { builtin, custom } if custom.is_empty() => indexed.groupby(builtin),
-            TaskKind::Sort(keys) => indexed.sort(keys),
-            _ => None,
-        }
-    }
-
     /// The row filter the current widget selections put on a widget
     /// `filter_by`: each [`TaskKind::widget_filter`] pair's
     /// [`crate::Selection::predicate`], AND-ed. `None` when no pair constrains
-    /// anything, or there is no interaction context at all.
-    fn widget_predicate(&self, rt: &TaskRuntime<'_>) -> Option<Expr> {
+    /// anything, or there is no interaction context at all. The data cube
+    /// lowers a widget filter to it.
+    pub fn widget_predicate(&self, rt: &TaskRuntime<'_>) -> Option<Expr> {
         let (widget, pairs) = self.widget_filter()?;
         let provider = rt.selections?;
         pairs
@@ -1395,74 +1371,6 @@ mod tests {
             .execute(&t.name, std::slice::from_ref(&table), &rt)
             .unwrap();
         assert_eq!(out.num_rows(), 1);
-    }
-
-    #[test]
-    fn indexed_execute_matches_scan_execute() {
-        let table = Table::from_rows(
-            &["project", "n"],
-            &[
-                row!["pig", 1i64],
-                row!["hive", 2i64],
-                row!["pig", 3i64],
-                row!["spark", 4i64],
-            ],
-        )
-        .unwrap();
-        let indexed = IndexedTable::new(table.clone());
-        let sel = crate::selection::StaticSelections::new();
-        sel.set(
-            "project_category_bubble",
-            "text",
-            Selection::Values(vec!["pig".into(), "spark".into()]),
-        );
-        let rt = TaskRuntime {
-            selections: Some(&sel),
-            lookup_table: &|_| None,
-        };
-
-        let filter_src = "T:\n  f:\n    type: filter_by\n    filter_by: [project]\n    filter_source: W.project_category_bubble\n    filter_val: [text]\n";
-        let groupby_src = "T:\n  g:\n    type: groupby\n    groupby: [project]\n    aggregates:\n    - operator: sum\n      apply_on: n\n      out_field: total\n";
-        let sort_src = "T:\n  s:\n    type: sort\n    orderby_column: [project DESC]\n";
-        for src in [filter_src, groupby_src, sort_src] {
-            let name = src.split_whitespace().nth(1).unwrap().trim_end_matches(':');
-            let t = interpret_src(src, name).unwrap();
-            let scan = t
-                .kind
-                .execute(&t.name, std::slice::from_ref(&table), &rt)
-                .unwrap();
-            let fast = t.kind.execute_indexed(&indexed, &rt).expect("covered");
-            assert_eq!(fast, scan, "task {name}");
-        }
-
-        // No selection provider: pass-through, like the scan path.
-        let t = interpret_src(filter_src, "f").unwrap();
-        let out = t
-            .kind
-            .execute_indexed(&indexed, &TaskRuntime::empty())
-            .unwrap();
-        assert_eq!(out.num_rows(), 4);
-
-        // Uncovered shapes decline.
-        let t = interpret_src("T:\n  l:\n    type: limit\n    limit: 2\n", "l").unwrap();
-        assert!(t.kind.execute_indexed(&indexed, &rt).is_none());
-
-        // Two constrained columns AND together, through the index too; a
-        // pair whose widget column has nothing selected constrains nothing.
-        let src = "T:\n  f2:\n    type: filter_by\n    filter_by: [project, n, project]\n    filter_source: W.w\n    filter_val: [text, value, other]\n";
-        let t = interpret_src(src, "f2").unwrap();
-        sel.set(
-            "w",
-            "text",
-            Selection::Values(vec!["pig".into(), "spark".into()]),
-        );
-        sel.set("w", "value", Selection::Range(Value::Int(2), Value::Int(4)));
-        let scan = t
-            .kind
-            .execute(&t.name, std::slice::from_ref(&table), &rt)
-            .unwrap();
-        assert_eq!(scan.to_rows(), vec![row!["pig", 3i64], row!["spark", 4i64]]);
-        assert_eq!(t.kind.execute_indexed(&indexed, &rt), Some(scan));
     }
 
     #[test]

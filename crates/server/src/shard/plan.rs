@@ -104,11 +104,7 @@ pub fn plan(ops: &[QueryOp], schema: &Schema) -> Option<ScatterPlan> {
         };
     }
     match &ops[i] {
-        QueryOp::GroupBy { key, agg, apply_on } => {
-            let cfg = crate::query::groupby_config(key, *agg, apply_on);
-            plan_groupby(local, &cfg, &ops[i + 1..], schema)
-        }
-        QueryOp::GroupByMulti(cfg) => plan_groupby(local, cfg, &ops[i + 1..], schema),
+        QueryOp::GroupBy(cfg) => plan_groupby(local, cfg, &ops[i + 1..], schema),
         QueryOp::FilteredGroupBy { filter, group } => {
             // Splits back at the scatter point: the filter is row-local,
             // the group-by needs a merge. A shard's own evaluation fuses
@@ -178,7 +174,7 @@ fn plan_groupby(
     // the aggregate ordering applies once, over merged groups.
     local_cfg.orderby_aggregates = false;
     local_cfg.aggregates = aggs.clone();
-    local.push(QueryOp::GroupByMulti(local_cfg));
+    local.push(QueryOp::GroupBy(local_cfg));
     let merge_cfg = GroupBy {
         keys: cfg.keys.clone(),
         aggregates: aggs
@@ -190,7 +186,7 @@ fn plan_groupby(
             .collect(),
         orderby_aggregates: cfg.orderby_aggregates,
     };
-    let mut post = vec![QueryOp::GroupByMulti(merge_cfg)];
+    let mut post = vec![QueryOp::GroupBy(merge_cfg)];
     post.extend(rest.iter().cloned());
     Some(ScatterPlan {
         local,
@@ -203,6 +199,7 @@ fn plan_groupby(
 mod tests {
     use super::*;
     use shareinsights_tabular::expr::parse_expr;
+    use shareinsights_tabular::ops::SortKey;
     use shareinsights_tabular::Field;
 
     fn schema() -> Schema {
@@ -215,7 +212,7 @@ mod tests {
     }
 
     fn gb(op: AggKind, apply_on: &str) -> QueryOp {
-        QueryOp::GroupByMulti(GroupBy::with_aggregates(
+        QueryOp::GroupBy(GroupBy::with_aggregates(
             &["k"],
             vec![AggregateSpec::new(op, apply_on, "out")],
         ))
@@ -233,26 +230,19 @@ mod tests {
     fn empty_and_unpushable_heads_fall_back() {
         assert!(plan(&[], &schema()).is_none());
         assert!(plan(&[QueryOp::Limit(3)], &schema()).is_none());
-        assert!(plan(&[QueryOp::Distinct("k".into())], &schema()).is_none());
-        assert!(plan(
-            &[QueryOp::Sort {
-                column: "v".into(),
-                order: shareinsights_tabular::ops::SortOrder::Asc,
-            }],
-            &schema()
-        )
-        .is_none());
+        assert!(plan(&[QueryOp::Distinct(vec!["k".into()])], &schema()).is_none());
+        assert!(plan(&[QueryOp::Sort(vec![SortKey::asc("v")])], &schema()).is_none());
     }
 
     #[test]
     fn int_sum_groupby_splits_into_local_plus_merge() {
         let p = plan(&[gb(AggKind::Sum, "v")], &schema()).unwrap();
         assert!(p.accumulate.is_none());
-        let QueryOp::GroupByMulti(local) = &p.local[0] else {
+        let QueryOp::GroupBy(local) = &p.local[0] else {
             panic!("local groupby expected");
         };
         assert!(!local.orderby_aggregates);
-        let QueryOp::GroupByMulti(merge) = &p.post[0] else {
+        let QueryOp::GroupBy(merge) = &p.post[0] else {
             panic!("merge groupby expected");
         };
         // The merge re-sums the finished partial column into itself.
@@ -264,14 +254,14 @@ mod tests {
     #[test]
     fn count_merges_as_sum_and_bare_count_defaults() {
         let p = plan(&[gb(AggKind::CountAll, "")], &schema()).unwrap();
-        let QueryOp::GroupByMulti(merge) = &p.post[0] else {
+        let QueryOp::GroupBy(merge) = &p.post[0] else {
             panic!();
         };
         assert_eq!(merge.aggregates[0].operator, AggKind::Sum);
 
-        let bare = QueryOp::GroupByMulti(GroupBy::counting(&["k"]));
+        let bare = QueryOp::GroupBy(GroupBy::counting(&["k"]));
         let p = plan(&[bare], &schema()).unwrap();
-        let QueryOp::GroupByMulti(merge) = &p.post[0] else {
+        let QueryOp::GroupBy(merge) = &p.post[0] else {
             panic!();
         };
         assert_eq!(merge.aggregates[0].apply_on, "count");
@@ -295,7 +285,7 @@ mod tests {
             assert!(p.local.is_empty());
         }
         // One lossy aggregate drags the whole groupby onto that path.
-        let mixed = QueryOp::GroupByMulti(GroupBy::with_aggregates(
+        let mixed = QueryOp::GroupBy(GroupBy::with_aggregates(
             &["k"],
             vec![
                 AggregateSpec::new(AggKind::Sum, "v", "s"),
@@ -309,10 +299,7 @@ mod tests {
     fn fused_topn_runs_shard_local_and_again_on_the_router() {
         let ops = vec![
             QueryOp::FilterExpr(parse_expr("v > 1").unwrap()),
-            QueryOp::Sort {
-                column: "v".into(),
-                order: shareinsights_tabular::ops::SortOrder::Desc,
-            },
+            QueryOp::Sort(vec![SortKey::desc("v")]),
             QueryOp::Limit(5),
             QueryOp::Offset(1),
         ];
@@ -332,18 +319,15 @@ mod tests {
         ];
         let p = plan(&ops, &schema()).unwrap();
         assert!(matches!(&p.local[0], QueryOp::FilterExpr(_)));
-        assert!(matches!(&p.local[1], QueryOp::GroupByMulti(_)));
-        assert!(matches!(&p.post[0], QueryOp::GroupByMulti(_)));
+        assert!(matches!(&p.local[1], QueryOp::GroupBy(_)));
+        assert!(matches!(&p.post[0], QueryOp::GroupBy(_)));
     }
 
     #[test]
     fn groupby_tail_ops_stay_router_side() {
         let ops = vec![
             gb(AggKind::Sum, "v"),
-            QueryOp::Sort {
-                column: "out".into(),
-                order: shareinsights_tabular::ops::SortOrder::Desc,
-            },
+            QueryOp::Sort(vec![SortKey::desc("out")]),
             QueryOp::Limit(2),
         ];
         let p = plan(&ops, &schema()).unwrap();

@@ -1,22 +1,24 @@
-//! SQL-over-HTTP lowering: engine [`SqlPlan`] stages → ad-hoc
-//! [`QueryOp`]s plus a cache path.
+//! SQL-over-HTTP lowering: an engine [`SqlPlan`] → the ad-hoc
+//! [`QueryOp`]s it runs, plus a cache path.
 //!
-//! The load-bearing property is **canonicalisation**: when every stage of
-//! a plan is expressible in the path-segment query grammar, the lowering
-//! emits the exact canonical segments — so the SQL route computes the
-//! same `"{dashboard}/{dataset}/{segments}"` result key, evaluates the
-//! same `Vec<QueryOp>`, and therefore *shares result- and page-cache
-//! entries* with the equivalent `GET .../q/...` request. Richer shapes
-//! (boolean `WHERE`, multi-agg `GROUP BY`, projections, joins, `OFFSET`)
-//! get a deterministic `sql:`-prefixed key of their own.
+//! The engine's lowering already emits the op list; this module resolves
+//! the plan's `JOIN`s against endpoint snapshots, prepending one
+//! [`QueryOp::Join`] each, and keys the result. The load-bearing property
+//! is **canonicalisation**: when every op has a path spelling
+//! ([`path_segments`], the inverse of [`crate::query::parse_ops`]), the
+//! cache path is those exact segments — so the SQL route computes the
+//! same `"{dashboard}/{dataset}/{segments}"` result key as the equivalent
+//! `GET .../q/...` request, whose parser builds the same ops, and the two
+//! *share result- and page-cache entries*. Richer shapes (boolean `WHERE`,
+//! multi-agg `GROUP BY`, projections, joins, `OFFSET`, a literal whose
+//! text reads back as another type) get a deterministic `sql:`-prefixed
+//! key of their own.
 
 use crate::http::{Response, Status};
-use crate::query::{JoinOp, QueryOp};
-use shareinsights_engine::sql::{SqlPlan, SqlStage};
-use shareinsights_tabular::agg::AggKind;
-use shareinsights_tabular::expr::Expr;
-use shareinsights_tabular::ops::{GroupBy, SortOrder};
-use shareinsights_tabular::{Table, Value};
+use crate::query::{direction, path_segments, JoinOp, QueryOp};
+use shareinsights_engine::sql::SqlPlan;
+use shareinsights_tabular::ops::GroupBy;
+use shareinsights_tabular::Table;
 
 /// A plan lowered for the serving layer.
 #[derive(Debug, Clone)]
@@ -35,185 +37,54 @@ pub struct LoweredSql {
     pub join_tables: Vec<String>,
 }
 
-/// Lower plan stages to query ops. `resolve` materialises join tables by
-/// endpoint name; it is only called for `JOIN` stages.
+/// Resolve a plan's joins and key it. `resolve` materialises join tables
+/// by endpoint name; it is only called for `JOIN`s.
 pub fn lower_plan(
     plan: &SqlPlan,
     resolve: &mut dyn FnMut(&str) -> Result<Table, String>,
 ) -> Result<LoweredSql, String> {
-    let mut ops = Vec::with_capacity(plan.stages.len());
-    let mut join_tables = Vec::new();
-    // `Some` while every stage so far has a canonical path-segment form.
-    let mut segments: Option<Vec<String>> = Some(Vec::new());
-
-    for stage in &plan.stages {
-        let (op, segs) = lower_stage(stage, resolve)?;
-        if let QueryOp::Join(j) = &op {
-            join_tables.push(j.right_name.clone());
-        }
-        match (&mut segments, segs) {
-            (Some(all), Some(mut s)) => all.append(&mut s),
-            (slot, _) => *slot = None,
-        }
-        ops.push(op);
+    let mut ops = Vec::with_capacity(plan.joins.len() + plan.ops.len());
+    for j in &plan.joins {
+        ops.push(QueryOp::Join(JoinOp {
+            right_name: j.table.clone(),
+            right: resolve(&j.table)?,
+            left_on: j.left_on.clone(),
+            right_on: j.right_on.clone(),
+        }));
     }
-
-    let (cache_path, shared) = match segments {
-        Some(segs) => (segs.join("/"), true),
+    ops.extend_from_slice(&plan.ops);
+    let (cache_path, shared) = match ops.iter().map(path_segments).collect::<Option<Vec<_>>>() {
+        Some(segments) => (segments.concat().join("/"), true),
         None => (format!("sql:{}", plan_text(&ops)), false),
     };
     Ok(LoweredSql {
         ops,
         cache_path,
         shared,
-        join_tables,
+        join_tables: plan.joins.iter().map(|j| j.table.clone()).collect(),
     })
-}
-
-/// Lower one stage: the op plus its canonical segments (None = this stage
-/// has no path-segment spelling, the whole query keys as `sql:`).
-fn lower_stage(
-    stage: &SqlStage,
-    resolve: &mut dyn FnMut(&str) -> Result<Table, String>,
-) -> Result<(QueryOp, Option<Vec<String>>), String> {
-    Ok(match stage {
-        SqlStage::Filter(e) => match canonical_filter(e) {
-            Some((column, value)) => {
-                let op = crate::query::path_filter(&column, &value);
-                (op, Some(vec!["filter".to_string(), column, value]))
-            }
-            None => (QueryOp::FilterExpr(e.clone()), None),
-        },
-        SqlStage::GroupBy(g) => {
-            let canonical =
-                g.keys.len() == 1 && g.aggregates.len() == 1 && !g.orderby_aggregates && {
-                    let a = &g.aggregates[0];
-                    a.operator != AggKind::CountAll
-                        && !a.apply_on.is_empty()
-                        && a.out_field == format!("{}_{}", a.operator.name(), a.apply_on)
-                        && seg_ok(&g.keys[0])
-                        && seg_ok(&a.apply_on)
-                };
-            if canonical {
-                let a = &g.aggregates[0];
-                let segs = vec![
-                    "groupby".to_string(),
-                    g.keys[0].clone(),
-                    a.operator.name().to_string(),
-                    a.apply_on.clone(),
-                ];
-                (
-                    QueryOp::GroupBy {
-                        key: g.keys[0].clone(),
-                        agg: a.operator,
-                        apply_on: a.apply_on.clone(),
-                    },
-                    Some(segs),
-                )
-            } else {
-                (QueryOp::GroupByMulti(g.clone()), None)
-            }
-        }
-        SqlStage::Sort(keys) => {
-            if keys.len() == 1 && seg_ok(&keys[0].column) {
-                let segs = vec![
-                    "sort".to_string(),
-                    keys[0].column.clone(),
-                    direction(keys[0].order).to_string(),
-                ];
-                (
-                    QueryOp::Sort {
-                        column: keys[0].column.clone(),
-                        order: keys[0].order,
-                    },
-                    Some(segs),
-                )
-            } else {
-                (QueryOp::SortMulti(keys.clone()), None)
-            }
-        }
-        SqlStage::Limit(n) => (
-            QueryOp::Limit(*n),
-            Some(vec!["limit".to_string(), n.to_string()]),
-        ),
-        SqlStage::Project(cols) => (QueryOp::Project(cols.clone()), None),
-        SqlStage::Distinct => (QueryOp::DistinctRows(Vec::new()), None),
-        SqlStage::Offset(n) => (QueryOp::Offset(*n), None),
-        SqlStage::Join {
-            table,
-            left_on,
-            right_on,
-        } => {
-            let right = resolve(table)?;
-            (
-                QueryOp::Join(JoinOp {
-                    right_name: table.clone(),
-                    right,
-                    left_on: left_on.clone(),
-                    right_on: right_on.clone(),
-                }),
-                None,
-            )
-        }
-    })
-}
-
-/// `WHERE col = literal` with a round-trippable rendering is exactly the
-/// path grammar's `filter/<col>/<value>` (whose value re-enters through
-/// [`Value::infer`]): the column and the rendered value. Anything else
-/// keys as `sql:`.
-fn canonical_filter(e: &Expr) -> Option<(String, String)> {
-    use shareinsights_tabular::expr::CmpOp;
-    let (c, v) = match e {
-        Expr::Cmp(CmpOp::Eq, lhs, rhs) => match (lhs.as_ref(), rhs.as_ref()) {
-            (Expr::Column(c), Expr::Literal(v)) => (c, v),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    if !seg_ok(c) {
-        return None;
-    }
-    let rendered = v.to_string();
-    if seg_ok(&rendered) && Value::infer(&rendered) == *v {
-        Some((c.clone(), rendered))
-    } else {
-        None
-    }
-}
-
-/// Is this string safe as one path segment of a cache key?
-fn seg_ok(s: &str) -> bool {
-    !s.is_empty() && !s.contains('/') && !s.contains('?')
-}
-
-fn direction(order: SortOrder) -> &'static str {
-    match order {
-        SortOrder::Asc => "asc",
-        SortOrder::Desc => "desc",
-    }
 }
 
 /// Deterministic per-op rendering: non-canonical cache keys, and the
-/// `plan` attribute of a traced evaluation.
+/// `plan` attribute of a traced evaluation. A filter reads as its `Expr`;
+/// any other op with a path spelling as its segments.
 fn op_key(op: &QueryOp) -> String {
+    if let QueryOp::FilterExpr(e) = op {
+        return format!("where({e:?})");
+    }
+    if let Some(segments) = path_segments(op) {
+        return segments.join("/");
+    }
     match op {
-        QueryOp::GroupBy { key, agg, apply_on } => {
-            format!("groupby/{key}/{}/{apply_on}", agg.name())
-        }
-        QueryOp::Sort { column, order } => format!("sort/{column}/{}", direction(*order)),
-        QueryOp::Distinct(c) => format!("distinct/{c}"),
-        QueryOp::Limit(n) => format!("limit/{n}"),
-        QueryOp::FilterExpr(e) => format!("where({e:?})"),
-        QueryOp::GroupByMulti(g) => group_key(g),
-        QueryOp::SortMulti(keys) => format!(
+        QueryOp::GroupBy(g) => group_key(g),
+        QueryOp::Sort(keys) => format!(
             "sort({})",
             keys.iter()
                 .map(|k| format!("{}:{}", k.column, direction(k.order)))
                 .collect::<Vec<_>>()
                 .join(",")
         ),
-        QueryOp::DistinctRows(cols) => format!("distinct({cols:?})"),
+        QueryOp::Distinct(cols) => format!("distinct({cols:?})"),
         QueryOp::Project(cols) => format!("project({cols:?})"),
         QueryOp::Offset(n) => format!("offset({n})"),
         QueryOp::Join(j) => format!("join({};{};{})", j.right_name, j.left_on, j.right_on),
@@ -229,6 +100,7 @@ fn op_key(op: &QueryOp) -> String {
         QueryOp::FilteredGroupBy { filter, group } => {
             format!("selected(where({filter:?});{})", group_key(group))
         }
+        QueryOp::FilterExpr(_) | QueryOp::Limit(_) => unreachable!("rendered above"),
     }
 }
 

@@ -8,10 +8,14 @@
 //!
 //! Two layers make cold interactions cheap and hot ones free:
 //!
-//! - The endpoint snapshot is wrapped in an [`IndexedTable`], so the first
-//!   task of a chain (the common `filter_by`/`groupby`/`sort` shapes) runs
-//!   against lazily built per-column indexes instead of a scan whenever
-//!   the index covers it, falling back to the scan kernels otherwise.
+//! - The cube plans nothing of its own. The longest prefix of a chain the
+//!   ad-hoc query language can say — a widget filter under the current
+//!   selections, a row filter, a builtin-only group-by, a sort, limit,
+//!   distinct or projection — lowers to the engine's [`QueryOp`]s and runs
+//!   fused through [`evaluate_indexed`] over an [`IndexedTable`] of the
+//!   snapshot, as a served query does: a widget filter feeding a group-by
+//!   folds on dictionary codes. The engine's chain runner takes the rest,
+//!   or the whole chain when the prefix fails, so an error names its task.
 //! - Results are cached per selection fingerprint in the shared bounded
 //!   [`Lru`] behind a single mutex, so a long interactive session cannot
 //!   grow the cache without limit. The cube owns its snapshot, so entries
@@ -19,8 +23,9 @@
 
 use crate::error::{Result, WidgetError};
 use parking_lot::{Lru, Mutex};
+use shareinsights_engine::query::{evaluate_indexed, fuse, QueryOp};
 use shareinsights_engine::selection::SelectionProvider;
-use shareinsights_engine::task::{run_chain, NamedTask, TaskKind, TaskRuntime};
+use shareinsights_engine::task::{run_chain, FilterSource, NamedTask, TaskKind, TaskRuntime};
 use shareinsights_tabular::{IndexedTable, Table};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -91,23 +96,22 @@ impl DataCube {
             return Ok(table);
         }
 
-        // Evaluate outside the lock: the first task against the indexed
-        // snapshot when the index covers it, the rest (or all) through the
-        // engine's chain runner.
+        // Evaluate outside the lock: the query prefix through the indexed
+        // evaluator, the rest through the engine's chain runner.
         let rt = TaskRuntime {
             selections: Some(selections),
             lookup_table: &|_| None,
         };
-        let (head, input) = match tasks
-            .first()
-            .and_then(|t| t.kind.execute_indexed(&self.indexed, &rt))
-        {
-            Some(table) => (1, table),
-            None => (0, self.indexed.table().clone()),
+        let (covered, ops) = query_prefix(tasks, &rt);
+        let (rest, input) = match evaluate_indexed(&self.indexed, &fuse(&ops)) {
+            Ok(done) => (&tasks[covered..], done.table),
+            // The runner re-runs a failing prefix, so the error names its
+            // task.
+            Err(_) => (tasks, self.indexed.table().clone()),
         };
         let chain = run_chain(
             widget,
-            &tasks[head..],
+            rest,
             vec![(None, input)],
             &rt,
             Instant::now(),
@@ -127,6 +131,34 @@ impl DataCube {
     pub fn invalidate(&self) {
         self.cache.lock().clear();
     }
+}
+
+/// The longest prefix of `tasks` with an ad-hoc query form, lowered under
+/// the current selections: how many tasks it covers, and their ops. A
+/// widget filter is its selection predicate, or no op when no pair
+/// constrains anything; a semijoin, a custom aggregate, a top-n (grouped,
+/// unlike [`QueryOp::TopN`]) or any other task ends the prefix.
+fn query_prefix(tasks: &[NamedTask], rt: &TaskRuntime<'_>) -> (usize, Vec<QueryOp>) {
+    let mut ops = Vec::new();
+    for (covered, task) in tasks.iter().enumerate() {
+        let op = match &task.kind {
+            TaskKind::FilterBySource {
+                source: FilterSource::Widget(_),
+                ..
+            } => task.kind.widget_predicate(rt).map(QueryOp::FilterExpr),
+            TaskKind::FilterExpr(e) => Some(QueryOp::FilterExpr(e.clone())),
+            TaskKind::GroupBy { builtin, custom } if custom.is_empty() => {
+                Some(QueryOp::GroupBy(builtin.clone()))
+            }
+            TaskKind::Sort(keys) => Some(QueryOp::Sort(keys.clone())),
+            TaskKind::Limit(n) => Some(QueryOp::Limit(*n)),
+            TaskKind::Distinct(cols) => Some(QueryOp::Distinct(cols.clone())),
+            TaskKind::Project(cols) => Some(QueryOp::Project(cols.clone())),
+            _ => return (covered, ops),
+        };
+        ops.extend(op);
+    }
+    (tasks.len(), ops)
 }
 
 fn collect_deps(kind: &TaskKind, deps: &mut BTreeSet<(String, String)>) {
@@ -173,9 +205,8 @@ fn fingerprint(widget: &str, tasks: &[NamedTask], selections: &dyn SelectionProv
 mod tests {
     use super::*;
     use shareinsights_engine::selection::{Selection, StaticSelections};
-    use shareinsights_engine::task::FilterSource;
     use shareinsights_tabular::agg::AggKind;
-    use shareinsights_tabular::ops::{AggregateSpec, GroupBy};
+    use shareinsights_tabular::ops::{AggregateSpec, GroupBy, SortKey, TopN};
     use shareinsights_tabular::{row, Value};
 
     fn team_tweets() -> Table {
@@ -337,6 +368,137 @@ mod tests {
             &mut Vec::new(),
         );
         assert_eq!(*via_cube, scan.unwrap());
+    }
+
+    fn task(name: &str, kind: TaskKind) -> NamedTask {
+        NamedTask {
+            name: name.into(),
+            kind,
+            fingerprint: None,
+        }
+    }
+
+    /// The prefix through the indexed evaluator plus the runner for the
+    /// rest gives the table `run_chain` gives for the whole chain: a
+    /// widget filter alone and before a group-by, a sort and limit (fused
+    /// to a top-n), a grouped top-n, two AND-ed widget columns, a `limit`
+    /// head no index covers — under selections and under none.
+    #[test]
+    fn prefix_evaluation_matches_run_chain() {
+        let table = Table::from_rows(
+            &["project", "n"],
+            &[
+                row!["pig", 1i64],
+                row!["hive", 2i64],
+                row!["pig", 3i64],
+                row!["spark", 4i64],
+            ],
+        )
+        .unwrap();
+        let filter = || {
+            task(
+                "f",
+                TaskKind::FilterBySource {
+                    columns: vec!["project".into()],
+                    source: FilterSource::Widget("bubble".into()),
+                    source_columns: vec!["text".into()],
+                },
+            )
+        };
+        // A pair whose widget column has nothing selected constrains
+        // nothing; the others AND together.
+        let filter2 = || {
+            task(
+                "f2",
+                TaskKind::FilterBySource {
+                    columns: vec!["project".into(), "n".into(), "project".into()],
+                    source: FilterSource::Widget("w".into()),
+                    source_columns: vec!["text".into(), "value".into(), "other".into()],
+                },
+            )
+        };
+        let group = || {
+            task(
+                "g",
+                TaskKind::GroupBy {
+                    builtin: GroupBy::with_aggregates(
+                        &["project"],
+                        vec![AggregateSpec::new(AggKind::Sum, "n", "total")],
+                    ),
+                    custom: vec![],
+                },
+            )
+        };
+        let sort = || task("s", TaskKind::Sort(vec![SortKey::desc("project")]));
+        let limit = || task("l", TaskKind::Limit(2));
+        let top = || {
+            task(
+                "t",
+                TaskKind::TopN(TopN {
+                    groupby: vec!["project".into()],
+                    order_by: vec![SortKey::desc("n")],
+                    limit: 1,
+                }),
+            )
+        };
+        let chains = [
+            vec![filter()],
+            vec![group()],
+            vec![sort()],
+            vec![filter(), group()],
+            vec![filter(), sort(), limit()],
+            vec![filter(), top()],
+            vec![filter2()],
+            vec![limit(), filter(), group()],
+        ];
+        let selected = StaticSelections::new();
+        let picked = || Selection::Values(vec!["pig".into(), "spark".into()]);
+        selected.set("bubble", "text", picked());
+        selected.set("w", "text", picked());
+        selected.set("w", "value", Selection::Range(Value::Int(2), Value::Int(4)));
+        let none = StaticSelections::new();
+        for sel in [&selected, &none] {
+            let rt = TaskRuntime {
+                selections: Some(sel),
+                lookup_table: &|_| None,
+            };
+            for tasks in &chains {
+                let via_cube = DataCube::new(table.clone()).eval("w", tasks, sel).unwrap();
+                let input = vec![(None, table.clone())];
+                let chain = run_chain("w", tasks, input, &rt, Instant::now(), &mut Vec::new());
+                assert_eq!(*via_cube, chain.unwrap(), "{tasks:?}");
+            }
+        }
+        let and_ed = DataCube::new(table).eval("w", &[filter2()], &selected);
+        assert_eq!(
+            and_ed.unwrap().to_rows(),
+            vec![row!["pig", 3i64], row!["spark", 4i64]]
+        );
+    }
+
+    #[test]
+    fn a_failing_prefix_reports_the_runner_error() {
+        // The prefix fails inside the evaluator; the runner re-runs the
+        // chain, so the message names the task that failed.
+        let by_ghost = task(
+            "by_ghost",
+            TaskKind::GroupBy {
+                builtin: GroupBy::with_aggregates(
+                    &["ghost"],
+                    vec![AggregateSpec::new(AggKind::Sum, "noOfTweets", "n")],
+                ),
+                custom: vec![],
+            },
+        );
+        let sel = StaticSelections::new();
+        sel.set("teams", "text", Selection::Values(vec!["CSK".into()]));
+        let cube = DataCube::new(team_tweets());
+        let err = cube.eval("w", &[filter_by_team(), by_ghost], &sel);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "widget 'w': interaction flow failed: executing 'T.by_ghost' failed: \
+             column 'ghost' not found; available columns: [date, team, noOfTweets]"
+        );
     }
 
     #[test]

@@ -18,9 +18,7 @@
 use shareinsights::server::query::QueryOp;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::Expr;
-use shareinsights::tabular::ops::{
-    AggregateSpec, GroupBy, JoinCondition, JoinSpec, SortKey, SortOrder, TopN,
-};
+use shareinsights::tabular::ops::{GroupBy, JoinCondition, JoinSpec, SortKey, SortOrder, TopN};
 use shareinsights::tabular::{
     Bitmap, Column, ColumnBuilder, DataType, Field, Row, Schema, Table, Value,
 };
@@ -76,27 +74,12 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
     let mut current = table.clone();
     for op in ops {
         current = match op {
-            QueryOp::GroupBy { key, agg, apply_on } => {
-                let out = format!("{}_{}", agg.name(), apply_on);
-                let cfg = GroupBy::with_aggregates(
-                    &[key],
-                    vec![AggregateSpec::new(*agg, apply_on.clone(), out)],
-                );
-                rowwise_groupby(&current, &cfg, None)?
-            }
-            QueryOp::GroupByMulti(cfg) => rowwise_groupby(&current, cfg, None)?,
+            QueryOp::GroupBy(cfg) => rowwise_groupby(&current, cfg, None)?,
             QueryOp::FilterExpr(e) => {
                 let mask = rowwise_mask(e, &current)?;
                 current.take(&mask.ones())
             }
-            QueryOp::Sort { column, order } => boxed_sort(
-                &current,
-                &[SortKey {
-                    column: column.clone(),
-                    order: *order,
-                }],
-            )?,
-            QueryOp::SortMulti(keys) => boxed_sort(&current, keys)?,
+            QueryOp::Sort(keys) => boxed_sort(&current, keys)?,
             QueryOp::Limit(n) => {
                 let n = (*n).min(current.num_rows());
                 current.take(&(0..n).collect::<Vec<_>>())
@@ -105,8 +88,7 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
                 let start = (*n).min(current.num_rows());
                 current.take(&(start..current.num_rows()).collect::<Vec<_>>())
             }
-            QueryOp::Distinct(column) => rowwise_distinct(&current, std::slice::from_ref(column))?,
-            QueryOp::DistinctRows(cols) => rowwise_distinct(&current, cols)?,
+            QueryOp::Distinct(cols) => rowwise_distinct(&current, cols)?,
             QueryOp::Project(cols) => current.project(cols).map_err(|e| e.to_string())?,
             QueryOp::Join(j) => {
                 let spec = JoinSpec {

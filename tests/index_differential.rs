@@ -334,30 +334,16 @@ fn fused_topn_matches_unfused_reference() {
                 SortOrder::Desc
             }
         };
-        let sort = match r.index(5) {
-            0 | 1 => QueryOp::Sort {
-                column: "cat".into(),
-                order: dir(&mut r),
-            },
-            2 => QueryOp::Sort {
-                column: "num".into(),
-                order: dir(&mut r),
-            },
-            3 => QueryOp::Sort {
-                column: "f".into(),
-                order: dir(&mut r),
-            },
-            _ => QueryOp::SortMulti(vec![
-                SortKey {
-                    column: "cat".into(),
-                    order: dir(&mut r),
-                },
-                SortKey {
-                    column: "f".into(),
-                    order: dir(&mut r),
-                },
-            ]),
+        let key = |column: &str, r: &mut SeededRng| SortKey {
+            column: column.into(),
+            order: dir(r),
         };
+        let sort = QueryOp::Sort(match r.index(5) {
+            0 | 1 => vec![key("cat", &mut r)],
+            2 => vec![key("num", &mut r)],
+            3 => vec![key("f", &mut r)],
+            _ => vec![key("cat", &mut r), key("f", &mut r)],
+        });
         for n in [0, 1, rows.saturating_sub(1), rows, rows + 1] {
             let ops = vec![sort.clone(), QueryOp::Limit(n)];
             hits += usize::from(common::assert_three_way(
@@ -405,12 +391,16 @@ fn fused_filter_groupby_matches_unfused_reference() {
             QueryOp::FilterExpr(parse_expr(filters[r.index(filters.len())]).unwrap())
         };
         let group = match r.index(3) {
-            0 => QueryOp::GroupBy {
-                key: "cat".into(),
-                agg: *r.pick(&[AggKind::Sum, AggKind::Avg, AggKind::Max]),
-                apply_on: (*r.pick(&["f", "num"])).into(),
-            },
-            1 => QueryOp::GroupByMulti(GroupBy::with_aggregates(
+            0 => {
+                let agg = *r.pick(&[AggKind::Sum, AggKind::Avg, AggKind::Max]);
+                let apply_on = *r.pick(&["f", "num"]);
+                let out = format!("{}_{apply_on}", agg.name());
+                QueryOp::GroupBy(GroupBy::with_aggregates(
+                    &["cat"],
+                    vec![AggregateSpec::new(agg, apply_on, out)],
+                ))
+            }
+            1 => QueryOp::GroupBy(GroupBy::with_aggregates(
                 &["cat"],
                 vec![
                     AggregateSpec::new(AggKind::Sum, "f", "total"),
@@ -420,7 +410,7 @@ fn fused_filter_groupby_matches_unfused_reference() {
                     AggregateSpec::new(AggKind::CountAll, "", "n"),
                 ],
             )),
-            _ => QueryOp::GroupByMulti(GroupBy::with_aggregates(
+            _ => QueryOp::GroupBy(GroupBy::with_aggregates(
                 &["cat2", "cat"],
                 vec![
                     AggregateSpec::new(AggKind::Sum, "num", "total"),

@@ -830,10 +830,11 @@ const CONTEXT_CASES: usize = if cfg!(debug_assertions) { 60 } else { 2000 };
 
 /// The flows [`contexts_agree`] runs: a row-local chain (`passed`), a
 /// group-by with a filter before and after it (`grouped`), a join whose
-/// inputs are listed right side first (`joined`), and three
+/// inputs are listed right side first (`joined`), and four
 /// widget-filtered chains whose first task the cube can answer from an
 /// index: the filter (`picked`), the group-by (`keyed`), the sort
-/// (`ordered`). `W.pick` is declared because a platform save rejects a
+/// (`ordered`), and a filter, sort and limit the cube fuses to a top-n
+/// (`ranked`). `W.pick` is declared because a platform save rejects a
 /// `filter_source` naming an unknown widget. `@..@` marks the per-case
 /// parameters.
 const CONTEXT_FLOW: &str = r#"
@@ -902,6 +903,9 @@ T:
     filter_by: [k]
     filter_source: W.pick
     filter_val: [key]
+  first:
+    type: limit
+    limit: 3
 F:
   +D.passed: D.facts | T.keep | T.to_month
   +D.grouped: D.facts | T.keep | T.per_key | T.busy
@@ -909,6 +913,7 @@ F:
   +D.picked: D.facts | T.pick | T.per_key
   +D.keyed: D.facts | T.per_key | T.pick_key
   +D.ordered: D.facts | T.by_f | T.pick
+  +D.ranked: D.facts | T.pick_key | T.by_f | T.first
 "#;
 
 fn context_facts(r: &mut SeededRng, rows: usize) -> Table {
@@ -1091,7 +1096,7 @@ fn contexts_agree() {
             all_tasks: &ff.tasks,
         };
         let cube = DataCube::new(facts);
-        for out in ["picked", "keyed", "ordered"] {
+        for out in ["picked", "keyed", "ordered", "ranked"] {
             // The widget's chain as written: the optimizer does not run.
             let flow = ff.flows.iter().find(|f| f.output == out).unwrap();
             let tasks: Vec<_> = flow

@@ -98,8 +98,8 @@ const PATH_QUERIES: &[&str] = &[
     "/retail/ds/sales_out/groupby/brand/sum/ghost",
 ];
 
-/// SQL spellings exercising `FilterExpr`, multi-aggregate `GroupByMulti`,
-/// multi-key `SortMulti`, projections, `DISTINCT` and `OFFSET`.
+/// SQL spellings exercising `FilterExpr`, multi-aggregate `GroupBy`,
+/// multi-key `Sort`, projections, `DISTINCT` and `OFFSET`.
 const SQL_QUERIES: &[&str] = &[
     "select * from sales_out where revenue > 500",
     "select region, brand from sales_out where revenue between 0 and 99 limit 40",

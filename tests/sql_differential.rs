@@ -18,9 +18,14 @@ mod common;
 use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
 use shareinsights::engine::sql::{lower, parse_select};
-use shareinsights::server::query::{parse_ops, run_query, run_query_indexed};
-use shareinsights::server::sql::lower_plan;
+use shareinsights::server::query::{
+    fuse, parse_ops, path_segments, run_query, run_query_indexed, QueryOp,
+};
+use shareinsights::server::sql::{lower_plan, plan_text};
 use shareinsights::server::{table_to_json, Method, Request, Server};
+use shareinsights::tabular::agg::AggKind;
+use shareinsights::tabular::expr::{CmpOp, Expr};
+use shareinsights::tabular::ops::{AggregateSpec, GroupBy, SortKey};
 use shareinsights::tabular::{
     Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
 };
@@ -190,7 +195,7 @@ fn gen_rich(r: &mut SeededRng) -> String {
     )
 }
 
-fn ops_for(sql: &str) -> Vec<shareinsights::server::query::QueryOp> {
+fn ops_for(sql: &str) -> Vec<QueryOp> {
     let stmt = parse_select(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     let plan = lower(sql, &stmt).unwrap_or_else(|e| panic!("{sql}: {e}"));
     lower_plan(&plan, &mut |n| Err(format!("no join table {n}")))
@@ -503,6 +508,180 @@ fn sql_and_path_filters_coerce_alike() {
         kept > CASES,
         "the coercing filters should keep rows ({kept})"
     );
+
+    // A float literal of 10^15 or more prints without a fraction, so its
+    // text reads back as an integer: `9007199254740993.0` is the double
+    // 2^53, printed "9007199254740992". As a double it meets 2^53 + 1 and
+    // 2^53 alike; canonical SQL used to key it as that integer path filter
+    // and keep one row where its twin kept both.
+    let platform = Platform::new();
+    let csv = "c\n9007199254740993\n9007199254740992\n1\n";
+    platform.upload_data("big", "t.csv", csv);
+    let server = Server::new(platform);
+    let flow = "D:\n  t: [c]\nD.t:\n  source: 't.csv'\n  format: csv\nT:\n  \
+                shape:\n    type: sql\n    query: \"select c from t\"\nF:\n  \
+                +D.t_out: D.t | T.shape\n";
+    let put = Request::new(Method::Put, "/dashboards/big/flow").with_body(flow);
+    assert!(server.handle(&put).is_ok());
+    assert!(server
+        .handle(&Request::new(Method::Post, "/dashboards/big/run"))
+        .is_ok());
+    let table = {
+        let d = server.platform().dashboard("big").unwrap();
+        d.endpoint_tables.get("t_out").unwrap().clone()
+    };
+    assert_eq!(
+        table.schema().field("c").unwrap().data_type(),
+        DataType::Int64
+    );
+    let twin = "select * from t_out where c = 9007199254740993.0 or c = 9007199254740993.0";
+    let want = run_query(&table, &ops_for(twin)).unwrap();
+    assert_eq!(want.num_rows(), 2);
+    let want = table_to_json(&want);
+    // The integer path filter is another query: it keeps 2^53 alone. A
+    // statement keyed as that path would be served its cached page.
+    let get = Request::get("/big/ds/t_out/filter/c/9007199254740992");
+    assert_ne!(server.handle(&get).body, want);
+    for sql in ["select * from t_out where c = 9007199254740993.0", twin] {
+        let ops = ops_for(sql);
+        assert_eq!(
+            table_to_json(&run_query(&table, &ops).unwrap()),
+            want,
+            "{sql}"
+        );
+        let post = Request::new(Method::Post, "/big/ds/t_out/sql").with_body(sql);
+        assert_eq!(server.handle(&post).body, want, "{sql} over HTTP");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The path grammar is one inverse pair
+// ---------------------------------------------------------------------------
+
+/// One random op of the shapes the front ends build, with the edges of the
+/// path grammar in the distribution: literals of every type (floats that
+/// print without a fraction, strings that read as numbers, nulls),
+/// aggregates under their default name or another, one key or two, and
+/// names that are empty or hold `/` or `?`.
+fn gen_op(r: &mut SeededRng) -> QueryOp {
+    fn name(r: &mut SeededRng) -> String {
+        let names = ["cat", "num", "sum_num", "cat", "num", "a/b", "q?", ""];
+        r.pick(&names).to_string()
+    }
+    match r.index(5) {
+        0 => {
+            let literal = match r.index(6) {
+                0 => Value::Int(r.int_range(-50, 49)),
+                1 => Value::Float(r.int_range(-400, 400) as f64 / 8.0),
+                2 => Value::Float(1e15 * (1 + r.index(9_000)) as f64 + 1.0),
+                3 => Value::Str(
+                    r.pick(&["k1", "42", "07", "7.5", "true", "x/y", ""])
+                        .to_string(),
+                ),
+                4 => Value::Bool(r.chance(0.5)),
+                _ => Value::Null,
+            };
+            let column = Expr::col(name(r));
+            QueryOp::FilterExpr(Expr::cmp(CmpOp::Eq, column, Expr::Literal(literal)))
+        }
+        1 => {
+            let kinds = [
+                AggKind::Sum,
+                AggKind::Count,
+                AggKind::CountAll,
+                AggKind::Avg,
+                AggKind::Max,
+                AggKind::CountDistinct,
+            ];
+            let agg = *r.pick(&kinds);
+            let apply_on = name(r);
+            let out_field = if r.chance(0.7) {
+                format!("{}_{apply_on}", agg.name())
+            } else {
+                "total".to_string()
+            };
+            let keys: Vec<String> = (0..1 + r.index(2)).map(|_| name(r)).collect();
+            let aggregates = vec![AggregateSpec::new(agg, apply_on, out_field)];
+            let mut group = GroupBy::with_aggregates(&keys, aggregates);
+            group.orderby_aggregates = r.chance(0.1);
+            QueryOp::GroupBy(group)
+        }
+        2 => {
+            let key = |r: &mut SeededRng| match r.chance(0.5) {
+                true => SortKey::asc(name(r)),
+                false => SortKey::desc(name(r)),
+            };
+            QueryOp::Sort((0..1 + r.index(2)).map(|_| key(r)).collect())
+        }
+        3 => QueryOp::Distinct((0..r.index(3)).map(|_| name(r)).collect()),
+        _ => QueryOp::Limit(r.index(1000)),
+    }
+}
+
+/// `path_segments` and `parse_ops` are one inverse pair: every op that
+/// renders to segments parses back to itself, down to each literal's type
+/// — compared by `Debug`, because `Value`'s `==` equates `Int(2^53)` with
+/// `Float(2^53)`. The ops come from the canonical and rich SQL generators
+/// and from [`gen_op`].
+#[test]
+fn path_segments_parse_back_to_the_same_op() {
+    let mut r = SeededRng::new(0x5D1F_0006);
+    let mut rendered = 0usize;
+    for _ in 0..CASES {
+        let mut ops = ops_for(&gen_canonical(&mut r).0);
+        ops.extend(ops_for(&gen_rich(&mut r)));
+        ops.extend((0..4).map(|_| gen_op(&mut r)));
+        for op in ops {
+            let Some(segments) = path_segments(&op) else {
+                continue;
+            };
+            let refs: Vec<&str> = segments.iter().map(String::as_str).collect();
+            let back = parse_ops(&refs).unwrap_or_else(|e| panic!("{segments:?}: {e}"));
+            assert_eq!(format!("{back:?}"), format!("{:?}", [op]), "{segments:?}");
+            rendered += 1;
+        }
+    }
+    assert!(rendered > CASES, "only {rendered} ops had a path spelling");
+}
+
+/// Statements with their cache path and the plan a traced evaluation
+/// reports, as they read before SQL lowered straight to query ops — all
+/// but the last: its float literal used to canonicalise to the integer
+/// path filter `filter/c/9007199254740992`.
+const PINNED: &[(&str, &str, &str)] = &[
+    ("select brand, sum(revenue) from sales group by brand", "groupby/brand/sum/revenue", "groupby/brand/sum/revenue"),
+    ("select brand, count(units) from sales where region = 'east' group by brand order by count_units desc limit 3", "filter/region/east/groupby/brand/count/units/sort/count_units/desc/limit/3", "selected(where(Cmp(Eq, Column(\"region\"), Literal(Str(\"east\"))));groupby([\"brand\"];count:units:count_units;false))/topn([count_units desc];3)"),
+    ("select region, sum(revenue) as total, count(*) as n from sales group by region order by total desc", "sql:groupby([\"region\"];sum:revenue:total,count_all::n;false)/sort/total/desc", "groupby([\"region\"];sum:revenue:total,count_all::n;false)/sort/total/desc"),
+    ("select region, brand, sum(revenue) from sales group by region, brand", "sql:groupby([\"region\", \"brand\"];sum:revenue:sum_revenue;false)", "groupby([\"region\", \"brand\"];sum:revenue:sum_revenue;false)"),
+    ("select count(*) from sales", "sql:groupby([];count_all::count_all;false)", "groupby([];count_all::count_all;false)"),
+    ("select * from sales order by revenue desc limit 5 offset 2", "sql:sort/revenue/desc/offset(2)/limit/5", "topn([revenue desc];7)/offset(2)"),
+    ("select * from sales order by region asc, revenue desc limit 10", "sql:sort(region:asc,revenue:desc)/limit/10", "topn([region asc, revenue desc];10)"),
+    ("select distinct region from sales", "sql:project([\"region\"])/distinct([])", "project([\"region\"])/distinct([])"),
+    ("select distinct region, brand from sales limit 20 offset 3", "sql:project([\"region\", \"brand\"])/distinct([])/offset(3)/limit/20", "project([\"region\", \"brand\"])/distinct([])/offset(3)/limit/20"),
+    ("select region, brand from sales where revenue > 50", "sql:where(Cmp(Gt, Column(\"revenue\"), Literal(Int(50))))/project([\"region\", \"brand\"])", "where(Cmp(Gt, Column(\"revenue\"), Literal(Int(50))))/project([\"region\", \"brand\"])"),
+    ("select * from sales where units = 3", "filter/units/3", "where(Cmp(Eq, Column(\"units\"), Literal(Int(3))))"),
+    ("select * from sales where active = true", "filter/active/true", "where(Cmp(Eq, Column(\"active\"), Literal(Bool(true))))"),
+    ("select * from sales where name = '42'", "sql:where(Cmp(Eq, Column(\"name\"), Literal(Str(\"42\"))))", "where(Cmp(Eq, Column(\"name\"), Literal(Str(\"42\"))))"),
+    ("select * from sales where price = 7.5", "filter/price/7.5", "where(Cmp(Eq, Column(\"price\"), Literal(Float(7.5))))"),
+    ("select * from sales where region = 'east' and units > 2", "sql:where(And(Cmp(Eq, Column(\"region\"), Literal(Str(\"east\"))), Cmp(Gt, Column(\"units\"), Literal(Int(2)))))", "where(And(Cmp(Eq, Column(\"region\"), Literal(Str(\"east\"))), Cmp(Gt, Column(\"units\"), Literal(Int(2)))))"),
+    ("select * from sales join stores on store = id", "sql:join(stores;store;id)", "join(stores;store;id)"),
+    ("select * from sales join stores on store = id where region = 'east' limit 4", "sql:join(stores;store;id)/where(Cmp(Eq, Column(\"region\"), Literal(Str(\"east\"))))/limit/4", "join(stores;store;id)/where(Cmp(Eq, Column(\"region\"), Literal(Str(\"east\"))))/limit/4"),
+    ("select sum(revenue), brand from sales group by brand", "sql:groupby/brand/sum/revenue/project([\"sum_revenue\", \"brand\"])", "groupby/brand/sum/revenue/project([\"sum_revenue\", \"brand\"])"),
+    ("select * from sales limit 10", "limit/10", "limit/10"),
+    ("select * from sales", "", ""),
+    ("select * from sales where c = 9007199254740993.0", "sql:where(Cmp(Eq, Column(\"c\"), Literal(Float(9007199254740992.0))))", "where(Cmp(Eq, Column(\"c\"), Literal(Float(9007199254740992.0))))"),
+];
+
+#[test]
+fn cache_paths_and_plans_are_pinned() {
+    let stores = Table::from_rows(&["id"], &[]).unwrap();
+    for (sql, cache_path, plan) in PINNED {
+        let stmt = parse_select(sql).unwrap();
+        let mut resolve = |_: &str| Ok(stores.clone());
+        let lowered = lower_plan(&lower(sql, &stmt).unwrap(), &mut resolve).unwrap();
+        assert_eq!(lowered.cache_path, *cache_path, "{sql}");
+        assert_eq!(plan_text(&fuse(&lowered.ops)), *plan, "{sql}");
+    }
 }
 
 // ---------------------------------------------------------------------------
