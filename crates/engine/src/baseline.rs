@@ -247,8 +247,8 @@ fn naive_groupby(
     let mut rows = Vec::with_capacity(groups.len());
     for (key, accs) in groups {
         let mut row = key;
-        for acc in accs {
-            row.push(acc.finish());
+        for (acc, a) in accs.into_iter().zip(&aggs) {
+            row.push(acc.finish(&a.apply_on).map_err(exec_err)?);
         }
         rows.push(row);
     }

@@ -1,42 +1,23 @@
 //! JSON serialisation of tables for the data API.
 
 use shareinsights_tabular::io::json::write_json_quoted;
-use shareinsights_tabular::{Column, Table, Value};
-use std::fmt::Write;
+use shareinsights_tabular::io::{CellWriter, Dialect};
+use shareinsights_tabular::Table;
 
 /// JSON-escape and quote a string.
 pub fn quote(s: &str) -> String {
     shareinsights_tabular::io::json::quote_json(s)
 }
 
-fn push_display(out: &mut String, v: impl std::fmt::Display) {
-    write!(out, "{v}").expect("writing to a String cannot fail");
-}
-
-/// Append cell `r` of `col` to `out`, read from the typed buffer.
-fn write_cell(out: &mut String, col: &Column, r: usize) {
-    if !col.validity_ref().is_some_and(|v| v.get(r)) {
-        return out.push_str("null");
-    }
-    match col {
-        Column::Bool { data, .. } => push_display(out, data[r]),
-        Column::Int64 { data, .. } => push_display(out, data[r]),
-        Column::Float64 { data, .. } if data[r].is_finite() => push_display(out, data[r]),
-        Column::Float64 { .. } | Column::Null { .. } => out.push_str("null"),
-        Column::Utf8 { data, .. } => write_json_quoted(out, &data[r]),
-        Column::Date { data, .. } => {
-            out.push('"');
-            push_display(out, Value::Date(data[r]));
-            out.push('"');
-        }
-    }
-}
-
 /// Serialise a table as `{"columns": [...], "rows": [[...]]}` — the payload
 /// shape the figure-28 endpoint browse returns. Cells go from the typed
-/// column buffers straight into the output.
+/// column buffers straight into the output through the JSON
+/// [`CellWriter`].
 pub fn table_to_json(table: &Table) -> String {
-    let mut out = String::from("{\"columns\": [");
+    let rows = table.num_rows();
+    let cells = CellWriter::new(table, Dialect::Json);
+    let mut out = String::with_capacity(cells.size_hint(rows) + 64);
+    out.push_str("{\"columns\": [");
     for (i, name) in table.schema().names().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -44,20 +25,17 @@ pub fn table_to_json(table: &Table) -> String {
         write_json_quoted(&mut out, name);
     }
     out.push_str("], \"rows\": [");
-    for r in 0..table.num_rows() {
+    for r in 0..rows {
         if r > 0 {
             out.push_str(", ");
         }
         out.push('[');
-        for (c, col) in table.columns().iter().enumerate() {
-            if c > 0 {
-                out.push_str(", ");
-            }
-            write_cell(&mut out, col, r);
-        }
+        cells.write_row(&mut out, r, ", ");
         out.push(']');
     }
-    out.push_str(&format!("], \"total_rows\": {}}}", table.num_rows()));
+    out.push_str("], \"total_rows\": ");
+    out.push_str(&rows.to_string());
+    out.push('}');
     out
 }
 
@@ -77,7 +55,7 @@ pub fn string_list(items: &[impl AsRef<str>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shareinsights_tabular::row;
+    use shareinsights_tabular::{row, Column, Value};
 
     #[test]
     fn table_serialises_and_reparses() {

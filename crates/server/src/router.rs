@@ -1202,8 +1202,9 @@ impl Server {
                 // shard-local with a router-side gather — byte-identical
                 // to the single-shard path by construction (see
                 // [`crate::shard`]). `None` means the planner declined
-                // (unshardable head, lossy aggregate, tiny table) and the
-                // query falls through to ordinary indexed evaluation.
+                // (unshardable head, lossy aggregate, tiny table) or the
+                // query failed, and it falls through to ordinary indexed
+                // evaluation, which owns every error message.
                 let sharded = self.shards.as_ref().and_then(|shards| {
                     shards.execute(
                         &format!("{dashboard}/{dataset}"),
@@ -1215,8 +1216,7 @@ impl Server {
                     )
                 });
                 let (result, index_hit) = match sharded {
-                    Some(Ok(r)) => r,
-                    Some(Err(e)) => return Response::error(Status::BadRequest, e),
+                    Some(r) => r,
                     None => {
                         let indexed = match self.indexed_table(dashboard, dataset) {
                             Ok(indexed) => indexed,
@@ -1248,7 +1248,13 @@ impl Server {
         // Paging on the final result.
         let limit = limit.unwrap_or(result.num_rows());
         let page = result.slice(offset, limit);
+        let mut serialise_span = eval_span.as_ref().map(|s| s.child("serialise"));
         let body = table_to_json(&page);
+        if let Some(mut s) = serialise_span.take() {
+            s.set_attr("rows", page.num_rows());
+            s.set_attr("bytes", body.len());
+            s.finish();
+        }
         if let Some(mut s) = eval_span.take() {
             s.set_attr("rows_out", page.num_rows());
             s.set_attr("bytes", body.len());
@@ -1871,6 +1877,20 @@ F:
         );
         assert!(body.contains("\"rows_materialised\": 2"), "{body}");
         assert!(body.contains("\"index_hit\": 1"), "{body}");
+
+        // Writing the page is its own child of `query_eval`, so the trace
+        // separates evaluation from serialisation.
+        let doc = shareinsights_tabular::io::json::parse_json(&body).unwrap();
+        let dispatch = doc.path("root.children.0").unwrap();
+        let eval = (0..)
+            .map_while(|i| dispatch.path(&format!("children.{i}")))
+            .find(|c| c.path("name").and_then(|n| n.as_str()) == Some("query_eval"))
+            .expect("query_eval span");
+        let serialise = eval.path("children.0").expect("serialise span");
+        assert_eq!(serialise.path("name").unwrap().as_str(), Some("serialise"));
+        let attr = |k: &str| serialise.path(&format!("attrs.{k}")).unwrap().to_value();
+        assert_eq!(attr("rows").as_int(), Some(2));
+        assert_eq!(attr("bytes").as_int(), Some(r.body.len() as i64));
     }
 
     #[test]

@@ -312,8 +312,8 @@ impl ShardSet {
     }
 
     /// Scatter the planned local pipeline; `Ok` partials arrive in shard
-    /// order. `Err(Some(msg))` is a query error (identical to the
-    /// unsharded message); `Err(None)` means a stale/absent slice was hit.
+    /// order. `Err(Some(msg))` is a shard's query error; `Err(None)` means
+    /// a stale/absent slice was hit.
     #[allow(clippy::type_complexity)]
     fn scatter(
         &self,
@@ -390,8 +390,8 @@ impl ShardSet {
 
     /// Execute `ops` over `table` via scatter/gather. `None` means the
     /// query should run unsharded (plan not shardable, endpoint below the
-    /// row floor, or workers unavailable); `Some(result)` mirrors the
-    /// unsharded `run_query_indexed` contract exactly.
+    /// row floor, workers unavailable, or the query failed somewhere);
+    /// `Some(result)` is the unsharded `run_query_indexed` result exactly.
     pub fn execute(
         &self,
         key: &str,
@@ -400,7 +400,7 @@ impl ShardSet {
         table: &Table,
         ops: &[QueryOp],
         mut span: Option<&mut Span>,
-    ) -> Option<Result<(Table, bool), String>> {
+    ) -> Option<(Table, bool)> {
         if table.num_rows() < self.partitioning.min_rows {
             self.metrics.record_shard_fallback();
             return None;
@@ -427,11 +427,10 @@ impl ShardSet {
         }
         let (replies, partial_rows) = match attempt {
             Ok(ok) => ok,
-            Err(Some(message)) => return Some(Err(message)),
-            Err(None) => {
-                self.metrics.record_shard_fallback();
-                return None;
-            }
+            // A failing query runs again unsharded, which owns every error
+            // message and decides whether there is one: a shard's partial
+            // integer sum can leave `i64` where the whole sum does not.
+            Err(failure) => return self.fall_back(span, failure),
         };
         let gather_started = Instant::now();
         let mut index_hit = false;
@@ -487,10 +486,27 @@ impl ShardSet {
             partial_rows,
             gather_started.elapsed().as_micros() as u64,
         );
+        // The same rule as a shard's error: a re-summed partial that
+        // leaves `i64` would name the output column, where the unsharded
+        // error names the input.
+        let table = match result {
+            Ok(table) => table,
+            Err(message) => return self.fall_back(span, Some(message)),
+        };
         if let Some(s) = span {
             s.set_attr("sharded", 1i64);
         }
-        Some(result.map(|t| (t, index_hit)))
+        Some((table, index_hit))
+    }
+
+    /// Count a failed scatter as a fallback, note the error on the span
+    /// (a stale slice has none), and hand the query to the unsharded path.
+    fn fall_back(&self, span: Option<&mut Span>, error: Option<String>) -> Option<(Table, bool)> {
+        self.metrics.record_shard_fallback();
+        if let (Some(s), Some(error)) = (span, error) {
+            s.set_attr("shard_error", error);
+        }
+        None
     }
 
     /// Drop every worker's slice of `key` (append/publish/stream-push
@@ -570,8 +586,7 @@ mod tests {
         let expected = run_query(table, &ops).unwrap();
         let (got, _) = s
             .execute("t/d", 1, &segs.join("/"), table, &ops, None)
-            .expect("sharded path")
-            .expect("query ok");
+            .expect("sharded path");
         assert_eq!(got, expected, "{segs:?}");
     }
 
@@ -611,16 +626,12 @@ mod tests {
     }
 
     #[test]
-    fn query_errors_match_unsharded_strings() {
+    fn query_errors_run_unsharded() {
         let s = set(2);
         let table = big_table(1500);
         let ops = parse_ops(&["filter", "ghost", "x"]).unwrap();
-        let unsharded = run_query(&table, &ops).unwrap_err();
-        let sharded = s
-            .execute("t/d", 1, "rk", &table, &ops, None)
-            .expect("scattered")
-            .unwrap_err();
-        assert_eq!(sharded, unsharded);
+        assert!(s.execute("t/d", 1, "rk", &table, &ops, None).is_none());
+        assert_eq!(s.metrics.shard().fallbacks, 1);
     }
 
     #[test]
@@ -628,27 +639,19 @@ mod tests {
         let s = set(2);
         let table = big_table(1500);
         let ops = parse_ops(&["filter", "k", "k1"]).unwrap();
-        s.execute("t/d", 1, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
+        s.execute("t/d", 1, "rk", &table, &ops, None).unwrap();
         assert_eq!(s.metrics.shard().loads, 2);
         // Same generation: slices reused.
-        s.execute("t/d", 1, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
+        s.execute("t/d", 1, "rk", &table, &ops, None).unwrap();
         assert_eq!(s.metrics.shard().loads, 2);
         // New generation: reload.
-        s.execute("t/d", 2, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
+        s.execute("t/d", 2, "rk", &table, &ops, None).unwrap();
         assert_eq!(s.metrics.shard().loads, 4);
         s.invalidate("t/d");
         let stats = s.worker_stats();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|w| w.slices == 0));
-        s.execute("t/d", 2, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
+        s.execute("t/d", 2, "rk", &table, &ops, None).unwrap();
         assert_eq!(s.metrics.shard().loads, 6);
     }
 
@@ -657,18 +660,12 @@ mod tests {
         let s = set(2);
         let table = big_table(1500);
         let ops = parse_ops(&["groupby", "k", "sum", "v"]).unwrap();
-        s.execute("t/d", 1, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
-        s.execute("t/d", 1, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
+        s.execute("t/d", 1, "rk", &table, &ops, None).unwrap();
+        s.execute("t/d", 1, "rk", &table, &ops, None).unwrap();
         let stats = s.worker_stats();
         assert!(stats.iter().all(|w| w.result_hits >= 1), "{stats:?}");
         s.clear_caches();
-        s.execute("t/d", 1, "rk", &table, &ops, None)
-            .unwrap()
-            .unwrap();
+        s.execute("t/d", 1, "rk", &table, &ops, None).unwrap();
         let after = s.worker_stats();
         assert!(after.iter().all(|w| w.result_hits == 1), "{after:?}");
     }

@@ -119,8 +119,14 @@ pub enum Accumulator {
         kind: AggKind,
         /// Non-null inputs folded.
         count: i64,
-        /// Sum of the integer inputs.
+        /// Sum of the integer inputs, wrapped to `i64`.
         sum_i: i64,
+        /// Net times `sum_i` wrapped, upward positive: the exact sum is
+        /// `sum_i + wraps·2^64`, whatever the fold order or partial split,
+        /// and [`finish`] reports it when it leaves `i64`.
+        ///
+        /// [`finish`]: Accumulator::finish
+        wraps: i64,
         /// Sum of every input as `f64`, in call order.
         sum_f: f64,
         /// A float or numeric string was folded: the result is a float.
@@ -161,6 +167,7 @@ impl Accumulator {
                 kind,
                 count: 0,
                 sum_i: 0,
+                wraps: 0,
                 sum_f: 0.0,
                 saw_float: false,
             },
@@ -248,11 +255,12 @@ impl Accumulator {
             Accumulator::Numeric {
                 count,
                 sum_i,
+                wraps,
                 sum_f,
                 ..
             } => {
                 *count += 1;
-                *sum_i += x;
+                add_exact(sum_i, wraps, x);
                 *sum_f += x as f64;
                 Ok(())
             }
@@ -360,6 +368,7 @@ impl Accumulator {
                 Numeric {
                     count,
                     sum_i,
+                    wraps,
                     sum_f,
                     saw_float,
                     ..
@@ -367,13 +376,15 @@ impl Accumulator {
                 Numeric {
                     count: c,
                     sum_i: i,
+                    wraps: w,
                     sum_f: f,
                     saw_float: s,
                     ..
                 },
             ) => {
                 *count += c;
-                *sum_i += i;
+                add_exact(sum_i, wraps, i);
+                *wraps += w;
                 *sum_f += f;
                 *saw_float |= s;
             }
@@ -404,9 +415,12 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Produce the final aggregate value.
-    pub fn finish(self) -> Value {
-        match self {
+    /// Produce the final aggregate value of input `column`. An integer
+    /// `sum` whose exact total leaves `i64` is a
+    /// [`TabularError::Overflow`]; `avg` divides the float sum and has no
+    /// such limit.
+    pub fn finish(self, column: &str) -> Result<Value> {
+        Ok(match self {
             Accumulator::Numeric { count: 0, .. } => Value::Null,
             Accumulator::Numeric {
                 kind: AggKind::Avg,
@@ -419,14 +433,33 @@ impl Accumulator {
                 sum_f,
                 ..
             } => Value::Float(sum_f),
-            Accumulator::Numeric { sum_i, .. } => Value::Int(sum_i),
+            Accumulator::Numeric {
+                sum_i, wraps: 0, ..
+            } => Value::Int(sum_i),
+            Accumulator::Numeric { kind, .. } => {
+                return Err(TabularError::Overflow {
+                    aggregate: kind.name(),
+                    column: column.to_string(),
+                })
+            }
             Accumulator::Count { n, .. } => Value::Int(n),
             Accumulator::Extreme { best: held, .. } | Accumulator::Edge { value: held, .. } => {
                 held.unwrap_or(Value::Null)
             }
             Accumulator::Distinct(seen) => Value::Int(seen.len() as i64),
             Accumulator::Collected(items) => Value::Str(items.join(",")),
-        }
+        })
+    }
+}
+
+/// `sum += x` on the exact integer `sum + wraps·2^64`. The wrap branch is
+/// never taken while sums stay in range.
+#[inline]
+fn add_exact(sum: &mut i64, wraps: &mut i64, x: i64) {
+    let (wrapped, over) = sum.overflowing_add(x);
+    *sum = wrapped;
+    if over {
+        *wraps += if x < 0 { -1 } else { 1 };
     }
 }
 
@@ -458,7 +491,7 @@ mod tests {
         for v in vals {
             acc.update(v).unwrap();
         }
-        acc.finish()
+        acc.finish("v").unwrap()
     }
 
     #[test]
@@ -555,7 +588,7 @@ mod tests {
             for v in &data {
                 whole.update(v).unwrap();
             }
-            let expect = whole.finish();
+            let expect = whole.finish("v").unwrap();
             for split in 0..=data.len() {
                 let mut left = kind.accumulator();
                 for v in &data[..split] {
@@ -566,9 +599,45 @@ mod tests {
                     right.update(v).unwrap();
                 }
                 left.merge(right).unwrap();
-                assert_eq!(left.finish(), expect, "{kind} split at {split}");
+                assert_eq!(left.finish("v").unwrap(), expect, "{kind} split at {split}");
             }
         }
+    }
+
+    #[test]
+    fn an_integer_sum_past_i64_is_an_error_whatever_the_split() {
+        let over = [Value::Int(i64::MAX), Value::Int(1)];
+        let err = TabularError::Overflow {
+            aggregate: "sum",
+            column: "v".into(),
+        };
+        let mut acc = AggKind::Sum.accumulator();
+        over.iter().for_each(|v| acc.update(v).unwrap());
+        assert_eq!(acc.finish("v"), Err(err.clone()));
+        // A partial that leaves the range and comes back is exact.
+        let back = [Value::Int(i64::MAX), Value::Int(1), Value::Int(-2)];
+        assert_eq!(run(AggKind::Sum, &back), Value::Int(i64::MAX - 1));
+        // The same verdict from merged partials, at every split.
+        for (vals, want) in [
+            (&over[..], Err(err)),
+            (&back[..], Ok(Value::Int(i64::MAX - 1))),
+        ] {
+            for split in 0..=vals.len() {
+                let mut left = AggKind::Sum.accumulator();
+                vals[..split].iter().for_each(|v| left.update(v).unwrap());
+                let mut right = AggKind::Sum.accumulator();
+                vals[split..].iter().for_each(|v| right.update(v).unwrap());
+                left.merge(right).unwrap();
+                assert_eq!(left.finish("v"), want, "split at {split}");
+            }
+        }
+        // `avg` divides the float sum; a float input makes `sum` a float.
+        assert_eq!(
+            run(AggKind::Avg, &over),
+            Value::Float((i64::MAX as f64 + 1.0) / 2.0)
+        );
+        let mixed = [Value::Int(i64::MAX), Value::Int(1), Value::Float(0.5)];
+        assert!(matches!(run(AggKind::Sum, &mixed), Value::Float(_)));
     }
 
     #[test]

@@ -70,6 +70,13 @@ pub enum TabularError {
         /// The destination type.
         target: &'static str,
     },
+    /// An integer aggregate's exact result does not fit in 64 bits.
+    Overflow {
+        /// The aggregate (`sum`).
+        aggregate: &'static str,
+        /// Its input column.
+        column: String,
+    },
     /// Catch-all for invalid operator configuration.
     InvalidOperation(String),
 }
@@ -120,6 +127,10 @@ impl fmt::Display for TabularError {
             TabularError::ValueConversion { value, target } => {
                 write!(f, "cannot convert value '{value}' to {target}")
             }
+            TabularError::Overflow { aggregate, column } => write!(
+                f,
+                "integer overflow: {aggregate} of column '{column}' leaves the 64-bit range"
+            ),
             TabularError::InvalidOperation(m) => write!(f, "invalid operation: {m}"),
         }
     }
@@ -169,6 +180,10 @@ mod tests {
             TabularError::ValueConversion {
                 value: "abc".into(),
                 target: "Int64",
+            },
+            TabularError::Overflow {
+                aggregate: "sum",
+                column: "v".into(),
             },
             TabularError::InvalidOperation("nope".into()),
         ];

@@ -738,6 +738,9 @@ impl IndexedTable {
 
         // Dense accumulation: code -> group id (first-seen order), one flat
         // accumulator lane per aggregate. No hashing, no Value allocation.
+        // A lane wraps instead of checking each add; one flag records that
+        // some add wrapped, and then the scan kernel's exact sum answers.
+        let mut wrapped = false;
         let mut gid_of_code: Vec<usize> = vec![usize::MAX; d.cardinality()];
         let mut group_codes: Vec<u32> = Vec::new();
         let mut acc: Vec<Vec<i64>> = vec![Vec::new(); fast_aggs.len()];
@@ -755,11 +758,17 @@ impl IndexedTable {
                 gid_of_code[c]
             };
             for (ai, fa) in fast_aggs.iter().enumerate() {
-                acc[ai][gid] += match fa {
+                let lane = &mut acc[ai][gid];
+                let (sum, over) = lane.overflowing_add(match fa {
                     FastAgg::Sum(data) => data[i],
                     FastAgg::Count | FastAgg::CountAll => 1,
-                };
+                });
+                *lane = sum;
+                wrapped |= over;
             }
+        }
+        if wrapped {
+            return None;
         }
 
         let mut order: Vec<usize> = (0..group_codes.len()).collect();

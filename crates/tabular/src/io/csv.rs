@@ -4,6 +4,7 @@
 use crate::column::{ColumnBuilder, StrBuf};
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
+use crate::io::cells::{write_csv_field, CellWriter, Dialect};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Inferred;
@@ -212,30 +213,20 @@ pub fn read_csv(content: &str, opts: &CsvOptions) -> Result<Table> {
     Table::new(Schema::new(fields)?, columns)
 }
 
-fn needs_quoting(s: &str, sep: char) -> bool {
-    s.contains(sep) || s.contains('"') || s.contains('\n') || s.contains('\r')
-}
-
 /// Serialise a table to CSV text with a header row.
 pub fn write_csv(table: &Table, sep: char) -> String {
-    let mut out = String::new();
-    let quote = |s: &str| -> String {
-        if needs_quoting(s, sep) {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
+    let cells = CellWriter::new(table, Dialect::Csv(sep));
+    let mut out = String::with_capacity(cells.size_hint(table.num_rows() + 1));
+    for (i, name) in table.schema().names().iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
         }
-    };
-    let header: Vec<String> = table.schema().names().iter().map(|n| quote(n)).collect();
-    out.push_str(&header.join(&sep.to_string()));
+        write_csv_field(&mut out, name, sep);
+    }
     out.push('\n');
-    for i in 0..table.num_rows() {
-        let row: Vec<String> = table
-            .columns()
-            .iter()
-            .map(|c| quote(&c.value(i).to_string()))
-            .collect();
-        out.push_str(&row.join(&sep.to_string()));
+    let delimiter = sep.to_string();
+    for r in 0..table.num_rows() {
+        cells.write_row(&mut out, r, &delimiter);
         out.push('\n');
     }
     out

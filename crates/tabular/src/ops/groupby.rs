@@ -346,8 +346,9 @@ impl GroupByPartial {
         let mut finished: Vec<Vec<Value>> = self
             .accs
             .into_iter()
-            .map(|accs| accs.into_iter().map(Accumulator::finish).collect())
-            .collect();
+            .zip(&self.aggs)
+            .map(|(accs, spec)| accs.into_iter().map(|a| a.finish(&spec.apply_on)).collect())
+            .collect::<Result<_>>()?;
 
         // Optional ordering by first aggregate, descending.
         let mut order: Vec<usize> = (0..self.keys.len()).collect();

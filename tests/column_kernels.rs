@@ -5,13 +5,27 @@
 //!
 //! Equality is on the typed buffers themselves (`Column: PartialEq` —
 //! data, string arena and validity words), not on rendered values.
+//!
+//! The cell writer behind `write_csv` and `table_to_json` is held to the
+//! writers it replaced, kept here as oracles: every cell boxed and spelled
+//! by `Display`. Its release case count is the full one; debug builds run
+//! a thirtieth.
 
 use shareinsights::datagen::SeededRng;
+use shareinsights::server::table_to_json;
+use shareinsights::tabular::datefmt::days_from_civil;
+use shareinsights::tabular::io::csv::write_csv;
+use shareinsights::tabular::io::json::quote_json;
 use shareinsights::tabular::ops::union_all;
-use shareinsights::tabular::{Column, ColumnBuilder, DataType, Field, Schema, Table, Value};
+use shareinsights::tabular::{
+    Bitmap, Column, ColumnBuilder, DataType, Field, Schema, Table, Value,
+};
 use std::sync::Arc;
 
 const CASES: usize = 200;
+
+/// The cell writer's cases: the full count in release, a thirtieth in debug.
+const WRITER_CASES: usize = if cfg!(debug_assertions) { 60 } else { 2000 };
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -239,5 +253,242 @@ fn cast_matches_the_oracle_for_every_source_and_target() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The cell writer against the writers it replaced
+// ---------------------------------------------------------------------------
+
+/// `write_csv` before the typed cell writer, verbatim: each cell boxed,
+/// spelled by `Value`'s `Display`, quoted, collected and joined.
+fn write_csv_oracle(table: &Table, sep: char) -> String {
+    fn needs_quoting(s: &str, sep: char) -> bool {
+        s.contains(sep) || s.contains('"') || s.contains('\n') || s.contains('\r')
+    }
+    let mut out = String::new();
+    let quote = |s: &str| -> String {
+        if needs_quoting(s, sep) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_string()
+        }
+    };
+    let header: Vec<String> = table.schema().names().iter().map(|n| quote(n)).collect();
+    out.push_str(&header.join(&sep.to_string()));
+    out.push('\n');
+    for i in 0..table.num_rows() {
+        let row: Vec<String> = table
+            .columns()
+            .iter()
+            .map(|c| quote(&c.value(i).to_string()))
+            .collect();
+        out.push_str(&row.join(&sep.to_string()));
+        out.push('\n');
+    }
+    out
+}
+
+/// `table_to_json` before the typed cell writer: each cell spelled by the
+/// `Display` of its `f64`, `i64`, `bool` or `Value::Date`.
+fn table_to_json_oracle(table: &Table) -> String {
+    let cell = |col: &Column, r: usize| -> String {
+        if !col.validity_ref().is_some_and(|v| v.get(r)) {
+            return "null".into();
+        }
+        match col {
+            Column::Bool { data, .. } => data[r].to_string(),
+            Column::Int64 { data, .. } => data[r].to_string(),
+            Column::Float64 { data, .. } if data[r].is_finite() => data[r].to_string(),
+            Column::Float64 { .. } | Column::Null { .. } => "null".into(),
+            Column::Utf8 { data, .. } => quote_json(&data[r]),
+            Column::Date { data, .. } => quote_json(&Value::Date(data[r]).to_string()),
+        }
+    };
+    let names: Vec<String> = table
+        .schema()
+        .names()
+        .iter()
+        .map(|n| quote_json(n))
+        .collect();
+    let rows: Vec<String> = (0..table.num_rows())
+        .map(|r| {
+            let cells: Vec<String> = table.columns().iter().map(|c| cell(c, r)).collect();
+            format!("[{}]", cells.join(", "))
+        })
+        .collect();
+    format!(
+        "{{\"columns\": [{}], \"rows\": [{}], \"total_rows\": {}}}",
+        names.join(", "),
+        rows.join(", "),
+        table.num_rows()
+    )
+}
+
+/// Both writers equal their oracles on `table`; a mismatch names the
+/// first row that differs and its cells.
+#[track_caller]
+fn assert_writers_match(table: &Table, sep: char, what: &str) {
+    let json = table_to_json(table) == table_to_json_oracle(table);
+    let csv = write_csv(table, sep) == write_csv_oracle(table, sep);
+    if json && csv {
+        return;
+    }
+    for r in 0..table.num_rows() {
+        let row = table.slice(r, 1);
+        assert_eq!(
+            table_to_json(&row),
+            table_to_json_oracle(&row),
+            "{what}: JSON of row {r}"
+        );
+        assert_eq!(
+            write_csv(&row, sep),
+            write_csv_oracle(&row, sep),
+            "{what}: CSV (sep {sep:?}) of row {r}"
+        );
+    }
+    panic!("{what}: the writers differ from their oracles (json ok: {json}, csv ok: {csv})");
+}
+
+/// A float from one of the shapes the fast path must get right or hand
+/// back: random bits, cents, `k`-digit decimals (`k` ≤ 8), their ±1-ulp
+/// neighbours, subnormals, dyadic fractions and the range edges.
+fn gen_float(r: &mut SeededRng) -> f64 {
+    let sign = if r.chance(0.5) { -1.0 } else { 1.0 };
+    let decimal = |r: &mut SeededRng| {
+        let k = r.index(9) as i32;
+        let width = 1 + r.index(12) as u32;
+        let digits = r.int_range(1, 10_i64.pow(width));
+        digits as f64 / 10f64.powi(k)
+    };
+    match r.index(8) {
+        0 => f64::from_bits(r.next_u64()),
+        1 => sign * r.int_range(0, 100_000_000) as f64 / 100.0,
+        2 => sign * decimal(r),
+        3 => {
+            let x = sign * decimal(r);
+            if r.chance(0.5) {
+                x.next_up()
+            } else {
+                x.next_down()
+            }
+        }
+        4 => sign * f64::from_bits(r.next_u64() & ((1 << 52) - 1)),
+        5 => sign * r.int_range(1, 1 << 40) as f64 / (1u64 << r.index(40)) as f64,
+        _ => {
+            let edges = [
+                0.0,
+                -0.0,
+                5e-324,
+                f64::MIN_POSITIVE,
+                1e-7,
+                0.000001,
+                1e9,
+                1e9f64.next_up(),
+                1e9f64.next_down(),
+                999_999_999.999_999,
+                1e15,
+                1e15f64.next_down(),
+                1e17,
+                1e21,
+                f64::MAX,
+                f64::NAN,
+                f64::INFINITY,
+            ];
+            sign * *r.pick(&edges)
+        }
+    }
+}
+
+fn gen_int(r: &mut SeededRng) -> i64 {
+    match r.index(4) {
+        0 => *r.pick(&[i64::MIN, i64::MAX, 0, -1, i64::MIN + 1, 10, -10]),
+        1 => r.next_u64() as i64,
+        _ => r.int_range(-100_000, 100_000),
+    }
+}
+
+fn gen_date(r: &mut SeededRng) -> i32 {
+    match r.index(4) {
+        0 => {
+            let year = *r.pick(&[-1, 0, 1, 1970, 9999, 10000, -10000]);
+            let (m, d) = *r.pick(&[(1, 1), (12, 31), (2, 29), (6, 15)]);
+            days_from_civil(year, m, d)
+        }
+        1 => r.next_u64() as i32,
+        _ => r.int_range(-800_000, 3_000_000) as i32,
+    }
+}
+
+/// Strings a separator, quote, line break, escape or non-ASCII byte can
+/// land in.
+fn gen_cell_string(r: &mut SeededRng) -> String {
+    let parts = [
+        "a", ",", ";", "\"", "\n", "\r", "\t", "\\", "\u{1}", "日", ".", "-", "1", " ",
+    ];
+    (0..r.index(5)).map(|_| *r.pick(&parts)).collect()
+}
+
+/// A column of `rows` cells of `ty` with no nulls, some, or only nulls.
+fn gen_writer_column(r: &mut SeededRng, ty: DataType, rows: usize) -> Column {
+    let nulls = *r.pick(&[0.0, 0.0, 0.3, 1.0]);
+    let validity = Bitmap::from_fn(rows, |_| !r.chance(nulls));
+    match ty {
+        DataType::Null => Column::Null { len: rows },
+        DataType::Bool => Column::Bool {
+            data: (0..rows).map(|_| r.chance(0.5)).collect(),
+            validity,
+        },
+        DataType::Int64 => Column::Int64 {
+            data: (0..rows).map(|_| gen_int(r)).collect(),
+            validity,
+        },
+        DataType::Float64 => Column::Float64 {
+            data: (0..rows).map(|_| gen_float(r)).collect(),
+            validity,
+        },
+        DataType::Utf8 => Column::Utf8 {
+            data: (0..rows).map(|_| gen_cell_string(r)).collect(),
+            validity,
+        },
+        DataType::Date => Column::Date {
+            data: (0..rows).map(|_| gen_date(r)).collect(),
+            validity,
+        },
+    }
+}
+
+/// Every cell type, one column at a time, against the `Display` its rule
+/// replaces: floats of every shape, the integer and date edges, strings
+/// with separators and escapes, and all-null and mixed-null columns.
+#[test]
+fn cell_writer_spells_each_type_as_display() {
+    let mut r = SeededRng::new(0x6365_6C6C);
+    for case in 0..WRITER_CASES {
+        let ty = gen_type(&mut r);
+        let rows = r.index(64);
+        let table = table_of(vec![gen_writer_column(&mut r, ty, rows)]);
+        let sep = *r.pick(&[',', ',', ';', '\t', '|']);
+        assert_writers_match(&table, sep, &format!("case {case}: {ty:?}"));
+    }
+}
+
+/// Whole generated tables — mixed types, nulls, zero rows, odd separators
+/// (including ones a number or a date can hold) — render byte for byte as
+/// the old writers did.
+#[test]
+fn write_csv_and_table_to_json_match_their_old_forms() {
+    let mut r = SeededRng::new(0x6365_6C6D);
+    for case in 0..WRITER_CASES {
+        let types: Vec<DataType> = (0..1 + r.index(6)).map(|_| gen_type(&mut r)).collect();
+        let rows = if r.chance(1.0 / 6.0) { 0 } else { r.index(40) };
+        let table = table_of(
+            types
+                .iter()
+                .map(|&ty| gen_writer_column(&mut r, ty, rows))
+                .collect(),
+        );
+        let sep = *r.pick(&[',', ';', '\t', '.', '-', 'e', '1', 'a', '"']);
+        assert_writers_match(&table, sep, &format!("case {case}: {types:?}"));
     }
 }

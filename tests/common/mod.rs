@@ -107,15 +107,18 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
     Ok(current)
 }
 
-/// The aggregate state the typed [`Accumulator`] replaced, verbatim: one
-/// struct carrying every kind's fields, fed one boxed [`Value`] at a time.
+/// The aggregate state the typed [`Accumulator`] replaced: one struct
+/// carrying every kind's fields, fed one boxed [`Value`] at a time. One
+/// rule differs from the original: the integer sum is exact (`i128`) and
+/// an integer `sum` outside `i64` finishes as an error, where the original
+/// wrapped in release and panicked in debug.
 ///
 /// [`Accumulator`]: shareinsights::tabular::agg::Accumulator
 #[derive(Debug, Clone)]
 pub struct ModelAccumulator {
     kind: AggKind,
     count: i64,
-    sum_i: i64,
+    sum_i: i128,
     sum_f: f64,
     saw_float: bool,
     extreme: Option<Value>,
@@ -162,7 +165,7 @@ impl ModelAccumulator {
                 self.count += 1;
                 self.sum_f += f;
                 match v.as_int() {
-                    Some(i) if !matches!(v, Value::Float(_)) => self.sum_i += i,
+                    Some(i) if !matches!(v, Value::Float(_)) => self.sum_i += i128::from(i),
                     _ => self.saw_float = true,
                 }
             }
@@ -191,11 +194,13 @@ impl ModelAccumulator {
         Ok(())
     }
 
-    pub fn finish(self) -> Value {
-        match self.kind {
+    pub fn finish(self) -> Result<Value, String> {
+        Ok(match self.kind {
             AggKind::Sum if self.count == 0 => Value::Null,
             AggKind::Sum if self.saw_float => Value::Float(self.sum_f),
-            AggKind::Sum => Value::Int(self.sum_i),
+            AggKind::Sum => Value::Int(
+                i64::try_from(self.sum_i).map_err(|_| "integer sum overflow".to_string())?,
+            ),
             AggKind::Count | AggKind::CountAll => Value::Int(self.count),
             AggKind::Avg if self.count == 0 => Value::Null,
             AggKind::Avg => Value::Float(self.sum_f / self.count as f64),
@@ -204,7 +209,7 @@ impl ModelAccumulator {
             AggKind::Last => self.last.unwrap_or(Value::Null),
             AggKind::CountDistinct => Value::Int(self.distinct.len() as i64),
             AggKind::Collect => Value::Str(self.collected.join(",")),
-        }
+        })
     }
 }
 
@@ -301,7 +306,7 @@ pub fn rowwise_groupby_batches(
     let finished: Vec<Vec<Value>> = accs
         .into_iter()
         .map(|group| group.into_iter().map(ModelAccumulator::finish).collect())
-        .collect();
+        .collect::<Result<_, _>>()?;
     let mut order: Vec<usize> = (0..key_rows.len()).collect();
     if cfg.orderby_aggregates {
         order.sort_by(|&a, &b| finished[b][0].cmp(&finished[a][0]));

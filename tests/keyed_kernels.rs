@@ -330,6 +330,101 @@ fn gen_batches(r: &mut SeededRng, table: &Table, kinds: &[KeyKind]) -> Vec<Table
         .collect()
 }
 
+/// An integer `sum` is exact or an error, and one error on every path: the
+/// scan kernel, the indexed kernels (the dense lane and the coded one),
+/// partials merged at any split, `run_query` and `run_query_indexed`.
+/// Values sit near `±2^62` and the `i64` bounds, so running sums leave the
+/// range and come back; `avg` divides the float sum and never errs.
+#[test]
+fn integer_sums_past_i64_are_one_error_on_every_path() {
+    use shareinsights::server::query::{run_query, run_query_indexed, QueryOp};
+    use shareinsights::tabular::TabularError;
+
+    const BIG: [i64; 6] = [i64::MAX, i64::MIN, 1 << 62, -(1 << 62), i64::MAX - 1, 3];
+    let mut r = SeededRng::new(0x6B65_790A);
+    for case in 0..CASES {
+        // Case 0 is the reported one: `[i64::MAX, 1]` under one key.
+        let (keys, values): (Vec<String>, Vec<i64>) = if case == 0 {
+            (vec!["a".into(); 2], vec![i64::MAX, 1])
+        } else {
+            let groups = 1 + r.index(3);
+            (0..1 + r.index(12))
+                .map(|_| {
+                    let v = if r.chance(0.6) {
+                        *r.pick(&BIG)
+                    } else {
+                        r.int_range(-9, 9)
+                    };
+                    (format!("g{}", r.index(groups)), v)
+                })
+                .unzip()
+        };
+        let nulls = if r.chance(0.7) { 0.0 } else { 0.3 };
+        let validity = Bitmap::from_fn(values.len(), |_| !r.chance(nulls));
+        let table = table_of(vec![
+            ("k".into(), Column::utf8(keys.iter().map(String::as_str))),
+            (
+                "v".into(),
+                Column::Int64 {
+                    data: values.clone(),
+                    validity,
+                },
+            ),
+        ]);
+        let mut aggregates = vec![AggregateSpec::new(AggKind::Sum, "v", "s")];
+        if r.chance(0.5) {
+            aggregates.push(AggregateSpec::new(AggKind::Count, "v", "n"));
+        }
+        let cfg = GroupBy::with_aggregates(&["k"], aggregates);
+        let what = format!("case {case}: {values:?} {cfg:?}");
+
+        let want = rowwise_groupby(&table, &cfg, None);
+        let scan = groupby_selected(&table, &cfg, None);
+        assert_same_outcome(scan.clone(), want.clone(), &what);
+        if case == 0 {
+            assert!(want.is_err(), "{what}");
+        }
+        let indexed = IndexedTable::new(table.clone());
+        let ops = [QueryOp::GroupBy(cfg.clone())];
+        let by_query = run_query(&table, &ops);
+        let by_index = run_query_indexed(&indexed, &ops).map(|(t, _)| t);
+        let split = r.index(table.num_rows() + 1);
+        let merged = groupby_partial(&table.slice(0, split), &cfg).and_then(|mut left| {
+            left.merge(groupby_partial(
+                &table.slice(split, table.num_rows()),
+                &cfg,
+            )?)?;
+            left.into_table()
+        });
+        match scan {
+            Ok(_) => {
+                let want = want.unwrap();
+                assert_identical(&indexed.groupby(&cfg).expect("indexed"), &want, &what);
+                assert_identical(&by_query.unwrap(), &want, &what);
+                assert_identical(&by_index.unwrap(), &want, &what);
+                assert_identical(&merged.unwrap(), &want, &format!("split {split}, {what}"));
+            }
+            Err(e) => {
+                let overflow = TabularError::Overflow {
+                    aggregate: "sum",
+                    column: "v".into(),
+                };
+                assert_eq!(e, overflow, "{what}");
+                assert!(indexed.groupby(&cfg).is_none(), "{what}: indexed declines");
+                assert_eq!(by_query, Err(overflow.to_string()), "{what}");
+                assert_eq!(by_index, Err(overflow.to_string()), "{what}");
+                assert_eq!(merged.unwrap_err(), overflow, "split {split}, {what}");
+            }
+        }
+
+        // `avg` reads the float sum: a float, whatever the integer sum does.
+        let avg =
+            GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Avg, "v", "m")]);
+        let got = groupby_selected(&table, &avg, None).expect("avg never overflows");
+        assert_identical(&got, &rowwise_groupby(&table, &avg, None).unwrap(), &what);
+    }
+}
+
 #[test]
 fn partials_in_batches_match_one_pass() {
     let mut r = SeededRng::new(0x6B65_7903);

@@ -58,8 +58,12 @@ fn sales_csv() -> String {
 }
 
 fn server_with(shards: usize) -> Server {
+    server_over(sales_csv(), shards)
+}
+
+fn server_over(csv: String, shards: usize) -> Server {
     let platform = Platform::new();
-    platform.upload_data("retail", "sales.csv", sales_csv());
+    platform.upload_data("retail", "sales.csv", csv);
     let server = Server::new(platform).with_shards(shards);
     let r = server.handle(&Request::new(Method::Put, "/dashboards/retail/flow").with_body(FLOW));
     assert!(r.is_ok(), "{}", r.body);
@@ -172,6 +176,64 @@ fn sql_queries_match_unsharded_byte_for_byte() {
             let again = sql(&sharded, text);
             assert_eq!(b.body, again.body, "{width} shards, cold repeat: {text}");
         }
+        assert!(sharded.platform().api_metrics().shard().scatters > 0);
+    }
+}
+
+/// An integer `sum` past `i64` is one 400 at every width, with the
+/// unsharded message, and a sum that only a partial overflows is still
+/// answered. Brand `over` holds `i64::MAX` in the first row and `1` in the
+/// last — each shard's partial fits, the whole does not; brand `back`
+/// holds `2^62` twice at the front (shard 0's partial leaves `i64`) and
+/// `-2^62` at the back, so its whole sum is `2^62`.
+#[test]
+fn integer_sum_overflow_is_one_400_at_every_width() {
+    let mut csv = String::from("region,brand,revenue\n");
+    for i in 0..ROWS {
+        let (brand, revenue) = match i {
+            0 => ("over", i64::MAX),
+            i if i == ROWS - 1 => ("over", 1),
+            1 | 2 => ("back", 1 << 62),
+            i if i == ROWS - 2 => ("back", -(1 << 62)),
+            _ => ("pad", 1),
+        };
+        csv.push_str(&format!("r{},{brand},{revenue}\n", i % 3));
+    }
+    let queries = [
+        "/retail/ds/sales_out/groupby/brand/sum/revenue",
+        "/retail/ds/sales_out/filter/brand/over/groupby/brand/sum/revenue",
+        "/retail/ds/sales_out/filter/brand/back/groupby/brand/sum/revenue",
+    ];
+    let baseline = server_over(csv.clone(), 1);
+    let over = get(&baseline, queries[1]);
+    assert_eq!(over.status.code(), 400, "{}", over.body);
+    assert!(
+        over.body
+            .contains("integer overflow: sum of column 'revenue' leaves the 64-bit range"),
+        "{}",
+        over.body
+    );
+    let back = get(&baseline, queries[2]);
+    assert!(back.is_ok(), "{}", back.body);
+    assert!(
+        back.body.contains(&(1i64 << 62).to_string()),
+        "{}",
+        back.body
+    );
+    for width in [2usize, 4] {
+        let sharded = server_over(csv.clone(), width);
+        for path in queries {
+            let a = get(&baseline, path);
+            let b = get(&sharded, path);
+            assert_eq!(a.status, b.status, "{width} shards: {path}");
+            assert_eq!(a.body, b.body, "{width} shards: {path}");
+        }
+        let text = "select brand, sum(revenue) from sales_out where brand = 'back' group by brand";
+        assert_eq!(
+            sql(&baseline, text).body,
+            sql(&sharded, text).body,
+            "{width}: {text}"
+        );
         assert!(sharded.platform().api_metrics().shard().scatters > 0);
     }
 }
