@@ -16,7 +16,7 @@ use shareinsights_flowfile::config::{ConfigMap, ConfigValue};
 use shareinsights_tabular::agg::{AggKind, AggregateFunction};
 use shareinsights_tabular::expr::{parse_expr, Expr};
 use shareinsights_tabular::ops::{
-    self, AggregateSpec, Buckets, DateMap, ExtractMap, GroupBy, GroupByPartial, JoinCondition,
+    self, group_ids, AggregateSpec, Buckets, DateMap, ExtractMap, GroupBy, GroupIds, JoinCondition,
     JoinSpec, KeyColumn, LocationMap, ProjectSpec, RowSel, SortKey, TopN, WordsMap,
 };
 use shareinsights_tabular::text::{ExtractDict, Gazetteer};
@@ -1147,14 +1147,15 @@ fn execute_groupby(
         .map(|k| Ok(KeyColumn::Cells(input.column(k)?)))
         .collect::<shareinsights_tabular::Result<Vec<_>>>()
         .map_err(err)?;
-    let mut partial = GroupByPartial::new(cfg);
-    let ids = partial.update_keyed(input, None, &keys).map_err(err)?;
-    let groups = partial.num_groups();
-    let mut base = partial.into_table().map_err(err)?;
+    // The fold's groups are the key coding's, in first-seen order.
+    let rows = RowSel::new(input.num_rows(), None);
+    let GroupIds { ids, reps } = group_ids(&keys, &rows);
+    let groups = reps.len();
+    let mut base = ops::groupby(input, &cfg).map_err(err)?;
     if keys_only {
         base = base.project(&builtin.keys).map_err(err)?;
     }
-    let buckets = Buckets::new(&ids, &RowSel::new(input.num_rows(), None), groups);
+    let buckets = Buckets::new(&ids, &rows, groups);
 
     let mut out = base.clone();
     for cagg in custom {

@@ -99,21 +99,17 @@ impl fmt::Display for AggKind {
     }
 }
 
-/// Running state for one aggregate over one group: a variant per shape of
-/// state, each holding only what its kinds need. [`Accumulator::update`]
-/// folds a boxed [`Value`]; the typed entry points ([`add_i64`],
-/// [`add_f64`], [`see_str`], [`bump`]) fold a cell straight from a column
-/// buffer with the same outcome, so a kernel can pick one per
-/// `(kind, column type)` outside its row loop.
-///
-/// [`add_i64`]: Accumulator::add_i64
-/// [`add_f64`]: Accumulator::add_f64
-/// [`see_str`]: Accumulator::see_str
-/// [`bump`]: Accumulator::bump
+/// Running state for one aggregate over one group, boxed: a variant per
+/// shape of state, each holding only what its kinds need. The group-by
+/// kernel keeps typed per-group lanes and falls back to these only where a
+/// lane cannot be typed (string measures, `count_distinct`, `collect`, and
+/// a lane that meets a second input type); [`Accumulator::update`] folds a
+/// boxed [`Value`] with the lanes' outcome.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
-    /// `sum` and `avg`: the integer sum is exact while every input is an
-    /// integer; the float sum folds every input in call order.
+    /// `sum` and `avg`: integer inputs are summed exactly; from the first
+    /// float input on, a float sum starts from that exact sum rounded once
+    /// and folds every later input in call order.
     Numeric {
         /// `Sum` or `Avg`.
         kind: AggKind,
@@ -127,7 +123,7 @@ pub enum Accumulator {
         ///
         /// [`finish`]: Accumulator::finish
         wraps: i64,
-        /// Sum of every input as `f64`, in call order.
+        /// The float sum; meaningful once `saw_float` is set.
         sum_f: f64,
         /// A float or numeric string was folded: the result is a float.
         saw_float: bool,
@@ -204,8 +200,24 @@ impl Accumulator {
             (_, Value::Null) => {}
             (Accumulator::Count { n, .. }, _) => *n += 1,
             (_, Value::Str(s)) => return self.see_str(s),
-            (Accumulator::Numeric { .. }, Value::Int(i)) => return self.add_i64(*i),
-            (Accumulator::Numeric { .. }, Value::Float(f)) => return self.add_f64(*f),
+            (
+                Accumulator::Numeric {
+                    count,
+                    sum_i,
+                    wraps,
+                    sum_f,
+                    saw_float,
+                    ..
+                },
+                Value::Int(x),
+            ) => {
+                *count += 1;
+                add_exact(sum_i, wraps, *x);
+                if *saw_float {
+                    *sum_f += *x as f64;
+                }
+            }
+            (Accumulator::Numeric { .. }, Value::Float(x)) => self.add_float(*x),
             (Accumulator::Numeric { kind, .. }, other) => {
                 return Err(not_numeric(*kind, other.data_type()))
             }
@@ -238,52 +250,23 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Count one row or non-null cell: [`update`](Accumulator::update) of
-    /// any non-null value on a `count`/`count_all` state, without the
-    /// value. Other kinds ignore it.
-    #[inline]
-    pub fn bump(&mut self) {
-        if let Accumulator::Count { n, .. } = self {
-            *n += 1;
-        }
-    }
-
-    /// [`update`](Accumulator::update) of `Value::Int(x)`.
-    #[inline]
-    pub fn add_i64(&mut self, x: i64) -> Result<()> {
-        match self {
-            Accumulator::Numeric {
-                count,
-                sum_i,
-                wraps,
-                sum_f,
-                ..
-            } => {
-                *count += 1;
-                add_exact(sum_i, wraps, x);
-                *sum_f += x as f64;
-                Ok(())
-            }
-            other => other.update(&Value::Int(x)),
-        }
-    }
-
-    /// [`update`](Accumulator::update) of `Value::Float(x)`.
-    #[inline]
-    pub fn add_f64(&mut self, x: f64) -> Result<()> {
-        match self {
-            Accumulator::Numeric {
-                count,
-                sum_f,
-                saw_float,
-                ..
-            } => {
-                *count += 1;
-                *sum_f += x;
+    /// Fold a float input into a `sum`/`avg` state.
+    fn add_float(&mut self, x: f64) {
+        if let Accumulator::Numeric {
+            count,
+            sum_i,
+            wraps,
+            sum_f,
+            saw_float,
+            ..
+        } = self
+        {
+            *count += 1;
+            if !*saw_float {
                 *saw_float = true;
-                Ok(())
+                *sum_f = exact(*sum_i, *wraps) as f64;
             }
-            other => other.update(&Value::Float(x)),
+            *sum_f += x;
         }
     }
 
@@ -291,22 +274,14 @@ impl Accumulator {
     /// when the state has to keep the string. `sum`/`avg` parse it —
     /// schema-light CSV columns are often `Utf8` but numeric in content —
     /// and always yield a float.
-    pub fn see_str(&mut self, s: &str) -> Result<()> {
+    pub(crate) fn see_str(&mut self, s: &str) -> Result<()> {
         match self {
-            Accumulator::Numeric {
-                kind,
-                count,
-                sum_f,
-                saw_float,
-                ..
-            } => {
+            Accumulator::Numeric { kind, .. } => {
                 let f = s
                     .trim()
                     .parse::<f64>()
                     .map_err(|_| not_numeric(*kind, DataType::Utf8))?;
-                *count += 1;
-                *sum_f += f;
-                *saw_float = true;
+                self.add_float(f);
             }
             Accumulator::Count { n, .. } => *n += 1,
             Accumulator::Extreme { kind, best } => {
@@ -353,6 +328,7 @@ impl Accumulator {
     /// original input — order-sensitive aggregates (`first`, `last`,
     /// `collect`) concatenate in call order, which is what makes
     /// partition-ordered scatter/gather byte-identical to a single pass.
+    /// Integer sums merge exactly; a float sum merged is a sum of sums.
     pub fn merge(&mut self, other: Accumulator) -> Result<()> {
         let kind = self.kind();
         if kind != other.kind() {
@@ -383,9 +359,15 @@ impl Accumulator {
                 },
             ) => {
                 *count += c;
+                let later = if s { f } else { exact(i, w) as f64 };
+                if !*saw_float && s {
+                    *sum_f = exact(*sum_i, *wraps) as f64;
+                }
+                if *saw_float || s {
+                    *sum_f += later;
+                }
                 add_exact(sum_i, wraps, i);
                 *wraps += w;
-                *sum_f += f;
                 *saw_float |= s;
             }
             (Count { n, .. }, Count { n: m, .. }) => *n += m,
@@ -417,31 +399,31 @@ impl Accumulator {
 
     /// Produce the final aggregate value of input `column`. An integer
     /// `sum` whose exact total leaves `i64` is a
-    /// [`TabularError::Overflow`]; `avg` divides the float sum and has no
-    /// such limit.
+    /// [`TabularError::Overflow`]. An `avg` over integers only is their
+    /// exact sum, rounded once, over the count — the same bits whatever
+    /// the fold order or partial split — and has no such limit.
     pub fn finish(self, column: &str) -> Result<Value> {
         Ok(match self {
             Accumulator::Numeric { count: 0, .. } => Value::Null,
             Accumulator::Numeric {
-                kind: AggKind::Avg,
+                kind,
                 count,
+                sum_i,
+                wraps,
                 sum_f,
-                ..
-            } => Value::Float(sum_f / count as f64),
-            Accumulator::Numeric {
-                saw_float: true,
-                sum_f,
-                ..
-            } => Value::Float(sum_f),
-            Accumulator::Numeric {
-                sum_i, wraps: 0, ..
-            } => Value::Int(sum_i),
-            Accumulator::Numeric { kind, .. } => {
-                return Err(TabularError::Overflow {
-                    aggregate: kind.name(),
-                    column: column.to_string(),
-                })
-            }
+                saw_float,
+            } => match (kind, saw_float) {
+                (AggKind::Avg, true) => Value::Float(sum_f / count as f64),
+                (AggKind::Avg, false) => Value::Float(exact(sum_i, wraps) as f64 / count as f64),
+                (_, true) => Value::Float(sum_f),
+                (_, false) if wraps == 0 => Value::Int(sum_i),
+                (_, false) => {
+                    return Err(TabularError::Overflow {
+                        aggregate: kind.name(),
+                        column: column.to_string(),
+                    })
+                }
+            },
             Accumulator::Count { n, .. } => Value::Int(n),
             Accumulator::Extreme { best: held, .. } | Accumulator::Edge { value: held, .. } => {
                 held.unwrap_or(Value::Null)
@@ -452,10 +434,16 @@ impl Accumulator {
     }
 }
 
+/// The integer `sum + wraps·2^64`.
+#[inline]
+pub(crate) fn exact(sum: i64, wraps: i64) -> i128 {
+    i128::from(sum) + (i128::from(wraps) << 64)
+}
+
 /// `sum += x` on the exact integer `sum + wraps·2^64`. The wrap branch is
 /// never taken while sums stay in range.
 #[inline]
-fn add_exact(sum: &mut i64, wraps: &mut i64, x: i64) {
+pub(crate) fn add_exact(sum: &mut i64, wraps: &mut i64, x: i64) {
     let (wrapped, over) = sum.overflowing_add(x);
     *sum = wrapped;
     if over {
@@ -631,13 +619,39 @@ mod tests {
                 assert_eq!(left.finish("v"), want, "split at {split}");
             }
         }
-        // `avg` divides the float sum; a float input makes `sum` a float.
+        // `avg` rounds the exact sum once; a float input makes `sum` a float.
         assert_eq!(
             run(AggKind::Avg, &over),
             Value::Float((i64::MAX as f64 + 1.0) / 2.0)
         );
         let mixed = [Value::Int(i64::MAX), Value::Int(1), Value::Float(0.5)];
         assert!(matches!(run(AggKind::Sum, &mixed), Value::Float(_)));
+    }
+
+    #[test]
+    fn an_integer_avg_rounds_the_exact_sum_once_whatever_the_split() {
+        let big = Value::Int(1 << 53);
+        let one = Value::Int(1);
+        let vals = [big, one.clone(), one.clone(), one];
+        // 2^53 + 3 rounds to 2^53 + 4; a running float sum stays at 2^53.
+        let want = Value::Float(2251799813685249.0);
+        assert_eq!(run(AggKind::Avg, &vals), want);
+        for split in 0..=vals.len() {
+            let mut left = AggKind::Avg.accumulator();
+            vals[..split].iter().for_each(|v| left.update(v).unwrap());
+            let mut right = AggKind::Avg.accumulator();
+            vals[split..].iter().for_each(|v| right.update(v).unwrap());
+            left.merge(right).unwrap();
+            assert_eq!(left.finish("v").unwrap(), want, "split at {split}");
+        }
+        // A float sum starts from the exact integer sum so far, rounded once.
+        let mixed = [
+            Value::Int(1 << 53),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Float(0.0),
+        ];
+        assert_eq!(run(AggKind::Sum, &mixed), Value::Float(9007199254740994.0));
     }
 
     #[test]

@@ -244,6 +244,12 @@ impl Bitmap {
         bm
     }
 
+    /// The backing words, bit `i` at `words[i / 64] >> (i % 64)`; the bits
+    /// past `len` are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterate over the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {

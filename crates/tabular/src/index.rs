@@ -11,29 +11,29 @@
 //!   into a dictionary, a per-row `u32` code, and the rows of each code (a
 //!   posting) held as row ids or as a bitmap, whichever its density makes
 //!   smaller. Equality predicates become posting-list unions, range
-//!   predicates become contiguous code spans, group-by becomes dense
-//!   code-indexed accumulation, and sort becomes a walk of the postings in
-//!   code rank.
+//!   predicates become contiguous code spans, group-by hands the shared
+//!   kernel ([`GroupByPartial`]) codes to group through a dense
+//!   `code → group` table, and sort becomes a walk of the postings in code
+//!   rank.
 //! - [`ZoneIndex`] for `Int64`/`Float64`/`Date` columns: min–max bounds per
 //!   fixed-size row zone. Range and equality predicates skip zones whose
 //!   bounds cannot intersect the predicate and scan only candidate zones.
 //!
 //! [`IndexedTable`] bundles a [`Table`] with one lazily built
 //! ([`OnceLock`]) index slot per column. Row filters read the indexes
-//! through [`crate::expr::Expr::eval_mask_indexed`]; the group-by and sort
-//! kernels here mirror the scan kernels' semantics *exactly* and return
+//! through [`crate::expr::Expr::eval_mask_indexed`]; the group-by runs the
+//! scan path's own kernel and the sort mirrors the scan sort *exactly*; both
+//! return
 //! `Option<Table>`: `None` means "not covered — run the scan kernel
 //! instead". Callers therefore never see a behaviour difference, only a
 //! latency one; the differential tests in this module and in `tests/` pin
 //! that down.
 
-use crate::agg::AggKind;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::ops::groupby::{GroupBy, GroupByPartial};
 use crate::ops::keys::{group_ids, Buckets, GroupIds, KeyColumn, RowSel};
 use crate::ops::sort::{SortKey, SortOrder};
-use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::BTreeSet;
@@ -274,11 +274,6 @@ impl DictionaryIndex {
             mask.set_where(0, &self.codes, |c| c >= start && c < end);
         }
         mask
-    }
-
-    /// True when the column has no null cells.
-    pub fn no_nulls(&self) -> bool {
-        self.nulls.len() == 0
     }
 
     /// Heap bytes the index holds: the dictionary, the codes and every
@@ -682,120 +677,17 @@ impl IndexedTable {
             .clone()
     }
 
-    /// Accelerated [`crate::ops::groupby()`], offered when at least one
-    /// key has a dictionary: the fused pass for its one shape, otherwise
-    /// [`IndexedTable::groupby_selected`] over every row.
+    /// Accelerated [`crate::ops::groupby()`]: [`IndexedTable::groupby_selected`]
+    /// over every row.
     pub fn groupby(&self, cfg: &GroupBy) -> Option<Table> {
-        self.groupby_dense(cfg)
-            .or_else(|| self.groupby_selected(cfg, None))
-    }
-
-    /// The narrowest group-by shape, fused into one pass: one null-free
-    /// dictionary key and `sum`/`count`/`count_all` over null-free `Int64`
-    /// columns fold into flat `i64` lanes indexed by code, with no per-row
-    /// scratch. Kept beside [`IndexedTable::groupby_selected`] because it
-    /// is measurably faster on that shape (0.4 against 0.9 ms over 100k
-    /// rows and 5,000 keys) and the ad-hoc `groupby/<key>/sum/<col>` route
-    /// is exactly that shape; output is bit-identical (first-seen group
-    /// order, same schema, same optional order-by-aggregate sort).
-    fn groupby_dense(&self, cfg: &GroupBy) -> Option<Table> {
-        if cfg.keys.len() != 1 {
-            return None;
-        }
-        let index = self.index(&cfg.keys[0])?;
-        let ColumnIndex::Dictionary(d) = index.as_ref() else {
-            return None;
-        };
-        if !d.no_nulls() {
-            return None;
-        }
-        let aggs = cfg.effective_aggregates();
-        enum FastAgg<'a> {
-            Sum(&'a [i64]),
-            Count,
-            CountAll,
-        }
-        let mut fast_aggs: Vec<FastAgg<'_>> = Vec::with_capacity(aggs.len());
-        for a in &aggs {
-            match a.operator {
-                AggKind::CountAll => fast_aggs.push(FastAgg::CountAll),
-                AggKind::Sum | AggKind::Count => {
-                    let col = self.table.column(&a.apply_on).ok()?;
-                    let Column::Int64 { data, validity } = col.as_ref() else {
-                        return None;
-                    };
-                    if validity.count_ones() != data.len() {
-                        return None;
-                    }
-                    fast_aggs.push(match a.operator {
-                        AggKind::Sum => FastAgg::Sum(data),
-                        _ => FastAgg::Count,
-                    });
-                }
-                _ => return None,
-            }
-        }
-
-        // Dense accumulation: code -> group id (first-seen order), one flat
-        // accumulator lane per aggregate. No hashing, no Value allocation.
-        // A lane wraps instead of checking each add; one flag records that
-        // some add wrapped, and then the scan kernel's exact sum answers.
-        let mut wrapped = false;
-        let mut gid_of_code: Vec<usize> = vec![usize::MAX; d.cardinality()];
-        let mut group_codes: Vec<u32> = Vec::new();
-        let mut acc: Vec<Vec<i64>> = vec![Vec::new(); fast_aggs.len()];
-        for (i, &code) in d.codes.iter().enumerate() {
-            let c = code as usize;
-            let gid = if gid_of_code[c] == usize::MAX {
-                let g = group_codes.len();
-                gid_of_code[c] = g;
-                group_codes.push(code);
-                for a in acc.iter_mut() {
-                    a.push(0);
-                }
-                g
-            } else {
-                gid_of_code[c]
-            };
-            for (ai, fa) in fast_aggs.iter().enumerate() {
-                let lane = &mut acc[ai][gid];
-                let (sum, over) = lane.overflowing_add(match fa {
-                    FastAgg::Sum(data) => data[i],
-                    FastAgg::Count | FastAgg::CountAll => 1,
-                });
-                *lane = sum;
-                wrapped |= over;
-            }
-        }
-        if wrapped {
-            return None;
-        }
-
-        let mut order: Vec<usize> = (0..group_codes.len()).collect();
-        if cfg.orderby_aggregates && !acc.is_empty() {
-            order.sort_by(|&a, &b| acc[0][b].cmp(&acc[0][a]));
-        }
-
-        let key_out = Column::utf8(
-            order
-                .iter()
-                .map(|&g| d.dict[group_codes[g] as usize].as_str()),
-        );
-        let mut columns = vec![key_out];
-        for a in &acc {
-            columns.push(Column::int(order.iter().map(|&g| a[g])));
-        }
-        let mut fields = vec![self.table.schema().field(&cfg.keys[0]).ok()?.clone()];
-        for a in &aggs {
-            fields.push(Field::new(&a.out_field, crate::datatype::DataType::Int64));
-        }
-        Table::new(Schema::new(fields).ok()?, columns).ok()
+        self.groupby_selected(cfg, None)
     }
 
     /// Accelerated [`crate::ops::groupby_selected`]: the same kernel, with
     /// every dictionary-indexed key column handed over as its codes, so
     /// those keys are grouped through a dense `code → group` table instead
-    /// of a hash of their cells. Offered when at least one key has a
+    /// of a hash of their cells; a lone coded key is resolved row by row
+    /// inside the fold, with no id vector. Offered when at least one key has a
     /// dictionary; any number of keys, null keys and every aggregate are
     /// covered, and the output is the scan kernel's by construction (one
     /// fold, one materialisation). A missing column declines, so the scan
@@ -862,6 +754,7 @@ impl IndexedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::AggKind;
     use crate::expr::{CmpOp, Expr};
     use crate::ops::groupby::AggregateSpec;
     use crate::ops::{groupby, sort};
@@ -902,7 +795,6 @@ mod tests {
         assert_eq!(d.code_of("a"), Some(0));
         assert_eq!(d.code_of("zz"), None);
         assert_eq!(d.cardinality(), 2);
-        assert!(!d.no_nulls());
         // Build is cached: the second lookup does not rebuild.
         let _ = ix.index("k");
         assert_eq!(ix.build_stats().0, 1);

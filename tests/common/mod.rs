@@ -109,9 +109,13 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
 
 /// The aggregate state the typed [`Accumulator`] replaced: one struct
 /// carrying every kind's fields, fed one boxed [`Value`] at a time. One
-/// rule differs from the original: the integer sum is exact (`i128`) and
-/// an integer `sum` outside `i64` finishes as an error, where the original
-/// wrapped in release and panicked in debug.
+/// rule differs from the original: integer inputs are summed exactly
+/// (`i128`). An integer `sum` outside `i64` finishes as an error, where the
+/// original wrapped in release and panicked in debug; an `avg` over
+/// integers only is their exact sum rounded once over the count, and a
+/// float sum starts at the first float input from the exact sum so far,
+/// rounded once, where the original added every input as a float in row
+/// order.
 ///
 /// [`Accumulator`]: shareinsights::tabular::agg::Accumulator
 #[derive(Debug, Clone)]
@@ -163,10 +167,16 @@ impl ModelAccumulator {
                 }
                 .ok_or_else(|| format!("{} over {}", self.kind, v.data_type()))?;
                 self.count += 1;
-                self.sum_f += f;
-                match v.as_int() {
-                    Some(i) if !matches!(v, Value::Float(_)) => self.sum_i += i128::from(i),
-                    _ => self.saw_float = true,
+                match v {
+                    Value::Int(i) => self.sum_i += i128::from(*i),
+                    _ if !self.saw_float => {
+                        self.saw_float = true;
+                        self.sum_f = self.sum_i as f64;
+                    }
+                    _ => {}
+                }
+                if self.saw_float {
+                    self.sum_f += f;
                 }
             }
             AggKind::Min => {
@@ -203,7 +213,8 @@ impl ModelAccumulator {
             ),
             AggKind::Count | AggKind::CountAll => Value::Int(self.count),
             AggKind::Avg if self.count == 0 => Value::Null,
-            AggKind::Avg => Value::Float(self.sum_f / self.count as f64),
+            AggKind::Avg if self.saw_float => Value::Float(self.sum_f / self.count as f64),
+            AggKind::Avg => Value::Float(self.sum_i as f64 / self.count as f64),
             AggKind::Min | AggKind::Max => self.extreme.unwrap_or(Value::Null),
             AggKind::First => self.first.unwrap_or(Value::Null),
             AggKind::Last => self.last.unwrap_or(Value::Null),

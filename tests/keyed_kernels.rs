@@ -270,9 +270,39 @@ fn assert_same_outcome<E: std::fmt::Debug>(
 // Group-by
 // ---------------------------------------------------------------------------
 
+/// A key `k0` of `Str` or `Int` cells with 4,096 to 5,119 distinct values,
+/// each at least once, in shuffled order over up to twice as many rows,
+/// then the four measures: the groups outgrow every small table, so lane
+/// growth and the `orderby_aggregates` sort run over thousands of groups.
+fn gen_wide_table(r: &mut SeededRng) -> (KeyKind, Table) {
+    let distinct = 4096 + r.index(1024);
+    let rows = distinct + r.index(distinct);
+    let mut keys: Vec<usize> = (0..rows)
+        .map(|i| if i < distinct { i } else { r.index(distinct) })
+        .collect();
+    for i in (1..rows).rev() {
+        keys.swap(i, r.index(i + 1));
+    }
+    let nulls = *r.pick(&[0.0, 0.15]);
+    let kind = *r.pick(&[KeyKind::Str, KeyKind::Int]);
+    let key = match kind {
+        KeyKind::Str => Column::utf8(keys.iter().map(|k| format!("w{k}"))),
+        _ => Column::int(keys.iter().map(|&k| k as i64 - 2000)),
+    };
+    let mut columns = vec![("k0".to_string(), key)];
+    let measures = gen_measures(r, rows, nulls);
+    columns.extend(measures.into_iter().map(|(n, c)| (n.to_string(), c)));
+    (kind, table_of(columns))
+}
+
+/// The scan kernel, and the indexed kernel (the same fold over dictionary
+/// codes) both over a selection and — with none — through
+/// `IndexedTable::groupby`, against the row-wise oracle. One case in 60
+/// also runs over a key with thousands of distinct values.
 #[test]
 fn groupby_matches_the_rowwise_oracle() {
     let mut r = SeededRng::new(0x6B65_7901);
+    let mut wide = SeededRng::new(0x6B65_790C);
     for case in 0..CASES * 3 {
         let kinds = gen_kinds(&mut r, 3);
         let rows = gen_rows(&mut r);
@@ -280,13 +310,42 @@ fn groupby_matches_the_rowwise_oracle() {
         let cfg = gen_groupby(&mut r, kinds.len());
         let selection = gen_selection(&mut r, table.num_rows());
         let what = format!("case {case}: {kinds:?} {cfg:?} selection {selection:?}");
-        let want = rowwise_groupby(&table, &cfg, selection.as_ref());
-        let got = groupby_selected(&table, &cfg, selection.as_ref());
-        assert_same_outcome(got, want.clone(), &what);
-        // The same kernel fed dictionary codes for its string keys.
-        let indexed = IndexedTable::new(table.clone());
-        if let Some(got) = indexed.groupby_selected(&cfg, selection.as_ref()) {
-            assert_same_outcome(Ok::<_, String>(got), want, &format!("indexed {what}"));
+        assert_groupby_paths_agree(&table, &cfg, selection.as_ref(), &what);
+        if case % 60 == 0 {
+            let (kind, table) = gen_wide_table(&mut wide);
+            let cfg = gen_groupby(&mut wide, 1);
+            let selection = gen_selection(&mut wide, table.num_rows());
+            let what = format!("wide case {case}: {kind:?} {cfg:?}");
+            assert_groupby_paths_agree(&table, &cfg, selection.as_ref(), &what);
+        }
+    }
+}
+
+fn assert_groupby_paths_agree(
+    table: &Table,
+    cfg: &GroupBy,
+    selection: Option<&Bitmap>,
+    what: &str,
+) {
+    let want = rowwise_groupby(table, cfg, selection);
+    let got = groupby_selected(table, cfg, selection);
+    assert_same_outcome(got, want.clone(), what);
+    // The same kernel fed dictionary codes for its string keys.
+    let indexed = IndexedTable::new(table.clone());
+    if let Some(got) = indexed.groupby_selected(cfg, selection) {
+        assert_same_outcome(
+            Ok::<_, String>(got),
+            want.clone(),
+            &format!("indexed {what}"),
+        );
+    }
+    if selection.is_none() {
+        if let Some(got) = indexed.groupby(cfg) {
+            assert_same_outcome(
+                Ok::<_, String>(got),
+                want,
+                &format!("indexed groupby {what}"),
+            );
         }
     }
 }
@@ -331,10 +390,10 @@ fn gen_batches(r: &mut SeededRng, table: &Table, kinds: &[KeyKind]) -> Vec<Table
 }
 
 /// An integer `sum` is exact or an error, and one error on every path: the
-/// scan kernel, the indexed kernels (the dense lane and the coded one),
-/// partials merged at any split, `run_query` and `run_query_indexed`.
-/// Values sit near `±2^62` and the `i64` bounds, so running sums leave the
-/// range and come back; `avg` divides the float sum and never errs.
+/// scan kernel, the indexed kernel, partials merged at any split,
+/// `run_query` and `run_query_indexed`. Values sit near `±2^62` and the
+/// `i64` bounds, so running sums leave the range and come back; `avg`
+/// rounds the exact sum once and never errs.
 #[test]
 fn integer_sums_past_i64_are_one_error_on_every_path() {
     use shareinsights::server::query::{run_query, run_query_indexed, QueryOp};
@@ -417,11 +476,78 @@ fn integer_sums_past_i64_are_one_error_on_every_path() {
             }
         }
 
-        // `avg` reads the float sum: a float, whatever the integer sum does.
+        // `avg` rounds the exact sum once: a float, whatever the integer
+        // sum does.
         let avg =
             GroupBy::with_aggregates(&["k"], vec![AggregateSpec::new(AggKind::Avg, "v", "m")]);
         let got = groupby_selected(&table, &avg, None).expect("avg never overflows");
         assert_identical(&got, &rowwise_groupby(&table, &avg, None).unwrap(), &what);
+    }
+}
+
+/// An `avg` over integers is their exact sum, rounded once, over the
+/// count: one pass, partials merged at every split, the indexed kernel and
+/// the oracle agree bit for bit. Values sit near `±2^53`, where a running
+/// float sum rounds by the order of addition. Case 0 is the reported one:
+/// `[2^53, 1, 1, 1]` under one key, whose one-pass float sum read
+/// `2251799813685248.0` and whose partials `[2^53]`, `[1, 1, 1]` merged to
+/// `2251799813685249.0`.
+#[test]
+fn an_integer_avg_is_one_rounding_whatever_the_split() {
+    const BIG: i64 = 1 << 53;
+    let mut r = SeededRng::new(0x6B65_790B);
+    for case in 0..CASES {
+        let (keys, values): (Vec<String>, Vec<i64>) = if case == 0 {
+            (vec!["a".into(); 4], vec![BIG, 1, 1, 1])
+        } else {
+            let groups = 1 + r.index(2);
+            (0..1 + r.index(16))
+                .map(|_| {
+                    let v = match r.index(4) {
+                        0 => BIG + r.int_range(-3, 3),
+                        1 => -BIG + r.int_range(-3, 3),
+                        _ => r.int_range(-3, 3),
+                    };
+                    (format!("g{}", r.index(groups)), v)
+                })
+                .unzip()
+        };
+        let validity = Bitmap::from_fn(values.len(), |_| case == 0 || !r.chance(0.1));
+        let table = table_of(vec![
+            ("k".into(), Column::utf8(keys.iter().map(String::as_str))),
+            (
+                "v".into(),
+                Column::Int64 {
+                    data: values.clone(),
+                    validity,
+                },
+            ),
+        ]);
+        let cfg = GroupBy::with_aggregates(
+            &["k"],
+            vec![
+                AggregateSpec::new(AggKind::Avg, "v", "m"),
+                AggregateSpec::new(AggKind::Count, "v", "n"),
+            ],
+        );
+        let what = format!("case {case}: {values:?}");
+        let one = groupby_selected(&table, &cfg, None).unwrap();
+        assert_identical(&one, &rowwise_groupby(&table, &cfg, None).unwrap(), &what);
+        if case == 0 {
+            assert_eq!(one.value(0, "m").unwrap(), Value::Float(2251799813685249.0));
+        }
+        let indexed = IndexedTable::new(table.clone());
+        assert_identical(&indexed.groupby(&cfg).expect("indexed"), &one, &what);
+        for split in 0..=table.num_rows() {
+            let mut merged = groupby_partial(&table.slice(0, split), &cfg).unwrap();
+            let rest = table.slice(split, table.num_rows() - split);
+            merged.merge(groupby_partial(&rest, &cfg).unwrap()).unwrap();
+            assert_identical(
+                &merged.into_table().unwrap(),
+                &one,
+                &format!("split {split}, {what}"),
+            );
+        }
     }
 }
 

@@ -238,6 +238,41 @@ fn integer_sum_overflow_is_one_400_at_every_width() {
     }
 }
 
+/// An integer `avg` ships as accumulator state and is merged in shard
+/// order; it answers the same bytes at every width because it is the
+/// exact sum rounded once over the count. Brand `big` holds `2^53` in the
+/// first row and `1` in the last three, so at widths 2 and 4 the first
+/// shard's partial is `[2^53]` and the last one's `[1, 1, 1]`: a float sum
+/// of sums read `2251799813685249`, a running float sum
+/// `2251799813685248`, and the exact mean rounds to the former.
+#[test]
+fn integer_avg_is_one_body_at_every_width() {
+    let mut csv = String::from("region,brand,revenue\n");
+    for i in 0..ROWS {
+        let (brand, revenue) = match i {
+            0 => ("big", 1i64 << 53),
+            i if i >= ROWS - 3 => ("big", 1),
+            _ => ("pad", (i % 7) as i64),
+        };
+        csv.push_str(&format!("r{},{brand},{revenue}\n", i % 3));
+    }
+    let path = "/retail/ds/sales_out/filter/brand/big/groupby/brand/avg/revenue";
+    let baseline = get(&server_over(csv.clone(), 1), path);
+    assert!(baseline.is_ok(), "{}", baseline.body);
+    assert!(
+        baseline.body.contains("2251799813685249"),
+        "{}",
+        baseline.body
+    );
+    for width in [2usize, 4] {
+        let sharded = server_over(csv.clone(), width);
+        let b = get(&sharded, path);
+        assert_eq!(baseline.status, b.status, "{width} shards");
+        assert_eq!(baseline.body, b.body, "{width} shards");
+        assert!(sharded.platform().api_metrics().shard().scatters > 0);
+    }
+}
+
 /// Appends move the generation under a loaded shard set: the next query
 /// must reload fresh slices and keep matching the unsharded answer —
 /// stale partials refused by the generation stamp, never served.
