@@ -319,23 +319,6 @@ impl Column {
         }
     }
 
-    /// Integer at row `i` (None when null or non-integer column).
-    pub fn int_at(&self, i: usize) -> Option<i64> {
-        match self {
-            Column::Int64 { data, validity } if validity.get(i) => Some(data[i]),
-            _ => None,
-        }
-    }
-
-    /// Float at row `i`, widening integers.
-    pub fn float_at(&self, i: usize) -> Option<f64> {
-        match self {
-            Column::Float64 { data, validity } if validity.get(i) => Some(data[i]),
-            Column::Int64 { data, validity } if validity.get(i) => Some(data[i] as f64),
-            _ => None,
-        }
-    }
-
     /// Build a column from dynamic values, inferring the narrowest type
     /// that holds them all (per [`DataType::unify_lossy`]).
     pub fn from_values(values: &[Value]) -> Column {

@@ -35,11 +35,6 @@ impl DataType {
         DataType::Date,
     ];
 
-    /// True when the type is numeric (`Int64` or `Float64`).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int64 | DataType::Float64)
-    }
-
     /// The least upper bound of two types under the widening lattice, or
     /// `None` when the types are incompatible without stringification.
     ///

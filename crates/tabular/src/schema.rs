@@ -149,11 +149,6 @@ impl Schema {
         Ok(&self.fields[self.index_of(name)?])
     }
 
-    /// Field by position.
-    pub fn field_at(&self, i: usize) -> &Field {
-        &self.fields[i]
-    }
-
     /// True when the schema has a column of the given name.
     pub fn contains(&self, name: &str) -> bool {
         self.index.contains_key(name)

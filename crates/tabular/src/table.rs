@@ -107,11 +107,6 @@ impl Table {
         &self.schema
     }
 
-    /// Shared schema handle.
-    pub fn schema_ref(&self) -> SchemaRef {
-        Arc::clone(&self.schema)
-    }
-
     /// Row count.
     pub fn num_rows(&self) -> usize {
         self.rows

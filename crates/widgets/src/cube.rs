@@ -17,7 +17,8 @@
 //!   folds on dictionary codes. The engine's chain runner takes the rest,
 //!   or the whole chain when the prefix fails, so an error names its task.
 //! - Results are cached per selection fingerprint in the shared bounded
-//!   [`Lru`] behind a single mutex, so a long interactive session cannot
+//!   [`Lru`] behind a single mutex, bounded by entries and by the
+//!   results' approximate bytes, so a long interactive session cannot
 //!   grow the cache without limit. The cube owns its snapshot, so entries
 //!   are unstamped (stamp 0): a refresh calls [`DataCube::invalidate`].
 
@@ -35,6 +36,10 @@ use std::time::Instant;
 
 /// Bound on cached results per cube.
 const CUBE_CACHE_ENTRIES: usize = 256;
+/// Bound on the cached results' [`Table::approx_bytes`] per cube, so a
+/// few hundred filtered copies of a wide endpoint cannot stay resident
+/// (the result cache's and the flow memo's bound is the same size).
+const CUBE_CACHE_BYTES: usize = 64 << 20;
 
 /// A cube over one endpoint data object, with a task chain per widget.
 pub struct DataCube {
@@ -48,7 +53,11 @@ impl DataCube {
     pub fn new(base: Table) -> Self {
         DataCube {
             indexed: IndexedTable::new(base),
-            cache: Mutex::new(Lru::new(CUBE_CACHE_ENTRIES)),
+            cache: Mutex::new(Lru::weighted(
+                CUBE_CACHE_ENTRIES,
+                CUBE_CACHE_BYTES,
+                |_, table: &Arc<Table>| table.approx_bytes(),
+            )),
         }
     }
 
@@ -339,6 +348,32 @@ mod tests {
         sel.set("teams", "text", Selection::Values(vec![last.into()]));
         cube.eval("w", &tasks, &sel).unwrap();
         assert_eq!(cube.cache_stats(), (1, misses + 1));
+    }
+
+    #[test]
+    fn cache_is_bounded_by_result_bytes() {
+        // Every row is CSK, so each selection that names CSK keeps the
+        // whole endpoint: a few such results fill the byte budget long
+        // before the entry bound.
+        let rows: Vec<_> = (0..40_000i64)
+            .map(|i| row!["2013-05-02", "CSK", i])
+            .collect();
+        let cube = DataCube::new(Table::from_rows(&["date", "team", "noOfTweets"], &rows).unwrap());
+        let sel = StaticSelections::new();
+        let tasks = vec![filter_by_team()];
+        let mut bytes = 0;
+        for i in 0..64 {
+            let names = vec!["CSK".into(), format!("T{i}").into()];
+            sel.set("teams", "text", Selection::Values(names));
+            bytes += cube.eval("w", &tasks, &sel).unwrap().approx_bytes();
+            if bytes > CUBE_CACHE_BYTES {
+                break;
+            }
+        }
+        assert!(bytes > CUBE_CACHE_BYTES, "the results outgrow the budget");
+        assert!(cube.cache_evictions() > 0, "evicted by bytes");
+        let (_, misses) = cube.cache_stats();
+        assert!(misses < CUBE_CACHE_ENTRIES as u64 / 4, "{misses} results");
     }
 
     #[test]

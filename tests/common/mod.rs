@@ -8,13 +8,14 @@
 //! it applies the ops one at a time, builds predicate masks row by row
 //! through [`Expr::eval_row`], sorts by comparing boxed [`Value`]s, and
 //! keys every group-by, join, distinct and top-n by a boxed [`Row`] per
-//! input row, folding boxed cells into [`ModelAccumulator`] — the kernels
-//! the typed paths replaced, kept here verbatim as the oracle. The suites
-//! assert the two agree byte for byte.
+//! input row, folding boxed cells into the row engine's
+//! [`ModelAccumulator`] — the kernels the typed paths replaced, kept as
+//! the oracle. The suites assert the two agree byte for byte.
 
 // Each integration test compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
+use shareinsights::engine::baseline::ModelAccumulator;
 use shareinsights::server::query::QueryOp;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::Expr;
@@ -107,123 +108,6 @@ pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> 
     Ok(current)
 }
 
-/// The aggregate state the typed [`Accumulator`] replaced: one struct
-/// carrying every kind's fields, fed one boxed [`Value`] at a time. One
-/// rule differs from the original: integer inputs are summed exactly
-/// (`i128`). An integer `sum` outside `i64` finishes as an error, where the
-/// original wrapped in release and panicked in debug; an `avg` over
-/// integers only is their exact sum rounded once over the count, and a
-/// float sum starts at the first float input from the exact sum so far,
-/// rounded once, where the original added every input as a float in row
-/// order.
-///
-/// [`Accumulator`]: shareinsights::tabular::agg::Accumulator
-#[derive(Debug, Clone)]
-pub struct ModelAccumulator {
-    kind: AggKind,
-    count: i64,
-    sum_i: i128,
-    sum_f: f64,
-    saw_float: bool,
-    extreme: Option<Value>,
-    first: Option<Value>,
-    last: Option<Value>,
-    distinct: HashSet<Value>,
-    collected: Vec<String>,
-}
-
-impl ModelAccumulator {
-    pub fn new(kind: AggKind) -> Self {
-        ModelAccumulator {
-            kind,
-            count: 0,
-            sum_i: 0,
-            sum_f: 0.0,
-            saw_float: false,
-            extreme: None,
-            first: None,
-            last: None,
-            distinct: HashSet::new(),
-            collected: Vec::new(),
-        }
-    }
-
-    pub fn update(&mut self, v: &Value) -> Result<(), String> {
-        if self.kind == AggKind::CountAll {
-            self.count += 1;
-            return Ok(());
-        }
-        if v.is_null() {
-            return Ok(());
-        }
-        match self.kind {
-            AggKind::Count => self.count += 1,
-            AggKind::Sum | AggKind::Avg => {
-                let f = match v {
-                    Value::Int(i) => Some(*i as f64),
-                    Value::Float(f) => Some(*f),
-                    Value::Str(s) => s.trim().parse::<f64>().ok(),
-                    _ => None,
-                }
-                .ok_or_else(|| format!("{} over {}", self.kind, v.data_type()))?;
-                self.count += 1;
-                match v {
-                    Value::Int(i) => self.sum_i += i128::from(*i),
-                    _ if !self.saw_float => {
-                        self.saw_float = true;
-                        self.sum_f = self.sum_i as f64;
-                    }
-                    _ => {}
-                }
-                if self.saw_float {
-                    self.sum_f += f;
-                }
-            }
-            AggKind::Min => {
-                if self.extreme.as_ref().is_none_or(|e| v < e) {
-                    self.extreme = Some(v.clone());
-                }
-            }
-            AggKind::Max => {
-                if self.extreme.as_ref().is_none_or(|e| v > e) {
-                    self.extreme = Some(v.clone());
-                }
-            }
-            AggKind::First => {
-                if self.first.is_none() {
-                    self.first = Some(v.clone());
-                }
-            }
-            AggKind::Last => self.last = Some(v.clone()),
-            AggKind::CountDistinct => {
-                self.distinct.insert(v.clone());
-            }
-            AggKind::Collect => self.collected.push(v.to_string()),
-            AggKind::CountAll => unreachable!(),
-        }
-        Ok(())
-    }
-
-    pub fn finish(self) -> Result<Value, String> {
-        Ok(match self.kind {
-            AggKind::Sum if self.count == 0 => Value::Null,
-            AggKind::Sum if self.saw_float => Value::Float(self.sum_f),
-            AggKind::Sum => Value::Int(
-                i64::try_from(self.sum_i).map_err(|_| "integer sum overflow".to_string())?,
-            ),
-            AggKind::Count | AggKind::CountAll => Value::Int(self.count),
-            AggKind::Avg if self.count == 0 => Value::Null,
-            AggKind::Avg if self.saw_float => Value::Float(self.sum_f / self.count as f64),
-            AggKind::Avg => Value::Float(self.sum_i as f64 / self.count as f64),
-            AggKind::Min | AggKind::Max => self.extreme.unwrap_or(Value::Null),
-            AggKind::First => self.first.unwrap_or(Value::Null),
-            AggKind::Last => self.last.unwrap_or(Value::Null),
-            AggKind::CountDistinct => Value::Int(self.distinct.len() as i64),
-            AggKind::Collect => Value::Str(self.collected.join(",")),
-        })
-    }
-}
-
 fn key_columns(table: &Table, names: &[impl AsRef<str>]) -> Result<Vec<Arc<Column>>, String> {
     names
         .iter()
@@ -310,13 +194,20 @@ pub fn rowwise_groupby_batches(
                 accs.len() - 1
             });
             for (acc, col) in accs[g].iter_mut().zip(&inputs) {
-                acc.update(&col.as_ref().map_or(Value::Null, |c| c.value(i)))?;
+                acc.update(&col.as_ref().map_or(Value::Null, |c| c.value(i)))
+                    .map_err(|e| e.to_string())?;
             }
         }
     }
     let finished: Vec<Vec<Value>> = accs
         .into_iter()
-        .map(|group| group.into_iter().map(ModelAccumulator::finish).collect())
+        .map(|group| {
+            group
+                .into_iter()
+                .zip(&aggs)
+                .map(|(acc, a)| acc.finish(&a.apply_on).map_err(|e| e.to_string()))
+                .collect()
+        })
         .collect::<Result<_, _>>()?;
     let mut order: Vec<usize> = (0..key_rows.len()).collect();
     if cfg.orderby_aggregates {
