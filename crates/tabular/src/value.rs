@@ -54,11 +54,13 @@ impl Value {
         }
     }
 
-    /// Interpret as an `i64` without loss.
+    /// Interpret as an `i64` without loss: a float must be whole and in
+    /// range, where `as` would saturate.
     pub fn as_int(&self) -> Option<i64> {
+        const TWO_63: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Value::Int(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 && f.is_finite() => Some(*f as i64),
+            Value::Float(f) if f.fract() == 0.0 && (-TWO_63..TWO_63).contains(f) => Some(*f as i64),
             _ => None,
         }
     }
@@ -107,9 +109,7 @@ impl Value {
         Ok(match (self, target) {
             (v, t) if v.data_type() == t => v.clone(),
             (Value::Int(i), DataType::Float64) => Value::Float(*i as f64),
-            (Value::Float(f), DataType::Int64) if f.fract() == 0.0 && f.is_finite() => {
-                Value::Int(*f as i64)
-            }
+            (Value::Float(_), DataType::Int64) => Value::Int(self.as_int().ok_or_else(fail)?),
             (Value::Str(s), DataType::Int64) => {
                 Value::Int(s.trim().parse::<i64>().map_err(|_| fail())?)
             }
@@ -428,6 +428,14 @@ mod tests {
             Value::Int(3)
         );
         assert!(Value::Float(3.5).coerce(DataType::Int64).is_err());
+        // Whole floats outside `i64` do not saturate to its ends.
+        let two_63 = 2f64.powi(63);
+        assert!(Value::Float(two_63).coerce(DataType::Int64).is_err());
+        assert!(Value::Float(-2.0 * two_63).coerce(DataType::Int64).is_err());
+        assert_eq!(
+            Value::Float(-two_63).coerce(DataType::Int64).unwrap(),
+            Value::Int(i64::MIN)
+        );
         assert!(Value::Str("x".into()).coerce(DataType::Int64).is_err());
         assert_eq!(
             Value::Int(7).coerce(DataType::Utf8).unwrap(),
