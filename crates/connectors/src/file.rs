@@ -87,35 +87,6 @@ impl DataFolder {
     pub fn is_empty(&self) -> bool {
         self.files.read().by_path.is_empty()
     }
-
-    /// Load every regular file under a real directory (relative paths).
-    /// Used by examples that ship disk fixtures.
-    pub fn from_dir(dir: &std::path::Path) -> std::io::Result<Self> {
-        let folder = DataFolder::new();
-        fn walk(
-            folder: &DataFolder,
-            base: &std::path::Path,
-            dir: &std::path::Path,
-        ) -> std::io::Result<()> {
-            for entry in std::fs::read_dir(dir)? {
-                let entry = entry?;
-                let path = entry.path();
-                if path.is_dir() {
-                    walk(folder, base, &path)?;
-                } else {
-                    let rel = path
-                        .strip_prefix(base)
-                        .unwrap_or(&path)
-                        .to_string_lossy()
-                        .to_string();
-                    folder.put_bytes(rel, std::fs::read(&path)?);
-                }
-            }
-            Ok(())
-        }
-        walk(&folder, dir, dir)?;
-        Ok(folder)
-    }
 }
 
 /// The key a path is stored under.

@@ -1,53 +1,39 @@
-//! The naive row-at-a-time baseline executor.
+//! The row-at-a-time reference engine: the paper's ablation baseline and
+//! the one row-wise oracle the kernel suites check against.
 //!
-//! Stands in for the "traditional stack" comparator in the PERF-ENGINE
-//! bench: same compiled pipeline, same task semantics, but every operator
-//! works on `Vec<Row>` with per-row dynamic dispatch — a nested-loop join,
-//! a BTreeMap group-by, no parallelism, no columnar layout. The crossover
-//! against the columnar executor is the shape the engine ablation reports.
+//! [`execute_naive`] runs a compiled pipeline task by task, handing
+//! [`Table`]s from one task to the next as the columnar executor does. It
+//! stands in for the "traditional stack" in the engine ablation: no
+//! parallelism, no coded keys, a nested-loop join. Filter, built-in
+//! group-by, join, sort, distinct, top-n and limit run on the row kernels
+//! below, each reading one boxed [`Value`] per cell: predicates through
+//! [`Expr::eval_row`], sort keys compared as boxed values, every group-by,
+//! distinct and top-n keyed by a boxed [`Row`] with groups in first-seen
+//! order, aggregates folded into a [`ModelAccumulator`]. Maps, union,
+//! project, parallel, selection filters, custom aggregates and custom
+//! tasks go through [`TaskKind::execute`].
+//!
+//! The kernels use `tabular::ops` for its configuration types and
+//! `output_schema` only, so the suites that hold the typed kernels to
+//! them, and to [`reference_query`] (an ad-hoc op list evaluated one
+//! unfused op at a time), check against code the kernels do not share.
+//! Both executors give the same bytes, rows in the same order.
 
 use crate::compile::CompiledPipeline;
 use crate::error::{EngineError, Result};
-use crate::exec::{ExecContext, ExecResult, ExecStats};
+use crate::exec::{ExecContext, ExecResult, ExecStats, TaskRunStat};
+use crate::query::QueryOp;
 use crate::task::{NamedTask, TaskKind, TaskRuntime};
 use shareinsights_tabular::agg::AggKind;
 use shareinsights_tabular::expr::Expr;
-use shareinsights_tabular::ops::JoinCondition;
-use shareinsights_tabular::{Row, Schema, Table, TabularError, Value};
-use std::collections::{BTreeMap, HashSet};
+use shareinsights_tabular::ops::{GroupBy, JoinCondition, JoinSpec, SortKey, SortOrder, TopN};
+use shareinsights_tabular::{
+    Bitmap, Column, ColumnBuilder, DataType, Field, Row, Schema, Table, TabularError, Value,
+};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Rows plus their schema — the baseline's working representation.
-#[derive(Debug, Clone)]
-struct RowSet {
-    schema: Schema,
-    rows: Vec<Row>,
-}
-
-impl RowSet {
-    fn from_table(t: &Table) -> RowSet {
-        RowSet {
-            schema: t.schema().clone(),
-            rows: t.to_rows(),
-        }
-    }
-
-    fn into_table(self) -> Result<Table> {
-        let names = self
-            .schema
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>();
-        Table::from_rows(&names, &self.rows).map_err(|e| EngineError::Internal(e.to_string()))
-    }
-
-    fn col(&self, name: &str) -> Result<usize> {
-        self.schema
-            .index_of(name)
-            .map_err(|e| EngineError::Internal(e.to_string()))
-    }
-}
 
 /// Run a compiled pipeline with the naive row engine.
 pub fn execute_naive(pipeline: &CompiledPipeline, ctx: &ExecContext) -> Result<ExecResult> {
@@ -71,38 +57,35 @@ pub fn execute_naive(pipeline: &CompiledPipeline, ctx: &ExecContext) -> Result<E
     }
 
     for flow in &pipeline.flows {
-        let mut current: Vec<(Option<String>, RowSet)> = Vec::new();
+        let mut current: Vec<(Option<&str>, Table)> = Vec::new();
         for i in &flow.inputs {
             let t = tables.get(i).ok_or_else(|| EngineError::UnresolvedData {
                 object: i.clone(),
                 context: format!("flow 'D.{}' (baseline)", flow.output),
             })?;
-            current.push((Some(i.clone()), RowSet::from_table(t)));
+            current.push((Some(i), t.clone()));
         }
         for task in &flow.tasks {
             let t0 = Instant::now();
             let start_us = start.elapsed().as_micros() as u64;
-            let in_rows: usize = current.iter().map(|(_, r)| r.rows.len()).sum();
-            current = apply_naive(task, current, &tables, ctx)?;
-            let out_rows: usize = current.iter().map(|(_, r)| r.rows.len()).sum();
-            stats.task_runs.push(crate::exec::TaskRunStat {
+            let rows_in = current.iter().map(|(_, t)| t.num_rows()).sum();
+            let out = apply_naive(task, std::mem::take(&mut current), &tables, ctx)?;
+            stats.task_runs.push(TaskRunStat {
                 task: task.name.clone(),
                 task_type: task.kind.type_name().to_string(),
                 flow: flow.output.clone(),
-                rows_in: in_rows,
-                rows_out: out_rows,
+                rows_in,
+                rows_out: out.num_rows(),
                 start_us,
                 elapsed_us: t0.elapsed().as_micros() as u64,
                 notes: Vec::new(),
             });
+            current.push((None, out));
         }
-        if current.len() != 1 {
-            return Err(EngineError::Execution {
-                task: format!("flow D.{}", flow.output),
-                message: format!("flow ended with {} unmerged inputs", current.len()),
-            });
-        }
-        let table = current.remove(0).1.into_table()?;
+        let [(_, table)] = <[_; 1]>::try_from(current).map_err(|c| EngineError::Execution {
+            task: format!("flow D.{}", flow.output),
+            message: format!("flow ended with {} unmerged inputs", c.len()),
+        })?;
         stats.rows_out.insert(flow.output.clone(), table.num_rows());
         tables.insert(flow.output.clone(), table);
     }
@@ -121,144 +104,383 @@ pub fn execute_naive(pipeline: &CompiledPipeline, ctx: &ExecContext) -> Result<E
     })
 }
 
+/// One task over the flow's current tables: on a row kernel when the task
+/// is one of the seven the baseline runs itself, through
+/// [`TaskKind::execute`] otherwise (which also reports a wrong input
+/// count). A join takes the side named like its left object first,
+/// whatever order the flow lists the two in.
 fn apply_naive(
     task: &NamedTask,
-    mut current: Vec<(Option<String>, RowSet)>,
+    current: Vec<(Option<&str>, Table)>,
     tables: &BTreeMap<String, Table>,
     ctx: &ExecContext,
-) -> Result<Vec<(Option<String>, RowSet)>> {
-    match &task.kind {
-        TaskKind::FilterExpr(e) => {
-            let (_, rs) = take_single(task, &mut current)?;
-            Ok(vec![(None, naive_filter(task, rs, e)?)])
-        }
-        TaskKind::GroupBy { builtin, custom } if custom.is_empty() => {
-            let (_, rs) = take_single(task, &mut current)?;
-            Ok(vec![(None, naive_groupby(task, rs, builtin)?)])
-        }
-        TaskKind::Join(j) => {
-            if current.len() != 2 {
-                return Err(EngineError::Execution {
-                    task: task.name.clone(),
-                    message: format!("join needs 2 inputs, found {}", current.len()),
-                });
-            }
-            let left_idx = current
-                .iter()
-                .position(|(n, _)| n.as_deref() == Some(j.left_name.as_str()))
-                .unwrap_or(0);
-            let right = current.remove(1 - left_idx.min(1)).1;
-            // After removal the left sits at index 0 regardless.
-            let left = current.remove(0).1;
-            let (left, right) = if left_idx == 0 {
-                (left, right)
+) -> Result<Table> {
+    let out = match (&task.kind, current.as_slice()) {
+        (TaskKind::Join(j), [a, b]) => {
+            let (left, right) = if b.0 == Some(j.left_name.as_str()) {
+                (&b.1, &a.1)
             } else {
-                (right, left)
+                (&a.1, &b.1)
             };
-            Ok(vec![(None, naive_join(task, left, right, j)?)])
+            rowwise_join(left, right, &j.spec)
         }
-        // Everything else reuses the columnar kernels via a table
-        // round-trip: the baseline's interesting divergences are the three
-        // hot operators above.
+        (TaskKind::FilterExpr(e), [(_, t)]) => rowwise_mask(e, t).map(|m| t.take(&m.ones())),
+        (TaskKind::GroupBy { builtin, custom }, [(_, t)]) if custom.is_empty() => {
+            rowwise_groupby(t, builtin, None)
+        }
+        (TaskKind::Sort(keys), [(_, t)]) => boxed_sort(t, keys),
+        (TaskKind::Distinct(columns), [(_, t)]) => rowwise_distinct(t, columns),
+        (TaskKind::TopN(cfg), [(_, t)]) => rowwise_topn(t, cfg),
+        (TaskKind::Limit(n), [(_, t)]) => Ok(first_rows(t, *n)),
         _ => {
-            let inputs: Vec<Table> = current
-                .drain(..)
-                .map(|(_, rs)| rs.into_table())
-                .collect::<Result<Vec<_>>>()?;
+            let inputs: Vec<Table> = current.into_iter().map(|(_, t)| t).collect();
             let lookup = |name: &str| tables.get(name).cloned();
             let rt = TaskRuntime {
                 selections: ctx.selections.as_deref(),
                 lookup_table: &lookup,
             };
-            let out = task.kind.execute(&task.name, &inputs, &rt)?;
-            Ok(vec![(None, RowSet::from_table(&out))])
+            return task.kind.execute(&task.name, &inputs, &rt);
         }
-    }
-}
-
-fn take_single(
-    task: &NamedTask,
-    current: &mut Vec<(Option<String>, RowSet)>,
-) -> Result<(Option<String>, RowSet)> {
-    if current.len() != 1 {
-        return Err(EngineError::Execution {
-            task: task.name.clone(),
-            message: format!("task consumes one input, found {}", current.len()),
-        });
-    }
-    Ok(current.remove(0))
-}
-
-fn naive_filter(task: &NamedTask, rs: RowSet, expr: &Expr) -> Result<RowSet> {
-    let schema = rs.schema.clone();
-    let mut out = Vec::new();
-    for row in rs.rows {
-        let lookup =
-            |name: &str| -> Option<Value> { schema.index_of(name).ok().map(|i| row[i].clone()) };
-        let keep = expr.eval_row(&lookup).map_err(|e| EngineError::Execution {
-            task: task.name.clone(),
-            message: e.to_string(),
-        })?;
-        if matches!(keep, Value::Bool(true)) {
-            out.push(row);
-        }
-    }
-    Ok(RowSet { schema, rows: out })
-}
-
-fn naive_groupby(
-    task: &NamedTask,
-    rs: RowSet,
-    cfg: &shareinsights_tabular::ops::GroupBy,
-) -> Result<RowSet> {
-    let exec_err = |e: shareinsights_tabular::TabularError| EngineError::Execution {
-        task: task.name.clone(),
-        message: e.to_string(),
     };
-    let key_idx: Vec<usize> = cfg
-        .keys
-        .iter()
-        .map(|k| rs.col(k))
-        .collect::<Result<Vec<_>>>()?;
-    let aggs = cfg.effective_aggregates();
-    let agg_idx: Vec<Option<usize>> = aggs
-        .iter()
-        .map(|a| {
-            if a.operator == AggKind::CountAll {
-                Ok(None)
-            } else {
-                rs.col(&a.apply_on).map(Some)
+    out.map_err(|message| EngineError::Execution {
+        task: task.name.clone(),
+        message,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Row kernels
+// ---------------------------------------------------------------------------
+
+/// Row-at-a-time predicate mask: every row evaluates the whole tree, each
+/// column is looked up by name, each cell boxed.
+pub fn rowwise_mask(expr: &Expr, table: &Table) -> Result<Bitmap, String> {
+    for c in expr.referenced_columns() {
+        table.schema().index_of(&c).map_err(|e| e.to_string())?;
+    }
+    let mut mask = Bitmap::new_cleared(table.num_rows());
+    for i in 0..table.num_rows() {
+        let lookup = |name: &str| -> Option<Value> {
+            let ci = table.schema().index_of(name).ok()?;
+            Some(table.column_at(ci).value(i))
+        };
+        let v = expr.eval_row(&lookup).map_err(|e| e.to_string())?;
+        if matches!(v, Value::Bool(true)) {
+            mask.set(i);
+        }
+    }
+    Ok(mask)
+}
+
+/// Stable full sort comparing boxed values per comparison.
+pub fn boxed_sort(table: &Table, keys: &[SortKey]) -> Result<Table, String> {
+    let cols = key_columns(table, &keys.iter().map(|k| &k.column).collect::<Vec<_>>())?;
+    let mut indices: Vec<usize> = (0..table.num_rows()).collect();
+    indices.sort_by(|&a, &b| boxed_cmp(keys, &cols, a, b));
+    Ok(table.take(&indices))
+}
+
+/// Rows `a` and `b` under `keys`, whose columns are `cols`, one boxed
+/// comparison per key until one differs.
+fn boxed_cmp(keys: &[SortKey], cols: &[Arc<Column>], a: usize, b: usize) -> Ordering {
+    keys.iter()
+        .zip(cols)
+        .map(|(key, col)| {
+            let ord = col.value(a).cmp(&col.value(b));
+            match key.order {
+                SortOrder::Asc => ord,
+                SortOrder::Desc => ord.reverse(),
             }
         })
-        .collect::<Result<Vec<_>>>()?;
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
 
-    // BTreeMap keeps deterministic (sorted) group order for the baseline.
-    let mut groups: BTreeMap<Row, Vec<ModelAccumulator>> = BTreeMap::new();
-    for row in &rs.rows {
-        let key = row.project(&key_idx);
-        let accs = groups.entry(key).or_insert_with(|| {
-            aggs.iter()
-                .map(|a| ModelAccumulator::new(a.operator))
+/// The first `n` rows.
+fn first_rows(table: &Table, n: usize) -> Table {
+    table.take(&(0..n.min(table.num_rows())).collect::<Vec<_>>())
+}
+
+/// Evaluate `ops` one at a time, materialising every intermediate table:
+/// the unfused reference the ad-hoc query paths are held to.
+pub fn reference_query(table: &Table, ops: &[QueryOp]) -> Result<Table, String> {
+    let mut current = table.clone();
+    for op in ops {
+        current = match op {
+            QueryOp::GroupBy(cfg) => rowwise_groupby(&current, cfg, None)?,
+            QueryOp::FilterExpr(e) => current.take(&rowwise_mask(e, &current)?.ones()),
+            QueryOp::Sort(keys) => boxed_sort(&current, keys)?,
+            QueryOp::Limit(n) => first_rows(&current, *n),
+            QueryOp::Offset(n) => {
+                let start = (*n).min(current.num_rows());
+                current.take(&(start..current.num_rows()).collect::<Vec<_>>())
+            }
+            QueryOp::Distinct(cols) => rowwise_distinct(&current, cols)?,
+            QueryOp::Project(cols) => current.project(cols).map_err(|e| e.to_string())?,
+            QueryOp::Join(j) => {
+                let spec = JoinSpec {
+                    left_keys: vec![j.left_on.clone()],
+                    right_keys: vec![j.right_on.clone()],
+                    condition: JoinCondition::Inner,
+                    projection: Vec::new(),
+                };
+                rowwise_join(&current, &j.right, &spec)?
+            }
+            fused @ (QueryOp::TopN { .. } | QueryOp::FilteredGroupBy { .. }) => {
+                return Err(format!("the reference takes unfused ops, got {fused:?}"))
+            }
+        };
+    }
+    Ok(current)
+}
+
+fn key_columns(table: &Table, names: &[impl AsRef<str>]) -> Result<Vec<Arc<Column>>, String> {
+    names
+        .iter()
+        .map(|k| table.column(k.as_ref()).cloned().map_err(|e| e.to_string()))
+        .collect()
+}
+
+fn boxed_key(cols: &[Arc<Column>], row: usize) -> Row {
+    Row(cols.iter().map(|c| c.value(row)).collect())
+}
+
+/// Output columns from boxed cells, finished as the group-by kernel states
+/// its output: the column type inferred from the cells, cast to the
+/// declared type where that is lossless, the schema retyped from what came
+/// out.
+fn columns_from_cells(declared: &Schema, cells: Vec<Vec<Value>>) -> Result<Table, String> {
+    let columns: Vec<Arc<Column>> = cells
+        .iter()
+        .zip(declared.fields())
+        .map(|(vals, f)| {
+            let col = Arc::new(Column::from_values(vals));
+            col.cast(f.data_type()).unwrap_or(col)
+        })
+        .collect();
+    retyped(declared, columns)
+}
+
+fn retyped(declared: &Schema, columns: Vec<Arc<Column>>) -> Result<Table, String> {
+    let fields: Vec<Field> = declared
+        .fields()
+        .iter()
+        .zip(&columns)
+        .map(|(f, c)| match c.data_type() {
+            DataType::Null => f.clone(),
+            ty => f.retyped(ty),
+        })
+        .collect();
+    let schema = Schema::new(fields).map_err(|e| e.to_string())?;
+    Table::from_refs(Arc::new(schema), columns).map_err(|e| e.to_string())
+}
+
+/// Group-by keyed by a boxed [`Row`] per input row, groups in first-seen
+/// order, every aggregate input boxed and fed to a [`ModelAccumulator`]
+/// row by row.
+pub fn rowwise_groupby(
+    table: &Table,
+    cfg: &GroupBy,
+    selection: Option<&Bitmap>,
+) -> Result<Table, String> {
+    rowwise_groupby_batches(&[(table, selection)], cfg)
+}
+
+/// [`rowwise_groupby`] over several batches in order, as one running
+/// state: what a partial updated batch by batch, or partials merged in
+/// order, must equal. The output schema derives from the first batch.
+pub fn rowwise_groupby_batches(
+    batches: &[(&Table, Option<&Bitmap>)],
+    cfg: &GroupBy,
+) -> Result<Table, String> {
+    let aggs = cfg.effective_aggregates();
+    let mut groups: HashMap<Row, usize> = HashMap::new();
+    let mut key_rows: Vec<Row> = Vec::new();
+    let mut accs: Vec<Vec<ModelAccumulator>> = Vec::new();
+    for &(table, selection) in batches {
+        if selection.is_some_and(|m| m.len() != table.num_rows()) {
+            return Err("selection mask length".into());
+        }
+        let keys = key_columns(table, &cfg.keys)?;
+        let inputs = aggs
+            .iter()
+            .map(|a| match a.operator {
+                AggKind::CountAll => Ok(None),
+                _ => table.column(&a.apply_on).cloned().map(Some),
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
+        for i in (0..table.num_rows()).filter(|&i| selection.is_none_or(|m| m.get(i))) {
+            let key = boxed_key(&keys, i);
+            let g = *groups.entry(key.clone()).or_insert_with(|| {
+                key_rows.push(key);
+                accs.push(
+                    aggs.iter()
+                        .map(|a| ModelAccumulator::new(a.operator))
+                        .collect(),
+                );
+                accs.len() - 1
+            });
+            for (acc, col) in accs[g].iter_mut().zip(&inputs) {
+                acc.update(&col.as_ref().map_or(Value::Null, |c| c.value(i)))
+                    .map_err(|e| e.to_string())?;
+            }
+        }
+    }
+    let finished: Vec<Vec<Value>> = accs
+        .into_iter()
+        .map(|group| {
+            group
+                .into_iter()
+                .zip(&aggs)
+                .map(|(acc, a)| acc.finish(&a.apply_on).map_err(|e| e.to_string()))
                 .collect()
+        })
+        .collect::<Result<_, _>>()?;
+    let mut order: Vec<usize> = (0..key_rows.len()).collect();
+    if cfg.orderby_aggregates {
+        order.sort_by(|&a, &b| finished[b][0].cmp(&finished[a][0]));
+    }
+    let mut cells: Vec<Vec<Value>> = vec![Vec::new(); cfg.keys.len() + aggs.len()];
+    for &g in &order {
+        let row = key_rows[g].iter().chain(&finished[g]);
+        for (column, v) in cells.iter_mut().zip(row) {
+            column.push(v.clone());
+        }
+    }
+    let first = batches.first().ok_or("no batch")?.0;
+    let declared = cfg
+        .output_schema(first.schema())
+        .map_err(|e| e.to_string())?;
+    columns_from_cells(&declared, cells)
+}
+
+/// Nested-loop join, O(n·m) and the whole point of the baseline: every
+/// left row's boxed key is compared with every right row's, a null never
+/// matching, and nothing is hashed. Output cells are copied one boxed
+/// value at a time into builders of the source columns' types; a
+/// projection name resolves to an exact match, else to one unique
+/// case-insensitive match.
+pub fn rowwise_join(left: &Table, right: &Table, spec: &JoinSpec) -> Result<Table, String> {
+    let declared = spec
+        .output_schema(left.schema(), right.schema())
+        .map_err(|e| e.to_string())?;
+    let boxed_keys = |side: &Table, names: &[String]| -> Result<Vec<Row>, String> {
+        let cols = key_columns(side, names)?;
+        Ok((0..side.num_rows()).map(|i| boxed_key(&cols, i)).collect())
+    };
+    let lkeys = boxed_keys(left, &spec.left_keys)?;
+    let rkeys = boxed_keys(right, &spec.right_keys)?;
+    let equal = |l: &Row, r: &Row| {
+        l.iter()
+            .zip(r.iter())
+            .all(|(a, b)| !a.is_null() && !b.is_null() && a == b)
+    };
+    let keep_left = matches!(
+        spec.condition,
+        JoinCondition::LeftOuter | JoinCondition::FullOuter
+    );
+    let mut pairs: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+    let mut right_matched = vec![false; right.num_rows()];
+    for (i, l) in lkeys.iter().enumerate() {
+        let before = pairs.len();
+        for (m, r) in rkeys.iter().enumerate() {
+            if equal(l, r) {
+                pairs.push((Some(i), Some(m)));
+                right_matched[m] = true;
+            }
+        }
+        if keep_left && pairs.len() == before {
+            pairs.push((Some(i), None));
+        }
+    }
+    if matches!(
+        spec.condition,
+        JoinCondition::RightOuter | JoinCondition::FullOuter
+    ) {
+        let unmatched = (0..right.num_rows()).filter(|&m| !right_matched[m]);
+        pairs.extend(unmatched.map(|m| (None, Some(m))));
+    }
+    let resolve = |side: &Table, name: &str| -> Result<Arc<Column>, String> {
+        if let Ok(c) = side.column(name) {
+            return Ok(c.clone());
+        }
+        let mut found = side
+            .schema()
+            .fields()
+            .iter()
+            .filter(|f| f.name().eq_ignore_ascii_case(name));
+        match (found.next(), found.next()) {
+            (Some(f), None) => side.column(f.name()).cloned().map_err(|e| e.to_string()),
+            _ => Err(format!("no column {name}")),
+        }
+    };
+    let sources: Vec<(bool, Arc<Column>)> = if spec.projection.is_empty() {
+        let left = left.columns().iter().map(|c| (true, c.clone()));
+        left.chain(right.columns().iter().map(|c| (false, c.clone())))
+            .collect()
+    } else {
+        spec.projection
+            .iter()
+            .map(|p| {
+                let side = if p.from_left { left } else { right };
+                Ok((p.from_left, resolve(side, &p.column)?))
+            })
+            .collect::<Result<_, String>>()?
+    };
+    let columns = sources
+        .iter()
+        .map(|(from_left, source)| {
+            let mut b = ColumnBuilder::new(source.data_type());
+            for &(l, r) in &pairs {
+                let cell = if *from_left { l } else { r }.map_or(Value::Null, |i| source.value(i));
+                b.push_coerced(&cell).map_err(|e| e.to_string())?;
+            }
+            Ok(Arc::new(b.finish()))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    retyped(&declared, columns)
+}
+
+/// Distinct keyed by a boxed [`Row`] per input row, the first occurrence
+/// kept.
+pub fn rowwise_distinct(table: &Table, columns: &[impl AsRef<str>]) -> Result<Table, String> {
+    let keys = if columns.is_empty() {
+        table.columns().to_vec()
+    } else {
+        key_columns(table, columns)?
+    };
+    let mut seen: HashSet<Row> = HashSet::new();
+    let keep: Vec<usize> = (0..table.num_rows())
+        .filter(|&i| seen.insert(boxed_key(&keys, i)))
+        .collect();
+    Ok(table.take(&keep))
+}
+
+/// Top-n partitioned by a boxed [`Row`] per input row, partitions in
+/// first-seen order, every partition fully and stably sorted by boxed
+/// comparisons, then cut.
+pub fn rowwise_topn(table: &Table, cfg: &TopN) -> Result<Table, String> {
+    let keys = key_columns(table, &cfg.groupby)?;
+    let order_cols = key_columns(
+        table,
+        &cfg.order_by.iter().map(|k| &k.column).collect::<Vec<_>>(),
+    )?;
+    let mut partitions: HashMap<Row, usize> = HashMap::new();
+    let mut rows_of: Vec<Vec<usize>> = Vec::new();
+    for i in 0..table.num_rows() {
+        let p = *partitions.entry(boxed_key(&keys, i)).or_insert_with(|| {
+            rows_of.push(Vec::new());
+            rows_of.len() - 1
         });
-        for (ai, idx) in agg_idx.iter().enumerate() {
-            let v = idx.map(|i| row[i].clone()).unwrap_or(Value::Null);
-            accs[ai].update(&v).map_err(exec_err)?;
-        }
+        rows_of[p].push(i);
     }
-    let out_schema = cfg.output_schema(&rs.schema).map_err(exec_err)?;
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, accs) in groups {
-        let mut row = key;
-        for (acc, a) in accs.into_iter().zip(&aggs) {
-            row.push(acc.finish(&a.apply_on).map_err(exec_err)?);
-        }
-        rows.push(row);
+    let mut keep: Vec<usize> = Vec::new();
+    for rows in &mut rows_of {
+        rows.sort_by(|&a, &b| boxed_cmp(&cfg.order_by, &order_cols, a, b));
+        keep.extend(rows.iter().take(cfg.limit));
     }
-    Ok(RowSet {
-        schema: out_schema,
-        rows,
-    })
+    Ok(table.take(&keep))
 }
 
 /// The row engine's aggregate state, and the row-wise test oracle's: one
@@ -378,108 +600,6 @@ impl ModelAccumulator {
     }
 }
 
-/// Nested-loop join — O(n·m), the whole point of the baseline.
-fn naive_join(
-    task: &NamedTask,
-    left: RowSet,
-    right: RowSet,
-    j: &crate::task::JoinTask,
-) -> Result<RowSet> {
-    let exec_err = |e: shareinsights_tabular::TabularError| EngineError::Execution {
-        task: task.name.clone(),
-        message: e.to_string(),
-    };
-    let spec = &j.spec;
-    let out_schema = spec
-        .output_schema(&left.schema, &right.schema)
-        .map_err(exec_err)?;
-    let lkeys: Vec<usize> = spec
-        .left_keys
-        .iter()
-        .map(|k| left.col(k))
-        .collect::<Result<Vec<_>>>()?;
-    let rkeys: Vec<usize> = spec
-        .right_keys
-        .iter()
-        .map(|k| right.col(k))
-        .collect::<Result<Vec<_>>>()?;
-
-    // Projection plan: (from_left, column index on that side).
-    let proj: Vec<(bool, usize)> = if spec.projection.is_empty() {
-        let mut p: Vec<(bool, usize)> = (0..left.schema.len()).map(|i| (true, i)).collect();
-        p.extend((0..right.schema.len()).map(|i| (false, i)));
-        p
-    } else {
-        spec.projection
-            .iter()
-            .map(|ps| {
-                let side = if ps.from_left { &left } else { &right };
-                // Same case-insensitive fallback the columnar join applies.
-                let idx = side.col(&ps.column).or_else(|e| {
-                    side.schema
-                        .fields()
-                        .iter()
-                        .position(|f| f.name().eq_ignore_ascii_case(&ps.column))
-                        .ok_or(e)
-                })?;
-                Ok((ps.from_left, idx))
-            })
-            .collect::<Result<Vec<_>>>()?
-    };
-
-    let emit = |l: Option<&Row>, r: Option<&Row>| -> Row {
-        Row(proj
-            .iter()
-            .map(|(from_left, idx)| {
-                let side = if *from_left { l } else { r };
-                side.map(|row| row[*idx].clone()).unwrap_or(Value::Null)
-            })
-            .collect())
-    };
-
-    let keys_match = |l: &Row, r: &Row| -> bool {
-        lkeys.iter().zip(&rkeys).all(|(&li, &ri)| {
-            let (a, b) = (&l[li], &r[ri]);
-            !a.is_null() && !b.is_null() && a == b
-        })
-    };
-
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; right.rows.len()];
-    for l in &left.rows {
-        let mut matched = false;
-        for (ri, r) in right.rows.iter().enumerate() {
-            if keys_match(l, r) {
-                rows.push(emit(Some(l), Some(r)));
-                right_matched[ri] = true;
-                matched = true;
-            }
-        }
-        if !matched
-            && matches!(
-                spec.condition,
-                JoinCondition::LeftOuter | JoinCondition::FullOuter
-            )
-        {
-            rows.push(emit(Some(l), None));
-        }
-    }
-    if matches!(
-        spec.condition,
-        JoinCondition::RightOuter | JoinCondition::FullOuter
-    ) {
-        for (ri, m) in right_matched.iter().enumerate() {
-            if !m {
-                rows.push(emit(None, Some(&right.rows[ri])));
-            }
-        }
-    }
-    Ok(RowSet {
-        schema: out_schema,
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,9 +608,10 @@ mod tests {
     use crate::ext::TaskRegistry;
     use shareinsights_connectors::Catalog;
     use shareinsights_flowfile::parse_flow_file;
+    use shareinsights_tabular::io::record::write_records;
     use shareinsights_tabular::row;
 
-    /// Run both engines on the same pipeline and compare row multisets.
+    /// Run both engines on the same pipeline.
     fn both(src: &str, inject: Vec<(&str, Table)>) -> (ExecResult, ExecResult) {
         let ff = parse_flow_file("t", src).unwrap();
         let reg = TaskRegistry::new();
@@ -504,10 +625,11 @@ mod tests {
         (columnar, naive)
     }
 
-    fn sorted_rows(t: &Table) -> Vec<Row> {
-        let mut rows = t.to_rows();
-        rows.sort();
-        rows
+    /// The two executors' `out` tables have the same record bytes: schema,
+    /// types and cells, rows in order.
+    fn assert_same_out(columnar: &ExecResult, naive: &ExecResult, what: &str) {
+        let bytes = |r: &ExecResult| write_records(r.table("out").unwrap());
+        assert_eq!(bytes(columnar), bytes(naive), "{what}");
     }
 
     #[test]
@@ -540,10 +662,7 @@ F:
         )
         .unwrap();
         let (col, naive) = both(src, vec![("data", data)]);
-        assert_eq!(
-            sorted_rows(col.table("out").unwrap()),
-            sorted_rows(naive.table("out").unwrap())
-        );
+        assert_same_out(&col, &naive, "filter | groupby");
     }
 
     #[test]
@@ -575,11 +694,7 @@ F:
             )
             .unwrap();
             let (col, naive) = both(&src, vec![("l", l), ("r", r)]);
-            assert_eq!(
-                sorted_rows(col.table("out").unwrap()),
-                sorted_rows(naive.table("out").unwrap()),
-                "condition {cond}"
-            );
+            assert_same_out(&col, &naive, cond);
         }
     }
 
@@ -616,10 +731,7 @@ F:
         )
         .unwrap();
         let (col, naive) = both(src, vec![("tweets", tweets)]);
-        assert_eq!(
-            sorted_rows(col.table("out").unwrap()),
-            sorted_rows(naive.table("out").unwrap())
-        );
+        assert_same_out(&col, &naive, "map chain");
     }
 
     #[test]
@@ -648,10 +760,7 @@ F:
   +D.out: (D.l, D.r) | T.j
 "#;
         let (col, naive) = both(src, vec![("l", l), ("r", r)]);
-        assert_eq!(
-            col.table("out").unwrap().num_rows(),
-            naive.table("out").unwrap().num_rows()
-        );
+        assert_same_out(&col, &naive, "600 x 600 rows");
         // Not asserting on wall time (CI variance); the bench measures it.
         assert!(naive.stats.total_micros > 0 && col.stats.total_micros > 0);
     }

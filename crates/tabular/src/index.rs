@@ -418,11 +418,6 @@ impl ZoneIndex {
         ZoneIndex { zone_rows, zones }
     }
 
-    /// Number of zones.
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
-    }
-
     /// Rows per zone (the last zone may be shorter).
     pub fn zone_rows(&self) -> usize {
         self.zone_rows
@@ -823,7 +818,7 @@ mod tests {
         let ColumnIndex::Zones(z) = idx.as_ref() else {
             panic!("expected zones");
         };
-        assert_eq!(z.zone_count(), 3);
+        assert_eq!(z.zones().len(), 3);
         let range = between("v", 50, 120);
         let (mask, used) = range.eval_mask_indexed(&ix).unwrap();
         assert!(used, "the zone map settles the second and third zones");

@@ -231,11 +231,6 @@ impl GroupByPartial {
         }
     }
 
-    /// The configuration this partial accumulates for.
-    pub fn config(&self) -> &GroupBy {
-        &self.cfg
-    }
-
     /// Distinct groups seen so far.
     pub fn num_groups(&self) -> usize {
         self.keys.len()

@@ -20,7 +20,7 @@
 //!   [`Lru`] behind a single mutex, bounded by entries and by the
 //!   results' approximate bytes, so a long interactive session cannot
 //!   grow the cache without limit. The cube owns its snapshot, so entries
-//!   are unstamped (stamp 0): a refresh calls [`DataCube::invalidate`].
+//!   are unstamped (stamp 0): a refreshed endpoint gets a new cube.
 
 use crate::error::{Result, WidgetError};
 use parking_lot::{Lru, Mutex};
@@ -133,12 +133,6 @@ impl DataCube {
 
         self.cache.lock().put(key, 0, Arc::clone(&arc));
         Ok(arc)
-    }
-
-    /// Drop all cached results (called when the endpoint data itself is
-    /// refreshed by a batch run). Counters are kept.
-    pub fn invalidate(&self) {
-        self.cache.lock().clear();
     }
 }
 
@@ -310,17 +304,6 @@ mod tests {
         let deps = DataCube::dependencies(&[filter_by_team(), aggregate_by_team()]);
         assert_eq!(deps.len(), 1);
         assert!(deps.contains(&("teams".to_string(), "text".to_string())));
-    }
-
-    #[test]
-    fn invalidate_clears_cache() {
-        let cube = DataCube::new(team_tweets());
-        let sel = StaticSelections::new();
-        let tasks = vec![aggregate_by_team()];
-        cube.eval("w", &tasks, &sel).unwrap();
-        cube.invalidate();
-        cube.eval("w", &tasks, &sel).unwrap();
-        assert_eq!(cube.cache_stats(), (0, 2));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 
 mod common;
 
+use common::gen_endpoint_table;
 use shareinsights::datagen::SeededRng;
+use shareinsights::engine::baseline::rowwise_mask;
 use shareinsights::engine::Selection;
 use shareinsights::server::query::{parse_ops, path_filter, run_query, run_query_indexed, QueryOp};
 use shareinsights::server::table_to_json;
@@ -35,61 +37,6 @@ const CASES: usize = if cfg!(debug_assertions) { 64 } else { 1000 };
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------
-
-/// Null probability for a column: mostly light, sometimes total (which
-/// leaves a Utf8 column with an *empty dictionary*).
-fn null_chance(r: &mut SeededRng) -> f64 {
-    match r.weighted_index(&[4.0, 3.0, 1.0]) {
-        0 => 0.0,
-        1 => 0.25,
-        _ => 1.0,
-    }
-}
-
-fn utf8_col(r: &mut SeededRng, n: usize, pool: usize, nulls: f64) -> Column {
-    let mut b = ColumnBuilder::new(DataType::Utf8);
-    for _ in 0..n {
-        if pool == 0 || r.chance(nulls) {
-            b.push_null();
-        } else {
-            b.push_str(format!("k{}", r.index(pool)));
-        }
-    }
-    b.finish()
-}
-
-fn int_col(r: &mut SeededRng, n: usize, nulls: f64) -> Column {
-    let mut b = ColumnBuilder::new(DataType::Int64);
-    for _ in 0..n {
-        if r.chance(nulls) {
-            b.push_null();
-        } else {
-            b.push_coerced(&Value::Int(r.int_range(-50, 49))).unwrap();
-        }
-    }
-    b.finish()
-}
-
-/// A table shaped like endpoint data: a categorical, a second categorical
-/// and a numeric measure. Row count includes 0 (empty table, empty
-/// dictionaries); null chances include 1.0 (all-null columns).
-fn gen_table(r: &mut SeededRng) -> Table {
-    let n = if r.chance(0.1) { 0 } else { 1 + r.index(40) };
-    let pool = r.index(6); // 0 = every value null regardless of chance
-    let schema = Schema::new(vec![
-        Field::new("cat", DataType::Utf8),
-        Field::new("cat2", DataType::Utf8),
-        Field::new("num", DataType::Int64),
-    ])
-    .unwrap();
-    let (nc1, nc2, nc3) = (null_chance(r), null_chance(r), null_chance(r));
-    let columns = vec![
-        utf8_col(r, n, pool, nc1),
-        utf8_col(r, n, 3, nc2),
-        int_col(r, n, nc3),
-    ];
-    Table::new(schema, columns).unwrap()
-}
 
 /// An allowed-values set mixing dictionary members, strings absent from
 /// the dictionary, explicit nulls, and out-of-domain integers.
@@ -124,7 +71,7 @@ fn assert_selection_agrees(
     let unconstrained = *selection == Selection::Values(vec![]);
     assert_eq!(predicate.is_none(), unconstrained, "{what}: {selection:?}");
     let Some(e) = predicate else { return false };
-    let want = common::rowwise_mask(&e, ix.table()).unwrap();
+    let want = rowwise_mask(&e, ix.table()).unwrap();
     assert_eq!(e.eval_mask(ix.table()).unwrap(), want, "{what}: {e}");
     let (fast, used) = e.eval_mask_indexed(ix).unwrap();
     assert_eq!(fast, want, "{what}: {e} (indexed)");
@@ -151,7 +98,7 @@ fn filter_by_values_matches_scan() {
     let mut r = SeededRng::new(0x1D1F_0001);
     let mut covered = 0usize;
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         for col in ["cat", "cat2", "num"] {
             let allowed = if col == "num" {
@@ -183,7 +130,7 @@ fn filter_by_range_matches_scan() {
     let mut r = SeededRng::new(0x1D1F_0002);
     let mut covered = 0usize;
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         // Integer ranges: in-range, out-of-range and inverted.
         let (lo, hi) = match r.index(4) {
@@ -213,7 +160,7 @@ fn groupby_matches_scan() {
     let mut r = SeededRng::new(0x1D1F_0003);
     let mut covered = 0usize;
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         let agg = match r.index(3) {
             0 => AggregateSpec::new(AggKind::CountAll, "", "n"),
@@ -237,7 +184,7 @@ fn sort_matches_scan() {
     let mut r = SeededRng::new(0x1D1F_0004);
     let mut covered = 0usize;
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         let key = if r.chance(0.5) {
             SortKey::asc("cat")
@@ -268,7 +215,7 @@ fn query_pipelines_match_scan() {
     let mut r = SeededRng::new(0x1D1F_0005);
     let mut hits = 0usize;
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         let mut segments: Vec<String> = Vec::new();
         for _ in 0..1 + r.index(3) {
@@ -441,13 +388,13 @@ fn fused_filter_groupby_matches_unfused_reference() {
 fn append_merged_over_concat_matches_cold_build() {
     let mut r = SeededRng::new(0xA99E4D);
     for case in 0..CASES {
-        let mut table = gen_table(&mut r);
+        let mut table = gen_endpoint_table(&mut r);
         let mut warm = IndexedTable::new(table.clone());
         for round in 0..4 {
             for name in ["cat", "cat2", "num"] {
                 let _ = warm.index(name);
             }
-            let delta = gen_table(&mut r);
+            let delta = gen_endpoint_table(&mut r);
             table = table.concat(&delta).unwrap();
             warm = warm.append_merged(table.clone()).unwrap();
             let cold = IndexedTable::new(table.clone());

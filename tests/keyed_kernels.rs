@@ -1,22 +1,23 @@
 //! The keyed kernels — group-by, join, distinct, top-n — against the
-//! row-wise oracle in `tests/common`: a boxed `Row` key per input row,
-//! every aggregate input boxed and fed to the one-struct accumulator the
-//! typed one replaced. Those loops are what the kernels were before they
-//! coded keys into dense ids; the suite holds the two to the same table,
-//! cell for cell, float sums bit for bit, rows in the same order.
+//! row-wise oracle in `engine::baseline`, the row engine the naive
+//! executor runs: a boxed `Row` key per input row with groups in
+//! first-seen order, every aggregate input boxed and fed to its
+//! `ModelAccumulator`, a nested-loop join. It shares no code with the
+//! kernels, which code keys into dense ids and fold typed lanes; the suite
+//! holds the two to the same table, cell for cell, float sums bit for bit,
+//! rows in the same order.
 //!
 //! Debug builds run a thirtieth of the cases; CI runs the suite in release
 //! too, where the full count takes seconds.
 
-mod common;
-
-use common::{
-    rowwise_distinct, rowwise_groupby, rowwise_groupby_batches, rowwise_join, rowwise_topn,
-};
 use shareinsights::datagen::SeededRng;
-use shareinsights::engine::baseline::execute_naive;
+use shareinsights::engine::baseline::{
+    execute_naive, rowwise_distinct, rowwise_groupby, rowwise_groupby_batches, rowwise_join,
+    rowwise_topn,
+};
 use shareinsights::engine::{compile, CompileEnv, ExecContext, Executor, TaskRegistry};
 use shareinsights::flowfile::parse_flow_file;
+use shareinsights::server::table_to_json;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::ops::{
     distinct, groupby_partial, groupby_selected, join, topn, AggregateSpec, GroupBy,
@@ -908,8 +909,8 @@ fn topn_matches_the_rowwise_oracle() {
 // ---------------------------------------------------------------------------
 
 /// join → group-by through the columnar executor and through
-/// `engine::baseline` (nested-loop join, `BTreeMap` group-by over boxed
-/// rows): the same groups with the same aggregates, in whatever order.
+/// `engine::baseline` (nested-loop join, group-by over boxed rows): the
+/// same JSON bytes, groups in the same order.
 #[test]
 fn the_columnar_executor_agrees_with_the_row_baseline() {
     const FLOW: &str = r#"
@@ -966,10 +967,10 @@ F:
             .with_table("dim", dim);
         let columnar = Executor::default().execute(&pipeline, &ctx).unwrap();
         let naive = execute_naive(&pipeline, &ctx).unwrap();
-        let mut got = columnar.table("out").unwrap().to_rows();
-        let mut want = naive.table("out").unwrap().to_rows();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want, "case {case}: {kind:?}");
+        assert_eq!(
+            table_to_json(columnar.table("out").unwrap()),
+            table_to_json(naive.table("out").unwrap()),
+            "case {case}: {kind:?}"
+        );
     }
 }

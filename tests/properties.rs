@@ -5,17 +5,16 @@
 //! RNG (`datagen::SeededRng`) over 64 generated cases each. Failures are
 //! reproducible: every case derives from a fixed seed.
 
-mod common;
-
 use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
-use shareinsights::engine::baseline::execute_naive;
+use shareinsights::engine::baseline::{execute_naive, rowwise_mask};
 use shareinsights::engine::compile::{compile, CompileEnv};
 use shareinsights::engine::exec::{ExecContext, Executor};
 use shareinsights::engine::selection::{Selection, SelectionProvider, StaticSelections};
 use shareinsights::engine::task::run_chain;
 use shareinsights::engine::TaskRegistry;
 use shareinsights::flowfile::parse_flow_file;
+use shareinsights::server::table_to_json;
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::io::csv::{read_csv, write_csv, CsvOptions};
 use shareinsights::tabular::io::record::{read_records, write_records};
@@ -237,13 +236,12 @@ fn sort_is_ordered_permutation() {
 // Executor equivalence (design decision 3)
 // ---------------------------------------------------------------------------
 
-/// The columnar parallel executor and the naive row baseline agree on a
-/// filter→groupby pipeline over arbitrary data.
-#[test]
-fn executors_agree() {
-    const SRC: &str = r#"
+/// The tasks `executors_agree` draws its flows from: every task the row
+/// baseline runs on its own kernels.
+const EXECUTOR_TASKS: &str = r#"
 D:
-  data: [c0, c1]
+  data: [c0, c1, c2]
+  dim: [c0, c1]
 T:
   keep:
     type: filter_by
@@ -255,23 +253,133 @@ T:
     - operator: sum
       apply_on: c1
       out_field: total
-F:
-  +D.out: D.data | T.keep | T.agg
+  order:
+    type: sort
+    orderby_column: [c0 DESC, c1 ASC]
+  top:
+    type: topn
+    orderby_column: [c1 DESC]
+    limit: 3
+  top_per:
+    type: topn
+    groupby: [c0]
+    orderby_column: [c1 ASC]
+    limit: 2
+  top_total:
+    type: topn
+    orderby_column: [total DESC]
+    limit: 2
+  dedup:
+    type: distinct
+    columns: [c0]
+  first:
+    type: limit
+    limit: 5
+  look_up:
+    type: join
+    left: data by c0
+    right: dim by c0
+    join_condition: @JOIN@
 "#;
+
+const EXECUTOR_FLOWS: [&str; 9] = [
+    "D.data | T.keep | T.agg",
+    "D.data | T.order",
+    "D.data | T.top",
+    "D.data | T.top_per",
+    "D.data | T.agg | T.top_total",
+    "D.data | T.dedup",
+    "D.data | T.first",
+    "(D.data, D.dim) | T.look_up",
+    "(D.dim, D.data) | T.look_up",
+];
+
+/// Run `src`'s `D.out` through the columnar executor and the naive row
+/// baseline, assert the two give the same JSON bytes, rows in the same
+/// order, and return the baseline's table.
+fn assert_executors_agree(src: &str, inputs: &[(&str, &Table)], what: &str) -> Table {
+    let ff = parse_flow_file("p", src).unwrap();
+    let reg = TaskRegistry::new();
+    let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
+    let mut ctx = ExecContext::new(shareinsights::connectors::Catalog::new());
+    for &(name, t) in inputs {
+        ctx = ctx.with_table(name, t.clone());
+    }
+    let columnar = Executor::default().execute(&pipeline, &ctx).unwrap();
+    let naive = execute_naive(&pipeline, &ctx).unwrap();
+    let out = naive.table("out").unwrap();
+    assert_eq!(
+        table_to_json(columnar.table("out").unwrap()),
+        table_to_json(out),
+        "{what}"
+    );
+    out.clone()
+}
+
+/// The columnar parallel executor and the naive row baseline agree byte
+/// for byte on a flow drawn from [`EXECUTOR_FLOWS`], over small integers
+/// with some nulls. `data`'s third column is in no sort key, so a sort or
+/// top-n that breaks a tie out of row order shows in the bytes.
+#[test]
+fn executors_agree() {
     let mut r = SeededRng::new(0xF0F0_0007);
-    for _ in 0..CASES {
-        let t = gen_table(&mut r, 1, 60, 2, &small_int(0, 8));
-        let ff = parse_flow_file("p", SRC).unwrap();
-        let reg = TaskRegistry::new();
-        let pipeline = compile(&ff, &CompileEnv::bare(&reg)).unwrap();
-        let ctx = ExecContext::new(shareinsights::connectors::Catalog::new()).with_table("data", t);
-        let columnar = Executor::default().execute(&pipeline, &ctx).unwrap();
-        let naive = execute_naive(&pipeline, &ctx).unwrap();
-        let mut a = columnar.table("out").unwrap().to_rows();
-        let mut b = naive.table("out").unwrap().to_rows();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+    let value = |r: &mut SeededRng| match r.index(10) {
+        0 => Value::Null,
+        _ => Value::Int(r.int_range(0, 7)),
+    };
+    for case in 0..CASES * 4 {
+        let data = gen_table(&mut r, 1, 60, 3, &value);
+        let dim = gen_table(&mut r, 0, 12, 2, &value);
+        let flow = *r.pick(&EXECUTOR_FLOWS);
+        let join = *r.pick(&["inner", "left outer", "right outer", "full outer"]);
+        let src = format!(
+            "{}F:\n  +D.out: {flow}\n",
+            EXECUTOR_TASKS.replace("@JOIN@", join)
+        );
+        let what = format!("case {case}: {flow} ({join})");
+        assert_executors_agree(&src, &[("data", &data), ("dim", &dim)], &what);
+    }
+}
+
+/// A join binds its sides by the names its task gives them, not by the
+/// order the flow lists them in: with the right object first, both
+/// executors put the left object's columns first and keep its unmatched
+/// rows under `left outer`.
+#[test]
+fn join_sides_bind_by_name_in_both_executors() {
+    let l = Table::from_rows(
+        &["k", "v"],
+        &[
+            Row::from_values(vec![Value::from("x"), Value::Int(1)]),
+            Row::from_values(vec![Value::from("y"), Value::Int(2)]),
+        ],
+    )
+    .unwrap();
+    let rt = Table::from_rows(
+        &["k", "w"],
+        &[
+            Row::from_values(vec![Value::from("x"), Value::Int(10)]),
+            Row::from_values(vec![Value::from("z"), Value::Int(12)]),
+        ],
+    )
+    .unwrap();
+    for condition in ["inner", "left outer", "right outer", "full outer"] {
+        let src = format!(
+            "D:\n  l: [k, v]\n  r: [k, w]\nT:\n  j:\n    type: join\n    left: l by k\n    \
+             right: r by k\n    join_condition: {condition}\nF:\n  +D.out: (D.r, D.l) | T.j\n"
+        );
+        let out = assert_executors_agree(&src, &[("l", &l), ("r", &rt)], condition);
+        assert_eq!(
+            out.schema().names(),
+            ["k", "v", "k_right", "w"],
+            "{condition}"
+        );
+        if condition == "left outer" {
+            let kept: Vec<Value> = (0..out.num_rows())
+                .map(|i| out.value(i, "k").unwrap())
+                .collect();
+            assert_eq!(kept, [Value::from("x"), Value::from("y")], "{condition}");
+        }
     }
 }
 
@@ -639,7 +747,7 @@ fn vectorised_mask_equals_rowwise_evaluation() {
     let mut r = SeededRng::new(0xF0F0_000E);
     let (mut errors, mut index_uses) = (0usize, 0usize);
     let mut check = |e: &Expr, t: &Table, indexed: &IndexedTable| {
-        let want = common::rowwise_mask(e, t);
+        let want = rowwise_mask(e, t);
         let got = e.eval_mask(t).map_err(|e| e.to_string());
         assert_eq!(got, want, "{e} over {} rows", t.num_rows());
         let via_index = e.eval_mask_indexed(indexed).map_err(|e| e.to_string());

@@ -15,6 +15,7 @@
 
 mod common;
 
+use common::gen_endpoint_table;
 use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
 use shareinsights::engine::sql::{lower, parse_select};
@@ -26,9 +27,7 @@ use shareinsights::server::{table_to_json, Method, Request, Server};
 use shareinsights::tabular::agg::AggKind;
 use shareinsights::tabular::expr::{CmpOp, Expr};
 use shareinsights::tabular::ops::{AggregateSpec, GroupBy, SortKey};
-use shareinsights::tabular::{
-    Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
-};
+use shareinsights::tabular::{DataType, IndexedTable, Table, Value};
 
 /// Debug builds run 64 cases; CI runs the suite in release at full count.
 const CASES: usize = if cfg!(debug_assertions) { 64 } else { 1000 };
@@ -36,58 +35,6 @@ const CASES: usize = if cfg!(debug_assertions) { 64 } else { 1000 };
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------
-
-fn null_chance(r: &mut SeededRng) -> f64 {
-    match r.weighted_index(&[4.0, 3.0, 1.0]) {
-        0 => 0.0,
-        1 => 0.25,
-        _ => 1.0,
-    }
-}
-
-fn utf8_col(r: &mut SeededRng, n: usize, pool: usize, nulls: f64) -> Column {
-    let mut b = ColumnBuilder::new(DataType::Utf8);
-    for _ in 0..n {
-        if pool == 0 || r.chance(nulls) {
-            b.push_null();
-        } else {
-            b.push_str(format!("k{}", r.index(pool)));
-        }
-    }
-    b.finish()
-}
-
-fn int_col(r: &mut SeededRng, n: usize, nulls: f64) -> Column {
-    let mut b = ColumnBuilder::new(DataType::Int64);
-    for _ in 0..n {
-        if r.chance(nulls) {
-            b.push_null();
-        } else {
-            b.push_coerced(&Value::Int(r.int_range(-50, 49))).unwrap();
-        }
-    }
-    b.finish()
-}
-
-/// Endpoint-shaped data: two categoricals and a numeric measure, with
-/// zero-row tables and all-null columns in the distribution.
-fn gen_table(r: &mut SeededRng) -> Table {
-    let n = if r.chance(0.1) { 0 } else { 1 + r.index(40) };
-    let pool = r.index(6);
-    let schema = Schema::new(vec![
-        Field::new("cat", DataType::Utf8),
-        Field::new("cat2", DataType::Utf8),
-        Field::new("num", DataType::Int64),
-    ])
-    .unwrap();
-    let (nc1, nc2, nc3) = (null_chance(r), null_chance(r), null_chance(r));
-    let columns = vec![
-        utf8_col(r, n, pool, nc1),
-        utf8_col(r, n, 3, nc2),
-        int_col(r, n, nc3),
-    ];
-    Table::new(schema, columns).unwrap()
-}
 
 /// One random *canonical* query: SQL text plus the path segments it must
 /// canonicalise to. Shapes follow the path grammar's composition rules
@@ -214,7 +161,7 @@ fn canonical_sql_equals_path_segments() {
     let mut r = SeededRng::new(0x5D1F_0001);
     let mut shared = 0usize;
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         let (sql, segs) = gen_canonical(&mut r);
         let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
@@ -247,7 +194,7 @@ fn canonical_sql_equals_path_segments() {
 fn rich_sql_matches_scan_through_index() {
     let mut r = SeededRng::new(0x5D1F_0002);
     for _ in 0..CASES {
-        let t = gen_table(&mut r);
+        let t = gen_endpoint_table(&mut r);
         let ix = IndexedTable::new(t.clone());
         let sql = gen_rich(&mut r);
         let ops = ops_for(&sql);
