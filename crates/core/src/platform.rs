@@ -833,55 +833,45 @@ impl Platform {
     }
 
     /// Append already-decoded rows onto an endpoint dataset in place: the
-    /// streamed-ingest counterpart of a full re-run. The merged table is
-    /// swapped copy-on-write (readers keep their old snapshot) and the
-    /// dashboard's data generation advances so generation-stamped caches
-    /// invalidate — but the serving layer can recognise the append and
-    /// merge its warm `IndexedTable` instead of rebuilding.
+    /// streamed-ingest counterpart of a full re-run. The dashboard's data
+    /// generation advances so generation-stamped caches invalidate, but
+    /// the serving layer can recognise the append and merge its warm
+    /// `IndexedTable` instead of rebuilding.
     ///
-    /// The O(table) copy runs on a snapshot, outside the platform-wide
-    /// lock, which is then held for the swap alone; if another writer
-    /// replaced the dataset meanwhile, the copy is redone on the new
-    /// snapshot, so no writer's rows are lost.
+    /// The stored table grows under the platform-wide write lock through
+    /// [`Table::append`](shareinsights_tabular::Table::append): a column
+    /// the store alone holds grows its buffers in place, at a cost
+    /// amortised O(delta); one a reader still holds (a query's snapshot,
+    /// an indexed wrapper) or whose type widens is copied whole, so every
+    /// snapshot keeps its rows. [`AppendReport::copied`] says which.
     ///
     /// A dataset that does not exist yet is created from the delta, so
     /// ingest also bootstraps fresh endpoints. Schema mismatches surface
-    /// as errors from the concat (tabular unifies compatible schemas and
-    /// rejects the rest).
+    /// as errors (tabular unifies compatible schemas and rejects the
+    /// rest), and a rejected delta leaves the stored table as it was.
     pub fn append_endpoint(
         &self,
         name: &str,
         dataset: &str,
         delta: shareinsights_tabular::Table,
     ) -> Result<AppendReport> {
-        let no_dashboard = || PlatformError::Other(format!("no dashboard '{name}'"));
         let rows_appended = delta.num_rows();
-        let merged = loop {
-            let snapshot = self
-                .dashboards
-                .read()
-                .get(name)
-                .ok_or_else(no_dashboard)?
-                .endpoint_tables
-                .get(dataset)
-                .cloned();
-            let merged = match &snapshot {
-                Some(existing) => existing
-                    .concat(&delta)
-                    .map_err(|e| PlatformError::Other(format!("append to '{dataset}': {e}")))?,
-                None => delta.clone(),
-            };
+        let (merged, copied) = {
             let mut dashboards = self.dashboards.write();
-            let d = dashboards.get_mut(name).ok_or_else(no_dashboard)?;
-            let unchanged = match (d.endpoint_tables.get(dataset), &snapshot) {
-                (Some(now), Some(then)) => now.shares_columns_with(then),
-                (None, None) => true,
-                _ => false,
-            };
-            if unchanged {
-                d.endpoint_tables
-                    .insert(dataset.to_string(), merged.clone());
-                break merged;
+            let d = dashboards
+                .get_mut(name)
+                .ok_or_else(|| PlatformError::Other(format!("no dashboard '{name}'")))?;
+            match d.endpoint_tables.get_mut(dataset) {
+                Some(table) => {
+                    let copied = table
+                        .append(&delta)
+                        .map_err(|e| PlatformError::Other(format!("append to '{dataset}': {e}")))?;
+                    (table.clone(), copied.map(|reason| reason.as_str()))
+                }
+                None => {
+                    d.endpoint_tables.insert(dataset.to_string(), delta.clone());
+                    (delta, Some("created"))
+                }
             }
         };
         let total_rows = merged.num_rows();
@@ -893,6 +883,7 @@ impl Platform {
             total_rows,
             generation: self.data_generation(name),
             merged,
+            copied,
         })
     }
 
@@ -1056,9 +1047,13 @@ pub struct AppendReport {
     /// The dashboard's endpoint-data generation after the append.
     pub generation: u64,
     /// The post-append endpoint table (column buffers shared with the
-    /// stored copy): lets index maintenance reuse the concat this append
-    /// already paid instead of concatenating again.
+    /// stored copy): lets index maintenance reuse the rows this append
+    /// already laid out instead of concatenating again.
     pub merged: shareinsights_tabular::Table,
+    /// `None` when every column grew in place; otherwise why the stored
+    /// table was copied: `shared` (a reader held a column), `widened` (a
+    /// column's type changed) or `created` (the delta became the table).
+    pub copied: Option<&'static str>,
 }
 
 /// Outcome of one pushed micro-batch.
@@ -1597,5 +1592,43 @@ F:
         let usage = platform.log().usage();
         assert_eq!(usage.operators.get("groupby"), Some(&2));
         assert_eq!(platform.log().count("ipl_processing", RunKind::Run), 2);
+    }
+
+    #[test]
+    fn append_endpoint_grows_the_sole_copy_and_spares_a_held_snapshot() {
+        use shareinsights_tabular::{Column, DataType, Schema, Table};
+        let p = Platform::new();
+        p.create_dashboard("d").unwrap();
+        let batch = |v: i64| {
+            Table::new(
+                Schema::of(&[("k", DataType::Utf8), ("v", DataType::Int64)]),
+                vec![Column::utf8([format!("k{v}")]), Column::int([v])],
+            )
+            .unwrap()
+        };
+        let first = p.append_endpoint("d", "e", batch(1)).unwrap();
+        assert_eq!(first.copied, Some("created"));
+        drop(first);
+        let second = p.append_endpoint("d", "e", batch(2)).unwrap();
+        assert_eq!((second.copied, second.total_rows), (None, 2));
+        // The report's table shares the stored columns, so the next
+        // append copies them, and the report keeps its two rows.
+        let third = p.append_endpoint("d", "e", batch(3)).unwrap();
+        assert_eq!(third.copied, Some("shared"));
+        assert_eq!(second.merged.num_rows(), 2);
+        assert_eq!(third.merged.num_rows(), 3);
+        drop((second, third));
+        let generation = p.data_generation("d");
+        let rejected = Table::new(
+            Schema::of(&[("other", DataType::Utf8), ("v", DataType::Int64)]),
+            vec![Column::utf8(["x"]), Column::int([4])],
+        )
+        .unwrap();
+        assert!(p.append_endpoint("d", "e", rejected).is_err());
+        assert_eq!(p.data_generation("d"), generation);
+        let fourth = p.append_endpoint("d", "e", batch(4)).unwrap();
+        assert_eq!((fourth.copied, fourth.total_rows), (None, 4));
+        let stored = &p.dashboard("d").unwrap().endpoint_tables["e"];
+        assert_eq!(stored.value(3, "k").unwrap().to_string(), "k4");
     }
 }

@@ -766,6 +766,11 @@ pub struct IngestStats {
     /// back to a lazy cold rebuild. Each one also emits an
     /// `ingest_cold_rebuild` event-log record naming the cause.
     pub cold_rebuilds: u64,
+    /// Committed ingests whose endpoint table grew its columns in place.
+    pub grown_in_place: u64,
+    /// Committed ingests that copied the endpoint table instead: a reader
+    /// held it, a column's type widened, or the ingest created it.
+    pub copied: u64,
 }
 
 impl IngestStats {
@@ -781,6 +786,8 @@ impl IngestStats {
             Micros index_merge_us "index_merge_seconds_total",
             Counter aborted "aborted_total",
             Counter cold_rebuilds "cold_rebuilds_total",
+            Counter grown_in_place "grown_in_place_total",
+            Counter copied "copied_total",
         } = self);
         Family::scalars("ingest", "shareinsights_ingest", fields)
     }
@@ -1220,12 +1227,18 @@ impl ApiMetrics {
         s.decode_us += decode_us;
     }
 
-    /// Record a committed ingest: rows appended, and whether the warm
-    /// index was merged in place (with the merge time) or left cold.
-    pub fn record_ingest_commit(&self, rows: u64, index_merged: bool, merge_us: u64) {
+    /// Record a committed ingest: rows appended, whether the warm index
+    /// was merged in place (with the merge time) or left cold, and whether
+    /// the endpoint table grew in place or was copied.
+    pub fn record_ingest_commit(&self, rows: u64, index_merged: bool, merge_us: u64, grown: bool) {
         let mut s = self.ingest.write();
         s.requests += 1;
         s.rows += rows;
+        if grown {
+            s.grown_in_place += 1;
+        } else {
+            s.copied += 1;
+        }
         if index_merged {
             s.index_merges += 1;
             s.index_merge_us += merge_us;
@@ -1552,8 +1565,8 @@ mod tests {
         assert_eq!(m.ingest(), IngestStats::default());
         m.record_ingest_segment(1024, 50);
         m.record_ingest_segment(512, 30);
-        m.record_ingest_commit(2000, true, 400);
-        m.record_ingest_commit(10, false, 0);
+        m.record_ingest_commit(2000, true, 400, false);
+        m.record_ingest_commit(10, false, 0, true);
         m.record_ingest_abort();
         m.record_sql_prepared_hit();
         let s = m.ingest();
@@ -1565,6 +1578,7 @@ mod tests {
         assert_eq!(s.index_merges, 1);
         assert_eq!(s.index_merge_us, 400);
         assert_eq!(s.aborted, 1);
+        assert_eq!((s.grown_in_place, s.copied), (1, 1));
         assert_eq!(m.sql().prepared_hits, 1);
     }
 

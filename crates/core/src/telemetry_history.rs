@@ -315,7 +315,7 @@ mod tests {
         m.record("GET /stats", true, 120);
         m.record_operator("groupby", 10, 2, 50);
         m.record_sql_prepared_hit();
-        m.record_ingest_commit(7, true, 30);
+        m.record_ingest_commit(7, true, 30, true);
         let worker = ShardWorkerStats {
             shard: 1,
             queries: 4,

@@ -436,6 +436,8 @@ pub(crate) mod tests {
                 index_merge_us: 1200,
                 cold_rebuilds: 1,
                 aborted: 1,
+                grown_in_place: 1,
+                copied: 1,
             }
             .family(),
             ShardStats {
@@ -629,6 +631,8 @@ pub(crate) mod tests {
                 index_merge_us: 2_000_000,
                 cold_rebuilds: 3,
                 aborted: 1,
+                grown_in_place: 2,
+                copied: 1,
             }
             .family(),
             ShardStats {
@@ -808,6 +812,8 @@ pub(crate) mod tests {
         assert!(text.contains("shareinsights_ingest_decode_seconds_total 5"));
         assert!(text.contains("shareinsights_ingest_index_merge_seconds_total 2"));
         assert!(text.contains("shareinsights_ingest_cold_rebuilds_total 3"));
+        assert!(text.contains("shareinsights_ingest_grown_in_place_total 2"));
+        assert!(text.contains("shareinsights_ingest_copied_total 1"));
         // Sharded data plane: global totals plus per-worker series.
         assert!(text.contains("shareinsights_shard_workers 2"));
         assert!(text.contains("shareinsights_shard_scatters_total 11"));

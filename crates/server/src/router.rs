@@ -13,7 +13,7 @@ use crate::wire::sse_frame;
 use parking_lot::{Lru, Mutex};
 use shareinsights_core::trace::{Span, TraceId};
 use shareinsights_core::{EventLog, Family, Partitioning, Platform};
-use shareinsights_tabular::{IndexedTable, Table};
+use shareinsights_tabular::{BuiltIndexes, IndexedTable, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,6 +68,16 @@ type IndexSlot = Arc<Mutex<Option<(u64, Arc<IndexedTable>)>>>;
 
 /// Index slots keyed `dashboard/dataset`.
 type IndexRegistry = HashMap<String, IndexSlot>;
+
+/// A warm index an ingest commit took out of its slot.
+enum Carried {
+    /// No reader held the wrapper: its table handle is gone, so the
+    /// append may own the columns, and the indexes grow in place.
+    Owned(BuiltIndexes),
+    /// A reader holds the wrapper: it keeps its snapshot, and the append
+    /// merges into copies.
+    Shared(Arc<IndexedTable>),
+}
 
 /// The in-process REST server wrapping a platform instance.
 ///
@@ -702,13 +712,22 @@ impl Server {
     }
 
     /// Commit one finished ingest: reassemble the decoded segment tables
-    /// into the append delta, swap the endpoint copy-on-write, bump the
-    /// generation, and merge the warm [`IndexedTable`] in place instead
-    /// of dropping it. Called by [`crate::ingest::IngestSession::finish`]
-    /// on the [`crate::ingest::Committer`] thread after every segment
-    /// decoded cleanly — a failed ingest never reaches this point, so the
-    /// endpoint is all-or-nothing. `commit_span` is the caller's
-    /// `ingest_commit` span, opened before the hand-over.
+    /// into the append delta, append it to the endpoint, bump the
+    /// generation, and merge the warm [`IndexedTable`] instead of dropping
+    /// it. Called by [`crate::ingest::IngestSession::finish`] on the
+    /// [`crate::ingest::Committer`] thread after every segment decoded
+    /// cleanly — a failed ingest never reaches this point, so the endpoint
+    /// is all-or-nothing. `commit_span` is the caller's `ingest_commit`
+    /// span, opened before the hand-over.
+    ///
+    /// Under the slot lock the warm wrapper is taken out of its slot, and
+    /// when no reader holds it, its table handle is dropped before the
+    /// platform append: the platform's map is then the columns' only
+    /// holder, so they grow in place, and the indexes grow in place after
+    /// it ([`BuiltIndexes::append`]). A reader that still holds the
+    /// wrapper or the table makes the append copy instead, and its
+    /// snapshot keeps answering over the rows it had. The span's `table`
+    /// attribute says `grown` or `copied`, and `reason` why.
     pub(crate) fn commit_ingest(
         &self,
         dashboard: &str,
@@ -750,25 +769,58 @@ impl Server {
         let slot = self.index_slot(&key);
         let mut warm = slot.lock();
         let pre_generation = self.live_generation(dashboard, dataset);
+        // Merge only a wrapper stamped at the exact pre-append generation —
+        // the same guard the query path applies. A stale entry (a re-run
+        // or publish bumped the generation without refreshing the slot) is
+        // missing those intervening rows; merging it would stamp wrong
+        // data at the live generation.
+        let carried = warm
+            .take()
+            .filter(|(g, _)| *g == pre_generation)
+            .map(|(_, ix)| match Arc::try_unwrap(ix) {
+                Ok(owned) => Carried::Owned(owned.into_indexes()),
+                Err(shared) => Carried::Shared(shared),
+            });
         let report = match self
             .platform
             .append_endpoint(dashboard, dataset, delta.clone())
         {
             Ok(r) => r,
-            Err(e) => return fail(commit_span, Status::Unprocessable, e.to_string()),
+            Err(e) => {
+                // The endpoint is unchanged: put the warm index back.
+                *warm =
+                    carried.and_then(|c| self.restore_index(c, dashboard, dataset, pre_generation));
+                return fail(commit_span, Status::Unprocessable, e.to_string());
+            }
         };
         let generation = self.live_generation(dashboard, dataset);
         self.invalidate_shards(dashboard, dataset);
-        let (index_merged, merge_us) =
-            self.merge_index_on_append(&mut warm, &key, pre_generation, generation, &report);
+        let (index_merged, merge_us) = match carried {
+            Some(carried) => {
+                self.merge_index_on_append(&mut warm, &key, carried, generation, &report)
+            }
+            None => (false, 0),
+        };
         drop(warm);
-        metrics.record_ingest_commit(report.rows_appended as u64, index_merged, merge_us);
+        metrics.record_ingest_commit(
+            report.rows_appended as u64,
+            index_merged,
+            merge_us,
+            report.copied.is_none(),
+        );
         if let Some(s) = commit_span.as_mut() {
             s.set_attr("dataset", format!("{dashboard}/{dataset}"));
             s.set_attr("segments", segments);
             s.set_attr("bytes", bytes_in);
             s.set_attr("rows_appended", report.rows_appended as u64);
             s.set_attr("index_merged", index_merged);
+            match report.copied {
+                None => s.set_attr("table", "grown"),
+                Some(reason) => {
+                    s.set_attr("table", "copied");
+                    s.set_attr("reason", reason);
+                }
+            }
         }
         // Live subscribers get just the appended rows as a delta frame at
         // the new generation (the snapshot frame at subscribe time plus
@@ -797,41 +849,66 @@ impl Server {
         ))
     }
 
-    /// Incremental index maintenance: if a warm [`IndexedTable`] exists
-    /// for the endpoint, merge the appended rows into its dictionaries,
-    /// postings and zone maps and re-stamp it at the new generation —
-    /// instead of letting the generation bump drop it for a cold rebuild.
-    /// The merge reuses the concatenated table the platform append
-    /// already produced ([`shareinsights_core::platform::AppendReport::merged`]),
-    /// so its cost is proportional to the delta, not the endpoint.
+    /// The warm index of an append the platform rejected, back over the
+    /// unchanged endpoint table at `generation`; `None` (a lazy cold
+    /// rebuild) if the endpoint moved meanwhile.
+    fn restore_index(
+        &self,
+        carried: Carried,
+        dashboard: &str,
+        dataset: &str,
+        generation: u64,
+    ) -> Option<(u64, Arc<IndexedTable>)> {
+        if self.live_generation(dashboard, dataset) != generation {
+            return None;
+        }
+        let indexes = match carried {
+            Carried::Shared(ix) => return Some((generation, ix)),
+            Carried::Owned(indexes) => indexes,
+        };
+        let table = self.endpoint_table(dashboard, dataset).ok()?;
+        if table.num_rows() != indexes.rows() {
+            return None;
+        }
+        let ix = indexes.append(table).ok()?;
+        Some((generation, Arc::new(ix)))
+    }
+
+    /// Incremental index maintenance: merge the appended rows into the
+    /// warm index's dictionaries, postings and zone maps and re-stamp it
+    /// at the new generation — instead of letting the generation bump drop
+    /// it for a cold rebuild. The merge reuses the table the platform
+    /// append already laid out
+    /// ([`shareinsights_core::platform::AppendReport::merged`]), so its
+    /// cost is proportional to the delta, not the endpoint: an index no
+    /// reader holds grows in place, a held one is copied and grown.
     /// Returns `(merged, merge_micros)`. `slot` is the endpoint's locked
     /// index slot, held by the caller since before the append.
     fn merge_index_on_append(
         &self,
         slot: &mut Option<(u64, Arc<IndexedTable>)>,
         key: &str,
-        pre_generation: u64,
+        carried: Carried,
         new_generation: u64,
         report: &shareinsights_core::platform::AppendReport,
     ) -> (bool, u64) {
-        // Merge only a wrapper stamped at the exact pre-append generation —
-        // the same guard the query path applies. A stale entry (a re-run
-        // or publish bumped the generation without refreshing the slot) is
-        // missing those intervening rows; merging it would stamp wrong
-        // data at the live generation.
-        let Some((_, warm)) = slot.take_if(|(g, _)| *g == pre_generation) else {
-            *slot = None;
-            return (false, 0);
+        let indexed_rows = match &carried {
+            Carried::Owned(indexes) => indexes.rows(),
+            Carried::Shared(ix) => ix.table().num_rows(),
         };
         // The committed table must be exactly the indexed rows plus this
         // delta; anything else means a writer that is not an append (a
         // re-run, a stream tick) replaced the table under this one.
-        if warm.table().num_rows() + report.rows_appended != report.total_rows {
+        if indexed_rows + report.rows_appended != report.total_rows {
             self.note_cold_rebuild(key, "writer_raced", report);
             return (false, 0);
         }
         let started = std::time::Instant::now();
-        match warm.append_merged(report.merged.clone()) {
+        let merged = match carried {
+            Carried::Owned(indexes) => indexes.append(report.merged.clone()),
+            Carried::Shared(ix) => ix.append_merged(report.merged.clone()),
+        };
+        match merged {
             Ok(merged) if merged.table().num_rows() == report.total_rows => {
                 let us = started.elapsed().as_micros() as u64;
                 *slot = Some((new_generation, Arc::new(merged)));
@@ -2684,6 +2761,45 @@ F:
             builds_before,
             "append kept the index warm (no rebuild)"
         );
+    }
+
+    #[test]
+    fn ingest_that_does_not_unify_leaves_the_endpoint_and_its_warm_index_whole() {
+        let server = served();
+        let read = "/retail/ds/brand_sales/groupby/brand/sum/revenue";
+        let warmed = server.handle(&Request::get(read));
+        assert!(warmed.is_ok(), "{}", warmed.body);
+        let rows = || {
+            server
+                .platform()
+                .dashboard("retail")
+                .unwrap()
+                .endpoint_tables["brand_sales"]
+                .num_rows()
+        };
+        let (rows_before, generation) = (rows(), server.live_generation("retail", "brand_sales"));
+        let builds = server.platform().api_metrics().index().builds;
+        assert!(builds > 0, "the read warmed an index");
+        // The header names a column the endpoint lacks: no schema unifies.
+        let r = server.handle(
+            &Request::new(Method::Post, "/dashboards/retail/ds/brand_sales/ingest")
+                .with_body("region,brand,margin\nwest,omni,4\n"),
+        );
+        assert_eq!(r.status, Status::Unprocessable, "{}", r.body);
+        assert_eq!(rows(), rows_before);
+        assert_eq!(server.live_generation("retail", "brand_sales"), generation);
+        // A read the page cache cannot answer finds the warm index back.
+        let again = server.handle(&Request::get(&format!("{read}/limit/1000")));
+        assert_eq!(again.body, warmed.body);
+        assert_eq!(server.platform().api_metrics().index().builds, builds);
+        let r = server.handle(
+            &Request::new(Method::Post, "/dashboards/retail/ds/brand_sales/ingest")
+                .with_body("region,brand,revenue\nwest,omni,40\n"),
+        );
+        assert!(r.is_ok(), "{}", r.body);
+        assert!(r.body.contains("\"index\": \"merged\""), "{}", r.body);
+        assert_eq!(rows(), rows_before + 1);
+        assert_eq!(server.platform().api_metrics().index().builds, builds);
     }
 
     #[test]

@@ -32,22 +32,6 @@ impl Bitmap {
         bm
     }
 
-    /// A copy of this bitmap grown (or shrunk) to `len` bits: existing
-    /// bits within range are preserved word-for-word, new bits are
-    /// cleared. Word-level, so extending an n-bit posting list during an
-    /// incremental index merge costs O(n/64), not O(n).
-    pub fn resized(&self, len: usize) -> Self {
-        let n_words = len.div_ceil(64);
-        // One allocation at the target size, one copy of the surviving
-        // words — `clone()` + `resize()` would copy twice when growing.
-        let mut words = Vec::with_capacity(n_words);
-        words.extend_from_slice(&self.words[..self.words.len().min(n_words)]);
-        words.resize(n_words, 0);
-        let mut bm = Bitmap { words, len };
-        bm.mask_tail();
-        bm
-    }
-
     /// Create a bitmap from a boolean slice.
     pub fn from_bools(bits: &[bool]) -> Self {
         let mut bm = Bitmap::new_cleared(bits.len());

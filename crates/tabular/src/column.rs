@@ -475,6 +475,27 @@ impl Column {
         Ok(b.finish())
     }
 
+    /// Append `tail`'s cells to this column's own buffers: the in-place
+    /// half of `Table::append`. The typed buffer and the validity words
+    /// grow through [`ColumnBuilder::extend_from`], amortised by the
+    /// buffers' doubling, so the cost is the tail's, not the column's.
+    ///
+    /// # Panics
+    /// Panics when `tail` is neither of this column's type nor all-null.
+    pub fn extend(&mut self, tail: &Column) {
+        let own = std::mem::replace(self, Column::Null { len: 0 });
+        let mut b = ColumnBuilder::reopen(own);
+        assert!(
+            tail.data_type() == b.ty || tail.data_type() == DataType::Null,
+            "extend a {} column with a {} one",
+            b.ty,
+            tail.data_type()
+        );
+        b.extend_from(tail, 0, tail.len())
+            .expect("cells of the builder's own type append without coercion");
+        *self = b.finish();
+    }
+
     /// Cast to another type, erroring on lossy conversions. A column
     /// already of the target type is shared, not copied.
     pub fn cast(self: &Arc<Column>, target: DataType) -> Result<ColumnRef> {
@@ -528,6 +549,22 @@ impl ColumnBuilder {
             DataType::Utf8 => b.strs.offsets.reserve(cap),
             DataType::Date => b.dates.reserve(cap),
             DataType::Null => {}
+        }
+        b
+    }
+
+    /// A builder that carries on where `col` ends, owning its buffers:
+    /// [`ColumnBuilder::finish`] undone.
+    fn reopen(col: Column) -> Self {
+        let mut b = ColumnBuilder::new(col.data_type());
+        b.len = col.len();
+        match col {
+            Column::Bool { data, validity } => (b.bools, b.validity) = (data, validity),
+            Column::Int64 { data, validity } => (b.ints, b.validity) = (data, validity),
+            Column::Float64 { data, validity } => (b.floats, b.validity) = (data, validity),
+            Column::Utf8 { data, validity } => (b.strs, b.validity) = (data, validity),
+            Column::Date { data, validity } => (b.dates, b.validity) = (data, validity),
+            Column::Null { .. } => {}
         }
         b
     }

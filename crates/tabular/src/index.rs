@@ -31,6 +31,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
+use crate::datatype::DataType;
 use crate::ops::groupby::{GroupBy, GroupByPartial};
 use crate::ops::keys::{group_ids, Buckets, GroupIds, KeyColumn, RowSel};
 use crate::ops::sort::{SortKey, SortOrder};
@@ -116,24 +117,24 @@ impl Postings {
         }
     }
 
-    /// This posting once the column has grown to `n` rows, `added` of them
-    /// (ascending, all past its own) holding its value: what
+    /// Grow this posting for a column now `n` rows long, `added` of them
+    /// (ascending, all past its own) holding its value, into what
     /// [`Postings::of`] would build over all of its rows. An untouched
-    /// posting whose container still fits is shared, a bitmap that stays
-    /// one grows a word at a time, and anything else is rebuilt.
-    fn grown(&self, added: &[u32], n: usize) -> Postings {
+    /// posting whose container still fits is left alone, a bitmap that
+    /// stays one grows in place a word at a time (copied first if another
+    /// index shares it), and anything else is rebuilt.
+    fn grow(&mut self, added: &[u32], n: usize) {
         let count = self.len() + added.len();
         let stays_sparse = sparse(count, n);
         match self {
-            Postings::Rows(_) if added.is_empty() && stays_sparse => self.clone(),
-            Postings::Bits(bits, _) if !stays_sparse => {
-                if added.is_empty() {
-                    return self.clone();
+            Postings::Rows(_) if added.is_empty() && stays_sparse => {}
+            Postings::Bits(bits, held) if !stays_sparse => {
+                if let Some(&last) = added.last() {
+                    let bits = Arc::make_mut(bits);
+                    bits.extend_with(false, last as usize + 1 - bits.len());
+                    added.iter().for_each(|&r| bits.set(r as usize));
+                    *held = count;
                 }
-                let last = added[added.len() - 1] as usize;
-                let mut bits = bits.resized(last + 1);
-                added.iter().for_each(|&r| bits.set(r as usize));
-                Postings::Bits(Arc::new(bits), count)
             }
             _ => {
                 let rows: Vec<u32> = self
@@ -141,7 +142,7 @@ impl Postings {
                     .map(|r| r as u32)
                     .chain(added.iter().copied())
                     .collect();
-                Postings::of(&rows, n)
+                *self = Postings::of(&rows, n);
             }
         }
     }
@@ -293,91 +294,85 @@ impl DictionaryIndex {
         dict + self.codes.len() * size_of::<u32>() + postings
     }
 
-    /// Merge `prev` (built over the first rows of `col`) with the rows
-    /// appended to it: the incremental-maintenance path that keeps an
-    /// endpoint's dictionary warm across appends. Produces *exactly* what
-    /// a cold [`DictionaryIndex::build`] over the full column would — same
-    /// sorted dictionary, same codes, same postings — because the
-    /// dictionaries merge sorted and a posting's container depends only
+    /// Grow the index over the rows appended to `col` since it was built
+    /// (its first `self.codes().len()` rows are the indexed ones): the
+    /// incremental-maintenance path that keeps an endpoint's dictionary
+    /// warm across appends. The result is *exactly* what a cold
+    /// [`DictionaryIndex::build`] over the full column holds — same sorted
+    /// dictionary, same codes, same postings — because fresh values merge
+    /// into the sorted dictionary and a posting's container depends only
     /// on its rows and the row count; the differential tests pin this.
-    /// A posting the appended rows do not touch is shared with `prev`
-    /// unless the longer column moves it below 1/32 density.
-    fn append(prev: &DictionaryIndex, col: &Column) -> DictionaryIndex {
-        let n_old = prev.codes.len();
+    ///
+    /// The codes grow by the appended rows and only the postings those
+    /// rows touch grow, plus any the longer column moves below 1/32
+    /// density. A fresh value that sorts among the old ones renumbers the
+    /// codes, in place.
+    fn append(&mut self, col: &Column) {
+        let n_old = self.codes.len();
         let n = col.len();
-        let tail = || (n_old..n).map(|i| col.str_at(i));
+        let tail = (n_old..n).map(|i| col.str_at(i));
         // Distinct values arriving in the tail that the dictionary has
         // not seen, sorted for the merge.
-        let fresh: BTreeSet<&str> = tail()
+        let fresh: BTreeSet<&str> = tail
+            .clone()
             .flatten()
-            .filter(|s| prev.code_of(s).is_none())
+            .filter(|s| self.code_of(s).is_none())
             .collect();
-        // Sorted two-way merge of the old dictionary and the fresh
-        // values: assigns every old code its new position in one pass.
-        let mut dict: Vec<String> = Vec::with_capacity(prev.dict.len() + fresh.len());
-        let mut old_to_new: Vec<u32> = Vec::with_capacity(prev.dict.len());
-        {
-            let mut old_iter = prev.dict.iter().peekable();
-            let mut new_iter = fresh.iter().peekable();
-            loop {
-                match (old_iter.peek(), new_iter.peek()) {
-                    (Some(o), Some(f)) if o.as_str() <= **f => {
-                        old_to_new.push(dict.len() as u32);
-                        dict.push(old_iter.next().unwrap().clone());
-                    }
-                    (_, Some(_)) => dict.push(new_iter.next().unwrap().to_string()),
-                    (Some(_), None) => {
-                        old_to_new.push(dict.len() as u32);
-                        dict.push(old_iter.next().unwrap().clone());
-                    }
-                    (None, None) => break,
-                }
-            }
+        if !fresh.is_empty() {
+            self.admit(fresh);
         }
-        // Old codes remap through the merge, then the appended rows are
-        // encoded.
-        let identity = old_to_new.iter().enumerate().all(|(i, &c)| c as usize == i);
-        let mut codes: Vec<u32> = Vec::with_capacity(n);
-        if identity {
-            codes.extend_from_slice(&prev.codes);
-        } else {
-            codes.extend(prev.codes.iter().map(|&c| {
-                if c == NULL_CODE {
-                    NULL_CODE
-                } else {
-                    old_to_new[c as usize]
-                }
-            }));
-        }
-        codes.extend(tail().map(|cell| {
+        let dict = &self.dict;
+        self.codes.extend(tail.map(|cell| {
             match cell {
-                Some(s) => dict
-                    .binary_search_by(|d| d.as_str().cmp(s))
-                    .expect("merged dictionary covers every tail value")
-                    as u32,
+                Some(s) => {
+                    dict.binary_search_by(|d| d.as_str().cmp(s))
+                        .expect("the dictionary covers every tail value") as u32
+                }
                 None => NULL_CODE,
             }
         }));
         // Each posting grows by the appended rows holding its value.
         let appended = RowSel::Picked((n_old as u32..n as u32).collect());
-        let (added, added_nulls) = bucket(&codes[n_old..], &appended, dict.len());
-        let mut new_to_old: Vec<Option<usize>> = vec![None; dict.len()];
-        for (old_code, &new_code) in old_to_new.iter().enumerate() {
-            new_to_old[new_code as usize] = Some(old_code);
+        let (added, added_nulls) = bucket(&self.codes[n_old..], &appended, self.dict.len());
+        for (code, posting) in self.postings.iter_mut().enumerate() {
+            posting.grow(added.rows_of(code), n);
         }
-        let postings = new_to_old
-            .iter()
-            .enumerate()
-            .map(|(code, slot)| match slot {
-                Some(old_code) => prev.postings[*old_code].grown(added.rows_of(code), n),
-                None => Postings::of(added.rows_of(code), n),
-            })
-            .collect();
-        DictionaryIndex {
-            dict,
-            codes,
-            postings,
-            nulls: prev.nulls.grown(&added_nulls, n),
+        self.nulls.grow(&added_nulls, n);
+    }
+
+    /// Merge `fresh` (sorted, none of them in the dictionary) into the
+    /// sorted dictionary, each with an empty posting, and renumber the
+    /// codes in place when a fresh value sorts before an old one.
+    fn admit(&mut self, fresh: BTreeSet<&str>) {
+        let n = self.codes.len();
+        let size = self.dict.len() + fresh.len();
+        let old_dict = std::mem::replace(&mut self.dict, Vec::with_capacity(size));
+        let old_postings = std::mem::replace(&mut self.postings, Vec::with_capacity(size));
+        let mut old_to_new: Vec<u32> = Vec::with_capacity(old_dict.len());
+        let mut old = old_dict.into_iter().zip(old_postings).peekable();
+        let mut fresh = fresh.into_iter().peekable();
+        loop {
+            let take_old = match (old.peek(), fresh.peek()) {
+                (Some((o, _)), Some(f)) => o.as_str() < *f,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_old {
+                let (value, posting) = old.next().expect("peeked");
+                old_to_new.push(self.dict.len() as u32);
+                self.dict.push(value);
+                self.postings.push(posting);
+            } else {
+                self.dict.push(fresh.next().expect("peeked").to_string());
+                self.postings.push(Postings::of(&[], n));
+            }
+        }
+        let renumbered = old_to_new.iter().enumerate().any(|(i, &c)| c as usize != i);
+        if renumbered {
+            for code in self.codes.iter_mut().filter(|c| **c != NULL_CODE) {
+                *code = old_to_new[*code as usize];
+            }
         }
     }
 }
@@ -392,30 +387,12 @@ pub struct ZoneIndex {
 
 impl ZoneIndex {
     fn build(col: &Column, zone_rows: usize) -> ZoneIndex {
-        let n = col.len();
-        let mut zones = Vec::with_capacity(n.div_ceil(zone_rows.max(1)));
-        let mut start = 0;
-        while start < n {
-            let end = (start + zone_rows).min(n);
-            let mut bounds: Option<(Value, Value)> = None;
-            for i in start..end {
-                let v = col.value(i);
-                if v.is_null() {
-                    continue;
-                }
-                bounds = Some(match bounds.take() {
-                    None => (v.clone(), v),
-                    Some((lo, hi)) => {
-                        let lo = if v < lo { v.clone() } else { lo };
-                        let hi = if v > hi { v } else { hi };
-                        (lo, hi)
-                    }
-                });
-            }
-            zones.push(bounds);
-            start = end;
-        }
-        ZoneIndex { zone_rows, zones }
+        let mut zones = ZoneIndex {
+            zone_rows,
+            zones: Vec::with_capacity(col.len().div_ceil(zone_rows.max(1))),
+        };
+        zones.append(col, 0);
+        zones
     }
 
     /// Rows per zone (the last zone may be shorter).
@@ -428,19 +405,17 @@ impl ZoneIndex {
         &self.zones
     }
 
-    /// Merge `prev` (built over the first `n_old` rows of `col`) with the
-    /// appended tail: complete zones are immutable and carry over
-    /// verbatim; only the old partial tail zone (whose bounds may widen)
-    /// and the zones the new rows open are rescanned. Byte-identical to a
-    /// cold [`ZoneIndex::build`] over the full column because zone
-    /// boundaries depend only on row position.
-    fn append(prev: &ZoneIndex, col: &Column, n_old: usize) -> ZoneIndex {
-        let zone_rows = prev.zone_rows.max(1);
+    /// Grow the zones (built over the first `n_old` rows of `col`) over
+    /// the appended tail: complete zones are immutable and stay; only the
+    /// old partial tail zone (whose bounds may widen) and the zones the
+    /// new rows open are scanned. What a cold [`ZoneIndex::build`] over
+    /// the full column holds, because zone boundaries depend only on row
+    /// position.
+    fn append(&mut self, col: &Column, n_old: usize) {
+        let zone_rows = self.zone_rows.max(1);
         let n = col.len();
-        let complete = n_old / zone_rows;
-        let mut zones: Vec<Option<(Value, Value)>> =
-            prev.zones.iter().take(complete).cloned().collect();
-        let mut start = complete * zone_rows;
+        self.zones.truncate(n_old / zone_rows);
+        let mut start = self.zones.len() * zone_rows;
         while start < n {
             let end = (start + zone_rows).min(n);
             let mut bounds: Option<(Value, Value)> = None;
@@ -458,12 +433,8 @@ impl ZoneIndex {
                     }
                 });
             }
-            zones.push(bounds);
+            self.zones.push(bounds);
             start = end;
-        }
-        ZoneIndex {
-            zone_rows: prev.zone_rows,
-            zones,
         }
     }
 }
@@ -523,6 +494,77 @@ pub struct IndexedTable {
     build_hook: Option<Arc<dyn Fn(u64) + Send + Sync>>,
 }
 
+/// The indexes an [`IndexedTable`] had built, apart from its table: what
+/// an append carries across the moment it owns the table's columns.
+pub struct BuiltIndexes {
+    /// Rows of the table they index.
+    rows: usize,
+    /// Each column's type in that table.
+    types: Vec<DataType>,
+    /// Per column: `None` when never built, else the built slot (`None`
+    /// inside for an unindexable type).
+    slots: Vec<Option<Option<Arc<ColumnIndex>>>>,
+    #[allow(clippy::type_complexity)]
+    build_hook: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+}
+
+impl BuiltIndexes {
+    /// Rows of the table the indexes cover.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Grow every built index onto `merged` — the indexed table with rows
+    /// appended — and wrap it: the one merge implementation behind
+    /// [`IndexedTable::append`] and [`IndexedTable::append_merged`].
+    /// Each index grows through `Arc::make_mut`, so one no other handle
+    /// shares grows in place and a shared one is copied first: dictionary
+    /// indexes merge fresh values into the sorted dictionary and grow only
+    /// the postings the delta touches, zone maps rescan only the tail zone.
+    /// Indexes are warm the moment the append lands, at a cost
+    /// proportional to the delta and the postings it touches, and equal to
+    /// a cold rebuild over `merged` (pinned by the differential tests).
+    /// Columns whose type changed (e.g. Int64 widening to Float64) and
+    /// never-built slots stay lazy.
+    pub fn append(self, merged: Table) -> crate::error::Result<IndexedTable> {
+        if merged.num_rows() < self.rows {
+            return Err(crate::error::TabularError::LengthMismatch {
+                left: self.rows,
+                right: merged.num_rows(),
+                context: "append_merged: merged table shorter than the indexed base".to_string(),
+            });
+        }
+        let out = IndexedTable::with_hook(merged, self.build_hook);
+        for (i, (slot, ty)) in self.slots.into_iter().zip(self.types).enumerate() {
+            let Some(built) = slot else {
+                continue; // never built: stays lazy
+            };
+            let Some(col) = out.table.columns().get(i) else {
+                break;
+            };
+            if col.data_type() != ty {
+                continue; // the append widened the type: cold rebuild applies
+            }
+            let started = Instant::now();
+            // An unindexable type stays unindexable.
+            let grown = built.map(|mut index| {
+                match Arc::make_mut(&mut index) {
+                    ColumnIndex::Dictionary(d) => d.append(col),
+                    ColumnIndex::Zones(z) => z.append(col, self.rows),
+                }
+                index
+            });
+            if grown.is_some() {
+                let us = started.elapsed().as_micros() as u64;
+                out.merges.fetch_add(1, AtomicOrdering::Relaxed);
+                out.merge_us.fetch_add(us, AtomicOrdering::Relaxed);
+            }
+            let _ = out.slots[i].set(grown);
+        }
+        Ok(out)
+    }
+}
+
 impl std::fmt::Debug for IndexedTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexedTable")
@@ -559,16 +601,9 @@ impl IndexedTable {
     }
 
     /// Append `delta`'s rows, carrying every already built column index
-    /// forward by *incremental merge* instead of dropping it: dictionary
-    /// indexes merge sorted dictionaries and grow only the postings the
-    /// delta touches, zone maps keep complete zones verbatim and rescan
-    /// only the partial tail — so indexes are warm the moment the append
-    /// lands, at a cost proportional to the delta and the postings it
-    /// touches (plus one copy of the codes), not the full table. Merged
-    /// indexes are byte-identical to a cold rebuild over the concatenated table
-    /// (pinned by the differential tests). Columns whose unified type
-    /// changed in the concat (e.g. Int64 widening to Float64) and
-    /// never-built slots stay lazy.
+    /// forward by *incremental merge* instead of dropping it: a wrapper
+    /// over [`IndexedTable::append_merged`] for callers that hold only the
+    /// delta. This wrapper keeps its own table and indexes.
     pub fn append(&self, delta: &Table) -> crate::error::Result<IndexedTable> {
         let merged = self.table.concat(delta)?;
         self.append_merged(merged)
@@ -577,47 +612,36 @@ impl IndexedTable {
     /// [`IndexedTable::append`] for callers that already hold the
     /// concatenated table — e.g. a copy-on-write store whose append
     /// produced `merged = old.concat(delta)` before index maintenance
-    /// runs. Skipping the second concat makes the merge cost proportional
-    /// to the delta (plus the copy of the codes), not the full table. The caller guarantees `merged`'s first `self.table().num_rows()`
-    /// rows are exactly this table's rows; only the row count (and, per
-    /// column, the unified type) is checked here.
+    /// runs. The indexes are cloned and grown by [`BuiltIndexes::append`],
+    /// so this wrapper keeps answering over its own rows. The caller
+    /// guarantees `merged`'s first `self.table().num_rows()` rows are
+    /// exactly this table's rows; only the row count (and, per column,
+    /// the type) is checked.
     pub fn append_merged(&self, merged: Table) -> crate::error::Result<IndexedTable> {
-        let n_old = self.table.num_rows();
-        if merged.num_rows() < n_old {
-            return Err(crate::error::TabularError::LengthMismatch {
-                left: n_old,
-                right: merged.num_rows(),
-                context: "append_merged: merged table shorter than the indexed base".to_string(),
-            });
+        let built = BuiltIndexes {
+            rows: self.table.num_rows(),
+            types: self.column_types(),
+            slots: self.slots.iter().map(|slot| slot.get().cloned()).collect(),
+            build_hook: self.build_hook.clone(),
+        };
+        built.append(merged)
+    }
+
+    /// Give up the table and keep the indexes built so far, so that an
+    /// append can own the table's columns and grow them in place; the
+    /// indexes then grow onto the appended table through
+    /// [`BuiltIndexes::append`].
+    pub fn into_indexes(self) -> BuiltIndexes {
+        BuiltIndexes {
+            rows: self.table.num_rows(),
+            types: self.column_types(),
+            slots: self.slots.into_iter().map(OnceLock::into_inner).collect(),
+            build_hook: self.build_hook,
         }
-        let out = IndexedTable::with_hook(merged, self.build_hook.clone());
-        for i in 0..self.slots.len().min(out.slots.len()) {
-            let Some(built) = self.slots[i].get() else {
-                continue; // never built: stays lazy
-            };
-            let old_type = self.table.column_at(i).data_type();
-            let new_col: &Column = out.table.column_at(i).as_ref();
-            if new_col.data_type() != old_type {
-                continue; // concat widened the type: cold rebuild applies
-            }
-            let started = Instant::now();
-            let carried: Option<Arc<ColumnIndex>> = match built.as_ref().map(Arc::as_ref) {
-                None => None, // unindexable type stays unindexable
-                Some(ColumnIndex::Dictionary(d)) => Some(Arc::new(ColumnIndex::Dictionary(
-                    DictionaryIndex::append(d, new_col),
-                ))),
-                Some(ColumnIndex::Zones(z)) => Some(Arc::new(ColumnIndex::Zones(
-                    ZoneIndex::append(z, new_col, n_old),
-                ))),
-            };
-            if carried.is_some() {
-                let us = started.elapsed().as_micros() as u64;
-                out.merges.fetch_add(1, AtomicOrdering::Relaxed);
-                out.merge_us.fetch_add(us, AtomicOrdering::Relaxed);
-            }
-            let _ = out.slots[i].set(carried);
-        }
-        Ok(out)
+    }
+
+    fn column_types(&self) -> Vec<DataType> {
+        self.table.columns().iter().map(|c| c.data_type()).collect()
     }
 
     /// `(index merges, total merge time in µs)` carried into this table

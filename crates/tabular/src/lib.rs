@@ -49,8 +49,8 @@ pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder};
 pub use datatype::DataType;
 pub use error::{Result, TabularError};
-pub use index::{ColumnIndex, DictionaryIndex, IndexedTable, ZoneIndex};
+pub use index::{BuiltIndexes, ColumnIndex, DictionaryIndex, IndexedTable, ZoneIndex};
 pub use row::Row;
 pub use schema::{Field, Schema};
-pub use table::Table;
+pub use table::{CopyReason, Table};
 pub use value::Value;

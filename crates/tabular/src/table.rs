@@ -10,9 +10,10 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// An immutable table: a [`Schema`] plus one [`Column`] per field, all of
-/// equal length. Columns are `Arc`-shared so projections and endpoint
-/// snapshots are cheap.
+/// A table: a [`Schema`] plus one [`Column`] per field, all of equal
+/// length. Columns are `Arc`-shared so projections and endpoint snapshots
+/// are cheap; [`Table::append`] grows a column in place only when no
+/// other handle shares it, so a snapshot never changes under its holder.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: SchemaRef,
@@ -272,6 +273,57 @@ impl Table {
         Table::from_refs(Arc::new(schema), columns)
     }
 
+    /// Append `delta`'s rows to this table, growing each column's own
+    /// buffers in place where it can: an O(delta) append, amortised by
+    /// the buffers' doubling. A column grows in place when this table is
+    /// its only holder (its `Arc` is unique) and its type is the unified
+    /// one; any other column is copied whole by [`Column::concat_as`], as
+    /// [`Table::concat`] would, so a reader holding an earlier snapshot
+    /// keeps its rows. Returns `None` when every column grew, or why one
+    /// was copied.
+    ///
+    /// Everything that can fail — unifying the schemas, coercing the
+    /// delta's cells, building the copies — runs before any column is
+    /// touched, so an error leaves the table as it was.
+    pub fn append(&mut self, delta: &Table) -> Result<Option<CopyReason>> {
+        let schema = self.schema.unify(delta.schema())?;
+        // The delta's columns at the unified types (shared where they
+        // already are): O(delta).
+        let tails = schema
+            .fields()
+            .iter()
+            .zip(delta.columns())
+            .map(|(f, c)| c.cast(f.data_type()))
+            .collect::<Result<Vec<_>>>()?;
+        let mut copied = None;
+        let mut copies = Vec::with_capacity(tails.len());
+        for ((f, col), tail) in schema.fields().iter().zip(&mut self.columns).zip(&tails) {
+            let reason = if col.data_type() != f.data_type() {
+                Some(CopyReason::Widened)
+            } else if Arc::get_mut(col).is_none() {
+                Some(CopyReason::Shared)
+            } else {
+                None
+            };
+            copied = copied.max(reason);
+            copies.push(match reason {
+                Some(_) => Some(Column::concat_as(f.data_type(), &[&**col, &**tail])?),
+                None => None,
+            });
+        }
+        for ((col, tail), copy) in self.columns.iter_mut().zip(&tails).zip(copies) {
+            match copy {
+                Some(copy) => *col = Arc::new(copy),
+                None => Arc::get_mut(col)
+                    .expect("a column found unique above")
+                    .extend(tail),
+            }
+        }
+        self.schema = Arc::new(schema);
+        self.rows += delta.rows;
+        Ok(copied)
+    }
+
     /// Render the first `max_rows` rows as an aligned text grid — the shape
     /// the paper's data explorer (§4.4, figure 29) shows for endpoint data.
     pub fn pretty(&self, max_rows: usize) -> String {
@@ -321,6 +373,25 @@ impl Table {
     /// when minimising data transferred to the client (§6). O(columns).
     pub fn approx_bytes(&self) -> usize {
         self.columns.iter().map(|c| c.approx_bytes()).sum()
+    }
+}
+
+/// Why [`Table::append`] copied a column instead of growing it in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CopyReason {
+    /// Another handle held the column: a reader's snapshot keeps it.
+    Shared,
+    /// The column's type widened to take the delta.
+    Widened,
+}
+
+impl CopyReason {
+    /// The reason's name, as spans and logs print it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CopyReason::Shared => "shared",
+            CopyReason::Widened => "widened",
+        }
     }
 }
 
@@ -495,6 +566,62 @@ mod tests {
         // Degenerate shapes.
         assert_eq!(Table::concat_all(&[]).unwrap().num_rows(), 0);
         assert_eq!(Table::concat_all(&widen[..1]).unwrap(), widen[0]);
+    }
+
+    #[test]
+    fn append_grows_sole_columns_in_place_and_copies_shared_ones() {
+        let mut t = sample();
+        let delta = Table::new(
+            t.schema().clone(),
+            vec![Column::utf8(["pig"]), Column::int([2015]), Column::int([7])],
+        )
+        .unwrap();
+        // Sole holder: every column grows its own buffers.
+        let commits = Arc::as_ptr(t.column("commits").unwrap());
+        assert_eq!(t.append(&delta).unwrap(), None);
+        assert_eq!(Arc::as_ptr(t.column("commits").unwrap()), commits);
+        assert_eq!(t, sample().concat(&delta).unwrap());
+        // A held snapshot keeps its rows; its columns are copied.
+        let snapshot = t.clone();
+        assert_eq!(t.append(&delta).unwrap(), Some(CopyReason::Shared));
+        assert_eq!(snapshot.num_rows(), 5);
+        assert_eq!(t.num_rows(), 6);
+        assert_eq!(t, snapshot.concat(&delta).unwrap());
+        // A column whose type widens is copied, the rest still grow.
+        let floats = Table::new(
+            Schema::of(&[
+                ("project", DataType::Utf8),
+                ("year", DataType::Int64),
+                ("commits", DataType::Float64),
+            ]),
+            vec![
+                Column::utf8(["hive"]),
+                Column::int([2016]),
+                Column::float([0.5]),
+            ],
+        )
+        .unwrap();
+        drop(snapshot);
+        let expected = t.concat(&floats).unwrap();
+        let year = Arc::as_ptr(t.column("year").unwrap());
+        assert_eq!(t.append(&floats).unwrap(), Some(CopyReason::Widened));
+        assert_eq!(Arc::as_ptr(t.column("year").unwrap()), year);
+        assert_eq!(t, expected);
+        assert_eq!(
+            t.schema().field("commits").unwrap().data_type(),
+            DataType::Float64
+        );
+        // A narrower delta column is cast to the column's type; it grows.
+        let expected = t.concat(&delta).unwrap();
+        let commits = Arc::as_ptr(t.column("commits").unwrap());
+        assert_eq!(t.append(&delta).unwrap(), None);
+        assert_eq!(Arc::as_ptr(t.column("commits").unwrap()), commits);
+        assert_eq!(t, expected);
+        // A delta that does not unify leaves the table as it was.
+        let before = t.clone();
+        let bad = Table::from_rows(&["other"], &[row![1i64]]).unwrap();
+        assert!(t.append(&bad).is_err());
+        assert!(t.shares_columns_with(&before));
     }
 
     #[test]

@@ -28,8 +28,9 @@ use shareinsights::tabular::ops::{
     groupby, groupby_selected, sort, AggregateSpec, GroupBy, SortKey, SortOrder,
 };
 use shareinsights::tabular::{
-    Bitmap, Column, ColumnBuilder, DataType, Field, IndexedTable, Schema, Table, Value,
+    Bitmap, Column, ColumnBuilder, CopyReason, DataType, Field, IndexedTable, Schema, Table, Value,
 };
+use std::sync::Arc;
 
 /// Debug builds run 64 cases; CI runs the suite in release at full count.
 const CASES: usize = if cfg!(debug_assertions) { 64 } else { 1000 };
@@ -379,39 +380,84 @@ fn fused_filter_groupby_matches_unfused_reference() {
 // Appends: the index as a write structure
 // ---------------------------------------------------------------------------
 
-/// A warm index carried over `append_merged(concat(old, delta))` is the
-/// index a cold `IndexedTable::new` builds over the same rows — the same
-/// dictionary, codes, posting words and zone bounds — and answers queries
-/// with the same bytes as the scan path, append after append. Deltas
-/// bring fresh dictionary values, nulls, all-null columns and zero rows.
+/// A warm index carried over an append is the index a cold
+/// `IndexedTable::new` builds over the same rows — the same dictionary,
+/// codes, posting words and zone bounds — and answers queries with the
+/// same bytes as the scan path, append after append. Deltas bring fresh
+/// dictionary values, nulls, all-null columns and zero rows.
+///
+/// Each case runs twice, in the order an ingest commit takes: the
+/// wrapper gives up its table, the table appends the delta, the indexes
+/// grow onto it. In the first run nothing else holds the wrapper or the
+/// table, so the columns and the indexes grow in place; in the second a
+/// reader holds a clone of both, so the append copies, and the reader's
+/// clone still answers with its pre-append bytes.
 #[test]
 fn append_merged_over_concat_matches_cold_build() {
-    let mut r = SeededRng::new(0xA99E4D);
-    for case in 0..CASES {
-        let mut table = gen_endpoint_table(&mut r);
-        let mut warm = IndexedTable::new(table.clone());
-        for round in 0..4 {
-            for name in ["cat", "cat2", "num"] {
-                let _ = warm.index(name);
-            }
-            let delta = gen_endpoint_table(&mut r);
-            table = table.concat(&delta).unwrap();
-            warm = warm.append_merged(table.clone()).unwrap();
-            let cold = IndexedTable::new(table.clone());
-            let what = format!("case {case} round {round}");
-            for name in ["cat", "cat2", "num"] {
-                // A column whose type widened (an all-null side) rebuilds
-                // lazily; either way the index served is the cold one.
-                assert_eq!(
-                    format!("{:?}", warm.index(name)),
-                    format!("{:?}", cold.index(name)),
-                    "{what}: index of '{name}'"
+    let ops = parse_ops(&["groupby", "cat", "sum", "num"]).unwrap();
+    let bytes = |ix: &IndexedTable| table_to_json(&run_query_indexed(ix, &ops).unwrap().0);
+    for held in [false, true] {
+        let mut r = SeededRng::new(0xA99E4D);
+        let (mut grown, mut copied) = (0usize, 0usize);
+        for case in 0..CASES {
+            let mut table = gen_endpoint_table(&mut r);
+            let mut warm = Arc::new(IndexedTable::new(table.clone()));
+            for round in 0..4 {
+                for name in ["cat", "cat2", "num"] {
+                    let _ = warm.index(name);
+                }
+                let delta = gen_endpoint_table(&mut r);
+                let expected = table.concat(&delta).unwrap();
+                let reader = held.then(|| (Arc::clone(&warm), table.clone(), bytes(&warm)));
+                let indexes = Arc::try_unwrap(warm).map(IndexedTable::into_indexes);
+                let verdict = table.append(&delta).unwrap();
+                warm = Arc::new(
+                    match indexes {
+                        Ok(indexes) => indexes.append(table.clone()),
+                        Err(shared) => shared.append_merged(table.clone()),
+                    }
+                    .unwrap(),
                 );
+                let what = format!("held {held} case {case} round {round}");
+                match verdict {
+                    None => grown += 1,
+                    Some(reason) => {
+                        copied += 1;
+                        assert!(held || reason == CopyReason::Widened, "{what}: {reason:?}");
+                    }
+                }
+                assert_eq!(
+                    table_to_json(&table),
+                    table_to_json(&expected),
+                    "{what}: appended rows"
+                );
+                let cold = IndexedTable::new(expected);
+                for name in ["cat", "cat2", "num"] {
+                    // A column whose type widened (an all-null side) rebuilds
+                    // lazily; either way the index served is the cold one.
+                    assert_eq!(
+                        format!("{:?}", warm.index(name)),
+                        format!("{:?}", cold.index(name)),
+                        "{what}: index of '{name}'"
+                    );
+                }
+                let scan = run_query(&table, &ops).unwrap();
+                let (fast, _) = run_query_indexed(&warm, &ops).unwrap();
+                assert_same_bytes(&fast, &scan, &what);
+                if let Some((before, snapshot, answered)) = reader {
+                    assert_eq!(bytes(&before), answered, "{what}: held wrapper");
+                    assert_eq!(
+                        table_to_json(&run_query(&snapshot, &ops).unwrap()),
+                        answered,
+                        "{what}: held table"
+                    );
+                }
             }
-            let ops = parse_ops(&["groupby", "cat", "sum", "num"]).unwrap();
-            let scan = run_query(&table, &ops).unwrap();
-            let (fast, _) = run_query_indexed(&warm, &ops).unwrap();
-            assert_same_bytes(&fast, &scan, &what);
+        }
+        if held {
+            assert_eq!(grown, 0, "a held table never grows in place");
+        } else {
+            assert!(grown > CASES, "appends grown in place: {grown} of {copied}");
         }
     }
 }
@@ -619,6 +665,7 @@ fn readers_beside_appends_never_turn_the_index_cold() {
     assert!(post(&base).is_ok());
     // Warm the key index, as a served endpoint's is.
     assert!(server.handle(&Request::get(READ)).is_ok());
+    let before = server.platform().api_metrics().ingest();
 
     let start = Barrier::new(READERS + 1);
     let done = AtomicBool::new(false);
@@ -666,6 +713,82 @@ fn readers_beside_appends_never_turn_the_index_cold() {
     let ingest = server.platform().api_metrics().ingest();
     assert_eq!(ingest.cold_rebuilds, 0);
     assert_eq!(ingest.index_merges, BATCHES as u64);
+    // Each append either grew the endpoint in place or copied it for a
+    // reader that held it.
+    assert_eq!(
+        ingest.grown_in_place + ingest.copied - (before.grown_in_place + before.copied),
+        BATCHES as u64
+    );
     let last = server.handle(&Request::get(READ));
     assert_eq!(prefix_of_body[&last.body], BATCHES);
+}
+
+/// With no reader beside it, an append owns the endpoint: the first one
+/// creates the endpoint from its rows, and every later one grows the
+/// columns and the warm index in place (the `ingest_commit` span says
+/// `table = grown`) while reads between them keep the scan path's bytes.
+#[test]
+fn appends_with_no_reader_beside_them_grow_in_place() {
+    use shareinsights::core::{AttrValue, Platform, TraceId};
+    use shareinsights::server::{Method, Request, Server};
+
+    const INGEST: &str = "/dashboards/bench/ds/events/ingest";
+    const READ: &str = "/bench/ds/events/groupby/key/sum/qty";
+    let mut r = SeededRng::new(0x9A0E);
+    let mut csv_rows = |rows: usize| {
+        let mut csv = String::from("key,qty\n");
+        for _ in 0..rows {
+            csv.push_str(&format!("k{},{}\n", r.index(30), 1 + r.index(9)));
+        }
+        csv
+    };
+    let server = Server::new(Platform::new());
+    server.platform().create_dashboard("bench").unwrap();
+    let ops = parse_ops(&["groupby", "key", "sum", "qty"]).unwrap();
+    let decode = |csv: &str| read_csv(csv, &CsvOptions::default()).unwrap();
+    let mut table: Option<Table> = None;
+    for append in 0..12u64 {
+        let csv = csv_rows(1 + append as usize * 7);
+        let delta = decode(&csv);
+        table = Some(match table {
+            Some(t) => t.concat(&delta).unwrap(),
+            None => delta,
+        });
+        let id = 0xA0 + append;
+        let ack = server.handle(
+            &Request::new(Method::Post, INGEST)
+                .with_body(csv)
+                .with_header("x-trace-id", format!("{id:x}")),
+        );
+        assert!(ack.is_ok(), "{}", ack.body);
+        let trace = server
+            .platform()
+            .tracer()
+            .find(TraceId(id))
+            .expect("traced");
+        let commit = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "ingest_commit")
+            .expect("ingest_commit span");
+        let (verdict, reason) = match append {
+            0 => ("copied", Some("created")),
+            _ => ("grown", None),
+        };
+        assert_eq!(commit.attr("table"), Some(&AttrValue::Str(verdict.into())));
+        assert_eq!(
+            commit.attr("reason"),
+            reason.map(|r| AttrValue::Str(r.into())).as_ref(),
+            "append {append}"
+        );
+        if append > 0 {
+            assert!(ack.body.contains("\"index\": \"merged\""), "{}", ack.body);
+        }
+        let read = server.handle(&Request::get(READ));
+        let scan = run_query(table.as_ref().unwrap(), &ops).unwrap();
+        assert_eq!(read.body, table_to_json(&scan), "append {append}");
+    }
+    let ingest = server.platform().api_metrics().ingest();
+    assert_eq!((ingest.grown_in_place, ingest.copied), (11, 1));
+    assert_eq!(ingest.cold_rebuilds, 0);
 }
