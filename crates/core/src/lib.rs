@@ -47,11 +47,11 @@ pub use discovery::{suggest_enrichments, Enrichment};
 pub use doctor::{explain, Diagnosis};
 pub use error::{PlatformError, Result};
 pub use meta::{build_meta_dashboard, profile_table, ColumnProfile, MetaDashboard};
-pub use platform::{Partitioning, Platform, StreamPushReport, StreamStartInfo};
+pub use platform::{Platform, StreamPushReport, StreamStartInfo};
 pub use telemetry::{
     process_stats, ApiMetrics, Family, IndexStats, LatencyHistogram, OperatorStats, ProcessStats,
-    ReactorStats, RouteStats, RunEvent, RunKind, RunLog, SelfScrapeStats, ShardStats,
-    ShardWorkerStats, SqlStats, StreamStats, UsageCounts,
+    ReactorStats, RouteStats, RunEvent, RunKind, RunLog, SelfScrapeStats, ShardStats, SqlStats,
+    StreamStats, UsageCounts,
 };
 pub use telemetry_history::{Sample, ScrapeOutcome, TelemetryHistory};
 pub use trace::{AttrValue, EventLog, Span, SpanRecord, TraceId, TraceRecord, Tracer};

@@ -40,71 +40,6 @@ pub(crate) fn declared_schema_of(obj: &shareinsights_flowfile::ast::DataObject) 
     }
 }
 
-/// How endpoint data is partitioned across data-plane shard workers.
-/// Row-range partitioning (contiguous, even slices) is deliberate: each
-/// shard's slice preserves input row order, so order-sensitive merges —
-/// first-seen group order, stable sort ties, `first`/`last`/`collect`
-/// aggregates — reproduce single-process results byte for byte. A hash
-/// scheme would balance skewed appends better but forfeits that
-/// guarantee; it can slot in here once responses tolerate reordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partitioning {
-    /// Number of shard workers. 0 or 1 disables the shard tier — a
-    /// single shard is definitionally the existing in-process path.
-    pub shards: usize,
-    /// Endpoints below this row count serve unsharded: scatter overhead
-    /// dwarfs the work for small tables.
-    pub min_rows: usize,
-}
-
-impl Partitioning {
-    /// Sharding disabled (the default).
-    pub fn single() -> Partitioning {
-        Partitioning {
-            shards: 1,
-            min_rows: 0,
-        }
-    }
-
-    /// Even row-range partitioning across `shards` workers with the
-    /// default small-table floor.
-    pub fn even(shards: usize) -> Partitioning {
-        Partitioning {
-            shards: shards.max(1),
-            min_rows: 1024,
-        }
-    }
-
-    /// True when the shard tier is active.
-    pub fn is_sharded(&self) -> bool {
-        self.shards > 1
-    }
-
-    /// The `(offset, len)` slice each shard owns for a table of `rows`
-    /// rows: contiguous, covering, in shard order. The first `rows %
-    /// shards` shards take one extra row, so slices differ by at most
-    /// one — skew comes only from the data, never the split.
-    pub fn ranges(&self, rows: usize) -> Vec<(usize, usize)> {
-        let shards = self.shards.max(1);
-        let base = rows / shards;
-        let extra = rows % shards;
-        let mut out = Vec::with_capacity(shards);
-        let mut offset = 0;
-        for s in 0..shards {
-            let len = base + usize::from(s < extra);
-            out.push((offset, len));
-            offset += len;
-        }
-        out
-    }
-}
-
-impl Default for Partitioning {
-    fn default() -> Self {
-        Self::single()
-    }
-}
-
 /// The ShareInsights platform.
 #[derive(Clone)]
 pub struct Platform {
@@ -129,11 +64,6 @@ pub struct Platform {
     /// The last live-source version drawn, for every dashboard: no two
     /// live tables share a memo key.
     live_versions: Arc<AtomicU64>,
-    /// How endpoint data splits across data-plane shards. Metadata only
-    /// at this layer — the serving tier owns the workers — but it lives
-    /// on the platform so every server over one platform agrees on the
-    /// partition map.
-    partitioning: Arc<RwLock<Partitioning>>,
     /// Flow outputs of earlier runs, by what they were computed from: a
     /// run re-executes only the flows an edit or an upload changed.
     memo: FlowMemo,
@@ -163,7 +93,6 @@ impl Platform {
             data_gens: Arc::new(RwLock::new(BTreeMap::new())),
             streams: Arc::new(Mutex::new(BTreeMap::new())),
             live_versions: Arc::new(AtomicU64::new(0)),
-            partitioning: Arc::new(RwLock::new(Partitioning::default())),
             memo: FlowMemo::new(),
             executor: Executor::default(),
         }
@@ -231,17 +160,6 @@ impl Platform {
             .write()
             .entry(dashboard.to_string())
             .or_insert(0) += 1;
-    }
-
-    /// The current endpoint partition map.
-    pub fn partitioning(&self) -> Partitioning {
-        *self.partitioning.read()
-    }
-
-    /// Replace the endpoint partition map (the serving tier does this
-    /// when a server is built `with_shards`).
-    pub fn set_partitioning(&self, p: Partitioning) {
-        *self.partitioning.write() = p;
     }
 
     // --- development services (§4.3) ------------------------------------
@@ -1556,31 +1474,6 @@ F:
             installed["players_tweets"],
             players_over(&platform, retained)
         );
-    }
-
-    #[test]
-    fn partition_ranges_are_contiguous_and_covering() {
-        for shards in 1..=8usize {
-            let p = Partitioning::even(shards);
-            for rows in [0usize, 1, 2, 7, 8, 1000, 1001, 1007] {
-                let ranges = p.ranges(rows);
-                assert_eq!(ranges.len(), shards);
-                let mut next = 0;
-                for &(offset, len) in &ranges {
-                    assert_eq!(offset, next, "shards={shards} rows={rows}");
-                    next = offset + len;
-                }
-                assert_eq!(next, rows, "shards={shards} rows={rows}");
-                let (min, max) = ranges
-                    .iter()
-                    .fold((usize::MAX, 0), |(lo, hi), &(_, l)| (lo.min(l), hi.max(l)));
-                assert!(max - min <= 1, "slices differ by at most one row");
-            }
-        }
-        assert!(!Partitioning::single().is_sharded());
-        assert!(!Partitioning::even(1).is_sharded());
-        assert!(Partitioning::even(4).is_sharded());
-        assert_eq!(Partitioning::even(0).shards, 1);
     }
 
     #[test]

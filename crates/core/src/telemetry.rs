@@ -272,11 +272,10 @@ macro_rules! declare_fields {
     };
 }
 
-/// One labelled series of a [`SeriesSet`]: a route, an operator, a shard
-/// worker.
+/// One labelled series of a [`SeriesSet`]: a route or an operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Series {
-    /// The label value (route label, operator name, shard id).
+    /// The label value (route label, operator name).
     pub label: String,
     /// The series' scalar fields.
     pub fields: Vec<Field>,
@@ -287,11 +286,7 @@ pub struct Series {
 /// The labelled series of a family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesSet {
-    /// Where `/stats` puts the series: `None` keys them by label directly
-    /// in the family's block; `Some(key)` nests an array under `key` whose
-    /// elements carry the (numeric) label as their first member.
-    pub key: Option<&'static str>,
-    /// The Prometheus label name (`route`, `operator`, `shard`).
+    /// The Prometheus label name (`route`, `operator`).
     pub label: &'static str,
     /// Prometheus prefix of the series' fields.
     pub prom: &'static str,
@@ -460,7 +455,6 @@ impl RouteStats {
         Family::labelled(
             "routes",
             SeriesSet {
-                key: None,
                 label: "route",
                 prom: "shareinsights",
                 latency: "request_duration_seconds",
@@ -571,7 +565,6 @@ impl OperatorStats {
         Family::labelled(
             "operators",
             SeriesSet {
-                key: None,
                 label: "operator",
                 prom: "shareinsights_operator",
                 latency: "duration_seconds",
@@ -793,102 +786,15 @@ impl IngestStats {
     }
 }
 
-/// Sharded data-plane statistics: the router-side view of scatter/gather
-/// execution across the in-process shard workers. All zeros until a
-/// server is built `with_shards`.
+/// Inert: every read is all zeros. Kept, with the two fields the
+/// benchmark crate reads, only so that crate compiles until its next
+/// revision drops the call; no family renders it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Configured shard workers (gauge; 0 = sharding disabled).
-    pub workers: u64,
-    /// Queries executed via scatter/gather.
+    /// Always 0.
     pub scatters: u64,
-    /// Per-shard sub-queries dispatched (scatters × owning shards).
-    pub subqueries: u64,
-    /// Rows gathered from shard partial results.
-    pub partial_rows: u64,
-    /// Total merge (gather) time across all scatters, µs.
-    pub gather_us: u64,
-    /// Slice loads fanned out to workers (first touch or new generation).
-    pub loads: u64,
-    /// Rows shipped across all slice loads.
-    pub load_rows: u64,
-    /// Invalidations fanned out on append/publish/stream-push.
-    pub invalidations: u64,
-    /// Scatters that hit a stale worker generation (a concurrent
-    /// invalidation) and succeeded after one reload + retry.
-    pub stale_retries: u64,
-    /// Shard-eligible queries served unsharded — plan not worth
-    /// scattering, or the endpoint below the partition row floor.
+    /// Always 0.
     pub fallbacks: u64,
-}
-
-impl ShardStats {
-    /// The `shard` family: the router-side totals plus one series per
-    /// attached worker (none when sharding is off).
-    pub fn family(&self, per_worker: &[ShardWorkerStats]) -> Family {
-        declare_fields!(fields = ShardStats {
-            Gauge workers "workers",
-            Counter scatters "scatters_total",
-            Counter subqueries "subqueries_total",
-            Counter partial_rows "partial_rows_total",
-            Micros gather_us "gather_seconds_total",
-            Counter loads "loads_total",
-            Counter load_rows "load_rows_total",
-            Counter invalidations "invalidations_total",
-            Counter stale_retries "stale_retries_total",
-            Counter fallbacks "fallbacks_total",
-        } = self);
-        Family {
-            series: Some(SeriesSet {
-                key: Some("per_worker"),
-                label: "shard",
-                prom: "shareinsights_shard_worker",
-                latency: "",
-                series: per_worker.iter().map(ShardWorkerStats::series).collect(),
-            }),
-            ..Family::scalars("shard", "shareinsights_shard", fields)
-        }
-    }
-}
-
-/// One shard worker's own counters, reported over the internal stats
-/// frame and surfaced as the per-shard block under `/stats`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardWorkerStats {
-    /// Shard id (dense, 0-based).
-    pub shard: u64,
-    /// Endpoint slices currently loaded (gauge).
-    pub slices: u64,
-    /// Rows across loaded slices (gauge).
-    pub rows: u64,
-    /// Sub-queries answered.
-    pub queries: u64,
-    /// Sub-queries answered from the worker's result cache.
-    pub result_hits: u64,
-    /// Sub-queries refused for a stale generation stamp (409).
-    pub stale_rejects: u64,
-    /// Total time spent handling frames, µs.
-    pub busy_us: u64,
-}
-
-impl ShardWorkerStats {
-    /// This worker's series in the `shard` family, labelled by shard id.
-    fn series(&self) -> Series {
-        declare_fields!(fields = ShardWorkerStats {
-            Gauge slices "slices",
-            Gauge rows "rows",
-            Counter queries "queries_total",
-            Counter result_hits "result_hits_total",
-            Counter stale_rejects "stale_rejects_total",
-            Micros busy_us "busy_seconds_total",
-            .. shard
-        } = self);
-        Series {
-            label: shard.to_string(),
-            fields,
-            latency: None,
-        }
-    }
 }
 
 /// Self-scrape statistics: the telemetry-history scraper observing
@@ -1005,7 +911,6 @@ pub struct ApiMetrics {
     sql: Arc<RwLock<SqlStats>>,
     selfscrape: Arc<RwLock<SelfScrapeStats>>,
     ingest: Arc<RwLock<IngestStats>>,
-    shard: Arc<RwLock<ShardStats>>,
 }
 
 impl ApiMetrics {
@@ -1262,47 +1167,9 @@ impl ApiMetrics {
         self.ingest.read().clone()
     }
 
-    /// Record the configured shard-worker count (gauge).
-    pub fn record_shard_workers(&self, workers: u64) {
-        self.shard.write().workers = workers;
-    }
-
-    /// Record one scatter/gather execution: sub-queries dispatched, rows
-    /// gathered from partials, and time spent merging.
-    pub fn record_shard_scatter(&self, subqueries: u64, partial_rows: u64, gather_us: u64) {
-        let mut s = self.shard.write();
-        s.scatters += 1;
-        s.subqueries += subqueries;
-        s.partial_rows += partial_rows;
-        s.gather_us += gather_us;
-    }
-
-    /// Record slice loads fanned out to workers.
-    pub fn record_shard_load(&self, loads: u64, rows: u64) {
-        let mut s = self.shard.write();
-        s.loads += loads;
-        s.load_rows += rows;
-    }
-
-    /// Record an invalidation fanned out to all workers.
-    pub fn record_shard_invalidation(&self) {
-        self.shard.write().invalidations += 1;
-    }
-
-    /// Record a scatter that hit a stale worker generation and succeeded
-    /// after one reload + retry.
-    pub fn record_shard_stale_retry(&self) {
-        self.shard.write().stale_retries += 1;
-    }
-
-    /// Record a shard-eligible query served unsharded.
-    pub fn record_shard_fallback(&self) {
-        self.shard.write().fallbacks += 1;
-    }
-
-    /// Snapshot of the sharded data-plane counters.
+    /// Inert: always all zeros (see [`ShardStats`]).
     pub fn shard(&self) -> ShardStats {
-        self.shard.read().clone()
+        ShardStats::default()
     }
 
     /// Record one telemetry-history scrape tick: samples appended and
@@ -1327,15 +1194,9 @@ impl ApiMetrics {
     }
 
     /// One snapshot of every family, each registry read once — what the
-    /// `/stats`, `/metrics` and `_system` renderers loop over. The shard
-    /// workers report over their own frames, so the caller hands their
-    /// counters in (empty when sharding is off), and the indexes belong to
-    /// the server, which hands in the bytes they hold.
-    pub fn families(
-        &self,
-        shard_workers: &[ShardWorkerStats],
-        index_resident_bytes: u64,
-    ) -> Vec<Family> {
+    /// `/stats`, `/metrics` and `_system` renderers loop over. The indexes
+    /// belong to the server, which hands in the bytes they hold.
+    pub fn families(&self, index_resident_bytes: u64) -> Vec<Family> {
         vec![
             RouteStats::family(&self.routes.read()),
             self.connections.read().family(),
@@ -1349,7 +1210,6 @@ impl ApiMetrics {
             self.stream.read().family(),
             self.sql.read().family(),
             self.ingest.read().family(),
-            self.shard.read().family(shard_workers),
             self.selfscrape.read().family(),
             process_stats().family(),
         ]

@@ -6,7 +6,7 @@
 //!
 //! Samples are `(ts, family, label, value)` rows — family is the `/stats`
 //! block, label is the `/stats` key (`hits`), prefixed `series|` for a
-//! labelled series (`GET /stats|p95_us`, `per_worker.0|queries`), value
+//! labelled series (`GET /stats|p95_us`, `groupby|rows_in`), value
 //! is an integer counter or microsecond quantile. [`samples_of`] derives
 //! them from the same [`Family`] values `/stats` and `/metrics` render,
 //! so the three views cannot drift. Each family has its own retention
@@ -211,9 +211,8 @@ impl TelemetryHistory {
 
 /// Flatten metric families into samples — the `_system` rendering of the
 /// registry. Scalars are labelled by their `/stats` key; a labelled series
-/// prefixes `label|` (and its `/stats` array key, when it has one); a
-/// latency histogram contributes its `/stats` summary. Bucket arrays are
-/// left to `/metrics`.
+/// prefixes `label|`; a latency histogram contributes its `/stats`
+/// summary. Bucket arrays are left to `/metrics`.
 pub fn samples_of(families: &[Family]) -> Vec<Sample> {
     let mut out = Vec::with_capacity(128);
     for family in families {
@@ -229,15 +228,12 @@ pub fn samples_of(families: &[Family]) -> Vec<Sample> {
         }
         let Some(set) = &family.series else { continue };
         for series in &set.series {
-            let prefix = match set.key {
-                Some(key) => format!("{key}.{}", series.label),
-                None => series.label.clone(),
-            };
+            let label = &series.label;
             for f in &series.fields {
-                push(format!("{prefix}|{}", f.key), f.value);
+                push(format!("{label}|{}", f.key), f.value);
             }
             for (key, value) in series.latency.iter().flat_map(|h| h.summary()) {
-                push(format!("{prefix}|{key}"), value);
+                push(format!("{label}|{key}"), value);
             }
         }
     }
@@ -247,7 +243,7 @@ pub fn samples_of(families: &[Family]) -> Vec<Sample> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{ApiMetrics, ShardWorkerStats};
+    use crate::telemetry::ApiMetrics;
     use shareinsights_tabular::Value;
 
     fn sample(family: &str, label: &str, value: i64) -> Sample {
@@ -316,13 +312,8 @@ mod tests {
         m.record_operator("groupby", 10, 2, 50);
         m.record_sql_prepared_hit();
         m.record_ingest_commit(7, true, 30, true);
-        let worker = ShardWorkerStats {
-            shard: 1,
-            queries: 4,
-            ..ShardWorkerStats::default()
-        };
 
-        let families = m.families(&[worker], 0);
+        let families = m.families(0);
         let h = TelemetryHistory::new();
         let out = h.scrape(&families, 123);
         let t = h.snapshot_table();
@@ -357,7 +348,6 @@ mod tests {
         assert!(has("routes", "GET /stats|count", 1));
         assert!(has("routes", "GET /stats|p95_us", 120));
         assert!(has("operators", "groupby|rows_in", 10));
-        assert!(has("shard", "per_worker.1|queries", 4));
         assert!(has("sql", "prepared_hits", 1));
         assert!(has("ingest", "index_merges", 1));
     }

@@ -229,9 +229,8 @@ pub struct Evaluated {
 /// Evaluate an already [`fuse`]d pipeline against an indexed snapshot: the
 /// first operation runs through an accelerated kernel when a per-column
 /// index covers it (subsequent operations see a derived table, which has
-/// no index), falling back to the scan kernels otherwise. Outside the
-/// server's shard planner, this is the one place that picks an index
-/// kernel for an op list.
+/// no index), falling back to the scan kernels otherwise. This is the one
+/// place that picks an index kernel for an op list.
 pub fn evaluate_indexed(indexed: &IndexedTable, plan: &[QueryOp]) -> Result<Evaluated, String> {
     let mut current: Option<Table> = None;
     let mut index_hit = false;

@@ -42,7 +42,6 @@ pub mod query;
 pub mod reactor;
 pub mod router;
 pub mod serve;
-pub mod shard;
 pub mod sql;
 pub mod stream;
 pub mod traces;
@@ -56,7 +55,6 @@ pub use serve::{
     blocking_get, blocking_request, serve, ClientConnection, ServeMode, ServeOptions,
     ServiceHandle, SseSubscriber,
 };
-pub use shard::{plan::ScatterPlan, ShardSet};
 pub use stream::{StreamHub, Subscription, SubscriptionEnd};
 pub use traces::{trace_json, trace_list_json};
 pub use wire::{dechunk, sse_frame, sse_head, ResponseStream, SseEvent, SseParser, WireLimits};

@@ -104,8 +104,7 @@ fn series_members(series: &Series) -> Vec<String> {
 }
 
 /// Render the `/stats` document: one block per family — its scalar
-/// fields, its raw bucket counts, and its labelled series (keyed by label,
-/// or as an array whose elements lead with their numeric label).
+/// fields, its raw bucket counts, and its labelled series keyed by label.
 pub fn stats_json(families: &[Family]) -> String {
     let blocks = families.iter().map(|family| {
         let mut members: Vec<String> = family
@@ -118,24 +117,10 @@ pub fn stats_json(families: &[Family]) -> String {
             members.push(format!("\"{}\": [{}]", b.key, counts.join(", ")));
         }
         if let Some(set) = &family.series {
-            match set.key {
-                None => members.extend(set.series.iter().map(|s| {
-                    let label = crate::json::quote(&s.label);
-                    format!("{label}: {{{}}}", series_members(s).join(", "))
-                })),
-                Some(key) => {
-                    let elements: Vec<String> = set
-                        .series
-                        .iter()
-                        .map(|s| {
-                            let mut members = vec![format!("\"{}\": {}", set.label, s.label)];
-                            members.extend(series_members(s));
-                            format!("{{{}}}", members.join(", "))
-                        })
-                        .collect();
-                    members.push(format!("\"{key}\": [{}]", elements.join(", ")));
-                }
-            }
+            members.extend(set.series.iter().map(|s| {
+                let label = crate::json::quote(&s.label);
+                format!("{label}: {{{}}}", series_members(s).join(", "))
+            }));
         }
         format!("\"{}\": {{{}}}", family.name, members.join(", "))
     });
@@ -283,8 +268,7 @@ pub(crate) mod tests {
     use crate::cache::CacheStats;
     use shareinsights_core::telemetry::{
         ConnectionStats, IndexStats, IngestStats, LatencyHistogram, OperatorStats, ProcessStats,
-        ReactorStats, RouteStats, SelfScrapeStats, ShardStats, ShardWorkerStats, SqlStats,
-        StreamStats,
+        ReactorStats, RouteStats, SelfScrapeStats, SqlStats, StreamStats,
     };
     use shareinsights_tabular::io::json::parse_json;
     use std::collections::BTreeMap;
@@ -353,7 +337,7 @@ pub(crate) mod tests {
 
     /// The fixture `tests/golden/stats.json` was rendered from at the
     /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
-    /// joined it since.
+    /// joined it since, and the deleted `shard` family left it.
     fn stats_fixture() -> Vec<Family> {
         let route = RouteStats {
             count: 2,
@@ -374,15 +358,6 @@ pub(crate) mod tests {
             rows_in: 1000,
             rows_out: 30,
             latency: with_latency([200]),
-        };
-        let worker = |shard, stale_rejects, busy_us| ShardWorkerStats {
-            shard,
-            slices: 1,
-            rows: 500,
-            queries: 6,
-            result_hits: 2,
-            stale_rejects,
-            busy_us,
         };
         vec![
             RouteStats::family(&BTreeMap::from([("GET /stats".to_string(), route)])),
@@ -440,19 +415,6 @@ pub(crate) mod tests {
                 copied: 1,
             }
             .family(),
-            ShardStats {
-                workers: 4,
-                scatters: 6,
-                subqueries: 24,
-                partial_rows: 480,
-                gather_us: 900,
-                loads: 8,
-                load_rows: 4000,
-                invalidations: 2,
-                stale_retries: 1,
-                fallbacks: 3,
-            }
-            .family(&[worker(0, 1, 400), worker(1, 0, 380)]),
             SelfScrapeStats {
                 scrapes: 3,
                 samples: 120,
@@ -478,7 +440,7 @@ pub(crate) mod tests {
         let (mut want, mut got) = (Vec::new(), Vec::new());
         json_leaves(&golden, &[], &mut want);
         json_leaves(&doc, &[], &mut got);
-        assert!(want.len() > 90, "golden has {} leaves", want.len());
+        assert!(want.len() > 75, "golden has {} leaves", want.len());
         for leaf in &want {
             assert!(got.contains(leaf), "{:?} = {} went missing", leaf.0, leaf.1);
         }
@@ -503,7 +465,6 @@ pub(crate) mod tests {
         let int = |path: &str| doc.path(path).unwrap().to_value().as_int();
         assert_eq!(int("result_cache.hits"), Some(5));
         assert_eq!(int("result_cache.entries"), Some(2));
-        assert_eq!(int("shard.per_worker.1.rows"), Some(500));
         assert_eq!(int("routes.GET /stats.p95_us"), Some(300));
         let text = prometheus_text(&families);
         assert!(text.contains(
@@ -545,7 +506,7 @@ pub(crate) mod tests {
 
     /// The fixture `tests/golden/metrics.txt` was rendered from at the
     /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
-    /// joined it since.
+    /// joined it since, and the deleted `shard` family left it.
     fn metrics_fixture() -> Vec<Family> {
         let route = RouteStats {
             count: 3,
@@ -635,27 +596,6 @@ pub(crate) mod tests {
                 copied: 1,
             }
             .family(),
-            ShardStats {
-                workers: 2,
-                scatters: 11,
-                subqueries: 22,
-                partial_rows: 700,
-                gather_us: 4_000_000,
-                loads: 4,
-                load_rows: 9000,
-                invalidations: 3,
-                stale_retries: 1,
-                fallbacks: 5,
-            }
-            .family(&[ShardWorkerStats {
-                shard: 0,
-                slices: 2,
-                rows: 4500,
-                queries: 11,
-                result_hits: 3,
-                stale_rejects: 1,
-                busy_us: 2_000_000,
-            }]),
             SelfScrapeStats {
                 scrapes: 5,
                 samples: 250,
@@ -814,23 +754,6 @@ pub(crate) mod tests {
         assert!(text.contains("shareinsights_ingest_cold_rebuilds_total 3"));
         assert!(text.contains("shareinsights_ingest_grown_in_place_total 2"));
         assert!(text.contains("shareinsights_ingest_copied_total 1"));
-        // Sharded data plane: global totals plus per-worker series.
-        assert!(text.contains("shareinsights_shard_workers 2"));
-        assert!(text.contains("shareinsights_shard_scatters_total 11"));
-        assert!(text.contains("shareinsights_shard_subqueries_total 22"));
-        assert!(text.contains("shareinsights_shard_partial_rows_total 700"));
-        assert!(text.contains("shareinsights_shard_loads_total 4"));
-        assert!(text.contains("shareinsights_shard_load_rows_total 9000"));
-        assert!(text.contains("shareinsights_shard_invalidations_total 3"));
-        assert!(text.contains("shareinsights_shard_stale_retries_total 1"));
-        assert!(text.contains("shareinsights_shard_fallbacks_total 5"));
-        assert!(text.contains("shareinsights_shard_gather_seconds_total 4"));
-        assert!(text.contains("shareinsights_shard_worker_slices{shard=\"0\"} 2"));
-        assert!(text.contains("shareinsights_shard_worker_rows{shard=\"0\"} 4500"));
-        assert!(text.contains("shareinsights_shard_worker_queries_total{shard=\"0\"} 11"));
-        assert!(text.contains("shareinsights_shard_worker_result_hits_total{shard=\"0\"} 3"));
-        assert!(text.contains("shareinsights_shard_worker_stale_rejects_total{shard=\"0\"} 1"));
-        assert!(text.contains("shareinsights_shard_worker_busy_seconds_total{shard=\"0\"} 2"));
         // Self-scrape series, scrape time in seconds; retained is a gauge.
         assert!(text.contains("shareinsights_selfscrape_scrapes_total 5"));
         assert!(text.contains("shareinsights_selfscrape_samples_total 250"));

@@ -5,14 +5,13 @@ use crate::http::{Method, Request, Response, Status};
 use crate::json::{string_list, table_to_json};
 use crate::metrics::{allowed_methods, prometheus_text, route_label, stats_json, ROUTE_PANIC};
 use crate::query::{evaluate_indexed, fuse, parse_ops, QueryOp};
-use crate::shard::ShardSet;
 use crate::sql::{lower_plan, parse_error_response, LoweredSql};
 use crate::stream::{StreamHub, Subscription};
 use crate::traces::{trace_json, trace_list_json};
 use crate::wire::sse_frame;
 use parking_lot::{Lru, Mutex};
 use shareinsights_core::trace::{Span, TraceId};
-use shareinsights_core::{EventLog, Family, Partitioning, Platform};
+use shareinsights_core::{EventLog, Family, Platform};
 use shareinsights_tabular::{BuiltIndexes, IndexedTable, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,9 +87,9 @@ pub struct Server {
     platform: Platform,
     cache: Arc<QueryCache>,
     results: Arc<ResultCache>,
-    /// Lazily indexed endpoint snapshots — a run or publish bumps the
-    /// generation and the stale wrapper is replaced on next use, dropping
-    /// its indexes with the cached results.
+    /// Lazily indexed endpoint snapshots — a run, publish or stream push
+    /// that moves an endpoint's generation releases its stale wrapper at
+    /// once, and the next query builds a fresh one.
     indexes: Arc<Mutex<IndexRegistry>>,
     /// Live-flow subscriber registry: stream pushes publish generation
     /// delta frames here, subscribe requests register here.
@@ -102,9 +101,6 @@ pub struct Server {
     /// Unstamped (a statement's plan does not depend on the data);
     /// evictions surface as `sql.prepared_evictions`.
     prepared: Arc<Mutex<PreparedStatements>>,
-    /// Scatter/gather shard set (see [`crate::shard`]). `None` keeps
-    /// single-shard execution; [`Server::with_shards`] attaches one.
-    shards: Option<Arc<ShardSet>>,
     /// Structured sink for data-plane incidents the hot path would
     /// otherwise swallow (warm-index drops on appends). Defaults to
     /// standard error; [`Server::with_event_log`] redirects it.
@@ -143,28 +139,14 @@ impl Server {
                 PREPARED_CACHE_BYTES,
                 |src, (_, lowered)| prepared_cost(src, lowered),
             ))),
-            shards: None,
             event_log: EventLog::stderr(),
             committer: Arc::default(),
         }
     }
 
-    /// Attach a shared-nothing shard set: endpoint snapshots are
-    /// range-partitioned across `shards` in-process workers and
-    /// splittable queries scatter over them with a router-side gather
-    /// (see [`crate::shard`] — responses stay byte-identical to
-    /// single-shard execution). `shards <= 1` leaves sharding off.
-    pub fn with_shards(mut self, shards: usize) -> Server {
-        if shards <= 1 {
-            self.shards = None;
-            return self;
-        }
-        let partitioning = Partitioning::even(shards);
-        self.platform.set_partitioning(partitioning);
-        self.shards = Some(Arc::new(ShardSet::new(
-            partitioning,
-            self.platform.api_metrics().clone(),
-        )));
+    /// Inert: returns `self` unchanged for any `shards`. Kept only so the
+    /// benchmark crate compiles until its next revision drops the call.
+    pub fn with_shards(self, _shards: usize) -> Server {
         self
     }
 
@@ -201,21 +183,14 @@ impl Server {
         &self.hub
     }
 
-    /// The attached shard set, when scatter/gather execution is enabled.
-    pub fn shards(&self) -> Option<&Arc<ShardSet>> {
-        self.shards.as_ref()
-    }
-
-    /// One snapshot of every metric family — the platform registry (with
-    /// the shard workers' own counters, when sharding is on) plus the
-    /// server-side caches. `/stats`, `/metrics` and the `_system` scrape
-    /// all render this.
+    /// One snapshot of every metric family — the platform registry plus
+    /// the server-side caches. `/stats`, `/metrics` and the `_system`
+    /// scrape all render this.
     pub(crate) fn metric_families(&self) -> Vec<Family> {
-        let workers = self.shards.as_ref().map(|s| s.worker_stats());
-        let mut families = self.platform.api_metrics().families(
-            workers.as_deref().unwrap_or_default(),
-            self.index_resident_bytes(),
-        );
+        let mut families = self
+            .platform
+            .api_metrics()
+            .families(self.index_resident_bytes());
         families.push(crate::cache::family(
             "cache",
             "shareinsights_query_cache",
@@ -240,10 +215,9 @@ impl Server {
             .sum()
     }
 
-    /// Drop every derived cache tier — page cache, result cache, indexed
-    /// snapshots, shard-local slices and result caches — without touching
-    /// endpoint data. Bench harnesses call this to force cold
-    /// evaluations without restarting the server.
+    /// Drop every derived cache tier — page cache, result cache and
+    /// indexed snapshots — without touching endpoint data. Bench harnesses
+    /// call this to force cold evaluations without restarting the server.
     pub fn clear_derived_caches(&self) {
         self.cache.clear();
         self.results.clear();
@@ -252,20 +226,27 @@ impl Server {
         for slot in self.indexes.lock().values() {
             *slot.lock() = None;
         }
-        if let Some(shards) = &self.shards {
-            shards.clear_caches();
-        }
     }
 
-    /// Generation-stamped invalidation fan-out: drop the shard slices
-    /// for `dashboard/dataset` after its data moved (append, stream
-    /// tick, re-run or publish). Correctness never depends on this —
-    /// every scatter carries the live generation and stale slices are
-    /// refused by the workers — but eager fan-out frees worker memory
-    /// and saves the reload round-trip on the next query.
-    fn invalidate_shards(&self, dashboard: &str, dataset: &str) {
-        if let Some(shards) = &self.shards {
-            shards.invalidate(&format!("{dashboard}/{dataset}"));
+    /// Release every warm index of `dataset` that a re-run, publish or
+    /// stream push has left behind its live generation, under whichever
+    /// dashboard read it (a published object is read through its
+    /// consumers). Reads never serve a stale wrapper, but until the next
+    /// read it would keep the whole replaced table alive beside the new
+    /// one. Each wrapper is dropped after its slot's lock is released.
+    fn release_stale_indexes(&self, dataset: &str) {
+        let suffix = format!("/{dataset}");
+        let slots: Vec<(String, IndexSlot)> = self
+            .indexes
+            .lock()
+            .iter()
+            .filter(|(key, _)| key.ends_with(&suffix))
+            .map(|(key, slot)| (key.clone(), Arc::clone(slot)))
+            .collect();
+        for (key, slot) in slots {
+            let generation = self.live_generation(&key[..key.len() - suffix.len()], dataset);
+            let stale = slot.lock().take_if(|(stamp, _)| *stamp != generation);
+            drop(stale);
         }
     }
 
@@ -427,10 +408,10 @@ impl Server {
                     Ok(report) => {
                         let endpoints: Vec<String> = report.result.endpoints.to_vec();
                         for e in &endpoints {
-                            self.invalidate_shards(name, e);
+                            self.release_stale_indexes(e);
                         }
                         for (obj, _) in &report.published {
-                            self.invalidate_shards(name, obj);
+                            self.release_stale_indexes(obj);
                         }
                         Response::json(format!(
                             "{{\"endpoints\": {}, \"published\": {}, \"source_rows\": {}}}",
@@ -678,7 +659,7 @@ impl Server {
         let mut frames = 0u64;
         let mut bytes = 0u64;
         for (dataset, _) in &report.updated {
-            self.invalidate_shards(name, dataset);
+            self.release_stale_indexes(dataset);
             let Ok(table) = self.endpoint_table(name, dataset) else {
                 continue;
             };
@@ -794,7 +775,6 @@ impl Server {
             }
         };
         let generation = self.live_generation(dashboard, dataset);
-        self.invalidate_shards(dashboard, dataset);
         let (index_merged, merge_us) = match carried {
             Some(carried) => {
                 self.merge_index_on_append(&mut warm, &key, carried, generation, &report)
@@ -1263,52 +1243,29 @@ impl Server {
                 result
             }
             None => {
-                let table = match self.endpoint_table(dashboard, dataset) {
-                    Ok(t) => t,
+                // Looked up before the index slot, so that an unknown
+                // dataset answers 404 without leaving a slot behind.
+                if let Err(resp) = self.endpoint_table(dashboard, dataset) {
+                    return resp;
+                }
+                let indexed = match self.indexed_table(dashboard, dataset) {
+                    Ok(indexed) => indexed,
                     Err(resp) => return resp,
                 };
-                let rows_in = table.num_rows();
-                // The plan that runs, for the trace: the shard planner and
-                // the evaluator below both start from this fused list.
+                let rows_in = indexed.table().num_rows();
+                // The plan that runs, for the trace.
                 let plan = fuse(ops);
                 if let Some(s) = eval_span.as_mut() {
                     s.set_attr("plan", crate::sql::plan_text(&plan));
                 }
-                // Scatter/gather: with a shard set attached, a splittable
-                // pipeline over a large-enough snapshot executes
-                // shard-local with a router-side gather — byte-identical
-                // to the single-shard path by construction (see
-                // [`crate::shard`]). `None` means the planner declined
-                // (unshardable head, lossy aggregate, tiny table) or the
-                // query failed, and it falls through to ordinary indexed
-                // evaluation, which owns every error message.
-                let sharded = self.shards.as_ref().and_then(|shards| {
-                    shards.execute(
-                        &format!("{dashboard}/{dataset}"),
-                        generation,
-                        result_key,
-                        &table,
-                        &plan,
-                        eval_span.as_mut(),
-                    )
-                });
-                let (result, index_hit) = match sharded {
-                    Some(r) => r,
-                    None => {
-                        let indexed = match self.indexed_table(dashboard, dataset) {
-                            Ok(indexed) => indexed,
-                            Err(resp) => return resp,
-                        };
-                        match evaluate_indexed(&indexed, &plan) {
-                            Ok(done) => {
-                                if let Some(s) = eval_span.as_mut() {
-                                    s.set_attr("rows_materialised", done.rows_materialised);
-                                }
-                                (done.table, done.index_hit)
-                            }
-                            Err(e) => return Response::error(Status::BadRequest, e),
+                let (result, index_hit) = match evaluate_indexed(&indexed, &plan) {
+                    Ok(done) => {
+                        if let Some(s) = eval_span.as_mut() {
+                            s.set_attr("rows_materialised", done.rows_materialised);
                         }
+                        (done.table, done.index_hit)
                     }
+                    Err(e) => return Response::error(Status::BadRequest, e),
                 };
                 self.platform.api_metrics().record_index_eval(index_hit);
                 if let Some(s) = eval_span.as_mut() {
@@ -1530,6 +1487,7 @@ F:
         let r = server.handle(&Request::get("/retail/ds/ghost_data"));
         assert_eq!(r.status, Status::NotFound);
         assert!(r.body.contains("run it first"));
+        assert!(server.indexes.lock().is_empty(), "a 404 left an index slot");
         let r = server.handle(&Request::get("/retail/ds/brand_sales/warp/9"));
         assert_eq!(r.status, Status::BadRequest);
         assert!(r.body.contains("unknown query operation"), "{}", r.body);
@@ -2156,6 +2114,81 @@ F:
         assert_eq!(server.platform().api_metrics().stream().subscribers, 0);
     }
 
+    /// A weak handle on `retail/brand_sales`'s warm index, built by a cold
+    /// query if the slot holds none at the live generation.
+    fn warm_index(server: &Server) -> std::sync::Weak<IndexedTable> {
+        let query = Request::get("/retail/ds/brand_sales/groupby/region/count/brand");
+        assert!(server.handle(&query).is_ok());
+        let slot = server.index_slot("retail/brand_sales");
+        let warm = slot.lock();
+        let (stamp, ix) = warm.as_ref().expect("a read warms the index");
+        assert_eq!(*stamp, server.live_generation("retail", "brand_sales"));
+        Arc::downgrade(ix)
+    }
+
+    #[test]
+    fn a_rerun_or_stream_push_releases_the_stale_warm_index() {
+        let server = served();
+        let run = Request::new(Method::Post, "/dashboards/retail/run");
+        let index = warm_index(&server);
+        // A re-run the flow memo answers leaves the data, so the index stays.
+        assert!(server.handle(&run).is_ok());
+        assert!(
+            index.upgrade().is_some(),
+            "an unchanged endpoint lost its index"
+        );
+        reupload(&server);
+        assert!(server.handle(&run).is_ok());
+        assert!(index.upgrade().is_none(), "a re-run kept the stale index");
+
+        let index = warm_index(&server);
+        let start = Request::new(Method::Post, "/dashboards/retail/stream/start");
+        assert!(server.handle(&start).is_ok());
+        assert!(index.upgrade().is_some(), "starting a stream moves no data");
+        let push = Request::new(Method::Post, "/dashboards/retail/stream/push/sales")
+            .with_body("west,acme,7\n");
+        assert!(server.handle(&push).is_ok());
+        assert!(
+            index.upgrade().is_none(),
+            "a stream push kept the stale index"
+        );
+        // The next read builds the index over the pushed rows.
+        let r = server.handle(&Request::get("/retail/ds/brand_sales/filter/region/west"));
+        assert!(r.body.contains("acme"), "{}", r.body);
+        assert!(warm_index(&server).upgrade().is_some());
+    }
+
+    #[test]
+    fn a_producer_rerun_releases_a_consumers_stale_index() {
+        let platform = Platform::new();
+        platform.upload_data(
+            "retail",
+            "sales.csv",
+            "region,brand,revenue\nnorth,acme,10\n",
+        );
+        let server = Server::new(platform);
+        let flow = format!("{FLOW}  D.brand_sales:\n    publish: brand_sales\n");
+        for request in [
+            Request::new(Method::Put, "/dashboards/retail/flow").with_body(flow),
+            Request::new(Method::Post, "/dashboards/retail/run"),
+            Request::new(Method::Post, "/dashboards/other/create"),
+            Request::get("/other/ds/brand_sales/filter/region/north"),
+        ] {
+            let r = server.handle(&request);
+            assert!(r.is_ok(), "{}", r.body);
+        }
+        let index = {
+            let slot = server.index_slot("other/brand_sales");
+            let warm = slot.lock();
+            Arc::downgrade(&warm.as_ref().expect("the consumer's read warms it").1)
+        };
+        reupload(&server);
+        assert!(server
+            .handle(&Request::new(Method::Post, "/dashboards/retail/run"))
+            .is_ok());
+        assert!(index.upgrade().is_none(), "the consumer kept a stale index");
+    }
+
     #[test]
     fn stream_metrics_surface_in_stats_and_metrics() {
         let server = served();
@@ -2421,10 +2454,10 @@ F:
 
     #[test]
     fn system_scrape_carries_every_stats_family_and_field() {
-        // ROADMAP aim 4 bug: ingest, shard, selfscrape, sql.prepared_* and
+        // ROADMAP aim 4 bug: ingest, selfscrape, sql.prepared_* and
         // stream.peak_subscribers never reached `_system`. Walk the
         // `/stats` body, not a hand list.
-        let server = served().with_shards(2);
+        let server = served();
         let query = Request::get("/retail/ds/brand_sales/groupby/region/count/brand");
         server.handle(&query);
         server.handle(&query);
@@ -2438,14 +2471,7 @@ F:
         let stats = shareinsights_tabular::io::json::parse_json(&stats.body).unwrap();
         let rows = telemetry_rows(&server);
 
-        // Array-nested series lead with their id in `/stats`; in `_system`
-        // the id is part of the label.
         let families = server.metric_families();
-        let nested: Vec<(&str, &str)> = families
-            .iter()
-            .filter_map(|f| f.series.as_ref())
-            .filter_map(|set| Some((set.key?, set.label)))
-            .collect();
         let mut leaves = Vec::new();
         crate::metrics::tests::json_leaves(&stats, &[], &mut leaves);
         let mut checked = std::collections::BTreeSet::new();
@@ -2453,9 +2479,8 @@ F:
         for (path, value) in &leaves {
             let (family, key) = (path[0].as_str(), path[path.len() - 1].as_str());
             let middle = path[1..path.len() - 1].join(".");
-            let bucket_count = key.parse::<usize>().is_ok();
-            let worker = nested.iter().find(|(array, _)| path[1] == *array);
-            if bucket_count || worker.is_some_and(|(_, id)| key == *id) {
+            if key.parse::<usize>().is_ok() {
+                // A raw bucket count.
                 stats_only += 1;
                 continue;
             }
@@ -2467,10 +2492,9 @@ F:
                 .iter()
                 .find(|(f, l, _)| f == family && *l == label)
                 .unwrap_or_else(|| panic!("{family}|{label} is in /stats, not in _system"));
-            // The scrape records itself, the process moves on and a shard
-            // worker's busy time includes answering the stats frame; every
+            // The scrape records itself and the process moves on; every
             // other series stands still between the scrape and `/stats`.
-            if !["selfscrape", "process"].contains(&family) && worker.is_none() {
+            if !["selfscrape", "process"].contains(&family) {
                 assert_eq!(&row.2, value, "{family}|{label}");
             }
             checked.insert(family);
@@ -2489,7 +2513,6 @@ F:
         };
         assert_eq!(value("sql", "prepared_hits"), 1);
         assert_eq!(value("ingest", "requests"), 1);
-        assert_eq!(value("shard", "workers"), 2);
         assert!(value("result_cache", "misses") >= 1);
         assert!(value("cache", "hits") >= 1);
     }
@@ -2508,7 +2531,6 @@ F:
             .filter(|l| l.starts_with("| `"))
             .collect();
         let rendered: Vec<String> = Server::new(Platform::new())
-            .with_shards(2)
             .metric_families()
             .iter()
             .map(|f| {

@@ -112,11 +112,8 @@ pub struct ServeOptions {
     /// [`Server::scrape_telemetry`]). `None` (the default) disables the
     /// scraper; the `_system` dashboard then serves an empty history.
     pub scrape_interval: Option<Duration>,
-    /// Shared-nothing data-plane width: with `shards >= 2`, [`serve`]
-    /// attaches a scatter/gather shard set via [`Server::with_shards`]
-    /// (unless the server already carries one), so both serve modes get
-    /// sharded execution from the same switch. `0` or `1` (the default)
-    /// keeps single-shard execution.
+    /// Inert: [`serve`] never reads it. Kept only so the benchmark crate
+    /// compiles until its next revision drops the field.
     pub shards: usize,
 }
 
@@ -201,16 +198,9 @@ impl Drop for ServiceHandle {
 /// along on the handle — same lifecycle as the serving threads, in either
 /// mode.
 pub fn serve(server: Server, addr: &str, options: ServeOptions) -> io::Result<ServiceHandle> {
-    // Both serve modes share the router, so attaching the shard set (and
-    // pointing data-plane events at the serve log) here once covers them
-    // equally. A server that already carries a shard set keeps it.
-    let server = if options.shards >= 2 && server.shards().is_none() {
-        server
-            .with_shards(options.shards)
-            .with_event_log(options.event_log.clone())
-    } else {
-        server.with_event_log(options.event_log.clone())
-    };
+    // Both serve modes share the router, so pointing data-plane events
+    // at the serve log here once covers them equally.
+    let server = server.with_event_log(options.event_log.clone());
     let scrape_interval = options.scrape_interval;
     let scraper_server = scrape_interval.map(|_| server.clone());
     let mut handle = match options.serve_mode {

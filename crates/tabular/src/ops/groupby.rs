@@ -195,9 +195,9 @@ impl GroupKeys {
 /// merged **in partition order** so first-seen group order —
 /// and with it order-sensitive aggregates like `first`/`collect` — match a
 /// single pass over the concatenated input exactly. The batch kernel
-/// ([`groupby`]), the indexed kernel, the engine's task and the
-/// scatter/gather all fold and finish through this one type, which is what
-/// pins their outputs byte-identical.
+/// ([`groupby`]), the indexed kernel and the engine's task all fold and
+/// finish through this one type, which is what pins their outputs
+/// byte-identical.
 ///
 /// A batch is folded in two steps: its selected rows are paired with their
 /// groups, then each lane runs one typed loop over the pairs in ascending
@@ -1129,8 +1129,8 @@ fn pick(kind: AggKind, best: &mut [Option<i64>], cells: impl Iterator<Item = (us
     }
 }
 
-/// Accumulate one table into a fresh partial (the scatter side of a
-/// partitioned group-by).
+/// Accumulate one table into a fresh partial, one partition's side of a
+/// [`GroupByPartial::merge`].
 pub fn groupby_partial(table: &Table, cfg: &GroupBy) -> Result<GroupByPartial> {
     let mut partial = GroupByPartial::new(cfg.clone());
     partial.update(table)?;

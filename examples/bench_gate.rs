@@ -24,11 +24,6 @@
 //! again a ratio within the fresh run. Self-observability must be cheap
 //! enough to leave on.
 //!
-//! The shard benchmark's `shard_scaling` ratios are reported by the run
-//! itself and not gated here: every width runs the same fused top-n, so
-//! the ratio measures cores, not code. Its p95 leaves are gated like any
-//! other document's.
-//!
 //! For the ingest benchmark: when the baseline carries a
 //! `streamed_upload` block, the fresh upload's peak RSS delta must stay
 //! under 12× the body bytes — the tripwire for a regression back to
@@ -45,7 +40,6 @@
 //!     BENCH_serve_concurrency.json fresh_serve.json \
 //!     BENCH_stream_latency.json fresh_stream.json \
 //!     BENCH_ingest.json fresh_ingest.json \
-//!     BENCH_shard_scaling.json fresh_shard.json \
 //!     [--threshold 0.25] [--slack-us 500]
 //! ```
 

@@ -24,7 +24,6 @@
 //! cargo run --release --example loadgen -- --sql
 //! cargo run --release --example loadgen -- --self-scrape
 //! cargo run --release --example loadgen -- --ingest-bench [base-rows] [append-rows]
-//! cargo run --release --example loadgen -- --shard-bench [rows] [iterations]
 //! ```
 //!
 //! `--close` forces one connection per request (the pre-keep-alive
@@ -94,22 +93,6 @@
 //! warm append, an ingest abort, or a malformed `/metrics` exposition
 //! (which must carry the `shareinsights_ingest_*` families) aborts with a
 //! non-zero exit.
-//!
-//! `--shard-bench` measures the shared-nothing sharded data plane: the
-//! same ~1M-row synthetic dataset is queried cold (derived caches cleared
-//! between iterations) through servers at 1, 2, and 4 shards over a
-//! groupby + top-n workload, asserting every sharded response is
-//! byte-identical to the single-shard answer and that the sharded servers
-//! actually scattered. The JSON document on stdout — per-width cold
-//! latencies, ok/s, `nproc`, and the `shard_scaling` ratios — is the
-//! source of the committed `BENCH_shard_scaling.json`. The ratios are
-//! reported, not gated: every width runs the same fused top-n, so they
-//! say what scatter/gather buys on this many cores and nothing else. A served
-//! smoke phase then fires the workload at both TCP serve modes with
-//! `ServeOptions::shards = 4`, asserting zero 5xx, byte-identical bodies,
-//! and the `shareinsights_shard_*` families in a valid `/metrics`
-//! exposition. The CI shard smoke job runs a smaller config and relies on
-//! those asserts.
 //!
 //! `--cold` switches to the cold-query benchmark: a ~1M-row synthetic
 //! dataset (configurable) is queried through the scan kernels and through
@@ -230,15 +213,6 @@ fn main() {
         let subscribers: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(500);
         let ticks: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(20);
         stream_benchmark(subscribers, ticks);
-        return;
-    }
-    if args.iter().any(|a| a == "--shard-bench") {
-        let rows: usize = nums
-            .next()
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(1_000_000);
-        let iters: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(5);
-        shard_benchmark(rows, iters);
         return;
     }
     if cold_mode {
@@ -1630,195 +1604,6 @@ fn cold_query_benchmark(rows: usize, iters: usize) {
     eprintln!(
         "differential checks passed: indexed == scan == served for all {} routes",
         routes.len()
-    );
-}
-
-/// The `--shard-bench` mode: measure scatter/gather scaling of the
-/// shared-nothing shard plane at 1, 2 and 4 shards over a cold
-/// groupby + top-n workload, differential-checking that every sharded
-/// body is byte-identical to the single-shard answer, then smoke the
-/// workload through both TCP serve modes at 4 shards with zero 5xx.
-///
-/// Fairness: every iteration clears the derived caches on both sides
-/// (router query/result caches, router `IndexedTable`s, worker result
-/// caches). Worker slices stay resident by design — that resident state
-/// *is* the shard plane — so an untimed prime query rebuilds the width-1
-/// router index first and the timed numbers compare evaluation, not
-/// index rebuilds. Every width runs the same plan — `sort | limit` is
-/// fused into a bounded top-n before the shard planner sees it — so the
-/// reported `s2_vs_s1`/`s4_vs_s1` compare like with like; `nproc` is
-/// recorded beside them because that is what they depend on.
-fn shard_benchmark(rows: usize, iters: usize) {
-    use shareinsights::tabular::{Column, DataType, Field, Schema, Table};
-
-    let distinct = 1000usize;
-    eprintln!("shard benchmark: {rows} rows, {distinct} distinct keys, {iters} iterations");
-    let keys: Vec<String> = (0..rows)
-        .map(|i| format!("customer-{:04}", (i * 7919) % distinct))
-        .collect();
-    let values: Vec<i64> = (0..rows).map(|i| ((i * 37) % 1000) as i64).collect();
-    let schema = Schema::new(vec![
-        Field::new("key", DataType::Utf8),
-        Field::new("value", DataType::Int64),
-    ])
-    .expect("schema");
-    let table = Table::new(schema, vec![Column::utf8(keys), Column::int(values)]).expect("table");
-
-    // Each width gets its own platform: the shard set pins the
-    // platform-wide partitioning, and widths must not observe each
-    // other's. Cloning the table is cheap (columns are shared).
-    let make_server = |shards: usize| -> Server {
-        let platform = Platform::new();
-        platform.create_dashboard("bench").expect("dashboard");
-        platform
-            .publish_registry()
-            .publish(
-                "bench_data",
-                "bench",
-                "bench_data",
-                table.schema().clone(),
-                Some(table.clone()),
-            )
-            .expect("publish");
-        Server::new(platform).with_shards(shards)
-    };
-
-    // The scatter/gather workload: a mergeable group-by and a top-n
-    // (fused from `sort | limit` at every width).
-    // The prime query rebuilds the same key index the group-by needs
-    // without populating the result cache for either timed query.
-    let prime_url = "/bench/ds/bench_data/groupby/key/count/value";
-    let queries = [
-        ("groupby", "/bench/ds/bench_data/groupby/key/sum/value"),
-        ("topn", "/bench/ds/bench_data/sort/value/desc/limit/100"),
-    ];
-    let pct = |sorted: &[u64], p: f64| -> u64 {
-        let idx = ((sorted.len() as f64 * p).ceil() as usize).max(1) - 1;
-        sorted[idx.min(sorted.len() - 1)]
-    };
-
-    // Width-1 bodies are the byte-identity baseline for every width.
-    let mut baselines: Vec<String> = Vec::new();
-    let widths = [1usize, 2, 4];
-    let mut width_docs = Vec::new();
-    let mut ok_rates: Vec<f64> = Vec::new();
-    for &width in &widths {
-        let server = make_server(width);
-        assert_eq!(
-            server.shards().is_some(),
-            width > 1,
-            "width {width}: shard set attachment"
-        );
-        // Warmup doubles as the differential check and loads the shard
-        // slices, so the timed loop measures steady-state evaluations.
-        for (qi, (name, url)) in queries.iter().enumerate() {
-            let r = server.handle(&Request::get(url));
-            assert!(r.is_ok(), "{width} shards {name}: {}", r.body);
-            if width == 1 {
-                baselines.push(r.body);
-            } else {
-                assert_eq!(
-                    r.body, baselines[qi],
-                    "{width} shards {name}: body differs from single-shard"
-                );
-            }
-        }
-        let mut lat: Vec<Vec<u64>> = vec![Vec::with_capacity(iters); queries.len()];
-        let mut timed_us = 0u64;
-        for _ in 0..iters {
-            server.clear_derived_caches();
-            assert!(server.handle(&Request::get(prime_url)).is_ok());
-            for (qi, (_, url)) in queries.iter().enumerate() {
-                let t = Instant::now();
-                let r = server.handle(&Request::get(url));
-                let us = t.elapsed().as_micros() as u64;
-                lat[qi].push(us);
-                timed_us += us;
-                assert!(r.is_ok());
-                assert_eq!(r.body, baselines[qi], "{width} shards: cold body drifted");
-            }
-        }
-        let ok_per_sec = (iters * queries.len()) as f64 / (timed_us.max(1) as f64 / 1e6);
-        ok_rates.push(ok_per_sec);
-        if width > 1 {
-            let stats = server.platform().api_metrics().shard();
-            assert!(stats.scatters > 0, "{width} shards: nothing scattered");
-            assert_eq!(
-                stats.fallbacks, 0,
-                "{width} shards: the bench workload must shard in full"
-            );
-        }
-        let mut parts = vec![format!("\"shards\": {width}")];
-        for (qi, (name, _)) in queries.iter().enumerate() {
-            lat[qi].sort_unstable();
-            let (p50, p95) = (pct(&lat[qi], 0.50), pct(&lat[qi], 0.95));
-            eprintln!("{width} shard(s) {name:8} cold p50 {p50}µs  p95 {p95}µs");
-            parts.push(format!(
-                "\"{name}_p50_us\": {p50}, \"{name}_p95_us\": {p95}"
-            ));
-        }
-        eprintln!("{width} shard(s) workload {ok_per_sec:.1} ok/s");
-        parts.push(format!("\"ok_per_sec\": {ok_per_sec:.1}"));
-        width_docs.push(format!("    \"s{width}\": {{{}}}", parts.join(", ")));
-    }
-    let s2_vs_s1 = ok_rates[1] / ok_rates[0].max(f64::MIN_POSITIVE);
-    let s4_vs_s1 = ok_rates[2] / ok_rates[0].max(f64::MIN_POSITIVE);
-    eprintln!("scaling  s2/s1 {s2_vs_s1:.2}x  s4/s1 {s4_vs_s1:.2}x (reported, not gated)");
-
-    // Served smoke: both TCP architectures, sharding attached through
-    // `ServeOptions`, the full workload plus the observability routes —
-    // byte-identical bodies and not a single 5xx.
-    let mut smoke_requests = 0usize;
-    for mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-        let opts = ServeOptions {
-            serve_mode: mode,
-            shards: 4,
-            workers: 2,
-            ..ServeOptions::default()
-        };
-        let mut svc = serve(make_server(1), "127.0.0.1:0", opts).expect("bind");
-        let addr = svc.local_addr();
-        for _ in 0..3 {
-            for (qi, (name, url)) in queries.iter().enumerate() {
-                let (code, body) = blocking_get(addr, url).expect("request");
-                smoke_requests += 1;
-                assert!(code < 500, "{mode:?} {name}: {code} {body}");
-                assert_eq!(code, 200, "{mode:?} {name}: {code}");
-                assert_eq!(body, baselines[qi], "{mode:?} {name}: served body drifted");
-            }
-        }
-        let (code, stats) = blocking_get(addr, "/stats").expect("stats");
-        smoke_requests += 1;
-        assert_eq!(code, 200);
-        assert!(stats.contains("\"shard\""), "{mode:?}: /stats shard block");
-        let (code, metrics) = blocking_get(addr, "/metrics").expect("metrics");
-        smoke_requests += 1;
-        assert_eq!(code, 200);
-        assert!(
-            metrics.contains("shareinsights_shard_workers 4"),
-            "{mode:?}: serve options did not attach the shard set"
-        );
-        assert!(metrics.contains("shareinsights_shard_scatters_total"));
-        validate_exposition(&metrics);
-        svc.shutdown();
-        eprintln!("smoke    {mode:?}: ok");
-    }
-
-    println!("{{");
-    println!("  \"dataset\": {{\"rows\": {rows}, \"distinct_keys\": {distinct}}},");
-    println!("  \"iterations\": {iters},");
-    println!("  \"nproc\": {},", nproc());
-    println!("  \"widths\": {{");
-    println!("{}", width_docs.join(",\n"));
-    println!("  }},");
-    println!("  \"shard_scaling\": {{\"s2_vs_s1\": {s2_vs_s1:.2}, \"s4_vs_s1\": {s4_vs_s1:.2}}},");
-    println!(
-        "  \"smoke\": {{\"serve_modes\": 2, \"requests\": {smoke_requests}, \"server_5xx\": 0}}"
-    );
-    println!("}}");
-    eprintln!(
-        "differential checks passed: sharded == single-shard bytes at widths 2 and 4, \
-         in-process and over both serve modes"
     );
 }
 

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --example serve_api [addr] [--reactor] [--chunk-budget BYTES]
-//!     [--scrape-interval MS] [--shards N]
+//!     [--scrape-interval MS]
 //! curl http://127.0.0.1:8080/dashboards      # default addr 127.0.0.1:8080
 //! ```
 //!
@@ -17,10 +17,7 @@
 //! larger than BYTES as HTTP/1.1 chunked transfer (both modes);
 //! `--scrape-interval MS` ticks the telemetry scraper so the read-only
 //! `_system` dashboard serves queryable history
-//! (`curl http://.../_system/ds/telemetry`); `--shards N` attaches the
-//! shared-nothing shard set (N >= 2) and grows the demo dataset past the
-//! scatter floor so queries actually fan out — watch the `shard` block
-//! in `/stats` and the `shareinsights_shard_*` families in `/metrics`.
+//! (`curl http://.../_system/ds/telemetry`).
 
 use shareinsights::server::{serve, ServeMode, ServeOptions, Server};
 use shareinsights_core::Platform;
@@ -39,14 +36,10 @@ T:
     - operator: sum
       apply_on: revenue
       out_field: revenue
-  shape:
-    type: sql
-    query: "select region, brand, revenue from sales"
 F:
   +D.brand_sales: D.sales | T.by_brand
   D.brand_sales:
     publish: brand_sales
-  +D.sales_rows: D.sales | T.shape
 "#;
 
 fn main() {
@@ -67,41 +60,17 @@ fn main() {
         args.drain(i..=i + 1);
         std::time::Duration::from_millis(ms.max(1))
     });
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            let n = args[i + 1].parse().expect("--shards N");
-            args.drain(i..=i + 1);
-            n
-        })
-        .unwrap_or(0);
     let addr = args
         .first()
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:8080".to_string());
 
     let platform = Platform::new();
-    let csv = if shards >= 2 {
-        // Enough rows to clear the scatter floor, so sharded queries
-        // actually fan out instead of falling back.
-        let regions = ["north", "south", "east", "west"];
-        let brands = ["acme", "zest", "nova"];
-        let mut csv = String::from("region,brand,revenue\n");
-        for i in 0..5000 {
-            csv.push_str(&format!(
-                "{},{},{}\n",
-                regions[i % regions.len()],
-                brands[i % brands.len()],
-                (i * 37) % 500
-            ));
-        }
-        csv
-    } else {
-        "region,brand,revenue\nnorth,acme,10\nnorth,acme,5\nsouth,zest,20\nnorth,zest,1\n"
-            .to_string()
-    };
-    platform.upload_data("retail", "sales.csv", csv);
+    platform.upload_data(
+        "retail",
+        "sales.csv",
+        "region,brand,revenue\nnorth,acme,10\nnorth,acme,5\nsouth,zest,20\nnorth,zest,1\n",
+    );
     platform.save_flow("retail", FLOW).expect("flow");
     platform.run_dashboard("retail").expect("run");
 
@@ -109,7 +78,6 @@ fn main() {
         serve_mode,
         chunk_budget,
         scrape_interval,
-        shards,
         ..ServeOptions::default()
     };
     let svc = serve(Server::new(platform), &addr, opts)
@@ -123,12 +91,6 @@ fn main() {
         svc.local_addr()
     );
     println!("     curl http://{}/stats", svc.local_addr());
-    if shards >= 2 {
-        println!(
-            "     curl http://{}/retail/ds/sales_rows/groupby/brand/sum/revenue  # scatters over {shards} shards",
-            svc.local_addr()
-        );
-    }
 
     // Serve until the process is interrupted.
     loop {

@@ -579,8 +579,8 @@ fn partials_in_batches_match_one_pass() {
 
         // One partial per batch, merged in order. A float `sum`/`avg`
         // merged is a sum of sums — another rounding than one running sum
-        // (the reason the shard planner declines them) — so those cases
-        // are held to the one-pass result only through the update above.
+        // — so those cases are held to the one-pass result only through
+        // the update above.
         let reassociates = cfg.aggregates.iter().any(|a| {
             matches!(a.operator, AggKind::Sum | AggKind::Avg)
                 && batches.iter().any(|b| {
