@@ -2,10 +2,8 @@
 //! generation-stamped sharded query cache, keep-alive conformance, and
 //! `/stats` observability.
 
-use shareinsights::datagen::SeededRng;
 use shareinsights::server::{
-    blocking_get, blocking_request, serve, ClientConnection, Method, Request, ServeMode,
-    ServeOptions, Server,
+    blocking_get, blocking_request, serve, ClientConnection, ServeOptions, Server,
 };
 use shareinsights_core::Platform;
 use shareinsights_tabular::io::json::parse_json;
@@ -553,7 +551,7 @@ fn loadgen_shape_no_lost_or_malformed_responses() {
 }
 
 // ---------------------------------------------------------------------------
-// Served aggregates over an identity endpoint, and the inert shard stubs
+// Served aggregates over an identity endpoint
 // ---------------------------------------------------------------------------
 
 /// The identity flow: endpoint `sales_out` mirrors the uploaded CSV, so a
@@ -573,26 +571,6 @@ F:
 "#;
 
 const SALES_ROWS: usize = 2000;
-
-/// `SALES_ROWS` seeded rows; the first 100 carry `region=hot` and
-/// `absent` appears nowhere.
-fn sales_csv() -> String {
-    let mut r = SeededRng::new(0x5AAD_0001);
-    let mut csv = String::from("region,brand,revenue\n");
-    for i in 0..SALES_ROWS {
-        let region = if i < 100 {
-            "hot".to_string()
-        } else {
-            format!("r{}", r.index(4))
-        };
-        csv.push_str(&format!(
-            "{region},b{},{}\n",
-            r.index(6),
-            r.int_range(-50, 999)
-        ));
-    }
-    csv
-}
 
 /// `SALES_ROWS` rows whose row `i` holds `special(i)` as `(brand, revenue)`,
 /// or `("pad", i % 7)` where that is `None`.
@@ -689,130 +667,4 @@ fn integer_avg_is_one_rounding_on_the_served_path() {
     assert_eq!(code, 200, "{body}");
     assert!(body.contains("2251799813685249"), "{body}");
     svc.shutdown();
-}
-
-/// Path queries over every query shape: row-local filters, every
-/// aggregate kind, fused top-n, paging, empty and skewed selections, and
-/// two error shapes.
-const PATH_QUERIES: &[&str] = &[
-    "/retail/ds/sales_out",
-    "/retail/ds/sales_out?limit=7&offset=1990",
-    "/retail/ds/sales_out/filter/region/r1",
-    "/retail/ds/sales_out/filter/region/hot",
-    "/retail/ds/sales_out/filter/region/absent",
-    "/retail/ds/sales_out/groupby/brand/sum/revenue",
-    "/retail/ds/sales_out/groupby/brand/count/revenue",
-    "/retail/ds/sales_out/groupby/brand/min/revenue",
-    "/retail/ds/sales_out/groupby/brand/max/revenue",
-    "/retail/ds/sales_out/groupby/brand/avg/revenue",
-    "/retail/ds/sales_out/groupby/brand/count_distinct/region",
-    "/retail/ds/sales_out/groupby/region/first/brand",
-    "/retail/ds/sales_out/groupby/region/last/brand",
-    "/retail/ds/sales_out/filter/region/r2/groupby/brand/sum/revenue",
-    "/retail/ds/sales_out/filter/region/hot/groupby/brand/sum/revenue/sort/sum_revenue/desc",
-    "/retail/ds/sales_out/sort/revenue/desc/limit/10",
-    "/retail/ds/sales_out/sort/revenue/asc/limit/25?offset=5",
-    "/retail/ds/sales_out/filter/region/r3/sort/revenue/desc/limit/5",
-    "/retail/ds/sales_out/sort/brand/asc",
-    "/retail/ds/sales_out/distinct/region",
-    "/retail/ds/sales_out/filter/region/r0/limit/30",
-    "/retail/ds/sales_out/filter/ghost/x",
-    "/retail/ds/sales_out/groupby/brand/sum/ghost",
-];
-
-/// SQL over `FilterExpr`, multi-aggregate and multi-key group-by,
-/// multi-key sort, projection, `DISTINCT` and `OFFSET`.
-const SQL_QUERIES: &[&str] = &[
-    "select * from sales_out where revenue > 500",
-    "select region, brand from sales_out where revenue between 0 and 99 limit 40",
-    "select brand, sum(revenue) as total, count(*) as n from sales_out \
-     group by brand order by total desc",
-    "select region, brand, sum(revenue), min(revenue) as lo, max(revenue) as hi \
-     from sales_out group by region, brand",
-    "select region, avg(revenue) as mean from sales_out group by region",
-    "select * from sales_out order by region asc, revenue desc limit 15",
-    "select distinct region, brand from sales_out",
-    "select brand, count(revenue) from sales_out where region = 'hot' group by brand",
-    "select * from sales_out where region = 'absent'",
-    "select brand, sum(revenue) from sales_out group by brand limit 3 offset 2",
-];
-
-/// One request script: every path and SQL query, an append, then the
-/// path queries again over the grown endpoint. Answers as
-/// `(status, body)`.
-fn answer_script(server: &Server) -> Vec<(u16, String)> {
-    let mut script: Vec<Request> = PATH_QUERIES.iter().map(|p| Request::get(p)).collect();
-    script.extend(
-        SQL_QUERIES
-            .iter()
-            .map(|q| Request::new(Method::Post, "/retail/ds/sales_out/sql").with_body(*q)),
-    );
-    script.push(
-        Request::new(Method::Post, "/dashboards/retail/ds/sales_out/ingest")
-            .with_body("region,brand,revenue\nnew,b9,12345\nnew,b9,-7\n"),
-    );
-    script.extend(PATH_QUERIES.iter().map(|p| Request::get(p)));
-    script
-        .iter()
-        .map(|request| {
-            let r = server.handle(request);
-            (r.status.code(), r.body)
-        })
-        .collect()
-}
-
-/// `Server::with_shards(n)` and `ServeOptions::shards` change nothing:
-/// the script answers the same bytes at every `n` as `Server::new`, both
-/// serve modes answer them with `shards: 4`, `ApiMetrics::shard()` reads
-/// zero and no `shard` family is rendered.
-#[test]
-fn with_shards_and_the_shards_option_are_inert() {
-    let want = answer_script(&Server::new(identity_platform(sales_csv())));
-    assert!(want.iter().any(|(code, _)| *code == 400));
-    assert!(want.iter().filter(|(code, _)| *code == 200).count() > 40);
-    for n in [0, 1, 2, 4] {
-        let server = Server::new(identity_platform(sales_csv())).with_shards(n);
-        assert_eq!(answer_script(&server), want, "with_shards({n})");
-        let shard = server.platform().api_metrics().shard();
-        assert_eq!(
-            (shard.scatters, shard.fallbacks),
-            (0, 0),
-            "with_shards({n})"
-        );
-    }
-    let baseline = Server::new(identity_platform(sales_csv()));
-    for serve_mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-        let opts = ServeOptions {
-            serve_mode,
-            shards: 4,
-            workers: 2,
-            ..ServeOptions::default()
-        };
-        let mut svc = serve(
-            Server::new(identity_platform(sales_csv())),
-            "127.0.0.1:0",
-            opts,
-        )
-        .expect("bind");
-        let addr = svc.local_addr();
-        for path in PATH_QUERIES {
-            let want = baseline.handle(&Request::get(path));
-            let got = blocking_get(addr, path).expect("request");
-            assert_eq!(
-                got,
-                (want.status.code(), want.body),
-                "{serve_mode:?}: {path}"
-            );
-        }
-        for text in SQL_QUERIES {
-            let want = baseline
-                .handle(&Request::new(Method::Post, "/retail/ds/sales_out/sql").with_body(*text));
-            assert_eq!(sql_over_tcp(addr, text), (want.status.code(), want.body));
-        }
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert!(!stats.contains("\"shard\""), "{stats}");
-        let (_, metrics) = blocking_get(addr, "/metrics").unwrap();
-        assert!(!metrics.contains("shareinsights_shard_"), "{metrics}");
-        svc.shutdown();
-    }
 }

@@ -1,15 +1,13 @@
-//! Differential tests for the shared-nothing sharded data plane.
+//! Differential tests of the shard knobs against the unsharded server.
 //!
-//! The contract under test: attaching a shard set changes *where* a
-//! query runs, never *what* it answers. Every response — path grammar or
-//! SQL, in-process or over either TCP serve mode — must be
-//! **byte-identical** to single-shard execution, including paging,
-//! ordering, tie-breaks and error strings. Cases deliberately include
-//! empty per-shard partials (filters matching nothing on most shards),
-//! all-rows-on-one-shard skew, every mergeable aggregate kind, the
-//! accumulator-path aggregates (`avg`, `count_distinct`), fused
-//! `sort|limit` top-n, and appends that move the data generation under a
-//! loaded shard set.
+//! There is no sharded data plane: every ad-hoc query takes the one
+//! indexed path. `Server::with_shards(n)` and `ServeOptions::shards` stay
+//! as inert stubs, and the contract under test is that they change
+//! nothing. Every response — path grammar or SQL, in-process or over
+//! either TCP serve mode, before and after an append — is
+//! **byte-identical** to `Server::new`, including paging, ordering,
+//! tie-breaks and error strings; `ApiMetrics::shard()` reads zero and no
+//! `shard` family is rendered.
 
 use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
@@ -18,10 +16,13 @@ use shareinsights::server::{
     Server,
 };
 
-const ROWS: usize = 2000; // above the 1024-row scatter floor
+const ROWS: usize = 2000;
+
+/// Widths `with_shards` is given; 0 and 1 were once "off", 2 and 4 "on".
+const WIDTHS: [usize; 4] = [0, 1, 2, 4];
 
 /// The identity flow: endpoint data `sales_out` mirrors the uploaded CSV,
-/// so tests control the exact rows every shard slice sees.
+/// so a test controls the exact rows every query sees.
 const FLOW: &str = r#"
 D:
   sales: [region, brand, revenue]
@@ -36,9 +37,8 @@ F:
   +D.sales_out: D.sales | T.shape
 "#;
 
-/// Deterministic endpoint data. The first 100 rows carry `region=hot`
-/// (all land on shard 0 at any tested width — the skew case); `absent`
-/// appears nowhere (every partial empty).
+/// `ROWS` seeded rows; the first 100 carry `region=hot` (the skew case)
+/// and `absent` appears nowhere (the empty selection).
 fn sales_csv() -> String {
     let mut r = SeededRng::new(0x5AAD_0001);
     let mut csv = String::from("region,brand,revenue\n");
@@ -57,14 +57,15 @@ fn sales_csv() -> String {
     csv
 }
 
-fn server_with(shards: usize) -> Server {
-    server_over(sales_csv(), shards)
-}
-
-fn server_over(csv: String, shards: usize) -> Server {
+/// A server over `sales_csv()` whose dashboard is saved and run over
+/// HTTP, with `with_shards(shards)` applied when given.
+fn server_with(shards: Option<usize>) -> Server {
     let platform = Platform::new();
-    platform.upload_data("retail", "sales.csv", csv);
-    let server = Server::new(platform).with_shards(shards);
+    platform.upload_data("retail", "sales.csv", sales_csv());
+    let server = match shards {
+        Some(n) => Server::new(platform).with_shards(n),
+        None => Server::new(platform),
+    };
     let r = server.handle(&Request::new(Method::Put, "/dashboards/retail/flow").with_body(FLOW));
     assert!(r.is_ok(), "{}", r.body);
     let r = server.handle(&Request::new(Method::Post, "/dashboards/retail/run"));
@@ -72,9 +73,9 @@ fn server_over(csv: String, shards: usize) -> Server {
     server
 }
 
-/// Path-grammar queries spanning every gather mode: row-local scatters,
-/// mergeable and accumulator group-bys, fused top-n, skew and empty
-/// partials, paging, and shapes the planner must decline identically.
+/// Path queries over every query shape: row-local filters, every
+/// aggregate kind, fused top-n, paging, empty and skewed selections, and
+/// two error shapes.
 const PATH_QUERIES: &[&str] = &[
     "/retail/ds/sales_out",
     "/retail/ds/sales_out?limit=7&offset=1990",
@@ -97,13 +98,12 @@ const PATH_QUERIES: &[&str] = &[
     "/retail/ds/sales_out/sort/brand/asc",
     "/retail/ds/sales_out/distinct/region",
     "/retail/ds/sales_out/filter/region/r0/limit/30",
-    // Error shapes must reproduce the same strings through the shards.
     "/retail/ds/sales_out/filter/ghost/x",
     "/retail/ds/sales_out/groupby/brand/sum/ghost",
 ];
 
-/// SQL spellings exercising `FilterExpr`, multi-aggregate `GroupBy`,
-/// multi-key `Sort`, projections, `DISTINCT` and `OFFSET`.
+/// SQL over `FilterExpr`, multi-aggregate and multi-key group-by,
+/// multi-key sort, projection, `DISTINCT` and `OFFSET`.
 const SQL_QUERIES: &[&str] = &[
     "select * from sales_out where revenue > 500",
     "select region, brand from sales_out where revenue between 0 and 99 limit 40",
@@ -127,257 +127,116 @@ fn sql(server: &Server, text: &str) -> Response {
     server.handle(&Request::new(Method::Post, "/retail/ds/sales_out/sql").with_body(text))
 }
 
-// ---------------------------------------------------------------------------
-// In-process differentials
-// ---------------------------------------------------------------------------
+/// `ApiMetrics::shard()` of a stub-configured server reads zero.
+fn assert_no_shard_work(server: &Server, label: &str) {
+    let shard = server.platform().api_metrics().shard();
+    assert_eq!((shard.scatters, shard.fallbacks), (0, 0), "{label}");
+}
 
-/// Every path query answers byte-identically at 1 (disabled), 2 and 4
-/// shards — statuses and bodies both — and the sharded servers actually
-/// scattered (this is a differential, not a fallback-everywhere pass).
+/// Every path query answers the same status and bytes at every
+/// `with_shards` width as on `Server::new`.
 #[test]
 fn path_queries_match_unsharded_byte_for_byte() {
-    let baseline = server_with(1);
-    assert!(baseline.shards().is_none(), "width 1 must disable sharding");
-    for width in [2usize, 4] {
-        let sharded = server_with(width);
-        assert!(sharded.shards().is_some());
+    let baseline = server_with(None);
+    assert!(PATH_QUERIES
+        .iter()
+        .any(|p| get(&baseline, p).status.code() == 400));
+    for n in WIDTHS {
+        let server = server_with(Some(n));
         for path in PATH_QUERIES {
             let a = get(&baseline, path);
-            let b = get(&sharded, path);
-            assert_eq!(a.status, b.status, "{width} shards: {path}");
-            assert_eq!(a.body, b.body, "{width} shards: {path}");
+            let b = get(&server, path);
+            assert_eq!(a.status, b.status, "with_shards({n}): {path}");
+            assert_eq!(a.body, b.body, "with_shards({n}): {path}");
         }
-        let stats = sharded.platform().api_metrics().shard();
-        assert_eq!(stats.workers, width as u64);
-        assert!(stats.scatters > 0, "{width} shards: nothing scattered");
-        assert!(
-            stats.fallbacks > 0,
-            "{width} shards: unshardable shapes should fall back"
-        );
+        assert_no_shard_work(&server, &format!("with_shards({n})"));
     }
 }
 
-/// Every SQL query answers byte-identically across shard widths, and the
-/// caches repeat the same bytes (worker result caches included).
+/// Every SQL query answers the same status and bytes at every
+/// `with_shards` width as on `Server::new`.
 #[test]
 fn sql_queries_match_unsharded_byte_for_byte() {
-    let baseline = server_with(1);
-    for width in [2usize, 4] {
-        let sharded = server_with(width);
+    let baseline = server_with(None);
+    for n in WIDTHS {
+        let server = server_with(Some(n));
         for text in SQL_QUERIES {
             let a = sql(&baseline, text);
-            let b = sql(&sharded, text);
-            assert_eq!(a.status, b.status, "{width} shards: {text}");
-            assert_eq!(a.body, b.body, "{width} shards: {text}");
-            // Cold repeat: drop the router-side caches so the second
-            // answer re-gathers (hitting worker result caches) and still
-            // reproduces the bytes.
-            sharded.clear_derived_caches();
-            let again = sql(&sharded, text);
-            assert_eq!(b.body, again.body, "{width} shards, cold repeat: {text}");
+            let b = sql(&server, text);
+            assert!(a.is_ok(), "{text}: {}", a.body);
+            assert_eq!(a.status, b.status, "with_shards({n}): {text}");
+            assert_eq!(a.body, b.body, "with_shards({n}): {text}");
         }
-        assert!(sharded.platform().api_metrics().shard().scatters > 0);
+        assert_no_shard_work(&server, &format!("with_shards({n})"));
     }
 }
 
-/// An integer `sum` past `i64` is one 400 at every width, with the
-/// unsharded message, and a sum that only a partial overflows is still
-/// answered. Brand `over` holds `i64::MAX` in the first row and `1` in the
-/// last — each shard's partial fits, the whole does not; brand `back`
-/// holds `2^62` twice at the front (shard 0's partial leaves `i64`) and
-/// `-2^62` at the back, so its whole sum is `2^62`.
-#[test]
-fn integer_sum_overflow_is_one_400_at_every_width() {
-    let mut csv = String::from("region,brand,revenue\n");
-    for i in 0..ROWS {
-        let (brand, revenue) = match i {
-            0 => ("over", i64::MAX),
-            i if i == ROWS - 1 => ("over", 1),
-            1 | 2 => ("back", 1 << 62),
-            i if i == ROWS - 2 => ("back", -(1 << 62)),
-            _ => ("pad", 1),
-        };
-        csv.push_str(&format!("r{},{brand},{revenue}\n", i % 3));
-    }
-    let queries = [
-        "/retail/ds/sales_out/groupby/brand/sum/revenue",
-        "/retail/ds/sales_out/filter/brand/over/groupby/brand/sum/revenue",
-        "/retail/ds/sales_out/filter/brand/back/groupby/brand/sum/revenue",
-    ];
-    let baseline = server_over(csv.clone(), 1);
-    let over = get(&baseline, queries[1]);
-    assert_eq!(over.status.code(), 400, "{}", over.body);
-    assert!(
-        over.body
-            .contains("integer overflow: sum of column 'revenue' leaves the 64-bit range"),
-        "{}",
-        over.body
-    );
-    let back = get(&baseline, queries[2]);
-    assert!(back.is_ok(), "{}", back.body);
-    assert!(
-        back.body.contains(&(1i64 << 62).to_string()),
-        "{}",
-        back.body
-    );
-    for width in [2usize, 4] {
-        let sharded = server_over(csv.clone(), width);
-        for path in queries {
-            let a = get(&baseline, path);
-            let b = get(&sharded, path);
-            assert_eq!(a.status, b.status, "{width} shards: {path}");
-            assert_eq!(a.body, b.body, "{width} shards: {path}");
-        }
-        let text = "select brand, sum(revenue) from sales_out where brand = 'back' group by brand";
-        assert_eq!(
-            sql(&baseline, text).body,
-            sql(&sharded, text).body,
-            "{width}: {text}"
-        );
-        assert!(sharded.platform().api_metrics().shard().scatters > 0);
-    }
-}
-
-/// An integer `avg` ships as accumulator state and is merged in shard
-/// order; it answers the same bytes at every width because it is the
-/// exact sum rounded once over the count. Brand `big` holds `2^53` in the
-/// first row and `1` in the last three, so at widths 2 and 4 the first
-/// shard's partial is `[2^53]` and the last one's `[1, 1, 1]`: a float sum
-/// of sums read `2251799813685249`, a running float sum
-/// `2251799813685248`, and the exact mean rounds to the former.
-#[test]
-fn integer_avg_is_one_body_at_every_width() {
-    let mut csv = String::from("region,brand,revenue\n");
-    for i in 0..ROWS {
-        let (brand, revenue) = match i {
-            0 => ("big", 1i64 << 53),
-            i if i >= ROWS - 3 => ("big", 1),
-            _ => ("pad", (i % 7) as i64),
-        };
-        csv.push_str(&format!("r{},{brand},{revenue}\n", i % 3));
-    }
-    let path = "/retail/ds/sales_out/filter/brand/big/groupby/brand/avg/revenue";
-    let baseline = get(&server_over(csv.clone(), 1), path);
-    assert!(baseline.is_ok(), "{}", baseline.body);
-    assert!(
-        baseline.body.contains("2251799813685249"),
-        "{}",
-        baseline.body
-    );
-    for width in [2usize, 4] {
-        let sharded = server_over(csv.clone(), width);
-        let b = get(&sharded, path);
-        assert_eq!(baseline.status, b.status, "{width} shards");
-        assert_eq!(baseline.body, b.body, "{width} shards");
-        assert!(sharded.platform().api_metrics().shard().scatters > 0);
-    }
-}
-
-/// Appends move the generation under a loaded shard set: the next query
-/// must reload fresh slices and keep matching the unsharded answer —
-/// stale partials refused by the generation stamp, never served.
+/// An append moves the data generation: every path query re-read after
+/// it matches the unsharded answer over the grown endpoint, and the
+/// appended rows are visible.
 #[test]
 fn appends_invalidate_shard_slices() {
-    let baseline = server_with(1);
-    let sharded = server_with(4);
-    let queries = [
-        "/retail/ds/sales_out/groupby/brand/sum/revenue",
-        "/retail/ds/sales_out/sort/revenue/desc/limit/10",
-    ];
-    for path in queries {
-        assert_eq!(get(&baseline, path).body, get(&sharded, path).body);
+    let baseline = server_with(None);
+    let server = server_with(Some(4));
+    for path in PATH_QUERIES {
+        assert_eq!(get(&baseline, path).body, get(&server, path).body, "{path}");
     }
     let delta = "region,brand,revenue\nnew,b9,12345\nnew,b9,-7\n";
-    for server in [&baseline, &sharded] {
-        let r = server.handle(
+    for s in [&baseline, &server] {
+        let r = s.handle(
             &Request::new(Method::Post, "/dashboards/retail/ds/sales_out/ingest").with_body(delta),
         );
         assert!(r.is_ok(), "{}", r.body);
     }
-    for path in queries {
+    for path in PATH_QUERIES {
         let a = get(&baseline, path);
-        let b = get(&sharded, path);
-        assert!(a.is_ok(), "{path}: {}", a.body);
+        let b = get(&server, path);
+        assert_eq!(a.status, b.status, "post-append: {path}");
         assert_eq!(a.body, b.body, "post-append: {path}");
     }
-    let stats = sharded.platform().api_metrics().shard();
-    assert!(stats.invalidations > 0, "append must fan out invalidation");
-    assert!(
-        stats.loads >= 8,
-        "slices must reload after the generation moved (loads={})",
-        stats.loads
-    );
+    let top = get(&server, "/retail/ds/sales_out/sort/revenue/desc/limit/10");
+    assert!(top.body.contains("12345"), "{}", top.body);
+    assert_no_shard_work(&server, "with_shards(4)");
 }
 
-/// `/stats` exposes the shard block with per-worker rows covering the
-/// full partition, and `/metrics` exposes the matching Prometheus
-/// families — only when sharding is on.
-#[test]
-fn observability_surfaces_shard_counters() {
-    let sharded = server_with(4);
-    assert!(get(&sharded, "/retail/ds/sales_out/groupby/brand/sum/revenue").is_ok());
-    let stats = get(&sharded, "/stats");
-    assert!(stats.is_ok());
-    assert!(stats.body.contains("\"shard\""), "missing shard block");
-    assert!(stats.body.contains("\"per_worker\""));
-    let metrics = get(&sharded, "/metrics").body;
-    for family in [
-        "shareinsights_shard_workers 4",
-        "shareinsights_shard_scatters_total",
-        "shareinsights_shard_worker_rows{shard=\"3\"}",
-        "shareinsights_shard_gather_seconds_total",
-    ] {
-        assert!(metrics.contains(family), "missing {family}");
-    }
-    let unsharded = server_with(1);
-    assert!(unsharded.handle(&Request::get("/metrics")).is_ok());
-    let metrics = unsharded.handle(&Request::get("/metrics")).body;
-    assert!(
-        !metrics.contains("shareinsights_shard_worker_rows"),
-        "per-worker families must be absent when sharding is off"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// TCP differentials: both serve modes
-// ---------------------------------------------------------------------------
-
-/// Both serve architectures, with sharding switched on through
-/// `ServeOptions::shards`, answer byte-identically to the unsharded
-/// in-process router — and never 5xx doing it.
+/// Both serve modes with `ServeOptions { shards: 4 }` answer every path
+/// and SQL query byte-identically to the in-process `Server::new`, and
+/// neither `/stats` nor `/metrics` renders a shard family.
 #[test]
 fn both_serve_modes_agree_with_unsharded_baseline() {
-    let baseline = server_with(1);
-    for mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
+    let baseline = server_with(None);
+    for serve_mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
         let opts = ServeOptions {
-            serve_mode: mode,
+            serve_mode,
             shards: 4,
             workers: 2,
             ..ServeOptions::default()
         };
-        let mut svc = serve(server_with(1), "127.0.0.1:0", opts).expect("bind");
+        let mut svc = serve(server_with(None), "127.0.0.1:0", opts).expect("bind");
         let addr = svc.local_addr();
         for path in PATH_QUERIES {
-            let expect = get(&baseline, path);
-            let (code, body) = blocking_get(addr, path).expect("request");
-            assert!(code < 500, "{mode:?} {path}: {code} {body}");
-            assert_eq!(code, expect.status.code(), "{mode:?}: {path}");
-            assert_eq!(body, expect.body, "{mode:?}: {path}");
+            let want = get(&baseline, path);
+            let got = blocking_get(addr, path).expect("request");
+            assert_eq!(
+                got,
+                (want.status.code(), want.body),
+                "{serve_mode:?}: {path}"
+            );
         }
         for text in SQL_QUERIES {
-            let expect = sql(&baseline, text);
-            let (code, body) =
+            let want = sql(&baseline, text);
+            let got =
                 blocking_request(addr, "POST", "/retail/ds/sales_out/sql", text).expect("request");
-            assert!(code < 500, "{mode:?} {text}: {code} {body}");
-            assert_eq!(body, expect.body, "{mode:?}: {text}");
+            assert_eq!(
+                got,
+                (want.status.code(), want.body),
+                "{serve_mode:?}: {text}"
+            );
         }
-        let (code, metrics) = blocking_get(addr, "/metrics").expect("metrics");
-        assert_eq!(code, 200);
-        assert!(
-            metrics.contains("shareinsights_shard_workers 4"),
-            "{mode:?}: serve options did not attach the shard set"
-        );
-        assert!(metrics.contains("shareinsights_shard_scatters_total"));
+        let (_, stats) = blocking_get(addr, "/stats").unwrap();
+        assert!(!stats.contains("\"shard\""), "{stats}");
+        let (_, metrics) = blocking_get(addr, "/metrics").unwrap();
+        assert!(!metrics.contains("shareinsights_shard_"), "{metrics}");
         svc.shutdown();
     }
 }
