@@ -628,8 +628,12 @@ pub struct ReactorStats {
     /// Times a partial write re-armed the connection for `EPOLLOUT`
     /// instead of blocking a thread (write backpressure).
     pub epollout_rearms: u64,
-    /// Ready requests handed to the worker pool.
+    /// Ready requests the worker pool accepted (one shed with 503
+    /// because the queue was full is not counted).
     pub dispatched: u64,
+    /// Page-cache hits answered on the event loop's own thread, never
+    /// handed to the worker pool.
+    pub answered_inline: u64,
 }
 
 impl ReactorStats {
@@ -642,6 +646,7 @@ impl ReactorStats {
             Counter ready_events "ready_events_total",
             Counter epollout_rearms "epollout_rearms_total",
             Counter dispatched "dispatched_total",
+            Counter answered_inline "answered_inline_total",
         } = self);
         Family::scalars("reactor", "shareinsights_reactor", fields)
     }
@@ -1044,9 +1049,14 @@ impl ApiMetrics {
         self.reactor.write().epollout_rearms += 1;
     }
 
-    /// Record a ready request dispatched to the reactor's worker pool.
+    /// Record a ready request the reactor's worker pool accepted.
     pub fn record_reactor_dispatch(&self) {
         self.reactor.write().dispatched += 1;
+    }
+
+    /// Record a page-cache hit the reactor answered on its loop thread.
+    pub fn record_reactor_inline(&self) {
+        self.reactor.write().answered_inline += 1;
     }
 
     /// Snapshot of the reactor event-loop counters.
@@ -1360,6 +1370,7 @@ mod tests {
         m.record_reactor_rearm();
         m.record_reactor_dispatch();
         m.record_reactor_dispatch();
+        m.record_reactor_inline();
         let r = m.reactor();
         assert_eq!(r.registered, 2);
         assert_eq!(r.peak_registered, 3);
@@ -1367,6 +1378,7 @@ mod tests {
         assert_eq!(r.ready_events, 7);
         assert_eq!(r.epollout_rearms, 1);
         assert_eq!(r.dispatched, 2);
+        assert_eq!(r.answered_inline, 1);
         // Deregister never underflows.
         m.record_reactor_deregister();
         m.record_reactor_deregister();

@@ -178,7 +178,8 @@ impl TraceRecord {
 
 /// Shared mutable state of one in-flight trace.
 struct ActiveTrace {
-    id: TraceId,
+    /// The trace id; 0 until a provisional root is admitted.
+    id: AtomicU64,
     epoch: Instant,
     next_span: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
@@ -192,6 +193,9 @@ pub struct Span {
     trace: Arc<ActiveTrace>,
     /// Present only on the root span: the sink that receives the sealed trace.
     sink: Option<Tracer>,
+    /// A root from [`Tracer::start_provisional`] that the sampler has not
+    /// been asked about yet (see [`Span::admit`]).
+    provisional: bool,
     id: u64,
     parent: u64,
     name: String,
@@ -204,7 +208,7 @@ pub struct Span {
 impl Span {
     /// The id of the trace this span belongs to.
     pub fn trace_id(&self) -> TraceId {
-        self.trace.id
+        TraceId(self.trace.id.load(Ordering::Relaxed))
     }
 
     /// Microseconds elapsed since the trace epoch (root span start).
@@ -228,6 +232,7 @@ impl Span {
         Span {
             trace: Arc::clone(&self.trace),
             sink: None,
+            provisional: false,
             id,
             parent: self.id,
             name: name.to_string(),
@@ -266,6 +271,34 @@ impl Span {
         self.finish_inner();
     }
 
+    /// Settle a root started by [`Tracer::start_provisional`]: the sampler
+    /// is asked now, exactly as [`Tracer::start_trace`] would have asked it,
+    /// and the span comes back if it is sampled; otherwise it is abandoned.
+    /// Any other span comes back as it is.
+    pub fn admit(mut self) -> Option<Span> {
+        if !self.provisional {
+            return Some(self);
+        }
+        self.provisional = false;
+        match self.sink.as_ref().and_then(|tracer| tracer.sample(None)) {
+            Some(id) => {
+                self.trace.id.store(id.0, Ordering::Relaxed);
+                Some(self)
+            }
+            None => {
+                self.abandon();
+                None
+            }
+        }
+    }
+
+    /// Drop the span unrecorded. Abandoning a root drops its whole trace:
+    /// nothing reaches the ring, whatever its children recorded.
+    pub fn abandon(mut self) {
+        self.finished = true;
+        self.sink = None;
+    }
+
     fn finish_inner(&mut self) {
         if self.finished {
             return;
@@ -285,7 +318,7 @@ impl Span {
             let spans = std::mem::take(&mut *guard);
             drop(guard);
             sink.complete(TraceRecord {
-                trace_id: self.trace.id,
+                trace_id: self.trace_id(),
                 spans,
             });
         }
@@ -301,7 +334,7 @@ impl Drop for Span {
 impl fmt::Debug for Span {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Span")
-            .field("trace_id", &self.trace.id)
+            .field("trace_id", &self.trace_id())
             .field("id", &self.id)
             .field("name", &self.name)
             .finish()
@@ -395,29 +428,52 @@ impl Tracer {
     /// client-propagated trace id (always traced while tracing is enabled);
     /// otherwise an id is generated and the 1-in-N sampler applies.
     pub fn start_trace(&self, name: &str, explicit: Option<TraceId>) -> Option<Span> {
+        let id = self.sample(explicit)?;
+        Some(self.root(name, id, false))
+    }
+
+    /// Start a root span for a request that may yet be abandoned, without
+    /// asking the 1-in-N sampler: [`Span::admit`] asks it once the request
+    /// is known to be answered, and [`Span::abandon`] leaves it unasked.
+    /// `None` only while tracing is off.
+    pub fn start_provisional(&self, name: &str, explicit: Option<TraceId>) -> Option<Span> {
+        if self.sample_one_in() == 0 {
+            return None;
+        }
+        Some(match explicit {
+            Some(id) => self.root(name, id, false),
+            None => self.root(name, TraceId(0), true),
+        })
+    }
+
+    /// The id of a new trace, or `None` when it is not traced: tracing is
+    /// off, or the sampler (ticked only for a generated id) thins it out.
+    fn sample(&self, explicit: Option<TraceId>) -> Option<TraceId> {
         let n = self.inner.sample_one_in.load(Ordering::Relaxed);
         if n == 0 {
             return None;
         }
-        let id = match explicit {
-            Some(id) => id,
-            None => {
-                let seen = self.inner.seen.fetch_add(1, Ordering::Relaxed);
-                if !seen.is_multiple_of(n) {
-                    return None;
-                }
-                TraceId(self.inner.next_id.fetch_add(1, Ordering::Relaxed))
-            }
-        };
+        if explicit.is_some() {
+            return explicit;
+        }
+        let seen = self.inner.seen.fetch_add(1, Ordering::Relaxed);
+        if !seen.is_multiple_of(n) {
+            return None;
+        }
+        Some(TraceId(self.inner.next_id.fetch_add(1, Ordering::Relaxed)))
+    }
+
+    fn root(&self, name: &str, id: TraceId, provisional: bool) -> Span {
         let trace = Arc::new(ActiveTrace {
-            id,
+            id: AtomicU64::new(id.0),
             epoch: Instant::now(),
             next_span: AtomicU64::new(2),
             spans: Mutex::new(Vec::new()),
         });
-        Some(Span {
+        Span {
             trace,
             sink: Some(self.clone()),
+            provisional,
             id: 1,
             parent: 0,
             name: name.to_string(),
@@ -425,7 +481,7 @@ impl Tracer {
             started: Instant::now(),
             attrs: Vec::new(),
             finished: false,
-        })
+        }
     }
 
     /// The last `limit` completed traces, newest first.
@@ -710,6 +766,39 @@ mod tests {
             tracer.start_trace("a", Some(TraceId(7))).is_some(),
             "explicit ids bypass thinning"
         );
+    }
+
+    #[test]
+    fn a_provisional_root_asks_the_sampler_only_when_admitted() {
+        let tracer = Tracer::new();
+        tracer.set_sample_one_in(2);
+        // Abandoned: no tick, nothing in the ring, children included.
+        for _ in 0..3 {
+            let root = tracer.start_provisional("a", None).unwrap();
+            root.child("work").finish();
+            root.abandon();
+        }
+        assert!(tracer.is_empty());
+        // Admitted: the same 1-in-2 sequence `start_trace` would give.
+        let admitted: Vec<Option<TraceId>> = (0..4)
+            .map(|_| {
+                let root = tracer.start_provisional("a", None)?.admit()?;
+                let id = root.trace_id();
+                root.finish();
+                Some(id)
+            })
+            .collect();
+        assert_eq!(
+            admitted,
+            vec![Some(TraceId(1)), None, Some(TraceId(2)), None]
+        );
+        assert_eq!(tracer.len(), 2);
+        // An explicit id is admitted as it is, and abandoning it drops it.
+        let root = tracer.start_provisional("a", Some(TraceId(9))).unwrap();
+        root.admit().unwrap().abandon();
+        assert!(tracer.find(TraceId(9)).is_none());
+        tracer.set_sample_one_in(0);
+        assert!(tracer.start_provisional("a", Some(TraceId(9))).is_none());
     }
 
     #[test]

@@ -337,7 +337,8 @@ pub(crate) mod tests {
 
     /// The fixture `tests/golden/stats.json` was rendered from at the
     /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
-    /// joined it since, and the deleted `shard` family left it.
+    /// and `reactor.answered_inline` joined it since, and the deleted
+    /// `shard` family left it.
     fn stats_fixture() -> Vec<Family> {
         let route = RouteStats {
             count: 2,
@@ -379,6 +380,7 @@ pub(crate) mod tests {
                 ready_events: 120,
                 epollout_rearms: 3,
                 dispatched: 100,
+                answered_inline: 60,
             }
             .family(),
             StreamStats {
@@ -506,7 +508,8 @@ pub(crate) mod tests {
 
     /// The fixture `tests/golden/metrics.txt` was rendered from at the
     /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
-    /// joined it since, and the deleted `shard` family left it.
+    /// and `reactor.answered_inline` joined it since, and the deleted
+    /// `shard` family left it.
     fn metrics_fixture() -> Vec<Family> {
         let route = RouteStats {
             count: 3,
@@ -560,6 +563,7 @@ pub(crate) mod tests {
                 ready_events: 25,
                 epollout_rearms: 2,
                 dispatched: 20,
+                answered_inline: 12,
             }
             .family(),
             StreamStats {
@@ -726,6 +730,7 @@ pub(crate) mod tests {
         assert!(text.contains("shareinsights_reactor_ready_events_total 25"));
         assert!(text.contains("shareinsights_reactor_epollout_rearms_total 2"));
         assert!(text.contains("shareinsights_reactor_dispatched_total 20"));
+        assert!(text.contains("shareinsights_reactor_answered_inline_total 12"));
         // Live-stream series.
         assert!(text.contains("shareinsights_stream_subscribers 5"));
         assert!(text.contains("shareinsights_stream_peak_subscribers 7"));

@@ -9,11 +9,11 @@
 //! connections, `EPOLLOUT` write backpressure).
 
 use shareinsights::server::{
-    blocking_get, dechunk, serve, ClientConnection, ServeMode, ServeOptions, Server, ServiceHandle,
-    WireLimits,
+    blocking_get, dechunk, serve, ClientConnection, Method, Request, ServeMode, ServeOptions,
+    Server, ServiceHandle, WireLimits,
 };
 use shareinsights_core::Platform;
-use shareinsights_tabular::io::json::parse_json;
+use shareinsights_tabular::io::json::{parse_json, JsonValue};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -599,6 +599,321 @@ fn pipelined_chunked_responses_straddle_chunk_boundaries() {
     }
 }
 
+/// The counts in `/stats` a request's side effects move — per-route
+/// count, errors, cache hits and misses; the page and result caches; the
+/// SQL counters — as `(path, value)` pairs. Latencies are left out.
+fn accounting(stats_body: &str) -> Vec<(String, i64)> {
+    let doc = parse_json(stats_body).unwrap();
+    let mut paths: Vec<String> = Vec::new();
+    for (block, fields) in [
+        (
+            "cache",
+            &[
+                "entries",
+                "bytes",
+                "hits",
+                "misses",
+                "evictions",
+                "invalidations",
+            ][..],
+        ),
+        (
+            "result_cache",
+            &["entries", "hits", "misses", "invalidations"],
+        ),
+        (
+            "sql",
+            &[
+                "queries",
+                "parse_errors",
+                "path_shared",
+                "prepared_hits",
+                "prepared_evictions",
+            ],
+        ),
+    ] {
+        paths.extend(fields.iter().map(|f| format!("{block}.{f}")));
+    }
+    let Some(JsonValue::Object(routes)) = doc.path("routes") else {
+        panic!("no routes object in {stats_body}");
+    };
+    for route in routes.keys() {
+        for field in ["count", "errors", "cache_hits", "cache_misses"] {
+            paths.push(format!("routes.{route}.{field}"));
+        }
+    }
+    paths
+        .into_iter()
+        .map(|path| {
+            let value = stat(stats_body, &path);
+            (path, value)
+        })
+        .collect()
+}
+
+/// Each trace in the ring, newest first: its id, root name, status, and
+/// the names of its spans with each `cache_lookup`'s verdict.
+fn trace_shapes(server: &Server) -> Vec<String> {
+    server
+        .platform()
+        .tracer()
+        .recent(usize::MAX)
+        .iter()
+        .map(|t| {
+            let root = t.root().expect("root");
+            let mut spans: Vec<String> = t
+                .spans
+                .iter()
+                .map(|s| match s.attr("hit") {
+                    Some(hit) => format!("{}(hit={hit:?})", s.name),
+                    None => s.name.clone(),
+                })
+                .collect();
+            spans.sort();
+            format!(
+                "{} {} {:?} {spans:?}",
+                t.trace_id,
+                root.name,
+                root.attr("status")
+            )
+        })
+        .collect()
+}
+
+/// One step of the accounting script: in process, then over each
+/// connection, the body answered identically everywhere.
+enum Step {
+    Get(&'static str),
+    Sql(&'static str),
+    Run,
+    GetClose(&'static str),
+}
+
+#[test]
+fn a_hit_answered_on_the_loop_counts_exactly_what_a_worker_counts() {
+    let sql = "select brand, revenue from brand_sales where revenue > 3";
+    let script = [
+        Step::Get("/retail/ds/brand_sales"),
+        Step::Get("/retail/ds/brand_sales"),
+        Step::Get("/retail/ds/brand_sales?offset=1&limit=2"),
+        Step::Sql(sql),
+        Step::Sql(sql),
+        Step::Run,
+        Step::Get("/retail/ds/brand_sales"),
+        Step::Get("/retail/ds/brand_sales"),
+        Step::Get("/retail/ds/nope"),
+        Step::GetClose("/retail/ds/brand_sales"),
+    ];
+    // Every setup the same; the sampler keeps one trace in two, so a tick
+    // that a fall-through leaked would move which requests are traced.
+    let server = || {
+        let server = Server::new(retail_platform(6));
+        server.platform().tracer().set_sample_one_in(2);
+        server
+    };
+    let oracle = server();
+    let served: Vec<(ServeMode, Server, ServiceHandle)> = BOTH_MODES
+        .iter()
+        .map(|&mode| {
+            let server = server();
+            let svc = serve(server.clone(), "127.0.0.1:0", mode_opts(mode)).unwrap();
+            (mode, server, svc)
+        })
+        .collect();
+    let mut conns: Vec<ClientConnection> = served
+        .iter()
+        .map(|(_, _, svc)| ClientConnection::connect(svc.local_addr()).unwrap())
+        .collect();
+    let new_sales = "region,brand,revenue\nnorth,a,5\nsouth,b,7\nnorth,c,9\n";
+    for (i, step) in script.iter().enumerate() {
+        let request = match step {
+            Step::Get(path) | Step::GetClose(path) => Request::get(path),
+            Step::Sql(sql) => {
+                Request::new(Method::Post, "/retail/ds/brand_sales/sql").with_body(*sql)
+            }
+            Step::Run => {
+                for server in std::iter::once(&oracle).chain(served.iter().map(|(_, s, _)| s)) {
+                    server
+                        .platform()
+                        .upload_data("retail", "sales.csv", new_sales);
+                }
+                Request::new(Method::Post, "/dashboards/retail/run")
+            }
+        };
+        let want = oracle.handle(&request);
+        let want_stats = oracle.handle(&Request::get("/stats")).body;
+        for ((mode, server, svc), conn) in served.iter().zip(conns.iter_mut()) {
+            let (code, body) = match step {
+                Step::Get(path) => conn.get(path),
+                Step::Sql(sql) => conn.request("POST", "/retail/ds/brand_sales/sql", sql),
+                Step::Run => conn.request("POST", "/dashboards/retail/run", ""),
+                Step::GetClose(path) => conn.request_close("GET", path, ""),
+            }
+            .unwrap();
+            assert_eq!(
+                (code, body.as_str()),
+                (want.status.code(), want.body.as_str()),
+                "{mode:?} step {i}"
+            );
+            let (_, stats) = blocking_get(svc.local_addr(), "/stats").unwrap();
+            assert_eq!(
+                accounting(&stats),
+                accounting(&want_stats),
+                "{mode:?} step {i}"
+            );
+            assert_eq!(
+                trace_shapes(server),
+                trace_shapes(&oracle),
+                "{mode:?} step {i}"
+            );
+        }
+    }
+    // Four hits: the repeated GET and SQL, the GET after the re-run's
+    // miss, and the `Connection: close` one. Only the reactor answers
+    // them on its loop, and a loop-answered root says so.
+    let hits = stat(&oracle.handle(&Request::get("/stats")).body, "cache.hits");
+    assert_eq!(hits, 4);
+    for ((mode, server, mut svc), conn) in served.into_iter().zip(conns) {
+        assert!(conn.server_closed(), "{mode:?}");
+        let (_, stats) = blocking_get(svc.local_addr(), "/stats").unwrap();
+        let inline = stat(&stats, "reactor.answered_inline");
+        let on_loop = server
+            .platform()
+            .tracer()
+            .recent(usize::MAX)
+            .iter()
+            .filter(|t| t.root().unwrap().attr("served_on") == Some(&"loop".into()))
+            .count();
+        match mode {
+            ServeMode::Reactor => {
+                assert_eq!(inline, hits, "{stats}");
+                assert!(on_loop > 0, "a sampled hit says it was served on the loop");
+            }
+            ServeMode::ThreadPerConnection => assert_eq!((inline, on_loop), (0, 0)),
+        }
+        svc.shutdown();
+    }
+}
+
+#[test]
+fn a_long_pipelined_burst_of_hits_is_answered_in_order_and_the_loop_serves_on() {
+    const BURST: usize = 20_000;
+    let targets = [
+        "/retail/ds/brand_sales",
+        "/retail/ds/brand_sales?limit=1",
+        "/retail/ds/brand_sales?offset=1&limit=2",
+        "/retail/ds/brand_sales/sort/brand/desc",
+    ];
+    let server = Server::new(retail_platform(4));
+    let want: Vec<String> = targets
+        .iter()
+        .map(|t| server.handle(&Request::get(t)).body)
+        .collect();
+    let opts = ServeOptions {
+        max_requests_per_connection: BURST + 10,
+        io_timeout: Duration::from_secs(30),
+        idle_timeout: Duration::from_secs(30),
+        ..mode_opts(ServeMode::Reactor)
+    };
+    let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
+    let addr = svc.local_addr();
+    // Warm every page, so the whole burst is hits.
+    let mut warm = ClientConnection::connect(addr).unwrap();
+    for t in &targets {
+        assert_eq!(warm.get(t).unwrap().0, 200);
+    }
+    drop(warm);
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut burst = String::new();
+    for i in 0..BURST {
+        burst.push_str(&format!(
+            "GET {} HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+            targets[i % targets.len()]
+        ));
+    }
+    let mut writer = stream.try_clone().unwrap();
+    let progress = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let reader = {
+        let progress = std::sync::Arc::clone(&progress);
+        let want = want.clone();
+        let mut stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            let mut wire: Vec<u8> = Vec::new();
+            let mut chunk = vec![0u8; 64 * 1024];
+            for i in 0..BURST {
+                let (status, body) = loop {
+                    if let Some(reply) = take_reply(&mut wire) {
+                        break reply;
+                    }
+                    let n = stream
+                        .read(&mut chunk)
+                        .expect("the burst's replies keep coming");
+                    assert!(n > 0, "closed after {i} replies");
+                    wire.extend_from_slice(&chunk[..n]);
+                };
+                assert_eq!(status, 200, "reply {i}");
+                assert_eq!(body, want[i % want.len()], "reply {i} out of order");
+                progress.store(i + 1, std::sync::atomic::Ordering::SeqCst);
+            }
+            assert!(wire.is_empty(), "no reply beyond the burst");
+            stream
+        })
+    };
+    let burst_writer = std::thread::spawn(move || writer.write_all(burst.as_bytes()).unwrap());
+    while progress.load(std::sync::atomic::Ordering::SeqCst) < 100 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Another connection is served while the burst is still going out.
+    let (code, body) = blocking_get(addr, "/retail/ds/brand_sales/sort/brand/desc").unwrap();
+    let during = progress.load(std::sync::atomic::Ordering::SeqCst);
+    assert_eq!((code, body.as_str()), (200, want[3].as_str()));
+    assert!(during < BURST, "answered only after the whole burst");
+    burst_writer.join().unwrap();
+    let mut stream = reader.join().unwrap();
+
+    // The connection serves on after the burst.
+    stream
+        .write_all(b"GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut wire = Vec::new();
+    stream.read_to_end(&mut wire).unwrap();
+    let (status, body) = take_reply(&mut wire).expect("a reply after the burst");
+    assert_eq!((status, body.as_str()), (200, want[0].as_str()));
+
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert!(
+        stat(&stats, "reactor.answered_inline") >= BURST as i64 + 2,
+        "{stats}"
+    );
+    svc.shutdown();
+}
+
+/// Split one `Content-Length` framed reply off the front of `wire`.
+fn take_reply(wire: &mut Vec<u8>) -> Option<(u16, String)> {
+    let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8_lossy(&wire[..head_end]).into_owned();
+    let status = head.split_ascii_whitespace().nth(1)?.parse().ok()?;
+    let len: usize = head
+        .lines()
+        .find_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            name.eq_ignore_ascii_case("content-length")
+                .then(|| value.trim().parse().ok())?
+        })
+        .expect("a Content-Length");
+    let end = head_end + 4 + len;
+    if wire.len() < end {
+        return None;
+    }
+    let body = String::from_utf8(wire[head_end + 4..end].to_vec()).unwrap();
+    wire.drain(..end);
+    Some((status, body))
+}
+
 #[test]
 fn reactor_multiplexes_hundreds_of_idle_connections() {
     let mut svc = retail_service(4, mode_opts(ServeMode::Reactor));
@@ -626,7 +941,10 @@ fn reactor_multiplexes_hundreds_of_idle_connections() {
     assert!(stat(&stats, "reactor.peak_registered") >= 301, "{stats}");
     assert!(stat(&stats, "reactor.wakeups") > 0, "{stats}");
     assert!(stat(&stats, "reactor.ready_events") > 0, "{stats}");
-    assert!(stat(&stats, "reactor.dispatched") >= 51, "{stats}");
+    // The first browse and /stats go to the pool; the 49 repeats are
+    // page-cache hits the loop answers itself.
+    assert_eq!(stat(&stats, "reactor.answered_inline"), 49, "{stats}");
+    assert!(stat(&stats, "reactor.dispatched") >= 2, "{stats}");
     // Zero shedding: no 5xx pseudo-routes were touched.
     assert!(!stats.contains("(rejected)"), "{stats}");
     assert!(!stats.contains("(deadline)"), "{stats}");
@@ -647,6 +965,81 @@ fn reactor_multiplexes_hundreds_of_idle_connections() {
     );
 
     drop(idle);
+    svc.shutdown();
+}
+
+#[test]
+fn reactor_counts_only_the_dispatches_its_pool_accepts() {
+    use shareinsights::engine::ext::FnTask;
+    const NAP: &str = r#"
+D:
+  sales: [region, brand, revenue]
+D.sales:
+  source: 'sales.csv'
+  format: csv
+T:
+  nap:
+    type: nap
+F:
+  +D.out: D.sales | T.nap
+"#;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let naps = std::sync::Arc::new(AtomicUsize::new(0));
+    let platform = retail_platform(4);
+    let napping = std::sync::Arc::clone(&naps);
+    platform
+        .tasks()
+        .register_task(std::sync::Arc::new(FnTask::new(
+            "nap",
+            |schema| Ok(schema.clone()),
+            move |table| {
+                napping.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(500));
+                Ok(table.clone())
+            },
+        )));
+    platform.upload_data("nap", "sales.csv", "region,brand,revenue\nn,b,1\n");
+    platform.save_flow("nap", NAP).unwrap();
+    let opts = ServeOptions {
+        workers: 1,
+        queue_depth: 1,
+        ..mode_opts(ServeMode::Reactor)
+    };
+    let server = Server::new(platform);
+    let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
+    let addr = svc.local_addr();
+    // One run on the worker, one waiting in the queue, then a third
+    // request finds the queue full and is shed with 503.
+    let metrics = server.platform().api_metrics();
+    let run =
+        b"POST /dashboards/nap/run HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+    let wait_for = |what: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !what() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut running = vec![TcpStream::connect(addr).unwrap()];
+    running[0].write_all(run).unwrap();
+    wait_for(&|| naps.load(Ordering::SeqCst) == 1);
+    running.push(TcpStream::connect(addr).unwrap());
+    running[1].write_all(run).unwrap();
+    wait_for(&|| metrics.reactor().dispatched == 2);
+    let (code, body) = blocking_get(addr, "/dashboards").unwrap();
+    assert_eq!(code, 503, "{body}");
+    for mut stream in running {
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+    }
+    // Read in process: a `/stats` request would race its own dispatch.
+    assert_eq!(metrics.routes()["(rejected)"].count, 1);
+    assert_eq!(
+        metrics.reactor().dispatched,
+        2,
+        "the shed request is not one"
+    );
     svc.shutdown();
 }
 
