@@ -337,7 +337,7 @@ pub(crate) mod tests {
 
     /// The fixture `tests/golden/stats.json` was rendered from at the
     /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
-    /// and `reactor.answered_inline` joined it since, and the deleted
+    /// and `reactor.{answered_inline, queued}` joined it since, and the deleted
     /// `shard` family left it.
     fn stats_fixture() -> Vec<Family> {
         let route = RouteStats {
@@ -380,6 +380,7 @@ pub(crate) mod tests {
                 ready_events: 120,
                 epollout_rearms: 3,
                 dispatched: 100,
+                queued: 30,
                 answered_inline: 60,
             }
             .family(),
@@ -508,7 +509,7 @@ pub(crate) mod tests {
 
     /// The fixture `tests/golden/metrics.txt` was rendered from at the
     /// parent commit (`6c16169`), as one snapshot; `index.resident_bytes`
-    /// and `reactor.answered_inline` joined it since, and the deleted
+    /// and `reactor.{answered_inline, queued}` joined it since, and the deleted
     /// `shard` family left it.
     fn metrics_fixture() -> Vec<Family> {
         let route = RouteStats {
@@ -563,6 +564,7 @@ pub(crate) mod tests {
                 ready_events: 25,
                 epollout_rearms: 2,
                 dispatched: 20,
+                queued: 5,
                 answered_inline: 12,
             }
             .family(),
@@ -730,6 +732,7 @@ pub(crate) mod tests {
         assert!(text.contains("shareinsights_reactor_ready_events_total 25"));
         assert!(text.contains("shareinsights_reactor_epollout_rearms_total 2"));
         assert!(text.contains("shareinsights_reactor_dispatched_total 20"));
+        assert!(text.contains("shareinsights_reactor_queued_total 5"));
         assert!(text.contains("shareinsights_reactor_answered_inline_total 12"));
         // Live-stream series.
         assert!(text.contains("shareinsights_stream_subscribers 5"));

@@ -57,16 +57,36 @@ pub struct Handled {
     pub stream: Option<Arc<Subscription>>,
 }
 
-/// How far [`Server::handle_reach`] may go to answer a request.
+/// How far [`Server::handle_reach`] may go to answer a request, and so
+/// where it is served (the root span's `served_on`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reach {
-    /// Answer anything: evaluate, run, ingest, subscribe.
+    /// Answer anything: evaluate, run, ingest, subscribe (`worker`: a
+    /// thread-per-connection worker, or an in-process call).
     Any,
-    /// Answer a page-cache hit and nothing else. Every step before the
-    /// page-cache lookup leaves no trace, so a request that is not a hit
-    /// answers `None` having changed nothing: no cache counter or
-    /// recency, no route metric, no trace, no sampler tick.
+    /// Answer anything, on the reactor thread that parsed the request,
+    /// the poll left for a follower to take meanwhile (`handoff`).
+    Handoff,
+    /// Answer anything, on the reactor thread that took the request off
+    /// the pending queue (`queue`).
+    Queue,
+    /// Answer a page-cache hit and nothing else, on the reactor's
+    /// polling thread (`loop`). Every step before the page-cache lookup
+    /// leaves no trace, so a request that is not a hit answers `None`
+    /// having changed nothing: no cache counter or recency, no route
+    /// metric, no trace, no sampler tick.
     HitOnly,
+}
+
+impl Reach {
+    fn served_on(self) -> &'static str {
+        match self {
+            Reach::Any => "worker",
+            Reach::Handoff => "handoff",
+            Reach::Queue => "queue",
+            Reach::HitOnly => "loop",
+        }
+    }
 }
 
 /// One endpoint's indexed snapshot, stamped with the data generation it
@@ -113,6 +133,10 @@ pub struct Server {
     /// Unstamped (a statement's plan does not depend on the data);
     /// evictions surface as `sql.prepared_evictions`.
     prepared: Arc<Mutex<PreparedStatements>>,
+    /// Per endpoint (dashboard → dataset), the highest generation a page
+    /// was filled at: the hit-only probe's first test
+    /// ([`Server::may_hit`]).
+    filled: Arc<Mutex<HashMap<String, HashMap<String, u64>>>>,
     /// Structured sink for data-plane incidents the hot path would
     /// otherwise swallow (warm-index drops on appends). Defaults to
     /// standard error; [`Server::with_event_log`] redirects it.
@@ -151,6 +175,7 @@ impl Server {
                 PREPARED_CACHE_BYTES,
                 |src, (_, lowered)| prepared_cost(src, lowered),
             ))),
+            filled: Arc::default(),
             event_log: EventLog::stderr(),
             committer: Arc::default(),
         }
@@ -310,13 +335,18 @@ impl Server {
             .expect("Reach::Any answers every request")
     }
 
-    /// [`Server::handle_traced`] within `reach`. Under [`Reach::HitOnly`]
-    /// the root span is provisional until the page cache answers, and the
-    /// root's `served_on` attribute says `loop`.
+    /// [`Server::handle_traced`] within `reach`; the root's `served_on`
+    /// attribute says where (see [`Reach`]). Under [`Reach::HitOnly`] a
+    /// read that cannot be a hit ([`Server::may_hit`]) answers `None`
+    /// before anything is built, and otherwise the root span is
+    /// provisional until the page cache answers.
     pub(crate) fn handle_reach(&self, request: &Request, reach: Reach) -> Option<Handled> {
         let started = Instant::now();
         let label = {
             let segments = request.segments();
+            if reach == Reach::HitOnly && !self.may_hit(&segments) {
+                return None;
+            }
             route_label(request.method, &segments)
         };
         let observability = matches!(
@@ -329,8 +359,8 @@ impl Server {
             let explicit = request.header("x-trace-id").and_then(TraceId::parse);
             let tracer = self.platform.tracer();
             match reach {
-                Reach::Any => tracer.start_trace(label, explicit),
                 Reach::HitOnly => tracer.start_provisional(label, explicit),
+                _ => tracer.start_trace(label, explicit),
             }
         };
         let mut stream = None;
@@ -355,11 +385,7 @@ impl Server {
         if let Some(mut r) = root {
             r.set_attr("path", request.path.as_str());
             r.set_attr("status", i64::from(response.status.code()));
-            let served_on = match reach {
-                Reach::Any => "worker",
-                Reach::HitOnly => "loop",
-            };
-            r.set_attr("served_on", served_on);
+            r.set_attr("served_on", reach.served_on());
             r.finish();
         }
         self.platform
@@ -615,6 +641,40 @@ impl Server {
         }
         self.platform.data_generation(dashboard)
             + self.platform.publish_registry().generation(dataset)
+    }
+
+    /// The hit-only probe's first test: only a query of an endpoint that
+    /// had a page filled at its current generation can be a page-cache
+    /// hit. The first page read after a run, publish or push moved the
+    /// generation fails here, before a span, an op parse, a key or a
+    /// cache lock is built. `_system` fails at once: its generation sits
+    /// behind the telemetry ring's lock. A joined statement's page
+    /// stamps above its endpoint's own generation; that only lets more
+    /// probes through to the full test, and the route table still
+    /// decides what may be answered.
+    fn may_hit(&self, segments: &[&str]) -> bool {
+        let [dashboard, "ds", dataset, ..] = segments else {
+            return false;
+        };
+        if *dashboard == SYSTEM_DASHBOARD {
+            return false;
+        }
+        let filled = (self.filled.lock())
+            .get(*dashboard)
+            .and_then(|datasets| datasets.get(*dataset))
+            .copied();
+        filled.is_some_and(|g| g >= self.live_generation(dashboard, dataset))
+    }
+
+    /// Record that a page of `dashboard/dataset` was filled at `generation`.
+    fn stamp_filled(&self, dashboard: &str, dataset: &str, generation: u64) {
+        let mut filled = self.filled.lock();
+        let stamp = filled
+            .entry(dashboard.to_string())
+            .or_default()
+            .entry(dataset.to_string())
+            .or_default();
+        *stamp = (*stamp).max(generation);
     }
 
     /// One telemetry scrape tick: sample every metric family (the same
@@ -1123,8 +1183,8 @@ impl Server {
         // hit-only request peeks, and counts its hit once the page cache
         // has answered.
         let hit = match reach {
-            Reach::Any => self.prepared.lock().get(src, 0),
             Reach::HitOnly => self.prepared.lock().peek(src, 0),
+            _ => self.prepared.lock().get(src, 0),
         };
         if let Some((table, lowered)) = hit {
             if table != dataset {
@@ -1297,8 +1357,8 @@ impl Server {
         let cached = {
             let mut lookup_span = span.map(|s| s.child("cache_lookup"));
             let cached = match reach {
-                Reach::Any => self.cache.get(&page_key, generation),
                 Reach::HitOnly => self.cache.hit(&page_key, generation),
+                _ => self.cache.get(&page_key, generation),
             };
             if let Some(s) = lookup_span.as_mut() {
                 s.set_attr("hit", cached.is_some());
@@ -1376,6 +1436,7 @@ impl Server {
             s.finish();
         }
         self.cache.put(&page_key, generation, body.clone());
+        self.stamp_filled(dashboard, dataset, generation);
         Some(Response::json(body))
     }
 
@@ -1582,6 +1643,44 @@ F:
             trace.root().unwrap().attr("served_on"),
             Some(&"worker".into())
         );
+    }
+
+    /// The first page read after a generation bump cannot be a hit: the
+    /// stamp test turns the probe away before a root span, an op parse or
+    /// a cache key is built, and the first page filled at the new
+    /// generation lets the next probe through.
+    #[test]
+    fn a_hit_only_probe_stops_at_the_stamp_after_a_generation_bump() {
+        let server = served();
+        let get = Request::get("/retail/ds/brand_sales?limit=1");
+        let may_hit = || server.may_hit(&get.segments());
+        assert!(!may_hit(), "no page filled yet");
+        server.handle(&get);
+        assert!(may_hit());
+        assert!(server.handle_reach(&get, Reach::HitOnly).is_some());
+        reupload(&server);
+        server.handle(&Request::new(Method::Post, "/dashboards/retail/run"));
+        assert!(!may_hit());
+        // A page the stamp does not know of is not even looked up: only
+        // the stamp test stands between this probe and a cached body.
+        let generation = server.live_generation("retail", "brand_sales");
+        server.cache.put(
+            "retail/brand_sales/?offset=0&limit=1",
+            generation,
+            "[]".into(),
+        );
+        let before = footprint(&server);
+        assert!(server.handle_reach(&get, Reach::HitOnly).is_none());
+        assert_eq!(footprint(&server), before);
+        server.cache.clear();
+        server.handle(&get);
+        assert!(may_hit());
+        let hit = server.handle_reach(&get, Reach::HitOnly).expect("a hit");
+        assert_eq!(hit.response.body, server.handle(&get).body);
+        // Shapes that are never a query of a stamped endpoint.
+        for path in ["/retail/ds", "/_system/ds/telemetry", "/dashboards"] {
+            assert!(!server.may_hit(&Request::get(path).segments()), "{path}");
+        }
     }
 
     #[test]

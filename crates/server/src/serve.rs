@@ -60,9 +60,9 @@ pub enum ServeMode {
     /// a worker, so a few thousand quiet dashboards starve the pool.
     #[default]
     ThreadPerConnection,
-    /// One epoll event loop multiplexes every connection and the worker
-    /// pool only executes requests that have fully arrived — idle
-    /// connections cost a table entry, not a thread (see
+    /// One epoll multiplexes every connection, and a pool of threads
+    /// takes turns polling it and runs only requests that have fully
+    /// arrived — idle connections cost a table entry, not a thread (see
     /// [`crate::reactor`]).
     Reactor,
 }
@@ -70,7 +70,8 @@ pub enum ServeMode {
 /// Tuning for [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads handling connections.
+    /// Worker threads handling connections; under the reactor, how many
+    /// requests may run at once (its pool has one thread more).
     pub workers: usize,
     /// Bounded queue depth between the acceptor and the workers; a full
     /// queue means immediate 503s.
@@ -563,10 +564,11 @@ fn stream_blocking(
 /// panic in the handler answered 500 and the thread kept (see
 /// [`Server::contain_panic`]), then the request's `error` /
 /// `slow_request` events. The trace id rides along when the request was
-/// sampled, so a log line links straight to `GET /trace/<id>`. Workers
-/// call it with [`Reach::Any`]; the reactor's loop thread answers a
-/// page-cache hit through it with [`Reach::HitOnly`] (`None` is not a
-/// hit, and left nothing behind).
+/// sampled, so a log line links straight to `GET /trace/<id>`.
+/// Thread-per-connection workers call it with [`Reach::Any`], the
+/// reactor's threads with [`Reach::Handoff`] or [`Reach::Queue`]; the
+/// reactor's polling thread answers a page-cache hit through it with
+/// [`Reach::HitOnly`] (`None` is not a hit, and left nothing behind).
 pub(crate) fn handle_within(
     server: &Server,
     opts: &ServeOptions,
