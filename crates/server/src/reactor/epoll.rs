@@ -20,6 +20,9 @@ pub const EVENT_WRITE: u32 = 0x004;
 pub const EVENT_ERROR: u32 = 0x008;
 /// Peer hangup (`EPOLLHUP`) — always reported, never requested.
 pub const EVENT_HANGUP: u32 = 0x010;
+/// Report the next readiness once, then disable the fd until it is
+/// modified again (`EPOLLONESHOT`).
+pub const EVENT_ONESHOT: u32 = 1 << 30;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
@@ -74,6 +77,14 @@ fn cvt(ret: i32) -> io::Result<i32> {
 /// An owned epoll instance.
 pub struct Epoll {
     fd: OwnedFd,
+}
+
+impl AsRawFd for Epoll {
+    /// An epoll instance is itself pollable: it reads as ready while any
+    /// fd registered with it is.
+    fn as_raw_fd(&self) -> RawFd {
+        self.fd.as_raw_fd()
+    }
 }
 
 impl Epoll {
