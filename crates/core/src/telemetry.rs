@@ -608,11 +608,10 @@ impl IndexStats {
     }
 }
 
-/// Event-loop statistics from the epoll reactor serving mode: how many
-/// connections the readiness loop is multiplexing, how often it wakes,
-/// how much readiness each wakeup delivers, and how often socket-level
-/// write backpressure forced an `EPOLLOUT` re-arm. All zeros under the
-/// thread-per-connection mode.
+/// Event-loop statistics from the epoll reactor: how many connections
+/// the readiness loop is multiplexing, how often it wakes, how much
+/// readiness each wakeup delivers, and how often socket-level write
+/// backpressure forced an `EPOLLOUT` re-arm.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Connections currently registered with the event loop (gauge).

@@ -66,7 +66,7 @@ pub enum Status {
     RequestHeaderFieldsTooLarge,
     /// 500 — the request's handler panicked.
     InternalServerError,
-    /// 503 — worker queue full or per-request deadline exceeded.
+    /// 503 — pending queue full or queue deadline exceeded.
     ServiceUnavailable,
 }
 

@@ -2,7 +2,7 @@
 //! record-aligned segments to parallel decode workers.
 //!
 //! The `POST /dashboards/:name/ds/:dataset/ingest` route appends rows to
-//! an endpoint dataset without re-running its flow. Both serve modes hand
+//! an endpoint dataset without re-running its flow. The reactor hands
 //! the request body to an [`IngestSession`] *as it arrives* (via
 //! [`crate::wire::BodyReader`]), so a multi-gigabyte upload never holds
 //! more than a bounded window in memory:
@@ -607,7 +607,7 @@ impl StreamedIngest {
     /// Commit the ingest and produce its response (the body is
     /// complete). Records the per-route metric and finishes the trace. A
     /// panic while finishing is answered 500 and metered under the
-    /// `(panic)` pseudo-route; the calling worker serves on.
+    /// `(panic)` pseudo-route; the calling thread serves on.
     pub fn finish(mut self) -> Response {
         let Some(session) = self.session.take() else {
             // `take_early` should have drained this request first.

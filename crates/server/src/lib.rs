@@ -23,8 +23,8 @@
 //! | `GET /trace/recent` | recent span trees (`?limit=`) |
 //! | `GET /trace/<id>` | one trace by hex id (`X-Trace-Id` to set it) |
 //!
-//! [`serve()`] puts the router behind a real `TcpListener` with a bounded
-//! worker pool (see [`serve::ServeOptions`]). Connections are persistent
+//! [`serve()`] puts the router behind a real `TcpListener`, served by the
+//! epoll reactor (see [`serve::ServeOptions`]). Connections are persistent
 //! (HTTP/1.1 keep-alive, bounded per-connection request counts and idle
 //! windows); [`ClientConnection`] is the matching persistent client. Query
 //! results are cached in a generation-stamped, hash-sharded [`QueryCache`]

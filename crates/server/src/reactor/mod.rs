@@ -1,14 +1,11 @@
 //! The event-driven serving core: one epoll, many connections, and one
 //! pool of threads that take turns polling it.
 //!
-//! `serve_reactor` is the [`ServeMode::Reactor`](crate::serve::ServeMode)
-//! implementation behind [`crate::serve()`]. Where the thread-per-connection
-//! mode parks a worker thread on every open socket — so 2 000 idle
-//! keep-alive dashboards wedge a 4-thread pool solid — the reactor
-//! registers every connection with a single `Epoll` instance. Idle
-//! connections cost one table entry; a thread is spent only on a request
-//! that has fully arrived, and a page-cache hit costs none: it is answered
-//! where it was parsed.
+//! `serve_reactor` is what [`crate::serve()`] runs. It registers every
+//! connection with a single `Epoll` instance, so an idle keep-alive
+//! dashboard costs one table entry, not a thread; a thread is spent only
+//! on a request that has fully arrived, and a page-cache hit costs none:
+//! it is answered where it was parsed.
 //!
 //! Shape of the pool (Leader/Followers, DESIGN.md §5.24): `workers + 1`
 //! threads take turns holding the `Reactor`. The *leader* polls, parses
@@ -43,11 +40,10 @@
 //!   chunk budget never sits fully framed in memory; a partial write
 //!   re-arms the connection for `EPOLLOUT` instead of blocking anything.
 //!
-//! Timeout semantics are byte-for-byte those of the blocking mode —
-//! idle connections close silently (`idle_timeouts`), a mid-head stall
-//! closes silently under the `(timeout)` pseudo-route, a mid-body stall
-//! answers 408 first — enforced by a periodic deadline sweep instead of
-//! socket timeouts (nonblocking sockets never block to time out). The
+//! Timeouts: idle connections close silently (`idle_timeouts`), a
+//! mid-head stall closes silently under the `(timeout)` pseudo-route, a
+//! mid-body stall answers 408 first — enforced by a periodic deadline
+//! sweep (nonblocking sockets never block to time out). The
 //! sweep runs on the polling thread: while the reactor waits in the seat
 //! and no socket stirs, a deadline can pass unenforced until the request
 //! that holds the seat ends.
@@ -159,12 +155,12 @@ pub(crate) fn serve_reactor(
             std::thread::spawn(move || pool.serve())
         })
         .collect();
-    Ok(ServiceHandle::new(
-        bound,
-        Arc::clone(&pool.stop),
+    Ok(ServiceHandle {
+        addr: bound,
+        stop: Arc::clone(&pool.stop),
         threads,
-        Some(waker),
-    ))
+        waker,
+    })
 }
 
 /// What the pool's threads share.
@@ -606,8 +602,8 @@ impl Reactor {
                         ReadProgress::Read(_) => self.try_dispatch(token),
                         ReadProgress::WouldBlock => {}
                         ReadProgress::Eof => {
-                            // Same split as the blocking loop: a clean quiet close
-                            // just goes away; a half-sent request gets 400 first.
+                            // A clean quiet close just goes away; a
+                            // half-sent request gets 400 first.
                             if self.conns.get(&token).is_some_and(|c| !c.buf.is_empty()) {
                                 self.metrics.record(ROUTE_MALFORMED, false, 0);
                                 self.respond_and_close(
@@ -777,8 +773,8 @@ impl Reactor {
     }
 
     /// Answer a job no thread can take, the pending queue being full, with
-    /// 503 at once: the blocking acceptor's shedding contract. An ingest's
-    /// decoded body is dropped with it and the endpoint stays unchanged.
+    /// 503 at once (load shedding). An ingest's decoded body is dropped
+    /// with it and the endpoint stays unchanged.
     fn shed(&mut self, job: Job) {
         if let Work::IngestFinish(ingest) = job.work {
             ingest.abort(None);
@@ -1120,8 +1116,8 @@ impl Reactor {
         }
     }
 
-    /// Enforce idle and io deadlines — the nonblocking analog of the
-    /// blocking mode's socket timeouts, with identical classification.
+    /// Enforce idle and io deadlines — the nonblocking analog of socket
+    /// timeouts.
     fn sweep(&mut self) {
         let now = Instant::now();
         let mut idle = Vec::new();
@@ -1141,7 +1137,7 @@ impl Reactor {
                     }
                 }
                 // A response the peer will not read: give up quietly, as
-                // the blocking mode's write timeout does.
+                // a write timeout would.
                 ConnState::Writing => {
                     if quiet > self.opts.io_timeout {
                         broken.push(token);

@@ -61,8 +61,8 @@ pub struct Handled {
 /// where it is served (the root span's `served_on`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reach {
-    /// Answer anything: evaluate, run, ingest, subscribe (`worker`: a
-    /// thread-per-connection worker, or an in-process call).
+    /// Answer anything: evaluate, run, ingest, subscribe (`in_process`:
+    /// a direct [`Server::handle`] call).
     Any,
     /// Answer anything, on the reactor thread that parsed the request,
     /// the poll left for a follower to take meanwhile (`handoff`).
@@ -81,7 +81,7 @@ pub(crate) enum Reach {
 impl Reach {
     fn served_on(self) -> &'static str {
         match self {
-            Reach::Any => "worker",
+            Reach::Any => "in_process",
             Reach::Handoff => "handoff",
             Reach::Queue => "queue",
             Reach::HitOnly => "loop",
@@ -1641,7 +1641,7 @@ F:
         let trace = by_loop.platform.tracer().recent(1).remove(0);
         assert_eq!(
             trace.root().unwrap().attr("served_on"),
-            Some(&"worker".into())
+            Some(&"in_process".into())
         );
     }
 

@@ -1,10 +1,13 @@
 //! The TCP front end: a real socket server over the in-process router.
 //!
-//! A [`std::net::TcpListener`] accepts connections and hands them to a
-//! fixed pool of worker threads through a *bounded* queue. When the queue
-//! is full the accept loop answers 503 immediately instead of letting the
-//! backlog grow (load shedding), and a connection that waited in the queue
-//! past its deadline is also answered 503 without being parsed. Both
+//! [`serve`] binds a listener and serves every connection through the
+//! event-driven core in [`crate::reactor`]: one epoll holds every open
+//! socket, and a pool of threads takes turns polling it and runs only
+//! requests that have fully arrived. A request that finds no thread free
+//! waits on a bounded pending queue. When that queue is full the request
+//! is answered 503 at once instead of letting the backlog grow (load
+//! shedding), and one that waited in it past
+//! [`ServeOptions::deadline`] is also answered 503 without being run. Both
 //! conditions are visible in `/stats` under the `(rejected)` and
 //! `(deadline)` pseudo-routes.
 //!
@@ -13,12 +16,10 @@
 //! notably `X-Trace-Id` — is passed through to the router), optional body.
 //! Connections are **persistent**: HTTP/1.1 requests keep the connection
 //! open by default (HTTP/1.0 only with an explicit `Connection:
-//! keep-alive`), a worker loops reading requests off the same socket until
-//! the client sends `Connection: close`, goes idle past
-//! [`ServeOptions::idle_timeout`], or exhausts
+//! keep-alive`), until the client sends `Connection: close`, goes idle
+//! past [`ServeOptions::idle_timeout`], or exhausts
 //! [`ServeOptions::max_requests_per_connection`]. Pipelined requests are
-//! handled in order: bytes past the current request's body carry over into
-//! the next parse. A client that stalls *mid-request* past
+//! answered in order. A client that stalls *mid-request* past
 //! [`ServeOptions::io_timeout`] is counted under the `(timeout)`
 //! pseudo-route and — when its request head already parsed — answered 408
 //! before the close.
@@ -30,64 +31,51 @@
 //! "slow_request"`), each carrying the trace id when the request was
 //! sampled.
 
-use crate::http::{Request, Response, Status};
-use crate::ingest::StreamedIngest;
-use crate::metrics::{route_label, ROUTE_DEADLINE, ROUTE_MALFORMED, ROUTE_REJECTED, ROUTE_TIMEOUT};
+use crate::http::Request;
+use crate::metrics::route_label;
 use crate::router::{Handled, Reach, Server};
-use crate::wire::{
-    self, dechunk, find_head_end, KeepAliveTerms, Parsed, ParsedHead, ResponseStream, WireLimits,
-};
+use crate::wire::{self, dechunk, find_head_end, WireLimits};
 use shareinsights_core::trace::{AttrValue, EventLog};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-/// Which serving architecture [`serve`] runs. Request semantics — framing,
-/// keep-alive terms, timeout classification, caches, tracing — are
-/// identical in both; the modes differ only in how connections map onto
-/// threads.
+/// Inert: [`serve`] never reads it; every connection is served by the
+/// reactor. Kept only so the benchmark crate compiles until its next
+/// revision drops it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeMode {
-    /// A pooled worker thread owns each connection for its whole life.
-    /// Simple and predictable, but every idle keep-alive connection pins
-    /// a worker, so a few thousand quiet dashboards starve the pool.
-    #[default]
+    /// Served by the reactor, like [`ServeMode::Reactor`].
     ThreadPerConnection,
-    /// One epoll multiplexes every connection, and a pool of threads
-    /// takes turns polling it and runs only requests that have fully
-    /// arrived — idle connections cost a table entry, not a thread (see
-    /// [`crate::reactor`]).
+    /// The event-driven core in [`crate::reactor`].
+    #[default]
     Reactor,
 }
 
 /// Tuning for [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads handling connections; under the reactor, how many
-    /// requests may run at once (its pool has one thread more).
+    /// How many requests may run at once. The pool has one thread more,
+    /// so one can poll while the others run requests.
     pub workers: usize,
-    /// Bounded queue depth between the acceptor and the workers; a full
-    /// queue means immediate 503s.
+    /// How many requests may wait on the pending queue when no thread is
+    /// free; a request beyond it is answered 503 at once.
     pub queue_depth: usize,
-    /// Maximum time a connection may wait in the queue before it is
-    /// answered 503 instead of being served.
+    /// Longest a request may wait on the pending queue; one that waited
+    /// longer is answered 503 instead of being run.
     pub deadline: Duration,
-    /// Socket read/write timeout *within* a request (guards against
-    /// clients that stall mid-head or mid-body).
+    /// How long a connection may stall *within* a request (mid-head or
+    /// mid-body) or leave a response unread.
     pub io_timeout: Duration,
     /// How long a kept-alive connection may sit idle *between* requests
     /// before the server closes it quietly.
     pub idle_timeout: Duration,
     /// Requests served on one connection before the server answers the
-    /// last one with `Connection: close` (bounds how long a worker can be
-    /// owned by a single client).
+    /// last one with `Connection: close`.
     pub max_requests_per_connection: usize,
     /// Requests whose handling latency meets or exceeds this threshold are
     /// written to [`ServeOptions::event_log`] as `slow_request` events
@@ -97,7 +85,8 @@ pub struct ServeOptions {
     /// Where `slow_request` / `error` events go (JSON lines). Defaults to
     /// standard error.
     pub event_log: EventLog,
-    /// Serving architecture (see [`ServeMode`]).
+    /// Inert: [`serve`] never reads it. Kept only so the benchmark crate
+    /// compiles until its next revision drops the field.
     pub serve_mode: ServeMode,
     /// Responses whose body exceeds this many bytes are framed with
     /// `Transfer-Encoding: chunked`, buffering at most one budget-sized
@@ -129,7 +118,7 @@ impl Default for ServeOptions {
             max_requests_per_connection: 128,
             slow_request_threshold: None,
             event_log: EventLog::stderr(),
-            serve_mode: ServeMode::ThreadPerConnection,
+            serve_mode: ServeMode::default(),
             chunk_budget: None,
             limits: WireLimits::default(),
             scrape_interval: None,
@@ -138,49 +127,28 @@ impl Default for ServeOptions {
     }
 }
 
-struct Job {
-    stream: TcpStream,
-    accepted: Instant,
-}
-
 /// A running service; dropping it (or calling [`ServiceHandle::shutdown`])
-/// stops the acceptor and joins the workers.
+/// stops the pool and joins its threads.
 pub struct ServiceHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    /// Reactor-mode wake handle: one byte pops the event loop out of
-    /// `epoll_wait`, so shutdown is prompt instead of waiting out a poll
-    /// interval.
-    waker: Option<UnixStream>,
+    pub(crate) addr: SocketAddr,
+    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) threads: Vec<JoinHandle<()>>,
+    /// One byte pops the polling thread out of `epoll_wait`, so shutdown
+    /// is prompt instead of waiting out a poll interval.
+    pub(crate) waker: UnixStream,
 }
 
 impl ServiceHandle {
-    pub(crate) fn new(
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        threads: Vec<JoinHandle<()>>,
-        waker: Option<UnixStream>,
-    ) -> ServiceHandle {
-        ServiceHandle {
-            addr,
-            stop,
-            threads,
-            waker,
-        }
-    }
-
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stop accepting, drain the queue, and join every thread. Idempotent.
+    /// Stop accepting, let the pending requests run, and join every
+    /// thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            let _ = (&*waker).write(&[1]);
-        }
+        let _ = (&self.waker).write(&[1]);
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
@@ -193,21 +161,16 @@ impl Drop for ServiceHandle {
     }
 }
 
-/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve `server` in the
-/// architecture [`ServeOptions::serve_mode`] selects. With
-/// [`ServeOptions::scrape_interval`] set, a telemetry scraper thread rides
-/// along on the handle — same lifecycle as the serving threads, in either
-/// mode.
+/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve `server` through the
+/// reactor. With [`ServeOptions::scrape_interval`] set, a telemetry
+/// scraper thread rides along on the handle, with the same lifecycle as
+/// the serving threads.
 pub fn serve(server: Server, addr: &str, options: ServeOptions) -> io::Result<ServiceHandle> {
-    // Both serve modes share the router, so pointing data-plane events
-    // at the serve log here once covers them equally.
+    // Data-plane events go to the serve log too.
     let server = server.with_event_log(options.event_log.clone());
     let scrape_interval = options.scrape_interval;
     let scraper_server = scrape_interval.map(|_| server.clone());
-    let mut handle = match options.serve_mode {
-        ServeMode::ThreadPerConnection => serve_threads(server, addr, options),
-        ServeMode::Reactor => crate::reactor::serve_reactor(server, addr, options),
-    }?;
+    let mut handle = crate::reactor::serve_reactor(server, addr, options)?;
     if let (Some(interval), Some(server)) = (scrape_interval, scraper_server) {
         let stop = Arc::clone(&handle.stop);
         handle.threads.push(std::thread::spawn(move || {
@@ -231,344 +194,15 @@ fn scraper_loop(server: &Server, interval: Duration, stop: &AtomicBool) {
     }
 }
 
-/// The [`ServeMode::ThreadPerConnection`] implementation: a bounded queue
-/// between one acceptor and a pool of workers that each own a connection
-/// at a time.
-fn serve_threads(server: Server, addr: &str, options: ServeOptions) -> io::Result<ServiceHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = sync_channel::<Job>(options.queue_depth.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut workers = Vec::with_capacity(options.workers.max(1));
-    for _ in 0..options.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let stop = Arc::clone(&stop);
-        let server = server.clone();
-        let opts = options.clone();
-        workers.push(std::thread::spawn(move || {
-            worker_loop(&server, &rx, &opts, &stop)
-        }));
-    }
-
-    let acceptor = {
-        let stop = Arc::clone(&stop);
-        let server = server.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
-                        // Responses are written in one buffer, so Nagle only
-                        // adds delayed-ACK stalls on persistent connections.
-                        let _ = stream.set_nodelay(true);
-                        match tx.try_send(Job {
-                            stream,
-                            accepted: Instant::now(),
-                        }) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(job)) => {
-                                server
-                                    .platform()
-                                    .api_metrics()
-                                    .record(ROUTE_REJECTED, false, 0);
-                                let resp =
-                                    Response::error(Status::ServiceUnavailable, "queue full");
-                                let _ = write_response(&job.stream, resp, None, None);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-            // End every live stream so parked subscription writers wake
-            // promptly; tx drops here and workers drain the queue.
-            server.stream_hub().close_all();
-        })
-    };
-
-    let mut threads = vec![acceptor];
-    threads.append(&mut workers);
-    Ok(ServiceHandle::new(bound, stop, threads, None))
-}
-
-fn worker_loop(server: &Server, rx: &Mutex<Receiver<Job>>, opts: &ServeOptions, stop: &AtomicBool) {
-    loop {
-        // Hold the lock only while dequeuing, not while handling.
-        let job = match rx.lock().recv() {
-            Ok(job) => job,
-            Err(_) => return, // acceptor gone and queue drained
-        };
-        let waited = job.accepted.elapsed();
-        if waited > opts.deadline {
-            server.platform().api_metrics().record(
-                ROUTE_DEADLINE,
-                false,
-                waited.as_micros() as u64,
-            );
-            let resp = Response::error(Status::ServiceUnavailable, "deadline exceeded in queue");
-            let _ = write_response(&job.stream, resp, None, None);
-            continue;
-        }
-        handle_connection(server, &job.stream, opts, stop);
-    }
-}
-
-/// Serve requests off one connection until it closes: the keep-alive loop.
-fn handle_connection(server: &Server, stream: &TcpStream, opts: &ServeOptions, stop: &AtomicBool) {
-    let metrics = server.platform().api_metrics();
-    metrics.record_conn_accepted();
-    let _ = stream.set_write_timeout(Some(opts.io_timeout));
-    let max_requests = opts.max_requests_per_connection.max(1) as u64;
-    let mut carry: Vec<u8> = Vec::with_capacity(1024);
-    let mut served: u64 = 0;
-    loop {
-        match read_request(stream, &mut carry, opts) {
-            ReadOutcome::Request(request, client_keep_alive) => {
-                served += 1;
-                let keep = client_keep_alive && served < max_requests;
-                let handled = handle_within(server, opts, &request, Reach::Any)
-                    .expect("Reach::Any answers every request");
-                if let Some(sub) = handled.stream {
-                    // The connection switches into SSE streaming mode and
-                    // never returns to request/response service.
-                    stream_blocking(server, stream, &sub, stop);
-                    server.stream_hub().unsubscribe(&sub);
-                    server.platform().api_metrics().record_stream_unsubscribe();
-                    break;
-                }
-                let response = handled.response;
-                let remaining = max_requests - served;
-                let header = keep.then_some(KeepAliveTerms {
-                    timeout: opts.idle_timeout,
-                    max: remaining,
-                });
-                if write_response(stream, response, header, opts.chunk_budget).is_err() || !keep {
-                    break;
-                }
-            }
-            ReadOutcome::StreamedBody(head) => {
-                served += 1;
-                let keep = head.keep_alive && served < max_requests;
-                match stream_ingest_body(server, stream, &mut carry, &head, opts) {
-                    StreamedResult::Respond { response, close } => {
-                        let keep = keep && !close;
-                        let remaining = max_requests - served;
-                        let header = keep.then_some(KeepAliveTerms {
-                            timeout: opts.idle_timeout,
-                            max: remaining,
-                        });
-                        if write_response(stream, response, header, opts.chunk_budget).is_err()
-                            || !keep
-                        {
-                            break;
-                        }
-                    }
-                    StreamedResult::Hangup => break,
-                }
-            }
-            ReadOutcome::Closed => break,
-            ReadOutcome::IdleTimeout => {
-                // The client simply went quiet between requests; close
-                // without fanfare (it is not an error on any route).
-                metrics.record_idle_timeout();
-                break;
-            }
-            ReadOutcome::TimedOutMidHead => {
-                // Bytes arrived but the head never completed: there is no
-                // parseable request to answer, so just account and close.
-                metrics.record(ROUTE_TIMEOUT, false, 0);
-                metrics.record_io_timeout();
-                break;
-            }
-            ReadOutcome::TimedOutMidBody => {
-                // The head parsed, so the client speaks HTTP — tell it what
-                // happened before closing.
-                metrics.record(ROUTE_TIMEOUT, false, 0);
-                metrics.record_io_timeout();
-                let resp =
-                    Response::error(Status::RequestTimeout, "timed out reading request body");
-                let _ = write_response(stream, resp, None, opts.chunk_budget);
-                break;
-            }
-            ReadOutcome::Bad(status, message) => {
-                metrics.record(ROUTE_MALFORMED, false, 0);
-                let resp = Response::error(status, message);
-                let _ = write_response(stream, resp, None, opts.chunk_budget);
-                break;
-            }
-        }
-    }
-    metrics.record_conn_closed(served);
-}
-
-/// How a streamed-body request ended.
-enum StreamedResult {
-    /// Send `response`; `close` forces `Connection: close` (the body was
-    /// not fully drained, so the stream cannot be resynchronised).
-    Respond { response: Response, close: bool },
-    /// The peer is gone (disconnect mid-body); nothing to send.
-    Hangup,
-}
-
-/// Drain one streamed request body into an ingest pipeline: feed bytes
-/// already read past the head, then keep reading the socket under
-/// `io_timeout` until the body framing says done. Memory stays bounded —
-/// only the de-framer window and the pipeline's bounded segment queue are
-/// ever held. Leftover bytes past the body stay in `carry` for the next
-/// pipelined request.
-fn stream_ingest_body(
-    server: &Server,
-    mut stream: &TcpStream,
-    carry: &mut Vec<u8>,
-    head: &ParsedHead,
-    opts: &ServeOptions,
-) -> StreamedResult {
-    let metrics = server.platform().api_metrics();
-    let mut ingest = StreamedIngest::begin(server, head, &opts.limits);
-    if let Some(response) = ingest.take_early() {
-        return StreamedResult::Respond {
-            response,
-            close: true,
-        };
-    }
-    loop {
-        if !carry.is_empty() {
-            match ingest.feed(carry) {
-                Ok(consumed) => {
-                    carry.drain(..consumed);
-                }
-                Err(response) => {
-                    return StreamedResult::Respond {
-                        response,
-                        close: true,
-                    }
-                }
-            }
-        }
-        if ingest.body_complete() {
-            break;
-        }
-        let _ = stream.set_read_timeout(Some(opts.io_timeout));
-        let mut chunk = [0u8; 65536];
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Disconnect mid-body: abort with the endpoint unchanged.
-                ingest.abort(None);
-                metrics.record(ROUTE_MALFORMED, false, 0);
-                return StreamedResult::Hangup;
-            }
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                // Same classification as a buffered mid-body stall: the
-                // head parsed, so answer 408 before closing.
-                ingest.abort(Some(Status::RequestTimeout));
-                metrics.record(ROUTE_TIMEOUT, false, 0);
-                metrics.record_io_timeout();
-                return StreamedResult::Respond {
-                    response: Response::error(
-                        Status::RequestTimeout,
-                        "timed out reading request body",
-                    ),
-                    close: true,
-                };
-            }
-            Err(e) => {
-                ingest.abort(None);
-                return StreamedResult::Respond {
-                    response: Response::error(Status::BadRequest, format!("read error: {e}")),
-                    close: true,
-                };
-            }
-        }
-    }
-    StreamedResult::Respond {
-        response: ingest.finish(),
-        close: false,
-    }
-}
-
-/// Drive one SSE subscription over a blocking socket (thread-per-
-/// connection mode): write the fixed stream head, then park on the
-/// subscription's condvar and write whatever frames it yields, probing
-/// the socket for client disconnect between waits. Returns when the
-/// subscription ends (close/eviction), the client disconnects, the
-/// socket errors, or the service is stopping.
-fn stream_blocking(
-    server: &Server,
-    mut stream: &TcpStream,
-    sub: &Arc<crate::stream::Subscription>,
-    stop: &AtomicBool,
-) {
-    use crate::stream::SubscriptionEnd;
-    if stream.write_all(wire::sse_head()).is_err() {
-        sub.close();
-        return;
-    }
-    let _ = stream.flush();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            sub.close();
-        }
-        let (frames, end) = sub.wait_frames(Duration::from_millis(100));
-        for frame in &frames {
-            if stream.write_all(frame).is_err() {
-                sub.close();
-                return;
-            }
-        }
-        if !frames.is_empty() {
-            let _ = stream.flush();
-        }
-        match end {
-            SubscriptionEnd::Open => {}
-            SubscriptionEnd::Closed | SubscriptionEnd::Evicted => {
-                if end == SubscriptionEnd::Evicted {
-                    server.platform().api_metrics().record_stream_dropped();
-                }
-                let _ = stream.write_all(wire::sse_done());
-                let _ = stream.flush();
-                return;
-            }
-        }
-        if frames.is_empty() {
-            // Nothing arrived this wait: probe for client disconnect so
-            // an abandoned subscriber doesn't pin a worker forever. A
-            // timeout just means the client is (correctly) quiet.
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
-            let mut probe = [0u8; 16];
-            match stream.read(&mut probe) {
-                Ok(0) => {
-                    sub.close();
-                    return;
-                }
-                Ok(_) => {} // clients have nothing valid to say mid-stream
-                Err(e) if is_timeout(&e) => {}
-                Err(_) => {
-                    sub.close();
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// Handle one request within `reach`: [`Server::handle_traced`], with a
 /// panic in the handler answered 500 and the thread kept (see
 /// [`Server::contain_panic`]), then the request's `error` /
 /// `slow_request` events. The trace id rides along when the request was
 /// sampled, so a log line links straight to `GET /trace/<id>`.
-/// Thread-per-connection workers call it with [`Reach::Any`], the
-/// reactor's threads with [`Reach::Handoff`] or [`Reach::Queue`]; the
-/// reactor's polling thread answers a page-cache hit through it with
-/// [`Reach::HitOnly`] (`None` is not a hit, and left nothing behind).
+/// The reactor's polling thread answers a page-cache hit through it with
+/// [`Reach::HitOnly`] (`None` is not a hit, and left nothing behind);
+/// the thread that runs any other request calls it with
+/// [`Reach::Handoff`] or [`Reach::Queue`].
 pub(crate) fn handle_within(
     server: &Server,
     opts: &ServeOptions,
@@ -612,108 +246,11 @@ pub(crate) fn handle_within(
     Some(handled)
 }
 
-/// What reading the next request off a persistent connection produced.
-enum ReadOutcome {
-    /// A complete request, plus whether the client permits keep-alive.
-    Request(Request, bool),
-    /// A complete *head* for a streaming route: the body is still (partly)
-    /// on the wire and the caller drains it through a [`StreamedIngest`].
-    /// `carry` holds whatever body bytes were already read.
-    StreamedBody(Box<ParsedHead>),
-    /// Peer closed cleanly before sending any byte of a new request.
-    Closed,
-    /// No byte of a new request arrived within the idle window.
-    IdleTimeout,
-    /// The socket timed out after some head bytes arrived.
-    TimedOutMidHead,
-    /// The socket timed out after the head parsed, mid-body.
-    TimedOutMidBody,
-    /// Unacceptable request: answer `status` with the message and close
-    /// (400 for malformed, 431 for an oversized head).
-    Bad(Status, String),
-}
-
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
-}
-
-/// Parse one HTTP/1.1 request off the socket via the shared incremental
-/// parser. `carry` holds bytes already read past the previous request
-/// (pipelining); on success it is left holding any bytes past this
-/// request's body. The first byte of a new request is allowed the
-/// (usually longer) idle window; once the request has started, the
-/// stricter io_timeout applies.
-fn read_request(mut stream: &TcpStream, carry: &mut Vec<u8>, opts: &ServeOptions) -> ReadOutcome {
-    loop {
-        // Streaming routes take over as soon as the head parses: the body
-        // is handed to the handler window by window instead of being
-        // buffered whole (and so is exempt from the buffered-body cap).
-        if let wire::HeadParsed::Head(head) = wire::try_parse_head(carry, &opts.limits) {
-            if crate::ingest::wants_streaming(&head) {
-                carry.drain(..head.consumed);
-                return ReadOutcome::StreamedBody(head);
-            }
-        }
-        let head_complete = match wire::try_parse(carry, &opts.limits) {
-            Parsed::Complete(p) => {
-                carry.drain(..p.consumed);
-                return ReadOutcome::Request(p.request, p.keep_alive);
-            }
-            Parsed::Error { status, message } => return ReadOutcome::Bad(status, message),
-            Parsed::Incomplete { head_complete } => head_complete,
-        };
-        let started = !carry.is_empty();
-        let timeout = if started {
-            opts.io_timeout
-        } else {
-            opts.idle_timeout
-        };
-        let _ = stream.set_read_timeout(Some(timeout));
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) if started => {
-                return ReadOutcome::Bad(
-                    Status::BadRequest,
-                    "connection closed mid-request".to_string(),
-                )
-            }
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                return if head_complete {
-                    ReadOutcome::TimedOutMidBody
-                } else if started {
-                    ReadOutcome::TimedOutMidHead
-                } else {
-                    ReadOutcome::IdleTimeout
-                }
-            }
-            Err(_) if !started => return ReadOutcome::Closed,
-            Err(e) => return ReadOutcome::Bad(Status::BadRequest, format!("read error: {e}")),
-        }
-    }
-}
-
-/// Write one response through the shared [`ResponseStream`] framer. `keep`
-/// carries the keep-alive terms when the connection stays open; `None`
-/// announces `Connection: close`. With a chunk budget, large bodies go out
-/// chunked a bounded buffer at a time; small responses stay the classic
-/// one-buffer write (which sidesteps Nagle/delayed-ACK stalls).
-fn write_response(
-    mut stream: &TcpStream,
-    resp: Response,
-    keep: Option<KeepAliveTerms>,
-    chunk_budget: Option<usize>,
-) -> io::Result<()> {
-    let mut response = ResponseStream::new(resp, keep, chunk_budget);
-    let mut out = Vec::new();
-    while response.next_wire(&mut out) {
-        stream.write_all(&out)?;
-    }
-    stream.flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -1221,29 +758,26 @@ mod tests {
     }
 
     #[test]
-    fn scraper_thread_fills_system_history_in_both_modes() {
-        for mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-            let platform = Platform::new();
-            platform.create_dashboard("demo").unwrap();
-            let opts = ServeOptions {
-                scrape_interval: Some(Duration::from_millis(20)),
-                serve_mode: mode,
-                ..ServeOptions::default()
-            };
-            let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).expect("bind");
-            let mut populated = false;
-            for _ in 0..200 {
-                let (code, body) = blocking_get(svc.local_addr(), "/_system/ds/telemetry").unwrap();
-                assert_eq!(code, 200, "{body}");
-                if !body.contains("\"total_rows\": 0") {
-                    populated = true;
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
+    fn scraper_thread_fills_system_history() {
+        let platform = Platform::new();
+        platform.create_dashboard("demo").unwrap();
+        let opts = ServeOptions {
+            scrape_interval: Some(Duration::from_millis(20)),
+            ..ServeOptions::default()
+        };
+        let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).expect("bind");
+        let mut populated = false;
+        for _ in 0..200 {
+            let (code, body) = blocking_get(svc.local_addr(), "/_system/ds/telemetry").unwrap();
+            assert_eq!(code, 200, "{body}");
+            if !body.contains("\"total_rows\": 0") {
+                populated = true;
+                break;
             }
-            assert!(populated, "scraper fills the history ring ({mode:?})");
-            svc.shutdown();
+            std::thread::sleep(Duration::from_millis(10));
         }
+        assert!(populated, "scraper fills the history ring");
+        svc.shutdown();
     }
 
     #[test]
@@ -1254,43 +788,5 @@ mod tests {
         svc.shutdown();
         drop(svc);
         assert!(TcpStream::connect(addr).is_err() || blocking_get(addr, "/dashboards").is_err());
-    }
-
-    #[test]
-    fn queue_overflow_returns_503() {
-        // One worker, depth-1 queue, and the worker is wedged on a slow
-        // client that never sends its head — so the queue fills and the
-        // acceptor starts shedding.
-        let platform = Platform::new();
-        let server = Server::new(platform);
-        let opts = ServeOptions {
-            workers: 1,
-            queue_depth: 1,
-            deadline: Duration::from_secs(30),
-            io_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(10),
-            ..ServeOptions::default()
-        };
-        let mut svc = serve(server, "127.0.0.1:0", opts).expect("bind");
-        let addr = svc.local_addr();
-        // Wedge the worker + fill the queue with idle connections.
-        let _wedge: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        std::thread::sleep(Duration::from_millis(100));
-        // Subsequent connections are rejected fast.
-        let mut saw_503 = false;
-        for _ in 0..5 {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_millis(500)))
-                .unwrap();
-            let mut out = String::new();
-            if s.read_to_string(&mut out).is_ok() && out.starts_with("HTTP/1.1 503") {
-                saw_503 = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(saw_503, "expected a 503 from the full queue");
-        drop(_wedge);
-        svc.shutdown();
     }
 }

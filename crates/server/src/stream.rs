@@ -2,15 +2,10 @@
 //!
 //! The router publishes pre-framed generation-delta bytes here once per
 //! stream tick; the hub fans them out to every subscriber of the touched
-//! `dashboard/dataset` pair. Delivery is pull-based so both serve modes
-//! work from the same state:
-//!
-//! * the blocking thread-per-connection writer parks on the
-//!   subscription's condvar ([`Subscription::wait_frames`]) and writes
-//!   whatever it drains;
-//! * the epoll reactor registers a notifier ([`StreamHub::set_notifier`])
-//!   that pokes its waker pipe, then drains ready subscriptions with
-//!   [`Subscription::try_take`] on the event-loop thread.
+//! `dashboard/dataset` pair. Delivery is pull-based: the reactor
+//! registers a notifier ([`StreamHub::set_notifier`]) that pokes its
+//! waker pipe, then drains ready subscriptions with
+//! [`Subscription::try_take`] on its polling thread.
 //!
 //! Backpressure is per subscriber and byte-bounded: a reader that cannot
 //! keep up accumulates queued frames until [`MAX_QUEUED_BYTES`], at which
@@ -22,8 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Per-subscriber cap on queued-but-unwritten frame bytes. Crossing it
 /// marks the subscription evicted and drops the queue.
@@ -49,14 +43,12 @@ struct SubState {
     evicted: bool,
 }
 
-/// One subscriber's handle: a bounded frame queue plus a condvar the
-/// blocking writer parks on.
+/// One subscriber's handle: a bounded frame queue.
 #[derive(Debug)]
 pub struct Subscription {
     /// `dashboard/dataset` key this subscription listens to.
     pub key: String,
     state: Mutex<SubState>,
-    ready: Condvar,
 }
 
 impl Subscription {
@@ -64,7 +56,6 @@ impl Subscription {
         Subscription {
             key,
             state: Mutex::new(SubState::default()),
-            ready: Condvar::new(),
         }
     }
 
@@ -87,16 +78,14 @@ impl Subscription {
             st.evicted = true;
             st.frames.clear();
             st.queued_bytes = 0;
-            self.ready.notify_all();
             return false;
         }
         st.queued_bytes += frame.len();
         st.frames.push(frame.to_vec());
-        self.ready.notify_all();
         true
     }
 
-    /// Drain queued frames without blocking (reactor path).
+    /// Drain queued frames without blocking.
     pub fn try_take(&self) -> (Vec<Vec<u8>>, SubscriptionEnd) {
         let mut st = self.state.lock().unwrap();
         let frames = std::mem::take(&mut st.frames);
@@ -104,28 +93,13 @@ impl Subscription {
         (frames, end_of(&st))
     }
 
-    /// Park until frames arrive, the stream ends, or `timeout` elapses
-    /// (blocking thread-mode path; the timeout bounds how long a writer
-    /// goes without probing its socket for client disconnect).
-    pub fn wait_frames(&self, timeout: Duration) -> (Vec<Vec<u8>>, SubscriptionEnd) {
-        let mut st = self.state.lock().unwrap();
-        if st.frames.is_empty() && !st.closed && !st.evicted {
-            let (guard, _) = self.ready.wait_timeout(st, timeout).unwrap();
-            st = guard;
-        }
-        let frames = std::mem::take(&mut st.frames);
-        st.queued_bytes = 0;
-        (frames, end_of(&st))
-    }
-
-    /// End the stream deliberately; the parked writer wakes and sees
+    /// End the stream deliberately; the next drain sees
     /// [`SubscriptionEnd::Closed`].
     pub fn close(&self) {
         let mut st = self.state.lock().unwrap();
         st.closed = true;
         st.frames.clear();
         st.queued_bytes = 0;
-        self.ready.notify_all();
     }
 
     /// Bytes queued and not yet drained by the writer.
@@ -158,8 +132,7 @@ pub struct PublishReport {
 pub struct StreamHub {
     subs: Mutex<HashMap<String, Vec<Arc<Subscription>>>>,
     /// Called after any publish that queued at least one frame — the
-    /// reactor installs its waker poke here; thread mode needs none
-    /// (writers park on their own condvar).
+    /// reactor installs its waker poke here.
     notifier: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
     next_id: AtomicU64,
 }
@@ -281,7 +254,6 @@ impl StreamHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     #[test]
     fn publish_fans_out_to_matching_subscribers_only() {
@@ -311,32 +283,6 @@ mod tests {
         hub.unsubscribe(&b);
         hub.unsubscribe(&other);
         assert_eq!(hub.subscriber_count(), 0);
-    }
-
-    #[test]
-    fn wait_frames_wakes_on_publish_and_on_close() {
-        let hub = Arc::new(StreamHub::new());
-        let sub = hub.subscribe("d", "x");
-        let writer = {
-            let sub = Arc::clone(&sub);
-            thread::spawn(move || sub.wait_frames(Duration::from_secs(5)))
-        };
-        // Give the writer a moment to park, then publish.
-        thread::sleep(Duration::from_millis(20));
-        hub.publish("d", "x", b"tick");
-        let (frames, end) = writer.join().unwrap();
-        assert_eq!(frames, vec![b"tick".to_vec()]);
-        assert_eq!(end, SubscriptionEnd::Open);
-
-        let writer = {
-            let sub = Arc::clone(&sub);
-            thread::spawn(move || sub.wait_frames(Duration::from_secs(5)))
-        };
-        thread::sleep(Duration::from_millis(20));
-        sub.close();
-        let (frames, end) = writer.join().unwrap();
-        assert!(frames.is_empty());
-        assert_eq!(end, SubscriptionEnd::Closed);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The HTTP/1.1 wire layer shared by both serve modes.
+//! The HTTP/1.1 wire layer: request parsing and response framing.
 //!
-//! Two pieces live here, each deliberately free of any socket I/O so the
-//! blocking thread-per-connection loop and the epoll reactor drive the
-//! same bytes-in/bytes-out logic:
+//! The pieces here are deliberately free of any socket I/O, so the
+//! reactor and the blocking test clients drive the same
+//! bytes-in/bytes-out logic:
 //!
 //! * [`try_parse`] — an incremental request parser over a growable byte
 //!   buffer. Callers append whatever the socket produced and re-invoke;
@@ -642,16 +642,15 @@ pub fn dechunk(buf: &[u8]) -> Option<Result<(String, usize), String>> {
 
 /// Response head for a `GET …/subscribe` stream: an SSE body carried over
 /// chunked transfer encoding on a connection that never goes back to
-/// request/response mode. Both serve modes emit these exact bytes so a
-/// subscriber cannot tell the reactor from the thread pool apart.
+/// request/response mode.
 pub fn sse_head() -> &'static [u8] {
     b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
 }
 
 /// Frame one generation-delta event as exactly one HTTP chunk wrapping
 /// one SSE event. Frames are built once (in the router, at publish time)
-/// and delivered verbatim to every subscriber, which is what makes the
-/// two serve modes byte-identical by construction.
+/// and delivered verbatim to every subscriber, so every subscriber of a
+/// tick reads the same bytes by construction.
 pub fn sse_frame(event: &str, generation: u64, data: &str) -> Vec<u8> {
     let payload = format!("event: {event}\nid: {generation}\ndata: {data}\n\n");
     let mut frame = Vec::with_capacity(payload.len() + CHUNK_FRAME_OVERHEAD);
@@ -677,7 +676,7 @@ pub struct SseEvent {
     /// fields join with `\n` per the SSE spec.
     pub data: String,
     /// The exact payload bytes of this event including the blank-line
-    /// terminator — the unit the dual-mode conformance test compares.
+    /// terminator — the unit the streaming conformance test compares.
     pub raw: Vec<u8>,
 }
 

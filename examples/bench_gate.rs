@@ -4,14 +4,10 @@
 //! freshly generated document of the same shape. The gate walks both
 //! recursively, pairs up every `*p95_us` leaf, prints a side-by-side
 //! table, and exits non-zero when any fresh p95 regresses past the
-//! threshold. Two escape valves keep the gate honest rather than flaky:
-//!
-//! * a zero baseline is skipped — some configurations legitimately record
-//!   no latency (thread mode starved under an idle herd serves zero
-//!   requests), and a ratio against zero is noise;
-//! * an absolute slack floor (default 500µs) must also be cleared — a
-//!   30µs warm-cache sample doubling to 60µs is scheduler jitter, not a
-//!   regression.
+//! threshold. An absolute slack floor (default 500µs) must also be
+//! cleared, which keeps the gate honest rather than flaky: a 30µs
+//! warm-cache sample doubling to 60µs is scheduler jitter, not a
+//! regression.
 //!
 //! When the baseline carries a `sql_overhead` block (the ad-hoc query
 //! benchmark), the fresh doc must carry one too and its SQL parse+lower
@@ -64,14 +60,10 @@ fn take_value_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
 }
 
 /// A readable label for an array element: benchmark config objects carry
-/// their own identity (`serve_mode`/`idle_conns`), so prefer that to a
-/// bare index.
+/// their own identity (`idle_conns`), so prefer that to a bare index.
 fn element_label(index: usize, item: &JsonValue) -> String {
-    match (
-        item.get("serve_mode").and_then(|v| v.as_str()),
-        item.get("idle_conns"),
-    ) {
-        (Some(mode), Some(JsonValue::Number(idle))) => format!("{mode}+{idle}idle"),
+    match item.get("idle_conns") {
+        Some(JsonValue::Number(idle)) => format!("{idle}idle"),
         _ => index.to_string(),
     }
 }
@@ -167,13 +159,6 @@ fn main() {
                     continue;
                 }
             };
-            if row.baseline == 0 {
-                println!(
-                    "   {:<44} {:>12} {:>12} {:>9}  skip (zero baseline)",
-                    row.metric, row.baseline, fresh_us, "-"
-                );
-                continue;
-            }
             compared += 1;
             let delta = fresh_us as f64 / row.baseline as f64 - 1.0;
             let regressed = delta > threshold && fresh_us.saturating_sub(row.baseline) > slack_us;

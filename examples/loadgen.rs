@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! cargo run --example loadgen [clients] [requests-per-client] [--close] [--no-trace]
-//!     [--serve-mode threads|reactor] [--idle-conns N]
+//!     [--idle-conns N]
 //! cargo run --release --example loadgen -- --cold [rows] [iterations]
 //! cargo run --release --example loadgen -- --concurrency-bench
 //! cargo run --release --example loadgen -- --stream-bench [subscribers] [ticks]
@@ -32,19 +32,17 @@
 //! sends no `X-Trace-Id` — the baseline for measuring tracing overhead
 //! (trace asserts are skipped).
 //!
-//! `--serve-mode reactor` serves through the epoll event loop instead of
-//! the thread-per-connection pool. `--idle-conns N` opens N quiet
-//! keep-alive connections before the load starts and holds them open for
-//! the whole run — in reactor mode the load must be undisturbed (the CI
+//! `--idle-conns N` opens N quiet keep-alive connections before the load
+//! starts and holds them open for the whole run; the load must be
+//! undisturbed and the reactor must register the whole herd (the CI
 //! reactor smoke job runs exactly this and relies on the zero-5xx /
-//! exposition asserts); in thread mode N idle connections pin the worker
-//! pool, so expect the run to abort.
+//! exposition asserts).
 //!
-//! `--concurrency-bench` measures that contrast instead of asserting it:
-//! both serve modes × idle herds of 0/256/2048, each with 32 active
-//! clients, reporting per-config p50/p95/p99 and 5xx counts as a JSON
-//! document on stdout — the source of the committed
-//! `BENCH_serve_concurrency.json` (progress goes to stderr).
+//! `--concurrency-bench` measures latency under idle herds of
+//! 0/256/2048, each with 32 active clients, reporting per-config
+//! p50/p95/p99 as a JSON document on stdout — the source of the committed
+//! `BENCH_serve_concurrency.json` (progress goes to stderr). Any 5xx or
+//! lost response aborts it.
 //!
 //! `--stream-bench` measures the live-flow path: the reactor serves a
 //! streaming dashboard to a herd of idle SSE subscribers (default 500)
@@ -58,7 +56,7 @@
 //! `/metrics` exposition (which must include the `shareinsights_stream_*`
 //! families) aborts with a non-zero exit.
 //!
-//! `--sql` switches to the SQL-frontend smoke: both serve modes get mixed
+//! `--sql` switches to the SQL-frontend smoke: the service gets mixed
 //! SQL (`POST /<dashboard>/ds/<dataset>/sql`) and path-segment traffic
 //! over the same logical queries, asserting every SQL payload is
 //! byte-identical to its path-grammar twin, that malformed SQL returns a
@@ -66,8 +64,8 @@
 //! counter families export on `/metrics`. The CI SQL smoke job runs this
 //! mode and relies on those asserts.
 //!
-//! `--self-scrape` switches to the self-observability smoke: both serve
-//! modes run with the telemetry scraper enabled
+//! `--self-scrape` switches to the self-observability smoke: the service
+//! runs with the telemetry scraper enabled
 //! ([`ServeOptions::scrape_interval`]) while warm query traffic flows,
 //! then assert that the built-in `_system/ds/telemetry` dashboard serves a
 //! non-empty scraped history, that `SELECT family, max(value) FROM
@@ -106,8 +104,7 @@
 //! differential asserts.
 
 use shareinsights::server::{
-    blocking_get, blocking_request, serve, ClientConnection, Request, ServeMode, ServeOptions,
-    Server,
+    blocking_get, blocking_request, serve, ClientConnection, Request, ServeOptions, Server,
 };
 use shareinsights_core::Platform;
 use shareinsights_tabular::io::json::JsonValue;
@@ -174,11 +171,6 @@ fn retail_platform() -> Platform {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let serve_mode = match take_value_flag(&mut args, "--serve-mode").as_deref() {
-        None | Some("threads") => ServeMode::ThreadPerConnection,
-        Some("reactor") => ServeMode::Reactor,
-        Some(other) => panic!("unknown --serve-mode '{other}' (threads|reactor)"),
-    };
     let idle_conns: usize = take_value_flag(&mut args, "--idle-conns")
         .map(|v| v.parse().expect("--idle-conns takes a count"))
         .unwrap_or(0);
@@ -235,7 +227,6 @@ fn main() {
     }
 
     let opts = ServeOptions {
-        serve_mode,
         // The idle herd must outlive the measured load.
         idle_timeout: if idle_conns > 0 {
             Duration::from_secs(60)
@@ -251,13 +242,11 @@ fn main() {
     } else {
         "keep-alive"
     };
-    println!(
-        "serving on http://{addr} ({serve_mode:?}) — {clients} clients x {per_client} requests ({mode})"
-    );
+    println!("serving on http://{addr} — {clients} clients x {per_client} requests ({mode})");
 
     // The quiet herd: opened before the load, held for its whole
-    // duration. In reactor mode these cost a connection-table entry each
-    // and the load below must be completely undisturbed.
+    // duration. These cost a connection-table entry each and the load
+    // below must be completely undisturbed.
     let idle: Vec<TcpStream> = (0..idle_conns)
         .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
         .collect();
@@ -400,40 +389,37 @@ fn main() {
     println!("cache: {hits} hits / {misses} misses — {rate:.1}% hit rate");
     println!("/metrics exposition OK ({} lines)", metrics.lines().count());
 
-    if serve_mode == ServeMode::Reactor {
-        // The whole herd (plus at least one active connection) must have
-        // been registered with the event loop, and the reactor series
-        // must export under their Prometheus names.
-        let peak = doc
-            .path("reactor.peak_registered")
-            .unwrap()
-            .to_value()
-            .as_int()
-            .unwrap();
-        assert!(
-            peak as usize > idle_conns,
-            "reactor must register the idle herd: peak {peak} vs {idle_conns} idle"
-        );
-        assert!(
-            metrics.contains("shareinsights_reactor_wakeups_total"),
-            "reactor series missing from /metrics"
-        );
-        println!("reactor: peak {peak} registered connections, zero 5xx");
-    }
+    // The whole herd (plus at least one active connection) must have
+    // been registered with the event loop, and the reactor series
+    // must export under their Prometheus names.
+    let peak = doc
+        .path("reactor.peak_registered")
+        .unwrap()
+        .to_value()
+        .as_int()
+        .unwrap();
+    assert!(
+        peak as usize > idle_conns,
+        "reactor must register the idle herd: peak {peak} vs {idle_conns} idle"
+    );
+    assert!(
+        metrics.contains("shareinsights_reactor_wakeups_total"),
+        "reactor series missing from /metrics"
+    );
+    println!("reactor: peak {peak} registered connections, zero 5xx");
     println!("--- /stats ---\n{stats}");
 
     drop(idle);
     svc.shutdown();
 }
 
-/// The `--concurrency-bench` mode: quantify what the reactor buys. Both
-/// serve modes are loaded with 32 active keep-alive clients while a herd
-/// of 0, 256, or 2048 idle connections sits on the same service; per
-/// configuration the client-observed p50/p95/p99, 5xx count, and lost
-/// count go to stdout as a JSON document — the source of the committed
-/// `BENCH_serve_concurrency.json`. Thread mode is *expected* to shed or
-/// starve under an idle herd (that is the point of the comparison), so
-/// unlike the default load mode nothing here asserts zero failures.
+/// The `--concurrency-bench` mode: latency under an idle herd. The
+/// service is loaded with 32 active keep-alive clients while a herd of 0,
+/// 256, or 2048 idle connections sits on it; per configuration the
+/// client-observed p50/p95/p99, 5xx count, and lost count go to stdout as
+/// a JSON document — the source of the committed
+/// `BENCH_serve_concurrency.json`. An idle herd costs the reactor a table
+/// entry per connection, so any 5xx or lost response aborts the run.
 fn serve_concurrency_benchmark() {
     use shareinsights_core::trace::EventLog;
     const ACTIVE_CLIENTS: usize = 32;
@@ -449,108 +435,117 @@ fn serve_concurrency_benchmark() {
     };
 
     let mut config_docs = Vec::new();
-    for mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-        for idle_conns in IDLE_LEVELS {
-            let mode_name = match mode {
-                ServeMode::ThreadPerConnection => "threads",
-                ServeMode::Reactor => "reactor",
-            };
-            eprintln!("{mode_name} with {idle_conns} idle connections…");
-            let opts = ServeOptions {
-                serve_mode: mode,
-                // The herd must outlive the measured load, and the 5xx
-                // storm thread mode produces should not spam stderr.
-                idle_timeout: Duration::from_secs(120),
-                event_log: EventLog::in_memory(),
-                ..ServeOptions::default()
-            };
-            let mut svc = serve(Server::new(retail_platform()), "127.0.0.1:0", opts)
-                .expect("bind ephemeral port");
-            let addr = svc.local_addr();
+    // An unrecorded pass first: the first service a process starts pays
+    // the process's warm-up (allocator, page faults), which would
+    // otherwise land on the first configuration's tail.
+    let passes = std::iter::once((0, false)).chain(IDLE_LEVELS.map(|idle| (idle, true)));
+    for (idle_conns, recorded) in passes {
+        let warm_up = if recorded {
+            ""
+        } else {
+            " (warm-up, not recorded)"
+        };
+        eprintln!("{idle_conns} idle connections{warm_up}…");
+        let opts = ServeOptions {
+            // The herd must outlive the measured load.
+            idle_timeout: Duration::from_secs(120),
+            event_log: EventLog::in_memory(),
+            ..ServeOptions::default()
+        };
+        let mut svc = serve(Server::new(retail_platform()), "127.0.0.1:0", opts)
+            .expect("bind ephemeral port");
+        let addr = svc.local_addr();
 
-            let idle: Vec<TcpStream> = (0..idle_conns)
-                .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
-                .collect();
-            std::thread::sleep(Duration::from_millis(200));
+        let idle: Vec<TcpStream> = (0..idle_conns)
+            .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
+            .collect();
+        std::thread::sleep(Duration::from_millis(200));
 
-            let started = Instant::now();
-            // Each active client holds one keep-alive connection,
-            // reconnecting whenever the server closes it (including after
-            // every load-shedding 503). (ok, 5xx, lost, ok-latencies µs).
-            let per_thread: Vec<(usize, usize, usize, Vec<u64>)> = std::thread::scope(|scope| {
-                (0..ACTIVE_CLIENTS)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let mut conn: Option<ClientConnection> = None;
-                            let (mut ok, mut server_5xx, mut lost) = (0usize, 0usize, 0usize);
-                            let mut latencies_us = Vec::with_capacity(PER_CLIENT);
-                            for r in 0..PER_CLIENT {
-                                let target = TARGETS[(c + r) % TARGETS.len()];
-                                if conn.as_ref().is_none_or(|c| c.server_closed()) {
-                                    match ClientConnection::connect(addr) {
-                                        Ok(fresh) => conn = Some(fresh),
-                                        Err(_) => {
-                                            lost += 1;
-                                            continue;
-                                        }
-                                    }
-                                }
-                                let sent = Instant::now();
-                                match conn.as_mut().unwrap().get(target) {
-                                    Ok((200, _)) => {
-                                        ok += 1;
-                                        latencies_us.push(sent.elapsed().as_micros() as u64);
-                                    }
-                                    Ok((code, _)) if code >= 500 => server_5xx += 1,
-                                    Ok((code, body)) => {
-                                        panic!("unexpected {code} for {target}: {body}")
-                                    }
+        let started = Instant::now();
+        // Each active client holds one keep-alive connection,
+        // reconnecting whenever the server closes it (including after
+        // a load-shedding 503). (ok, 5xx, lost, ok-latencies µs).
+        let per_thread: Vec<(usize, usize, usize, Vec<u64>)> = std::thread::scope(|scope| {
+            (0..ACTIVE_CLIENTS)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut conn: Option<ClientConnection> = None;
+                        let (mut ok, mut server_5xx, mut lost) = (0usize, 0usize, 0usize);
+                        let mut latencies_us = Vec::with_capacity(PER_CLIENT);
+                        for r in 0..PER_CLIENT {
+                            let target = TARGETS[(c + r) % TARGETS.len()];
+                            if conn.as_ref().is_none_or(|c| c.server_closed()) {
+                                match ClientConnection::connect(addr) {
+                                    Ok(fresh) => conn = Some(fresh),
                                     Err(_) => {
                                         lost += 1;
-                                        conn = None;
+                                        continue;
                                     }
                                 }
                             }
-                            (ok, server_5xx, lost, latencies_us)
-                        })
+                            let sent = Instant::now();
+                            match conn.as_mut().unwrap().get(target) {
+                                Ok((200, _)) => {
+                                    ok += 1;
+                                    latencies_us.push(sent.elapsed().as_micros() as u64);
+                                }
+                                Ok((code, _)) if code >= 500 => server_5xx += 1,
+                                Ok((code, body)) => {
+                                    panic!("unexpected {code} for {target}: {body}")
+                                }
+                                Err(_) => {
+                                    lost += 1;
+                                    conn = None;
+                                }
+                            }
+                        }
+                        (ok, server_5xx, lost, latencies_us)
                     })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().expect("client thread"))
-                    .collect()
-            });
-            let elapsed = started.elapsed();
-            drop(idle);
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        let elapsed = started.elapsed();
+        drop(idle);
 
-            let ok: usize = per_thread.iter().map(|(ok, _, _, _)| ok).sum();
-            let server_5xx: usize = per_thread.iter().map(|(_, e, _, _)| e).sum();
-            let lost: usize = per_thread.iter().map(|(_, _, l, _)| l).sum();
-            let mut latencies: Vec<u64> = per_thread
-                .iter()
-                .flat_map(|(_, _, _, l)| l.iter().copied())
-                .collect();
-            latencies.sort_unstable();
-            let (p50, p95, p99) = (
-                pct(&latencies, 0.50),
-                pct(&latencies, 0.95),
-                pct(&latencies, 0.99),
-            );
-            let ok_per_sec = ok as f64 / elapsed.as_secs_f64();
-            eprintln!(
-                "  {ok}/{} ok, {server_5xx} 5xx, {lost} lost — \
-                 p50 {p50}µs p95 {p95}µs p99 {p99}µs",
-                ACTIVE_CLIENTS * PER_CLIENT
-            );
-            config_docs.push(format!(
-                "    {{\"serve_mode\": \"{mode_name}\", \"idle_conns\": {idle_conns}, \
-                 \"requests\": {}, \"ok\": {ok}, \"server_5xx\": {server_5xx}, \
-                 \"lost\": {lost}, \"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}, \
-                 \"elapsed_ms\": {}, \"ok_per_sec\": {ok_per_sec:.0}}}",
-                ACTIVE_CLIENTS * PER_CLIENT,
-                elapsed.as_millis()
-            ));
-            svc.shutdown();
+        let ok: usize = per_thread.iter().map(|(ok, _, _, _)| ok).sum();
+        let server_5xx: usize = per_thread.iter().map(|(_, e, _, _)| e).sum();
+        let lost: usize = per_thread.iter().map(|(_, _, l, _)| l).sum();
+        let mut latencies: Vec<u64> = per_thread
+            .iter()
+            .flat_map(|(_, _, _, l)| l.iter().copied())
+            .collect();
+        latencies.sort_unstable();
+        let (p50, p95, p99) = (
+            pct(&latencies, 0.50),
+            pct(&latencies, 0.95),
+            pct(&latencies, 0.99),
+        );
+        let ok_per_sec = ok as f64 / elapsed.as_secs_f64();
+        eprintln!(
+            "  {ok}/{} ok, {server_5xx} 5xx, {lost} lost — \
+             p50 {p50}µs p95 {p95}µs p99 {p99}µs",
+            ACTIVE_CLIENTS * PER_CLIENT
+        );
+        assert_eq!(
+            (server_5xx, lost),
+            (0, 0),
+            "5xx or lost responses behind {idle_conns} idle connections"
+        );
+        svc.shutdown();
+        if !recorded {
+            continue;
         }
+        config_docs.push(format!(
+            "    {{\"idle_conns\": {idle_conns}, \
+             \"requests\": {}, \"ok\": {ok}, \"server_5xx\": {server_5xx}, \
+             \"lost\": {lost}, \"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}, \
+             \"elapsed_ms\": {}, \"ok_per_sec\": {ok_per_sec:.0}}}",
+            ACTIVE_CLIENTS * PER_CLIENT,
+            elapsed.as_millis()
+        ));
     }
 
     println!("{{");
@@ -581,7 +576,6 @@ fn stream_benchmark(subscribers: usize, ticks: usize) {
         "stream benchmark: {subscribers} idle subscribers + {PROBES} probes, {ticks} ticks (reactor)"
     );
     let opts = ServeOptions {
-        serve_mode: ServeMode::Reactor,
         // The herd must outlive the measured run.
         idle_timeout: Duration::from_secs(120),
         event_log: EventLog::in_memory(),
@@ -812,92 +806,89 @@ fn sql_smoke() {
     let malformed = "select from brand_sales where";
     let rounds = 8;
 
-    for serve_mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-        let opts = ServeOptions {
-            serve_mode,
-            ..ServeOptions::default()
-        };
-        let mut svc =
-            serve(Server::new(retail_platform()), "127.0.0.1:0", opts).expect("bind ephemeral");
-        let addr = svc.local_addr();
-        let mut conn = ClientConnection::connect(addr).expect("connect");
+    let mut svc = serve(
+        Server::new(retail_platform()),
+        "127.0.0.1:0",
+        ServeOptions::default(),
+    )
+    .expect("bind ephemeral");
+    let addr = svc.local_addr();
+    let mut conn = ClientConnection::connect(addr).expect("connect");
 
-        let mut matched = 0usize;
-        for round in 0..rounds {
-            for (path, sql) in &pairs {
-                let (path_code, path_body) = conn.request("GET", path, "").expect("path request");
-                let (sql_code, sql_body) = conn
-                    .request("POST", "/retail/ds/brand_sales/sql", sql)
-                    .expect("sql request");
-                assert_eq!(path_code, 200, "path route failed for {path}: {path_body}");
-                assert_eq!(sql_code, 200, "sql route failed for {sql:?}: {sql_body}");
-                assert_eq!(
-                    path_body, sql_body,
-                    "round {round}: SQL {sql:?} must serve the exact bytes of {path}"
-                );
-                matched += 1;
-            }
+    let mut matched = 0usize;
+    for round in 0..rounds {
+        for (path, sql) in &pairs {
+            let (path_code, path_body) = conn.request("GET", path, "").expect("path request");
+            let (sql_code, sql_body) = conn
+                .request("POST", "/retail/ds/brand_sales/sql", sql)
+                .expect("sql request");
+            assert_eq!(path_code, 200, "path route failed for {path}: {path_body}");
+            assert_eq!(sql_code, 200, "sql route failed for {sql:?}: {sql_body}");
+            assert_eq!(
+                path_body, sql_body,
+                "round {round}: SQL {sql:?} must serve the exact bytes of {path}"
+            );
+            matched += 1;
         }
-        let (code, body) = conn
-            .request("POST", "/retail/ds/brand_sales/sql", rich)
-            .expect("rich sql");
-        assert_eq!(code, 200, "rich SQL must serve: {body}");
-        assert!(
-            body.contains("total") && body.contains("orders"),
-            "rich SQL must carry its aliases: {body}"
-        );
-        let (code, body) = conn
-            .request("POST", "/retail/ds/brand_sales/sql", malformed)
-            .expect("malformed sql");
-        assert_eq!(code, 400, "malformed SQL must be a client error: {body}");
-        assert!(
-            body.contains("\"kind\"") && body.contains("\"line\""),
-            "malformed SQL must return the structured error body: {body}"
-        );
-
-        let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
-        assert_eq!(code, 200);
-        let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
-        let stat = |path: &str| doc.path(path).unwrap().to_value().as_int().unwrap() as usize;
-        assert_eq!(
-            stat("sql.queries"),
-            matched + 1,
-            "every accepted SQL query must be counted: {stats}"
-        );
-        assert_eq!(
-            stat("sql.path_shared"),
-            matched,
-            "canonical SQL must share the path route's cache entries: {stats}"
-        );
-        assert_eq!(
-            stat("sql.parse_errors"),
-            1,
-            "exactly one malformed query was sent: {stats}"
-        );
-
-        let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-        assert_eq!(code, 200);
-        validate_exposition(&metrics);
-        for family in [
-            "shareinsights_sql_queries_total",
-            "shareinsights_sql_parse_errors_total",
-            "shareinsights_sql_path_shared_total",
-            "shareinsights_sql_parse_seconds_total",
-        ] {
-            assert!(metrics.contains(family), "{family} missing from /metrics");
-        }
-
-        println!(
-            "sql smoke ({serve_mode:?}): {matched} SQL/path pairs byte-identical, \
-             rich query 200, malformed 400, counters consistent"
-        );
-        svc.shutdown();
     }
-    println!("sql smoke OK: zero 5xx, all payloads byte-equal across both serve modes");
+    let (code, body) = conn
+        .request("POST", "/retail/ds/brand_sales/sql", rich)
+        .expect("rich sql");
+    assert_eq!(code, 200, "rich SQL must serve: {body}");
+    assert!(
+        body.contains("total") && body.contains("orders"),
+        "rich SQL must carry its aliases: {body}"
+    );
+    let (code, body) = conn
+        .request("POST", "/retail/ds/brand_sales/sql", malformed)
+        .expect("malformed sql");
+    assert_eq!(code, 400, "malformed SQL must be a client error: {body}");
+    assert!(
+        body.contains("\"kind\"") && body.contains("\"line\""),
+        "malformed SQL must return the structured error body: {body}"
+    );
+
+    let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
+    assert_eq!(code, 200);
+    let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
+    let stat = |path: &str| doc.path(path).unwrap().to_value().as_int().unwrap() as usize;
+    assert_eq!(
+        stat("sql.queries"),
+        matched + 1,
+        "every accepted SQL query must be counted: {stats}"
+    );
+    assert_eq!(
+        stat("sql.path_shared"),
+        matched,
+        "canonical SQL must share the path route's cache entries: {stats}"
+    );
+    assert_eq!(
+        stat("sql.parse_errors"),
+        1,
+        "exactly one malformed query was sent: {stats}"
+    );
+
+    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
+    assert_eq!(code, 200);
+    validate_exposition(&metrics);
+    for family in [
+        "shareinsights_sql_queries_total",
+        "shareinsights_sql_parse_errors_total",
+        "shareinsights_sql_path_shared_total",
+        "shareinsights_sql_parse_seconds_total",
+    ] {
+        assert!(metrics.contains(family), "{family} missing from /metrics");
+    }
+
+    println!(
+        "sql smoke OK: {matched} SQL/path pairs byte-identical, \
+         rich query 200, malformed 400, counters consistent, zero 5xx"
+    );
+    svc.shutdown();
 }
 
 /// The `--self-scrape` mode: smoke the self-observability loop over the
-/// wire. Each serve mode runs with the telemetry scraper enabled while
+/// wire. The service runs with the telemetry scraper enabled while
 /// warm query traffic flows, then the built-in `_system` dashboard must
 /// serve a non-empty scraped history, the canonical SQL over
 /// `POST /_system/ds/telemetry/sql` must be byte-identical to its
@@ -910,158 +901,154 @@ fn self_scrape_smoke() {
     let sql = "select family, max(value) from telemetry group by family";
     let path = "/_system/ds/telemetry/groupby/family/max/value";
 
-    for serve_mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-        let opts = ServeOptions {
-            serve_mode,
-            scrape_interval: Some(Duration::from_millis(25)),
-            ..ServeOptions::default()
-        };
-        let mut svc =
-            serve(Server::new(retail_platform()), "127.0.0.1:0", opts).expect("bind ephemeral");
-        let addr = svc.local_addr();
-        let mut conn = ClientConnection::connect(addr).expect("connect");
+    let opts = ServeOptions {
+        scrape_interval: Some(Duration::from_millis(25)),
+        ..ServeOptions::default()
+    };
+    let mut svc =
+        serve(Server::new(retail_platform()), "127.0.0.1:0", opts).expect("bind ephemeral");
+    let addr = svc.local_addr();
+    let mut conn = ClientConnection::connect(addr).expect("connect");
 
-        // Warm traffic so the scraper has route/cache/operator series to
-        // sample.
-        for round in 0..40 {
-            let (code, body) = conn
-                .request("GET", TARGETS[round % TARGETS.len()], "")
-                .expect("warm request");
-            assert_eq!(code, 200, "warm traffic failed: {body}");
-            if conn.server_closed() {
-                conn = ClientConnection::connect(addr).expect("reconnect");
-            }
+    // Warm traffic so the scraper has route/cache/operator series to
+    // sample.
+    for round in 0..40 {
+        let (code, body) = conn
+            .request("GET", TARGETS[round % TARGETS.len()], "")
+            .expect("warm request");
+        assert_eq!(code, 200, "warm traffic failed: {body}");
+        if conn.server_closed() {
+            conn = ClientConnection::connect(addr).expect("reconnect");
         }
-
-        // Wait until the background scraper has actually filled the ring:
-        // the `_system` dashboard must serve non-empty history.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut rows_seen = false;
-        while Instant::now() < deadline {
-            let (code, body) = blocking_get(addr, "/_system/ds/telemetry").expect("history");
-            assert_eq!(code, 200, "_system history must serve: {body}");
-            if !body.contains("\"total_rows\": 0") {
-                rows_seen = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            rows_seen,
-            "({serve_mode:?}) _system/ds/telemetry stayed empty after a warm run"
-        );
-
-        // The dataset listing exposes exactly the telemetry ring.
-        let (code, body) = blocking_get(addr, "/_system/ds").expect("listing");
-        assert_eq!(code, 200);
-        assert!(
-            body.contains("\"telemetry\""),
-            "_system must list the telemetry dataset: {body}"
-        );
-
-        // SQL and path grammar must serve the exact same bytes. A scrape
-        // landing between the two requests bumps the generation and
-        // legitimately changes the payload, so retry the pair a few times
-        // — it must match on some attempt (requests are ~µs apart, the
-        // scraper ticks every 25ms).
-        let mut identical = false;
-        for _ in 0..20 {
-            let (path_code, path_body) = conn.request("GET", path, "").expect("path request");
-            let (sql_code, sql_body) = conn
-                .request("POST", "/_system/ds/telemetry/sql", sql)
-                .expect("sql request");
-            assert_eq!(path_code, 200, "path route failed: {path_body}");
-            assert_eq!(sql_code, 200, "sql route failed: {sql_body}");
-            if path_body == sql_body {
-                assert!(
-                    path_body.contains("\"family\""),
-                    "grouped history must carry the family column: {path_body}"
-                );
-                identical = true;
-                break;
-            }
-            if conn.server_closed() {
-                conn = ClientConnection::connect(addr).expect("reconnect");
-            }
-        }
-        assert!(
-            identical,
-            "({serve_mode:?}) SQL over _system never matched the path route byte-for-byte"
-        );
-
-        // The namespace is read-only: provisioning anything under it must
-        // be rejected, never silently shadowed.
-        let (code, body) =
-            blocking_request(addr, "POST", "/dashboards/_system/create", "").expect("create");
-        assert_eq!(code, 409, "writes into _system must 409: {body}");
-        assert!(
-            body.contains("reserved"),
-            "409 names the reservation: {body}"
-        );
-
-        // Meta-telemetry: the scraper reports on itself and the process
-        // gauges ride along.
-        let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
-        assert_eq!(code, 200);
-        let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
-        let stat = |path: &str| doc.path(path).unwrap().to_value().as_int().unwrap();
-        assert!(
-            stat("selfscrape.scrapes") >= 1,
-            "scraper ticks must be counted: {stats}"
-        );
-        assert!(
-            stat("selfscrape.retained") >= 1,
-            "scraped samples must be retained: {stats}"
-        );
-
-        // Every family `/stats` carries is chartable from `_system`: the
-        // scrape renders the same snapshot. (A labelled family with no
-        // series yet has an empty block and no rows; a scrape has to
-        // postdate the warm traffic for `routes` to show.)
-        let JsonValue::Object(blocks) = &doc else {
-            panic!("/stats is an object: {stats}");
-        };
-        let by_family = "/_system/ds/telemetry/groupby/family/count/label";
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let (code, body) = blocking_get(addr, by_family).expect("families");
-            assert_eq!(code, 200, "family roll-up failed: {body}");
-            let missing: Vec<&String> = blocks
-                .iter()
-                .filter(|(_, block)| !matches!(block, JsonValue::Object(m) if m.is_empty()))
-                .map(|(name, _)| name)
-                .filter(|name| !body.contains(&format!("\"{name}\"")))
-                .collect();
-            if missing.is_empty() {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "({serve_mode:?}) /stats families never scraped into _system: {missing:?}"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-        assert_eq!(code, 200);
-        validate_exposition(&metrics);
-        for family in [
-            "shareinsights_selfscrape_scrapes_total",
-            "shareinsights_selfscrape_retained_samples",
-            "shareinsights_process_rss_bytes",
-            "shareinsights_process_uptime_seconds",
-        ] {
-            assert!(metrics.contains(family), "{family} missing from /metrics");
-        }
-
-        println!(
-            "self-scrape smoke ({serve_mode:?}): history non-empty, SQL/path byte-identical, \
-             writes 409, all {} /stats families in _system",
-            blocks.len()
-        );
-        svc.shutdown();
     }
-    println!("self-scrape smoke OK: _system dashboard live across both serve modes");
+
+    // Wait until the background scraper has actually filled the ring:
+    // the `_system` dashboard must serve non-empty history.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut rows_seen = false;
+    while Instant::now() < deadline {
+        let (code, body) = blocking_get(addr, "/_system/ds/telemetry").expect("history");
+        assert_eq!(code, 200, "_system history must serve: {body}");
+        if !body.contains("\"total_rows\": 0") {
+            rows_seen = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        rows_seen,
+        "_system/ds/telemetry stayed empty after a warm run"
+    );
+
+    // The dataset listing exposes exactly the telemetry ring.
+    let (code, body) = blocking_get(addr, "/_system/ds").expect("listing");
+    assert_eq!(code, 200);
+    assert!(
+        body.contains("\"telemetry\""),
+        "_system must list the telemetry dataset: {body}"
+    );
+
+    // SQL and path grammar must serve the exact same bytes. A scrape
+    // landing between the two requests bumps the generation and
+    // legitimately changes the payload, so retry the pair a few times
+    // — it must match on some attempt (requests are ~µs apart, the
+    // scraper ticks every 25ms).
+    let mut identical = false;
+    for _ in 0..20 {
+        let (path_code, path_body) = conn.request("GET", path, "").expect("path request");
+        let (sql_code, sql_body) = conn
+            .request("POST", "/_system/ds/telemetry/sql", sql)
+            .expect("sql request");
+        assert_eq!(path_code, 200, "path route failed: {path_body}");
+        assert_eq!(sql_code, 200, "sql route failed: {sql_body}");
+        if path_body == sql_body {
+            assert!(
+                path_body.contains("\"family\""),
+                "grouped history must carry the family column: {path_body}"
+            );
+            identical = true;
+            break;
+        }
+        if conn.server_closed() {
+            conn = ClientConnection::connect(addr).expect("reconnect");
+        }
+    }
+    assert!(
+        identical,
+        "SQL over _system never matched the path route byte-for-byte"
+    );
+
+    // The namespace is read-only: provisioning anything under it must
+    // be rejected, never silently shadowed.
+    let (code, body) =
+        blocking_request(addr, "POST", "/dashboards/_system/create", "").expect("create");
+    assert_eq!(code, 409, "writes into _system must 409: {body}");
+    assert!(
+        body.contains("reserved"),
+        "409 names the reservation: {body}"
+    );
+
+    // Meta-telemetry: the scraper reports on itself and the process
+    // gauges ride along.
+    let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
+    assert_eq!(code, 200);
+    let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
+    let stat = |path: &str| doc.path(path).unwrap().to_value().as_int().unwrap();
+    assert!(
+        stat("selfscrape.scrapes") >= 1,
+        "scraper ticks must be counted: {stats}"
+    );
+    assert!(
+        stat("selfscrape.retained") >= 1,
+        "scraped samples must be retained: {stats}"
+    );
+
+    // Every family `/stats` carries is chartable from `_system`: the
+    // scrape renders the same snapshot. (A labelled family with no
+    // series yet has an empty block and no rows; a scrape has to
+    // postdate the warm traffic for `routes` to show.)
+    let JsonValue::Object(blocks) = &doc else {
+        panic!("/stats is an object: {stats}");
+    };
+    let by_family = "/_system/ds/telemetry/groupby/family/count/label";
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (code, body) = blocking_get(addr, by_family).expect("families");
+        assert_eq!(code, 200, "family roll-up failed: {body}");
+        let missing: Vec<&String> = blocks
+            .iter()
+            .filter(|(_, block)| !matches!(block, JsonValue::Object(m) if m.is_empty()))
+            .map(|(name, _)| name)
+            .filter(|name| !body.contains(&format!("\"{name}\"")))
+            .collect();
+        if missing.is_empty() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "/stats families never scraped into _system: {missing:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
+    assert_eq!(code, 200);
+    validate_exposition(&metrics);
+    for family in [
+        "shareinsights_selfscrape_scrapes_total",
+        "shareinsights_selfscrape_retained_samples",
+        "shareinsights_process_rss_bytes",
+        "shareinsights_process_uptime_seconds",
+    ] {
+        assert!(metrics.contains(family), "{family} missing from /metrics");
+    }
+
+    println!(
+        "self-scrape smoke OK: history non-empty, SQL/path byte-identical, \
+         writes 409, all {} /stats families in _system",
+        blocks.len()
+    );
+    svc.shutdown();
 }
 
 /// The `--ingest-bench` mode: measure the streaming ingestion pipeline
@@ -1094,7 +1081,6 @@ fn ingest_benchmark(base_rows: usize, append_rows: usize) {
     let platform = Platform::new();
     platform.create_dashboard("bench").expect("dashboard");
     let opts = ServeOptions {
-        serve_mode: ServeMode::Reactor,
         idle_timeout: Duration::from_secs(120),
         event_log: EventLog::in_memory(),
         ..ServeOptions::default()

@@ -7,19 +7,17 @@
 //! The README's "Serving the data API" walkthrough runs against this:
 //!
 //! ```text
-//! cargo run --example serve_api [addr] [--reactor] [--chunk-budget BYTES]
-//!     [--scrape-interval MS]
+//! cargo run --example serve_api [addr] [--chunk-budget BYTES] [--scrape-interval MS]
 //! curl http://127.0.0.1:8080/dashboards      # default addr 127.0.0.1:8080
 //! ```
 //!
-//! `--reactor` serves through the epoll event loop instead of the
-//! thread-per-connection pool; `--chunk-budget BYTES` streams responses
-//! larger than BYTES as HTTP/1.1 chunked transfer (both modes);
+//! `--chunk-budget BYTES` streams responses larger than BYTES as HTTP/1.1
+//! chunked transfer;
 //! `--scrape-interval MS` ticks the telemetry scraper so the read-only
 //! `_system` dashboard serves queryable history
 //! (`curl http://.../_system/ds/telemetry`).
 
-use shareinsights::server::{serve, ServeMode, ServeOptions, Server};
+use shareinsights::server::{serve, ServeOptions, Server};
 use shareinsights_core::Platform;
 
 const FLOW: &str = r#"
@@ -44,12 +42,6 @@ F:
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let serve_mode = if let Some(i) = args.iter().position(|a| a == "--reactor") {
-        args.remove(i);
-        ServeMode::Reactor
-    } else {
-        ServeMode::ThreadPerConnection
-    };
     let chunk_budget: Option<usize> = args.iter().position(|a| a == "--chunk-budget").map(|i| {
         let value = args[i + 1].parse().expect("--chunk-budget BYTES");
         args.drain(i..=i + 1);
@@ -75,17 +67,13 @@ fn main() {
     platform.run_dashboard("retail").expect("run");
 
     let opts = ServeOptions {
-        serve_mode,
         chunk_budget,
         scrape_interval,
         ..ServeOptions::default()
     };
     let svc = serve(Server::new(platform), &addr, opts)
         .expect("bind address (try `serve_api 127.0.0.1:0`)");
-    println!(
-        "data API listening on http://{} ({serve_mode:?})",
-        svc.local_addr()
-    );
+    println!("data API listening on http://{}", svc.local_addr());
     println!(
         "try: curl http://{}/retail/ds/brand_sales/groupby/region/count/brand",
         svc.local_addr()

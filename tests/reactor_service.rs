@@ -1,16 +1,15 @@
-//! Dual-mode conformance for the serving core.
+//! Conformance for the serving core, the epoll reactor.
 //!
-//! Every wire-level behavior — keep-alive negotiation, pipelining,
-//! timeout classification, the 431 head cap, chunked response streaming —
-//! must be observably identical whether the thread-per-connection pool or
-//! the epoll reactor is serving. Each conformance test therefore runs
-//! against both [`ServeMode`]s; the reactor-only tests at the bottom
-//! cover what the blocking mode cannot do (multiplexing thousands of idle
-//! connections, `EPOLLOUT` write backpressure).
+//! The wire-level behaviours come first — keep-alive negotiation,
+//! pipelining, timeout classification, the 431 head cap, chunked response
+//! streaming, streamed ingest; then what the reactor's design is for:
+//! hits answered on the polling thread and counted exactly once, thousands
+//! of idle connections multiplexed, `EPOLLOUT` write backpressure, the
+//! pending queue's 503s, and the pool's scheduling of slow requests.
 
 use shareinsights::server::{
-    blocking_get, dechunk, serve, ClientConnection, Method, Request, ServeMode, ServeOptions,
-    Server, ServiceHandle, WireLimits,
+    blocking_get, dechunk, serve, ClientConnection, Method, Request, ServeOptions, Server,
+    ServiceHandle, WireLimits,
 };
 use shareinsights_core::Platform;
 use shareinsights_tabular::io::json::{parse_json, JsonValue};
@@ -38,8 +37,6 @@ F:
     publish: brand_sales
 "#;
 
-const BOTH_MODES: [ServeMode; 2] = [ServeMode::ThreadPerConnection, ServeMode::Reactor];
-
 /// A retail dashboard with `rows` sales rows (bigger rows ⇒ bigger
 /// browse responses, which is what exercises chunking).
 fn retail_platform(rows: usize) -> Platform {
@@ -59,13 +56,6 @@ fn retail_service(rows: usize, opts: ServeOptions) -> ServiceHandle {
     serve(Server::new(retail_platform(rows)), "127.0.0.1:0", opts).expect("bind ephemeral port")
 }
 
-fn mode_opts(mode: ServeMode) -> ServeOptions {
-    ServeOptions {
-        serve_mode: mode,
-        ..ServeOptions::default()
-    }
-}
-
 fn stat(stats_body: &str, path: &str) -> i64 {
     parse_json(stats_body)
         .unwrap()
@@ -78,86 +68,72 @@ fn stat(stats_body: &str, path: &str) -> i64 {
 
 #[test]
 fn requests_and_keepalive_conform_in_both_modes() {
-    for mode in BOTH_MODES {
-        let mut svc = retail_service(4, mode_opts(mode));
-        let addr = svc.local_addr();
+    let mut svc = retail_service(4, ServeOptions::default());
+    let addr = svc.local_addr();
 
-        let (code, body) = blocking_get(addr, "/dashboards").unwrap();
-        assert_eq!(code, 200, "{mode:?}");
-        assert_eq!(body, "[\"retail\"]", "{mode:?}");
-        let (code, _) = blocking_get(addr, "/nope/nope/nope/nope").unwrap();
-        assert_eq!(code, 404, "{mode:?}");
+    let (code, body) = blocking_get(addr, "/dashboards").unwrap();
+    assert_eq!(code, 200);
+    assert_eq!(body, "[\"retail\"]");
+    let (code, _) = blocking_get(addr, "/nope/nope/nope/nope").unwrap();
+    assert_eq!(code, 404);
 
-        // A persistent connection serves many requests, then honors an
-        // explicit close.
-        let mut conn = ClientConnection::connect(addr).unwrap();
-        for i in 0..5 {
-            let (code, body) = conn.get("/retail/ds/brand_sales").unwrap();
-            assert_eq!(code, 200, "{mode:?} request {i}: {body}");
-            assert!(!conn.server_closed(), "{mode:?}");
-        }
-        let (code, _) = conn.request_close("GET", "/dashboards", "").unwrap();
-        assert_eq!(code, 200, "{mode:?}");
-        assert!(conn.server_closed(), "{mode:?}");
-        svc.shutdown();
+    // A persistent connection serves many requests, then honors an
+    // explicit close.
+    let mut conn = ClientConnection::connect(addr).unwrap();
+    for i in 0..5 {
+        let (code, body) = conn.get("/retail/ds/brand_sales").unwrap();
+        assert_eq!(code, 200, "request {i}: {body}");
+        assert!(!conn.server_closed());
     }
+    let (code, _) = conn.request_close("GET", "/dashboards", "").unwrap();
+    assert_eq!(code, 200);
+    assert!(conn.server_closed());
+    svc.shutdown();
 }
 
 #[test]
 fn request_cap_per_connection_conforms_in_both_modes() {
-    for mode in BOTH_MODES {
-        let opts = ServeOptions {
-            max_requests_per_connection: 3,
-            ..mode_opts(mode)
-        };
-        let mut svc = retail_service(4, opts);
-        let mut conn = ClientConnection::connect(svc.local_addr()).unwrap();
-        for i in 0..3 {
-            let (code, _) = conn.get("/dashboards").unwrap();
-            assert_eq!(code, 200, "{mode:?} request {i}");
-        }
-        assert!(
-            conn.server_closed(),
-            "{mode:?}: 3rd response must announce close"
-        );
-        svc.shutdown();
+    let opts = ServeOptions {
+        max_requests_per_connection: 3,
+        ..ServeOptions::default()
+    };
+    let mut svc = retail_service(4, opts);
+    let mut conn = ClientConnection::connect(svc.local_addr()).unwrap();
+    for i in 0..3 {
+        let (code, _) = conn.get("/dashboards").unwrap();
+        assert_eq!(code, 200, "request {i}");
     }
+    assert!(conn.server_closed(), "3rd response must announce close");
+    svc.shutdown();
 }
 
 #[test]
 fn pipelined_requests_answered_in_order_in_both_modes() {
-    for mode in BOTH_MODES {
-        let mut svc = retail_service(4, mode_opts(mode));
-        let mut stream = TcpStream::connect(svc.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let batch = "GET /dashboards HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
-                     GET /nope/nope/nope/nope HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
-        stream.write_all(batch.as_bytes()).unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        let first = out.find("HTTP/1.1 200 OK").expect("first response");
-        let second = out.find("HTTP/1.1 404 Not Found").expect("second response");
-        assert!(first < second, "{mode:?} in order: {out}");
-        svc.shutdown();
-    }
+    let mut svc = retail_service(4, ServeOptions::default());
+    let mut stream = TcpStream::connect(svc.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let batch = "GET /dashboards HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
+                 GET /nope/nope/nope/nope HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+    stream.write_all(batch.as_bytes()).unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    let first = out.find("HTTP/1.1 200 OK").expect("first response");
+    let second = out.find("HTTP/1.1 404 Not Found").expect("second response");
+    assert!(first < second, "in order: {out}");
+    svc.shutdown();
 }
 
 #[test]
 fn malformed_requests_get_400_in_both_modes() {
-    for mode in BOTH_MODES {
-        let svc = retail_service(4, mode_opts(mode));
-        let mut stream = TcpStream::connect(svc.local_addr()).unwrap();
-        stream.write_all(b"NONSENSE /x SMTP/9\r\n\r\n").unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        assert!(
-            out.starts_with("HTTP/1.1 400 Bad Request"),
-            "{mode:?}: {out}"
-        );
-        assert!(out.contains("Connection: close"), "{mode:?}: {out}");
-    }
+    let svc = retail_service(4, ServeOptions::default());
+    let mut stream = TcpStream::connect(svc.local_addr()).unwrap();
+    stream.write_all(b"NONSENSE /x SMTP/9\r\n\r\n").unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 400 Bad Request"), "{out}");
+    assert!(out.contains("Connection: close"), "{out}");
 }
 
 /// A handler that panics costs its request a 500 and nothing more: the
@@ -179,147 +155,134 @@ T:
 F:
   +D.out: D.sales | T.boom
 "#;
-    for mode in BOTH_MODES {
-        let platform = retail_platform(4);
-        platform
-            .tasks()
-            .register_task(std::sync::Arc::new(FnTask::new(
-                "boom",
-                |schema| Ok(schema.clone()),
-                |_| panic!("boom task"),
-            )));
-        platform.upload_data("boom", "sales.csv", "region,brand,revenue\nn,b,1\n");
-        platform.save_flow("boom", BOOM).unwrap();
-        let log = EventLog::in_memory();
-        let opts = ServeOptions {
-            event_log: log.clone(),
-            ..mode_opts(mode)
-        };
-        let workers = opts.workers;
-        let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).unwrap();
-        let addr = svc.local_addr();
-        let mut conn = ClientConnection::connect(addr).unwrap();
-        for i in 0..=workers {
-            let (code, body) = conn.request("POST", "/dashboards/boom/run", "").unwrap();
-            assert_eq!(code, 500, "{mode:?} run {i}: {body}");
-        }
-        drop(conn);
-        let (code, body) = blocking_get(addr, "/retail/ds/brand_sales").unwrap();
-        assert_eq!(code, 200, "{mode:?}: {body}");
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(
-            stat(&stats, "routes.(panic).errors"),
-            workers as i64 + 1,
-            "{mode:?}"
-        );
-        svc.shutdown();
-        let panics: Vec<String> = log
-            .lines()
-            .into_iter()
-            .filter(|l| l.contains("\"message\": \"boom task\""))
-            .collect();
-        assert_eq!(panics.len(), workers + 1, "{mode:?}");
-        assert!(
-            panics[0].contains("POST /dashboards/:name/run"),
-            "{}",
-            panics[0]
-        );
+    let platform = retail_platform(4);
+    platform
+        .tasks()
+        .register_task(std::sync::Arc::new(FnTask::new(
+            "boom",
+            |schema| Ok(schema.clone()),
+            |_| panic!("boom task"),
+        )));
+    platform.upload_data("boom", "sales.csv", "region,brand,revenue\nn,b,1\n");
+    platform.save_flow("boom", BOOM).unwrap();
+    let log = EventLog::in_memory();
+    let opts = ServeOptions {
+        event_log: log.clone(),
+        ..ServeOptions::default()
+    };
+    let workers = opts.workers;
+    let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).unwrap();
+    let addr = svc.local_addr();
+    let mut conn = ClientConnection::connect(addr).unwrap();
+    for i in 0..=workers {
+        let (code, body) = conn.request("POST", "/dashboards/boom/run", "").unwrap();
+        assert_eq!(code, 500, "run {i}: {body}");
     }
+    drop(conn);
+    let (code, body) = blocking_get(addr, "/retail/ds/brand_sales").unwrap();
+    assert_eq!(code, 200, "{body}");
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "routes.(panic).errors"), workers as i64 + 1);
+    svc.shutdown();
+    let panics: Vec<String> = log
+        .lines()
+        .into_iter()
+        .filter(|l| l.contains("\"message\": \"boom task\""))
+        .collect();
+    assert_eq!(panics.len(), workers + 1);
+    assert!(
+        panics[0].contains("POST /dashboards/:name/run"),
+        "{}",
+        panics[0]
+    );
 }
 
 #[test]
 fn oversized_heads_get_431_and_close_in_both_modes() {
-    for mode in BOTH_MODES {
-        let opts = ServeOptions {
-            limits: WireLimits {
-                max_head_bytes: 512,
-                ..WireLimits::default()
-            },
-            ..mode_opts(mode)
-        };
-        let mut svc = retail_service(4, opts);
-        let addr = svc.local_addr();
+    let opts = ServeOptions {
+        limits: WireLimits {
+            max_head_bytes: 512,
+            ..WireLimits::default()
+        },
+        ..ServeOptions::default()
+    };
+    let mut svc = retail_service(4, opts);
+    let addr = svc.local_addr();
 
-        // A modest head sails through.
-        let (code, _) = blocking_get(addr, "/dashboards").unwrap();
-        assert_eq!(code, 200, "{mode:?}");
+    // A modest head sails through.
+    let (code, _) = blocking_get(addr, "/dashboards").unwrap();
+    assert_eq!(code, 200);
 
-        // A head past the cap is answered 431 and the connection closes —
-        // even though the head never completed (slow-drip shape).
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut head = String::from("GET /dashboards HTTP/1.1\r\n");
-        while head.len() <= 600 {
-            head.push_str("X-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
-        }
-        stream.write_all(head.as_bytes()).unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        assert!(
-            out.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
-            "{mode:?}: {out}"
-        );
-        assert!(out.contains("Connection: close"), "{mode:?}: {out}");
-
-        // The rejection is metered under the (malformed) pseudo-route.
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(stat(&stats, "routes.(malformed).count"), 1, "{mode:?}");
-        svc.shutdown();
+    // A head past the cap is answered 431 and the connection closes —
+    // even though the head never completed (slow-drip shape).
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut head = String::from("GET /dashboards HTTP/1.1\r\n");
+    while head.len() <= 600 {
+        head.push_str("X-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
     }
+    stream.write_all(head.as_bytes()).unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    assert!(
+        out.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+        "{out}"
+    );
+    assert!(out.contains("Connection: close"), "{out}");
+
+    // The rejection is metered under the (malformed) pseudo-route.
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "routes.(malformed).count"), 1);
+    svc.shutdown();
 }
 
 #[test]
 fn timeouts_classify_identically_in_both_modes() {
-    for mode in BOTH_MODES {
-        let opts = ServeOptions {
-            io_timeout: Duration::from_millis(200),
-            idle_timeout: Duration::from_millis(400),
-            ..mode_opts(mode)
-        };
-        let mut svc = retail_service(4, opts);
-        let addr = svc.local_addr();
+    let opts = ServeOptions {
+        io_timeout: Duration::from_millis(200),
+        idle_timeout: Duration::from_millis(400),
+        ..ServeOptions::default()
+    };
+    let mut svc = retail_service(4, opts);
+    let addr = svc.local_addr();
 
-        // Stall mid-head: silent close (no parseable request to answer).
-        let mut mid_head = TcpStream::connect(addr).unwrap();
-        mid_head
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        mid_head.write_all(b"GET /dashboards HT").unwrap();
-        let mut out = String::new();
-        mid_head.read_to_string(&mut out).unwrap();
-        assert!(out.is_empty(), "{mode:?}: mid-head stall closes silently");
+    // Stall mid-head: silent close (no parseable request to answer).
+    let mut mid_head = TcpStream::connect(addr).unwrap();
+    mid_head
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    mid_head.write_all(b"GET /dashboards HT").unwrap();
+    let mut out = String::new();
+    mid_head.read_to_string(&mut out).unwrap();
+    assert!(out.is_empty(), "mid-head stall closes silently");
 
-        // Stall mid-body: the head parsed, so the client is answered 408.
-        let mut mid_body = TcpStream::connect(addr).unwrap();
-        mid_body
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        mid_body
-            .write_all(b"PUT /dashboards/retail/flow HTTP/1.1\r\nContent-Length: 50\r\n\r\npartial")
-            .unwrap();
-        let mut out = String::new();
-        mid_body.read_to_string(&mut out).unwrap();
-        assert!(
-            out.starts_with("HTTP/1.1 408 Request Timeout"),
-            "{mode:?}: {out}"
-        );
+    // Stall mid-body: the head parsed, so the client is answered 408.
+    let mut mid_body = TcpStream::connect(addr).unwrap();
+    mid_body
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    mid_body
+        .write_all(b"PUT /dashboards/retail/flow HTTP/1.1\r\nContent-Length: 50\r\n\r\npartial")
+        .unwrap();
+    let mut out = String::new();
+    mid_body.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 408 Request Timeout"), "{out}");
 
-        // Idle between requests: silent close, not an error on any route.
-        let mut idle = TcpStream::connect(addr).unwrap();
-        idle.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut out = String::new();
-        idle.read_to_string(&mut out).unwrap();
-        assert!(out.is_empty(), "{mode:?}: idle close is silent");
+    // Idle between requests: silent close, not an error on any route.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = String::new();
+    idle.read_to_string(&mut out).unwrap();
+    assert!(out.is_empty(), "idle close is silent");
 
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(stat(&stats, "routes.(timeout).count"), 2, "{mode:?}");
-        assert_eq!(stat(&stats, "connections.io_timeouts"), 2, "{mode:?}");
-        assert_eq!(stat(&stats, "connections.idle_timeouts"), 1, "{mode:?}");
-        svc.shutdown();
-    }
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "routes.(timeout).count"), 2);
+    assert_eq!(stat(&stats, "connections.io_timeouts"), 2);
+    assert_eq!(stat(&stats, "connections.idle_timeouts"), 1);
+    svc.shutdown();
 }
 
 /// A chunked CSV upload drip-fed in slices that straddle both chunk and
@@ -328,94 +291,90 @@ fn timeouts_classify_identically_in_both_modes() {
 /// for a pipelined request after the streamed body.
 #[test]
 fn streamed_ingest_conforms_in_both_modes() {
-    for mode in BOTH_MODES {
-        let mut svc = retail_service(4, mode_opts(mode));
-        let addr = svc.local_addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .write_all(
-                b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
-                  Transfer-Encoding: chunked\r\n\r\n",
-            )
-            .unwrap();
-        // Chunk boundaries deliberately cut the CSV header and a data
-        // record mid-field.
-        let slices = [
-            "region,brand,rev",
-            "enue\neast,acme,5\neast,be",
-            "ta,7\nwest,acme,9\n",
-        ];
-        for slice in slices {
-            let framed = format!("{:x}\r\n{slice}\r\n", slice.len());
-            stream.write_all(framed.as_bytes()).unwrap();
-            stream.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        // Terminal chunk plus a pipelined follow-up in the same write.
-        stream
-            .write_all(b"0\r\n\r\nGET /retail/ds/events HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        assert!(out.starts_with("HTTP/1.1 200 OK"), "{mode:?}: {out}");
-        assert!(out.contains("\"rows_appended\": 3"), "{mode:?}: {out}");
-        let second = out.rfind("HTTP/1.1 200 OK").expect("pipelined response");
-        assert!(second > 0, "{mode:?}: expected two responses: {out}");
-        assert!(
-            out.contains("beta"),
-            "{mode:?}: appended rows must be readable: {out}"
-        );
-
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(stat(&stats, "ingest.requests"), 1, "{mode:?}");
-        assert_eq!(stat(&stats, "ingest.rows"), 3, "{mode:?}");
-        svc.shutdown();
+    let mut svc = retail_service(4, ServeOptions::default());
+    let addr = svc.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
+              Transfer-Encoding: chunked\r\n\r\n",
+        )
+        .unwrap();
+    // Chunk boundaries deliberately cut the CSV header and a data
+    // record mid-field.
+    let slices = [
+        "region,brand,rev",
+        "enue\neast,acme,5\neast,be",
+        "ta,7\nwest,acme,9\n",
+    ];
+    for slice in slices {
+        let framed = format!("{:x}\r\n{slice}\r\n", slice.len());
+        stream.write_all(framed.as_bytes()).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(40));
     }
+    // Terminal chunk plus a pipelined follow-up in the same write.
+    stream
+        .write_all(b"0\r\n\r\nGET /retail/ds/events HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+    assert!(out.contains("\"rows_appended\": 3"), "{out}");
+    let second = out.rfind("HTTP/1.1 200 OK").expect("pipelined response");
+    assert!(second > 0, "expected two responses: {out}");
+    assert!(
+        out.contains("beta"),
+        "appended rows must be readable: {out}"
+    );
+
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "ingest.requests"), 1);
+    assert_eq!(stat(&stats, "ingest.rows"), 3);
+    svc.shutdown();
 }
 
 /// A client that vanishes mid-body must leave the endpoint untouched and
-/// be accounted as an ingest abort — identically in both serve modes.
+/// be accounted as an ingest abort.
 #[test]
 fn streamed_ingest_disconnect_leaves_endpoint_unchanged_in_both_modes() {
-    for mode in BOTH_MODES {
-        let mut svc = retail_service(4, mode_opts(mode));
-        let addr = svc.local_addr();
-        {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream
-                .write_all(
-                    b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
-                      Content-Length: 4096\r\n\r\nregion,brand,revenue\neast,acme,5\n",
-                )
-                .unwrap();
-            // Drop the socket with most of the announced body unsent.
-        }
-        // The abort lands when the serve loop notices the EOF — poll.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let (_, stats) = blocking_get(addr, "/stats").unwrap();
-            if stat(&stats, "ingest.aborted") >= 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{mode:?}: no ingest abort recorded"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let (code, list) = blocking_get(addr, "/retail/ds").unwrap();
-        assert_eq!(code, 200, "{mode:?}");
-        assert!(
-            !list.contains("events"),
-            "{mode:?}: aborted ingest must not create the endpoint: {list}"
-        );
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(stat(&stats, "ingest.rows"), 0, "{mode:?}");
-        svc.shutdown();
+    let mut svc = retail_service(4, ServeOptions::default());
+    let addr = svc.local_addr();
+    {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(
+                b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
+                  Content-Length: 4096\r\n\r\nregion,brand,revenue\neast,acme,5\n",
+            )
+            .unwrap();
+        // Drop the socket with most of the announced body unsent.
     }
+    // The abort lands when the serve loop notices the EOF — poll.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let (_, stats) = blocking_get(addr, "/stats").unwrap();
+        if stat(&stats, "ingest.aborted") >= 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no ingest abort recorded"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let (code, list) = blocking_get(addr, "/retail/ds").unwrap();
+    assert_eq!(code, 200);
+    assert!(
+        !list.contains("events"),
+        "aborted ingest must not create the endpoint: {list}"
+    );
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "ingest.rows"), 0);
+    svc.shutdown();
 }
 
 /// True 413 conformance: an announced over-cap body is refused before a
@@ -423,77 +382,69 @@ fn streamed_ingest_disconnect_leaves_endpoint_unchanged_in_both_modes() {
 /// crosses the cap mid-transfer is cut off with 413 plus a close.
 #[test]
 fn streamed_ingest_over_cap_gets_413_in_both_modes() {
-    for mode in BOTH_MODES {
-        let opts = ServeOptions {
-            limits: WireLimits {
-                max_stream_body_bytes: 4096,
-                ..WireLimits::default()
-            },
-            ..mode_opts(mode)
-        };
-        let mut svc = retail_service(4, opts);
-        let addr = svc.local_addr();
+    let opts = ServeOptions {
+        limits: WireLimits {
+            max_stream_body_bytes: 4096,
+            ..WireLimits::default()
+        },
+        ..ServeOptions::default()
+    };
+    let mut svc = retail_service(4, opts);
+    let addr = svc.local_addr();
 
-        // Announced over-cap: rejected from the Content-Length alone.
-        let mut announced = TcpStream::connect(addr).unwrap();
-        announced
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        announced
-            .write_all(
-                b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
-                  Content-Length: 1048576\r\n\r\n",
-            )
-            .unwrap();
-        let mut out = String::new();
-        announced.read_to_string(&mut out).unwrap();
-        assert!(
-            out.starts_with("HTTP/1.1 413 Payload Too Large"),
-            "{mode:?}: {out}"
-        );
-        assert!(out.contains("Connection: close"), "{mode:?}: {out}");
+    // Announced over-cap: rejected from the Content-Length alone.
+    let mut announced = TcpStream::connect(addr).unwrap();
+    announced
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    announced
+        .write_all(
+            b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
+              Content-Length: 1048576\r\n\r\n",
+        )
+        .unwrap();
+    let mut out = String::new();
+    announced.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 413 Payload Too Large"), "{out}");
+    assert!(out.contains("Connection: close"), "{out}");
 
-        // Chunked over-cap: the cap trips mid-transfer. Stop writing
-        // right after crossing it so the server drains everything sent
-        // (no unread bytes ⇒ clean close, the 413 is readable).
-        let mut chunked = TcpStream::connect(addr).unwrap();
-        chunked
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        chunked
-            .write_all(
-                b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
-                  Transfer-Encoding: chunked\r\n\r\n",
-            )
-            .unwrap();
-        let header = "region,brand,revenue\n";
-        chunked
-            .write_all(format!("{:x}\r\n{header}\r\n", header.len()).as_bytes())
-            .unwrap();
-        let record = "north,overflow_brand,1234567\n".repeat(20); // 580 bytes
-        for _ in 0..8 {
-            // 8 × 580 = 4640 payload bytes > the 4096 cap.
-            let framed = format!("{:x}\r\n{record}\r\n", record.len());
-            chunked.write_all(framed.as_bytes()).unwrap();
-            chunked.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let mut out = String::new();
-        chunked.read_to_string(&mut out).unwrap();
-        assert!(
-            out.starts_with("HTTP/1.1 413 Payload Too Large"),
-            "{mode:?}: {out}"
-        );
-        assert!(out.contains("Connection: close"), "{mode:?}: {out}");
-
-        // Neither attempt touched the platform.
-        let (_, list) = blocking_get(addr, "/retail/ds").unwrap();
-        assert!(!list.contains("events"), "{mode:?}: {list}");
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(stat(&stats, "ingest.rows"), 0, "{mode:?}");
-        assert!(stat(&stats, "ingest.aborted") >= 2, "{mode:?}");
-        svc.shutdown();
+    // Chunked over-cap: the cap trips mid-transfer. Stop writing
+    // right after crossing it so the server drains everything sent
+    // (no unread bytes ⇒ clean close, the 413 is readable).
+    let mut chunked = TcpStream::connect(addr).unwrap();
+    chunked
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    chunked
+        .write_all(
+            b"POST /dashboards/retail/ds/events/ingest HTTP/1.1\r\n\
+              Transfer-Encoding: chunked\r\n\r\n",
+        )
+        .unwrap();
+    let header = "region,brand,revenue\n";
+    chunked
+        .write_all(format!("{:x}\r\n{header}\r\n", header.len()).as_bytes())
+        .unwrap();
+    let record = "north,overflow_brand,1234567\n".repeat(20); // 580 bytes
+    for _ in 0..8 {
+        // 8 × 580 = 4640 payload bytes > the 4096 cap.
+        let framed = format!("{:x}\r\n{record}\r\n", record.len());
+        chunked.write_all(framed.as_bytes()).unwrap();
+        chunked.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
     }
+    let mut out = String::new();
+    chunked.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 413 Payload Too Large"), "{out}");
+    assert!(out.contains("Connection: close"), "{out}");
+
+    // Neither attempt touched the platform.
+    let (_, list) = blocking_get(addr, "/retail/ds").unwrap();
+    assert!(!list.contains("events"), "{list}");
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "ingest.rows"), 0);
+    assert!(stat(&stats, "ingest.aborted") >= 2);
+    svc.shutdown();
 }
 
 /// The routes whose bodies are deterministic for a fixed fixture, so a
@@ -509,40 +460,38 @@ const IDENTITY_ROUTES: [&str; 6] = [
 
 #[test]
 fn chunked_responses_are_byte_identical_to_buffered_in_both_modes() {
-    // One service per framing×mode over identically-prepared platforms.
+    // One service per framing over identically-prepared platforms.
     let rows = 120; // browse bodies far exceed the chunk budget
     let mut buffered = retail_service(rows, ServeOptions::default());
-    for mode in BOTH_MODES {
-        let opts = ServeOptions {
-            chunk_budget: Some(256),
-            ..mode_opts(mode)
-        };
-        let mut chunked = retail_service(rows, opts);
-        let mut want = ClientConnection::connect(buffered.local_addr()).unwrap();
-        let mut got = ClientConnection::connect(chunked.local_addr()).unwrap();
-        for route in IDENTITY_ROUTES {
-            let (want_code, want_body) = want.get(route).unwrap();
-            let (got_code, got_body) = got.get(route).unwrap();
-            assert_eq!(want_code, got_code, "{mode:?} {route}");
-            assert_eq!(want_body, got_body, "{mode:?} {route}");
-        }
-        // Confirm the big routes really were chunked on the wire.
-        let mut raw = TcpStream::connect(chunked.local_addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        raw.write_all(
-            b"GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        )
-        .unwrap();
-        let mut wire = String::new();
-        raw.read_to_string(&mut wire).unwrap();
-        assert!(
-            wire.contains("Transfer-Encoding: chunked\r\n"),
-            "{mode:?}: {}",
-            &wire[..wire.len().min(300)]
-        );
-        assert!(!wire.contains("Content-Length"), "{mode:?}");
-        chunked.shutdown();
+    let opts = ServeOptions {
+        chunk_budget: Some(256),
+        ..ServeOptions::default()
+    };
+    let mut chunked = retail_service(rows, opts);
+    let mut want = ClientConnection::connect(buffered.local_addr()).unwrap();
+    let mut got = ClientConnection::connect(chunked.local_addr()).unwrap();
+    for route in IDENTITY_ROUTES {
+        let (want_code, want_body) = want.get(route).unwrap();
+        let (got_code, got_body) = got.get(route).unwrap();
+        assert_eq!(want_code, got_code, "{route}");
+        assert_eq!(want_body, got_body, "{route}");
     }
+    // Confirm the big routes really were chunked on the wire.
+    let mut raw = TcpStream::connect(chunked.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(
+        b"GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    let mut wire = String::new();
+    raw.read_to_string(&mut wire).unwrap();
+    assert!(
+        wire.contains("Transfer-Encoding: chunked\r\n"),
+        "{}",
+        &wire[..wire.len().min(300)]
+    );
+    assert!(!wire.contains("Content-Length"));
+    chunked.shutdown();
     buffered.shutdown();
 }
 
@@ -556,47 +505,42 @@ fn pipelined_chunked_responses_straddle_chunk_boundaries() {
         .unwrap();
     buffered.shutdown();
 
-    for mode in BOTH_MODES {
-        let opts = ServeOptions {
-            chunk_budget: Some(256),
-            ..mode_opts(mode)
-        };
-        let mut svc = retail_service(rows, opts);
-        // Two pipelined requests in one write: both responses arrive
-        // chunked, back to back, each response's chunk stream ending with
-        // its own 0-terminator. The de-chunker must stop exactly at the
-        // boundary so the second response parses from the leftover bytes.
-        let mut stream = TcpStream::connect(svc.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let batch = "GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
-                     GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
-        stream.write_all(batch.as_bytes()).unwrap();
-        let mut wire = Vec::new();
-        stream.read_to_end(&mut wire).unwrap();
+    let opts = ServeOptions {
+        chunk_budget: Some(256),
+        ..ServeOptions::default()
+    };
+    let mut svc = retail_service(rows, opts);
+    // Two pipelined requests in one write: both responses arrive
+    // chunked, back to back, each response's chunk stream ending with
+    // its own 0-terminator. The de-chunker must stop exactly at the
+    // boundary so the second response parses from the leftover bytes.
+    let mut stream = TcpStream::connect(svc.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let batch = "GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
+                 GET /retail/ds/brand_sales HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+    stream.write_all(batch.as_bytes()).unwrap();
+    let mut wire = Vec::new();
+    stream.read_to_end(&mut wire).unwrap();
 
-        let mut rest = &wire[..];
-        for i in 0..2 {
-            let head_end = rest
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .unwrap_or_else(|| panic!("{mode:?} response {i} head"));
-            let head = String::from_utf8_lossy(&rest[..head_end]);
-            assert!(head.starts_with("HTTP/1.1 200 OK"), "{mode:?} {head}");
-            assert!(
-                head.contains("Transfer-Encoding: chunked"),
-                "{mode:?} {head}"
-            );
-            let (body, used) = dechunk(&rest[head_end + 4..])
-                .unwrap_or_else(|| panic!("{mode:?} response {i} incomplete"))
-                .unwrap_or_else(|e| panic!("{mode:?} response {i}: {e}"));
-            assert_eq!(body, want_body, "{mode:?} response {i}");
-            rest = &rest[head_end + 4 + used..];
-        }
-        assert!(rest.is_empty(), "{mode:?}: no stray bytes after close");
-        svc.shutdown();
+    let mut rest = &wire[..];
+    for i in 0..2 {
+        let head_end = rest
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .unwrap_or_else(|| panic!("response {i} head"));
+        let head = String::from_utf8_lossy(&rest[..head_end]);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+        let (body, used) = dechunk(&rest[head_end + 4..])
+            .unwrap_or_else(|| panic!("response {i} incomplete"))
+            .unwrap_or_else(|e| panic!("response {i}: {e}"));
+        assert_eq!(body, want_body, "response {i}");
+        rest = &rest[head_end + 4 + used..];
     }
+    assert!(rest.is_empty(), "no stray bytes after close");
+    svc.shutdown();
 }
 
 /// The counts in `/stats` a request's side effects move — per-route
@@ -680,8 +624,8 @@ fn trace_shapes(server: &Server) -> Vec<String> {
         .collect()
 }
 
-/// One step of the accounting script: in process, then over each
-/// connection, the body answered identically everywhere.
+/// One step of the accounting script: in process, then over the
+/// connection, the body answered identically both ways.
 enum Step {
     Get(&'static str),
     Sql(&'static str),
@@ -712,18 +656,9 @@ fn a_hit_answered_on_the_loop_counts_exactly_what_a_worker_counts() {
         server
     };
     let oracle = server();
-    let served: Vec<(ServeMode, Server, ServiceHandle)> = BOTH_MODES
-        .iter()
-        .map(|&mode| {
-            let server = server();
-            let svc = serve(server.clone(), "127.0.0.1:0", mode_opts(mode)).unwrap();
-            (mode, server, svc)
-        })
-        .collect();
-    let mut conns: Vec<ClientConnection> = served
-        .iter()
-        .map(|(_, _, svc)| ClientConnection::connect(svc.local_addr()).unwrap())
-        .collect();
+    let served = server();
+    let mut svc = serve(served.clone(), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut conn = ClientConnection::connect(svc.local_addr()).unwrap();
     let new_sales = "region,brand,revenue\nnorth,a,5\nsouth,b,7\nnorth,c,9\n";
     for (i, step) in script.iter().enumerate() {
         let request = match step {
@@ -732,7 +667,7 @@ fn a_hit_answered_on_the_loop_counts_exactly_what_a_worker_counts() {
                 Request::new(Method::Post, "/retail/ds/brand_sales/sql").with_body(*sql)
             }
             Step::Run => {
-                for server in std::iter::once(&oracle).chain(served.iter().map(|(_, s, _)| s)) {
+                for server in [&oracle, &served] {
                     server
                         .platform()
                         .upload_data("retail", "sales.csv", new_sales);
@@ -742,71 +677,55 @@ fn a_hit_answered_on_the_loop_counts_exactly_what_a_worker_counts() {
         };
         let want = oracle.handle(&request);
         let want_stats = oracle.handle(&Request::get("/stats")).body;
-        for ((mode, server, svc), conn) in served.iter().zip(conns.iter_mut()) {
-            let (code, body) = match step {
-                Step::Get(path) => conn.get(path),
-                Step::Sql(sql) => conn.request("POST", "/retail/ds/brand_sales/sql", sql),
-                Step::Run => conn.request("POST", "/dashboards/retail/run", ""),
-                Step::GetClose(path) => conn.request_close("GET", path, ""),
-            }
-            .unwrap();
-            assert_eq!(
-                (code, body.as_str()),
-                (want.status.code(), want.body.as_str()),
-                "{mode:?} step {i}"
-            );
-            let (_, stats) = blocking_get(svc.local_addr(), "/stats").unwrap();
-            assert_eq!(
-                accounting(&stats),
-                accounting(&want_stats),
-                "{mode:?} step {i}"
-            );
-            assert_eq!(
-                trace_shapes(server),
-                trace_shapes(&oracle),
-                "{mode:?} step {i}"
-            );
+        let (code, body) = match step {
+            Step::Get(path) => conn.get(path),
+            Step::Sql(sql) => conn.request("POST", "/retail/ds/brand_sales/sql", sql),
+            Step::Run => conn.request("POST", "/dashboards/retail/run", ""),
+            Step::GetClose(path) => conn.request_close("GET", path, ""),
         }
+        .unwrap();
+        assert_eq!(
+            (code, body.as_str()),
+            (want.status.code(), want.body.as_str()),
+            "step {i}"
+        );
+        let (_, stats) = blocking_get(svc.local_addr(), "/stats").unwrap();
+        assert_eq!(accounting(&stats), accounting(&want_stats), "step {i}");
+        assert_eq!(trace_shapes(&served), trace_shapes(&oracle), "step {i}");
     }
     // Four hits: the repeated GET and SQL, the GET after the re-run's
-    // miss, and the `Connection: close` one. Only the reactor answers
-    // them on its loop, and a loop-answered root says so.
+    // miss, and the `Connection: close` one. The reactor answers them on
+    // its loop, and a loop-answered root says so.
     let hits = stat(&oracle.handle(&Request::get("/stats")).body, "cache.hits");
     assert_eq!(hits, 4);
-    for ((mode, server, mut svc), conn) in served.into_iter().zip(conns) {
-        assert!(conn.server_closed(), "{mode:?}");
-        let (_, stats) = blocking_get(svc.local_addr(), "/stats").unwrap();
-        let inline = stat(&stats, "reactor.answered_inline");
-        let served_on: Vec<_> = server
-            .platform()
-            .tracer()
-            .recent(usize::MAX)
-            .iter()
-            .map(|t| t.root().unwrap().attr("served_on").cloned())
-            .collect();
-        let on = |path: &str| {
-            (served_on.iter())
-                .filter(|s| s.as_ref() == Some(&path.into()))
-                .count()
-        };
-        let on_loop = on("loop");
-        match mode {
-            ServeMode::Reactor => {
-                assert_eq!(inline, hits, "{stats}");
-                assert!(on_loop > 0, "a sampled hit says it was served on the loop");
-                // Everything else ran on a thread of its own: the one
-                // that parsed it, or one that took it off the queue.
-                let off_loop = on("handoff") + on("queue");
-                assert_eq!(on_loop + off_loop, served_on.len(), "{served_on:?}");
-                assert!(off_loop > 0, "{served_on:?}");
-            }
-            ServeMode::ThreadPerConnection => {
-                assert_eq!((inline, on_loop), (0, 0));
-                assert_eq!(on("worker"), served_on.len(), "{served_on:?}");
-            }
-        }
-        svc.shutdown();
+    let in_process = Some("in_process".into());
+    for trace in oracle.platform().tracer().recent(usize::MAX) {
+        assert_eq!(trace.root().unwrap().attr("served_on").cloned(), in_process);
     }
+    assert!(conn.server_closed());
+    let (_, stats) = blocking_get(svc.local_addr(), "/stats").unwrap();
+    let inline = stat(&stats, "reactor.answered_inline");
+    let served_on: Vec<_> = served
+        .platform()
+        .tracer()
+        .recent(usize::MAX)
+        .iter()
+        .map(|t| t.root().unwrap().attr("served_on").cloned())
+        .collect();
+    let on = |path: &str| {
+        (served_on.iter())
+            .filter(|s| s.as_ref() == Some(&path.into()))
+            .count()
+    };
+    let on_loop = on("loop");
+    assert_eq!(inline, hits, "{stats}");
+    assert!(on_loop > 0, "a sampled hit says it was served on the loop");
+    // Everything else ran on a thread of its own: the one that parsed
+    // it, or one that took it off the queue.
+    let off_loop = on("handoff") + on("queue");
+    assert_eq!(on_loop + off_loop, served_on.len(), "{served_on:?}");
+    assert!(off_loop > 0, "{served_on:?}");
+    svc.shutdown();
 }
 
 #[test]
@@ -827,7 +746,7 @@ fn a_long_pipelined_burst_of_hits_is_answered_in_order_and_the_loop_serves_on() 
         max_requests_per_connection: BURST + 10,
         io_timeout: Duration::from_secs(30),
         idle_timeout: Duration::from_secs(30),
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
     let addr = svc.local_addr();
@@ -930,11 +849,11 @@ fn take_reply(wire: &mut Vec<u8>) -> Option<(u16, String)> {
 
 #[test]
 fn reactor_multiplexes_hundreds_of_idle_connections() {
-    let mut svc = retail_service(4, mode_opts(ServeMode::Reactor));
+    let mut svc = retail_service(4, ServeOptions::default());
     let addr = svc.local_addr();
 
-    // Far more open connections than worker threads — in thread mode
-    // these would wedge the pool solid; the reactor just tables them.
+    // Far more open connections than pool threads: the reactor just
+    // tables them.
     let idle: Vec<TcpStream> = (0..300)
         .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
         .collect();
@@ -990,7 +909,7 @@ fn reactor_counts_only_the_dispatches_its_pool_accepts() {
     let opts = ServeOptions {
         workers: 1,
         queue_depth: 1,
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let server = Server::new(platform);
     let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
@@ -1025,6 +944,65 @@ fn reactor_counts_only_the_dispatches_its_pool_accepts() {
     let (_, stats) = blocking_get(addr, "/stats").unwrap();
     assert_eq!(stat(&stats, "routes.(rejected).count"), 1, "{stats}");
     assert_eq!(stat(&stats, "reactor.dispatched"), 3, "{stats}");
+    svc.shutdown();
+}
+
+/// A request that waits on the pending queue past the deadline is
+/// answered 503 without being run: with `workers: 1`, a 300 ms run holds
+/// the one thread that may run requests, so a second request waits on the
+/// queue, and the run's thread takes it 250 ms past its 50 ms deadline.
+/// The 503 closes the connection (a client asking for keep-alive is
+/// answered `Connection: close`), is counted once under `(deadline)`, and
+/// leaves the pool serving.
+#[test]
+fn a_request_queued_past_its_deadline_is_answered_503() {
+    use std::sync::atomic::Ordering;
+    let platform = retail_platform(4);
+    let naps = add_nap(&platform, "nap", 300);
+    let opts = ServeOptions {
+        workers: 1,
+        queue_depth: 1,
+        deadline: Duration::from_millis(50),
+        ..ServeOptions::default()
+    };
+    let server = Server::new(platform);
+    let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
+    let addr = svc.local_addr();
+    let metrics = server.platform().api_metrics();
+    // Let the second thread reach the lobby, so the run is not queued
+    // (and held past the deadline) itself.
+    assert_eq!(blocking_get(addr, "/dashboards").unwrap().0, 200);
+    std::thread::sleep(Duration::from_millis(20));
+    let mut run = TcpStream::connect(addr).unwrap();
+    run.write_all(b"POST /dashboards/nap/run HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while naps.started.load(Ordering::SeqCst) == 0 {
+        assert!(std::time::Instant::now() < deadline, "the nap never began");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut late = TcpStream::connect(addr).unwrap();
+    late.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    late.write_all(b"GET /dashboards HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let mut out = String::new();
+    late.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 503 Service Unavailable"), "{out}");
+    assert!(out.contains("deadline exceeded in queue"), "{out}");
+    assert!(out.contains("Connection: close"), "{out}");
+    assert!(!out.contains("Keep-Alive"), "{out}");
+    assert!(metrics.reactor().queued >= 1);
+    let mut ran = String::new();
+    run.read_to_string(&mut ran).unwrap();
+    assert!(ran.starts_with("HTTP/1.1 200"), "{ran}");
+
+    // A fresh connection is served: the pool is not left wedged.
+    let (code, body) = blocking_get(addr, "/dashboards").unwrap();
+    assert_eq!(code, 200, "{body}");
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "routes.(deadline).count"), 1, "{stats}");
+    assert!(!stats.contains("(rejected)"), "{stats}");
     svc.shutdown();
 }
 
@@ -1090,7 +1068,7 @@ fn a_slow_request_never_holds_the_poll() {
     let want = server.handle(&Request::get("/retail/ds/brand_sales")).body;
     let opts = ServeOptions {
         workers: 1,
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
     let addr = svc.local_addr();
@@ -1129,7 +1107,7 @@ fn misses_that_arrive_together_run_together() {
     let naps = add_nap(&platform, "nap1", 3);
     let opts = ServeOptions {
         workers: 2,
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).unwrap();
     let addr = svc.local_addr();
@@ -1169,7 +1147,7 @@ fn a_hit_is_answered_while_a_short_miss_runs() {
     let naps = add_nap(&platform, "nap", 3);
     let opts = ServeOptions {
         workers: 1,
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).unwrap();
     let addr = svc.local_addr();
@@ -1209,7 +1187,7 @@ fn a_pending_request_is_never_stranded() {
     let server = Server::new(platform);
     let opts = ServeOptions {
         workers: 2,
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let mut svc = serve(server.clone(), "127.0.0.1:0", opts).unwrap();
     let addr = svc.local_addr();
@@ -1276,7 +1254,7 @@ fn reactor_write_backpressure_rearms_epollout() {
         chunk_budget: Some(4 * 1024),
         io_timeout: Duration::from_secs(30),
         idle_timeout: Duration::from_secs(30),
-        ..mode_opts(ServeMode::Reactor)
+        ..ServeOptions::default()
     };
     let mut svc = retail_service(rows, opts);
     let addr = svc.local_addr();

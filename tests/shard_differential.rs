@@ -4,7 +4,7 @@
 //! indexed path. `Server::with_shards(n)` and `ServeOptions::shards` stay
 //! as inert stubs, and the contract under test is that they change
 //! nothing. Every response — path grammar or SQL, in-process or over
-//! either TCP serve mode, before and after an append — is
+//! TCP, before and after an append — is
 //! **byte-identical** to `Server::new`, including paging, ordering,
 //! tie-breaks and error strings; `ApiMetrics::shard()` reads zero and no
 //! `shard` family is rendered.
@@ -12,8 +12,7 @@
 use shareinsights::core::Platform;
 use shareinsights::datagen::SeededRng;
 use shareinsights::server::{
-    blocking_get, blocking_request, serve, Method, Request, Response, ServeMode, ServeOptions,
-    Server,
+    blocking_get, blocking_request, serve, Method, Request, Response, ServeOptions, Server,
 };
 
 const ROWS: usize = 2000;
@@ -199,44 +198,33 @@ fn appends_invalidate_shard_slices() {
     assert_no_shard_work(&server, "with_shards(4)");
 }
 
-/// Both serve modes with `ServeOptions { shards: 4 }` answer every path
+/// The served core with `ServeOptions { shards: 4 }` answers every path
 /// and SQL query byte-identically to the in-process `Server::new`, and
 /// neither `/stats` nor `/metrics` renders a shard family.
 #[test]
 fn both_serve_modes_agree_with_unsharded_baseline() {
     let baseline = server_with(None);
-    for serve_mode in [ServeMode::ThreadPerConnection, ServeMode::Reactor] {
-        let opts = ServeOptions {
-            serve_mode,
-            shards: 4,
-            workers: 2,
-            ..ServeOptions::default()
-        };
-        let mut svc = serve(server_with(None), "127.0.0.1:0", opts).expect("bind");
-        let addr = svc.local_addr();
-        for path in PATH_QUERIES {
-            let want = get(&baseline, path);
-            let got = blocking_get(addr, path).expect("request");
-            assert_eq!(
-                got,
-                (want.status.code(), want.body),
-                "{serve_mode:?}: {path}"
-            );
-        }
-        for text in SQL_QUERIES {
-            let want = sql(&baseline, text);
-            let got =
-                blocking_request(addr, "POST", "/retail/ds/sales_out/sql", text).expect("request");
-            assert_eq!(
-                got,
-                (want.status.code(), want.body),
-                "{serve_mode:?}: {text}"
-            );
-        }
-        let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert!(!stats.contains("\"shard\""), "{stats}");
-        let (_, metrics) = blocking_get(addr, "/metrics").unwrap();
-        assert!(!metrics.contains("shareinsights_shard_"), "{metrics}");
-        svc.shutdown();
+    let opts = ServeOptions {
+        shards: 4,
+        workers: 2,
+        ..ServeOptions::default()
+    };
+    let mut svc = serve(server_with(None), "127.0.0.1:0", opts).expect("bind");
+    let addr = svc.local_addr();
+    for path in PATH_QUERIES {
+        let want = get(&baseline, path);
+        let got = blocking_get(addr, path).expect("request");
+        assert_eq!(got, (want.status.code(), want.body), "{path}");
     }
+    for text in SQL_QUERIES {
+        let want = sql(&baseline, text);
+        let got =
+            blocking_request(addr, "POST", "/retail/ds/sales_out/sql", text).expect("request");
+        assert_eq!(got, (want.status.code(), want.body), "{text}");
+    }
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert!(!stats.contains("\"shard\""), "{stats}");
+    let (_, metrics) = blocking_get(addr, "/metrics").unwrap();
+    assert!(!metrics.contains("shareinsights_shard_"), "{metrics}");
+    svc.shutdown();
 }

@@ -1,15 +1,14 @@
-//! Dual-mode conformance for live streaming flows.
+//! Conformance for live streaming flows over the wire.
 //!
-//! A subscriber must observe the same stream regardless of which serving
-//! core delivers it: for the same tick sequence, the thread-per-connection
-//! pool and the epoll reactor must push byte-identical generation-delta
-//! frames. That holds by construction — frames are built once, at publish
-//! time, in the router — and these tests pin the construction down at the
-//! wire level.
+//! A subscriber on a socket must observe exactly the stream the router
+//! publishes: for the same tick sequence, the frames the reactor pushes
+//! are byte-identical to those an in-process subscription drains. That
+//! holds by construction — frames are built once, at publish time, in the
+//! router — and these tests pin the construction down at the wire level.
 
 use shareinsights::server::{
-    blocking_get, blocking_request, serve, ClientConnection, ServeMode, ServeOptions, Server,
-    ServiceHandle, SseSubscriber,
+    blocking_get, blocking_request, serve, ClientConnection, Method, Request, ServeOptions, Server,
+    ServiceHandle, SseParser, SseSubscriber,
 };
 use shareinsights_core::Platform;
 use shareinsights_tabular::io::json::parse_json;
@@ -35,10 +34,8 @@ F:
     publish: brand_sales
 "#;
 
-const BOTH_MODES: [ServeMode; 2] = [ServeMode::ThreadPerConnection, ServeMode::Reactor];
-
-/// The tick sequence every test pushes — identical across modes, so the
-/// resulting frames must be too.
+/// The tick sequence every test pushes — identical over the wire and in
+/// process, so the resulting frames must be too.
 const TICKS: [&str; 3] = [
     "north,stream_brand,5\nsouth,stream_brand,7\n",
     "north,stream_brand,11\n",
@@ -58,12 +55,36 @@ fn retail_platform() -> Platform {
     platform
 }
 
-fn retail_service(mode: ServeMode) -> ServiceHandle {
-    let opts = ServeOptions {
-        serve_mode: mode,
-        ..ServeOptions::default()
-    };
-    serve(Server::new(retail_platform()), "127.0.0.1:0", opts).expect("bind ephemeral port")
+fn retail_service() -> ServiceHandle {
+    serve(
+        Server::new(retail_platform()),
+        "127.0.0.1:0",
+        ServeOptions::default(),
+    )
+    .expect("bind ephemeral port")
+}
+
+/// The same start, subscribe and ticks in process: the raw events the
+/// router queued on the subscription.
+fn in_process_frames() -> Vec<Vec<u8>> {
+    let server = Server::new(retail_platform());
+    let post = |path: &str, body: &str| Request::new(Method::Post, path).with_body(body);
+    assert!(server
+        .handle(&post("/dashboards/retail/stream/start", ""))
+        .is_ok());
+    let handled = server.handle_traced(&Request::get("/retail/ds/brand_sales/subscribe"));
+    let sub = handled.stream.expect("a subscription");
+    for tick in TICKS {
+        assert!(server
+            .handle(&post("/dashboards/retail/stream/push/sales", tick))
+            .is_ok());
+    }
+    let mut parser = SseParser::new();
+    let (frames, _) = sub.try_take();
+    (frames.iter())
+        .flat_map(|frame| parser.feed(frame).unwrap())
+        .map(|event| event.raw)
+        .collect()
 }
 
 /// Drain events from `sub` until `want` have arrived (or time runs out).
@@ -96,93 +117,81 @@ fn stat(stats_body: &str, path: &str) -> i64 {
 
 #[test]
 fn subscribers_receive_identical_frames_in_both_modes() {
-    let mut per_mode: Vec<Vec<Vec<u8>>> = Vec::new();
-    for mode in BOTH_MODES {
-        let mut svc = retail_service(mode);
-        let addr = svc.local_addr();
+    let mut svc = retail_service();
+    let addr = svc.local_addr();
 
+    let (code, body) =
+        blocking_request(addr, "POST", "/dashboards/retail/stream/start", "").unwrap();
+    assert_eq!(code, 200, "{body}");
+
+    let conn = ClientConnection::connect(addr).unwrap();
+    let mut sub = conn.subscribe("/retail/ds/brand_sales/subscribe").unwrap();
+
+    // The initial snapshot frame arrives before any tick.
+    let snapshot = collect(&mut sub, 1);
+    assert_eq!(snapshot.len(), 1, "want one snapshot frame");
+    assert_eq!(snapshot[0].event, "brand_sales");
+
+    for tick in TICKS {
         let (code, body) =
-            blocking_request(addr, "POST", "/dashboards/retail/stream/start", "").unwrap();
-        assert_eq!(code, 200, "{mode:?}: {body}");
-
-        let conn = ClientConnection::connect(addr).unwrap();
-        let mut sub = conn.subscribe("/retail/ds/brand_sales/subscribe").unwrap();
-
-        // The initial snapshot frame arrives before any tick.
-        let snapshot = collect(&mut sub, 1);
-        assert_eq!(snapshot.len(), 1, "{mode:?}: want one snapshot frame");
-        assert_eq!(snapshot[0].event, "brand_sales", "{mode:?}");
-
-        for tick in TICKS {
-            let (code, body) =
-                blocking_request(addr, "POST", "/dashboards/retail/stream/push/sales", tick)
-                    .unwrap();
-            assert_eq!(code, 200, "{mode:?}: {body}");
-        }
-
-        let deltas = collect(&mut sub, TICKS.len());
-        assert_eq!(deltas.len(), TICKS.len(), "{mode:?}: one frame per tick");
-
-        // Generations advance strictly — every frame supersedes the last.
-        let mut last = snapshot[0].id;
-        for event in &deltas {
-            assert!(
-                event.id > last,
-                "{mode:?}: generation {} after {last}",
-                event.id
-            );
-            last = event.id;
-        }
-
-        per_mode.push(
-            snapshot
-                .iter()
-                .chain(deltas.iter())
-                .map(|e| e.raw.clone())
-                .collect(),
-        );
-        svc.shutdown();
+            blocking_request(addr, "POST", "/dashboards/retail/stream/push/sales", tick).unwrap();
+        assert_eq!(code, 200, "{body}");
     }
 
-    // The acceptance bar: byte-identical frames, mode against mode.
+    let deltas = collect(&mut sub, TICKS.len());
+    assert_eq!(deltas.len(), TICKS.len(), "one frame per tick");
+
+    // Generations advance strictly — every frame supersedes the last.
+    let mut last = snapshot[0].id;
+    for event in &deltas {
+        assert!(event.id > last, "generation {} after {last}", event.id);
+        last = event.id;
+    }
+
+    let wire: Vec<Vec<u8>> = snapshot
+        .iter()
+        .chain(deltas.iter())
+        .map(|e| e.raw.clone())
+        .collect();
+    svc.shutdown();
+
+    // The acceptance bar: byte-identical frames, wire against router.
     assert_eq!(
-        per_mode[0], per_mode[1],
-        "thread-mode and reactor subscribers diverged"
+        wire,
+        in_process_frames(),
+        "the wire subscriber and the in-process one diverged"
     );
 }
 
 #[test]
 fn disconnecting_subscriber_is_reaped_in_both_modes() {
-    for mode in BOTH_MODES {
-        let mut svc = retail_service(mode);
-        let addr = svc.local_addr();
+    let mut svc = retail_service();
+    let addr = svc.local_addr();
 
-        let (code, _) =
-            blocking_request(addr, "POST", "/dashboards/retail/stream/start", "").unwrap();
-        assert_eq!(code, 200, "{mode:?}");
+    let (code, _) = blocking_request(addr, "POST", "/dashboards/retail/stream/start", "").unwrap();
+    assert_eq!(code, 200);
 
-        let conn = ClientConnection::connect(addr).unwrap();
-        let mut sub = conn.subscribe("/retail/ds/brand_sales/subscribe").unwrap();
-        assert_eq!(collect(&mut sub, 1).len(), 1, "{mode:?}");
+    let conn = ClientConnection::connect(addr).unwrap();
+    let mut sub = conn.subscribe("/retail/ds/brand_sales/subscribe").unwrap();
+    assert_eq!(collect(&mut sub, 1).len(), 1);
 
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "stream.subscribers"), 1, "{stats}");
+
+    // Hang up without unsubscribing; the serving loop must notice and
+    // tidy the registration on its own.
+    drop(sub);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
         let (_, stats) = blocking_get(addr, "/stats").unwrap();
-        assert_eq!(stat(&stats, "stream.subscribers"), 1, "{mode:?}: {stats}");
-
-        // Hang up without unsubscribing; the serving loop must notice and
-        // tidy the registration on its own.
-        drop(sub);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let (_, stats) = blocking_get(addr, "/stats").unwrap();
-            if stat(&stats, "stream.subscribers") == 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{mode:?}: subscriber gauge never returned to zero: {stats}"
-            );
-            std::thread::sleep(Duration::from_millis(50));
+        if stat(&stats, "stream.subscribers") == 0 {
+            break;
         }
-        svc.shutdown();
+        assert!(
+            std::time::Instant::now() < deadline,
+            "subscriber gauge never returned to zero: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
     }
+    svc.shutdown();
 }
