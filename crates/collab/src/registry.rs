@@ -119,6 +119,12 @@ impl PublishRegistry {
         self.inner.read().objects.get(publish_name).cloned()
     }
 
+    /// The schema of a shared object, without copying the object.
+    pub fn schema(&self, publish_name: &str) -> Option<Schema> {
+        let inner = self.inner.read();
+        inner.objects.get(publish_name).map(|o| o.schema.clone())
+    }
+
     /// All published names.
     pub fn names(&self) -> Vec<String> {
         self.inner.read().objects.keys().cloned().collect()

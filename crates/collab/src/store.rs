@@ -12,8 +12,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A commit identifier: a 128-bit content hash, displayed as its 32 hex
-/// digits. It is a value, so the commit map, a branch head and a child's
-/// parent list each hold 16 bytes rather than another copy of the hex.
+/// digits. It is a value, so the id index, a branch head and a commit's
+/// record each hold 16 bytes rather than another copy of the hex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CommitId(pub u128);
 
@@ -45,7 +45,8 @@ fn content_hash(parts: &[&str]) -> CommitId {
     CommitId((u128::from(hi) << 64) | u128::from(lo))
 }
 
-/// One immutable commit.
+/// One immutable commit, as a reader sees it (the repository keeps a
+/// compact record and rebuilds this on each read).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Commit {
     /// Content-derived id.
@@ -91,28 +92,122 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// One commit as a repository keeps it: 40 bytes, its parents and texts
+/// by number. [`RepoInner::commit`] rebuilds the [`Commit`] a reader sees.
+#[derive(Debug)]
+struct Stored {
+    /// The id's halves, high first (a `u128` field would align the record
+    /// to 16 bytes).
+    id: [u64; 2],
+    /// The parents' positions in [`RepoInner::commits`]; [`NO_PARENT`]
+    /// fills the second slot of an ordinary commit and both of a root.
+    parents: [u32; 2],
+    /// Positions in [`RepoInner::texts`].
+    author: u32,
+    message: u32,
+    content: u32,
+}
+
+/// An empty parent slot of a [`Stored`] commit.
+const NO_PARENT: u32 = u32::MAX;
+
+impl Stored {
+    fn id(&self) -> CommitId {
+        CommitId((u128::from(self.id[0]) << 64) | u128::from(self.id[1]))
+    }
+
+    fn parents(&self) -> impl Iterator<Item = u32> + '_ {
+        self.parents.iter().copied().filter(|&p| p != NO_PARENT)
+    }
+}
+
+/// A repository's history. Commits are numbered in the order they were
+/// made (a commit's `seq` is its position plus one), and everything else
+/// refers to them by position, so a save adds a 40-byte record and a
+/// 20-byte index entry (plus node overhead) to the history, not a
+/// [`Commit`] with a parent list of its own on the heap.
 #[derive(Debug, Default)]
 struct RepoInner {
-    commits: BTreeMap<CommitId, Commit>,
-    /// Every distinct text, author and message committed, for
-    /// [`RepoInner::text`].
-    texts: BTreeSet<Arc<str>>,
+    commits: Vec<Stored>,
+    /// Each commit's position in `commits`, by id.
+    positions: BTreeMap<CommitId, u32>,
+    /// Every distinct text, author and message committed, numbered in the
+    /// order first seen ([`RepoInner::text`]).
+    texts: Vec<Arc<str>>,
+    /// Each of `texts` by its string.
+    text_numbers: BTreeMap<Arc<str>, u32>,
     branches: BTreeMap<String, CommitId>,
-    seq: u64,
     /// `(source repo name, commit)` when this repo was forked.
     forked_from: Option<(String, CommitId)>,
 }
 
 impl RepoInner {
-    /// `content` as the one shared copy this repository keeps of it.
+    /// The number of `content`'s one shared copy in this repository.
     /// Authors and messages are few and repeat, like texts.
-    fn text(&mut self, content: &str) -> Arc<str> {
-        if let Some(held) = self.texts.get(content) {
-            return Arc::clone(held);
+    fn text(&mut self, content: &str) -> u32 {
+        if let Some(&number) = self.text_numbers.get(content) {
+            return number;
         }
+        let number = u32::try_from(self.texts.len()).expect("fewer than 2^32 distinct texts");
         let held: Arc<str> = content.into();
-        self.texts.insert(Arc::clone(&held));
-        held
+        self.texts.push(Arc::clone(&held));
+        self.text_numbers.insert(held, number);
+        number
+    }
+
+    /// The `seq` the next commit gets.
+    fn next_seq(&self) -> u64 {
+        self.commits.len() as u64 + 1
+    }
+
+    /// Record a commit with `parents` (at most two) as the newest.
+    fn push(&mut self, id: CommitId, parents: &[CommitId], texts: [&str; 3]) {
+        let mut slots = [NO_PARENT; 2];
+        for (slot, parent) in slots.iter_mut().zip(parents) {
+            *slot = self.positions[parent];
+        }
+        let [author, message, content] = texts.map(|t| self.text(t));
+        let position = u32::try_from(self.commits.len()).expect("fewer than 2^32 commits");
+        self.commits.push(Stored {
+            id: [(id.0 >> 64) as u64, id.0 as u64],
+            parents: slots,
+            author,
+            message,
+            content,
+        });
+        self.positions.insert(id, position);
+    }
+
+    fn position(&self, id: &CommitId) -> Result<u32, StoreError> {
+        self.positions
+            .get(id)
+            .copied()
+            .ok_or(StoreError::NoCommit(*id))
+    }
+
+    fn head_position(&self, branch: &str) -> Result<u32, StoreError> {
+        let id = self
+            .branches
+            .get(branch)
+            .ok_or_else(|| StoreError::NoBranch(branch.to_string()))?;
+        self.position(id)
+    }
+
+    /// The commit at `position`, as readers see it.
+    fn commit(&self, position: u32) -> Commit {
+        let stored = &self.commits[position as usize];
+        let text = |number: u32| Arc::clone(&self.texts[number as usize]);
+        Commit {
+            id: stored.id(),
+            parents: stored
+                .parents()
+                .map(|p| self.commits[p as usize].id())
+                .collect(),
+            author: text(stored.author),
+            message: text(stored.message),
+            content: text(stored.content),
+            seq: u64::from(position) + 1,
+        }
     }
 
     /// Point `branch` at `id`, allocating its name only when it is new.
@@ -156,26 +251,14 @@ impl Repository {
     /// root commit).
     pub fn commit(&self, branch: &str, author: &str, message: &str, content: &str) -> CommitId {
         let mut inner = self.inner.write();
-        let parents: Vec<CommitId> = inner.branches.get(branch).copied().into_iter().collect();
-        inner.seq += 1;
-        let seq = inner.seq;
-        let parent_hex: Vec<String> = parents.iter().map(CommitId::to_string).collect();
-        let mut parts: Vec<&str> = vec![content, author, message, &self.name];
-        let seq_s = seq.to_string();
-        parts.push(&seq_s);
-        for p in &parent_hex {
-            parts.push(p);
-        }
+        let parent = inner.branches.get(branch).copied();
+        let seq_s = inner.next_seq().to_string();
+        let parent_hex = parent.map(|p| p.to_string());
+        let mut parts: Vec<&str> = vec![content, author, message, &self.name, &seq_s];
+        parts.extend(parent_hex.as_deref());
         let id = content_hash(&parts);
-        let commit = Commit {
-            id,
-            parents,
-            author: inner.text(author),
-            message: inner.text(message),
-            content: inner.text(content),
-            seq,
-        };
-        inner.commits.insert(id, commit);
+        let parents: &[CommitId] = parent.as_slice();
+        inner.push(id, parents, [author, message, content]);
         inner.set_head(branch, id);
         id
     }
@@ -195,23 +278,11 @@ impl Repository {
             .get(branch)
             .copied()
             .ok_or_else(|| StoreError::NoBranch(branch.to_string()))?;
-        if !inner.commits.contains_key(other_parent) {
-            return Err(StoreError::NoCommit(*other_parent));
-        }
-        inner.seq += 1;
-        let seq = inner.seq;
-        let seq_s = seq.to_string();
+        inner.position(other_parent)?;
+        let seq_s = inner.next_seq().to_string();
         let (head_hex, other_hex) = (head.to_string(), other_parent.to_string());
         let id = content_hash(&[content, author, message, &head_hex, &other_hex, &seq_s]);
-        let commit = Commit {
-            id,
-            parents: vec![head, *other_parent],
-            author: inner.text(author),
-            message: inner.text(message),
-            content: inner.text(content),
-            seq,
-        };
-        inner.commits.insert(id, commit);
+        inner.push(id, &[head, *other_parent], [author, message, content]);
         inner.set_head(branch, id);
         Ok(id)
     }
@@ -234,21 +305,13 @@ impl Repository {
     /// Head commit of a branch.
     pub fn head(&self, branch: &str) -> Result<Commit, StoreError> {
         let inner = self.inner.read();
-        let id = inner
-            .branches
-            .get(branch)
-            .ok_or_else(|| StoreError::NoBranch(branch.to_string()))?;
-        Ok(inner.commits[id].clone())
+        Ok(inner.commit(inner.head_position(branch)?))
     }
 
     /// A commit by id.
     pub fn get(&self, id: &CommitId) -> Result<Commit, StoreError> {
-        self.inner
-            .read()
-            .commits
-            .get(id)
-            .cloned()
-            .ok_or(StoreError::NoCommit(*id))
+        let inner = self.inner.read();
+        Ok(inner.commit(inner.position(id)?))
     }
 
     /// All branch names.
@@ -269,20 +332,11 @@ impl Repository {
     /// History of a branch, newest first (first-parent walk).
     pub fn log(&self, branch: &str) -> Result<Vec<Commit>, StoreError> {
         let inner = self.inner.read();
-        let mut id = inner
-            .branches
-            .get(branch)
-            .copied()
-            .ok_or_else(|| StoreError::NoBranch(branch.to_string()))?;
+        let mut at = Some(inner.head_position(branch)?);
         let mut out = Vec::new();
-        loop {
-            let c = inner.commits[&id].clone();
-            let parent = c.parents.first().copied();
-            out.push(c);
-            match parent {
-                Some(p) => id = p,
-                None => break,
-            }
+        while let Some(position) = at {
+            out.push(inner.commit(position));
+            at = inner.commits[position as usize].parents().next();
         }
         Ok(out)
     }
@@ -291,25 +345,20 @@ impl Repository {
     /// broken by highest sequence number).
     pub fn merge_base(&self, a: &CommitId, b: &CommitId) -> Result<Commit, StoreError> {
         let inner = self.inner.read();
-        fn ancestors(
-            inner: &RepoInner,
-            start: &CommitId,
-        ) -> Result<std::collections::BTreeSet<CommitId>, StoreError> {
-            let mut set = std::collections::BTreeSet::new();
-            let mut stack = vec![*start];
-            while let Some(id) = stack.pop() {
-                let c = inner.commits.get(&id).ok_or(StoreError::NoCommit(id))?;
-                if set.insert(id) {
-                    stack.extend(c.parents.iter().copied());
+        let ancestors = |start: &CommitId| -> Result<BTreeSet<u32>, StoreError> {
+            let mut set = BTreeSet::new();
+            let mut stack = vec![inner.position(start)?];
+            while let Some(position) = stack.pop() {
+                if set.insert(position) {
+                    stack.extend(inner.commits[position as usize].parents());
                 }
             }
             Ok(set)
-        }
-        let aa = ancestors(&inner, a)?;
-        let bb = ancestors(&inner, b)?;
+        };
+        let (aa, bb) = (ancestors(a)?, ancestors(b)?);
         aa.intersection(&bb)
-            .map(|id| inner.commits[id].clone())
-            .max_by_key(|c| c.seq)
+            .max()
+            .map(|&position| inner.commit(position))
             .ok_or(StoreError::NoCommonAncestor)
     }
 

@@ -73,6 +73,12 @@ impl DataFolder {
         Some((Arc::clone(&file.bytes), file.version))
     }
 
+    /// Uploads so far: moves with every `put_*`, so whatever was computed
+    /// from the folder's contents is current while it stays put.
+    pub fn uploads(&self) -> u64 {
+        self.files.read().uploads
+    }
+
     /// List stored paths.
     pub fn list(&self) -> Vec<String> {
         self.files.read().by_path.keys().cloned().collect()

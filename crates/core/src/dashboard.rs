@@ -7,6 +7,7 @@ use shareinsights_flowfile::validate::{validate_with, ValidateOptions};
 use shareinsights_flowfile::Diagnostic;
 use shareinsights_tabular::Table;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One dashboard on the platform.
 #[derive(Debug, Clone)]
@@ -15,10 +16,12 @@ pub struct Dashboard {
     pub name: String,
     /// Version history.
     pub repo: Repository,
-    /// Current flow-file text (head of `main`).
-    pub text: String,
-    /// Parsed AST of the current text.
-    pub ast: FlowFile,
+    /// Current flow-file text (head of `main`): the very copy the
+    /// repository keeps of it.
+    pub text: Arc<str>,
+    /// Parsed AST of the current text, shared with the platform's pipeline
+    /// memo.
+    pub ast: Arc<FlowFile>,
     /// Last run's materialised endpoint tables.
     pub endpoint_tables: BTreeMap<String, Table>,
 }
@@ -29,11 +32,11 @@ impl Dashboard {
         Dashboard {
             name: name.to_string(),
             repo: Repository::new(name),
-            text: String::new(),
-            ast: FlowFile {
+            text: Arc::from(""),
+            ast: Arc::new(FlowFile {
                 name: name.to_string(),
                 ..Default::default()
-            },
+            }),
             endpoint_tables: BTreeMap::new(),
         }
     }

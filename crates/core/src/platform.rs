@@ -10,14 +10,15 @@ use shareinsights_collab::PublishRegistry;
 use shareinsights_connectors::Catalog;
 use shareinsights_engine::compile::{compile, CompileEnv, CompiledPipeline};
 use shareinsights_engine::exec::{ExecContext, Executor, MemoVerdict};
-use shareinsights_engine::memo::{FlowMemo, Stamp};
+use shareinsights_engine::memo::{CompileStamp, FlowMemo, PipelineKey, PipelineMiss, Stamp};
 use shareinsights_engine::{EngineError, TaskRegistry};
+use shareinsights_flowfile::ast::FlowFile;
 use shareinsights_flowfile::parser::parse_flow_file;
 use shareinsights_flowfile::validate::ValidateOptions;
 use shareinsights_flowfile::Severity;
 use shareinsights_tabular::{Schema, Table};
 use shareinsights_widgets::{DashboardRuntime, WidgetRegistry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,6 +38,36 @@ pub(crate) fn declared_schema_of(obj: &shareinsights_flowfile::ast::DataObject) 
         None
     } else {
         Schema::all_utf8(&obj.column_names()).ok()
+    }
+}
+
+/// A dashboard's current text and parse, and the pipeline they compile to.
+struct Compiled {
+    text: Arc<str>,
+    ast: Arc<FlowFile>,
+    pipeline: Arc<CompiledPipeline>,
+}
+
+/// Every flow input no flow of `ff` produces, once each: the names compile
+/// may resolve through the shared-objects registry.
+fn unproduced_inputs(ff: &FlowFile) -> BTreeSet<&str> {
+    let produced: BTreeSet<&str> = ff.flows.iter().map(|f| f.output.as_str()).collect();
+    ff.flows
+        .iter()
+        .flat_map(|f| f.inputs.iter().map(String::as_str))
+        .filter(|input| !produced.contains(input))
+        .collect()
+}
+
+/// Mark `span` with a pipeline-memo lookup's verdict: `memo = hit | miss`,
+/// and a miss's `reason`.
+fn mark_memo<T>(span: &mut Span, verdict: &std::result::Result<T, PipelineMiss>) {
+    match verdict {
+        Ok(_) => span.set_attr("memo", "hit"),
+        Err(reason) => {
+            span.set_attr("memo", "miss");
+            span.set_attr("reason", reason.as_str());
+        }
     }
 }
 
@@ -65,7 +96,9 @@ pub struct Platform {
     /// live tables share a memo key.
     live_versions: Arc<AtomicU64>,
     /// Flow outputs of earlier runs, by what they were computed from: a
-    /// run re-executes only the flows an edit or an upload changed.
+    /// run re-executes only the flows an edit or an upload changed. It
+    /// also keeps each saved text's parse and compiled pipeline, so a save
+    /// or a run of a known text skips the front end.
     memo: FlowMemo,
     /// Executor used for batch runs.
     pub executor: Executor,
@@ -198,11 +231,22 @@ impl Platform {
 
     /// A dashboard snapshot.
     pub fn dashboard(&self, name: &str) -> Result<Dashboard> {
+        self.with_dashboard(name, Dashboard::clone)
+    }
+
+    /// Read a dashboard under the lock, without copying it.
+    fn with_dashboard<R>(&self, name: &str, read: impl FnOnce(&Dashboard) -> R) -> Result<R> {
         self.dashboards
             .read()
             .get(name)
-            .cloned()
+            .map(read)
             .ok_or_else(|| PlatformError::NoDashboard(name.to_string()))
+    }
+
+    /// One endpoint table of a dashboard, read under the lock; `None` when
+    /// the dashboard has no endpoint data of that name.
+    pub fn endpoint_table(&self, dashboard: &str, dataset: &str) -> Result<Option<Table>> {
+        self.with_dashboard(dashboard, |d| d.endpoint_tables.get(dataset).cloned())
     }
 
     /// Save (commit) flow-file text for a dashboard, parsing and validating
@@ -222,12 +266,37 @@ impl Platform {
         text: &str,
         author: &str,
     ) -> Result<Vec<shareinsights_flowfile::Diagnostic>> {
+        self.save_flow_traced(name, text, author, None)
+    }
+
+    /// [`Platform::save_flow_as`], with a `parse` child span under `parent`
+    /// carrying the pipeline memo's verdict (`memo = hit | miss`, and a
+    /// miss's `reason`). A text the memo holds under this dashboard name is
+    /// not parsed again; every save is validated against the current task
+    /// registry and published names.
+    pub fn save_flow_traced(
+        &self,
+        name: &str,
+        text: &str,
+        author: &str,
+        parent: Option<&Span>,
+    ) -> Result<Vec<shareinsights_flowfile::Diagnostic>> {
         // Auto-create on first save — matching the create-by-URL workflow.
         if !self.dashboards.read().contains_key(name) {
             self.create_dashboard(name)?;
         }
-        let parse_result = parse_flow_file(name, text);
-        let ast = match parse_result {
+        let parse_span = parent.map(|s| s.child("parse"));
+        let key = PipelineKey::new(name, text);
+        let memoised = self.memo.parsed(key, text);
+        let parsed = match &memoised {
+            Ok(ast) => Ok(Arc::clone(ast)),
+            Err(_) => parse_flow_file(name, text).map(Arc::new),
+        };
+        if let Some(mut s) = parse_span {
+            mark_memo(&mut s, &memoised);
+            s.finish();
+        }
+        let ast = match parsed {
             Ok(ast) => ast,
             Err(e) => {
                 self.log.record(RunEvent {
@@ -269,12 +338,16 @@ impl Platform {
             return Err(shareinsights_flowfile::FlowError::from_diagnostics(diags).into());
         }
         let (operators, widget_types) = usage_of(&ast);
-        {
+        let held = {
             let mut dashboards = self.dashboards.write();
             let d = dashboards.get_mut(name).expect("created above");
-            d.repo.commit("main", author, "save", text);
-            d.text = text.to_string();
-            d.ast = ast;
+            let id = d.repo.commit("main", author, "save", text);
+            d.text = d.repo.get(&id).expect("just committed").content;
+            d.ast = Arc::clone(&ast);
+            Arc::clone(&d.text)
+        };
+        if memoised.is_err() {
+            self.memo.put_parsed(key, held, ast);
         }
         self.log.record(RunEvent {
             dashboard: name.to_string(),
@@ -291,17 +364,26 @@ impl Platform {
 
     /// Fork an existing dashboard under a new name (§5.2.2 obs. 3).
     pub fn fork_dashboard(&self, from: &str, to: &str, author: &str) -> Result<()> {
-        let source = self.dashboard(from)?;
+        let (source, text) =
+            self.with_dashboard(from, |d| (d.repo.clone(), Arc::clone(&d.text)))?;
         if self.dashboards.read().contains_key(to) {
             return Err(PlatformError::Other(format!(
                 "dashboard '{to}' already exists"
             )));
         }
         let repo = source
-            .repo
             .fork(to, "main", author)
             .map_err(|e| PlatformError::Collab(e.to_string()))?;
-        let ast = parse_flow_file(to, &source.text)?;
+        let key = PipelineKey::new(to, &text);
+        let ast = match self.memo.parsed(key, &text) {
+            Ok(ast) => ast,
+            Err(_) => {
+                let ast = Arc::new(parse_flow_file(to, &text)?);
+                self.memo
+                    .put_parsed(key, Arc::clone(&text), Arc::clone(&ast));
+                ast
+            }
+        };
         // Forks also copy the source dashboard's data folder namespace.
         for path in self.catalog.data_folder().list() {
             if let Some(rest) = path.strip_prefix(&format!("{from}/")) {
@@ -312,10 +394,11 @@ impl Platform {
                 }
             }
         }
+        let flow_bytes = text.len();
         let dash = Dashboard {
             name: to.to_string(),
             repo,
-            text: source.text.clone(),
+            text,
             ast,
             endpoint_tables: BTreeMap::new(),
         };
@@ -325,7 +408,7 @@ impl Platform {
             kind: RunKind::Fork,
             success: true,
             error: None,
-            flow_bytes: source.text.len(),
+            flow_bytes,
             operators: vec![],
             widgets: vec![],
             seq: 0,
@@ -346,38 +429,89 @@ impl Platform {
         }
     }
 
-    /// Shared schemas visible to a compiling dashboard.
-    fn shared_schemas(&self) -> BTreeMap<String, Schema> {
-        self.publish
-            .names()
-            .into_iter()
-            .filter_map(|n| self.publish.get(&n).map(|o| (n, o.schema)))
-            .collect()
+    /// What the flow memo's entries are stamped with: connector, format
+    /// and task registrations so far.
+    fn registration_epoch(&self) -> u64 {
+        self.catalog.registrations() + self.tasks.registrations()
     }
 
     /// Compile a dashboard's current flow file.
     pub fn compile_dashboard(&self, name: &str) -> Result<CompiledPipeline> {
-        let dash = self.dashboard(name)?;
-        let loader = self.dict_loader(name);
-        let env = CompileEnv {
-            registry: &self.tasks,
-            load_text: &loader,
-            shared_schemas: self.shared_schemas(),
-        };
-        let result = compile(&dash.ast, &env).map_err(PlatformError::Compile);
+        Ok(CompiledPipeline::clone(
+            &self.compiled(name, None)?.pipeline,
+        ))
+    }
+
+    /// The pipeline a dashboard's current text compiles to: the pipeline
+    /// memo's while nothing compile reads has moved since (the registration
+    /// epoch, the data folder, the shared inputs' schemas), compiled afresh
+    /// otherwise. Records a `Compile` event either way, and marks `span`
+    /// with the memo's verdict.
+    fn compiled(&self, name: &str, span: Option<&mut Span>) -> Result<Compiled> {
+        let (text, ast) =
+            self.with_dashboard(name, |d| (Arc::clone(&d.text), Arc::clone(&d.ast)))?;
+        let key = PipelineKey::new(name, &text);
+        let (epoch, uploads) = (
+            self.registration_epoch(),
+            self.catalog.data_folder().uploads(),
+        );
+        let memoised = self
+            .memo
+            .compiled(key, &text, epoch, uploads, |n| self.publish.schema(n));
+        if let Some(s) = span {
+            mark_memo(s, &memoised);
+        }
+        let result = memoised.or_else(|_| {
+            let (pipeline, stamp) = self.compile_afresh(name, &ast, epoch, uploads)?;
+            let pipeline = Arc::new(pipeline);
+            let (text, ast) = (Arc::clone(&text), Arc::clone(&ast));
+            self.memo
+                .put_compiled(key, text, ast, stamp, Arc::clone(&pipeline));
+            Ok(pipeline)
+        });
         self.log.record(RunEvent {
             dashboard: name.to_string(),
             kind: RunKind::Compile,
             success: result.is_ok(),
-            error: result.as_ref().err().map(|e| e.to_string()),
-            flow_bytes: dash.flow_bytes(),
+            error: result.as_ref().err().map(|e: &PlatformError| e.to_string()),
+            flow_bytes: text.len(),
             operators: vec![],
             widgets: vec![],
             seq: 0,
         });
-        let mut pipeline = result?;
-        // Rewrite source paths into the dashboard's data-folder namespace
-        // when a namespaced file exists.
+        Ok(Compiled {
+            pipeline: result?,
+            text,
+            ast,
+        })
+    }
+
+    /// Compile `ast` as dashboard `name` in the platform's current
+    /// environment, with sources rewritten into the dashboard's data-folder
+    /// namespace where a namespaced file exists; and the stamp of what the
+    /// compile read, the registry at `epoch` and the data folder at
+    /// `uploads`.
+    fn compile_afresh(
+        &self,
+        name: &str,
+        ast: &FlowFile,
+        epoch: u64,
+        uploads: u64,
+    ) -> Result<(CompiledPipeline, CompileStamp)> {
+        let shared: Vec<(String, Option<Schema>)> = unproduced_inputs(ast)
+            .into_iter()
+            .map(|input| (input.to_string(), self.publish.schema(input)))
+            .collect();
+        let loader = self.dict_loader(name);
+        let env = CompileEnv {
+            registry: &self.tasks,
+            load_text: &loader,
+            shared_schemas: shared
+                .iter()
+                .filter_map(|(input, schema)| Some((input.clone(), schema.clone()?)))
+                .collect(),
+        };
+        let mut pipeline = compile(ast, &env).map_err(PlatformError::Compile)?;
         for cfg in pipeline.sources.values_mut() {
             if let Some(src) = &cfg.source {
                 let namespaced = format!("{name}/{src}");
@@ -386,7 +520,12 @@ impl Platform {
                 }
             }
         }
-        Ok(pipeline)
+        let stamp = CompileStamp {
+            epoch,
+            uploads,
+            shared,
+        };
+        Ok((pipeline, stamp))
     }
 
     /// Compile and run a dashboard's batch flows; publishes shared objects
@@ -429,18 +568,21 @@ impl Platform {
     /// [`Platform::run_dashboard_traced`] over `live`, whose lock the
     /// caller holds.
     fn run_over(&self, name: &str, parent: Option<&Span>, live: &LiveSources) -> Result<RunReport> {
-        let compile_span = parent.map(|s| s.child("compile"));
-        let pipeline = self.compile_dashboard(name)?;
+        let mut compile_span = parent.map(|s| s.child("compile"));
+        let Compiled {
+            text,
+            ast,
+            pipeline,
+        } = self.compiled(name, compile_span.as_mut())?;
         if let Some(mut s) = compile_span {
             s.set_attr("flows", pipeline.flows.len());
             s.finish();
         }
-        let dash = self.dashboard(name)?;
 
         // Attach the memo, inject the live sources stamped with their
         // version, and resolve shared inputs stamped with their publish
         // generation.
-        let epoch = self.catalog.registrations() + self.tasks.registrations();
+        let epoch = self.registration_epoch();
         let mut ctx = ExecContext::new(self.catalog.clone()).with_memo(self.memo.clone(), epoch);
         for (source, held) in live {
             if let Some((table, version)) = held {
@@ -523,13 +665,13 @@ impl Platform {
             }
             s.finish();
         }
-        let (operators, widget_types) = usage_of(&dash.ast);
+        let (operators, widget_types) = usage_of(&ast);
         self.log.record(RunEvent {
             dashboard: name.to_string(),
             kind: RunKind::Run,
             success: exec_result.is_ok(),
             error: exec_result.as_ref().err().map(|e| e.to_string()),
-            flow_bytes: dash.flow_bytes(),
+            flow_bytes: text.len(),
             operators,
             widgets: widget_types,
             seq: 0,
@@ -613,7 +755,7 @@ impl Platform {
     /// Batch endpoint tables stay visible until the first push's run
     /// replaces them; from then on a batch run reads the live copies too.
     pub fn stream_start(&self, name: &str) -> Result<StreamStartInfo> {
-        let pipeline = self.compile_dashboard(name)?;
+        let pipeline = self.compiled(name, None)?.pipeline;
         let sources: Vec<String> = pipeline
             .graph
             .sources()
@@ -636,7 +778,7 @@ impl Platform {
         Ok(StreamStartInfo {
             dashboard: name.to_string(),
             sources,
-            endpoints: pipeline.endpoints,
+            endpoints: pipeline.endpoints.clone(),
         })
     }
 
@@ -674,18 +816,10 @@ impl Platform {
         csv: &str,
         parent: Option<&Span>,
     ) -> Result<StreamPushReport> {
-        let columns: Option<Vec<String>> =
-            self.dashboard(name)?
-                .ast
-                .data_object(source)
-                .and_then(|obj| {
-                    let names = obj.column_names();
-                    if names.is_empty() {
-                        None
-                    } else {
-                        Some(names.iter().map(|s| s.to_string()).collect())
-                    }
-                });
+        let columns: Option<Vec<String>> = self.with_dashboard(name, |d| {
+            let names = d.ast.data_object(source)?.column_names();
+            (!names.is_empty()).then(|| names.iter().map(|s| s.to_string()).collect())
+        })?;
         let opts = match columns {
             Some(cols) => shareinsights_tabular::io::csv::CsvOptions {
                 has_header: false,
@@ -725,7 +859,7 @@ impl Platform {
             source.to_string(),
             Some((retained, self.next_live_version())),
         );
-        let installed = self.dashboard(name)?.endpoint_tables;
+        let installed = self.with_dashboard(name, |d| d.endpoint_tables.clone())?;
         let report = self.run_over(name, parent, &next)?;
         *live = next;
         let updated = report
@@ -859,8 +993,8 @@ impl Platform {
         if let Some(d) = self.dashboards.write().get_mut(&meta_name) {
             d.endpoint_tables = endpoints.clone();
         }
-        let dash = self.dashboard(&meta_name)?;
-        let runtime = DashboardRuntime::build(&dash.ast, &endpoints, &self.tasks, &self.widgets)?;
+        let ast = self.with_dashboard(&meta_name, |d| Arc::clone(&d.ast))?;
+        let runtime = DashboardRuntime::build(&ast, &endpoints, &self.tasks, &self.widgets)?;
         Ok((meta, runtime))
     }
 
@@ -871,18 +1005,15 @@ impl Platform {
         dashboard: &str,
         object: &str,
     ) -> Result<Vec<crate::discovery::Enrichment>> {
-        let dash = self.dashboard(dashboard)?;
         // Prefer the materialised schema (post-run types); fall back to the
         // declared column list.
-        let schema = dash
-            .endpoint_tables
-            .get(object)
-            .map(|t| t.schema().clone())
-            .or_else(|| {
-                dash.ast
-                    .data_object(object)
-                    .and_then(crate::platform::declared_schema_of)
-            })
+        let schema = self
+            .with_dashboard(dashboard, |d| {
+                d.endpoint_tables
+                    .get(object)
+                    .map(|t| t.schema().clone())
+                    .or_else(|| d.ast.data_object(object).and_then(declared_schema_of))
+            })?
             .ok_or_else(|| {
                 PlatformError::Other(format!(
                     "no data object 'D.{object}' on dashboard '{dashboard}' (run it first?)"
@@ -898,22 +1029,20 @@ impl Platform {
     /// Diagnose a platform error against a dashboard's current flow file
     /// (§6 error pin-pointing).
     pub fn diagnose(&self, dashboard: &str, error: &PlatformError) -> crate::doctor::Diagnosis {
-        let ff = self.dashboard(dashboard).map(|d| d.ast).unwrap_or_default();
+        let ff = self
+            .with_dashboard(dashboard, |d| Arc::clone(&d.ast))
+            .unwrap_or_default();
         crate::doctor::explain(error, &ff)
     }
 
     /// Open a dashboard interactively: build its widget runtime over local
     /// endpoint tables plus shared objects resolved by name (§3.7.2).
     pub fn open_dashboard(&self, name: &str) -> Result<DashboardRuntime> {
-        let dash = self.dashboard(name)?;
-        let mut endpoints = dash.endpoint_tables.clone();
-        // Also make every run-produced table available: widgets may read
-        // intermediate objects within the same dashboard.
-        for (obj, t) in &dash.endpoint_tables {
-            endpoints.entry(obj.clone()).or_insert_with(|| t.clone());
-        }
+        let (ast, flow_bytes, mut endpoints) = self.with_dashboard(name, |d| {
+            (Arc::clone(&d.ast), d.text.len(), d.endpoint_tables.clone())
+        })?;
         // Resolve widget sources against the shared registry.
-        for w in &dash.ast.widgets {
+        for w in &ast.widgets {
             if let Some(shareinsights_flowfile::ast::WidgetSource::Flow { input, .. }) = &w.source {
                 if !endpoints.contains_key(input) {
                     if let Some(shared) = self.publish.resolve(input, name) {
@@ -924,14 +1053,14 @@ impl Platform {
                 }
             }
         }
-        let runtime = DashboardRuntime::build(&dash.ast, &endpoints, &self.tasks, &self.widgets);
-        let (operators, widget_types) = usage_of(&dash.ast);
+        let runtime = DashboardRuntime::build(&ast, &endpoints, &self.tasks, &self.widgets);
+        let (operators, widget_types) = usage_of(&ast);
         self.log.record(RunEvent {
             dashboard: name.to_string(),
             kind: RunKind::Open,
             success: runtime.is_ok(),
             error: runtime.as_ref().err().map(|e| e.to_string()),
-            flow_bytes: dash.flow_bytes(),
+            flow_bytes,
             operators,
             widgets: widget_types,
             seq: 0,
@@ -1080,7 +1209,7 @@ T:
             .fork_dashboard("ipl_processing", "team_7", "team7")
             .unwrap();
         let forked = platform.dashboard("team_7").unwrap();
-        assert_eq!(forked.text, PROCESSING);
+        assert_eq!(&*forked.text, PROCESSING);
         assert!(forked.repo.forked_from().is_some());
         // The data folder namespace was copied, so the fork runs as-is.
         let run = platform.run_dashboard("team_7").unwrap();

@@ -235,10 +235,11 @@ pub fn compile(ff: &FlowFile, env: &CompileEnv<'_>) -> Result<CompiledPipeline> 
         schemas.insert(output.clone(), current.remove(0).1);
     }
 
-    // Order flows topologically for the executors.
+    // Order flows topologically for the executors, moving each out of the
+    // map (topo names each produced output once).
     let ordered: Vec<CompiledFlow> = topo
         .iter()
-        .map(|o| flows_by_output.get(o).expect("present").clone())
+        .map(|o| flows_by_output.remove(o).expect("present"))
         .collect();
 
     let endpoints: Vec<String> = {

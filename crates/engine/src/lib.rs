@@ -41,6 +41,6 @@ pub use error::{EngineError, Result};
 pub use exec::{ExecContext, ExecResult, ExecStats, Executor, FlowRunStat, MemoVerdict};
 pub use ext::TaskRegistry;
 pub use graph::FlowGraph;
-pub use memo::{FlowMemo, Stamp, Uncached};
+pub use memo::{CompileStamp, FlowMemo, PipelineKey, PipelineMiss, Stamp, Uncached};
 pub use selection::{Selection, SelectionProvider, StaticSelections};
 pub use task::TaskKind;

@@ -23,13 +23,23 @@
 //! tests, reference runs and benchmark replays execute from scratch, so an
 //! oracle never checks the cache against itself.
 //!
+//! The same rule runs one level up, on the front end. Beside the flow
+//! outputs, under the same lock, the memo keeps one **pipeline entry** per
+//! dashboard name and flow text: the parsed [`FlowFile`] and, once a run
+//! compiled it, the [`CompiledPipeline`] stamped with everything else
+//! compile read ([`CompileStamp`]). A save of a
+//! text the memo holds skips the parse, and a run whose stamp still holds
+//! skips the compile; [`PipelineMiss`] says why one did not.
+//!
 //! [`ExecContext::with_memo`]: crate::exec::ExecContext::with_memo
 
+use crate::compile::CompiledPipeline;
 use parking_lot::{CacheStats, Lru, Mutex};
 use shareinsights_connectors::catalog::DataObjectConfig;
-use shareinsights_flowfile::ast::TaskDef;
+use shareinsights_flowfile::ast::{FlowFile, TaskDef};
 use shareinsights_flowfile::config::{ConfigMap, ConfigValue};
-use shareinsights_tabular::Table;
+use shareinsights_tabular::{Schema, Table};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Why a flow's output is computed on every run instead of memoised.
@@ -78,6 +88,77 @@ impl Stamp {
     }
 }
 
+/// Why a flow text was parsed or compiled again instead of taken from
+/// the memo's pipeline entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PipelineMiss {
+    /// The memo never held this text under this dashboard name (or holds
+    /// its parse only: no run compiled it yet).
+    NewText,
+    /// It was compiled at an older registration epoch.
+    Epoch,
+    /// The data folder took an upload since it was compiled.
+    DataFolder,
+    /// A shared object it resolves was published, dropped or changed
+    /// schema since it was compiled.
+    SharedSchema,
+    /// The memo held it and evicted it.
+    Evicted,
+}
+
+impl PipelineMiss {
+    /// The span-attribute spelling (`new_text`, …).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PipelineMiss::NewText => "new_text",
+            PipelineMiss::Epoch => "epoch",
+            PipelineMiss::DataFolder => "data_folder",
+            PipelineMiss::SharedSchema => "shared_schema",
+            PipelineMiss::Evicted => "evicted",
+        }
+    }
+}
+
+/// What a compiled pipeline read besides its text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompileStamp {
+    /// The registration epoch (see [`FlowMemo`]): the task registry's
+    /// extensions are interpreted at compile time.
+    pub epoch: u64,
+    /// The data folder's upload count: namespaced sources and `dict:`
+    /// files are read from the folder, and every upload moves it.
+    pub uploads: u64,
+    /// Every flow input no flow produces, with the schema of the shared
+    /// object published under that name (`None`: there was none).
+    pub shared: Vec<(String, Option<Schema>)>,
+}
+
+/// One pipeline entry: a text as saved, its parse, and its compile.
+struct PipelineEntry {
+    text: Arc<str>,
+    ast: Arc<FlowFile>,
+    /// The compiled pipeline with the stamp it was compiled at; `None`
+    /// until a run compiles the text.
+    compiled: Option<(CompileStamp, Arc<CompiledPipeline>)>,
+}
+
+/// A pipeline entry's key: the dashboard name (a parse names its
+/// dashboard, and compile rewrites sources into its data-folder namespace)
+/// and the text. Computed once per save or run and handed to each lookup
+/// and insert. An entry keeps its text and a lookup compares it, so two
+/// texts that share a key read as a miss, never as each other's pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PipelineKey(u128);
+
+impl PipelineKey {
+    /// The key of `text` saved under `dashboard`.
+    pub fn new(dashboard: &str, text: &str) -> PipelineKey {
+        let mut h = Key128::new(b"pipeline");
+        h.str(dashboard).words(text.as_bytes());
+        PipelineKey(h.finish())
+    }
+}
+
 /// A flow's key, or why it has none.
 pub(crate) type FlowKey = std::result::Result<u128, Uncached>;
 
@@ -115,6 +196,24 @@ impl Key128 {
     pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Key128 {
         self.u64(bytes.len() as u64);
         self.raw(bytes);
+        self
+    }
+
+    /// [`Key128::bytes`] eight bytes at a time, for a text of kilobytes (a
+    /// flow file) where a byte-at-a-time lane costs microseconds. Each word
+    /// goes into both lanes and is shifted down after the multiply, so its
+    /// high bits reach the low bits the next word meets.
+    fn words(&mut self, bytes: &[u8]) -> &mut Key128 {
+        self.u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            self.fnv = (self.fnv ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            self.fnv ^= self.fnv >> 29;
+            self.rot = (self.rot.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+            self.rot ^= self.rot >> 32;
+        }
+        self.raw(words.remainder());
         self
     }
 
@@ -207,21 +306,77 @@ impl Key128 {
 const MEMO_ENTRIES: usize = 64;
 const MEMO_BYTES: usize = 64 << 20;
 
+/// Pipeline entries the memo may hold: as many texts as flow outputs.
+const PIPELINE_ENTRIES: usize = 64;
+/// Keys remembered as once admitted, to tell an evicted text from a new
+/// one: 16 bytes each.
+const ADMITTED_KEYS: usize = 4 * PIPELINE_ENTRIES;
+
 struct MemoInner {
     tables: Lru<u128, Table>,
     /// The newest registration epoch a run has named (see [`FlowMemo`]).
     epoch: u64,
+    /// Pipeline entries by [`PipelineKey`].
+    pipelines: Lru<u128, Arc<PipelineEntry>>,
+    /// The keys most recently admitted to `pipelines`, oldest first.
+    admitted: VecDeque<u128>,
+    pipeline_hits: u64,
+    pipeline_misses: u64,
+}
+
+impl MemoInner {
+    /// Start a newer registration epoch: every flow output goes, and every
+    /// compiled pipeline is stale by its stamp.
+    fn advance(&mut self, epoch: u64) {
+        if epoch > self.epoch {
+            self.tables.clear();
+            self.epoch = epoch;
+        }
+    }
+
+    /// The entry of `text` under `key`, or why there is none.
+    fn entry(&self, key: u128, text: &str) -> Result<Arc<PipelineEntry>, PipelineMiss> {
+        match self.pipelines.peek(&key, 0) {
+            Some(entry) if *entry.text == *text => Ok(entry),
+            Some(_) => Err(PipelineMiss::NewText),
+            None if self.admitted.contains(&key) => Err(PipelineMiss::Evicted),
+            None => Err(PipelineMiss::NewText),
+        }
+    }
+
+    /// Count a lookup's verdict; a hit also refreshes the entry's recency.
+    fn count<T>(&mut self, key: u128, verdict: &Result<T, PipelineMiss>) {
+        match verdict {
+            Ok(_) => {
+                self.pipelines.record_hit(&key, 0);
+                self.pipeline_hits += 1;
+            }
+            Err(_) => self.pipeline_misses += 1,
+        }
+    }
+
+    fn admit(&mut self, key: u128, entry: PipelineEntry) {
+        if self.pipelines.peek(&key, 0).is_none() {
+            if self.admitted.len() == ADMITTED_KEYS {
+                self.admitted.pop_front();
+            }
+            self.admitted.push_back(key);
+        }
+        self.pipelines.put(key, 0, Arc::new(entry));
+    }
 }
 
 /// Flow outputs by key, shared by clones, bounded by entry count and by
-/// [`Table::approx_bytes`].
+/// [`Table::approx_bytes`]; and beside them the pipeline entries, bounded
+/// by entry count (see the module docs).
 ///
 /// Entries are stamped with the run's *registration epoch* — a count of
 /// connector, format and task registrations the caller passes to
 /// [`ExecContext::with_memo`]: replacing a decoder can change what an
 /// upload decodes to without a new version. The first run at a newer
-/// epoch drops everything; a run that started at an older one neither
-/// hits nor inserts.
+/// epoch drops every flow output and makes every compiled pipeline stale
+/// (a parse does not depend on the registry, so it stays); a run that
+/// started at an older one neither hits nor inserts.
 ///
 /// [`ExecContext::with_memo`]: crate::exec::ExecContext::with_memo
 #[derive(Clone)]
@@ -235,6 +390,10 @@ impl Default for FlowMemo {
             inner: Arc::new(Mutex::new(MemoInner {
                 tables: Lru::weighted(MEMO_ENTRIES, MEMO_BYTES, |_, t: &Table| t.approx_bytes()),
                 epoch: 0,
+                pipelines: Lru::new(PIPELINE_ENTRIES),
+                admitted: VecDeque::with_capacity(ADMITTED_KEYS),
+                pipeline_hits: 0,
+                pipeline_misses: 0,
             })),
         }
     }
@@ -256,12 +415,98 @@ impl FlowMemo {
         MEMO_BYTES
     }
 
+    /// The pipeline entries' counters: lookups by saves and runs as
+    /// `hits` / `misses`, live `entries` and `evictions` (no byte weight).
+    pub fn pipeline_stats(&self) -> CacheStats {
+        let inner = self.inner.lock();
+        let lru = inner.pipelines.stats();
+        CacheStats {
+            hits: inner.pipeline_hits,
+            misses: inner.pipeline_misses,
+            evictions: lru.evictions,
+            entries: lru.entries,
+            ..CacheStats::default()
+        }
+    }
+
+    /// The parse of `text` as saved under `key`'s dashboard, or why the
+    /// memo does not hold it.
+    pub fn parsed(
+        &self,
+        PipelineKey(key): PipelineKey,
+        text: &str,
+    ) -> Result<Arc<FlowFile>, PipelineMiss> {
+        let mut inner = self.inner.lock();
+        let verdict = inner.entry(key, text).map(|e| Arc::clone(&e.ast));
+        inner.count(key, &verdict);
+        verdict
+    }
+
+    /// Keep the parse of a saved text; a run compiles it later.
+    pub fn put_parsed(&self, PipelineKey(key): PipelineKey, text: Arc<str>, ast: Arc<FlowFile>) {
+        let entry = PipelineEntry {
+            text,
+            ast,
+            compiled: None,
+        };
+        self.inner.lock().admit(key, entry);
+    }
+
+    /// The pipeline `text` compiled to under `key`'s dashboard, when it
+    /// was compiled at `epoch`, with the data folder at `uploads` and every
+    /// shared input's schema what `shared_schema` says it is now; otherwise
+    /// why not. Like a flow output's lookup, one at a newer epoch than the
+    /// memo's starts that epoch.
+    pub fn compiled(
+        &self,
+        PipelineKey(key): PipelineKey,
+        text: &str,
+        epoch: u64,
+        uploads: u64,
+        shared_schema: impl Fn(&str) -> Option<Schema>,
+    ) -> Result<Arc<CompiledPipeline>, PipelineMiss> {
+        let mut inner = self.inner.lock();
+        inner.advance(epoch);
+        let verdict = inner.entry(key, text).and_then(|entry| {
+            let (stamp, pipeline) = entry.compiled.as_ref().ok_or(PipelineMiss::NewText)?;
+            if stamp.epoch != epoch {
+                Err(PipelineMiss::Epoch)
+            } else if stamp.uploads != uploads {
+                Err(PipelineMiss::DataFolder)
+            } else if stamp.shared.iter().any(|(n, s)| *s != shared_schema(n)) {
+                Err(PipelineMiss::SharedSchema)
+            } else {
+                Ok(Arc::clone(pipeline))
+            }
+        });
+        inner.count(key, &verdict);
+        verdict
+    }
+
+    /// Keep the pipeline `text` compiled to at `stamp`, unless a newer
+    /// registration epoch has started since.
+    pub fn put_compiled(
+        &self,
+        PipelineKey(key): PipelineKey,
+        text: Arc<str>,
+        ast: Arc<FlowFile>,
+        stamp: CompileStamp,
+        pipeline: Arc<CompiledPipeline>,
+    ) {
+        let mut inner = self.inner.lock();
+        if stamp.epoch == inner.epoch {
+            let entry = PipelineEntry {
+                text,
+                ast,
+                compiled: Some((stamp, pipeline)),
+            };
+            inner.admit(key, entry);
+        }
+    }
+
     pub(crate) fn get(&self, key: u128, epoch: u64) -> Option<Table> {
         let mut inner = self.inner.lock();
-        if epoch > inner.epoch {
-            inner.tables.clear();
-            inner.epoch = epoch;
-        }
+        inner.advance(epoch);
         inner.tables.get(&key, epoch)
     }
 

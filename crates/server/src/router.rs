@@ -10,6 +10,7 @@ use crate::stream::{StreamHub, Subscription};
 use crate::traces::{trace_json, trace_list_json};
 use crate::wire::sse_frame;
 use parking_lot::{Lru, Mutex};
+use shareinsights_core::telemetry::{Field, Kind};
 use shareinsights_core::trace::{Span, TraceId};
 use shareinsights_core::{EventLog, Family, Platform};
 use shareinsights_tabular::{BuiltIndexes, IndexedTable, Table};
@@ -238,6 +239,22 @@ impl Server {
             "shareinsights_result_cache",
             self.results.stats(),
         ));
+        let pipelines = self.platform.flow_memo().pipeline_stats();
+        families.push(Family::scalars(
+            "pipeline_memo",
+            "shareinsights_pipeline_memo",
+            vec![
+                Field::new(Kind::Gauge, "entries", "entries", pipelines.entries as u64),
+                Field::new(Kind::Counter, "hits", "hits_total", pipelines.hits),
+                Field::new(Kind::Counter, "misses", "misses_total", pipelines.misses),
+                Field::new(
+                    Kind::Counter,
+                    "evictions",
+                    "evictions_total",
+                    pipelines.evictions,
+                ),
+            ],
+        ));
         families
     }
 
@@ -437,7 +454,10 @@ impl Server {
                 if let Some(resp) = reserved_namespace(name) {
                     return Some(resp);
                 }
-                match self.platform.save_flow(name, &request.body) {
+                match self
+                    .platform
+                    .save_flow_traced(name, &request.body, "analyst", span)
+                {
                     Ok(warnings) => {
                         let w: Vec<String> = warnings.iter().map(|d| d.to_string()).collect();
                         Response::json(format!(
@@ -449,7 +469,7 @@ impl Server {
                 }
             }
             (Method::Get, ["dashboards", name, "flow"]) => match self.platform.dashboard(name) {
-                Ok(d) => Response::text(d.text),
+                Ok(d) => Response::text(&*d.text),
                 Err(e) => Response::error(Status::NotFound, e.to_string()),
             },
             (Method::Post, ["dashboards", name, "run"]) => {
@@ -606,12 +626,12 @@ impl Server {
                 ))
             };
         }
-        let d = self
+        let table = self
             .platform
-            .dashboard(dashboard)
+            .endpoint_table(dashboard, dataset)
             .map_err(|e| Response::error(Status::NotFound, e.to_string()))?;
-        match d.endpoint_tables.get(dataset) {
-            Some(t) => Ok(t.clone()),
+        match table {
+            Some(t) => Ok(t),
             None => {
                 // Shared objects are also browsable by name.
                 match self
@@ -2219,6 +2239,89 @@ F:
         assert!(r.body.contains("\"memo\": \"hit\""), "{}", r.body);
         assert!(!r.body.contains("\"op\": \"groupby\""), "{}", r.body);
         assert!(r.body.contains("\"unchanged\": 1"), "{}", r.body);
+    }
+
+    /// The `memo` and `reason` attributes of the span named `name` under
+    /// trace `id`'s dispatch span.
+    fn memo_verdict(server: &Server, id: &str, name: &str) -> (String, Option<String>) {
+        let body = server.handle(&Request::get(&format!("/trace/{id}"))).body;
+        let doc = shareinsights_tabular::io::json::parse_json(&body).unwrap();
+        let dispatch = doc.path("root.children.0").unwrap();
+        let span = (0..)
+            .map_while(|i| dispatch.path(&format!("children.{i}")))
+            .find(|c| c.path("name").and_then(|n| n.as_str()) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} span: {body}"));
+        let attr = |k: &str| {
+            let value = span.path(&format!("attrs.{k}"))?;
+            value.as_str().map(str::to_string)
+        };
+        (attr("memo").expect("memo attribute"), attr("reason"))
+    }
+
+    #[test]
+    fn save_and_run_spans_say_why_the_pipeline_memo_missed() {
+        let server = served();
+        let (next, platform) = (std::cell::Cell::new(0), server.platform().clone());
+        let send = |method: Method, path: &str, body: &str| {
+            next.set(next.get() + 1);
+            let id = format!("{:x}", next.get());
+            let r = server.handle(
+                &Request::new(method, path)
+                    .with_body(body)
+                    .with_header("x-trace-id", &id),
+            );
+            assert!(r.is_ok(), "{path}: {}", r.body);
+            id
+        };
+        let save = |text: &str| send(Method::Put, "/dashboards/retail/flow", text);
+        let hit = ("hit".to_string(), None);
+        let miss = |reason: &str| ("miss".to_string(), Some(reason.to_string()));
+        let variant = FLOW.replace("out_field: revenue", "out_field: total");
+
+        // The text `served` saved and ran is known; a variant is not.
+        assert_eq!(memo_verdict(&server, &save(FLOW), "parse"), hit);
+        assert_eq!(
+            memo_verdict(&server, &save(&variant), "parse"),
+            miss("new_text")
+        );
+        let run = || send(Method::Post, "/dashboards/retail/run", "");
+        assert_eq!(memo_verdict(&server, &run(), "compile"), miss("new_text"));
+        assert_eq!(memo_verdict(&server, &run(), "compile"), hit);
+        // Each input compile reads besides the text.
+        reupload(&server);
+        assert_eq!(
+            memo_verdict(&server, &run(), "compile"),
+            miss("data_folder")
+        );
+        let sales = shareinsights_tabular::Schema::all_utf8(&["region"]).unwrap();
+        let shared = platform.publish_registry();
+        shared
+            .publish("sales", "other", "sales", sales, None)
+            .unwrap();
+        assert_eq!(
+            memo_verdict(&server, &run(), "compile"),
+            miss("shared_schema")
+        );
+        platform
+            .tasks()
+            .register_task(Arc::new(shareinsights_engine::ext::FnTask::new(
+                "noop",
+                |s: &shareinsights_tabular::Schema| Ok(s.clone()),
+                |t: &Table| Ok(t.clone()),
+            )));
+        assert_eq!(memo_verdict(&server, &run(), "compile"), miss("epoch"));
+        assert_eq!(memo_verdict(&server, &run(), "compile"), hit);
+
+        // A text pushed out by more than the memo holds comes back as
+        // evicted, not new.
+        for i in 0..64 {
+            let text = FLOW.replace("out_field: revenue", &format!("out_field: r{i}"));
+            platform.save_flow("retail", &text).unwrap();
+        }
+        assert_eq!(memo_verdict(&server, &save(FLOW), "parse"), miss("evicted"));
+        // 67 texts admitted into 64 entries.
+        let stats = platform.flow_memo().pipeline_stats();
+        assert_eq!((stats.entries, stats.evictions), (64, 3), "{stats:?}");
     }
 
     #[test]

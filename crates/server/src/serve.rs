@@ -174,19 +174,24 @@ pub fn serve(server: Server, addr: &str, options: ServeOptions) -> io::Result<Se
     if let (Some(interval), Some(server)) = (scrape_interval, scraper_server) {
         let stop = Arc::clone(&handle.stop);
         handle.threads.push(std::thread::spawn(move || {
-            scraper_loop(&server, interval, &stop)
+            scraper_loop(&server, interval, &stop, |s: &Server| {
+                s.scrape_telemetry();
+            })
         }));
     }
     Ok(handle)
 }
 
-/// The telemetry self-scrape tick: sample the registry into the `_system`
-/// history ring immediately (so the dashboard has data before the first
-/// interval elapses), then every `interval` until shutdown. Sleeps in
-/// short slices so shutdown stays prompt even with long intervals.
-fn scraper_loop(server: &Server, interval: Duration, stop: &AtomicBool) {
+/// The telemetry self-scrape tick: `scrape` (the registry into the
+/// `_system` history ring) immediately, so the dashboard has data before
+/// the first interval elapses, then every `interval` until shutdown. Sleeps
+/// in short slices so shutdown stays prompt even with long intervals. A
+/// scrape that panics is contained as a request's panic is
+/// ([`Server::contain_panic`]: counted under the `(panic)` pseudo-route and
+/// logged), and the next tick runs on time.
+fn scraper_loop(server: &Server, interval: Duration, stop: &AtomicBool, scrape: impl Fn(&Server)) {
     while !stop.load(Ordering::SeqCst) {
-        server.scrape_telemetry();
+        let _ = server.contain_panic(|| "(selfscrape)", || scrape(server));
         let deadline = Instant::now() + interval;
         while !stop.load(Ordering::SeqCst) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10).min(interval));
@@ -778,6 +783,41 @@ mod tests {
         }
         assert!(populated, "scraper fills the history ring");
         svc.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_scrape_is_counted_and_the_scraper_ticks_on() {
+        let server = Server::new(Platform::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let ticks = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let scraper = {
+            let (server, stop, ticks) = (server.clone(), Arc::clone(&stop), Arc::clone(&ticks));
+            std::thread::spawn(move || {
+                scraper_loop(&server, Duration::from_millis(2), &stop, |s: &Server| {
+                    // Every other tick panics mid-scrape.
+                    if ticks.fetch_add(1, Ordering::SeqCst) % 2 == 0 {
+                        panic!("injected scrape fault");
+                    }
+                    s.scrape_telemetry();
+                })
+            })
+        };
+        let history = server.platform().telemetry_history().clone();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while history.generation() < 5 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::SeqCst);
+        scraper
+            .join()
+            .expect("the scraper thread outlives its panics");
+        // History kept growing past the panics, and each one was counted.
+        assert!(history.generation() >= 5, "{}", history.generation());
+        assert!(history.snapshot_table().num_rows() > 0);
+        let panics = server.platform().api_metrics().routes()[crate::metrics::ROUTE_PANIC].errors;
+        let ticks = ticks.load(Ordering::SeqCst);
+        assert_eq!(panics, ticks.div_ceil(2), "{ticks} ticks");
+        assert!(panics >= 5, "{panics}");
     }
 
     #[test]

@@ -271,6 +271,7 @@ fn main() {
         .unwrap()
         .ast
         .layout
+        .clone()
         .expect("has layout");
     println!(
         "--- wireframe ---\n{}",

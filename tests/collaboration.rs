@@ -156,5 +156,5 @@ fn forked_dashboards_diverge() {
             > platform.dashboard("team_b").unwrap().flow_bytes()
     );
     // Template unchanged.
-    assert_eq!(platform.dashboard("template").unwrap().text, BASE);
+    assert_eq!(&*platform.dashboard("template").unwrap().text, BASE);
 }

@@ -7,17 +7,22 @@
 //! After every step the run must agree with `Executor::sequential()` on a
 //! fresh context (no memo) cell for cell, float bits included, and the
 //! flows that executed must be exactly those a naive model of "what has
-//! been computed since the memo was last emptied" says changed.
+//! been computed since the memo was last emptied" says changed. The
+//! pipeline the run executed, which the platform keeps compiled in the
+//! memo's pipeline entries, must equal a fresh compile of the saved text
+//! in the platform's environment at that step.
 
 #[path = "common/author.rs"]
 mod author;
 
+use shareinsights::core::telemetry::RunKind;
 use shareinsights::core::Platform;
 use shareinsights::datagen::{ipl, SeededRng};
 use shareinsights::engine::ext::{exec_err, FnTask};
 use shareinsights::engine::task::{interpret_task, InterpretEnv, NamedTask};
 use shareinsights::engine::{
-    EngineError, ExecContext, Executor, FlowMemo, MemoVerdict, Stamp, TaskRegistry, Uncached,
+    compile, CompileEnv, CompiledPipeline, EngineError, ExecContext, Executor, FlowMemo,
+    MemoVerdict, Stamp, TaskRegistry, Uncached,
 };
 use shareinsights::flowfile::ast::{FlowFile, TaskDef};
 use shareinsights::flowfile::config::{ConfigMap, ConfigValue};
@@ -610,6 +615,67 @@ fn config_text(value: &ConfigValue) -> String {
     }
 }
 
+/// A dashboard's saved text parsed and compiled afresh in the platform's
+/// current environment — its task registry, its data folder (dictionaries,
+/// the dashboard's namespaced sources) and every shared object's schema —
+/// with no memo: what the platform's compile did before it kept pipelines.
+fn fresh_compile(platform: &Platform, dashboard: &str) -> CompiledPipeline {
+    let text = platform.dashboard(dashboard).unwrap().text;
+    let ast = parse_flow_file(dashboard, &text).unwrap();
+    let folder = platform.catalog().data_folder();
+    let load = |path: &str| {
+        let bytes = folder
+            .get(&format!("{dashboard}/{path}"))
+            .or_else(|| folder.get(path))?;
+        String::from_utf8(bytes.to_vec()).ok()
+    };
+    let shared = platform.publish_registry();
+    let env = CompileEnv {
+        registry: platform.tasks(),
+        load_text: &load,
+        shared_schemas: shared
+            .names()
+            .into_iter()
+            .filter_map(|name| Some((name.clone(), shared.get(&name)?.schema)))
+            .collect(),
+    };
+    let mut pipeline = compile(&ast, &env).unwrap();
+    for cfg in pipeline.sources.values_mut() {
+        let namespaced = format!("{dashboard}/{}", cfg.source.as_deref().unwrap());
+        if folder.get(&namespaced).is_some() {
+            cfg.source = Some(namespaced);
+        }
+    }
+    pipeline
+}
+
+/// The pipeline a run of `dashboard` executes equals a fresh compile: its
+/// flows with every task's fingerprint, graph, sources, endpoints and
+/// published names as written out, its schemas by value (a schema's
+/// column index is a hash map, so its `Debug` text has no fixed order).
+fn assert_fresh_pipeline(platform: &Platform, dashboard: &str, what: &str) -> CompiledPipeline {
+    let (got, want) = (
+        platform.compile_dashboard(dashboard).unwrap(),
+        fresh_compile(platform, dashboard),
+    );
+    let text = |p: &CompiledPipeline| {
+        let CompiledPipeline {
+            name,
+            flows,
+            graph,
+            sources,
+            schemas: _,
+            endpoints,
+            published,
+        } = p;
+        format!("{name} {flows:?} {graph:?} {sources:?} {endpoints:?} {published:?}")
+    };
+    let what = format!("{what}: the pipeline the platform runs");
+    assert_eq!(text(&got), text(&want), "{what}");
+    assert_eq!(got.schemas, want.schemas, "{what}");
+    got
+}
+
 /// One author's session, and the naive model of what the memo holds.
 struct Session {
     platform: Platform,
@@ -710,7 +776,7 @@ impl Session {
     /// Run the dashboard; check it against the oracle and the model.
     fn run(&mut self, step: &str) {
         let ast = self.platform.dashboard(self.dashboard).unwrap().ast;
-        let pipeline = self.platform.compile_dashboard(self.dashboard).unwrap();
+        let pipeline = assert_fresh_pipeline(&self.platform, self.dashboard, step);
         let mut expected = BTreeSet::new();
         let mut computed = Vec::new();
         for flow in &pipeline.flows {
@@ -1078,6 +1144,107 @@ fn appendix_a1_edit_scripts_agree_with_the_oracle() {
     for seed in [1, 5, 7, 42] {
         appendix_script(seed);
     }
+}
+
+#[test]
+fn a_republish_with_an_unchanged_schema_keeps_the_compiled_pipeline() {
+    let mut s = Session::new("retail");
+    let (sales, products_csv) = author::sources(17, 600);
+    s.upload("sales.csv", &sales);
+    let products = read_csv(&products_csv, &CsvOptions::default()).unwrap();
+    s.publish("products", &products);
+    let text = Retail {
+        min_units: 3,
+        month_format: "yyyy-MM",
+        limit: 3,
+        join: "inner",
+        custom: false,
+    }
+    .render(true);
+    s.platform.save_flow(s.dashboard, &text).unwrap();
+    s.run("first run");
+    let memo = s.platform.flow_memo().clone();
+    let pipelines = || memo.pipeline_stats();
+    // Fewer rows, the same schema: the compile `run` checks and the run's
+    // own are both hits.
+    let before = pipelines();
+    s.publish("products", &products.slice(0, products.num_rows() - 1));
+    s.run("republish with the same schema");
+    let after = pipelines();
+    assert_eq!(
+        (after.hits - before.hits, after.misses),
+        (2, before.misses),
+        "{after:?}"
+    );
+    // A column more: the first lookup compiles again.
+    let ids = Column::int((0..products.num_rows()).map(|i| i as i64));
+    s.publish("products", &products.with_column("id", ids).unwrap());
+    s.run("republish with a new column");
+    let last = pipelines();
+    assert_eq!(
+        (last.hits - after.hits, last.misses - after.misses),
+        (1, 1),
+        "{last:?}"
+    );
+    // A hit records its events as a compile did: one save, and a compile
+    // per lookup (two per step) beside each run.
+    let log = s.platform.log();
+    let count = |kind| log.count(s.dashboard, kind);
+    assert_eq!(
+        (
+            count(RunKind::Save),
+            count(RunKind::Compile),
+            count(RunKind::Run)
+        ),
+        (1, 6, 3)
+    );
+    s.finish();
+}
+
+#[test]
+fn a_fork_compiles_its_text_again_under_its_own_name() {
+    let mut s = Session::new("retail");
+    let (sales, products) = author::sources(19, 600);
+    s.upload("sales.csv", &sales);
+    s.upload("products.csv", &products);
+    let text = author::flow(3);
+    s.platform.save_flow(s.dashboard, &text).unwrap();
+    s.run("first run");
+    let original = s.platform.run_dashboard(s.dashboard).unwrap();
+    s.platform
+        .fork_dashboard("retail", "retail_fork", "team")
+        .unwrap();
+    // One text, two names: the fork's sources are its own copies of the
+    // files, so its pipeline is its own.
+    let before = s.platform.flow_memo().pipeline_stats();
+    let pipeline = assert_fresh_pipeline(&s.platform, "retail_fork", "fork");
+    assert_eq!(
+        s.platform.flow_memo().pipeline_stats().misses,
+        before.misses + 1
+    );
+    for cfg in pipeline.sources.values() {
+        let source = cfg.source.as_deref().unwrap();
+        assert!(source.starts_with("retail_fork/"), "{source}");
+    }
+    let forked = s.platform.run_dashboard("retail_fork").unwrap();
+    assert_same_result(&original.result, &forked.result, "fork");
+    let after = s.platform.flow_memo().pipeline_stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits + 1, before.misses + 1)
+    );
+    // The source dashboard's entry is untouched by the fork's.
+    assert_fresh_pipeline(&s.platform, s.dashboard, "source after the fork");
+    let log = s.platform.log();
+    let count = |kind| log.count("retail_fork", kind);
+    assert_eq!(
+        (
+            count(RunKind::Fork),
+            count(RunKind::Compile),
+            count(RunKind::Run)
+        ),
+        (1, 2, 1)
+    );
 }
 
 // ---------------------------------------------------------------------------

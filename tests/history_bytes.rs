@@ -102,7 +102,7 @@ fn an_author_cycle_retains_at_most_384_bytes() {
     }
     const CYCLES: isize = 500;
     let memo = server.platform().flow_memo();
-    let warm = memo.stats();
+    let (warm, warm_pipelines) = (memo.stats(), memo.pipeline_stats());
     let before = LIVE.load(Ordering::SeqCst);
     for i in 0..CYCLES as usize {
         cycle(&server, &variants[i % 2]);
@@ -116,6 +116,13 @@ fn an_author_cycle_retains_at_most_384_bytes() {
     let hot = memo.stats();
     assert_eq!(hot.hits - warm.hits, 5 * CYCLES as u64, "{hot:?}");
     assert_eq!((hot.misses, hot.evictions), (warm.misses, 0), "{hot:?}");
+    // And every save and every run finds its text parsed and compiled.
+    let pipelines = memo.pipeline_stats();
+    assert_eq!(
+        (pipelines.hits - warm_pipelines.hits, pipelines.misses),
+        (2 * CYCLES as u64, warm_pipelines.misses),
+        "{pipelines:?}"
+    );
 }
 
 #[test]
