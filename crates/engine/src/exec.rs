@@ -1,7 +1,8 @@
 //! The columnar batch executor — the Pig/Spark substitute.
 //!
 //! Executes a [`CompiledPipeline`] in dependency order. Flows in the same
-//! DAG level have no dependencies and run on scoped threads; within a flow
+//! DAG level have no dependencies and run as one job on the process-wide
+//! pool (`parking_lot::Pool`), one flow per morsel; within a flow
 //! every task runs its typed column kernel over the whole input. (Slicing
 //! a row-local task's input across threads and re-unioning the parts was
 //! measured to buy nothing end to end and was removed — DESIGN.md §5.14.)
@@ -11,16 +12,18 @@
 //! data sources" §4.5.3 point 3 attributes to shared flows. With a
 //! [`FlowMemo`] attached, they are also kept *across* runs: a flow whose
 //! key (see [`crate::memo`]) the memo holds is not executed at all, and
-//! only the level's misses fan out to threads.
+//! only the level's misses fan out to the pool.
 
 use crate::compile::{CompiledFlow, CompiledPipeline};
 use crate::error::{EngineError, Result};
 use crate::memo::{FlowKey, FlowMemo, Key128, Stamp, Uncached};
 use crate::selection::SelectionProvider;
 use crate::task::{run_chain, TaskNotes, TaskRuntime};
+use parking_lot::Pool;
 use shareinsights_connectors::Catalog;
 use shareinsights_tabular::Table;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -282,7 +285,7 @@ impl ExecResult {
 /// The batch executor.
 #[derive(Debug, Clone)]
 pub struct Executor {
-    /// Run the independent flows of a DAG level on scoped threads.
+    /// Run the independent flows of a DAG level as one job on the pool.
     parallel_flows: bool,
 }
 
@@ -390,20 +393,20 @@ impl Executor {
                 misses.push(flow);
             }
             if self.parallel_flows && misses.len() > 1 {
-                let shared = &tables;
-                let runs: Vec<Result<FlowRun>> = std::thread::scope(|scope| {
-                    let workers: Vec<_> = misses
-                        .iter()
-                        .map(|flow| scope.spawn(move || self.run_flow(flow, shared, ctx, start)))
-                        .collect();
-                    workers
-                        .into_iter()
-                        .map(|w| {
-                            w.join().unwrap_or_else(|_| {
-                                Err(EngineError::Internal("flow worker panicked".into()))
-                            })
-                        })
-                        .collect()
+                // One morsel per flow on the pool: this thread runs flows
+                // itself, and an idle helper takes the others.
+                let job = Arc::new((
+                    self.clone(),
+                    misses.iter().map(|&flow| flow.clone()).collect::<Vec<_>>(),
+                    tables.clone(),
+                    ctx.clone(),
+                ));
+                let (runs, _) = Pool::global().map(misses.len(), move |i| {
+                    let (executor, flows, tables, ctx) = job.as_ref();
+                    catch_unwind(AssertUnwindSafe(|| {
+                        executor.run_flow(&flows[i], tables, ctx, start)
+                    }))
+                    .unwrap_or_else(|_| Err(EngineError::Internal("flow worker panicked".into())))
                 });
                 for (flow, run) in misses.iter().zip(runs) {
                     finish_flow(flow, run?, &keys, memo, &mut stats, &mut tables);

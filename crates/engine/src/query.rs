@@ -183,6 +183,11 @@ fn apply_first_indexed(indexed: &IndexedTable, op: &QueryOp) -> Result<(Table, b
             return Ok((indexed.table().filter(&mask), hit));
         }
         QueryOp::FilteredGroupBy { filter, group } => {
+            // Partitioned, each morsel computes its words of the mask and
+            // folds them at once.
+            if let Some(done) = indexed.groupby_where(group, filter) {
+                return Ok(done);
+            }
             let (mask, hit) = selection(indexed.table(), Some(indexed), filter)?;
             // Dictionary-indexed keys group by their codes; a decline (no
             // such key, or an error to report) takes the scan kernel.

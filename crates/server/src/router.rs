@@ -13,7 +13,7 @@ use parking_lot::{Lru, Mutex};
 use shareinsights_core::telemetry::{Field, Kind};
 use shareinsights_core::trace::{Span, TraceId};
 use shareinsights_core::{EventLog, Family, Platform};
-use shareinsights_tabular::{BuiltIndexes, IndexedTable, Table};
+use shareinsights_tabular::{partition, BuiltIndexes, IndexedTable, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -238,6 +238,17 @@ impl Server {
             "result_cache",
             "shareinsights_result_cache",
             self.results.stats(),
+        ));
+        let pool = parking_lot::Pool::global().stats();
+        families.push(Family::scalars(
+            "pool",
+            "shareinsights_pool",
+            vec![
+                Field::new(Kind::Counter, "jobs", "jobs_total", pool.jobs),
+                Field::new(Kind::Counter, "morsels", "morsels_total", pool.morsels),
+                Field::new(Kind::Counter, "helped", "helped_total", pool.helped),
+                Field::new(Kind::Counter, "single", "single_total", pool.single),
+            ],
         ));
         let pipelines = self.platform.flow_memo().pipeline_stats();
         families.push(Family::scalars(
@@ -1419,10 +1430,14 @@ impl Server {
                 if let Some(s) = eval_span.as_mut() {
                     s.set_attr("plan", crate::sql::plan_text(&plan));
                 }
-                let (result, index_hit) = match evaluate_indexed(&indexed, &plan) {
+                partition::take_verdict();
+                let evaluated = evaluate_indexed(&indexed, &plan);
+                let verdict = partition::take_verdict();
+                let (result, index_hit) = match evaluated {
                     Ok(done) => {
                         if let Some(s) = eval_span.as_mut() {
                             s.set_attr("rows_materialised", done.rows_materialised);
+                            set_verdict(s, verdict);
                         }
                         (done.table, done.index_hit)
                     }
@@ -1444,10 +1459,13 @@ impl Server {
         let limit = limit.unwrap_or(result.num_rows());
         let page = result.slice(offset, limit);
         let mut serialise_span = eval_span.as_ref().map(|s| s.child("serialise"));
+        partition::take_verdict();
         let body = table_to_json(&page);
+        let verdict = partition::take_verdict();
         if let Some(mut s) = serialise_span.take() {
             s.set_attr("rows", page.num_rows());
             s.set_attr("bytes", body.len());
+            set_verdict(&mut s, verdict);
             s.finish();
         }
         if let Some(mut s) = eval_span.take() {
@@ -1537,6 +1555,19 @@ impl Server {
             out.push('\n');
         }
         Response::text(out)
+    }
+}
+
+/// Say on `span` which path the partitioned kernels that ran under it
+/// took: `path = partitioned | single`, the `morsels` run and of them the
+/// ones a pool helper `helped` with, and why a single pass stayed single.
+fn set_verdict(span: &mut Span, verdict: Option<partition::Verdict>) {
+    let verdict = verdict.unwrap_or_default();
+    span.set_attr("path", verdict.path());
+    span.set_attr("morsels", verdict.morsels);
+    span.set_attr("helped", verdict.helped);
+    if let (false, Some(reason)) = (verdict.partitioned, verdict.reason) {
+        span.set_attr("reason", reason.name());
     }
 }
 
@@ -2853,9 +2884,11 @@ F:
                 .iter()
                 .find(|(f, l, _)| f == family && *l == label)
                 .unwrap_or_else(|| panic!("{family}|{label} is in /stats, not in _system"));
-            // The scrape records itself and the process moves on; every
-            // other series stands still between the scrape and `/stats`.
-            if !["selfscrape", "process"].contains(&family) {
+            // The scrape records itself, and the process and its one
+            // morsel pool (which the other tests of this binary drive at
+            // the same time) move on; every other series stands still
+            // between the scrape and `/stats`.
+            if !["selfscrape", "process", "pool"].contains(&family) {
                 assert_eq!(&row.2, value, "{family}|{label}");
             }
             checked.insert(family);

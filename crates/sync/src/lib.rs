@@ -10,11 +10,14 @@
 //! for our executors and registries.
 //!
 //! It is also the one crate every cache owner already depends on, so the
-//! shared stamped [`Lru`] lives here ([`lru`]).
+//! shared stamped [`Lru`] lives here ([`lru`]), and so does the one pool of
+//! parked helper threads that morsel jobs run on ([`pool`]).
 
 pub mod lru;
+pub mod pool;
 
 pub use lru::{CacheStats, Lru};
+pub use pool::{Pool, PoolStats, Ran};
 
 use std::sync::PoisonError;
 

@@ -177,8 +177,24 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// were evicted. A value heavier than the whole weight budget is not
     /// cached and leaves the map untouched.
     pub fn put(&mut self, key: K, stamp: u64, value: V) -> u64 {
+        let mut displaced = Vec::new();
+        self.insert(key, stamp, value, &mut displaced)
+    }
+
+    /// [`Lru::put`] that hands back what it displaced — the value `key`
+    /// held, then the victims, oldest first — so a caller that holds this
+    /// cache under a lock can drop them after releasing it.
+    #[must_use = "the displaced values are returned to be dropped later"]
+    pub fn put_displacing(&mut self, key: K, stamp: u64, value: V) -> Vec<V> {
+        let mut displaced = Vec::new();
+        self.insert(key, stamp, value, &mut displaced);
+        displaced
+    }
+
+    fn insert(&mut self, key: K, stamp: u64, value: V, displaced: &mut Vec<V>) -> u64 {
         let weight = (self.weigh)(&key, &value);
         if weight > self.max_weight {
+            displaced.push(value);
             return 0;
         }
         let seq = self.next_seq;
@@ -194,6 +210,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         if let Some(old) = self.entries.insert(key, entry) {
             self.order.remove(&old.seq);
             self.weight -= old.weight;
+            displaced.push(old.value);
         }
         let mut evicted = 0;
         while self.entries.len() > self.max_entries || self.weight > self.max_weight {
@@ -202,6 +219,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
             };
             let victim = self.entries.remove(&oldest).expect("slot has an entry");
             self.weight -= victim.weight;
+            displaced.push(victim.value);
             evicted += 1;
         }
         self.evictions += evicted;

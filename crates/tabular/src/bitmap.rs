@@ -111,6 +111,45 @@ impl Bitmap {
         }
     }
 
+    /// Bits `[start, start + len)` as a bitmap of their own: a copy of
+    /// whole words, as `start` is a multiple of 64 (or the range empty).
+    ///
+    /// # Panics
+    /// Panics when a non-empty range is not word-aligned or the range
+    /// reaches past `len`.
+    pub(crate) fn slice_aligned(&self, start: usize, len: usize) -> Bitmap {
+        assert!(
+            (start.is_multiple_of(64) || len == 0) && start + len <= self.len,
+            "unaligned bit slice"
+        );
+        if len == 0 {
+            return Bitmap::new_cleared(0);
+        }
+        let first = start / 64;
+        let mut bm = Bitmap {
+            words: self.words[first..first + len.div_ceil(64)].to_vec(),
+            len,
+        };
+        bm.mask_tail();
+        bm
+    }
+
+    /// `parts` laid end to end, each non-empty one but the last a multiple
+    /// of 64 bits long, so their words are copied as they are.
+    ///
+    /// # Panics
+    /// Panics when a non-empty part follows one that is not a whole number
+    /// of words.
+    pub(crate) fn concat_aligned(parts: impl IntoIterator<Item = Bitmap>) -> Bitmap {
+        let mut out = Bitmap::new_cleared(0);
+        for part in parts.into_iter().filter(|part| part.len > 0) {
+            assert!(out.len.is_multiple_of(64), "unaligned bitmap part");
+            out.words.extend_from_slice(&part.words);
+            out.len += part.len;
+        }
+        out
+    }
+
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {

@@ -51,6 +51,11 @@ impl StrBuf {
         self.bytes.len()
     }
 
+    /// Every cell's bytes, end to end.
+    pub(crate) fn joined(&self) -> &str {
+        &self.bytes
+    }
+
     /// Cell `i`.
     ///
     /// # Panics

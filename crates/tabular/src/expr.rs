@@ -19,15 +19,18 @@
 //! ```
 
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{Column, ColumnRef};
 use crate::error::{Result, TabularError};
-use crate::index::{ColumnIndex, IndexedTable};
+use crate::index::{ColumnIndex, DictionaryIndex, IndexedTable};
 use crate::ops::keys::Word;
+use crate::partition;
 use crate::table::Table;
 use crate::value::Value;
-use std::cell::Cell;
+use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Binary comparison operators.
@@ -256,9 +259,37 @@ impl Expr {
     /// [`Expr::eval_mask`] over an indexed snapshot: dictionary indexes
     /// answer string comparisons from postings and zone maps settle whole
     /// zones of a numeric comparison from their bounds. The flag reports
-    /// whether any index did so.
+    /// whether any index did so. A tree of column-at-a-time nodes only
+    /// over at least [`partition::SCAN_FLOOR`] rows is evaluated morsel by
+    /// morsel on the pool, each morsel filling its own words of the mask.
     pub fn eval_mask_indexed(&self, indexed: &IndexedTable) -> Result<(Bitmap, bool)> {
+        let rows = indexed.table().num_rows();
+        if let Some(morsels) = partition::morsels(rows, partition::SCAN_FLOOR, None) {
+            if let Some(job) = self.morsel_mask(indexed)? {
+                let job = Arc::new(job);
+                let run = Arc::clone(&job);
+                let parts = partition::map(morsels, move |i| {
+                    run.words(partition::range(rows, morsels, i))
+                });
+                return Ok((Bitmap::concat_aligned(parts), job.index_used()));
+            }
+        }
         self.eval_mask_with(indexed.table(), Some(indexed))
+    }
+
+    /// This filter prepared for morsel-by-morsel evaluation over
+    /// `indexed`, or `None` when a node needs row-wise evaluation, or a
+    /// dictionary leaf selects so few rows that its postings answer it
+    /// faster than a pass over its codes.
+    pub(crate) fn morsel_mask(&self, indexed: &IndexedTable) -> Result<Option<MorselMask>> {
+        let ctx = MaskContext::new(self, indexed.table(), Some(indexed))?;
+        if !self.columnar(&ctx) {
+            return Ok(None);
+        }
+        Ok(Some(MorselMask {
+            expr: self.clone(),
+            ctx: ctx.resolved(),
+        }))
     }
 
     fn eval_mask_with(
@@ -266,64 +297,71 @@ impl Expr {
         table: &Table,
         indexed: Option<&IndexedTable>,
     ) -> Result<(Bitmap, bool)> {
-        // Resolve referenced columns once, with a clean diagnostic for the
-        // first missing one.
-        let columns = self
-            .referenced_columns()
-            .into_iter()
-            .map(|name| {
-                let column: &Column = table.column(&name)?;
-                Ok((name, column))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let ctx = MaskContext {
-            rows: table.num_rows(),
-            columns,
-            indexed,
-            index_used: Cell::new(false),
-        };
-        match self.mask(&ctx, None) {
-            Ok(mask) => Ok((mask, ctx.index_used.get())),
+        let ctx = MaskContext::new(self, table, indexed)?;
+        match self.mask(&ctx, Span::over(0..ctx.rows), None) {
+            Ok(mask) => Ok((mask, ctx.index_used())),
             // Report the error of the first offending row, as a row-order
             // evaluation of the whole tree words it.
             Err(_) => self.mask_rowwise(&ctx, None).map(|mask| (mask, false)),
         }
     }
 
-    /// The mask of this node. Only bits inside `domain` (every row when
-    /// `None`) are meaningful to the caller, so row-wise sub-expressions
-    /// skip the rest.
-    fn mask(&self, ctx: &MaskContext<'_>, domain: Option<&Bitmap>) -> Result<Bitmap> {
+    /// Whether [`Expr::mask`] evaluates every node of this tree column at a
+    /// time (so it cannot fail, and any row span can be evaluated alone),
+    /// with no dictionary leaf that would union postings.
+    fn columnar(&self, ctx: &MaskContext<'_>) -> bool {
+        match self {
+            Expr::And(a, b) | Expr::Or(a, b) => a.columnar(ctx) && b.columnar(ctx),
+            Expr::Not(e) => e.columnar(ctx),
+            Expr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
+                (Expr::Column(c), Expr::Literal(v)) => ctx.compares(c, *op, v),
+                (Expr::Literal(v), Expr::Column(c)) => ctx.compares(c, op.flipped(), v),
+                _ => false,
+            },
+            Expr::InList(e, list) => match e.as_ref() {
+                Expr::Column(c) => ctx.lists(c, list),
+                _ => false,
+            },
+            Expr::IsNull(e) => matches!(e.as_ref(), Expr::Column(_)),
+            _ => false,
+        }
+    }
+
+    /// The mask of this node over the rows of `span`: bit `k` is row
+    /// `span.start + k`. Only bits inside `domain` (every row when `None`)
+    /// are meaningful to the caller, so row-wise sub-expressions skip the
+    /// rest; those run over the whole table only.
+    fn mask(&self, ctx: &MaskContext<'_>, span: Span, domain: Option<&Bitmap>) -> Result<Bitmap> {
         let columnar = match self {
             Expr::And(a, b) => {
                 // `b` only matters (and is only evaluated row-wise) where
                 // `a` holds.
-                let left = a.mask(ctx, domain)?;
+                let left = a.mask(ctx, span, domain)?;
                 let narrowed = domain.map(|d| d.and(&left));
-                let right = b.mask(ctx, Some(narrowed.as_ref().unwrap_or(&left)))?;
+                let right = b.mask(ctx, span, Some(narrowed.as_ref().unwrap_or(&left)))?;
                 return Ok(left.and(&right));
             }
             Expr::Or(a, b) => {
-                let left = a.mask(ctx, domain)?;
+                let left = a.mask(ctx, span, domain)?;
                 let rest = left.not();
                 let narrowed = domain.map(|d| d.and(&rest));
-                let right = b.mask(ctx, Some(narrowed.as_ref().unwrap_or(&rest)))?;
+                let right = b.mask(ctx, span, Some(narrowed.as_ref().unwrap_or(&rest)))?;
                 return Ok(left.or(&right));
             }
-            Expr::Not(e) => return Ok(e.mask(ctx, domain)?.not()),
+            Expr::Not(e) => return Ok(e.mask(ctx, span, domain)?.not()),
             Expr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) => ctx.compare(c, *op, v),
-                (Expr::Literal(v), Expr::Column(c)) => ctx.compare(c, op.flipped(), v),
+                (Expr::Column(c), Expr::Literal(v)) => ctx.compare(c, *op, v, span),
+                (Expr::Literal(v), Expr::Column(c)) => ctx.compare(c, op.flipped(), v, span),
                 _ => None,
             },
             Expr::InList(e, list) => match e.as_ref() {
-                Expr::Column(c) => ctx.in_list(c, list),
+                Expr::Column(c) => ctx.in_list(c, list, span),
                 _ => None,
             },
             Expr::IsNull(e) => match e.as_ref() {
                 Expr::Column(c) => Some(match ctx.column(c).validity_ref() {
-                    Some(validity) => validity.not(),
-                    None => Bitmap::new_set(ctx.rows),
+                    Some(validity) => span.of(validity).not(),
+                    None => Bitmap::new_set(span.len),
                 }),
                 _ => None,
             },
@@ -353,92 +391,274 @@ impl Expr {
     }
 }
 
+/// A run of rows a mask is computed over; `start` is a multiple of 64.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    len: usize,
+}
+
+impl Span {
+    fn over(rows: std::ops::Range<usize>) -> Span {
+        Span {
+            start: rows.start,
+            len: rows.len(),
+        }
+    }
+
+    fn end(self) -> usize {
+        self.start + self.len
+    }
+
+    fn rows(self) -> std::ops::Range<usize> {
+        self.start..self.end()
+    }
+
+    /// `bitmap`'s bits over this span.
+    fn of(self, bitmap: &Bitmap) -> Cow<'_, Bitmap> {
+        if self.start == 0 && self.len == bitmap.len() {
+            Cow::Borrowed(bitmap)
+        } else {
+            Cow::Owned(bitmap.slice_aligned(self.start, self.len))
+        }
+    }
+}
+
+/// A filter ready to be evaluated one morsel of rows at a time on any
+/// thread: the tree, its columns and the indexes its leaves read.
+pub(crate) struct MorselMask {
+    expr: Expr,
+    ctx: MaskContext<'static>,
+}
+
+impl MorselMask {
+    /// The mask of `rows` (a 64-row-aligned range): bit `k` is row
+    /// `rows.start + k`.
+    pub(crate) fn words(&self, rows: std::ops::Range<usize>) -> Bitmap {
+        self.expr
+            .mask(&self.ctx, Span::over(rows), None)
+            .expect("a columnar tree evaluates without error")
+    }
+
+    /// Whether a leaf read a dictionary or a zone map.
+    pub(crate) fn index_used(&self) -> bool {
+        self.ctx.index_used()
+    }
+}
+
+/// Where a mask's leaves find their indexes.
+enum Indexes<'a> {
+    /// No index: every leaf scans.
+    None,
+    /// Built on demand from the snapshot; each one fetched is kept.
+    Lazy(
+        &'a IndexedTable,
+        Mutex<Vec<(String, Option<Arc<ColumnIndex>>)>>,
+    ),
+    /// Fetched already: what a morsel on another thread reads.
+    Fetched(Vec<(String, Option<Arc<ColumnIndex>>)>),
+}
+
 /// What one [`Expr::eval_mask`] call resolved up front.
 struct MaskContext<'a> {
     rows: usize,
     /// Every referenced column, by name.
-    columns: Vec<(String, &'a Column)>,
-    indexed: Option<&'a IndexedTable>,
+    columns: Vec<(String, ColumnRef)>,
+    indexes: Indexes<'a>,
     /// Set when a leaf read a dictionary or a zone map.
-    index_used: Cell<bool>,
+    index_used: AtomicBool,
 }
 
 impl<'a> MaskContext<'a> {
-    fn find(&self, name: &str) -> Option<&'a Column> {
+    /// Resolve the columns `expr` references, with a clean diagnostic for
+    /// the first missing one.
+    fn new(expr: &Expr, table: &Table, indexed: Option<&'a IndexedTable>) -> Result<Self> {
+        let columns = expr
+            .referenced_columns()
+            .into_iter()
+            .map(|name| {
+                let column = Arc::clone(table.column(&name)?);
+                Ok((name, column))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(MaskContext {
+            rows: table.num_rows(),
+            columns,
+            indexes: match indexed {
+                Some(ix) => Indexes::Lazy(ix, Mutex::new(Vec::new())),
+                None => Indexes::None,
+            },
+            index_used: AtomicBool::new(false),
+        })
+    }
+
+    /// This context with the indexes fetched so far and no others, for
+    /// morsels on other threads.
+    fn resolved(self) -> MaskContext<'static> {
+        MaskContext {
+            rows: self.rows,
+            columns: self.columns,
+            indexes: match self.indexes {
+                Indexes::Lazy(_, fetched) => Indexes::Fetched(fetched.into_inner()),
+                Indexes::Fetched(fetched) => Indexes::Fetched(fetched),
+                Indexes::None => Indexes::None,
+            },
+            index_used: AtomicBool::new(false),
+        }
+    }
+
+    fn index_used(&self) -> bool {
+        self.index_used.load(Ordering::Relaxed)
+    }
+
+    fn used_index(&self) {
+        self.index_used.store(true, Ordering::Relaxed);
+    }
+
+    fn find(&self, name: &str) -> Option<&Column> {
         self.columns
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, c)| *c)
+            .map(|(_, c)| c.as_ref())
     }
 
-    fn column(&self, name: &str) -> &'a Column {
+    fn column(&self, name: &str) -> &Column {
         self.find(name)
             .expect("referenced columns are resolved before evaluation")
     }
 
     fn index(&self, name: &str) -> Option<Arc<ColumnIndex>> {
-        self.indexed?.index(name)
+        let held = |fetched: &[(String, Option<Arc<ColumnIndex>>)]| {
+            let (_, index) = fetched.iter().find(|(n, _)| n == name)?;
+            Some(index.clone())
+        };
+        match &self.indexes {
+            Indexes::None => None,
+            Indexes::Fetched(fetched) => held(fetched).flatten(),
+            Indexes::Lazy(indexed, fetched) => {
+                let mut fetched = fetched.lock();
+                if let Some(index) = held(&fetched) {
+                    return index;
+                }
+                let index = indexed.index(name);
+                fetched.push((name.to_string(), index.clone()));
+                index
+            }
+        }
+    }
+
+    /// Whether [`MaskContext::compare`] answers `column <op> literal`
+    /// column at a time, and, on a dictionary, with a pass over its codes
+    /// rather than a union of postings.
+    fn compares(&self, name: &str, op: CmpOp, lit: &Value) -> bool {
+        let column = self.column(name);
+        match (column, lit) {
+            (_, Value::Null) => false,
+            (Column::Utf8 { .. }, Value::Str(s)) => match self.index(name).as_deref() {
+                Some(ColumnIndex::Dictionary(d)) => {
+                    let (start, end) = code_span(d, op, s);
+                    d.code_pass(start, end)
+                }
+                _ => true,
+            },
+            (Column::Utf8 { .. }, _) => false,
+            (Column::Int64 { .. } | Column::Float64 { .. }, Value::Str(s)) => {
+                s.trim().parse::<f64>().is_ok()
+            }
+            (Column::Null { .. }, _) => true,
+            _ => {
+                let typed = TypedLeaf::resolve(column, lit).is_some();
+                if typed {
+                    // `zoned` reads the column's zone map.
+                    self.index(name);
+                }
+                typed
+            }
+        }
+    }
+
+    /// Whether [`MaskContext::in_list`] answers `column IN (list)` column
+    /// at a time without a dictionary's postings.
+    fn lists(&self, name: &str, list: &[Value]) -> bool {
+        let column = self.column(name);
+        if in_list_coerces(column, list) {
+            return false;
+        }
+        !matches!(column, Column::Utf8 { .. })
+            || !matches!(
+                self.index(name).as_deref(),
+                Some(ColumnIndex::Dictionary(_))
+            )
     }
 
     /// `column <op> literal` over the typed slice, or `None` when the pair
     /// needs row-wise semantics: a null literal, a number facing string
     /// cells (each cell is parsed), or a non-numeric string facing numbers.
-    fn compare(&self, name: &str, op: CmpOp, lit: &Value) -> Option<Bitmap> {
+    fn compare(&self, name: &str, op: CmpOp, lit: &Value, span: Span) -> Option<Bitmap> {
         let column = self.column(name);
         let raw = match (column, lit) {
             (_, Value::Null) => return None,
             (Column::Utf8 { data, .. }, Value::Str(s)) => match self.index(name).as_deref() {
                 Some(ColumnIndex::Dictionary(d)) => {
-                    self.index_used.set(true);
-                    let dict = d.dict();
-                    let below = dict.partition_point(|x| x.as_str() < s.as_str()) as u32;
-                    let through = dict.partition_point(|x| x.as_str() <= s.as_str()) as u32;
-                    let all = dict.len() as u32;
+                    self.used_index();
+                    let (start, end) = code_span(d, op, s);
+                    let rows = if span.len == self.rows {
+                        d.rows_for_code_span(start, end)
+                    } else {
+                        d.code_span_over(start, end, span.rows())
+                    };
                     match op {
-                        CmpOp::Lt => d.rows_for_code_span(0, below),
-                        CmpOp::Le => d.rows_for_code_span(0, through),
-                        CmpOp::Gt => d.rows_for_code_span(through, all),
-                        CmpOp::Ge => d.rows_for_code_span(below, all),
-                        CmpOp::Eq => d.rows_for_code_span(below, through),
-                        CmpOp::Ne => d.rows_for_code_span(below, through).not(),
+                        CmpOp::Ne => rows.not(),
+                        _ => rows,
                     }
                 }
-                _ => Bitmap::from_fn(self.rows, |i| op.apply(data[i].cmp(s.as_str()))),
+                _ => Bitmap::from_fn(span.len, |k| op.apply(data[span.start + k].cmp(s.as_str()))),
             },
             (Column::Utf8 { .. }, _) => return None,
             // A numeric string facing a number compares as that number, as
             // `compare_coerced` parses it per row.
             (Column::Int64 { .. } | Column::Float64 { .. }, Value::Str(s)) => {
                 let number = s.trim().parse::<f64>().ok()?;
-                return self.compare(name, op, &Value::Float(number));
+                return self.compare(name, op, &Value::Float(number), span);
             }
-            (Column::Null { .. }, _) => Bitmap::new_cleared(self.rows),
-            _ => self.zoned(name, op, lit, &TypedLeaf::resolve(column, lit)?),
+            (Column::Null { .. }, _) => Bitmap::new_cleared(span.len),
+            _ => self.zoned(name, op, lit, &TypedLeaf::resolve(column, lit)?, span),
         };
         // A null cell fails every comparison except `!=`; an all-null
         // column (`None`) has no other kind.
         Some(match (column.validity_ref(), op) {
-            (Some(validity), CmpOp::Ne) => raw.or(&validity.not()),
-            (Some(validity), _) => raw.and(validity),
-            (None, CmpOp::Ne) => Bitmap::new_set(self.rows),
+            (Some(validity), CmpOp::Ne) => raw.or(&span.of(validity).not()),
+            (Some(validity), _) => raw.and(&span.of(validity)),
+            (None, CmpOp::Ne) => Bitmap::new_set(span.len),
             (None, _) => raw,
         })
     }
 
-    /// `leaf` over every row — except that, with a zone map on the column,
-    /// a zone whose bounds already settle `cell <op> lit` for all of its
-    /// non-null rows is filled (or skipped) without reading it.
-    fn zoned(&self, name: &str, op: CmpOp, lit: &Value, leaf: &TypedLeaf<'_>) -> Bitmap {
-        let mut mask = Bitmap::new_cleared(self.rows);
+    /// `leaf` over every row of `span` — except that, with a zone map on
+    /// the column, a zone whose bounds already settle `cell <op> lit` for
+    /// all of its non-null rows is filled (or skipped) without reading it.
+    fn zoned(
+        &self,
+        name: &str,
+        op: CmpOp,
+        lit: &Value,
+        leaf: &TypedLeaf<'_>,
+        span: Span,
+    ) -> Bitmap {
+        let mut mask = Bitmap::new_cleared(span.len);
         let index = self.index(name);
         let Some(ColumnIndex::Zones(zones)) = index.as_deref() else {
-            leaf.fill(op, &mut mask, 0, self.rows);
+            leaf.fill(op, &mut mask, span.rows(), 0);
             return mask;
         };
-        self.index_used.set(true);
-        for (z, bounds) in zones.zones().iter().enumerate() {
-            let start = z * zones.zone_rows();
-            let end = (start + zones.zone_rows()).min(self.rows);
+        self.used_index();
+        let per = zones.zone_rows();
+        let first = span.start / per;
+        let last = span.end().div_ceil(per);
+        for (z, bounds) in zones.zones().iter().enumerate().take(last).skip(first) {
+            // The zone's rows inside the span.
+            let start = (z * per).max(span.start);
+            let end = ((z + 1) * per).min(span.end());
             // An all-null zone has nothing to compare.
             let Some((zmin, zmax)) = bounds else { continue };
             let settled = match op {
@@ -451,9 +671,9 @@ impl<'a> MaskContext<'a> {
                 }
             };
             match settled {
-                Some(true) => mask.set_range(start, end),
+                Some(true) => mask.set_range(start - span.start, end - span.start),
                 Some(false) => {}
-                None => leaf.fill(op, &mut mask, start, end),
+                None => leaf.fill(op, &mut mask, start..end, start - span.start),
             }
         }
         mask
@@ -461,29 +681,25 @@ impl<'a> MaskContext<'a> {
 
     /// `column IN (list)` over the typed slice; `None` when a member needs
     /// string↔number coercion against this column.
-    fn in_list(&self, name: &str, list: &[Value]) -> Option<Bitmap> {
+    fn in_list(&self, name: &str, list: &[Value], span: Span) -> Option<Bitmap> {
         let column = self.column(name);
-        let is_number = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
-        let is_string = |v: &Value| matches!(v, Value::Str(_));
-        let coerces = match column {
-            Column::Utf8 { .. } => list.iter().any(is_number),
-            Column::Int64 { .. } | Column::Float64 { .. } => list.iter().any(is_string),
-            _ => false,
-        };
-        if coerces {
+        if in_list_coerces(column, list) {
             return None;
         }
+        let rows = span.rows();
         // Members of the column's own kind, resolved once into the words
         // `compare` uses; a member of another type rank equals no cell.
         let raw = match column {
             Column::Utf8 { data, .. } => match self.index(name).as_deref() {
                 Some(ColumnIndex::Dictionary(d)) => {
-                    self.index_used.set(true);
+                    self.used_index();
                     d.rows_for_values(list)
                 }
                 _ => {
                     let members = member_keys(list, Value::as_str);
-                    Bitmap::from_fn(self.rows, |i| members.binary_search(&&data[i]).is_ok())
+                    Bitmap::from_fn(span.len, |k| {
+                        members.binary_search(&&data[span.start + k]).is_ok()
+                    })
                 }
             },
             Column::Int64 { data, .. } => {
@@ -495,7 +711,7 @@ impl<'a> MaskContext<'a> {
                     Value::Float(l) => Some(l.word()),
                     _ => None,
                 });
-                mask_of(data, |x| {
+                mask_of(&data[rows], |x| {
                     ints.binary_search(&x.word()).is_ok()
                         || floats.binary_search(&(x as f64).word()).is_ok()
                 })
@@ -506,26 +722,54 @@ impl<'a> MaskContext<'a> {
                     Value::Float(l) => Some(l.word()),
                     _ => None,
                 });
-                mask_of(data, |x| keys.binary_search(&x.word()).is_ok())
+                mask_of(&data[rows], |x| keys.binary_search(&x.word()).is_ok())
             }
             Column::Date { data, .. } => {
                 let keys = member_keys(list, Value::as_date);
-                mask_of(data, |x| keys.binary_search(&x).is_ok())
+                mask_of(&data[rows], |x| keys.binary_search(&x).is_ok())
             }
             Column::Bool { data, .. } => {
                 let keys = member_keys(list, Value::as_bool);
-                mask_of(data, |x| keys.contains(&x))
+                mask_of(&data[rows], |x| keys.contains(&x))
             }
-            Column::Null { .. } => Bitmap::new_cleared(self.rows),
+            Column::Null { .. } => Bitmap::new_cleared(span.len),
         };
         // A null cell is a member exactly when the list holds a null.
         let null_member = list.iter().any(Value::is_null);
-        Some(match column.validity_ref() {
-            Some(validity) if null_member => raw.and(validity).or(&validity.not()),
-            Some(validity) => raw.and(validity),
-            None if null_member => Bitmap::new_set(self.rows),
+        Some(match column.validity_ref().map(|v| span.of(v)) {
+            Some(validity) if null_member => raw.and(&validity).or(&validity.not()),
+            Some(validity) => raw.and(&validity),
+            None if null_member => Bitmap::new_set(span.len),
             None => raw,
         })
+    }
+}
+
+/// Whether an `IN` list needs string↔number coercion against `column`'s
+/// cells, which only a row-wise evaluation does.
+fn in_list_coerces(column: &Column, list: &[Value]) -> bool {
+    let is_number = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
+    let is_string = |v: &Value| matches!(v, Value::Str(_));
+    match column {
+        Column::Utf8 { .. } => list.iter().any(is_number),
+        Column::Int64 { .. } | Column::Float64 { .. } => list.iter().any(is_string),
+        _ => false,
+    }
+}
+
+/// The dictionary codes `[start, end)` that `cell <op> s` selects — for
+/// `!=`, the codes it rejects.
+fn code_span(d: &DictionaryIndex, op: CmpOp, s: &str) -> (u32, u32) {
+    let dict = d.dict();
+    let below = dict.partition_point(|x| x.as_str() < s) as u32;
+    let through = dict.partition_point(|x| x.as_str() <= s) as u32;
+    let all = dict.len() as u32;
+    match op {
+        CmpOp::Lt => (0, below),
+        CmpOp::Le => (0, through),
+        CmpOp::Gt => (through, all),
+        CmpOp::Ge => (below, all),
+        CmpOp::Eq | CmpOp::Ne => (below, through),
     }
 }
 
@@ -573,21 +817,21 @@ impl<'a> TypedLeaf<'a> {
         })
     }
 
-    /// Set the bit of every row in `[start, end)` whose cell satisfies
-    /// `cell <op> literal` (null cells included: the caller masks them).
-    fn fill(&self, op: CmpOp, mask: &mut Bitmap, start: usize, end: usize) {
-        let rows = start..end;
+    /// Set bit `at + k` of `mask` for every row `rows.start + k` whose cell
+    /// satisfies `cell <op> literal` (null cells included: the caller
+    /// masks them).
+    fn fill(&self, op: CmpOp, mask: &mut Bitmap, rows: std::ops::Range<usize>, at: usize) {
         match *self {
-            TypedLeaf::Int(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
+            TypedLeaf::Int(data, l) => compare_into(mask, at, &data[rows], op, l, Word::word),
             TypedLeaf::IntAsFloat(data, l) => {
-                compare_into(mask, start, &data[rows], op, l, |x| (x as f64).word())
+                compare_into(mask, at, &data[rows], op, l, |x| (x as f64).word())
             }
-            TypedLeaf::Float(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
-            TypedLeaf::Date(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
-            TypedLeaf::Bool(data, l) => compare_into(mask, start, &data[rows], op, l, Word::word),
+            TypedLeaf::Float(data, l) => compare_into(mask, at, &data[rows], op, l, Word::word),
+            TypedLeaf::Date(data, l) => compare_into(mask, at, &data[rows], op, l, Word::word),
+            TypedLeaf::Bool(data, l) => compare_into(mask, at, &data[rows], op, l, Word::word),
             TypedLeaf::Rank(ord) => {
                 if op.apply(ord) {
-                    mask.set_range(start, end);
+                    mask.set_range(at, at + rows.len());
                 }
             }
         }

@@ -22,6 +22,9 @@
 //! * [`io`] — readers and writers for the payload formats the platform
 //!   recognises: CSV, JSON (with `=>` path mapping), XML and a compact
 //!   AVRO-like binary record format.
+//! * [`partition`] — morsels over one table, run on the process-wide pool
+//!   of parked helper threads by the cold-query kernels and the JSON
+//!   writer.
 //! * [`datefmt`] — Java-`SimpleDateFormat`-style date parsing/formatting
 //!   (the paper's `map`/`date` operator takes `input_format: 'E MMM dd
 //!   HH:mm:ss Z yyyy'`).
@@ -39,6 +42,7 @@ pub mod expr;
 pub mod index;
 pub mod io;
 pub mod ops;
+pub mod partition;
 pub mod row;
 pub mod schema;
 pub mod table;

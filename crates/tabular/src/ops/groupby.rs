@@ -7,11 +7,13 @@ use crate::column::{Column, ColumnRef};
 use crate::datatype::DataType;
 use crate::error::{Result, TabularError};
 use crate::ops::keys::{group_ids, GroupIds, KeyColumn, RowSel, Word, NONE};
+use crate::partition::Reason;
 use crate::row::Row;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One aggregate in a `groupby` task: `operator` applied to `apply_on`,
@@ -81,6 +83,22 @@ impl GroupBy {
         } else {
             self.aggregates.clone()
         }
+    }
+
+    /// Why a partitioned group-by over `batch` would not be the single
+    /// pass's byte for byte: a `sum`/`avg` over anything but integers
+    /// merges float sums, which round differently.
+    pub(crate) fn partition_declines(&self, batch: &Table) -> Option<Reason> {
+        self.aggregates
+            .iter()
+            .filter(|a| matches!(a.operator, AggKind::Sum | AggKind::Avg))
+            .any(|a| {
+                !matches!(
+                    batch.column(&a.apply_on).map(|c| c.data_type()),
+                    Ok(DataType::Int64 | DataType::Null)
+                )
+            })
+            .then_some(Reason::FloatSum)
     }
 
     /// Output schema for a given input schema: key columns (original types)
@@ -278,20 +296,7 @@ impl GroupByPartial {
                 });
             }
         }
-        let key_cols = self
-            .cfg
-            .keys
-            .iter()
-            .map(|k| batch.column(k).cloned())
-            .collect::<Result<Vec<_>>>()?;
-        let inputs = self
-            .aggs
-            .iter()
-            .map(|a| match a.operator {
-                AggKind::CountAll => Ok(Input::new(a.operator, None)),
-                _ => Ok(Input::new(a.operator, Some(batch.column(&a.apply_on)?))),
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let (key_cols, inputs) = self.columns(batch)?;
         if self.input_schema.is_none() {
             self.input_schema = Some(batch.schema().clone());
             self.lanes = inputs.iter().map(Lane::new).collect();
@@ -305,7 +310,8 @@ impl GroupByPartial {
             // identity, so each selected row finds its group inline.
             (&[KeyColumn::Coded { codes, cardinality }], GroupKeys::Unset) => {
                 assert!(n < NONE as usize, "{n} rows do not fit u32 row ids");
-                let reps = fold_coded(&mut self.lanes, &inputs, codes, cardinality, selection)?;
+                let coded = Coded { codes, cardinality };
+                let (reps, _) = coded.fold(&mut self.lanes, &inputs, 0..n, selection)?;
                 self.keys = GroupKeys::Batch {
                     cols: key_cols,
                     reps,
@@ -337,6 +343,85 @@ impl GroupByPartial {
         Ok(())
     }
 
+    /// Fold the rows of `rows` — a 64-row-aligned range of `batch` — that
+    /// `selection` sets (all when `None`; bit `k` is row `rows.start + k`)
+    /// into this fresh partial, whose groups' keys stay rows of `batch`:
+    /// one morsel of a partitioned group-by, its partials merged by
+    /// [`GroupByPartial::merge_coded`]. For one coded key, returns each
+    /// group's slot in a `code → group` table (its code; a null's is the
+    /// cardinality).
+    pub(crate) fn update_range(
+        &mut self,
+        batch: &Table,
+        keys: &[KeyColumn<'_>],
+        rows: Range<usize>,
+        selection: Option<&Bitmap>,
+    ) -> Result<Option<Vec<u32>>> {
+        debug_assert!(self.is_empty_state() && (rows.start.is_multiple_of(64) || rows.is_empty()));
+        let (key_cols, inputs) = self.columns(batch)?;
+        self.input_schema = Some(batch.schema().clone());
+        self.lanes = inputs.iter().map(Lane::new).collect();
+        let (reps, slots) = match keys {
+            &[KeyColumn::Coded { codes, cardinality }] => {
+                let coded = Coded { codes, cardinality };
+                let (reps, slots) = coded.fold(&mut self.lanes, &inputs, rows, selection)?;
+                (reps, Some(slots))
+            }
+            _ => {
+                let picked: Vec<u32> = match selection {
+                    Some(mask) => mask.iter_ones().map(|k| (rows.start + k) as u32).collect(),
+                    None => rows.map(|row| row as u32).collect(),
+                };
+                let picked = RowSel::Picked(picked);
+                let GroupIds { ids, reps } = group_ids(keys, &picked);
+                let RowSel::Picked(listed) = &picked else {
+                    unreachable!("picked above")
+                };
+                fold_lanes(
+                    &mut self.lanes,
+                    &inputs,
+                    Rows::Listed(listed),
+                    &ids,
+                    reps.len(),
+                )?;
+                (reps, None)
+            }
+        };
+        self.keys = GroupKeys::Batch {
+            cols: key_cols,
+            reps,
+        };
+        Ok(slots)
+    }
+
+    /// `batch`'s key columns and each aggregate's input.
+    fn columns<'b>(&self, batch: &'b Table) -> Result<(Vec<ColumnRef>, Vec<Input<'b>>)> {
+        let key_cols = self
+            .cfg
+            .keys
+            .iter()
+            .map(|k| batch.column(k).cloned())
+            .collect::<Result<Vec<_>>>()?;
+        let inputs = self
+            .aggs
+            .iter()
+            .map(|a| match a.operator {
+                AggKind::CountAll => Ok(Input::new(a.operator, None)),
+                _ => Ok(Input::new(a.operator, Some(batch.column(&a.apply_on)?))),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok((key_cols, inputs))
+    }
+
+    /// Each group's first row, for a partial whose keys stay rows of its
+    /// batch ([`GroupByPartial::update_range`]).
+    pub(crate) fn reps(&self) -> &[u32] {
+        match &self.keys {
+            GroupKeys::Batch { reps, .. } => reps,
+            _ => &[],
+        }
+    }
+
     /// Fold another partial into this one. `other` must cover rows that
     /// come after this partial's rows: groups first seen in `other` are
     /// appended in `other`'s order, reproducing global first-seen order.
@@ -360,6 +445,57 @@ impl GroupByPartial {
             lane.merge(spec.operator, theirs, &global);
         }
         Ok(())
+    }
+
+    /// Merge the partials of a partitioned group-by — `parts[m]` folded
+    /// morsel `m` by [`GroupByPartial::update_range`], with each of its
+    /// groups' slot (below `slots`) in a dense numbering of the shared
+    /// dictionary codes of its key — in morsel order, through a
+    /// `slot → group` table. No key is boxed and no row is read again,
+    /// and the result is the single pass's: groups in first-seen order,
+    /// each lane merged in row order.
+    pub(crate) fn merge_coded(
+        parts: Vec<(GroupByPartial, Vec<u32>)>,
+        slots: usize,
+    ) -> Result<GroupByPartial> {
+        let mut parts = parts.into_iter();
+        let (mut merged, first) = parts.next().ok_or_else(|| {
+            TabularError::InvalidOperation("partitioned group-by with no morsel".into())
+        })?;
+        let mut group_of = vec![NONE; slots];
+        for (g, &slot) in first.iter().enumerate() {
+            group_of[slot as usize] = g as u32;
+        }
+        for (part, theirs) in parts {
+            let (
+                GroupKeys::Batch { reps, .. },
+                GroupKeys::Batch {
+                    reps: their_reps, ..
+                },
+            ) = (&mut merged.keys, part.keys)
+            else {
+                unreachable!("a morsel's keys are rows of the table")
+            };
+            let global: Vec<u32> = theirs
+                .iter()
+                .zip(their_reps)
+                .map(|(&slot, rep)| {
+                    let at = &mut group_of[slot as usize];
+                    if *at == NONE {
+                        *at = reps.len() as u32;
+                        reps.push(rep);
+                    }
+                    *at
+                })
+                .collect();
+            let groups = reps.len();
+            for ((lane, spec), theirs) in merged.lanes.iter_mut().zip(&merged.aggs).zip(part.lanes)
+            {
+                lane.grow(groups);
+                lane.merge(spec.operator, theirs, &global);
+            }
+        }
+        Ok(merged)
     }
 
     /// Finish the state into the output table. Most lanes become their
@@ -469,61 +605,80 @@ fn fold_lanes(
     })
 }
 
-/// Fold the rows of a fresh partial's one dictionary-coded key set in
-/// `selection` (all when `None`) into `lanes`, a chunk at a time, each
-/// code's group found inline through a dense `code → group` table.
-/// Returns each group's first row.
-fn fold_coded(
-    lanes: &mut [Lane],
-    inputs: &[Input<'_>],
-    codes: &[u32],
+/// One dictionary-coded key: `codes[row]` below `cardinality`, or
+/// [`NONE`] for a null.
+struct Coded<'a> {
+    codes: &'a [u32],
     cardinality: usize,
-    selection: Option<&Bitmap>,
-) -> Result<Vec<u32>> {
-    // A null's code is NONE; it groups in the last slot.
-    let mut group_of = vec![NONE; cardinality + 1];
-    let mut reps = Vec::new();
-    let mut group = |row: usize, reps: &mut Vec<u32>| {
-        let slot = (codes[row] as usize).min(cardinality);
-        if group_of[slot] == NONE {
-            group_of[slot] = reps.len() as u32;
-            reps.push(row as u32);
-        }
-        group_of[slot]
-    };
-    let mut ids = [0u32; CHUNK];
-    match selection {
-        None => {
-            for start in (0..codes.len()).step_by(CHUNK) {
-                let ids = &mut ids[..CHUNK.min(codes.len() - start)];
-                for (row, id) in (start..).zip(ids.iter_mut()) {
-                    *id = group(row, &mut reps);
-                }
-                fold_lanes(lanes, inputs, Rows::From(start), ids, reps.len())?;
+}
+
+impl Coded<'_> {
+    /// Fold the rows of `rows` that `selection` sets (all when `None`; bit
+    /// `k` is row `rows.start + k`, `rows.start` a multiple of 64) into
+    /// the `lanes` of a fresh partial, a chunk at a time, each code's
+    /// group found inline through a dense `code → group` table. Returns
+    /// each group's first row, and each group's slot in that table (a
+    /// null's is `cardinality`).
+    fn fold(
+        &self,
+        lanes: &mut [Lane],
+        inputs: &[Input<'_>],
+        rows: Range<usize>,
+        selection: Option<&Bitmap>,
+    ) -> Result<(Vec<u32>, Vec<u32>)> {
+        let (codes, cardinality) = (self.codes, self.cardinality);
+        // A null's code is NONE; it groups in the last slot.
+        let mut group_of = vec![NONE; cardinality + 1];
+        let mut reps = Vec::new();
+        let mut group = |row: usize, reps: &mut Vec<u32>| {
+            let slot = (codes[row] as usize).min(cardinality);
+            if group_of[slot] == NONE {
+                group_of[slot] = reps.len() as u32;
+                reps.push(row as u32);
             }
-        }
-        Some(mask) => {
-            // The set bits of each run of CHUNK / 64 words, ascending.
-            let mut rows = [0u32; CHUNK];
-            for (at, words) in mask.words().chunks(CHUNK / 64).enumerate() {
-                let mut len = 0;
-                for (w, &word) in words.iter().enumerate() {
-                    let base = at * CHUNK + w * 64;
-                    let mut bits = word;
-                    while bits != 0 {
-                        let row = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        rows[len] = row as u32;
-                        ids[len] = group(row, &mut reps);
-                        len += 1;
+            group_of[slot]
+        };
+        let mut ids = [0u32; CHUNK];
+        match selection {
+            None => {
+                for start in rows.clone().step_by(CHUNK) {
+                    let ids = &mut ids[..CHUNK.min(rows.end - start)];
+                    for (row, id) in (start..).zip(ids.iter_mut()) {
+                        *id = group(row, &mut reps);
                     }
+                    fold_lanes(lanes, inputs, Rows::From(start), ids, reps.len())?;
                 }
-                let (rows, ids) = (&rows[..len], &ids[..len]);
-                fold_lanes(lanes, inputs, Rows::Listed(rows), ids, reps.len())?;
+            }
+            Some(mask) => {
+                // The set bits of each run of CHUNK / 64 words, ascending.
+                let mut listed = [0u32; CHUNK];
+                for (at, words) in mask.words().chunks(CHUNK / 64).enumerate() {
+                    let mut len = 0;
+                    for (w, &word) in words.iter().enumerate() {
+                        let base = rows.start + at * CHUNK + w * 64;
+                        let mut bits = word;
+                        while bits != 0 {
+                            let row = base + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            listed[len] = row as u32;
+                            ids[len] = group(row, &mut reps);
+                            len += 1;
+                        }
+                    }
+                    let (listed, ids) = (&listed[..len], &ids[..len]);
+                    fold_lanes(lanes, inputs, Rows::Listed(listed), ids, reps.len())?;
+                }
             }
         }
+        // Read off the table, so no row's code is looked up again.
+        let mut slots = vec![0; reps.len()];
+        for (slot, &g) in group_of.iter().enumerate() {
+            if g != NONE {
+                slots[g as usize] = slot as u32;
+            }
+        }
+        Ok((reps, slots))
     }
-    Ok(reps)
 }
 
 /// One aggregate's input over a batch: its column (`None` for

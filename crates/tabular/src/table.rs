@@ -211,6 +211,17 @@ impl Table {
         }
     }
 
+    /// A table of this one's schema over `columns`, each `rows` long —
+    /// what a gather made column by column assembles.
+    pub(crate) fn with_columns(&self, columns: Vec<ColumnRef>, rows: usize) -> Table {
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
+        Table {
+            schema: Arc::clone(&self.schema),
+            columns,
+            rows,
+        }
+    }
+
     /// Filter rows by a selection bitmap.
     pub fn filter(&self, mask: &Bitmap) -> Table {
         self.take(&mask.ones())
