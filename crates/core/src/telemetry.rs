@@ -773,6 +773,11 @@ pub struct IngestStats {
     /// Committed ingests that copied the endpoint table instead: a reader
     /// held it, a column's type widened, or the ingest created it.
     pub copied: u64,
+    /// Row postings a merged index grew in place by the appended rows.
+    pub postings_grown: u64,
+    /// Row postings a merged index rebuilt instead: one crossed 1/32
+    /// density either way, or a reader's index shared it.
+    pub postings_rebuilt: u64,
 }
 
 impl IngestStats {
@@ -790,6 +795,8 @@ impl IngestStats {
             Counter cold_rebuilds "cold_rebuilds_total",
             Counter grown_in_place "grown_in_place_total",
             Counter copied "copied_total",
+            Counter postings_grown "postings_grown_total",
+            Counter postings_rebuilt "postings_rebuilt_total",
         } = self);
         Family::scalars("ingest", "shareinsights_ingest", fields)
     }
@@ -1167,6 +1174,14 @@ impl ApiMetrics {
         }
     }
 
+    /// Record what a committed ingest's index merge did to the postings:
+    /// how many grew in place and how many were rebuilt.
+    pub fn record_ingest_postings(&self, grown: u64, rebuilt: u64) {
+        let mut s = self.ingest.write();
+        s.postings_grown += grown;
+        s.postings_rebuilt += rebuilt;
+    }
+
     /// Record an ingest aborted before commit (decode error, over-cap
     /// body, or mid-body disconnect) — the endpoint stays unchanged.
     pub fn record_ingest_abort(&self) {
@@ -1448,6 +1463,7 @@ mod tests {
         m.record_ingest_commit(2000, true, 400, false);
         m.record_ingest_commit(10, false, 0, true);
         m.record_ingest_abort();
+        m.record_ingest_postings(110, 2);
         m.record_sql_prepared_hit();
         let s = m.ingest();
         assert_eq!(s.segments, 2);
@@ -1459,6 +1475,7 @@ mod tests {
         assert_eq!(s.index_merge_us, 400);
         assert_eq!(s.aborted, 1);
         assert_eq!((s.grown_in_place, s.copied), (1, 1));
+        assert_eq!((s.postings_grown, s.postings_rebuilt), (110, 2));
         assert_eq!(m.sql().prepared_hits, 1);
     }
 

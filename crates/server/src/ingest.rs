@@ -40,8 +40,8 @@ use shareinsights_core::TraceId;
 use shareinsights_tabular::io::csv::{read_csv, CsvOptions};
 use shareinsights_tabular::io::json::{parse_json, read_json_records, JsonValue, PathMapping};
 use shareinsights_tabular::Table;
-use std::sync::mpsc::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -395,85 +395,25 @@ impl IngestSession {
             }
         }
         let commit_span = span.map(|s| s.child("ingest_commit"));
-        let IngestSession {
-            server,
-            dashboard,
-            dataset,
-            seq,
-            bytes_in,
-            ..
-        } = self;
-        server.committer().run(&server, move |server| {
-            server.commit_ingest(
-                &dashboard,
-                &dataset,
-                &tables,
-                seq as u64,
-                bytes_in,
-                commit_span,
+        // The commit runs here, on the thread that finished the request: it
+        // grows the endpoint in place, and commits on one endpoint are
+        // serialised by its index slot.
+        let server = &self.server;
+        server
+            .contain_panic(
+                || ROUTE_INGEST,
+                || {
+                    server.commit_ingest(
+                        &self.dashboard,
+                        &self.dataset,
+                        &tables,
+                        self.seq as u64,
+                        self.bytes_in,
+                        commit_span,
+                    )
+                },
             )
-        })
-    }
-}
-
-type CommitJob = Box<dyn FnOnce() + Send>;
-
-/// The one thread every ingest commits on, shared by a [`Server`]'s clones.
-///
-/// A commit replaces an endpoint's snapshot — the concatenated table and
-/// its merged index, 15 MB at 141k rows × 500 keys — and drops the one
-/// before. glibc keeps an arena per thread: with the serve workers taking
-/// requests in turn, each commit built its snapshot in one worker's arena
-/// and freed the last into another's, which trimmed it, so the next commit
-/// on that worker faulted every page in again: 4.7 ms a commit instead of
-/// 1.5, and a run's median append at 5, 7 or 9 ms by how the turn had
-/// drifted. On one thread the pages an append frees are the pages the next
-/// one is handed.
-///
-/// Commits on one endpoint were already serialised by its index slot;
-/// this serialises commits on different endpoints too. The thread starts
-/// with the first commit and ends when the last clone of the server is
-/// dropped.
-#[derive(Default)]
-pub(crate) struct Committer {
-    /// The thread's queue; `None` inside when it could not be spawned.
-    jobs: OnceLock<Option<Sender<CommitJob>>>,
-}
-
-impl Committer {
-    /// Run `commit` over `server` on the committer thread and wait for its
-    /// response; a commit that panics is answered 500 and the thread
-    /// commits on (see [`Server::contain_panic`]). Without the thread — it
-    /// could not be spawned — `commit` runs here.
-    pub(crate) fn run(
-        &self,
-        server: &Server,
-        commit: impl FnOnce(&Server) -> Response + Send + 'static,
-    ) -> Response {
-        let (done, response) = channel();
-        let server = server.clone();
-        let job: CommitJob = Box::new(move || {
-            let answer = server.contain_panic(|| ROUTE_INGEST, || commit(&server));
-            let _ = done.send(answer.unwrap_or_else(|refusal| refusal));
-        });
-        let jobs = self.jobs.get_or_init(|| {
-            let (tx, rx) = channel::<CommitJob>();
-            std::thread::Builder::new()
-                .name("ingest-commit".to_string())
-                .spawn(move || rx.into_iter().for_each(|job| job()))
-                .ok()
-                .map(|_| tx)
-        });
-        let unsent = match jobs {
-            Some(tx) => tx.send(job).err().map(|SendError(job)| job),
-            None => Some(job),
-        };
-        if let Some(job) = unsent {
-            job();
-        }
-        response.recv().unwrap_or_else(|_| {
-            Response::error(Status::ServiceUnavailable, "ingest commit did not complete")
-        })
+            .unwrap_or_else(|refusal| refusal)
     }
 }
 
@@ -827,23 +767,37 @@ mod tests {
     }
 
     #[test]
-    fn commits_run_on_one_thread_and_survive_a_panicking_commit() {
-        let server = Server::new(shareinsights_core::Platform::new());
-        let committer = Committer::default();
-        let whoami = |_: &Server| {
-            let thread = std::thread::current();
-            Response::json(format!("{:?} {:?}", thread.name(), thread.id()))
+    fn a_panicking_commit_answers_500_and_the_next_append_commits() {
+        let server = server_with_dashboard();
+        let append = |csv: &str| {
+            let mut session = IngestSession::start(&server, "d", "t", None).unwrap();
+            session.push(csv.as_bytes());
+            session.finish(None)
         };
-        let first = committer.run(&server, whoami);
-        assert!(first.body.contains("ingest-commit"), "{}", first.body);
-        assert_eq!(committer.run(&server, whoami).body, first.body);
+        assert!(append("k,v\na,1\n").is_ok());
+        // A read builds the warm index the next commit takes out of its slot.
+        let page = || server.handle(&Request::get("/d/ds/t/sort/k/asc")).body;
+        let (body, generation) = (page(), server.platform().data_generation("d"));
 
-        // A commit that panics is answered 500, and the same thread takes
-        // the next one.
-        let refused = committer.run(&server, |_| panic!("commit failed"));
-        assert_eq!(refused.status, Status::InternalServerError);
-        assert_eq!(committer.run(&server, whoami).body, first.body);
+        crate::router::COMMIT_PANICS.set(true);
+        let refused = append("k,v\nb,2\n");
+        crate::router::COMMIT_PANICS.set(false);
+        assert_eq!(
+            refused.status,
+            Status::InternalServerError,
+            "{}",
+            refused.body
+        );
         let routes = server.platform().api_metrics().routes();
         assert_eq!(routes[crate::metrics::ROUTE_PANIC].errors, 1);
+        assert_eq!(
+            (page(), server.platform().data_generation("d")),
+            (body, generation)
+        );
+
+        // The thread serves on, and the next append commits.
+        let ack = append("k,v\nc,3\n");
+        assert!(ack.body.contains("\"total_rows\": 2"), "{}", ack.body);
+        assert!(page().contains("\"c\""), "{}", page());
     }
 }

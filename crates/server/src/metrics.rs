@@ -416,6 +416,8 @@ pub(crate) mod tests {
                 aborted: 1,
                 grown_in_place: 1,
                 copied: 1,
+                postings_grown: 220,
+                postings_rebuilt: 3,
             }
             .family(),
             SelfScrapeStats {
@@ -600,6 +602,8 @@ pub(crate) mod tests {
                 aborted: 1,
                 grown_in_place: 2,
                 copied: 1,
+                postings_grown: 330,
+                postings_rebuilt: 4,
             }
             .family(),
             SelfScrapeStats {
@@ -762,6 +766,8 @@ pub(crate) mod tests {
         assert!(text.contains("shareinsights_ingest_cold_rebuilds_total 3"));
         assert!(text.contains("shareinsights_ingest_grown_in_place_total 2"));
         assert!(text.contains("shareinsights_ingest_copied_total 1"));
+        assert!(text.contains("shareinsights_ingest_postings_grown_total 330"));
+        assert!(text.contains("shareinsights_ingest_postings_rebuilt_total 4"));
         // Self-scrape series, scrape time in seconds; retained is a gauge.
         assert!(text.contains("shareinsights_selfscrape_scrapes_total 5"));
         assert!(text.contains("shareinsights_selfscrape_samples_total 250"));

@@ -13,7 +13,7 @@ use parking_lot::{Lru, Mutex};
 use shareinsights_core::telemetry::{Field, Kind};
 use shareinsights_core::trace::{Span, TraceId};
 use shareinsights_core::{EventLog, Family, Platform};
-use shareinsights_tabular::{partition, BuiltIndexes, IndexedTable, Table};
+use shareinsights_tabular::{partition, BuiltIndexes, IndexedTable, PostingsGrowth, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,6 +98,13 @@ impl Reach {
 /// in-flight merge.
 type IndexSlot = Arc<Mutex<Option<(u64, Arc<IndexedTable>)>>>;
 
+#[cfg(test)]
+thread_local! {
+    /// While set, a commit on this thread panics once it has taken the
+    /// warm index out of its slot: how the tests fail a commit.
+    pub(crate) static COMMIT_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Index slots keyed `dashboard/dataset`.
 type IndexRegistry = HashMap<String, IndexSlot>;
 
@@ -142,8 +149,6 @@ pub struct Server {
     /// otherwise swallow (warm-index drops on appends). Defaults to
     /// standard error; [`Server::with_event_log`] redirects it.
     event_log: EventLog,
-    /// The thread ingests commit on (see [`crate::ingest::Committer`]).
-    committer: Arc<crate::ingest::Committer>,
 }
 
 type PreparedStatements = Lru<String, (String, Arc<LoweredSql>)>;
@@ -178,7 +183,6 @@ impl Server {
             ))),
             filled: Arc::default(),
             event_log: EventLog::stderr(),
-            committer: Arc::default(),
         }
     }
 
@@ -198,11 +202,6 @@ impl Server {
     /// The wrapped platform.
     pub fn platform(&self) -> &Platform {
         &self.platform
-    }
-
-    /// The thread ingests commit on.
-    pub(crate) fn committer(&self) -> &crate::ingest::Committer {
-        &self.committer
     }
 
     /// The query-result cache (serialized page bodies).
@@ -837,11 +836,11 @@ impl Server {
     /// Commit one finished ingest: reassemble the decoded segment tables
     /// into the append delta, append it to the endpoint, bump the
     /// generation, and merge the warm [`IndexedTable`] instead of dropping
-    /// it. Called by [`crate::ingest::IngestSession::finish`] on the
-    /// [`crate::ingest::Committer`] thread after every segment decoded
+    /// it. Called by [`crate::ingest::IngestSession::finish`], on the
+    /// thread that finished the request, after every segment decoded
     /// cleanly — a failed ingest never reaches this point, so the endpoint
     /// is all-or-nothing. `commit_span` is the caller's `ingest_commit`
-    /// span, opened before the hand-over.
+    /// span.
     ///
     /// Under the slot lock the warm wrapper is taken out of its slot, and
     /// when no reader holds it, its table handle is dropped before the
@@ -850,7 +849,9 @@ impl Server {
     /// it ([`BuiltIndexes::append`]). A reader that still holds the
     /// wrapper or the table makes the append copy instead, and its
     /// snapshot keeps answering over the rows it had. The span's `table`
-    /// attribute says `grown` or `copied`, and `reason` why.
+    /// attribute says `grown` or `copied`, and `reason` why; for the
+    /// index, `index_merge_us`, `postings_grown`, `postings_rebuilt` and
+    /// the `rebuild_reason` (`densified`, `thinned` or `shared`).
     pub(crate) fn commit_ingest(
         &self,
         dashboard: &str,
@@ -904,6 +905,8 @@ impl Server {
                 Ok(owned) => Carried::Owned(owned.into_indexes()),
                 Err(shared) => Carried::Shared(shared),
             });
+        #[cfg(test)]
+        assert!(!COMMIT_PANICS.get(), "the commit panicked");
         let report = match self
             .platform
             .append_endpoint(dashboard, dataset, delta.clone())
@@ -917,25 +920,33 @@ impl Server {
             }
         };
         let generation = self.live_generation(dashboard, dataset);
-        let (index_merged, merge_us) = match carried {
-            Some(carried) => {
-                self.merge_index_on_append(&mut warm, &key, carried, generation, &report)
-            }
-            None => (false, 0),
-        };
+        let merge = carried.and_then(|carried| {
+            self.merge_index_on_append(&mut warm, &key, carried, generation, &report)
+        });
         drop(warm);
+        let index_merged = merge.is_some();
+        let (merge_us, postings) = merge.unwrap_or_default();
         metrics.record_ingest_commit(
             report.rows_appended as u64,
             index_merged,
             merge_us,
             report.copied.is_none(),
         );
+        metrics.record_ingest_postings(postings.grown, postings.rebuilt);
         if let Some(s) = commit_span.as_mut() {
             s.set_attr("dataset", format!("{dashboard}/{dataset}"));
             s.set_attr("segments", segments);
             s.set_attr("bytes", bytes_in);
             s.set_attr("rows_appended", report.rows_appended as u64);
             s.set_attr("index_merged", index_merged);
+            if index_merged {
+                s.set_attr("index_merge_us", merge_us);
+                s.set_attr("postings_grown", postings.grown);
+                s.set_attr("postings_rebuilt", postings.rebuilt);
+            }
+            if let Some(reason) = postings.reason {
+                s.set_attr("rebuild_reason", reason.as_str());
+            }
             match report.copied {
                 None => s.set_attr("table", "grown"),
                 Some(reason) => {
@@ -1004,8 +1015,10 @@ impl Server {
     /// ([`shareinsights_core::platform::AppendReport::merged`]), so its
     /// cost is proportional to the delta, not the endpoint: an index no
     /// reader holds grows in place, a held one is copied and grown.
-    /// Returns `(merged, merge_micros)`. `slot` is the endpoint's locked
-    /// index slot, held by the caller since before the append.
+    /// Returns the merge's microseconds and what it did to the postings,
+    /// or `None` when the index was left to a cold rebuild. `slot` is the
+    /// endpoint's locked index slot, held by the caller since before the
+    /// append.
     fn merge_index_on_append(
         &self,
         slot: &mut Option<(u64, Arc<IndexedTable>)>,
@@ -1013,7 +1026,7 @@ impl Server {
         carried: Carried,
         new_generation: u64,
         report: &shareinsights_core::platform::AppendReport,
-    ) -> (bool, u64) {
+    ) -> Option<(u64, PostingsGrowth)> {
         let indexed_rows = match &carried {
             Carried::Owned(indexes) => indexes.rows(),
             Carried::Shared(ix) => ix.table().num_rows(),
@@ -1023,7 +1036,7 @@ impl Server {
         // re-run, a stream tick) replaced the table under this one.
         if indexed_rows + report.rows_appended != report.total_rows {
             self.note_cold_rebuild(key, "writer_raced", report);
-            return (false, 0);
+            return None;
         }
         let started = std::time::Instant::now();
         let merged = match carried {
@@ -1033,14 +1046,15 @@ impl Server {
         match merged {
             Ok(merged) if merged.table().num_rows() == report.total_rows => {
                 let us = started.elapsed().as_micros() as u64;
+                let postings = merged.postings_growth();
                 *slot = Some((new_generation, Arc::new(merged)));
-                (true, us)
+                Some((us, postings))
             }
             Ok(_) | Err(_) => {
                 // Merge not possible (schema drift under the wrapper):
                 // fall back to a lazy cold rebuild.
                 self.note_cold_rebuild(key, "schema_drift", report);
-                (false, 0)
+                None
             }
         }
     }

@@ -74,21 +74,74 @@ fn sparse(count: usize, n: usize) -> bool {
 /// row ids below 1/32 density, a bitmap at or above it — so an index
 /// merged over appends holds exactly what a cold build over the same rows
 /// holds. Both kinds sit behind an `Arc`, so a posting an append does not
-/// touch is carried, not copied.
+/// touch is carried, not copied, and one no other index shares grows where
+/// it lies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Postings {
     /// Ascending row ids.
-    Rows(Arc<[u32]>),
+    Rows(Arc<Vec<u32>>),
     /// One bit per row up to the last row holding the value, and the
     /// number of bits set.
     Bits(Arc<Bitmap>, usize),
+}
+
+/// Why an append rebuilt a posting instead of growing it where it lay,
+/// in ascending precedence: of several, an append reports the last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rebuild {
+    /// A bitmap fell below 1/32 of the rows and became row ids.
+    Thinned,
+    /// Row ids reached 1/32 of the rows and became a bitmap.
+    Densified,
+    /// Another index shared the container, so it was copied first.
+    Shared,
+}
+
+impl Rebuild {
+    /// The name a trace span reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Rebuild::Thinned => "thinned",
+            Rebuild::Densified => "densified",
+            Rebuild::Shared => "shared",
+        }
+    }
+}
+
+/// What an append did to the postings of the dictionaries it grew: how
+/// many grew in place, how many were rebuilt, and why.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PostingsGrowth {
+    /// Postings the appended rows were written onto in place.
+    pub grown: u64,
+    /// Postings rebuilt or copied whole.
+    pub rebuilt: u64,
+    /// Why, when any was rebuilt (see [`Rebuild`]'s precedence).
+    pub reason: Option<Rebuild>,
+}
+
+impl PostingsGrowth {
+    /// One posting rebuilt, for `reason`.
+    fn rebuilt(reason: Rebuild) -> PostingsGrowth {
+        PostingsGrowth {
+            grown: 0,
+            rebuilt: 1,
+            reason: Some(reason),
+        }
+    }
+
+    fn add(&mut self, other: PostingsGrowth) {
+        self.grown += other.grown;
+        self.rebuilt += other.rebuilt;
+        self.reason = self.reason.max(other.reason);
+    }
 }
 
 impl Postings {
     /// The container for `rows` (ascending) in an `n`-row column.
     fn of(rows: &[u32], n: usize) -> Postings {
         if sparse(rows.len(), n) {
-            return Postings::Rows(rows.into());
+            return Postings::Rows(Arc::new(rows.to_vec()));
         }
         let mut bits = Bitmap::new_cleared(rows.last().map_or(0, |&r| r as usize + 1));
         rows.iter().for_each(|&r| bits.set(r as usize));
@@ -122,45 +175,74 @@ impl Postings {
 
     /// Grow this posting for a column now `n` rows long, `added` of them
     /// (ascending, all past its own) holding its value, into what
-    /// [`Postings::of`] would build over all of its rows. An untouched
-    /// posting whose container still fits is left alone, a bitmap that
-    /// stays one grows in place a word at a time (copied first if another
-    /// index shares it), and anything else is rebuilt.
-    fn grow(&mut self, added: &[u32], n: usize) {
+    /// [`Postings::of`] would build over all of its rows. A posting whose
+    /// container still fits takes the added rows where it lies (row ids
+    /// appended, bitmap words extended), copied first if another index
+    /// shares it; one that crosses 1/32 density either way is rebuilt
+    /// into the other container. Returns which of these it took.
+    fn grow(&mut self, added: &[u32], n: usize) -> PostingsGrowth {
         let count = self.len() + added.len();
         let stays_sparse = sparse(count, n);
-        match self {
-            Postings::Rows(_) if added.is_empty() && stays_sparse => {}
-            Postings::Bits(bits, held) if !stays_sparse => {
-                if let Some(&last) = added.last() {
-                    let bits = Arc::make_mut(bits);
-                    bits.extend_with(false, last as usize + 1 - bits.len());
-                    added.iter().for_each(|&r| bits.set(r as usize));
-                    *held = count;
-                }
+        if matches!(self, Postings::Rows(_)) != stays_sparse {
+            let rows: Vec<u32> = self
+                .rows()
+                .map(|r| r as u32)
+                .chain(added.iter().copied())
+                .collect();
+            *self = Postings::of(&rows, n);
+            return PostingsGrowth::rebuilt(match stays_sparse {
+                true => Rebuild::Thinned,
+                false => Rebuild::Densified,
+            });
+        }
+        let Some(&last) = added.last() else {
+            return PostingsGrowth::default();
+        };
+        let shared = match self {
+            Postings::Rows(rows) => {
+                let shared = Arc::get_mut(rows).is_none();
+                Arc::make_mut(rows).extend_from_slice(added);
+                shared
             }
-            _ => {
-                let rows: Vec<u32> = self
-                    .rows()
-                    .map(|r| r as u32)
-                    .chain(added.iter().copied())
-                    .collect();
-                *self = Postings::of(&rows, n);
+            Postings::Bits(bits, held) => {
+                let shared = Arc::get_mut(bits).is_none();
+                let bits = Arc::make_mut(bits);
+                bits.extend_with(false, last as usize + 1 - bits.len());
+                added.iter().for_each(|&r| bits.set(r as usize));
+                *held = count;
+                shared
             }
+        };
+        match shared {
+            true => PostingsGrowth::rebuilt(Rebuild::Shared),
+            false => PostingsGrowth {
+                grown: 1,
+                ..PostingsGrowth::default()
+            },
         }
     }
 
-    /// Heap bytes it holds, counting a shared container in full.
+    /// Heap bytes it pins, counting a shared container in full and a row
+    /// id vector's spare capacity.
     fn approx_bytes(&self) -> usize {
         // An `Arc` allocation carries two reference counts.
         let counts = 2 * size_of::<usize>();
         match self {
-            Postings::Rows(rows) => counts + rows.len() * size_of::<u32>(),
+            Postings::Rows(rows) => {
+                counts + size_of::<Vec<u32>>() + rows.capacity() * size_of::<u32>()
+            }
             Postings::Bits(bits, _) => {
                 counts + size_of::<Bitmap>() + bits.len().div_ceil(64) * size_of::<u64>()
             }
         }
     }
+}
+
+/// The code of `s` in the sorted dictionary `dict`, if it is there.
+fn probe(dict: &[String], s: &str) -> Option<u32> {
+    dict.binary_search_by(|d| d.as_str().cmp(s))
+        .ok()
+        .map(|i| i as u32)
 }
 
 /// The rows `rows` selects, bucketed by their codes `ids` (below
@@ -235,10 +317,7 @@ impl DictionaryIndex {
 
     /// Dictionary code of `s`, if present.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.dict
-            .binary_search_by(|d| d.as_str().cmp(s))
-            .ok()
-            .map(|i| i as u32)
+        probe(&self.dict, s)
     }
 
     /// Rows whose cell equals any of `allowed` — the posting-list union
@@ -323,41 +402,43 @@ impl DictionaryIndex {
     /// into the sorted dictionary and a posting's container depends only
     /// on its rows and the row count; the differential tests pin this.
     ///
-    /// The codes grow by the appended rows and only the postings those
-    /// rows touch grow, plus any the longer column moves below 1/32
-    /// density. A fresh value that sorts among the old ones renumbers the
-    /// codes, in place.
-    fn append(&mut self, col: &Column) {
+    /// The codes grow by the appended rows, one dictionary probe per cell,
+    /// and only the postings those rows touch grow, plus any the longer
+    /// column moves below 1/32 density. A fresh value that sorts among the
+    /// old ones renumbers the codes, in place, and the tail is probed again
+    /// once it is admitted.
+    fn append(&mut self, col: &Column) -> PostingsGrowth {
         let n_old = self.codes.len();
         let n = col.len();
         let tail = (n_old..n).map(|i| col.str_at(i));
-        // Distinct values arriving in the tail that the dictionary has
-        // not seen, sorted for the merge.
-        let fresh: BTreeSet<&str> = tail
-            .clone()
-            .flatten()
-            .filter(|s| self.code_of(s).is_none())
-            .collect();
-        if !fresh.is_empty() {
-            self.admit(fresh);
-        }
+        // Values the dictionary has not seen, sorted for the merge.
+        let mut fresh = BTreeSet::new();
         let dict = &self.dict;
-        self.codes.extend(tail.map(|cell| {
-            match cell {
-                Some(s) => {
-                    dict.binary_search_by(|d| d.as_str().cmp(s))
-                        .expect("the dictionary covers every tail value") as u32
-                }
-                None => NULL_CODE,
-            }
+        self.codes.extend(tail.clone().map(|cell| match cell {
+            Some(s) => probe(dict, s).unwrap_or_else(|| {
+                fresh.insert(s);
+                NULL_CODE
+            }),
+            None => NULL_CODE,
         }));
+        if !fresh.is_empty() {
+            self.codes.truncate(n_old);
+            self.admit(fresh);
+            let dict = &self.dict;
+            self.codes.extend(tail.map(|cell| match cell {
+                Some(s) => probe(dict, s).expect("the dictionary covers every tail value"),
+                None => NULL_CODE,
+            }));
+        }
         // Each posting grows by the appended rows holding its value.
         let appended = RowSel::Picked((n_old as u32..n as u32).collect());
         let (added, added_nulls) = bucket(&self.codes[n_old..], &appended, self.dict.len());
+        let mut growth = PostingsGrowth::default();
         for (code, posting) in self.postings.iter_mut().enumerate() {
-            posting.grow(added.rows_of(code), n);
+            growth.add(posting.grow(added.rows_of(code), n));
         }
-        self.nulls.grow(&added_nulls, n);
+        growth.add(self.nulls.grow(&added_nulls, n));
+        growth
     }
 
     /// Merge `fresh` (sorted, none of them in the dictionary) into the
@@ -510,6 +591,8 @@ pub struct IndexedTable {
     /// `builds`, which counts cold constructions).
     merges: AtomicU64,
     merge_us: AtomicU64,
+    /// What the append that made this table did to the postings.
+    postings: PostingsGrowth,
     #[allow(clippy::type_complexity)]
     build_hook: Option<Arc<dyn Fn(u64) + Send + Sync>>,
 }
@@ -554,7 +637,7 @@ impl BuiltIndexes {
                 context: "append_merged: merged table shorter than the indexed base".to_string(),
             });
         }
-        let out = IndexedTable::with_hook(merged, self.build_hook);
+        let mut out = IndexedTable::with_hook(merged, self.build_hook);
         for (i, (slot, ty)) in self.slots.into_iter().zip(self.types).enumerate() {
             let Some(built) = slot else {
                 continue; // never built: stays lazy
@@ -569,7 +652,7 @@ impl BuiltIndexes {
             // An unindexable type stays unindexable.
             let grown = built.map(|mut index| {
                 match Arc::make_mut(&mut index) {
-                    ColumnIndex::Dictionary(d) => d.append(col),
+                    ColumnIndex::Dictionary(d) => out.postings.add(d.append(col)),
                     ColumnIndex::Zones(z) => z.append(col, self.rows),
                 }
                 index
@@ -616,6 +699,7 @@ impl IndexedTable {
             build_us: AtomicU64::new(0),
             merges: AtomicU64::new(0),
             merge_us: AtomicU64::new(0),
+            postings: PostingsGrowth::default(),
             build_hook,
         }
     }
@@ -671,6 +755,12 @@ impl IndexedTable {
             self.merges.load(AtomicOrdering::Relaxed),
             self.merge_us.load(AtomicOrdering::Relaxed),
         )
+    }
+
+    /// What the append that made this table did to the postings of the
+    /// dictionaries it grew (all zeros for a table no append made).
+    pub fn postings_growth(&self) -> PostingsGrowth {
+        self.postings
     }
 
     /// The wrapped table.
@@ -1323,6 +1413,63 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(Arc::ptr_eq(&c_rows(&ix), &c_rows(&merged)));
+    }
+
+    #[test]
+    fn an_unshared_posting_grows_in_place_and_a_held_one_is_copied() {
+        // 40 keys, one row each per 40: every posting holds 1/40 of the
+        // rows as row ids, and each 40-row append touches them all.
+        let keys = |rows: Range<usize>| {
+            let rows: Vec<crate::row::Row> = rows
+                .map(|i| row![format!("k{:02}", i % 40), i as i64])
+                .collect();
+            Table::from_rows(&["k", "v"], &rows).unwrap()
+        };
+        let first_posting = |ix: &IndexedTable| match ix.index("k").as_deref() {
+            Some(ColumnIndex::Dictionary(d)) => match &d.postings[0] {
+                Postings::Rows(rows) => Arc::as_ptr(rows),
+                other => panic!("{other:?}"),
+            },
+            other => panic!("{other:?}"),
+        };
+        let base = keys(0..400);
+        let ix = indexed(&base);
+        let before = first_posting(&ix);
+        let grown_table = base.concat(&keys(400..440)).unwrap();
+        let grown = ix.into_indexes().append(grown_table.clone()).unwrap();
+        assert_eq!(first_posting(&grown), before, "grown where it lay");
+        let all_grown = PostingsGrowth {
+            grown: 40,
+            rebuilt: 0,
+            reason: None,
+        };
+        assert_eq!(grown.postings_growth(), all_grown);
+
+        // A wrapper still held keeps its postings: the append copies them.
+        let next = grown
+            .append_merged(grown_table.concat(&keys(440..480)).unwrap())
+            .unwrap();
+        assert_ne!(first_posting(&next), first_posting(&grown));
+        let all_copied = PostingsGrowth {
+            grown: 0,
+            rebuilt: 40,
+            reason: Some(Rebuild::Shared),
+        };
+        assert_eq!(next.postings_growth(), all_copied);
+        assert_index_identical(&next, &indexed(next.table()), "k");
+        // The held wrapper still answers over its own 440 rows.
+        let listed = vec![Value::from("k03"), Value::from("k17")];
+        let filter = Expr::InList(Box::new(Expr::col("k")), listed);
+        let (mask, _) = filter.eval_mask_indexed(&grown).unwrap();
+        assert_eq!(mask, filter.eval_mask(&grown_table).unwrap());
+        assert_eq!(mask.count_ones(), 22);
+        for key in [SortKey::asc("k"), SortKey::desc("k")] {
+            let scan = sort(&grown_table, std::slice::from_ref(&key)).unwrap();
+            for n in [1, 11, 440, 500] {
+                let head = grown.top_n(std::slice::from_ref(&key), n).expect("covered");
+                assert_eq!(head, scan.limit(n), "{key:?} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -60,61 +60,107 @@ impl Records {
     }
 }
 
-/// Split CSV content into records of raw string fields.
-fn parse_records(content: &str, sep: char) -> Result<Records> {
-    let mut records = Records::default();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut chars = content.chars().peekable();
+/// What ended a field.
+enum FieldEnd {
+    /// A separator.
+    Separator,
+    /// A record end, this many bytes long (`\n`, `\r` or `\r\n`).
+    Line(usize),
+    /// The end of the input.
+    Input,
+}
 
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
-            }
+/// Where the unquoted run of a field that starts at byte `from` ends, and
+/// what ends it: a separator (`sep`, its UTF-8 bytes), a line end or the
+/// input's end. A quote inside the run is a literal.
+fn unquoted_end(bytes: &[u8], from: usize, sep: &[u8]) -> (usize, FieldEnd) {
+    let mut at = from;
+    while let Some(&b) = bytes.get(at) {
+        match b {
+            b'"' => {}
+            _ if b == sep[0] && bytes[at..].starts_with(sep) => return (at, FieldEnd::Separator),
+            b'\r' if bytes.get(at + 1) == Some(&b'\n') => return (at, FieldEnd::Line(2)),
+            b'\r' | b'\n' => return (at, FieldEnd::Line(1)),
+            _ => {}
+        }
+        at += 1;
+    }
+    (at, FieldEnd::Input)
+}
+
+/// Unescape the quoted run that starts after an opening quote at byte
+/// `from` into `out` (`""` is one quote), and return the byte after its
+/// closing quote.
+fn quoted_into(content: &str, mut from: usize, out: &mut String) -> Result<usize> {
+    let bytes = content.as_bytes();
+    loop {
+        let Some(quote) = bytes[from..].iter().position(|&b| b == b'"') else {
+            return Err(TabularError::Format {
+                format: "csv",
+                message: "unterminated quoted field".into(),
+            });
+        };
+        let quote = from + quote;
+        out.push_str(&content[from..quote]);
+        if bytes.get(quote + 1) != Some(&b'"') {
+            return Ok(quote + 1);
+        }
+        out.push('"');
+        from = quote + 2;
+    }
+}
+
+/// Split CSV content into records of raw string fields, walking its
+/// bytes. An unquoted field is pushed as a slice of `content`; one that
+/// opens with a quote is unescaped into a scratch string, and whatever
+/// follows its closing quote up to the field's end is kept as literal
+/// text, as is a quote inside an unquoted field. A record ends at `\n`,
+/// `\r\n` or a lone `\r`; fully empty trailing records are dropped.
+fn parse_records(content: &str, sep: char) -> Result<Records> {
+    let mut sep_utf8 = [0u8; 4];
+    let sep = sep.encode_utf8(&mut sep_utf8).as_bytes();
+    let bytes = content.as_bytes();
+    let mut records = Records {
+        fields: StrBuf::with_capacity(0, content.len()),
+        ends: Vec::new(),
+    };
+    let mut quoted = String::new();
+    let mut at = 0;
+    // Whether the current record holds a field already.
+    let mut in_record = false;
+    while at < bytes.len() || in_record {
+        let opens_quoted = bytes.get(at) == Some(&b'"');
+        if opens_quoted {
+            quoted.clear();
+            at = quoted_into(content, at + 1, &mut quoted)?;
+        }
+        let (end, ended) = unquoted_end(bytes, at, sep);
+        let field = if opens_quoted {
+            quoted.push_str(&content[at..end]);
+            quoted.as_str()
         } else {
-            match c {
-                '"' => {
-                    if field.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        // Quote inside unquoted field: keep literal.
-                        field.push('"');
-                    }
-                }
-                c if c == sep => {
-                    records.fields.push(&field);
-                    field.clear();
-                }
-                '\r' | '\n' => {
-                    if c == '\r' && chars.peek() == Some(&'\n') {
-                        chars.next();
-                    }
-                    records.fields.push(&field);
-                    field.clear();
+            &content[at..end]
+        };
+        match ended {
+            FieldEnd::Separator => {
+                records.fields.push(field);
+                in_record = true;
+                at = end + sep.len();
+            }
+            FieldEnd::Line(len) => {
+                records.fields.push(field);
+                records.end_record();
+                in_record = false;
+                at = end + len;
+            }
+            FieldEnd::Input => {
+                if !field.is_empty() || in_record {
+                    records.fields.push(field);
                     records.end_record();
                 }
-                _ => field.push(c),
+                break;
             }
         }
-    }
-    if in_quotes {
-        return Err(TabularError::Format {
-            format: "csv",
-            message: "unterminated quoted field".into(),
-        });
-    }
-    if !field.is_empty() || records.fields.len() > records.start(records.len()) {
-        records.fields.push(&field);
-        records.end_record();
     }
     // Drop fully empty trailing records (files ending in blank lines).
     while let Some(last) = records.len().checked_sub(1) {
@@ -238,18 +284,88 @@ mod tests {
     use crate::column::Column;
     use crate::value::Value;
 
-    /// The reader this module had before it decoded into typed builders,
-    /// kept as the oracle: owned fields per record, a boxed [`Value`] per
-    /// cell, [`Column::from_values`] per column.
-    fn read_csv_oracle(content: &str, opts: &CsvOptions) -> Result<Table> {
-        let parsed = parse_records(content, opts.separator)?;
-        let mut records: Vec<Vec<String>> = (0..parsed.len())
+    /// The record splitter this module had before it walked bytes, kept
+    /// as the oracle: one `char` at a time, every field built in a
+    /// `String`.
+    fn parse_records_oracle(content: &str, sep: char) -> Result<Vec<Vec<String>>> {
+        let mut records: Vec<Vec<String>> = Vec::new();
+        let mut record: Vec<String> = Vec::new();
+        let mut field = String::new();
+        let mut in_quotes = false;
+        let mut chars = content.chars().peekable();
+
+        while let Some(c) = chars.next() {
+            if in_quotes {
+                match c {
+                    '"' => {
+                        if chars.peek() == Some(&'"') {
+                            chars.next();
+                            field.push('"');
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    _ => field.push(c),
+                }
+            } else {
+                match c {
+                    '"' => {
+                        if field.is_empty() {
+                            in_quotes = true;
+                        } else {
+                            // Quote inside unquoted field: keep literal.
+                            field.push('"');
+                        }
+                    }
+                    c if c == sep => record.push(std::mem::take(&mut field)),
+                    '\r' | '\n' => {
+                        if c == '\r' && chars.peek() == Some(&'\n') {
+                            chars.next();
+                        }
+                        record.push(std::mem::take(&mut field));
+                        records.push(std::mem::take(&mut record));
+                    }
+                    _ => field.push(c),
+                }
+            }
+        }
+        if in_quotes {
+            return Err(TabularError::Format {
+                format: "csv",
+                message: "unterminated quoted field".into(),
+            });
+        }
+        if !field.is_empty() || !record.is_empty() {
+            record.push(field);
+            records.push(record);
+        }
+        // Drop fully empty trailing records (files ending in blank lines).
+        while records
+            .last()
+            .is_some_and(|r| r.len() == 1 && r[0].is_empty())
+        {
+            records.pop();
+        }
+        Ok(records)
+    }
+
+    /// The records [`parse_records`] split, as owned fields.
+    fn split(content: &str, sep: char) -> Result<Vec<Vec<String>>> {
+        let parsed = parse_records(content, sep)?;
+        Ok((0..parsed.len())
             .map(|r| {
                 (parsed.start(r)..parsed.ends[r])
                     .map(|i| parsed.fields[i].to_string())
                     .collect()
             })
-            .collect();
+            .collect())
+    }
+
+    /// The reader this module had before it decoded into typed builders,
+    /// kept as the oracle: owned fields per record, a boxed [`Value`] per
+    /// cell, [`Column::from_values`] per column.
+    fn read_csv_oracle(content: &str, opts: &CsvOptions) -> Result<Table> {
+        let mut records = parse_records_oracle(content, opts.separator)?;
         let names: Vec<String> = match (&opts.column_names, opts.has_header) {
             (Some(names), true) => {
                 if !records.is_empty() {
@@ -393,6 +509,65 @@ mod tests {
             }
             for opts in &shapes {
                 assert_matches_oracle(&content, opts);
+            }
+        }
+    }
+
+    #[test]
+    fn records_split_as_the_char_loop_splits_them() {
+        let fixed = [
+            "",
+            "\"\"",
+            "a,\"\"",
+            "\"ab\"cd,e\"f\n",
+            "\"a\"\"\"\"b\"\r\"\"\"\",x",
+            "a\r\rb\r\n\n\r",
+            ",,\n,\n",
+            "\"open",
+            "x,\"y\nz",
+        ];
+        // Quotes, escaped quotes, every line end, empty fields, blank
+        // lines and multi-byte text, cut by one-byte and multi-byte
+        // separators.
+        let tokens = [
+            "",
+            "a",
+            "bc",
+            "\"",
+            "\"\"",
+            "\"q\"",
+            "\"x\"\"y\"",
+            "\"a,b\"",
+            "\"l\nm\"",
+            "\n",
+            "\r",
+            "\r\n",
+            "\n\n",
+            ",",
+            ";",
+            "§",
+            "日本",
+            "ñ\"",
+            " ",
+        ];
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut cases: Vec<String> = fixed.iter().map(|s| s.to_string()).collect();
+        for _ in 0..2000 {
+            cases.push((0..next(24)).map(|_| tokens[next(tokens.len())]).collect());
+        }
+        for content in &cases {
+            for sep in [',', ';', '§', '日'] {
+                match (split(content, sep), parse_records_oracle(content, sep)) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want, "{content:?} {sep:?}"),
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                    (got, want) => panic!("{content:?} {sep:?}: {got:?} vs oracle {want:?}"),
+                }
             }
         }
     }

@@ -53,7 +53,9 @@ pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder};
 pub use datatype::DataType;
 pub use error::{Result, TabularError};
-pub use index::{BuiltIndexes, ColumnIndex, DictionaryIndex, IndexedTable, ZoneIndex};
+pub use index::{
+    BuiltIndexes, ColumnIndex, DictionaryIndex, IndexedTable, PostingsGrowth, Rebuild, ZoneIndex,
+};
 pub use row::Row;
 pub use schema::{Field, Schema};
 pub use table::{CopyReason, Table};

@@ -748,9 +748,41 @@ fn appends_with_no_reader_beside_them_grow_in_place() {
     let ops = parse_ops(&["groupby", "key", "sum", "qty"]).unwrap();
     let decode = |csv: &str| read_csv(csv, &CsvOptions::default()).unwrap();
     let mut table: Option<Table> = None;
+    // Rows per key so far: the model of which postings an append grows
+    // where they lie and which cross 1/32 density and are rebuilt.
+    let mut held: std::collections::BTreeMap<String, usize> = Default::default();
+    let mut postings_grown = 0;
     for append in 0..12u64 {
         let csv = csv_rows(1 + append as usize * 7);
         let delta = decode(&csv);
+        let n_old = table.as_ref().map_or(0, Table::num_rows);
+        let n = n_old + delta.num_rows();
+        let mut added: std::collections::BTreeMap<String, usize> = Default::default();
+        for row in 0..delta.num_rows() {
+            *added
+                .entry(delta.value(row, "key").unwrap().to_string())
+                .or_default() += 1;
+        }
+        let sparse = |count: usize, rows: usize| count * 32 < rows;
+        let (mut grown, mut rebuilt) = (0, 0);
+        for (key, count) in &held {
+            let now = count + added.get(key).copied().unwrap_or(0);
+            if sparse(*count, n_old) != sparse(now, n) {
+                rebuilt += 1;
+            } else if added.contains_key(key) {
+                grown += 1;
+            }
+        }
+        for (key, count) in &added {
+            if !held.contains_key(key) {
+                // A fresh key starts from an empty row-id posting.
+                match sparse(*count, n) {
+                    true => grown += 1,
+                    false => rebuilt += 1,
+                }
+            }
+            *held.entry(key.clone()).or_default() += count;
+        }
         table = Some(match table {
             Some(t) => t.concat(&delta).unwrap(),
             None => delta,
@@ -784,6 +816,21 @@ fn appends_with_no_reader_beside_them_grow_in_place() {
         );
         if append > 0 {
             assert!(ack.body.contains("\"index\": \"merged\""), "{}", ack.body);
+            // No reader shares a posting: each one the rows touch grows
+            // where it lies unless it crossed 1/32 density.
+            assert_eq!(
+                (
+                    commit.attr("postings_grown"),
+                    commit.attr("postings_rebuilt")
+                ),
+                (Some(&AttrValue::Int(grown)), Some(&AttrValue::Int(rebuilt))),
+                "append {append}"
+            );
+            assert_ne!(
+                commit.attr("rebuild_reason"),
+                Some(&AttrValue::Str("shared".into()))
+            );
+            postings_grown += grown as u64;
         }
         // Reads run in 1 to 3 morsels: a job's inputs must not outlive
         // it, or the next append finds the table held and copies it. Every
@@ -800,4 +847,6 @@ fn appends_with_no_reader_beside_them_grow_in_place() {
     let ingest = server.platform().api_metrics().ingest();
     assert_eq!((ingest.grown_in_place, ingest.copied), (11, 1));
     assert_eq!(ingest.cold_rebuilds, 0);
+    assert_eq!(ingest.postings_grown, postings_grown);
+    assert!(postings_grown > 100, "{postings_grown}");
 }
