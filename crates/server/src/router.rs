@@ -93,9 +93,9 @@ impl Reach {
 /// One endpoint's indexed snapshot, stamped with the data generation it
 /// covers. The slot's lock is the endpoint's append lock as well: an
 /// ingest commit holds it from before the table swap until the merged
-/// index is installed, so a reader that wants the index either finds the
-/// merged wrapper or waits for it, and never builds a cold one beside an
-/// in-flight merge.
+/// index is installed and the delta frame sent, so a reader that wants
+/// the index either finds the merged wrapper or waits for it, and never
+/// builds a cold one beside an in-flight merge; a subscriber takes it too.
 type IndexSlot = Arc<Mutex<Option<(u64, Arc<IndexedTable>)>>>;
 
 #[cfg(test)]
@@ -732,28 +732,30 @@ impl Server {
             started.elapsed().as_micros() as u64,
         );
         // Subscribers get just this tick's rows: a live widget appends
-        // them, sparing the queues the full (budget-sized) snapshot. The
-        // serialisation is skipped outright when nobody is subscribed —
-        // the scraper ticks on an interval forever, so its idle cost must
-        // stay negligible next to the serving path.
-        if self
-            .hub
-            .has_subscribers(SYSTEM_DASHBOARD, TELEMETRY_DATASET)
-        {
-            let frame = sse_frame(
-                TELEMETRY_DATASET,
-                outcome.generation,
-                &table_to_json(&outcome.delta),
-            );
-            let published = self
-                .hub
-                .publish(SYSTEM_DASHBOARD, TELEMETRY_DATASET, &frame);
-            metrics.record_stream_frames(
-                published.delivered as u64,
-                (published.delivered * frame.len()) as u64,
-            );
-        }
+        // them, sparing the queues the full (budget-sized) snapshot.
+        self.fan_out(
+            SYSTEM_DASHBOARD,
+            TELEMETRY_DATASET,
+            outcome.generation,
+            &outcome.delta,
+        );
         outcome
+    }
+
+    /// Send `rows` as one frame at `generation` to every subscriber of
+    /// `dashboard/dataset`, and count the frames and bytes that went out.
+    /// Nothing is serialised when nobody listens: the scraper ticks
+    /// forever, and a push or an append may update a large endpoint.
+    /// Returns the frames delivered.
+    fn fan_out(&self, dashboard: &str, dataset: &str, generation: u64, rows: &Table) -> u64 {
+        if !self.hub.has_subscribers(dashboard, dataset) {
+            return 0;
+        }
+        let frame = sse_frame(dataset, generation, &table_to_json(rows));
+        let delivered = self.hub.publish(dashboard, dataset, &frame).delivered;
+        (self.platform.api_metrics())
+            .record_stream_frames(delivered as u64, (delivered * frame.len()) as u64);
+        delivered as u64
     }
 
     /// `POST /dashboards/:name/stream/start`: give the dashboard's sources
@@ -798,21 +800,14 @@ impl Server {
             s.set_attr("generation", report.generation);
         }
         let mut frames = 0u64;
-        let mut bytes = 0u64;
         for (dataset, _) in &report.updated {
             self.release_stale_indexes(dataset);
             let Ok(table) = self.endpoint_table(name, dataset) else {
                 continue;
             };
             let generation = self.live_generation(name, dataset);
-            let frame = sse_frame(dataset, generation, &table_to_json(&table));
-            let published = self.hub.publish(name, dataset, &frame);
-            frames += published.delivered as u64;
-            bytes += (published.delivered * frame.len()) as u64;
+            frames += self.fan_out(name, dataset, generation, &table);
         }
-        self.platform
-            .api_metrics()
-            .record_stream_frames(frames, bytes);
         if let Some(mut s) = tick_span.take() {
             s.set_attr("frames", frames);
             s.finish();
@@ -923,6 +918,11 @@ impl Server {
         let merge = carried.and_then(|carried| {
             self.merge_index_on_append(&mut warm, &key, carried, generation, &report)
         });
+        // Live subscribers get just the appended rows as a delta frame at
+        // the new generation, sent under the slot lock `subscribe` takes:
+        // a subscriber holds this append in its snapshot or in this
+        // frame, never in both and never in neither.
+        self.fan_out(dashboard, dataset, generation, &delta);
         drop(warm);
         let index_merged = merge.is_some();
         let (merge_us, postings) = merge.unwrap_or_default();
@@ -954,17 +954,6 @@ impl Server {
                     s.set_attr("reason", reason);
                 }
             }
-        }
-        // Live subscribers get just the appended rows as a delta frame at
-        // the new generation (the snapshot frame at subscribe time plus
-        // deltas reconstructs the endpoint, same as scrape ticks do).
-        if self.hub.has_subscribers(dashboard, dataset) {
-            let frame = sse_frame(dataset, generation, &table_to_json(&delta));
-            let published = self.hub.publish(dashboard, dataset, &frame);
-            metrics.record_stream_frames(
-                published.delivered as u64,
-                (published.delivered * frame.len()) as u64,
-            );
         }
         if let Some(s) = commit_span.take() {
             s.finish();
@@ -1086,13 +1075,17 @@ impl Server {
     /// subscriber. The subscription starts with a full snapshot frame at
     /// the current generation; later ticks append delta frames. The
     /// serving loop sees `Handled::stream` and switches the connection
-    /// into SSE streaming mode.
+    /// into SSE streaming mode. The snapshot is read and queued, and the
+    /// subscriber registered, under the endpoint's slot lock, which an
+    /// ingest commit holds from its append through its delta frame.
     fn subscribe(
         &self,
         dashboard: &str,
         dataset: &str,
         stream: &mut Option<Arc<Subscription>>,
     ) -> Response {
+        let slot = self.index_slot(&format!("{dashboard}/{dataset}"));
+        let _appends = slot.lock();
         let table = match self.endpoint_table(dashboard, dataset) {
             Ok(t) => t,
             Err(resp) => return resp,

@@ -15,9 +15,10 @@
 //! frame size: one oversized frame into an empty queue is delivered, so
 //! large initial snapshots never evict a subscriber that is keeping up.
 
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Per-subscriber cap on queued-but-unwritten frame bytes. Crossing it
 /// marks the subscription evicted and drops the queue.
@@ -69,7 +70,7 @@ impl Subscription {
     /// (a full `_system` telemetry ring, a wide endpoint) starts the
     /// stream instead of evicting the brand-new subscriber.
     pub fn offer(&self, frame: &[u8]) -> bool {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if st.closed || st.evicted {
             return false;
         }
@@ -87,7 +88,7 @@ impl Subscription {
 
     /// Drain queued frames without blocking.
     pub fn try_take(&self) -> (Vec<Vec<u8>>, SubscriptionEnd) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         let frames = std::mem::take(&mut st.frames);
         st.queued_bytes = 0;
         (frames, end_of(&st))
@@ -96,7 +97,7 @@ impl Subscription {
     /// End the stream deliberately; the next drain sees
     /// [`SubscriptionEnd::Closed`].
     pub fn close(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         st.closed = true;
         st.frames.clear();
         st.queued_bytes = 0;
@@ -104,7 +105,7 @@ impl Subscription {
 
     /// Bytes queued and not yet drained by the writer.
     pub fn queued_bytes(&self) -> usize {
-        self.state.lock().unwrap().queued_bytes
+        self.state.lock().queued_bytes
     }
 }
 
@@ -153,7 +154,7 @@ impl StreamHub {
 
     /// Install the publish notifier (reactor waker). Replaces any prior.
     pub fn set_notifier(&self, f: Box<dyn Fn() + Send + Sync>) {
-        *self.notifier.lock().unwrap() = Some(f);
+        *self.notifier.lock() = Some(f);
     }
 
     /// Register a subscriber for `dashboard/dataset` frames.
@@ -164,7 +165,6 @@ impl StreamHub {
         let sub = Arc::new(Subscription::new(key.clone()));
         self.subs
             .lock()
-            .unwrap()
             .entry(key)
             .or_default()
             .push(Arc::clone(&sub));
@@ -173,7 +173,7 @@ impl StreamHub {
 
     /// Drop a subscription from the registry (writer finished with it).
     pub fn unsubscribe(&self, sub: &Arc<Subscription>) {
-        let mut subs = self.subs.lock().unwrap();
+        let mut subs = self.subs.lock();
         if let Some(list) = subs.get_mut(&sub.key) {
             list.retain(|s| !Arc::ptr_eq(s, sub));
             if list.is_empty() {
@@ -189,13 +189,13 @@ impl StreamHub {
         let key = format!("{dashboard}/{dataset}");
         let mut report = PublishReport::default();
         {
-            let mut subs = self.subs.lock().unwrap();
+            let mut subs = self.subs.lock();
             let Some(list) = subs.get_mut(&key) else {
                 return report;
             };
             list.retain(|sub| {
                 let was_live = {
-                    let st = sub.state.lock().unwrap();
+                    let st = sub.state.lock();
                     !st.closed && !st.evicted
                 };
                 if !was_live {
@@ -215,7 +215,7 @@ impl StreamHub {
             }
         }
         if report.delivered > 0 {
-            if let Some(f) = self.notifier.lock().unwrap().as_ref() {
+            if let Some(f) = self.notifier.lock().as_ref() {
                 f();
             }
         }
@@ -224,7 +224,7 @@ impl StreamHub {
 
     /// Close every subscription (server shutdown).
     pub fn close_all(&self) {
-        let subs = std::mem::take(&mut *self.subs.lock().unwrap());
+        let subs = std::mem::take(&mut *self.subs.lock());
         for (_, list) in subs {
             for sub in list {
                 sub.close();
@@ -234,7 +234,7 @@ impl StreamHub {
 
     /// Currently registered subscriptions.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.lock().unwrap().values().map(Vec::len).sum()
+        self.subs.lock().values().map(Vec::len).sum()
     }
 
     /// Whether anyone is subscribed to `dashboard/dataset`. Publishers
@@ -245,7 +245,6 @@ impl StreamHub {
         let key = format!("{dashboard}/{dataset}");
         self.subs
             .lock()
-            .unwrap()
             .get(&key)
             .is_some_and(|list| !list.is_empty())
     }
@@ -358,6 +357,28 @@ mod tests {
         sub.close();
         hub.publish("d", "x", b"tock");
         assert_eq!(pokes.load(Ordering::SeqCst), 1, "closed sub queues nothing");
+    }
+
+    #[test]
+    fn a_notifier_that_panics_leaves_the_hub_serving() {
+        let hub = StreamHub::new();
+        let panicked = Arc::new(AtomicU64::new(0));
+        let once = Arc::clone(&panicked);
+        hub.set_notifier(Box::new(move || {
+            if once.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("the notifier panicked");
+            }
+        }));
+        let first = hub.subscribe("d", "x");
+        let publish = std::panic::AssertUnwindSafe(|| hub.publish("d", "x", b"tick"));
+        assert!(std::panic::catch_unwind(publish).is_err());
+        // The panic struck with the notifier lock held; the hub serves on.
+        let second = hub.subscribe("d", "x");
+        assert!(hub.has_subscribers("d", "x"));
+        assert_eq!(hub.publish("d", "x", b"tock").delivered, 2);
+        assert_eq!(panicked.load(Ordering::SeqCst), 2);
+        assert_eq!(first.try_take().0, vec![b"tick".to_vec(), b"tock".to_vec()]);
+        assert_eq!(second.try_take().0, vec![b"tock".to_vec()]);
     }
 
     #[test]

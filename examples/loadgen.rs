@@ -1,113 +1,49 @@
-//! Load-generate against the TCP data-API service over persistent
-//! connections.
-//!
-//! Starts the service on an ephemeral port, fires N concurrent clients at a
-//! small pool of ad-hoc query URLs — each client holding one keep-alive
-//! connection and reconnecting only when the server closes it — verifies
-//! that no response is lost or malformed, and reports client-side latency
-//! percentiles plus the connection reuse rate and cache hit rate from
-//! `/stats`. Every request carries an `X-Trace-Id` with a fixed
-//! `10adc0de` prefix, so its server-side span tree is retrievable from
-//! `/trace/recent`; after the run the tool verifies the correlation and
-//! checks that `/metrics` renders parseable Prometheus exposition (every
-//! `# TYPE` has samples; histogram buckets are cumulative with `+Inf` ==
-//! `_count`). The CI smoke job runs this binary and relies on its asserts:
-//! any lost/malformed response, a reuse rate at or below 0.9, a missing
-//! trace, or a malformed exposition aborts with a non-zero exit.
+//! The serving benchmarks behind the committed `BENCH_*.json` documents
+//! and the CI bench gate (`examples/bench_gate.rs`). Each mode starts the
+//! service in process, prints progress to stderr and one JSON document to
+//! stdout, and aborts on any failure that would make its numbers lie.
 //!
 //! ```text
-//! cargo run --example loadgen [clients] [requests-per-client] [--close] [--no-trace]
-//!     [--idle-conns N]
 //! cargo run --release --example loadgen -- --cold [rows] [iterations]
 //! cargo run --release --example loadgen -- --concurrency-bench
 //! cargo run --release --example loadgen -- --stream-bench [subscribers] [ticks]
-//! cargo run --release --example loadgen -- --sql
-//! cargo run --release --example loadgen -- --self-scrape
 //! cargo run --release --example loadgen -- --ingest-bench [base-rows] [append-rows]
 //! ```
 //!
-//! `--close` forces one connection per request (the pre-keep-alive
-//! behaviour) for before/after comparisons; reuse-rate asserts are skipped
-//! in that mode. `--no-trace` sets the tracer's sampling knob to 0 and
-//! sends no `X-Trace-Id` — the baseline for measuring tracing overhead
-//! (trace asserts are skipped).
+//! `--cold` (`BENCH_adhoc_query.json`) queries a synthetic ~1M-row dataset
+//! through the scan kernels and through the indexed path
+//! ([`shareinsights::tabular::IndexedTable`]), asserting both produce
+//! byte-identical JSON for every route, and reports cold (cache-bypassed)
+//! and warm (served cache hit) p50/p95 per route, the SQL frontend's
+//! parse+lower overhead and the self-scraper's serving-path overhead.
 //!
-//! `--idle-conns N` opens N quiet keep-alive connections before the load
-//! starts and holds them open for the whole run; the load must be
-//! undisturbed and the reactor must register the whole herd (the CI
-//! reactor smoke job runs exactly this and relies on the zero-5xx /
-//! exposition asserts).
+//! `--concurrency-bench` (`BENCH_serve_concurrency.json`) loads the
+//! service with 32 keep-alive clients behind idle herds of 0/256/2048
+//! connections and reports p50/p95/p99 per herd; any 5xx or lost response
+//! aborts it.
 //!
-//! `--concurrency-bench` measures latency under idle herds of
-//! 0/256/2048, each with 32 active clients, reporting per-config
-//! p50/p95/p99 as a JSON document on stdout — the source of the committed
-//! `BENCH_serve_concurrency.json` (progress goes to stderr). Any 5xx or
-//! lost response aborts it.
+//! `--stream-bench` (`BENCH_stream_latency.json`) holds a herd of idle SSE
+//! subscribers (default 500) plus a handful of reading probes while
+//! micro-batches are pushed through `POST .../stream/push/<source>`, and
+//! reports tick-to-push latency (push initiated to frame received); every
+//! push must answer 200 and every subscriber must receive every frame.
 //!
-//! `--stream-bench` measures the live-flow path: the reactor serves a
-//! streaming dashboard to a herd of idle SSE subscribers (default 500)
-//! plus a handful of actively reading probes; micro-batches are pushed
-//! through `POST .../stream/push/<source>` and the tick-to-push latency —
-//! push initiated to frame received — is reported as p50/p95 in a JSON
-//! document on stdout, the source of the committed
-//! `BENCH_stream_latency.json`. The CI streaming smoke job runs this mode
-//! and relies on its asserts: any 5xx, a non-monotonic generation
-//! sequence on any subscriber, an evicted subscriber, or a malformed
-//! `/metrics` exposition (which must include the `shareinsights_stream_*`
-//! families) aborts with a non-zero exit.
+//! `--ingest-bench` (`BENCH_ingest.json`) streams a bulk CSV upload
+//! (default 1M rows) through the chunked ingest route with RSS sampled
+//! throughout, then appends batches that must each answer 200 with
+//! `"index": "merged"` at a strictly increasing generation, and times
+//! `IndexedTable::append` against a cold rebuild in process.
 //!
-//! `--sql` switches to the SQL-frontend smoke: the service gets mixed
-//! SQL (`POST /<dashboard>/ds/<dataset>/sql`) and path-segment traffic
-//! over the same logical queries, asserting every SQL payload is
-//! byte-identical to its path-grammar twin, that malformed SQL returns a
-//! structured 400 (never a 5xx), and that the `shareinsights_sql_*`
-//! counter families export on `/metrics`. The CI SQL smoke job runs this
-//! mode and relies on those asserts.
-//!
-//! `--self-scrape` switches to the self-observability smoke: the service
-//! runs with the telemetry scraper enabled
-//! ([`ServeOptions::scrape_interval`]) while warm query traffic flows,
-//! then assert that the built-in `_system/ds/telemetry` dashboard serves a
-//! non-empty scraped history, that `SELECT family, max(value) FROM
-//! telemetry GROUP BY family` over `POST /_system/ds/telemetry/sql` is
-//! byte-identical to the path-grammar route, that writes into the
-//! `_system` namespace are rejected with 409, and that the
-//! `shareinsights_selfscrape_*` / `shareinsights_process_*` families
-//! export on `/metrics`. The CI self-scrape smoke job runs this mode and
-//! relies on those asserts.
-//!
-//! `--ingest-bench` measures the streaming ingestion pipeline: a bulk CSV
-//! upload (default 1M rows) streams through the chunked ingest route with
-//! RSS sampled throughout — the bounded-window claim shows up as a peak
-//! RSS delta that stays a small multiple of the body size — then the
-//! endpoint's index is warmed and a series of append batches must each
-//! answer 200 with `"index": "merged"` (incremental maintenance, no cold
-//! rebuild) and a strictly increasing generation. An in-process
-//! append-vs-rebuild comparison times `IndexedTable::append` against a
-//! cold rebuild over the concatenated table; the JSON document on stdout
-//! is the source of the committed `BENCH_ingest.json`. The CI ingest
-//! smoke job runs this mode on a smaller dataset and relies on its
-//! asserts: any 5xx, a non-monotonic generation, a cold fallback on a
-//! warm append, an ingest abort, or a malformed `/metrics` exposition
-//! (which must carry the `shareinsights_ingest_*` families) aborts with a
-//! non-zero exit.
-//!
-//! `--cold` switches to the cold-query benchmark: a ~1M-row synthetic
-//! dataset (configurable) is queried through the scan kernels and through
-//! the indexed path ([`shareinsights::tabular::IndexedTable`]), asserting
-//! the two produce byte-identical JSON for every route, then reporting
-//! cold (cache-bypassed, per-evaluation) and warm (served cache hit)
-//! p50/p95 per route (and `nproc`) as a JSON document on stdout — the
-//! source of the committed `BENCH_adhoc_query.json`. Progress goes to stderr, so
-//! `--cold > BENCH_adhoc_query.json` captures just the document. The CI
-//! bench-smoke job runs this mode on a smaller dataset and relies on the
-//! differential asserts.
+//! The correctness checks over the wire live in the test suites:
+//! `tests/reactor_service.rs` (keep-alive load, idle herds, trace
+//! correlation), `tests/http_service.rs` (SQL and the `_system` dashboard),
+//! `tests/stream_service.rs` (subscriber herds) and `tests/common`'s
+//! `validate_exposition` for `/metrics`.
 
 use shareinsights::server::{
     blocking_get, blocking_request, serve, ClientConnection, Request, ServeOptions, Server,
 };
 use shareinsights_core::Platform;
-use shareinsights_tabular::io::json::JsonValue;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -138,17 +74,6 @@ const TARGETS: [&str; 5] = [
     "/retail/ds/brand_sales/filter/region/north/limit/10",
 ];
 
-/// Remove `name <value>` from `args`, returning the value.
-fn take_value_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    if i + 1 >= args.len() {
-        panic!("{name} needs a value");
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Some(value)
-}
-
 /// The modest synthetic retail platform the serving loads run against.
 fn retail_platform() -> Platform {
     let platform = Platform::new();
@@ -170,247 +95,25 @@ fn retail_platform() -> Platform {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let idle_conns: usize = take_value_flag(&mut args, "--idle-conns")
-        .map(|v| v.parse().expect("--idle-conns takes a count"))
-        .unwrap_or(0);
-    let close_mode = args.iter().any(|a| a == "--close");
-    let no_trace = args.iter().any(|a| a == "--no-trace");
-    let cold_mode = args.iter().any(|a| a == "--cold");
-    if args.iter().any(|a| a == "--concurrency-bench") {
-        serve_concurrency_benchmark();
-        return;
-    }
-    if args.iter().any(|a| a == "--sql") {
-        sql_smoke();
-        return;
-    }
-    if args.iter().any(|a| a == "--self-scrape") {
-        self_scrape_smoke();
-        return;
-    }
-    let ingest_mode = args.iter().any(|a| a == "--ingest-bench");
-    let stream_mode = args.iter().any(|a| a == "--stream-bench");
-    let mut nums = args.iter().filter(|a| !a.starts_with("--"));
-    if ingest_mode {
-        let base_rows: usize = nums
-            .next()
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(1_000_000);
-        let append_rows: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(100_000);
-        ingest_benchmark(base_rows, append_rows);
-        return;
-    }
-    if stream_mode {
-        let subscribers: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(500);
-        let ticks: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-        stream_benchmark(subscribers, ticks);
-        return;
-    }
-    if cold_mode {
-        let rows: usize = nums
-            .next()
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(1_000_000);
-        let iters: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-        cold_query_benchmark(rows, iters);
-        return;
-    }
-    let clients: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let per_client: usize = nums.next().and_then(|a| a.parse().ok()).unwrap_or(50);
-
-    let platform = retail_platform();
-    if no_trace {
-        // Sampling 0 disables tracing entirely (explicit ids included) —
-        // the baseline for measuring the tracing subsystem's overhead.
-        platform.tracer().set_sample_one_in(0);
-    }
-
-    let opts = ServeOptions {
-        // The idle herd must outlive the measured load.
-        idle_timeout: if idle_conns > 0 {
-            Duration::from_secs(60)
-        } else {
-            ServeOptions::default().idle_timeout
-        },
-        ..ServeOptions::default()
-    };
-    let mut svc = serve(Server::new(platform), "127.0.0.1:0", opts).expect("bind ephemeral port");
-    let addr = svc.local_addr();
-    let mode = if close_mode {
-        "one connection per request"
-    } else {
-        "keep-alive"
-    };
-    println!("serving on http://{addr} — {clients} clients x {per_client} requests ({mode})");
-
-    // The quiet herd: opened before the load, held for its whole
-    // duration. These cost a connection-table entry each and the load
-    // below must be completely undisturbed.
-    let idle: Vec<TcpStream> = (0..idle_conns)
-        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
-        .collect();
-    if !idle.is_empty() {
-        println!("holding {} idle keep-alive connections", idle.len());
-        std::thread::sleep(Duration::from_millis(200));
-    }
-
-    let targets = TARGETS;
-
-    let started = Instant::now();
-    // Each client holds one persistent connection, reconnecting only when
-    // the server closes it (Connection: close, idle timeout, or the
-    // per-connection request bound). Every request carries an X-Trace-Id
-    // with the 10adc0de prefix for /trace/recent correlation. Returns
-    // (ok, connections used, per-request latencies in µs).
-    let per_thread: Vec<(usize, usize, Vec<u64>)> = std::thread::scope(|scope| {
-        (0..clients)
-            .map(|c| {
-                let targets = &targets;
-                scope.spawn(move || {
-                    let mut conn = ClientConnection::connect(addr).expect("connect");
-                    let mut connections = 1;
-                    let mut ok = 0;
-                    let mut latencies_us = Vec::with_capacity(per_client);
-                    for r in 0..per_client {
-                        let target = targets[(c + r) % targets.len()];
-                        if conn.server_closed() {
-                            conn = ClientConnection::connect(addr).expect("reconnect");
-                            connections += 1;
-                        }
-                        let trace_id = format!("10adc0de{:08x}", c * per_client + r);
-                        let sent = Instant::now();
-                        let outcome = if close_mode {
-                            conn.request_close("GET", target, "")
-                        } else if no_trace {
-                            conn.request("GET", target, "")
-                        } else {
-                            conn.request_with_headers(
-                                "GET",
-                                target,
-                                "",
-                                &[("X-Trace-Id", &trace_id)],
-                            )
-                        };
-                        latencies_us.push(sent.elapsed().as_micros() as u64);
-                        match outcome {
-                            Ok((200, body)) if body.starts_with('{') => ok += 1,
-                            Ok((code, body)) => {
-                                panic!("malformed/failed response {code} for {target}: {body}")
-                            }
-                            Err(e) => panic!("lost response for {target}: {e}"),
-                        }
-                    }
-                    (ok, connections, latencies_us)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut counts = args.iter().skip(1).map(|a| {
+        a.parse::<usize>()
+            .unwrap_or_else(|_| panic!("{a:?} is not a count"))
     });
-    let elapsed = started.elapsed();
-    let total = clients * per_client;
-    let ok: usize = per_thread.iter().map(|(ok, _, _)| ok).sum();
-    let connections: usize = per_thread.iter().map(|(_, c, _)| c).sum();
-    assert_eq!(ok, total, "every request must get a well-formed response");
-
-    // Client-observed latency percentiles over every request.
-    let mut latencies: Vec<u64> = per_thread
-        .iter()
-        .flat_map(|(_, _, l)| l.iter().copied())
-        .collect();
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        let idx = ((latencies.len() as f64 * p).ceil() as usize).max(1) - 1;
-        latencies[idx.min(latencies.len() - 1)]
-    };
-    let (p50, p95, p99) = (pct(0.50), pct(0.95), pct(0.99));
-
-    // Reuse rate: the fraction of requests that rode an already-open
-    // connection instead of paying connect/teardown.
-    let reuse = (total - connections) as f64 / total as f64;
-    assert!(
-        close_mode || reuse > 0.9,
-        "keep-alive must amortize connects: reuse {reuse:.3} over {connections} connections"
-    );
-
-    let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
-    assert_eq!(code, 200);
-    let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
-    let hits = doc.path("cache.hits").unwrap().to_value().as_int().unwrap();
-    let misses = doc
-        .path("cache.misses")
-        .unwrap()
-        .to_value()
-        .as_int()
-        .unwrap();
-    let rate = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
-    let reused = doc
-        .path("connections.reused")
-        .unwrap()
-        .to_value()
-        .as_int()
-        .unwrap();
-    assert!(
-        close_mode || reused > 0,
-        "server must observe reused connections: {stats}"
-    );
-
-    // The load ran with explicit X-Trace-Ids; the server's ring must hold
-    // span trees correlatable by the shared prefix.
-    if !close_mode && !no_trace {
-        let (code, recent) = blocking_get(addr, "/trace/recent?limit=5").expect("/trace/recent");
-        assert_eq!(code, 200);
-        assert!(
-            recent.contains("10adc0de"),
-            "recent traces must carry the loadgen X-Trace-Id prefix: {recent}"
-        );
-        assert!(
-            recent.contains("query_eval") || recent.contains("cache_lookup"),
-            "span trees must show dispatch children: {recent}"
-        );
+    let mut count = |default: usize| counts.next().unwrap_or(default);
+    match args.first().map(String::as_str) {
+        Some("--cold") => cold_query_benchmark(count(1_000_000), count(8)),
+        Some("--concurrency-bench") => serve_concurrency_benchmark(),
+        Some("--stream-bench") => stream_benchmark(count(500), count(20)),
+        Some("--ingest-bench") => ingest_benchmark(count(1_000_000), count(100_000)),
+        _ => {
+            eprintln!(
+                "usage: loadgen --cold [rows] [iterations] | --concurrency-bench | \
+                 --stream-bench [subscribers] [ticks] | --ingest-bench [base-rows] [append-rows]"
+            );
+            std::process::exit(2);
+        }
     }
-
-    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-    assert_eq!(code, 200);
-    validate_exposition(&metrics);
-
-    println!(
-        "{total} requests in {:.2?} ({:.0} req/s), 0 lost, 0 malformed",
-        elapsed,
-        total as f64 / elapsed.as_secs_f64()
-    );
-    println!("client latency: p50 {p50}µs  p95 {p95}µs  p99 {p99}µs");
-    println!(
-        "connections: {connections} opened for {total} requests — reuse rate {:.1}%",
-        100.0 * reuse
-    );
-    println!("cache: {hits} hits / {misses} misses — {rate:.1}% hit rate");
-    println!("/metrics exposition OK ({} lines)", metrics.lines().count());
-
-    // The whole herd (plus at least one active connection) must have
-    // been registered with the event loop, and the reactor series
-    // must export under their Prometheus names.
-    let peak = doc
-        .path("reactor.peak_registered")
-        .unwrap()
-        .to_value()
-        .as_int()
-        .unwrap();
-    assert!(
-        peak as usize > idle_conns,
-        "reactor must register the idle herd: peak {peak} vs {idle_conns} idle"
-    );
-    assert!(
-        metrics.contains("shareinsights_reactor_wakeups_total"),
-        "reactor series missing from /metrics"
-    );
-    println!("reactor: peak {peak} registered connections, zero 5xx");
-    println!("--- /stats ---\n{stats}");
-
-    drop(idle);
-    svc.shutdown();
 }
 
 /// The `--concurrency-bench` mode: latency under an idle herd. The
@@ -564,10 +267,9 @@ fn serve_concurrency_benchmark() {
 /// probes timestamp every generation-delta frame against the instant its
 /// push was initiated, and the resulting tick-to-push p50/p95 goes to
 /// stdout as a JSON document — the source of the committed
-/// `BENCH_stream_latency.json`. Asserts (the CI streaming smoke job
-/// relies on them): zero 5xx, strictly increasing generations on every
-/// subscriber — herd included — zero evictions, and a well-formed
-/// `/metrics` exposition carrying the `shareinsights_stream_*` families.
+/// `BENCH_stream_latency.json`. Every push must answer 200 and every
+/// subscriber, herd included, must receive every frame; generation order
+/// and eviction are `tests/stream_service.rs`'s to check.
 fn stream_benchmark(subscribers: usize, ticks: usize) {
     use shareinsights_core::trace::EventLog;
     const PROBES: usize = 8;
@@ -616,7 +318,7 @@ fn stream_benchmark(subscribers: usize, ticks: usize) {
     let barrier = std::sync::Barrier::new(PROBES + 1);
     let barrier = &barrier;
     let mut push_t0 = Vec::with_capacity(ticks);
-    let probe_events: Vec<Vec<(u64, Instant)>> = std::thread::scope(|scope| {
+    let probe_events: Vec<Vec<Instant>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..PROBES)
             .map(|p| {
                 scope.spawn(move || {
@@ -638,7 +340,7 @@ fn stream_benchmark(subscribers: usize, ticks: usize) {
                             .next_events(Duration::from_millis(250))
                             .unwrap_or_else(|e| panic!("probe {p}: {e}"));
                         let received = Instant::now();
-                        deltas.extend(batch.into_iter().map(|ev| (ev.id, received)));
+                        deltas.extend(batch.iter().map(|_| received));
                     }
                     assert_eq!(deltas.len(), ticks, "probe {p} missed frames");
                     deltas
@@ -669,18 +371,10 @@ fn stream_benchmark(subscribers: usize, ticks: usize) {
     });
 
     // Tick-to-push latency: k-th delta frame against the k-th push.
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(PROBES * ticks);
-    for (p, deltas) in probe_events.iter().enumerate() {
-        let mut last = 0u64;
-        for (k, (generation, received)) in deltas.iter().enumerate() {
-            assert!(
-                *generation > last,
-                "probe {p}: generation {generation} after {last} — not monotonic"
-            );
-            last = *generation;
-            latencies_us.push(received.duration_since(push_t0[k]).as_micros() as u64);
-        }
-    }
+    let mut latencies_us: Vec<u64> = (probe_events.iter())
+        .flat_map(|deltas| deltas.iter().zip(&push_t0))
+        .map(|(received, pushed)| received.duration_since(*pushed).as_micros() as u64)
+        .collect();
     latencies_us.sort_unstable();
     let (p50, p95, p99) = (
         pct(&latencies_us, 0.50),
@@ -690,32 +384,19 @@ fn stream_benchmark(subscribers: usize, ticks: usize) {
     eprintln!("tick-to-push: p50 {p50}µs  p95 {p95}µs  p99 {p99}µs");
 
     // Drain the herd: every subscriber is owed its snapshot plus one
-    // frame per tick, in strictly increasing generation order.
+    // frame per tick.
     for (i, sub) in herd.iter_mut().enumerate() {
         let want = 1 + ticks;
-        let mut got = Vec::with_capacity(want);
+        let mut got = 0;
         let deadline = Instant::now() + Duration::from_secs(10);
-        while got.len() < want && Instant::now() < deadline {
-            got.extend(
-                sub.next_events(Duration::from_millis(100))
-                    .unwrap_or_else(|e| panic!("herd subscriber {i}: {e}")),
-            );
+        while got < want && Instant::now() < deadline {
+            got += (sub.next_events(Duration::from_millis(100)))
+                .unwrap_or_else(|e| panic!("herd subscriber {i}: {e}"))
+                .len();
         }
-        assert_eq!(got.len(), want, "herd subscriber {i} missed frames");
-        let mut last: Option<u64> = None;
-        for ev in &got {
-            assert!(
-                last.is_none_or(|l| ev.id > l),
-                "herd subscriber {i}: generation {} after {last:?}",
-                ev.id
-            );
-            last = Some(ev.id);
-        }
+        assert_eq!(got, want, "herd subscriber {i} missed frames");
     }
-    eprintln!(
-        "herd drained: {} frames each, generations monotonic",
-        1 + ticks
-    );
+    eprintln!("herd drained: {} frames each", 1 + ticks);
 
     let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
     assert_eq!(code, 200);
@@ -727,327 +408,19 @@ fn stream_benchmark(subscribers: usize, ticks: usize) {
             .as_int()
             .unwrap()
     };
-    assert_eq!(
-        stream_stat("ticks"),
-        ticks as i64,
-        "every push must be recorded as a tick"
-    );
-    assert_eq!(
-        stream_stat("dropped_subscribers"),
-        0,
-        "no subscriber may be evicted during the paced run: {stats}"
-    );
     let frames_sent = stream_stat("frames_sent");
-    let peak = stream_stat("peak_subscribers");
-    assert!(
-        peak >= (subscribers + PROBES) as i64,
-        "peak subscriber gauge must cover the herd: {peak}"
-    );
-
-    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-    assert_eq!(code, 200);
-    validate_exposition(&metrics);
-    assert!(
-        metrics.contains("shareinsights_stream_frames_sent_total"),
-        "stream series missing from /metrics"
-    );
-    eprintln!("/metrics exposition OK ({} lines)", metrics.lines().count());
+    let evicted = stream_stat("dropped_subscribers");
 
     println!("{{");
     println!("  \"subscribers\": {subscribers},");
     println!("  \"probes\": {PROBES},");
     println!("  \"ticks\": {ticks},");
     println!("  \"frames_sent\": {frames_sent},");
-    println!("  \"evicted_subscribers\": 0,");
+    println!("  \"evicted_subscribers\": {evicted},");
     println!("  \"tick_to_push\": {{\"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}}}");
     println!("}}");
 
     drop(herd);
-    svc.shutdown();
-}
-
-/// The `--sql` mode: smoke the SQL frontend over the wire. Each serve
-/// mode gets its own retail platform and several rounds of mixed traffic
-/// where every `POST /retail/ds/brand_sales/sql` body is asserted
-/// byte-identical to its path-grammar twin from `TARGETS`, a rich
-/// SQL-only query must serve 200, and malformed SQL must come back as a
-/// structured 400 (never a 5xx). Afterwards `/stats` must show the
-/// canonical queries sharing the path route's cache entries
-/// (`sql.path_shared` == matched pairs) and exactly one parse error, and
-/// `/metrics` must export the `shareinsights_sql_*` families in a
-/// well-formed exposition. The CI SQL smoke job relies on these asserts.
-fn sql_smoke() {
-    // Path targets and their canonical SQL twins: same ops, same cache
-    // entry, byte-identical payload.
-    let pairs: [(&str, &str); 5] = [
-        ("/retail/ds/brand_sales", "select * from brand_sales"),
-        (
-            "/retail/ds/brand_sales/groupby/region/count/brand",
-            "select region, count(brand) from brand_sales group by region",
-        ),
-        (
-            "/retail/ds/brand_sales/groupby/brand/sum/revenue",
-            "select brand, sum(revenue) from brand_sales group by brand",
-        ),
-        (
-            "/retail/ds/brand_sales/sort/revenue/desc/limit/5",
-            "select * from brand_sales order by revenue desc limit 5",
-        ),
-        (
-            "/retail/ds/brand_sales/filter/region/north/limit/10",
-            "select * from brand_sales where region = 'north' limit 10",
-        ),
-    ];
-    // Beyond the path grammar: boolean WHERE, multi-agg GROUP BY with
-    // aliases, multi-key ORDER BY. Must serve 200 without a path twin.
-    let rich = "select brand, sum(revenue) as total, count(revenue) as orders \
-                from brand_sales where region = 'north' or region = 'south' \
-                group by brand order by total desc, brand asc limit 3";
-    let malformed = "select from brand_sales where";
-    let rounds = 8;
-
-    let mut svc = serve(
-        Server::new(retail_platform()),
-        "127.0.0.1:0",
-        ServeOptions::default(),
-    )
-    .expect("bind ephemeral");
-    let addr = svc.local_addr();
-    let mut conn = ClientConnection::connect(addr).expect("connect");
-
-    let mut matched = 0usize;
-    for round in 0..rounds {
-        for (path, sql) in &pairs {
-            let (path_code, path_body) = conn.request("GET", path, "").expect("path request");
-            let (sql_code, sql_body) = conn
-                .request("POST", "/retail/ds/brand_sales/sql", sql)
-                .expect("sql request");
-            assert_eq!(path_code, 200, "path route failed for {path}: {path_body}");
-            assert_eq!(sql_code, 200, "sql route failed for {sql:?}: {sql_body}");
-            assert_eq!(
-                path_body, sql_body,
-                "round {round}: SQL {sql:?} must serve the exact bytes of {path}"
-            );
-            matched += 1;
-        }
-    }
-    let (code, body) = conn
-        .request("POST", "/retail/ds/brand_sales/sql", rich)
-        .expect("rich sql");
-    assert_eq!(code, 200, "rich SQL must serve: {body}");
-    assert!(
-        body.contains("total") && body.contains("orders"),
-        "rich SQL must carry its aliases: {body}"
-    );
-    let (code, body) = conn
-        .request("POST", "/retail/ds/brand_sales/sql", malformed)
-        .expect("malformed sql");
-    assert_eq!(code, 400, "malformed SQL must be a client error: {body}");
-    assert!(
-        body.contains("\"kind\"") && body.contains("\"line\""),
-        "malformed SQL must return the structured error body: {body}"
-    );
-
-    let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
-    assert_eq!(code, 200);
-    let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
-    let stat = |path: &str| doc.path(path).unwrap().to_value().as_int().unwrap() as usize;
-    assert_eq!(
-        stat("sql.queries"),
-        matched + 1,
-        "every accepted SQL query must be counted: {stats}"
-    );
-    assert_eq!(
-        stat("sql.path_shared"),
-        matched,
-        "canonical SQL must share the path route's cache entries: {stats}"
-    );
-    assert_eq!(
-        stat("sql.parse_errors"),
-        1,
-        "exactly one malformed query was sent: {stats}"
-    );
-
-    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-    assert_eq!(code, 200);
-    validate_exposition(&metrics);
-    for family in [
-        "shareinsights_sql_queries_total",
-        "shareinsights_sql_parse_errors_total",
-        "shareinsights_sql_path_shared_total",
-        "shareinsights_sql_parse_seconds_total",
-    ] {
-        assert!(metrics.contains(family), "{family} missing from /metrics");
-    }
-
-    println!(
-        "sql smoke OK: {matched} SQL/path pairs byte-identical, \
-         rich query 200, malformed 400, counters consistent, zero 5xx"
-    );
-    svc.shutdown();
-}
-
-/// The `--self-scrape` mode: smoke the self-observability loop over the
-/// wire. The service runs with the telemetry scraper enabled while
-/// warm query traffic flows, then the built-in `_system` dashboard must
-/// serve a non-empty scraped history, the canonical SQL over
-/// `POST /_system/ds/telemetry/sql` must be byte-identical to its
-/// path-grammar twin, writes into `_system` must 409, every family the
-/// `/stats` body carries must have rows in `_system`, and the
-/// `shareinsights_selfscrape_*` / `shareinsights_process_*` families
-/// must export in a well-formed exposition. The CI self-scrape smoke job
-/// relies on these asserts.
-fn self_scrape_smoke() {
-    let sql = "select family, max(value) from telemetry group by family";
-    let path = "/_system/ds/telemetry/groupby/family/max/value";
-
-    let opts = ServeOptions {
-        scrape_interval: Some(Duration::from_millis(25)),
-        ..ServeOptions::default()
-    };
-    let mut svc =
-        serve(Server::new(retail_platform()), "127.0.0.1:0", opts).expect("bind ephemeral");
-    let addr = svc.local_addr();
-    let mut conn = ClientConnection::connect(addr).expect("connect");
-
-    // Warm traffic so the scraper has route/cache/operator series to
-    // sample.
-    for round in 0..40 {
-        let (code, body) = conn
-            .request("GET", TARGETS[round % TARGETS.len()], "")
-            .expect("warm request");
-        assert_eq!(code, 200, "warm traffic failed: {body}");
-        if conn.server_closed() {
-            conn = ClientConnection::connect(addr).expect("reconnect");
-        }
-    }
-
-    // Wait until the background scraper has actually filled the ring:
-    // the `_system` dashboard must serve non-empty history.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut rows_seen = false;
-    while Instant::now() < deadline {
-        let (code, body) = blocking_get(addr, "/_system/ds/telemetry").expect("history");
-        assert_eq!(code, 200, "_system history must serve: {body}");
-        if !body.contains("\"total_rows\": 0") {
-            rows_seen = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        rows_seen,
-        "_system/ds/telemetry stayed empty after a warm run"
-    );
-
-    // The dataset listing exposes exactly the telemetry ring.
-    let (code, body) = blocking_get(addr, "/_system/ds").expect("listing");
-    assert_eq!(code, 200);
-    assert!(
-        body.contains("\"telemetry\""),
-        "_system must list the telemetry dataset: {body}"
-    );
-
-    // SQL and path grammar must serve the exact same bytes. A scrape
-    // landing between the two requests bumps the generation and
-    // legitimately changes the payload, so retry the pair a few times
-    // — it must match on some attempt (requests are ~µs apart, the
-    // scraper ticks every 25ms).
-    let mut identical = false;
-    for _ in 0..20 {
-        let (path_code, path_body) = conn.request("GET", path, "").expect("path request");
-        let (sql_code, sql_body) = conn
-            .request("POST", "/_system/ds/telemetry/sql", sql)
-            .expect("sql request");
-        assert_eq!(path_code, 200, "path route failed: {path_body}");
-        assert_eq!(sql_code, 200, "sql route failed: {sql_body}");
-        if path_body == sql_body {
-            assert!(
-                path_body.contains("\"family\""),
-                "grouped history must carry the family column: {path_body}"
-            );
-            identical = true;
-            break;
-        }
-        if conn.server_closed() {
-            conn = ClientConnection::connect(addr).expect("reconnect");
-        }
-    }
-    assert!(
-        identical,
-        "SQL over _system never matched the path route byte-for-byte"
-    );
-
-    // The namespace is read-only: provisioning anything under it must
-    // be rejected, never silently shadowed.
-    let (code, body) =
-        blocking_request(addr, "POST", "/dashboards/_system/create", "").expect("create");
-    assert_eq!(code, 409, "writes into _system must 409: {body}");
-    assert!(
-        body.contains("reserved"),
-        "409 names the reservation: {body}"
-    );
-
-    // Meta-telemetry: the scraper reports on itself and the process
-    // gauges ride along.
-    let (code, stats) = blocking_get(addr, "/stats").expect("/stats");
-    assert_eq!(code, 200);
-    let doc = shareinsights_tabular::io::json::parse_json(&stats).expect("stats json");
-    let stat = |path: &str| doc.path(path).unwrap().to_value().as_int().unwrap();
-    assert!(
-        stat("selfscrape.scrapes") >= 1,
-        "scraper ticks must be counted: {stats}"
-    );
-    assert!(
-        stat("selfscrape.retained") >= 1,
-        "scraped samples must be retained: {stats}"
-    );
-
-    // Every family `/stats` carries is chartable from `_system`: the
-    // scrape renders the same snapshot. (A labelled family with no
-    // series yet has an empty block and no rows; a scrape has to
-    // postdate the warm traffic for `routes` to show.)
-    let JsonValue::Object(blocks) = &doc else {
-        panic!("/stats is an object: {stats}");
-    };
-    let by_family = "/_system/ds/telemetry/groupby/family/count/label";
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (code, body) = blocking_get(addr, by_family).expect("families");
-        assert_eq!(code, 200, "family roll-up failed: {body}");
-        let missing: Vec<&String> = blocks
-            .iter()
-            .filter(|(_, block)| !matches!(block, JsonValue::Object(m) if m.is_empty()))
-            .map(|(name, _)| name)
-            .filter(|name| !body.contains(&format!("\"{name}\"")))
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "/stats families never scraped into _system: {missing:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-    assert_eq!(code, 200);
-    validate_exposition(&metrics);
-    for family in [
-        "shareinsights_selfscrape_scrapes_total",
-        "shareinsights_selfscrape_retained_samples",
-        "shareinsights_process_rss_bytes",
-        "shareinsights_process_uptime_seconds",
-    ] {
-        assert!(metrics.contains(family), "{family} missing from /metrics");
-    }
-
-    println!(
-        "self-scrape smoke OK: history non-empty, SQL/path byte-identical, \
-         writes 409, all {} /stats families in _system",
-        blocks.len()
-    );
     svc.shutdown();
 }
 
@@ -1059,7 +432,7 @@ fn self_scrape_smoke() {
 /// 5xx. An in-process micro-benchmark then times `IndexedTable::append`
 /// against a cold rebuild over the concatenated table. The JSON document
 /// on stdout is the source of the committed `BENCH_ingest.json`; the CI
-/// ingest smoke job runs a smaller config and relies on the asserts.
+/// bench job also runs a smaller shape and relies on the asserts.
 fn ingest_benchmark(base_rows: usize, append_rows: usize) {
     use shareinsights::tabular::{Column, DataType, Field, IndexedTable, Schema, Table};
     use shareinsights_core::telemetry::process_stats;
@@ -1240,17 +613,6 @@ fn ingest_benchmark(base_rows: usize, append_rows: usize) {
     assert!(stat("ingest.index_merges") >= BATCHES as i64, "{stats}");
     let segments = stat("ingest.segments");
 
-    let (code, metrics) = blocking_get(addr, "/metrics").expect("/metrics");
-    assert_eq!(code, 200);
-    validate_exposition(&metrics);
-    for family in [
-        "shareinsights_ingest_requests_total",
-        "shareinsights_ingest_rows_total",
-        "shareinsights_ingest_index_merges_total",
-        "shareinsights_ingest_decode_seconds_total",
-    ] {
-        assert!(metrics.contains(family), "{family} missing from /metrics");
-    }
     svc.shutdown();
 
     // Incremental index maintenance vs cold rebuild, in process. Both
@@ -1591,71 +953,4 @@ fn cold_query_benchmark(rows: usize, iters: usize) {
         "differential checks passed: indexed == scan == served for all {} routes",
         routes.len()
     );
-}
-
-/// Assert the Prometheus text exposition is well-formed: every `# TYPE`
-/// family has at least one sample, histogram buckets are cumulative and
-/// monotone per series, and the `+Inf` bucket equals `_count`.
-fn validate_exposition(text: &str) {
-    use std::collections::BTreeMap;
-    let mut families: Vec<(String, String)> = Vec::new();
-    // (family name, labels-without-le) -> bucket values in order.
-    let mut buckets: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
-    let mut counts: BTreeMap<(String, String), f64> = BTreeMap::new();
-    let mut samples: Vec<String> = Vec::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().expect("family name").to_string();
-            let kind = it.next().expect("family kind").to_string();
-            families.push((name, kind));
-            continue;
-        }
-        assert!(!line.starts_with('#'), "unexpected comment: {line}");
-        let (series, value) = line.rsplit_once(' ').expect("sample line");
-        let value: f64 = value
-            .parse()
-            .unwrap_or_else(|_| panic!("bad value: {line}"));
-        let (name, labels) = match series.split_once('{') {
-            Some((n, l)) => (n.to_string(), l.trim_end_matches('}').to_string()),
-            None => (series.to_string(), String::new()),
-        };
-        if let Some(hist) = name.strip_suffix("_bucket") {
-            let non_le: Vec<&str> = labels
-                .split(',')
-                .filter(|p| !p.starts_with("le=") && !p.is_empty())
-                .collect();
-            buckets
-                .entry((hist.to_string(), non_le.join(",")))
-                .or_default()
-                .push(value);
-        } else if let Some(hist) = name.strip_suffix("_count") {
-            counts.insert((hist.to_string(), labels.clone()), value);
-        }
-        samples.push(name);
-    }
-    assert!(!families.is_empty(), "no # TYPE families in exposition");
-    for (name, kind) in &families {
-        let has = samples
-            .iter()
-            .any(|s| s == name || (kind == "histogram" && s.starts_with(name)));
-        assert!(has, "# TYPE {name} has no samples");
-    }
-    assert!(!buckets.is_empty(), "no histograms in exposition");
-    for ((hist, labels), series) in &buckets {
-        for w in series.windows(2) {
-            assert!(
-                w[0] <= w[1],
-                "{hist}{{{labels}}} buckets must be cumulative: {series:?}"
-            );
-        }
-        let count = counts
-            .get(&(hist.clone(), labels.clone()))
-            .unwrap_or_else(|| panic!("{hist}{{{labels}}} has buckets but no _count"));
-        assert_eq!(
-            *series.last().unwrap(),
-            *count,
-            "{hist}{{{labels}}}: +Inf bucket must equal _count"
-        );
-    }
 }

@@ -1,6 +1,8 @@
-//! Test support shared by the differential suites: seeded table
+//! Test support shared by the integration suites: seeded table
 //! generators, and [`assert_three_way`], which holds the two ad-hoc query
-//! paths to the unfused reference. The oracle itself, [`reference_query`]
+//! paths to the unfused reference; for the serving suites, the retail
+//! [`FLOW`], the [`stat`] reader of `/stats` bodies and the one `/metrics`
+//! checker, [`validate_exposition`]. The oracle itself, [`reference_query`]
 //! and the row kernels under it, is the engine's row-wise reference engine
 //! in `shareinsights::engine::baseline`.
 
@@ -11,6 +13,144 @@ use shareinsights::datagen::SeededRng;
 use shareinsights::engine::baseline::reference_query;
 use shareinsights::server::query::QueryOp;
 use shareinsights::tabular::{Column, ColumnBuilder, DataType, Field, Schema, Table, Value};
+use shareinsights_tabular::io::json::parse_json;
+use std::collections::HashMap;
+
+/// The retail flow every serving suite runs: `sales.csv` grouped by region
+/// and brand into the published endpoint `brand_sales`. Each suite uploads
+/// its own rows.
+pub const FLOW: &str = r#"
+D:
+  sales: [region, brand, revenue]
+D.sales:
+  source: 'sales.csv'
+  format: csv
+T:
+  by_brand:
+    type: groupby
+    groupby: [region, brand]
+    aggregates:
+    - operator: sum
+      apply_on: revenue
+      out_field: revenue
+F:
+  +D.brand_sales: D.sales | T.by_brand
+  D.brand_sales:
+    publish: brand_sales
+"#;
+
+/// The integer at the dotted `path` of a `/stats` body.
+pub fn stat(stats_body: &str, path: &str) -> i64 {
+    parse_json(stats_body)
+        .unwrap()
+        .path(path)
+        .unwrap_or_else(|| panic!("no {path} in {stats_body}"))
+        .to_value()
+        .as_int()
+        .unwrap_or_else(|| panic!("{path} not an int in {stats_body}"))
+}
+
+/// Assert `text` is a well-formed Prometheus text exposition and return
+/// its counter samples as `name{labels} -> value`. Well formed means:
+/// - every `# TYPE` names a known kind and is followed by samples, each
+///   of them of that family;
+/// - every value parses and is non-negative;
+/// - every histogram series has cumulative buckets and a `_count`, and its
+///   `+Inf` bucket equals that `_count`;
+/// - the document holds at least one family and one histogram.
+pub fn validate_exposition(text: &str) -> HashMap<String, f64> {
+    let mut counters = HashMap::new();
+    // (histogram, labels without `le`) -> its bucket values in order, and
+    // its `_count`.
+    let mut buckets: HashMap<(String, String), Vec<f64>> = HashMap::new();
+    let mut counts: HashMap<(String, String), f64> = HashMap::new();
+    // The open `# TYPE`: name, kind, samples seen under it.
+    let mut family: Option<(String, String, usize)> = None;
+    let close = |family: &Option<(String, String, usize)>| {
+        if let Some((name, _, samples)) = family {
+            assert!(*samples > 0, "# TYPE {name} has no samples");
+        }
+    };
+    for line in text.lines().filter(|line| !line.is_empty()) {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            close(&family);
+            let mut it = rest.split_whitespace();
+            let name = it.next().expect("family name").to_string();
+            let kind = it.next().expect("family kind").to_string();
+            assert!(
+                matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
+                "unknown kind in: {line}"
+            );
+            family = Some((name, kind, 0));
+            continue;
+        }
+        assert!(
+            !line.starts_with('#'),
+            "only TYPE comments expected: {line}"
+        );
+        let (series, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("sample line without a value: {line}"));
+        let value: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("non-numeric value: {line}"));
+        assert!(value >= 0.0, "negative sample: {line}");
+        let (name, labels) = match series.split_once('{') {
+            Some((name, labels)) => (
+                name,
+                labels
+                    .strip_suffix('}')
+                    .unwrap_or_else(|| panic!("unclosed labels: {line}")),
+            ),
+            None => (series, ""),
+        };
+        let Some((family_name, kind, samples)) = family.as_mut() else {
+            panic!("sample before any TYPE: {line}");
+        };
+        *samples += 1;
+        let suffix = name.strip_prefix(family_name.as_str());
+        let own = match kind.as_str() {
+            "histogram" => matches!(suffix, Some("_bucket" | "_sum" | "_count")),
+            _ => suffix == Some(""),
+        };
+        assert!(own, "sample {name} under # TYPE {family_name}");
+        match (kind.as_str(), suffix) {
+            ("histogram", Some("_bucket")) => {
+                let (rest, _) = labels
+                    .rsplit_once("le=\"")
+                    .unwrap_or_else(|| panic!("bucket without le: {line}"));
+                let key = (family_name.clone(), rest.trim_end_matches(',').to_string());
+                let series = buckets.entry(key).or_default();
+                assert!(
+                    series.last().is_none_or(|last| *last <= value),
+                    "{series:?} then {value}: buckets must be cumulative: {line}"
+                );
+                series.push(value);
+            }
+            ("histogram", Some("_count")) => {
+                counts.insert((family_name.clone(), labels.to_string()), value);
+            }
+            ("counter", _) => {
+                counters.insert(series.to_string(), value);
+            }
+            _ => {}
+        }
+    }
+    close(&family);
+    assert!(family.is_some(), "no # TYPE families in the exposition");
+    assert!(!buckets.is_empty(), "no histograms in the exposition");
+    for ((hist, labels), series) in &buckets {
+        let count = counts
+            .get(&(hist.clone(), labels.clone()))
+            .unwrap_or_else(|| panic!("{hist}{{{labels}}} has buckets but no _count"));
+        assert_eq!(
+            series.last(),
+            Some(count),
+            "{hist}{{{labels}}}: the +Inf bucket must equal _count"
+        );
+    }
+    counters
+}
 
 /// Null probability for a column: mostly light, sometimes total (which
 /// leaves a Utf8 column with an *empty dictionary*).

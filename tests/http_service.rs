@@ -2,34 +2,17 @@
 //! generation-stamped sharded query cache, keep-alive conformance, and
 //! `/stats` observability.
 
+mod common;
+
+use common::{stat, validate_exposition, FLOW};
 use shareinsights::server::{
     blocking_get, blocking_request, serve, ClientConnection, ServeOptions, Server,
 };
 use shareinsights_core::Platform;
-use shareinsights_tabular::io::json::parse_json;
+use shareinsights_tabular::io::json::{parse_json, JsonValue};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
-
-const FLOW: &str = r#"
-D:
-  sales: [region, brand, revenue]
-D.sales:
-  source: 'sales.csv'
-  format: csv
-T:
-  by_brand:
-    type: groupby
-    groupby: [region, brand]
-    aggregates:
-    - operator: sum
-      apply_on: revenue
-      out_field: revenue
-F:
-  +D.brand_sales: D.sales | T.by_brand
-  D.brand_sales:
-    publish: brand_sales
-"#;
+use std::time::{Duration, Instant};
 
 fn retail_service(opts: ServeOptions) -> shareinsights::server::ServiceHandle {
     let platform = Platform::new();
@@ -41,16 +24,6 @@ fn retail_service(opts: ServeOptions) -> shareinsights::server::ServiceHandle {
     platform.save_flow("retail", FLOW).unwrap();
     platform.run_dashboard("retail").unwrap();
     serve(Server::new(platform), "127.0.0.1:0", opts).expect("bind ephemeral port")
-}
-
-fn stat(stats_body: &str, path: &str) -> i64 {
-    parse_json(stats_body)
-        .unwrap()
-        .path(path)
-        .unwrap_or_else(|| panic!("no {path} in {stats_body}"))
-        .to_value()
-        .as_int()
-        .unwrap_or_else(|| panic!("{path} not an int in {stats_body}"))
 }
 
 #[test]
@@ -469,7 +442,7 @@ fn event_log_records_slow_requests_end_to_end() {
         .is_some());
 }
 
-/// `/metrics` over TCP: Prometheus content type, per-operator histograms
+/// `/metrics` over TCP: a well-formed exposition, per-operator histograms
 /// from the dashboard run, and route counters from this very session.
 #[test]
 fn metrics_exposition_over_tcp() {
@@ -478,6 +451,7 @@ fn metrics_exposition_over_tcp() {
     blocking_get(addr, "/retail/ds/brand_sales").unwrap();
     let (code, body) = blocking_get(addr, "/metrics").unwrap();
     assert_eq!(code, 200);
+    validate_exposition(&body);
     assert!(body.contains("# TYPE shareinsights_requests_total counter"));
     assert!(
         body.contains("shareinsights_operator_runs_total{operator=\"groupby\"} 1"),
@@ -547,6 +521,202 @@ fn loadgen_shape_no_lost_or_malformed_responses() {
     // once per in-flight worker, but the steady state is all hits.
     assert!(misses >= 3, "{stats}");
     assert!(hits >= total / 2, "cache should dominate: {stats}");
+    svc.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The SQL spelling and the `_system` dashboard over the wire
+// ---------------------------------------------------------------------------
+
+/// Path routes and their canonical SQL twins: the same ops, so the same
+/// cache entry and byte-identical payloads.
+const SQL_TWINS: [(&str, &str); 5] = [
+    ("/retail/ds/brand_sales", "select * from brand_sales"),
+    (
+        "/retail/ds/brand_sales/groupby/region/count/brand",
+        "select region, count(brand) from brand_sales group by region",
+    ),
+    (
+        "/retail/ds/brand_sales/groupby/brand/sum/revenue",
+        "select brand, sum(revenue) from brand_sales group by brand",
+    ),
+    (
+        "/retail/ds/brand_sales/sort/revenue/desc/limit/5",
+        "select * from brand_sales order by revenue desc limit 5",
+    ),
+    (
+        "/retail/ds/brand_sales/filter/region/north/limit/10",
+        "select * from brand_sales where region = 'north' limit 10",
+    ),
+];
+
+/// Mixed path and SQL traffic on one keep-alive connection: every SQL body
+/// is byte-identical to its path twin, a statement past the path grammar
+/// (boolean `WHERE`, aliased aggregates, two sort keys) serves 200, and
+/// malformed SQL is a structured 400. `/stats` then shows the canonical
+/// statements sharing the path routes' cache entries and exactly one parse
+/// error, and the `shareinsights_sql_*` families export.
+#[test]
+fn sql_over_tcp_serves_the_bytes_of_its_path_twin() {
+    let mut svc = retail_service(ServeOptions::default());
+    let addr = svc.local_addr();
+    let mut conn = ClientConnection::connect(addr).unwrap();
+    let mut sql = |text: &str| {
+        conn.request("POST", "/retail/ds/brand_sales/sql", text)
+            .expect("sql request")
+    };
+    let mut matched = 0;
+    for round in 0..8 {
+        for (path, text) in SQL_TWINS {
+            let (path_code, path_body) = blocking_get(addr, path).expect("path request");
+            let (sql_code, sql_body) = sql(text);
+            assert_eq!(path_code, 200, "path route failed for {path}: {path_body}");
+            assert_eq!(sql_code, 200, "sql route failed for {text:?}: {sql_body}");
+            assert_eq!(
+                path_body, sql_body,
+                "round {round}: SQL {text:?} must serve the exact bytes of {path}"
+            );
+            matched += 1;
+        }
+    }
+    let (code, body) = sql(
+        "select brand, sum(revenue) as total, count(revenue) as orders \
+         from brand_sales where region = 'north' or region = 'south' \
+         group by brand order by total desc, brand asc limit 3",
+    );
+    assert_eq!(code, 200, "rich SQL must serve: {body}");
+    assert!(
+        body.contains("total") && body.contains("orders"),
+        "rich SQL must carry its aliases: {body}"
+    );
+    let (code, body) = sql("select from brand_sales where");
+    assert_eq!(code, 400, "malformed SQL must be a client error: {body}");
+    assert!(
+        body.contains("\"kind\"") && body.contains("\"line\""),
+        "malformed SQL must return the structured error body: {body}"
+    );
+
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "sql.queries"), matched + 1, "{stats}");
+    assert_eq!(
+        stat(&stats, "sql.path_shared"),
+        matched,
+        "canonical SQL must share the path route's cache entries: {stats}"
+    );
+    assert_eq!(stat(&stats, "sql.parse_errors"), 1, "{stats}");
+    let (code, metrics) = blocking_get(addr, "/metrics").unwrap();
+    assert_eq!(code, 200);
+    validate_exposition(&metrics);
+    for family in [
+        "shareinsights_sql_queries_total",
+        "shareinsights_sql_parse_errors_total",
+        "shareinsights_sql_path_shared_total",
+        "shareinsights_sql_parse_seconds_total",
+    ] {
+        assert!(metrics.contains(family), "{family} missing from /metrics");
+    }
+    svc.shutdown();
+}
+
+/// The self-observability loop over the wire, with the scraper on: warm
+/// traffic fills `_system/ds/telemetry`, SQL over it serves the bytes of
+/// its path twin, the namespace refuses writes with 409, every family
+/// `/stats` carries is scraped into it, and the `shareinsights_selfscrape_*`
+/// and `shareinsights_process_*` families export.
+#[test]
+fn the_scraper_fills_the_system_dashboard_under_warm_traffic() {
+    let mut svc = retail_service(ServeOptions {
+        scrape_interval: Some(Duration::from_millis(25)),
+        ..ServeOptions::default()
+    });
+    let addr = svc.local_addr();
+    let mut conn = ClientConnection::connect(addr).unwrap();
+    // Warm traffic gives the scraper route, cache and operator series.
+    for round in 0..40 {
+        let (path, _) = SQL_TWINS[round % SQL_TWINS.len()];
+        let (code, body) = conn.get(path).expect("warm request");
+        assert_eq!(code, 200, "warm traffic failed: {body}");
+    }
+    // Whether `done` holds within ten seconds of polling.
+    let eventually = |done: &mut dyn FnMut() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        true
+    };
+    let filled = eventually(&mut || {
+        let (code, body) = blocking_get(addr, "/_system/ds/telemetry").unwrap();
+        assert_eq!(code, 200, "_system history must serve: {body}");
+        !body.contains("\"total_rows\": 0")
+    });
+    assert!(filled, "_system/ds/telemetry stayed empty after a warm run");
+    let (code, body) = blocking_get(addr, "/_system/ds").unwrap();
+    assert_eq!(code, 200);
+    assert!(body.contains("\"telemetry\""), "{body}");
+
+    // A scrape landing between the two requests bumps the generation and
+    // changes the payload, so the pair only has to match on some attempt:
+    // the requests are microseconds apart, the scraper ticks every 25 ms.
+    let path = "/_system/ds/telemetry/groupby/family/max/value";
+    let sql = "select family, max(value) from telemetry group by family";
+    let identical = (0..20).any(|_| {
+        let (path_code, path_body) = blocking_get(addr, path).unwrap();
+        let (sql_code, sql_body) =
+            blocking_request(addr, "POST", "/_system/ds/telemetry/sql", sql).unwrap();
+        assert_eq!(path_code, 200, "path route failed: {path_body}");
+        assert_eq!(sql_code, 200, "sql route failed: {sql_body}");
+        assert!(path_body.contains("\"family\""), "{path_body}");
+        path_body == sql_body
+    });
+    assert!(identical, "SQL over _system never matched its path route");
+
+    let (code, body) = blocking_request(addr, "POST", "/dashboards/_system/create", "").unwrap();
+    assert_eq!(code, 409, "writes into _system must 409: {body}");
+    assert!(
+        body.contains("reserved"),
+        "409 names the reservation: {body}"
+    );
+
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert!(stat(&stats, "selfscrape.scrapes") >= 1, "{stats}");
+    assert!(stat(&stats, "selfscrape.retained") >= 1, "{stats}");
+    // Every family `/stats` carries is chartable from `_system`. A labelled
+    // family with no series yet is an empty block and has no rows.
+    let JsonValue::Object(blocks) = parse_json(&stats).unwrap() else {
+        panic!("/stats is an object: {stats}");
+    };
+    let by_family = "/_system/ds/telemetry/groupby/family/count/label";
+    let mut missing = Vec::new();
+    let scraped = eventually(&mut || {
+        let (code, body) = blocking_get(addr, by_family).unwrap();
+        assert_eq!(code, 200, "family roll-up failed: {body}");
+        missing = (blocks.iter())
+            .filter(|(_, block)| !matches!(block, JsonValue::Object(m) if m.is_empty()))
+            .map(|(name, _)| name.clone())
+            .filter(|name| !body.contains(&format!("\"{name}\"")))
+            .collect();
+        missing.is_empty()
+    });
+    assert!(
+        scraped,
+        "/stats families never scraped into _system: {missing:?}"
+    );
+
+    let (code, metrics) = blocking_get(addr, "/metrics").unwrap();
+    assert_eq!(code, 200);
+    validate_exposition(&metrics);
+    for family in [
+        "shareinsights_selfscrape_scrapes_total",
+        "shareinsights_selfscrape_retained_samples",
+        "shareinsights_process_rss_bytes",
+        "shareinsights_process_uptime_seconds",
+    ] {
+        assert!(metrics.contains(family), "{family} missing from /metrics");
+    }
     svc.shutdown();
 }
 

@@ -1,38 +1,22 @@
 //! Exposition under fire: `/metrics` scraped concurrently with stream
 //! pushes, telemetry self-scrapes, and regular queries.
 //!
-//! The exposition must stay *well-formed* (every `# TYPE` family has
-//! samples, every sample line parses with a numeric value) and counters
+//! The exposition must stay *well-formed* (`common::validate_exposition`:
+//! every `# TYPE` family has samples, every value parses, histogram
+//! buckets are cumulative with `+Inf` equal to `_count`) and counters
 //! must stay *monotonic* from any single observer's point of view — a
 //! scrape racing a publish may see the counter before or after the bump,
 //! but never a smaller value than a previous scrape saw.
 
+mod common;
+
+use common::{validate_exposition, FLOW};
 use shareinsights::server::{serve, ClientConnection, ServeOptions, Server};
 use shareinsights_core::Platform;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-const FLOW: &str = r#"
-D:
-  sales: [region, brand, revenue]
-D.sales:
-  source: 'sales.csv'
-  format: csv
-T:
-  by_brand:
-    type: groupby
-    groupby: [region, brand]
-    aggregates:
-    - operator: sum
-      apply_on: revenue
-      out_field: revenue
-F:
-  +D.brand_sales: D.sales | T.by_brand
-  D.brand_sales:
-    publish: brand_sales
-"#;
 
 fn retail_platform() -> Platform {
     let platform = Platform::new();
@@ -44,61 +28,6 @@ fn retail_platform() -> Platform {
     platform.save_flow("retail", FLOW).unwrap();
     platform.run_dashboard("retail").unwrap();
     platform
-}
-
-/// Parse one exposition document: assert structural well-formedness and
-/// return the counter samples as `name{labels} -> value`.
-fn validate_exposition(text: &str) -> HashMap<String, f64> {
-    let mut counters = HashMap::new();
-    let mut current_type: Option<(String, String)> = None;
-    let mut samples_for_current = 0usize;
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            if let Some((name, _)) = &current_type {
-                assert!(samples_for_current > 0, "TYPE {name} had no samples");
-            }
-            let mut it = rest.split_whitespace();
-            let name = it.next().expect("metric name").to_string();
-            let kind = it.next().expect("metric kind").to_string();
-            assert!(
-                matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
-                "unknown kind in: {line}"
-            );
-            current_type = Some((name, kind));
-            samples_for_current = 0;
-            continue;
-        }
-        assert!(
-            !line.starts_with('#'),
-            "only TYPE comments expected: {line}"
-        );
-        let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| {
-            panic!("sample line without value: {line}");
-        });
-        let value: f64 = value
-            .parse()
-            .unwrap_or_else(|_| panic!("non-numeric value: {line}"));
-        assert!(value >= 0.0, "negative sample: {line}");
-        let (name, kind) = current_type
-            .as_ref()
-            .unwrap_or_else(|| panic!("sample before any TYPE: {line}"));
-        let base = series.split('{').next().unwrap();
-        assert!(
-            base.starts_with(name.as_str()),
-            "sample {base} under TYPE {name}"
-        );
-        samples_for_current += 1;
-        if kind == "counter" {
-            counters.insert(series.to_string(), value);
-        }
-    }
-    if let Some((name, _)) = &current_type {
-        assert!(samples_for_current > 0, "TYPE {name} had no samples");
-    }
-    counters
 }
 
 #[test]

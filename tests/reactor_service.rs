@@ -7,6 +7,9 @@
 //! of idle connections multiplexed, `EPOLLOUT` write backpressure, the
 //! pending queue's 503s, and the pool's scheduling of slow requests.
 
+mod common;
+
+use common::{stat, validate_exposition, FLOW};
 use shareinsights::server::{
     blocking_get, dechunk, serve, ClientConnection, Method, Request, ServeOptions, Server,
     ServiceHandle, WireLimits,
@@ -16,26 +19,6 @@ use shareinsights_tabular::io::json::{parse_json, JsonValue};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-const FLOW: &str = r#"
-D:
-  sales: [region, brand, revenue]
-D.sales:
-  source: 'sales.csv'
-  format: csv
-T:
-  by_brand:
-    type: groupby
-    groupby: [region, brand]
-    aggregates:
-    - operator: sum
-      apply_on: revenue
-      out_field: revenue
-F:
-  +D.brand_sales: D.sales | T.by_brand
-  D.brand_sales:
-    publish: brand_sales
-"#;
 
 /// A retail dashboard with `rows` sales rows (bigger rows ⇒ bigger
 /// browse responses, which is what exercises chunking).
@@ -54,16 +37,6 @@ fn retail_platform(rows: usize) -> Platform {
 
 fn retail_service(rows: usize, opts: ServeOptions) -> ServiceHandle {
     serve(Server::new(retail_platform(rows)), "127.0.0.1:0", opts).expect("bind ephemeral port")
-}
-
-fn stat(stats_body: &str, path: &str) -> i64 {
-    parse_json(stats_body)
-        .unwrap()
-        .path(path)
-        .unwrap_or_else(|| panic!("no {path} in {stats_body}"))
-        .to_value()
-        .as_int()
-        .unwrap_or_else(|| panic!("{path} not an int in {stats_body}"))
 }
 
 #[test]
@@ -334,6 +307,16 @@ fn streamed_ingest_conforms_in_both_modes() {
     let (_, stats) = blocking_get(addr, "/stats").unwrap();
     assert_eq!(stat(&stats, "ingest.requests"), 1);
     assert_eq!(stat(&stats, "ingest.rows"), 3);
+    let (_, metrics) = blocking_get(addr, "/metrics").unwrap();
+    validate_exposition(&metrics);
+    for family in [
+        "shareinsights_ingest_requests_total",
+        "shareinsights_ingest_rows_total",
+        "shareinsights_ingest_index_merges_total",
+        "shareinsights_ingest_decode_seconds_total",
+    ] {
+        assert!(metrics.contains(family), "{family} missing from /metrics");
+    }
     svc.shutdown();
 }
 
@@ -899,6 +882,114 @@ fn reactor_multiplexes_hundreds_of_idle_connections() {
 
     drop(idle);
     svc.shutdown();
+}
+
+/// `clients` keep-alive clients send `per_client` requests each, cycling
+/// through the ad-hoc queries, while `idle_conns` quiet connections sit on
+/// the service. Each client reconnects only when the server closes its
+/// connection, which it does every `max_requests_per_connection` (128)
+/// requests. Every request carries an `X-Trace-Id` with the `10adc0de`
+/// prefix. Asserts: every response is a well-formed 200, more than 90 % of
+/// requests ride an open connection and the server saw reuse, the recent
+/// traces carry the prefix and dispatch children, the reactor registered
+/// the whole herd, and `/metrics` is well formed with the reactor series.
+fn keepalive_load(clients: usize, per_client: usize, idle_conns: usize) {
+    const TARGETS: [&str; 5] = [
+        "/retail/ds/brand_sales",
+        "/retail/ds/brand_sales/groupby/region/count/brand",
+        "/retail/ds/brand_sales/groupby/brand/sum/revenue",
+        "/retail/ds/brand_sales/sort/revenue/desc/limit/5",
+        "/retail/ds/brand_sales/filter/region/north/limit/10",
+    ];
+    let opts = ServeOptions {
+        // The idle herd must outlive the load.
+        idle_timeout: Duration::from_secs(60),
+        ..ServeOptions::default()
+    };
+    let mut svc = retail_service(200, opts);
+    let addr = svc.local_addr();
+    let idle: Vec<TcpStream> = (0..idle_conns)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
+        .collect();
+
+    let connections: usize = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut conn = ClientConnection::connect(addr).expect("connect");
+                    let mut connections = 1;
+                    for r in 0..per_client {
+                        if conn.server_closed() {
+                            conn = ClientConnection::connect(addr).expect("reconnect");
+                            connections += 1;
+                        }
+                        let target = TARGETS[(c + r) % TARGETS.len()];
+                        let trace_id = format!("10adc0de{:08x}", c * per_client + r);
+                        let headers = [("X-Trace-Id", trace_id.as_str())];
+                        match conn.request_with_headers("GET", target, "", &headers) {
+                            Ok((200, body)) if body.starts_with('{') => {}
+                            Ok((code, body)) => {
+                                panic!("malformed or failed response {code} for {target}: {body}")
+                            }
+                            Err(e) => panic!("lost response for {target}: {e}"),
+                        }
+                    }
+                    connections
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let total = clients * per_client;
+    let reuse = (total - connections) as f64 / total as f64;
+    assert!(
+        reuse > 0.9,
+        "keep-alive must amortize connects: reuse {reuse:.3} over {connections} connections"
+    );
+
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert!(stat(&stats, "connections.reused") > 0, "{stats}");
+    let peak = stat(&stats, "reactor.peak_registered");
+    assert!(
+        peak as usize > idle_conns,
+        "the reactor must register the idle herd: peak {peak} vs {idle_conns} idle"
+    );
+    let (code, recent) = blocking_get(addr, "/trace/recent?limit=5").unwrap();
+    assert_eq!(code, 200);
+    assert!(
+        recent.contains("10adc0de"),
+        "recent traces must carry the explicit X-Trace-Id prefix: {recent}"
+    );
+    assert!(
+        recent.contains("query_eval") || recent.contains("cache_lookup"),
+        "span trees must show dispatch children: {recent}"
+    );
+    let (code, metrics) = blocking_get(addr, "/metrics").unwrap();
+    assert_eq!(code, 200);
+    validate_exposition(&metrics);
+    assert!(
+        metrics.contains("shareinsights_reactor_wakeups_total"),
+        "reactor series missing from /metrics"
+    );
+    drop(idle);
+    svc.shutdown();
+}
+
+#[test]
+fn a_keepalive_load_is_lossless_traced_and_exported() {
+    keepalive_load(4, 300, 0);
+}
+
+#[test]
+#[ignore = "8 x 5,000 requests: CI runs it in release"]
+fn a_long_keepalive_load_is_lossless_traced_and_exported() {
+    keepalive_load(8, 5000, 0);
+}
+
+#[test]
+#[ignore = "2,000 idle connections need `ulimit -n 8192`: CI runs it in release"]
+fn a_keepalive_load_behind_two_thousand_idle_connections() {
+    keepalive_load(8, 200, 2000);
 }
 
 #[test]

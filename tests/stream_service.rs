@@ -6,33 +6,16 @@
 //! holds by construction — frames are built once, at publish time, in the
 //! router — and these tests pin the construction down at the wire level.
 
+mod common;
+
+use common::{stat, validate_exposition, FLOW};
 use shareinsights::server::{
     blocking_get, blocking_request, serve, ClientConnection, Method, Request, ServeOptions, Server,
     ServiceHandle, SseParser, SseSubscriber,
 };
 use shareinsights_core::Platform;
-use shareinsights_tabular::io::json::parse_json;
+use shareinsights_tabular::io::json::{parse_json, JsonValue};
 use std::time::Duration;
-
-const FLOW: &str = r#"
-D:
-  sales: [region, brand, revenue]
-D.sales:
-  source: 'sales.csv'
-  format: csv
-T:
-  by_brand:
-    type: groupby
-    groupby: [region, brand]
-    aggregates:
-    - operator: sum
-      apply_on: revenue
-      out_field: revenue
-F:
-  +D.brand_sales: D.sales | T.by_brand
-  D.brand_sales:
-    publish: brand_sales
-"#;
 
 /// The tick sequence every test pushes — identical over the wire and in
 /// process, so the resulting frames must be too.
@@ -103,16 +86,6 @@ fn collect(sub: &mut SseSubscriber, want: usize) -> Vec<shareinsights::server::S
         }
     }
     events
-}
-
-fn stat(stats_body: &str, path: &str) -> i64 {
-    parse_json(stats_body)
-        .unwrap()
-        .path(path)
-        .unwrap_or_else(|| panic!("no {path} in {stats_body}"))
-        .to_value()
-        .as_int()
-        .unwrap_or_else(|| panic!("{path} not an int in {stats_body}"))
 }
 
 #[test]
@@ -194,4 +167,124 @@ fn disconnecting_subscriber_is_reaped_in_both_modes() {
         std::thread::sleep(Duration::from_millis(50));
     }
     svc.shutdown();
+}
+
+/// A herd of subscribers that reads nothing while ticks are pushed: each
+/// is then owed its snapshot plus one frame per tick, in strictly
+/// increasing generation order. None is evicted, every push counts as a
+/// tick, and the stream families export.
+#[test]
+fn an_idle_herd_receives_every_tick_in_generation_order() {
+    const SUBSCRIBERS: usize = 50;
+    const PUSHES: usize = 5;
+    let mut svc = retail_service();
+    let addr = svc.local_addr();
+    let (code, body) =
+        blocking_request(addr, "POST", "/dashboards/retail/stream/start", "").unwrap();
+    assert_eq!(code, 200, "{body}");
+    let mut herd: Vec<SseSubscriber> = (0..SUBSCRIBERS)
+        .map(|i| {
+            let conn = ClientConnection::connect(addr).unwrap();
+            (conn.subscribe("/retail/ds/brand_sales/subscribe"))
+                .unwrap_or_else(|e| panic!("subscriber {i}: {e}"))
+        })
+        .collect();
+    for t in 0..PUSHES {
+        let tick = format!(
+            "north,streamed_{t},{}\nsouth,streamed_{t},{}\n",
+            t + 1,
+            t + 2
+        );
+        let (code, body) =
+            blocking_request(addr, "POST", "/dashboards/retail/stream/push/sales", &tick).unwrap();
+        assert_eq!(code, 200, "push {t}: {body}");
+    }
+    for (i, sub) in herd.iter_mut().enumerate() {
+        let events = collect(sub, 1 + PUSHES);
+        assert_eq!(events.len(), 1 + PUSHES, "subscriber {i} missed frames");
+        for pair in events.windows(2) {
+            assert!(
+                pair[1].id > pair[0].id,
+                "subscriber {i}: generation {} after {}",
+                pair[1].id,
+                pair[0].id
+            );
+        }
+    }
+
+    let (_, stats) = blocking_get(addr, "/stats").unwrap();
+    assert_eq!(stat(&stats, "stream.ticks"), PUSHES as i64, "{stats}");
+    assert_eq!(stat(&stats, "stream.dropped_subscribers"), 0, "{stats}");
+    assert!(
+        stat(&stats, "stream.peak_subscribers") >= SUBSCRIBERS as i64,
+        "{stats}"
+    );
+    let (code, metrics) = blocking_get(addr, "/metrics").unwrap();
+    assert_eq!(code, 200);
+    validate_exposition(&metrics);
+    for family in [
+        "shareinsights_stream_frames_sent_total",
+        "shareinsights_stream_ticks_total",
+        "shareinsights_stream_subscribers",
+    ] {
+        assert!(metrics.contains(family), "{family} missing from /metrics");
+    }
+    svc.shutdown();
+}
+
+/// The `key` cells of every row in a frame's table.
+fn frame_keys(data: &str) -> Vec<String> {
+    let doc = parse_json(data).unwrap();
+    let Some(JsonValue::Array(rows)) = doc.path("rows") else {
+        panic!("a frame without rows: {data}");
+    };
+    (rows.iter())
+        .map(|row| match row {
+            JsonValue::Array(cells) => match &cells[0] {
+                JsonValue::String(key) => key.clone(),
+                cell => panic!("a key cell that is not a string: {cell:?}"),
+            },
+            row => panic!("a row that is not an array: {row:?}"),
+        })
+        .collect()
+}
+
+/// Appends race subscribes, in process. Each subscription's snapshot plus
+/// the delta frames it then receives must hold exactly the final table's
+/// rows: an append lands either in the snapshot or in a delta the
+/// subscriber receives, never in neither and never in both.
+#[test]
+fn a_subscriber_sees_each_append_exactly_once() {
+    const APPENDS: usize = 150;
+    const MOST_SUBSCRIBERS: usize = 600;
+    let server = Server::new(retail_platform());
+    let append = |i: usize| {
+        let csv = format!("key\nk{i:03}\n");
+        let request =
+            Request::new(Method::Post, "/dashboards/retail/ds/events/ingest").with_body(csv);
+        let response = server.handle(&request);
+        assert!(response.is_ok(), "{}", response.body);
+    };
+    append(0);
+    let subscriptions = std::thread::scope(|scope| {
+        let appender = scope.spawn(|| (1..APPENDS).for_each(append));
+        let mut subscriptions = Vec::new();
+        while !appender.is_finished() && subscriptions.len() < MOST_SUBSCRIBERS {
+            let handled = server.handle_traced(&Request::get("/retail/ds/events/subscribe"));
+            subscriptions.push(handled.stream.expect("a subscription"));
+        }
+        appender.join().unwrap();
+        subscriptions
+    });
+    let all: Vec<String> = (0..APPENDS).map(|i| format!("k{i:03}")).collect();
+    for (n, sub) in subscriptions.iter().enumerate() {
+        let (frames, _) = sub.try_take();
+        let mut parser = SseParser::new();
+        let mut keys: Vec<String> = (frames.iter())
+            .flat_map(|frame| parser.feed(frame).unwrap())
+            .flat_map(|event| frame_keys(&event.data))
+            .collect();
+        keys.sort();
+        assert_eq!(keys, all, "subscription {n} of {}", subscriptions.len());
+    }
 }
