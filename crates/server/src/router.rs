@@ -751,7 +751,7 @@ impl Server {
         if !self.hub.has_subscribers(dashboard, dataset) {
             return 0;
         }
-        let frame = sse_frame(dataset, generation, &table_to_json(rows));
+        let frame: Arc<[u8]> = sse_frame(dataset, generation, &table_to_json(rows)).into();
         let delivered = self.hub.publish(dashboard, dataset, &frame).delivered;
         (self.platform.api_metrics())
             .record_stream_frames(delivered as u64, (delivered * frame.len()) as u64);
@@ -1092,7 +1092,7 @@ impl Server {
         };
         let generation = self.live_generation(dashboard, dataset);
         let sub = self.hub.subscribe(dashboard, dataset);
-        let frame = sse_frame(dataset, generation, &table_to_json(&table));
+        let frame: Arc<[u8]> = sse_frame(dataset, generation, &table_to_json(&table)).into();
         sub.offer(&frame);
         self.platform.api_metrics().record_stream_subscribe();
         self.platform

@@ -37,8 +37,9 @@ pub enum SubscriptionEnd {
 
 #[derive(Debug, Default)]
 struct SubState {
-    /// Pre-framed wire bytes awaiting the writer, FIFO.
-    frames: Vec<Vec<u8>>,
+    /// Pre-framed wire bytes awaiting the writer, FIFO; one frame is
+    /// shared by every subscriber it went to.
+    frames: Vec<Arc<[u8]>>,
     queued_bytes: usize,
     closed: bool,
     evicted: bool,
@@ -68,8 +69,10 @@ impl Subscription {
     /// size: a frame offered to an empty queue is always accepted — the
     /// writer drains it immediately — so a snapshot larger than the cap
     /// (a full `_system` telemetry ring, a wide endpoint) starts the
-    /// stream instead of evicting the brand-new subscriber.
-    pub fn offer(&self, frame: &[u8]) -> bool {
+    /// stream instead of evicting the brand-new subscriber. The frame is
+    /// queued by reference, and its bytes count against each queue it
+    /// sits in.
+    pub fn offer(&self, frame: &Arc<[u8]>) -> bool {
         let mut st = self.state.lock();
         if st.closed || st.evicted {
             return false;
@@ -82,12 +85,12 @@ impl Subscription {
             return false;
         }
         st.queued_bytes += frame.len();
-        st.frames.push(frame.to_vec());
+        st.frames.push(Arc::clone(frame));
         true
     }
 
     /// Drain queued frames without blocking.
-    pub fn try_take(&self) -> (Vec<Vec<u8>>, SubscriptionEnd) {
+    pub fn try_take(&self) -> (Vec<Arc<[u8]>>, SubscriptionEnd) {
         let mut st = self.state.lock();
         let frames = std::mem::take(&mut st.frames);
         st.queued_bytes = 0;
@@ -185,7 +188,7 @@ impl StreamHub {
     /// Queue `frame` for every subscriber of `dashboard/dataset`,
     /// evicting any that would exceed their byte cap. Subscribers that
     /// were already closed/evicted are pruned from the registry.
-    pub fn publish(&self, dashboard: &str, dataset: &str, frame: &[u8]) -> PublishReport {
+    pub fn publish(&self, dashboard: &str, dataset: &str, frame: &Arc<[u8]>) -> PublishReport {
         let key = format!("{dashboard}/{dataset}");
         let mut report = PublishReport::default();
         {
@@ -254,6 +257,10 @@ impl StreamHub {
 mod tests {
     use super::*;
 
+    fn frame(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
     #[test]
     fn publish_fans_out_to_matching_subscribers_only() {
         let hub = StreamHub::new();
@@ -262,7 +269,7 @@ mod tests {
         let other = hub.subscribe("dash", "inventory");
         assert_eq!(hub.subscriber_count(), 3);
 
-        let report = hub.publish("dash", "sales", b"frame-1");
+        let report = hub.publish("dash", "sales", &frame(b"frame-1"));
         assert_eq!(
             report,
             PublishReport {
@@ -271,7 +278,7 @@ mod tests {
             }
         );
         let (frames, end) = a.try_take();
-        assert_eq!(frames, vec![b"frame-1".to_vec()]);
+        assert_eq!(frames, vec![frame(b"frame-1")]);
         assert_eq!(end, SubscriptionEnd::Open);
         let (frames, _) = b.try_take();
         assert_eq!(frames.len(), 1);
@@ -285,20 +292,33 @@ mod tests {
     }
 
     #[test]
+    fn one_publish_queues_one_shared_frame() {
+        let hub = StreamHub::new();
+        let subs: Vec<_> = (0..3).map(|_| hub.subscribe("d", "x")).collect();
+        assert_eq!(hub.publish("d", "x", &frame(b"tick")).delivered, 3);
+        let drained: Vec<Arc<[u8]>> = subs.iter().flat_map(|s| s.try_take().0).collect();
+        assert_eq!(drained.len(), 3);
+        assert!(drained.iter().all(|f| Arc::ptr_eq(f, &drained[0])));
+        // Each queue still counts the shared bytes as its own backlog.
+        hub.publish("d", "x", &frame(b"tock"));
+        assert!(subs.iter().all(|s| s.queued_bytes() == 4));
+    }
+
+    #[test]
     fn slow_reader_grows_bounded_then_evicts() {
         let hub = StreamHub::new();
         let sub = hub.subscribe("d", "x");
         // A reader that never drains: queued bytes grow, stay bounded by
         // the cap, then the subscription is evicted and the queue drops.
-        let frame = vec![b'z'; 64 * 1024];
+        let big = frame(&[b'z'; 64 * 1024]);
         for i in 0..4 {
-            let report = hub.publish("d", "x", &frame);
+            let report = hub.publish("d", "x", &big);
             assert_eq!(report.delivered, 1, "publish {i} under the cap");
             assert!(sub.queued_bytes() <= MAX_QUEUED_BYTES);
         }
         assert_eq!(sub.queued_bytes(), MAX_QUEUED_BYTES);
         // One more byte over the cap: evicted, queue cleared, pruned.
-        let report = hub.publish("d", "x", b"overflow");
+        let report = hub.publish("d", "x", &frame(b"overflow"));
         assert_eq!(
             report,
             PublishReport {
@@ -312,7 +332,10 @@ mod tests {
         assert_eq!(end, SubscriptionEnd::Evicted);
         assert_eq!(hub.subscriber_count(), 0, "evicted subs are pruned");
         // Publishing to a fully evicted key is a no-op.
-        assert_eq!(hub.publish("d", "x", b"late"), PublishReport::default());
+        assert_eq!(
+            hub.publish("d", "x", &frame(b"late")),
+            PublishReport::default()
+        );
     }
 
     #[test]
@@ -322,14 +345,14 @@ mod tests {
         // A snapshot bigger than the whole cap (a full telemetry ring, a
         // wide endpoint) must start the stream, not evict the brand-new
         // subscriber: the cap bounds backlog, not frame size.
-        let snapshot = vec![b'z'; MAX_QUEUED_BYTES + 1];
+        let snapshot = frame(&vec![b'z'; MAX_QUEUED_BYTES + 1]);
         assert!(sub.offer(&snapshot), "empty queue accepts any frame size");
         let (frames, end) = sub.try_take();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].len(), MAX_QUEUED_BYTES + 1);
         assert_eq!(end, SubscriptionEnd::Open);
         // Drained, later ticks flow normally.
-        assert!(sub.offer(b"tick"));
+        assert!(sub.offer(&frame(b"tick")));
         // An oversized frame behind an undrained backlog still evicts.
         let report = hub.publish("d", "x", &snapshot);
         assert_eq!(
@@ -349,13 +372,13 @@ mod tests {
         hub.set_notifier(Box::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
         }));
-        hub.publish("d", "x", b"nobody-listening");
+        hub.publish("d", "x", &frame(b"nobody-listening"));
         assert_eq!(pokes.load(Ordering::SeqCst), 0);
         let sub = hub.subscribe("d", "x");
-        hub.publish("d", "x", b"tick");
+        hub.publish("d", "x", &frame(b"tick"));
         assert_eq!(pokes.load(Ordering::SeqCst), 1);
         sub.close();
-        hub.publish("d", "x", b"tock");
+        hub.publish("d", "x", &frame(b"tock"));
         assert_eq!(pokes.load(Ordering::SeqCst), 1, "closed sub queues nothing");
     }
 
@@ -370,15 +393,15 @@ mod tests {
             }
         }));
         let first = hub.subscribe("d", "x");
-        let publish = std::panic::AssertUnwindSafe(|| hub.publish("d", "x", b"tick"));
+        let publish = std::panic::AssertUnwindSafe(|| hub.publish("d", "x", &frame(b"tick")));
         assert!(std::panic::catch_unwind(publish).is_err());
         // The panic struck with the notifier lock held; the hub serves on.
         let second = hub.subscribe("d", "x");
         assert!(hub.has_subscribers("d", "x"));
-        assert_eq!(hub.publish("d", "x", b"tock").delivered, 2);
+        assert_eq!(hub.publish("d", "x", &frame(b"tock")).delivered, 2);
         assert_eq!(panicked.load(Ordering::SeqCst), 2);
-        assert_eq!(first.try_take().0, vec![b"tick".to_vec(), b"tock".to_vec()]);
-        assert_eq!(second.try_take().0, vec![b"tock".to_vec()]);
+        assert_eq!(first.try_take().0, vec![frame(b"tick"), frame(b"tock")]);
+        assert_eq!(second.try_take().0, vec![frame(b"tock")]);
     }
 
     #[test]

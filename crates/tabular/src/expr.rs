@@ -555,10 +555,7 @@ impl<'a> MaskContext<'a> {
         match (column, lit) {
             (_, Value::Null) => false,
             (Column::Utf8 { .. }, Value::Str(s)) => match self.index(name).as_deref() {
-                Some(ColumnIndex::Dictionary(d)) => {
-                    let (start, end) = code_span(d, op, s);
-                    d.code_pass(start, end)
-                }
+                Some(ColumnIndex::Dictionary(d)) => d.rank_pass(rank_span(d, op, s)),
                 _ => true,
             },
             (Column::Utf8 { .. }, _) => false,
@@ -601,11 +598,10 @@ impl<'a> MaskContext<'a> {
             (Column::Utf8 { data, .. }, Value::Str(s)) => match self.index(name).as_deref() {
                 Some(ColumnIndex::Dictionary(d)) => {
                     self.used_index();
-                    let (start, end) = code_span(d, op, s);
                     let rows = if span.len == self.rows {
-                        d.rows_for_code_span(start, end)
+                        d.rows_for_ranks(rank_span(d, op, s))
                     } else {
-                        d.code_span_over(start, end, span.rows())
+                        d.ranks_over(rank_span(d, op, s), span.rows())
                     };
                     match op {
                         CmpOp::Ne => rows.not(),
@@ -757,19 +753,20 @@ fn in_list_coerces(column: &Column, list: &[Value]) -> bool {
     }
 }
 
-/// The dictionary codes `[start, end)` that `cell <op> s` selects — for
-/// `!=`, the codes it rejects.
-fn code_span(d: &DictionaryIndex, op: CmpOp, s: &str) -> (u32, u32) {
-    let dict = d.dict();
-    let below = dict.partition_point(|x| x.as_str() < s) as u32;
-    let through = dict.partition_point(|x| x.as_str() <= s) as u32;
-    let all = dict.len() as u32;
+/// The ranks of `d`'s sort order that `cell <op> s` selects — for `!=`,
+/// the one it rejects.
+fn rank_span(d: &DictionaryIndex, op: CmpOp, s: &str) -> std::ops::Range<u32> {
+    let (below, through) = match d.rank_of(s) {
+        Ok(rank) => (rank as u32, rank as u32 + 1),
+        Err(rank) => (rank as u32, rank as u32),
+    };
+    let all = d.cardinality() as u32;
     match op {
-        CmpOp::Lt => (0, below),
-        CmpOp::Le => (0, through),
-        CmpOp::Gt => (through, all),
-        CmpOp::Ge => (below, all),
-        CmpOp::Eq | CmpOp::Ne => (below, through),
+        CmpOp::Lt => 0..below,
+        CmpOp::Le => 0..through,
+        CmpOp::Gt => through..all,
+        CmpOp::Ge => below..all,
+        CmpOp::Eq | CmpOp::Ne => below..through,
     }
 }
 

@@ -7,14 +7,14 @@
 //! every evaluation; this module amortises that cost into a one-time,
 //! lazily built index per column:
 //!
-//! - [`DictionaryIndex`] for `Utf8` columns: the distinct strings sorted
-//!   into a dictionary, a per-row `u32` code, and the rows of each code (a
-//!   posting) held as row ids or as a bitmap, whichever its density makes
-//!   smaller. Equality predicates become posting-list unions, range
-//!   predicates become contiguous code spans, group-by hands the shared
-//!   kernel ([`GroupByPartial`]) codes to group through a dense
-//!   `code → group` table, and sort becomes a walk of the postings in code
-//!   rank.
+//! - [`DictionaryIndex`] for `Utf8` columns: a per-row `u32` code, given
+//!   in the order the rows first hold each string and never changed, the
+//!   distinct strings sorted with their codes, and the rows of each
+//!   string (a posting) held as row ids or as a bitmap, whichever its
+//!   density makes smaller. Equality predicates become posting-list
+//!   unions, range predicates become spans of that order, group-by hands
+//!   the shared kernel ([`GroupByPartial`]) codes to group through a dense
+//!   `code → group` table, and sort walks the postings in that order.
 //! - [`ZoneIndex`] for `Int64`/`Float64`/`Date` columns: min–max bounds per
 //!   fixed-size row zone. Range and equality predicates skip zones whose
 //!   bounds cannot intersect the predicate and scan only candidate zones.
@@ -34,12 +34,12 @@ use crate::column::Column;
 use crate::datatype::DataType;
 use crate::expr::{Expr, MorselMask};
 use crate::ops::groupby::{GroupBy, GroupByPartial};
-use crate::ops::keys::{group_ids, Buckets, GroupIds, KeyColumn, RowSel};
+use crate::ops::keys::{Buckets, KeyColumn, KeyTable, RowSel};
 use crate::ops::sort::{SortKey, SortOrder};
 use crate::partition::{self, Reason};
 use crate::table::Table;
 use crate::value::Value;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -49,7 +49,7 @@ use std::time::Instant;
 /// Sentinel code marking a null cell in [`DictionaryIndex::codes`].
 pub const NULL_CODE: u32 = crate::ops::keys::NONE;
 
-/// A code span's postings are unioned while they hold fewer than one row
+/// A rank span's postings are unioned while they hold fewer than one row
 /// in this many; past that, one pass over the codes fills the mask. Over
 /// 100k rows a union cost 1.1–1.5 ns per row it holds and the pass 0.8 ns
 /// per row of the column, so the two meet a little past half the rows.
@@ -238,11 +238,28 @@ impl Postings {
     }
 }
 
-/// The code of `s` in the sorted dictionary `dict`, if it is there.
-fn probe(dict: &[String], s: &str) -> Option<u32> {
-    dict.binary_search_by(|d| d.as_str().cmp(s))
-        .ok()
-        .map(|i| i as u32)
+/// Each code's rank: its place in `sorted`.
+fn ranks(sorted: &[(String, u32)]) -> Vec<u32> {
+    let mut rank = vec![0; sorted.len()];
+    for (r, &(_, code)) in sorted.iter().enumerate() {
+        rank[code as usize] = r as u32;
+    }
+    rank
+}
+
+/// `old` with each `(at, item)` of `fresh`, ascending in `at`, put in
+/// before the item `old` holds at `at`.
+fn merge<T>(old: Vec<T>, fresh: impl Iterator<Item = (usize, T)>) -> Vec<T> {
+    let mut out = Vec::with_capacity(old.len());
+    let mut old = old.into_iter();
+    let mut from = 0;
+    for (at, item) in fresh {
+        out.extend(old.by_ref().take(at - from));
+        out.push(item);
+        from = at;
+    }
+    out.extend(old);
+    out
 }
 
 /// The rows `rows` selects, bucketed by their codes `ids` (below
@@ -257,14 +274,19 @@ fn bucket(ids: &[u32], rows: &RowSel, cardinality: usize) -> (Buckets, Vec<u32>)
     (Buckets::new(ids, rows, cardinality), nulls)
 }
 
-/// Dictionary encoding of a `Utf8` column: distinct strings sorted into a
-/// dictionary, per-row codes into it ([`NULL_CODE`] for nulls), and the
-/// rows of each code and of the nulls in the container their density
+/// Dictionary encoding of a `Utf8` column: per-row codes ([`NULL_CODE`]
+/// for nulls), numbered in the order the rows first hold each string and
+/// never changed, and the sort order of the strings, in which the rows of
+/// each string (and of the nulls) are held in the container their density
 /// picks (row ids below 1/32 of the rows, a bitmap from there on).
 #[derive(Debug, Clone)]
 pub struct DictionaryIndex {
-    dict: Vec<String>,
+    /// The distinct strings, ascending, each with its code.
+    sorted: Vec<(String, u32)>,
+    /// Each code's place in `sorted`.
+    rank: Vec<u32>,
     codes: Vec<u32>,
+    /// The rows of each string in `sorted`, by rank.
     postings: Vec<Postings>,
     nulls: Postings,
 }
@@ -275,34 +297,26 @@ impl DictionaryIndex {
         let n = col.len();
         let every_row = RowSel::new(n, None);
         // One hash per row codes the column in first-seen order; the
-        // distinct strings are then sorted once and the codes renumbered
-        // by rank, which is what a sorted dictionary assigns.
-        let GroupIds { ids, reps } = group_ids(&[KeyColumn::Cells(col)], &every_row);
-        let mut distinct: Vec<(&str, u32)> = reps
-            .iter()
-            .enumerate()
-            .filter_map(|(group, &row)| Some((col.str_at(row as usize)?, group as u32)))
-            .collect();
-        distinct.sort_unstable();
-        let mut rank = vec![NULL_CODE; reps.len()];
-        for (code, &(_, group)) in distinct.iter().enumerate() {
-            rank[group as usize] = code as u32;
+        // distinct strings are then sorted once, codes beside them.
+        let (coded, codes) = KeyTable::build(&[col], &every_row);
+        let mut sorted = Vec::with_capacity(coded.groups());
+        for (row, &code) in codes.iter().enumerate() {
+            if code as usize == sorted.len() {
+                sorted.push((col.str_at(row).unwrap_or_default().to_string(), code));
+            }
         }
-        let codes: Vec<u32> = ids.into_iter().map(|group| rank[group as usize]).collect();
-        let (rows, nulls) = bucket(&codes, &every_row, distinct.len());
+        sorted.sort_unstable();
+        let (rows, nulls) = bucket(&codes, &every_row, sorted.len());
         DictionaryIndex {
-            dict: distinct.iter().map(|&(s, _)| s.to_string()).collect(),
-            postings: (0..distinct.len())
-                .map(|code| Postings::of(rows.rows_of(code), n))
+            postings: sorted
+                .iter()
+                .map(|&(_, code)| Postings::of(rows.rows_of(code as usize), n))
                 .collect(),
             nulls: Postings::of(&nulls, n),
+            rank: ranks(&sorted),
+            sorted,
             codes,
         }
-    }
-
-    /// The sorted dictionary.
-    pub fn dict(&self) -> &[String] {
-        &self.dict
     }
 
     /// Per-row dictionary codes ([`NULL_CODE`] for null cells).
@@ -312,12 +326,18 @@ impl DictionaryIndex {
 
     /// Number of distinct non-null values.
     pub fn cardinality(&self) -> usize {
-        self.dict.len()
+        self.sorted.len()
     }
 
     /// Dictionary code of `s`, if present.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        probe(&self.dict, s)
+        Some(self.sorted[self.rank_of(s).ok()?].1)
+    }
+
+    /// Where `s` sorts among the strings: `Ok` with its rank when it is
+    /// one of them, else `Err` with the rank it would take.
+    pub(crate) fn rank_of(&self, s: &str) -> Result<usize, usize> {
+        self.sorted.binary_search_by(|(d, _)| d.as_str().cmp(s))
     }
 
     /// Rows whose cell equals any of `allowed` — the posting-list union
@@ -329,8 +349,8 @@ impl DictionaryIndex {
             match v {
                 Value::Null => self.nulls.union_into(&mut mask),
                 Value::Str(s) => {
-                    if let Some(code) = self.code_of(s) {
-                        self.postings[code as usize].union_into(&mut mask);
+                    if let Ok(rank) = self.rank_of(s) {
+                        self.postings[rank].union_into(&mut mask);
                     }
                 }
                 _ => {}
@@ -339,50 +359,56 @@ impl DictionaryIndex {
         mask
     }
 
-    /// Rows whose code lies in `[start, end)` — a contiguous run of the
-    /// sorted dictionary. Null rows never qualify.
-    pub fn rows_for_code_span(&self, start: u32, end: u32) -> Bitmap {
-        if self.code_pass(start, end) {
-            return self.code_span_over(start, end, 0..self.codes.len());
+    /// Rows whose string's rank lies in `ranks`. Null rows never qualify.
+    pub(crate) fn rows_for_ranks(&self, ranks: Range<u32>) -> Bitmap {
+        if self.rank_pass(ranks.clone()) {
+            return self.ranks_over(ranks, 0..self.codes.len());
         }
         let mut mask = Bitmap::new_cleared(self.codes.len());
-        self.span(start, end)
+        self.span(ranks)
             .iter()
             .for_each(|p| p.union_into(&mut mask));
         mask
     }
 
-    fn span(&self, start: u32, end: u32) -> &[Postings] {
+    /// The postings of the strings ranked in `ranks`.
+    fn span(&self, ranks: Range<u32>) -> &[Postings] {
         self.postings
-            .get(start as usize..end as usize)
+            .get(ranks.start as usize..ranks.end as usize)
             .unwrap_or_default()
     }
 
-    /// Whether [`DictionaryIndex::rows_for_code_span`] answers the span
-    /// with one pass over the codes rather than a union of its postings: a
+    /// Whether [`DictionaryIndex::rows_for_ranks`] answers `ranks` with
+    /// one pass over the codes rather than a union of their postings: a
     /// union touches each row the span holds; a pass over the codes reads
-    /// every row, but 64 to a word without a branch.
-    pub(crate) fn code_pass(&self, start: u32, end: u32) -> bool {
-        let held: usize = self.span(start, end).iter().map(Postings::len).sum();
+    /// every row, but 64 to a word.
+    pub(crate) fn rank_pass(&self, ranks: Range<u32>) -> bool {
+        let held: usize = self.span(ranks).iter().map(Postings::len).sum();
         held * UNION_BELOW >= self.codes.len()
     }
 
-    /// The rows of `rows` whose code lies in `[start, end)`, from their
-    /// codes: bit `k` is row `rows.start + k`.
-    pub(crate) fn code_span_over(&self, start: u32, end: u32, rows: Range<usize>) -> Bitmap {
+    /// The rows of `rows` whose string's rank lies in `ranks`, from their
+    /// codes: bit `k` is row `rows.start + k`. One rank is one code.
+    pub(crate) fn ranks_over(&self, ranks: Range<u32>, rows: Range<usize>) -> Bitmap {
         let mut mask = Bitmap::new_cleared(rows.len());
-        // NULL_CODE is u32::MAX, always outside [start, end).
-        mask.set_where(0, &self.codes[rows], |c| c >= start && c < end);
+        let codes = &self.codes[rows];
+        match self.sorted.get(ranks.start as usize..ranks.end as usize) {
+            Some(&[(_, code)]) => mask.set_where(0, codes, |c| c == code),
+            // NULL_CODE has no rank.
+            _ => mask.set_where(0, codes, |c| {
+                self.rank.get(c as usize).is_some_and(|r| ranks.contains(r))
+            }),
+        }
         mask
     }
 
-    /// Heap bytes the index holds: the dictionary, the codes and every
-    /// posting.
+    /// Heap bytes the index holds: the sorted strings and their codes,
+    /// the ranks, the codes and every posting.
     fn approx_bytes(&self) -> usize {
-        let dict: usize = self
-            .dict
+        let sorted: usize = self
+            .sorted
             .iter()
-            .map(|s| size_of::<String>() + s.len())
+            .map(|(s, _)| size_of::<(String, u32)>() + s.len())
             .sum();
         let postings: usize = self
             .postings
@@ -390,91 +416,60 @@ impl DictionaryIndex {
             .chain(std::iter::once(&self.nulls))
             .map(|p| size_of::<Postings>() + p.approx_bytes())
             .sum();
-        dict + self.codes.len() * size_of::<u32>() + postings
+        sorted + (self.rank.len() + self.codes.len()) * size_of::<u32>() + postings
     }
 
     /// Grow the index over the rows appended to `col` since it was built
     /// (its first `self.codes().len()` rows are the indexed ones): the
     /// incremental-maintenance path that keeps an endpoint's dictionary
     /// warm across appends. The result is *exactly* what a cold
-    /// [`DictionaryIndex::build`] over the full column holds — same sorted
-    /// dictionary, same codes, same postings — because fresh values merge
-    /// into the sorted dictionary and a posting's container depends only
-    /// on its rows and the row count; the differential tests pin this.
+    /// [`DictionaryIndex::build`] over the full column holds — same
+    /// sorted strings, codes and postings — because codes follow
+    /// first-seen order and a posting's container depends only on its rows
+    /// and the row count; the differential tests pin this.
     ///
-    /// The codes grow by the appended rows, one dictionary probe per cell,
-    /// and only the postings those rows touch grow, plus any the longer
-    /// column moves below 1/32 density. A fresh value that sorts among the
-    /// old ones renumbers the codes, in place, and the tail is probed again
-    /// once it is admitted.
+    /// One binary search per appended cell codes it; a fresh string takes
+    /// the next code and an empty posting, both merged in at the rank that
+    /// search found, O(distinct). No old code changes. Only the postings
+    /// the rows touch grow, plus any the longer column moves below 1/32.
     fn append(&mut self, col: &Column) -> PostingsGrowth {
-        let n_old = self.codes.len();
-        let n = col.len();
-        let tail = (n_old..n).map(|i| col.str_at(i));
-        // Values the dictionary has not seen, sorted for the merge.
-        let mut fresh = BTreeSet::new();
-        let dict = &self.dict;
-        self.codes.extend(tail.clone().map(|cell| match cell {
-            Some(s) => probe(dict, s).unwrap_or_else(|| {
-                fresh.insert(s);
-                NULL_CODE
-            }),
-            None => NULL_CODE,
-        }));
-        if !fresh.is_empty() {
-            self.codes.truncate(n_old);
-            self.admit(fresh);
-            let dict = &self.dict;
-            self.codes.extend(tail.map(|cell| match cell {
-                Some(s) => probe(dict, s).expect("the dictionary covers every tail value"),
+        let (n_old, n) = (self.codes.len(), col.len());
+        // Fresh strings, ascending: their code and the rank they go in at.
+        let mut fresh = BTreeMap::new();
+        for row in n_old..n {
+            let code = match col.str_at(row).map(|s| (s, self.rank_of(s))) {
                 None => NULL_CODE,
-            }));
+                Some((_, Ok(rank))) => self.sorted[rank].1,
+                Some((s, Err(at))) => {
+                    let next = (self.sorted.len() + fresh.len()) as u32;
+                    fresh.entry(s).or_insert((next, at)).0
+                }
+            };
+            self.codes.push(code);
         }
-        // Each posting grows by the appended rows holding its value.
+        if !fresh.is_empty() {
+            let strings = fresh
+                .iter()
+                .map(|(&s, &(code, at))| (at, (s.to_string(), code)));
+            self.sorted = merge(std::mem::take(&mut self.sorted), strings);
+            let empty = fresh.values().map(|&(_, at)| (at, Postings::of(&[], n)));
+            self.postings = merge(std::mem::take(&mut self.postings), empty);
+            self.rank = ranks(&self.sorted);
+        }
+        // Each posting grows by the appended rows holding its value; the
+        // rows are bucketed by rank, the postings' order (a null has none).
+        let added_ranks: Vec<u32> = self.codes[n_old..]
+            .iter()
+            .map(|&code| self.rank.get(code as usize).copied().unwrap_or(NULL_CODE))
+            .collect();
         let appended = RowSel::Picked((n_old as u32..n as u32).collect());
-        let (added, added_nulls) = bucket(&self.codes[n_old..], &appended, self.dict.len());
+        let (added, added_nulls) = bucket(&added_ranks, &appended, self.sorted.len());
         let mut growth = PostingsGrowth::default();
-        for (code, posting) in self.postings.iter_mut().enumerate() {
-            growth.add(posting.grow(added.rows_of(code), n));
+        for (rank, posting) in self.postings.iter_mut().enumerate() {
+            growth.add(posting.grow(added.rows_of(rank), n));
         }
         growth.add(self.nulls.grow(&added_nulls, n));
         growth
-    }
-
-    /// Merge `fresh` (sorted, none of them in the dictionary) into the
-    /// sorted dictionary, each with an empty posting, and renumber the
-    /// codes in place when a fresh value sorts before an old one.
-    fn admit(&mut self, fresh: BTreeSet<&str>) {
-        let n = self.codes.len();
-        let size = self.dict.len() + fresh.len();
-        let old_dict = std::mem::replace(&mut self.dict, Vec::with_capacity(size));
-        let old_postings = std::mem::replace(&mut self.postings, Vec::with_capacity(size));
-        let mut old_to_new: Vec<u32> = Vec::with_capacity(old_dict.len());
-        let mut old = old_dict.into_iter().zip(old_postings).peekable();
-        let mut fresh = fresh.into_iter().peekable();
-        loop {
-            let take_old = match (old.peek(), fresh.peek()) {
-                (Some((o, _)), Some(f)) => o.as_str() < *f,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_old {
-                let (value, posting) = old.next().expect("peeked");
-                old_to_new.push(self.dict.len() as u32);
-                self.dict.push(value);
-                self.postings.push(posting);
-            } else {
-                self.dict.push(fresh.next().expect("peeked").to_string());
-                self.postings.push(Postings::of(&[], n));
-            }
-        }
-        let renumbered = old_to_new.iter().enumerate().any(|(i, &c)| c as usize != i);
-        if renumbered {
-            for code in self.codes.iter_mut().filter(|c| **c != NULL_CODE) {
-                *code = old_to_new[*code as usize];
-            }
-        }
     }
 }
 
@@ -622,8 +617,8 @@ impl BuiltIndexes {
     /// [`IndexedTable::append`] and [`IndexedTable::append_merged`].
     /// Each index grows through `Arc::make_mut`, so one no other handle
     /// shares grows in place and a shared one is copied first: dictionary
-    /// indexes merge fresh values into the sorted dictionary and grow only
-    /// the postings the delta touches, zone maps rescan only the tail zone.
+    /// indexes give fresh values the next codes and grow only the
+    /// postings the delta touches, zone maps rescan only the tail zone.
     /// Indexes are warm the moment the append lands, at a cost
     /// proportional to the delta and the postings it touches, and equal to
     /// a cold rebuild over `merged` (pinned by the differential tests).
@@ -1092,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_assigns_sorted_codes_and_postings() {
+    fn dictionary_assigns_first_seen_codes_and_postings() {
         let t = Table::from_rows(
             &["k"],
             &[row!["b"], row!["a"], row![Value::Null], row!["b"]],
@@ -1103,10 +1098,12 @@ mod tests {
         let ColumnIndex::Dictionary(d) = idx.as_ref() else {
             panic!("expected dictionary");
         };
-        assert_eq!(d.dict(), &["a".to_string(), "b".to_string()]);
-        assert_eq!(d.codes(), &[1, 0, NULL_CODE, 1]);
-        assert_eq!(d.code_of("a"), Some(0));
+        let sorted = [("a".to_string(), 1), ("b".to_string(), 0)];
+        assert_eq!((&d.sorted[..], &d.rank[..]), (&sorted[..], &[1, 0][..]));
+        assert_eq!(d.codes(), &[0, 1, NULL_CODE, 0]);
+        assert_eq!(d.code_of("a"), Some(1));
         assert_eq!(d.code_of("zz"), None);
+        assert_eq!((d.rank_of("b"), d.rank_of("ab")), (Ok(1), Err(1)));
         assert_eq!(d.cardinality(), 2);
         // Build is cached: the second lookup does not rebuild.
         let _ = ix.index("k");
@@ -1470,6 +1467,40 @@ mod tests {
                 assert_eq!(head, scan.limit(n), "{key:?} n={n}");
             }
         }
+    }
+
+    #[test]
+    fn a_fresh_key_sorting_first_moves_no_code_and_grows_the_codes_in_place() {
+        let keys = |rows: Range<usize>| {
+            let rows: Vec<crate::row::Row> = rows
+                .map(|i| row![format!("k{:02}", i % 40), i as i64])
+                .collect();
+            Table::from_rows(&["k", "v"], &rows).unwrap()
+        };
+        let codes = |ix: &IndexedTable| match ix.index("k").as_deref() {
+            Some(ColumnIndex::Dictionary(d)) => (d.codes().to_vec(), d.codes().as_ptr()),
+            other => panic!("{other:?}"),
+        };
+        let base = keys(0..400);
+        let ix = indexed(&base);
+        let _ = ix.index("k");
+        // A first append gives the codes room to grow.
+        let warm = base.concat(&keys(400..440)).unwrap();
+        let ix = ix.into_indexes().append(warm.clone()).unwrap();
+        let (before, at) = codes(&ix);
+        // `a` sorts before every `k..` string.
+        let fresh = [row!["a", 0i64], row!["k05", 1i64], row!["a", 2i64]];
+        let fresh = warm.concat(&Table::from_rows(&["k", "v"], &fresh).unwrap());
+        let grown = ix.into_indexes().append(fresh.unwrap()).unwrap();
+        let (after, grown_at) = codes(&grown);
+        assert_eq!(after[..before.len()], before[..], "old codes kept");
+        assert_eq!(after[before.len()..], [40, 5, 40]);
+        assert_eq!(grown_at, at, "the codes grew where they lay");
+        let first = vec![Value::from("a")];
+        let filter = Expr::InList(Box::new(Expr::col("k")), first);
+        let (mask, _) = filter.eval_mask_indexed(&grown).unwrap();
+        assert_eq!(mask.ones(), [440, 442]);
+        assert_index_identical(&grown, &indexed(grown.table()), "k");
     }
 
     #[test]

@@ -381,11 +381,37 @@ fn fused_filter_groupby_matches_unfused_reference() {
 // Appends: the index as a write structure
 // ---------------------------------------------------------------------------
 
+/// Three rows whose `cat` strings are fresh in round `round`: one sorting
+/// before every `cat` string so far, one between two old ones and one
+/// after them all.
+fn fresh_rows(round: usize) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("cat", DataType::Utf8),
+        Field::new("cat2", DataType::Utf8),
+        Field::new("num", DataType::Int64),
+    ])
+    .unwrap();
+    let cat = [
+        format!("a{}", 9 - round),
+        format!("k{round}x"),
+        format!("z{round}"),
+    ];
+    let columns = vec![
+        Column::utf8(cat),
+        Column::utf8(["k0", "k2", "k1"]),
+        Column::int([round as i64, 7, -7]),
+    ];
+    Table::new(schema, columns).unwrap()
+}
+
 /// A warm index carried over an append is the index a cold
 /// `IndexedTable::new` builds over the same rows — the same dictionary,
 /// codes, posting words and zone bounds — and answers queries with the
-/// same bytes as the scan path, append after append. Deltas bring fresh
-/// dictionary values, nulls, all-null columns and zero rows.
+/// same bytes as the scan path, append after append: a group-by, range
+/// filters and a sorted head over `cat`. Deltas bring fresh dictionary
+/// values, nulls, all-null columns and zero rows; every other round
+/// also brings fresh values that sort before, between and after the old
+/// ones.
 ///
 /// Each case runs twice, in the order an ingest commit takes: the
 /// wrapper gives up its table, the table appends the delta, the indexes
@@ -395,8 +421,23 @@ fn fused_filter_groupby_matches_unfused_reference() {
 /// clone still answers with its pre-append bytes.
 #[test]
 fn append_merged_over_concat_matches_cold_build() {
-    let ops = parse_ops(&["groupby", "cat", "sum", "num"]).unwrap();
-    let bytes = |ix: &IndexedTable| table_to_json(&run_query_indexed(ix, &ops).unwrap().0);
+    let filter = |text| vec![QueryOp::FilterExpr(parse_expr(text).unwrap())];
+    let queries = [
+        parse_ops(&["groupby", "cat", "sum", "num"]).unwrap(),
+        filter("cat < 'k2'"),
+        filter("cat >= 'k1x'"),
+        filter("cat != 'k3'"),
+        parse_ops(&["sort", "cat", "asc", "limit", "9"]).unwrap(),
+        parse_ops(&["sort", "cat", "desc", "limit", "9"]).unwrap(),
+    ];
+    let scan = |table: &Table| -> Vec<String> {
+        let run = |ops: &Vec<QueryOp>| table_to_json(&run_query(table, ops).unwrap());
+        queries.iter().map(run).collect()
+    };
+    let bytes = |ix: &IndexedTable| -> Vec<String> {
+        let run = |ops: &Vec<QueryOp>| table_to_json(&run_query_indexed(ix, ops).unwrap().0);
+        queries.iter().map(run).collect()
+    };
     for held in [false, true] {
         let mut r = SeededRng::new(0xA99E4D);
         let (mut grown, mut copied) = (0usize, 0usize);
@@ -407,7 +448,10 @@ fn append_merged_over_concat_matches_cold_build() {
                 for name in ["cat", "cat2", "num"] {
                     let _ = warm.index(name);
                 }
-                let delta = gen_endpoint_table(&mut r);
+                let mut delta = gen_endpoint_table(&mut r);
+                if round % 2 == 1 {
+                    delta = delta.concat(&fresh_rows(round)).unwrap();
+                }
                 let expected = table.concat(&delta).unwrap();
                 let reader = held.then(|| (Arc::clone(&warm), table.clone(), bytes(&warm)));
                 let indexes = Arc::try_unwrap(warm).map(IndexedTable::into_indexes);
@@ -442,16 +486,13 @@ fn append_merged_over_concat_matches_cold_build() {
                         "{what}: index of '{name}'"
                     );
                 }
-                let scan = run_query(&table, &ops).unwrap();
-                let (fast, _) = run_query_indexed(&warm, &ops).unwrap();
-                assert_same_bytes(&fast, &scan, &what);
+                for (ops, (fast, scan)) in queries.iter().zip(bytes(&warm).iter().zip(scan(&table)))
+                {
+                    assert_eq!(*fast, scan, "{what}: indexed {ops:?} diverged from scan");
+                }
                 if let Some((before, snapshot, answered)) = reader {
                     assert_eq!(bytes(&before), answered, "{what}: held wrapper");
-                    assert_eq!(
-                        table_to_json(&run_query(&snapshot, &ops).unwrap()),
-                        answered,
-                        "{what}: held table"
-                    );
+                    assert_eq!(scan(&snapshot), answered, "{what}: held table");
                 }
             }
         }
