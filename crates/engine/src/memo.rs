@@ -515,6 +515,11 @@ impl FlowMemo {
     pub(crate) fn get(&self, key: u128, epoch: u64) -> Option<Table> {
         let mut inner = self.inner.lock();
         inner.advance(epoch);
+        // A run at an older epoch neither hits nor drops the entry a run
+        // at the current one stored.
+        if epoch != inner.epoch {
+            return None;
+        }
         inner.tables.get(&key, epoch)
     }
 
@@ -558,5 +563,17 @@ mod tests {
             "key 0 was the oldest"
         );
         assert_eq!(Arc::strong_count(&victims[0]), 1, "the caller drops it");
+    }
+
+    #[test]
+    fn a_lookup_at_an_older_epoch_leaves_the_current_entry() {
+        let memo = FlowMemo::default();
+        let table = Table::from_rows(&["a"], &[shareinsights_tabular::row![1i64]]).unwrap();
+        assert!(memo.get(7, 2).is_none(), "the first lookup starts epoch 2");
+        memo.put(7, 2, table);
+        assert!(memo.get(7, 1).is_none(), "an older run does not hit");
+        assert!(memo.get(7, 2).is_some(), "and leaves the entry in place");
+        memo.put(7, 1, Table::empty(Schema::empty()));
+        assert_eq!(memo.get(7, 2).expect("kept").num_rows(), 1, "nor inserts");
     }
 }

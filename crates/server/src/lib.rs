@@ -27,8 +27,8 @@
 //! epoll reactor (see [`serve::ServeOptions`]). Connections are persistent
 //! (HTTP/1.1 keep-alive, bounded per-connection request counts and idle
 //! windows); [`ClientConnection`] is the matching persistent client. Query
-//! results are cached in a generation-stamped, hash-sharded [`QueryCache`]
-//! invalidated by dashboard runs and publishes.
+//! pages are cached in a generation-stamped [`QueryCache`] invalidated by
+//! dashboard runs and publishes.
 //!
 //! Ad-hoc query paths compose left to right:
 //! `/ds/sales/filter/region/north/groupby/brand/sum/revenue/limit/10`.
@@ -47,7 +47,7 @@ pub mod stream;
 pub mod traces;
 pub mod wire;
 
-pub use cache::{CacheStats, QueryCache, ResultCache};
+pub use cache::{CacheStats, QueryCache};
 pub use http::{Method, Request, Response, Status};
 pub use json::table_to_json;
 pub use router::{Handled, Server};

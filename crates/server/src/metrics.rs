@@ -453,32 +453,6 @@ pub(crate) mod tests {
         assert_eq!(want.len(), got.len());
     }
 
-    #[test]
-    fn stats_json_gains_only_the_result_cache_block() {
-        let mut families = stats_fixture();
-        let stats = CacheStats {
-            hits: 5,
-            entries: 2,
-            ..CacheStats::default()
-        };
-        families.push(crate::cache::family(
-            "result_cache",
-            "shareinsights_result_cache",
-            stats,
-        ));
-        let doc = parse_json(&stats_json(&families)).unwrap();
-        let int = |path: &str| doc.path(path).unwrap().to_value().as_int();
-        assert_eq!(int("result_cache.hits"), Some(5));
-        assert_eq!(int("result_cache.entries"), Some(2));
-        assert_eq!(int("routes.GET /stats.p95_us"), Some(300));
-        let text = prometheus_text(&families);
-        assert!(text.contains(
-            "# TYPE shareinsights_result_cache_hits_total counter\n\
-             shareinsights_result_cache_hits_total 5\n"
-        ));
-        assert!(text.contains("shareinsights_result_cache_entries 2\n"));
-    }
-
     /// One `name{labels} value` sample line.
     type Sample = (String, String, f64);
 

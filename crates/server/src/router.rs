@@ -1,6 +1,6 @@
 //! The route table over a [`Platform`].
 
-use crate::cache::{QueryCache, ResultCache};
+use crate::cache::{CacheStats, QueryCache};
 use crate::http::{Method, Request, Response, Status};
 use crate::json::{string_list, table_to_json};
 use crate::metrics::{allowed_methods, prometheus_text, route_label, stats_json, ROUTE_PANIC};
@@ -126,7 +126,6 @@ enum Carried {
 pub struct Server {
     platform: Platform,
     cache: Arc<QueryCache>,
-    results: Arc<ResultCache>,
     /// Lazily indexed endpoint snapshots — a run, publish or stream push
     /// that moves an endpoint's generation releases its stale wrapper at
     /// once, and the next query builds a fresh one.
@@ -167,13 +166,22 @@ fn prepared_cost(src: &str, lowered: &LoweredSql) -> usize {
     src.len() + lowered.cache_path.len() + lowered.ops.len() * 128 + 64
 }
 
+/// What [`Server::result_cache`] returns: holds nothing.
+pub struct ResultCache;
+
+impl ResultCache {
+    /// All zeros.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+}
+
 impl Server {
     /// Wrap a platform.
     pub fn new(platform: Platform) -> Server {
         Server {
             platform,
             cache: Arc::new(QueryCache::default()),
-            results: Arc::new(ResultCache::default()),
             indexes: Arc::new(Mutex::new(HashMap::new())),
             hub: Arc::new(StreamHub::new()),
             prepared: Arc::new(Mutex::new(Lru::weighted(
@@ -204,14 +212,16 @@ impl Server {
         &self.platform
     }
 
-    /// The query-result cache (serialized page bodies).
+    /// The page cache (serialized page bodies).
     pub fn cache(&self) -> &QueryCache {
         &self.cache
     }
 
-    /// The unpaged query-result cache pages are sliced from.
-    pub fn result_cache(&self) -> &ResultCache {
-        &self.results
+    /// Inert: unpaged results are not kept, so its statistics always
+    /// read zero. Kept only so the benchmark crate compiles until its next
+    /// revision drops the call.
+    pub fn result_cache(&self) -> &'static ResultCache {
+        &ResultCache
     }
 
     /// The live-flow subscriber hub (serve layers register notifiers and
@@ -232,11 +242,6 @@ impl Server {
             "cache",
             "shareinsights_query_cache",
             self.cache.stats(),
-        ));
-        families.push(crate::cache::family(
-            "result_cache",
-            "shareinsights_result_cache",
-            self.results.stats(),
         ));
         let pool = parking_lot::Pool::global().stats();
         families.push(Family::scalars(
@@ -277,19 +282,6 @@ impl Server {
             .iter()
             .filter_map(|slot| Some(slot.lock().as_ref()?.1.index_bytes() as u64))
             .sum()
-    }
-
-    /// Drop every derived cache tier — page cache, result cache and
-    /// indexed snapshots — without touching endpoint data. Bench harnesses
-    /// call this to force cold evaluations without restarting the server.
-    pub fn clear_derived_caches(&self) {
-        self.cache.clear();
-        self.results.clear();
-        // Slots are emptied, not removed: an in-flight append keeps
-        // installing into the slot readers will look in.
-        for slot in self.indexes.lock().values() {
-            *slot.lock() = None;
-        }
     }
 
     /// Release every warm index of `dataset` that a re-run, publish or
@@ -1153,11 +1145,8 @@ impl Server {
     }
 
     /// Figure 28 browse + figure 30 ad-hoc queries, behind the
-    /// generation-stamped result caches: serialized page bodies in the
-    /// [`QueryCache`], unpaged result tables in the [`ResultCache`] (so a
-    /// new page slices the cached result instead of re-evaluating), and
-    /// cold evaluations routed through the indexed snapshot when a
-    /// per-column index covers the first operation.
+    /// generation-stamped page cache ([`QueryCache`]); a miss evaluates
+    /// over the endpoint's indexed snapshot.
     fn dataset(
         &self,
         request: &Request,
@@ -1184,17 +1173,9 @@ impl Server {
                 return Some(parse_error_response("parse", &e, 0, 0));
             }
         };
-        let result_key = format!("{dashboard}/{dataset}/{}", ops_segments.join("/"));
+        let query_key = format!("{dashboard}/{dataset}/{}", ops_segments.join("/"));
         self.serve_query(
-            request,
-            label,
-            dashboard,
-            dataset,
-            generation,
-            &result_key,
-            &ops,
-            reach,
-            span,
+            request, label, dashboard, dataset, generation, &query_key, &ops, reach, span,
         )
     }
 
@@ -1244,14 +1225,14 @@ impl Server {
                 p.finish();
             }
             let generation = self.live_generation(dashboard, dataset);
-            let result_key = format!("{dashboard}/{dataset}/{}", lowered.cache_path);
+            let query_key = format!("{dashboard}/{dataset}/{}", lowered.cache_path);
             let response = self.serve_query(
                 request,
                 label,
                 dashboard,
                 dataset,
                 generation,
-                &result_key,
+                &query_key,
                 &lowered.ops,
                 reach,
                 span,
@@ -1354,14 +1335,14 @@ impl Server {
         }
         // Canonical plans compute the exact result key the GET route
         // would, which is what makes the two languages share entries.
-        let result_key = format!("{dashboard}/{dataset}/{}", lowered.cache_path);
+        let query_key = format!("{dashboard}/{dataset}/{}", lowered.cache_path);
         self.serve_query(
             request,
             label,
             dashboard,
             dataset,
             generation,
-            &result_key,
+            &query_key,
             &lowered.ops,
             reach,
             span,
@@ -1369,10 +1350,9 @@ impl Server {
     }
 
     /// The shared cache/evaluate/page tail of both ad-hoc query routes:
-    /// page-cache lookup, result-cache lookup, indexed evaluation on a
-    /// double miss, then paging + page-cache fill. Under
-    /// [`Reach::HitOnly`] a page-cache miss answers `None` and leaves the
-    /// page cache as it was.
+    /// page-cache lookup, indexed evaluation on a miss, then paging +
+    /// page-cache fill. Under [`Reach::HitOnly`] a page-cache miss answers
+    /// `None` and leaves the page cache as it was.
     #[allow(clippy::too_many_arguments)]
     fn serve_query(
         &self,
@@ -1381,7 +1361,7 @@ impl Server {
         dashboard: &str,
         dataset: &str,
         generation: u64,
-        result_key: &str,
+        query_key: &str,
         ops: &[QueryOp],
         reach: Reach,
         span: Option<&Span>,
@@ -1389,7 +1369,7 @@ impl Server {
         let offset = request.query_usize("offset").unwrap_or(0);
         let limit = request.query_usize("limit");
         let page_key = format!(
-            "{result_key}?offset={offset}&limit={}",
+            "{query_key}?offset={offset}&limit={}",
             limit.map_or_else(|| "all".to_string(), |l| l.to_string()),
         );
         let cached = {
@@ -1414,57 +1394,38 @@ impl Server {
         self.platform.api_metrics().record_cache(label, false);
 
         let mut eval_span = span.map(|s| s.child("query_eval"));
-        let result = match self.results.get(result_key, generation) {
-            Some(result) => {
-                if let Some(s) = eval_span.as_mut() {
-                    s.set_attr("result_cache_hit", true);
-                }
-                result
-            }
-            None => {
-                // Looked up before the index slot, so that an unknown
-                // dataset answers 404 without leaving a slot behind.
-                if let Err(resp) = self.endpoint_table(dashboard, dataset) {
-                    return Some(resp);
-                }
-                let indexed = match self.indexed_table(dashboard, dataset) {
-                    Ok(indexed) => indexed,
-                    Err(resp) => return Some(resp),
-                };
-                let rows_in = indexed.table().num_rows();
-                // The plan that runs, for the trace.
-                let plan = fuse(ops);
-                if let Some(s) = eval_span.as_mut() {
-                    s.set_attr("plan", crate::sql::plan_text(&plan));
-                }
-                partition::take_verdict();
-                let evaluated = evaluate_indexed(&indexed, &plan);
-                let verdict = partition::take_verdict();
-                let (result, index_hit) = match evaluated {
-                    Ok(done) => {
-                        if let Some(s) = eval_span.as_mut() {
-                            s.set_attr("rows_materialised", done.rows_materialised);
-                            set_verdict(s, verdict);
-                        }
-                        (done.table, done.index_hit)
-                    }
-                    Err(e) => return Some(Response::error(Status::BadRequest, e)),
-                };
-                self.platform.api_metrics().record_index_eval(index_hit);
-                if let Some(s) = eval_span.as_mut() {
-                    s.set_attr("result_cache_hit", false);
-                    s.set_attr("index_hit", index_hit);
-                    s.set_attr("rows_in", rows_in);
-                }
-                let result = Arc::new(result);
-                self.results
-                    .put(result_key, generation, Arc::clone(&result));
-                result
-            }
+        // Looked up before the index slot, so that an unknown dataset
+        // answers 404 without leaving a slot behind.
+        if let Err(resp) = self.endpoint_table(dashboard, dataset) {
+            return Some(resp);
+        }
+        let indexed = match self.indexed_table(dashboard, dataset) {
+            Ok(indexed) => indexed,
+            Err(resp) => return Some(resp),
         };
+        // The plan that runs, for the trace.
+        let plan = fuse(ops);
+        if let Some(s) = eval_span.as_mut() {
+            s.set_attr("plan", crate::sql::plan_text(&plan));
+        }
+        partition::take_verdict();
+        let done = match evaluate_indexed(&indexed, &plan) {
+            Ok(done) => done,
+            Err(e) => return Some(Response::error(Status::BadRequest, e)),
+        };
+        let verdict = partition::take_verdict();
+        self.platform
+            .api_metrics()
+            .record_index_eval(done.index_hit);
+        if let Some(s) = eval_span.as_mut() {
+            s.set_attr("rows_materialised", done.rows_materialised);
+            set_verdict(s, verdict);
+            s.set_attr("index_hit", done.index_hit);
+            s.set_attr("rows_in", indexed.table().num_rows());
+        }
         // Paging on the final result.
-        let limit = limit.unwrap_or(result.num_rows());
-        let page = result.slice(offset, limit);
+        let limit = limit.unwrap_or(done.table.num_rows());
+        let page = done.table.slice(offset, limit);
         let mut serialise_span = eval_span.as_ref().map(|s| s.child("serialise"));
         partition::take_verdict();
         let body = table_to_json(&page);
@@ -1730,7 +1691,9 @@ F:
         let before = footprint(&server);
         assert!(server.handle_reach(&get, Reach::HitOnly).is_none());
         assert_eq!(footprint(&server), before);
-        server.cache.clear();
+        // A re-run leaves the planted page stale.
+        reupload(&server);
+        server.handle(&Request::new(Method::Post, "/dashboards/retail/run"));
         server.handle(&get);
         assert!(may_hit());
         let hit = server.handle_reach(&get, Reach::HitOnly).expect("a hit");
@@ -1868,23 +1831,6 @@ F:
     }
 
     #[test]
-    fn paging_slices_cached_result_without_reevaluating() {
-        let server = served();
-        server.handle(&Request::get("/retail/ds/brand_sales?limit=1"));
-        server.handle(&Request::get("/retail/ds/brand_sales?limit=1&offset=1"));
-        server.handle(&Request::get("/retail/ds/brand_sales/limit/1"));
-        // Distinct pages and ops are distinct serialized bodies...
-        assert_eq!(server.cache().stats().entries, 3);
-        assert_eq!(server.cache().stats().hits, 0);
-        // ...but the second page sliced the unpaged result cached by the
-        // first instead of re-evaluating the query; `limit/1` is a
-        // different query, so it evaluated.
-        let rs = server.result_cache().stats();
-        assert_eq!((rs.hits, rs.misses), (1, 2));
-        assert_eq!(rs.entries, 2);
-    }
-
-    #[test]
     fn paged_bodies_agree_with_unpaged_slices() {
         let server = served();
         let full = server.handle(&Request::get("/retail/ds/brand_sales"));
@@ -1977,7 +1923,11 @@ F:
             .handle(&Request::get("/metrics"))
             .body
             .contains(&gauge));
-        server.clear_derived_caches();
+        // A re-run releases the stale snapshot's slot.
+        reupload(&server);
+        assert!(server
+            .handle(&Request::new(Method::Post, "/dashboards/retail/run"))
+            .is_ok());
         assert_eq!(resident(), 0);
     }
 
@@ -2208,7 +2158,6 @@ F:
         assert!(body.contains("\"rows_in\": 3"), "{body}");
         // Cold evaluation spans say how the query routed.
         assert!(body.contains("\"index_hit\""), "{body}");
-        assert!(body.contains("\"result_cache_hit\": 0"), "{body}");
         assert!(
             body.contains("\"plan\": \"groupby/region/count/brand\""),
             "{body}"
@@ -2914,7 +2863,6 @@ F:
         };
         assert_eq!(value("sql", "prepared_hits"), 1);
         assert_eq!(value("ingest", "requests"), 1);
-        assert!(value("result_cache", "misses") >= 1);
         assert!(value("cache", "hits") >= 1);
     }
 

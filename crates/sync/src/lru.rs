@@ -16,8 +16,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-/// Cache statistics. For a sharded cache the per-shard snapshots are
-/// [merged](CacheStats::merge) field-wise.
+/// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a cached value.
@@ -32,20 +31,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Total weight of live entries (zero for an unweighted cache).
     pub bytes: usize,
-}
-
-impl CacheStats {
-    /// Field-wise sum, used to merge per-shard snapshots.
-    pub fn merge(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            invalidations: self.invalidations + other.invalidations,
-            entries: self.entries + other.entries,
-            bytes: self.bytes + other.bytes,
-        }
-    }
 }
 
 struct Entry<V> {

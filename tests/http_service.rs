@@ -1,5 +1,5 @@
 //! End-to-end test of the TCP data-API service: concurrent clients, the
-//! generation-stamped sharded query cache, keep-alive conformance, and
+//! generation-stamped page cache, keep-alive conformance, and
 //! `/stats` observability.
 
 mod common;

@@ -776,6 +776,7 @@ fn appends_with_no_reader_beside_them_grow_in_place() {
 
     const INGEST: &str = "/dashboards/bench/ds/events/ingest";
     const READ: &str = "/bench/ds/events/groupby/key/sum/qty";
+    const BROWSE: &str = "/bench/ds/events?limit=25";
     let mut r = SeededRng::new(0x9A0E);
     let mut csv_rows = |rows: usize| {
         let mut csv = String::from("key,qty\n");
@@ -794,6 +795,17 @@ fn appends_with_no_reader_beside_them_grow_in_place() {
     let mut held: std::collections::BTreeMap<String, usize> = Default::default();
     let mut postings_grown = 0;
     for append in 0..12u64 {
+        // A browse runs no ops, so its result is the endpoint's own
+        // table: nothing of it may outlive the request, or the append
+        // below finds the columns shared and copies them.
+        if let Some(t) = &table {
+            let browse = server.handle(&Request::get(BROWSE));
+            assert_eq!(
+                browse.body,
+                table_to_json(&t.slice(0, 25)),
+                "browse before append {append}"
+            );
+        }
         let csv = csv_rows(1 + append as usize * 7);
         let delta = decode(&csv);
         let n_old = table.as_ref().map_or(0, Table::num_rows);

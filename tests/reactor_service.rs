@@ -527,8 +527,8 @@ fn pipelined_chunked_responses_straddle_chunk_boundaries() {
 }
 
 /// The counts in `/stats` a request's side effects move — per-route
-/// count, errors, cache hits and misses; the page and result caches; the
-/// SQL counters — as `(path, value)` pairs. Latencies are left out.
+/// count, errors, cache hits and misses; the page cache; the SQL
+/// counters — as `(path, value)` pairs. Latencies are left out.
 fn accounting(stats_body: &str) -> Vec<(String, i64)> {
     let doc = parse_json(stats_body).unwrap();
     let mut paths: Vec<String> = Vec::new();
@@ -543,10 +543,6 @@ fn accounting(stats_body: &str) -> Vec<(String, i64)> {
                 "evictions",
                 "invalidations",
             ][..],
-        ),
-        (
-            "result_cache",
-            &["entries", "hits", "misses", "invalidations"],
         ),
         (
             "sql",
